@@ -68,7 +68,6 @@ func kmbenchMain() (err error) {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline of E21's instrumented TCP PageRank run to this file (only meaningful when E21 runs)")
-	streaming := flag.Bool("streaming", false, "run the registry-driven experiments (E19, E21) with streaming supersteps — results and Stats are identical, only the schedule changes")
 	ckEvery := flag.Int("checkpoint-every", 0, "run E19's substrate matrix with checkpointing every s supersteps — hashes and Stats must come out unchanged (E25 owns its own cadence and ignores this)")
 	ckDir := flag.String("checkpoint-dir", "", "persist E19's in-process checkpoints to this directory (core.FileSink) instead of the in-memory ring; only meaningful with -checkpoint-every")
 	flag.Parse()
@@ -135,7 +134,7 @@ func kmbenchMain() (err error) {
 		}
 	}
 
-	cfg := experiments.Config{Quick: *quick, Seed: *seed, TracePath: *tracePath, Streaming: *streaming,
+	cfg := experiments.Config{Quick: *quick, Seed: *seed, TracePath: *tracePath,
 		CheckpointEvery: *ckEvery, CheckpointDir: *ckDir}
 	mode := "full"
 	if *quick {

@@ -165,6 +165,62 @@ func TestSuperstepTimeoutHappyPathIdentical(t *testing.T) {
 	}
 }
 
+// TestStepOutlastingSuperstepTimeout: the wire is live while machines
+// compute, so SuperstepTimeout covers the whole superstep, Begin through
+// Finish — a machine whose Step outlasts it must end the run with a
+// deadline error (on the socket substrate, where the peers' bounded
+// reads are what notices, a machine-attributed one), not with a late
+// success.
+func TestStepOutlastingSuperstepTimeout(t *testing.T) {
+	const k, slow, slowStep = 3, 1, 2
+	const timeout = 150 * time.Millisecond
+	for _, kind := range []transport.Kind{transport.InMem, transport.TCP} {
+		t.Run(string(kind), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			cfg := core.Config{K: k, Bandwidth: 1, Seed: 1, MaxSupersteps: 50, SuperstepTimeout: timeout}
+			cluster := core.NewCluster(cfg, func(core.MachineID) core.Machine[conncomp.Wire] {
+				return core.MachineFunc[conncomp.Wire](func(ctx *core.StepContext, _ []core.Envelope[conncomp.Wire]) ([]core.Envelope[conncomp.Wire], bool) {
+					if ctx.Self == slow && ctx.Superstep == slowStep {
+						time.Sleep(4 * timeout)
+					}
+					return []core.Envelope[conncomp.Wire]{{To: core.MachineID((int(ctx.Self) + 1) % k), Words: 1}}, false
+				})
+			})
+			tr, err := core.OpenTransport[conncomp.Wire](kind, k, conncomp.WireCodec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := cluster.RunOn(tr)
+			tr.Close()
+			if err == nil {
+				t.Fatal("a Step four timeouts long did not fail the run")
+			}
+			switch kind {
+			case transport.InMem:
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("error %v is not a deadline error", err)
+				}
+			case transport.TCP:
+				// Every link is silent while the in-process cluster waits
+				// for the slow Step, so all bounded reads expire together
+				// and which machine gets named is a race (a survivor may
+				// even see a faster peer's teardown before its own
+				// deadline); what holds is attribution to the superstep.
+				var me *transport.MachineError
+				if !errors.As(err, &me) {
+					t.Errorf("tcp error %v carries no machine attribution", err)
+				} else if me.Superstep != slowStep {
+					t.Errorf("failure attributed to superstep %d, want %d", me.Superstep, slowStep)
+				}
+			}
+			if stats.Supersteps != slowStep+1 {
+				t.Errorf("stats account %d supersteps, want %d (the slow one included)", stats.Supersteps, slowStep+1)
+			}
+			testutil.NoLeakedGoroutines(t, base)
+		})
+	}
+}
+
 // TestPublicAPICancellation: a pre-canceled RunConfig.Context must
 // abort any public entry point with a wrapped context error and partial
 // cleanup, not run the computation.

@@ -39,9 +39,10 @@ type Problem struct {
 	Eps float64
 	// Top bounds summary listings (top-ranked vertices etc.); 0 means 5.
 	Top int
-	// SuperstepTimeout bounds each superstep's cross-machine phases on
-	// every substrate (core.Config.SuperstepTimeout /
-	// node.Config.SuperstepTimeout): a crashed or wedged machine
+	// SuperstepTimeout bounds each whole superstep — compute included,
+	// the wire is live during it — on every substrate
+	// (core.Config.SuperstepTimeout / node.Config.SuperstepTimeout): a
+	// crashed or wedged machine, or a Step that outlasts the timeout,
 	// surfaces as an attributed error within the timeout instead of
 	// hanging the run. 0 means no deadline; the happy path is
 	// unaffected either way.
@@ -57,13 +58,6 @@ type Problem struct {
 	// measure time only — Stats, outputs, and hashes are identical with
 	// or without a recorder. nil (the default) records nothing.
 	Recorder obs.Recorder
-	// Streaming opts the run into streaming supersteps on every
-	// substrate (core.Config.Streaming / node.Config.Streaming):
-	// opted-in machines overlap compute with communication by handing
-	// finished per-peer batches to the transport mid-superstep. Purely a
-	// scheduling knob — Stats, outputs, and hashes are bit-identical
-	// with it on or off. Default off.
-	Streaming bool
 	// Sharded opts setup into partition-local input construction
 	// (kmnode -sharded): each machine's View is a per-machine CSR shard
 	// built from the generator's canonical per-row stream (or ingested
@@ -141,7 +135,7 @@ func (prob Problem) withDefaults() Problem {
 func (prob Problem) nodeConfig(k int) node.Config {
 	return node.Config{K: k, Bandwidth: prob.Bandwidth, Seed: prob.Seed + 2,
 		SuperstepTimeout: prob.SuperstepTimeout, Context: prob.Context,
-		Recorder: prob.Recorder, Streaming: prob.Streaming,
+		Recorder: prob.Recorder,
 		Checkpoint: node.CheckpointConfig{Every: prob.Checkpoint.Every,
 			Store: prob.Checkpoint.Store, Resume: prob.Checkpoint.Resume,
 			Dir: prob.Checkpoint.Dir}}
@@ -152,7 +146,7 @@ func (prob Problem) nodeConfig(k int) node.Config {
 func (prob Problem) coreConfig(kind transport.Kind) core.Config {
 	cfg := core.Config{K: prob.K, Bandwidth: prob.Bandwidth, Seed: prob.Seed + 2,
 		Transport: kind, SuperstepTimeout: prob.SuperstepTimeout, Context: prob.Context,
-		Recorder: prob.Recorder, Streaming: prob.Streaming}
+		Recorder: prob.Recorder}
 	if ck := prob.Checkpoint; ck.Every > 0 {
 		sink := ck.Sink
 		if sink == nil {
@@ -164,8 +158,6 @@ func (prob Problem) coreConfig(kind transport.Kind) core.Config {
 		}
 		cfg.Checkpoint = core.CheckpointPolicy{Every: ck.Every, Sink: sink,
 			MaxRecoveries: ck.MaxRecoveries}
-		// Checkpointed runs capture at the lockstep barrier.
-		cfg.Streaming = false
 	}
 	return cfg
 }
@@ -374,9 +366,6 @@ func Register[M, L, O any](s Spec[M, L, O]) {
 			}
 			if ncfg.Recorder == nil {
 				ncfg.Recorder = prob.Recorder
-			}
-			if prob.Streaming {
-				ncfg.Streaming = true
 			}
 			ti := &timedInput{in: in}
 			t1 := time.Now()

@@ -1,42 +1,55 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"kmachine/internal/obs"
 )
 
 // Allocation-regression fence for the persistent-worker engine: a
-// steady-state superstep — workers stepping, sparse link accounting,
+// steady-state superstep — workers stepping, one batch emitted eagerly
+// and one envelope left as rest per machine, emitter reset/record, the
+// sparse link accounting fold, Begin/SendBatch/Finish with
 // count-then-place inbox assembly in the loopback transport — must not
 // allocate. The test runs a k=8 cluster for many supersteps with a
 // fixed traffic pattern and asserts the whole run stays under a budget
-// that only covers one-time setup (engine state, transport buffers,
-// machine closures, PerSuperstep growth); if a per-superstep allocation
-// sneaks back into the hot path it blows the budget immediately
-// (supersteps × k ≈ 1600 extra allocations).
+// that only covers one-time setup (engine state, emitters, transport
+// buffers, machine closures, PerSuperstep growth); if a per-superstep
+// allocation sneaks back into the hot path it blows the budget
+// immediately (supersteps × k ≈ 1600 extra allocations).
 
 type allocMsg struct{ payload [2]int64 }
+
+// ringMachine sends one envelope to each ring neighbour per superstep:
+// the next neighbour's as an eagerly emitted batch when emit is set,
+// everything else in the returned outs.
+func ringMachine(supersteps int, emit bool) Machine[allocMsg] {
+	next := make([]Envelope[allocMsg], 0, 1)
+	out := make([]Envelope[allocMsg], 0, 2)
+	return MachineFunc[allocMsg](func(ctx *StepContext, inbox []Envelope[allocMsg]) ([]Envelope[allocMsg], bool) {
+		if ctx.Superstep >= supersteps {
+			return nil, true
+		}
+		nj := MachineID((int(ctx.Self) + 1) % ctx.K)
+		pj := MachineID((int(ctx.Self) + ctx.K - 1) % ctx.K)
+		next = append(next[:0], Envelope[allocMsg]{To: nj, Words: 3})
+		out = append(out[:0], Envelope[allocMsg]{To: pj, Words: 2})
+		if emit {
+			if !EmitBatch(ctx, nj, next) {
+				panic("engine did not take an eager batch")
+			}
+			return out, false
+		}
+		return append(out, next...), false
+	})
+}
 
 func runSteadyCluster(tb testing.TB, supersteps int, drop bool, rec obs.Recorder) {
 	tb.Helper()
 	const k = 8
 	c := NewCluster(Config{K: k, Bandwidth: 2, Seed: 7, DropPerSuperstep: drop, Recorder: rec},
-		func(id MachineID) Machine[allocMsg] {
-			buf := make([]Envelope[allocMsg], 0, 2)
-			return MachineFunc[allocMsg](func(ctx *StepContext, inbox []Envelope[allocMsg]) ([]Envelope[allocMsg], bool) {
-				if ctx.Superstep >= supersteps {
-					return nil, true
-				}
-				// Fixed pattern: one envelope to each ring neighbour.
-				buf = buf[:0]
-				buf = append(buf,
-					Envelope[allocMsg]{To: MachineID((int(ctx.Self) + 1) % ctx.K), Words: 3},
-					Envelope[allocMsg]{To: MachineID((int(ctx.Self) + ctx.K - 1) % ctx.K), Words: 2},
-				)
-				return buf, false
-			})
-		})
+		func(MachineID) Machine[allocMsg] { return ringMachine(supersteps, true) })
 	st, err := c.Run()
 	if err != nil {
 		tb.Fatal(err)
@@ -49,11 +62,11 @@ func runSteadyCluster(tb testing.TB, supersteps int, drop bool, rec obs.Recorder
 func TestSteadyStateSuperstepAllocBudget(t *testing.T) {
 	const supersteps = 200
 	// One run = setup + 200 steady supersteps. The recorded footprint of
-	// the engine is ~60 allocations per run (cluster, engine state,
-	// goroutine closures, transport buffers, machine buffers); 150
-	// leaves headroom for toolchain drift while still failing hard if
-	// even one allocation per superstep (200 extra) returns.
-	const budget = 150.0
+	// the engine is ~140 allocations per run (cluster, engine state,
+	// emitters, goroutine closures, transport buffers, machine buffers);
+	// 170 leaves headroom for toolchain drift while still failing hard
+	// if even one allocation per superstep (200 extra) returns.
+	const budget = 170.0
 	got := testing.AllocsPerRun(3, func() {
 		runSteadyCluster(t, supersteps, true, nil)
 	})
@@ -71,108 +84,22 @@ func TestSteadyStateSuperstepAllocBudget(t *testing.T) {
 	}
 }
 
-// runSteadyStreamCluster is runSteadyCluster on the streaming schedule:
-// the same ring traffic, but each machine hands its two per-neighbour
-// batches to the transport mid-Step through the emitter. Exercises the
-// whole streaming hot path — Emitter reset/validate/record, the engine's
-// streamStep fold, and the loopback transport's Begin/Send/Finish.
-func runSteadyStreamCluster(tb testing.TB, supersteps int, drop bool, rec obs.Recorder) {
-	tb.Helper()
-	const k = 8
-	c := NewCluster(Config{K: k, Bandwidth: 2, Seed: 7, DropPerSuperstep: drop, Recorder: rec, Streaming: true},
-		func(id MachineID) Machine[allocMsg] {
-			next := make([]Envelope[allocMsg], 0, 1)
-			prev := make([]Envelope[allocMsg], 0, 1)
-			out := make([]Envelope[allocMsg], 0, 2)
-			return MachineFunc[allocMsg](func(ctx *StepContext, inbox []Envelope[allocMsg]) ([]Envelope[allocMsg], bool) {
-				if ctx.Superstep >= supersteps {
-					return nil, true
-				}
-				nj := MachineID((int(ctx.Self) + 1) % ctx.K)
-				pj := MachineID((int(ctx.Self) + ctx.K - 1) % ctx.K)
-				next = append(next[:0], Envelope[allocMsg]{To: nj, Words: 3})
-				prev = append(prev[:0], Envelope[allocMsg]{To: pj, Words: 2})
-				out = out[:0]
-				out = EmitOrAppend(ctx, nj, next, out)
-				out = EmitOrAppend(ctx, pj, prev, out)
-				return out, false
-			})
-		})
-	st, err := c.Run()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if st.Supersteps != supersteps {
-		tb.Fatalf("ran %d supersteps, want %d", st.Supersteps, supersteps)
-	}
-}
-
-// The streaming schedule owes the same zero-allocation steady state as
-// lockstep: emitters, their per-superstep resets, the streamStep
-// accounting fold, and the loopback streamer's staging must all recycle.
-// Budget headroom matches the lockstep fence; a single per-superstep
-// allocation (200 extra) fails immediately.
-func TestStreamingSuperstepAllocBudget(t *testing.T) {
-	const supersteps = 200
-	const budget = 170.0 // lockstep budget + one-time emitter/streamer setup
-	got := testing.AllocsPerRun(3, func() {
-		runSteadyStreamCluster(t, supersteps, true, nil)
-	})
-	if got > budget {
-		t.Errorf("streaming steady-state run allocated %.0f times, budget %.0f — a per-superstep allocation crept into the streaming hot path", got, budget)
-	}
-}
-
-// And with a live recorder: Record writes into the preallocated ring, so
-// instrumenting a streaming run must not add per-superstep allocations
-// either.
-func TestStreamingSuperstepAllocBudgetWithRecorder(t *testing.T) {
-	const supersteps = 200
-	const budget = 170.0
-	tr := obs.NewTrace(4096, 8)
-	got := testing.AllocsPerRun(3, func() {
-		runSteadyStreamCluster(t, supersteps, true, tr)
-	})
-	if got > budget {
-		t.Errorf("instrumented streaming run allocated %.0f times, budget %.0f — recording spans must not allocate", got, budget)
-	}
-	if c := tr.Counters(); c.Total == 0 {
-		t.Fatal("recorder saw no spans — the instrumented streaming path did not run")
-	}
-}
-
-// Streaming and lockstep must produce bit-identical Stats on identical
-// traffic — the engine-level form of the schedule-invariance oracle.
-func TestStreamingStatsMatchLockstep(t *testing.T) {
-	run := func(streaming bool) *Stats {
-		const k = 8
-		cfg := Config{K: k, Bandwidth: 2, Seed: 7, Streaming: streaming}
-		c := NewCluster(cfg, func(id MachineID) Machine[allocMsg] {
-			buf := make([]Envelope[allocMsg], 0, 2)
-			return MachineFunc[allocMsg](func(ctx *StepContext, inbox []Envelope[allocMsg]) ([]Envelope[allocMsg], bool) {
-				if ctx.Superstep >= 20 {
-					return nil, true
-				}
-				nj := MachineID((int(ctx.Self) + 1) % ctx.K)
-				pj := MachineID((int(ctx.Self) + ctx.K - 1) % ctx.K)
-				buf = append(buf[:0],
-					Envelope[allocMsg]{To: nj, Words: 3},
-					Envelope[allocMsg]{To: pj, Words: 2})
-				out := EmitOrAppend(ctx, nj, buf[:1], nil)
-				return EmitOrAppend(ctx, pj, buf[1:], out), false
-			})
-		})
+// An envelope costs the same whether it was emitted mid-Step or left as
+// rest: the accounting folds the emitters' records and the rest loads
+// into one link-load matrix, so Stats must be bit-identical.
+func TestEmittedAndRestAccountIdentically(t *testing.T) {
+	run := func(emit bool) *Stats {
+		c := NewCluster(Config{K: 8, Bandwidth: 2, Seed: 7},
+			func(MachineID) Machine[allocMsg] { return ringMachine(20, emit) })
 		st, err := c.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return st
 	}
-	lock, stream := run(false), run(true)
-	if lock.Rounds != stream.Rounds || lock.Supersteps != stream.Supersteps ||
-		lock.Messages != stream.Messages || lock.Words != stream.Words ||
-		lock.MaxRecvWords != stream.MaxRecvWords {
-		t.Errorf("streaming stats diverge from lockstep:\nlock   %+v\nstream %+v", lock, stream)
+	rest, emitted := run(false), run(true)
+	if !reflect.DeepEqual(rest, emitted) {
+		t.Errorf("emitted stats diverge from rest-only:\nrest    %+v\nemitted %+v", rest, emitted)
 	}
 }
 
@@ -183,7 +110,7 @@ func TestStreamingStatsMatchLockstep(t *testing.T) {
 // runs so its ring doesn't count against the budget.
 func TestSteadyStateSuperstepAllocBudgetWithRecorder(t *testing.T) {
 	const supersteps = 200
-	const budget = 150.0
+	const budget = 170.0
 	tr := obs.NewTrace(4096, 8)
 	got := testing.AllocsPerRun(3, func() {
 		runSteadyCluster(t, supersteps, true, tr)

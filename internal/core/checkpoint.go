@@ -23,20 +23,25 @@ import (
 // Machine state is a pure function of (seed, inbox history), so a
 // checkpoint of all k machines taken at one observation barrier — state
 // blobs via each algorithm's Snapshotter, RNG state words, done flags,
-// and the superstep's validated outgoing envelopes — is a complete,
-// consistent cut of the computation. Recovery reopens a fresh
-// transport, restores every machine in place from the latest cut, and
-// retries that superstep's exchange; from there the replay is the
+// and the superstep's validated outgoing envelopes, eagerly emitted
+// batches included — is a complete, consistent cut of the computation.
+// Recovery reopens a fresh transport, restores every machine in place
+// from the latest cut, and re-ships that superstep's envelopes through
+// Begin and Finish; from there the replay is the
 // original run, bit for bit, because every machine draws the same
 // random words and reads the same inboxes.
 //
-// Placement of the cut. runLockstep captures a checkpoint after the
-// superstep's accounting and before its Exchange. The checkpointed
-// Stats therefore already include the captured superstep, and a resumed
-// run re-enters the loop at the exchange of that superstep without
-// re-accounting it. Quiescence returns before accounting, so a final
-// superstep is never captured — a checkpoint always names a superstep
-// whose exchange is (re)tryable. An additional arm-time image at
+// Placement of the cut. The engine captures a checkpoint after the
+// superstep's accounting and before its Finish. The checkpointed Stats
+// therefore already include the captured superstep, and a resumed run
+// re-enters the loop at the Finish of that superstep without
+// re-accounting it. Batches a machine already emitted are still held by
+// its Emitter at that point and are written with its pending outs; the
+// restore hands everything to Finish as rest, which assembles the same
+// inboxes because a sender never mixes an emitted batch and rest
+// envelopes for one peer. Quiescence returns before accounting, so a
+// final superstep is never captured — a checkpoint always names a
+// superstep whose Finish is (re)tryable. An additional arm-time image at
 // superstep -1 (fresh state, empty outs, zero stats) covers failures
 // that land before the first periodic capture: restoring it is an exact
 // restart-from-zero.
@@ -68,9 +73,8 @@ type Snapshotter interface {
 const DefaultMaxRecoveries = 3
 
 // CheckpointPolicy is Config.Checkpoint: off by default (Every == 0),
-// and the lockstep loop's checkpoint hook is a single nil check when
-// off, preserving the engine's zero-allocation steady state and every
-// golden hash.
+// and the engine's checkpoint hook is a single nil check when off,
+// preserving its zero-allocation steady state and every golden hash.
 type CheckpointPolicy struct {
 	// Every captures a checkpoint each s supersteps (at supersteps
 	// Every-1, 2*Every-1, ...). 0 disables checkpointing.
@@ -243,8 +247,8 @@ func (s *FileSink) list() ([]int, error) {
 	return steps, nil
 }
 
-// ckRun is the per-run checkpoint state threaded through runLockstep
-// when checkpointing is armed; nil keeps the loop on its fenced
+// ckRun is the per-run checkpoint state threaded through the engine
+// loop when checkpointing is armed; nil keeps the loop on its fenced
 // zero-allocation path.
 type ckRun[M any] struct {
 	every int
@@ -255,8 +259,8 @@ type ckRun[M any] struct {
 
 	buf      []byte // encode scratch, reused across captures
 	initBlob []byte // arm-time superstep -1 image (restart-from-zero)
-	// resume >= 0 asks the next runLockstep call to re-enter at this
-	// superstep's exchange with restored outs; -2 means a normal start.
+	// resume >= 0 asks the next run call to re-enter at this
+	// superstep's Finish with restored outs; -2 means a normal start.
 	resume int
 }
 
@@ -270,8 +274,9 @@ type ckRun[M any] struct {
 //	uvarint len(PerSuperstep), each 6 uvarints
 //	per machine: uvarint rngState; flags byte (bit0 done);
 //	             uvarint len(state) + state blob;
-//	             uvarint len(outs), each: uvarint To, uvarint Words,
-//	             codec payload (self-delimiting per wire.Codec)
+//	             uvarint len(outs) (emitted batches, then rest), each:
+//	             uvarint To, uvarint Words, codec payload
+//	             (self-delimiting per wire.Codec)
 //
 // Stats.Recoveries is deliberately excluded: it is a live counter of
 // the run, not part of the computation's cut, and survives restores.
@@ -345,17 +350,32 @@ func (ck *ckRun[M]) encode(step int, e *engine[M], stats *Stats) ([]byte, error)
 			return nil, fmt.Errorf("core: snapshot machine %d: %w", i, err)
 		}
 		b = spliceLen(b, lenAt, stateAt)
-		b = wire.AppendUvarint(b, uint64(len(e.outs[i])))
-		for j := range e.outs[i] {
-			env := &e.outs[i][j]
-			b = wire.AppendUvarint(b, uint64(env.To))
-			b = wire.AppendUvarint(b, uint64(env.Words))
-			if b, err = ck.codec.Append(b, env.Msg); err != nil {
-				return nil, fmt.Errorf("core: snapshot machine %d envelope %d: %w", i, j, err)
+		em := e.emitters[i]
+		b = wire.AppendUvarint(b, uint64(em.msgs)+uint64(len(e.outs[i])))
+		for _, batch := range em.batches {
+			if b, err = ck.appendEnvs(b, batch); err != nil {
+				return nil, fmt.Errorf("core: snapshot machine %d: %w", i, err)
 			}
+		}
+		if b, err = ck.appendEnvs(b, e.outs[i]); err != nil {
+			return nil, fmt.Errorf("core: snapshot machine %d: %w", i, err)
 		}
 	}
 	ck.buf = b
+	return b, nil
+}
+
+// appendEnvs appends envs in the blob's per-envelope layout.
+func (ck *ckRun[M]) appendEnvs(b []byte, envs []Envelope[M]) ([]byte, error) {
+	var err error
+	for j := range envs {
+		env := &envs[j]
+		b = wire.AppendUvarint(b, uint64(env.To))
+		b = wire.AppendUvarint(b, uint64(env.Words))
+		if b, err = ck.codec.Append(b, env.Msg); err != nil {
+			return nil, fmt.Errorf("envelope %d for machine %d: %w", j, env.To, err)
+		}
+	}
 	return b, nil
 }
 
@@ -523,16 +543,14 @@ func (d *ckDecoder) bytes(n int) ([]byte, error) {
 // attributed *transport.MachineError and the context is still live, the
 // dead transport is replaced by one from reopen, every machine is
 // restored in place from the latest checkpoint, and the run resumes at
-// the checkpointed superstep's exchange — a deterministic replay whose
+// the checkpointed superstep's Finish — a deterministic replay whose
 // output is bit-identical to an unkilled run. Recovery is attempted up
 // to the policy's MaxRecoveries; Stats.Recoveries counts the
 // replacements performed.
 //
 // The caller owns t (and must Close it, as with RunOn); replacement
-// transports created from reopen are owned and closed here. Streaming
-// is ignored — checkpointing forces the lockstep schedule, whose
-// observation barrier is the consistent cut. With Checkpoint.Every ==
-// 0 this is exactly RunOn.
+// transports created from reopen are owned and closed here. With
+// Checkpoint.Every == 0 this is exactly RunOn.
 func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen func() (Transport[M], error)) (*Stats, error) {
 	pol := c.cfg.Checkpoint
 	if pol.Every <= 0 {
@@ -541,7 +559,6 @@ func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen
 	if codec == nil {
 		return nil, fmt.Errorf("core: checkpointing needs a message codec for state and envelope serialization")
 	}
-	k := c.cfg.K
 	runCtx := c.cfg.Context
 	if runCtx == nil {
 		runCtx = context.Background()
@@ -555,27 +572,9 @@ func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen
 		sink = NewMemorySink(0)
 	}
 
-	stats := &Stats{
-		RecvWords: make([]int64, k),
-		SentWords: make([]int64, k),
-	}
+	stats := newStats(c.cfg.K)
 	defer stats.finalize()
-
-	e := &engine[M]{
-		machines: c.machines,
-		rec:      c.cfg.Recorder,
-		start:    newBarrier(k + 1),
-		done:     newBarrier(k + 1),
-		inboxes:  make([][]Envelope[M], k),
-		outs:     make([][]Envelope[M], k),
-		dones:    make([]bool, k),
-		panics:   make([]error, k),
-		ctxs:     make([]StepContext, k),
-	}
-	for i := 0; i < k; i++ {
-		e.ctxs[i] = StepContext{Self: MachineID(i), K: k, RNG: c.rngs[i]}
-		go e.worker(i)
-	}
+	e := c.newEngine(t)
 	defer e.shutdown()
 
 	ck := &ckRun[M]{every: pol.Every, sink: sink, codec: codec, rngs: c.rngs, resume: -2}
@@ -583,14 +582,13 @@ func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen
 		return stats, err
 	}
 
-	cur := t
 	defer func() {
-		if cur != t {
-			cur.Close()
+		if e.t != t {
+			e.t.Close()
 		}
 	}()
 	for {
-		err := c.runLockstep(e, cur, runCtx, stats, ck)
+		err := c.run(e, runCtx, stats, ck)
 		if err == nil {
 			return stats, nil
 		}
@@ -606,10 +604,10 @@ func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen
 		if oerr != nil {
 			return stats, fmt.Errorf("core: recovery reopen after %v: %w", err, oerr)
 		}
-		if cur != t {
-			cur.Close()
+		if e.t != t {
+			e.t.Close()
 		}
-		cur = nt
+		e.t = nt
 		stats.Recoveries++
 		if step >= 0 {
 			ck.resume = step

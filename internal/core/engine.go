@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"kmachine/internal/obs"
-	"kmachine/internal/transport"
 )
 
 // This file is the superstep engine behind Cluster.RunOn: k persistent
@@ -27,11 +26,12 @@ import (
 // The superstep protocol is two barrier phases per superstep:
 //
 //	coordinator                      worker i
-//	write ctxs[*].Superstep
+//	Begin; write ctxs[*].Superstep
 //	start.Await() ───────────────▶   start.Await()
 //	                                 outs[i], dones[i] = Step(...)
+//	                                 (EmitBatch → SendBatch mid-Step)
 //	done.Await()  ◀───────────────   done.Await()
-//	validate, account, Exchange
+//	validate, account, Finish
 //
 // All engine state (inboxes, outs, dones, panics, ctxs) is handed back
 // and forth through the barriers, whose internal mutex establishes the
@@ -82,6 +82,11 @@ type engine[M any] struct {
 	done     *barrier // collects workers after their Step
 	stop     bool     // set (pre-start-barrier) to shut workers down
 
+	// t is the substrate the run is on; checkpoint recovery replaces it,
+	// and the emitters send through it, so they follow the replacement.
+	t        Transport[M]
+	emitters []*Emitter[M]
+
 	// rec receives per-machine compute and barrier-wait spans when
 	// non-nil (Config.Recorder); nil keeps workers on the span-free
 	// path the alloc fences pin.
@@ -92,6 +97,47 @@ type engine[M any] struct {
 	dones   []bool
 	panics  []error
 	ctxs    []StepContext
+
+	// Link-load accumulator: linkLoad is dense (k×k) but only the
+	// entries in touched are nonzero, so accounting and re-zeroing cost
+	// O(touched links), not O(k²). recvS/sentS are the per-superstep
+	// scratch reused by accountSparse.
+	linkLoad     []int64
+	touched      []int32
+	recvS, sentS []int64
+}
+
+// newEngine builds the run state over t, binds one emitter per machine
+// and spawns the k workers; the caller defers shutdown.
+func (c *Cluster[M]) newEngine(t Transport[M]) *engine[M] {
+	k := c.cfg.K
+	e := &engine[M]{
+		machines: c.machines,
+		t:        t,
+		emitters: make([]*Emitter[M], k),
+		rec:      c.cfg.Recorder,
+		start:    newBarrier(k + 1),
+		done:     newBarrier(k + 1),
+		inboxes:  make([][]Envelope[M], k),
+		outs:     make([][]Envelope[M], k),
+		dones:    make([]bool, k),
+		panics:   make([]error, k),
+		ctxs:     make([]StepContext, k),
+		linkLoad: make([]int64, k*k),
+		touched:  make([]int32, 0, 4*k),
+		recvS:    make([]int64, k),
+		sentS:    make([]int64, k),
+	}
+	for i := 0; i < k; i++ {
+		self := MachineID(i)
+		e.ctxs[i] = StepContext{Self: self, K: k, RNG: c.rngs[i]}
+		e.emitters[i] = NewEmitter(func(to MachineID, batch []Envelope[M]) error {
+			return e.t.SendBatch(self, to, batch)
+		}, self, k)
+		e.emitters[i].Bind(&e.ctxs[i])
+		go e.worker(i)
+	}
+	return e
 }
 
 // worker is the long-lived goroutine driving machine i.
@@ -134,8 +180,8 @@ func (e *engine[M]) stepMachine(i int) {
 	e.outs[i], e.dones[i] = e.machines[i].Step(&e.ctxs[i], e.inboxes[i])
 }
 
-// superstep drives one start/step/done cycle for all workers.
-func (e *engine[M]) superstep(step int) {
+// stepAll drives one start/step/done cycle for all workers.
+func (e *engine[M]) stepAll(step int) {
 	for i := range e.ctxs {
 		e.ctxs[i].Superstep = step
 	}
@@ -151,410 +197,248 @@ func (e *engine[M]) shutdown() {
 	e.start.Await()
 }
 
+// newStats returns the zeroed run statistics of a k-machine cluster.
+func newStats(k int) *Stats {
+	return &Stats{RecvWords: make([]int64, k), SentWords: make([]int64, k)}
+}
+
 // RunOn executes the cluster over the given transport. Envelope
 // validation, From-stamping, and all round/word accounting happen here,
 // before batches reach the transport, so the returned Stats are
-// bit-identical whichever substrate carries the envelopes.
+// bit-identical whichever substrate carries the envelopes. The
+// transport is single-run: quiescence leaves its last superstep open
+// for the caller's Close to abandon.
 //
 // Failure handling: Config.Context is observed between barrier phases
-// (a canceled run aborts before the next superstep's exchange), and
+// (a canceled run aborts before the next superstep begins), and
 // Config.SuperstepTimeout imposes a per-superstep deadline on the
-// transport exchange, so a dead or wedged peer machine surfaces as a
-// wrapped, machine-attributed error within the timeout. Both knobs
-// leave the happy path byte-identical: with neither set, no context
-// machinery is allocated and the golden determinism hashes are
-// unchanged.
+// transport, so a dead or wedged peer machine surfaces as a wrapped,
+// machine-attributed error within the timeout. Both knobs leave the
+// happy path byte-identical: with neither set, no context machinery is
+// allocated and the golden determinism hashes are unchanged.
 func (c *Cluster[M]) RunOn(t Transport[M]) (*Stats, error) {
-	k := c.cfg.K
 	runCtx := c.cfg.Context
 	if runCtx == nil {
 		runCtx = context.Background()
 	}
-	stats := &Stats{
-		RecvWords: make([]int64, k),
-		SentWords: make([]int64, k),
-	}
+	stats := newStats(c.cfg.K)
 	defer stats.finalize()
-
-	e := &engine[M]{
-		machines: c.machines,
-		rec:      c.cfg.Recorder,
-		start:    newBarrier(k + 1),
-		done:     newBarrier(k + 1),
-		inboxes:  make([][]Envelope[M], k),
-		outs:     make([][]Envelope[M], k),
-		dones:    make([]bool, k),
-		panics:   make([]error, k),
-		ctxs:     make([]StepContext, k),
-	}
-	for i := 0; i < k; i++ {
-		e.ctxs[i] = StepContext{Self: MachineID(i), K: k, RNG: c.rngs[i]}
-		go e.worker(i)
-	}
+	e := c.newEngine(t)
 	defer e.shutdown()
-
-	// Streaming supersteps: discovered like TraceSink/WireMeter, by
-	// type assertion, and additionally gated on the config knob and the
-	// transport's own CanStream answer (a chaos wrapper exposes the
-	// methods but delegates the decision to its inner transport). The
-	// lockstep loop below stays byte-identical when the knob is off.
-	if c.cfg.Streaming {
-		if s, ok := t.(transport.Streamer[M]); ok && s.CanStream() {
-			return stats, c.runStreaming(e, s, runCtx, stats)
-		}
-	}
-	return stats, c.runLockstep(e, t, runCtx, stats, nil)
+	return stats, c.run(e, runCtx, stats, nil)
 }
 
-// runLockstep is the classic compute → barrier → exchange loop: every
-// envelope travels in the machine's returned outs, and the transport
-// sees one Exchange call per superstep.
+// run drives supersteps until quiescence or the first error.
 //
 // ck, when non-nil, arms per-superstep checkpointing (see
-// checkpoint.go): a cut of all machines is captured every ck.every
-// supersteps after accounting and before the exchange, and a resume
-// request (ck.resume >= 0, set by RunCheckpointed after restoring a
-// checkpoint) re-enters the loop at that superstep's exchange with the
-// restored outs, skipping the already-executed compute and accounting.
-// With ck nil the loop is byte-identical to its pre-checkpoint form.
-func (c *Cluster[M]) runLockstep(e *engine[M], t Transport[M], runCtx context.Context, stats *Stats, ck *ckRun[M]) error {
-	k := c.cfg.K
-
-	// Link-load accumulator: linkLoad is dense (k×k) but only the
-	// entries in touched are nonzero, so accounting and re-zeroing cost
-	// O(touched links), not O(k²). recvS/sentS are the per-superstep
-	// scratch reused by accountSparse.
-	linkLoad := make([]int64, k*k)
-	touched := make([]int32, 0, 4*k)
-	recvS := make([]int64, k)
-	sentS := make([]int64, k)
-
-	start, skipCompute := 0, false
+// checkpoint.go), and a resume request (ck.resume >= 0, set by
+// RunCheckpointed after restoring a checkpoint) re-enters the loop at
+// that superstep's Finish with the restored outs, skipping the
+// already-executed compute and accounting.
+func (c *Cluster[M]) run(e *engine[M], runCtx context.Context, stats *Stats, ck *ckRun[M]) error {
+	start, resumed := 0, false
 	if ck != nil && ck.resume >= 0 {
-		start, skipCompute = ck.resume, true
+		start, resumed = ck.resume, true
 		ck.resume = -2
 	}
 	for step := start; ; step++ {
-		if skipCompute {
-			// Resuming from a checkpoint: machines, stats, and outs hold
-			// the restored post-compute image of this superstep — go
-			// straight to retrying its exchange.
-			skipCompute = false
-		} else {
-			if step >= c.cfg.MaxSupersteps {
-				return ErrMaxSupersteps
-			}
-			if err := runCtx.Err(); err != nil {
-				return fmt.Errorf("core: run canceled before superstep %d: %w", step, err)
-			}
-			e.superstep(step)
-			for _, perr := range e.panics {
-				if perr != nil {
-					return perr
-				}
-			}
-			// Second cancellation point, between the step barrier and the
-			// exchange: a cancel that landed while machines were stepping
-			// aborts before any envelope reaches the transport.
-			if err := runCtx.Err(); err != nil {
-				return fmt.Errorf("core: run canceled in superstep %d: %w", step, err)
-			}
-
-			// Validate, stamp, and accumulate the touched link loads; the
-			// cost arithmetic itself lives in accountSparse/AccountSuperstep,
-			// shared with the standalone coordinator.
-			var messages int64
-			allDone, pending := true, false
-			for i := 0; i < k; i++ {
-				if !e.dones[i] {
-					allDone = false
-				}
-				if len(e.outs[i]) > 0 {
-					pending = true
-				}
-				for j := range e.outs[i] {
-					env := &e.outs[i][j]
-					if env.To < 0 || int(env.To) >= k {
-						return fmt.Errorf("core: machine %d sent to invalid machine %d", i, env.To)
-					}
-					if env.Words < 0 {
-						return fmt.Errorf("core: machine %d sent negative-size envelope", i)
-					}
-					env.From = MachineID(i)
-					if int(env.To) == i {
-						// Self-addressed envelopes are free: local
-						// computation costs nothing in the model.
-						continue
-					}
-					messages++
-					if w := int64(env.Words); w > 0 {
-						idx := i*k + int(env.To)
-						if linkLoad[idx] == 0 {
-							touched = append(touched, int32(idx))
-						}
-						linkLoad[idx] += w
-					}
-				}
-			}
-			if allDone && !pending {
-				return nil
-			}
-
-			ss := accountSparse(k, c.cfg.Bandwidth, linkLoad, touched, messages, recvS, sentS)
-			touched = touched[:0]
-			for i := 0; i < k; i++ {
-				stats.RecvWords[i] += recvS[i]
-				stats.SentWords[i] += sentS[i]
-			}
-			stats.Rounds += ss.Rounds
-			stats.Supersteps++
-			stats.Messages += ss.Messages
-			stats.Words += ss.Words
-			if !c.cfg.DropPerSuperstep {
-				stats.PerSuperstep = append(stats.PerSuperstep, ss)
-			}
-
-			// The observation-barrier cut: everything above (state, RNG
-			// draws, accounting) is included, the exchange below is not —
-			// a restore retries it. Quiescence returned before this point,
-			// so a captured superstep always has an exchange to retry.
-			if ck != nil && (step+1)%ck.every == 0 {
-				if err := ck.capture(step, e, stats); err != nil {
-					return fmt.Errorf("core: checkpoint at superstep %d: %w", step, err)
-				}
-			}
-		}
-
-		// Deliver through the transport; the contract guarantees inboxes
-		// come back assembled in sender order for determinism, and the
-		// ownership rule lets the transport recycle inbox storage across
-		// supersteps (double-buffered, so superstep s inboxes stay valid
-		// while s+1 is assembled). The per-superstep deadline, when
-		// configured, lives only around this call: the deadline context
-		// is the run's sole allocation in a steady-state superstep, and
-		// only when the knob is on.
-		sctx, cancel := runCtx, context.CancelFunc(nil)
-		if c.cfg.SuperstepTimeout > 0 {
-			sctx, cancel = context.WithTimeout(runCtx, c.cfg.SuperstepTimeout)
-		}
-		var xt0 int64
-		if e.rec != nil {
-			xt0 = obs.Now()
-		}
-		next, err := t.Exchange(sctx, step, e.outs)
-		if e.rec != nil {
-			// One cluster-level span per superstep (Machine -1): the
-			// exchange is a barrier, so its duration is the whole
-			// cluster's communication phase. Recorded on the error path
-			// too — a failed run's timeline is the one worth reading.
-			e.rec.Record(obs.Span{Start: xt0, Dur: obs.Now() - xt0,
-				Machine: -1, Peer: -1, Superstep: int32(step), Phase: obs.PhaseExchange})
-		}
-		if cancel != nil {
-			cancel()
-		}
-		if err != nil {
-			// A run canceled mid-exchange surfaces from the transport
-			// as teardown shrapnel (closed connections); re-report the
-			// cancellation as the root cause so errors.Is(err,
-			// context.Canceled) holds as Config.Context documents.
-			if cErr := runCtx.Err(); cErr != nil {
-				return fmt.Errorf("core: run canceled in superstep %d: %w (teardown: %v)", step, cErr, err)
-			}
-			return fmt.Errorf("core: transport exchange failed in superstep %d: %w", step, err)
-		}
-		if len(next) != k {
-			return fmt.Errorf("core: transport returned %d inboxes for a %d-machine cluster", len(next), k)
-		}
-		e.inboxes = next
-	}
-}
-
-// runStreaming is the streaming-superstep loop: the transport is opened
-// with BeginSuperstep before the workers are released, machines hand
-// finished per-peer batches to it mid-compute through their bound
-// Emitters, and FinishSuperstep ships the remainder and doubles as the
-// superstep barrier.
-//
-// The §1.1 accounting is unchanged by construction. Every envelope is
-// validated and From-stamped in core before the transport sees it —
-// streamed batches in EmitBatch (on the emitting worker's goroutine),
-// rest envelopes in the loop below — and the link-load sums fold the
-// emitters' records and the rest loads together after the step barrier;
-// since per-link sums and maxima are order-independent, the resulting
-// SuperstepStat is bit-identical to the lockstep computation over the
-// same envelopes. Mixing schedules per peer is forbidden (a machine
-// that streamed a batch to j must not also return rest envelopes for
-// j), which keeps each receiver's per-sender envelope order — and hence
-// the golden output hashes — schedule-independent.
-//
-// Termination quiesces BEFORE FinishSuperstep, exactly like lockstep
-// returns before its Exchange — so the final superstep's BeginSuperstep
-// is deliberately left dangling and the transport's Close (deferred by
-// the caller) unblocks the eagerly-parked receive I/O. Finishing it
-// instead would ship k(k-1) empty frames the lockstep schedule never
-// sends, breaking wire-byte parity.
-func (c *Cluster[M]) runStreaming(e *engine[M], s transport.Streamer[M], runCtx context.Context, stats *Stats) error {
-	k := c.cfg.K
-	emitters := make([]*Emitter[M], k)
-	for i := 0; i < k; i++ {
-		emitters[i] = NewEmitter[M](s, MachineID(i), k)
-		emitters[i].Bind(&e.ctxs[i])
-	}
-
-	linkLoad := make([]int64, k*k)
-	touched := make([]int32, 0, 4*k)
-	recvS := make([]int64, k)
-	sentS := make([]int64, k)
-
-	for step := 0; ; step++ {
-		done, err := c.streamStep(e, s, emitters, runCtx, step, stats, linkLoad, &touched, recvS, sentS)
+		done, err := c.superstep(e, runCtx, step, stats, ck, resumed)
 		if done || err != nil {
 			return err
 		}
+		resumed = false
 	}
 }
 
-// streamStep drives one streaming superstep; done reports quiescent
-// termination. The per-superstep deadline, when configured, covers the
-// whole superstep — BeginSuperstep through FinishSuperstep — because
-// under streaming the wire is active during compute, not only in a
-// trailing exchange phase.
-func (c *Cluster[M]) streamStep(e *engine[M], s transport.Streamer[M], emitters []*Emitter[M],
-	runCtx context.Context, step int, stats *Stats, linkLoad []int64, touchedP *[]int32, recvS, sentS []int64) (done bool, err error) {
+// superstep drives one superstep; done reports quiescent termination.
+// The transport is opened with Begin before the workers are released,
+// machines hand finished per-peer batches to it mid-compute through
+// their bound Emitters, and Finish ships the remainder and doubles as
+// the superstep barrier. The per-superstep deadline, when configured,
+// covers Begin through Finish, because the wire is active during
+// compute; the deadline context is the run's sole allocation in a
+// steady-state superstep, and only when the knob is on.
+//
+// The §1.1 accounting is pre-transport by construction. Every envelope
+// is validated and From-stamped in core before the transport sees it —
+// emitted batches in EmitBatch (on the emitting worker's goroutine),
+// rest envelopes in the loop below — and the link-load sums fold the
+// emitters' records and the rest loads together after the step barrier;
+// per-link sums and maxima are order-independent, so the SuperstepStat
+// does not depend on when an envelope left its machine. Mixing per peer
+// is forbidden (a machine that emitted a batch to j must not also
+// return rest envelopes for j), which keeps each receiver's per-sender
+// envelope order — and hence the golden output hashes —
+// schedule-independent.
+//
+// Termination quiesces BEFORE Finish, so the final superstep's Begin is
+// deliberately left dangling and the transport's Close (deferred by the
+// caller) unblocks the eagerly-parked receive I/O. Finishing it instead
+// would ship k(k-1) empty frames for a superstep the model never
+// charges.
+//
+// resumed re-enters a checkpointed superstep: machines, stats, and outs
+// hold the restored post-compute image, so only Begin and Finish run.
+func (c *Cluster[M]) superstep(e *engine[M], runCtx context.Context, step int, stats *Stats, ck *ckRun[M], resumed bool) (done bool, err error) {
 	k := c.cfg.K
-	if step >= c.cfg.MaxSupersteps {
-		return false, ErrMaxSupersteps
+	if !resumed {
+		if step >= c.cfg.MaxSupersteps {
+			return false, ErrMaxSupersteps
+		}
+		if err := runCtx.Err(); err != nil {
+			return false, fmt.Errorf("core: run canceled before superstep %d: %w", step, err)
+		}
 	}
-	if err := runCtx.Err(); err != nil {
-		return false, fmt.Errorf("core: run canceled before superstep %d: %w", step, err)
-	}
-	sctx, cancel := runCtx, context.CancelFunc(nil)
+	sctx := runCtx
 	if c.cfg.SuperstepTimeout > 0 {
+		var cancel context.CancelFunc
 		sctx, cancel = context.WithTimeout(runCtx, c.cfg.SuperstepTimeout)
-	}
-	if cancel != nil {
 		defer cancel()
 	}
-	for i := 0; i < k; i++ {
-		emitters[i].Reset()
+	for _, em := range e.emitters {
+		em.Reset()
 	}
-	if berr := s.BeginSuperstep(sctx, step); berr != nil {
-		return false, fmt.Errorf("core: transport begin superstep %d: %w", step, berr)
-	}
-	e.superstep(step)
-	for _, perr := range e.panics {
-		if perr != nil {
-			return false, perr
-		}
-	}
-	if err := runCtx.Err(); err != nil {
-		return false, fmt.Errorf("core: run canceled in superstep %d: %w", step, err)
+	if err := e.t.Begin(sctx, step); err != nil {
+		return false, fmt.Errorf("core: transport begin superstep %d: %w", step, err)
 	}
 
-	// Validate and stamp the rest envelopes, fold both emission records
-	// into the touched link loads, and surface any mid-compute
-	// SendBatch failure before the finish barrier.
-	touched := *touchedP
-	var messages int64
-	allDone, pending := true, false
-	for i := 0; i < k; i++ {
-		em := emitters[i]
-		if serr := em.Err(); serr != nil {
-			if cErr := runCtx.Err(); cErr != nil {
-				return false, fmt.Errorf("core: run canceled in superstep %d: %w (teardown: %v)", step, cErr, serr)
+	if !resumed {
+		e.stepAll(step)
+		for _, perr := range e.panics {
+			if perr != nil {
+				return false, perr
 			}
-			return false, fmt.Errorf("core: machine %d streaming emit failed in superstep %d: %w", i, step, serr)
 		}
-		if !e.dones[i] {
-			allDone = false
+		// Second cancellation point, between the step barrier and
+		// Finish: a cancel that landed while machines were stepping
+		// aborts before the rest envelopes reach the transport.
+		if err := runCtx.Err(); err != nil {
+			return false, fmt.Errorf("core: run canceled in superstep %d: %w", step, err)
 		}
-		if len(e.outs[i]) > 0 {
-			pending = true
-		}
-		for _, j := range em.touched {
-			if w := em.words[j]; w > 0 {
-				idx := i*k + int(j)
-				if linkLoad[idx] == 0 {
-					touched = append(touched, int32(idx))
+
+		// Surface any mid-compute SendBatch failure before the finish
+		// barrier, then validate and stamp the rest envelopes and fold
+		// both emission records into the touched link loads; the cost
+		// arithmetic itself lives in accountSparse/AccountSuperstep,
+		// shared with the standalone coordinator.
+		for i, em := range e.emitters {
+			if serr := em.Err(); serr != nil {
+				if cErr := runCtx.Err(); cErr != nil {
+					return false, fmt.Errorf("core: run canceled in superstep %d: %w (teardown: %v)", step, cErr, serr)
 				}
-				linkLoad[idx] += w
+				return false, fmt.Errorf("core: machine %d emit failed in superstep %d: %w", i, step, serr)
 			}
 		}
-		messages += em.msgs
-		if em.anySent {
-			pending = true
-		}
-		for j := range e.outs[i] {
-			env := &e.outs[i][j]
-			if env.To < 0 || int(env.To) >= k {
-				*touchedP = touched
-				return false, fmt.Errorf("core: machine %d sent to invalid machine %d", i, env.To)
+		// From here to accountSparse the link-load accumulator is dirty;
+		// every error return in between is a validation failure, which is
+		// fatal for the run (never recovered from a checkpoint).
+		var messages int64
+		allDone, pending := true, false
+		for i := 0; i < k; i++ {
+			em := e.emitters[i]
+			if !e.dones[i] {
+				allDone = false
 			}
-			if env.Words < 0 {
-				*touchedP = touched
-				return false, fmt.Errorf("core: machine %d sent negative-size envelope", i)
+			if len(e.outs[i]) > 0 || len(em.touched) > 0 {
+				pending = true
 			}
-			env.From = MachineID(i)
-			if int(env.To) == i {
-				continue
+			for _, j := range em.touched {
+				e.addLoad(i*k+int(j), em.words[j])
 			}
-			if em.emitted[env.To] {
-				*touchedP = touched
-				return false, fmt.Errorf("core: machine %d returned envelopes for machine %d after streaming a batch to it in superstep %d", i, env.To, step)
-			}
-			messages++
-			if w := int64(env.Words); w > 0 {
-				idx := i*k + int(env.To)
-				if linkLoad[idx] == 0 {
-					touched = append(touched, int32(idx))
+			messages += em.msgs
+			for j := range e.outs[i] {
+				env := &e.outs[i][j]
+				if env.To < 0 || int(env.To) >= k {
+					return false, fmt.Errorf("core: machine %d sent to invalid machine %d", i, env.To)
 				}
-				linkLoad[idx] += w
+				if env.Words < 0 {
+					return false, fmt.Errorf("core: machine %d sent negative-size envelope", i)
+				}
+				env.From = MachineID(i)
+				if int(env.To) == i {
+					// Self-addressed envelopes are free: local
+					// computation costs nothing in the model.
+					continue
+				}
+				if em.emitted[env.To] {
+					return false, fmt.Errorf("core: machine %d returned envelopes for machine %d after emitting a batch to it in superstep %d", i, env.To, step)
+				}
+				messages++
+				e.addLoad(i*k+int(env.To), int64(env.Words))
+			}
+		}
+		if allDone && !pending {
+			return true, nil
+		}
+
+		ss := accountSparse(k, c.cfg.Bandwidth, e.linkLoad, e.touched, messages, e.recvS, e.sentS)
+		e.touched = e.touched[:0]
+		for i := 0; i < k; i++ {
+			stats.RecvWords[i] += e.recvS[i]
+			stats.SentWords[i] += e.sentS[i]
+		}
+		stats.Rounds += ss.Rounds
+		stats.Supersteps++
+		stats.Messages += ss.Messages
+		stats.Words += ss.Words
+		if !c.cfg.DropPerSuperstep {
+			stats.PerSuperstep = append(stats.PerSuperstep, ss)
+		}
+
+		// The observation-barrier cut: everything above (state, RNG
+		// draws, accounting) is included, Finish below is not — a
+		// restore retries it. Quiescence returned before this point, so
+		// a captured superstep always has a Finish to retry.
+		if ck != nil && (step+1)%ck.every == 0 {
+			if err := ck.capture(step, e, stats); err != nil {
+				return false, fmt.Errorf("core: checkpoint at superstep %d: %w", step, err)
 			}
 		}
 	}
-	if allDone && !pending {
-		*touchedP = touched
-		return true, nil
-	}
 
-	ss := accountSparse(k, c.cfg.Bandwidth, linkLoad, touched, messages, recvS, sentS)
-	*touchedP = touched[:0]
-	for i := 0; i < k; i++ {
-		stats.RecvWords[i] += recvS[i]
-		stats.SentWords[i] += sentS[i]
-	}
-	stats.Rounds += ss.Rounds
-	stats.Supersteps++
-	stats.Messages += ss.Messages
-	stats.Words += ss.Words
-	if !c.cfg.DropPerSuperstep {
-		stats.PerSuperstep = append(stats.PerSuperstep, ss)
-	}
-
+	// Deliver through the transport; the contract guarantees inboxes
+	// come back assembled in sender order for determinism, and the
+	// ownership rule lets the transport recycle inbox storage across
+	// supersteps (double-buffered, so superstep s inboxes stay valid
+	// while s+1 is assembled).
 	var xt0 int64
 	if e.rec != nil {
 		xt0 = obs.Now()
 	}
-	next, ferr := s.FinishSuperstep(sctx, step, e.outs)
+	next, err := e.t.Finish(sctx, step, e.outs)
 	if e.rec != nil {
-		// The cluster-level exchange span under streaming is only the
-		// finish barrier — the drain of whatever the eager path had not
-		// already shipped. Its shrinkage relative to lockstep is the
-		// schedule's win; the obs overlap gauge (frame-write ∩ compute)
-		// is the direct proof of concurrency.
+		// One cluster-level span per superstep (Machine -1): the finish
+		// barrier — the drain of whatever the eager path had not already
+		// shipped; the obs overlap gauge (frame-write ∩ compute) is the
+		// direct proof of concurrency. Recorded on the error path too — a
+		// failed run's timeline is the one worth reading.
 		e.rec.Record(obs.Span{Start: xt0, Dur: obs.Now() - xt0,
 			Machine: -1, Peer: -1, Superstep: int32(step), Phase: obs.PhaseExchange})
 	}
-	if ferr != nil {
+	if err != nil {
+		// A run canceled mid-superstep surfaces from the transport as
+		// teardown shrapnel (closed connections); re-report the
+		// cancellation as the root cause so errors.Is(err,
+		// context.Canceled) holds as Config.Context documents.
 		if cErr := runCtx.Err(); cErr != nil {
-			return false, fmt.Errorf("core: run canceled in superstep %d: %w (teardown: %v)", step, cErr, ferr)
+			return false, fmt.Errorf("core: run canceled in superstep %d: %w (teardown: %v)", step, cErr, err)
 		}
-		return false, fmt.Errorf("core: transport exchange failed in superstep %d: %w", step, ferr)
+		return false, fmt.Errorf("core: transport exchange failed in superstep %d: %w", step, err)
 	}
 	if len(next) != k {
 		return false, fmt.Errorf("core: transport returned %d inboxes for a %d-machine cluster", len(next), k)
 	}
 	e.inboxes = next
 	return false, nil
+}
+
+// addLoad charges w words to directed link idx (= from*k+to), recording
+// the link as touched on its first nonzero load this superstep.
+func (e *engine[M]) addLoad(idx int, w int64) {
+	if w > 0 {
+		if e.linkLoad[idx] == 0 {
+			e.touched = append(e.touched, int32(idx))
+		}
+		e.linkLoad[idx] += w
+	}
 }

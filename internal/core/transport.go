@@ -22,11 +22,6 @@ func OpenTransport[M any](kind transport.Kind, k int, codec wire.Codec[M]) (Tran
 			return nil, fmt.Errorf("core: transport %q needs a message codec", kind)
 		}
 		return tcp.New[M](k, codec)
-	case transport.TCPWireV1:
-		if codec == nil {
-			return nil, fmt.Errorf("core: transport %q needs a message codec", kind)
-		}
-		return tcp.NewWithVersion[M](k, codec, wire.BatchV1)
 	default:
 		return nil, fmt.Errorf("core: unknown transport kind %q", kind)
 	}

@@ -104,11 +104,10 @@ type sortMachine struct {
 	delivBuf []smsg
 	outBuf   []core.Envelope[wire]
 	// buckets[j] collects the superstep's envelopes addressed to machine
-	// j; core.EmitBuckets streams the non-self buckets eagerly on
-	// streaming runs and appends them to the returned outs on lockstep
-	// runs, byte-identically either way. The broadcast supersteps (0 and
-	// 3) go further and emit each peer's batch as soon as its loop
-	// completes, overlapping the remaining peers' assembly with the wire.
+	// j; core.EmitBuckets hands the non-self buckets to the transport
+	// eagerly. The broadcast supersteps (0 and 3) go further and emit
+	// each peer's batch as soon as its loop completes, overlapping the
+	// remaining peers' assembly with the wire.
 	buckets [][]core.Envelope[wire]
 	// sortTmp is the radix-sort ping-pong buffer, shared by the three
 	// key sorts of a run.
@@ -226,8 +225,8 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 				routing.RouteDirectBuckets(buckets, core.MachineID(j), 1, smsg{Kind: kindSample, Value: s})
 			}
 			// Peer j's broadcast batch is complete: hand it to the wire
-			// now (streaming runs) while the remaining peers' batches are
-			// still being assembled.
+			// now, while the remaining peers' batches are still being
+			// assembled.
 			out = core.EmitOrAppend(ctx, core.MachineID(j), buckets[j], out)
 		}
 		out = append(out, buckets[ctx.Self]...)

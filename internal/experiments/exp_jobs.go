@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -9,7 +10,6 @@ import (
 	"kmachine/internal/algo"
 	_ "kmachine/internal/algo/all"
 	"kmachine/internal/jobs"
-	"kmachine/internal/transport"
 )
 
 // E24JobService measures what the resident mesh daemon amortises: the
@@ -146,15 +146,13 @@ func runJobStream(k int, standing bool, reqs []jobs.Request) (streamResult, erro
 	// the job service, not the predecessor (what testing.B does between
 	// benchmarks).
 	runtime.GC()
-	var backend jobs.Backend
-	var err error
+	var backend jobs.Backend = buildBackend{k: k}
 	if standing {
-		backend, err = jobs.NewMeshBackend(k)
-	} else {
-		backend, err = jobs.NewBuildBackend(k, transport.TCP)
-	}
-	if err != nil {
-		return streamResult{}, err
+		mesh, err := jobs.NewMeshBackend(k)
+		if err != nil {
+			return streamResult{}, err
+		}
+		backend = mesh
 	}
 	s := jobs.New(backend, jobs.Options{})
 	defer s.Close()
@@ -196,3 +194,23 @@ func runJobStream(k int, standing bool, reqs []jobs.Request) (streamResult, erro
 		p99:        lats[(len(lats)*99+99)/100-1],
 	}, nil
 }
+
+// buildBackend is E24's baseline arm: every job runs on a freshly built
+// node-local socket mesh — the run-once lifecycle the daemon replaces.
+type buildBackend struct{ k int }
+
+func (b buildBackend) Run(ctx context.Context, req jobs.Request, job uint64) (*algo.Outcome, error) {
+	e, ok := algo.Lookup(req.Algo)
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown algorithm %q", req.Algo)
+	}
+	prob := req.Prob
+	prob.K = b.k
+	prob.Context = ctx
+	return e.RunNodeLocal(prob)
+}
+
+func (b buildBackend) Healthy() bool  { return true }
+func (b buildBackend) Rebuild() error { return nil }
+func (b buildBackend) K() int         { return b.k }
+func (b buildBackend) Close() error   { return nil }

@@ -138,13 +138,6 @@ type Config struct {
 	// to this file (open in chrome://tracing or Perfetto). Other
 	// experiments ignore it.
 	TracePath string
-	// Streaming runs the registry-driven experiments (E19's substrate
-	// matrix, E21's phase timings) with streaming supersteps, so a
-	// whole-suite A/B against the lockstep schedule is one kmbench flag
-	// away. Results and Stats are identical by construction — what
-	// changes is the wall-clock and the phase timeline. E22 ignores it:
-	// that experiment always runs both schedules.
-	Streaming bool
 	// CheckpointEvery runs E19's registry-driven substrate matrix with
 	// per-superstep checkpointing armed at this cadence, so a
 	// whole-suite "does checkpointing perturb any hash or Stat" audit
@@ -192,9 +185,8 @@ func All() []Runner {
 		{"E17", "information cost audit (Thm 1)", E17InfoCost},
 		{"E18", "4-clique enumeration (§1.2 generalization)", E18Cliques4},
 		{"E19", "substrate equivalence (registry × transports)", E19SubstrateMatrix},
-		{"E20", "bytes-on-wire (model words vs physical bytes, v1 vs v2)", E20WireBytes},
+		{"E20", "bytes-on-wire (model words vs physical bytes)", E20WireBytes},
 		{"E21", "phase timings (compute/barrier/exchange share of wall)", E21PhaseTimings},
-		{"E22", "streaming supersteps (overlap compute and wire)", E22Streaming},
 		{"E23", "partition-local setup (per-process heap, full vs sharded)", E23ShardedSetup},
 		{"E24", "resident job service (standing mesh vs build-per-job)", E24JobService},
 		{"E25", "checkpoint overhead & recovery latency (resume vs restart-from-zero)", E25Recovery},

@@ -36,7 +36,6 @@ type SubmitRequest struct {
 	Bandwidth int     `json:"bandwidth,omitempty"`
 	Eps       float64 `json:"eps,omitempty"`
 	Top       int     `json:"top,omitempty"`
-	Streaming bool    `json:"streaming,omitempty"`
 	TimeoutMS int64   `json:"timeout_ms,omitempty"`
 	// CheckpointEvery opts the job into per-superstep checkpointing and
 	// machine-failure recovery: state is captured every
@@ -109,7 +108,6 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Prob: algo.Problem{
 			N: sr.N, EdgeP: sr.EdgeP, K: sr.K, Seed: sr.Seed,
 			Bandwidth: sr.Bandwidth, Eps: sr.Eps, Top: sr.Top,
-			Streaming:  sr.Streaming,
 			Checkpoint: algo.CheckpointSpec{Every: sr.CheckpointEvery},
 		},
 		Timeout: time.Duration(sr.TimeoutMS) * time.Millisecond,

@@ -19,11 +19,7 @@ import (
 // then drain and verify intake is closed.
 func TestHTTPAPI(t *testing.T) {
 	const k = 3
-	b, err := NewBuildBackend(k, transport.InMem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(b, Options{})
+	s := New(inmemBackend{k: k}, Options{})
 	defer s.Close()
 	mux := http.NewServeMux()
 	s.RegisterAPI(mux)

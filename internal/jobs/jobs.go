@@ -176,45 +176,6 @@ func (b *MeshBackend) Close() error {
 	return b.lm.Close()
 }
 
-// BuildBackend runs every job on a freshly built substrate — the
-// run-once lifecycle the daemon replaces, kept as the E24 baseline and
-// as an in-memory mode for socket-free deployments. Kind selects the
-// substrate: transport.TCP builds a fresh node-local socket mesh per
-// job (entry.RunNodeLocal); anything else runs the in-process cluster
-// over that transport kind (transport.InMem / transport.Default).
-type BuildBackend struct {
-	k    int
-	kind transport.Kind
-}
-
-// NewBuildBackend returns a build-per-job backend for a k-machine
-// cluster over the given transport kind.
-func NewBuildBackend(k int, kind transport.Kind) (*BuildBackend, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("jobs: need k >= 2 machines, got %d", k)
-	}
-	return &BuildBackend{k: k, kind: kind}, nil
-}
-
-func (b *BuildBackend) Run(ctx context.Context, req Request, job uint64) (*algo.Outcome, error) {
-	e, ok := algo.Lookup(req.Algo)
-	if !ok {
-		return nil, fmt.Errorf("jobs: unknown algorithm %q", req.Algo)
-	}
-	prob := req.Prob
-	prob.K = b.k
-	prob.Context = ctx
-	if b.kind == transport.TCP {
-		return e.RunNodeLocal(prob)
-	}
-	return e.Run(prob, b.kind)
-}
-
-func (b *BuildBackend) Healthy() bool  { return true }
-func (b *BuildBackend) Rebuild() error { return nil }
-func (b *BuildBackend) K() int         { return b.k }
-func (b *BuildBackend) Close() error   { return nil }
-
 // Options configures a Scheduler.
 type Options struct {
 	// Trace, when non-nil, is Reset before each job and installed as

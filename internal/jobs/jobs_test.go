@@ -18,6 +18,24 @@ import (
 	"kmachine/internal/transport/wire"
 )
 
+// inmemBackend is the socket-free Backend of the tests that exercise the
+// scheduler rather than the mesh: every job runs on a fresh in-process
+// cluster over the loopback transport.
+type inmemBackend struct{ k int }
+
+func (b inmemBackend) Run(ctx context.Context, req Request, job uint64) (*algo.Outcome, error) {
+	e, _ := algo.Lookup(req.Algo) // Submit validated the name
+	prob := req.Prob
+	prob.K = b.k
+	prob.Context = ctx
+	return e.Run(prob, transport.InMem)
+}
+
+func (b inmemBackend) Healthy() bool  { return true }
+func (b inmemBackend) Rebuild() error { return nil }
+func (b inmemBackend) K() int         { return b.k }
+func (b inmemBackend) Close() error   { return nil }
+
 // chaosHook, when non-nil, is invoked by the testjob-chaos algorithm's
 // machine 1 at superstep 2 — the deterministic "kill a machine mid-job"
 // waypoint of the chaos test.
@@ -201,15 +219,13 @@ func TestJobStreamDeterminism(t *testing.T) {
 	}
 
 	for _, backendName := range []string{"mesh", "inmem"} {
-		var b Backend
-		var err error
+		var b Backend = inmemBackend{k: k}
 		if backendName == "mesh" {
-			b, err = NewMeshBackend(k)
-		} else {
-			b, err = NewBuildBackend(k, transport.InMem)
-		}
-		if err != nil {
-			t.Fatal(err)
+			mesh, err := NewMeshBackend(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = mesh
 		}
 		s := New(b, Options{})
 
@@ -345,11 +361,7 @@ func TestJobDeadline(t *testing.T) {
 // the queue; Abort cancels the in-flight job.
 func TestDrainAndAbort(t *testing.T) {
 	const k = 3
-	b, err := NewBuildBackend(k, transport.InMem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(b, Options{})
+	s := New(inmemBackend{k: k}, Options{})
 	defer s.Close()
 
 	for i := 0; i < 3; i++ {
@@ -374,11 +386,7 @@ func TestDrainAndAbort(t *testing.T) {
 // TestSubmitValidation: unknown algorithms, bad sizes, and k mismatches
 // are rejected at submit time, before touching the queue.
 func TestSubmitValidation(t *testing.T) {
-	b, err := NewBuildBackend(3, transport.InMem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(b, Options{})
+	s := New(inmemBackend{k: 3}, Options{})
 	defer s.Close()
 	if _, err := s.Submit(Request{Algo: "no-such", Prob: algo.Problem{N: 10}}); err == nil {
 		t.Error("unknown algorithm accepted")

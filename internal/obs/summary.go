@@ -170,12 +170,10 @@ func unionInto(ivs, out [][2]int64) [][2]int64 {
 
 // Overlap measures how much of the run's compute time the wire was
 // simultaneously active: |union(compute spans) ∩ union(frame-write
-// spans)| / |union(compute spans)|, over the whole trace. It is the
-// gauge behind the streaming-superstep experiments — on the lockstep
-// schedule every frame is written strictly after the superstep's last
-// Step returns, so the ratio is ~0; a streaming run's eager batches
-// push it above zero, and the ratio quantifies how much of the exchange
-// the overlap actually hid.
+// spans)| / |union(compute spans)|, over the whole trace. A run that
+// wrote every frame strictly after the superstep's last Step returned
+// would read ~0; eagerly emitted batches push it above zero, and the
+// ratio quantifies how much of the exchange the overlap actually hid.
 //
 // Frame WRITES, not reads, are the wire side of the intersection
 // deliberately: a parked reader's span covers its whole wait, so under

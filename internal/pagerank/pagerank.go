@@ -149,9 +149,9 @@ type machine struct {
 	outBuf   []core.Envelope[wire]
 	// buckets[j] collects the superstep's envelopes addressed to machine
 	// j (per-destination program order preserved — see the routing
-	// *Buckets contract); core.EmitBuckets streams each non-self bucket
-	// eagerly on streaming runs and appends all of them to the returned
-	// outs on lockstep runs, byte-identically either way.
+	// *Buckets contract); core.EmitBuckets hands each non-self bucket to
+	// the transport as soon as the Step finalises it and appends the
+	// rest to the returned outs.
 	buckets [][]core.Envelope[wire]
 
 	iter int
@@ -220,9 +220,8 @@ func (m *machine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]co
 	}
 	if m.iter >= m.opts.Iterations {
 		// Quiescence must be judged on what the superstep PRODUCED, not
-		// on what is left in out after streaming — the predicate below is
-		// therefore computed over the buckets, identically on both
-		// schedules.
+		// on what is left in out after eager emission — the predicate
+		// below is therefore computed over the buckets.
 		quiet := true
 		for j := range buckets {
 			if len(buckets[j]) > 0 {

@@ -8,7 +8,7 @@
 // paths the runtime must survive:
 //
 //   - KillAt: the victim "dies" at a superstep — the inner transport is
-//     torn down and the Exchange returns a machine-attributed ErrKilled
+//     torn down and Finish returns a machine-attributed ErrKilled
 //     (works on any substrate, including the loopback, which has no
 //     real failure mode of its own);
 //   - DropConnAt: a substrate hook severs the victim's real resources
@@ -16,7 +16,7 @@
 //     connection), and the inner transport's OWN failure path then runs
 //     — deadlines fire, closes cascade — with the resulting error
 //     re-attributed to the victim;
-//   - DelayAt: added latency before a superstep's exchange, bounded by
+//   - DelayAt: added latency before a superstep's barrier, bounded by
 //     the caller's context, for exercising per-superstep deadlines
 //     without a wall-clock-sized test.
 //
@@ -59,7 +59,7 @@ type Fault struct {
 }
 
 // KillAt makes the victim machine die at the given superstep: the
-// wrapped transport is closed and Exchange returns a MachineError
+// wrapped transport is closed and Finish returns a MachineError
 // wrapping ErrKilled. Substrate-independent.
 func KillAt(victim transport.MachineID, step int) Fault {
 	return Fault{kind: faultKill, victim: victim, step: step}
@@ -74,9 +74,9 @@ func DropConnAt(victim transport.MachineID, step int, sever func()) Fault {
 	return Fault{kind: faultDropConn, victim: victim, step: step, sever: sever}
 }
 
-// DelayAt inserts d of latency before the exchange of the given
+// DelayAt inserts d of latency before the barrier of the given
 // superstep (step < 0 means every superstep). The sleep respects the
-// Exchange context: an expiring per-superstep deadline cuts it short
+// superstep context: an expiring per-superstep deadline cuts it short
 // and surfaces as a MachineError attributed to machine -1 (no specific
 // victim — the cluster, not a machine, was slow).
 func DelayAt(step int, d time.Duration) Fault {
@@ -84,7 +84,7 @@ func DelayAt(step int, d time.Duration) Fault {
 }
 
 // Transport wraps an inner transport with injected faults. It is not
-// safe for concurrent Exchange calls, matching the Transport contract.
+// safe for concurrent Finish calls, matching the Transport contract.
 type Transport[M any] struct {
 	inner  transport.Transport[M]
 	faults []Fault
@@ -97,8 +97,22 @@ func Wrap[M any](inner transport.Transport[M], faults ...Fault) *Transport[M] {
 	return &Transport[M]{inner: inner, faults: faults, victim: -1}
 }
 
-// Exchange applies due faults, then forwards to the inner transport.
-func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
+// Begin forwards to the inner transport. Faults stay attached to Finish,
+// the superstep's barrier — one injection point, one code path.
+func (t *Transport[M]) Begin(ctx context.Context, step int) error {
+	return t.inner.Begin(ctx, step)
+}
+
+// SendBatch forwards an eagerly-emitted batch to the inner transport.
+func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
+	return t.inner.SendBatch(from, to, batch)
+}
+
+// Finish applies due faults, then forwards to the inner transport. A
+// KillAt victim dies here even if its batches were already emitted: the
+// run aborts with the attributed error before any inbox is assembled,
+// exactly like a machine crashing mid-superstep.
+func (t *Transport[M]) Finish(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
 	for _, f := range t.faults {
 		switch f.kind {
 		case faultDelay:
@@ -124,11 +138,11 @@ func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transpor
 			}
 			t.killed, t.victim = true, f.victim
 			f.sever()
-			// Fall through to the inner Exchange: the severed resources
+			// Fall through to the inner Finish: the severed resources
 			// make the substrate's real failure path fire.
 		}
 	}
-	in, err := t.inner.Exchange(ctx, step, outs)
+	in, err := t.inner.Finish(ctx, step, rest)
 	if err != nil && t.killed {
 		// Guarantee attribution: whatever shape the substrate's failure
 		// took (a victim endpoint reporting its own dead sockets, a
@@ -141,73 +155,12 @@ func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transpor
 	return in, err
 }
 
-// CanStream implements transport.Streamer by delegation: chaos itself
-// adds no wire, so the streaming capability is exactly the inner
-// transport's. Exposing the methods while answering false here is the
-// pattern that lets a wrapper implement the interface unconditionally —
-// callers must gate on CanStream, per the contract.
-func (t *Transport[M]) CanStream() bool {
-	if s, ok := t.inner.(transport.Streamer[M]); ok {
-		return s.CanStream()
+// Exchange implements transport.Transport: Begin, then Finish.
+func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
+	if err := t.Begin(ctx, step); err != nil {
+		return nil, err
 	}
-	return false
-}
-
-// BeginSuperstep forwards to the inner streamer. Faults stay attached
-// to FinishSuperstep — the streaming superstep's barrier — mirroring
-// their timing on the lockstep path, where they fire in Exchange.
-func (t *Transport[M]) BeginSuperstep(ctx context.Context, step int) error {
-	return t.inner.(transport.Streamer[M]).BeginSuperstep(ctx, step)
-}
-
-// SendBatch forwards an eagerly-emitted batch to the inner streamer.
-func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
-	return t.inner.(transport.Streamer[M]).SendBatch(from, to, batch)
-}
-
-// FinishSuperstep applies due faults, then forwards to the inner
-// streamer — the same injection points and attribution guarantee as
-// Exchange, so the chaos suite asserts identical failure behaviour
-// under either schedule. A KillAt victim dies here even if its batches
-// were already streamed: the run aborts with the attributed error
-// before any inbox is assembled, exactly like a machine crashing
-// mid-superstep.
-func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
-	for _, f := range t.faults {
-		switch f.kind {
-		case faultDelay:
-			if f.step >= 0 && f.step != step {
-				continue
-			}
-			select {
-			case <-time.After(f.delay):
-			case <-ctx.Done():
-				return nil, &transport.MachineError{Machine: f.victim, Superstep: step,
-					Err: fmt.Errorf("chaos: delayed superstep overran its deadline: %w", ctx.Err())}
-			}
-		case faultKill:
-			if f.step != step || t.killed {
-				continue
-			}
-			t.killed, t.victim = true, f.victim
-			t.inner.Close()
-			return nil, &transport.MachineError{Machine: f.victim, Superstep: step, Err: ErrKilled}
-		case faultDropConn:
-			if f.step != step || t.killed {
-				continue
-			}
-			t.killed, t.victim = true, f.victim
-			f.sever()
-		}
-	}
-	in, err := t.inner.(transport.Streamer[M]).FinishSuperstep(ctx, step, rest)
-	if err != nil && t.killed {
-		var me *transport.MachineError
-		if !errors.As(err, &me) || me.Machine != t.victim {
-			err = &transport.MachineError{Machine: t.victim, Superstep: step, Err: err}
-		}
-	}
-	return in, err
+	return t.Finish(ctx, step, outs)
 }
 
 // Close closes the inner transport.

@@ -4,13 +4,14 @@
 // substrate for simulations and tests: envelopes never leave the
 // process and delivery is a pure slice shuffle.
 //
-// Exchange assembles inboxes count-then-place: one pass over the
-// outboxes counts the per-destination envelopes, the k inboxes are then
-// carved out of a single flat buffer, and a second pass places every
-// envelope at its final position. The flat buffer and the inbox headers
-// are double-buffered and recycled across supersteps (the transport
-// ownership rule), so a steady-state superstep performs no allocation
-// at all once the buffers have grown to the run's working set.
+// Finish assembles inboxes count-then-place: one pass over the emitted
+// batches and the rest outboxes counts the per-destination envelopes,
+// the k inboxes are then carved out of a single flat buffer, and a
+// second pass places every envelope at its final position. The flat
+// buffer and the inbox headers are double-buffered and recycled across
+// supersteps (the transport ownership rule), so a steady-state
+// superstep performs no allocation at all once the buffers have grown
+// to the run's working set.
 package inmem
 
 import (
@@ -33,7 +34,7 @@ type Transport[M any] struct {
 	closed bool
 
 	// bufs are the two inbox-buffer generations: gen selects the one the
-	// next Exchange assembles into, so the inboxes handed out by the
+	// next Finish assembles into, so the inboxes handed out by the
 	// previous call — and any envelopes still aliasing them — stay
 	// untouched while the current superstep is built.
 	bufs [2]exchangeBuf[M]
@@ -45,20 +46,20 @@ type Transport[M any] struct {
 	// Counter-only observability (see Counters): the loopback ships no
 	// physical bytes and records no frame spans, but counting its work
 	// gives instrumented runs a shape to compare across substrates.
-	// Atomics only because a debug plane may snapshot mid-run; Exchange
+	// Atomics only because a debug plane may snapshot mid-run; Finish
 	// itself is serial.
 	exchanges, envelopes atomic.Int64
 
-	// Streaming-superstep staging (transport.Streamer): SendBatch runs
-	// concurrently, one goroutine per sender, so the staged batches are
-	// indexed [from*k+to] and each sender records the pairs it touched
-	// in its own list — no two goroutines ever write the same slot.
-	// FinishSuperstep folds the staged batches into the normal
-	// count-then-place assembly and resets the staging via the pair
-	// lists, keeping the steady state allocation-free.
-	streaming bool
-	staged    [][]transport.Envelope[M] // [from*k+to], nil when not staged
-	strPairs  [][]int32                 // per-sender list of staged destinations
+	// Emitted-batch staging: SendBatch runs concurrently, one goroutine
+	// per sender, so the staged batches are indexed [from*k+to] and each
+	// sender records the pairs it touched in its own list — no two
+	// goroutines ever write the same slot. Finish folds the staged
+	// batches into the count-then-place assembly and resets the staging
+	// via the pair lists, keeping the steady state allocation-free.
+	open     bool
+	openStep int
+	staged   [][]transport.Envelope[M] // [from*k+to], nil when not staged
+	pairs    [][]int32                 // per-sender list of staged destinations
 }
 
 // New returns a loopback transport for a k-machine cluster.
@@ -66,82 +67,21 @@ func New[M any](k int) *Transport[M] {
 	if k < 2 {
 		panic(fmt.Sprintf("inmem: need k >= 2 machines, got %d", k))
 	}
-	return &Transport[M]{
+	t := &Transport[M]{
 		k:      k,
 		counts: make([]int, k),
 		starts: make([]int, k+1),
+		staged: make([][]transport.Envelope[M], k*k),
+		pairs:  make([][]int32, k),
 	}
-}
-
-// Exchange routes outs into per-destination inboxes. Iterating senders
-// in machine order makes inbox assembly deterministic and sender-ID
-// ordered, matching the Transport contract; the returned inboxes obey
-// the contract's ownership rule (valid until the second-following
-// Exchange). The loopback never blocks, so ctx is only checked once on
-// entry — a canceled run stops routing immediately but can never hang
-// here.
-func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("inmem: superstep %d canceled: %w", step, err)
+	for i := range t.pairs {
+		t.pairs[i] = make([]int32, 0, k)
 	}
-	if t.closed {
-		return nil, fmt.Errorf("inmem: Exchange on closed transport (superstep %d)", step)
-	}
-	if len(outs) != t.k {
-		return nil, fmt.Errorf("inmem: got %d outboxes for a %d-machine cluster", len(outs), t.k)
-	}
-
-	counts := t.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	total := 0
-	for i := range outs {
-		for j := range outs[i] {
-			to := outs[i][j].To
-			if to < 0 || int(to) >= t.k {
-				return nil, fmt.Errorf("inmem: envelope to invalid machine %d (superstep %d)", to, step)
-			}
-			counts[to]++
-		}
-		total += len(outs[i])
-	}
-
-	b := &t.bufs[t.gen]
-	t.gen ^= 1
-	if cap(b.flat) < total {
-		b.flat = make([]transport.Envelope[M], total)
-	}
-	flat := b.flat[:total]
-	if b.inboxes == nil {
-		b.inboxes = make([][]transport.Envelope[M], t.k)
-	}
-
-	starts := t.starts
-	starts[0] = 0
-	for j := 0; j < t.k; j++ {
-		starts[j+1] = starts[j] + counts[j]
-		counts[j] = starts[j] // reuse counts as the placement cursors
-	}
-	for i := range outs {
-		for j := range outs[i] {
-			to := outs[i][j].To
-			flat[counts[to]] = outs[i][j]
-			counts[to]++
-		}
-	}
-	for j := 0; j < t.k; j++ {
-		// Cap-limit each inbox so an append by a misbehaving caller
-		// cannot clobber its neighbour's envelopes.
-		b.inboxes[j] = flat[starts[j]:starts[j+1]:starts[j+1]]
-	}
-	t.exchanges.Add(1)
-	t.envelopes.Add(int64(total))
-	return b.inboxes, nil
+	return t
 }
 
 // Counters is the loopback's counter-only observability: how many
-// Exchange barriers completed and how many envelopes they routed. It is
+// superstep barriers completed and how many envelopes they routed. It is
 // the loopback analogue of the socket substrate's frame counters — no
 // bytes, no timings (a slice shuffle has nothing worth timing), just
 // the shape — which is what lets substrate-equivalence tests assert
@@ -149,9 +89,9 @@ func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transpor
 // completed superstep count on tcp, and Envelopes the envelopes its
 // batches carried.
 type Counters struct {
-	// Exchanges counts completed Exchange calls (one per superstep).
+	// Exchanges counts completed Finish calls (one per superstep).
 	Exchanges int64
-	// Envelopes counts every envelope routed across all exchanges.
+	// Envelopes counts every envelope routed across all supersteps.
 	Envelopes int64
 }
 
@@ -161,37 +101,32 @@ func (t *Transport[M]) Counters() Counters {
 	return Counters{Exchanges: t.exchanges.Load(), Envelopes: t.envelopes.Load()}
 }
 
-// CanStream implements transport.Streamer: the loopback always can.
-func (t *Transport[M]) CanStream() bool { return true }
-
-// BeginSuperstep implements transport.Streamer. There is no wire to
-// arm; it just opens the staging area for SendBatch.
-func (t *Transport[M]) BeginSuperstep(ctx context.Context, step int) error {
+// Begin implements transport.Transport. There is no wire to arm; it
+// just opens the staging area for SendBatch. The loopback never blocks,
+// so ctx is only checked on entry to Begin and Finish — a canceled run
+// stops routing immediately but can never hang here.
+func (t *Transport[M]) Begin(ctx context.Context, step int) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("inmem: superstep %d canceled: %w", step, err)
 	}
 	if t.closed {
-		return fmt.Errorf("inmem: BeginSuperstep on closed transport (superstep %d)", step)
+		return fmt.Errorf("inmem: Begin on closed transport (superstep %d)", step)
 	}
-	if t.staged == nil {
-		t.staged = make([][]transport.Envelope[M], t.k*t.k)
-		t.strPairs = make([][]int32, t.k)
-		for i := range t.strPairs {
-			t.strPairs[i] = make([]int32, 0, t.k)
-		}
+	if t.open {
+		return fmt.Errorf("inmem: Begin superstep %d with superstep %d still open", step, t.openStep)
 	}
-	t.streaming = true
+	t.open, t.openStep = true, step
 	return nil
 }
 
-// SendBatch implements transport.Streamer. It only stages the batch —
-// the caller owns the slice until FinishSuperstep, per the Streamer
-// contract, and the loopback copies envelopes out of it there. Safe for
-// concurrent calls with distinct senders: each sender goroutine writes
-// only its own staging slots and pair list.
+// SendBatch implements transport.Transport. It only stages the batch —
+// the caller owns the slice until Finish, per the contract, and the
+// loopback copies envelopes out of it there. Safe for concurrent calls
+// with distinct senders: each sender goroutine writes only its own
+// staging slots and pair list.
 func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
-	if !t.streaming {
-		return fmt.Errorf("inmem: SendBatch outside an open streaming superstep")
+	if !t.open {
+		return fmt.Errorf("inmem: SendBatch outside an open superstep")
 	}
 	if from < 0 || int(from) >= t.k || to < 0 || int(to) >= t.k || from == to {
 		return fmt.Errorf("inmem: SendBatch with invalid pair (%d -> %d)", from, to)
@@ -201,34 +136,34 @@ func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport
 		return fmt.Errorf("inmem: duplicate SendBatch for pair (%d -> %d)", from, to)
 	}
 	t.staged[idx] = batch
-	t.strPairs[from] = append(t.strPairs[from], int32(to))
+	t.pairs[from] = append(t.pairs[from], int32(to))
 	return nil
 }
 
-// FinishSuperstep implements transport.Streamer: the same
-// count-then-place assembly as Exchange, with each sender's staged
-// batches taking the place of its (forbidden) rest envelopes for those
-// destinations. Iterating senders in machine order keeps inbox assembly
-// sender-ID ordered, so the result is byte-identical to an Exchange
-// carrying the same envelopes.
-func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
+// Finish implements transport.Transport: the count-then-place assembly,
+// with each sender's staged batches taking the place of its (forbidden)
+// rest envelopes for those destinations. Iterating senders in machine
+// order makes inbox assembly deterministic and sender-ID ordered; the
+// returned inboxes obey the contract's ownership rule (valid until the
+// second-following Finish).
+func (t *Transport[M]) Finish(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
 	defer func() {
-		for i := range t.strPairs {
-			for _, to := range t.strPairs[i] {
+		for i := range t.pairs {
+			for _, to := range t.pairs[i] {
 				t.staged[i*t.k+int(to)] = nil
 			}
-			t.strPairs[i] = t.strPairs[i][:0]
+			t.pairs[i] = t.pairs[i][:0]
 		}
-		t.streaming = false
+		t.open = false
 	}()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("inmem: superstep %d canceled: %w", step, err)
 	}
 	if t.closed {
-		return nil, fmt.Errorf("inmem: FinishSuperstep on closed transport (superstep %d)", step)
+		return nil, fmt.Errorf("inmem: Finish on closed transport (superstep %d)", step)
 	}
-	if !t.streaming {
-		return nil, fmt.Errorf("inmem: FinishSuperstep without BeginSuperstep (superstep %d)", step)
+	if !t.open || t.openStep != step {
+		return nil, fmt.Errorf("inmem: Finish superstep %d without matching Begin", step)
 	}
 	if len(rest) != t.k {
 		return nil, fmt.Errorf("inmem: got %d outboxes for a %d-machine cluster", len(rest), t.k)
@@ -240,15 +175,20 @@ func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]t
 	}
 	total := 0
 	for i := range rest {
-		for _, to := range t.strPairs[i] {
-			n := len(t.staged[i*t.k+int(to)])
+		row := t.staged[i*t.k : (i+1)*t.k]
+		for _, to := range t.pairs[i] {
+			n := len(row[to])
 			counts[to] += n
 			total += n
 		}
+		emitted := len(t.pairs[i]) > 0
 		for j := range rest[i] {
 			to := rest[i][j].To
 			if to < 0 || int(to) >= t.k {
 				return nil, fmt.Errorf("inmem: envelope to invalid machine %d (superstep %d)", to, step)
+			}
+			if emitted && row[to] != nil {
+				return nil, fmt.Errorf("inmem: machine %d has rest envelopes for machine %d after emitting a batch to it in superstep %d", i, to, step)
 			}
 			counts[to]++
 		}
@@ -269,10 +209,10 @@ func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]t
 	starts[0] = 0
 	for j := 0; j < t.k; j++ {
 		starts[j+1] = starts[j] + counts[j]
-		counts[j] = starts[j]
+		counts[j] = starts[j] // reuse counts as the placement cursors
 	}
 	for i := range rest {
-		for _, to := range t.strPairs[i] {
+		for _, to := range t.pairs[i] {
 			batch := t.staged[i*t.k+int(to)]
 			copy(flat[counts[to]:], batch)
 			counts[to] += len(batch)
@@ -284,11 +224,21 @@ func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]t
 		}
 	}
 	for j := 0; j < t.k; j++ {
+		// Cap-limit each inbox so an append by a misbehaving caller
+		// cannot clobber its neighbour's envelopes.
 		b.inboxes[j] = flat[starts[j]:starts[j+1]:starts[j+1]]
 	}
 	t.exchanges.Add(1)
 	t.envelopes.Add(int64(total))
 	return b.inboxes, nil
+}
+
+// Exchange implements transport.Transport: Begin, then Finish.
+func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
+	if err := t.Begin(ctx, step); err != nil {
+		return nil, err
+	}
+	return t.Finish(ctx, step, outs)
 }
 
 // Close implements transport.Transport.

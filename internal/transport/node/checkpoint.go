@@ -48,9 +48,7 @@ import (
 type CheckpointConfig struct {
 	// Every captures a checkpoint after every Every-th superstep's
 	// continue verdict; 0 disables. Requires the machine to implement
-	// core.Snapshotter and forces lockstep supersteps (validate clears
-	// Streaming — purely a scheduling knob, so Stats and hashes are
-	// unchanged).
+	// core.Snapshotter.
 	Every int
 	// Store receives the parts. RunLocal/RunJobLocal create a private
 	// one when nil; standalone Run requires it.

@@ -3,9 +3,10 @@
 // by the tcp transport's socket mesh. cmd/kmnode is its CLI.
 //
 // Where core.Cluster steps all k machines in one process and barriers
-// with a sync.WaitGroup, this runtime distributes the loop itself: each
-// node steps its machine, exchanges one superstep's batched envelopes
-// with its peers over TCP, and then reports ⟨done, emitted, per-link
+// in memory, this runtime distributes the loop itself: each node opens
+// the superstep on its endpoint, steps its machine (which may emit
+// finished per-peer batches mid-compute), finishes the superstep's
+// exchange with its peers over TCP, and then reports ⟨done, emitted, per-link
 // word counts⟩ to the coordinator (machine 0). The coordinator runs
 // exactly core's accounting arithmetic on the assembled link-load
 // matrix — max(1, ceil(max-link-words/B)) rounds per superstep — and
@@ -62,22 +63,14 @@ type Config struct {
 	// tears the node down promptly with a wrapped context error. nil
 	// means Background.
 	Context context.Context
-	// SuperstepTimeout bounds each superstep's cross-machine phases
-	// (exchange, report, verdict): a peer process that crashes or
-	// wedges surfaces as a machine-attributed error within the timeout
-	// on every surviving node instead of hanging the cluster. 0 means
-	// no deadline. Happy-path Stats and outputs are unaffected. Under
-	// Streaming the deadline covers the whole superstep — begin,
-	// compute, finish — since the wire is active throughout.
+	// SuperstepTimeout bounds each whole superstep — begin, the
+	// machine's Step, finish, report, verdict — because the wire is live
+	// while the machine computes: a peer process that crashes or wedges,
+	// or a Step that outlasts the timeout, surfaces as a
+	// machine-attributed error within the timeout on every surviving
+	// node instead of hanging the cluster. 0 means no deadline.
+	// Happy-path Stats and outputs are unaffected.
 	SuperstepTimeout time.Duration
-	// Streaming opts this node into streaming supersteps: an emitter is
-	// bound into the machine's StepContext so core.EmitBatch hands
-	// finished per-peer batches to the endpoint mid-compute, and the
-	// superstep's exchange becomes a BeginSuperstep/FinishSuperstep
-	// pair. Purely a scheduling knob — reports, Stats, outputs, and
-	// golden hashes are bit-identical to the lockstep schedule. All
-	// nodes of a cluster must agree on it. Default off.
-	Streaming bool
 	// Recorder, when non-nil, receives wall-clock phase spans from this
 	// node's superstep loop — compute (the Step call), exchange (this
 	// node's data-plane barrier), and barrier (the report/verdict
@@ -90,8 +83,7 @@ type Config struct {
 	Recorder obs.Recorder
 	// Checkpoint is the checkpoint/recovery policy (checkpoint.go). Off
 	// by default; when Every > 0 the machine must implement
-	// core.Snapshotter and Streaming is cleared (lockstep only — purely
-	// a scheduling knob, so Stats and hashes are unchanged).
+	// core.Snapshotter.
 	Checkpoint CheckpointConfig
 }
 
@@ -104,12 +96,6 @@ func (cfg *Config) validate() error {
 	}
 	if cfg.MaxSupersteps == 0 {
 		cfg.MaxSupersteps = 1 << 20
-	}
-	if cfg.Checkpoint.Every > 0 {
-		// Checkpoints capture at the lockstep superstep boundary;
-		// streaming is purely a scheduling knob (identical Stats and
-		// hashes), so clearing it is safe rather than an error.
-		cfg.Streaming = false
 	}
 	return nil
 }
@@ -278,11 +264,8 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 	linkScratch := make([]int64, cfg.K) // per-superstep link row, reused
 	var repBuf []byte                   // report encode scratch, reused
 	ctx := &core.StepContext{Self: core.MachineID(cfg.ID), K: cfg.K, RNG: r}
-	var em *core.Emitter[M]
-	if cfg.Streaming {
-		em = core.NewEmitter[M](epSender[M]{ep: ep}, core.MachineID(cfg.ID), cfg.K)
-		em.Bind(ctx)
-	}
+	em := core.NewEmitter(ep.StreamBatch, core.MachineID(cfg.ID), cfg.K)
+	em.Bind(ctx)
 	for step := start; ; step++ {
 		if step >= cfg.MaxSupersteps {
 			// Every node shares MaxSupersteps and steps in lockstep, so
@@ -298,26 +281,21 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 			return coordStats(coord), fmt.Errorf("node: machine %d canceled before superstep %d: %w", cfg.ID, step, err)
 		}
 
-		// Under streaming the per-superstep deadline must already be
-		// running when the first eager batch hits the wire, so the
-		// superstep context is created here, around compute, instead of
-		// inside superstepRound; BeginSuperstep arms the endpoint (and
-		// releases its readers) before the Step call.
-		sctx := context.Context(nil)
-		var cancel context.CancelFunc
-		if em != nil {
-			sctx = runCtx
-			if cfg.SuperstepTimeout > 0 {
-				sctx, cancel = context.WithTimeout(runCtx, cfg.SuperstepTimeout)
+		// The per-superstep deadline must already be running when the
+		// first eager batch hits the wire, so the superstep context is
+		// created here, around compute; BeginSuperstep arms the endpoint
+		// (and releases its readers) before the Step call.
+		sctx, cancel := runCtx, context.CancelFunc(nil)
+		if cfg.SuperstepTimeout > 0 {
+			sctx, cancel = context.WithTimeout(runCtx, cfg.SuperstepTimeout)
+		}
+		em.Reset()
+		if err := ep.BeginSuperstep(sctx, step); err != nil {
+			if cancel != nil {
+				cancel()
 			}
-			em.Reset()
-			if err := ep.BeginSuperstep(sctx, step); err != nil {
-				if cancel != nil {
-					cancel()
-				}
-				ep.Close()
-				return coordStats(coord), err
-			}
+			ep.Close()
+			return coordStats(coord), err
 		}
 
 		ctx.Superstep = step
@@ -330,19 +308,17 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 			cfg.Recorder.Record(obs.Span{Start: t0, Dur: obs.Now() - t0,
 				Machine: int32(cfg.ID), Peer: -1, Superstep: int32(step), Phase: obs.PhaseCompute})
 		}
-		if em != nil {
-			if err := em.Err(); err != nil {
-				// A failed eager send is a transport failure, not an
-				// algorithm error: the endpoint is (or is about to be)
-				// dead, so the report/verdict protocol cannot carry the
-				// news. Tear down and return the attributed error, like
-				// any other exchange failure.
-				if cancel != nil {
-					cancel()
-				}
-				ep.Close()
-				return coordStats(coord), fmt.Errorf("node: machine %d streaming emit failed in superstep %d: %w", cfg.ID, step, err)
+		if err := em.Err(); err != nil {
+			// A failed eager send is a transport failure, not an
+			// algorithm error: the endpoint is (or is about to be)
+			// dead, so the report/verdict protocol cannot carry the
+			// news. Tear down and return the attributed error, like
+			// any other exchange failure.
+			if cancel != nil {
+				cancel()
 			}
+			ep.Close()
+			return coordStats(coord), fmt.Errorf("node: machine %d emit failed in superstep %d: %w", cfg.ID, step, err)
 		}
 		for i := range linkScratch {
 			linkScratch[i] = 0
@@ -351,21 +327,19 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 		if stepErr == nil {
 			stepErr = validateAndAccount(cfg, out, &rep, em, step)
 		}
-		if em != nil {
-			// Fold the eager emissions into the same report the rest
-			// envelopes filled: order-independent sums, so the
-			// coordinator's accounting is bit-identical to lockstep.
-			msgs, any := em.AccountInto(rep.linkWords)
-			rep.messages += msgs
-			rep.emitted = rep.emitted || any
-		}
+		// Fold the eager emissions into the same report the rest
+		// envelopes filled: order-independent sums, so the coordinator's
+		// accounting does not depend on how an envelope travelled.
+		msgs, any := em.AccountInto(rep.linkWords)
+		rep.messages += msgs
+		rep.emitted = rep.emitted || any
 		if stepErr != nil {
 			rep.err = stepErr.Error()
 			out = nil // still participate in the exchange so peers don't hang
 		}
 
 		repBuf = rep.appendEncode(repBuf[:0], step)
-		v, next, err := superstepRound(cfg, ep, coord, runCtx, sctx, step, repBuf, out, &rep)
+		v, next, err := superstepRound(cfg, ep, coord, sctx, step, repBuf, out)
 		if cancel != nil {
 			cancel()
 		}
@@ -401,8 +375,9 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 	}
 }
 
-// superstepRound runs the cross-machine phases of one superstep —
-// exchange, report, verdict — under one per-superstep deadline. The
+// superstepRound runs the closing cross-machine phases of one superstep
+// — finish, report, verdict — under sctx, the per-superstep context
+// runLoop created around compute. The
 // failure protocol: a node whose Step failed still exchanges (an empty
 // batch) and carries the error in its report, so the coordinator learns
 // of it and broadcasts an abort verdict that every surviving machine
@@ -417,20 +392,7 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 // by runLoop, which is safe because the endpoint either writes it out
 // immediately or (on the coordinator) queues it only until the
 // CollectReports of this same superstep pops it.
-// Under streaming (sctx non-nil) the superstep context was created by
-// runLoop — it already covers the compute that streamed batches — and
-// the data-plane barrier is FinishSuperstep instead of Exchange.
-func superstepRound[M any](cfg Config, ep *tcp.Endpoint[M], coord *coordinator, runCtx, sctx context.Context, step int, repPayload []byte, out []core.Envelope[M], rep *report) (verdict, []core.Envelope[M], error) {
-	streaming := sctx != nil
-	if sctx == nil {
-		sctx = runCtx
-		if cfg.SuperstepTimeout > 0 {
-			var cancel context.CancelFunc
-			sctx, cancel = context.WithTimeout(runCtx, cfg.SuperstepTimeout)
-			defer cancel()
-		}
-	}
-
+func superstepRound[M any](cfg Config, ep *tcp.Endpoint[M], coord *coordinator, sctx context.Context, step int, repPayload []byte, out []core.Envelope[M]) (verdict, []core.Envelope[M], error) {
 	// Phase spans mirror core's engine, but per node: the exchange span
 	// is this node's data-plane barrier (Machine = ID, not the cluster's
 	// -1 — each node performs its own), and the report/verdict control
@@ -441,13 +403,7 @@ func superstepRound[M any](cfg Config, ep *tcp.Endpoint[M], coord *coordinator, 
 	if rec != nil {
 		t0 = obs.Now()
 	}
-	var next []core.Envelope[M]
-	var err error
-	if streaming {
-		next, err = ep.FinishSuperstep(sctx, step, out)
-	} else {
-		next, err = ep.Exchange(sctx, step, out)
-	}
+	next, err := ep.FinishSuperstep(step, out)
 	if rec != nil {
 		rec.Record(obs.Span{Start: t0, Dur: obs.Now() - t0,
 			Machine: int32(cfg.ID), Peer: -1, Superstep: int32(step), Phase: obs.PhaseExchange})
@@ -547,9 +503,9 @@ func stepSafely[M any](m core.Machine[M], ctx *core.StepContext, inbox []core.En
 
 // validateAndAccount mirrors core's per-envelope validation and
 // From-stamping, and fills the report's link-word vector (self links
-// are free, exactly like core). Under streaming (em non-nil) it also
-// enforces the no-mixing rule: a peer that already received a streamed
-// batch this superstep must not reappear in the rest envelopes.
+// are free, exactly like core). It also enforces the no-mixing rule: a
+// peer that already received an emitted batch this superstep must not
+// reappear in the rest envelopes.
 func validateAndAccount[M any](cfg Config, out []core.Envelope[M], rep *report, em *core.Emitter[M], step int) error {
 	for j := range out {
 		e := &out[j]
@@ -561,23 +517,14 @@ func validateAndAccount[M any](cfg Config, out []core.Envelope[M], rep *report, 
 		}
 		e.From = core.MachineID(cfg.ID)
 		if int(e.To) != cfg.ID {
-			if em != nil && em.EmittedTo(e.To) {
-				return fmt.Errorf("node: machine %d returned envelopes for machine %d after streaming a batch to it in superstep %d", cfg.ID, e.To, step)
+			if em.EmittedTo(e.To) {
+				return fmt.Errorf("node: machine %d returned envelopes for machine %d after emitting a batch to it in superstep %d", cfg.ID, e.To, step)
 			}
 			rep.linkWords[e.To] += int64(e.Words)
 			rep.messages++
 		}
 	}
 	return nil
-}
-
-// epSender adapts a node's endpoint to the transport.BatchSender the
-// core emitter wants: every batch a node emits is its own, so `from` is
-// implied by the endpoint.
-type epSender[M any] struct{ ep *tcp.Endpoint[M] }
-
-func (s epSender[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
-	return s.ep.StreamBatch(to, batch)
 }
 
 // report is one node's per-superstep account to the coordinator.

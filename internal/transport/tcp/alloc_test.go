@@ -3,9 +3,10 @@ package tcp
 // Allocation-regression fence for the persistent exchange pipeline, in
 // the spirit of internal/core/alloc_test.go: once the mesh is built and
 // its buffers have grown to the working set, a steady-state superstep —
-// signal the parked workers, encode/ship/receive/decode k(k-1) batch
-// frames, pass the coordinator barrier, merge the inboxes — must not
-// allocate. The budget covers only the measured loop's incidental noise
+// release the parked readers, hand one batch per machine to its writer
+// mid-superstep and the rest at the finish, encode/ship/receive/decode
+// k(k-1) batch frames, pass the coordinator barrier, merge the inboxes —
+// must not allocate. The budget covers only the measured loop's incidental noise
 // (runtime timer churn from connection deadlines); a per-superstep
 // allocation sneaking back into the pipeline blows it immediately
 // (supersteps × k × peers ≈ thousands of extra allocations).
@@ -30,20 +31,31 @@ func TestSteadyStateExchangeAllocBudget(t *testing.T) {
 	}
 	defer tr.Close()
 
-	// Fixed ring traffic, reused outbox slices: the caller-side pattern
-	// core's engine produces (outs stay caller-owned per the transport
-	// contract).
-	outs := make([][]transport.Envelope[testMsg], k)
+	// Fixed ring traffic, reused slices: the caller-side pattern core's
+	// engine produces (batches and rest stay caller-owned per the
+	// transport contract). The next neighbour's envelope is emitted
+	// eagerly, the previous neighbour's left to Finish.
+	eager := make([][]transport.Envelope[testMsg], k)
+	rest := make([][]transport.Envelope[testMsg], k)
 	for i := 0; i < k; i++ {
-		outs[i] = []transport.Envelope[testMsg]{
-			{From: transport.MachineID(i), To: transport.MachineID((i + 1) % k), Words: 3, Msg: testMsg{Tag: int64(i)}},
-			{From: transport.MachineID(i), To: transport.MachineID((i + k - 1) % k), Words: 2, Msg: testMsg{Tag: -int64(i)}},
-		}
+		eager[i] = []transport.Envelope[testMsg]{
+			{From: transport.MachineID(i), To: transport.MachineID((i + 1) % k), Words: 3, Msg: testMsg{Tag: int64(i)}}}
+		rest[i] = []transport.Envelope[testMsg]{
+			{From: transport.MachineID(i), To: transport.MachineID((i + k - 1) % k), Words: 2, Msg: testMsg{Tag: -int64(i)}}}
 	}
 	step := 0
+	ctx := context.Background()
 	run := func() {
 		for s := 0; s < supersteps; s++ {
-			if _, err := tr.Exchange(context.Background(), step, outs); err != nil {
+			if err := tr.Begin(ctx, step); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < k; i++ {
+				if err := tr.SendBatch(transport.MachineID(i), transport.MachineID((i+1)%k), eager[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := tr.Finish(ctx, step, rest); err != nil {
 				t.Fatal(err)
 			}
 			step++

@@ -5,9 +5,7 @@ package tcp
 // ships, parallel decode, coordinator barrier, inbox merge — across
 // cluster sizes and batch sizes. bytes/superstep is the measured wire
 // traffic (from the endpoint WireStats), so format regressions show up
-// next to time regressions in the same table. BenchmarkExchangeWireV1
-// pins the legacy format at one operating point for the v1-vs-v2
-// comparison recorded in BENCH_0003.json.
+// next to time regressions in the same table.
 
 import (
 	"context"
@@ -15,7 +13,6 @@ import (
 	"testing"
 
 	"kmachine/internal/transport"
-	"kmachine/internal/transport/wire"
 )
 
 // benchOuts builds the per-machine outboxes: each machine ships `batch`
@@ -41,8 +38,8 @@ func benchOuts(k, batch int) [][]transport.Envelope[testMsg] {
 	return outs
 }
 
-func benchExchange(b *testing.B, k, batch int, version byte) {
-	tr, err := NewWithVersion[testMsg](k, testCodec{}, version)
+func benchExchange(b *testing.B, k, batch int) {
+	tr, err := New[testMsg](k, testCodec{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -70,16 +67,8 @@ func BenchmarkExchange(b *testing.B) {
 	for _, k := range []int{4, 8, 16} {
 		for _, batch := range []int{1, 16, 256} {
 			b.Run(fmt.Sprintf("k=%d/batch=%d", k, batch), func(b *testing.B) {
-				benchExchange(b, k, batch, wire.BatchV2)
+				benchExchange(b, k, batch)
 			})
 		}
-	}
-}
-
-func BenchmarkExchangeWireV1(b *testing.B) {
-	for _, batch := range []int{16, 256} {
-		b.Run(fmt.Sprintf("k=8/batch=%d", batch), func(b *testing.B) {
-			benchExchange(b, 8, batch, wire.BatchV1)
-		})
 	}
 }

@@ -1,22 +1,17 @@
 package tcp
 
 // Tests for the persistent exchange pipeline: worker lifecycle (spawned
-// once, parked between supersteps, retired on Close), bytes-on-wire
-// accounting, and cross-version interop of the v2 batch format.
+// once, parked between supersteps, retired on Close) and bytes-on-wire
+// accounting.
 
 import (
 	"context"
-	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
-	"kmachine/internal/rng"
 	"kmachine/internal/testutil"
 	"kmachine/internal/transport"
-	"kmachine/internal/transport/inmem"
-	"kmachine/internal/transport/wire"
 )
 
 // TestPipelineWorkersPersistAcrossSupersteps pins the tentpole property
@@ -118,116 +113,8 @@ func TestWireStatsCountsFrames(t *testing.T) {
 	}
 }
 
-// TestWireV2ShipsFewerBytesThanV1 runs identical traffic over a v2 and
-// a v1 transport and asserts both that the inboxes are bit-identical
-// (the format is behaviourally invisible) and that v2 puts fewer bytes
-// on the wire — the point of the format.
-func TestWireV2ShipsFewerBytesThanV1(t *testing.T) {
-	const k, steps = 4, 10
-	run := func(version byte) (int64, [][][]transport.Envelope[testMsg]) {
-		tr, err := NewWithVersion[testMsg](k, testCodec{}, version)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		r := rng.New(1234)
-		var history [][][]transport.Envelope[testMsg]
-		for step := 0; step < steps; step++ {
-			inboxes, err := tr.Exchange(context.Background(), step, randomOuts(r, k))
-			if err != nil {
-				t.Fatalf("version 0x%02x superstep %d: %v", version, step, err)
-			}
-			snap := make([][]transport.Envelope[testMsg], k)
-			for i := range inboxes {
-				snap[i] = append([]transport.Envelope[testMsg](nil), inboxes[i]...)
-			}
-			history = append(history, snap)
-		}
-		return tr.WireStats().BytesSent, history
-	}
-	v2Bytes, v2Hist := run(wire.BatchV2)
-	v1Bytes, v1Hist := run(wire.BatchV1)
-	if !reflect.DeepEqual(v2Hist, v1Hist) {
-		t.Fatal("v1 and v2 transports delivered different inboxes for identical traffic")
-	}
-	if v2Bytes >= v1Bytes {
-		t.Errorf("v2 shipped %d bytes, v1 %d — the compact format saved nothing", v2Bytes, v1Bytes)
-	}
-}
-
-// TestMixedWireVersionMesh runs a mesh whose endpoints speak different
-// batch versions — machine 0 ships legacy v1 frames, the rest v2 — and
-// asserts delivery matches the loopback transport exactly. This is the
-// compatibility guarantee of the version byte: decoders dispatch per
-// frame, so a cluster can be upgraded one machine at a time.
-func TestMixedWireVersionMesh(t *testing.T) {
-	const k = 4
-	eps, err := NewLoopbackMesh[testMsg](k, testCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, e := range eps {
-			e.Close()
-		}
-	}()
-	if err := eps[0].SetWireVersion(wire.BatchV1); err != nil {
-		t.Fatal(err)
-	}
-	if err := eps[1].SetWireVersion(wire.BatchV2); err != nil {
-		t.Fatal(err)
-	}
-	if err := eps[2].SetWireVersion(0x7f); err == nil {
-		t.Error("SetWireVersion accepted an unknown version")
-	}
-
-	lb := inmem.New[testMsg](k)
-	rT, rL := rng.New(55), rng.New(55)
-	for step := 0; step < 10; step++ {
-		outsT, outsL := randomOuts(rT, k), randomOuts(rL, k)
-		got := make([][]transport.Envelope[testMsg], k)
-		errs := make([]error, k)
-		var wg sync.WaitGroup
-		for i := 0; i < k; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				got[i], errs[i] = eps[i].Exchange(context.Background(), step, outsT[i])
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("superstep %d machine %d: %v", step, i, err)
-			}
-		}
-		want, err := lb.Exchange(context.Background(), step, outsL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < k; j++ {
-			if len(got[j]) == 0 && len(want[j]) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got[j], want[j]) {
-				t.Fatalf("superstep %d inbox %d:\n mixed mesh: %+v\n inmem:      %+v", step, j, got[j], want[j])
-			}
-		}
-	}
-}
-
-// TestNewWithVersionRejectsUnknownVersion: a construction failure must
-// surface as an error, not as a panic from closing half-built driver
-// state.
-func TestNewWithVersionRejectsUnknownVersion(t *testing.T) {
-	if tr, err := NewWithVersion[testMsg](3, testCodec{}, 0x7e); err == nil {
-		tr.Close()
-		t.Fatal("NewWithVersion accepted an unknown wire version")
-	}
-}
-
-// TestControlOpsBeforeConnectFailFast mirrors the dispatch guard on the
-// coordinator's control path: CollectReports on an unconnected endpoint
+// TestControlOpsBeforeConnectFailFast mirrors the BeginSuperstep guard
+// on the coordinator's control path: CollectReports on an unconnected endpoint
 // must error, not panic into nil worker channels.
 func TestControlOpsBeforeConnectFailFast(t *testing.T) {
 	ep, err := Listen[testMsg](0, 3, "127.0.0.1:0", testCodec{})
@@ -244,7 +131,7 @@ func TestControlOpsBeforeConnectFailFast(t *testing.T) {
 	}
 }
 
-// TestExchangeAfterCloseFailsFast: the dispatch guard must turn an
+// TestExchangeAfterCloseFailsFast: the closed guard must turn an
 // Exchange on a closed transport into an immediate error instead of
 // signalling workers that no longer exist (which would hang the
 // WaitGroup forever).

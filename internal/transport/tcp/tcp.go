@@ -10,16 +10,18 @@
 // data connection is owned by a long-lived worker goroutine — one
 // writer per outgoing peer, one reader per incoming peer — spawned once
 // when the mesh connects and parked on a signal channel between
-// supersteps. Exchange becomes signal → encode-in-parallel (each writer
-// serialises its own peer's batch into its own recycled buffer) →
-// decode-in-parallel (each reader decodes into its own recycled
-// envelope scratch) → merge, with no goroutine spawned and no
+// supersteps. BeginSuperstep releases the readers, so each decodes its
+// peer's frame into its own recycled envelope scratch as soon as it
+// arrives; StreamBatch hands a finished batch to its peer's writer
+// mid-compute and FinishSuperstep the rest (each writer serialises its
+// own peer's batch into its own recycled buffer), then waits for the
+// generation to drain and merges — with no goroutine spawned and no
 // synchronisation state allocated on the steady-state path. Workers
 // exit when the endpoint closes; they never leak across supersteps.
 //
 // Machine 0 additionally acts as the coordinator: every other machine
 // holds a control connection to it, used for the superstep barrier
-// (Transport.Exchange) and for the report/verdict protocol of the
+// (Transport.Finish) and for the report/verdict protocol of the
 // standalone runtime (transport/node). The coordinator's per-peer
 // report reads are driven by the same persistent-worker machinery.
 //
@@ -93,11 +95,6 @@ type Endpoint[M any] struct {
 	*Mesh
 	codec wire.Codec[M]
 
-	// wireVersion selects the batch encoding the writers ship
-	// (wire.BatchV2 by default); the readers accept either version via
-	// the dispatching decoder regardless.
-	wireVersion byte
-
 	// jobID/jobbed scope this endpoint's data frames to one job of a
 	// resident mesh (wire doc.go "Job-scoped frames"): writers prefix
 	// every batch with the job header, readers reject frames scoped to
@@ -109,8 +106,8 @@ type Endpoint[M any] struct {
 	ownQueue [][]byte // id==0: coordinator's loopback report queue
 
 	// Pipeline worker state, created once per endpoint lifetime. The
-	// channels carry at most one job (Exchange is a barrier, so a second
-	// superstep cannot be signalled before the first drains); workWG
+	// channels carry at most one job (FinishSuperstep is a barrier, so a
+	// second superstep cannot be signalled before the first drains); workWG
 	// counts in-flight data jobs and ctrlWG in-flight coordinator report
 	// reads. Worker failures land in the cause/shrapnel pairs below —
 	// all hoisted out of the per-call path, so a steady-state superstep
@@ -122,7 +119,7 @@ type Endpoint[M any] struct {
 	workWG   sync.WaitGroup
 	ctrlWG   sync.WaitGroup
 
-	// Worker error state, reset per dispatch and guarded by mu. The
+	// Worker error state, reset per superstep and guarded by mu. The
 	// FIRST-ARRIVING genuine error wins (cause), because causality on a
 	// failing mesh is temporal: the machine that died emits its FIN
 	// before the cascade of peer teardowns it triggers, so a
@@ -130,11 +127,11 @@ type Endpoint[M any] struct {
 	// EOF happened to sit in an earlier slot. net.ErrClosed failures —
 	// shrapnel of our own cascade close — are kept apart and reported
 	// only when no genuine cause surfaced.
-	cause, shrapnel         error // data path (Exchange)
+	cause, shrapnel         error // data path (Begin..FinishSuperstep)
 	ctrlCause, ctrlShrapnel error // control path (CollectReports)
 
 	// Per-superstep scratch, recycled across calls (the transport
-	// ownership rule). perDest/tx/frame/rx are dead once Exchange
+	// ownership rule). perDest/tx/frame/rx are dead once FinishSuperstep
 	// returns and are single-buffered; the assembled inbox is handed to
 	// the caller and double-buffered so the previous superstep's
 	// envelopes survive while the next one is built. reports/ctrlFrame
@@ -149,16 +146,16 @@ type Endpoint[M any] struct {
 	gen     int
 
 	// txSrc[j] is what peer j's writer worker encodes this superstep:
-	// the recycled perDest[j] split on the lockstep path, or the
-	// machine's own eagerly-streamed batch slice on the streaming path
-	// (which the Streamer contract keeps immutable until FinishSuperstep
-	// returns). A separate indirection — instead of storing streamed
-	// batches into perDest — so the next superstep's perDest[j][:0]
-	// recycling can never append into machine-owned memory.
+	// the recycled perDest[j] split of the rest envelopes, or the
+	// machine's own eagerly-streamed batch slice (which the Transport
+	// contract keeps immutable until FinishSuperstep returns). A
+	// separate indirection — instead of storing streamed batches into
+	// perDest — so the next superstep's perDest[j][:0] recycling can
+	// never append into machine-owned memory.
 	txSrc [][]transport.Envelope[M]
 
-	// Streaming-superstep state (the endpoint-level half of
-	// transport.Streamer; the cluster Transport composes k of these).
+	// Open-superstep state (the per-machine half of
+	// transport.Transport; the cluster Transport composes k of these).
 	// Guarded by mu where concurrent with StreamBatch; the
 	// Begin→drive→Finish handoff provides the rest of the ordering.
 	strEmitted []bool      // peers already streamed to this superstep
@@ -170,8 +167,8 @@ type Endpoint[M any] struct {
 	// serialWriters, sampled at construction, records that the process
 	// has a single execution core (GOMAXPROCS=1): parallel writer workers
 	// then cannot overlap with anything, and every wakeup is a pure
-	// scheduling tax, so the inline serial-write paths (Exchange,
-	// StreamBatch, FinishSuperstep) are taken unconditionally. Readers
+	// scheduling tax, so the inline serial-write paths (StreamBatch,
+	// FinishSuperstep) are taken unconditionally. Readers
 	// stay parallel regardless — a read is mostly netpoll parking, which
 	// costs no core while it waits.
 	serialWriters bool
@@ -189,13 +186,14 @@ type Endpoint[M any] struct {
 
 	// rec, when non-nil, receives per-frame telemetry spans from the
 	// pipeline workers (obs.PhaseFrameWrite/Read/Decode). Set via
-	// SetRecorder before the first Exchange; read without
+	// SetRecorder before the first superstep; read without
 	// synchronisation on the hot paths.
 	rec obs.Recorder
 
 	// mu serialises job dispatch against Close so a send can never race
-	// the closing of a signal channel (see dispatch), and closed gates
-	// Exchange/CollectReports on an endpoint that is already torn down.
+	// the closing of a signal channel (see pipeWorker), and closed gates
+	// BeginSuperstep/CollectReports on an endpoint that is already torn
+	// down.
 	mu        sync.Mutex
 	closed    bool
 	closeOnce sync.Once
@@ -206,16 +204,15 @@ type Endpoint[M any] struct {
 func newEndpoint[M any](m *Mesh, codec wire.Codec[M]) *Endpoint[M] {
 	k := m.k
 	return &Endpoint[M]{
-		Mesh:        m,
-		codec:       codec,
-		wireVersion: wire.BatchV2,
-		perDest:     make([][]transport.Envelope[M], k),
-		tx:          make([][]byte, k),
-		frame:       make([][]byte, k),
-		rx:          make([][]transport.Envelope[M], k),
-		txSrc:       make([][]transport.Envelope[M], k),
-		strEmitted:  make([]bool, k),
-		wirePeers:   make([]peerWire, k),
+		Mesh:       m,
+		codec:      codec,
+		perDest:    make([][]transport.Envelope[M], k),
+		tx:         make([][]byte, k),
+		frame:      make([][]byte, k),
+		rx:         make([][]transport.Envelope[M], k),
+		txSrc:      make([][]transport.Envelope[M], k),
+		strEmitted: make([]bool, k),
+		wirePeers:  make([]peerWire, k),
 
 		serialWriters: runtime.GOMAXPROCS(0) == 1,
 	}
@@ -262,19 +259,6 @@ type peerWire struct {
 	sentBytes, recvBytes   atomic.Int64
 }
 
-// SetWireVersion selects the batch format the endpoint's writers ship:
-// wire.BatchV2 (the default) or wire.BatchV1 for the legacy layout.
-// Readers accept both regardless, so endpoints of different versions
-// interoperate in one mesh. Call it after Connect and before the first
-// Exchange; it must not be changed mid-run.
-func (e *Endpoint[M]) SetWireVersion(v byte) error {
-	if v != wire.BatchV1 && v != wire.BatchV2 {
-		return fmt.Errorf("tcp: unknown wire version 0x%02x", v)
-	}
-	e.wireVersion = v
-	return nil
-}
-
 // WireStats returns the endpoint's physical-layer counters: frames and
 // actual bytes (length prefix included) sent and received across data
 // and control connections, with a per-peer breakdown in PerPeer
@@ -301,7 +285,7 @@ func (e *Endpoint[M]) WireStats() transport.WireStats {
 
 // SetRecorder installs the telemetry recorder the pipeline workers
 // record frame spans into (implements the transport.TraceSink shape at
-// the endpoint level). Must be called before the first Exchange; nil
+// the endpoint level). Must be called before the first superstep; nil
 // (the default) keeps the workers on their span-free path.
 func (e *Endpoint[M]) SetRecorder(r obs.Recorder) { e.rec = r }
 
@@ -362,10 +346,10 @@ func (e *Endpoint[M]) startPipeline() {
 // pipeWorker is the body of every persistent pipeline goroutine: run
 // one job per signal, park in between, exit when the signal channel
 // closes. The park is a bare channel receive — no select — because the
-// channel doubles as the quit signal: the dispatch/Close mutex
-// guarantees no send can follow the close, and a job already buffered
-// when Close fires is still delivered before the closed-channel zero
-// value, so the dispatcher's WaitGroup always drains (the job's I/O
+// channel doubles as the quit signal: every job send happens under mu
+// with closed unset, so no send can follow the close, and a job already
+// buffered when Close fires is still delivered before the closed-channel
+// zero value, so the sender's WaitGroup always drains (the job's I/O
 // fails fast on the closed connections).
 func (e *Endpoint[M]) pipeWorker(ch chan pipeJob, wg *sync.WaitGroup, run func(pipeJob)) {
 	for job := range ch {
@@ -462,13 +446,7 @@ func (e *Endpoint[M]) runWriter(j int, job pipeJob) {
 		// ahead of the version byte, the batch encoding is untouched.
 		base = wire.AppendJobHeader(base, e.jobID)
 	}
-	var buf []byte
-	var err error
-	if e.wireVersion == wire.BatchV1 {
-		buf, err = wire.AppendBatchV1(base, job.step, transport.MachineID(e.id), e.txSrc[j], e.codec)
-	} else {
-		buf, err = wire.AppendBatchV2(base, job.step, transport.MachineID(e.id), transport.MachineID(j), e.txSrc[j], e.codec)
-	}
+	buf, err := wire.AppendBatchV2(base, job.step, transport.MachineID(e.id), transport.MachineID(j), e.txSrc[j], e.codec)
 	e.tx[j] = buf[:0]
 	if err != nil {
 		// An encode failure is OUR defect (a codec bug, a malformed
@@ -599,50 +577,6 @@ func (e *Endpoint[M]) runCtrlReader(j int, job pipeJob) {
 	e.reports[j] = frame
 }
 
-// dispatch signals one superstep to the parked pipeline workers. The
-// mutex makes the signal atomic with respect to Close: either every
-// worker receives its job before quit can fire (and the drain in
-// pipeWorker guarantees completion), or the endpoint is already closed
-// and no job is sent at all.
-//
-// With inlineWriters set, only the readers are signalled — the caller
-// runs the writers serially on its own goroutine afterwards (the
-// tiny-superstep path, see Exchange). Signal order rotates with the
-// superstep: machine i starts its sweep at peer (i+step) mod k, so the
-// k machines do not all hammer peer 0's sockets first every superstep.
-func (e *Endpoint[M]) dispatch(step int, dl time.Time, inlineWriters bool) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return fmt.Errorf("tcp: machine %d exchange on closed endpoint (superstep %d): %w", e.id, step, net.ErrClosed)
-	}
-	if !e.started {
-		return fmt.Errorf("tcp: machine %d exchange before Connect (superstep %d)", e.id, step)
-	}
-	e.cause, e.shrapnel = nil, nil
-	job := pipeJob{step: step, dl: dl}
-	if inlineWriters {
-		e.workWG.Add(e.k - 1)
-	} else {
-		e.workWG.Add(2 * (e.k - 1))
-		// Writers are released before any reader: on a loaded machine
-		// the scheduler then tends to ship our outgoing frames before
-		// the readers poll, so reads find their peer's data already
-		// buffered instead of parking in netpoll first.
-		for o := 0; o < e.k; o++ {
-			if j := (e.id + step + o) % e.k; j != e.id {
-				e.writerCh[j] <- job
-			}
-		}
-	}
-	for o := 0; o < e.k; o++ {
-		if j := (e.id + step + o) % e.k; j != e.id {
-			e.readerCh[j] <- job
-		}
-	}
-	return nil
-}
-
 // ioGuard applies ctx to the endpoint's blocking socket I/O. It returns
 // the connection deadline to install before each read/write (zero when
 // ctx has none, which clears any deadline left by a previous superstep)
@@ -694,83 +628,13 @@ func (e *Endpoint[M]) attrib(peer, step int, err error) error {
 	return me
 }
 
-// Exchange ships this machine's superstep batch to every peer and
-// collects the peers' batches: one frame per directed pair, empty
-// batches included. Self-addressed envelopes never touch a socket. The
-// returned inbox is assembled in sender-ID order, self-addressed
-// envelopes at position e.id, exactly like the loopback transport.
-//
-// The call is one pipeline generation: split the outbox per
-// destination, signal the parked workers (each writer encodes and ships
-// its own peer's batch concurrently; each reader receives and decodes
-// concurrently), wait for the generation to drain, then merge the
-// per-sender batches into the inbox.
-//
-// ctx bounds the whole superstep: its deadline is installed on every
-// connection before I/O, so a dead or wedged peer surfaces as a
-// *transport.MachineError (wrapping os.ErrDeadlineExceeded) within the
-// deadline, and cancellation tears the endpoint down, unblocking every
-// parked read. After any error the endpoint is closed and unusable.
+// Exchange is one whole superstep with nothing streamed eagerly:
+// BeginSuperstep followed by FinishSuperstep carrying every envelope.
 func (e *Endpoint[M]) Exchange(ctx context.Context, step int, out []transport.Envelope[M]) ([]transport.Envelope[M], error) {
-	dl, release := e.ioGuard(ctx)
-	if release != nil {
-		defer release()
-	}
-	perDest := e.perDest
-	for j := range perDest {
-		perDest[j] = perDest[j][:0]
-	}
-	for _, env := range out {
-		if env.To < 0 || int(env.To) >= e.k {
-			e.Close() // peers are waiting on our batch; unblock them
-			return nil, fmt.Errorf("tcp: machine %d envelope to invalid machine %d", e.id, env.To)
-		}
-		perDest[env.To] = append(perDest[env.To], env)
-	}
-	remote := 0
-	for j := range perDest {
-		e.txSrc[j] = perDest[j]
-		if j != e.id {
-			remote += len(perDest[j])
-		}
-	}
-
-	// Tiny supersteps skip the writer wakeups: when the whole outbox is
-	// at most ~2 envelopes per peer, encoding is trivial and the cost of
-	// signalling k-1 parked goroutines dominates shipping k-1
-	// few-byte frames (the k=16/batch=1 regression of the parallel
-	// pipeline). Write them serially on this goroutine instead — each
-	// connection's buffered writer still coalesces prefix+payload into
-	// one flush/syscall — while the readers stay parallel. A GOMAXPROCS=1
-	// process takes this path for every superstep: with one core the
-	// parallel writers can't overlap anyway, so the wakeups are all tax.
-	inline := e.serialWriters || remote <= 2*e.k
-	if err := e.dispatch(step, dl, inline); err != nil {
+	if err := e.BeginSuperstep(ctx, step); err != nil {
 		return nil, err
 	}
-	if inline {
-		job := pipeJob{step: step, dl: dl}
-		for o := 0; o < e.k; o++ {
-			if j := (e.id + step + o) % e.k; j != e.id {
-				e.runWriter(j, job)
-			}
-		}
-	}
-	e.workWG.Wait()
-
-	// Report the error that diagnoses the failure, not the teardown:
-	// recordErr kept the first genuine cause (a peer's FIN, a reset, an
-	// expired deadline) apart from the net.ErrClosed shrapnel of our own
-	// cascade close, so the genuine cause — which names the actual
-	// culprit — wins whenever one exists. The workWG barrier above is
-	// the happens-before edge that makes the plain reads safe.
-	if err := e.cause; err != nil {
-		return nil, err
-	}
-	if err := e.shrapnel; err != nil {
-		return nil, err
-	}
-	return e.mergeInbox(), nil
+	return e.FinishSuperstep(step, out)
 }
 
 // mergeInbox assembles the superstep's inbox in sender-ID order into
@@ -802,13 +666,20 @@ func (e *Endpoint[M]) mergeInbox() []transport.Envelope[M] {
 	return inbox
 }
 
-// BeginSuperstep opens streaming superstep `step` on this endpoint: the
+// BeginSuperstep opens superstep `step` on this endpoint: the
 // per-superstep failure state is reset and every reader worker is
 // released immediately, so incoming batch frames are received and
 // decoded as peers produce them — during this machine's own compute —
-// instead of waiting for the finish barrier. The per-machine half of
-// the transport.Streamer contract; StreamBatch and FinishSuperstep
-// complete it.
+// instead of waiting for the finish barrier. Signal order rotates with
+// the superstep: machine i starts its sweep at peer (i+step) mod k, so
+// the k machines do not all hammer peer 0's sockets first every
+// superstep.
+//
+// ctx bounds the whole superstep: its deadline is installed on every
+// connection before I/O, so a dead or wedged peer surfaces as a
+// *transport.MachineError (wrapping os.ErrDeadlineExceeded) within the
+// deadline, and cancellation tears the endpoint down, unblocking every
+// parked read. After any error the endpoint is closed and unusable.
 func (e *Endpoint[M]) BeginSuperstep(ctx context.Context, step int) error {
 	dl, release := e.ioGuard(ctx)
 	e.mu.Lock()
@@ -853,7 +724,7 @@ func (e *Endpoint[M]) BeginSuperstep(ctx context.Context, step int) error {
 // writes the frame on the calling goroutine instead of waking the
 // peer's parked writer worker: for a couple of envelopes the encode is
 // a handful of stores and the wakeup costs more than the write (the
-// same economics as Exchange's tiny-superstep path).
+// same economics as FinishSuperstep's tiny-remainder path).
 const streamInlineMax = 2
 
 // StreamBatch hands peer `to`'s finished batch to its parked writer
@@ -863,7 +734,7 @@ const streamInlineMax = 2
 // goroutine — still mid-compute, so the wire is busy during the
 // superstep either way; what varies is only who pays for the encode.
 // The batch slice stays readable by the endpoint until FinishSuperstep
-// returns (the Streamer ownership rule); envelopes arrive pre-validated
+// returns (the Transport ownership rule); envelopes arrive pre-validated
 // and From-stamped from core. At most one batch per peer per superstep.
 func (e *Endpoint[M]) StreamBatch(to transport.MachineID, batch []transport.Envelope[M]) error {
 	e.mu.Lock()
@@ -883,7 +754,7 @@ func (e *Endpoint[M]) StreamBatch(to transport.MachineID, batch []transport.Enve
 	}
 	if !e.strOn {
 		e.mu.Unlock()
-		return fmt.Errorf("tcp: machine %d StreamBatch outside an open streaming superstep", e.id)
+		return fmt.Errorf("tcp: machine %d StreamBatch outside an open superstep", e.id)
 	}
 	if int(to) < 0 || int(to) >= e.k || int(to) == e.id {
 		e.mu.Unlock()
@@ -928,15 +799,17 @@ func (e *Endpoint[M]) finishGuard() {
 	}
 }
 
-// FinishSuperstep closes streaming superstep `step`: it ships `out` —
-// the envelopes NOT streamed eagerly (self-addressed ones included; a
-// peer that already got a streamed batch must not reappear here) — on
-// the remaining writer workers, waits for the whole pipeline generation
-// (eager readers, streamed writers, rest writers) to drain, and merges
-// the inbox exactly like Exchange. It is the streaming superstep's
-// barrier and carries the Exchange failure contract.
-func (e *Endpoint[M]) FinishSuperstep(ctx context.Context, step int, out []transport.Envelope[M]) ([]transport.Envelope[M], error) {
-	_ = ctx // the superstep's guard/deadline were armed by BeginSuperstep
+// FinishSuperstep closes superstep `step`: it ships `out` — the
+// envelopes NOT streamed eagerly (self-addressed ones included, which
+// never touch a socket; a peer that already got a streamed batch must
+// not reappear here) — on the remaining writer workers, one frame per
+// directed pair, empty batches included, waits for the whole pipeline
+// generation (eager readers, streamed writers, rest writers) to drain,
+// and merges the inbox in sender-ID order, self-addressed envelopes at
+// position e.id, exactly like the loopback transport. It is the
+// superstep's barrier, bounded by the deadline and cancellation guard
+// BeginSuperstep armed.
+func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M]) ([]transport.Envelope[M], error) {
 	perDest := e.perDest
 	for j := range perDest {
 		perDest[j] = perDest[j][:0]
@@ -997,10 +870,16 @@ func (e *Endpoint[M]) FinishSuperstep(ctx context.Context, step int, out []trans
 		pending++
 		rest += len(perDest[j])
 	}
-	// Same inline-writer economics as Exchange: a tiny remainder (the
-	// common case when the machines streamed their batches eagerly) is
-	// written serially on this goroutine rather than waking the parked
-	// writers. strEmitted is stable here — StreamBatch only runs while
+	// Tiny remainders (the common case when the machines streamed their
+	// batches eagerly) skip the writer wakeups: when the rest is at most
+	// ~2 envelopes per peer, encoding is trivial and the cost of
+	// signalling parked goroutines dominates shipping few-byte frames
+	// (the k=16/batch=1 regression of the parallel pipeline). Write them
+	// serially on this goroutine instead — each connection's buffered
+	// writer still coalesces prefix+payload into one flush/syscall. A
+	// GOMAXPROCS=1 process takes this path for every superstep: with one
+	// core the parallel writers can't overlap anyway, so the wakeups are
+	// all tax. strEmitted is stable here — StreamBatch only runs while
 	// the superstep computes, which happens-before FinishSuperstep.
 	inline := e.serialWriters || rest <= 2*e.k
 	if !inline {
@@ -1032,6 +911,12 @@ func (e *Endpoint[M]) FinishSuperstep(ctx context.Context, step int, out []trans
 	for j := range e.txSrc {
 		e.txSrc[j] = nil
 	}
+	// Report the error that diagnoses the failure, not the teardown:
+	// recordErr kept the first genuine cause (a peer's FIN, a reset, an
+	// expired deadline) apart from the net.ErrClosed shrapnel of our own
+	// cascade close, so the genuine cause — which names the actual
+	// culprit — wins whenever one exists. The workWG barrier above is
+	// the happens-before edge that makes the plain reads safe.
 	if err := e.cause; err != nil {
 		return nil, err
 	}
@@ -1212,8 +1097,8 @@ func (e *Endpoint[M]) Barrier(ctx context.Context, step int) error {
 }
 
 // retireWorkers closes every pipeline signal channel, run at most once
-// (via closeOnce) by Detach or Close. No dispatch can race it: the
-// caller set closed under mu first, dispatch sends only while holding
+// (via closeOnce) by Detach or Close. No job send can race it: the
+// caller set closed under mu first, jobs are sent only while holding
 // mu with closed unset, and buffered jobs survive a channel close, so
 // in-flight supersteps still drain.
 func (e *Endpoint[M]) retireWorkers() {
@@ -1309,13 +1194,12 @@ func NewLoopbackMesh[M any](k int, codec wire.Codec[M]) ([]*Endpoint[M], error) 
 }
 
 // driveJob is one superstep's assignment for a cluster-side endpoint
-// driver: exchange this outbox under this context, then pass the
-// barrier.
+// driver: finish the superstep with this rest outbox, then pass the
+// barrier under this context.
 type driveJob[M any] struct {
-	ctx    context.Context
-	step   int
-	out    []transport.Envelope[M]
-	finish bool // close a streaming superstep instead of a lockstep exchange
+	ctx  context.Context
+	step int
+	out  []transport.Envelope[M]
 }
 
 // Transport is the cluster-side transport.Transport implementation: all
@@ -1344,13 +1228,6 @@ type Transport[M any] struct {
 
 // New builds a loopback-TCP transport for a k-machine cluster.
 func New[M any](k int, codec wire.Codec[M]) (*Transport[M], error) {
-	return NewWithVersion[M](k, codec, wire.BatchV2)
-}
-
-// NewWithVersion is New shipping the given wire batch version
-// (wire.BatchV1 or wire.BatchV2) — the A/B surface for measuring the v2
-// format's bytes-on-wire savings on identical runs.
-func NewWithVersion[M any](k int, codec wire.Codec[M], version byte) (*Transport[M], error) {
 	eps, err := NewLoopbackMesh(k, codec)
 	if err != nil {
 		return nil, err
@@ -1362,10 +1239,6 @@ func NewWithVersion[M any](k int, codec wire.Codec[M], version byte) (*Transport
 		results: make([][]transport.Envelope[M], k),
 	}
 	for i := 0; i < k; i++ {
-		if err := eps[i].SetWireVersion(version); err != nil {
-			t.Close()
-			return nil, err
-		}
 		t.drive[i] = make(chan driveJob[M], 1)
 		go t.driver(i)
 	}
@@ -1373,53 +1246,78 @@ func NewWithVersion[M any](k int, codec wire.Codec[M], version byte) (*Transport
 }
 
 // driver is the persistent goroutine owning endpoint i: one
-// exchange+barrier per signal, parked in between, exits when Close
+// finish+barrier per signal, parked in between, exits when Close
 // closes its channel. The same close-under-mutex discipline as the
 // endpoint's pipeWorker keeps the WaitGroup sound against a concurrent
 // Close.
 func (t *Transport[M]) driver(i int) {
 	for job := range t.drive[i] {
-		t.runStep(i, job)
+		inbox, err := t.eps[i].FinishSuperstep(job.step, job.out)
+		if err == nil {
+			if berr := t.eps[i].Barrier(job.ctx, job.step); berr != nil {
+				t.eps[i].Close()
+				err = berr
+			}
+		}
+		// On a FinishSuperstep error the endpoint has already closed
+		// itself; the close cascades error returns to every peer blocked
+		// on this endpoint's connections, so no driver hangs here.
+		t.errs[i] = err
+		t.results[i] = inbox
 		t.wg.Done()
 	}
 }
 
-func (t *Transport[M]) runStep(i int, job driveJob[M]) {
-	var inbox []transport.Envelope[M]
-	var err error
-	if job.finish {
-		inbox, err = t.eps[i].FinishSuperstep(job.ctx, job.step, job.out)
-	} else {
-		inbox, err = t.eps[i].Exchange(job.ctx, job.step, job.out)
+// Begin implements transport.Transport: it opens the superstep on every
+// endpoint, arming the per-superstep deadline guards and releasing all
+// reader workers so frames are consumed as they arrive. Endpoints are
+// opened serially under the transport mutex — the same t.mu→e.mu lock
+// order as Close — which is cheap (no I/O happens in an endpoint
+// BeginSuperstep, it only parks jobs on buffered channels) and gives
+// SendBatch a consistent "all open" view.
+func (t *Transport[M]) Begin(ctx context.Context, step int) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return fmt.Errorf("tcp: begin superstep %d on closed transport: %w", step, net.ErrClosed)
 	}
-	if err == nil {
-		if berr := t.eps[i].Barrier(job.ctx, job.step); berr != nil {
-			t.eps[i].Close()
-			err = berr
+	for i, e := range t.eps {
+		if err := e.BeginSuperstep(ctx, step); err != nil {
+			return fmt.Errorf("tcp: machine %d: %w", i, err)
 		}
 	}
-	// On an Exchange error the endpoint has already closed itself; the
-	// close cascades error returns to every peer blocked on this
-	// endpoint's connections, so no driver hangs here.
-	t.errs[i] = err
-	t.results[i] = inbox
+	return nil
 }
 
-// Exchange implements transport.Transport: each endpoint ships its
-// batch over its sockets concurrently (signalled to the persistent
-// drivers), then all pass the coordinator barrier before any inbox is
-// released to the cluster. ctx bounds the whole superstep on every
-// endpoint.
-func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
+// SendBatch implements transport.Transport: machine from's eager batch
+// for machine to goes straight to from's endpoint, which hands it to
+// the parked writer worker for that peer. Called concurrently from the
+// machines' compute goroutines (distinct senders), per the contract;
+// each endpoint serialises its own state under its own mutex, so no
+// transport-level lock is needed — or wanted, it would serialise the
+// very sends eager emission exists to overlap.
+func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
+	if int(from) < 0 || int(from) >= len(t.eps) {
+		return fmt.Errorf("tcp: SendBatch from invalid machine %d", from)
+	}
+	return t.eps[from].StreamBatch(to, batch)
+}
+
+// Finish implements transport.Transport: the superstep's barrier. Every
+// endpoint ships its rest envelopes over its sockets concurrently
+// (signalled to the persistent drivers), drains its pipeline generation
+// (eager and rest frames alike), and passes the coordinator barrier
+// before any inbox is released to the cluster.
+func (t *Transport[M]) Finish(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
 	k := len(t.eps)
-	if len(outs) != k {
-		return nil, fmt.Errorf("tcp: got %d outboxes for a %d-machine cluster", len(outs), k)
+	if len(rest) != k {
+		return nil, fmt.Errorf("tcp: got %d outboxes for a %d-machine cluster", len(rest), k)
 	}
 
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		return nil, fmt.Errorf("tcp: exchange on closed transport (superstep %d): %w", step, net.ErrClosed)
+		return nil, fmt.Errorf("tcp: finish superstep %d on closed transport: %w", step, net.ErrClosed)
 	}
 	for i := 0; i < k; i++ {
 		t.errs[i] = nil
@@ -1427,7 +1325,7 @@ func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transpor
 	}
 	t.wg.Add(k)
 	for i := 0; i < k; i++ {
-		t.drive[i] <- driveJob[M]{ctx: ctx, step: step, out: outs[i]}
+		t.drive[i] <- driveJob[M]{ctx: ctx, step: step, out: rest[i]}
 	}
 	t.mu.Unlock()
 	t.wg.Wait()
@@ -1471,105 +1369,12 @@ func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transpor
 	return inboxes, nil
 }
 
-// CanStream implements transport.Streamer: the socket substrate is the
-// capability's raison d'être — eager batches overlap the wire with the
-// senders' remaining compute.
-func (t *Transport[M]) CanStream() bool { return true }
-
-// BeginSuperstep implements transport.Streamer: it opens the streaming
-// superstep on every endpoint, arming the per-superstep deadline guards
-// and releasing all reader workers so frames are consumed as they
-// arrive. Endpoints are opened serially under the transport mutex — the
-// same t.mu→e.mu lock order as Close — which is cheap (no I/O happens
-// in an endpoint BeginSuperstep, it only parks jobs on buffered
-// channels) and gives SendBatch a consistent "all open" view.
-func (t *Transport[M]) BeginSuperstep(ctx context.Context, step int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return fmt.Errorf("tcp: begin superstep %d on closed transport: %w", step, net.ErrClosed)
+// Exchange implements transport.Transport: Begin, then Finish.
+func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
+	if err := t.Begin(ctx, step); err != nil {
+		return nil, err
 	}
-	for i, e := range t.eps {
-		if err := e.BeginSuperstep(ctx, step); err != nil {
-			return fmt.Errorf("tcp: machine %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// SendBatch implements transport.Streamer: machine from's eager batch
-// for machine to goes straight to from's endpoint, which hands it to
-// the parked writer worker for that peer. Called concurrently from the
-// machines' compute goroutines (distinct senders), per the contract;
-// each endpoint serialises its own state under its own mutex, so no
-// transport-level lock is needed — or wanted, it would serialise the
-// very sends streaming exists to overlap.
-func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
-	if int(from) < 0 || int(from) >= len(t.eps) {
-		return fmt.Errorf("tcp: SendBatch from invalid machine %d", from)
-	}
-	return t.eps[from].StreamBatch(to, batch)
-}
-
-// FinishSuperstep implements transport.Streamer: the streaming
-// superstep's barrier. Every endpoint ships its rest envelopes, drains
-// its pipeline generation (eager and rest frames alike), and passes the
-// coordinator barrier — the same drivers, error preference, and
-// double-buffered inbox hand-off as Exchange.
-func (t *Transport[M]) FinishSuperstep(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
-	k := len(t.eps)
-	if len(rest) != k {
-		return nil, fmt.Errorf("tcp: got %d outboxes for a %d-machine cluster", len(rest), k)
-	}
-
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("tcp: finish superstep %d on closed transport: %w", step, net.ErrClosed)
-	}
-	for i := 0; i < k; i++ {
-		t.errs[i] = nil
-		t.results[i] = nil
-	}
-	t.wg.Add(k)
-	for i := 0; i < k; i++ {
-		t.drive[i] <- driveJob[M]{ctx: ctx, step: step, out: rest[i], finish: true}
-	}
-	t.mu.Unlock()
-	t.wg.Wait()
-
-	var attributed, first error
-	for _, err := range t.errs {
-		if err == nil {
-			continue
-		}
-		var me *transport.MachineError
-		if errors.As(err, &me) {
-			if !errors.Is(err, net.ErrClosed) {
-				return nil, err
-			}
-			if attributed == nil {
-				attributed = err
-			}
-		}
-		if first == nil {
-			first = err
-		}
-	}
-	if attributed != nil {
-		return nil, attributed
-	}
-	if first != nil {
-		return nil, first
-	}
-
-	if t.inboxes[t.gen] == nil {
-		t.inboxes[t.gen] = make([][]transport.Envelope[M], k)
-	}
-	inboxes := t.inboxes[t.gen]
-	t.gen ^= 1
-	copy(inboxes, t.results)
-	return inboxes, nil
+	return t.Finish(ctx, step, outs)
 }
 
 // WireStats sums the physical-layer counters of every endpoint: total
@@ -1585,7 +1390,7 @@ func (t *Transport[M]) WireStats() transport.WireStats {
 
 // SetRecorder implements transport.TraceSink: every endpoint's pipeline
 // workers record their per-peer frame spans into r. Call before the
-// first Exchange.
+// first Begin.
 func (t *Transport[M]) SetRecorder(r obs.Recorder) {
 	for _, e := range t.eps {
 		e.SetRecorder(r)
@@ -1595,7 +1400,7 @@ func (t *Transport[M]) SetRecorder(r obs.Recorder) {
 // SeverMachine forcibly closes machine i's endpoint — its listener and
 // every connection — simulating that machine's process dying mid-run.
 // Survivors observe the severed connections as attributed errors on
-// their next (or in-flight) Exchange. It exists for fault injection:
+// their next (or in-flight) superstep. It exists for fault injection:
 // transport/chaos's drop-connection fault calls it to make "peer died"
 // deterministically reproducible in tests.
 func (t *Transport[M]) SeverMachine(i int) error {
@@ -1612,11 +1417,7 @@ func (t *Transport[M]) Close() error {
 	t.mu.Unlock()
 	t.closeOnce.Do(func() {
 		for _, ch := range t.drive {
-			if ch != nil {
-				// A construction failure can reach Close before every
-				// driver channel exists.
-				close(ch)
-			}
+			close(ch)
 		}
 	})
 	var first error

@@ -44,116 +44,79 @@ type Envelope[M any] struct {
 
 // Transport moves one superstep's envelopes between the k machines.
 //
-// Exchange is called once per superstep with outs[i] holding the
-// envelopes machine i emitted, already validated (To in range, Words
-// >= 0) and stamped with From. It returns inboxes[j], the envelopes
-// delivered to machine j for the next superstep, assembled in sender-ID
-// order (self-addressed envelopes of machine j appear at position j of
-// that order). Exchange is a barrier: it returns only after every
-// machine's batch has been routed, so a superstep cannot overtake a
-// straggler.
+// A superstep is opened with Begin, fed finished per-peer batches
+// eagerly via SendBatch while machines are still computing, and closed
+// with Finish, which ships whatever was not emitted and returns
+// inboxes[j], the envelopes delivered to machine j for the next
+// superstep, assembled in sender-ID order (self-addressed envelopes of
+// machine j appear at position j of that order). An emitted batch for
+// peer j simply IS sender i's contribution to inbox j — a sender must
+// not both emit a batch to j and leave rest envelopes for j in the same
+// superstep — so the inboxes do not depend on when within the superstep
+// an envelope left its machine. Finish is the superstep's barrier: it
+// returns only after every batch of the superstep (emitted or rest) has
+// been routed, so a superstep cannot overtake a straggler. All
+// envelopes arrive already validated (To in range, Words >= 0) and
+// stamped with From.
 //
-// Failure contract. ctx bounds the superstep: implementations that can
-// block on remote machines must observe ctx's deadline and cancellation
-// so a crashed or wedged peer surfaces as an error within the deadline
-// instead of an indefinite hang. When the failure can be attributed to
-// a specific machine, the returned error wraps a *MachineError naming
-// it and the superstep. Exchange is not restartable after an error: an
+// Failure contract. The ctx given to Begin bounds the whole superstep:
+// implementations that can block on remote machines must observe its
+// deadline and cancellation from Begin through Finish, so a crashed or
+// wedged peer surfaces as an error within the deadline instead of an
+// indefinite hang. When the failure can be attributed to a specific
+// machine, the returned error wraps a *MachineError naming it and the
+// superstep. A superstep is not restartable after an error: an
 // implementation may tear down its resources to unblock peers (the tcp
-// mesh does), so the caller must treat any Exchange error as fatal for
-// the run and Close the transport.
+// mesh does), so the caller must treat any Begin, SendBatch or Finish
+// error as fatal for the run and Close the transport. A superstep
+// opened with Begin and never finished (the run terminated quiescently,
+// or aborted on an error) is abandoned by Close, which unblocks any
+// eagerly-parked I/O.
 //
 // A Transport carries payloads verbatim and must preserve both the
 // per-sender envelope order and the Words field — the accounting in
 // core depends on it.
 //
 // Buffer ownership. A Transport may recycle inbox storage: the inboxes
-// returned by Exchange (both the outer slice and the envelope storage
-// it points into) remain valid only until the second-following Exchange
-// call on the same transport. Implementations double-buffer so that the
+// returned by Finish (both the outer slice and the envelope storage it
+// points into) remain valid only until the second-following Finish on
+// the same transport. Implementations double-buffer so that the
 // previous superstep's inboxes — and any outgoing envelopes that alias
 // them, e.g. second-hop forwards — are never overwritten while the
 // current superstep is assembled; callers that need an envelope beyond
-// that window must copy it. Symmetrically, outs stays owned by the
-// caller: a Transport must finish reading it before Exchange returns
-// and must not retain or mutate it afterwards, so machines may recycle
-// their outbox slices across supersteps.
+// that window must copy it. Symmetrically, rest and every batch handed
+// to SendBatch stay owned by the caller: it must not mutate or recycle
+// them until Finish returns (the tcp substrate encodes an emitted batch
+// concurrently with the remaining compute), and the transport must not
+// retain or mutate them afterwards, so machines may recycle their
+// outbox slices across supersteps.
 type Transport[M any] interface {
+	// Begin opens superstep step: the transport arms eager receive on
+	// all peers and accepts SendBatch calls until Finish.
+	Begin(ctx context.Context, step int) error
+
+	// SendBatch hands machine from's finished batch for machine to to
+	// the substrate while the superstep is still computing. It may be
+	// called concurrently for different senders (one goroutine per from
+	// at a time), only between Begin and Finish of the same superstep,
+	// at most once per (from, to) pair per superstep, never with from ==
+	// to. An error means the batch was NOT accepted.
+	SendBatch(from, to MachineID, batch []Envelope[M]) error
+
+	// Finish ships the not-yet-emitted remainder (rest[i] = machine i's
+	// leftover envelopes, self-addressed ones included), waits for every
+	// machine's batches to be routed, and returns the assembled inboxes.
+	Finish(ctx context.Context, step int, rest [][]Envelope[M]) (inboxes [][]Envelope[M], err error)
+
+	// Exchange is a whole superstep with nothing emitted eagerly: Begin
+	// followed by Finish carrying every envelope in outs.
 	Exchange(ctx context.Context, step int, outs [][]Envelope[M]) (inboxes [][]Envelope[M], err error)
 
 	// Close releases transport resources (listeners, connections) and
 	// unblocks any I/O still pending on them. It is safe to call more
-	// than once and from a goroutine other than the one in Exchange;
-	// Exchange must not be called after Close.
+	// than once and from a goroutine other than the one driving the
+	// superstep; no other method may be called after Close.
 	Close() error
-}
-
-// BatchSender is the narrow eager-emission capability a machine's
-// per-peer emitter needs: hand one finished, validated batch for one
-// peer to the substrate while the superstep is still computing. It is
-// the subset of Streamer that core.Emitter holds, so the engine-side
-// emitter does not need the whole superstep-lifecycle surface.
-//
-// SendBatch may be called concurrently for different senders (one
-// goroutine per `from` at a time), only between BeginSuperstep and
-// FinishSuperstep of the same superstep, at most once per (from, to)
-// pair per superstep, never with from == to, and only with envelopes
-// already validated (To == to, Words >= 0) and stamped with From. An
-// error means the batch was NOT accepted and the run is failing; the
-// caller must surface it and stop emitting.
-type BatchSender[M any] interface {
-	SendBatch(from, to MachineID, batch []Envelope[M]) error
-}
-
-// Streamer is the optional streaming-superstep capability of a
-// Transport: instead of the single Exchange barrier, a superstep may be
-// opened with BeginSuperstep, fed finished per-peer batches eagerly via
-// SendBatch while machines are still computing, and closed with
-// FinishSuperstep, which ships whatever was not streamed and returns
-// the assembled inboxes. Like TraceSink and WireMeter, callers discover
-// it by type assertion and additionally gate on CanStream(), so a
-// wrapper (chaos) can expose the methods while delegating the decision
-// to its inner transport.
-//
-// The relaxed schedule must not be observable in the results: inboxes
-// come back in the same sender-ID order, with the same per-sender
-// envelope order, as an Exchange carrying the identical envelopes would
-// produce — a streamed batch for peer j simply IS sender i's
-// contribution to inbox j (the engine forbids mixing a streamed batch
-// and leftover rest envelopes for the same (from, to) pair in one
-// superstep). FinishSuperstep is the superstep's barrier: it returns
-// only after every batch of the superstep (streamed or rest) has been
-// routed, and it carries the Exchange failure contract (ctx deadline /
-// cancellation, *MachineError attribution, fatal-on-error).
-//
-// Buffer ownership for streamed batches: the caller keeps ownership of
-// a batch slice handed to SendBatch but must not mutate or recycle it
-// until FinishSuperstep for that superstep returns (the tcp substrate
-// encodes it concurrently with the remaining compute); the transport
-// must not retain the slice after FinishSuperstep returns. rest and the
-// returned inboxes follow the Exchange ownership rules verbatim.
-//
-// A superstep opened with BeginSuperstep and never finished (the run
-// terminated quiescently, or aborted on an error) is abandoned by
-// Close, which unblocks any eagerly-parked I/O.
-type Streamer[M any] interface {
-	BatchSender[M]
-
-	// CanStream reports whether the transport actually supports the
-	// streaming path right now (a wrapper returns its inner transport's
-	// answer). When false, the other methods must not be called.
-	CanStream() bool
-
-	// BeginSuperstep opens superstep step: the transport arms eager
-	// receive on all peers and accepts SendBatch calls until
-	// FinishSuperstep.
-	BeginSuperstep(ctx context.Context, step int) error
-
-	// FinishSuperstep ships the not-yet-streamed remainder (rest[i] =
-	// machine i's leftover envelopes, self-addressed ones included),
-	// waits for every machine's batches to be routed, and returns the
-	// assembled inboxes — the streaming superstep's barrier.
-	FinishSuperstep(ctx context.Context, step int, rest [][]Envelope[M]) (inboxes [][]Envelope[M], err error)
 }
 
 // MachineError attributes a distributed-runtime failure to the machine
@@ -271,7 +234,7 @@ type WireMeter interface {
 // its inner transport. Callers discover it with a type assertion
 // (core.RunOverWire installs Config.Recorder this way) and treat
 // absence as "this substrate has no frame-level detail to offer".
-// SetRecorder must be called before the first Exchange; the transport
+// SetRecorder must be called before the first Begin; the transport
 // reads the recorder without synchronisation on its hot paths.
 type TraceSink interface {
 	SetRecorder(r obs.Recorder)
@@ -289,10 +252,4 @@ const (
 	// TCP runs every machine as its own listener+dialer over loopback
 	// TCP connections.
 	TCP Kind = "tcp"
-	// TCPWireV1 is TCP shipping the legacy v1 batch encoding instead of
-	// the compact v2 — the A/B surface that lets experiments measure
-	// the v2 format's bytes-on-wire savings on otherwise identical
-	// runs. Stats are bit-identical across wire versions by
-	// construction; only WireStats differ.
-	TCPWireV1 Kind = "tcp/wire-v1"
 )

@@ -1,6 +1,6 @@
 // Package wire is the binary codec shared by every non-loopback
-// transport: length-prefixed frames, varint-encoded envelope headers,
-// and a Codec[M] abstraction for algorithm payloads.
+// transport: length-prefixed frames, varint-encoded batch headers, and
+// a Codec[M] abstraction for algorithm payloads.
 //
 // # Wire format
 //
@@ -17,37 +17,11 @@
 // Batch — one (sender, receiver, superstep) shipment of envelopes; the
 // TCP transport writes exactly one batch frame per peer per superstep,
 // empty batches included, which is what lets a receiver detect that a
-// superstep's input is complete:
-//
-//	batch     := superstep sender count envelope*
-//	superstep := uvarint              // zero-based superstep index
-//	sender    := uvarint              // MachineID of the writing machine
-//	count     := uvarint              // number of envelopes that follow
-//
-// Envelope — header plus algorithm payload:
-//
-//	envelope  := from to words msg
-//	from      := uvarint              // MachineID, stamped by core
-//	to        := uvarint              // MachineID
-//	words     := uvarint              // size in machine words (cost model)
-//	msg       := Codec[M]-defined bytes
-//
-// The envelope Words field travels on the wire even though the receiver
-// could often recompute it, because the cost accounting in core treats
-// it as authoritative: a transport must hand back exactly the word
-// counts it was given.
-//
-// # Versioned batches (v2)
-//
-// The layout above is the legacy (version-less) v1 batch. Transports
-// now ship versioned batches: the first byte of the batch body names
-// the format (BatchV1 = 0x01 framing the v1 body verbatim, BatchV2 =
-// 0x02 for the compact layout), and DecodeBatchAny dispatches on it —
-// a v2-speaking endpoint still accepts a v1-framed peer.
-//
-// The v2 batch exploits that a TCP batch frame is already a
-// per-(sender, receiver, superstep) unit carried by a connection that
-// identifies both ends:
+// superstep's input is complete. The first byte names the format
+// (BatchV2 = 0x02, the only one; DecodeBatchAny rejects any other), and
+// the layout exploits that a batch frame is already a per-(sender,
+// receiver, superstep) unit carried by a connection that identifies
+// both ends:
 //
 //	batchV2    := 0x02 superstep count              // empty batch
 //	batchV2    := 0x02 superstep count run* words* payloadLen payload
@@ -60,9 +34,9 @@
 //	                                  // run lengths sum to count
 //	words      := uvarint             // one per envelope, in order
 //	payloadLen := uvarint             // total bytes of the payload section
-//	payload    := msg*                // Codec bytes, concatenated in order
+//	payload    := msg*                // Codec[M]-defined bytes, in order
 //
-// Three fields of v1 disappear: the batch sender (implied by the
+// Three envelope fields never travel: the batch sender (implied by the
 // connection the frame arrives on, supplied to the decoder as an
 // argument), the per-envelope To (implied by the frame destination),
 // and the per-envelope From (collapsed to one two-byte run in the
@@ -70,8 +44,12 @@
 // payload length prefix lets a decoder validate the section boundary
 // and pre-size scratch before touching codec bytes. Empty batches —
 // the "nothing for you this superstep" markers that dominate frame
-// counts for sparse traffic — end right after count, so they cost no
-// more than their v1 equivalent.
+// counts for sparse traffic — end right after count.
+//
+// The envelope Words field travels on the wire even though the receiver
+// could often recompute it, because the cost accounting in core treats
+// it as authoritative: a transport must hand back exactly the word
+// counts it was given.
 //
 // # Job-scoped frames
 //
@@ -80,12 +58,11 @@
 // job-scoped: a job header sits where the batch version byte otherwise
 // would, and the complete versioned batch follows unchanged —
 //
-//	jobbed     := 0x03 job batchV1|batchV2
+//	jobbed     := 0x03 job batchV2
 //	job        := uvarint             // job ID, assigned by the scheduler
 //
-// The header scopes, it does not re-encode: v1 and v2 bodies travel
-// byte-identically inside it, so mixed-version meshes interoperate
-// job-scoped exactly as they do bare. A reader attached for job J
+// The header scopes, it does not re-encode: the batch travels
+// byte-identically inside it. A reader attached for job J
 // rejects a frame scoped to any other job (a straggler from a previous
 // job, or a protocol bug) as an attributed error instead of decoding it
 // into the wrong run; job-less endpoints (the single-run Listen/Connect
@@ -103,18 +80,16 @@
 // correct failure attribution across cascading teardowns (transport/tcp
 // castBlame).
 //
-// # Arrival order under streaming supersteps
+// # Arrival order
 //
-// Nothing in the frame layout assumes lockstep scheduling, but readers
-// must not either: under the streaming schedule (DESIGN.md "Streaming
-// supersteps") a machine ships each peer's batch as soon as its compute
-// finalises it, so frames for superstep s arrive spread across the
-// *whole* of superstep s rather than clustered after a barrier, and the
-// relative arrival order of frames from different senders carries no
-// information. The per-frame superstep field is therefore the only
-// valid sequencing key — a decoder may assert that consecutive frames
-// on one connection carry monotonically increasing superstep values
-// (one frame per peer per superstep still holds, either schedule), but
+// A machine ships each peer's batch as soon as its compute finalises it
+// (DESIGN.md "The superstep schedule"), so frames for superstep s
+// arrive spread across the *whole* of superstep s rather than clustered
+// after a barrier, and the relative arrival order of frames from
+// different senders carries no information. The per-frame superstep
+// field is therefore the only valid sequencing key — a decoder may
+// assert that consecutive frames on one connection carry monotonically
+// increasing superstep values (one frame per peer per superstep), but
 // must never infer phase boundaries from inter-frame timing.
 //
 // # Payload codecs

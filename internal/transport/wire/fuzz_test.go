@@ -17,17 +17,14 @@ import (
 // -fuzz pattern.
 func FuzzBatchDecode(f *testing.F) {
 	c := pairCodec{}
-	// Seed corpus: valid v2, valid version-framed v1, the legal empty
-	// batch, and known-corrupt shapes from the unit tests.
+	// Seed corpus: a valid batch, the legal empty batch, and known-corrupt
+	// shapes from the unit tests.
 	envs := []transport.Envelope[pairMsg]{
 		{From: 1, To: 2, Words: 4, Msg: pairMsg{A: -9, B: 11}},
 		{From: 1, To: 2, Words: 0, Msg: pairMsg{A: 0, B: 1}},
 		{From: 3, To: 2, Words: 7, Msg: pairMsg{A: 5, B: 0}},
 	}
 	if seed, err := AppendBatchV2(nil, 3, 1, 2, envs, c); err == nil {
-		f.Add(seed)
-	}
-	if seed, err := AppendBatchV1(nil, 3, 1, envs, c); err == nil {
 		f.Add(seed)
 	}
 	if seed, err := AppendBatchV2(nil, 0, 0, 2, nil, c); err == nil {
@@ -48,53 +45,42 @@ func FuzzBatchDecode(f *testing.F) {
 		if err == nil {
 			reenc, err := AppendBatchV2(nil, step, from, to, envs, c)
 			if err != nil {
-				// A v1 body may carry envelopes the v2 encoder rejects
-				// (To != frame destination); that asymmetry is fine.
-				if len(src) > 0 && src[0] == BatchV2 {
-					t.Fatalf("v2 re-encode of decoded batch failed: %v", err)
-				}
-			} else {
-				step2, from2, envs2, err := DecodeBatchAny(reenc, c, from, to)
-				if err != nil {
-					t.Fatalf("re-encoded batch rejected: %v", err)
-				}
-				if step2 != step || from2 != from || len(envs2) != len(envs) {
-					t.Fatalf("re-encode header drift: (%d,%d,%d) -> (%d,%d,%d)",
-						step, from, len(envs), step2, from2, len(envs2))
-				}
-				for i := range envs {
-					if envs[i] != envs2[i] {
-						t.Fatalf("re-encode envelope %d drift: %+v -> %+v", i, envs[i], envs2[i])
-					}
+				t.Fatalf("re-encode of decoded batch failed: %v", err)
+			}
+			step2, from2, envs2, err := DecodeBatchAny(reenc, c, from, to)
+			if err != nil {
+				t.Fatalf("re-encoded batch rejected: %v", err)
+			}
+			if step2 != step || from2 != from || len(envs2) != len(envs) {
+				t.Fatalf("re-encode header drift: (%d,%d,%d) -> (%d,%d,%d)",
+					step, from, len(envs), step2, from2, len(envs2))
+			}
+			for i := range envs {
+				if envs[i] != envs2[i] {
+					t.Fatalf("re-encode envelope %d drift: %+v -> %+v", i, envs[i], envs2[i])
 				}
 			}
 		}
 
 		// Constructive identity: derive a well-formed batch from the
-		// fuzz bytes and assert exact round-trip through both formats.
+		// fuzz bytes and assert exact round-trip.
 		built := batchFromBytes(src)
 		bstep, bfrom := len(src)%4096, transport.MachineID(len(src)%64)
 		v2, err := AppendBatchV2(nil, bstep, bfrom, to, built, c)
 		if err != nil {
 			t.Fatalf("encode of well-formed batch failed: %v", err)
 		}
-		v1, err := AppendBatchV1(nil, bstep, bfrom, built, c)
+		gstep, gfrom, genvs, err := DecodeBatchAny(v2, c, bfrom, to)
 		if err != nil {
-			t.Fatalf("v1 encode of well-formed batch failed: %v", err)
+			t.Fatalf("round trip decode failed: %v", err)
 		}
-		for _, enc := range [][]byte{v2, v1} {
-			gstep, gfrom, genvs, err := DecodeBatchAny(enc, c, bfrom, to)
-			if err != nil {
-				t.Fatalf("round trip decode failed: %v", err)
-			}
-			if gstep != bstep || gfrom != bfrom || len(genvs) != len(built) {
-				t.Fatalf("round trip header: got (%d,%d,%d), want (%d,%d,%d)",
-					gstep, gfrom, len(genvs), bstep, bfrom, len(built))
-			}
-			for i := range built {
-				if genvs[i] != built[i] {
-					t.Fatalf("round trip envelope %d: got %+v, want %+v", i, genvs[i], built[i])
-				}
+		if gstep != bstep || gfrom != bfrom || len(genvs) != len(built) {
+			t.Fatalf("round trip header: got (%d,%d,%d), want (%d,%d,%d)",
+				gstep, gfrom, len(genvs), bstep, bfrom, len(built))
+		}
+		for i := range built {
+			if genvs[i] != built[i] {
+				t.Fatalf("round trip envelope %d: got %+v, want %+v", i, genvs[i], built[i])
 			}
 		}
 	})

@@ -143,145 +143,19 @@ func Varint(src []byte) (int64, int, error) {
 	return x, n, nil
 }
 
-// AppendEnvelope appends one envelope: uvarint From, To, Words headers
-// followed by the codec-encoded payload.
-func AppendEnvelope[M any](dst []byte, e transport.Envelope[M], c Codec[M]) ([]byte, error) {
-	if e.From < 0 || e.To < 0 || e.Words < 0 {
-		return dst, fmt.Errorf("wire: envelope with negative header field: from=%d to=%d words=%d", e.From, e.To, e.Words)
-	}
-	dst = AppendUvarint(dst, uint64(e.From))
-	dst = AppendUvarint(dst, uint64(e.To))
-	dst = AppendUvarint(dst, uint64(e.Words))
-	return c.Append(dst, e.Msg)
-}
+// BatchV2 is the version byte every batch begins with. The layout is
+// per-destination: the per-envelope To is elided (implied by the
+// frame's destination), From is run-length delta-encoded, and the
+// payload section is length-prefixed.
+const BatchV2 = byte(0x02)
 
-// DecodeEnvelope decodes one envelope from the front of src, returning
-// the bytes consumed. Header values above int32 range are corruption
-// (AppendEnvelope rejects negatives, so a valid header always fits):
-// rejecting them here keeps silently-truncated Words out of core's
-// accounting.
-func DecodeEnvelope[M any](src []byte, c Codec[M]) (transport.Envelope[M], int, error) {
-	var e transport.Envelope[M]
-	pos := 0
-	for _, f := range []*transport.MachineID{&e.From, &e.To} {
-		v, n, err := Uvarint(src[pos:])
-		if err != nil {
-			return e, 0, err
-		}
-		if v > math.MaxInt32 {
-			return e, 0, fmt.Errorf("wire: machine ID %d out of range", v)
-		}
-		*f = transport.MachineID(v)
-		pos += n
-	}
-	w, n, err := Uvarint(src[pos:])
-	if err != nil {
-		return e, 0, err
-	}
-	if w > math.MaxInt32 {
-		return e, 0, fmt.Errorf("wire: envelope words %d out of range", w)
-	}
-	e.Words = int32(w)
-	pos += n
-	msg, n, err := c.Decode(src[pos:])
-	if err != nil {
-		return e, 0, err
-	}
-	e.Msg = msg
-	return e, pos + n, nil
-}
-
-// AppendBatch appends one superstep batch: uvarint superstep, uvarint
-// sender, uvarint count, then count envelopes. The batch is the unit
-// the TCP transport frames per (sender, receiver, superstep) — empty
-// batches are legal and mark "nothing for you this superstep".
-func AppendBatch[M any](dst []byte, step int, from transport.MachineID, envs []transport.Envelope[M], c Codec[M]) ([]byte, error) {
-	dst = AppendUvarint(dst, uint64(step))
-	dst = AppendUvarint(dst, uint64(from))
-	dst = AppendUvarint(dst, uint64(len(envs)))
-	var err error
-	for _, e := range envs {
-		if dst, err = AppendEnvelope(dst, e, c); err != nil {
-			return dst, err
-		}
-	}
-	return dst, nil
-}
-
-// DecodeBatch decodes a batch produced by AppendBatch.
-func DecodeBatch[M any](src []byte, c Codec[M]) (step int, from transport.MachineID, envs []transport.Envelope[M], err error) {
-	return DecodeBatchInto(src, c, nil)
-}
-
-// DecodeBatchInto is DecodeBatch appending into dst[:0], so a transport
-// decoding one batch per peer per superstep can recycle its envelope
-// scratch instead of allocating a fresh slice every frame. Decoded
-// envelopes are self-contained values (a Codec must not alias src), so
-// the caller may reuse the frame buffer once DecodeBatchInto returns.
-func DecodeBatchInto[M any](src []byte, c Codec[M], dst []transport.Envelope[M]) (step int, from transport.MachineID, envs []transport.Envelope[M], err error) {
-	pos := 0
-	var hdr [3]uint64
-	for i := range hdr {
-		v, n, err := Uvarint(src[pos:])
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		hdr[i] = v
-		pos += n
-	}
-	step, from = int(hdr[0]), transport.MachineID(hdr[1])
-	count := hdr[2]
-	if count > uint64(len(src)-pos) {
-		// Each envelope needs >= 1 byte; a count beyond the remaining
-		// bytes is corruption, not a big batch.
-		return 0, 0, nil, fmt.Errorf("wire: batch claims %d envelopes in %d bytes", count, len(src)-pos)
-	}
-	envs = dst[:0]
-	if free := uint64(cap(envs)); free < count {
-		envs = make([]transport.Envelope[M], 0, count)
-	}
-	for i := uint64(0); i < count; i++ {
-		e, n, err := DecodeEnvelope(src[pos:], c)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		envs = append(envs, e)
-		pos += n
-	}
-	if pos != len(src) {
-		return 0, 0, nil, fmt.Errorf("wire: %d trailing bytes after batch", len(src)-pos)
-	}
-	return step, from, envs, nil
-}
-
-// Batch format versions. A versioned batch begins with one of these
-// bytes; the legacy (PR-1) batch format has no version byte and is only
-// handled by DecodeBatch/DecodeBatchInto.
-const (
-	// BatchV1 frames the legacy per-envelope format (from/to/words per
-	// envelope) behind a version byte so it can coexist with v2 on the
-	// same connection.
-	BatchV1 = byte(0x01)
-	// BatchV2 is the compact per-destination format: the per-envelope To
-	// is elided (implied by the frame's destination), From is run-length
-	// delta-encoded, and the payload section is length-prefixed.
-	BatchV2 = byte(0x02)
-)
-
-// AppendBatchV1 appends a version-framed v1 batch: the BatchV1 byte
-// followed by the exact AppendBatch body. It exists for cross-version
-// interop (and its tests): a v2-speaking decoder must still accept a
-// peer that ships the legacy layout.
-func AppendBatchV1[M any](dst []byte, step int, from transport.MachineID, envs []transport.Envelope[M], c Codec[M]) ([]byte, error) {
-	return AppendBatch(append(dst, BatchV1), step, from, envs, c)
-}
-
-// AppendBatchV2 appends one superstep batch in the v2 layout:
+// AppendBatchV2 appends one superstep batch — the unit the TCP
+// transport frames per (sender, receiver, superstep):
 //
 //	batchV2 := version superstep count [run* words* payloadLen payload]
 //
-// Two envelope header fields of v1 are elided outright, because a TCP
-// batch frame is already a per-(sender, receiver, superstep) unit: the
+// Two envelope header fields are elided outright, because a TCP batch
+// frame is already a per-(sender, receiver, superstep) unit: the
 // per-envelope To is implied by the frame's destination, and the frame
 // sender is implied by the connection the frame arrives on — both are
 // supplied to the decoder as arguments and reconstructed. From values
@@ -291,9 +165,8 @@ func AppendBatchV1[M any](dst []byte, step int, from transport.MachineID, envs [
 // From encoding total instead of one byte per envelope. The payload
 // section is length-prefixed so a decoder can validate and pre-size
 // before touching codec bytes. An empty batch (the "nothing for you
-// this superstep" marker, which dominates frame counts for sparse
-// traffic) ends right after count and costs no more than its v1
-// equivalent.
+// this superstep" marker, legal and dominant in frame counts for sparse
+// traffic) ends right after count.
 func AppendBatchV2[M any](dst []byte, step int, from, to transport.MachineID, envs []transport.Envelope[M], c Codec[M]) ([]byte, error) {
 	dst = append(dst, BatchV2)
 	dst = AppendUvarint(dst, uint64(step))
@@ -354,30 +227,28 @@ func AppendBatchV2[M any](dst []byte, step int, from, to transport.MachineID, en
 	return dst, nil
 }
 
-// DecodeBatchAny decodes a version-framed batch (BatchV1 or BatchV2)
-// produced by AppendBatchV1/AppendBatchV2. `from` and `to` identify the
-// connection the frame arrived on — the machine at the far end and this
-// machine — and reconstruct the fields the v2 layout elides; v1 bodies
-// carry both explicitly and ignore the arguments (the returned sender
-// is the embedded one, which transports verify against the connection).
+// DecodeBatchAny decodes a version-framed batch produced by
+// AppendBatchV2, dispatching on the version byte and rejecting any
+// other. `from` and `to` identify the connection the frame arrived on —
+// the machine at the far end and this machine — and reconstruct the
+// fields the layout elides; gotFrom echoes from.
 func DecodeBatchAny[M any](src []byte, c Codec[M], from, to transport.MachineID) (step int, gotFrom transport.MachineID, envs []transport.Envelope[M], err error) {
 	return DecodeBatchAnyInto(src, c, from, to, nil)
 }
 
-// DecodeBatchAnyInto is DecodeBatchAny appending into dst[:0], the
-// recycled-scratch form transports use (see DecodeBatchInto).
+// DecodeBatchAnyInto is DecodeBatchAny appending into dst[:0], so a
+// transport decoding one batch per peer per superstep can recycle its
+// envelope scratch instead of allocating a fresh slice every frame.
+// Decoded envelopes are self-contained values (a Codec must not alias
+// src), so the caller may reuse the frame buffer once it returns.
 func DecodeBatchAnyInto[M any](src []byte, c Codec[M], from, to transport.MachineID, dst []transport.Envelope[M]) (step int, gotFrom transport.MachineID, envs []transport.Envelope[M], err error) {
 	if len(src) == 0 {
 		return 0, 0, nil, fmt.Errorf("wire: empty batch frame")
 	}
-	switch src[0] {
-	case BatchV1:
-		return DecodeBatchInto(src[1:], c, dst)
-	case BatchV2:
-		return decodeBatchV2Into(src[1:], c, from, to, dst)
-	default:
+	if src[0] != BatchV2 {
 		return 0, 0, nil, fmt.Errorf("wire: unknown batch version 0x%02x", src[0])
 	}
+	return decodeBatchV2Into(src[1:], c, from, to, dst)
 }
 
 func decodeBatchV2Into[M any](src []byte, c Codec[M], from, to transport.MachineID, dst []transport.Envelope[M]) (step int, gotFrom transport.MachineID, envs []transport.Envelope[M], err error) {
@@ -476,27 +347,25 @@ func decodeBatchV2Into[M any](src []byte, c Codec[M], from, to transport.Machine
 
 // BatchJobbed marks a job-scoped data frame: the byte sits where a
 // batch version byte otherwise would, followed by the uvarint job ID
-// and then a complete versioned batch (BatchV1 or BatchV2 body,
-// unchanged). It is the framing extension that lets frames from
+// and then a complete versioned batch (unchanged). It is the framing
+// extension that lets frames from
 // different jobs share one standing mesh's persistent per-peer
 // connections: a reader attached for job J rejects a straggler frame
 // from job I != J instead of silently decoding it into the wrong run.
-// Mixed-version interop is preserved — the job header wraps either
-// batch version, and job-less endpoints keep shipping bare v1/v2
-// batches.
+// Job-less endpoints keep shipping bare batches.
 const BatchJobbed = byte(0x03)
 
 // AppendJobHeader appends a job-scope header: the BatchJobbed marker
-// and the job ID. The caller appends a versioned batch (AppendBatchV1 /
-// AppendBatchV2) immediately after.
+// and the job ID. The caller appends a versioned batch (AppendBatchV2)
+// immediately after.
 func AppendJobHeader(dst []byte, job uint64) []byte {
 	dst = append(dst, BatchJobbed)
 	return AppendUvarint(dst, job)
 }
 
 // PeelJobHeader splits a data frame into its job scope and the inner
-// versioned batch. Frames without a job header (bare v1/v2 batches from
-// a job-less endpoint, or abort frames) return jobbed=false with rest
+// versioned batch. Frames without a job header (bare batches from a
+// job-less endpoint, or abort frames) return jobbed=false with rest
 // aliasing src whole; job-scoped frames return the job ID and the inner
 // batch bytes. The caller decides whether a bare frame is acceptable —
 // a job-attached reader treats it as a protocol violation.

@@ -9,7 +9,7 @@ import (
 	"kmachine/internal/transport"
 )
 
-// pairMsg is a minimal payload for envelope/batch tests.
+// pairMsg is a minimal payload for batch tests.
 type pairMsg struct {
 	A int64
 	B uint64
@@ -49,100 +49,6 @@ func TestVarintRoundTrip(t *testing.T) {
 		if err != nil || gs != s || n != len(buf) {
 			t.Fatalf("varint %d: got %d (n=%d, err=%v)", s, gs, n, err)
 		}
-	}
-}
-
-func TestEnvelopeRoundTripProperty(t *testing.T) {
-	r := rng.New(7)
-	c := pairCodec{}
-	for i := 0; i < 2000; i++ {
-		want := transport.Envelope[pairMsg]{
-			From:  transport.MachineID(r.Intn(1 << 20)),
-			To:    transport.MachineID(r.Intn(1 << 20)),
-			Words: int32(r.Intn(1 << 30)),
-			Msg:   pairMsg{A: int64(r.Uint64()) >> uint(r.Intn(64)), B: r.Uint64()},
-		}
-		buf, err := AppendEnvelope(nil, want, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, n, err := DecodeEnvelope(buf, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want || n != len(buf) {
-			t.Fatalf("round trip: got %+v (n=%d), want %+v (len=%d)", got, n, want, len(buf))
-		}
-	}
-}
-
-func TestEnvelopeRejectsNegativeHeaders(t *testing.T) {
-	c := pairCodec{}
-	for _, e := range []transport.Envelope[pairMsg]{
-		{From: -1, To: 0, Words: 1},
-		{From: 0, To: -2, Words: 1},
-		{From: 0, To: 0, Words: -1},
-	} {
-		if _, err := AppendEnvelope(nil, e, c); err == nil {
-			t.Errorf("envelope %+v encoded without error", e)
-		}
-	}
-}
-
-func TestBatchRoundTripProperty(t *testing.T) {
-	r := rng.New(42)
-	c := pairCodec{}
-	for trial := 0; trial < 200; trial++ {
-		step := r.Intn(1 << 16)
-		from := transport.MachineID(r.Intn(64))
-		envs := make([]transport.Envelope[pairMsg], r.Intn(50))
-		for i := range envs {
-			envs[i] = transport.Envelope[pairMsg]{
-				From:  from,
-				To:    transport.MachineID(r.Intn(64)),
-				Words: int32(r.Intn(1000)),
-				Msg:   pairMsg{A: int64(r.Uint64()) >> 3, B: r.Uint64()},
-			}
-		}
-		buf, err := AppendBatch(nil, step, from, envs, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotStep, gotFrom, gotEnvs, err := DecodeBatch(buf, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotStep != step || gotFrom != from || len(gotEnvs) != len(envs) {
-			t.Fatalf("batch header: got (%d,%d,%d), want (%d,%d,%d)",
-				gotStep, gotFrom, len(gotEnvs), step, from, len(envs))
-		}
-		for i := range envs {
-			if gotEnvs[i] != envs[i] {
-				t.Fatalf("envelope %d: got %+v, want %+v", i, gotEnvs[i], envs[i])
-			}
-		}
-	}
-}
-
-func TestBatchRejectsCorruption(t *testing.T) {
-	c := pairCodec{}
-	buf, err := AppendBatch(nil, 3, 1, []transport.Envelope[pairMsg]{
-		{From: 1, To: 2, Words: 4, Msg: pairMsg{A: -9, B: 11}},
-	}, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := DecodeBatch(buf[:len(buf)-1], c); err == nil {
-		t.Error("truncated batch decoded without error")
-	}
-	if _, _, _, err := DecodeBatch(append(buf, 0xff), c); err == nil {
-		t.Error("batch with trailing bytes decoded without error")
-	}
-	huge := AppendUvarint(nil, 0)
-	huge = AppendUvarint(huge, 0)
-	huge = AppendUvarint(huge, 1<<40) // absurd count, no envelopes
-	if _, _, _, err := DecodeBatch(huge, c); err == nil {
-		t.Error("batch with absurd count decoded without error")
 	}
 }
 
@@ -194,79 +100,6 @@ func TestBatchV2RoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestBatchCrossVersionDecode: the same envelopes encoded as a
-// version-framed v1 batch and as a v2 batch must decode to identical
-// values through the same version-dispatching entry point — the interop
-// guarantee that lets endpoints of different wire versions share a mesh.
-func TestBatchCrossVersionDecode(t *testing.T) {
-	r := rng.New(99)
-	c := pairCodec{}
-	for trial := 0; trial < 100; trial++ {
-		step := r.Intn(1 << 12)
-		from := transport.MachineID(r.Intn(32))
-		to := transport.MachineID(r.Intn(32))
-		envs := v2Batch(r, from, to, r.Intn(30))
-		v1, err := AppendBatchV1(nil, step, from, envs, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v2, err := AppendBatchV2(nil, step, from, to, envs, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s1, f1, e1, err := DecodeBatchAny(v1, c, from, to)
-		if err != nil {
-			t.Fatalf("v1 decode: %v", err)
-		}
-		s2, f2, e2, err := DecodeBatchAny(v2, c, from, to)
-		if err != nil {
-			t.Fatalf("v2 decode: %v", err)
-		}
-		if s1 != s2 || f1 != f2 || len(e1) != len(e2) {
-			t.Fatalf("cross-version header mismatch: v1 (%d,%d,%d) v2 (%d,%d,%d)",
-				s1, f1, len(e1), s2, f2, len(e2))
-		}
-		for i := range e1 {
-			if e1[i] != e2[i] {
-				t.Fatalf("envelope %d: v1 %+v, v2 %+v", i, e1[i], e2[i])
-			}
-		}
-	}
-}
-
-// TestBatchV2SmallerOnTransportShape pins the format's raison d'être:
-// on the batch shape the TCP transport actually ships — every envelope
-// From the frame's sender, To its destination — v2 beats the legacy v1
-// encoding once a batch holds a few envelopes, and the saving grows
-// linearly (about two bytes per envelope for single-byte machine IDs).
-func TestBatchV2SmallerOnTransportShape(t *testing.T) {
-	c := pairCodec{}
-	for _, n := range []int{3, 10, 100, 1000} {
-		envs := make([]transport.Envelope[pairMsg], n)
-		for i := range envs {
-			envs[i] = transport.Envelope[pairMsg]{From: 5, To: 9, Words: int32(i % 7), Msg: pairMsg{A: int64(i), B: uint64(i)}}
-		}
-		v1, err := AppendBatch(nil, 12, 5, envs, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v2, err := AppendBatchV2(nil, 12, 5, 9, envs, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(v2) >= len(v1) {
-			t.Errorf("n=%d: v2 encoding %d bytes, legacy v1 %d bytes — no saving", n, len(v2), len(v1))
-		}
-		// 2 bytes per envelope (From + To elided) minus the constant
-		// format overhead (version byte, one run, payload prefix).
-		// overhead (version byte, one run, payload prefix — each field a
-		// few varint bytes).
-		if saved, want := len(v1)-len(v2), 2*n-8; saved < want {
-			t.Errorf("n=%d: saved only %d bytes, want >= %d", n, saved, want)
-		}
-	}
-}
-
 func TestBatchV2RejectsCorruption(t *testing.T) {
 	c := pairCodec{}
 	envs := []transport.Envelope[pairMsg]{
@@ -290,8 +123,12 @@ func TestBatchV2RejectsCorruption(t *testing.T) {
 	if _, _, _, err := DecodeBatchAny(append(append([]byte(nil), buf...), 0xff), c, 1, 2); err == nil {
 		t.Error("v2 batch with trailing bytes decoded without error")
 	}
-	if _, _, _, err := DecodeBatchAny([]byte{0x7f}, c, 1, 2); err == nil {
-		t.Error("unknown batch version decoded without error")
+	// 0x01 framed the per-envelope layout this format replaced; it is an
+	// unknown version like any other now.
+	for _, v := range []byte{0x01, 0x7f} {
+		if _, _, _, err := DecodeBatchAny(append([]byte{v}, buf[1:]...), c, 1, 2); err == nil {
+			t.Errorf("batch version 0x%02x decoded without error", v)
+		}
 	}
 	if _, _, _, err := DecodeBatchAny(nil, c, 1, 2); err == nil {
 		t.Error("empty batch frame decoded without error")
@@ -403,38 +240,31 @@ func TestJobHeaderRoundTrip(t *testing.T) {
 		to := transport.MachineID(r.Intn(8))
 		envs := v2Batch(r, from, to, r.Intn(20))
 
-		// Job header wraps either batch version byte-identically.
-		for _, v := range []byte{BatchV1, BatchV2} {
-			enc := AppendJobHeader(nil, job)
-			hdr := len(enc)
-			var err error
-			if v == BatchV1 {
-				enc, err = AppendBatchV1(enc, step, from, envs, c)
-			} else {
-				enc, err = AppendBatchV2(enc, step, from, to, envs, c)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotJob, rest, jobbed, err := PeelJobHeader(enc)
-			if err != nil || !jobbed || gotJob != job {
-				t.Fatalf("peel: job=%d jobbed=%v err=%v, want job=%d", gotJob, jobbed, err, job)
-			}
-			if len(rest) != len(enc)-hdr {
-				t.Fatalf("peel v%d: rest %d bytes, want %d", v, len(rest), len(enc)-hdr)
-			}
-			gotStep, gotFrom, gotEnvs, err := DecodeBatchAnyInto(rest, c, from, to, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotStep != step || gotFrom != from || len(gotEnvs) != len(envs) {
-				t.Fatalf("inner batch v%d: got (%d,%d,%d), want (%d,%d,%d)",
-					v, gotStep, gotFrom, len(gotEnvs), step, from, len(envs))
-			}
-			for i := range envs {
-				if gotEnvs[i] != envs[i] {
-					t.Fatalf("envelope %d: got %+v, want %+v", i, gotEnvs[i], envs[i])
-				}
+		// The job header wraps the batch byte-identically.
+		enc := AppendJobHeader(nil, job)
+		hdr := len(enc)
+		enc, err := AppendBatchV2(enc, step, from, to, envs, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJob, rest, jobbed, err := PeelJobHeader(enc)
+		if err != nil || !jobbed || gotJob != job {
+			t.Fatalf("peel: job=%d jobbed=%v err=%v, want job=%d", gotJob, jobbed, err, job)
+		}
+		if len(rest) != len(enc)-hdr {
+			t.Fatalf("peel: rest %d bytes, want %d", len(rest), len(enc)-hdr)
+		}
+		gotStep, gotFrom, gotEnvs, err := DecodeBatchAnyInto(rest, c, from, to, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotStep != step || gotFrom != from || len(gotEnvs) != len(envs) {
+			t.Fatalf("inner batch: got (%d,%d,%d), want (%d,%d,%d)",
+				gotStep, gotFrom, len(gotEnvs), step, from, len(envs))
+		}
+		for i := range envs {
+			if gotEnvs[i] != envs[i] {
+				t.Fatalf("envelope %d: got %+v, want %+v", i, gotEnvs[i], envs[i])
 			}
 		}
 	}
@@ -473,7 +303,7 @@ func TestJobHeaderRejectsCorruption(t *testing.T) {
 	}
 	// A jobbed frame handed to a job-less decoder is an unknown version.
 	c := pairCodec{}
-	enc, err := AppendBatchV1(AppendJobHeader(nil, 42), 1, 0, nil, c)
+	enc, err := AppendBatchV2(AppendJobHeader(nil, 42), 1, 0, 1, nil, c)
 	if err != nil {
 		t.Fatal(err)
 	}

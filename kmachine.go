@@ -175,11 +175,13 @@ type RunConfig struct {
 	// instead of running (or hanging) to completion. nil means
 	// context.Background.
 	Context context.Context
-	// SuperstepTimeout bounds each superstep's cross-machine phases: on
-	// socket substrates a machine that crashes or wedges mid-superstep
-	// surfaces as a machine-attributed error within the timeout instead
-	// of hanging the cluster. 0 means no deadline. The happy path —
-	// Stats, outputs, determinism — is identical with or without one.
+	// SuperstepTimeout bounds each whole superstep, the machines' local
+	// computation included (the wire is live during it): a machine that
+	// crashes or wedges mid-superstep, or a Step that outlasts the
+	// timeout, surfaces as a deadline error (machine-attributed on
+	// socket substrates) within the timeout instead of hanging the
+	// cluster. 0 means no deadline. The happy path — Stats, outputs,
+	// determinism — is identical with or without one.
 	SuperstepTimeout time.Duration
 	// Recorder, when non-nil, receives wall-clock phase spans from the
 	// run: per machine and superstep, compute (the Step call),
@@ -191,15 +193,6 @@ type RunConfig struct {
 	// hashes are identical with or without a recorder, and nil (the
 	// default) keeps the engine on its zero-allocation span-free path.
 	Recorder Recorder
-	// Streaming opts the run into streaming supersteps: on transports
-	// with the capability (TCP; the loopback stages without wire),
-	// machines that call the streaming emit API hand finished per-peer
-	// batches to the transport mid-superstep, overlapping compute with
-	// communication. Purely a scheduling knob: Stats, outputs, and
-	// determinism hashes are bit-identical with it on or off, and
-	// machines that never emit eagerly run exactly as before. Default
-	// off.
-	Streaming bool
 	// CheckpointEvery opts the run into per-superstep checkpointing and
 	// machine-failure recovery: machine state is captured every
 	// CheckpointEvery supersteps and a transport-level machine loss is
@@ -208,7 +201,7 @@ type RunConfig struct {
 	// times). Stats, outputs, and hashes of a recovered run are
 	// bit-identical to an unkilled one. 0 (the default) keeps the
 	// fail-fast behaviour and the zero-overhead path. Requires every
-	// machine to implement core.Snapshotter; forces lockstep supersteps.
+	// machine to implement core.Snapshotter.
 	CheckpointEvery int
 	// CheckpointDir persists checkpoints to disk (two most recent
 	// retained) instead of the default in-memory ring. Only meaningful
@@ -228,7 +221,6 @@ func (rc RunConfig) coreConfig(k, bandwidth int, seed uint64) core.Config {
 		Context:          rc.Context,
 		SuperstepTimeout: rc.SuperstepTimeout,
 		Recorder:         rc.Recorder,
-		Streaming:        rc.Streaming,
 	}
 	if rc.CheckpointEvery > 0 {
 		var sink core.CheckpointSink = core.NewMemorySink(2)
@@ -236,7 +228,6 @@ func (rc RunConfig) coreConfig(k, bandwidth int, seed uint64) core.Config {
 			sink = core.NewFileSink(rc.CheckpointDir)
 		}
 		cfg.Checkpoint = core.CheckpointPolicy{Every: rc.CheckpointEvery, Sink: sink}
-		cfg.Streaming = false
 	}
 	return cfg
 }

@@ -1,0 +1,182 @@
+package kmachine_test
+
+// The superstep schedule is one thing — Begin, eager batches mid-Step,
+// Finish — and checkpointing composes with it instead of switching it
+// off: a checkpointed run still puts bytes on the wire while machines
+// compute, lands on the same hash and Stats, and a cut taken after some
+// batches already left their machine restores to the golden output.
+
+import (
+	"context"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"kmachine/internal/algo"
+	"kmachine/internal/core"
+	"kmachine/internal/dsort"
+	"kmachine/internal/obs"
+	"kmachine/internal/pagerank"
+	"kmachine/internal/partition"
+	"kmachine/internal/testutil"
+	"kmachine/internal/transport"
+	"kmachine/internal/transport/chaos"
+	"kmachine/internal/transport/tcp"
+)
+
+// TestCheckpointedRunKeepsItsSchedule runs the two eagerly-emitting
+// registry algorithms with a checkpoint after every superstep on all
+// three substrates against an un-checkpointed loopback reference, and
+// reads the overlap gauge (frame writes ∩ compute) off the traced TCP
+// run: above zero means frames were written while a Step was running.
+func TestCheckpointedRunKeepsItsSchedule(t *testing.T) {
+	for _, name := range []string{"pagerank", "dsort"} {
+		t.Run(name, func(t *testing.T) {
+			entry, ok := algo.Lookup(name)
+			if !ok {
+				t.Fatalf("algorithm %q not registered", name)
+			}
+			prob := suiteProblem(name)
+			ref, err := entry.Run(prob, transport.InMem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prob.Checkpoint = algo.CheckpointSpec{Every: 1}
+			same := func(label string, got *algo.Outcome) {
+				t.Helper()
+				sameStats(t, label, got.Stats, ref.Stats)
+				if got.Hash != ref.Hash {
+					t.Errorf("%s: hash %016x, reference %016x", label, got.Hash, ref.Hash)
+				}
+			}
+
+			mem, err := entry.Run(prob, transport.InMem)
+			if err != nil {
+				t.Fatalf("checkpointed inmem run: %v", err)
+			}
+			same("checkpointed-inmem", mem)
+
+			node, err := entry.RunNodeLocal(prob)
+			if err != nil {
+				t.Fatalf("checkpointed node run: %v", err)
+			}
+			same("checkpointed-node", node)
+
+			trace := obs.NewTrace(1<<16, prob.K)
+			prob.Recorder = trace
+			sock, err := entry.Run(prob, transport.TCP)
+			if err != nil {
+				t.Fatalf("checkpointed tcp run: %v", err)
+			}
+			same("checkpointed-tcp", sock)
+			if name == "pagerank" {
+				if gauge := obs.Overlap(trace.Spans()); gauge <= 0 {
+					t.Errorf("overlap gauge %.3f on a checkpointed tcp run — no frame was written during compute", gauge)
+				}
+			}
+		})
+	}
+}
+
+// emitSpy counts, per superstep, the batches machines hand to the
+// transport mid-Step.
+type emitSpy[M any] struct {
+	transport.Transport[M]
+	step int // superstep of the last Begin; workers read it after the step barrier released them
+
+	mu      sync.Mutex
+	emitted map[int]int
+}
+
+func (s *emitSpy[M]) Begin(ctx context.Context, step int) error {
+	s.step = step
+	return s.Transport.Begin(ctx, step)
+}
+
+func (s *emitSpy[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
+	s.mu.Lock()
+	s.emitted[s.step]++
+	s.mu.Unlock()
+	return s.Transport.SendBatch(from, to, batch)
+}
+
+// checkCutWithEmittedBatches kills recVictim in superstep killStep of a
+// run checkpointing every superstep, so the cut recovery restores is
+// the one taken in killStep itself — after its eager batches left their
+// machines and before Finish. The recovered output and Stats must equal
+// the unkilled golden arm's.
+func checkCutWithEmittedBatches[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partition.Input, k int,
+	kind transport.Kind, killStep int) {
+	t.Helper()
+	goldenOut, goldenStats := recoveredRun(t, a, in, k, kind, 1, -1)
+
+	machines := make([]algo.Machine[M, L], k)
+	for i := range machines {
+		v, err := in.MachineView(core.MachineID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if machines[i], err = a.NewMachine(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cluster := core.NewCluster(core.Config{K: k, Bandwidth: core.DefaultBandwidth(failN), Seed: 13,
+		SuperstepTimeout: 5 * time.Second, Checkpoint: core.CheckpointPolicy{Every: 1}},
+		func(id core.MachineID) core.Machine[M] { return machines[id] })
+	open := func() (core.Transport[M], error) { return core.OpenTransport[M](kind, k, a.Codec) }
+	inner, err := open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault := chaos.KillAt(recVictim, killStep)
+	if tt, ok := inner.(*tcp.Transport[M]); ok {
+		fault = chaos.DropConnAt(recVictim, killStep, func() { tt.SeverMachine(recVictim) })
+	}
+	spy := &emitSpy[M]{Transport: chaos.Wrap[M](inner, fault), emitted: map[int]int{}}
+	defer spy.Close()
+
+	var stats *core.Stats
+	var runErr error
+	done := make(chan struct{})
+	go func() {
+		stats, runErr = cluster.RunCheckpointed(spy, a.Codec, open)
+		close(done)
+	}()
+	testutil.WaitOrDump(t, done, 30*time.Second, "checkpointed cluster")
+	if runErr != nil {
+		t.Fatalf("run killed at superstep %d: %v", killStep, runErr)
+	}
+	if spy.emitted[killStep] == 0 {
+		t.Fatalf("no batch was emitted in superstep %d — the restored cut would not exercise emitted batches", killStep)
+	}
+	locals := make([]L, k)
+	for i, m := range machines {
+		locals[i] = m.Output()
+	}
+	if !reflect.DeepEqual(a.Merge(locals), goldenOut) {
+		t.Errorf("output recovered from a cut with emitted batches diverges from the golden run")
+	}
+	sameStats(t, "recovered-vs-golden", stats, goldenStats)
+	if stats.Recoveries != 1 {
+		t.Errorf("recoveries = %d, want 1", stats.Recoveries)
+	}
+}
+
+func TestCheckpointCutWithEmittedBatchesRestores(t *testing.T) {
+	sortAlgo, err := dsort.Descriptor(dsort.RandomInput(failN, failK, 11, dsort.UniformKeys), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeless := algo.EdgelessInput(algo.Problem{N: failN, K: failK, Seed: 11})
+	for _, kind := range []transport.Kind{transport.InMem, transport.TCP} {
+		t.Run("dsort/"+string(kind), func(t *testing.T) {
+			// Superstep 1 routes every key to its bucket machine.
+			checkCutWithEmittedBatches(t, sortAlgo, edgeless, failK, kind, 1)
+		})
+		t.Run("pagerank/"+string(kind), func(t *testing.T) {
+			// Even supersteps start a walk iteration and ship its tokens.
+			checkCutWithEmittedBatches(t, pagerank.Descriptor(failN, pagerank.AlgorithmOne(0.15)), failurePartition(t), failK, kind, 2)
+		})
+	}
+}

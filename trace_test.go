@@ -23,6 +23,11 @@ import (
 	"kmachine/internal/transport"
 )
 
+// tracedProblem is sized so that compute, not the fixed per-superstep
+// scheduling gaps, dominates the timeline: at n=200 the coverage bar
+// below sat inside run-to-run noise (and under it with -race).
+var tracedProblem = algo.Problem{N: 800, EdgeP: 0.0125, K: 8, Seed: 41}
+
 // tracedRun executes pagerank at k=8 on the given substrate with a
 // fresh trace attached and returns the outcome plus the trace.
 func tracedRun(t *testing.T, kind transport.Kind) (*algo.Outcome, *obs.Trace) {
@@ -32,7 +37,9 @@ func tracedRun(t *testing.T, kind transport.Kind) (*algo.Outcome, *obs.Trace) {
 		t.Fatal("pagerank not registered")
 	}
 	tr := obs.NewTrace(0, 8)
-	out, err := entry.Run(algo.Problem{N: 200, EdgeP: 0.05, K: 8, Seed: 41, Recorder: tr}, kind)
+	prob := tracedProblem
+	prob.Recorder = tr
+	out, err := entry.Run(prob, kind)
 	if err != nil {
 		t.Fatalf("pagerank on %s: %v", kind, err)
 	}
@@ -45,8 +52,7 @@ func tracedRun(t *testing.T, kind transport.Kind) (*algo.Outcome, *obs.Trace) {
 func TestTracedRunStatsInvariant(t *testing.T) {
 	entry, _ := algo.Lookup("pagerank")
 	for _, kind := range []transport.Kind{transport.InMem, transport.TCP} {
-		prob := algo.Problem{N: 200, EdgeP: 0.05, K: 8, Seed: 41}
-		plain, err := entry.Run(prob, kind)
+		plain, err := entry.Run(tracedProblem, kind)
 		if err != nil {
 			t.Fatalf("plain run on %s: %v", kind, err)
 		}
