@@ -1,0 +1,150 @@
+package kmachine_test
+
+// One checkpoint format, whichever runtime wrote it: the container the
+// in-process cluster stores after superstep s (over the loopback or over
+// sockets) and the one the node runtime's assembler stores are the same
+// bytes, a directory written by one is resumed by the other, and the one
+// decoder behind all of them survives arbitrary input.
+
+import (
+	"bytes"
+	"sync"
+	"testing"
+
+	"kmachine/internal/algo"
+	"kmachine/internal/core"
+	"kmachine/internal/pagerank"
+	"kmachine/internal/rng"
+	"kmachine/internal/transport"
+)
+
+// recordingSink keeps every checkpoint it is handed, keyed by superstep.
+type recordingSink struct {
+	core.CheckpointSink
+	mu   sync.Mutex
+	cuts map[int][]byte
+}
+
+func newRecordingSink() *recordingSink {
+	return &recordingSink{CheckpointSink: core.NewMemorySink(0), cuts: map[int][]byte{}}
+}
+
+func (s *recordingSink) Put(step int, blob []byte) error {
+	s.mu.Lock()
+	s.cuts[step] = append([]byte(nil), blob...)
+	s.mu.Unlock()
+	return s.CheckpointSink.Put(step, blob)
+}
+
+func TestCheckpointBytesIdenticalAcrossRuntimes(t *testing.T) {
+	for _, name := range algo.Names() {
+		t.Run(name, func(t *testing.T) {
+			entry, _ := algo.Lookup(name)
+			prob := suiteProblem(name)
+			ref, err := entry.Run(prob, transport.InMem)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			cuts := map[string]map[int][]byte{}
+			for _, runtime := range []string{"inmem", "tcp", "node"} {
+				sink := newRecordingSink()
+				prob.Checkpoint = algo.CheckpointSpec{Every: 1, Sink: sink}
+				switch runtime {
+				case "inmem":
+					_, err = entry.Run(prob, transport.InMem)
+				case "tcp":
+					_, err = entry.Run(prob, transport.TCP)
+				case "node":
+					_, err = entry.RunNodeLocal(prob)
+				}
+				if err != nil {
+					t.Fatalf("checkpointed %s run: %v", runtime, err)
+				}
+				cuts[runtime] = sink.cuts
+			}
+			// Every superstep but the quiescent last one is captured.
+			if got, want := len(cuts["inmem"]), ref.Stats.Supersteps; got != want {
+				t.Errorf("inmem run stored %d checkpoints over %d accounted supersteps", got, want)
+			}
+			for _, runtime := range []string{"tcp", "node"} {
+				if len(cuts[runtime]) != len(cuts["inmem"]) {
+					t.Errorf("%s run stored %d checkpoints, inmem %d", runtime, len(cuts[runtime]), len(cuts["inmem"]))
+				}
+				for step, want := range cuts["inmem"] {
+					if !bytes.Equal(cuts[runtime][step], want) {
+						t.Errorf("superstep %d: %s container (%d bytes) differs from inmem's (%d bytes)",
+							step, runtime, len(cuts[runtime][step]), len(want))
+					}
+				}
+			}
+
+			// A directory the in-process cluster wrote is a restart point
+			// for the node runtime: it resumes from the newest file and
+			// lands on the reference hash and Stats.
+			dir := t.TempDir()
+			prob.Checkpoint = algo.CheckpointSpec{Every: max(1, ref.Stats.Supersteps/2), Dir: dir}
+			if _, err := entry.Run(prob, transport.InMem); err != nil {
+				t.Fatal(err)
+			}
+			from, _, err := core.NewFileSink(dir).Latest()
+			if err != nil || from < 0 {
+				t.Fatalf("inmem run left no checkpoint in its directory (latest %d, err %v)", from, err)
+			}
+			prob.Checkpoint.Resume = true
+			resumed, err := entry.RunNodeLocal(prob)
+			if err != nil {
+				t.Fatalf("node run resumed from the inmem run's superstep %d: %v", from, err)
+			}
+			sameStats(t, "node-resumed-from-inmem-dir", resumed.Stats, ref.Stats)
+			if resumed.Hash != ref.Hash {
+				t.Errorf("node run resumed from the inmem run's superstep %d: hash %016x, reference %016x", from, resumed.Hash, ref.Hash)
+			}
+		})
+	}
+}
+
+// FuzzCheckpointDecode drives the whole decode path of a checkpoint —
+// container, Stats, every part into real PageRank machines — seeded
+// with the containers of a real registry run. Whatever the bytes, it
+// returns a value or an error; it never panics and never sizes an
+// allocation by a count it has not checked against the bytes present.
+func FuzzCheckpointDecode(f *testing.F) {
+	sink := newRecordingSink()
+	prob := suiteProblem("pagerank")
+	prob.Checkpoint = algo.CheckpointSpec{Every: 1, Sink: sink}
+	entry, _ := algo.Lookup("pagerank")
+	if _, err := entry.Run(prob, transport.InMem); err != nil {
+		f.Fatal(err)
+	}
+	for _, step := range []int{0, 1, len(sink.cuts) - 1} {
+		f.Add(sink.cuts[step])
+	}
+	f.Add([]byte("KMCK\x01\x00\x02\x00\x00\x00"))
+
+	a := pagerank.Descriptor(failN, pagerank.AlgorithmOne(0.15))
+	in := failurePartition(f)
+	snaps := make([]core.Snapshotter, failK)
+	for i := range snaps {
+		m, err := a.NewMachine(in.View(core.MachineID(i)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		snaps[i] = m.(core.Snapshotter)
+	}
+	r := rng.NewStream(1, 0)
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		step, parts, stats, err := core.DecodeCheckpoint(blob)
+		if err != nil {
+			return
+		}
+		if again, _, _, err := core.DecodeCheckpoint(core.AppendCheckpoint(nil, step, parts, stats)); err != nil || again != step {
+			t.Fatalf("re-encoded container decodes to superstep %d (err %v), want %d", again, err, step)
+		}
+		core.DecodeStats(stats, len(parts))
+		for i, part := range parts {
+			id := core.MachineID(i % failK)
+			core.RestoreCheckpointPart(part, step, id, r, snaps[id], a.Codec)
+		}
+	})
+}

@@ -69,7 +69,7 @@ func kmbenchMain() (err error) {
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline of E21's instrumented TCP PageRank run to this file (only meaningful when E21 runs)")
 	ckEvery := flag.Int("checkpoint-every", 0, "run E19's substrate matrix with checkpointing every s supersteps — hashes and Stats must come out unchanged (E25 owns its own cadence and ignores this)")
-	ckDir := flag.String("checkpoint-dir", "", "persist E19's in-process checkpoints to this directory (core.FileSink) instead of the in-memory ring; only meaningful with -checkpoint-every")
+	ckDir := flag.String("checkpoint-dir", "", "store E19's checkpoints in this directory as ckpt-<superstep>.kmck files instead of the in-memory ring, on every substrate; only meaningful with -checkpoint-every")
 	flag.Parse()
 
 	if *jsonOut && *mdOut {

@@ -107,7 +107,7 @@ func main() {
 		timeout   = flag.Duration("dial-timeout", 10*time.Second, "how long to wait for peers to come up")
 		deadline  = flag.Duration("superstep-timeout", 0, "deadline for each whole superstep, local computation included; a crashed, wedged or too-slow machine surfaces as an attributed error within it (0 = none)")
 		ckEvery   = flag.Int("checkpoint-every", 0, "capture machine state every s supersteps and survive machine failures by resuming from the last checkpoint (0 = off, fail fast)")
-		ckDir     = flag.String("checkpoint-dir", "", "persist checkpoints to this directory instead of memory only — complete cluster checkpoints land as ckpt-*.kmnc files (needs -checkpoint-every)")
+		ckDir     = flag.String("checkpoint-dir", "", "store checkpoints in this directory instead of memory only, as ckpt-<superstep>.kmck files (newest two kept; the format every runtime reads and writes; needs -checkpoint-every)")
 		retain    = flag.Int("retain-jobs", 0, "daemon mode: keep at most this many job records, evicting finished ones oldest-first (0 = unbounded)")
 		sharded   = flag.Bool("sharded", false, "partition-local setup: build only this machine's CSR shard instead of materializing the full graph (results and stats are identical)")
 		input     = flag.String("input", "", "read the graph from this edge-list file ('u v' per line, '#' comments) instead of generating G(n,p); -n still declares the vertex-ID space")

@@ -96,7 +96,7 @@ type killCase struct {
 	run  func(t *testing.T, kind transport.Kind) error
 }
 
-func failurePartition(t *testing.T) *partition.VertexPartition {
+func failurePartition(t testing.TB) *partition.VertexPartition {
 	t.Helper()
 	g := gen.Gnp(failN, 0.05, 31)
 	return partition.NewRVP(g, failK, 32)

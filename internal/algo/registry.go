@@ -79,37 +79,41 @@ type Problem struct {
 	Checkpoint CheckpointSpec
 }
 
-// CheckpointSpec is the substrate-agnostic checkpoint policy of a
-// Problem: which knobs apply depends on the runner (Sink/Dir and
-// MaxRecoveries drive the in-process cluster's in-run machine
-// replacement; Store and Resume drive the node runtime's
-// resume-from-checkpoint, which the job scheduler uses across mesh
-// rebuilds). Every is shared. The machines of the algorithm must
-// implement core.Snapshotter (all registry algorithms do).
+// CheckpointSpec is the checkpoint policy of a Problem. Every runner
+// takes the same cut and writes the same container into the same sink
+// (core/checkpoint.go), so Every, Dir and Sink mean one thing
+// everywhere. The machines of the algorithm must implement
+// core.Snapshotter (all registry algorithms do).
 type CheckpointSpec struct {
-	// Every captures machine state every Every supersteps; 0 disables
-	// checkpointing entirely.
+	// Every captures a checkpoint after every Every-th superstep; 0
+	// disables checkpointing entirely.
 	Every int
-	// Dir, when non-empty, persists checkpoints to disk: the
-	// in-process cluster swaps its in-memory ring for a core.FileSink,
-	// and the node runtime mirrors every complete checkpoint into the
-	// directory (CheckpointStore.PersistTo).
+	// Dir, when non-empty, stores checkpoints in a core.FileSink on that
+	// directory; empty means an in-memory ring private to the run.
 	Dir string
-	// Sink overrides the in-process cluster's checkpoint sink (wins
-	// over Dir). Useful for inspecting checkpoint traffic in tests and
-	// experiments (core.MemorySink counts puts and bytes).
+	// Sink overrides where checkpoints go (wins over Dir). The job
+	// scheduler sets one per opted-in job so checkpoints survive mesh
+	// rebuilds; tests and experiments use it to inspect checkpoint
+	// traffic (core.MemorySink counts puts and bytes).
 	Sink core.CheckpointSink
-	// MaxRecoveries caps in-run machine replacements on the in-process
-	// cluster; 0 means core.DefaultMaxRecoveries.
+	// MaxRecoveries caps machine replacements — in-run on the in-process
+	// cluster, re-attempts in the job scheduler; 0 means
+	// core.DefaultMaxRecoveries.
 	MaxRecoveries int
-	// Store is the node runtime's shared checkpoint store. The job
-	// scheduler creates one per opted-in job so checkpoints survive
-	// mesh rebuilds; nil lets the node runtime create a private one.
-	Store *node.CheckpointStore
-	// Resume makes a node-runtime run restore the latest complete
-	// checkpoint from Store before its first superstep — the
-	// re-attempt half of the scheduler's recovery protocol.
+	// Resume makes a node-runtime run restore the sink's latest
+	// checkpoint before its first superstep — the re-attempt half of the
+	// scheduler's recovery protocol. The in-process cluster recovers
+	// inside the run and has no use for it.
 	Resume bool
+}
+
+// sink resolves where checkpoints go; nil leaves the runtime its
+// private in-memory ring.
+func (ck CheckpointSpec) sink() core.CheckpointSink {
+	if ck.Sink == nil && ck.Dir != "" {
+		return core.NewFileSink(ck.Dir)
+	}
+	return ck.Sink
 }
 
 // withDefaults resolves the zero-value conventions.
@@ -137,8 +141,7 @@ func (prob Problem) nodeConfig(k int) node.Config {
 		SuperstepTimeout: prob.SuperstepTimeout, Context: prob.Context,
 		Recorder: prob.Recorder,
 		Checkpoint: node.CheckpointConfig{Every: prob.Checkpoint.Every,
-			Store: prob.Checkpoint.Store, Resume: prob.Checkpoint.Resume,
-			Dir: prob.Checkpoint.Dir}}
+			Sink: prob.Checkpoint.sink(), Resume: prob.Checkpoint.Resume}}
 }
 
 // coreConfig is the in-process cluster configuration of a problem: the
@@ -148,15 +151,7 @@ func (prob Problem) coreConfig(kind transport.Kind) core.Config {
 		Transport: kind, SuperstepTimeout: prob.SuperstepTimeout, Context: prob.Context,
 		Recorder: prob.Recorder}
 	if ck := prob.Checkpoint; ck.Every > 0 {
-		sink := ck.Sink
-		if sink == nil {
-			if ck.Dir != "" {
-				sink = core.NewFileSink(ck.Dir)
-			} else {
-				sink = core.NewMemorySink(2)
-			}
-		}
-		cfg.Checkpoint = core.CheckpointPolicy{Every: ck.Every, Sink: sink,
+		cfg.Checkpoint = core.CheckpointPolicy{Every: ck.Every, Sink: ck.sink(),
 			MaxRecoveries: ck.MaxRecoveries}
 	}
 	return cfg

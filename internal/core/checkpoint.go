@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,35 +18,41 @@ import (
 	"kmachine/internal/transport/wire"
 )
 
-// This file is the checkpoint/recovery subsystem (ROADMAP item 5): a
-// run that loses a machine finishes anyway, with bit-identical output.
+// This file is the checkpoint/recovery subsystem: a run that loses a
+// machine finishes anyway, with bit-identical output. It holds the one
+// cut, the one container format and the one sink interface that both
+// runtimes — the in-process cluster here and transport/node — share.
 //
-// The design leans entirely on determinism the repo already guarantees.
-// Machine state is a pure function of (seed, inbox history), so a
-// checkpoint of all k machines taken at one observation barrier — state
-// blobs via each algorithm's Snapshotter, RNG state words, done flags,
-// and the superstep's validated outgoing envelopes, eagerly emitted
-// batches included — is a complete, consistent cut of the computation.
-// Recovery reopens a fresh transport, restores every machine in place
-// from the latest cut, and re-ships that superstep's envelopes through
-// Begin and Finish; from there the replay is the
-// original run, bit for bit, because every machine draws the same
-// random words and reads the same inboxes.
+// The cut. Machine state is a pure function of (seed, inbox history),
+// so right after superstep s's Finish succeeds, the k parts ⟨RNG state,
+// Snapshotter state, the inbox superstep s+1 consumes⟩ plus the Stats
+// accounted through s are a complete, consistent image of the
+// computation. A restore installs the parts into machines rebuilt by
+// the same factory and re-enters the ordinary loop at s+1; from there
+// the replay is the original run, bit for bit, because every machine
+// draws the same random words and reads the same inboxes. Quiescence
+// returns before Finish, so a final superstep is never captured, and a
+// superstep whose Finish failed was never captured either: recovery
+// replays at most Every supersteps. The in-process cluster also keeps
+// an arm-time image at superstep -1 (fresh state, empty inboxes, zero
+// Stats) for failures that land before its first capture — restoring it
+// is an exact restart-from-zero.
 //
-// Placement of the cut. The engine captures a checkpoint after the
-// superstep's accounting and before its Finish. The checkpointed Stats
-// therefore already include the captured superstep, and a resumed run
-// re-enters the loop at the Finish of that superstep without
-// re-accounting it. Batches a machine already emitted are still held by
-// its Emitter at that point and are written with its pending outs; the
-// restore hands everything to Finish as rest, which assembles the same
-// inboxes because a sender never mixes an emitted batch and rest
-// envelopes for one peer. Quiescence returns before accounting, so a
-// final superstep is never captured — a checkpoint always names a
-// superstep whose Finish is (re)tryable. An additional arm-time image at
-// superstep -1 (fresh state, empty outs, zero stats) covers failures
-// that land before the first periodic capture: restoring it is an exact
-// restart-from-zero.
+// The container (all integers uvarint; len X is X length-prefixed):
+//
+//	checkpoint := 'K' 'M' 'C' 'K' ver=1  step+1  k  k × len part  len stats
+//	part       := rngState  len state  batch
+//	stats      := k  Rounds Supersteps Messages Words  k × RecvWords
+//	              k × SentWords  n  n × (Rounds Messages Words
+//	              MaxLinkWords MaxRecvWords MaxSentWords)
+//
+// step+1 encodes the arm-time -1 as 0. state is the Snapshotter blob.
+// batch is the machine's next inbox as wire.AppendBatchV2 writes a
+// received batch (superstep step+1, From runs seeded with 0) and runs to
+// the end of the part. Stats.MaxRecvWords is derived and
+// Stats.Recoveries is a live counter of the run, not part of the
+// computation's cut; neither is stored. The stop verdict of the node
+// runtime ships final Stats in the same stats layout.
 //
 // What is recoverable: errors that unwrap to *transport.MachineError
 // while the run context is still live — the attributed peer-loss class
@@ -90,7 +98,8 @@ type CheckpointPolicy struct {
 // CheckpointSink is pluggable checkpoint storage. Put stores the blob
 // for one superstep (the sink must copy it — the encoder reuses its
 // buffer); Latest returns the most recent stored checkpoint, or
-// (-1, nil, nil) when the sink holds none.
+// (-1, nil, nil) when the sink holds none. Puts are serialised by the
+// runtimes; the k node loops of a resuming run call Latest concurrently.
 type CheckpointSink interface {
 	Put(superstep int, blob []byte) error
 	Latest() (superstep int, blob []byte, err error)
@@ -127,12 +136,8 @@ func (s *MemorySink) Put(superstep int, blob []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.entries = append(s.entries, memCkpt{step: superstep, blob: cp})
-	if len(s.entries) > s.retain {
-		n := copy(s.entries, s.entries[len(s.entries)-s.retain:])
-		for i := n; i < len(s.entries); i++ {
-			s.entries[i] = memCkpt{}
-		}
-		s.entries = s.entries[:n]
+	if over := len(s.entries) - s.retain; over > 0 {
+		s.entries = slices.Delete(s.entries, 0, over)
 	}
 	s.puts++
 	s.bytes += int64(len(blob))
@@ -166,7 +171,7 @@ func (s *MemorySink) Bytes() int64 {
 }
 
 // FileSink stores checkpoints as files under a run directory, one file
-// per checkpoint (ckpt-<superstep>.kmcp), written atomically via a tmp
+// per checkpoint (ckpt-<superstep>.kmck), written atomically via a tmp
 // file and rename, pruned to the newest two. The directory is created
 // on first Put.
 type FileSink struct {
@@ -179,47 +184,62 @@ func NewFileSink(dir string) *FileSink {
 	return &FileSink{dir: dir, retain: 2}
 }
 
-const ckptFilePrefix, ckptFileSuffix = "ckpt-", ".kmcp"
+const ckptFilePrefix, ckptFileSuffix = "ckpt-", ".kmck"
 
-// Put implements CheckpointSink.
+func (s *FileSink) path(superstep int) string {
+	return filepath.Join(s.dir, fmt.Sprintf("%s%08d%s", ckptFilePrefix, superstep, ckptFileSuffix))
+}
+
+// Put implements CheckpointSink. A run's checkpoints are strictly
+// increasing, so a file at a higher superstep belongs to an earlier run
+// into the same directory: left in place it would outrank this run in
+// Latest and be what retention keeps, so it is removed along with
+// everything older than the newest two.
 func (s *FileSink) Put(superstep int, blob []byte) error {
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return fmt.Errorf("core: checkpoint dir: %w", err)
 	}
-	name := fmt.Sprintf("%s%08d%s", ckptFilePrefix, superstep, ckptFileSuffix)
-	tmp := filepath.Join(s.dir, name+".tmp")
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+	name := s.path(superstep)
+	if err := os.WriteFile(name+".tmp", blob, 0o644); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, name)); err != nil {
+	if err := os.Rename(name+".tmp", name); err != nil {
 		return err
 	}
 	steps, err := s.list()
 	if err != nil {
 		return err
 	}
-	for len(steps) > s.retain {
-		old := fmt.Sprintf("%s%08d%s", ckptFilePrefix, steps[0], ckptFileSuffix)
-		if err := os.Remove(filepath.Join(s.dir, old)); err != nil {
-			return err
+	ours := sort.SearchInts(steps, superstep) + 1 // files at or below superstep
+	for i, step := range steps {
+		if step > superstep || i < ours-s.retain {
+			if err := os.Remove(s.path(step)); err != nil {
+				return err
+			}
 		}
-		steps = steps[1:]
 	}
 	return nil
 }
 
-// Latest implements CheckpointSink.
+// Latest implements CheckpointSink. A file that fails the container's
+// structural check, or names another superstep than its file name — a
+// torn or truncated write — is skipped in favour of the next-newest, so
+// it cannot poison recovery.
 func (s *FileSink) Latest() (int, []byte, error) {
 	steps, err := s.list()
-	if err != nil || len(steps) == 0 {
-		return -1, nil, err
-	}
-	step := steps[len(steps)-1]
-	blob, err := os.ReadFile(filepath.Join(s.dir, fmt.Sprintf("%s%08d%s", ckptFilePrefix, step, ckptFileSuffix)))
 	if err != nil {
 		return -1, nil, err
 	}
-	return step, blob, nil
+	for i := len(steps) - 1; i >= 0; i-- {
+		blob, err := os.ReadFile(s.path(steps[i]))
+		if err != nil {
+			return -1, nil, err
+		}
+		if got, _, _, err := DecodeCheckpoint(blob); err == nil && got == steps[i] {
+			return steps[i], blob, nil
+		}
+	}
+	return -1, nil, nil
 }
 
 // list returns the stored superstep numbers in ascending order.
@@ -247,6 +267,172 @@ func (s *FileSink) list() ([]int, error) {
 	return steps, nil
 }
 
+var ckptMagic = []byte{'K', 'M', 'C', 'K', 1}
+
+// AppendCheckpoint appends the container of the cut after superstep
+// step: the k machine parts in machine order, then the Stats part.
+func AppendCheckpoint(dst []byte, step int, parts [][]byte, stats []byte) []byte {
+	dst = append(dst, ckptMagic...)
+	dst = wire.AppendUvarint(dst, uint64(step+1))
+	dst = wire.AppendUvarint(dst, uint64(len(parts)))
+	for _, part := range parts {
+		dst = wire.AppendUvarint(dst, uint64(len(part)))
+		dst = append(dst, part...)
+	}
+	dst = wire.AppendUvarint(dst, uint64(len(stats)))
+	return append(dst, stats...)
+}
+
+// DecodeCheckpoint is the container's structural check and splitter:
+// the returned parts and stats alias blob. What is inside a part is
+// RestoreCheckpointPart's business, what is inside stats DecodeStats's.
+func DecodeCheckpoint(blob []byte) (step int, parts [][]byte, stats []byte, err error) {
+	if !bytes.HasPrefix(blob, ckptMagic) {
+		return 0, nil, nil, fmt.Errorf("core: bad checkpoint header")
+	}
+	c := wire.Cursor{Src: blob, Off: len(ckptMagic)}
+	step = int(c.Uvarint()) - 1
+	k := c.Uvarint() // 0 once the cursor has failed
+	if k > uint64(len(blob)-c.Off) {
+		// Every part costs at least its length byte.
+		return 0, nil, nil, fmt.Errorf("core: checkpoint claims %d parts in %d bytes", k, len(blob)-c.Off)
+	}
+	parts = make([][]byte, k)
+	for i := range parts {
+		parts[i] = c.LenPrefixed()
+	}
+	stats = c.LenPrefixed()
+	if err := c.Finish(); err != nil {
+		return 0, nil, nil, fmt.Errorf("core: corrupt checkpoint: %w", err)
+	}
+	return step, parts, stats, nil
+}
+
+// OpenCheckpoint splits the container a sink returned as the checkpoint
+// of superstep step, for a k-machine cluster. A checkpoint of another
+// cluster size is an error, never a silent from-zero.
+func OpenCheckpoint(blob []byte, step, k int) (parts [][]byte, stats []byte, err error) {
+	got, parts, stats, err := DecodeCheckpoint(blob)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case got != step:
+		return nil, nil, fmt.Errorf("core: checkpoint blob names superstep %d, sink says %d", got, step)
+	case len(parts) != k:
+		return nil, nil, fmt.Errorf("core: checkpoint for k=%d cluster, running k=%d", len(parts), k)
+	}
+	return parts, stats, nil
+}
+
+// AppendCheckpointPart appends machine id's part of the cut after
+// superstep step; inbox is what the machine consumes in step+1.
+func AppendCheckpointPart[M any](dst []byte, step int, id MachineID, r *rng.RNG, snap Snapshotter, inbox []Envelope[M], codec wire.Codec[M]) ([]byte, error) {
+	dst = wire.AppendUvarint(dst, r.State())
+	mark := len(dst)
+	dst, err := snap.SnapshotState(dst)
+	if err != nil {
+		return nil, fmt.Errorf("core: snapshot machine %d: %w", id, err)
+	}
+	dst = wire.PrefixLen(dst, mark)
+	if dst, err = wire.AppendBatchV2(dst, step+1, 0, id, inbox, codec); err != nil {
+		return nil, fmt.Errorf("core: checkpoint inbox of machine %d: %w", id, err)
+	}
+	return dst, nil
+}
+
+// RestoreCheckpointPart installs machine id's part of the cut after
+// superstep step into snap and r and returns the inbox superstep step+1
+// consumes. Nothing is installed unless the whole part decodes.
+func RestoreCheckpointPart[M any](part []byte, step int, id MachineID, r *rng.RNG, snap Snapshotter, codec wire.Codec[M]) ([]Envelope[M], error) {
+	c := wire.Cursor{Src: part}
+	rngState := c.Uvarint()
+	state := c.LenPrefixed()
+	if c.Err != nil {
+		return nil, fmt.Errorf("core: corrupt checkpoint part of machine %d: %w", id, c.Err)
+	}
+	got, _, inbox, err := wire.DecodeBatchAnyInto(part[c.Off:], codec, 0, id, nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint inbox of machine %d: %w", id, err)
+	}
+	if got != step+1 {
+		return nil, fmt.Errorf("core: checkpoint part of machine %d holds the inbox of superstep %d, want %d", id, got, step+1)
+	}
+	if err := snap.RestoreState(state); err != nil {
+		return nil, fmt.Errorf("core: restore machine %d: %w", id, err)
+	}
+	r.SetState(rngState)
+	return inbox, nil
+}
+
+// AppendStats appends s in the stats layout.
+func AppendStats(dst []byte, s *Stats) []byte {
+	dst = wire.AppendUvarint(dst, uint64(len(s.RecvWords)))
+	dst = wire.AppendUvarint(dst, uint64(s.Rounds))
+	dst = wire.AppendUvarint(dst, uint64(s.Supersteps))
+	dst = wire.AppendUvarint(dst, uint64(s.Messages))
+	dst = wire.AppendUvarint(dst, uint64(s.Words))
+	for _, w := range s.RecvWords {
+		dst = wire.AppendUvarint(dst, uint64(w))
+	}
+	for _, w := range s.SentWords {
+		dst = wire.AppendUvarint(dst, uint64(w))
+	}
+	dst = wire.AppendUvarint(dst, uint64(len(s.PerSuperstep)))
+	for i := range s.PerSuperstep {
+		ss := &s.PerSuperstep[i]
+		dst = wire.AppendUvarint(dst, uint64(ss.Rounds))
+		dst = wire.AppendUvarint(dst, uint64(ss.Messages))
+		dst = wire.AppendUvarint(dst, uint64(ss.Words))
+		dst = wire.AppendUvarint(dst, uint64(ss.MaxLinkWords))
+		dst = wire.AppendUvarint(dst, uint64(ss.MaxRecvWords))
+		dst = wire.AppendUvarint(dst, uint64(ss.MaxSentWords))
+	}
+	return dst
+}
+
+// DecodeStats decodes a stats layout that must span src exactly, for a
+// cluster of k machines. MaxRecvWords is recomputed from the
+// per-machine totals.
+func DecodeStats(src []byte, k int) (*Stats, error) {
+	c := wire.Cursor{Src: src}
+	if got := c.Uvarint(); c.Err == nil && got != uint64(k) {
+		return nil, fmt.Errorf("core: stats of a k=%d cluster, running k=%d", got, k)
+	}
+	s := newStats(k)
+	s.Rounds = int64(c.Uvarint())
+	s.Supersteps = int(c.Uvarint())
+	s.Messages = int64(c.Uvarint())
+	s.Words = int64(c.Uvarint())
+	for i := range s.RecvWords {
+		s.RecvWords[i] = int64(c.Uvarint())
+	}
+	for i := range s.SentWords {
+		s.SentWords[i] = int64(c.Uvarint())
+	}
+	n := c.Uvarint() // 0 once the cursor has failed
+	if n > uint64(len(src)-c.Off)/6 {
+		return nil, fmt.Errorf("core: stats claim %d supersteps in %d bytes", n, len(src)-c.Off)
+	}
+	if n > 0 {
+		s.PerSuperstep = make([]SuperstepStat, n)
+	}
+	for i := range s.PerSuperstep {
+		s.PerSuperstep[i] = SuperstepStat{
+			Rounds:       int64(c.Uvarint()),
+			Messages:     int64(c.Uvarint()),
+			Words:        int64(c.Uvarint()),
+			MaxLinkWords: int64(c.Uvarint()),
+			MaxRecvWords: int64(c.Uvarint()),
+			MaxSentWords: int64(c.Uvarint()),
+		}
+	}
+	if err := c.Finish(); err != nil {
+		return nil, fmt.Errorf("core: corrupt stats: %w", err)
+	}
+	s.finalize()
+	return s, nil
+}
+
 // ckRun is the per-run checkpoint state threaded through the engine
 // loop when checkpointing is armed; nil keeps the loop on its fenced
 // zero-allocation path.
@@ -257,35 +443,19 @@ type ckRun[M any] struct {
 	snaps []Snapshotter
 	rngs  []*rng.RNG
 
-	buf      []byte // encode scratch, reused across captures
-	initBlob []byte // arm-time superstep -1 image (restart-from-zero)
-	// resume >= 0 asks the next run call to re-enter at this
-	// superstep's Finish with restored outs; -2 means a normal start.
-	resume int
+	parts      [][]byte // encode scratch, reused across captures
+	stats, buf []byte
+	initBlob   []byte // arm-time superstep -1 image (restart-from-zero)
+	// captured gates restore's use of the sink: until this run has stored
+	// a checkpoint, whatever the sink holds is another run's.
+	captured bool
 }
-
-// Checkpoint blob format (versioned; decode rejects unknown versions):
-//
-//	"KMCP" ver=1
-//	uvarint superstep+1          (+1 encodes the arm-time -1)
-//	uvarint k
-//	uvarint Rounds, Supersteps, Messages, Words
-//	k × uvarint RecvWords; k × uvarint SentWords
-//	uvarint len(PerSuperstep), each 6 uvarints
-//	per machine: uvarint rngState; flags byte (bit0 done);
-//	             uvarint len(state) + state blob;
-//	             uvarint len(outs) (emitted batches, then rest), each:
-//	             uvarint To, uvarint Words, codec payload
-//	             (self-delimiting per wire.Codec)
-//
-// Stats.Recoveries is deliberately excluded: it is a live counter of
-// the run, not part of the computation's cut, and survives restores.
-var ckptMagic = []byte{'K', 'M', 'C', 'P', 1}
 
 // arm validates that every machine is checkpointable and captures the
 // superstep -1 image.
 func (ck *ckRun[M]) arm(c *Cluster[M], e *engine[M], stats *Stats) error {
 	ck.snaps = make([]Snapshotter, c.cfg.K)
+	ck.parts = make([][]byte, c.cfg.K)
 	for i, m := range c.machines {
 		s, ok := m.(Snapshotter)
 		if !ok {
@@ -293,7 +463,7 @@ func (ck *ckRun[M]) arm(c *Cluster[M], e *engine[M], stats *Stats) error {
 		}
 		ck.snaps[i] = s
 	}
-	blob, err := ck.encode(-1, e, stats)
+	blob, err := ck.encode(-1, e.inboxes, stats)
 	if err != nil {
 		return err
 	}
@@ -301,249 +471,75 @@ func (ck *ckRun[M]) arm(c *Cluster[M], e *engine[M], stats *Stats) error {
 	return nil
 }
 
-// capture encodes the cut at superstep step and stores it in the sink.
-func (ck *ckRun[M]) capture(step int, e *engine[M], stats *Stats) error {
-	blob, err := ck.encode(step, e, stats)
+// capture encodes the cut after superstep step — inboxes are what
+// step+1 consumes — and stores it in the sink.
+func (ck *ckRun[M]) capture(step int, inboxes [][]Envelope[M], stats *Stats) error {
+	blob, err := ck.encode(step, inboxes, stats)
 	if err != nil {
 		return err
 	}
-	return ck.sink.Put(step, blob)
+	if err := ck.sink.Put(step, blob); err != nil {
+		return err
+	}
+	ck.captured = true
+	return nil
 }
 
-func (ck *ckRun[M]) encode(step int, e *engine[M], stats *Stats) ([]byte, error) {
-	b := append(ck.buf[:0], ckptMagic...)
-	b = wire.AppendUvarint(b, uint64(step+1))
-	k := len(ck.snaps)
-	b = wire.AppendUvarint(b, uint64(k))
-	b = wire.AppendUvarint(b, uint64(stats.Rounds))
-	b = wire.AppendUvarint(b, uint64(stats.Supersteps))
-	b = wire.AppendUvarint(b, uint64(stats.Messages))
-	b = wire.AppendUvarint(b, uint64(stats.Words))
-	for _, w := range stats.RecvWords {
-		b = wire.AppendUvarint(b, uint64(w))
-	}
-	for _, w := range stats.SentWords {
-		b = wire.AppendUvarint(b, uint64(w))
-	}
-	b = wire.AppendUvarint(b, uint64(len(stats.PerSuperstep)))
-	for i := range stats.PerSuperstep {
-		ss := &stats.PerSuperstep[i]
-		b = wire.AppendUvarint(b, uint64(ss.Rounds))
-		b = wire.AppendUvarint(b, uint64(ss.Messages))
-		b = wire.AppendUvarint(b, uint64(ss.Words))
-		b = wire.AppendUvarint(b, uint64(ss.MaxLinkWords))
-		b = wire.AppendUvarint(b, uint64(ss.MaxRecvWords))
-		b = wire.AppendUvarint(b, uint64(ss.MaxSentWords))
-	}
+func (ck *ckRun[M]) encode(step int, inboxes [][]Envelope[M], stats *Stats) ([]byte, error) {
 	var err error
-	for i := 0; i < k; i++ {
-		b = wire.AppendUvarint(b, ck.rngs[i].State())
-		var flags byte
-		if e.dones[i] {
-			flags |= 1
-		}
-		b = append(b, flags)
-		lenAt := len(b)
-		b = wire.AppendUvarint(b, 0) // state length placeholder
-		stateAt := len(b)
-		if b, err = ck.snaps[i].SnapshotState(b); err != nil {
-			return nil, fmt.Errorf("core: snapshot machine %d: %w", i, err)
-		}
-		b = spliceLen(b, lenAt, stateAt)
-		em := e.emitters[i]
-		b = wire.AppendUvarint(b, uint64(em.msgs)+uint64(len(e.outs[i])))
-		for _, batch := range em.batches {
-			if b, err = ck.appendEnvs(b, batch); err != nil {
-				return nil, fmt.Errorf("core: snapshot machine %d: %w", i, err)
-			}
-		}
-		if b, err = ck.appendEnvs(b, e.outs[i]); err != nil {
-			return nil, fmt.Errorf("core: snapshot machine %d: %w", i, err)
+	for i := range ck.snaps {
+		ck.parts[i], err = AppendCheckpointPart(ck.parts[i][:0], step, MachineID(i), ck.rngs[i], ck.snaps[i], inboxes[i], ck.codec)
+		if err != nil {
+			return nil, err
 		}
 	}
-	ck.buf = b
-	return b, nil
+	ck.stats = AppendStats(ck.stats[:0], stats)
+	ck.buf = AppendCheckpoint(ck.buf[:0], step, ck.parts, ck.stats)
+	return ck.buf, nil
 }
 
-// appendEnvs appends envs in the blob's per-envelope layout.
-func (ck *ckRun[M]) appendEnvs(b []byte, envs []Envelope[M]) ([]byte, error) {
-	var err error
-	for j := range envs {
-		env := &envs[j]
-		b = wire.AppendUvarint(b, uint64(env.To))
-		b = wire.AppendUvarint(b, uint64(env.Words))
-		if b, err = ck.codec.Append(b, env.Msg); err != nil {
-			return nil, fmt.Errorf("envelope %d for machine %d: %w", j, env.To, err)
-		}
-	}
-	return b, nil
-}
-
-// spliceLen rewrites the uvarint length placeholder at lenAt (encoded
-// as a single zero byte) to the actual length of b[stateAt:], shifting
-// the tail when the real uvarint needs more than one byte.
-func spliceLen(b []byte, lenAt, stateAt int) []byte {
-	n := len(b) - stateAt
-	var enc [10]byte
-	encLen := len(wire.AppendUvarint(enc[:0], uint64(n)))
-	if encLen == 1 {
-		b[lenAt] = byte(n)
-		return b
-	}
-	b = append(b, make([]byte, encLen-1)...)
-	copy(b[stateAt+encLen-1:], b[stateAt:len(b)-(encLen-1)])
-	wire.AppendUvarint(b[lenAt:lenAt], uint64(n))
-	return b
-}
-
-// restore decodes the latest stored checkpoint (or the arm-time image
-// when the sink is empty) into the machines, RNG streams, engine
-// buffers, and stats, and returns the superstep the run resumes at
-// (-1 for a restart-from-zero).
+// restore installs the latest stored checkpoint (or the arm-time image
+// when this run has stored none) into the machines, RNG streams, engine
+// inboxes and stats, and returns its superstep (-1 for a
+// restart-from-zero); the run re-enters the loop at the next one.
 func (ck *ckRun[M]) restore(e *engine[M], stats *Stats) (int, error) {
-	step, blob, err := ck.sink.Latest()
-	if err != nil {
-		return -1, fmt.Errorf("core: read latest checkpoint: %w", err)
+	step, blob := -1, ck.initBlob
+	if ck.captured {
+		s, b, err := ck.sink.Latest()
+		if err != nil {
+			return -1, fmt.Errorf("core: read latest checkpoint: %w", err)
+		}
+		if b != nil {
+			step, blob = s, b
+		}
 	}
-	if blob == nil {
-		step, blob = -1, ck.initBlob
-	}
-	got, err := ck.decodeInto(blob, e, stats)
+	k := len(ck.snaps)
+	parts, statsPart, err := OpenCheckpoint(blob, step, k)
 	if err != nil {
 		return -1, err
 	}
-	if got != step {
-		return -1, fmt.Errorf("core: checkpoint blob names superstep %d, sink says %d", got, step)
+	restored, err := DecodeStats(statsPart, k)
+	if err != nil {
+		return -1, err
 	}
-	return step, nil
-}
-
-func (ck *ckRun[M]) decodeInto(blob []byte, e *engine[M], stats *Stats) (int, error) {
-	k := len(ck.snaps)
-	d := ckDecoder{src: blob}
-	for _, m := range ckptMagic {
-		if b, err := d.byte(); err != nil || b != m {
-			return -1, fmt.Errorf("core: bad checkpoint header")
-		}
-	}
-	step := int(d.uvarint()) - 1
-	if gotK := int(d.uvarint()); gotK != k {
-		return -1, fmt.Errorf("core: checkpoint for k=%d cluster, running k=%d", gotK, k)
-	}
-	stats.Rounds = int64(d.uvarint())
-	stats.Supersteps = int(d.uvarint())
-	stats.Messages = int64(d.uvarint())
-	stats.Words = int64(d.uvarint())
-	for i := 0; i < k; i++ {
-		stats.RecvWords[i] = int64(d.uvarint())
-	}
-	for i := 0; i < k; i++ {
-		stats.SentWords[i] = int64(d.uvarint())
-	}
-	stats.MaxRecvWords = 0
-	nss := int(d.uvarint())
-	stats.PerSuperstep = stats.PerSuperstep[:0]
-	for i := 0; i < nss; i++ {
-		stats.PerSuperstep = append(stats.PerSuperstep, SuperstepStat{
-			Rounds:       int64(d.uvarint()),
-			Messages:     int64(d.uvarint()),
-			Words:        int64(d.uvarint()),
-			MaxLinkWords: int64(d.uvarint()),
-			MaxRecvWords: int64(d.uvarint()),
-			MaxSentWords: int64(d.uvarint()),
-		})
-	}
-	for i := 0; i < k; i++ {
-		ck.rngs[i].SetState(d.uvarint())
-		flags, err := d.byte()
-		if err != nil {
+	e.inboxes = make([][]Envelope[M], k) // the old ones belong to the dead transport
+	for i, part := range parts {
+		if e.inboxes[i], err = RestoreCheckpointPart(part, step, MachineID(i), ck.rngs[i], ck.snaps[i], ck.codec); err != nil {
 			return -1, err
 		}
-		e.dones[i] = flags&1 != 0
-		state, err := d.bytes(int(d.uvarint()))
-		if err != nil {
-			return -1, err
-		}
-		if err := ck.snaps[i].RestoreState(state); err != nil {
-			return -1, fmt.Errorf("core: restore machine %d: %w", i, err)
-		}
-		nOut := int(d.uvarint())
-		outs := make([]Envelope[M], 0, nOut)
-		for j := 0; j < nOut; j++ {
-			env := Envelope[M]{
-				From:  MachineID(i),
-				To:    MachineID(d.uvarint()),
-				Words: int32(d.uvarint()),
-			}
-			m, n, err := ck.codec.Decode(d.src[d.off:])
-			if err != nil {
-				return -1, fmt.Errorf("core: decode checkpoint envelope (machine %d): %w", i, err)
-			}
-			d.off += n
-			env.Msg = m
-			outs = append(outs, env)
-		}
-		e.outs[i] = outs
-		e.inboxes[i] = nil
 		e.panics[i] = nil
 	}
-	if d.err != nil {
-		return -1, fmt.Errorf("core: corrupt checkpoint: %w", d.err)
-	}
+	restored.Recoveries = stats.Recoveries
+	*stats = *restored
 	return step, nil
-}
-
-// ckDecoder is a cursor over a checkpoint blob that latches the first
-// error, so the decode body reads linearly.
-type ckDecoder struct {
-	src []byte
-	off int
-	err error
-}
-
-func (d *ckDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n, err := wire.Uvarint(d.src[d.off:])
-	if err != nil {
-		d.err = err
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *ckDecoder) byte() (byte, error) {
-	if d.err == nil && d.off >= len(d.src) {
-		d.err = fmt.Errorf("truncated")
-	}
-	if d.err != nil {
-		return 0, d.err
-	}
-	b := d.src[d.off]
-	d.off++
-	return b, nil
-}
-
-func (d *ckDecoder) bytes(n int) ([]byte, error) {
-	if d.err == nil && (n < 0 || d.off+n > len(d.src)) {
-		d.err = fmt.Errorf("truncated")
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	b := d.src[d.off : d.off+n]
-	d.off += n
-	return b, nil
 }
 
 // RunCheckpointed executes the cluster over t with the configured
 // checkpoint policy and in-run recovery: when the run fails with an
 // attributed *transport.MachineError and the context is still live, the
 // dead transport is replaced by one from reopen, every machine is
-// restored in place from the latest checkpoint, and the run resumes at
-// the checkpointed superstep's Finish — a deterministic replay whose
+// restored in place from the latest checkpoint, and the run re-enters
+// the loop at the superstep after it — a deterministic replay whose
 // output is bit-identical to an unkilled run. Recovery is attempted up
 // to the policy's MaxRecoveries; Stats.Recoveries counts the
 // replacements performed.
@@ -577,7 +573,7 @@ func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen
 	e := c.newEngine(t)
 	defer e.shutdown()
 
-	ck := &ckRun[M]{every: pol.Every, sink: sink, codec: codec, rngs: c.rngs, resume: -2}
+	ck := &ckRun[M]{every: pol.Every, sink: sink, codec: codec, rngs: c.rngs}
 	if err := ck.arm(c, e, stats); err != nil {
 		return stats, err
 	}
@@ -587,8 +583,9 @@ func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen
 			e.t.Close()
 		}
 	}()
+	start := 0
 	for {
-		err := c.run(e, runCtx, stats, ck)
+		err := c.run(e, runCtx, stats, ck, start)
 		if err == nil {
 			return stats, nil
 		}
@@ -609,10 +606,6 @@ func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen
 		}
 		e.t = nt
 		stats.Recoveries++
-		if step >= 0 {
-			ck.resume = step
-		} else {
-			ck.resume = -2 // restart-from-zero: the arm-time image was restored
-		}
+		start = step + 1
 	}
 }

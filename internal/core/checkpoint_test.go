@@ -12,7 +12,15 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"kmachine/internal/transport/wire"
 )
+
+// cut is a structurally valid one-part container carrying a label, which
+// is all a sink may look at.
+func cut(step int) []byte {
+	return AppendCheckpoint(nil, step, [][]byte{[]byte(fmt.Sprintf("cut-at-%d", step))}, nil)
+}
 
 func checkSink(t *testing.T, s CheckpointSink) {
 	t.Helper()
@@ -20,7 +28,7 @@ func checkSink(t *testing.T, s CheckpointSink) {
 		t.Fatalf("empty sink Latest() = (%d, %v, %v), want (-1, nil, nil)", step, blob, err)
 	}
 	for step := 4; step <= 24; step += 5 {
-		blob := []byte(fmt.Sprintf("cut-at-%d", step))
+		blob := cut(step)
 		if err := s.Put(step, blob); err != nil {
 			t.Fatalf("Put(%d): %v", step, err)
 		}
@@ -33,7 +41,7 @@ func checkSink(t *testing.T, s CheckpointSink) {
 		if err != nil {
 			t.Fatalf("Latest after Put(%d): %v", step, err)
 		}
-		if gotStep != step || !bytes.Equal(got, []byte(fmt.Sprintf("cut-at-%d", step))) {
+		if gotStep != step || !bytes.Equal(got, cut(step)) {
 			t.Fatalf("Latest = (%d, %q) after Put(%d)", gotStep, got, step)
 		}
 	}
@@ -47,7 +55,7 @@ func TestMemorySinkRetainsNewest(t *testing.T) {
 	}
 	var want int64
 	for step := 4; step <= 24; step += 5 {
-		want += int64(len(fmt.Sprintf("cut-at-%d", step)))
+		want += int64(len(cut(step)))
 	}
 	if s.Bytes() != want {
 		t.Errorf("Bytes() = %d, want %d (counters cover all puts, not just the ring)", s.Bytes(), want)
@@ -61,7 +69,7 @@ func TestFileSinkRetainsNewestAtomically(t *testing.T) {
 	dir := t.TempDir()
 	s := NewFileSink(dir)
 	checkSink(t, s)
-	files, err := filepath.Glob(filepath.Join(dir, "ckpt-*.kmcp"))
+	files, err := filepath.Glob(filepath.Join(dir, "ckpt-*.kmck"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,23 +81,95 @@ func TestFileSinkRetainsNewestAtomically(t *testing.T) {
 	}
 	// A second sink over the same directory — a restarted process —
 	// sees the same newest checkpoint.
-	if step, blob, err := NewFileSink(dir).Latest(); err != nil || step != 24 || !bytes.Equal(blob, []byte("cut-at-24")) {
-		t.Errorf("reopened sink Latest() = (%d, %q, %v), want (24, \"cut-at-24\", nil)", step, blob, err)
+	if step, blob, err := NewFileSink(dir).Latest(); err != nil || step != 24 || !bytes.Equal(blob, cut(24)) {
+		t.Errorf("reopened sink Latest() = (%d, %q, %v), want the cut at 24", step, blob, err)
 	}
 }
 
 func TestFileSinkLatestIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	s := NewFileSink(dir)
-	if err := s.Put(7, []byte("seven")); err != nil {
+	if err := s.Put(7, cut(7)); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"notes.txt", "ckpt-junk.kmcp", "ckpt-00000099.kmcp.tmp"} {
+	for _, name := range []string{"notes.txt", "ckpt-junk.kmck", "ckpt-00000099.kmck.tmp", "ckpt-00000098.kmcp"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if step, blob, err := s.Latest(); err != nil || step != 7 || !bytes.Equal(blob, []byte("seven")) {
-		t.Errorf("Latest() = (%d, %q, %v) amid foreign files, want (7, \"seven\", nil)", step, blob, err)
+	if step, blob, err := s.Latest(); err != nil || step != 7 || !bytes.Equal(blob, cut(7)) {
+		t.Errorf("Latest() = (%d, %q, %v) amid foreign files, want the cut at 7", step, blob, err)
+	}
+}
+
+// TestFileSinkReusedDirectoryBelongsToTheNewRun: a second run into a
+// directory an earlier, longer run left checkpoints in must end up
+// holding — and recovering from — its own, not have every Put pruned
+// away beneath the old run's higher superstep numbers.
+func TestFileSinkReusedDirectoryBelongsToTheNewRun(t *testing.T) {
+	dir := t.TempDir()
+	old := NewFileSink(dir)
+	for _, step := range []int{474, 479} {
+		if err := old.Put(step, cut(step)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewFileSink(dir)
+	for step := 0; step <= 3; step++ {
+		if err := s.Put(step, cut(step)); err != nil {
+			t.Fatal(err)
+		}
+		if got, blob, err := s.Latest(); err != nil || got != step || !bytes.Equal(blob, cut(step)) {
+			t.Fatalf("after Put(%d) into a reused directory Latest() = (%d, %q, %v)", step, got, blob, err)
+		}
+	}
+	if steps, err := s.list(); err != nil || len(steps) != 2 || steps[0] != 2 || steps[1] != 3 {
+		t.Errorf("directory holds supersteps %v (err %v), want the new run's [2 3]", steps, err)
+	}
+}
+
+// TestFileSinkLatestSkipsDamagedNewest: a truncated newest file, or one
+// whose container names another superstep than its file name, must not
+// poison recovery — Latest falls back to the next-newest intact one, and
+// to "none" when nothing intact is left.
+func TestFileSinkLatestSkipsDamagedNewest(t *testing.T) {
+	dir := t.TempDir()
+	s := NewFileSink(dir)
+	for _, step := range []int{3, 5} {
+		if err := s.Put(step, cut(step)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, damaged := range map[string][]byte{"truncated": cut(5)[:len(cut(5))/2], "misnamed": cut(4)} {
+		if err := os.WriteFile(s.path(5), damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if step, blob, err := s.Latest(); err != nil || step != 3 || !bytes.Equal(blob, cut(3)) {
+			t.Errorf("%s newest: Latest() = (%d, %q, %v), want the intact cut at 3", name, step, blob, err)
+		}
+	}
+	if err := os.WriteFile(s.path(3), []byte("KMCK"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if step, blob, err := s.Latest(); step != -1 || blob != nil || err != nil {
+		t.Errorf("nothing intact: Latest() = (%d, %q, %v), want (-1, nil, nil)", step, blob, err)
+	}
+}
+
+// TestCheckpointDecodersBoundCounts: a count read off disk is checked
+// against the bytes that remain before anything is sized by it.
+func TestCheckpointDecodersBoundCounts(t *testing.T) {
+	huge := wire.AppendUvarint(nil, 1<<40)
+	container := append(append(append([]byte(nil), ckptMagic...), 1), huge...) // step 0, 2^40 parts
+	if _, _, _, err := DecodeCheckpoint(container); err == nil {
+		t.Error("container claiming 2^40 parts in a dozen bytes decoded")
+	}
+	stats := AppendStats(nil, newStats(3))
+	stats = append(stats[:len(stats)-1], huge...) // 2^40 per-superstep rows
+	if _, err := DecodeStats(stats, 3); err == nil {
+		t.Error("stats claiming 2^40 supersteps in a dozen bytes decoded")
+	}
+	if _, err := DecodeStats(AppendStats(nil, newStats(3)), 4); err == nil {
+		t.Error("stats of a k=3 cluster decoded for k=4")
 	}
 }

@@ -142,10 +142,10 @@ type Config struct {
 	SuperstepTimeout time.Duration
 	// Checkpoint opts the run into per-superstep checkpointing and
 	// in-run recovery (see checkpoint.go): every Checkpoint.Every
-	// supersteps a consistent cut of all machine state is captured at
-	// the observation barrier into Checkpoint.Sink, and a run driven by
-	// RunCheckpointed survives machine loss by restoring the latest cut
-	// and replaying. Off by default (Every == 0): the engine's hook is a
+	// supersteps a consistent cut of all machine state is captured right
+	// after the superstep's Finish into Checkpoint.Sink, and a run driven
+	// by RunCheckpointed survives machine loss by restoring the latest
+	// cut and replaying. Off by default (Every == 0): the engine's hook is a
 	// single nil check, keeping the zero-allocation steady state and
 	// every golden hash unchanged. Checkpointing requires all machines
 	// to implement Snapshotter.

@@ -29,10 +29,6 @@ type Emitter[M any] struct {
 	words   []int64
 	emitted []bool
 	touched []int32 // peers with emitted[·] set, for O(touched) Reset
-	// batches[n] is the batch emitted to touched[n], kept until Reset so
-	// a checkpoint cut between compute and Finish can still serialise
-	// what already left the machine.
-	batches [][]Envelope[M]
 }
 
 // NewEmitter builds the emission state for machine self of a k-machine
@@ -56,13 +52,11 @@ func (em *Emitter[M]) Bind(sc *StepContext) { sc.emitter = em }
 // Reset clears the per-superstep emission record. The coordinator
 // calls it before each superstep begins.
 func (em *Emitter[M]) Reset() {
-	for n, j := range em.touched {
+	for _, j := range em.touched {
 		em.emitted[j] = false
 		em.words[j] = 0
-		em.batches[n] = nil
 	}
 	em.touched = em.touched[:0]
-	em.batches = em.batches[:0]
 	em.msgs = 0
 	em.err = nil
 }
@@ -133,7 +127,6 @@ func EmitBatch[M any](sc *StepContext, to MachineID, batch []Envelope[M]) bool {
 	}
 	em.emitted[to] = true
 	em.touched = append(em.touched, int32(to))
-	em.batches = append(em.batches, batch)
 	em.words[to] = words
 	em.msgs += int64(len(batch))
 	return true

@@ -225,28 +225,19 @@ func (c *Cluster[M]) RunOn(t Transport[M]) (*Stats, error) {
 	defer stats.finalize()
 	e := c.newEngine(t)
 	defer e.shutdown()
-	return stats, c.run(e, runCtx, stats, nil)
+	return stats, c.run(e, runCtx, stats, nil, 0)
 }
 
-// run drives supersteps until quiescence or the first error.
-//
+// run drives supersteps from start until quiescence or the first error.
 // ck, when non-nil, arms per-superstep checkpointing (see
-// checkpoint.go), and a resume request (ck.resume >= 0, set by
-// RunCheckpointed after restoring a checkpoint) re-enters the loop at
-// that superstep's Finish with the restored outs, skipping the
-// already-executed compute and accounting.
-func (c *Cluster[M]) run(e *engine[M], runCtx context.Context, stats *Stats, ck *ckRun[M]) error {
-	start, resumed := 0, false
-	if ck != nil && ck.resume >= 0 {
-		start, resumed = ck.resume, true
-		ck.resume = -2
-	}
+// checkpoint.go); RunCheckpointed passes the superstep after a restored
+// checkpoint as start.
+func (c *Cluster[M]) run(e *engine[M], runCtx context.Context, stats *Stats, ck *ckRun[M], start int) error {
 	for step := start; ; step++ {
-		done, err := c.superstep(e, runCtx, step, stats, ck, resumed)
+		done, err := c.superstep(e, runCtx, step, stats, ck)
 		if done || err != nil {
 			return err
 		}
-		resumed = false
 	}
 }
 
@@ -276,18 +267,13 @@ func (c *Cluster[M]) run(e *engine[M], runCtx context.Context, stats *Stats, ck 
 // caller) unblocks the eagerly-parked receive I/O. Finishing it instead
 // would ship k(k-1) empty frames for a superstep the model never
 // charges.
-//
-// resumed re-enters a checkpointed superstep: machines, stats, and outs
-// hold the restored post-compute image, so only Begin and Finish run.
-func (c *Cluster[M]) superstep(e *engine[M], runCtx context.Context, step int, stats *Stats, ck *ckRun[M], resumed bool) (done bool, err error) {
+func (c *Cluster[M]) superstep(e *engine[M], runCtx context.Context, step int, stats *Stats, ck *ckRun[M]) (done bool, err error) {
 	k := c.cfg.K
-	if !resumed {
-		if step >= c.cfg.MaxSupersteps {
-			return false, ErrMaxSupersteps
-		}
-		if err := runCtx.Err(); err != nil {
-			return false, fmt.Errorf("core: run canceled before superstep %d: %w", step, err)
-		}
+	if step >= c.cfg.MaxSupersteps {
+		return false, ErrMaxSupersteps
+	}
+	if err := runCtx.Err(); err != nil {
+		return false, fmt.Errorf("core: run canceled before superstep %d: %w", step, err)
 	}
 	sctx := runCtx
 	if c.cfg.SuperstepTimeout > 0 {
@@ -302,98 +288,86 @@ func (c *Cluster[M]) superstep(e *engine[M], runCtx context.Context, step int, s
 		return false, fmt.Errorf("core: transport begin superstep %d: %w", step, err)
 	}
 
-	if !resumed {
-		e.stepAll(step)
-		for _, perr := range e.panics {
-			if perr != nil {
-				return false, perr
-			}
+	e.stepAll(step)
+	for _, perr := range e.panics {
+		if perr != nil {
+			return false, perr
 		}
-		// Second cancellation point, between the step barrier and
-		// Finish: a cancel that landed while machines were stepping
-		// aborts before the rest envelopes reach the transport.
-		if err := runCtx.Err(); err != nil {
-			return false, fmt.Errorf("core: run canceled in superstep %d: %w", step, err)
-		}
+	}
+	// Second cancellation point, between the step barrier and
+	// Finish: a cancel that landed while machines were stepping
+	// aborts before the rest envelopes reach the transport.
+	if err := runCtx.Err(); err != nil {
+		return false, fmt.Errorf("core: run canceled in superstep %d: %w", step, err)
+	}
 
-		// Surface any mid-compute SendBatch failure before the finish
-		// barrier, then validate and stamp the rest envelopes and fold
-		// both emission records into the touched link loads; the cost
-		// arithmetic itself lives in accountSparse/AccountSuperstep,
-		// shared with the standalone coordinator.
-		for i, em := range e.emitters {
-			if serr := em.Err(); serr != nil {
-				if cErr := runCtx.Err(); cErr != nil {
-					return false, fmt.Errorf("core: run canceled in superstep %d: %w (teardown: %v)", step, cErr, serr)
-				}
-				return false, fmt.Errorf("core: machine %d emit failed in superstep %d: %w", i, step, serr)
+	// Surface any mid-compute SendBatch failure before the finish
+	// barrier, then validate and stamp the rest envelopes and fold
+	// both emission records into the touched link loads; the cost
+	// arithmetic itself lives in accountSparse/AccountSuperstep,
+	// shared with the standalone coordinator.
+	for i, em := range e.emitters {
+		if serr := em.Err(); serr != nil {
+			if cErr := runCtx.Err(); cErr != nil {
+				return false, fmt.Errorf("core: run canceled in superstep %d: %w (teardown: %v)", step, cErr, serr)
 			}
+			return false, fmt.Errorf("core: machine %d emit failed in superstep %d: %w", i, step, serr)
 		}
-		// From here to accountSparse the link-load accumulator is dirty;
-		// every error return in between is a validation failure, which is
-		// fatal for the run (never recovered from a checkpoint).
-		var messages int64
-		allDone, pending := true, false
-		for i := 0; i < k; i++ {
-			em := e.emitters[i]
-			if !e.dones[i] {
-				allDone = false
-			}
-			if len(e.outs[i]) > 0 || len(em.touched) > 0 {
-				pending = true
-			}
-			for _, j := range em.touched {
-				e.addLoad(i*k+int(j), em.words[j])
-			}
-			messages += em.msgs
-			for j := range e.outs[i] {
-				env := &e.outs[i][j]
-				if env.To < 0 || int(env.To) >= k {
-					return false, fmt.Errorf("core: machine %d sent to invalid machine %d", i, env.To)
-				}
-				if env.Words < 0 {
-					return false, fmt.Errorf("core: machine %d sent negative-size envelope", i)
-				}
-				env.From = MachineID(i)
-				if int(env.To) == i {
-					// Self-addressed envelopes are free: local
-					// computation costs nothing in the model.
-					continue
-				}
-				if em.emitted[env.To] {
-					return false, fmt.Errorf("core: machine %d returned envelopes for machine %d after emitting a batch to it in superstep %d", i, env.To, step)
-				}
-				messages++
-				e.addLoad(i*k+int(env.To), int64(env.Words))
-			}
+	}
+	// From here to accountSparse the link-load accumulator is dirty;
+	// every error return in between is a validation failure, which is
+	// fatal for the run (never recovered from a checkpoint).
+	var messages int64
+	allDone, pending := true, false
+	for i := 0; i < k; i++ {
+		em := e.emitters[i]
+		if !e.dones[i] {
+			allDone = false
 		}
-		if allDone && !pending {
-			return true, nil
+		if len(e.outs[i]) > 0 || len(em.touched) > 0 {
+			pending = true
 		}
+		for _, j := range em.touched {
+			e.addLoad(i*k+int(j), em.words[j])
+		}
+		messages += em.msgs
+		for j := range e.outs[i] {
+			env := &e.outs[i][j]
+			if env.To < 0 || int(env.To) >= k {
+				return false, fmt.Errorf("core: machine %d sent to invalid machine %d", i, env.To)
+			}
+			if env.Words < 0 {
+				return false, fmt.Errorf("core: machine %d sent negative-size envelope", i)
+			}
+			env.From = MachineID(i)
+			if int(env.To) == i {
+				// Self-addressed envelopes are free: local
+				// computation costs nothing in the model.
+				continue
+			}
+			if em.emitted[env.To] {
+				return false, fmt.Errorf("core: machine %d returned envelopes for machine %d after emitting a batch to it in superstep %d", i, env.To, step)
+			}
+			messages++
+			e.addLoad(i*k+int(env.To), int64(env.Words))
+		}
+	}
+	if allDone && !pending {
+		return true, nil
+	}
 
-		ss := accountSparse(k, c.cfg.Bandwidth, e.linkLoad, e.touched, messages, e.recvS, e.sentS)
-		e.touched = e.touched[:0]
-		for i := 0; i < k; i++ {
-			stats.RecvWords[i] += e.recvS[i]
-			stats.SentWords[i] += e.sentS[i]
-		}
-		stats.Rounds += ss.Rounds
-		stats.Supersteps++
-		stats.Messages += ss.Messages
-		stats.Words += ss.Words
-		if !c.cfg.DropPerSuperstep {
-			stats.PerSuperstep = append(stats.PerSuperstep, ss)
-		}
-
-		// The observation-barrier cut: everything above (state, RNG
-		// draws, accounting) is included, Finish below is not — a
-		// restore retries it. Quiescence returned before this point, so
-		// a captured superstep always has a Finish to retry.
-		if ck != nil && (step+1)%ck.every == 0 {
-			if err := ck.capture(step, e, stats); err != nil {
-				return false, fmt.Errorf("core: checkpoint at superstep %d: %w", step, err)
-			}
-		}
+	ss := accountSparse(k, c.cfg.Bandwidth, e.linkLoad, e.touched, messages, e.recvS, e.sentS)
+	e.touched = e.touched[:0]
+	for i := 0; i < k; i++ {
+		stats.RecvWords[i] += e.recvS[i]
+		stats.SentWords[i] += e.sentS[i]
+	}
+	stats.Rounds += ss.Rounds
+	stats.Supersteps++
+	stats.Messages += ss.Messages
+	stats.Words += ss.Words
+	if !c.cfg.DropPerSuperstep {
+		stats.PerSuperstep = append(stats.PerSuperstep, ss)
 	}
 
 	// Deliver through the transport; the contract guarantees inboxes
@@ -429,6 +403,14 @@ func (c *Cluster[M]) superstep(e *engine[M], runCtx context.Context, step int, s
 		return false, fmt.Errorf("core: transport returned %d inboxes for a %d-machine cluster", len(next), k)
 	}
 	e.inboxes = next
+
+	// The cut: superstep step is accounted and delivered, and next is
+	// exactly what step+1 consumes.
+	if ck != nil && (step+1)%ck.every == 0 {
+		if err := ck.capture(step, next, stats); err != nil {
+			return false, fmt.Errorf("core: checkpoint at superstep %d: %w", step, err)
+		}
+	}
 	return false, nil
 }
 

@@ -42,38 +42,28 @@ func RunOver[M any](c *Cluster[M], codec wire.Codec[M]) (*Stats, error) {
 // across substrates by construction, while bytes-on-wire are exactly
 // the substrate-dependent quantity the model abstracts away.
 func RunOverWire[M any](c *Cluster[M], codec wire.Codec[M]) (*Stats, transport.WireStats, error) {
-	t, err := OpenTransport[M](c.cfg.Transport, c.cfg.K, codec)
+	// open also serves checkpoint recovery, which replaces a dead
+	// transport with a fresh one of the same kind (a recovered tcp mesh
+	// binds new ports — the replacement round the recovery protocol
+	// reattaches on).
+	open := func() (Transport[M], error) {
+		t, err := OpenTransport[M](c.cfg.Transport, c.cfg.K, codec)
+		if err == nil && c.cfg.Recorder != nil {
+			// Substrates with frame-level detail (tcp) record per-peer
+			// write/read/decode spans into the same recorder the engine's
+			// phase spans go to; the loopback has none and stays dark.
+			if ts, ok := t.(transport.TraceSink); ok {
+				ts.SetRecorder(c.cfg.Recorder)
+			}
+		}
+		return t, err
+	}
+	t, err := open()
 	if err != nil {
 		return nil, transport.WireStats{}, err
 	}
 	defer t.Close()
-	if c.cfg.Recorder != nil {
-		// Substrates with frame-level detail (tcp) record per-peer
-		// write/read/decode spans into the same recorder the engine's
-		// phase spans go to; the loopback has none and stays dark.
-		if ts, ok := t.(transport.TraceSink); ok {
-			ts.SetRecorder(c.cfg.Recorder)
-		}
-	}
-	var stats *Stats
-	if c.cfg.Checkpoint.Every > 0 {
-		// Checkpointed runs recover from machine loss by replacing the
-		// dead transport with a freshly opened one of the same kind (a
-		// recovered tcp mesh binds new ports — the replacement round the
-		// recovery protocol reattaches on).
-		reopen := func() (Transport[M], error) {
-			nt, err := OpenTransport[M](c.cfg.Transport, c.cfg.K, codec)
-			if err == nil && c.cfg.Recorder != nil {
-				if ts, ok := nt.(transport.TraceSink); ok {
-					ts.SetRecorder(c.cfg.Recorder)
-				}
-			}
-			return nt, err
-		}
-		stats, err = c.RunCheckpointed(t, codec, reopen)
-	} else {
-		stats, err = c.RunOn(t)
-	}
+	stats, err := c.RunCheckpointed(t, codec, open)
 	var w transport.WireStats
 	if m, ok := t.(transport.WireMeter); ok {
 		w = m.WireStats()

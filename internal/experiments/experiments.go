@@ -145,10 +145,10 @@ type Config struct {
 	// it: that experiment owns its cadence (it is the quantity under
 	// measurement).
 	CheckpointEvery int
-	// CheckpointDir persists E19's in-process checkpoints to disk
-	// (core.FileSink) instead of the in-memory ring, exercising the
-	// file-backed sink under the same audit. Empty keeps checkpoints in
-	// memory.
+	// CheckpointDir stores E19's checkpoints on disk (core.FileSink)
+	// instead of the in-memory ring, exercising the file-backed sink
+	// under the same audit on every substrate. Empty keeps checkpoints
+	// in memory.
 	CheckpointDir string
 }
 

@@ -501,15 +501,15 @@ func (s *Scheduler) run() {
 			}
 		}
 
-		// Checkpoint-opted jobs own a per-job store: it must outlive the
+		// Checkpoint-opted jobs own a per-job sink: it must outlive the
 		// mesh rebuilds between attempts, which is exactly what makes
-		// resume-from-checkpoint possible.
+		// resume-from-checkpoint possible (a Dir already does).
 		maxRec := 0
-		if req.Prob.Checkpoint.Every > 0 {
-			if req.Prob.Checkpoint.Store == nil {
-				req.Prob.Checkpoint.Store = node.NewCheckpointStore(s.backend.K())
+		if ck := &req.Prob.Checkpoint; ck.Every > 0 {
+			if ck.Sink == nil && ck.Dir == "" {
+				ck.Sink = core.NewMemorySink(0)
 			}
-			maxRec = req.Prob.Checkpoint.MaxRecoveries
+			maxRec = ck.MaxRecoveries
 			if maxRec == 0 {
 				maxRec = core.DefaultMaxRecoveries
 			}

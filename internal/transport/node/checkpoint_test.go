@@ -1,18 +1,16 @@
 package node
 
 // White-box tests for the standalone runtime's checkpoint plane: the
-// per-machine KMNP parts written into a CheckpointStore at the
-// coordinator's continue verdict, and the ctrlResume round that aligns
-// a resumed cluster on the restored superstep. The property under test
-// is the same as everywhere in this repo: arming checkpoints changes
-// nothing observable, and resuming from a store reproduces the golden
-// run bit for bit.
+// parts the assembler hands to the sink at the coordinator's continue
+// verdict, and the ctrlResume round that aligns a resumed cluster on
+// the restored superstep. The property under test is the same as
+// everywhere in this repo: arming checkpoints changes nothing
+// observable, and resuming from a sink reproduces the golden run bit
+// for bit.
 
 import (
-	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
+	"strings"
 	"testing"
 
 	"kmachine/internal/core"
@@ -59,6 +57,14 @@ func (m *ckMachine) RestoreState(src []byte) error {
 // checkpoint config, returning the Stats and every machine's final sum.
 func runCkCluster(t *testing.T, k int, ck CheckpointConfig) (*core.Stats, []int64) {
 	t.Helper()
+	stats, sums, err := tryCkCluster(k, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats, sums
+}
+
+func tryCkCluster(k int, ck CheckpointConfig) (*core.Stats, []int64, error) {
 	machines := make([]*ckMachine, k)
 	cfg := Config{K: k, Bandwidth: 1, Seed: 77, Checkpoint: ck}
 	stats, err := RunLocal(cfg, failCodec{}, func(id core.MachineID) core.Machine[failMsg] {
@@ -66,13 +72,13 @@ func runCkCluster(t *testing.T, k int, ck CheckpointConfig) (*core.Stats, []int6
 		return machines[id]
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	sums := make([]int64, k)
 	for i, m := range machines {
 		sums[i] = m.sum
 	}
-	return stats, sums
+	return stats, sums, nil
 }
 
 func sameCkStats(t *testing.T, label string, got, want *core.Stats) {
@@ -87,149 +93,96 @@ func sameCkStats(t *testing.T, label string, got, want *core.Stats) {
 }
 
 // TestNodeCheckpointedRunMatchesGolden: arming the checkpoint plane on
-// the node runtime must not perturb Stats or outputs, and the store
-// must end the run holding a complete (all k parts + coordinator
-// stats) checkpoint of a pre-final superstep.
+// the node runtime must not perturb Stats or outputs, and the sink must
+// end the run holding a complete (k parts + Stats) checkpoint of a
+// pre-final superstep.
 func TestNodeCheckpointedRunMatchesGolden(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const k = 4
 	goldenStats, goldenSums := runCkCluster(t, k, CheckpointConfig{})
-	store := NewCheckpointStore(k)
-	ckStats, ckSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Store: store})
+	sink := core.NewMemorySink(0)
+	ckStats, ckSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Sink: sink})
 	sameCkStats(t, "checkpointed-vs-golden", ckStats, goldenStats)
 	for i := range goldenSums {
 		if ckSums[i] != goldenSums[i] {
 			t.Errorf("machine %d sum %d with checkpointing, %d without", i, ckSums[i], goldenSums[i])
 		}
 	}
-	latest := store.LatestComplete()
-	if latest < 0 {
-		t.Fatal("no complete checkpoint in the store after a checkpointed run")
+	latest, blob, err := sink.Latest()
+	if err != nil || blob == nil {
+		t.Fatalf("no checkpoint in the sink after a checkpointed run (err %v)", err)
 	}
 	if latest >= goldenStats.Supersteps-1 {
-		t.Errorf("latest complete checkpoint at superstep %d, want a pre-final superstep of a %d-superstep run",
+		t.Errorf("latest checkpoint at superstep %d, want a pre-final superstep of a %d-superstep run",
 			latest, goldenStats.Supersteps)
 	}
-	if store.Puts() == 0 || store.Bytes() == 0 {
-		t.Errorf("store counters empty: puts=%d bytes=%d", store.Puts(), store.Bytes())
+	if step, parts, stats, err := core.DecodeCheckpoint(blob); err != nil || step != latest || len(parts) != k || len(stats) == 0 {
+		t.Errorf("stored container: step %d, %d parts, %d stats bytes, err %v", step, len(parts), len(stats), err)
+	}
+	if want := goldenStats.Supersteps / 2; sink.Puts() != want {
+		t.Errorf("sink took %d puts, want one per captured superstep = %d", sink.Puts(), want)
 	}
 	testutil.NoLeakedGoroutines(t, base)
 }
 
-// TestNodeResumeFromStoreDeterministic: fresh machines resumed from a
-// prior run's store replay only the post-checkpoint tail, and the total
+// TestNodeResumeFromSinkDeterministic: fresh machines resumed from a
+// prior run's sink replay only the post-checkpoint tail, and the total
 // Stats and final outputs are bit-identical to the golden run — the
 // node-runtime half of the scheduler's resume-from-checkpoint protocol.
-func TestNodeResumeFromStoreDeterministic(t *testing.T) {
-	base := runtime.NumGoroutine()
+// The file arm reopens the directory with a fresh FileSink, which is
+// all a restarted process has.
+func TestNodeResumeFromSinkDeterministic(t *testing.T) {
 	const k = 4
 	goldenStats, goldenSums := runCkCluster(t, k, CheckpointConfig{})
-	store := NewCheckpointStore(k)
-	if _, _ = runCkCluster(t, k, CheckpointConfig{Every: 2, Store: store}); store.LatestComplete() < 0 {
-		t.Fatal("no complete checkpoint to resume from")
+	dir := t.TempDir()
+	mem := core.NewMemorySink(0)
+	for name, sinks := range map[string][2]core.CheckpointSink{
+		"memory": {mem, mem},
+		"file":   {core.NewFileSink(dir), core.NewFileSink(dir)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			runCkCluster(t, k, CheckpointConfig{Every: 2, Sink: sinks[0]})
+			if step, _, _ := sinks[1].Latest(); step < 0 {
+				t.Fatal("no checkpoint to resume from")
+			}
+			resumedStats, resumedSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Sink: sinks[1], Resume: true})
+			sameCkStats(t, "resumed-vs-golden", resumedStats, goldenStats)
+			for i := range goldenSums {
+				if resumedSums[i] != goldenSums[i] {
+					t.Errorf("machine %d sum %d after resume, golden %d", i, resumedSums[i], goldenSums[i])
+				}
+			}
+			testutil.NoLeakedGoroutines(t, base)
+		})
 	}
-	resumedStats, resumedSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Store: store, Resume: true})
-	sameCkStats(t, "resumed-vs-golden", resumedStats, goldenStats)
-	for i := range goldenSums {
-		if resumedSums[i] != goldenSums[i] {
-			t.Errorf("machine %d sum %d after resume, golden %d", i, resumedSums[i], goldenSums[i])
-		}
-	}
-	testutil.NoLeakedGoroutines(t, base)
 }
 
-// TestResumeWithEmptyStoreStartsFromZero: Resume against a store with
-// no complete checkpoint must degrade to a normal from-zero run — the
-// path a job takes when its machine died before the first capture.
-func TestResumeWithEmptyStoreStartsFromZero(t *testing.T) {
+// TestResumeWithEmptySinkStartsFromZero: Resume against a sink with no
+// checkpoint must degrade to a normal from-zero run — the path a job
+// takes when its machine died before the first capture.
+func TestResumeWithEmptySinkStartsFromZero(t *testing.T) {
 	const k = 4
 	goldenStats, goldenSums := runCkCluster(t, k, CheckpointConfig{})
-	store := NewCheckpointStore(k)
-	resumedStats, resumedSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Store: store, Resume: true})
+	resumedStats, resumedSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Sink: core.NewMemorySink(0), Resume: true})
 	sameCkStats(t, "empty-resume-vs-golden", resumedStats, goldenStats)
 	for i := range goldenSums {
 		if resumedSums[i] != goldenSums[i] {
-			t.Errorf("machine %d sum %d after empty-store resume, golden %d", i, resumedSums[i], goldenSums[i])
+			t.Errorf("machine %d sum %d after empty-sink resume, golden %d", i, resumedSums[i], goldenSums[i])
 		}
 	}
 }
 
-// TestPersistedCheckpointSurvivesProcessDeath: with Dir set, complete
-// checkpoints land on disk (at most two retained, no torn .tmp left
-// behind), and a *fresh* store loaded from the directory — the state a
-// restarted process has — resumes to the golden totals.
-func TestPersistedCheckpointSurvivesProcessDeath(t *testing.T) {
-	const k = 4
-	dir := t.TempDir()
-	goldenStats, goldenSums := runCkCluster(t, k, CheckpointConfig{})
-	if _, _ = runCkCluster(t, k, CheckpointConfig{Every: 2, Dir: dir}); true {
-		files, err := filepath.Glob(filepath.Join(dir, "ckpt-*.kmnc"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(files) == 0 || len(files) > 2 {
-			t.Fatalf("persisted %d checkpoint files %v, want 1..2", len(files), files)
-		}
-		if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmp) != 0 {
-			t.Fatalf("torn temp files left behind: %v", tmp)
-		}
+// TestResumeRejectsOtherClusterSize: a checkpoint of a k=4 cluster
+// offered to a k=5 resume is an error that says so — never a silent
+// from-zero run, and never a hang.
+func TestResumeRejectsOtherClusterSize(t *testing.T) {
+	base := runtime.NumGoroutine()
+	sink := core.NewMemorySink(0)
+	runCkCluster(t, 4, CheckpointConfig{Every: 2, Sink: sink})
+	_, _, err := tryCkCluster(5, CheckpointConfig{Every: 2, Sink: sink, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), "checkpoint for k=4 cluster, running k=5") {
+		t.Fatalf("k-mismatched resume returned %v, want the attributed k mismatch", err)
 	}
-	fresh := NewCheckpointStore(k)
-	step, err := fresh.LoadFrom(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step < 0 || step != fresh.LatestComplete() {
-		t.Fatalf("LoadFrom returned step %d, store says %d", step, fresh.LatestComplete())
-	}
-	resumedStats, resumedSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Store: fresh, Resume: true})
-	sameCkStats(t, "disk-resumed-vs-golden", resumedStats, goldenStats)
-	for i := range goldenSums {
-		if resumedSums[i] != goldenSums[i] {
-			t.Errorf("machine %d sum %d after disk resume, golden %d", i, resumedSums[i], goldenSums[i])
-		}
-	}
-}
-
-// TestLoadFromSkipsCorruptFiles: a truncated newest file must not
-// poison recovery — LoadFrom falls back to the next-newest valid one.
-func TestLoadFromSkipsCorruptFiles(t *testing.T) {
-	const k = 4
-	dir := t.TempDir()
-	store := NewCheckpointStore(k)
-	if err := store.PersistTo(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, _ = runCkCluster(t, k, CheckpointConfig{Every: 2, Store: store}); store.LatestComplete() < 0 {
-		t.Fatal("no complete checkpoint persisted")
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "ckpt-*.kmnc"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("glob: %v, %d files", err, len(files))
-	}
-	sort.Strings(files)
-	newest := files[len(files)-1]
-	buf, err := os.ReadFile(newest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newest, buf[:len(buf)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewCheckpointStore(k)
-	step, err := fresh.LoadFrom(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) >= 2 {
-		if step < 0 {
-			t.Fatal("LoadFrom found nothing despite an intact older checkpoint")
-		}
-	} else if step >= 0 {
-		t.Fatalf("LoadFrom accepted the truncated file as superstep %d", step)
-	}
-	wrongK := NewCheckpointStore(k + 1)
-	if step, err := wrongK.LoadFrom(dir); err != nil || step >= 0 {
-		t.Fatalf("k-mismatched store loaded step %d, err %v; want -1, nil", step, err)
-	}
+	testutil.NoLeakedGoroutines(t, base)
 }

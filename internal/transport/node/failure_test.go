@@ -75,7 +75,7 @@ func runMeshWithFault(t *testing.T, k, victim, failStep int, timeout time.Durati
 				errs[i] = verr
 				return
 			}
-			_, errs[i] = runLoop(cfg, eps[i], factory(core.MachineID(i)), nil)
+			_, errs[i] = runLoop(cfg, eps[i], factory(core.MachineID(i)), nil, nil)
 			if errs[i] != nil {
 				eps[i].Close()
 			}

@@ -30,26 +30,34 @@ const (
 	ctrlJobEnd   = byte(0xB1)
 )
 
-func encodeJobCtrl(kind byte, job uint64) []byte {
-	return wire.AppendUvarint([]byte{kind}, job)
+// encodeCtrl and decodeCtrl are the one layout of every pre- and
+// post-loop control frame: the kind byte, then one uvarint (the job ID;
+// for ctrlResume, the superstep).
+func encodeCtrl(kind byte, v uint64) []byte {
+	return wire.AppendUvarint([]byte{kind}, v)
 }
 
-func decodeJobCtrl(buf []byte, wantKind byte, wantJob uint64) error {
+func decodeCtrl(buf []byte, wantKind byte) (uint64, error) {
 	if len(buf) < 1 || buf[0] != wantKind {
 		got := byte(0xFF)
 		if len(buf) > 0 {
 			got = buf[0]
 		}
-		return fmt.Errorf("node: expected job control frame 0x%02x, got 0x%02x", wantKind, got)
+		return 0, fmt.Errorf("node: expected control frame 0x%02x, got 0x%02x", wantKind, got)
 	}
-	job, _, err := wire.Uvarint(buf[1:])
+	v, _, err := wire.Uvarint(buf[1:])
 	if err != nil {
-		return fmt.Errorf("node: corrupt job control frame: %w", err)
+		return 0, fmt.Errorf("node: corrupt control frame 0x%02x: %w", wantKind, err)
 	}
-	if job != wantJob {
-		return fmt.Errorf("node: job control frame for job %d, want job %d", job, wantJob)
+	return v, nil
+}
+
+func decodeJobCtrl(buf []byte, wantKind byte, wantJob uint64) error {
+	job, err := decodeCtrl(buf, wantKind)
+	if err == nil && job != wantJob {
+		err = fmt.Errorf("node: job control frame for job %d, want job %d", job, wantJob)
 	}
-	return nil
+	return err
 }
 
 // LocalMesh is the standing k-machine socket fabric of a resident
@@ -131,17 +139,7 @@ func RunJobLocal[M any](lm *LocalMesh, cfg Config, job uint64, codec wire.Codec[
 		return nil, fmt.Errorf("node: job IDs start at 1")
 	}
 	k := lm.k
-	if cfg.Checkpoint.Every > 0 && cfg.Checkpoint.Store == nil {
-		// A private store still checkpoints, but recovery needs the
-		// caller (the job scheduler) to own the store so it survives the
-		// mesh rebuild between attempts.
-		cfg.Checkpoint.Store = NewCheckpointStore(k)
-	}
-	if cfg.Checkpoint.Every > 0 && cfg.Checkpoint.Dir != "" {
-		if err := cfg.Checkpoint.Store.PersistTo(cfg.Checkpoint.Dir); err != nil {
-			return nil, err
-		}
-	}
+	ck := newAssembler(cfg)
 	eps := make([]*tcp.Endpoint[M], k)
 	for i := 0; i < k; i++ {
 		e, err := tcp.Attach[M](lm.meshes[i], codec, job)
@@ -172,7 +170,7 @@ func RunJobLocal[M any](lm *LocalMesh, cfg Config, job uint64, codec wire.Codec[
 			mcfg.ID = i
 			mcfg.ListenAddr, mcfg.Peers = "", nil
 			if err := mcfg.validate(); err == nil {
-				stats[i], errs[i] = runJobNode(mcfg, eps[i], machines[i], job, codec)
+				stats[i], errs[i] = runJobNode(mcfg, eps[i], machines[i], job, codec, ck)
 			} else {
 				errs[i] = err
 			}
@@ -210,14 +208,14 @@ func RunJobLocal[M any](lm *LocalMesh, cfg Config, job uint64, codec wire.Codec[
 // this job before any data frame ships; the end frames prove every
 // machine consumed its stop verdict — i.e. every connection is
 // quiescent — before the caller detaches the endpoints.
-func runJobNode[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], job uint64, codec wire.Codec[M]) (*core.Stats, error) {
+func runJobNode[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], job uint64, codec wire.Codec[M], ck *assembler) (*core.Stats, error) {
 	runCtx := cfg.Context
 	if runCtx == nil {
 		runCtx = context.Background()
 	}
 	hctx, cancel := handshakeCtx(runCtx, cfg)
 	if cfg.ID == 0 {
-		if err := ep.Broadcast(hctx, encodeJobCtrl(ctrlJobBegin, job)); err != nil {
+		if err := ep.Broadcast(hctx, encodeCtrl(ctrlJobBegin, job)); err != nil {
 			cancel()
 			return nil, fmt.Errorf("node: coordinator job %d begin: %w", job, err)
 		}
@@ -233,14 +231,14 @@ func runJobNode[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], job u
 	}
 	cancel()
 
-	stats, err := runLoop(cfg, ep, m, codec)
+	stats, err := runLoop(cfg, ep, m, codec, ck)
 	if err != nil {
 		return stats, err
 	}
 
 	hctx, cancel = handshakeCtx(runCtx, cfg)
 	defer cancel()
-	if err := ep.SendToCoordinator(hctx, encodeJobCtrl(ctrlJobEnd, job)); err != nil {
+	if err := ep.SendToCoordinator(hctx, encodeCtrl(ctrlJobEnd, job)); err != nil {
 		return stats, fmt.Errorf("node: machine %d job %d end: %w", cfg.ID, job, err)
 	}
 	if cfg.ID == 0 {

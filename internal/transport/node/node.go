@@ -19,9 +19,7 @@
 package node
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -120,7 +118,7 @@ func Run[M any](cfg Config, m core.Machine[M], codec wire.Codec[M]) (*core.Stats
 	if cfg.Recorder != nil {
 		ep.SetRecorder(cfg.Recorder)
 	}
-	return runLoop(cfg, ep, m, codec)
+	return runLoop(cfg, ep, m, codec, newAssembler(cfg))
 }
 
 // RunLocal spawns the full k-machine cluster over loopback TCP inside
@@ -132,14 +130,7 @@ func Run[M any](cfg Config, m core.Machine[M], codec wire.Codec[M]) (*core.Stats
 // DropPerSuperstep, Context, and SuperstepTimeout apply to all.
 func RunLocal[M any](cfg Config, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, error) {
 	k := cfg.K
-	if cfg.Checkpoint.Every > 0 && cfg.Checkpoint.Store == nil {
-		cfg.Checkpoint.Store = NewCheckpointStore(k)
-	}
-	if cfg.Checkpoint.Every > 0 && cfg.Checkpoint.Dir != "" {
-		if err := cfg.Checkpoint.Store.PersistTo(cfg.Checkpoint.Dir); err != nil {
-			return nil, err
-		}
-	}
+	ck := newAssembler(cfg)
 	eps, err := tcp.NewLoopbackMesh[M](k, codec)
 	if err != nil {
 		return nil, err
@@ -171,7 +162,7 @@ func RunLocal[M any](cfg Config, codec wire.Codec[M], factory func(core.MachineI
 			mcfg.ID = i
 			mcfg.ListenAddr, mcfg.Peers = "", nil
 			if err := mcfg.validate(); err == nil {
-				stats[i], errs[i] = runLoop(mcfg, eps[i], machines[i], codec)
+				stats[i], errs[i] = runLoop(mcfg, eps[i], machines[i], codec, ck)
 			} else {
 				errs[i] = err
 			}
@@ -205,7 +196,7 @@ func RunLocal[M any](cfg Config, codec wire.Codec[M], factory func(core.MachineI
 // operations with cfg.SuperstepTimeout, so a crashed or wedged peer
 // process surfaces as a machine-attributed error within the timeout on
 // this node rather than wedging it forever.
-func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wire.Codec[M]) (*core.Stats, error) {
+func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wire.Codec[M], ck *assembler) (*core.Stats, error) {
 	r := rng.NewStream(cfg.Seed, uint64(cfg.ID))
 	runCtx := cfg.Context
 	if runCtx == nil {
@@ -217,8 +208,8 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 	}
 	var inbox []core.Envelope[M]
 	var snap core.Snapshotter
-	ckEvery, ckStore := cfg.Checkpoint.Every, cfg.Checkpoint.Store
-	if ckEvery > 0 {
+	var ckPart []byte // checkpoint part encode scratch, reused
+	if ck != nil {
 		var ok bool
 		if snap, ok = m.(core.Snapshotter); !ok {
 			return nil, fmt.Errorf("node: machine %d (%T) does not implement core.Snapshotter; checkpointing needs SnapshotState/RestoreState", cfg.ID, m)
@@ -226,39 +217,13 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 		if codec == nil {
 			return nil, fmt.Errorf("node: machine %d checkpointing needs a message codec", cfg.ID)
 		}
-		if ckStore == nil {
-			return nil, fmt.Errorf("node: machine %d checkpointing needs a CheckpointStore", cfg.ID)
-		}
 	}
 	start := 0
-	if ckEvery > 0 && cfg.Checkpoint.Resume {
-		ckStep, err := resumeRound(cfg, ep, runCtx, ckStore)
-		if err != nil {
+	if ck != nil && cfg.Checkpoint.Resume {
+		var err error
+		if start, inbox, err = restoreNode(cfg, ep, runCtx, ck.sink, r, snap, codec, coord); err != nil {
 			ep.Close()
 			return nil, err
-		}
-		if ckStep >= 0 {
-			part, ok := ckStore.Part(ckStep, cfg.ID)
-			if !ok {
-				ep.Close()
-				return nil, fmt.Errorf("node: machine %d has no checkpoint part for superstep %d", cfg.ID, ckStep)
-			}
-			if inbox, err = decodePart(part, ckStep, snap, r, codec); err != nil {
-				ep.Close()
-				return nil, fmt.Errorf("node: machine %d resume from superstep %d: %w", cfg.ID, ckStep, err)
-			}
-			if coord != nil {
-				blob, ok := ckStore.StatsBlob(ckStep)
-				if !ok {
-					ep.Close()
-					return nil, fmt.Errorf("node: coordinator has no checkpoint stats for superstep %d", ckStep)
-				}
-				if err := coord.restoreStats(blob); err != nil {
-					ep.Close()
-					return nil, err
-				}
-			}
-			start = ckStep + 1
 		}
 	}
 	linkScratch := make([]int64, cfg.K) // per-superstep link row, reused
@@ -356,13 +321,11 @@ func runLoop[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], codec wi
 		switch v.kind {
 		case verdictContinue:
 			inbox = next
-			if ckEvery > 0 && (step+1)%ckEvery == 0 {
-				// Capture after the continue verdict: the coordinator's
-				// Stats already include this superstep, the RNG sits at
-				// its post-compute position, and inbox holds exactly the
-				// messages superstep step+1 consumes — so a resumed run
-				// re-enters at step+1 with nothing to re-account.
-				if err := captureNode(cfg, ckStore, step, r, snap, inbox, codec, coord); err != nil {
+			if ck != nil && (step+1)%ck.every == 0 {
+				// The cut: the coordinator's Stats include this superstep
+				// and inbox is exactly what step+1 consumes.
+				var err error
+				if ckPart, err = captureNode(ck, cfg, step, r, snap, inbox, codec, coord, ckPart); err != nil {
 					ep.Close()
 					return coordStats(coord), fmt.Errorf("node: machine %d checkpoint at superstep %d: %w", cfg.ID, step, err)
 				}
@@ -460,7 +423,7 @@ func superstepRound[M any](cfg Config, ep *tcp.Endpoint[M], coord *coordinator, 
 		}
 	}
 
-	v, err := decodeVerdict(verdictPayload)
+	v, err := decodeVerdict(verdictPayload, cfg.K)
 	if err != nil {
 		return verdict{}, nil, err
 	}
@@ -690,7 +653,7 @@ func (c *coordinator) process(step int, payloads [][]byte) ([]byte, error) {
 	if allDone && !pending {
 		// Quiescent: like core, the final silent superstep is free.
 		c.finalize()
-		return encodeStop(c.stats)
+		return encodeStop(c.stats), nil
 	}
 	ss := core.AccountSuperstep(c.k, c.bandwidth, c.linkWords, messages, c.recvS, c.sentS)
 	for i := 0; i < c.k; i++ {
@@ -728,20 +691,15 @@ type verdict struct {
 	errMsg string
 }
 
-func encodeStop(stats *core.Stats) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(verdictStop)
-	if err := gob.NewEncoder(&buf).Encode(stats); err != nil {
-		return nil, fmt.Errorf("node: encode final stats: %w", err)
-	}
-	return buf.Bytes(), nil
+func encodeStop(stats *core.Stats) []byte {
+	return core.AppendStats([]byte{verdictStop}, stats)
 }
 
 func encodeAbort(msg string) []byte {
 	return append([]byte{verdictAbort}, msg...)
 }
 
-func decodeVerdict(buf []byte) (verdict, error) {
+func decodeVerdict(buf []byte, k int) (verdict, error) {
 	if len(buf) < 1 {
 		return verdict{}, fmt.Errorf("node: empty verdict")
 	}
@@ -749,8 +707,8 @@ func decodeVerdict(buf []byte) (verdict, error) {
 	switch v.kind {
 	case verdictContinue:
 	case verdictStop:
-		v.stats = &core.Stats{}
-		if err := gob.NewDecoder(bytes.NewReader(buf[1:])).Decode(v.stats); err != nil {
+		var err error
+		if v.stats, err = core.DecodeStats(buf[1:], k); err != nil {
 			return verdict{}, fmt.Errorf("node: decode final stats: %w", err)
 		}
 	case verdictAbort:

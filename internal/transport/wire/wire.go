@@ -52,9 +52,10 @@ func Uvarint(src []byte) (uint64, int, error) {
 // Cursor is a latching decode cursor over a byte slice: each read
 // advances Off, the first failure sticks in Err and turns every later
 // read into a zero-value no-op, so a decode body reads linearly and
-// checks Err once at the end. Used by the per-algorithm checkpoint
-// state codecs (state.go files), which share this package's varint
-// primitives with the batch format.
+// checks Err once at the end. Used by the checkpoint codecs (core's
+// container, part and Stats decoders and the per-algorithm state.go
+// files), which share this package's varint primitives with the batch
+// format.
 type Cursor struct {
 	Src []byte
 	Off int
@@ -114,6 +115,22 @@ func (c *Cursor) Uint64() uint64 {
 	v := binary.LittleEndian.Uint64(c.Src[c.Off:])
 	c.Off += 8
 	return v
+}
+
+// LenPrefixed reads one uvarint length and returns that many bytes,
+// aliasing Src — the reader of PrefixLen. A length beyond the bytes
+// that remain is corruption and latches.
+func (c *Cursor) LenPrefixed() []byte {
+	n := c.Uvarint()
+	if c.Err == nil && n > uint64(len(c.Src)-c.Off) {
+		c.Err = fmt.Errorf("wire: section claims %d bytes, %d remain", n, len(c.Src)-c.Off)
+	}
+	if c.Err != nil {
+		return nil
+	}
+	b := c.Src[c.Off : c.Off+int(n)]
+	c.Off += int(n)
+	return b
 }
 
 // Finish returns the latched error, or an error if trailing bytes
@@ -207,10 +224,8 @@ func AppendBatchV2[M any](dst []byte, step int, from, to transport.MachineID, en
 		dst = AppendUvarint(dst, uint64(e.Words))
 	}
 
-	// Payload section, length-prefixed. Encode into the tail of dst,
-	// then insert the length prefix in front — a second small copy of
-	// just the payload bytes, which keeps the format streaming-friendly
-	// without a separate scratch buffer.
+	// Payload section, encoded into the tail of dst and then
+	// length-prefixed.
 	mark := len(dst)
 	var err error
 	for i := range envs {
@@ -218,13 +233,21 @@ func AppendBatchV2[M any](dst []byte, step int, from, to transport.MachineID, en
 			return dst, err
 		}
 	}
-	payload := len(dst) - mark
+	return PrefixLen(dst, mark), nil
+}
+
+// PrefixLen inserts the uvarint length of dst[mark:] in front of it, so
+// a section of unknown size is encoded straight into the tail of dst
+// and length-prefixed afterwards — one small copy of just that section,
+// no scratch buffer. Cursor.LenPrefixed reads it back.
+func PrefixLen(dst []byte, mark int) []byte {
+	section := len(dst) - mark
 	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(payload))
+	n := binary.PutUvarint(hdr[:], uint64(section))
 	dst = append(dst, hdr[:n]...)              // grow by prefix size
-	copy(dst[mark+n:], dst[mark:mark+payload]) // shift payload right
+	copy(dst[mark+n:], dst[mark:mark+section]) // shift the section right
 	copy(dst[mark:], hdr[:n])                  // install the prefix
-	return dst, nil
+	return dst
 }
 
 // DecodeBatchAny decodes a version-framed batch produced by

@@ -53,7 +53,7 @@ func (m *triMachine) SnapshotState(dst []byte) ([]byte, error) {
 func (m *triMachine) RestoreState(src []byte) error {
 	c := twire.Cursor{Src: src}
 	nHeavy := int(c.Uvarint())
-	heavy := make([]int32, 0, nHeavy)
+	var heavy []int32 // grown by the bytes actually present, not sized by a count read off disk
 	for i := 0; i < nHeavy && c.Err == nil; i++ {
 		heavy = append(heavy, int32(c.Varint()))
 	}

@@ -3,8 +3,9 @@ package kmachine_test
 // The superstep schedule is one thing — Begin, eager batches mid-Step,
 // Finish — and checkpointing composes with it instead of switching it
 // off: a checkpointed run still puts bytes on the wire while machines
-// compute, lands on the same hash and Stats, and a cut taken after some
-// batches already left their machine restores to the golden output.
+// compute, lands on the same hash and Stats, and a machine killed in a
+// superstep whose batches had already left their machines is replayed —
+// batches re-emitted — to the golden output.
 
 import (
 	"context"
@@ -101,12 +102,13 @@ func (s *emitSpy[M]) SendBatch(from, to transport.MachineID, batch []transport.E
 	return s.Transport.SendBatch(from, to, batch)
 }
 
-// checkCutWithEmittedBatches kills recVictim in superstep killStep of a
-// run checkpointing every superstep, so the cut recovery restores is
-// the one taken in killStep itself — after its eager batches left their
-// machines and before Finish. The recovered output and Stats must equal
-// the unkilled golden arm's.
-func checkCutWithEmittedBatches[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partition.Input, k int,
+// checkKilledEmittingSuperstep kills recVictim in superstep killStep of
+// a run checkpointing every superstep. killStep's Finish never
+// succeeded, so it was never captured: recovery restores the cut after
+// killStep-1 and runs killStep again on the replacement transport,
+// emitting its eager batches a second time. The recovered output and
+// Stats must equal the unkilled golden arm's.
+func checkKilledEmittingSuperstep[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partition.Input, k int,
 	kind transport.Kind, killStep int) {
 	t.Helper()
 	goldenOut, goldenStats := recoveredRun(t, a, in, k, kind, 1, -1)
@@ -135,27 +137,33 @@ func checkCutWithEmittedBatches[M, L, O any](t *testing.T, a algo.Algorithm[M, L
 	}
 	spy := &emitSpy[M]{Transport: chaos.Wrap[M](inner, fault), emitted: map[int]int{}}
 	defer spy.Close()
+	replay := &emitSpy[M]{emitted: map[int]int{}}
+	reopen := func() (core.Transport[M], error) {
+		var err error
+		replay.Transport, err = open()
+		return replay, err
+	}
 
 	var stats *core.Stats
 	var runErr error
 	done := make(chan struct{})
 	go func() {
-		stats, runErr = cluster.RunCheckpointed(spy, a.Codec, open)
+		stats, runErr = cluster.RunCheckpointed(spy, a.Codec, reopen)
 		close(done)
 	}()
 	testutil.WaitOrDump(t, done, 30*time.Second, "checkpointed cluster")
 	if runErr != nil {
 		t.Fatalf("run killed at superstep %d: %v", killStep, runErr)
 	}
-	if spy.emitted[killStep] == 0 {
-		t.Fatalf("no batch was emitted in superstep %d — the restored cut would not exercise emitted batches", killStep)
+	if first, again := spy.emitted[killStep], replay.emitted[killStep]; first == 0 || again != first {
+		t.Fatalf("superstep %d emitted %d batches before the kill and %d on replay, want the same nonzero count", killStep, first, again)
 	}
 	locals := make([]L, k)
 	for i, m := range machines {
 		locals[i] = m.Output()
 	}
 	if !reflect.DeepEqual(a.Merge(locals), goldenOut) {
-		t.Errorf("output recovered from a cut with emitted batches diverges from the golden run")
+		t.Errorf("output recovered from a kill in an emitting superstep diverges from the golden run")
 	}
 	sameStats(t, "recovered-vs-golden", stats, goldenStats)
 	if stats.Recoveries != 1 {
@@ -163,7 +171,7 @@ func checkCutWithEmittedBatches[M, L, O any](t *testing.T, a algo.Algorithm[M, L
 	}
 }
 
-func TestCheckpointCutWithEmittedBatchesRestores(t *testing.T) {
+func TestKilledEmittingSuperstepReEmitsOnReplay(t *testing.T) {
 	sortAlgo, err := dsort.Descriptor(dsort.RandomInput(failN, failK, 11, dsort.UniformKeys), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -172,11 +180,11 @@ func TestCheckpointCutWithEmittedBatchesRestores(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.InMem, transport.TCP} {
 		t.Run("dsort/"+string(kind), func(t *testing.T) {
 			// Superstep 1 routes every key to its bucket machine.
-			checkCutWithEmittedBatches(t, sortAlgo, edgeless, failK, kind, 1)
+			checkKilledEmittingSuperstep(t, sortAlgo, edgeless, failK, kind, 1)
 		})
 		t.Run("pagerank/"+string(kind), func(t *testing.T) {
 			// Even supersteps start a walk iteration and ship its tokens.
-			checkCutWithEmittedBatches(t, pagerank.Descriptor(failN, pagerank.AlgorithmOne(0.15)), failurePartition(t), failK, kind, 2)
+			checkKilledEmittingSuperstep(t, pagerank.Descriptor(failN, pagerank.AlgorithmOne(0.15)), failurePartition(t), failK, kind, 2)
 		})
 	}
 }
