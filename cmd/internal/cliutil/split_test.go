@@ -51,14 +51,16 @@ func TestSplitEdgeList(t *testing.T) {
 		if want := fmt.Sprintf("edges.m%d.txt", m); filepath.Base(paths[m]) != want {
 			t.Fatalf("machine %d file named %q, want %q", m, filepath.Base(paths[m]), want)
 		}
-		fromSplit, err := gen.IngestEdgeList(paths[m], spec, false, core.MachineID(m))
+		one := []core.MachineID{core.MachineID(m)}
+		split, err := gen.IngestEdgeList(paths[m], spec, false, one)
 		if err != nil {
 			t.Fatalf("ingest split file for machine %d: %v", m, err)
 		}
-		fromFull, err := gen.IngestEdgeList(full, spec, false, core.MachineID(m))
+		flat, err := gen.IngestEdgeList(full, spec, false, one)
 		if err != nil {
 			t.Fatalf("ingest full file for machine %d: %v", m, err)
 		}
+		fromSplit, fromFull := split[0], flat[0]
 		if !slices.Equal(fromSplit.Locals(), fromFull.Locals()) {
 			t.Fatalf("machine %d: Locals differ between split and full ingest", m)
 		}

@@ -75,7 +75,8 @@ type Algorithm[M, L, O any] struct {
 // in-process cluster, resolving cfg.Transport with the descriptor's
 // codec. It returns the merged output and the measured Stats. The input
 // may be a materialised *partition.VertexPartition or a
-// *partition.ShardedInput whose per-machine CSRs are built on demand.
+// *partition.ShardedInput, whose k CSR shards are built from one pass
+// over its source.
 func Run[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config) (O, *core.Stats, error) {
 	out, stats, _, err := RunWire(a, in, cfg)
 	return out, stats, err
@@ -89,13 +90,11 @@ func RunWire[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Con
 	if cfg.K != in.NumMachines() {
 		return zero, nil, transport.WireStats{}, fmt.Errorf("%s: cluster k=%d but partition k=%d", a.Name, cfg.K, in.NumMachines())
 	}
-	return ExecWire(cfg, a.Codec, func(id core.MachineID) (Machine[M, L], error) {
-		v, err := in.MachineView(id)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-		return a.NewMachine(v)
-	}, a.Merge)
+	machines, err := buildMachines(a, in)
+	if err != nil {
+		return zero, nil, transport.WireStats{}, err
+	}
+	return runCluster(cfg, a.Codec, machines, a.Merge)
 }
 
 // Exec is the substrate-owning driver tail shared by every algorithm's
@@ -113,10 +112,21 @@ func Exec[M, L, O any](cfg core.Config, codec wire.Codec[M], build func(core.Mac
 // bytes-on-wire alongside the paper-level Stats.
 func ExecWire[M, L, O any](cfg core.Config, codec wire.Codec[M], build func(core.MachineID) (Machine[M, L], error), merge func([]L) O) (O, *core.Stats, transport.WireStats, error) {
 	var zero O
-	machines, err := buildMachines(cfg.K, build)
-	if err != nil {
-		return zero, nil, transport.WireStats{}, err
+	machines := make([]Machine[M, L], cfg.K)
+	for i := range machines {
+		m, err := build(core.MachineID(i))
+		if err != nil {
+			return zero, nil, transport.WireStats{}, err
+		}
+		machines[i] = m
 	}
+	return runCluster(cfg, codec, machines, merge)
+}
+
+// runCluster runs the built machines on an in-process cluster to
+// quiescence and merges their outputs.
+func runCluster[M, L, O any](cfg core.Config, codec wire.Codec[M], machines []Machine[M, L], merge func([]L) O) (O, *core.Stats, transport.WireStats, error) {
+	var zero O
 	cluster := core.NewCluster(cfg, func(id core.MachineID) core.Machine[M] {
 		return machines[id]
 	})
@@ -140,13 +150,7 @@ func NodeRunLocal[M, L, O any](a Algorithm[M, L, O], in partition.Input, ncfg no
 	if ncfg.K != in.NumMachines() {
 		return zero, nil, fmt.Errorf("%s: node cluster k=%d but partition k=%d", a.Name, ncfg.K, in.NumMachines())
 	}
-	machines, err := buildMachines(in.NumMachines(), func(id core.MachineID) (Machine[M, L], error) {
-		v, err := in.MachineView(id)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-		return a.NewMachine(v)
-	})
+	machines, err := buildMachines(a, in)
 	if err != nil {
 		return zero, nil, err
 	}
@@ -170,13 +174,7 @@ func NodeRunJob[M, L, O any](a Algorithm[M, L, O], in partition.Input, lm *node.
 	if ncfg.K != in.NumMachines() {
 		return zero, nil, fmt.Errorf("%s: node cluster k=%d but partition k=%d", a.Name, ncfg.K, in.NumMachines())
 	}
-	machines, err := buildMachines(in.NumMachines(), func(id core.MachineID) (Machine[M, L], error) {
-		v, err := in.MachineView(id)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-		return a.NewMachine(v)
-	})
+	machines, err := buildMachines(a, in)
 	if err != nil {
 		return zero, nil, err
 	}
@@ -195,7 +193,8 @@ func NodeRunJob[M, L, O any](a Algorithm[M, L, O], in partition.Input, lm *node.
 // process of the run reconstructs the same partition from the shared
 // seed, and the union of the k local outputs is the Run output. With a
 // sharded input this is where the O((n+m)/k) per-process setup win
-// lands: MachineView builds only this machine's rows.
+// lands: MachineView — MachineViews for a set of one — builds only
+// this machine's rows.
 func NodeRun[M, L, O any](a Algorithm[M, L, O], in partition.Input, ncfg node.Config) (L, *core.Stats, error) {
 	var zero L
 	v, err := in.MachineView(core.MachineID(ncfg.ID))
@@ -213,17 +212,22 @@ func NodeRun[M, L, O any](a Algorithm[M, L, O], in partition.Input, ncfg node.Co
 	return m.Output(), stats, nil
 }
 
-// buildMachines constructs the k machines sequentially in machine-ID
-// order — the shared construction contract of every substrate, and the
-// reason a factory error can surface before any cluster is built.
-func buildMachines[M, L any](k int, build func(core.MachineID) (Machine[M, L], error)) ([]Machine[M, L], error) {
-	machines := make([]Machine[M, L], k)
-	for i := 0; i < k; i++ {
-		m, err := build(core.MachineID(i))
-		if err != nil {
+// buildMachines asks the input for all k views in ONE call — a sharded
+// input replays its generator or reads its file once for the whole
+// process, not once per machine — then constructs the k machines
+// sequentially in machine-ID order: the shared construction contract of
+// every substrate, and the reason a factory error can surface before
+// any cluster is built.
+func buildMachines[M, L, O any](a Algorithm[M, L, O], in partition.Input) ([]Machine[M, L], error) {
+	views, err := in.MachineViews(partition.AllMachines(in.NumMachines()))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", a.Name, err)
+	}
+	machines := make([]Machine[M, L], len(views))
+	for i, v := range views {
+		if machines[i], err = a.NewMachine(v); err != nil {
 			return nil, err
 		}
-		machines[i] = m
 	}
 	return machines, nil
 }

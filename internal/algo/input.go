@@ -1,11 +1,13 @@
 // Problem-input resolution: the shared helpers every Spec.Build uses to
 // honour Problem.Sharded and Problem.InputPath, plus the timing wrapper
 // that charges input construction to Outcome.SetupTime wherever it
-// happens (Spec.Build for materialised inputs, MachineView for sharded
+// happens (Spec.Build for materialised inputs, MachineViews for sharded
 // ones).
 package algo
 
 import (
+	"fmt"
+	"math"
 	"time"
 
 	"kmachine/internal/core"
@@ -20,11 +22,30 @@ func (prob Problem) PartitionSpec() partition.Spec {
 	return partition.Spec{N: prob.N, K: prob.K, Seed: prob.Seed + 1}
 }
 
+// Validate rejects the problem sizes no generator or partition can
+// honour, where outside input (a job request, a command line) enters:
+// vertex IDs are int32, so a larger N would wrap silently, and a
+// probability outside [0,1] is not one. The generators keep their
+// panics for callers that skip this check — a programmer error.
+func (prob Problem) Validate() error {
+	if prob.N < 0 || prob.N > math.MaxInt32 {
+		return fmt.Errorf("algo: n=%d out of [0,%d] (vertex IDs are int32)", prob.N, math.MaxInt32)
+	}
+	if !(prob.EdgeP >= 0 && prob.EdgeP <= 1) { // also rejects NaN
+		return fmt.Errorf("algo: edge probability %v out of [0,1]", prob.EdgeP)
+	}
+	return nil
+}
+
 // GnpInput resolves the standard graph input of a problem — G(N, EdgeP)
 // at Seed, or the edge list at InputPath — as a materialised
-// VertexPartition or, when prob.Sharded, a lazy per-machine shard input.
-// All four paths produce bit-identical adjacency for each machine.
+// VertexPartition or, when prob.Sharded, a lazy shard input. All four
+// paths produce bit-identical adjacency for each machine. A problem
+// that fails Validate is an error, not a generator panic.
 func GnpInput(prob Problem) (partition.Input, error) {
+	if err := prob.Validate(); err != nil {
+		return nil, err
+	}
 	spec := prob.PartitionSpec()
 	if prob.InputPath != "" {
 		if prob.Sharded {
@@ -51,8 +72,8 @@ func EdgelessInput(prob Problem) partition.Input {
 	return partition.NewRVP(graph.NewBuilder(prob.N, false).Build(), prob.K, prob.Seed+1)
 }
 
-// timedInput wraps an Input and accumulates the wall-clock spent inside
-// MachineView, so the registry can report setup separately from
+// timedInput wraps an Input and accumulates the wall-clock spent
+// building views, so the registry can report setup separately from
 // supersteps regardless of where the input is actually built.
 type timedInput struct {
 	in       partition.Input
@@ -60,6 +81,13 @@ type timedInput struct {
 }
 
 func (t *timedInput) NumMachines() int { return t.in.NumMachines() }
+
+func (t *timedInput) MachineViews(hosted []core.MachineID) ([]partition.View, error) {
+	t0 := time.Now()
+	views, err := t.in.MachineViews(hosted)
+	t.viewTime += time.Since(t0)
+	return views, err
+}
 
 func (t *timedInput) MachineView(m core.MachineID) (partition.View, error) {
 	t0 := time.Now()

@@ -25,7 +25,7 @@ type Problem struct {
 	// N is the number of vertices (and, for dsort, keys; for routing,
 	// messages per machine).
 	N int
-	// EdgeP is the G(n,p) edge probability; 0 means 10/N.
+	// EdgeP is the G(n,p) edge probability; 0 means 10/N (at most 1).
 	EdgeP float64
 	// K is the number of machines.
 	K int
@@ -119,7 +119,7 @@ func (ck CheckpointSpec) sink() core.CheckpointSink {
 // withDefaults resolves the zero-value conventions.
 func (prob Problem) withDefaults() Problem {
 	if prob.EdgeP == 0 {
-		prob.EdgeP = 10 / float64(prob.N)
+		prob.EdgeP = min(1, 10/float64(prob.N)) // a probability even for n < 10
 	}
 	if prob.Bandwidth == 0 {
 		prob.Bandwidth = core.DefaultBandwidth(prob.N)
@@ -176,7 +176,7 @@ type Outcome struct {
 	// Summary holds human-readable result lines (kmnode prints them).
 	Summary []string
 	// SetupTime is input-construction wall-clock: Spec.Build (generation
-	// or full-graph ingest) plus every MachineView call (which is where
+	// or full-graph ingest) plus the MachineViews call (which is where
 	// shard generation/ingest happens for sharded inputs).
 	SetupTime time.Duration
 	// ExecTime is the remaining driver wall-clock: machine construction,

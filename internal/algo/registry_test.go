@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"math"
 	"testing"
 
 	"kmachine/internal/core"
@@ -216,5 +217,33 @@ func TestHash64Canonical(t *testing.T) {
 	c.Add(1)
 	if c.Sum() == a.Sum() {
 		t.Error("order-swapped stream collided")
+	}
+}
+
+// TestGnpInputRejectsImpossibleProblems: outside input is validated
+// where it enters, so a probability that is not one, or an n whose
+// vertex IDs would wrap int32, is an error from GnpInput — on the
+// materialised and the sharded path alike — and never reaches a
+// generator panic. The zero-value default stays a probability for n<10.
+func TestGnpInputRejectsImpossibleProblems(t *testing.T) {
+	for _, sharded := range []bool{false, true} {
+		for _, prob := range []Problem{
+			{N: 1000, K: 4, EdgeP: 2},
+			{N: 1000, K: 4, EdgeP: -0.1},
+			{N: 1000, K: 4, EdgeP: math.NaN()},
+			{N: math.MaxInt32 + 1, K: 4, EdgeP: 1e-9},
+		} {
+			prob.Sharded = sharded
+			if in, err := GnpInput(prob); err == nil {
+				t.Errorf("GnpInput(n=%d p=%v sharded=%v) = %T, want an error", prob.N, prob.EdgeP, sharded, in)
+			}
+		}
+		small := Problem{N: 5, K: 2, Sharded: sharded}.withDefaults()
+		if small.EdgeP != 1 {
+			t.Fatalf("default edge probability at n=5 is %v, want 1", small.EdgeP)
+		}
+		if _, err := GnpInput(small); err != nil {
+			t.Errorf("GnpInput(n=5, default p, sharded=%v): %v", sharded, err)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 // Out-of-core edge-list ingest: stream a text edge list from disk
-// straight into a per-machine CSR shard, so a real dataset can be run
-// without any process ever materialising the full graph.
+// straight into the CSR shards of the machines a process hosts, so a
+// real dataset can be run without any process ever materialising the
+// full graph. Cost: one read of the file per process — not per machine —
+// and O((n+m)/k) retained per hosted machine.
 //
 // File format: one edge per line, "u v" with whitespace separation;
 // blank lines and lines starting with '#' are skipped. Vertex IDs are
@@ -106,32 +108,37 @@ func ReadEdgeListGraph(path string, n int, directed bool) (*graph.Graph, error) 
 	return b.Build(), nil
 }
 
-// IngestEdgeList streams the edge list at path into machine m's CSR
-// shard: O(file) I/O, O((n+m)/k) retained memory, no global graph
-// object. The file may be the full edge list or a per-machine split
-// (cliutil's splitter) — any superset of m's incident edges ingests to
-// the identical shard, because the LocalBuilder drops remote-remote
-// lines.
-func IngestEdgeList(path string, ps partition.Spec, directed bool, m core.MachineID) (*partition.LocalView, error) {
+// IngestEdgeList streams the edge list at path into the CSR shards of
+// the hosted machines: the file is read ONCE however many machines the
+// process hosts (kmnode -local k -input f -sharded reads f once, not k
+// times), O((n+m)/k) memory is retained per hosted machine, and there is
+// no global graph object. Lines may come in any order, reversed, or
+// repeated; the lines with a hosted endpoint are held until the file
+// ends, all others are dropped as they are read. The file may be the
+// full edge list or a per-machine split (cliutil's splitter) — any
+// superset of a machine's incident edges ingests to the identical
+// shard.
+func IngestEdgeList(path string, ps partition.Spec, directed bool, hosted []core.MachineID) ([]*partition.LocalView, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	lb := partition.NewLocalBuilder(ps, m, directed)
-	if err := ScanEdgeList(f, ps.N, lb.AddArc); err != nil {
+	lb := partition.NewLocalBuilder(ps, hosted, directed)
+	lb.Spool(func(emit func(u, v int32)) { err = ScanEdgeList(f, ps.N, emit) })
+	if err != nil {
 		return nil, err
 	}
 	return lb.Build(), nil
 }
 
-// EdgeListInput returns the ShardedInput that ingests each machine's
-// shard from the edge list at path.
+// EdgeListInput returns the ShardedInput that ingests the hosted
+// machines' shards from the edge list at path.
 func EdgeListInput(path string, ps partition.Spec, directed bool) *partition.ShardedInput {
 	return &partition.ShardedInput{
 		Spec: ps,
-		BuildShard: func(m core.MachineID) (*partition.LocalView, error) {
-			return IngestEdgeList(path, ps, directed, m)
+		BuildShards: func(hosted []core.MachineID) ([]*partition.LocalView, error) {
+			return IngestEdgeList(path, ps, directed, hosted)
 		},
 	}
 }

@@ -43,12 +43,12 @@ func TestIngestRoundTrip(t *testing.T) {
 	}
 
 	ps := partition.Spec{N: n, K: k, Seed: 22}
+	shards, err := IngestEdgeList(path, ps, false, partition.AllMachines(k)) // one read of the file for all k
+	if err != nil {
+		t.Fatal(err)
+	}
 	covered := 0
-	for m := 0; m < k; m++ {
-		lv, err := IngestEdgeList(path, ps, false, core.MachineID(m))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for m, lv := range shards {
 		for _, u := range lv.Locals() {
 			if !slices.Equal(lv.OutAdj(u), g.Adj(int(u))) {
 				t.Fatalf("machine %d ingested OutAdj(%d) = %v, want %v", m, u, lv.OutAdj(u), g.Adj(int(u)))
@@ -77,10 +77,11 @@ func TestIngestDirectedRoundTrip(t *testing.T) {
 	}
 	ps := partition.Spec{N: n, K: k, Seed: 32}
 	for m := 0; m < k; m++ {
-		lv, err := IngestEdgeList(path, ps, true, core.MachineID(m))
+		shards, err := IngestEdgeList(path, ps, true, []core.MachineID{core.MachineID(m)})
 		if err != nil {
 			t.Fatal(err)
 		}
+		lv := shards[0]
 		for _, u := range lv.Locals() {
 			if !slices.Equal(lv.OutAdj(u), g.Adj(int(u))) {
 				t.Fatalf("machine %d OutAdj(%d) = %v, want %v", m, u, lv.OutAdj(u), g.Adj(int(u)))

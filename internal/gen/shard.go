@@ -1,18 +1,25 @@
-// Shard constructors: machine m's partition-local view of each generator
-// family, built without ever materialising a *graph.Graph. Each replays
-// the SAME canonical edge stream as the full constructor in gen.go
-// through a partition.LocalBuilder, which retains only the arcs incident
-// to m's Home-owned vertices — so the union of all k shards is
-// bit-identical to the full graph by construction (asserted per
-// generator by the shard/full equivalence suite).
+// Shard constructors: the partition-local views of each generator
+// family for the machines one process hosts, built without ever
+// materialising a *graph.Graph. Each runs the SAME canonical edge
+// stream as the full constructor in gen.go through a
+// partition.LocalBuilder, which routes every edge by the public hash to
+// the hosted shard(s) owning an endpoint — so the union of all k shards
+// is bit-identical to the full graph by construction, whether they are
+// built k at a time or one by one (asserted per generator by the
+// shard/full equivalence suite).
 //
-// Cost note: under a hashed RVP the random families must REPLAY the full
-// stream — an undirected edge {u,v} with u remote and v local is decided
-// by row u's RNG, which machine m can only reproduce by running row u —
-// so shard generation is O(n+m) time but O((n+m)/k) retained memory,
-// which is the resource the model (and E23) actually bounds per machine.
-// The structured families (Star, Path, Cycle) emit their local rows
-// directly and skip the replay entirely.
+// Cost note: under a hashed RVP the stream cannot be cut down to a
+// machine's rows — an undirected edge {u,v} with u remote and v local is
+// decided by row u's RNG, which only running row u reproduces — so a
+// process pays O(n+m) generation time however few machines it hosts,
+// and O((n+m)/k) retained memory per hosted machine, which is the
+// resource the model (and E23) actually bounds. It pays that time ONCE:
+// a process hosting all k machines runs the stream as often as a
+// process hosting one. The per-row families (Gnp, DirectedGnp) and the
+// structured ones run their stream twice, count then fill, and hold
+// nothing per arc in between; Gnm and PreferentialAttachment, whose
+// streams sort or carry global state, run once and spool the hosted
+// edges between the passes.
 package gen
 
 import (
@@ -22,108 +29,110 @@ import (
 	"kmachine/internal/partition"
 )
 
-// GnpShard builds machine m's shard of Gnp(ps.N, p, seed).
+// replayShards builds the hosted shards from a stream that is cheap and
+// deterministic to run twice.
+func replayShards(ps partition.Spec, hosted []core.MachineID, directed bool, stream func(emit func(u, v int32))) []*partition.LocalView {
+	lb := partition.NewLocalBuilder(ps, hosted, directed)
+	lb.Replay(stream)
+	return lb.Build()
+}
+
+// spoolShards builds the hosted shards from one run of a generator
+// stream.
+func spoolShards(ps partition.Spec, hosted []core.MachineID, stream func(emit func(u, v int32))) []*partition.LocalView {
+	lb := partition.NewLocalBuilder(ps, hosted, false)
+	lb.Spool(stream)
+	return lb.Build()
+}
+
+// GnpShards builds the hosted machines' shards of Gnp(ps.N, p, seed).
+func GnpShards(ps partition.Spec, p float64, seed uint64, hosted []core.MachineID) []*partition.LocalView {
+	if p < 0 || p > 1 {
+		panic(fmt.Sprintf("gen: GnpShards probability %v out of [0,1]", p))
+	}
+	return replayShards(ps, hosted, false, func(emit func(u, v int32)) { gnpStream(ps.N, p, seed, emit) })
+}
+
+// GnpShard builds machine m's shard of Gnp(ps.N, p, seed): GnpShards
+// for a set of one.
 func GnpShard(ps partition.Spec, p float64, seed uint64, m core.MachineID) *partition.LocalView {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("gen: GnpShard probability %v out of [0,1]", p))
-	}
-	lb := partition.NewLocalBuilder(ps, m, false)
-	gnpStream(ps.N, p, seed, lb.AddEdge)
-	return lb.Build()
+	return GnpShards(ps, p, seed, []core.MachineID{m})[0]
 }
 
-// DirectedGnpShard builds machine m's shard of DirectedGnp(ps.N, p, seed).
-func DirectedGnpShard(ps partition.Spec, p float64, seed uint64, m core.MachineID) *partition.LocalView {
+// DirectedGnpShards builds the hosted machines' shards of
+// DirectedGnp(ps.N, p, seed).
+func DirectedGnpShards(ps partition.Spec, p float64, seed uint64, hosted []core.MachineID) []*partition.LocalView {
 	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("gen: DirectedGnpShard probability %v out of [0,1]", p))
+		panic(fmt.Sprintf("gen: DirectedGnpShards probability %v out of [0,1]", p))
 	}
-	lb := partition.NewLocalBuilder(ps, m, true)
-	if p > 0 {
-		for u := 0; u < ps.N; u++ {
-			directedGnpRow(ps.N, p, seed, int32(u), func(v int32) { lb.AddArc(int32(u), v) })
+	return replayShards(ps, hosted, true, func(emit func(u, v int32)) {
+		if p <= 0 {
+			return
 		}
-	}
-	return lb.Build()
+		for u := 0; u < ps.N; u++ {
+			directedGnpRow(ps.N, p, seed, int32(u), func(v int32) { emit(int32(u), v) })
+		}
+	})
 }
 
-// GnmShard builds machine m's shard of Gnm(ps.N, mEdges, seed).
-func GnmShard(ps partition.Spec, mEdges int, seed uint64, m core.MachineID) *partition.LocalView {
+// GnmShards builds the hosted machines' shards of Gnm(ps.N, mEdges, seed).
+func GnmShards(ps partition.Spec, mEdges int, seed uint64, hosted []core.MachineID) []*partition.LocalView {
 	maxM := ps.N * (ps.N - 1) / 2
 	if mEdges > maxM {
-		panic(fmt.Sprintf("gen: GnmShard wants %d edges but K_%d has only %d", mEdges, ps.N, maxM))
+		panic(fmt.Sprintf("gen: GnmShards wants %d edges but K_%d has only %d", mEdges, ps.N, maxM))
 	}
-	lb := partition.NewLocalBuilder(ps, m, false)
-	gnmStream(ps.N, mEdges, seed, lb.AddEdge)
-	return lb.Build()
+	return spoolShards(ps, hosted, func(emit func(u, v int32)) { gnmStream(ps.N, mEdges, seed, emit) })
 }
 
-// StarShard builds machine m's shard of Star(ps.N). Row-direct: when the
-// hub is remote only the machine's own leaf rows are touched.
-func StarShard(ps partition.Spec, m core.MachineID) *partition.LocalView {
-	lb := partition.NewLocalBuilder(ps, m, false)
-	if lb.IsLocal(0) {
+// StarShards builds the hosted machines' shards of Star(ps.N).
+func StarShards(ps partition.Spec, hosted []core.MachineID) []*partition.LocalView {
+	return replayShards(ps, hosted, false, func(emit func(u, v int32)) {
 		for v := 1; v < ps.N; v++ {
-			lb.AddEdge(0, int32(v))
+			emit(0, int32(v))
 		}
-	} else {
-		for _, v := range lb.Locals() {
-			if v != 0 {
-				lb.AddEdge(0, v)
-			}
-		}
-	}
-	return lb.Build()
+	})
 }
 
-// PathShard builds machine m's shard of Path(ps.N). Row-direct.
-func PathShard(ps partition.Spec, m core.MachineID) *partition.LocalView {
-	lb := partition.NewLocalBuilder(ps, m, false)
-	for _, v := range lb.Locals() {
-		if v > 0 {
-			lb.AddEdge(v-1, v)
+// PathShards builds the hosted machines' shards of Path(ps.N).
+func PathShards(ps partition.Spec, hosted []core.MachineID) []*partition.LocalView {
+	return replayShards(ps, hosted, false, func(emit func(u, v int32)) {
+		for v := 0; v+1 < ps.N; v++ {
+			emit(int32(v), int32(v+1))
 		}
-		if int(v)+1 < ps.N {
-			lb.AddEdge(v, v+1)
-		}
-	}
-	return lb.Build()
+	})
 }
 
-// CycleShard builds machine m's shard of Cycle(ps.N). Row-direct.
-func CycleShard(ps partition.Spec, m core.MachineID) *partition.LocalView {
+// CycleShards builds the hosted machines' shards of Cycle(ps.N).
+func CycleShards(ps partition.Spec, hosted []core.MachineID) []*partition.LocalView {
 	if ps.N < 3 {
-		panic("gen: CycleShard needs n >= 3")
+		panic("gen: CycleShards needs n >= 3")
 	}
-	n := int32(ps.N)
-	lb := partition.NewLocalBuilder(ps, m, false)
-	for _, v := range lb.Locals() {
-		lb.AddEdge(v, (v+1)%n)
-		lb.AddEdge((v-1+n)%n, v)
-	}
-	return lb.Build()
+	return replayShards(ps, hosted, false, func(emit func(u, v int32)) {
+		for v := 0; v < ps.N; v++ {
+			emit(int32(v), int32((v+1)%ps.N))
+		}
+	})
 }
 
-// PreferentialAttachmentShard builds machine m's shard of
-// PreferentialAttachment(ps.N, attach, seed) by replaying the canonical
-// attachment stream (the global degree state is inherent to the model,
-// but only m's rows are retained).
-func PreferentialAttachmentShard(ps partition.Spec, attach int, seed uint64, m core.MachineID) *partition.LocalView {
+// PreferentialAttachmentShards builds the hosted machines' shards of
+// PreferentialAttachment(ps.N, attach, seed) from one run of the
+// canonical attachment stream (the global degree state is inherent to
+// the model, but only the hosted rows are retained).
+func PreferentialAttachmentShards(ps partition.Spec, attach int, seed uint64, hosted []core.MachineID) []*partition.LocalView {
 	if attach < 1 {
-		panic("gen: PreferentialAttachmentShard needs attach >= 1")
+		panic("gen: PreferentialAttachmentShards needs attach >= 1")
 	}
-	lb := partition.NewLocalBuilder(ps, m, false)
-	paStream(ps.N, attach, seed, lb.AddEdge)
-	return lb.Build()
+	return spoolShards(ps, hosted, func(emit func(u, v int32)) { paStream(ps.N, attach, seed, emit) })
 }
 
-// GnpInput returns the ShardedInput that lazily builds per-machine
-// Gnp shards — the registry's sharded counterpart of
-// NewRVP(Gnp(n, p, seed), k, pseed).
+// GnpInput returns the ShardedInput whose MachineViews replays Gnp once
+// into the shards of the machines asked for — the registry's sharded
+// counterpart of NewRVP(Gnp(n, p, seed), k, pseed).
 func GnpInput(ps partition.Spec, p float64, seed uint64) *partition.ShardedInput {
 	return &partition.ShardedInput{
 		Spec: ps,
-		BuildShard: func(m core.MachineID) (*partition.LocalView, error) {
-			return GnpShard(ps, p, seed, m), nil
+		BuildShards: func(hosted []core.MachineID) ([]*partition.LocalView, error) {
+			return GnpShards(ps, p, seed, hosted), nil
 		},
 	}
 }
@@ -134,8 +143,8 @@ func GnpInput(ps partition.Spec, p float64, seed uint64) *partition.ShardedInput
 func EdgelessInput(ps partition.Spec) *partition.ShardedInput {
 	return &partition.ShardedInput{
 		Spec: ps,
-		BuildShard: func(m core.MachineID) (*partition.LocalView, error) {
-			return partition.NewLocalBuilder(ps, m, false).Build(), nil
+		BuildShards: func(hosted []core.MachineID) ([]*partition.LocalView, error) {
+			return partition.NewLocalBuilder(ps, hosted, false).Build(), nil
 		},
 	}
 }

@@ -1,7 +1,11 @@
 package gen
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"kmachine/internal/core"
@@ -13,92 +17,185 @@ import (
 // shardFamily pairs a generator's full constructor with its shard
 // constructor so the equivalence property below can sweep every family.
 type shardFamily struct {
-	name     string
-	directed bool
-	full     func(n int, seed uint64) *graph.Graph
-	shard    func(ps partition.Spec, seed uint64, m core.MachineID) *partition.LocalView
+	name   string
+	full   func(n int, seed uint64) *graph.Graph
+	shards func(ps partition.Spec, seed uint64, hosted []core.MachineID) []*partition.LocalView
 }
 
 func shardFamilies() []shardFamily {
 	return []shardFamily{
-		{"gnp", false,
+		{"gnp",
 			func(n int, seed uint64) *graph.Graph { return Gnp(n, 0.06, seed) },
-			func(ps partition.Spec, seed uint64, m core.MachineID) *partition.LocalView {
-				return GnpShard(ps, 0.06, seed, m)
+			func(ps partition.Spec, seed uint64, hosted []core.MachineID) []*partition.LocalView {
+				return GnpShards(ps, 0.06, seed, hosted)
 			}},
-		{"directed-gnp", true,
+		{"directed-gnp",
 			func(n int, seed uint64) *graph.Graph { return DirectedGnp(n, 0.04, seed) },
-			func(ps partition.Spec, seed uint64, m core.MachineID) *partition.LocalView {
-				return DirectedGnpShard(ps, 0.04, seed, m)
+			func(ps partition.Spec, seed uint64, hosted []core.MachineID) []*partition.LocalView {
+				return DirectedGnpShards(ps, 0.04, seed, hosted)
 			}},
-		{"gnm", false,
+		{"gnm",
 			func(n int, seed uint64) *graph.Graph { return Gnm(n, 3*n, seed) },
-			func(ps partition.Spec, seed uint64, m core.MachineID) *partition.LocalView {
-				return GnmShard(ps, 3*ps.N, seed, m)
+			func(ps partition.Spec, seed uint64, hosted []core.MachineID) []*partition.LocalView {
+				return GnmShards(ps, 3*ps.N, seed, hosted)
 			}},
-		{"star", false,
+		{"star",
 			func(n int, seed uint64) *graph.Graph { return Star(n) },
-			func(ps partition.Spec, seed uint64, m core.MachineID) *partition.LocalView {
-				return StarShard(ps, m)
+			func(ps partition.Spec, seed uint64, hosted []core.MachineID) []*partition.LocalView {
+				return StarShards(ps, hosted)
 			}},
-		{"path", false,
+		{"path",
 			func(n int, seed uint64) *graph.Graph { return Path(n) },
-			func(ps partition.Spec, seed uint64, m core.MachineID) *partition.LocalView {
-				return PathShard(ps, m)
+			func(ps partition.Spec, seed uint64, hosted []core.MachineID) []*partition.LocalView {
+				return PathShards(ps, hosted)
 			}},
-		{"cycle", false,
+		{"cycle",
 			func(n int, seed uint64) *graph.Graph { return Cycle(n) },
-			func(ps partition.Spec, seed uint64, m core.MachineID) *partition.LocalView {
-				return CycleShard(ps, m)
+			func(ps partition.Spec, seed uint64, hosted []core.MachineID) []*partition.LocalView {
+				return CycleShards(ps, hosted)
 			}},
-		{"pref-attach", false,
+		{"pref-attach",
 			func(n int, seed uint64) *graph.Graph { return PreferentialAttachment(n, 3, seed) },
-			func(ps partition.Spec, seed uint64, m core.MachineID) *partition.LocalView {
-				return PreferentialAttachmentShard(ps, 3, seed, m)
+			func(ps partition.Spec, seed uint64, hosted []core.MachineID) []*partition.LocalView {
+				return PreferentialAttachmentShards(ps, 3, seed, hosted)
 			}},
 	}
 }
 
+// hostedSubset draws a non-empty subset of the k machines in random
+// order: what one process of a multi-process run might host.
+func hostedSubset(r *rng.RNG, k int) []core.MachineID {
+	all := partition.AllMachines(k)
+	rng.Shuffle(r, all)
+	return all[:1+r.Intn(k)]
+}
+
+// checkShardSets is the hosted-set equivalence property for one
+// (source, partition): the k one-machine shards are, row for row, the
+// rows of the full graph and cover every vertex once; and the shards a
+// process hosting a random subset builds from ONE pass over the source
+// are those same one-machine shards, in the order asked for.
+func checkShardSets(t *testing.T, label string, full *graph.Graph, ps partition.Spec, seed uint64,
+	shards func(hosted []core.MachineID) []*partition.LocalView) {
+	t.Helper()
+	single := make([]*partition.LocalView, ps.K)
+	covered := 0
+	for m := range single {
+		lv := shards([]core.MachineID{core.MachineID(m)})[0]
+		if lv.Self() != core.MachineID(m) || lv.K() != ps.K || lv.N() != ps.N {
+			t.Fatalf("%s: shard %d identity (self=%d k=%d n=%d)", label, m, lv.Self(), lv.K(), lv.N())
+		}
+		if want := ps.Locals(core.MachineID(m)); !slices.Equal(lv.Locals(), want) {
+			t.Fatalf("%s machine %d: Locals = %v, want %v", label, m, lv.Locals(), want)
+		}
+		for _, u := range lv.Locals() {
+			if got, want := lv.OutAdj(u), full.Adj(int(u)); !slices.Equal(got, want) {
+				t.Fatalf("%s machine %d: OutAdj(%d) = %v, full graph has %v", label, m, u, got, want)
+			}
+			if got, want := lv.InAdj(u), full.InAdj(int(u)); !slices.Equal(got, want) {
+				t.Fatalf("%s machine %d: InAdj(%d) = %v, full graph has %v", label, m, u, got, want)
+			}
+			if lv.Degree(u) != full.Degree(int(u)) {
+				t.Fatalf("%s machine %d: Degree(%d) = %d, want %d", label, m, u, lv.Degree(u), full.Degree(int(u)))
+			}
+		}
+		covered += len(lv.Locals())
+		single[m] = lv
+	}
+	if covered != ps.N {
+		t.Fatalf("%s: shards cover %d vertices, want %d", label, covered, ps.N)
+	}
+
+	hosted := hostedSubset(rng.New(seed^uint64(ps.K)), ps.K)
+	set := shards(hosted)
+	if len(set) != len(hosted) {
+		t.Fatalf("%s hosted %v: %d shards, want %d", label, hosted, len(set), len(hosted))
+	}
+	for i, m := range hosted {
+		lv, one := set[i], single[m]
+		if lv.Self() != m || !slices.Equal(lv.Locals(), one.Locals()) || lv.LocalArcs() != one.LocalArcs() {
+			t.Fatalf("%s hosted %v: shard %d is machine %d with %d locals, %d arcs; alone it has %d locals, %d arcs",
+				label, hosted, i, lv.Self(), len(lv.Locals()), lv.LocalArcs(), len(one.Locals()), one.LocalArcs())
+		}
+		for _, u := range lv.Locals() {
+			if !slices.Equal(lv.OutAdj(u), one.OutAdj(u)) || !slices.Equal(lv.InAdj(u), one.InAdj(u)) {
+				t.Fatalf("%s hosted %v machine %d: row %d differs from the one-machine shard", label, hosted, m, u)
+			}
+		}
+	}
+}
+
 // TestShardFullEquivalence is the tentpole property: for every
-// generator family, the union of the k machine-local shards is
-// bit-identical to the full materialisation — row for row, neighbour
-// for neighbour — across machine counts and seeds. This is what makes
-// the per-row stream the canonical definition rather than a parallel
-// implementation that could drift.
+// generator family, the shards of one replay for a hosted set equal the
+// one-machine shards equal the rows of the full materialisation —
+// row for row, neighbour for neighbour — across machine counts and
+// seeds. This is what makes the per-row stream the canonical definition
+// rather than a parallel implementation that could drift.
 func TestShardFullEquivalence(t *testing.T) {
 	const n = 150
 	for _, fam := range shardFamilies() {
-		for _, k := range []int{1, 2, 8} {
+		for _, k := range []int{1, 2, 3, 8} {
 			for _, seed := range []uint64{1, 42} {
-				full := fam.full(n, seed)
 				ps := partition.Spec{N: n, K: k, Seed: seed + 1}
-				covered := 0
-				for m := 0; m < k; m++ {
-					lv := fam.shard(ps, seed, core.MachineID(m))
-					if lv.Self() != core.MachineID(m) || lv.K() != k || lv.N() != n {
-						t.Fatalf("%s k=%d seed=%d: shard %d identity (self=%d k=%d n=%d)",
-							fam.name, k, seed, m, lv.Self(), lv.K(), lv.N())
-					}
-					for _, u := range lv.Locals() {
-						if got, want := lv.OutAdj(u), full.Adj(int(u)); !slices.Equal(got, want) {
-							t.Fatalf("%s k=%d seed=%d machine %d: OutAdj(%d) = %v, full graph has %v",
-								fam.name, k, seed, m, u, got, want)
-						}
-						if got, want := lv.InAdj(u), full.InAdj(int(u)); !slices.Equal(got, want) {
-							t.Fatalf("%s k=%d seed=%d machine %d: InAdj(%d) = %v, full graph has %v",
-								fam.name, k, seed, m, u, got, want)
-						}
-						if lv.Degree(u) != full.Degree(int(u)) {
-							t.Fatalf("%s k=%d seed=%d machine %d: Degree(%d) = %d, want %d",
-								fam.name, k, seed, m, u, lv.Degree(u), full.Degree(int(u)))
-						}
-					}
-					covered += len(lv.Locals())
-				}
-				if covered != n {
-					t.Fatalf("%s k=%d seed=%d: shards cover %d vertices, want %d", fam.name, k, seed, covered, n)
-				}
+				checkShardSets(t, fmt.Sprintf("%s k=%d seed=%d", fam.name, k, seed), fam.full(n, seed), ps, seed,
+					func(hosted []core.MachineID) []*partition.LocalView { return fam.shards(ps, seed, hosted) })
 			}
+		}
+	}
+}
+
+// TestShardEdgeListEquivalence drives the arm no generator takes: an
+// edge-list file whose lines are shuffled, reversed (undirected only —
+// a reversed arc is another arc), repeated, and salted with self-loops,
+// so every row arrives out of order and with repeats and must be sorted
+// and deduped on its own. The ingested shards must equal the rows of
+// the graph the same file fully materialises to.
+func TestShardEdgeListEquivalence(t *testing.T) {
+	const n = 150
+	for _, directed := range []bool{false, true} {
+		for _, k := range []int{1, 2, 3, 8} {
+			seed := uint64(7 + k)
+			r := rng.New(seed)
+			var g *graph.Graph
+			if directed {
+				g = DirectedGnp(n, 0.05, seed)
+			} else {
+				g = Gnp(n, 0.07, seed)
+			}
+			lines := g.EdgeList()
+			for i := 0; i < 40; i++ {
+				lines = append(lines, lines[r.Intn(len(lines))]) // duplicate
+				v := int32(r.Intn(n))
+				lines = append(lines, [2]int32{v, v}) // self-loop
+			}
+			rng.Shuffle(r, lines)
+			var text strings.Builder
+			for _, e := range lines {
+				if !directed && r.Intn(2) == 0 {
+					e[0], e[1] = e[1], e[0]
+				}
+				fmt.Fprintf(&text, "%d %d\n", e[0], e[1])
+			}
+			path := filepath.Join(t.TempDir(), "edges.txt")
+			if err := os.WriteFile(path, []byte(text.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			full, err := ReadEdgeListGraph(path, n, directed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.M() != g.M() {
+				t.Fatalf("directed=%v k=%d: messy file materialises to %d edges, the clean graph has %d", directed, k, full.M(), g.M())
+			}
+			ps := partition.Spec{N: n, K: k, Seed: seed + 1}
+			checkShardSets(t, fmt.Sprintf("edge-list directed=%v k=%d", directed, k), full, ps, seed,
+				func(hosted []core.MachineID) []*partition.LocalView {
+					views, err := IngestEdgeList(path, ps, directed, hosted)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return views
+				})
 		}
 	}
 }
@@ -197,10 +294,43 @@ func BenchmarkGnm(b *testing.B) {
 	}
 }
 
+var shardSink []*partition.LocalView
+
+// BenchmarkGnpShard pins the sharded-setup layer at the shape of the
+// benchmark's conncomp-node-sharded workload (N=100000, average degree
+// 12, k=8), for what a kmnode -id process builds (a set of one) and
+// what an in-process cluster builds (all k, still one replay).
 func BenchmarkGnpShard(b *testing.B) {
-	ps := partition.Spec{N: 20000, K: 8, Seed: 2}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = GnpShard(ps, 10.0/20000, 1, 0)
+	const n, k = 100000, 8
+	ps := partition.Spec{N: n, K: k, Seed: 2}
+	for _, arm := range []struct {
+		name   string
+		hosted []core.MachineID
+	}{{"one", partition.AllMachines(k)[:1]}, {"all-k", partition.AllMachines(k)}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				shardSink = GnpShards(ps, 12.0/n, 1, arm.hosted)
+			}
+		})
+	}
+}
+
+// TestGnpShardAllocsIndependentOfArcs is the allocation fence of the
+// shard build: a dozen for the builder and its stream, plus locals,
+// offsets, targets and the view per hosted machine — and nothing per
+// arc, so a graph ten times denser stays under the same ceiling.
+func TestGnpShardAllocsIndependentOfArcs(t *testing.T) {
+	const n, k = 20000, 8
+	ps := partition.Spec{N: n, K: k, Seed: 2}
+	for _, hosted := range [][]core.MachineID{partition.AllMachines(k)[:1], partition.AllMachines(k)} {
+		limit := float64(12 + 4*len(hosted))
+		for _, deg := range []float64{4, 40} {
+			allocs := testing.AllocsPerRun(3, func() { shardSink = GnpShards(ps, deg/n, 1, hosted) })
+			if allocs > limit {
+				t.Errorf("hosting %d, degree %v: %v allocations per build, want at most %v",
+					len(hosted), deg, allocs, limit)
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -283,5 +284,48 @@ func TestHTTPCheckpointedSubmit(t *testing.T) {
 	gresp.Body.Close()
 	if jj.Result == nil || jj.Result.Recoveries < 1 {
 		t.Errorf("result over HTTP reports no recoveries: %+v", jj.Result)
+	}
+}
+
+// TestHTTPRejectsImpossibleProblems is the regression for the daemon
+// kill: an edge probability outside [0,1] (or an n beyond int32 vertex
+// IDs) used to reach the generator, which panicked on the executor
+// goroutine and took the resident daemon down. Both must bounce at
+// intake with 400, and the jobs after them — including an n below 10,
+// whose default 10/n is clamped to a probability — must still run.
+func TestHTTPRejectsImpossibleProblems(t *testing.T) {
+	const k = 3
+	s := New(inmemBackend{k: k}, Options{})
+	defer s.Close()
+	mux := http.NewServeMux()
+	s.RegisterAPI(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	for _, body := range []string{
+		`{"algo":"conncomp","n":1000,"edge_p":2}`,
+		`{"algo":"conncomp","n":1000,"edge_p":-0.5}`,
+		`{"algo":"conncomp","n":3000000000}`,
+	} {
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg bytes.Buffer
+		msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: %d %s, want 400", body, resp.StatusCode, msg.String())
+		}
+	}
+
+	for _, n := range []int{5, 120} {
+		id, err := s.Submit(Request{Algo: "conncomp", Prob: algo.Problem{N: n, Seed: 7}})
+		if err != nil {
+			t.Fatalf("submit n=%d after the rejected jobs: %v", n, err)
+		}
+		if j := waitState(t, s, id); j.State != StateDone {
+			t.Fatalf("job n=%d after the rejected jobs ended %q: %s", n, j.State, j.Err)
+		}
 	}
 }

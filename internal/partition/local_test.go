@@ -11,16 +11,18 @@ import (
 	. "kmachine/internal/partition"
 )
 
-// buildLocal replays g's edges through a LocalBuilder — the
-// generator-independent way to shard an existing graph — and returns
-// machine m's LocalView.
+// buildLocal replays g's edges through a LocalBuilder hosting machine m
+// alone — the generator-independent way to shard an existing graph —
+// and returns m's LocalView.
 func buildLocal(g *graph.Graph, spec Spec, m core.MachineID, directed bool) *LocalView {
-	lb := NewLocalBuilder(spec, m, directed)
-	g.Edges(func(u, v int32) bool {
-		lb.AddArc(u, v)
-		return true
+	lb := NewLocalBuilder(spec, []core.MachineID{m}, directed)
+	lb.Replay(func(emit func(u, v int32)) {
+		g.Edges(func(u, v int32) bool {
+			emit(u, v)
+			return true
+		})
 	})
-	return lb.Build()
+	return lb.Build()[0]
 }
 
 // TestLocalViewMatchesGraphView is the interface-parity property: on
@@ -67,6 +69,13 @@ func TestLocalViewMatchesGraphView(t *testing.T) {
 					}
 					if gv.IsLocal(v) != lv.IsLocal(v) {
 						t.Fatalf("IsLocal(%d): graph %v, local %v", v, gv.IsLocal(v), lv.IsLocal(v))
+					}
+				}
+				// Membership is the hash, which is defined for any ID; IDs
+				// outside [0, N) are nobody's.
+				for _, v := range []int32{-1, int32(tc.g.N())} {
+					if lv.IsLocal(v) {
+						t.Fatalf("machine %d: IsLocal(%d) = true for an ID outside [0,%d)", m, v, tc.g.N())
 					}
 				}
 			}
@@ -120,7 +129,7 @@ func TestSpecAgreesWithNewRVP(t *testing.T) {
 func TestShardedInputWrapsBuildErrors(t *testing.T) {
 	in := &ShardedInput{
 		Spec: Spec{N: 10, K: 2, Seed: 1},
-		BuildShard: func(m core.MachineID) (*LocalView, error) {
+		BuildShards: func(hosted []core.MachineID) ([]*LocalView, error) {
 			return nil, errBoom
 		},
 	}
@@ -128,7 +137,7 @@ func TestShardedInputWrapsBuildErrors(t *testing.T) {
 		t.Fatalf("NumMachines = %d", in.NumMachines())
 	}
 	_, err := in.MachineView(1)
-	if err == nil || !strings.Contains(err.Error(), "shard 1") {
+	if err == nil || !strings.Contains(err.Error(), "shards [1]") {
 		t.Fatalf("MachineView error %v does not attribute the machine", err)
 	}
 }

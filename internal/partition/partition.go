@@ -142,13 +142,18 @@ type View interface {
 // Input is a partitioned problem input as the algorithm driver sees it:
 // it hands every machine its View. *VertexPartition implements it by
 // windowing the shared global graph; ShardedInput (local.go) by building
-// each machine's CSR shard on demand, so a process hosting one machine
-// materialises only that machine's Õ((n+m)/k) share.
+// the CSR shards of the machines a process hosts from one pass over the
+// source, so a process hosting one machine materialises only that
+// machine's Õ((n+m)/k) share.
 type Input interface {
 	// NumMachines returns k.
 	NumMachines() int
-	// MachineView returns machine m's local window. For sharded inputs
-	// this is where the shard is generated or ingested, so it can fail.
+	// MachineViews returns the local windows of the machines this
+	// process hosts, in the order given. For sharded inputs this is
+	// where the shards are generated or ingested — once for the whole
+	// set — so it can fail.
+	MachineViews(hosted []core.MachineID) ([]View, error)
+	// MachineView is MachineViews for a set of one.
 	MachineView(m core.MachineID) (View, error)
 }
 
@@ -163,6 +168,15 @@ func (p *VertexPartition) NumMachines() int { return p.K }
 // MachineView implements Input.
 func (p *VertexPartition) MachineView(m core.MachineID) (View, error) {
 	return p.View(m), nil
+}
+
+// MachineViews implements Input.
+func (p *VertexPartition) MachineViews(hosted []core.MachineID) ([]View, error) {
+	views := make([]View, len(hosted))
+	for i, m := range hosted {
+		views[i] = p.View(m)
+	}
+	return views, nil
 }
 
 // GraphView is the full-materialisation View: a window onto a
