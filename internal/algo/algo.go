@@ -13,15 +13,15 @@
 //
 //   - Run / Exec: the in-process cluster (core.Cluster) over any
 //     transport.Kind (loopback or real TCP sockets);
-//   - NodeRunLocal: the standalone node runtime (transport/node), every
-//     machine with its own listener+dialer over loopback TCP in one
-//     process (cmd/kmnode -local);
-//   - NodeRun: ONE machine of a multi-process cluster (cmd/kmnode -id),
-//     peers living in other processes.
+//   - NodeRunLocal: the socket link (transport/node), every machine
+//     with its own listener+dialer over loopback TCP in one process
+//     (cmd/kmnode -local);
+//   - Entry.RunStandalone: ONE machine of a multi-process cluster
+//     (cmd/kmnode -id), peers living in other processes.
 //
-// All cost accounting happens in core before envelopes reach a
-// transport, so a descriptor's Stats and outputs are bit-identical on
-// every substrate — the registry test suite asserts exactly that for
+// Every one of them is core.Drive per machine, and all cost accounting
+// happens there before envelopes reach a link, so a descriptor's Stats
+// and outputs are bit-identical on every substrate — the registry test suite asserts exactly that for
 // every registered algorithm.
 //
 // The registry half of the package (registry.go) erases the generic
@@ -78,166 +78,104 @@ type Algorithm[M, L, O any] struct {
 // *partition.ShardedInput, whose k CSR shards are built from one pass
 // over its source.
 func Run[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config) (O, *core.Stats, error) {
-	out, stats, _, err := RunWire(a, in, cfg)
+	out, stats, _, err := execute(a, in, cfg.K, inProcess(cfg, a.Codec))
 	return out, stats, err
 }
 
-// RunWire is Run additionally reporting the substrate's physical
-// bytes-on-wire (zero for the loopback): the paper-level Stats describe
-// the model's words, the WireStats what the sockets actually carried.
-func RunWire[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config) (O, *core.Stats, transport.WireStats, error) {
-	var zero O
-	if cfg.K != in.NumMachines() {
-		return zero, nil, transport.WireStats{}, fmt.Errorf("%s: cluster k=%d but partition k=%d", a.Name, cfg.K, in.NumMachines())
-	}
-	machines, err := buildMachines(a, in)
-	if err != nil {
-		return zero, nil, transport.WireStats{}, err
-	}
-	return runCluster(cfg, a.Codec, machines, a.Merge)
+// NodeRunLocal executes the algorithm over the socket link: the full
+// k-machine cluster in this process, every machine with its own
+// listener and dialer on loopback TCP and the report/verdict rounds of
+// transport/node (cmd/kmnode -local). Outputs and Stats are
+// bit-identical to Run on the same inputs. ncfg is the per-machine
+// Config template of node.RunLocal (ID/addresses ignored); its K must
+// match the partition's, and its Context/SuperstepTimeout knobs bound
+// the run exactly as they do standalone.
+func NodeRunLocal[M, L, O any](a Algorithm[M, L, O], in partition.Input, ncfg node.Config) (O, *core.Stats, error) {
+	out, stats, _, err := execute(a, in, ncfg.K, onSockets(ncfg, nil, 0, a.Codec))
+	return out, stats, err
 }
 
-// Exec is the substrate-owning driver tail shared by every algorithm's
-// Run function: build the k machines (in machine-ID order, exactly like
-// core.NewCluster's factory contract), resolve cfg.Transport, run to
-// quiescence, then extract and merge the machine-local outputs. It
-// exists separately from Run for algorithms whose input is not a vertex
-// partition (dsort's key lists, routing's synthetic workloads).
+// Exec is Run for algorithms whose input is not a vertex partition
+// (dsort's key lists, routing's synthetic workloads): build constructs
+// the k machines, in machine-ID order exactly like core.NewCluster's
+// factory contract.
 func Exec[M, L, O any](cfg core.Config, codec wire.Codec[M], build func(core.MachineID) (Machine[M, L], error), merge func([]L) O) (O, *core.Stats, error) {
-	out, stats, _, err := ExecWire(cfg, codec, build, merge)
-	return out, stats, err
-}
-
-// ExecWire is Exec additionally reporting the substrate's physical
-// bytes-on-wire alongside the paper-level Stats.
-func ExecWire[M, L, O any](cfg core.Config, codec wire.Codec[M], build func(core.MachineID) (Machine[M, L], error), merge func([]L) O) (O, *core.Stats, transport.WireStats, error) {
 	var zero O
 	machines := make([]Machine[M, L], cfg.K)
 	for i := range machines {
 		m, err := build(core.MachineID(i))
 		if err != nil {
-			return zero, nil, transport.WireStats{}, err
+			return zero, nil, err
 		}
 		machines[i] = m
 	}
-	return runCluster(cfg, codec, machines, merge)
+	out, stats, _, err := runOn(machines, merge, inProcess(cfg, codec))
+	return out, stats, err
 }
 
-// runCluster runs the built machines on an in-process cluster to
-// quiescence and merges their outputs.
-func runCluster[M, L, O any](cfg core.Config, codec wire.Codec[M], machines []Machine[M, L], merge func([]L) O) (O, *core.Stats, transport.WireStats, error) {
+// site is where the k built machines of a run execute: it reports the
+// paper-level Stats and the physical bytes-on-wire the substrate
+// shipped (zero for the loopback). The WireStats ride alongside the
+// Stats rather than inside them: Stats are bit-identical across
+// substrates by construction, bytes-on-wire are exactly the
+// substrate-dependent quantity the model abstracts away.
+type site[M any] func(machine func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error)
+
+// inProcess is the in-process cluster over cfg.Transport.
+func inProcess[M any](cfg core.Config, codec wire.Codec[M]) site[M] {
+	return func(machine func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
+		return core.RunOverWire(core.NewCluster(cfg, machine), codec)
+	}
+}
+
+// onSockets is the per-machine socket link, all k machines in this
+// process: over a private loopback mesh (lm == nil, kmnode -local), or
+// as job `job` on a standing one, the resident-daemon substrate, where
+// the fabric outlives the run and a failed job poisons it.
+func onSockets[M any](ncfg node.Config, lm *node.LocalMesh, job uint64, codec wire.Codec[M]) site[M] {
+	return func(machine func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
+		if lm == nil {
+			return node.RunLocal(ncfg, codec, machine)
+		}
+		return node.RunJobLocal(lm, ncfg, job, codec, machine)
+	}
+}
+
+// execute is the single run entry of every all-k substrate: ask the
+// input for all k views in ONE call — a sharded input replays its
+// generator or reads its file once for the whole process, not once per
+// machine — construct the k machines sequentially in machine-ID order
+// (so a factory error surfaces before any cluster is built), run them
+// on the site, and merge their outputs.
+func execute[M, L, O any](a Algorithm[M, L, O], in partition.Input, k int, on site[M]) (O, *core.Stats, transport.WireStats, error) {
 	var zero O
-	cluster := core.NewCluster(cfg, func(id core.MachineID) core.Machine[M] {
-		return machines[id]
-	})
-	stats, w, err := core.RunOverWire(cluster, codec)
+	if k != in.NumMachines() {
+		return zero, nil, transport.WireStats{}, fmt.Errorf("%s: cluster k=%d but partition k=%d", a.Name, k, in.NumMachines())
+	}
+	views, err := in.MachineViews(partition.AllMachines(k))
 	if err != nil {
-		return zero, nil, w, err
+		return zero, nil, transport.WireStats{}, fmt.Errorf("%s: %w", a.Name, err)
 	}
-	return mergeOutputs(machines, merge), stats, w, nil
-}
-
-// NodeRunLocal executes the algorithm over the standalone node runtime:
-// the full k-machine cluster in this process, every machine with its
-// own listener and dialer on loopback TCP and the coordinator-driven
-// superstep protocol of transport/node (cmd/kmnode -local). Outputs and
-// Stats are bit-identical to Run on the same inputs. ncfg is the
-// per-machine Config template of node.RunLocal (ID/addresses ignored);
-// its K must match the partition's, and its Context/SuperstepTimeout
-// knobs bound the run exactly as they do standalone.
-func NodeRunLocal[M, L, O any](a Algorithm[M, L, O], in partition.Input, ncfg node.Config) (O, *core.Stats, error) {
-	var zero O
-	if ncfg.K != in.NumMachines() {
-		return zero, nil, fmt.Errorf("%s: node cluster k=%d but partition k=%d", a.Name, ncfg.K, in.NumMachines())
-	}
-	machines, err := buildMachines(a, in)
-	if err != nil {
-		return zero, nil, err
-	}
-	stats, err := node.RunLocal(ncfg, a.Codec, func(id core.MachineID) core.Machine[M] {
-		return machines[id]
-	})
-	if err != nil {
-		return zero, nil, err
-	}
-	return mergeOutputs(machines, a.Merge), stats, nil
-}
-
-// NodeRunJob executes the algorithm as one job on a standing mesh
-// (node.RunJobLocal): the resident-daemon substrate, where the socket
-// fabric outlives individual jobs and each job attaches fresh typed
-// endpoints framing its traffic with the job ID. Outputs and Stats are
-// bit-identical to NodeRunLocal on the same inputs; only the mesh
-// lifetime differs. On error the mesh is poisoned and must be rebuilt.
-func NodeRunJob[M, L, O any](a Algorithm[M, L, O], in partition.Input, lm *node.LocalMesh, ncfg node.Config, job uint64) (O, *core.Stats, error) {
-	var zero O
-	if ncfg.K != in.NumMachines() {
-		return zero, nil, fmt.Errorf("%s: node cluster k=%d but partition k=%d", a.Name, ncfg.K, in.NumMachines())
-	}
-	machines, err := buildMachines(a, in)
-	if err != nil {
-		return zero, nil, err
-	}
-	stats, err := node.RunJobLocal(lm, ncfg, job, a.Codec, func(id core.MachineID) core.Machine[M] {
-		return machines[id]
-	})
-	if err != nil {
-		return zero, nil, err
-	}
-	return mergeOutputs(machines, a.Merge), stats, nil
-}
-
-// NodeRun executes ONE machine of the algorithm's cluster in this
-// process (cmd/kmnode -id); the peers live in other processes and are
-// reached through ncfg. It returns the machine-local output — every
-// process of the run reconstructs the same partition from the shared
-// seed, and the union of the k local outputs is the Run output. With a
-// sharded input this is where the O((n+m)/k) per-process setup win
-// lands: MachineView — MachineViews for a set of one — builds only
-// this machine's rows.
-func NodeRun[M, L, O any](a Algorithm[M, L, O], in partition.Input, ncfg node.Config) (L, *core.Stats, error) {
-	var zero L
-	v, err := in.MachineView(core.MachineID(ncfg.ID))
-	if err != nil {
-		return zero, nil, fmt.Errorf("%s: %w", a.Name, err)
-	}
-	m, err := a.NewMachine(v)
-	if err != nil {
-		return zero, nil, err
-	}
-	stats, err := node.Run(ncfg, m, a.Codec)
-	if err != nil {
-		return zero, nil, err
-	}
-	return m.Output(), stats, nil
-}
-
-// buildMachines asks the input for all k views in ONE call — a sharded
-// input replays its generator or reads its file once for the whole
-// process, not once per machine — then constructs the k machines
-// sequentially in machine-ID order: the shared construction contract of
-// every substrate, and the reason a factory error can surface before
-// any cluster is built.
-func buildMachines[M, L, O any](a Algorithm[M, L, O], in partition.Input) ([]Machine[M, L], error) {
-	views, err := in.MachineViews(partition.AllMachines(in.NumMachines()))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", a.Name, err)
-	}
-	machines := make([]Machine[M, L], len(views))
+	machines := make([]Machine[M, L], k)
 	for i, v := range views {
 		if machines[i], err = a.NewMachine(v); err != nil {
-			return nil, err
+			return zero, nil, transport.WireStats{}, err
 		}
 	}
-	return machines, nil
+	return runOn(machines, a.Merge, on)
 }
 
-// mergeOutputs extracts the machine-local outputs in machine-ID order
-// and folds them.
-func mergeOutputs[M, L, O any](machines []Machine[M, L], merge func([]L) O) O {
+// runOn executes the built machines on the site, then extracts their
+// local outputs in machine-ID order and folds them.
+func runOn[M, L, O any](machines []Machine[M, L], merge func([]L) O, on site[M]) (O, *core.Stats, transport.WireStats, error) {
+	stats, w, err := on(func(id core.MachineID) core.Machine[M] { return machines[id] })
+	if err != nil {
+		var zero O
+		return zero, nil, w, err
+	}
 	locals := make([]L, len(machines))
 	for i, m := range machines {
 		locals[i] = m.Output()
 	}
-	return merge(locals)
+	return merge(locals), stats, w, nil
 }

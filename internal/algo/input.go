@@ -22,17 +22,22 @@ func (prob Problem) PartitionSpec() partition.Spec {
 	return partition.Spec{N: prob.N, K: prob.K, Seed: prob.Seed + 1}
 }
 
-// Validate rejects the problem sizes no generator or partition can
+// Validate rejects the problems no generator, partition or cluster can
 // honour, where outside input (a job request, a command line) enters:
-// vertex IDs are int32, so a larger N would wrap silently, and a
-// probability outside [0,1] is not one. The generators keep their
-// panics for callers that skip this check — a programmer error.
+// vertex IDs are int32, so a larger N would wrap silently, a
+// probability outside [0,1] is not one, and a link carries at least one
+// word per round (0 means the default). The generators and
+// core.NewCluster keep their panics for callers that skip this check —
+// a programmer error.
 func (prob Problem) Validate() error {
 	if prob.N < 0 || prob.N > math.MaxInt32 {
 		return fmt.Errorf("algo: n=%d out of [0,%d] (vertex IDs are int32)", prob.N, math.MaxInt32)
 	}
 	if !(prob.EdgeP >= 0 && prob.EdgeP <= 1) { // also rejects NaN
 		return fmt.Errorf("algo: edge probability %v out of [0,1]", prob.EdgeP)
+	}
+	if prob.Bandwidth < 0 {
+		return fmt.Errorf("algo: need bandwidth >= 1 word/round, got %d", prob.Bandwidth)
 	}
 	return nil
 }

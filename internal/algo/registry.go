@@ -209,37 +209,50 @@ type Spec[M, L, O any] struct {
 	SummarizeLocal func(l L, top int) []string
 }
 
-// Entry is the type-erased registry row: the three substrate runners of
-// one registered algorithm, enumerable without knowing its generic
-// types.
+// Entry is the type-erased registry row: one registered algorithm,
+// runnable on every substrate without knowing its generic types.
 type Entry struct {
 	// Name and Doc mirror the Spec.
 	Name string
 	Doc  string
 
-	run           func(prob Problem, kind transport.Kind) (*Outcome, error)
-	runNodeLocal  func(prob Problem) (*Outcome, error)
-	runStandalone func(prob Problem, ncfg node.Config) (*Outcome, error)
-	runJob        func(prob Problem, lm *node.LocalMesh, job uint64) (*Outcome, error)
+	run func(prob Problem, at place) (*Outcome, error)
+}
+
+// place names the substrate of one registry run. The zero value is the
+// in-process cluster on the loopback.
+type place struct {
+	// kind is the transport of the in-process cluster — unless:
+	kind transport.Kind
+	// sockets runs every machine over the socket link on a private
+	// loopback mesh, or, with mesh set, as job `job` on a standing one;
+	sockets bool
+	mesh    *node.LocalMesh
+	job     uint64
+	// standalone runs ONE machine, this process's, of a cluster whose
+	// peers live in other processes.
+	standalone *node.Config
 }
 
 // Run executes the algorithm on an in-process cluster over the given
 // transport kind (loopback or TCP sockets).
 func (e *Entry) Run(prob Problem, kind transport.Kind) (*Outcome, error) {
-	return e.run(prob, kind)
+	return e.run(prob, place{kind: kind})
 }
 
-// RunNodeLocal executes the algorithm over the standalone node runtime,
-// all k machines in this process on loopback TCP (kmnode -local).
+// RunNodeLocal executes the algorithm over the socket link, all k
+// machines in this process on loopback TCP (kmnode -local).
 func (e *Entry) RunNodeLocal(prob Problem) (*Outcome, error) {
-	return e.runNodeLocal(prob)
+	return e.run(prob, place{sockets: true})
 }
 
 // RunStandalone executes ONE machine of the algorithm's cluster in this
-// process; peers live in other processes (kmnode -id). The outcome
+// process; peers live in other processes (kmnode -id). ncfg names this
+// process's place in the cluster (ID, addresses, dial timeout,
+// recorder); the model parameters are the problem's. The outcome
 // carries the machine-local summary and the cluster-wide Stats.
 func (e *Entry) RunStandalone(prob Problem, ncfg node.Config) (*Outcome, error) {
-	return e.runStandalone(prob, ncfg)
+	return e.run(prob, place{standalone: &ncfg})
 }
 
 // RunJob executes the algorithm as job `job` on a standing mesh
@@ -248,7 +261,7 @@ func (e *Entry) RunStandalone(prob Problem, ncfg node.Config) (*Outcome, error) 
 // to RunNodeLocal on the same Problem. On error the mesh is poisoned
 // and the scheduler must rebuild it.
 func (e *Entry) RunJob(prob Problem, lm *node.LocalMesh, job uint64) (*Outcome, error) {
-	return e.runJob(prob, lm, job)
+	return e.run(prob, place{sockets: true, mesh: lm, job: job})
 }
 
 // Submit runs any registered algorithm by name as one job on a standing
@@ -276,107 +289,7 @@ func Register[M, L, O any](s Spec[M, L, O]) {
 	if s.Name == "" || s.Build == nil || s.Hash == nil {
 		panic("algo: Register needs Name, Build, and Hash")
 	}
-	e := &Entry{
-		Name: s.Name,
-		Doc:  s.Doc,
-		run: func(prob Problem, kind transport.Kind) (*Outcome, error) {
-			prob = prob.withDefaults()
-			t0 := time.Now()
-			a, in, err := s.Build(prob)
-			if err != nil {
-				return nil, err
-			}
-			buildD := time.Since(t0)
-			ti := &timedInput{in: in}
-			t1 := time.Now()
-			out, stats, w, err := RunWire(a, ti, prob.coreConfig(kind))
-			if err != nil {
-				return nil, err
-			}
-			total := time.Since(t1)
-			o := s.outcome(out, stats, prob)
-			o.Wire = w
-			o.SetupTime = buildD + ti.viewTime
-			o.ExecTime = total - ti.viewTime
-			return o, nil
-		},
-		runNodeLocal: func(prob Problem) (*Outcome, error) {
-			prob = prob.withDefaults()
-			t0 := time.Now()
-			a, in, err := s.Build(prob)
-			if err != nil {
-				return nil, err
-			}
-			buildD := time.Since(t0)
-			ncfg := prob.nodeConfig(in.NumMachines())
-			ti := &timedInput{in: in}
-			t1 := time.Now()
-			out, stats, err := NodeRunLocal(a, ti, ncfg)
-			if err != nil {
-				return nil, err
-			}
-			total := time.Since(t1)
-			o := s.outcome(out, stats, prob)
-			o.SetupTime = buildD + ti.viewTime
-			o.ExecTime = total - ti.viewTime
-			return o, nil
-		},
-		runJob: func(prob Problem, lm *node.LocalMesh, job uint64) (*Outcome, error) {
-			prob = prob.withDefaults()
-			t0 := time.Now()
-			a, in, err := s.Build(prob)
-			if err != nil {
-				return nil, err
-			}
-			buildD := time.Since(t0)
-			ncfg := prob.nodeConfig(in.NumMachines())
-			ti := &timedInput{in: in}
-			t1 := time.Now()
-			out, stats, err := NodeRunJob(a, ti, lm, ncfg, job)
-			if err != nil {
-				return nil, err
-			}
-			total := time.Since(t1)
-			o := s.outcome(out, stats, prob)
-			o.SetupTime = buildD + ti.viewTime
-			o.ExecTime = total - ti.viewTime
-			return o, nil
-		},
-		runStandalone: func(prob Problem, ncfg node.Config) (*Outcome, error) {
-			prob = prob.withDefaults()
-			t0 := time.Now()
-			a, in, err := s.Build(prob)
-			if err != nil {
-				return nil, err
-			}
-			buildD := time.Since(t0)
-			ncfg.K = in.NumMachines()
-			ncfg.Bandwidth = prob.Bandwidth
-			ncfg.Seed = prob.Seed + 2
-			if ncfg.SuperstepTimeout == 0 {
-				ncfg.SuperstepTimeout = prob.SuperstepTimeout
-			}
-			if ncfg.Context == nil {
-				ncfg.Context = prob.Context
-			}
-			if ncfg.Recorder == nil {
-				ncfg.Recorder = prob.Recorder
-			}
-			ti := &timedInput{in: in}
-			t1 := time.Now()
-			local, stats, err := NodeRun(a, ti, ncfg)
-			if err != nil {
-				return nil, err
-			}
-			total := time.Since(t1)
-			o := &Outcome{Algo: s.Name, Stats: stats,
-				SetupTime: buildD + ti.viewTime, ExecTime: total - ti.viewTime}
-			if s.SummarizeLocal != nil {
-				o.Summary = s.SummarizeLocal(local, prob.Top)
-			}
-			return o, nil
-		},
-	}
+	e := &Entry{Name: s.Name, Doc: s.Doc, run: s.launch}
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if _, dup := registry[s.Name]; dup {
@@ -385,12 +298,84 @@ func Register[M, L, O any](s Spec[M, L, O]) {
 	registry[s.Name] = e
 }
 
-func (s Spec[M, L, O]) outcome(out O, stats *core.Stats, prob Problem) *Outcome {
-	o := &Outcome{Algo: s.Name, Stats: stats, Hash: s.Hash(out)}
+// launch is the one path from a Problem to an Outcome, wherever it
+// runs: resolve the defaults, validate — once, before any input,
+// cluster or mesh is built or attached — build the input, run, and
+// split the wall-clock into setup and run.
+func (s Spec[M, L, O]) launch(prob Problem, at place) (*Outcome, error) {
+	prob = prob.withDefaults()
+	if err := prob.Validate(); err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	a, in, err := s.Build(prob)
+	if err != nil {
+		return nil, err
+	}
+	buildD := time.Since(t0)
+	ti := &timedInput{in: in}
+	t1 := time.Now()
+	var o *Outcome
+	if at.standalone != nil {
+		o, err = s.one(prob, a, ti, *at.standalone)
+	} else {
+		o, err = s.all(prob, a, ti, at)
+	}
+	if err != nil {
+		return nil, err
+	}
+	o.Algo = s.Name
+	o.SetupTime = buildD + ti.viewTime
+	o.ExecTime = time.Since(t1) - ti.viewTime
+	return o, nil
+}
+
+// all runs the k machines in this process and reports the merged output.
+func (s Spec[M, L, O]) all(prob Problem, a Algorithm[M, L, O], in partition.Input, at place) (*Outcome, error) {
+	cfg := prob.coreConfig(at.kind)
+	on := inProcess(cfg, a.Codec)
+	if at.sockets {
+		on = onSockets(prob.nodeConfig(in.NumMachines()), at.mesh, at.job, a.Codec)
+	}
+	out, stats, w, err := execute(a, in, cfg.K, on)
+	if err != nil {
+		return nil, err
+	}
+	o := &Outcome{Stats: stats, Wire: w, Hash: s.Hash(out)}
 	if s.Summarize != nil {
 		o.Summary = s.Summarize(out, prob.Top)
 	}
-	return o
+	return o, nil
+}
+
+// one runs this process's machine of a multi-process cluster and reports
+// its local output. place names the process (ID, addresses, dial
+// timeout, recorder); the model parameters are the problem's. With a
+// sharded input this is where the O((n+m)/k) per-process setup win
+// lands: MachineView builds only this machine's rows.
+func (s Spec[M, L, O]) one(prob Problem, a Algorithm[M, L, O], in partition.Input, place node.Config) (*Outcome, error) {
+	ncfg := prob.nodeConfig(in.NumMachines())
+	ncfg.ID, ncfg.ListenAddr, ncfg.Peers, ncfg.DialTimeout = place.ID, place.ListenAddr, place.Peers, place.DialTimeout
+	ncfg.Checkpoint = node.CheckpointConfig{} // no process of k could ever complete a cut
+	if place.Recorder != nil {
+		ncfg.Recorder = place.Recorder
+	}
+	v, err := in.MachineView(core.MachineID(ncfg.ID))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", a.Name, err)
+	}
+	m, err := a.NewMachine(v)
+	if err != nil {
+		return nil, err
+	}
+	o := &Outcome{}
+	if o.Stats, err = node.Run(ncfg, m, a.Codec); err != nil {
+		return nil, err
+	}
+	if s.SummarizeLocal != nil {
+		o.Summary = s.SummarizeLocal(m.Output(), prob.Top)
+	}
+	return o, nil
 }
 
 // Lookup returns the entry registered under name.

@@ -247,3 +247,19 @@ func TestGnpInputRejectsImpossibleProblems(t *testing.T) {
 		}
 	}
 }
+
+// TestEntryRejectsInvalidProblem: a problem that fails Validate is an
+// error from every runner, before any cluster or mesh exists — a
+// negative bandwidth used to reach core.NewCluster's panic through Run
+// and fail on every machine of an already built mesh through
+// RunNodeLocal.
+func TestEntryRejectsInvalidProblem(t *testing.T) {
+	entry, _ := Lookup("echo")
+	prob := Problem{N: 64, K: 5, Seed: 3, Bandwidth: -1}
+	if _, err := entry.Run(prob, transport.InMem); err == nil {
+		t.Error("Run accepted bandwidth -1")
+	}
+	if _, err := entry.RunNodeLocal(prob); err == nil {
+		t.Error("RunNodeLocal accepted bandwidth -1")
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -20,23 +19,26 @@ import (
 
 // This file is the checkpoint/recovery subsystem: a run that loses a
 // machine finishes anyway, with bit-identical output. It holds the one
-// cut, the one container format and the one sink interface that both
-// runtimes — the in-process cluster here and transport/node — share.
+// cut, the one container format, the one sink interface, the one
+// capture path (Drive's hook into the Assembler) and the one restore
+// path (Drive installing a Cut) of both links.
 //
 // The cut. Machine state is a pure function of (seed, inbox history),
-// so right after superstep s's Finish succeeds, the k parts ⟨RNG state,
-// Snapshotter state, the inbox superstep s+1 consumes⟩ plus the Stats
-// accounted through s are a complete, consistent image of the
-// computation. A restore installs the parts into machines rebuilt by
-// the same factory and re-enters the ordinary loop at s+1; from there
-// the replay is the original run, bit for bit, because every machine
-// draws the same random words and reads the same inboxes. Quiescence
-// returns before Finish, so a final superstep is never captured, and a
-// superstep whose Finish failed was never captured either: recovery
-// replays at most Every supersteps. The in-process cluster also keeps
-// an arm-time image at superstep -1 (fresh state, empty inboxes, zero
-// Stats) for failures that land before its first capture — restoring it
-// is an exact restart-from-zero.
+// so right after superstep s is delivered and charged, the k parts ⟨RNG
+// state, Snapshotter state, the inbox superstep s+1 consumes⟩ plus the
+// Stats accounted through s are a complete, consistent image of the
+// computation. Each driver encodes its own part, machine 0's adds the
+// Stats, and the run's Assembler stores the container once all k have
+// arrived. A restore installs the parts — each driver its own, machine
+// 0's the Stats — and enters the ordinary loop at s+1; from there the
+// replay is the original run, bit for bit, because every machine draws
+// the same random words and reads the same inboxes. A stop verdict ends
+// the run before a capture, so a final superstep is never captured, and
+// a superstep whose exchange failed was never captured either: recovery
+// replays at most Every supersteps. RunCheckpointed, which restores
+// machines in place, also keeps an arm-time image at superstep -1 (fresh
+// state, empty inboxes, zero Stats) for failures that land before its
+// first capture — restoring it is an exact restart-from-zero.
 //
 // The container (all integers uvarint; len X is X length-prefixed):
 //
@@ -51,8 +53,8 @@ import (
 // received batch (superstep step+1, From runs seeded with 0) and runs to
 // the end of the part. Stats.MaxRecvWords is derived and
 // Stats.Recoveries is a live counter of the run, not part of the
-// computation's cut; neither is stored. The stop verdict of the node
-// runtime ships final Stats in the same stats layout.
+// computation's cut; neither is stored. The stop verdict of the socket
+// link ships final Stats in the same stats layout.
 //
 // What is recoverable: errors that unwrap to *transport.MachineError
 // while the run context is still live — the attributed peer-loss class
@@ -76,12 +78,25 @@ type Snapshotter interface {
 	RestoreState(src []byte) error
 }
 
+// checkpointable returns machine id's state codec, or why the machine
+// cannot be checkpointed.
+func checkpointable[M any](id int, m Machine[M], codec wire.Codec[M]) (Snapshotter, error) {
+	snap, ok := m.(Snapshotter)
+	if !ok {
+		return nil, fmt.Errorf("core: machine %d (%T) does not implement core.Snapshotter; checkpointing needs a per-machine state codec", id, m)
+	}
+	if codec == nil {
+		return nil, fmt.Errorf("core: checkpointing needs a message codec for state and envelope serialization")
+	}
+	return snap, nil
+}
+
 // DefaultMaxRecoveries bounds machine replacements per run when the
 // policy doesn't set its own limit.
 const DefaultMaxRecoveries = 3
 
 // CheckpointPolicy is Config.Checkpoint: off by default (Every == 0),
-// and the engine's checkpoint hook is a single nil check when off,
+// and the driver's checkpoint hook is a single nil check when off,
 // preserving its zero-allocation steady state and every golden hash.
 type CheckpointPolicy struct {
 	// Every captures a checkpoint each s supersteps (at supersteps
@@ -99,7 +114,8 @@ type CheckpointPolicy struct {
 // for one superstep (the sink must copy it — the encoder reuses its
 // buffer); Latest returns the most recent stored checkpoint, or
 // (-1, nil, nil) when the sink holds none. Puts are serialised by the
-// runtimes; the k node loops of a resuming run call Latest concurrently.
+// Assembler; the k drivers of a resuming socket run call Latest
+// concurrently.
 type CheckpointSink interface {
 	Put(superstep int, blob []byte) error
 	Latest() (superstep int, blob []byte, err error)
@@ -174,14 +190,11 @@ func (s *MemorySink) Bytes() int64 {
 // per checkpoint (ckpt-<superstep>.kmck), written atomically via a tmp
 // file and rename, pruned to the newest two. The directory is created
 // on first Put.
-type FileSink struct {
-	dir    string
-	retain int
-}
+type FileSink struct{ dir string }
 
 // NewFileSink returns a file-backed sink rooted at dir.
 func NewFileSink(dir string) *FileSink {
-	return &FileSink{dir: dir, retain: 2}
+	return &FileSink{dir: dir}
 }
 
 const ckptFilePrefix, ckptFileSuffix = "ckpt-", ".kmck"
@@ -212,7 +225,7 @@ func (s *FileSink) Put(superstep int, blob []byte) error {
 	}
 	ours := sort.SearchInts(steps, superstep) + 1 // files at or below superstep
 	for i, step := range steps {
-		if step > superstep || i < ours-s.retain {
+		if step > superstep || i < ours-2 {
 			if err := os.Remove(s.path(step)); err != nil {
 				return err
 			}
@@ -308,20 +321,28 @@ func DecodeCheckpoint(blob []byte) (step int, parts [][]byte, stats []byte, err 
 	return step, parts, stats, nil
 }
 
+// Cut is an opened checkpoint: what the k drivers of a resuming run
+// install before entering the loop at Step+1.
+type Cut struct {
+	Step  int
+	Parts [][]byte
+	Stats []byte
+}
+
 // OpenCheckpoint splits the container a sink returned as the checkpoint
 // of superstep step, for a k-machine cluster. A checkpoint of another
 // cluster size is an error, never a silent from-zero.
-func OpenCheckpoint(blob []byte, step, k int) (parts [][]byte, stats []byte, err error) {
+func OpenCheckpoint(blob []byte, step, k int) (*Cut, error) {
 	got, parts, stats, err := DecodeCheckpoint(blob)
 	switch {
 	case err != nil:
-		return nil, nil, err
+		return nil, err
 	case got != step:
-		return nil, nil, fmt.Errorf("core: checkpoint blob names superstep %d, sink says %d", got, step)
+		return nil, fmt.Errorf("core: checkpoint blob names superstep %d, sink says %d", got, step)
 	case len(parts) != k:
-		return nil, nil, fmt.Errorf("core: checkpoint for k=%d cluster, running k=%d", len(parts), k)
+		return nil, fmt.Errorf("core: checkpoint for k=%d cluster, running k=%d", len(parts), k)
 	}
-	return parts, stats, nil
+	return &Cut{Step: step, Parts: parts, Stats: stats}, nil
 }
 
 // AppendCheckpointPart appends machine id's part of the cut after
@@ -433,179 +454,144 @@ func DecodeStats(src []byte, k int) (*Stats, error) {
 	return s, nil
 }
 
-// ckRun is the per-run checkpoint state threaded through the engine
-// loop when checkpointing is armed; nil keeps the loop on its fenced
-// zero-allocation path.
-type ckRun[M any] struct {
+// Assembler joins the k parts and the Stats part of the one superstep
+// being captured and stores the container — every driver hands over its
+// part of s before any can finish s+1, so there is never a second. It is
+// shared memory: it serves the clusters whose k drivers live in one
+// process (RunOn, node.RunLocal, the job service). A multi-process
+// standalone run only ever fills one machine's part and therefore never
+// completes a checkpoint.
+type Assembler struct {
 	every int
 	sink  CheckpointSink
-	codec wire.Codec[M]
-	snaps []Snapshotter
-	rngs  []*rng.RNG
 
-	parts      [][]byte // encode scratch, reused across captures
-	stats, buf []byte
-	initBlob   []byte // arm-time superstep -1 image (restart-from-zero)
-	// captured gates restore's use of the sink: until this run has stored
-	// a checkpoint, whatever the sink holds is another run's.
-	captured bool
+	mu     sync.Mutex
+	step   int // superstep being captured
+	have   int
+	parts  [][]byte
+	stats  []byte
+	buf    []byte // container scratch, reused across captures
+	stored bool   // this run has put a checkpoint into the sink
 }
 
-// arm validates that every machine is checkpointable and captures the
-// superstep -1 image.
-func (ck *ckRun[M]) arm(c *Cluster[M], e *engine[M], stats *Stats) error {
-	ck.snaps = make([]Snapshotter, c.cfg.K)
-	ck.parts = make([][]byte, c.cfg.K)
-	for i, m := range c.machines {
-		s, ok := m.(Snapshotter)
-		if !ok {
-			return fmt.Errorf("core: machine %d (%T) does not implement core.Snapshotter; checkpointing needs a per-machine state codec", i, m)
-		}
-		ck.snaps[i] = s
+// NewAssembler returns the checkpoint plane of one k-machine run that
+// captures every every-th superstep into sink (nil means a private
+// in-memory ring), or nil when every <= 0: checkpointing is off.
+func NewAssembler(every int, sink CheckpointSink, k int) *Assembler {
+	if every <= 0 {
+		return nil
 	}
-	blob, err := ck.encode(-1, e.inboxes, stats)
-	if err != nil {
+	if sink == nil {
+		sink = NewMemorySink(0)
+	}
+	return &Assembler{every: every, sink: sink, step: -1, parts: make([][]byte, k)}
+}
+
+// Sink is where the assembled checkpoints go.
+func (a *Assembler) Sink() CheckpointSink { return a.sink }
+
+// put copies in machine id's part of the cut after superstep step —
+// machine 0's call also carries the Stats, through its coordinator —
+// and stores the container once all k have arrived. The sink write runs
+// under the lock: the last driver to arrive is the only one here.
+func (a *Assembler) put(step, id int, part []byte, coord *Coordinator) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if step != a.step {
+		a.step, a.have = step, 0
+	}
+	a.parts[id] = append(a.parts[id][:0], part...)
+	if coord != nil {
+		a.stats = AppendStats(a.stats[:0], coord.stats)
+	}
+	if a.have++; a.have < len(a.parts) {
+		return nil
+	}
+	a.buf = AppendCheckpoint(a.buf[:0], step, a.parts, a.stats)
+	if err := a.sink.Put(step, a.buf); err != nil {
 		return err
 	}
-	ck.initBlob = append([]byte(nil), blob...)
+	a.stored = true
 	return nil
-}
-
-// capture encodes the cut after superstep step — inboxes are what
-// step+1 consumes — and stores it in the sink.
-func (ck *ckRun[M]) capture(step int, inboxes [][]Envelope[M], stats *Stats) error {
-	blob, err := ck.encode(step, inboxes, stats)
-	if err != nil {
-		return err
-	}
-	if err := ck.sink.Put(step, blob); err != nil {
-		return err
-	}
-	ck.captured = true
-	return nil
-}
-
-func (ck *ckRun[M]) encode(step int, inboxes [][]Envelope[M], stats *Stats) ([]byte, error) {
-	var err error
-	for i := range ck.snaps {
-		ck.parts[i], err = AppendCheckpointPart(ck.parts[i][:0], step, MachineID(i), ck.rngs[i], ck.snaps[i], inboxes[i], ck.codec)
-		if err != nil {
-			return nil, err
-		}
-	}
-	ck.stats = AppendStats(ck.stats[:0], stats)
-	ck.buf = AppendCheckpoint(ck.buf[:0], step, ck.parts, ck.stats)
-	return ck.buf, nil
-}
-
-// restore installs the latest stored checkpoint (or the arm-time image
-// when this run has stored none) into the machines, RNG streams, engine
-// inboxes and stats, and returns its superstep (-1 for a
-// restart-from-zero); the run re-enters the loop at the next one.
-func (ck *ckRun[M]) restore(e *engine[M], stats *Stats) (int, error) {
-	step, blob := -1, ck.initBlob
-	if ck.captured {
-		s, b, err := ck.sink.Latest()
-		if err != nil {
-			return -1, fmt.Errorf("core: read latest checkpoint: %w", err)
-		}
-		if b != nil {
-			step, blob = s, b
-		}
-	}
-	k := len(ck.snaps)
-	parts, statsPart, err := OpenCheckpoint(blob, step, k)
-	if err != nil {
-		return -1, err
-	}
-	restored, err := DecodeStats(statsPart, k)
-	if err != nil {
-		return -1, err
-	}
-	e.inboxes = make([][]Envelope[M], k) // the old ones belong to the dead transport
-	for i, part := range parts {
-		if e.inboxes[i], err = RestoreCheckpointPart(part, step, MachineID(i), ck.rngs[i], ck.snaps[i], ck.codec); err != nil {
-			return -1, err
-		}
-		e.panics[i] = nil
-	}
-	restored.Recoveries = stats.Recoveries
-	*stats = *restored
-	return step, nil
 }
 
 // RunCheckpointed executes the cluster over t with the configured
 // checkpoint policy and in-run recovery: when the run fails with an
 // attributed *transport.MachineError and the context is still live, the
 // dead transport is replaced by one from reopen, every machine is
-// restored in place from the latest checkpoint, and the run re-enters
+// restored in place from the latest checkpoint, and the k drivers enter
 // the loop at the superstep after it — a deterministic replay whose
 // output is bit-identical to an unkilled run. Recovery is attempted up
 // to the policy's MaxRecoveries; Stats.Recoveries counts the
-// replacements performed.
+// replacements performed. Panics, context cancellation, MaxSupersteps
+// and validation errors stay fail-fast.
 //
 // The caller owns t (and must Close it, as with RunOn); replacement
 // transports created from reopen are owned and closed here. With
 // Checkpoint.Every == 0 this is exactly RunOn.
 func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen func() (Transport[M], error)) (*Stats, error) {
-	pol := c.cfg.Checkpoint
-	if pol.Every <= 0 {
+	pol, k := c.cfg.Checkpoint, c.cfg.K
+	asm := NewAssembler(pol.Every, pol.Sink, k)
+	if asm == nil {
 		return c.RunOn(t)
 	}
-	if codec == nil {
-		return nil, fmt.Errorf("core: checkpointing needs a message codec for state and envelope serialization")
-	}
-	runCtx := c.cfg.Context
-	if runCtx == nil {
-		runCtx = context.Background()
-	}
+	coord := NewCoordinator(k, c.cfg.Bandwidth, c.cfg.DropPerSuperstep)
 	maxRec := pol.MaxRecoveries
 	if maxRec <= 0 {
 		maxRec = DefaultMaxRecoveries
 	}
-	sink := pol.Sink
-	if sink == nil {
-		sink = NewMemorySink(0)
+	// The arm-time image; it also rejects, before anything runs, machines
+	// that cannot be checkpointed.
+	armed := make([][]byte, k)
+	for i, m := range c.machines {
+		snap, err := checkpointable(i, m, codec)
+		if err == nil {
+			armed[i], err = AppendCheckpointPart(nil, -1, MachineID(i), c.rngs[i], snap, nil, codec)
+		}
+		if err != nil {
+			return coord.Stats(), err
+		}
 	}
+	image := AppendCheckpoint(nil, -1, armed, AppendStats(nil, coord.stats))
 
-	stats := newStats(c.cfg.K)
-	defer stats.finalize()
-	e := c.newEngine(t)
-	defer e.shutdown()
-
-	ck := &ckRun[M]{every: pol.Every, sink: sink, codec: codec, rngs: c.rngs}
-	if err := ck.arm(c, e, stats); err != nil {
-		return stats, err
-	}
-
+	cur := t
 	defer func() {
-		if e.t != t {
-			e.t.Close()
+		if cur != t {
+			cur.Close()
 		}
 	}()
-	start := 0
+	var resume *Cut
 	for {
-		err := c.run(e, runCtx, stats, ck, start)
-		if err == nil {
-			return stats, nil
-		}
+		err := c.drive(cur, coord, asm, resume, codec)
 		var me *transport.MachineError
-		if !errors.As(err, &me) || runCtx.Err() != nil || reopen == nil || stats.Recoveries >= maxRec {
-			return stats, err
+		canceled := c.cfg.Context != nil && c.cfg.Context.Err() != nil
+		if err == nil || !errors.As(err, &me) || canceled || reopen == nil || coord.stats.Recoveries >= maxRec {
+			return coord.Stats(), err
 		}
-		step, rerr := ck.restore(e, stats)
-		if rerr != nil {
-			return stats, fmt.Errorf("core: recovery after %v: %w", err, rerr)
+		// Until this run has stored a checkpoint, whatever the sink holds
+		// is another run's.
+		step, blob := -1, image
+		if asm.stored {
+			s, b, lerr := asm.sink.Latest()
+			if lerr != nil {
+				return coord.Stats(), fmt.Errorf("core: recovery after %v: read latest checkpoint: %w", err, lerr)
+			}
+			if b != nil {
+				step, blob = s, b
+			}
+		}
+		var oerr error
+		if resume, oerr = OpenCheckpoint(blob, step, k); oerr != nil {
+			return coord.Stats(), fmt.Errorf("core: recovery after %v: %w", err, oerr)
 		}
 		nt, oerr := reopen()
 		if oerr != nil {
-			return stats, fmt.Errorf("core: recovery reopen after %v: %w", err, oerr)
+			return coord.Stats(), fmt.Errorf("core: recovery reopen after %v: %w", err, oerr)
 		}
-		if e.t != t {
-			e.t.Close()
+		if cur != t {
+			cur.Close()
 		}
-		e.t = nt
-		stats.Recoveries++
-		start = step + 1
+		cur = nt
+		coord.stats.Recoveries++
 	}
 }

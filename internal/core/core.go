@@ -5,9 +5,10 @@
 // bidirectional point-to-point links. Computation advances in supersteps:
 // in each superstep every machine consumes the messages delivered to it,
 // performs free local computation, and emits messages for the next
-// superstep. Every machine's Step executes in its own goroutine and the
-// cluster synchronises them with a barrier — machines share nothing and
-// communicate only through envelopes, CSP style.
+// superstep. Every machine is run by its own Drive (drive.go) — one
+// goroutine per machine in a Cluster, one process per machine over
+// transport/node — and the drivers meet once per superstep; machines
+// share nothing and communicate only through envelopes, CSP style.
 //
 // Cost model. The paper charges one round per B bits crossing a link, and
 // a phase that puts L bits on the most loaded link costs ceil(L/B) rounds
@@ -62,11 +63,11 @@ type Transport[M any] = transport.Transport[M]
 // no envelope is in flight.
 //
 // Buffer ownership: ctx and inbox are only valid for the duration of
-// the Step call — the engine reuses the StepContext across supersteps
+// the Step call — the driver reuses the StepContext across supersteps
 // and the transport recycles inbox storage (see the ownership rule on
 // transport.Transport). A machine that needs an envelope beyond its
 // Step must copy it. The returned out slice may be one the machine
-// recycles: the engine and transport finish reading it before the next
+// recycles: the driver and transport finish reading it before the next
 // Step of the same machine begins.
 type Machine[M any] interface {
 	Step(ctx *StepContext, inbox []Envelope[M]) (out []Envelope[M], done bool)
@@ -93,7 +94,7 @@ type StepContext struct {
 	RNG *rng.RNG
 
 	// emitter is the machine's eager per-peer emission hook (a
-	// *Emitter[M] bound by the engine or the node runtime); nil only when
+	// *Emitter[M] bound by Drive); nil only when
 	// a Step is driven outside a run. It is reached through the generic
 	// package-level EmitBatch/EmitOrAppend, because StepContext itself is
 	// deliberately non-generic.
@@ -110,7 +111,7 @@ type Config struct {
 	Bandwidth int
 	// Seed derives all machine random streams.
 	Seed uint64
-	// MaxSupersteps aborts runaway algorithms; 0 means a generous default.
+	// MaxSupersteps aborts runaway algorithms; 0 means Drive's default.
 	MaxSupersteps int
 	// DropPerSuperstep disables Stats.PerSuperstep retention. Long runs
 	// execute millions of supersteps and the per-phase breakdown is the
@@ -123,12 +124,13 @@ type Config struct {
 	// functions resolve it through OpenTransport with their message
 	// codec, because building a non-loopback transport needs one.
 	Transport transport.Kind
-	// Context cancels the whole run: RunOn observes it between barrier
-	// phases and hands it to every transport superstep, so canceling it
-	// aborts the computation with a wrapped context error instead of
-	// letting it run (or hang) to completion. nil means Background.
+	// Context cancels the whole run: every driver observes it before and
+	// after its Step and hands it to every transport superstep, so
+	// canceling it aborts the computation with a wrapped context error
+	// instead of letting it run (or hang) to completion. nil means
+	// Background.
 	// Cancellation cannot interrupt a machine's local Step — the model
-	// makes local computation free — only the phases between barriers.
+	// makes local computation free — only the phases around it.
 	Context context.Context
 	// SuperstepTimeout bounds each whole superstep, transport Begin
 	// through Finish — the machines' Step calls, the exchange and, on
@@ -145,7 +147,7 @@ type Config struct {
 	// supersteps a consistent cut of all machine state is captured right
 	// after the superstep's Finish into Checkpoint.Sink, and a run driven
 	// by RunCheckpointed survives machine loss by restoring the latest
-	// cut and replaying. Off by default (Every == 0): the engine's hook is a
+	// cut and replaying. Off by default (Every == 0): the driver's hook is a
 	// single nil check, keeping the zero-allocation steady state and
 	// every golden hash unchanged. Checkpointing requires all machines
 	// to implement Snapshotter.
@@ -158,7 +160,7 @@ type Config struct {
 	// recorder on transports implementing transport.TraceSink). The
 	// recorder must tolerate concurrent Record calls and should not
 	// allocate (obs.Trace satisfies both). nil — the default — keeps the
-	// engine on its span-free path: the zero-allocation discipline and
+	// drivers on their span-free path: the zero-allocation discipline and
 	// the golden determinism hashes are fenced with the recorder off,
 	// and Stats are identical either way (spans measure time, never
 	// model cost).
@@ -221,90 +223,171 @@ type Stats struct {
 	Recoveries int
 }
 
+// newStats returns the zeroed run statistics of a k-machine cluster.
+func newStats(k int) *Stats {
+	return &Stats{RecvWords: make([]int64, k), SentWords: make([]int64, k)}
+}
+
 // Bits converts a word count to bits for an n-vertex input under the
 // 1 word = ceil(log2 n)+1 bits convention.
 func Bits(words int64, n int) int64 {
 	return words * int64(Log2Words(n))
 }
 
-// AccountSuperstep computes one superstep's communication profile from
-// the directed link-load matrix (linkWords[i*k+j] = words machine i
-// sent to machine j; self-links must already be excluded — local
-// computation is free) and the cross-machine message count. recv and
-// sent are caller-owned scratch vectors of length k: the function
-// zeroes and then fills them with the per-machine receive/send totals
-// for the run aggregates, so a caller accounting many supersteps can
-// thread the same two slices through every call and allocate nothing.
-//
-// Together with accountSparse (the engine's touched-links variant, same
-// arithmetic over a sparse index list) this is the home of the paper's
-// §1.1 cost model — max(1, ceil(max-link-words/Bandwidth)) rounds —
-// shared by the in-process cluster (RunOn) and the standalone
-// coordinator (transport/node), which is what makes Stats bit-identical
-// across substrates by construction.
-func AccountSuperstep(k, bandwidth int, linkWords []int64, messages int64, recv, sent []int64) SuperstepStat {
-	ss := SuperstepStat{Messages: messages}
-	for i := 0; i < k; i++ {
-		recv[i], sent[i] = 0, 0
+// Row is one machine's account of one superstep — what the verdict is
+// ruled from. Drive fills it while it validates and From-stamps the
+// machine's envelopes, before any of them reaches a link, which is what
+// makes the accounting independent of the substrate and of when within
+// the superstep an envelope left its machine.
+type Row struct {
+	// Done is the machine's own done flag; Pending reports that it
+	// emitted or returned at least one envelope (self-addressed included).
+	Done, Pending bool
+	// Messages counts its cross-machine envelopes.
+	Messages int64
+	// Words[j] is the words it sent to machine j (length k; the self
+	// link stays 0 — local computation is free). Touched lists the
+	// nonzero entries, so folding and re-zeroing a row costs O(touched
+	// links), not O(k).
+	Words   []int64
+	Touched []int32
+	// Err, when non-empty, is a Step panic or an envelope-validation
+	// failure: it aborts the run on every machine.
+	Err string
+}
+
+// Add charges w words to the link towards machine to.
+func (r *Row) Add(to MachineID, w int64) {
+	if w > 0 {
+		if r.Words[to] == 0 {
+			r.Touched = append(r.Touched, int32(to))
+		}
+		r.Words[to] += w
 	}
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			w := linkWords[i*k+j]
-			if w == 0 {
-				continue
-			}
+}
+
+// Reset empties the row for the next superstep, keeping its storage.
+func (r *Row) Reset() {
+	for _, j := range r.Touched {
+		r.Words[j] = 0
+	}
+	*r = Row{Words: r.Words, Touched: r.Touched[:0]}
+}
+
+// VerdictKind is the ruling on one superstep; the values are the first
+// byte of the socket link's verdict frame.
+type VerdictKind byte
+
+const (
+	// VerdictContinue: the superstep was charged, run the next one.
+	VerdictContinue VerdictKind = iota
+	// VerdictStop: every machine is done and nothing is in flight; the
+	// final silent superstep is free, and Stats are the run's.
+	VerdictStop
+	// VerdictAbort: a machine reported an error; Abort is its message.
+	VerdictAbort
+)
+
+// Verdict is what a Link's Round returns to every machine alike.
+type Verdict struct {
+	Kind  VerdictKind
+	Stats *Stats
+	Abort string
+}
+
+// Coordinator turns the k rows of each superstep into its
+// SuperstepStat, the run's Stats and the verdict. It is the home of the
+// paper's §1.1 cost model — max(1, ceil(max-link-words/Bandwidth))
+// rounds per superstep — and both links rule through it (the
+// in-process rendezvous' last arriver, machine 0 of a socket cluster),
+// which is what makes Stats bit-identical across substrates.
+type Coordinator struct {
+	bandwidth  int64
+	drop       bool
+	stats      *Stats
+	recv, sent []int64 // per-superstep scratch, reused
+}
+
+// NewCoordinator returns the zeroed accounting of a k-machine run.
+func NewCoordinator(k, bandwidth int, dropPerSuperstep bool) *Coordinator {
+	return &Coordinator{bandwidth: int64(bandwidth), drop: dropPerSuperstep, stats: newStats(k),
+		recv: make([]int64, k), sent: make([]int64, k)}
+}
+
+// Stats returns the statistics accounted so far, MaxRecvWords included —
+// the partial Stats of a failed run, the final ones after a stop; nil
+// for the nil Coordinator of a machine that does not rule.
+func (c *Coordinator) Stats() *Stats {
+	if c == nil {
+		return nil
+	}
+	c.stats.finalize()
+	return c.stats
+}
+
+// Rule rules the superstep from its k rows: an abort carrying the first
+// reported error in machine order, a stop when every machine is done and
+// none has an envelope in flight, continue otherwise. It charges nothing
+// — the final silent superstep is free, and a superstep that goes on is
+// charged once it is delivered.
+func (c *Coordinator) Rule(rows []*Row) Verdict {
+	quiet := true
+	for _, r := range rows {
+		if r.Err != "" {
+			return Verdict{Kind: VerdictAbort, Abort: r.Err}
+		}
+		quiet = quiet && r.Done && !r.Pending
+	}
+	if quiet {
+		return Verdict{Kind: VerdictStop, Stats: c.Stats()}
+	}
+	return Verdict{Kind: VerdictContinue}
+}
+
+// Charge accounts one delivered superstep. Sums and maxima are
+// order-independent, so the SuperstepStat does not depend on how the
+// rows were assembled.
+func (c *Coordinator) Charge(rows []*Row) {
+	var ss SuperstepStat
+	clear(c.recv)
+	clear(c.sent)
+	for i, r := range rows {
+		ss.Messages += r.Messages
+		for _, j := range r.Touched {
+			w := r.Words[j]
 			ss.Words += w
-			recv[j] += w
-			sent[i] += w
-			if w > ss.MaxLinkWords {
-				ss.MaxLinkWords = w
-			}
+			c.recv[j] += w
+			c.sent[i] += w
+			ss.MaxLinkWords = max(ss.MaxLinkWords, w)
 		}
 	}
-	finishSuperstep(&ss, bandwidth, recv, sent)
-	return ss
+	st := c.stats
+	for i := range c.recv {
+		ss.MaxRecvWords = max(ss.MaxRecvWords, c.recv[i])
+		ss.MaxSentWords = max(ss.MaxSentWords, c.sent[i])
+		st.RecvWords[i] += c.recv[i]
+		st.SentWords[i] += c.sent[i]
+	}
+	ss.Rounds = max(1, (ss.MaxLinkWords+c.bandwidth-1)/c.bandwidth)
+	st.Rounds += ss.Rounds
+	st.Supersteps++
+	st.Messages += ss.Messages
+	st.Words += ss.Words
+	if !c.drop {
+		st.PerSuperstep = append(st.PerSuperstep, ss)
+	}
 }
 
-// accountSparse is AccountSuperstep over a sparse link set: touched
-// lists the indices of linkLoad with traffic this superstep (built by
-// the engine while stamping envelopes), and each visited entry is
-// re-zeroed so linkLoad is clean for the next superstep without an
-// O(k²) sweep. The sums and maxima are order-independent, so the
-// resulting SuperstepStat is identical to the dense computation.
-func accountSparse(k, bandwidth int, linkLoad []int64, touched []int32, messages int64, recv, sent []int64) SuperstepStat {
-	ss := SuperstepStat{Messages: messages}
-	for i := 0; i < k; i++ {
-		recv[i], sent[i] = 0, 0
+// restore replaces the accounting with the Stats part of a checkpoint;
+// Recoveries is a counter of this run and survives.
+func (c *Coordinator) restore(part []byte) error {
+	s, err := DecodeStats(part, len(c.recv))
+	if err != nil {
+		return err
 	}
-	for _, idx := range touched {
-		w := linkLoad[idx]
-		linkLoad[idx] = 0
-		ss.Words += w
-		recv[int(idx)%k] += w
-		sent[int(idx)/k] += w
-		if w > ss.MaxLinkWords {
-			ss.MaxLinkWords = w
-		}
-	}
-	finishSuperstep(&ss, bandwidth, recv, sent)
-	return ss
-}
-
-// finishSuperstep derives the per-machine extremes and the round charge
-// — the arithmetic tail shared by the dense and sparse accountings.
-func finishSuperstep(ss *SuperstepStat, bandwidth int, recv, sent []int64) {
-	for i := range recv {
-		if recv[i] > ss.MaxRecvWords {
-			ss.MaxRecvWords = recv[i]
-		}
-		if sent[i] > ss.MaxSentWords {
-			ss.MaxSentWords = sent[i]
-		}
-	}
-	ss.Rounds = 1
-	if r := (ss.MaxLinkWords + int64(bandwidth) - 1) / int64(bandwidth); r > 1 {
-		ss.Rounds = r
-	}
+	s.Recoveries = c.stats.Recoveries
+	*c.stats = *s
+	return nil
 }
 
 // Cluster coordinates k machines.
@@ -325,9 +408,6 @@ func NewCluster[M any](cfg Config, factory func(id MachineID) Machine[M]) *Clust
 	}
 	if cfg.Bandwidth < 1 {
 		panic(fmt.Sprintf("core: need Bandwidth >= 1 word/round, got %d", cfg.Bandwidth))
-	}
-	if cfg.MaxSupersteps == 0 {
-		cfg.MaxSupersteps = 1 << 20
 	}
 	c := &Cluster[M]{cfg: cfg}
 	c.machines = make([]Machine[M], cfg.K)

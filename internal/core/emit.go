@@ -1,92 +1,42 @@
 package core
 
-// This file is the machine-facing half of the superstep schedule: an
-// Emitter bound into a machine's StepContext lets its Step hand a
-// finished per-peer batch to the transport while it is still computing
-// the rest of the superstep. The engine (internal/core/engine.go) and
-// the standalone node runtime (internal/transport/node) each own one
-// Emitter per machine, reset it every superstep, and fold its emission
-// record into the §1.1 accounting after the step barrier — which is how
-// the word/round accounting stays pre-transport and independent of when
-// the bytes left.
+// This file is the machine-facing half of the superstep schedule: the
+// Emitter that Drive binds into a machine's StepContext lets its Step
+// hand a finished per-peer batch to the link while it is still computing
+// the rest of the superstep. An emitted batch is charged to the
+// machine's Row as it leaves, exactly like the rest envelopes Drive
+// charges after the Step — which is how the word/round accounting stays
+// independent of when the bytes left.
 //
 // Machines opt in through EmitBatch/EmitOrAppend; everything a machine
-// does not emit travels in its returned outs and ships at the finish
-// barrier.
+// does not emit travels in its returned outs and ships with the round.
 
-// Emitter is the per-machine eager-emission state for one run. It is
-// single-goroutine on the machine side (only machine `self`'s worker
-// calls EmitBatch during its Step) and is read by the run coordinator
-// strictly after the step barrier, which provides the happens-before
-// edge; no locking is needed.
+// Emitter is the per-machine eager-emission state of one Drive. Only
+// the machine's own goroutine touches it — EmitBatch during Step, Drive
+// around it — so no locking is needed.
 type Emitter[M any] struct {
 	send func(to MachineID, batch []Envelope[M]) error
 	self MachineID
 	k    int
 
-	err     error // first send failure; sticky until Reset
-	msgs    int64 // envelopes emitted this superstep (never self-addressed)
-	words   []int64
+	row     *Row  // the machine's account of the superstep
+	err     error // first send failure; sticky until reset
 	emitted []bool
-	touched []int32 // peers with emitted[·] set, for O(touched) Reset
+	touched []int32 // peers with emitted[·] set, for O(touched) reset
 }
 
-// NewEmitter builds the emission state for machine self of a k-machine
-// run; send hands one of self's batches to the substrate
-// (transport.Transport.SendBatch with from bound to self).
-func NewEmitter[M any](send func(to MachineID, batch []Envelope[M]) error, self MachineID, k int) *Emitter[M] {
-	return &Emitter[M]{
-		send:    send,
-		self:    self,
-		k:       k,
-		words:   make([]int64, k),
-		emitted: make([]bool, k),
-		touched: make([]int32, 0, k),
-	}
-}
-
-// Bind installs the emitter into the machine's StepContext so
-// EmitBatch can find it. Call once per run, before the first Step.
-func (em *Emitter[M]) Bind(sc *StepContext) { sc.emitter = em }
-
-// Reset clears the per-superstep emission record. The coordinator
-// calls it before each superstep begins.
-func (em *Emitter[M]) Reset() {
+// reset clears the per-superstep emission record.
+func (em *Emitter[M]) reset() {
 	for _, j := range em.touched {
 		em.emitted[j] = false
-		em.words[j] = 0
 	}
 	em.touched = em.touched[:0]
-	em.msgs = 0
 	em.err = nil
 }
 
-// Err returns the first transport error a send hit this superstep, or
-// nil. A non-nil Err is fatal for the run.
-func (em *Emitter[M]) Err() error { return em.err }
-
-// EmittedTo reports whether a batch was already emitted to peer `to`
-// this superstep — such a peer must not appear in the machine's
-// returned rest envelopes.
-func (em *Emitter[M]) EmittedTo(to MachineID) bool {
-	return int(to) >= 0 && int(to) < em.k && em.emitted[to]
-}
-
-// AccountInto folds the superstep's emitted word loads into row (the
-// sender's length-k row of the link-load matrix) and returns the
-// emitted envelope count plus whether anything was emitted at all. The
-// sums are order-independent, so merging them with the rest envelopes'
-// loads gives the same accounting whichever way an envelope travelled.
-func (em *Emitter[M]) AccountInto(row []int64) (messages int64, any bool) {
-	for _, j := range em.touched {
-		row[j] += em.words[j]
-	}
-	return em.msgs, len(em.touched) > 0
-}
-
 // EmitBatch hands one finished per-peer batch for machine `to` to the
-// transport right now and reports whether the transport took it. On
-// true, the batch belongs to the transport until the superstep's Finish
+// link right now and reports whether the link took it. On true, the
+// batch belongs to the link until the superstep's round
 // returns — the machine must not mutate or recycle it before its next
 // Step — and the machine must not address `to` again this superstep
 // (neither via EmitBatch nor in its returned outs). On false nothing
@@ -95,7 +45,7 @@ func (em *Emitter[M]) AccountInto(row []int64) (messages int64, any bool) {
 // — no emitter bound (a Step driven outside a run), self- or
 // out-of-range destination, a peer already emitted to, an invalid
 // envelope (the rest-envelope validator will then report the error), or
-// a failing transport.
+// a failing link.
 //
 // An empty batch is a successful no-op: nothing ships, `to` stays
 // available.
@@ -127,8 +77,8 @@ func EmitBatch[M any](sc *StepContext, to MachineID, batch []Envelope[M]) bool {
 	}
 	em.emitted[to] = true
 	em.touched = append(em.touched, int32(to))
-	em.words[to] = words
-	em.msgs += int64(len(batch))
+	em.row.Add(to, words)
+	em.row.Messages += int64(len(batch))
 	return true
 }
 
@@ -148,7 +98,7 @@ func EmitOrAppend[M any](sc *StepContext, to MachineID, batch []Envelope[M], out
 // EmitBuckets emits every non-empty per-destination bucket (buckets[j]
 // holds the envelopes addressed to machine j) in ascending peer order,
 // appending to out whatever could not be emitted — self-addressed
-// buckets always land in out, where the engine delivers them for free.
+// buckets always land in out, where the round delivers them for free.
 // Per-destination envelope order is preserved either way, which is the
 // property that keeps inbox assembly, and hence the golden output
 // hashes, independent of when an envelope left the machine.

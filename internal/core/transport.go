@@ -27,20 +27,13 @@ func OpenTransport[M any](kind transport.Kind, k int, codec wire.Codec[M]) (Tran
 	}
 }
 
-// RunOver resolves the cluster's Config.Transport with the given codec,
-// runs on it, and closes it — the shared tail of every algorithm's Run
-// function.
-func RunOver[M any](c *Cluster[M], codec wire.Codec[M]) (*Stats, error) {
-	stats, _, err := RunOverWire(c, codec)
-	return stats, err
-}
-
-// RunOverWire is RunOver additionally reporting the physical
-// bytes-on-wire the substrate shipped (zero for the loopback, which
-// implements no transport.WireMeter). The WireStats ride alongside the
-// paper-level Stats rather than inside them: Stats are bit-identical
-// across substrates by construction, while bytes-on-wire are exactly
-// the substrate-dependent quantity the model abstracts away.
+// RunOverWire resolves the cluster's Config.Transport with the given
+// codec, runs on it, and closes it, reporting the physical bytes-on-wire
+// the substrate shipped (zero for the loopback, which implements no
+// transport.WireMeter). The WireStats ride alongside the paper-level
+// Stats rather than inside them: Stats are bit-identical across
+// substrates by construction, while bytes-on-wire are exactly the
+// substrate-dependent quantity the model abstracts away.
 func RunOverWire[M any](c *Cluster[M], codec wire.Codec[M]) (*Stats, transport.WireStats, error) {
 	// open also serves checkpoint recovery, which replaces a dead
 	// transport with a fresh one of the same kind (a recovered tcp mesh
@@ -50,7 +43,7 @@ func RunOverWire[M any](c *Cluster[M], codec wire.Codec[M]) (*Stats, transport.W
 		t, err := OpenTransport[M](c.cfg.Transport, c.cfg.K, codec)
 		if err == nil && c.cfg.Recorder != nil {
 			// Substrates with frame-level detail (tcp) record per-peer
-			// write/read/decode spans into the same recorder the engine's
+			// write/read/decode spans into the same recorder the drivers'
 			// phase spans go to; the loopback has none and stays dark.
 			if ts, ok := t.(transport.TraceSink); ok {
 				ts.SetRecorder(c.cfg.Recorder)

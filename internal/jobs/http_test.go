@@ -329,3 +329,48 @@ func TestHTTPRejectsImpossibleProblems(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPRejectsNegativeBandwidth is the regression for the poisoned
+// mesh: {"bandwidth":-1} used to be accepted (202), fail at run time on
+// every machine after the job's endpoints had attached, and cost the
+// daemon a mesh rebuild. It must bounce at intake with 400 and consume
+// no job ID, the standing mesh is never rebuilt, and the next job runs.
+func TestHTTPRejectsNegativeBandwidth(t *testing.T) {
+	const k = 3
+	b, err := NewMeshBackend(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(b, Options{})
+	defer s.Close()
+	mux := http.NewServeMux()
+	s.RegisterAPI(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	body := `{"algo":"pagerank","n":1000,"bandwidth":-1}`
+	resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg bytes.Buffer
+	msg.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST %s: %d %s, want 400", body, resp.StatusCode, msg.String())
+	}
+
+	id, err := s.Submit(Request{Algo: "pagerank", Prob: algo.Problem{N: 120, Seed: 7}})
+	if err != nil {
+		t.Fatalf("submit after the rejected job: %v", err)
+	}
+	if id != 1 {
+		t.Errorf("the rejected submission consumed a job ID: next job is %d, want 1", id)
+	}
+	if j := waitState(t, s, id); j.State != StateDone {
+		t.Fatalf("job after the rejected one ended %q: %s", j.State, j.Err)
+	}
+	if st := s.Stats(); st.Rebuilds != 0 || !st.MeshHealth {
+		t.Errorf("mesh_rebuilds=%d mesh_healthy=%v after a rejected config, want 0 and true", st.Rebuilds, st.MeshHealth)
+	}
+}

@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the k-machine runtime: a
 // zero-steady-state-allocation span recorder threaded through the
-// superstep engine (internal/core), the standalone node runtime
-// (internal/transport/node), and the socket transport's pipeline
+// superstep driver and its two links (internal/core,
+// internal/transport/node) and the socket transport's pipeline
 // workers (internal/transport/tcp), plus the exporters that turn the
 // recorded spans into something a human can read — a Chrome trace-event
 // JSON timeline (chrome://tracing, Perfetto) and per-superstep phase
@@ -39,15 +39,14 @@ const (
 	// PhaseCompute is one machine's Step call: the model's "free" local
 	// computation, measured.
 	PhaseCompute Phase = iota
-	// PhaseBarrier is synchronisation wait. In the in-process engine it
-	// is the time between a machine finishing its Step and the
-	// superstep barrier releasing (i.e. waiting for the slowest
-	// machine); in the node runtime it is the coordinator report/verdict
-	// control round that plays the same role.
+	// PhaseBarrier is synchronisation wait. On the in-process link it
+	// is the time between a machine finishing its Step and the slowest
+	// machine arriving at the rendezvous; on the socket link it is the
+	// coordinator report/verdict control round that plays the same role.
 	PhaseBarrier
 	// PhaseExchange is the transport moving one superstep's batched
-	// envelopes. The in-process engine records it once per superstep as
-	// a cluster-level span (Machine = -1); the node runtime records it
+	// envelopes. The in-process link records it once per superstep as
+	// a cluster-level span (Machine = -1); the socket link records it
 	// per machine, since each node performs its own exchange.
 	PhaseExchange
 	// PhaseFrameWrite is one tcp writer worker encoding and shipping

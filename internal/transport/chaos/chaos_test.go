@@ -62,10 +62,11 @@ func TestKillAtReturnsAttributedError(t *testing.T) {
 			if !errors.Is(err, chaos.ErrKilled) {
 				t.Errorf("error %v does not wrap ErrKilled", err)
 			}
-			// Accounting happens before envelopes reach Finish, so the
-			// superstep the kill lands in is already in the partial stats.
-			if stats == nil || stats.Supersteps != step+1 {
-				t.Errorf("stats account %d supersteps, want %d (kill superstep included)", stats.Supersteps, step+1)
+			// A superstep is delivered, then charged — on every link — so
+			// the superstep the kill lands in, which never was delivered,
+			// is not in the partial stats.
+			if stats == nil || stats.Supersteps != step {
+				t.Errorf("stats account %d supersteps, want %d (the kill superstep was never delivered)", stats.Supersteps, step)
 			}
 		})
 	}

@@ -1,7 +1,7 @@
 package node
 
-// White-box tests for the standalone runtime's checkpoint plane: the
-// parts the assembler hands to the sink at the coordinator's continue
+// White-box tests for the socket link's checkpoint plane: the parts
+// core's assembler hands to the sink after the coordinator's continue
 // verdict, and the ctrlResume round that aligns a resumed cluster on
 // the restored superstep. The property under test is the same as
 // everywhere in this repo: arming checkpoints changes nothing
@@ -67,7 +67,7 @@ func runCkCluster(t *testing.T, k int, ck CheckpointConfig) (*core.Stats, []int6
 func tryCkCluster(k int, ck CheckpointConfig) (*core.Stats, []int64, error) {
 	machines := make([]*ckMachine, k)
 	cfg := Config{K: k, Bandwidth: 1, Seed: 77, Checkpoint: ck}
-	stats, err := RunLocal(cfg, failCodec{}, func(id core.MachineID) core.Machine[failMsg] {
+	stats, _, err := RunLocal(cfg, failCodec{}, func(id core.MachineID) core.Machine[failMsg] {
 		machines[id] = &ckMachine{self: id}
 		return machines[id]
 	})

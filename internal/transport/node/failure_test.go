@@ -1,7 +1,7 @@
 package node
 
-// White-box failure tests for the standalone runtime: they drive
-// runLoop directly over a real loopback-TCP mesh so a machine's
+// White-box failure tests for the socket link: they drive runNode
+// directly over a real loopback-TCP mesh so a machine's
 // "process" can be killed (its endpoint torn down) or wedged (its Step
 // stalled past the deadline) at a chosen superstep, and assert the
 // acceptance bar of the failure-hardening work: every surviving machine
@@ -37,10 +37,10 @@ func (failCodec) Decode(src []byte) (failMsg, int, error) {
 	return failMsg{X: v}, n, err
 }
 
-// runMeshWithFault spawns k runLoops over a fresh loopback mesh; the
+// runMeshWithFault spawns k runNodes over a fresh loopback mesh; the
 // victim machine executes onVictimStep(eps) inside its Step at
 // superstep failStep (before emitting). Machines chatter endlessly, so
-// only the fault can end the run. Returns the k runLoop errors once
+// only the fault can end the run. Returns the k runNode errors once
 // every loop has exited; a cluster that fails to drain within 30s fails
 // the test with a full goroutine dump — that is the hang this PR fixes.
 func runMeshWithFault(t *testing.T, k, victim, failStep int, timeout time.Duration, onVictimStep func(eps []*tcp.Endpoint[failMsg])) []error {
@@ -75,7 +75,7 @@ func runMeshWithFault(t *testing.T, k, victim, failStep int, timeout time.Durati
 				errs[i] = verr
 				return
 			}
-			_, errs[i] = runLoop(cfg, eps[i], factory(core.MachineID(i)), nil, nil)
+			_, errs[i] = runNode(cfg, eps[i], factory(core.MachineID(i)), 0, nil, nil)
 			if errs[i] != nil {
 				eps[i].Close()
 			}
@@ -181,7 +181,7 @@ func TestCanceledContextAbortsNodeRun(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunLocal(Config{K: k, Bandwidth: 1, Seed: 3, Context: ctx},
+		_, _, err := RunLocal(Config{K: k, Bandwidth: 1, Seed: 3, Context: ctx},
 			failCodec{}, func(id core.MachineID) core.Machine[failMsg] {
 				return core.MachineFunc[failMsg](func(sctx *core.StepContext, inbox []core.Envelope[failMsg]) ([]core.Envelope[failMsg], bool) {
 					return []core.Envelope[failMsg]{{To: core.MachineID((int(sctx.Self) + 1) % k), Words: 1}}, false

@@ -3,22 +3,22 @@ package node
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"kmachine/internal/core"
+	"kmachine/internal/transport"
 	"kmachine/internal/transport/tcp"
 	"kmachine/internal/transport/wire"
 )
 
-// This file is the node runtime's multi-job mode: where Run/RunLocal
+// This file is the socket link's multi-job mode: where Run/RunLocal
 // build a mesh, execute one algorithm, and tear everything down, a
 // LocalMesh outlives jobs — RunJobLocal attaches fresh typed endpoints
 // to the standing fabric for each job, frames every data batch with the
-// job ID, brackets the superstep loop in a job-begin/job-end control
-// handshake, and detaches with the connections intact. Per-job
-// isolation falls out of the structure: each job gets fresh endpoints
-// (wire counters, scratch, inboxes), a fresh coordinator (Stats), and
-// whatever Recorder the caller put in its Config.
+// job ID, brackets core.Drive in a job-begin/job-end control handshake,
+// and detaches with the connections intact. Per-job isolation falls out
+// of the structure: each job gets fresh endpoints (wire counters,
+// scratch, inboxes), a fresh coordinator (Stats), and whatever Recorder
+// the caller put in its Config.
 
 // Job-lifecycle control frames, exchanged on the report/verdict plane
 // around each job's superstep loop. Values deliberately far from the
@@ -37,27 +37,39 @@ func encodeCtrl(kind byte, v uint64) []byte {
 	return wire.AppendUvarint([]byte{kind}, v)
 }
 
-func decodeCtrl(buf []byte, wantKind byte) (uint64, error) {
+func decodeCtrl(buf []byte, wantKind byte, want uint64) error {
 	if len(buf) < 1 || buf[0] != wantKind {
 		got := byte(0xFF)
 		if len(buf) > 0 {
 			got = buf[0]
 		}
-		return 0, fmt.Errorf("node: expected control frame 0x%02x, got 0x%02x", wantKind, got)
+		return fmt.Errorf("node: expected control frame 0x%02x, got 0x%02x", wantKind, got)
 	}
 	v, _, err := wire.Uvarint(buf[1:])
 	if err != nil {
-		return 0, fmt.Errorf("node: corrupt control frame 0x%02x: %w", wantKind, err)
+		return fmt.Errorf("node: corrupt control frame 0x%02x: %w", wantKind, err)
 	}
-	return v, nil
+	if v != want {
+		return fmt.Errorf("node: control frame 0x%02x carries %d, want %d", wantKind, v, want)
+	}
+	return nil
 }
 
-func decodeJobCtrl(buf []byte, wantKind byte, wantJob uint64) error {
-	job, err := decodeCtrl(buf, wantKind)
-	if err == nil && job != wantJob {
-		err = fmt.Errorf("node: job control frame for job %d, want job %d", job, wantJob)
+// ctrlRound is the one shape of a pre-loop control round: the
+// coordinator broadcasts ⟨kind, v⟩ and every other machine checks it
+// against its own v, which proves the control plane is aligned — on
+// this job, on this checkpoint — before any data frame ships.
+func ctrlRound[M any](cfg Config, ep *tcp.Endpoint[M], kind byte, v uint64) error {
+	hctx, cancel := handshakeCtx(cfg)
+	defer cancel()
+	if cfg.ID == 0 {
+		return ep.Broadcast(hctx, encodeCtrl(kind, v))
 	}
-	return err
+	frame, err := ep.ReceiveVerdict(hctx)
+	if err != nil {
+		return err
+	}
+	return decodeCtrl(frame, kind, v)
 }
 
 // LocalMesh is the standing k-machine socket fabric of a resident
@@ -123,144 +135,78 @@ func (lm *LocalMesh) Close() error {
 
 // RunJobLocal executes one job on the standing mesh: typed endpoints
 // attach for job `job` (all data frames carry its ID), the coordinator
-// opens with a job-begin control frame, the ordinary superstep loop
-// runs to its stop verdict, and a job-end handshake certifies every
-// machine consumed every frame before the endpoints detach — which is
-// what makes the connections safe to hand to the next job's endpoints.
-// cfg is a template exactly like RunLocal's: ID, ListenAddr, and Peers
-// are ignored; K must equal the mesh's. On any error the mesh is
-// poisoned (Healthy()==false) and must be rebuilt.
-func RunJobLocal[M any](lm *LocalMesh, cfg Config, job uint64, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, error) {
-	if cfg.K != lm.k {
-		return nil, fmt.Errorf("node: job config wants k=%d on a k=%d mesh", cfg.K, lm.k)
-	}
-	if job == 0 {
+// opens with a job-begin control frame, core.Drive runs to its stop
+// verdict — whose superstep every machine has finished, so every
+// connection is drained — and a job-end handshake certifies every
+// machine consumed it before the endpoints detach, which is what makes
+// the connections safe to hand to the next job's endpoints. cfg is a
+// template exactly like RunLocal's, and like there it is validated
+// first: a rejected job attaches nothing and leaves the mesh healthy.
+// On any later error the mesh is poisoned (Healthy()==false) and must
+// be rebuilt.
+func RunJobLocal[M any](lm *LocalMesh, cfg Config, job uint64, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
+	err := cfg.validate()
+	switch {
+	case err != nil:
+	case cfg.K != lm.k:
+		err = fmt.Errorf("node: job config wants k=%d on a k=%d mesh", cfg.K, lm.k)
+	case job == 0:
 		// Zero is the "no job" sentinel in MachineError attribution.
-		return nil, fmt.Errorf("node: job IDs start at 1")
+		err = fmt.Errorf("node: job IDs start at 1")
 	}
-	k := lm.k
-	ck := newAssembler(cfg)
-	eps := make([]*tcp.Endpoint[M], k)
-	for i := 0; i < k; i++ {
-		e, err := tcp.Attach[M](lm.meshes[i], codec, job)
-		if err != nil {
+	if err != nil {
+		return nil, transport.WireStats{}, err
+	}
+	eps := make([]*tcp.Endpoint[M], lm.k)
+	for i := range eps {
+		if eps[i], err = tcp.Attach[M](lm.meshes[i], codec, job); err != nil {
 			for _, prev := range eps[:i] {
 				prev.Close()
 			}
-			return nil, err
+			return nil, transport.WireStats{}, err
 		}
-		if cfg.Recorder != nil {
-			e.SetRecorder(cfg.Recorder)
-		}
-		eps[i] = e
 	}
-	// Factory calls stay sequential, matching core.NewCluster's contract.
-	machines := make([]core.Machine[M], k)
-	for i := 0; i < k; i++ {
-		machines[i] = factory(core.MachineID(i))
-	}
-	stats := make([]*core.Stats, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			mcfg := cfg
-			mcfg.ID = i
-			mcfg.ListenAddr, mcfg.Peers = "", nil
-			if err := mcfg.validate(); err == nil {
-				stats[i], errs[i] = runJobNode(mcfg, eps[i], machines[i], job, codec, ck)
-			} else {
-				errs[i] = err
-			}
-			if errs[i] != nil {
-				// Same teardown rule as RunLocal: a node that bails must
-				// close its endpoint — and with it the shared fabric — so
-				// peers parked on its connections unblock immediately.
-				eps[i].Close()
-			} else {
-				eps[i].Detach()
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	stats, w, err := runCluster(cfg, eps, job, codec, factory)
+	for _, ep := range eps {
 		if err != nil {
-			// A failed job may leave some machines cleanly detached and
-			// others mid-teardown; poison the whole fabric so the owner
-			// rebuilds rather than running the next job on a half-dead
-			// mesh.
-			for _, e := range eps {
-				e.Close()
-			}
-			if errs[0] != nil {
-				return stats[0], errs[0]
-			}
-			return stats[0], err
+			// A failed job may leave some machines cleanly done and others
+			// mid-teardown; poison the whole fabric so the owner rebuilds
+			// rather than running the next job on a half-dead mesh.
+			ep.Close()
+		} else {
+			ep.Detach()
 		}
 	}
-	return stats[0], nil
+	return stats, w, err
 }
 
-// runJobNode wraps one machine's superstep loop in the job-lifecycle
-// handshake. The begin frame proves the control plane is aligned on
-// this job before any data frame ships; the end frames prove every
-// machine consumed its stop verdict — i.e. every connection is
-// quiescent — before the caller detaches the endpoints.
-func runJobNode[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], job uint64, codec wire.Codec[M], ck *assembler) (*core.Stats, error) {
+// jobEnd proves every machine consumed its stop verdict — i.e. every
+// connection is quiescent — before the caller detaches the endpoints.
+func jobEnd[M any](cfg Config, ep *tcp.Endpoint[M], job uint64) error {
+	hctx, cancel := handshakeCtx(cfg)
+	defer cancel()
+	if err := ep.SendToCoordinator(hctx, encodeCtrl(ctrlJobEnd, job)); err != nil || cfg.ID != 0 {
+		return err
+	}
+	// Step index is only diagnostic here; -1 marks the end-of-job
+	// collection round.
+	ends, err := ep.CollectReports(hctx, -1)
+	for i := 0; err == nil && i < len(ends); i++ {
+		if err = decodeCtrl(ends[i], ctrlJobEnd, job); err != nil {
+			err = fmt.Errorf("from machine %d: %w", i, err)
+		}
+	}
+	return err
+}
+
+// handshakeCtx bounds a pre- or post-loop control round the same way a
+// superstep is bounded: by cfg.SuperstepTimeout when set, otherwise
+// only by the run context.
+func handshakeCtx(cfg Config) (context.Context, context.CancelFunc) {
 	runCtx := cfg.Context
 	if runCtx == nil {
 		runCtx = context.Background()
 	}
-	hctx, cancel := handshakeCtx(runCtx, cfg)
-	if cfg.ID == 0 {
-		if err := ep.Broadcast(hctx, encodeCtrl(ctrlJobBegin, job)); err != nil {
-			cancel()
-			return nil, fmt.Errorf("node: coordinator job %d begin: %w", job, err)
-		}
-	} else {
-		frame, err := ep.ReceiveVerdict(hctx)
-		if err == nil {
-			err = decodeJobCtrl(frame, ctrlJobBegin, job)
-		}
-		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("node: machine %d job %d begin: %w", cfg.ID, job, err)
-		}
-	}
-	cancel()
-
-	stats, err := runLoop(cfg, ep, m, codec, ck)
-	if err != nil {
-		return stats, err
-	}
-
-	hctx, cancel = handshakeCtx(runCtx, cfg)
-	defer cancel()
-	if err := ep.SendToCoordinator(hctx, encodeCtrl(ctrlJobEnd, job)); err != nil {
-		return stats, fmt.Errorf("node: machine %d job %d end: %w", cfg.ID, job, err)
-	}
-	if cfg.ID == 0 {
-		// Step index is only diagnostic here; -1 marks the end-of-job
-		// collection round.
-		ends, err := ep.CollectReports(hctx, -1)
-		if err != nil {
-			return stats, fmt.Errorf("node: coordinator job %d end: %w", job, err)
-		}
-		for i, frame := range ends {
-			if err := decodeJobCtrl(frame, ctrlJobEnd, job); err != nil {
-				return stats, fmt.Errorf("node: coordinator job %d end from machine %d: %w", job, i, err)
-			}
-		}
-	}
-	return stats, nil
-}
-
-// handshakeCtx bounds a job-lifecycle handshake the same way a
-// superstep is bounded: by cfg.SuperstepTimeout when set, otherwise
-// only by the run context.
-func handshakeCtx(runCtx context.Context, cfg Config) (context.Context, context.CancelFunc) {
 	if cfg.SuperstepTimeout > 0 {
 		return context.WithTimeout(runCtx, cfg.SuperstepTimeout)
 	}

