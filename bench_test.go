@@ -206,6 +206,26 @@ func BenchmarkDistributedSort(b *testing.B) {
 	}
 }
 
+// BenchmarkDistributedSortTCP is the socket-link twin of
+// BenchmarkDistributedSort, as BenchmarkPageRankAlgorithm1TCP is for
+// PageRank: few supersteps, every key crossing loopback TCP twice in a
+// handful of large frames — the bulk use of wire+tcp, where B/op (bytes
+// allocated per 8-byte key moved) is the number to watch next to the
+// small-frame benchmarks' allocs/op.
+func BenchmarkDistributedSortTCP(b *testing.B) {
+	const n, k = 200000, 8
+	in := dsort.RandomInput(n, k, 1, dsort.UniformKeys)
+	cfg := core.Config{K: k, Bandwidth: 8, Seed: 3, Transport: transport.TCP}
+	b.ReportAllocs()
+	b.SetBytes(8 * n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dsort.Run(in, cfg, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRandomRouting(b *testing.B) {
 	for _, k := range []int{8, 32} {
 		b.Run(fmt.Sprintf("k=%d/x=2048", k), func(b *testing.B) {

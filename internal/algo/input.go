@@ -69,12 +69,17 @@ func GnpInput(prob Problem) (partition.Input, error) {
 }
 
 // EdgelessInput resolves the input of problems that carry no graph
-// (dsort's keys, routing's synthetic workloads): the partition alone.
+// (dsort's keys, routing's synthetic workloads). Their machines read
+// only Self and K off the view, so the partition covers a K-vertex
+// placeholder whatever prob.N is: N here counts keys or probes, and
+// hashing that many vertices to homes would be setup nobody reads.
 func EdgelessInput(prob Problem) partition.Input {
+	spec := prob.PartitionSpec()
+	spec.N = prob.K
 	if prob.Sharded {
-		return gen.EdgelessInput(prob.PartitionSpec())
+		return gen.EdgelessInput(spec)
 	}
-	return partition.NewRVP(graph.NewBuilder(prob.N, false).Build(), prob.K, prob.Seed+1)
+	return partition.NewRVP(graph.NewBuilder(spec.N, false).Build(), spec.K, spec.Seed)
 }
 
 // timedInput wraps an Input and accumulates the wall-clock spent

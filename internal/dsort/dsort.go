@@ -43,6 +43,9 @@ type Input struct {
 func RandomInput(n, k int, seed uint64, keyGen func(r *rng.RNG) uint64) *Input {
 	r := rng.New(seed)
 	in := &Input{Keys: make([][]uint64, k)}
+	for m := range in.Keys {
+		in.Keys[m] = make([]uint64, 0, routing.LinkShare(n, k))
+	}
 	for i := 0; i < n; i++ {
 		m := r.Intn(k)
 		in.Keys[m] = append(in.Keys[m], keyGen(r))
@@ -100,9 +103,9 @@ type sortMachine struct {
 	rebal     int64
 	sizesIn   int
 
-	// DeliverInto scratch, recycled across supersteps.
-	delivBuf []smsg
-	outBuf   []core.Envelope[wire]
+	// outBuf is the recycled out slice: with every peer's bucket emitted
+	// eagerly it carries the self-addressed bucket only.
+	outBuf []core.Envelope[wire]
 	// buckets[j] collects the superstep's envelopes addressed to machine
 	// j; core.EmitBuckets hands the non-self buckets to the transport
 	// eagerly. The broadcast supersteps (0 and 3) go further and emit
@@ -184,19 +187,23 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 	for j := range buckets {
 		buckets[j] = buckets[j][:0]
 	}
-	delivered := routing.DeliverIntoBuckets(core.MachineID(ctx.Self), inbox, m.delivBuf[:0], buckets)
-	m.delivBuf = delivered[:0]
 	out := m.outBuf[:0]
 	defer func() { m.outBuf = out[:0] }()
-	for _, d := range delivered {
-		switch d.Kind {
+	// One pass over the inbox: second-hop envelopes go to their final
+	// machine's bucket, arrived payloads straight into the phase state.
+	for i := range inbox {
+		e := &inbox[i]
+		if e.Msg.Final != ctx.Self {
+			routing.ForwardBucket(buckets, e)
+			continue
+		}
+		switch d := &e.Msg.Msg; d.Kind {
 		case kindSample:
 			m.samples = append(m.samples, d.Value)
 		case kindKey:
 			m.bucket = append(m.bucket, d.Value)
 		case kindSize:
-			m.sizes = append(m.sizes, 0) // placeholder, replaced below
-			m.sizes[len(m.sizes)-1] = d.Count
+			m.sizes = append(m.sizes, d.Count)
 			m.sizesIn++
 		case kindFinal:
 			m.final = append(m.final, d.Value)
@@ -332,17 +339,28 @@ func blockBounds(n, k int) []int64 {
 // construction every substrate uses.
 func newSortMachine(id core.MachineID, in *Input, n, k, samplesPerMachine int) *sortMachine {
 	m := &sortMachine{k: k, n: n, samplesPer: samplesPerMachine, keys: in.Keys[id]}
-	// Presize the working buffers to the phase maxima (whp): the
-	// run is only ~7 supersteps, too few to amortise append-growth
-	// chains, and these caps make the big phases allocation-flat.
-	// Capacities only — contents and behaviour are unchanged.
-	sz := len(in.Keys[id]) + k
-	if bc := (k-1)*samplesPerMachine + k; bc > sz {
-		sz = bc // phase 1 broadcasts (k-1)·samplesPer sample envelopes
+	// Presize the working buffers to the phase maxima (whp): the run is
+	// only ~7 supersteps, too few to amortise append-growth chains.
+	// Capacities only — contents and behaviour are unchanged; a phase
+	// that outgrows one falls back to append.
+	//
+	// A per-destination bucket is one link's load. On the first hop this
+	// machine's ~|keys| envelopes each draw a uniform intermediate; on the
+	// second it relays the 1/k of every splitter bucket (≈ n/k keys each)
+	// that drew it — either way ≈ |keys|/k per link, and Lemma 13's
+	// concentration sizes the buffer as it bounds the rounds. The
+	// broadcast phases put samplesPer envelopes on every link. out
+	// carries only the self-addressed bucket: one more link.
+	link := routing.LinkShare(len(m.keys), k)
+	if samplesPerMachine > link {
+		link = samplesPerMachine
 	}
-	m.outBuf = make([]core.Envelope[wire], 0, sz)
-	m.delivBuf = make([]smsg, 0, sz)
+	m.outBuf = make([]core.Envelope[wire], 0, link)
 	m.buckets = make([][]core.Envelope[wire], k)
+	for j := range m.buckets {
+		m.buckets[j] = make([]core.Envelope[wire], 0, link)
+	}
+	sz := len(m.keys) + k
 	m.samples = make([]uint64, 0, k*samplesPerMachine)
 	m.bucket = make([]uint64, 0, sz)
 	m.final = make([]uint64, 0, sz)

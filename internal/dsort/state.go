@@ -43,7 +43,7 @@ func (m *sortMachine) SnapshotState(dst []byte) ([]byte, error) {
 
 // RestoreState overwrites the machine's dynamic state from a
 // SnapshotState blob taken on a machine built from the same inputs,
-// reusing slice capacity where possible and resetting delivery scratch.
+// reusing slice capacity where possible and resetting the emission scratch.
 func (m *sortMachine) RestoreState(src []byte) error {
 	c := twire.Cursor{Src: src}
 	m.samples = readU64s(&c, m.samples)
@@ -62,7 +62,6 @@ func (m *sortMachine) RestoreState(src []byte) error {
 	}
 	m.rebal = rebal
 	m.sizesIn = int(sizesIn)
-	m.delivBuf = m.delivBuf[:0]
 	m.outBuf = m.outBuf[:0]
 	for j := range m.buckets {
 		m.buckets[j] = m.buckets[j][:0]

@@ -117,18 +117,37 @@ func RouteDirectBuckets[M any](buckets [][]core.Envelope[Hop[M]], final core.Mac
 // DeliverIntoBuckets is DeliverInto with the second-hop forwards
 // appended into per-destination buckets instead of one forwards slice.
 func DeliverIntoBuckets[M any](self core.MachineID, inbox []core.Envelope[Hop[M]], delivered []M, buckets [][]core.Envelope[Hop[M]]) []M {
-	for _, e := range inbox {
-		if e.Msg.Final == self {
+	for i := range inbox {
+		if e := &inbox[i]; e.Msg.Final == self {
 			delivered = append(delivered, e.Msg.Msg)
-			continue
+		} else {
+			ForwardBucket(buckets, e)
 		}
-		buckets[e.Msg.Final] = append(buckets[e.Msg.Final], core.Envelope[Hop[M]]{
-			To:    e.Msg.Final,
-			Words: e.Words,
-			Msg:   e.Msg,
-		})
 	}
 	return delivered
+}
+
+// ForwardBucket appends the second-hop forward of e — an inbox envelope
+// whose Final is another machine — to that machine's bucket. It is the
+// forward arm of DeliverIntoBuckets on its own, for a machine that
+// consumes its arrived payloads in the same pass over the inbox instead
+// of staging them in a delivered slice.
+func ForwardBucket[M any](buckets [][]core.Envelope[Hop[M]], e *core.Envelope[Hop[M]]) {
+	buckets[e.Msg.Final] = append(buckets[e.Msg.Final], core.Envelope[Hop[M]]{
+		To:    e.Msg.Final,
+		Words: e.Words,
+		Msg:   e.Msg,
+	})
+}
+
+// LinkShare is the Lemma 13 buffer size: how many of x items dealt
+// uniformly over k machines (or links) one of them holds whp — the mean
+// x/k plus four standard deviations (√mean bounds the binomial's). The
+// concentration that bounds a link's rounds is the same one that bounds
+// the buffer its envelopes wait in.
+func LinkShare(x, k int) int {
+	mean := float64(x) / float64(k)
+	return int(mean+4*math.Sqrt(mean)) + 1
 }
 
 // HeavyDegreeThreshold is the §3.2 proxy-assignment cutoff 2·k·log n:

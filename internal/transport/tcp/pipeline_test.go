@@ -6,12 +6,15 @@ package tcp
 
 import (
 	"context"
+	"errors"
+	"net"
 	"runtime"
 	"testing"
 	"time"
 
 	"kmachine/internal/testutil"
 	"kmachine/internal/transport"
+	"kmachine/internal/transport/wire"
 )
 
 // TestPipelineWorkersPersistAcrossSupersteps pins the tentpole property
@@ -154,5 +157,111 @@ func TestExchangeAfterCloseFailsFast(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Exchange on a closed transport hung")
+	}
+}
+
+// TestBadFrameFailsWhereItIsFound pins the split of the receive path:
+// what a frame's header can show (another job, another superstep, an
+// envelope count the frame cannot hold) fails in the reader worker,
+// before any inbox is sized from the frame's count; a sound header over
+// a corrupt body fails in FinishSuperstep's decode. Either way the
+// outcome is the one a reader-side decode failure always had: a
+// *transport.MachineError naming the sender and the job, the endpoint
+// closed, the sender blamed to the bystander, no goroutine left behind.
+// Machine 1 is the culprit and ships raw bytes; machines 0 and 2 run
+// real endpoints.
+func TestBadFrameFailsWhereItIsFound(t *testing.T) {
+	const job = 7
+	jobbed := func(body ...byte) []byte { return append(wire.AppendJobHeader(nil, job), body...) }
+	empty, err := wire.AppendBatchV2(jobbed(), 0, 1, 2, []transport.Envelope[testMsg](nil), testCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrongStep, _ := wire.AppendBatchV2(jobbed(), 5, 1, 0, []transport.Envelope[testMsg](nil), testCodec{})
+	wrongJob, _ := wire.AppendBatchV2(wire.AppendJobHeader(nil, job+1), 0, 1, 0, []transport.Envelope[testMsg](nil), testCodec{})
+	for _, row := range []struct {
+		name     string
+		frame    []byte
+		inReader bool
+	}{
+		{"wrong superstep", wrongStep, true},
+		{"wrong job", wrongJob, true},
+		// superstep 0, then a count of 2^35 envelopes in a 7-byte frame.
+		{"oversize count", jobbed(wire.BatchV2, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01), true},
+		// superstep 0, one envelope: From run (delta 0, length 1), one
+		// word, a one-byte payload section — holding a truncated varint.
+		{"corrupt payload", jobbed(wire.BatchV2, 0, 1, 0, 1, 1, 1, 0x80), false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ms, err := NewLoopbackSocketMesh(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				for _, m := range ms {
+					m.Close()
+				}
+				testutil.NoLeakedGoroutines(t, base)
+			}()
+			e0, err := Attach[testMsg](ms[0], testCodec{}, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e2, err := Attach[testMsg](ms[2], testCodec{}, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ms[1].out[0].writeFrameLocked(time.Time{}, row.frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := ms[1].out[2].writeFrameLocked(time.Time{}, empty); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			blames := func(what string, err error) {
+				t.Helper()
+				var me *transport.MachineError
+				if !errors.As(err, &me) || me.Machine != 1 || me.Job != job {
+					t.Fatalf("%s: got %v, want a MachineError naming machine 1 in job %d", what, err, job)
+				}
+			}
+
+			if row.inReader {
+				// Only the readers run: the verdict must be in before
+				// FinishSuperstep has had a chance to size anything.
+				if err := e0.BeginSuperstep(ctx, 0); err != nil {
+					t.Fatal(err)
+				}
+				e0.workWG.Wait()
+				if e0.inboxes[0] != nil || e0.inboxes[1] != nil {
+					t.Fatal("an inbox was sized before the reader rejected the frame")
+				}
+				_, err := e0.FinishSuperstep(0, nil)
+				blames("machine 0", err)
+			} else {
+				_, errs := jobExchange([]*Endpoint[testMsg]{e0, e2}, 0, make([][]transport.Envelope[testMsg], 2))
+				blames("machine 0", errs[0])
+				if errs[1] != nil {
+					t.Fatalf("bystander's superstep 0 failed: %v", errs[1])
+				}
+			}
+			if _, err := e0.Exchange(ctx, 1, nil); !errors.Is(err, net.ErrClosed) {
+				t.Fatalf("machine 0 after the failure: got %v, want a closed endpoint", err)
+			}
+			// The bystander learns the culprit from machine 0's blame frame,
+			// not from machine 0's own FIN. Drain its readers before the
+			// finish so no writer can race the verdict.
+			step := 0
+			if !row.inReader {
+				step = 1
+			}
+			if err := e2.BeginSuperstep(ctx, step); err != nil {
+				t.Fatal(err)
+			}
+			e2.workWG.Wait()
+			_, err = e2.FinishSuperstep(step, nil)
+			blames("bystander", err)
+		})
 	}
 }

@@ -10,12 +10,12 @@
 // data connection is owned by a long-lived worker goroutine — one
 // writer per outgoing peer, one reader per incoming peer — spawned once
 // when the mesh connects and parked on a signal channel between
-// supersteps. BeginSuperstep releases the readers, so each decodes its
-// peer's frame into its own recycled envelope scratch as soon as it
-// arrives; StreamBatch hands a finished batch to its peer's writer
+// supersteps. BeginSuperstep releases the readers, so each receives and
+// header-checks its peer's frame in its own recycled buffer as soon as
+// it arrives; StreamBatch hands a finished batch to its peer's writer
 // mid-compute and FinishSuperstep the rest (each writer serialises its
 // own peer's batch into its own recycled buffer), then waits for the
-// generation to drain and merges — with no goroutine spawned and no
+// generation to drain and decodes — with no goroutine spawned and no
 // synchronisation state allocated on the steady-state path. Workers
 // exit when the endpoint closes; they never leak across supersteps.
 //
@@ -62,19 +62,15 @@ const DefaultDialTimeout = 10 * time.Second
 
 type dataConn struct {
 	c net.Conn
-	w *wbuf
-	r *rbuf
+	w *bufWriter
+	r *bufReader
 	// wmu serialises frame writes: the owning writer worker and a
 	// failing peer's blame broadcast may write concurrently.
 	wmu sync.Mutex
 }
 
-// wbuf/rbuf are tiny aliases to keep struct fields readable.
-type wbuf = bufWriter
-type rbuf = bufReader
-
 // pipeJob is one superstep's marching order for a parked pipeline
-// worker: which superstep to encode/decode and the I/O deadline to
+// worker: which superstep to ship or expect and the I/O deadline to
 // install first. It is passed by value over a buffered channel, so
 // signalling a worker allocates nothing.
 type pipeJob struct {
@@ -131,17 +127,20 @@ type Endpoint[M any] struct {
 	ctrlCause, ctrlShrapnel error // control path (CollectReports)
 
 	// Per-superstep scratch, recycled across calls (the transport
-	// ownership rule). perDest/tx/frame/rx are dead once FinishSuperstep
-	// returns and are single-buffered; the assembled inbox is handed to
-	// the caller and double-buffered so the previous superstep's
-	// envelopes survive while the next one is built. reports/ctrlFrame
-	// and verdictBuf are the control-plane equivalents: the payloads
-	// returned by CollectReports and ReceiveVerdict stay valid until the
-	// next call of the same method.
+	// ownership rule). perDest/tx/frame are dead once FinishSuperstep
+	// returns and are single-buffered; a reader leaves its header-checked
+	// batch (a window of frame[j]) and envelope count in rxBatch/rxCount
+	// for the finish to decode into the inbox — the one place received
+	// envelopes exist decoded — which is handed to the caller and
+	// double-buffered so the previous superstep's envelopes survive while
+	// the next one is built. reports/ctrlFrame and verdictBuf are the
+	// control-plane equivalents: the payloads returned by CollectReports
+	// and ReceiveVerdict stay valid until the next call of the same method.
 	perDest [][]transport.Envelope[M] // outgoing split by destination
 	tx      [][]byte                  // per-peer batch encode buffers
 	frame   [][]byte                  // per-peer frame read buffers
-	rx      [][]transport.Envelope[M] // per-peer decoded batches
+	rxBatch [][]byte                  // per-peer received batch, undecoded
+	rxCount []int                     // per-peer envelope count of rxBatch
 	inboxes [2][]transport.Envelope[M]
 	gen     int
 
@@ -209,7 +208,8 @@ func newEndpoint[M any](m *Mesh, codec wire.Codec[M]) *Endpoint[M] {
 		perDest:    make([][]transport.Envelope[M], k),
 		tx:         make([][]byte, k),
 		frame:      make([][]byte, k),
-		rx:         make([][]transport.Envelope[M], k),
+		rxBatch:    make([][]byte, k),
+		rxCount:    make([]int, k),
 		txSrc:      make([][]transport.Envelope[M], k),
 		strEmitted: make([]bool, k),
 		wirePeers:  make([]peerWire, k),
@@ -288,6 +288,23 @@ func (e *Endpoint[M]) WireStats() transport.WireStats {
 // the endpoint level). Must be called before the first superstep; nil
 // (the default) keeps the workers on their span-free path.
 func (e *Endpoint[M]) SetRecorder(r obs.Recorder) { e.rec = r }
+
+// now reads the span clock, or nothing on the span-free path.
+func (e *Endpoint[M]) now() int64 {
+	if e.rec == nil {
+		return 0
+	}
+	return obs.Now()
+}
+
+// span records [t0, now) as one frame phase of superstep step against
+// peer, when a recorder is installed.
+func (e *Endpoint[M]) span(t0 int64, phase obs.Phase, peer, step, frameBytes int) {
+	if e.rec != nil {
+		e.rec.Record(obs.Span{Start: t0, Dur: obs.Now() - t0, Machine: int32(e.id),
+			Peer: int32(peer), Superstep: int32(step), Phase: phase, Bytes: int32(frameBytes)})
+	}
+}
 
 func (e *Endpoint[M]) countSent(peer, payloadLen int) {
 	p := &e.wirePeers[peer]
@@ -436,10 +453,7 @@ func (e *Endpoint[M]) castBlame(cause error) {
 // own recycled buffer, its own connection, in parallel with every other
 // writer — the serial encode loop of the previous engine is gone.
 func (e *Endpoint[M]) runWriter(j int, job pipeJob) {
-	var t0 int64
-	if e.rec != nil {
-		t0 = obs.Now()
-	}
+	t0 := e.now()
 	base := e.tx[j][:0]
 	if e.jobbed {
 		// Job-attached endpoints scope every data frame: the header sits
@@ -465,23 +479,16 @@ func (e *Endpoint[M]) runWriter(j int, job pipeJob) {
 		return
 	}
 	e.countSent(j, len(buf))
-	if e.rec != nil {
-		e.rec.Record(obs.Span{Start: t0, Dur: obs.Now() - t0,
-			Machine: int32(e.id), Peer: int32(j), Superstep: int32(job.step),
-			Phase: obs.PhaseFrameWrite, Bytes: int32(wire.FrameSize(len(buf)))})
-	}
+	e.span(t0, obs.PhaseFrameWrite, j, job.step, wire.FrameSize(len(buf)))
 }
 
-// runReader receives and decodes peer j's batch for this superstep.
-// Both the frame buffer and the decoded-envelope scratch are per-peer,
-// so each is touched by exactly one goroutine; the decoded values are
-// copied into the inbox during the merge, freeing both for reuse next
-// superstep.
+// runReader receives peer j's batch for this superstep: socket I/O plus
+// what can be checked without decoding an envelope — blame frame, job,
+// version, superstep, an envelope count the frame can hold. The batch
+// stays in the per-peer frame buffer (touched by exactly one goroutine)
+// for FinishSuperstep to decode into the inbox.
 func (e *Endpoint[M]) runReader(j int, job pipeJob) {
-	var t0 int64
-	if e.rec != nil {
-		t0 = obs.Now()
-	}
+	t0 := e.now()
 	dc := e.in[j]
 	if err := dc.c.SetReadDeadline(job.dl); err != nil {
 		e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d set read deadline for %d: %w", e.id, j, err)))
@@ -494,16 +501,10 @@ func (e *Endpoint[M]) runReader(j int, job pipeJob) {
 	}
 	e.frame[j] = frame[:0]
 	e.countRecv(j, len(frame))
-	var t1 int64
-	if e.rec != nil {
-		// The read span is dominated by stall — waiting for peer j to
-		// produce and ship its frame — which is the quantity worth
-		// seeing per peer; the decode below gets its own span.
-		t1 = obs.Now()
-		e.rec.Record(obs.Span{Start: t0, Dur: t1 - t0,
-			Machine: int32(e.id), Peer: int32(j), Superstep: int32(job.step),
-			Phase: obs.PhaseFrameRead, Bytes: int32(wire.FrameSize(len(frame)))})
-	}
+	// The read span is dominated by stall — waiting for peer j to produce
+	// and ship its frame — which is the quantity worth seeing per peer;
+	// the decode gets its own span at the finish.
+	e.span(t0, obs.PhaseFrameRead, j, job.step, wire.FrameSize(len(frame)))
 	if len(frame) > 0 && frame[0] == wire.BatchAbort {
 		// The peer is tearing down and names the machine it blames; the
 		// abort precedes its FIN in stream order, so we learn the true
@@ -519,42 +520,34 @@ func (e *Endpoint[M]) runReader(j int, job pipeJob) {
 			Err: fmt.Errorf("tcp: peer %d aborted superstep %d blaming machine %d", j, bstep, suspect)})
 		return
 	}
-	payload := frame
+	batch := frame
 	if e.jobbed {
-		// Verify the frame belongs to OUR job before decoding a byte of
+		// Verify the frame belongs to OUR job before accepting a byte of
 		// it: a straggler from a previous job decoded into this run would
 		// corrupt it silently; rejected here it is a loud attributed error.
 		gotJob, rest, jobbed, jerr := wire.PeelJobHeader(frame)
-		if jerr != nil {
-			e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d job header from %d: %w", e.id, j, jerr)))
-			return
+		switch {
+		case jerr != nil:
+			err = jerr
+		case !jobbed:
+			err = fmt.Errorf("job-less frame during job %d", e.jobID)
+		case gotJob != e.jobID:
+			err = fmt.Errorf("frame for job %d during job %d", gotJob, e.jobID)
 		}
-		if !jobbed {
-			e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d got job-less frame from %d during job %d", e.id, j, e.jobID)))
-			return
-		}
-		if gotJob != e.jobID {
-			e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d got frame for job %d from %d during job %d", e.id, gotJob, j, e.jobID)))
-			return
-		}
-		payload = rest
+		batch = rest
 	}
-	gotStep, from, envs, err := wire.DecodeBatchAnyInto(payload, e.codec, transport.MachineID(j), transport.MachineID(e.id), e.rx[j])
-	if e.rec != nil {
-		e.rec.Record(obs.Span{Start: t1, Dur: obs.Now() - t1,
-			Machine: int32(e.id), Peer: int32(j), Superstep: int32(job.step),
-			Phase: obs.PhaseFrameDecode})
+	var gotStep, count int
+	if err == nil {
+		gotStep, count, _, err = wire.BatchHeader(batch)
+	}
+	if err == nil && gotStep != job.step {
+		err = fmt.Errorf("batch for superstep %d, want %d", gotStep, job.step)
 	}
 	if err != nil {
-		e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d decode from %d: %w", e.id, j, err)))
+		e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d bad frame from %d: %w", e.id, j, err)))
 		return
 	}
-	e.rx[j] = envs
-	if gotStep != job.step || int(from) != j {
-		e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d expected (superstep %d, from %d), got (%d, %d)",
-			e.id, job.step, j, gotStep, from)))
-		return
-	}
+	e.rxBatch[j], e.rxCount[j] = batch, count
 }
 
 // runCtrlReader receives peer j's control report for the coordinator.
@@ -637,43 +630,50 @@ func (e *Endpoint[M]) Exchange(ctx context.Context, step int, out []transport.En
 	return e.FinishSuperstep(step, out)
 }
 
-// mergeInbox assembles the superstep's inbox in sender-ID order into
-// the double-buffered storage: the previous superstep's inbox (the
-// other generation) is still readable by the caller per the ownership
-// rule. Call only after the pipeline generation drained error-free.
-func (e *Endpoint[M]) mergeInbox() []transport.Envelope[M] {
-	perSender := e.rx
+// assembleInbox builds the superstep's inbox in sender-ID order in the
+// double-buffered storage: the previous superstep's inbox (the other
+// generation) is still readable by the caller per the ownership rule.
+// The storage is sized once from the counts the readers checked, then
+// every peer's batch is decoded straight into its slot, self-addressed
+// envelopes at position e.id. A sound header over a corrupt body fails
+// the endpoint here, blamed on the sender like any reader failure.
+// Call only after the pipeline generation drained error-free.
+func (e *Endpoint[M]) assembleInbox(step int) (inbox []transport.Envelope[M], err error) {
 	total := len(e.perDest[e.id])
-	for s := 0; s < e.k; s++ {
-		if s != e.id {
-			total += len(perSender[s])
-		}
+	for _, n := range e.rxCount { // rxCount[e.id] stays zero
+		total += n
 	}
-	buf := e.inboxes[e.gen]
-	if cap(buf) < total {
-		buf = make([]transport.Envelope[M], 0, total)
+	inbox = e.inboxes[e.gen][:0]
+	if cap(inbox) < total {
+		inbox = make([]transport.Envelope[M], 0, total)
 	}
-	inbox := buf[:0]
 	for s := 0; s < e.k; s++ {
 		if s == e.id {
 			inbox = append(inbox, e.perDest[s]...)
 			continue
 		}
-		inbox = append(inbox, perSender[s]...)
+		t0 := e.now()
+		_, inbox, err = wire.AppendDecodedBatch(inbox, e.rxBatch[s], e.codec, transport.MachineID(s), transport.MachineID(e.id))
+		e.span(t0, obs.PhaseFrameDecode, s, step, 0)
+		if err != nil {
+			err = e.attrib(s, step, fmt.Errorf("tcp: machine %d decode from %d: %w", e.id, s, err))
+			e.fail(err)
+			return nil, err
+		}
 	}
 	e.inboxes[e.gen] = inbox
 	e.gen ^= 1
-	return inbox
+	return inbox, nil
 }
 
 // BeginSuperstep opens superstep `step` on this endpoint: the
 // per-superstep failure state is reset and every reader worker is
 // released immediately, so incoming batch frames are received and
-// decoded as peers produce them — during this machine's own compute —
-// instead of waiting for the finish barrier. Signal order rotates with
-// the superstep: machine i starts its sweep at peer (i+step) mod k, so
-// the k machines do not all hammer peer 0's sockets first every
-// superstep.
+// header-checked as peers produce them — during this machine's own
+// compute — instead of waiting for the finish barrier. Signal order
+// rotates with the superstep: machine i starts its sweep at peer
+// (i+step) mod k, so the k machines do not all hammer peer 0's sockets
+// first every superstep.
 //
 // ctx bounds the whole superstep: its deadline is installed on every
 // connection before I/O, so a dead or wedged peer surfaces as a
@@ -805,7 +805,7 @@ func (e *Endpoint[M]) finishGuard() {
 // not reappear here) — on the remaining writer workers, one frame per
 // directed pair, empty batches included, waits for the whole pipeline
 // generation (eager readers, streamed writers, rest writers) to drain,
-// and merges the inbox in sender-ID order, self-addressed envelopes at
+// and decodes the inbox in sender-ID order, self-addressed envelopes at
 // position e.id, exactly like the loopback transport. It is the
 // superstep's barrier, bounded by the deadline and cancellation guard
 // BeginSuperstep armed.
@@ -836,7 +836,7 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M]) ([]
 		// A mid-compute failure (a reader's verdict, a peer's blame
 		// frame, a StreamBatch hitting dead sockets) already tore the
 		// endpoint down. The eager jobs drain against the closed conns;
-		// report the recorded cause, never a merged inbox.
+		// report the recorded cause, never an inbox.
 		e.mu.Unlock()
 		e.workWG.Wait()
 		e.finishGuard()
@@ -923,7 +923,7 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M]) ([]
 	if err := e.shrapnel; err != nil {
 		return nil, err
 	}
-	return e.mergeInbox(), nil
+	return e.assembleInbox(step)
 }
 
 // SendToCoordinator ships one control payload to machine 0, bounded by

@@ -46,6 +46,13 @@
 // the "nothing for you this superstep" markers that dominate frame
 // counts for sparse traffic — end right after count.
 //
+// The leading version, superstep and count are a header a receiver can
+// hold a frame to on arrival without decoding an envelope (BatchHeader):
+// every envelope costs at least its words byte, so a count beyond the
+// bytes that follow is corruption, and a count that passes bounds the
+// storage the batch decodes into (AppendDecodedBatch appends at the end
+// of a caller-sized slice — the TCP transport's inbox slot).
+//
 // The envelope Words field travels on the wire even though the receiver
 // could often recompute it, because the cost accounting in core treats
 // it as authoritative: a transport must hand back exactly the word

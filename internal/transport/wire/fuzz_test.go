@@ -2,14 +2,17 @@ package wire
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"kmachine/internal/transport"
 )
 
 // FuzzBatchDecode is the robustness fence of the versioned batch
-// decoder: arbitrary bytes must never panic it, and whatever it accepts
-// must survive a re-encode/decode round trip value-identically. The
+// decoder: arbitrary bytes must never panic it, decoding them at an
+// offset of a shared slice must behave exactly like decoding them alone,
+// and whatever it accepts must survive a re-encode/decode round trip
+// value-identically. The
 // same input additionally seeds a constructive check — a batch built
 // from the fuzzed bytes encodes and decodes back to itself — so one
 // target covers both directions (decoder hardening and encoder/decoder
@@ -42,6 +45,32 @@ func FuzzBatchDecode(f *testing.F) {
 		const sender = transport.MachineID(1)
 		const to = transport.MachineID(2)
 		step, from, envs, err := DecodeBatchAny(src, c, sender, to)
+
+		// The same bytes decoded at an offset (a transport's inbox slot
+		// behind earlier senders' envelopes): the same verdict and the
+		// same envelopes, appended behind a prefix that is never written
+		// and, on an error, never extended. The spare capacity varies so
+		// both the in-place and the regrown arm run.
+		prefix := []transport.Envelope[pairMsg]{
+			{From: 60, To: 61, Words: 62, Msg: pairMsg{A: 63, B: 64}},
+			{From: 70, To: 71, Words: 72, Msg: pairMsg{A: 73, B: 74}},
+		}
+		dst := append(make([]transport.Envelope[pairMsg], 0, len(prefix)+len(src)%3*64), prefix...)
+		astep, got, aerr := AppendDecodedBatch(dst, src, c, sender, to)
+		if (aerr == nil) != (err == nil) {
+			t.Fatalf("verdict depends on the offset: %v at 0, %v at %d", err, aerr, len(prefix))
+		}
+		if !slices.Equal(dst, prefix) || !slices.Equal(got[:len(prefix)], prefix) {
+			t.Fatalf("decode at offset %d wrote into dst[:%d]", len(prefix), len(prefix))
+		}
+		if err != nil && len(got) != len(prefix) {
+			t.Fatalf("failed decode extended dst from %d to %d envelopes", len(prefix), len(got))
+		}
+		if err == nil && (astep != step || !slices.Equal(got[len(prefix):], envs)) {
+			t.Fatalf("decode at offset %d: step %d envelopes %+v, want step %d envelopes %+v",
+				len(prefix), astep, got[len(prefix):], step, envs)
+		}
+
 		if err == nil {
 			reenc, err := AppendBatchV2(nil, step, from, to, envs, c)
 			if err != nil {

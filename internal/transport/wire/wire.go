@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"kmachine/internal/transport"
 )
@@ -213,6 +214,7 @@ func AppendBatchV2[M any](dst []byte, step int, from, to transport.MachineID, en
 
 	// Words, one per envelope; To and Words are validated here, where
 	// every envelope is visited.
+	dst = slices.Grow(dst, len(envs))
 	for i := range envs {
 		e := &envs[i]
 		if e.To != to {
@@ -225,12 +227,18 @@ func AppendBatchV2[M any](dst []byte, step int, from, to transport.MachineID, en
 	}
 
 	// Payload section, encoded into the tail of dst and then
-	// length-prefixed.
+	// length-prefixed. The first message's size times the batch length
+	// is reserved in one step: a bulk batch of like-sized messages (keys,
+	// tokens, labels) then never walks an append-growth chain, and a
+	// recycled buffer that already fits is left alone.
 	mark := len(dst)
 	var err error
 	for i := range envs {
 		if dst, err = c.Append(dst, envs[i].Msg); err != nil {
 			return dst, err
+		}
+		if i == 0 {
+			dst = slices.Grow(dst, (len(envs)-1)*(len(dst)-mark)+binary.MaxVarintLen64)
 		}
 	}
 	return PrefixLen(dst, mark), nil
@@ -260,86 +268,103 @@ func DecodeBatchAny[M any](src []byte, c Codec[M], from, to transport.MachineID)
 }
 
 // DecodeBatchAnyInto is DecodeBatchAny appending into dst[:0], so a
-// transport decoding one batch per peer per superstep can recycle its
-// envelope scratch instead of allocating a fresh slice every frame.
-// Decoded envelopes are self-contained values (a Codec must not alias
-// src), so the caller may reuse the frame buffer once it returns.
+// caller decoding one batch at a time can recycle its envelope scratch
+// instead of allocating a fresh slice every frame.
 func DecodeBatchAnyInto[M any](src []byte, c Codec[M], from, to transport.MachineID, dst []transport.Envelope[M]) (step int, gotFrom transport.MachineID, envs []transport.Envelope[M], err error) {
-	if len(src) == 0 {
-		return 0, 0, nil, fmt.Errorf("wire: empty batch frame")
+	step, envs, err = AppendDecodedBatch(dst[:0], src, c, from, to)
+	if err != nil {
+		return 0, 0, nil, err
 	}
-	if src[0] != BatchV2 {
-		return 0, 0, nil, fmt.Errorf("wire: unknown batch version 0x%02x", src[0])
-	}
-	return decodeBatchV2Into(src[1:], c, from, to, dst)
+	return step, from, envs, nil
 }
 
-func decodeBatchV2Into[M any](src []byte, c Codec[M], from, to transport.MachineID, dst []transport.Envelope[M]) (step int, gotFrom transport.MachineID, envs []transport.Envelope[M], err error) {
-	pos := 0
+// BatchHeader reads what every batch frame starts with — version byte,
+// superstep, envelope count — and returns them with the header's length.
+// It rejects an unknown version and a count the rest of the frame
+// cannot hold (each envelope costs at least its Words byte), so a
+// receiver may size storage from count before any envelope is decoded.
+func BatchHeader(src []byte) (step, count, n int, err error) {
+	if len(src) == 0 {
+		return 0, 0, 0, fmt.Errorf("wire: empty batch frame")
+	}
+	if src[0] != BatchV2 {
+		return 0, 0, 0, fmt.Errorf("wire: unknown batch version 0x%02x", src[0])
+	}
+	n = 1
 	var hdr [2]uint64
 	for i := range hdr {
-		v, n, err := Uvarint(src[pos:])
+		v, w, err := Uvarint(src[n:])
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, 0, 0, err
 		}
 		hdr[i] = v
-		pos += n
+		n += w
 	}
-	step = int(hdr[0])
-	count := hdr[1]
+	if hdr[1] > uint64(len(src)-n) {
+		return 0, 0, 0, fmt.Errorf("wire: v2 batch claims %d envelopes in %d bytes", hdr[1], len(src)-n)
+	}
+	return int(hdr[0]), int(hdr[1]), n, nil
+}
+
+// AppendDecodedBatch is the one batch decoder: it appends src's
+// envelopes at len(dst) and returns the extended slice, so a transport
+// that summed its peers' BatchHeader counts decodes every frame
+// straight into its slot of one inbox. dst[:len(dst)] is never written;
+// on error dst is returned as it came. Decoded envelopes are
+// self-contained values (a Codec must not alias src), so the caller may
+// reuse the frame buffer once this returns.
+func AppendDecodedBatch[M any](dst []transport.Envelope[M], src []byte, c Codec[M], from, to transport.MachineID) (step int, envs []transport.Envelope[M], err error) {
+	step, count, pos, err := BatchHeader(src)
+	if err != nil {
+		return 0, dst, err
+	}
 	if count == 0 {
 		if pos != len(src) {
-			return 0, 0, nil, fmt.Errorf("wire: %d trailing bytes after empty v2 batch", len(src)-pos)
+			return 0, dst, fmt.Errorf("wire: %d trailing bytes after empty v2 batch", len(src)-pos)
 		}
-		return step, from, dst[:0], nil
+		return step, dst, nil
 	}
-	if count > uint64(len(src)-pos) {
-		// Each envelope contributes at least one Words byte; a count
-		// beyond the remaining bytes is corruption, not a big batch.
-		return 0, 0, nil, fmt.Errorf("wire: v2 batch claims %d envelopes in %d bytes", count, len(src)-pos)
-	}
-	envs = dst[:0]
-	if free := uint64(cap(envs)); free < count {
-		envs = make([]transport.Envelope[M], 0, count)
-	}
+	off := len(dst)
+	envs = slices.Grow(dst, count)
 
 	// From runs: fill the envelope headers first.
 	prev := int64(from)
-	for covered := uint64(0); covered < count; {
+	for covered := 0; covered < count; {
 		delta, n, err := Varint(src[pos:])
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, dst, err
 		}
 		pos += n
 		length, n, err := Uvarint(src[pos:])
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, dst, err
 		}
 		pos += n
 		f := prev + delta
 		if f < 0 || f > math.MaxInt32 {
-			return 0, 0, nil, fmt.Errorf("wire: v2 batch From %d out of range", f)
+			return 0, dst, fmt.Errorf("wire: v2 batch From %d out of range", f)
 		}
-		if length == 0 || length > count-covered {
-			return 0, 0, nil, fmt.Errorf("wire: v2 batch run of %d envelopes with %d uncovered", length, count-covered)
+		if length == 0 || length > uint64(count-covered) {
+			return 0, dst, fmt.Errorf("wire: v2 batch run of %d envelopes with %d uncovered", length, count-covered)
 		}
 		for i := uint64(0); i < length; i++ {
 			envs = append(envs, transport.Envelope[M]{From: transport.MachineID(f), To: to})
 		}
 		prev = f
-		covered += length
+		covered += int(length)
 	}
+	fresh := envs[off:]
 
 	// Words, one per envelope.
-	for i := range envs {
+	for i := range fresh {
 		w, n, err := Uvarint(src[pos:])
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, dst, err
 		}
 		if w > math.MaxInt32 {
-			return 0, 0, nil, fmt.Errorf("wire: envelope words %d out of range", w)
+			return 0, dst, fmt.Errorf("wire: envelope words %d out of range", w)
 		}
-		envs[i].Words = int32(w)
+		fresh[i].Words = int32(w)
 		pos += n
 	}
 
@@ -348,24 +373,24 @@ func decodeBatchV2Into[M any](src []byte, c Codec[M], from, to transport.Machine
 	// the prefix.
 	plen, n, err := Uvarint(src[pos:])
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, dst, err
 	}
 	pos += n
 	if plen != uint64(len(src)-pos) {
-		return 0, 0, nil, fmt.Errorf("wire: v2 payload section claims %d bytes, %d remain", plen, len(src)-pos)
+		return 0, dst, fmt.Errorf("wire: v2 payload section claims %d bytes, %d remain", plen, len(src)-pos)
 	}
-	for i := range envs {
+	for i := range fresh {
 		msg, n, err := c.Decode(src[pos:])
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, dst, err
 		}
-		envs[i].Msg = msg
+		fresh[i].Msg = msg
 		pos += n
 	}
 	if pos != len(src) {
-		return 0, 0, nil, fmt.Errorf("wire: %d trailing bytes after v2 batch", len(src)-pos)
+		return 0, dst, fmt.Errorf("wire: %d trailing bytes after v2 batch", len(src)-pos)
 	}
-	return step, from, envs, nil
+	return step, envs, nil
 }
 
 // BatchJobbed marks a job-scoped data frame: the byte sits where a
