@@ -1,10 +1,11 @@
-// Edge-list splitting: turn one flat edge-list file into k per-machine
-// files, each holding every edge incident to that machine's Home-owned
-// vertices. A kmnode process then ingests only its own file
-// (-input edges.m3.txt -sharded), reading O((n+m)/k) instead of the
-// whole dataset — the out-of-core leg of partition-local setup. Because
-// gen.IngestEdgeList drops remote-remote lines, ingesting a split file
-// produces the bit-identical shard the full file would.
+// Package cliutil holds kmnode -split-out's edge-list splitter: turn one
+// flat edge-list file into k per-machine files, each holding every edge
+// incident to that machine's Home-owned vertices. A kmnode process then
+// ingests only its own file (-input edges.m3.txt), reading O((n+m)/k)
+// instead of the whole dataset — the out-of-core leg of partition-local
+// setup. Because gen.IngestEdgeList drops remote-remote lines,
+// ingesting a split file produces the bit-identical shard the full file
+// would.
 package cliutil
 
 import (

@@ -10,7 +10,6 @@
 //	kmbench -run E2,E5      # only the listed experiment IDs
 //	kmbench -seed 7         # perturb all randomness
 //	kmbench -list           # list experiment IDs and exit
-//	kmbench -json           # machine-readable output (BENCH_*.json trajectories)
 //	kmbench -cpuprofile cpu.out -memprofile mem.out
 //	                        # write pprof profiles of the run, so perf
 //	                        # work can show where the time goes
@@ -21,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -32,21 +30,6 @@ import (
 
 	"kmachine/internal/experiments"
 )
-
-// jsonReport is the machine-readable output shape of -json: enough
-// metadata to reproduce the run plus every experiment table verbatim,
-// so successive PRs can record BENCH_*.json trajectories and diff them.
-type jsonReport struct {
-	Mode      string      `json:"mode"`
-	Seed      uint64      `json:"seed"`
-	Timestamp string      `json:"timestamp"`
-	Tables    []jsonTable `json:"tables"`
-}
-
-type jsonTable struct {
-	experiments.Table
-	Seconds float64 `json:"seconds"`
-}
 
 func main() {
 	// All work happens in kmbenchMain so error exits unwind through the
@@ -63,7 +46,6 @@ func kmbenchMain() (err error) {
 	run := flag.String("run", "", "comma-separated experiment IDs (default: all)")
 	seed := flag.Uint64("seed", 1, "seed for all randomness")
 	list := flag.Bool("list", false, "list experiments and exit")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text tables")
 	mdOut := flag.Bool("md", false, "emit a Markdown document (the EXPERIMENTS.md generator)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -71,10 +53,6 @@ func kmbenchMain() (err error) {
 	ckEvery := flag.Int("checkpoint-every", 0, "run E19's substrate matrix with checkpointing every s supersteps — hashes and Stats must come out unchanged (E25 owns its own cadence and ignores this)")
 	ckDir := flag.String("checkpoint-dir", "", "store E19's checkpoints in this directory as ckpt-<superstep>.kmck files instead of the in-memory ring, on every substrate; only meaningful with -checkpoint-every")
 	flag.Parse()
-
-	if *jsonOut && *mdOut {
-		return fmt.Errorf("cannot combine -json and -md: pick one output format")
-	}
 
 	// Both profile files are created BEFORE the suite runs, so an
 	// unwritable path fails in milliseconds instead of after minutes of
@@ -140,9 +118,7 @@ func kmbenchMain() (err error) {
 	if *quick {
 		mode = "quick"
 	}
-	switch {
-	case *jsonOut:
-	case *mdOut:
+	if *mdOut {
 		fmt.Printf("# EXPERIMENTS — paper-reproduction tables\n\n")
 		fmt.Printf("**Paper:** Pandurangan, Robinson, Scquizzato — \"On the Distributed Complexity of Large-Scale Graph Computations\", SPAA 2018 (arXiv:1602.08481)\n\n")
 		fmt.Printf("Generated by `go run ./cmd/kmbench -md` (%s mode, seed %d); regenerate after\n", mode, *seed)
@@ -150,16 +126,11 @@ func kmbenchMain() (err error) {
 		fmt.Printf("index. All claims are asymptotic (Õ/Ω̃): the tables report *shapes* —\n")
 		fmt.Printf("scaling exponents, algorithm orderings, crossovers — and the notes record\n")
 		fmt.Printf("the fitted exponents and pass/fail of each shape check.\n\n")
-	default:
+	} else {
 		fmt.Printf("kmachine reproduction harness (%s mode, seed %d)\n", mode, *seed)
 		fmt.Printf("paper: Pandurangan, Robinson, Scquizzato — SPAA 2018 (arXiv:1602.08481)\n\n")
 	}
 
-	report := jsonReport{
-		Mode:      mode,
-		Seed:      *seed,
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-	}
 	ran := 0
 	for _, r := range all {
 		if len(want) > 0 && !want[r.ID] {
@@ -171,12 +142,9 @@ func kmbenchMain() (err error) {
 			return fmt.Errorf("experiment %s (%s) failed: %w", r.ID, r.Name, rerr)
 		}
 		elapsed := time.Since(start)
-		switch {
-		case *jsonOut:
-			report.Tables = append(report.Tables, jsonTable{Table: table, Seconds: elapsed.Seconds()})
-		case *mdOut:
+		if *mdOut {
 			table.Fmarkdown(os.Stdout)
-		default:
+		} else {
 			table.Fprint(os.Stdout)
 			fmt.Printf("   (%s in %v)\n\n", r.ID, elapsed.Round(time.Millisecond))
 		}
@@ -184,13 +152,6 @@ func kmbenchMain() (err error) {
 	}
 	if ran == 0 {
 		return fmt.Errorf("no experiments matched -run=%q; try -list", *run)
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			return fmt.Errorf("encode json: %w", err)
-		}
 	}
 	return nil
 }

@@ -28,14 +28,11 @@
 // (the paper's T) plus the algorithm's result summary, and the numbers
 // are bit-identical to the in-process simulator on the same seed.
 //
-// Input setup defaults to materializing the full graph in every
-// process. -sharded switches to partition-local setup — each process
-// builds only its machine's CSR shard from the generator's per-row
-// canonical stream, O((n+m)/k) memory instead of O(n+m) — and -input
-// edges.txt ingests an edge-list file (full, or pre-split by
-// cmd/internal/cliutil's splitter) instead of generating G(n,p). Both
-// knobs change setup cost only: Stats, summaries, and output hashes
-// are bit-identical to the default path.
+// Input setup is partition-local: each process builds only the CSR
+// shards of the machines it hosts from the generator's per-row
+// canonical stream — O((n+m)/k) memory per machine, never the full
+// graph — and -input edges.txt ingests an edge-list file (full, or
+// pre-split by -split-out) instead of generating G(n,p).
 //
 // Observability: -trace out.json records a wall-clock phase timeline
 // (compute / barrier / exchange per machine and superstep, plus
@@ -106,10 +103,9 @@ func main() {
 		top       = flag.Int("top", 5, "how many top-ranked vertices to print")
 		timeout   = flag.Duration("dial-timeout", 10*time.Second, "how long to wait for peers to come up")
 		deadline  = flag.Duration("superstep-timeout", 0, "deadline for each whole superstep, local computation included; a crashed, wedged or too-slow machine surfaces as an attributed error within it (0 = none)")
-		ckEvery   = flag.Int("checkpoint-every", 0, "capture machine state every s supersteps and survive machine failures by resuming from the last checkpoint (0 = off, fail fast)")
+		ckEvery   = flag.Int("checkpoint-every", 0, "with -local k: capture a consistent cut of all k machines every s supersteps (0 = off); output and stats are unchanged. The run still fails fast: recovery from a cut lives in the job service and the in-process cluster")
 		ckDir     = flag.String("checkpoint-dir", "", "store checkpoints in this directory instead of memory only, as ckpt-<superstep>.kmck files (newest two kept; the format every runtime reads and writes; needs -checkpoint-every)")
 		retain    = flag.Int("retain-jobs", 0, "daemon mode: keep at most this many job records, evicting finished ones oldest-first (0 = unbounded)")
-		sharded   = flag.Bool("sharded", false, "partition-local setup: build only this machine's CSR shard instead of materializing the full graph (results and stats are identical)")
 		input     = flag.String("input", "", "read the graph from this edge-list file ('u v' per line, '#' comments) instead of generating G(n,p); -n still declares the vertex-ID space")
 		splitOut  = flag.String("split-out", "", "split -input into per-machine edge-list files in this directory and exit (needs -local k or -k for the machine count)")
 		trace     = flag.String("trace", "", "write a Chrome trace-event JSON phase timeline to this file (open in chrome://tracing or Perfetto)")
@@ -139,11 +135,14 @@ func main() {
 	}
 
 	prob := algo.Problem{N: *n, EdgeP: *p, Seed: *seed, Bandwidth: *bw, Eps: *eps, Top: *top,
-		SuperstepTimeout: *deadline, Sharded: *sharded, InputPath: *input,
+		SuperstepTimeout: *deadline, InputPath: *input,
 		Checkpoint: algo.CheckpointSpec{Every: *ckEvery, Dir: *ckDir}}
 	switch {
 	case *local >= 2:
 		prob.K = *local
+	case *id >= 0 && (*ckEvery != 0 || *ckDir != ""):
+		fmt.Fprintln(os.Stderr, "kmnode: -checkpoint-every/-checkpoint-dir need -local k: one process of k (-id) can never complete a cut")
+		os.Exit(2)
 	case *id >= 0 || (*splitOut != "" && *k >= 2):
 		prob.K = *k
 	default:

@@ -1,8 +1,11 @@
-// Problem-input resolution: the shared helpers every Spec.Build uses to
-// honour Problem.Sharded and Problem.InputPath, plus the timing wrapper
-// that charges input construction to Outcome.SetupTime wherever it
-// happens (Spec.Build for materialised inputs, MachineViews for sharded
-// ones).
+// Problem-input resolution: the one path from a registry Problem to
+// machine views. Two edge-stream sources — the G(N, EdgeP) generator
+// and the edge list at InputPath — feed one partition.LocalBuilder, so
+// every process builds only the CSR shards of the machines it hosts
+// (§1.1: the input is already distributed, Õ((n+m)/k) per machine) and
+// no registry run materialises a global *graph.Graph. Input
+// construction therefore happens inside MachineViews, which timedInput
+// charges to Outcome.SetupTime.
 package algo
 
 import (
@@ -12,7 +15,6 @@ import (
 
 	"kmachine/internal/core"
 	"kmachine/internal/gen"
-	"kmachine/internal/graph"
 	"kmachine/internal/partition"
 )
 
@@ -42,30 +44,19 @@ func (prob Problem) Validate() error {
 	return nil
 }
 
-// GnpInput resolves the standard graph input of a problem — G(N, EdgeP)
-// at Seed, or the edge list at InputPath — as a materialised
-// VertexPartition or, when prob.Sharded, a lazy shard input. All four
-// paths produce bit-identical adjacency for each machine. A problem
-// that fails Validate is an error, not a generator panic.
-func GnpInput(prob Problem) (partition.Input, error) {
+// GraphInput resolves the standard graph input of a problem: the shards
+// of G(N, EdgeP) at Seed, or of the edge list at InputPath. A problem
+// that fails Validate is an error, not a generator panic; a malformed
+// edge list is an error from MachineViews, naming the line, before any
+// machine is built.
+func GraphInput(prob Problem) (*partition.ShardedInput, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
-	spec := prob.PartitionSpec()
 	if prob.InputPath != "" {
-		if prob.Sharded {
-			return gen.EdgeListInput(prob.InputPath, spec, false), nil
-		}
-		g, err := gen.ReadEdgeListGraph(prob.InputPath, prob.N, false)
-		if err != nil {
-			return nil, err
-		}
-		return partition.NewRVP(g, prob.K, spec.Seed), nil
+		return gen.EdgeListInput(prob.InputPath, prob.PartitionSpec(), false), nil
 	}
-	if prob.Sharded {
-		return gen.GnpInput(spec, prob.EdgeP, prob.Seed), nil
-	}
-	return partition.NewRVP(gen.Gnp(prob.N, prob.EdgeP, prob.Seed), prob.K, spec.Seed), nil
+	return gen.GnpInput(prob.PartitionSpec(), prob.EdgeP, prob.Seed), nil
 }
 
 // EdgelessInput resolves the input of problems that carry no graph
@@ -73,13 +64,24 @@ func GnpInput(prob Problem) (partition.Input, error) {
 // only Self and K off the view, so the partition covers a K-vertex
 // placeholder whatever prob.N is: N here counts keys or probes, and
 // hashing that many vertices to homes would be setup nobody reads.
-func EdgelessInput(prob Problem) partition.Input {
+func EdgelessInput(prob Problem) *partition.ShardedInput {
 	spec := prob.PartitionSpec()
 	spec.N = prob.K
-	if prob.Sharded {
-		return gen.EdgelessInput(spec)
+	return gen.EdgelessInput(spec)
+}
+
+// GnpInput is NOT a registry path. It is the materialised reference of
+// a generated problem — the whole G(N, EdgeP) built in this process and
+// windowed by NewRVP; InputPath is not consulted — kept under the name
+// the frozen benchmark/ calls: verify.go's oracles and micro.go's
+// gen.full_build_ms type-assert its result to *partition.VertexPartition.
+// The next [benchmark] PR moves them to gen.Gnp + partition.NewRVP and
+// deletes this function.
+func GnpInput(prob Problem) (partition.Input, error) {
+	if err := prob.Validate(); err != nil {
+		return nil, err
 	}
-	return partition.NewRVP(graph.NewBuilder(spec.N, false).Build(), spec.K, spec.Seed)
+	return partition.NewRVP(gen.Gnp(prob.N, prob.EdgeP, prob.Seed), prob.K, prob.PartitionSpec().Seed), nil
 }
 
 // timedInput wraps an Input and accumulates the wall-clock spent

@@ -58,19 +58,17 @@ type Problem struct {
 	// measure time only — Stats, outputs, and hashes are identical with
 	// or without a recorder. nil (the default) records nothing.
 	Recorder obs.Recorder
-	// Sharded opts setup into partition-local input construction
-	// (kmnode -sharded): each machine's View is a per-machine CSR shard
-	// built from the generator's canonical per-row stream (or ingested
-	// from InputPath), and no process materialises a global
-	// *graph.Graph — per-process setup memory is O((n+m)/k) instead of
-	// O(n+m). Stats, outputs, and hashes are bit-identical with it on or
-	// off; only setup cost changes. Default off.
+	// Sharded is declared and unread: setup is always partition-local
+	// (GraphInput / EdgelessInput), so there is nothing left to select.
+	// The field survives only because frozen benchmark/workloads.go
+	// still assigns it; the next [benchmark] PR drops that assignment
+	// and this field with it.
 	Sharded bool
 	// InputPath, when non-empty, reads the graph from an edge-list file
 	// (gen.ScanEdgeList format, kmnode -input) instead of generating
 	// G(N, EdgeP); N still declares the vertex-ID space and Seed still
-	// drives the partition and machine streams. With Sharded set the
-	// file is streamed straight into this machine's CSR shard.
+	// drives the partition and machine streams. Each process streams
+	// the file once, straight into its machines' CSR shards.
 	InputPath string
 	// Checkpoint opts the run into per-superstep checkpointing and
 	// failure recovery on every substrate (core.Config.Checkpoint /
@@ -175,9 +173,9 @@ type Outcome struct {
 	Hash uint64
 	// Summary holds human-readable result lines (kmnode prints them).
 	Summary []string
-	// SetupTime is input-construction wall-clock: Spec.Build (generation
-	// or full-graph ingest) plus the MachineViews call (which is where
-	// shard generation/ingest happens for sharded inputs).
+	// SetupTime is input-construction wall-clock: Spec.Build plus the
+	// MachineViews call, which is where the hosted shards are generated
+	// or ingested.
 	SetupTime time.Duration
 	// ExecTime is the remaining driver wall-clock: machine construction,
 	// supersteps, and output merge. Splitting it from SetupTime keeps
@@ -193,11 +191,9 @@ type Spec[M, L, O any] struct {
 	// Doc is a one-line description for listings.
 	Doc string
 	// Build derives the descriptor and its partitioned input from the
-	// problem — a materialised *partition.VertexPartition, or a
-	// *partition.ShardedInput when prob.Sharded is set (the GnpInput /
-	// EdgelessInput helpers resolve the choice). It must be
-	// deterministic in prob: every process of a distributed run calls it
-	// with identical arguments.
+	// problem (GraphInput or EdgelessInput: the hosted machines' shards,
+	// never a global graph). It must be deterministic in prob: every
+	// process of a distributed run calls it with identical arguments.
 	Build func(prob Problem) (Algorithm[M, L, O], partition.Input, error)
 	// Hash canonically hashes the merged output (order-independent of
 	// machine layout, dependent on every output bit).
@@ -350,13 +346,15 @@ func (s Spec[M, L, O]) all(prob Problem, a Algorithm[M, L, O], in partition.Inpu
 
 // one runs this process's machine of a multi-process cluster and reports
 // its local output. place names the process (ID, addresses, dial
-// timeout, recorder); the model parameters are the problem's. With a
-// sharded input this is where the O((n+m)/k) per-process setup win
-// lands: MachineView builds only this machine's rows.
+// timeout, recorder); the model parameters are the problem's. This is
+// where the O((n+m)/k) per-process setup bound lands: MachineView
+// builds only this machine's rows.
 func (s Spec[M, L, O]) one(prob Problem, a Algorithm[M, L, O], in partition.Input, place node.Config) (*Outcome, error) {
+	if prob.Checkpoint.Every > 0 {
+		return nil, fmt.Errorf("%s: one process of k can never complete a cut: checkpointing needs all k machines in one process", a.Name)
+	}
 	ncfg := prob.nodeConfig(in.NumMachines())
 	ncfg.ID, ncfg.ListenAddr, ncfg.Peers, ncfg.DialTimeout = place.ID, place.ListenAddr, place.Peers, place.DialTimeout
-	ncfg.Checkpoint = node.CheckpointConfig{} // no process of k could ever complete a cut
 	if place.Recorder != nil {
 		ncfg.Recorder = place.Recorder
 	}

@@ -2,6 +2,9 @@ package algo
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"kmachine/internal/core"
@@ -220,31 +223,95 @@ func TestHash64Canonical(t *testing.T) {
 	}
 }
 
-// TestGnpInputRejectsImpossibleProblems: outside input is validated
+// TestGraphInputRejectsImpossibleProblems: outside input is validated
 // where it enters, so a probability that is not one, or an n whose
-// vertex IDs would wrap int32, is an error from GnpInput — on the
-// materialised and the sharded path alike — and never reaches a
-// generator panic. The zero-value default stays a probability for n<10.
-func TestGnpInputRejectsImpossibleProblems(t *testing.T) {
-	for _, sharded := range []bool{false, true} {
-		for _, prob := range []Problem{
-			{N: 1000, K: 4, EdgeP: 2},
-			{N: 1000, K: 4, EdgeP: -0.1},
-			{N: 1000, K: 4, EdgeP: math.NaN()},
-			{N: math.MaxInt32 + 1, K: 4, EdgeP: 1e-9},
-		} {
-			prob.Sharded = sharded
-			if in, err := GnpInput(prob); err == nil {
-				t.Errorf("GnpInput(n=%d p=%v sharded=%v) = %T, want an error", prob.N, prob.EdgeP, sharded, in)
+// vertex IDs would wrap int32, is an error from GraphInput and never
+// reaches a generator panic. The zero-value default stays a probability
+// for n<10.
+func TestGraphInputRejectsImpossibleProblems(t *testing.T) {
+	for _, prob := range []Problem{
+		{N: 1000, K: 4, EdgeP: 2},
+		{N: 1000, K: 4, EdgeP: -0.1},
+		{N: 1000, K: 4, EdgeP: math.NaN()},
+		{N: math.MaxInt32 + 1, K: 4, EdgeP: 1e-9},
+	} {
+		if _, err := GraphInput(prob); err == nil {
+			t.Errorf("GraphInput(n=%d p=%v) succeeded, want an error", prob.N, prob.EdgeP)
+		}
+	}
+	small := Problem{N: 5, K: 2}.withDefaults()
+	if small.EdgeP != 1 {
+		t.Fatalf("default edge probability at n=5 is %v, want 1", small.EdgeP)
+	}
+	if _, err := GraphInput(small); err != nil {
+		t.Errorf("GraphInput(n=5, default p): %v", err)
+	}
+}
+
+// TestRegistryInputIsPartitionLocal: there is one way a Problem becomes
+// machine views. Generated or read from InputPath, graph or edgeless,
+// it resolves to a *partition.ShardedInput — the helpers' return types
+// say so — whose views are CSR shards with no global graph behind
+// them; and a malformed edge list fails before any machine is built,
+// with the line named.
+func TestRegistryInputIsPartitionLocal(t *testing.T) {
+	write := func(name, body string) string {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, prob := range []Problem{
+		{N: 50, K: 4, Seed: 1, EdgeP: 0.1},
+		{N: 50, K: 4, Seed: 1, EdgeP: 1},
+		{N: 50, K: 4, Seed: 1, EdgeP: 0.1, InputPath: write("edges.txt", "0 1\n# a comment\n1 2\n49 0\n")},
+	} {
+		graphIn, err := GraphInput(prob)
+		if err != nil {
+			t.Fatalf("GraphInput(%+v): %v", prob, err)
+		}
+		for _, in := range []*partition.ShardedInput{graphIn, EdgelessInput(prob)} {
+			views, err := in.MachineViews(partition.AllMachines(prob.K))
+			if err != nil {
+				t.Fatalf("MachineViews(%+v): %v", prob, err)
+			}
+			for m, v := range views {
+				if _, ok := v.(*partition.LocalView); !ok {
+					t.Errorf("machine %d of %+v got a %T, want a *partition.LocalView", m, prob, v)
+				}
 			}
 		}
-		small := Problem{N: 5, K: 2, Sharded: sharded}.withDefaults()
-		if small.EdgeP != 1 {
-			t.Fatalf("default edge probability at n=5 is %v, want 1", small.EdgeP)
-		}
-		if _, err := GnpInput(small); err != nil {
-			t.Errorf("GnpInput(n=5, default p, sharded=%v): %v", sharded, err)
-		}
+	}
+
+	in, err := GraphInput(Problem{N: 50, K: 4, Seed: 1, InputPath: write("bad.txt", "0 1\n1 two\n2 3\n")})
+	if err != nil {
+		t.Fatalf("GraphInput opened the file early: %v", err)
+	}
+	a, built := echoDescriptor(), 0
+	newMachine := a.NewMachine
+	a.NewMachine = func(v partition.View) (Machine[echoMsg, int64], error) {
+		built++
+		return newMachine(v)
+	}
+	_, _, err = Run(a, in, core.Config{K: 4, Bandwidth: 1})
+	if err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("malformed edge list: err = %v, want one naming line 2", err)
+	}
+	if built != 0 {
+		t.Errorf("%d machines were built before the edge list was rejected", built)
+	}
+}
+
+// TestStandaloneRejectsCheckpointing: one process of k can never
+// complete a cut, so a checkpoint policy on a standalone run is an
+// error before any peer is dialled — it used to be dropped silently.
+func TestStandaloneRejectsCheckpointing(t *testing.T) {
+	entry, _ := Lookup("echo")
+	prob := Problem{N: 64, K: 2, Seed: 3, Checkpoint: CheckpointSpec{Every: 2}}
+	_, err := entry.RunStandalone(prob, node.Config{ID: 0, ListenAddr: "127.0.0.1:0", Peers: []string{"127.0.0.1:1", "127.0.0.1:2"}})
+	if err == nil || !strings.Contains(err.Error(), "cut") {
+		t.Errorf("RunStandalone with Checkpoint.Every=2: err = %v, want the one-process-cannot-cut error", err)
 	}
 }
 

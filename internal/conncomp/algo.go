@@ -54,7 +54,7 @@ func init() {
 		Name: "conncomp",
 		Doc:  "connected components by min-label propagation (§1.3 cookbook, Ω̃(n/k²) via GLBT)",
 		Build: func(prob algo.Problem) (algo.Algorithm[Wire, Local, *Result], partition.Input, error) {
-			in, err := algo.GnpInput(prob)
+			in, err := algo.GraphInput(prob)
 			if err != nil {
 				return algo.Algorithm[Wire, Local, *Result]{}, nil, err
 			}

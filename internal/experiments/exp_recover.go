@@ -9,6 +9,7 @@ import (
 	"kmachine/internal/algo"
 	_ "kmachine/internal/algo/all"
 	"kmachine/internal/core"
+	"kmachine/internal/gen"
 	"kmachine/internal/pagerank"
 	"kmachine/internal/partition"
 	"kmachine/internal/transport"
@@ -56,10 +57,7 @@ func E25Recovery(cfg Config) (Table, error) {
 	var recoveries int
 	for _, n := range sizes {
 		prob := algo.Problem{N: n, K: k, EdgeP: 10 / float64(n), Seed: cfg.Seed + 251, Eps: eps}
-		in, err := algo.GnpInput(prob)
-		if err != nil {
-			return t, fmt.Errorf("n=%d input: %w", n, err)
-		}
+		in := partition.NewRVP(gen.Gnp(n, prob.EdgeP, prob.Seed), k, prob.PartitionSpec().Seed)
 		// Scout pass: learn the run's superstep count and golden hash,
 		// then place the checkpoint cadence and the kill from them.
 		scout, err := runPagerankArm(prob, in, 0, -1, nil)

@@ -18,22 +18,21 @@ import (
 	"strings"
 )
 
-// Table is one experiment's result, printable as an aligned text table.
-// The json tags fix the schema of kmbench -json (the BENCH_*.json
-// trajectory format), so keep them stable.
+// Table is one experiment's result, printable as an aligned text table
+// or a Markdown section.
 type Table struct {
 	// ID is the experiment identifier from DESIGN.md (e.g. "E1").
-	ID string `json:"id"`
+	ID string
 	// Title is a one-line description.
-	Title string `json:"title"`
+	Title string
 	// Claim cites the paper statement being reproduced.
-	Claim string `json:"claim"`
+	Claim string
 	// Header and Rows hold the tabular data.
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
+	Header []string
+	Rows   [][]string
 	// Notes carry derived observations (fitted exponents, pass/fail of
 	// the shape check).
-	Notes []string `json:"notes,omitempty"`
+	Notes []string
 }
 
 // Fprint renders the table with aligned columns.
@@ -187,7 +186,7 @@ func All() []Runner {
 		{"E19", "substrate equivalence (registry × transports)", E19SubstrateMatrix},
 		{"E20", "bytes-on-wire (model words vs physical bytes)", E20WireBytes},
 		{"E21", "phase timings (compute/barrier/exchange share of wall)", E21PhaseTimings},
-		{"E23", "partition-local setup (per-process heap, full vs sharded)", E23ShardedSetup},
+		{"E23", "partition-local setup (per-process heap, full graph vs shard)", E23ShardedSetup},
 		{"E24", "resident job service (standing mesh vs build-per-job)", E24JobService},
 		{"E25", "checkpoint overhead & recovery latency (resume vs restart-from-zero)", E25Recovery},
 	}

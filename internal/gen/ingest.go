@@ -93,24 +93,9 @@ func parseEdgeLine(line []byte, n int) (u, v int32, skip bool, err error) {
 	return int32(uu), int32(vv), false, nil
 }
 
-// ReadEdgeListGraph fully materialises the edge list at path — the
-// baseline against which IngestEdgeList's sharded CSRs are compared.
-func ReadEdgeListGraph(path string, n int, directed bool) (*graph.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	b := graph.NewBuilder(n, directed)
-	if err := ScanEdgeList(f, n, func(u, v int32) { b.AddEdge(int(u), int(v)) }); err != nil {
-		return nil, err
-	}
-	return b.Build(), nil
-}
-
 // IngestEdgeList streams the edge list at path into the CSR shards of
 // the hosted machines: the file is read ONCE however many machines the
-// process hosts (kmnode -local k -input f -sharded reads f once, not k
+// process hosts (kmnode -local k -input f reads f once, not k
 // times), O((n+m)/k) memory is retained per hosted machine, and there is
 // no global graph object. Lines may come in any order, reversed, or
 // repeated; the lines with a hosted endpoint are held until the file

@@ -8,8 +8,25 @@ import (
 	"testing"
 
 	"kmachine/internal/core"
+	"kmachine/internal/graph"
 	"kmachine/internal/partition"
 )
+
+// readEdgeListGraph fully materialises the edge list at path — the
+// reference against which IngestEdgeList's sharded CSRs are compared
+// here and in shard_test.go. No non-test code reads a file this way.
+func readEdgeListGraph(path string, n int, directed bool) (*graph.Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	b := graph.NewBuilder(n, directed)
+	if err := ScanEdgeList(f, n, func(u, v int32) { b.AddEdge(int(u), int(v)) }); err != nil {
+		return nil, err
+	}
+	return b.Build(), nil
+}
 
 // TestIngestRoundTrip: graph → edge-list file → full read AND sharded
 // ingest → identical adjacency. The file produced by WriteEdgeList must
@@ -29,7 +46,7 @@ func TestIngestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	back, err := ReadEdgeListGraph(path, n, false)
+	back, err := readEdgeListGraph(path, n, false)
 	if err != nil {
 		t.Fatal(err)
 	}

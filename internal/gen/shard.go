@@ -126,8 +126,9 @@ func PreferentialAttachmentShards(ps partition.Spec, attach int, seed uint64, ho
 }
 
 // GnpInput returns the ShardedInput whose MachineViews replays Gnp once
-// into the shards of the machines asked for — the registry's sharded
-// counterpart of NewRVP(Gnp(n, p, seed), k, pseed).
+// into the shards of the machines asked for — the registry's graph
+// input, the partition-local counterpart of NewRVP(Gnp(n, p, seed), k,
+// pseed).
 func GnpInput(ps partition.Spec, p float64, seed uint64) *partition.ShardedInput {
 	return &partition.ShardedInput{
 		Spec: ps,

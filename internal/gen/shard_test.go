@@ -180,7 +180,7 @@ func TestShardEdgeListEquivalence(t *testing.T) {
 			if err := os.WriteFile(path, []byte(text.String()), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			full, err := ReadEdgeListGraph(path, n, directed)
+			full, err := readEdgeListGraph(path, n, directed)
 			if err != nil {
 				t.Fatal(err)
 			}

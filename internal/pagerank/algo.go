@@ -79,7 +79,7 @@ func init() {
 		Name: "pagerank",
 		Doc:  "Monte-Carlo PageRank, the paper's Algorithm 1 (Õ(n/k²) rounds, Thm 4)",
 		Build: func(prob algo.Problem) (algo.Algorithm[Wire, Local, *Result], partition.Input, error) {
-			in, err := algo.GnpInput(prob)
+			in, err := algo.GraphInput(prob)
 			if err != nil {
 				return algo.Algorithm[Wire, Local, *Result]{}, nil, err
 			}

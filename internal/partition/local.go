@@ -424,9 +424,9 @@ func (v *LocalView) mustLocal(u int32, op string) int32 {
 // shards of the machines a process hosts from ONE pass over the source
 // by calling BuildShards, so a process hosting one machine (cmd/kmnode
 // -id) materialises only that machine's rows, and a process hosting all
-// k (the in-process substrates, used by the sharded/full equivalence
-// suite) replays the generator or reads the file once and never holds a
-// global graph object.
+// k (the in-process substrates, kmnode -local, the job daemon) replays
+// the generator or reads the file once and never holds a global graph
+// object. Every registry run goes through one.
 type ShardedInput struct {
 	// Spec is the partition every shard is built under.
 	Spec Spec

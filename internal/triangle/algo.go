@@ -72,7 +72,7 @@ func init() {
 		Name: "triangle",
 		Doc:  "color-partition triangle enumeration (Õ(m/k^{5/3}+n/k^{4/3}) rounds, Thm 5)",
 		Build: func(prob algo.Problem) (algo.Algorithm[Wire, Local, *Result], partition.Input, error) {
-			in, err := algo.GnpInput(prob)
+			in, err := algo.GraphInput(prob)
 			if err != nil {
 				return algo.Algorithm[Wire, Local, *Result]{}, nil, err
 			}

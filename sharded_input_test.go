@@ -1,110 +1,105 @@
 package kmachine_test
 
-// Sharded-input equivalence suite: the partition-local setup path
-// (Problem.Sharded, Problem.InputPath) must be invisible to the
-// algorithms. For every registry entry, a run whose machines build
-// their own CSR shards — by replaying the generator's per-row canonical
-// stream, or by ingesting an edge-list file — must produce bit-identical
-// Stats and output hashes to the run that materialises the whole graph
-// and carves views out of it. This is the executable form of the
-// paper's input assumption (§1.1): the vertices are distributed by the
-// random hash partition *before* the computation starts, and nothing
-// downstream can tell how they got there.
+// Partition-local input equivalence: how a machine came to hold its
+// adjacency rows must be invisible to the algorithms. The registry
+// builds every machine's CSR shard from an edge stream — the
+// generator's canonical per-row stream, or an edge-list file — and no
+// process holds the whole graph (§1.1: the vertices are distributed by
+// the random hash partition *before* the computation starts). The
+// oracle is the library path for caller-supplied graphs, which
+// materialises the graph and windows it: both must produce deeply equal
+// outputs and identical Stats.
 
 import (
+	"reflect"
 	"testing"
 
 	"kmachine/internal/algo"
 	_ "kmachine/internal/algo/all"
+	"kmachine/internal/conncomp"
+	"kmachine/internal/core"
+	"kmachine/internal/gen"
+	"kmachine/internal/pagerank"
+	"kmachine/internal/partition"
 	"kmachine/internal/transport"
+	"kmachine/internal/triangle"
 )
 
-// TestRegistryShardedEquivalence runs every algorithm full vs sharded
-// on the in-process substrate and through the standalone node runtime
-// (where the per-process memory win actually lands: each node process
-// builds only its own shard).
-func TestRegistryShardedEquivalence(t *testing.T) {
-	for _, name := range algo.Names() {
-		t.Run(name, func(t *testing.T) {
-			entry, ok := algo.Lookup(name)
-			if !ok {
-				t.Fatalf("registry lost %q between Names and Lookup", name)
-			}
-			prob := suiteProblem(name)
+// testdata/sample_edges.txt is Gnp(shardN, shardP, shardSeed) written
+// by gen.WriteEdgeList, so one materialised graph is the oracle for the
+// generator source and the file source alike.
+const (
+	shardN    = 300
+	shardP    = 0.03
+	shardK    = 8
+	shardSeed = 9
+)
 
-			full, err := entry.Run(prob, transport.InMem)
-			if err != nil {
-				t.Fatalf("full run: %v", err)
-			}
+func TestShardedInputMatchesMaterialisedGraph(t *testing.T) {
+	t.Run("pagerank", func(t *testing.T) {
+		shardsMatchGraph(t, pagerank.Descriptor(shardN, pagerank.AlgorithmOne(0.15)))
+	})
+	t.Run("triangle", func(t *testing.T) {
+		shardsMatchGraph(t, triangle.Descriptor(shardK, triangle.AlgorithmOptions()))
+	})
+	t.Run("conncomp", func(t *testing.T) {
+		shardsMatchGraph(t, conncomp.Descriptor(shardN))
+	})
+}
 
-			sharded := prob
-			sharded.Sharded = true
-			sh, err := entry.Run(sharded, transport.InMem)
-			if err != nil {
-				t.Fatalf("sharded run: %v", err)
-			}
-			sameStats(t, "sharded-vs-full", sh.Stats, full.Stats)
-			if sh.Hash != full.Hash {
-				t.Errorf("output hash sharded %016x, full %016x", sh.Hash, full.Hash)
-			}
-
-			node, err := entry.RunNodeLocal(sharded)
-			if err != nil {
-				t.Fatalf("sharded node runtime run: %v", err)
-			}
-			sameStats(t, "sharded-node-vs-full", node.Stats, full.Stats)
-			if node.Hash != full.Hash {
-				t.Errorf("output hash sharded node %016x, full %016x", node.Hash, full.Hash)
-			}
-		})
+func shardsMatchGraph[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O]) {
+	spec := partition.Spec{N: shardN, K: shardK, Seed: shardSeed + 1}
+	cfg := core.Config{K: shardK, Bandwidth: core.DefaultBandwidth(shardN), Seed: shardSeed + 2}
+	want, wantStats, err := algo.Run(a, partition.NewRVP(gen.Gnp(shardN, shardP, shardSeed), shardK, spec.Seed), cfg)
+	if err != nil {
+		t.Fatalf("materialised run: %v", err)
+	}
+	for _, src := range []struct {
+		name string
+		in   *partition.ShardedInput
+	}{
+		{"generator", gen.GnpInput(spec, shardP, shardSeed)},
+		{"edge list", gen.EdgeListInput("testdata/sample_edges.txt", spec, false)},
+	} {
+		got, gotStats, err := algo.Run(a, src.in, cfg)
+		if err != nil {
+			t.Fatalf("%s shards: %v", src.name, err)
+		}
+		sameStats(t, src.name+" shards vs materialised graph", gotStats, wantStats)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s shards: output differs from the materialised graph's", src.name)
+		}
 	}
 }
 
-// TestRegistryEdgeListEquivalence feeds the checked-in sample edge list
-// (generated from Gnp(300, 0.03, 9)) to the graph-input algorithms
-// through both file paths — whole-file materialisation and per-machine
-// streaming ingest — and requires both to match the generator run that
-// produced the file. Covers the full 2×2 of {generated, file} ×
-// {materialised, sharded}.
-func TestRegistryEdgeListEquivalence(t *testing.T) {
-	base := algo.Problem{N: 300, EdgeP: 0.03, K: 8, Seed: 9}
+// TestRegistryEdgeListMatchesGenerator drives the file source through
+// the registry itself: a Problem with InputPath set runs to the Stats
+// and output hash of the generated Problem the file was written from,
+// with the ingest charged to SetupTime.
+func TestRegistryEdgeListMatchesGenerator(t *testing.T) {
+	base := algo.Problem{N: shardN, EdgeP: shardP, K: shardK, Seed: shardSeed}
+	fromFile := base
+	fromFile.InputPath = "testdata/sample_edges.txt"
 	for _, name := range []string{"pagerank", "triangle", "conncomp"} {
 		t.Run(name, func(t *testing.T) {
 			entry, ok := algo.Lookup(name)
 			if !ok {
 				t.Fatalf("registry has no %q", name)
 			}
-			gen, err := entry.Run(base, transport.InMem)
+			want, err := entry.Run(base, transport.InMem)
 			if err != nil {
 				t.Fatalf("generator run: %v", err)
 			}
-
-			fromFile := base
-			fromFile.InputPath = "testdata/sample_edges.txt"
-			file, err := entry.Run(fromFile, transport.InMem)
+			got, err := entry.Run(fromFile, transport.InMem)
 			if err != nil {
 				t.Fatalf("file run: %v", err)
 			}
-			sameStats(t, "file-vs-generator", file.Stats, gen.Stats)
-			if file.Hash != gen.Hash {
-				t.Errorf("output hash from file %016x, from generator %016x", file.Hash, gen.Hash)
+			sameStats(t, "file vs generator", got.Stats, want.Stats)
+			if got.Hash != want.Hash {
+				t.Errorf("output hash from file %016x, from generator %016x", got.Hash, want.Hash)
 			}
-
-			ingested := fromFile
-			ingested.Sharded = true
-			ing, err := entry.Run(ingested, transport.InMem)
-			if err != nil {
-				t.Fatalf("sharded ingest run: %v", err)
-			}
-			sameStats(t, "ingest-vs-generator", ing.Stats, gen.Stats)
-			if ing.Hash != gen.Hash {
-				t.Errorf("output hash from sharded ingest %016x, from generator %016x", ing.Hash, gen.Hash)
-			}
-			if ing.SetupTime <= 0 {
-				t.Errorf("sharded ingest run recorded no SetupTime")
-			}
-			if ing.ExecTime <= 0 {
-				t.Errorf("sharded ingest run recorded no ExecTime")
+			if got.SetupTime <= 0 || got.ExecTime <= 0 {
+				t.Errorf("file run recorded setup %v, exec %v; want both positive", got.SetupTime, got.ExecTime)
 			}
 		})
 	}
