@@ -144,23 +144,35 @@ func BenchmarkPageRankAlgorithm1TCP(b *testing.B) {
 }
 
 func BenchmarkTriangleAlgorithm(b *testing.B) {
-	for _, k := range []int{8, 27, 64} {
-		b.Run(fmt.Sprintf("gnhalf/n=192/k=%d", k), func(b *testing.B) {
-			g := gen.Gnp(192, 0.5, 1)
-			p := partition.NewRVP(g, k, 2)
-			cfg := core.Config{K: k, Bandwidth: core.DefaultBandwidth(g.N()), Seed: 3}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var rounds int64
-			for i := 0; i < b.N; i++ {
-				res, err := triangle.Run(p, cfg, triangle.AlgorithmOptions())
-				if err != nil {
-					b.Fatal(err)
+	cases := []struct {
+		name string
+		n    int
+		p    float64
+		ks   []int
+	}{
+		{"gnhalf/n=192", 192, 0.5, []int{8, 27, 64}},
+		// The shape of benchmark workload triangle-inmem-dense.
+		{"dense/n=2000/p=0.12", 2000, 0.12, []int{27}},
+	}
+	for _, tc := range cases {
+		g := gen.Gnp(tc.n, tc.p, 1)
+		for _, k := range tc.ks {
+			b.Run(fmt.Sprintf("%s/k=%d", tc.name, k), func(b *testing.B) {
+				p := partition.NewRVP(g, k, 2)
+				cfg := core.Config{K: k, Bandwidth: core.DefaultBandwidth(g.N()), Seed: 3}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var rounds int64
+				for i := 0; i < b.N; i++ {
+					res, err := triangle.Run(p, cfg, triangle.AlgorithmOptions())
+					if err != nil {
+						b.Fatal(err)
+					}
+					rounds = res.Stats.Rounds
 				}
-				rounds = res.Stats.Rounds
-			}
-			b.ReportMetric(float64(rounds), "rounds")
-		})
+				b.ReportMetric(float64(rounds), "rounds")
+			})
+		}
 	}
 }
 

@@ -49,19 +49,21 @@ func mergeEnum(c int) func(locals []Local) *Result {
 // color-partition enumeration on a k-machine cluster.
 func Descriptor(k int, opts Options) algo.Algorithm[Wire, Local, *Result] {
 	c := Colors(k)
-	targets := pairTargets(c)
+	targets := pairTargets(c, 3)
 	return algo.Algorithm[Wire, Local, *Result]{
 		Name:  "triangle",
 		Codec: WireCodec(),
 		NewMachine: func(view partition.View) (algo.Machine[Wire, Local], error) {
-			return &triMachine{
+			m := &triMachine{triangleTally: triangleTally{collect: opts.Collect}, colorRouter: colorRouter{
 				view:    view,
 				opts:    opts,
 				k:       k,
 				c:       c,
 				heavy:   make(map[int32]bool),
 				targets: targets,
-			}, nil
+			}}
+			m.walk = m.enumerate
+			return m, nil
 		},
 		Merge: mergeEnum(c),
 	}

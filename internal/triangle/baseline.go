@@ -2,11 +2,9 @@ package triangle
 
 import (
 	"fmt"
-	"sort"
 
 	"kmachine/internal/algo"
 	"kmachine/internal/core"
-	"kmachine/internal/graph"
 	"kmachine/internal/partition"
 )
 
@@ -33,11 +31,8 @@ type baselineMachine struct {
 
 	// perDeputy collects edge lists for the deputies homed here.
 	perDeputy map[int32][][2]int32
-	targets   map[[2]int][]core.MachineID // reused: pair -> deputy IDs (as int32 in MachineID form)
-
-	count    int64
-	checksum uint64
-	out      []graph.Triangle
+	targets   [][]core.MachineID // pairTargets(c, 3), read as deputy vertex IDs
+	triangleTally
 }
 
 func (m *baselineMachine) Step(ctx *core.StepContext, inbox []core.Envelope[bmsg]) ([]core.Envelope[bmsg], bool) {
@@ -54,10 +49,7 @@ func (m *baselineMachine) Step(ctx *core.StepContext, inbox []core.Envelope[bmsg
 				}
 				a := colorOf(m.opts.ColorSeed, u, m.c)
 				b := colorOf(m.opts.ColorSeed, v, m.c)
-				if a > b {
-					a, b = b, a
-				}
-				for _, dep := range m.targets[[2]int{a, b}] {
+				for _, dep := range m.targets[a*m.c+b] {
 					deputy := int32(dep) // deputy vertex ID < c³ <= n
 					out = append(out, core.Envelope[bmsg]{
 						To:    m.view.HomeOf(deputy),
@@ -69,70 +61,16 @@ func (m *baselineMachine) Step(ctx *core.StepContext, inbox []core.Envelope[bmsg
 		}
 		return out, false
 	default:
-		// Every edge sent in superstep 0 has arrived by superstep 1.
-		for deputy, edges := range m.perDeputy {
-			m.enumerateDeputy(deputy, edges)
+		// Every edge sent in superstep 0 has arrived by superstep 1. The
+		// deputies homed here are local vertices; walking them in ID
+		// order (not map order) keeps the collected output reproducible.
+		for _, deputy := range m.view.Locals() {
+			c1, c2, c3, ok := tripleOf(core.MachineID(deputy), m.c)
+			if edges := m.perDeputy[deputy]; ok && len(edges) > 0 {
+				newEdgeIndex(edges, false, m.opts.ColorSeed, m.c).triangles(c1, c2, c3, m.emit)
+			}
 		}
 		return nil, true
-	}
-}
-
-func (m *baselineMachine) enumerateDeputy(deputy int32, edges [][2]int32) {
-	c1, c2, c3, ok := tripleOf(core.MachineID(deputy), m.c)
-	if !ok {
-		return
-	}
-	adj := make(map[int32][]int32)
-	for _, e := range edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
-	}
-	for v := range adj {
-		s := adj[v]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		w := 0
-		for i, x := range s {
-			if i > 0 && x == s[i-1] {
-				continue
-			}
-			s[w] = x
-			w++
-		}
-		adj[v] = s[:w]
-	}
-	seed := m.opts.ColorSeed
-	for u, nbrs := range adj {
-		if colorOf(seed, u, m.c) != c1 {
-			continue
-		}
-		for _, v := range nbrs {
-			if v <= u || colorOf(seed, v, m.c) != c2 {
-				continue
-			}
-			us, vs := adj[u], adj[v]
-			i := sort.Search(len(us), func(i int) bool { return us[i] > v })
-			j := sort.Search(len(vs), func(i int) bool { return vs[i] > v })
-			for i < len(us) && j < len(vs) {
-				switch {
-				case us[i] < vs[j]:
-					i++
-				case us[i] > vs[j]:
-					j++
-				default:
-					w := us[i]
-					if colorOf(seed, w, m.c) == c3 {
-						t := graph.Triangle{A: u, B: v, C: w}
-						m.count++
-						m.checksum ^= graph.HashTriangle(t)
-						if m.opts.Collect {
-							m.out = append(m.out, t)
-						}
-					}
-					i++
-					j++
-				}
-			}
-		}
 	}
 }
 
@@ -147,16 +85,17 @@ func RunBaseline(p *partition.VertexPartition, cfg core.Config, opts Options) (*
 		return nil, fmt.Errorf("triangle: enumeration needs an undirected graph")
 	}
 	c := Colors(p.G.N()) // n^{1/3} classes: the congested-clique granularity
-	targets := pairTargets(c)
+	targets := pairTargets(c, 3)
 	res, stats, err := algo.Exec(cfg, BaselineWireCodec(),
 		func(id core.MachineID) (algo.Machine[BaselineWire, Local], error) {
 			return &baselineMachine{
-				view:      p.View(id),
-				opts:      opts,
-				k:         cfg.K,
-				c:         c,
-				perDeputy: make(map[int32][][2]int32),
-				targets:   targets,
+				view:          p.View(id),
+				opts:          opts,
+				k:             cfg.K,
+				c:             c,
+				perDeputy:     make(map[int32][][2]int32),
+				targets:       targets,
+				triangleTally: triangleTally{collect: opts.Collect},
 			}, nil
 		}, mergeEnum(c))
 	if err != nil {

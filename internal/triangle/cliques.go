@@ -2,13 +2,11 @@ package triangle
 
 import (
 	"fmt"
-	"sort"
 
 	"kmachine/internal/algo"
 	"kmachine/internal/core"
 	"kmachine/internal/graph"
 	"kmachine/internal/partition"
-	"kmachine/internal/routing"
 )
 
 // Distributed 4-clique enumeration — the §1.2 generalization ("our
@@ -38,171 +36,50 @@ func Colors4(k int) int {
 
 // quadOf returns machine m's ordered color quadruple (ok=false for
 // machines beyond c⁴, which only serve as proxies).
-func quadOf(m core.MachineID, c int) (q [4]int, ok bool) {
+func quadOf(m core.MachineID, c int) (q [4]int32, ok bool) {
 	if int(m) >= c*c*c*c {
 		return q, false
 	}
-	i := int(m)
-	q[0], q[1], q[2], q[3] = i/(c*c*c), (i/(c*c))%c, (i/c)%c, i%c
+	i, b := int32(m), int32(c)
+	q[0], q[1], q[2], q[3] = i/(b*b*b), (i/(b*b))%b, (i/b)%b, i%b
 	return q, true
 }
 
-// pairTargets4 maps each unordered color pair to the quadruple machines
-// whose multiset contains it.
-func pairTargets4(c int) map[[2]int][]core.MachineID {
-	targets := make(map[[2]int][]core.MachineID)
-	for m := 0; m < c*c*c*c; m++ {
-		q, _ := quadOf(core.MachineID(m), c)
-		seen := map[[2]int]bool{}
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 4; j++ {
-				if i == j {
-					continue
-				}
-				a, b := q[i], q[j]
-				if a > b {
-					a, b = b, a
-				}
-				key := [2]int{a, b}
-				if !seen[key] {
-					seen[key] = true
-					targets[key] = append(targets[key], core.MachineID(m))
-				}
-			}
-		}
-	}
-	return targets
-}
-
 type cliqueMachine struct {
-	view partition.View
-	opts Options
-	k, c int
-
-	heavy   map[int32]bool
-	targets map[[2]int][]core.MachineID
-	edges   [][2]int32
+	colorRouter
 
 	count    int64
 	checksum uint64
 	out      []graph.Clique4
 }
 
-func (m *cliqueMachine) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]) ([]core.Envelope[tmsg], bool) {
-	var out []core.Envelope[tmsg]
-	for _, e := range inbox {
-		switch e.Msg.Kind {
-		case kindHeavyAnnounce:
-			m.heavy[e.Msg.U] = true
-		case kindEdgeToProxy:
-			a := colorOf(m.opts.ColorSeed, e.Msg.U, m.c)
-			b := colorOf(m.opts.ColorSeed, e.Msg.V, m.c)
-			if a > b {
-				a, b = b, a
-			}
-			for _, target := range m.targets[[2]int{a, b}] {
-				out = append(out, core.Envelope[tmsg]{
-					To:    target,
-					Words: 2,
-					Msg:   tmsg{Kind: kindEdgeFinal, U: e.Msg.U, V: e.Msg.V},
-				})
-			}
-		case kindEdgeFinal:
-			m.edges = append(m.edges, [2]int32{e.Msg.U, e.Msg.V})
-		}
-	}
-
-	switch {
-	case ctx.Superstep == 0:
-		if m.opts.HeavyDesignation {
-			threshold := routing.HeavyDegreeThreshold(m.k, m.view.N())
-			for _, u := range m.view.Locals() {
-				if m.view.Degree(u) >= threshold {
-					m.heavy[u] = true
-					for j := 0; j < m.k; j++ {
-						if core.MachineID(j) == m.view.Self() {
-							continue
-						}
-						out = append(out, core.Envelope[tmsg]{
-							To:    core.MachineID(j),
-							Words: 1,
-							Msg:   tmsg{Kind: kindHeavyAnnounce, U: u},
-						})
-					}
-				}
-			}
-		}
-		return out, false
-	case ctx.Superstep == 1:
-		for _, u := range m.view.Locals() {
-			for _, v := range m.view.OutAdj(u) {
-				if routing.DesignatedEndpoint(u, v, m.heavy[u], m.heavy[v], m.opts.ColorSeed) != u {
-					continue
-				}
-				proxy := core.MachineID(ctx.RNG.Intn(m.k))
-				out = append(out, core.Envelope[tmsg]{
-					To:    proxy,
-					Words: 2,
-					Msg:   tmsg{Kind: kindEdgeToProxy, U: u, V: v},
-				})
-			}
-		}
-		return out, false
-	case ctx.Superstep == 2:
-		return out, len(out) == 0
-	default:
-		m.enumerate()
-		return out, true
-	}
-}
-
+// enumerate lists, in lexicographic order, the 4-cliques whose ID-sorted
+// color sequence matches this machine's quadruple.
 func (m *cliqueMachine) enumerate() {
 	q, ok := quadOf(m.view.Self(), m.c)
 	if !ok {
 		return
 	}
-	adj := make(map[int32][]int32)
-	for _, e := range m.edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
-	}
-	for v := range adj {
-		s := adj[v]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		w := 0
-		for i, x := range s {
-			if i > 0 && x == s[i-1] {
-				continue
-			}
-			s[w] = x
-			w++
-		}
-		adj[v] = s[:w]
-	}
-	seed := m.opts.ColorSeed
-	has := func(a, b int32) bool {
-		s := adj[a]
-		i := sort.Search(len(s), func(i int) bool { return s[i] >= b })
-		return i < len(s) && s[i] == b
-	}
-	for a, nbrs := range adj {
-		if colorOf(seed, a, m.c) != q[0] {
+	ix := newEdgeIndex(m.edges, false, m.opts.ColorSeed, m.c)
+	for a := range ix.ids {
+		if ix.color[a] != q[0] {
 			continue
 		}
-		for _, b := range nbrs {
-			if b <= a || colorOf(seed, b, m.c) != q[1] {
+		nbrs := ix.row(int32(a))
+		for i, b := range nbrs {
+			if ix.color[b] != q[1] {
 				continue
 			}
 			// c-candidates: common neighbours of a and b above b.
-			for _, cv := range nbrs {
-				if cv <= b || colorOf(seed, cv, m.c) != q[2] || !has(b, cv) {
+			for j, cv := range nbrs[i+1:] {
+				if ix.color[cv] != q[2] || !ix.has(b, cv) {
 					continue
 				}
-				for _, d := range nbrs {
-					if d <= cv || colorOf(seed, d, m.c) != q[3] || !has(b, d) || !has(cv, d) {
+				for _, d := range nbrs[i+j+2:] {
+					if ix.color[d] != q[3] || !ix.has(b, d) || !ix.has(cv, d) {
 						continue
 					}
-					cl := graph.Clique4{A: a, B: b, C: cv, D: d}
+					cl := graph.Clique4{A: ix.ids[a], B: ix.ids[b], C: ix.ids[cv], D: ix.ids[d]}
 					m.count++
 					m.checksum ^= graph.HashClique4(cl)
 					if m.opts.Collect {
@@ -234,17 +111,19 @@ func RunCliques4(p *partition.VertexPartition, cfg core.Config, opts Options) (*
 		return nil, fmt.Errorf("triangle: clique enumeration needs an undirected graph")
 	}
 	c := Colors4(cfg.K)
-	targets := pairTargets4(c)
+	targets := pairTargets(c, 4)
 	res, stats, err := algo.Exec(cfg, WireCodec(),
 		func(id core.MachineID) (algo.Machine[Wire, local4], error) {
-			return &cliqueMachine{
+			m := &cliqueMachine{colorRouter: colorRouter{
 				view:    p.View(id),
 				opts:    opts,
 				k:       cfg.K,
 				c:       c,
 				heavy:   make(map[int32]bool),
 				targets: targets,
-			}, nil
+			}}
+			m.walk = m.enumerate
+			return m, nil
 		},
 		func(locals []local4) *Clique4Result {
 			res := &Clique4Result{Colors: c, PerMachine: make([]int64, len(locals))}

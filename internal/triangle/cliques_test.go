@@ -41,7 +41,7 @@ func TestColors4(t *testing.T) {
 
 func TestQuadRoundTrip(t *testing.T) {
 	const c = 3
-	seen := map[[4]int]bool{}
+	seen := map[[4]int32]bool{}
 	for m := 0; m < c*c*c*c; m++ {
 		q, ok := quadOf(core.MachineID(m), c)
 		if !ok {
@@ -59,11 +59,11 @@ func TestQuadRoundTrip(t *testing.T) {
 
 func TestPairTargets4Coverage(t *testing.T) {
 	for _, c := range []int{2, 3} {
-		targets := pairTargets4(c)
+		targets := pairTargets(c, 4)
 		for a := 0; a < c; a++ {
 			for b := a; b < c; b++ {
 				got := map[core.MachineID]bool{}
-				for _, m := range targets[[2]int{a, b}] {
+				for _, m := range targets[b*c+a] {
 					if got[m] {
 						t.Fatalf("duplicate target for pair (%d,%d)", a, b)
 					}
@@ -73,7 +73,7 @@ func TestPairTargets4Coverage(t *testing.T) {
 					q, _ := quadOf(core.MachineID(m), c)
 					counts := map[int]int{}
 					for _, x := range q {
-						counts[x]++
+						counts[int(x)]++
 					}
 					var want bool
 					if a == b {

@@ -11,9 +11,9 @@ import (
 
 // SnapshotState serialises the machine's dynamic enumeration state:
 // the heavy-vertex set (keys sorted — map iteration order must not
-// leak into the blob), the accumulated final-edge list in append order
-// (enumeration walks it in that order), the running count/checksum, and
-// any collected triangles/triads. The proxy-target table is static
+// leak into the blob), the accumulated final-edge list in arrival order
+// (enumeration indexes a sorted copy, so its output does not depend on
+// it), the running count/checksum, and any collected triangles/triads. The proxy-target table is static
 // (derived from k and the color seed at construction) and never
 // serialised.
 func (m *triMachine) SnapshotState(dst []byte) ([]byte, error) {

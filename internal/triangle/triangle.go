@@ -24,7 +24,6 @@ package triangle
 
 import (
 	"fmt"
-	"sort"
 
 	"kmachine/internal/algo"
 	"kmachine/internal/core"
@@ -114,34 +113,35 @@ func tripleMachine(c1, c2, c3, c int) core.MachineID {
 	return core.MachineID(c1*c*c + c2*c + c3)
 }
 
-// pairTargets returns, for every unordered color pair (a <= b), the
-// machines whose triple contains the pair as a sub-multiset. An edge
-// with endpoint colors {a, b} must reach exactly these machines.
-func pairTargets(c int) map[[2]int]([]core.MachineID) {
-	targets := make(map[[2]int][]core.MachineID)
-	for c1 := 0; c1 < c; c1++ {
-		for c2 := 0; c2 < c; c2++ {
-			for c3 := 0; c3 < c; c3++ {
-				m := tripleMachine(c1, c2, c3, c)
-				triple := []int{c1, c2, c3}
-				seen := map[[2]int]bool{}
-				for i := 0; i < 3; i++ {
-					for j := 0; j < 3; j++ {
-						if i == j {
-							continue
-						}
-						a, b := triple[i], triple[j]
-						if a > b {
-							a, b = b, a
-						}
-						key := [2]int{a, b}
-						if !seen[key] {
-							seen[key] = true
-							targets[key] = append(targets[key], m)
-						}
-					}
+// pairTargets returns the dense c×c table (entry a*c+b, either order of
+// a and b) of the machines whose color tuple of the given arity — 3 for
+// triples, 4 for quadruples — contains {a, b} as a sub-multiset, in
+// ascending machine order. An edge with endpoint colors {a, b} must
+// reach exactly these machines.
+func pairTargets(c, arity int) [][]core.MachineID {
+	machines := 1
+	for i := 0; i < arity; i++ {
+		machines *= c
+	}
+	targets := make([][]core.MachineID, c*c)
+	var tuple [4]int
+	for m := 0; m < machines; m++ {
+		for i, rest := arity-1, m; i >= 0; i, rest = i-1, rest/c {
+			tuple[i] = rest % c
+		}
+		for i := 0; i < arity; i++ {
+			for j := i + 1; j < arity; j++ {
+				a, b := min(tuple[i], tuple[j]), max(tuple[i], tuple[j])
+				// m only grows, so a repeat of the pair within one tuple is the last entry.
+				if t := targets[a*c+b]; len(t) == 0 || t[len(t)-1] != core.MachineID(m) {
+					targets[a*c+b] = append(t, core.MachineID(m))
 				}
 			}
+		}
+	}
+	for a := 0; a < c; a++ {
+		for b := a + 1; b < c; b++ {
+			targets[b*c+a] = targets[a*c+b]
 		}
 	}
 	return targets
@@ -158,55 +158,87 @@ type tmsg struct {
 	U, V int32
 }
 
-type triMachine struct {
+// colorRouter is the distribution half the triangle and 4-clique
+// machines share: announce heavy vertices, designate one sender per
+// edge, ship it to a uniformly random proxy, fan it out to every tuple
+// machine that needs it, and collect the final edges in arrival order.
+// The two machines differ only in their target table and in the walk
+// they run over the collected edges.
+type colorRouter struct {
 	view partition.View
 	opts Options
 	k    int
 	c    int
 
-	heavy    map[int32]bool
-	targets  map[[2]int][]core.MachineID
-	edges    [][2]int32 // final edges for enumeration
-	out      []graph.Triangle
-	triads   []graph.Triad
-	count    int64
-	checksum uint64
+	heavy   map[int32]bool
+	targets [][]core.MachineID // pairTargets(c, arity)
+	edges   [][2]int32         // final edges for enumeration
+	walk    func()             // the owning machine's enumeration over edges
 }
 
-func (m *triMachine) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]) ([]core.Envelope[tmsg], bool) {
-	var out []core.Envelope[tmsg]
+// targetsOf returns the machines edge {u, v} must reach.
+func (r *colorRouter) targetsOf(u, v int32) []core.MachineID {
+	return r.targets[colorOf(r.opts.ColorSeed, u, r.c)*r.c+colorOf(r.opts.ColorSeed, v, r.c)]
+}
+
+// fanOut appends edge {u, v}'s final copies, one per target machine.
+func (r *colorRouter) fanOut(out []core.Envelope[tmsg], u, v int32) []core.Envelope[tmsg] {
+	for _, target := range r.targetsOf(u, v) {
+		out = append(out, core.Envelope[tmsg]{
+			To:    target,
+			Words: 2,
+			Msg:   tmsg{Kind: kindEdgeFinal, U: u, V: v},
+		})
+	}
+	return out
+}
+
+// Step runs one superstep of the distribution, and the walk once every
+// final edge has arrived.
+func (r *colorRouter) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]) (out []core.Envelope[tmsg], done bool) {
+	// Count before filling: how many copies this superstep emits and how
+	// many final edges it delivers is known up front, so neither slice
+	// grows by doubling (a proxied edge fans out ~c²-fold).
+	emits, finals := 0, 0
+	for i := range inbox {
+		switch msg := &inbox[i].Msg; msg.Kind {
+		case kindEdgeToProxy:
+			emits += len(r.targetsOf(msg.U, msg.V))
+		case kindEdgeFinal:
+			finals++
+		}
+	}
+	if ctx.Superstep == 1 {
+		for _, u := range r.view.Locals() {
+			emits += r.view.Degree(u) // at most: one endpoint ships each edge
+		}
+	}
+	if emits > 0 {
+		out = make([]core.Envelope[tmsg], 0, emits)
+	}
+	if finals > cap(r.edges)-len(r.edges) {
+		r.edges = append(make([][2]int32, 0, len(r.edges)+finals), r.edges...)
+	}
 	for _, e := range inbox {
 		switch e.Msg.Kind {
 		case kindHeavyAnnounce:
-			m.heavy[e.Msg.U] = true
+			r.heavy[e.Msg.U] = true
 		case kindEdgeToProxy:
-			// Forward to every triple machine that needs this edge.
-			a := colorOf(m.opts.ColorSeed, e.Msg.U, m.c)
-			b := colorOf(m.opts.ColorSeed, e.Msg.V, m.c)
-			if a > b {
-				a, b = b, a
-			}
-			for _, target := range m.targets[[2]int{a, b}] {
-				out = append(out, core.Envelope[tmsg]{
-					To:    target,
-					Words: 2,
-					Msg:   tmsg{Kind: kindEdgeFinal, U: e.Msg.U, V: e.Msg.V},
-				})
-			}
+			out = r.fanOut(out, e.Msg.U, e.Msg.V)
 		case kindEdgeFinal:
-			m.edges = append(m.edges, [2]int32{e.Msg.U, e.Msg.V})
+			r.edges = append(r.edges, [2]int32{e.Msg.U, e.Msg.V})
 		}
 	}
 
 	switch {
 	case ctx.Superstep == 0:
-		if m.opts.HeavyDesignation {
-			threshold := routing.HeavyDegreeThreshold(m.k, m.view.N())
-			for _, u := range m.view.Locals() {
-				if m.view.Degree(u) >= threshold {
-					m.heavy[u] = true
-					for j := 0; j < m.k; j++ {
-						if core.MachineID(j) == m.view.Self() {
+		if r.opts.HeavyDesignation {
+			threshold := routing.HeavyDegreeThreshold(r.k, r.view.N())
+			for _, u := range r.view.Locals() {
+				if r.view.Degree(u) >= threshold {
+					r.heavy[u] = true
+					for j := 0; j < r.k; j++ {
+						if core.MachineID(j) == r.view.Self() {
 							continue
 						}
 						out = append(out, core.Envelope[tmsg]{
@@ -222,31 +254,20 @@ func (m *triMachine) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]) ([
 
 	case ctx.Superstep == 1:
 		// Ship designated edges.
-		for _, u := range m.view.Locals() {
-			for _, v := range m.view.OutAdj(u) {
-				if routing.DesignatedEndpoint(u, v, m.heavy[u], m.heavy[v], m.opts.ColorSeed) != u {
+		for _, u := range r.view.Locals() {
+			for _, v := range r.view.OutAdj(u) {
+				if routing.DesignatedEndpoint(u, v, r.heavy[u], r.heavy[v], r.opts.ColorSeed) != u {
 					continue
 				}
-				if m.opts.Proxies {
-					proxy := core.MachineID(ctx.RNG.Intn(m.k))
+				if r.opts.Proxies {
+					proxy := core.MachineID(ctx.RNG.Intn(r.k))
 					out = append(out, core.Envelope[tmsg]{
 						To:    proxy,
 						Words: 2,
 						Msg:   tmsg{Kind: kindEdgeToProxy, U: u, V: v},
 					})
 				} else {
-					a := colorOf(m.opts.ColorSeed, u, m.c)
-					b := colorOf(m.opts.ColorSeed, v, m.c)
-					if a > b {
-						a, b = b, a
-					}
-					for _, target := range m.targets[[2]int{a, b}] {
-						out = append(out, core.Envelope[tmsg]{
-							To:    target,
-							Words: 2,
-							Msg:   tmsg{Kind: kindEdgeFinal, U: u, V: v},
-						})
-					}
+					out = r.fanOut(out, u, v)
 				}
 			}
 		}
@@ -256,15 +277,37 @@ func (m *triMachine) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]) ([
 		// With proxies, superstep 2 emits the forwards computed above and
 		// superstep 3 enumerates; without, superstep 2 enumerates.
 		finalStep := 2
-		if m.opts.Proxies {
+		if r.opts.Proxies {
 			finalStep = 3
 		}
 		if ctx.Superstep < finalStep {
 			return out, len(out) == 0
 		}
-		m.enumerate()
+		r.walk()
 		return out, true
 	}
+}
+
+// triangleTally is a machine's running triangle output.
+type triangleTally struct {
+	collect  bool
+	count    int64
+	checksum uint64
+	out      []graph.Triangle
+}
+
+func (t *triangleTally) emit(tr graph.Triangle) {
+	t.count++
+	t.checksum ^= graph.HashTriangle(tr)
+	if t.collect {
+		t.out = append(t.out, tr)
+	}
+}
+
+type triMachine struct {
+	colorRouter
+	triangleTally
+	triads []graph.Triad
 }
 
 // enumerate lists the triangles (or triads) whose ID-sorted color
@@ -275,104 +318,40 @@ func (m *triMachine) enumerate() {
 	if !ok {
 		return
 	}
-	adj := make(map[int32][]int32)
-	for _, e := range m.edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
-	}
-	for v := range adj {
-		s := adj[v]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		// Dedupe defensively (each edge should arrive once).
-		w := 0
-		for i, x := range s {
-			if i > 0 && x == s[i-1] {
-				continue
-			}
-			s[w] = x
-			w++
-		}
-		adj[v] = s[:w]
-	}
+	ix := newEdgeIndex(m.edges, m.opts.Triads, m.opts.ColorSeed, m.c)
 	if m.opts.Triads {
-		m.enumerateTriads(adj, c1, c2, c3)
+		m.enumerateTriads(ix, int32(c1), int32(c2), int32(c3))
 		return
 	}
-	seed := m.opts.ColorSeed
-	for u, nbrs := range adj {
-		if colorOf(seed, u, m.c) != c1 {
-			continue
-		}
-		for _, v := range nbrs {
-			if v <= u || colorOf(seed, v, m.c) != c2 {
-				continue
-			}
-			// w in adj[u] ∩ adj[v], w > v, color c3.
-			us, vs := adj[u], adj[v]
-			i := sort.Search(len(us), func(i int) bool { return us[i] > v })
-			j := sort.Search(len(vs), func(i int) bool { return vs[i] > v })
-			for i < len(us) && j < len(vs) {
-				switch {
-				case us[i] < vs[j]:
-					i++
-				case us[i] > vs[j]:
-					j++
-				default:
-					w := us[i]
-					if colorOf(seed, w, m.c) == c3 {
-						m.emit(graph.Triangle{A: u, B: v, C: w})
-					}
-					i++
-					j++
-				}
-			}
-		}
-	}
-}
-
-func (m *triMachine) emit(t graph.Triangle) {
-	m.count++
-	m.checksum ^= graph.HashTriangle(t)
-	if m.opts.Collect {
-		m.out = append(m.out, t)
-	}
+	ix.triangles(c1, c2, c3, m.emit)
 }
 
 // enumerateTriads lists open triads (centre u; endpoints v < w, edge
-// {v,w} absent) whose ID-sorted color sequence matches the triple. The
-// machine holds every edge between its color classes, so the absence
-// check is sound.
-func (m *triMachine) enumerateTriads(adj map[int32][]int32, c1, c2, c3 int) {
-	seed := m.opts.ColorSeed
-	hasEdge := func(a, b int32) bool {
-		s := adj[a]
-		i := sort.Search(len(s), func(i int) bool { return s[i] >= b })
-		return i < len(s) && s[i] == b
-	}
-	for u, nbrs := range adj {
-		for i := 0; i < len(nbrs); i++ {
-			for j := i + 1; j < len(nbrs); j++ {
-				v, w := nbrs[i], nbrs[j]
-				if hasEdge(v, w) {
+// {v,w} absent) whose ID-sorted color sequence matches the triple, over
+// a symmetric index. The machine holds every edge between its color
+// classes, so the absence check is sound.
+func (m *triMachine) enumerateTriads(ix *edgeIndex, c1, c2, c3 int32) {
+	for u := range ix.ids {
+		nbrs := ix.row(int32(u))
+		for i, v := range nbrs {
+			for _, w := range nbrs[i+1:] {
+				if ix.has(v, w) {
 					continue
 				}
-				a, b, c := u, v, w
+				a, b, c := int32(u), v, w
 				if a > b {
 					a, b = b, a
 				}
 				if b > c {
 					b, c = c, b
 				}
-				if a > b {
-					a, b = b, a
-				}
-				if colorOf(seed, a, m.c) != c1 || colorOf(seed, b, m.c) != c2 || colorOf(seed, c, m.c) != c3 {
+				if ix.color[a] != c1 || ix.color[b] != c2 || ix.color[c] != c3 {
 					continue
 				}
-				tr := graph.Triad{Center: u, Left: v, Right: w}
+				tr := graph.Triad{Center: ix.ids[u], Left: ix.ids[v], Right: ix.ids[w]}
 				m.count++
 				m.checksum ^= graph.HashTriad(tr)
-				if m.opts.Collect {
+				if m.collect {
 					m.triads = append(m.triads, tr)
 				}
 			}

@@ -1,6 +1,7 @@
 package triangle
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -61,11 +62,16 @@ func TestPairTargetsCoverage(t *testing.T) {
 	// Every triple machine whose multiset contains the pair must be a
 	// target, and no others.
 	for _, c := range []int{2, 3, 4} {
-		targets := pairTargets(c)
+		targets := pairTargets(c, 3)
 		for a := 0; a < c; a++ {
 			for b := a; b < c; b++ {
+				// Ascending machine order is the envelope order of a fan-out;
+				// the table answers for either order of the two colours.
+				if !slices.IsSorted(targets[a*c+b]) || !slices.Equal(targets[a*c+b], targets[b*c+a]) {
+					t.Fatalf("c=%d pair (%d,%d): targets %v / %v", c, a, b, targets[a*c+b], targets[b*c+a])
+				}
 				got := map[core.MachineID]bool{}
-				for _, m := range targets[[2]int{a, b}] {
+				for _, m := range targets[a*c+b] {
 					if got[m] {
 						t.Fatalf("c=%d pair (%d,%d): duplicate target %d", c, a, b, m)
 					}
