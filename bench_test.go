@@ -1,5 +1,5 @@
 // Benchmarks regenerating every experiment in DESIGN.md's index: one
-// BenchmarkF1/E1..E17 per paper claim (run `go test -bench=. -benchmem`),
+// BenchmarkF1/E1..E18 per paper claim (run `go test -bench=. -benchmem`),
 // plus micro-benchmarks for the core algorithms at several (n, k)
 // operating points. cmd/kmbench prints the corresponding tables; these
 // benchmarks time the same code paths under the Go benchmark harness.

@@ -50,16 +50,22 @@ func TestCheckpointBytesIdenticalAcrossRuntimes(t *testing.T) {
 			for _, runtime := range []string{"inmem", "tcp", "node"} {
 				sink := newRecordingSink()
 				prob.Checkpoint = algo.CheckpointSpec{Every: 1, Sink: sink}
+				var out *algo.Outcome
 				switch runtime {
 				case "inmem":
-					_, err = entry.Run(prob, transport.InMem)
+					out, err = entry.Run(prob, transport.InMem)
 				case "tcp":
-					_, err = entry.Run(prob, transport.TCP)
+					out, err = entry.Run(prob, transport.TCP)
 				case "node":
-					_, err = entry.RunNodeLocal(prob)
+					out, err = entry.RunNodeLocal(prob)
 				}
 				if err != nil {
 					t.Fatalf("checkpointed %s run: %v", runtime, err)
+				}
+				// Arming checkpoints perturbs nothing the run reports.
+				sameStats(t, "checkpointed-"+runtime, out.Stats, ref.Stats)
+				if out.Hash != ref.Hash {
+					t.Errorf("checkpointed %s run: hash %016x, reference %016x", runtime, out.Hash, ref.Hash)
 				}
 				cuts[runtime] = sink.cuts
 			}

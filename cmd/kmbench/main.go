@@ -1,6 +1,6 @@
 // Command kmbench regenerates the paper-reproduction tables recorded in
 // EXPERIMENTS.md: one table per experiment in DESIGN.md's index
-// (F1, E1–E25), each exercising a claim of "On the Distributed
+// (F1, E1–E18), each exercising a claim of "On the Distributed
 // Complexity of Large-Scale Graph Computations" (SPAA 2018).
 //
 // Usage:
@@ -13,10 +13,6 @@
 //	kmbench -cpuprofile cpu.out -memprofile mem.out
 //	                        # write pprof profiles of the run, so perf
 //	                        # work can show where the time goes
-//	kmbench -run E21 -trace e21.json
-//	                        # phase-timing experiment, plus a Chrome
-//	                        # trace-event timeline of its TCP PageRank
-//	                        # run (open in chrome://tracing / Perfetto)
 package main
 
 import (
@@ -49,9 +45,6 @@ func kmbenchMain() (err error) {
 	mdOut := flag.Bool("md", false, "emit a Markdown document (the EXPERIMENTS.md generator)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline of E21's instrumented TCP PageRank run to this file (only meaningful when E21 runs)")
-	ckEvery := flag.Int("checkpoint-every", 0, "run E19's substrate matrix with checkpointing every s supersteps — hashes and Stats must come out unchanged (E25 owns its own cadence and ignores this)")
-	ckDir := flag.String("checkpoint-dir", "", "store E19's checkpoints in this directory as ckpt-<superstep>.kmck files instead of the in-memory ring, on every substrate; only meaningful with -checkpoint-every")
 	flag.Parse()
 
 	// Both profile files are created BEFORE the suite runs, so an
@@ -112,8 +105,7 @@ func kmbenchMain() (err error) {
 		}
 	}
 
-	cfg := experiments.Config{Quick: *quick, Seed: *seed, TracePath: *tracePath,
-		CheckpointEvery: *ckEvery, CheckpointDir: *ckDir}
+	cfg := experiments.Config{Quick: *quick, Seed: *seed}
 	mode := "full"
 	if *quick {
 		mode = "quick"

@@ -91,8 +91,8 @@ type CheckpointSpec struct {
 	Dir string
 	// Sink overrides where checkpoints go (wins over Dir). The job
 	// scheduler sets one per opted-in job so checkpoints survive mesh
-	// rebuilds; tests and experiments use it to inspect checkpoint
-	// traffic (core.MemorySink counts puts and bytes).
+	// rebuilds; tests use it to inspect checkpoint traffic
+	// (core.MemorySink counts puts).
 	Sink core.CheckpointSink
 	// MaxRecoveries caps machine replacements — in-run on the in-process
 	// cluster, re-attempts in the job scheduler; 0 means

@@ -122,14 +122,13 @@ type CheckpointSink interface {
 }
 
 // MemorySink is an in-memory checkpoint ring holding the newest retain
-// checkpoints. It also counts every Put and its bytes, which is how E25
-// reports bytes-per-checkpoint without touching a disk.
+// checkpoints. It also counts every Put, so a test can check a run's
+// cadence without touching a disk.
 type MemorySink struct {
 	mu      sync.Mutex
 	retain  int
 	entries []memCkpt
 	puts    int
-	bytes   int64
 }
 
 type memCkpt struct {
@@ -156,7 +155,6 @@ func (s *MemorySink) Put(superstep int, blob []byte) error {
 		s.entries = slices.Delete(s.entries, 0, over)
 	}
 	s.puts++
-	s.bytes += int64(len(blob))
 	return nil
 }
 
@@ -178,18 +176,11 @@ func (s *MemorySink) Puts() int {
 	return s.puts
 }
 
-// Bytes returns the total bytes across all Put calls (not just the
-// retained ring).
-func (s *MemorySink) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
 // FileSink stores checkpoints as files under a run directory, one file
 // per checkpoint (ckpt-<superstep>.kmck), written atomically via a tmp
 // file and rename, pruned to the newest two. The directory is created
-// on first Put.
+// on first Put. Nothing is fsynced, so a checkpoint survives the
+// process, not the host.
 type FileSink struct{ dir string }
 
 // NewFileSink returns a file-backed sink rooted at dir.

@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction harness: one runner
-// per experiment in DESIGN.md's index (F1, E1–E25), each regenerating
+// per experiment in DESIGN.md's index (F1, E1–E18), each regenerating
 // the series behind a claim of the paper. cmd/kmbench prints the tables
 // that EXPERIMENTS.md records; the root bench_test.go exposes each
 // experiment as a testing.B benchmark.
@@ -132,23 +132,6 @@ type Config struct {
 	Quick bool
 	// Seed perturbs all randomness.
 	Seed uint64
-	// TracePath, when non-empty, asks E21 to write a Chrome
-	// trace-event JSON timeline of its instrumented TCP PageRank run
-	// to this file (open in chrome://tracing or Perfetto). Other
-	// experiments ignore it.
-	TracePath string
-	// CheckpointEvery runs E19's registry-driven substrate matrix with
-	// per-superstep checkpointing armed at this cadence, so a
-	// whole-suite "does checkpointing perturb any hash or Stat" audit
-	// is one kmbench flag away. 0 leaves checkpointing off. E25 ignores
-	// it: that experiment owns its cadence (it is the quantity under
-	// measurement).
-	CheckpointEvery int
-	// CheckpointDir stores E19's checkpoints on disk (core.FileSink)
-	// instead of the in-memory ring, exercising the file-backed sink
-	// under the same audit on every substrate. Empty keeps checkpoints
-	// in memory.
-	CheckpointDir string
 }
 
 // Runner is one experiment entry point. Run returns an error instead
@@ -183,11 +166,5 @@ func All() []Runner {
 		{"E16", "connectivity (§1.3 MST example)", E16Connectivity},
 		{"E17", "information cost audit (Thm 1)", E17InfoCost},
 		{"E18", "4-clique enumeration (§1.2 generalization)", E18Cliques4},
-		{"E19", "substrate equivalence (registry × transports)", E19SubstrateMatrix},
-		{"E20", "bytes-on-wire (model words vs physical bytes)", E20WireBytes},
-		{"E21", "phase timings (compute/barrier/exchange share of wall)", E21PhaseTimings},
-		{"E23", "partition-local setup (per-process heap, full graph vs shard)", E23ShardedSetup},
-		{"E24", "resident job service (standing mesh vs build-per-job)", E24JobService},
-		{"E25", "checkpoint overhead & recovery latency (resume vs restart-from-zero)", E25Recovery},
 	}
 }

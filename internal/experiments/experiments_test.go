@@ -94,3 +94,22 @@ func TestE4ShapeDecreasing(t *testing.T) {
 		prev = v
 	}
 }
+
+// TestE15MeasuredAboveGLBT asserts that no upper bound undercuts its
+// lower bound: every measured round count is at least the GLBT bound
+// for the same problem, n, k and bandwidth (gap ≥ 1).
+func TestE15MeasuredAboveGLBT(t *testing.T) {
+	table, err := E15Gap(Config{Quick: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range table.Rows {
+		gap, err := strconv.ParseFloat(row[5], 64)
+		if err != nil {
+			t.Fatalf("bad gap cell %q", row[5])
+		}
+		if gap < 1 {
+			t.Errorf("%s: measured %s rounds below the GLBT lower bound %s (gap %s)", row[0], row[3], row[4], row[5])
+		}
+	}
+}

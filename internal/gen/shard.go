@@ -13,7 +13,7 @@
 // decided by row u's RNG, which only running row u reproduces — so a
 // process pays O(n+m) generation time however few machines it hosts,
 // and O((n+m)/k) retained memory per hosted machine, which is the
-// resource the model (and E23) actually bounds. It pays that time ONCE:
+// resource the model actually bounds. It pays that time ONCE:
 // a process hosting all k machines runs the stream as often as a
 // process hosting one. The per-row families (Gnp, DirectedGnp) and the
 // structured ones run their stream twice, count then fill, and hold

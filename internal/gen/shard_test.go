@@ -334,3 +334,30 @@ func TestGnpShardAllocsIndependentOfArcs(t *testing.T) {
 		}
 	}
 }
+
+// TestGnpShardsSplitTheGraph is the §1.1 input assumption as a count:
+// the k shards of G(n, 10/n) together store exactly the full graph's 2m
+// adjacency entries, and the largest stores at most 1.25·2m/k of them —
+// so every machine sets up from a shard at least 6.4× smaller than the
+// graph at k=8, whatever the heap or the collector happens to do.
+func TestGnpShardsSplitTheGraph(t *testing.T) {
+	const k = 8
+	for _, n := range []int{2000, 4000} {
+		for _, seed := range []uint64{1, 2, 552} {
+			p := 10 / float64(n)
+			ps := partition.Spec{N: n, K: k, Seed: seed + 1}
+			want := 2 * Gnp(n, p, seed).M()
+			sum, most := 0, 0
+			for _, lv := range GnpShards(ps, p, seed, partition.AllMachines(k)) {
+				sum += lv.LocalArcs()
+				most = max(most, lv.LocalArcs())
+			}
+			if sum != want {
+				t.Errorf("n=%d seed=%d: shards store %d arcs, graph has 2m=%d", n, seed, sum, want)
+			}
+			if limit := 1.25 * float64(want) / k; float64(most) > limit {
+				t.Errorf("n=%d seed=%d: largest shard stores %d arcs, want at most 1.25·2m/k = %.0f", n, seed, most, limit)
+			}
+		}
+	}
+}

@@ -45,7 +45,7 @@ type Counters struct {
 	PerPeer []PeerCounters
 }
 
-// Trace is the Recorder used by the CLIs and experiments: a fixed-size
+// Trace is the Recorder used by the CLIs and the benchmark: a fixed-size
 // span ring plus live gauges. All storage is allocated at construction;
 // Record copies the span into the ring and bumps plain counters under a
 // mutex, so steady-state recording performs zero allocations. When the

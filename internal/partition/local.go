@@ -404,8 +404,8 @@ func (v *LocalView) Degree(u int32) int {
 }
 
 // LocalArcs returns the number of stored adjacency entries — the shard's
-// actual size, which the setup-cost experiment (E23) reports against the
-// full graph's 2m (undirected) or m+m (directed CSR + reverse) entries.
+// actual size, against the full graph's 2m (undirected) or m+m (directed
+// CSR + reverse) entries.
 func (v *LocalView) LocalArcs() int { return len(v.outTgts) + len(v.inTgts) }
 
 // mustLocal returns u's row: the one lookup that needs the sorted
