@@ -8,6 +8,7 @@ package kmachine_test
 
 import (
 	"bytes"
+	"os"
 	"sync"
 	"testing"
 
@@ -25,8 +26,8 @@ type recordingSink struct {
 	cuts map[int][]byte
 }
 
-func newRecordingSink() *recordingSink {
-	return &recordingSink{CheckpointSink: core.NewMemorySink(0), cuts: map[int][]byte{}}
+func newRecordingSink(inner core.CheckpointSink) *recordingSink {
+	return &recordingSink{CheckpointSink: inner, cuts: map[int][]byte{}}
 }
 
 func (s *recordingSink) Put(step int, blob []byte) error {
@@ -48,17 +49,9 @@ func TestCheckpointBytesIdenticalAcrossRuntimes(t *testing.T) {
 
 			cuts := map[string]map[int][]byte{}
 			for _, runtime := range []string{"inmem", "tcp", "node"} {
-				sink := newRecordingSink()
+				sink := newRecordingSink(core.NewMemorySink(0))
 				prob.Checkpoint = algo.CheckpointSpec{Every: 1, Sink: sink}
-				var out *algo.Outcome
-				switch runtime {
-				case "inmem":
-					out, err = entry.Run(prob, transport.InMem)
-				case "tcp":
-					out, err = entry.Run(prob, transport.TCP)
-				case "node":
-					out, err = entry.RunNodeLocal(prob)
-				}
+				out, err := runOn(entry, runtime, prob)
 				if err != nil {
 					t.Fatalf("checkpointed %s run: %v", runtime, err)
 				}
@@ -85,29 +78,58 @@ func TestCheckpointBytesIdenticalAcrossRuntimes(t *testing.T) {
 				}
 			}
 
-			// A directory the in-process cluster wrote is a restart point
-			// for the node runtime: it resumes from the newest file and
-			// lands on the reference hash and Stats.
-			dir := t.TempDir()
-			prob.Checkpoint = algo.CheckpointSpec{Every: max(1, ref.Stats.Supersteps/2), Dir: dir}
-			if _, err := entry.Run(prob, transport.InMem); err != nil {
-				t.Fatal(err)
+			// A directory one runtime wrote is a restart point for the
+			// others: the resumed run starts after the newest file, so it
+			// stores no cut at or below it, and lands on the reference hash
+			// and Stats.
+			every := max(1, ref.Stats.Supersteps/2)
+			written := map[string]string{}
+			for _, writer := range []string{"inmem", "node"} {
+				written[writer] = t.TempDir()
+				prob.Checkpoint = algo.CheckpointSpec{Every: every, Dir: written[writer]}
+				if _, err := runOn(entry, writer, prob); err != nil {
+					t.Fatal(err)
+				}
 			}
-			from, _, err := core.NewFileSink(dir).Latest()
-			if err != nil || from < 0 {
-				t.Fatalf("inmem run left no checkpoint in its directory (latest %d, err %v)", from, err)
-			}
-			prob.Checkpoint.Resume = true
-			resumed, err := entry.RunNodeLocal(prob)
-			if err != nil {
-				t.Fatalf("node run resumed from the inmem run's superstep %d: %v", from, err)
-			}
-			sameStats(t, "node-resumed-from-inmem-dir", resumed.Stats, ref.Stats)
-			if resumed.Hash != ref.Hash {
-				t.Errorf("node run resumed from the inmem run's superstep %d: hash %016x, reference %016x", from, resumed.Hash, ref.Hash)
+			for _, pair := range [][2]string{{"inmem", "node"}, {"node", "inmem"}, {"node", "tcp"}} {
+				label := pair[1] + "-resumed-from-" + pair[0] + "-dir"
+				dir := t.TempDir()
+				if err := os.CopyFS(dir, os.DirFS(written[pair[0]])); err != nil {
+					t.Fatal(err)
+				}
+				from, _, err := core.NewFileSink(dir).Latest()
+				if err != nil || from < 0 {
+					t.Fatalf("%s run left no checkpoint in its directory (latest %d, err %v)", pair[0], from, err)
+				}
+				sink := newRecordingSink(core.NewFileSink(dir))
+				prob.Checkpoint = algo.CheckpointSpec{Every: every, Sink: sink, Resume: true}
+				resumed, err := runOn(entry, pair[1], prob)
+				if err != nil {
+					t.Fatalf("%s from superstep %d: %v", label, from, err)
+				}
+				sameStats(t, label, resumed.Stats, ref.Stats)
+				if resumed.Hash != ref.Hash {
+					t.Errorf("%s from superstep %d: hash %016x, reference %016x", label, from, resumed.Hash, ref.Hash)
+				}
+				for step := range sink.cuts {
+					if step <= from {
+						t.Errorf("%s from superstep %d stored a cut at superstep %d", label, from, step)
+					}
+				}
 			}
 		})
 	}
+}
+
+// runOn runs the registry entry on one of the three all-k runtimes.
+func runOn(entry *algo.Entry, runtime string, prob algo.Problem) (*algo.Outcome, error) {
+	switch runtime {
+	case "inmem":
+		return entry.Run(prob, transport.InMem)
+	case "tcp":
+		return entry.Run(prob, transport.TCP)
+	}
+	return entry.RunNodeLocal(prob)
 }
 
 // FuzzCheckpointDecode drives the whole decode path of a checkpoint —
@@ -116,7 +138,7 @@ func TestCheckpointBytesIdenticalAcrossRuntimes(t *testing.T) {
 // returns a value or an error; it never panics and never sizes an
 // allocation by a count it has not checked against the bytes present.
 func FuzzCheckpointDecode(f *testing.F) {
-	sink := newRecordingSink()
+	sink := newRecordingSink(core.NewMemorySink(0))
 	prob := suiteProblem("pagerank")
 	prob.Checkpoint = algo.CheckpointSpec{Every: 1, Sink: sink}
 	entry, _ := algo.Lookup("pagerank")

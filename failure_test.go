@@ -83,7 +83,7 @@ func runKilled[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], p *partitio
 	var runErr error
 	done := make(chan struct{})
 	go func() {
-		_, runErr = cluster.RunOn(tr)
+		_, runErr = cluster.RunOn(tr, nil)
 		close(done)
 	}()
 	testutil.WaitOrDump(t, done, 30*time.Second, "killed cluster")
@@ -190,7 +190,7 @@ func TestStepOutlastingSuperstepTimeout(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stats, err := cluster.RunOn(tr)
+			stats, err := cluster.RunOn(tr, nil)
 			tr.Close()
 			if err == nil {
 				t.Fatal("a Step four timeouts long did not fail the run")

@@ -22,7 +22,9 @@
 // Every one of them is core.Drive per machine, and all cost accounting
 // happens there before envelopes reach a link, so a descriptor's Stats
 // and outputs are bit-identical on every substrate — the registry test suite asserts exactly that for
-// every registered algorithm.
+// every registered algorithm. All but the standalone one also share the
+// one recovery loop (retry): a checkpointed run that loses a machine is
+// re-run from its newest cut.
 //
 // The registry half of the package (registry.go) erases the generic
 // types behind a name-keyed Entry table so CLIs and table-driven tests
@@ -30,6 +32,8 @@
 package algo
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"kmachine/internal/core"
@@ -98,55 +102,58 @@ func NodeRunLocal[M, L, O any](a Algorithm[M, L, O], in partition.Input, ncfg no
 // Exec is Run for algorithms whose input is not a vertex partition
 // (dsort's key lists, routing's synthetic workloads): build constructs
 // the k machines, in machine-ID order exactly like core.NewCluster's
-// factory contract.
+// factory contract — once per attempt, so it must be deterministic.
 func Exec[M, L, O any](cfg core.Config, codec wire.Codec[M], build func(core.MachineID) (Machine[M, L], error), merge func([]L) O) (O, *core.Stats, error) {
-	var zero O
-	machines := make([]Machine[M, L], cfg.K)
-	for i := range machines {
-		m, err := build(core.MachineID(i))
-		if err != nil {
-			return zero, nil, err
-		}
-		machines[i] = m
-	}
-	out, stats, _, err := runOn(machines, merge, inProcess(cfg, codec))
+	out, stats, _, err := retry(cfg.K, build, merge, inProcess(cfg, codec))
 	return out, stats, err
 }
 
-// site is where the k built machines of a run execute: it reports the
+// site is where the k built machines of a run execute: run reports the
 // paper-level Stats and the physical bytes-on-wire the substrate
-// shipped (zero for the loopback). The WireStats ride alongside the
-// Stats rather than inside them: Stats are bit-identical across
-// substrates by construction, bytes-on-wire are exactly the
-// substrate-dependent quantity the model abstracts away.
-type site[M any] func(machine func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error)
+// shipped (zero for the loopback) of one attempt under the checkpoint
+// policy it is handed. The WireStats ride alongside the Stats rather
+// than inside them: Stats are bit-identical across substrates by
+// construction, bytes-on-wire are exactly the substrate-dependent
+// quantity the model abstracts away. ctx and ck are the run's context
+// and checkpoint policy, which decide whether a failed attempt is
+// retried.
+type site[M any] struct {
+	ctx context.Context
+	ck  core.CheckpointPolicy
+	run func(machine func(core.MachineID) core.Machine[M], ck core.CheckpointPolicy) (*core.Stats, transport.WireStats, error)
+}
 
 // inProcess is the in-process cluster over cfg.Transport.
 func inProcess[M any](cfg core.Config, codec wire.Codec[M]) site[M] {
-	return func(machine func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
-		return core.RunOverWire(core.NewCluster(cfg, machine), codec)
-	}
+	return site[M]{ctx: cfg.Context, ck: cfg.Checkpoint,
+		run: func(machine func(core.MachineID) core.Machine[M], ck core.CheckpointPolicy) (*core.Stats, transport.WireStats, error) {
+			cfg := cfg
+			cfg.Checkpoint = ck
+			return core.RunOverWire(core.NewCluster(cfg, machine), codec)
+		}}
 }
 
 // onSockets is the per-machine socket link, all k machines in this
 // process: over a private loopback mesh (lm == nil, kmnode -local), or
 // as job `job` on a standing one, the resident-daemon substrate, where
-// the fabric outlives the run and a failed job poisons it.
+// the fabric outlives the run and a failed job poisons it until the
+// next attempt rebuilds it.
 func onSockets[M any](ncfg node.Config, lm *node.LocalMesh, job uint64, codec wire.Codec[M]) site[M] {
-	return func(machine func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
-		if lm == nil {
-			return node.RunLocal(ncfg, codec, machine)
-		}
-		return node.RunJobLocal(lm, ncfg, job, codec, machine)
-	}
+	return site[M]{ctx: ncfg.Context, ck: ncfg.Checkpoint,
+		run: func(machine func(core.MachineID) core.Machine[M], ck core.CheckpointPolicy) (*core.Stats, transport.WireStats, error) {
+			ncfg := ncfg
+			ncfg.Checkpoint = ck
+			if lm == nil {
+				return node.RunLocal(ncfg, codec, machine)
+			}
+			return node.RunJobLocal(lm, ncfg, job, codec, machine)
+		}}
 }
 
 // execute is the single run entry of every all-k substrate: ask the
 // input for all k views in ONE call — a sharded input replays its
 // generator or reads its file once for the whole process, not once per
-// machine — construct the k machines sequentially in machine-ID order
-// (so a factory error surfaces before any cluster is built), run them
-// on the site, and merge their outputs.
+// machine — then run the machines built from them through retry.
 func execute[M, L, O any](a Algorithm[M, L, O], in partition.Input, k int, on site[M]) (O, *core.Stats, transport.WireStats, error) {
 	var zero O
 	if k != in.NumMachines() {
@@ -156,26 +163,75 @@ func execute[M, L, O any](a Algorithm[M, L, O], in partition.Input, k int, on si
 	if err != nil {
 		return zero, nil, transport.WireStats{}, fmt.Errorf("%s: %w", a.Name, err)
 	}
-	machines := make([]Machine[M, L], k)
-	for i, v := range views {
-		if machines[i], err = a.NewMachine(v); err != nil {
-			return zero, nil, transport.WireStats{}, err
-		}
-	}
-	return runOn(machines, a.Merge, on)
+	build := func(id core.MachineID) (Machine[M, L], error) { return a.NewMachine(views[id]) }
+	return retry(k, build, a.Merge, on)
 }
 
-// runOn executes the built machines on the site, then extracts their
-// local outputs in machine-ID order and folds them.
-func runOn[M, L, O any](machines []Machine[M, L], merge func([]L) O, on site[M]) (O, *core.Stats, transport.WireStats, error) {
-	stats, w, err := on(func(id core.MachineID) core.Machine[M] { return machines[id] })
-	if err != nil {
-		var zero O
-		return zero, nil, w, err
+// retry is recovery, the one loop every all-k runner passes through: it
+// constructs the k machines sequentially in machine-ID order (so a
+// factory error surfaces before any cluster is built), runs them on the
+// site, and merges their outputs. A failed attempt is retried — with
+// machines rebuilt from the same input, against the same sink — when
+// the failure is an attributed machine loss (it wraps
+// *transport.MachineError), checkpointing is armed, the run context is
+// live, and fewer than core.DefaultMaxRecoveries retries have run.
+// Panics, cancellation, deadlines, MaxSupersteps and validation errors
+// stay final. A retry resumes from the newest cut this launch stored;
+// with none stored — whatever else the sink held is another run's — it
+// starts over exactly as the first attempt did. Replay is
+// deterministic, so a recovered run's output and Stats are
+// bit-identical to an unkilled one's; Stats.Recoveries counts the
+// retries and WireStats total every attempt's bytes.
+func retry[M, L, O any](k int, build func(core.MachineID) (Machine[M, L], error), merge func([]L) O, on site[M]) (O, *core.Stats, transport.WireStats, error) {
+	var zero O
+	var total transport.WireStats
+	ck := on.ck
+	var sink *launchSink
+	if ck.Every > 0 {
+		sink = &launchSink{CheckpointSink: ck.Sink}
+		if sink.CheckpointSink == nil {
+			sink.CheckpointSink = core.NewMemorySink(0)
+		}
+		ck.Sink = sink
 	}
-	locals := make([]L, len(machines))
-	for i, m := range machines {
-		locals[i] = m.Output()
+	for recoveries := 0; ; recoveries++ {
+		machines := make([]Machine[M, L], k)
+		for i := range machines {
+			m, err := build(core.MachineID(i))
+			if err != nil {
+				return zero, nil, total, err
+			}
+			machines[i] = m
+		}
+		stats, w, err := on.run(func(id core.MachineID) core.Machine[M] { return machines[id] }, ck)
+		total = total.Plus(w)
+		if err == nil {
+			stats.Recoveries = recoveries
+			locals := make([]L, k)
+			for i, m := range machines {
+				locals[i] = m.Output()
+			}
+			return merge(locals), stats, total, nil
+		}
+		var me *transport.MachineError
+		if sink == nil || !errors.As(err, &me) || (on.ctx != nil && on.ctx.Err() != nil) || recoveries == core.DefaultMaxRecoveries {
+			return zero, nil, total, err
+		}
+		ck.Resume = on.ck.Resume || sink.stored
 	}
-	return merge(locals), stats, w, nil
+}
+
+// launchSink is the checkpoint sink of one launch, resolved once so
+// every attempt writes to and resumes from the same store. It notes
+// whether this launch has stored a cut; Puts are serialised by the
+// attempt's core.Assembler and finished before the attempt returns.
+type launchSink struct {
+	core.CheckpointSink
+	stored bool
+}
+
+func (s *launchSink) Put(step int, blob []byte) error {
+	err := s.CheckpointSink.Put(step, blob)
+	s.stored = s.stored || err == nil
+	return err
 }

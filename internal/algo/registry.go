@@ -71,47 +71,40 @@ type Problem struct {
 	// the file once, straight into its machines' CSR shards.
 	InputPath string
 	// Checkpoint opts the run into per-superstep checkpointing and
-	// failure recovery on every substrate (core.Config.Checkpoint /
-	// node.Config.Checkpoint). Off by default — the zero value keeps
-	// today's fail-fast behaviour, hashes, and Stats bit-identical.
+	// machine-loss recovery on every all-k substrate (see retry). Off by
+	// default — the zero value keeps today's fail-fast behaviour,
+	// hashes, and Stats bit-identical.
 	Checkpoint CheckpointSpec
 }
 
 // CheckpointSpec is the checkpoint policy of a Problem. Every runner
-// takes the same cut and writes the same container into the same sink
-// (core/checkpoint.go), so Every, Dir and Sink mean one thing
-// everywhere. The machines of the algorithm must implement
-// core.Snapshotter (all registry algorithms do).
+// takes the same cut, writes the same container into the same sink
+// (core/checkpoint.go) and recovers through the same retry loop, so
+// every field means one thing everywhere. The machines of the algorithm
+// must implement core.Snapshotter (all registry algorithms do).
 type CheckpointSpec struct {
 	// Every captures a checkpoint after every Every-th superstep; 0
-	// disables checkpointing entirely.
+	// disables checkpointing, and with it recovery.
 	Every int
 	// Dir, when non-empty, stores checkpoints in a core.FileSink on that
 	// directory; empty means an in-memory ring private to the run.
 	Dir string
-	// Sink overrides where checkpoints go (wins over Dir). The job
-	// scheduler sets one per opted-in job so checkpoints survive mesh
-	// rebuilds; tests use it to inspect checkpoint traffic
-	// (core.MemorySink counts puts).
+	// Sink overrides where checkpoints go (wins over Dir); tests use it
+	// to inspect checkpoint traffic.
 	Sink core.CheckpointSink
-	// MaxRecoveries caps machine replacements — in-run on the in-process
-	// cluster, re-attempts in the job scheduler; 0 means
-	// core.DefaultMaxRecoveries.
-	MaxRecoveries int
-	// Resume makes a node-runtime run restore the sink's latest
-	// checkpoint before its first superstep — the re-attempt half of the
-	// scheduler's recovery protocol. The in-process cluster recovers
-	// inside the run and has no use for it.
+	// Resume starts the run from the sink's latest checkpoint instead of
+	// superstep 0 — a restart from a directory an earlier run wrote.
 	Resume bool
 }
 
-// sink resolves where checkpoints go; nil leaves the runtime its
-// private in-memory ring.
-func (ck CheckpointSpec) sink() core.CheckpointSink {
-	if ck.Sink == nil && ck.Dir != "" {
-		return core.NewFileSink(ck.Dir)
+// policy resolves the spec into the runners' checkpoint policy; a nil
+// sink leaves the run its private in-memory ring.
+func (ck CheckpointSpec) policy() core.CheckpointPolicy {
+	p := core.CheckpointPolicy{Every: ck.Every, Sink: ck.Sink, Resume: ck.Resume}
+	if p.Sink == nil && ck.Dir != "" {
+		p.Sink = core.NewFileSink(ck.Dir)
 	}
-	return ck.Sink
+	return p
 }
 
 // withDefaults resolves the zero-value conventions.
@@ -137,22 +130,15 @@ func (prob Problem) withDefaults() Problem {
 func (prob Problem) nodeConfig(k int) node.Config {
 	return node.Config{K: k, Bandwidth: prob.Bandwidth, Seed: prob.Seed + 2,
 		SuperstepTimeout: prob.SuperstepTimeout, Context: prob.Context,
-		Recorder: prob.Recorder,
-		Checkpoint: node.CheckpointConfig{Every: prob.Checkpoint.Every,
-			Sink: prob.Checkpoint.sink(), Resume: prob.Checkpoint.Resume}}
+		Recorder: prob.Recorder, Checkpoint: prob.Checkpoint.policy()}
 }
 
 // coreConfig is the in-process cluster configuration of a problem: the
 // machine streams draw from Seed+2 on every substrate.
 func (prob Problem) coreConfig(kind transport.Kind) core.Config {
-	cfg := core.Config{K: prob.K, Bandwidth: prob.Bandwidth, Seed: prob.Seed + 2,
+	return core.Config{K: prob.K, Bandwidth: prob.Bandwidth, Seed: prob.Seed + 2,
 		Transport: kind, SuperstepTimeout: prob.SuperstepTimeout, Context: prob.Context,
-		Recorder: prob.Recorder}
-	if ck := prob.Checkpoint; ck.Every > 0 {
-		cfg.Checkpoint = core.CheckpointPolicy{Every: ck.Every, Sink: ck.sink(),
-			MaxRecoveries: ck.MaxRecoveries}
-	}
-	return cfg
+		Recorder: prob.Recorder, Checkpoint: prob.Checkpoint.policy()}
 }
 
 // Outcome is the substrate-agnostic report of one registry run.
@@ -255,7 +241,7 @@ func (e *Entry) RunStandalone(prob Problem, ncfg node.Config) (*Outcome, error) 
 // (node.RunJobLocal): the resident-daemon path, where the fabric
 // outlives individual jobs. Stats, outputs, and hashes are bit-identical
 // to RunNodeLocal on the same Problem. On error the mesh is poisoned
-// and the scheduler must rebuild it.
+// until the next job rebuilds it.
 func (e *Entry) RunJob(prob Problem, lm *node.LocalMesh, job uint64) (*Outcome, error) {
 	return e.run(prob, place{sockets: true, mesh: lm, job: job})
 }

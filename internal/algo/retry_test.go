@@ -1,0 +1,201 @@
+package algo
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"testing"
+
+	"kmachine/internal/core"
+	"kmachine/internal/transport"
+	"kmachine/internal/transport/chaos"
+	"kmachine/internal/transport/inmem"
+	"kmachine/internal/transport/wire"
+)
+
+// ringMachine passes a draw from its random stream around the ring for
+// ringSteps supersteps and sums what it receives, so its output depends
+// on the seed and on every restored quantity of a cut.
+type ringMachine struct {
+	self core.MachineID
+	sum  int64
+}
+
+const ringK, ringSteps = 4, 6
+
+func (m *ringMachine) Step(ctx *core.StepContext, inbox []core.Envelope[echoMsg]) ([]core.Envelope[echoMsg], bool) {
+	for _, e := range inbox {
+		m.sum += e.Msg.X
+	}
+	if ctx.Superstep >= ringSteps {
+		return nil, true
+	}
+	return []core.Envelope[echoMsg]{{To: (m.self + 1) % ringK, Words: 1,
+		Msg: echoMsg{X: int64(ctx.RNG.Uint64() % 1000)}}}, false
+}
+
+func (m *ringMachine) Output() int64 { return m.sum }
+
+func (m *ringMachine) SnapshotState(dst []byte) ([]byte, error) {
+	return wire.AppendVarint(dst, m.sum), nil
+}
+
+func (m *ringMachine) RestoreState(src []byte) error {
+	c := &wire.Cursor{Src: src}
+	m.sum = c.Varint()
+	return c.Finish()
+}
+
+// chaosSite is the in-process cluster over the loopback whose first
+// kills attempts lose machine 1 at superstep killAt. It records the
+// checkpoint policy of every attempt; after, when non-nil, runs once an
+// attempt has returned.
+type chaosSite struct {
+	cfg           core.Config
+	kills, killAt int
+	attempts      []core.CheckpointPolicy
+	after         func()
+}
+
+func (cs *chaosSite) site() site[echoMsg] {
+	return site[echoMsg]{ctx: cs.cfg.Context, ck: cs.cfg.Checkpoint,
+		run: func(machine func(core.MachineID) core.Machine[echoMsg], ck core.CheckpointPolicy) (*core.Stats, transport.WireStats, error) {
+			var tr core.Transport[echoMsg] = inmem.New[echoMsg](ringK)
+			if len(cs.attempts) < cs.kills {
+				tr = chaos.Wrap[echoMsg](tr, chaos.KillAt(1, cs.killAt))
+			}
+			defer tr.Close()
+			cs.attempts = append(cs.attempts, ck)
+			cfg := cs.cfg
+			cfg.Checkpoint = ck
+			stats, err := core.NewCluster(cfg, machine).RunOn(tr, echoCodec{})
+			if cs.after != nil {
+				cs.after()
+			}
+			return stats, transport.WireStats{}, err
+		}}
+}
+
+func ringConfig(seed uint64, ck core.CheckpointPolicy) core.Config {
+	return core.Config{K: ringK, Bandwidth: 1, Seed: seed, Checkpoint: ck}
+}
+
+func runRing(on site[echoMsg]) ([]int64, *core.Stats, error) {
+	out, stats, _, err := retry(ringK,
+		func(id core.MachineID) (Machine[echoMsg, int64], error) { return &ringMachine{self: id}, nil },
+		func(locals []int64) []int64 { return locals }, on)
+	return out, stats, err
+}
+
+// TestRetryLoop pins the one recovery loop every all-k runner passes
+// through: what it counts, where it stops, that cancellation is final,
+// and which cut a retry resumes from.
+func TestRetryLoop(t *testing.T) {
+	golden, goldenStats, err := runRing((&chaosSite{cfg: ringConfig(13, core.CheckpointPolicy{})}).site())
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(t *testing.T, out []int64, stats *core.Stats) {
+		t.Helper()
+		if !reflect.DeepEqual(out, golden) {
+			t.Errorf("recovered output %v, unkilled %v", out, golden)
+		}
+		if stats.Rounds != goldenStats.Rounds || stats.Supersteps != goldenStats.Supersteps ||
+			stats.Words != goldenStats.Words || !reflect.DeepEqual(stats.PerSuperstep, goldenStats.PerSuperstep) {
+			t.Errorf("recovered Stats diverge from the unkilled run's")
+		}
+	}
+	machineLoss := func(t *testing.T, err error) {
+		t.Helper()
+		var me *transport.MachineError
+		if !errors.As(err, &me) {
+			t.Fatalf("err %v, want the killed attempt's *transport.MachineError", err)
+		}
+	}
+
+	t.Run("count", func(t *testing.T) {
+		cs := &chaosSite{cfg: ringConfig(13, core.CheckpointPolicy{Every: 2}), kills: 2, killAt: 3}
+		out, stats, err := runRing(cs.site())
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(t, out, stats)
+		if stats.Recoveries != 2 || len(cs.attempts) != 3 {
+			t.Errorf("Recoveries = %d over %d attempts, want 2 over 3", stats.Recoveries, len(cs.attempts))
+		}
+	})
+
+	t.Run("bound", func(t *testing.T) {
+		cs := &chaosSite{cfg: ringConfig(13, core.CheckpointPolicy{Every: 2}), kills: 1 << 30, killAt: 3}
+		_, _, err := runRing(cs.site())
+		machineLoss(t, err)
+		if len(cs.attempts) != core.DefaultMaxRecoveries+1 {
+			t.Errorf("%d attempts, want the first plus core.DefaultMaxRecoveries=%d retries", len(cs.attempts), core.DefaultMaxRecoveries)
+		}
+	})
+
+	t.Run("unarmed", func(t *testing.T) {
+		cs := &chaosSite{cfg: ringConfig(13, core.CheckpointPolicy{}), kills: 1, killAt: 3}
+		_, _, err := runRing(cs.site())
+		machineLoss(t, err)
+		if len(cs.attempts) != 1 {
+			t.Errorf("a run without checkpoints was attempted %d times, want 1", len(cs.attempts))
+		}
+	})
+
+	t.Run("cancel", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cfg := ringConfig(13, core.CheckpointPolicy{Every: 2})
+		cfg.Context = ctx
+		// The run is canceled after its attempt failed with a machine
+		// loss: the loss alone would be retried, the cancellation wins.
+		cs := &chaosSite{cfg: cfg, kills: 1, killAt: 3, after: cancel}
+		_, _, err := runRing(cs.site())
+		machineLoss(t, err)
+		if len(cs.attempts) != 1 {
+			t.Errorf("a canceled run was attempted %d times, want 1", len(cs.attempts))
+		}
+	})
+
+	t.Run("resume", func(t *testing.T) {
+		for _, tc := range []struct {
+			name   string
+			resume bool // the launch's own Resume
+			killAt int
+			want   []bool // Resume of each attempt
+		}{
+			// Killed after the cut of superstep 1 was stored: resume it.
+			{"after-a-cut", false, 3, []bool{false, true}},
+			// Killed before any cut: start over, ignoring the other run's
+			// cut the sink holds.
+			{"before-a-cut", false, 0, []bool{false, false}},
+			// A resuming launch (here from an empty sink) resumes again.
+			{"resuming-launch", true, 3, []bool{true, true}},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				sink := core.NewMemorySink(0)
+				if !tc.resume {
+					// Another run's cuts: resuming one would land on seed 99's output.
+					if _, _, err := runRing((&chaosSite{cfg: ringConfig(99, core.CheckpointPolicy{Every: 1, Sink: sink})}).site()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ck := core.CheckpointPolicy{Every: 2, Sink: sink, Resume: tc.resume}
+				cs := &chaosSite{cfg: ringConfig(13, ck), kills: 1, killAt: tc.killAt}
+				out, stats, err := runRing(cs.site())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]bool, len(cs.attempts))
+				for i, a := range cs.attempts {
+					got[i] = a.Resume
+				}
+				if !reflect.DeepEqual(got, tc.want) {
+					t.Errorf("attempts resumed %v, want %v", got, tc.want)
+				}
+				same(t, out, stats)
+			})
+		}
+	})
+}

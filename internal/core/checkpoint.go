@@ -13,15 +13,15 @@ import (
 	"sync"
 
 	"kmachine/internal/rng"
-	"kmachine/internal/transport"
 	"kmachine/internal/transport/wire"
 )
 
-// This file is the checkpoint/recovery subsystem: a run that loses a
-// machine finishes anyway, with bit-identical output. It holds the one
-// cut, the one container format, the one sink interface, the one
-// capture path (Drive's hook into the Assembler) and the one restore
-// path (Drive installing a Cut) of both links.
+// This file is the checkpoint half of recovery: a run that loses a
+// machine is re-run from its latest cut (internal/algo's retry loop)
+// and finishes with bit-identical output. It holds the one cut, the one
+// container format, the one sink interface, the one capture path
+// (Drive's hook into the Assembler) and the one restore path (Drive
+// installing a Cut) of both links.
 //
 // The cut. Machine state is a pure function of (seed, inbox history),
 // so right after superstep s is delivered and charged, the k parts ⟨RNG
@@ -29,16 +29,14 @@ import (
 // Stats accounted through s are a complete, consistent image of the
 // computation. Each driver encodes its own part, machine 0's adds the
 // Stats, and the run's Assembler stores the container once all k have
-// arrived. A restore installs the parts — each driver its own, machine
-// 0's the Stats — and enters the ordinary loop at s+1; from there the
-// replay is the original run, bit for bit, because every machine draws
-// the same random words and reads the same inboxes. A stop verdict ends
-// the run before a capture, so a final superstep is never captured, and
-// a superstep whose exchange failed was never captured either: recovery
-// replays at most Every supersteps. RunCheckpointed, which restores
-// machines in place, also keeps an arm-time image at superstep -1 (fresh
-// state, empty inboxes, zero Stats) for failures that land before its
-// first capture — restoring it is an exact restart-from-zero.
+// arrived. A resuming run installs the sink's latest cut (LatestCut) —
+// each driver its own part, machine 0's the Stats — and enters the
+// ordinary loop at s+1; from there the replay is the original run, bit
+// for bit, because every machine draws the same random words and reads
+// the same inboxes. A stop verdict ends the run before a capture, so a
+// final superstep is never captured, and a superstep whose exchange
+// failed was never captured either: a resume replays at most Every
+// supersteps.
 //
 // The container (all integers uvarint; len X is X length-prefixed):
 //
@@ -48,18 +46,13 @@ import (
 //	              k × SentWords  n  n × (Rounds Messages Words
 //	              MaxLinkWords MaxRecvWords MaxSentWords)
 //
-// step+1 encodes the arm-time -1 as 0. state is the Snapshotter blob.
-// batch is the machine's next inbox as wire.AppendBatchV2 writes a
-// received batch (superstep step+1, From runs seeded with 0) and runs to
-// the end of the part. Stats.MaxRecvWords is derived and
-// Stats.Recoveries is a live counter of the run, not part of the
-// computation's cut; neither is stored. The stop verdict of the socket
-// link ships final Stats in the same stats layout.
-//
-// What is recoverable: errors that unwrap to *transport.MachineError
-// while the run context is still live — the attributed peer-loss class
-// chaos injects and real socket failures produce. Panics, context
-// cancellation, MaxSupersteps, and validation errors stay fail-fast.
+// state is the Snapshotter blob. batch is the machine's next inbox as
+// wire.AppendBatchV2 writes a received batch (superstep step+1, From
+// runs seeded with 0) and runs to the end of the part.
+// Stats.MaxRecvWords is derived and Stats.Recoveries is a count of
+// retries, not part of the computation's cut; neither is stored. The
+// stop verdict of the socket link ships final Stats in the same stats
+// layout.
 
 // Snapshotter is the per-machine state codec capability. Machines that
 // implement it (all five registry algorithms do, in their state.go
@@ -91,8 +84,8 @@ func checkpointable[M any](id int, m Machine[M], codec wire.Codec[M]) (Snapshott
 	return snap, nil
 }
 
-// DefaultMaxRecoveries bounds machine replacements per run when the
-// policy doesn't set its own limit.
+// DefaultMaxRecoveries bounds the retries of one run (internal/algo's
+// recovery loop).
 const DefaultMaxRecoveries = 3
 
 // CheckpointPolicy is Config.Checkpoint: off by default (Every == 0),
@@ -105,9 +98,10 @@ type CheckpointPolicy struct {
 	// Sink stores the checkpoint blobs; nil means an in-memory ring of
 	// the last two checkpoints (NewMemorySink).
 	Sink CheckpointSink
-	// MaxRecoveries bounds machine replacements per run; 0 means
-	// DefaultMaxRecoveries.
-	MaxRecoveries int
+	// Resume installs the sink's latest checkpoint before the first
+	// superstep (LatestCut); with an empty sink the run starts from
+	// superstep 0.
+	Resume bool
 }
 
 // CheckpointSink is pluggable checkpoint storage. Put stores the blob
@@ -320,10 +314,15 @@ type Cut struct {
 	Stats []byte
 }
 
-// OpenCheckpoint splits the container a sink returned as the checkpoint
-// of superstep step, for a k-machine cluster. A checkpoint of another
-// cluster size is an error, never a silent from-zero.
-func OpenCheckpoint(blob []byte, step, k int) (*Cut, error) {
+// LatestCut opens the sink's latest checkpoint for a k-machine cluster:
+// the cut a resuming run installs, or nil when the sink holds none. A
+// checkpoint of another cluster size is an error, never a silent
+// from-zero.
+func LatestCut(sink CheckpointSink, k int) (*Cut, error) {
+	step, blob, err := sink.Latest()
+	if err != nil || blob == nil {
+		return nil, err
+	}
 	got, parts, stats, err := DecodeCheckpoint(blob)
 	switch {
 	case err != nil:
@@ -456,26 +455,27 @@ type Assembler struct {
 	every int
 	sink  CheckpointSink
 
-	mu     sync.Mutex
-	step   int // superstep being captured
-	have   int
-	parts  [][]byte
-	stats  []byte
-	buf    []byte // container scratch, reused across captures
-	stored bool   // this run has put a checkpoint into the sink
+	mu    sync.Mutex
+	step  int // superstep being captured
+	have  int
+	parts [][]byte
+	stats []byte
+	buf   []byte // container scratch, reused across captures
 }
 
-// NewAssembler returns the checkpoint plane of one k-machine run that
-// captures every every-th superstep into sink (nil means a private
-// in-memory ring), or nil when every <= 0: checkpointing is off.
-func NewAssembler(every int, sink CheckpointSink, k int) *Assembler {
-	if every <= 0 {
+// NewAssembler returns the checkpoint plane of one k-machine run under
+// p — capturing every p.Every-th superstep into p.Sink (nil means a
+// private in-memory ring) — or nil when p.Every <= 0: checkpointing is
+// off.
+func NewAssembler(p CheckpointPolicy, k int) *Assembler {
+	if p.Every <= 0 {
 		return nil
 	}
+	sink := p.Sink
 	if sink == nil {
 		sink = NewMemorySink(0)
 	}
-	return &Assembler{every: every, sink: sink, step: -1, parts: make([][]byte, k)}
+	return &Assembler{every: p.Every, sink: sink, step: -1, parts: make([][]byte, k)}
 }
 
 // Sink is where the assembled checkpoints go.
@@ -499,90 +499,5 @@ func (a *Assembler) put(step, id int, part []byte, coord *Coordinator) error {
 		return nil
 	}
 	a.buf = AppendCheckpoint(a.buf[:0], step, a.parts, a.stats)
-	if err := a.sink.Put(step, a.buf); err != nil {
-		return err
-	}
-	a.stored = true
-	return nil
-}
-
-// RunCheckpointed executes the cluster over t with the configured
-// checkpoint policy and in-run recovery: when the run fails with an
-// attributed *transport.MachineError and the context is still live, the
-// dead transport is replaced by one from reopen, every machine is
-// restored in place from the latest checkpoint, and the k drivers enter
-// the loop at the superstep after it — a deterministic replay whose
-// output is bit-identical to an unkilled run. Recovery is attempted up
-// to the policy's MaxRecoveries; Stats.Recoveries counts the
-// replacements performed. Panics, context cancellation, MaxSupersteps
-// and validation errors stay fail-fast.
-//
-// The caller owns t (and must Close it, as with RunOn); replacement
-// transports created from reopen are owned and closed here. With
-// Checkpoint.Every == 0 this is exactly RunOn.
-func (c *Cluster[M]) RunCheckpointed(t Transport[M], codec wire.Codec[M], reopen func() (Transport[M], error)) (*Stats, error) {
-	pol, k := c.cfg.Checkpoint, c.cfg.K
-	asm := NewAssembler(pol.Every, pol.Sink, k)
-	if asm == nil {
-		return c.RunOn(t)
-	}
-	coord := NewCoordinator(k, c.cfg.Bandwidth, c.cfg.DropPerSuperstep)
-	maxRec := pol.MaxRecoveries
-	if maxRec <= 0 {
-		maxRec = DefaultMaxRecoveries
-	}
-	// The arm-time image; it also rejects, before anything runs, machines
-	// that cannot be checkpointed.
-	armed := make([][]byte, k)
-	for i, m := range c.machines {
-		snap, err := checkpointable(i, m, codec)
-		if err == nil {
-			armed[i], err = AppendCheckpointPart(nil, -1, MachineID(i), c.rngs[i], snap, nil, codec)
-		}
-		if err != nil {
-			return coord.Stats(), err
-		}
-	}
-	image := AppendCheckpoint(nil, -1, armed, AppendStats(nil, coord.stats))
-
-	cur := t
-	defer func() {
-		if cur != t {
-			cur.Close()
-		}
-	}()
-	var resume *Cut
-	for {
-		err := c.drive(cur, coord, asm, resume, codec)
-		var me *transport.MachineError
-		canceled := c.cfg.Context != nil && c.cfg.Context.Err() != nil
-		if err == nil || !errors.As(err, &me) || canceled || reopen == nil || coord.stats.Recoveries >= maxRec {
-			return coord.Stats(), err
-		}
-		// Until this run has stored a checkpoint, whatever the sink holds
-		// is another run's.
-		step, blob := -1, image
-		if asm.stored {
-			s, b, lerr := asm.sink.Latest()
-			if lerr != nil {
-				return coord.Stats(), fmt.Errorf("core: recovery after %v: read latest checkpoint: %w", err, lerr)
-			}
-			if b != nil {
-				step, blob = s, b
-			}
-		}
-		var oerr error
-		if resume, oerr = OpenCheckpoint(blob, step, k); oerr != nil {
-			return coord.Stats(), fmt.Errorf("core: recovery after %v: %w", err, oerr)
-		}
-		nt, oerr := reopen()
-		if oerr != nil {
-			return coord.Stats(), fmt.Errorf("core: recovery reopen after %v: %w", err, oerr)
-		}
-		if cur != t {
-			cur.Close()
-		}
-		cur = nt
-		coord.stats.Recoveries++
-	}
+	return a.sink.Put(step, a.buf)
 }

@@ -142,15 +142,15 @@ type Config struct {
 	// per-superstep deadline; the happy-path behaviour (Stats, outputs,
 	// determinism) is identical with or without one.
 	SuperstepTimeout time.Duration
-	// Checkpoint opts the run into per-superstep checkpointing and
-	// in-run recovery (see checkpoint.go): every Checkpoint.Every
-	// supersteps a consistent cut of all machine state is captured right
-	// after the superstep's Finish into Checkpoint.Sink, and a run driven
-	// by RunCheckpointed survives machine loss by restoring the latest
-	// cut and replaying. Off by default (Every == 0): the driver's hook is a
-	// single nil check, keeping the zero-allocation steady state and
-	// every golden hash unchanged. Checkpointing requires all machines
-	// to implement Snapshotter.
+	// Checkpoint opts the run into per-superstep checkpointing (see
+	// checkpoint.go): every Checkpoint.Every supersteps a consistent cut
+	// of all machine state is captured right after the superstep's
+	// Finish into Checkpoint.Sink, and with Checkpoint.Resume the run
+	// starts from the sink's latest cut. Off by default (Every == 0):
+	// the driver's hook is a single nil check, keeping the
+	// zero-allocation steady state and every golden hash unchanged.
+	// Checkpointing requires all machines to implement Snapshotter and
+	// RunOn to be given their message codec.
 	Checkpoint CheckpointPolicy
 	// Recorder, when non-nil, receives wall-clock phase spans from the
 	// run: per machine and superstep, a compute span (the Step call) and
@@ -214,12 +214,12 @@ type Stats struct {
 	MaxRecvWords int64
 	// PerSuperstep is the per-phase breakdown (Lemmas 12/14 experiments).
 	PerSuperstep []SuperstepStat
-	// Recoveries counts in-run machine replacements performed by
-	// checkpoint recovery (RunCheckpointed). It is a property of this
-	// run's execution, not of the computation: a recovered run's other
-	// Stats fields and outputs are bit-identical to an undisturbed
-	// run's, and Recoveries is excluded from checkpoint blobs so the
-	// counter survives restores.
+	// Recoveries counts the retries internal/algo's recovery loop ran
+	// before the run succeeded, each from the newest cut the run had
+	// stored. It is a property of this run's execution, not of the
+	// computation: a recovered run's other Stats fields and outputs are
+	// bit-identical to an undisturbed run's, and checkpoints do not
+	// store it.
 	Recoveries int
 }
 
@@ -378,14 +378,12 @@ func (c *Coordinator) Charge(rows []*Row) {
 	}
 }
 
-// restore replaces the accounting with the Stats part of a checkpoint;
-// Recoveries is a counter of this run and survives.
+// restore replaces the accounting with the Stats part of a checkpoint.
 func (c *Coordinator) restore(part []byte) error {
 	s, err := DecodeStats(part, len(c.recv))
 	if err != nil {
 		return err
 	}
-	s.Recoveries = c.stats.Recoveries
 	*c.stats = *s
 	return nil
 }
@@ -427,16 +425,17 @@ func (c *Cluster[M]) Machine(i MachineID) Machine[M] { return c.machines[int(i)]
 
 // Run executes supersteps until global quiescence (every machine done and
 // no envelope in flight) and returns the communication statistics. It
-// runs on the in-memory loopback transport; use RunOn for any other
-// substrate (Config.Transport cannot be resolved here because building
-// a non-loopback transport needs a message codec — see OpenTransport).
+// runs on the in-memory loopback transport without a message codec, so
+// it cannot checkpoint; use RunOverWire or RunOn for anything else
+// (Config.Transport cannot be resolved here because building a
+// non-loopback transport needs a codec — see OpenTransport).
 func (c *Cluster[M]) Run() (*Stats, error) {
 	if c.cfg.Transport != transport.Default && c.cfg.Transport != transport.InMem {
 		return nil, fmt.Errorf("core: Config.Transport=%q needs a codec; resolve it with OpenTransport and call RunOn", c.cfg.Transport)
 	}
 	t := inmem.New[M](c.cfg.K)
 	defer t.Close()
-	return c.RunOn(t)
+	return c.RunOn(t, nil)
 }
 
 // finalize computes MaxRecvWords from the per-machine totals; Run defers

@@ -179,22 +179,25 @@ func (rv *rendezvous[M]) close(ctx context.Context, step int) (Verdict, [][]Enve
 // The transport is single-run: a stop leaves its last superstep open
 // for the caller's Close to abandon.
 //
+// Config.Checkpoint arms capture and, with Resume, installs the sink's
+// latest cut first — exactly as on the socket link; both need codec,
+// which is otherwise unused (nil is fine for an unarmed run).
 // Config.Context is observed before and after every Step, and
 // Config.SuperstepTimeout bounds each superstep on the transport, so a
 // dead or wedged peer machine surfaces as a wrapped, machine-attributed
 // error within the timeout. With neither set no context machinery is
 // allocated and the golden determinism hashes are unchanged.
-func (c *Cluster[M]) RunOn(t Transport[M]) (*Stats, error) {
-	coord := NewCoordinator(c.cfg.K, c.cfg.Bandwidth, c.cfg.DropPerSuperstep)
-	err := c.drive(t, coord, nil, nil, nil)
-	return coord.Stats(), err
-}
-
-// drive is one attempt: the k drivers over t until the stop verdict or
-// the first error. asm arms checkpoint capture, resume is the cut the
-// drivers install first (RunCheckpointed passes both).
-func (c *Cluster[M]) drive(t Transport[M], coord *Coordinator, asm *Assembler, resume *Cut, codec wire.Codec[M]) error {
+func (c *Cluster[M]) RunOn(t Transport[M], codec wire.Codec[M]) (*Stats, error) {
 	cfg := c.cfg
+	coord := NewCoordinator(cfg.K, cfg.Bandwidth, cfg.DropPerSuperstep)
+	asm := NewAssembler(cfg.Checkpoint, cfg.K)
+	var resume *Cut
+	if asm != nil && cfg.Checkpoint.Resume {
+		var err error
+		if resume, err = LatestCut(asm.Sink(), cfg.K); err != nil {
+			return coord.Stats(), err
+		}
+	}
 	rv := newRendezvous(t, coord, cfg.Recorder, cfg.K)
 	_, err := DriveAll(cfg.K, func(i int) (*Stats, error) {
 		d := Driver[M]{ID: i, K: cfg.K, MaxSupersteps: cfg.MaxSupersteps,
@@ -206,5 +209,5 @@ func (c *Cluster[M]) drive(t Transport[M], coord *Coordinator, asm *Assembler, r
 		}
 		return Drive(d)
 	}, func(_ int, err error) { rv.fail(err) })
-	return err
+	return coord.Stats(), err
 }

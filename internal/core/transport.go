@@ -35,28 +35,20 @@ func OpenTransport[M any](kind transport.Kind, k int, codec wire.Codec[M]) (Tran
 // substrates by construction, while bytes-on-wire are exactly the
 // substrate-dependent quantity the model abstracts away.
 func RunOverWire[M any](c *Cluster[M], codec wire.Codec[M]) (*Stats, transport.WireStats, error) {
-	// open also serves checkpoint recovery, which replaces a dead
-	// transport with a fresh one of the same kind (a recovered tcp mesh
-	// binds new ports — the replacement round the recovery protocol
-	// reattaches on).
-	open := func() (Transport[M], error) {
-		t, err := OpenTransport[M](c.cfg.Transport, c.cfg.K, codec)
-		if err == nil && c.cfg.Recorder != nil {
-			// Substrates with frame-level detail (tcp) record per-peer
-			// write/read/decode spans into the same recorder the drivers'
-			// phase spans go to; the loopback has none and stays dark.
-			if ts, ok := t.(transport.TraceSink); ok {
-				ts.SetRecorder(c.cfg.Recorder)
-			}
-		}
-		return t, err
-	}
-	t, err := open()
+	t, err := OpenTransport[M](c.cfg.Transport, c.cfg.K, codec)
 	if err != nil {
 		return nil, transport.WireStats{}, err
 	}
 	defer t.Close()
-	stats, err := c.RunCheckpointed(t, codec, open)
+	if c.cfg.Recorder != nil {
+		// Substrates with frame-level detail (tcp) record per-peer
+		// write/read/decode spans into the same recorder the drivers'
+		// phase spans go to; the loopback has none and stays dark.
+		if ts, ok := t.(transport.TraceSink); ok {
+			ts.SetRecorder(c.cfg.Recorder)
+		}
+	}
+	stats, err := c.RunOn(t, codec)
 	var w transport.WireStats
 	if m, ok := t.(transport.WireMeter); ok {
 		w = m.WireStats()

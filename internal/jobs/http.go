@@ -206,7 +206,7 @@ func jobToJSON(j Job) JobJSON {
 	if j.Outcome != nil {
 		res := &ResultJSON{
 			Hash:       fmt.Sprintf("%016x", j.Outcome.Hash),
-			Recoveries: j.Recoveries,
+			Recoveries: j.Outcome.Stats.Recoveries,
 			Summary:    j.Outcome.Summary,
 			SetupMS:    float64(j.Outcome.SetupTime.Microseconds()) / 1e3,
 			ExecMS:     float64(j.Outcome.ExecTime.Microseconds()) / 1e3,

@@ -16,23 +16,22 @@
 // meshes (the determinism suite asserts exactly that).
 //
 // Failure policy: a failed job poisons the mesh (closing connections
-// is what unblocks its peers), so the scheduler rebuilds the fabric
-// before the next job and attributes the failure to the job via
-// transport.MachineError.Job. One job's death never takes the daemon
-// or the queue down with it.
+// is what unblocks its peers), the next job rebuilds the fabric in
+// place before attaching, and the failure is attributed to the job via
+// transport.MachineError.Job. A checkpoint-opted job recovers inside
+// its run (algo's retry loop), so the scheduler runs every job exactly
+// once. One job's death never takes the daemon or the queue down with
+// it.
 package jobs
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"kmachine/internal/algo"
-	"kmachine/internal/core"
 	"kmachine/internal/obs"
-	"kmachine/internal/transport"
 	"kmachine/internal/transport/node"
 )
 
@@ -79,12 +78,6 @@ type Job struct {
 	// Err is the failure message of a failed job, carrying the job-ID
 	// attribution when the runtime recorded it.
 	Err string
-	// Recoveries counts how many times the job resumed from a
-	// checkpoint after a machine failure (0 for jobs that never opted
-	// into checkpointing or never failed). A done job with Recoveries >
-	// 0 survived that many mid-run machine losses; its hash and Stats
-	// are still bit-identical to an unkilled run.
-	Recoveries int
 }
 
 // Latency is the submit-to-result wall clock of a finished job, or the
@@ -97,16 +90,16 @@ func (j Job) Latency(now time.Time) time.Duration {
 }
 
 // Backend executes jobs for the scheduler. Exactly one job runs at a
-// time (the scheduler serializes), so Run and Rebuild are never called
-// concurrently — but Healthy and K may race with them from status
-// handlers, so implementations guard shared state.
+// time (the scheduler serializes) — but Healthy, Rebuilds and K may
+// race with Run from status handlers, so implementations guard shared
+// state.
 type Backend interface {
 	// Run executes one job; ctx carries the per-job deadline/abort.
 	Run(ctx context.Context, req Request, job uint64) (*algo.Outcome, error)
-	// Healthy reports whether the backend can run the next job.
+	// Healthy reports whether the fabric is unpoisoned.
 	Healthy() bool
-	// Rebuild restores a poisoned backend.
-	Rebuild() error
+	// Rebuilds counts the fabric rebuilds so far.
+	Rebuilds() int64
 	// K is the cluster size every job runs on.
 	K() int
 	// Close tears the backend down.
@@ -114,11 +107,9 @@ type Backend interface {
 }
 
 // MeshBackend runs jobs on a standing k-machine socket mesh — the
-// resident daemon's substrate. A failed job poisons the mesh; Rebuild
-// replaces it.
+// resident daemon's substrate. A failed job poisons the mesh; the next
+// job rebuilds it in place (node.LocalMesh).
 type MeshBackend struct {
-	k  int
-	mu sync.Mutex
 	lm *node.LocalMesh
 }
 
@@ -128,53 +119,26 @@ func NewMeshBackend(k int) (*MeshBackend, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MeshBackend{k: k, lm: lm}, nil
+	return &MeshBackend{lm: lm}, nil
 }
 
 func (b *MeshBackend) Run(ctx context.Context, req Request, job uint64) (*algo.Outcome, error) {
-	b.mu.Lock()
-	lm := b.lm
-	b.mu.Unlock()
 	prob := req.Prob
-	prob.K = b.k
+	prob.K = b.lm.K()
 	prob.Context = ctx
-	return algo.Submit(req.Algo, prob, lm, job)
+	return algo.Submit(req.Algo, prob, b.lm, job)
 }
 
-func (b *MeshBackend) Healthy() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lm.Healthy()
-}
-
-func (b *MeshBackend) Rebuild() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.lm.Close()
-	lm, err := node.NewLocalMesh(b.k)
-	if err != nil {
-		return err
-	}
-	b.lm = lm
-	return nil
-}
-
-func (b *MeshBackend) K() int { return b.k }
+func (b *MeshBackend) Healthy() bool   { return b.lm.Healthy() }
+func (b *MeshBackend) Rebuilds() int64 { return b.lm.Rebuilds() }
+func (b *MeshBackend) K() int          { return b.lm.K() }
 
 // Sever forcibly kills machine i's fabric — fault injection for chaos
 // tests, forwarding node.LocalMesh.Sever. The in-flight job fails with
-// job-ID attribution and the scheduler rebuilds the mesh.
-func (b *MeshBackend) Sever(i int) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lm.Sever(i)
-}
+// job-ID attribution unless it recovers.
+func (b *MeshBackend) Sever(i int) error { return b.lm.Sever(i) }
 
-func (b *MeshBackend) Close() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lm.Close()
-}
+func (b *MeshBackend) Close() error { return b.lm.Close() }
 
 // Options configures a Scheduler.
 type Options struct {
@@ -199,7 +163,7 @@ type Stats struct {
 	Failed     int64
 	Canceled   int64
 	Rebuilds   int64
-	Recovered  int64 // checkpoint resumes across all jobs
+	Recovered  int64 // recoveries of the jobs that finished done
 	Evicted    int64 // terminal job records dropped by retention
 	Draining   bool
 	MeshHealth bool
@@ -226,7 +190,6 @@ type Scheduler struct {
 	done      int64
 	failed    int64
 	canceled  int64
-	rebuilds  int64
 	recovered int64
 	evicted   int64
 	draining  bool
@@ -390,13 +353,12 @@ func (s *Scheduler) Stats() Stats {
 		Done:      s.done,
 		Failed:    s.failed,
 		Canceled:  s.canceled,
-		Rebuilds:  s.rebuilds,
 		Recovered: s.recovered,
 		Evicted:   s.evicted,
 		Draining:  s.draining,
 	}
 	s.mu.Unlock()
-	st.MeshHealth = s.backend.Healthy()
+	st.Rebuilds, st.MeshHealth = s.backend.Rebuilds(), s.backend.Healthy()
 	return st
 }
 
@@ -455,8 +417,8 @@ func (s *Scheduler) Close() error {
 	return s.backend.Close()
 }
 
-// run is the executor goroutine: pop, execute, record, rebuild on
-// failure — strictly one job at a time, in submission order.
+// run is the executor goroutine: pop, execute, record — strictly one
+// job at a time, in submission order.
 func (s *Scheduler) run() {
 	defer close(s.execDone)
 	for {
@@ -504,49 +466,8 @@ func (s *Scheduler) run() {
 			}
 		}
 
-		// Checkpoint-opted jobs own a per-job sink: it must outlive the
-		// mesh rebuilds between attempts, which is exactly what makes
-		// resume-from-checkpoint possible (a Dir already does).
-		maxRec := 0
-		if ck := &req.Prob.Checkpoint; ck.Every > 0 {
-			if ck.Sink == nil && ck.Dir == "" {
-				ck.Sink = core.NewMemorySink(0)
-			}
-			maxRec = ck.MaxRecoveries
-			if maxRec == 0 {
-				maxRec = core.DefaultMaxRecoveries
-			}
-		}
-		var rebuilds, recoveries int64
 		out, err := s.backend.Run(ctx, req, id)
-		for err != nil && recoveries < int64(maxRec) && recoverable(ctx, err) {
-			// A machine died mid-job. Where the fail-fast path would
-			// record the failure and move on, an opted-in job is
-			// re-attempted: rebuild the poisoned fabric, then re-run the
-			// same job with Resume set — the node runtime restores the
-			// last complete checkpoint and replays only the supersteps
-			// after it, so the final hash and Stats match an unkilled run.
-			if !s.backend.Healthy() {
-				if rerr := s.backend.Rebuild(); rerr != nil {
-					break
-				}
-				rebuilds++
-			}
-			recoveries++
-			req.Prob.Checkpoint.Resume = true
-			out, err = s.backend.Run(ctx, req, id)
-		}
 		cancel()
-
-		if err != nil && !s.backend.Healthy() {
-			// Closing connections is what unblocked the dead job's
-			// peers; the fabric is poisoned, so the next job needs a
-			// fresh one. A rebuild failure surfaces on that next job
-			// (Run fails fast on a dead mesh).
-			if rerr := s.backend.Rebuild(); rerr == nil {
-				rebuilds++
-			}
-		}
 
 		s.mu.Lock()
 		j.Finished = time.Now()
@@ -554,9 +475,6 @@ func (s *Scheduler) run() {
 		s.cancelCur = nil
 		wasCanceled := s.cancelReq == id
 		s.cancelReq = 0
-		s.rebuilds += rebuilds
-		s.recovered += recoveries
-		j.Recoveries = int(recoveries)
 		if err != nil {
 			if wasCanceled {
 				j.State = StateCanceled
@@ -570,17 +488,9 @@ func (s *Scheduler) run() {
 			j.State = StateDone
 			j.Outcome = out
 			s.done++
+			s.recovered += int64(out.Stats.Recoveries)
 		}
 		s.markTerminalLocked(id)
 		s.mu.Unlock()
 	}
-}
-
-// recoverable reports whether a job failure is a machine loss worth a
-// resume attempt: the runtime attributed it to a machine
-// (transport.MachineError) and the job's own context is still live —
-// cancellations and deadline hits are final.
-func recoverable(ctx context.Context, err error) bool {
-	var me *transport.MachineError
-	return errors.As(err, &me) && ctx.Err() == nil
 }

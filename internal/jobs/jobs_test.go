@@ -31,10 +31,10 @@ func (b inmemBackend) Run(ctx context.Context, req Request, job uint64) (*algo.O
 	return e.Run(prob, transport.InMem)
 }
 
-func (b inmemBackend) Healthy() bool  { return true }
-func (b inmemBackend) Rebuild() error { return nil }
-func (b inmemBackend) K() int         { return b.k }
-func (b inmemBackend) Close() error   { return nil }
+func (b inmemBackend) Healthy() bool   { return true }
+func (b inmemBackend) Rebuilds() int64 { return 0 }
+func (b inmemBackend) K() int          { return b.k }
+func (b inmemBackend) Close() error    { return nil }
 
 // chaosHook, when non-nil, is invoked by the testjob-chaos algorithm's
 // machine 1 at superstep 2 — the deterministic "kill a machine mid-job"
@@ -71,10 +71,13 @@ func (m *spinMachine) Step(ctx *core.StepContext, inbox []core.Envelope[spinMsg]
 	if ctx.Superstep >= 4 {
 		return nil, true
 	}
+	// A draw from the machine's stream makes the output a function of
+	// the seed, so a checkpoint of another seed's run cannot pass for
+	// this run's.
 	return []core.Envelope[spinMsg]{{
 		To:    core.MachineID((int(m.self) + 1) % ctx.K),
 		Words: 1,
-		Msg:   spinMsg{X: int64(m.self) + 1},
+		Msg:   spinMsg{X: int64(ctx.RNG.Uint64() % 1000)},
 	}}, false
 }
 
@@ -403,8 +406,8 @@ func TestSubmitValidation(t *testing.T) {
 // recovery acceptance bar: a checkpoint-opted job whose machine dies
 // mid-run must COMPLETE — mesh rebuilt, state resumed from the per-job
 // store — with output hash and Stats bit-identical to an unkilled
-// reference, and the recovery visible in Job.Recoveries and the
-// scheduler gauges.
+// reference, and the recovery visible in its Stats and the scheduler
+// gauges.
 func TestSeveredJobResumesFromCheckpoint(t *testing.T) {
 	const k = 3
 	b, err := NewMeshBackend(k)
@@ -416,7 +419,7 @@ func TestSeveredJobResumesFromCheckpoint(t *testing.T) {
 
 	// The waypoint disarms itself before severing: the replay reaches
 	// machine 1's superstep 2 again, and a re-armed hook would kill the
-	// replacement mesh until MaxRecoveries ran out.
+	// replacement mesh until the retries ran out.
 	var kill func()
 	kill = func() {
 		chaosHook.Store(nil)
@@ -434,8 +437,8 @@ func TestSeveredJobResumesFromCheckpoint(t *testing.T) {
 	if j.State != StateDone {
 		t.Fatalf("severed checkpoint-opted job ended %q (err %q), want done", j.State, j.Err)
 	}
-	if j.Recoveries < 1 {
-		t.Errorf("job reports %d recoveries, want >= 1", j.Recoveries)
+	if r := j.Outcome.Stats.Recoveries; r != 1 {
+		t.Errorf("job reports %d recoveries, want 1", r)
 	}
 
 	entry, _ := algo.Lookup("testjob-chaos")
@@ -466,6 +469,60 @@ func TestSeveredJobResumesFromCheckpoint(t *testing.T) {
 	}
 	if j2 := waitState(t, s, id2); j2.State != StateDone {
 		t.Fatalf("job after recovery failed: %s", j2.Err)
+	}
+}
+
+// TestRetriedJobIgnoresAnotherRunsCheckpoint: a job killed before its
+// first capture has stored nothing, so its retry must start over — not
+// install whatever container of the same k its directory already holds
+// from another run, which would end "done" with that run's hash.
+func TestRetriedJobIgnoresAnotherRunsCheckpoint(t *testing.T) {
+	const k = 3
+	dir := t.TempDir()
+	entry, _ := algo.Lookup("testjob-chaos")
+	if _, err := entry.RunNodeLocal(algo.Problem{N: 60, K: k, Seed: 6,
+		Checkpoint: algo.CheckpointSpec{Every: 1, Dir: dir}}); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := entry.RunNodeLocal(algo.Problem{N: 60, K: k, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := NewMeshBackend(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(b, Options{})
+	defer s.Close()
+	var kill func()
+	kill = func() {
+		chaosHook.Store(nil)
+		b.Sever(2)
+	}
+	chaosHook.Store(&kill)
+	defer chaosHook.Store(nil)
+
+	// Every 5 never captures in testjob-chaos's five supersteps.
+	id, err := s.Submit(Request{Algo: "testjob-chaos", Prob: algo.Problem{N: 60, Seed: 5,
+		Checkpoint: algo.CheckpointSpec{Every: 5, Dir: dir}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := waitState(t, s, id)
+	if j.State != StateDone {
+		t.Fatalf("killed job ended %q (err %q), want done", j.State, j.Err)
+	}
+	if r := j.Outcome.Stats.Recoveries; r != 1 {
+		t.Errorf("job reports %d recoveries, want 1", r)
+	}
+	if j.Outcome.Hash != ref.Hash {
+		t.Errorf("retried job hash %016x, unkilled reference %016x", j.Outcome.Hash, ref.Hash)
+	}
+	if j.Outcome.Stats.Rounds != ref.Stats.Rounds ||
+		j.Outcome.Stats.Words != ref.Stats.Words ||
+		j.Outcome.Stats.Supersteps != ref.Stats.Supersteps {
+		t.Errorf("retried job Stats diverge from unkilled reference")
 	}
 }
 
@@ -550,12 +607,10 @@ func TestCancelRunningJob(t *testing.T) {
 	if j.State != StateCanceled {
 		t.Fatalf("canceled running job ended %q (err %q), want canceled", j.State, j.Err)
 	}
-	if j.Recoveries != 0 {
-		t.Errorf("canceled job attempted %d recoveries, want 0", j.Recoveries)
-	}
 	st := s.Stats()
-	if st.Canceled != 1 || st.Failed != 0 {
-		t.Errorf("gauges canceled=%d failed=%d, want 1/0", st.Canceled, st.Failed)
+	if st.Canceled != 1 || st.Failed != 0 || st.Recovered != 0 || st.Rebuilds != 0 {
+		t.Errorf("gauges canceled=%d failed=%d recovered=%d rebuilds=%d, want 1/0/0/0",
+			st.Canceled, st.Failed, st.Recovered, st.Rebuilds)
 	}
 }
 

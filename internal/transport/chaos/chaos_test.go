@@ -48,7 +48,7 @@ func TestKillAtReturnsAttributedError(t *testing.T) {
 			tr := chaos.Wrap(inmem.New[msg](k), chaos.KillAt(victim, step))
 			defer tr.Close()
 			c := core.NewCluster(core.Config{K: k, Bandwidth: 1, Seed: 1, MaxSupersteps: 100}, factory(k))
-			stats, err := c.RunOn(tr)
+			stats, err := c.RunOn(tr, nil)
 			if err == nil {
 				t.Fatal("killed cluster terminated without error")
 			}
@@ -85,7 +85,7 @@ func TestDelayOverrunsSuperstepTimeout(t *testing.T) {
 				SuperstepTimeout: 50 * time.Millisecond,
 			}, factory(k))
 			start := time.Now()
-			_, err := c.RunOn(tr)
+			_, err := c.RunOn(tr, nil)
 			elapsed := time.Since(start)
 			if err == nil {
 				t.Fatal("delayed superstep did not error")
@@ -111,7 +111,7 @@ func TestDropConnReattributesInnerFailure(t *testing.T) {
 			tr := chaos.Wrap[msg](inner, chaos.DropConnAt(victim, step, func() { inner.Close() }))
 			defer tr.Close()
 			c := core.NewCluster(core.Config{K: k, Bandwidth: 1, Seed: 1, MaxSupersteps: 100}, factory(k))
-			_, err := c.RunOn(tr)
+			_, err := c.RunOn(tr, nil)
 			if err == nil {
 				t.Fatal("severed transport did not error")
 			}
@@ -141,7 +141,7 @@ func TestHappyPathPassThrough(t *testing.T) {
 			})
 		}
 		c := core.NewCluster(core.Config{K: k, Bandwidth: 1, Seed: 9}, factory)
-		stats, err := c.RunOn(tr)
+		stats, err := c.RunOn(tr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,7 +55,7 @@ func (m *ckMachine) RestoreState(src []byte) error {
 
 // runCkCluster executes the ring over RunLocal with the given
 // checkpoint config, returning the Stats and every machine's final sum.
-func runCkCluster(t *testing.T, k int, ck CheckpointConfig) (*core.Stats, []int64) {
+func runCkCluster(t *testing.T, k int, ck core.CheckpointPolicy) (*core.Stats, []int64) {
 	t.Helper()
 	stats, sums, err := tryCkCluster(k, ck)
 	if err != nil {
@@ -64,7 +64,7 @@ func runCkCluster(t *testing.T, k int, ck CheckpointConfig) (*core.Stats, []int6
 	return stats, sums
 }
 
-func tryCkCluster(k int, ck CheckpointConfig) (*core.Stats, []int64, error) {
+func tryCkCluster(k int, ck core.CheckpointPolicy) (*core.Stats, []int64, error) {
 	machines := make([]*ckMachine, k)
 	cfg := Config{K: k, Bandwidth: 1, Seed: 77, Checkpoint: ck}
 	stats, _, err := RunLocal(cfg, failCodec{}, func(id core.MachineID) core.Machine[failMsg] {
@@ -99,9 +99,9 @@ func sameCkStats(t *testing.T, label string, got, want *core.Stats) {
 func TestNodeCheckpointedRunMatchesGolden(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const k = 4
-	goldenStats, goldenSums := runCkCluster(t, k, CheckpointConfig{})
+	goldenStats, goldenSums := runCkCluster(t, k, core.CheckpointPolicy{})
 	sink := core.NewMemorySink(0)
-	ckStats, ckSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Sink: sink})
+	ckStats, ckSums := runCkCluster(t, k, core.CheckpointPolicy{Every: 2, Sink: sink})
 	sameCkStats(t, "checkpointed-vs-golden", ckStats, goldenStats)
 	for i := range goldenSums {
 		if ckSums[i] != goldenSums[i] {
@@ -133,7 +133,7 @@ func TestNodeCheckpointedRunMatchesGolden(t *testing.T) {
 // all a restarted process has.
 func TestNodeResumeFromSinkDeterministic(t *testing.T) {
 	const k = 4
-	goldenStats, goldenSums := runCkCluster(t, k, CheckpointConfig{})
+	goldenStats, goldenSums := runCkCluster(t, k, core.CheckpointPolicy{})
 	dir := t.TempDir()
 	mem := core.NewMemorySink(0)
 	for name, sinks := range map[string][2]core.CheckpointSink{
@@ -142,11 +142,11 @@ func TestNodeResumeFromSinkDeterministic(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			runCkCluster(t, k, CheckpointConfig{Every: 2, Sink: sinks[0]})
+			runCkCluster(t, k, core.CheckpointPolicy{Every: 2, Sink: sinks[0]})
 			if step, _, _ := sinks[1].Latest(); step < 0 {
 				t.Fatal("no checkpoint to resume from")
 			}
-			resumedStats, resumedSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Sink: sinks[1], Resume: true})
+			resumedStats, resumedSums := runCkCluster(t, k, core.CheckpointPolicy{Every: 2, Sink: sinks[1], Resume: true})
 			sameCkStats(t, "resumed-vs-golden", resumedStats, goldenStats)
 			for i := range goldenSums {
 				if resumedSums[i] != goldenSums[i] {
@@ -163,8 +163,8 @@ func TestNodeResumeFromSinkDeterministic(t *testing.T) {
 // takes when its machine died before the first capture.
 func TestResumeWithEmptySinkStartsFromZero(t *testing.T) {
 	const k = 4
-	goldenStats, goldenSums := runCkCluster(t, k, CheckpointConfig{})
-	resumedStats, resumedSums := runCkCluster(t, k, CheckpointConfig{Every: 2, Sink: core.NewMemorySink(0), Resume: true})
+	goldenStats, goldenSums := runCkCluster(t, k, core.CheckpointPolicy{})
+	resumedStats, resumedSums := runCkCluster(t, k, core.CheckpointPolicy{Every: 2, Sink: core.NewMemorySink(0), Resume: true})
 	sameCkStats(t, "empty-resume-vs-golden", resumedStats, goldenStats)
 	for i := range goldenSums {
 		if resumedSums[i] != goldenSums[i] {
@@ -179,8 +179,8 @@ func TestResumeWithEmptySinkStartsFromZero(t *testing.T) {
 func TestResumeRejectsOtherClusterSize(t *testing.T) {
 	base := runtime.NumGoroutine()
 	sink := core.NewMemorySink(0)
-	runCkCluster(t, 4, CheckpointConfig{Every: 2, Sink: sink})
-	_, _, err := tryCkCluster(5, CheckpointConfig{Every: 2, Sink: sink, Resume: true})
+	runCkCluster(t, 4, core.CheckpointPolicy{Every: 2, Sink: sink})
+	_, _, err := tryCkCluster(5, core.CheckpointPolicy{Every: 2, Sink: sink, Resume: true})
 	if err == nil || !strings.Contains(err.Error(), "checkpoint for k=4 cluster, running k=5") {
 		t.Fatalf("k-mismatched resume returned %v, want the attributed k mismatch", err)
 	}

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"kmachine/internal/core"
 	"kmachine/internal/transport"
@@ -76,11 +77,14 @@ func ctrlRound[M any](cfg Config, ep *tcp.Endpoint[M], kind byte, v uint64) erro
 // in-process cluster: k listeners on loopback, every ordered pair
 // connected, no job running. It is built once (NewLocalMesh), executes
 // any number of sequential jobs (RunJobLocal), and is torn down on
-// Close. Any job failure poisons it — Healthy reports whether the next
-// job may run or the owner must rebuild.
+// Close. Any job failure poisons it — Healthy reports false — and the
+// next job rebuilds it in place before attaching.
 type LocalMesh struct {
-	k      int
-	meshes []*tcp.Mesh
+	k int
+
+	mu       sync.Mutex // guards meshes against status reads during a rebuild
+	meshes   []*tcp.Mesh
+	rebuilds int64
 }
 
 // NewLocalMesh builds the standing loopback fabric for a k-machine
@@ -100,15 +104,27 @@ func NewLocalMesh(k int) (*LocalMesh, error) {
 func (lm *LocalMesh) K() int { return lm.k }
 
 // Healthy reports whether every machine's fabric is still usable: false
-// after any job failure (or Sever), meaning the owner must rebuild the
-// mesh before the next job.
+// after any job failure (or Sever) until the next job rebuilds it.
 func (lm *LocalMesh) Healthy() bool {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	return lm.healthyLocked()
+}
+
+func (lm *LocalMesh) healthyLocked() bool {
 	for _, m := range lm.meshes {
 		if !m.Healthy() {
 			return false
 		}
 	}
 	return true
+}
+
+// Rebuilds counts the in-place rebuilds of a poisoned fabric so far.
+func (lm *LocalMesh) Rebuilds() int64 {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	return lm.rebuilds
 }
 
 // Sever forcibly closes machine i's fabric — listener and every
@@ -119,11 +135,15 @@ func (lm *LocalMesh) Sever(i int) error {
 	if i < 0 || i >= lm.k {
 		return fmt.Errorf("node: cannot sever machine %d of %d", i, lm.k)
 	}
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
 	return lm.meshes[i].Close()
 }
 
 // Close tears down every machine's fabric.
 func (lm *LocalMesh) Close() error {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
 	var first error
 	for _, m := range lm.meshes {
 		if err := m.Close(); err != nil && first == nil {
@@ -131,6 +151,27 @@ func (lm *LocalMesh) Close() error {
 		}
 	}
 	return first
+}
+
+// attachable returns the fabric a job attaches to, first replacing a
+// poisoned one: closing connections is what unblocked a failed job's
+// peers, so the next job needs fresh ones.
+func (lm *LocalMesh) attachable() ([]*tcp.Mesh, error) {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	if lm.healthyLocked() {
+		return lm.meshes, nil
+	}
+	for _, m := range lm.meshes {
+		m.Close()
+	}
+	ms, err := tcp.NewLoopbackSocketMesh(lm.k)
+	if err != nil {
+		return nil, fmt.Errorf("node: rebuild poisoned mesh: %w", err)
+	}
+	lm.meshes = ms
+	lm.rebuilds++
+	return ms, nil
 }
 
 // RunJobLocal executes one job on the standing mesh: typed endpoints
@@ -142,8 +183,8 @@ func (lm *LocalMesh) Close() error {
 // the connections safe to hand to the next job's endpoints. cfg is a
 // template exactly like RunLocal's, and like there it is validated
 // first: a rejected job attaches nothing and leaves the mesh healthy.
-// On any later error the mesh is poisoned (Healthy()==false) and must
-// be rebuilt.
+// On any later error the mesh is poisoned (Healthy()==false) until the
+// next RunJobLocal rebuilds it.
 func RunJobLocal[M any](lm *LocalMesh, cfg Config, job uint64, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
 	err := cfg.validate()
 	switch {
@@ -157,9 +198,13 @@ func RunJobLocal[M any](lm *LocalMesh, cfg Config, job uint64, codec wire.Codec[
 	if err != nil {
 		return nil, transport.WireStats{}, err
 	}
+	meshes, err := lm.attachable()
+	if err != nil {
+		return nil, transport.WireStats{}, err
+	}
 	eps := make([]*tcp.Endpoint[M], lm.k)
 	for i := range eps {
-		if eps[i], err = tcp.Attach[M](lm.meshes[i], codec, job); err != nil {
+		if eps[i], err = tcp.Attach[M](meshes[i], codec, job); err != nil {
 			for _, prev := range eps[:i] {
 				prev.Close()
 			}
@@ -170,8 +215,8 @@ func RunJobLocal[M any](lm *LocalMesh, cfg Config, job uint64, codec wire.Codec[
 	for _, ep := range eps {
 		if err != nil {
 			// A failed job may leave some machines cleanly done and others
-			// mid-teardown; poison the whole fabric so the owner rebuilds
-			// rather than running the next job on a half-dead mesh.
+			// mid-teardown; poison the whole fabric so the next job rebuilds
+			// it rather than running on a half-dead mesh.
 			ep.Close()
 		} else {
 			ep.Detach()

@@ -76,10 +76,12 @@ type Config struct {
 	// RunLocal all k machines share the one recorder, yielding a
 	// cluster-wide timeline.
 	Recorder obs.Recorder
-	// Checkpoint is the checkpoint/recovery policy (checkpoint.go). Off
-	// by default; when Every > 0 the machine must implement
-	// core.Snapshotter.
-	Checkpoint CheckpointConfig
+	// Checkpoint is the checkpoint policy, as in core.Config: off by
+	// default; when Every > 0 the machine must implement
+	// core.Snapshotter, and Resume starts the run from the sink's latest
+	// cut after a ctrlResume agreement round (checkpoint.go). Only the
+	// k machines of one process can complete a cut.
+	Checkpoint core.CheckpointPolicy
 }
 
 func (cfg Config) validate() error {
@@ -109,7 +111,7 @@ func Run[M any](cfg Config, m core.Machine[M], codec wire.Codec[M]) (*core.Stats
 	if err := ep.Connect(cfg.Peers, cfg.DialTimeout); err != nil {
 		return nil, err
 	}
-	return runNode(cfg, ep, m, 0, codec, core.NewAssembler(cfg.Checkpoint.Every, cfg.Checkpoint.Sink, cfg.K))
+	return runNode(cfg, ep, m, 0, codec, core.NewAssembler(cfg.Checkpoint, cfg.K))
 }
 
 // RunLocal spawns the full k-machine cluster over loopback TCP inside
@@ -143,7 +145,7 @@ func RunLocal[M any](cfg Config, codec wire.Codec[M], factory func(core.MachineI
 // close is what unwedges them. On success the endpoints are left open
 // for the caller to Close or Detach.
 func runCluster[M any](cfg Config, eps []*tcp.Endpoint[M], job uint64, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
-	asm := core.NewAssembler(cfg.Checkpoint.Every, cfg.Checkpoint.Sink, cfg.K)
+	asm := core.NewAssembler(cfg.Checkpoint, cfg.K)
 	// Factory calls stay sequential, matching core.NewCluster's contract
 	// (factories may append to shared slices without locking).
 	machines := make([]core.Machine[M], cfg.K)

@@ -22,9 +22,9 @@ import (
 //
 // A Mesh has two terminal states: detached-from (healthy, reusable) and
 // closed (poisoned). Any endpoint failure closes the whole mesh —
-// closing the connections is what unblocks peers parked in reads — so a
-// scheduler finding Healthy() false must rebuild the mesh before the
-// next job.
+// closing the connections is what unblocks peers parked in reads — so an
+// owner finding Healthy() false must rebuild the mesh before the next
+// job (node.LocalMesh does).
 type Mesh struct {
 	id int
 	k  int
@@ -72,8 +72,8 @@ func (m *Mesh) ID() int { return m.id }
 func (m *Mesh) K() int { return m.k }
 
 // Healthy reports whether the mesh is connected and not closed: the
-// scheduler's "may I run the next job on this fabric, or must I
-// rebuild?" check. A mesh poisoned by any endpoint failure stays
+// owner's "may I run the next job on this fabric, or must I rebuild?"
+// check. A mesh poisoned by any endpoint failure stays
 // unhealthy forever — failed connections are not restartable.
 func (m *Mesh) Healthy() bool {
 	m.mu.Lock()

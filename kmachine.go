@@ -194,14 +194,14 @@ type RunConfig struct {
 	// default) keeps the run on its zero-allocation span-free path.
 	Recorder Recorder
 	// CheckpointEvery opts the run into per-superstep checkpointing and
-	// machine-failure recovery: machine state is captured every
-	// CheckpointEvery supersteps and a transport-level machine loss is
-	// survived by installing a replacement from the last checkpoint
-	// instead of failing the run (up to core.DefaultMaxRecoveries
-	// times). Stats, outputs, and hashes of a recovered run are
-	// bit-identical to an unkilled one. 0 (the default) keeps the
-	// fail-fast behaviour and the zero-overhead path. Requires every
-	// machine to implement core.Snapshotter.
+	// machine-loss recovery: machine state is captured every
+	// CheckpointEvery supersteps, and a run that loses a machine is
+	// re-run from its newest cut (from the start if it stored none), up
+	// to core.DefaultMaxRecoveries times, instead of failing. Stats,
+	// outputs, and hashes of a recovered run are bit-identical to an
+	// unkilled one. 0 (the default) keeps the fail-fast behaviour and
+	// the zero-overhead path. Requires every machine to implement
+	// core.Snapshotter.
 	CheckpointEvery int
 	// CheckpointDir persists checkpoints to disk (two most recent
 	// retained) instead of the default in-memory ring. Only meaningful
@@ -221,13 +221,10 @@ func (rc RunConfig) coreConfig(k, bandwidth int, seed uint64) core.Config {
 		Context:          rc.Context,
 		SuperstepTimeout: rc.SuperstepTimeout,
 		Recorder:         rc.Recorder,
+		Checkpoint:       core.CheckpointPolicy{Every: rc.CheckpointEvery},
 	}
-	if rc.CheckpointEvery > 0 {
-		var sink core.CheckpointSink = core.NewMemorySink(2)
-		if rc.CheckpointDir != "" {
-			sink = core.NewFileSink(rc.CheckpointDir)
-		}
-		cfg.Checkpoint = core.CheckpointPolicy{Every: rc.CheckpointEvery, Sink: sink}
+	if rc.CheckpointDir != "" {
+		cfg.Checkpoint.Sink = core.NewFileSink(rc.CheckpointDir)
 	}
 	return cfg
 }

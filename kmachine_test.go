@@ -2,6 +2,8 @@ package kmachine_test
 
 import (
 	"math"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -20,6 +22,34 @@ func TestFacadePageRank(t *testing.T) {
 	}
 	if res.Stats.Rounds <= 0 {
 		t.Error("no rounds measured")
+	}
+}
+
+// TestFacadePageRankCheckpointed: arming checkpoints from the public
+// API changes no estimate and no Stats field, and the directory holds
+// the run's containers.
+func TestFacadePageRankCheckpointed(t *testing.T) {
+	g := kmachine.DirectedGnp(200, 0.03, 1)
+	p := kmachine.RandomVertexPartition(g, 8, 2)
+	want, err := kmachine.PageRank(p, kmachine.PageRankConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	got, err := kmachine.PageRank(p, kmachine.PageRankConfig{Seed: 3,
+		RunConfig: kmachine.RunConfig{CheckpointEvery: 5, CheckpointDir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Estimate, want.Estimate) {
+		t.Error("checkpointed run's estimates differ from the unarmed run's")
+	}
+	if !reflect.DeepEqual(got.Stats, want.Stats) {
+		t.Errorf("checkpointed run's Stats differ:\n got  %+v\n want %+v", got.Stats, want.Stats)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "ckpt-*.kmck"))
+	if err != nil || len(files) == 0 {
+		t.Errorf("checkpoint directory holds no ckpt-*.kmck files (err %v)", err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"kmachine/internal/algo"
 	"kmachine/internal/core"
@@ -20,10 +19,7 @@ import (
 	"kmachine/internal/obs"
 	"kmachine/internal/pagerank"
 	"kmachine/internal/partition"
-	"kmachine/internal/testutil"
 	"kmachine/internal/transport"
-	"kmachine/internal/transport/chaos"
-	"kmachine/internal/transport/tcp"
 )
 
 // TestCheckpointedRunKeepsItsSchedule runs the two eagerly-emitting
@@ -102,73 +98,34 @@ func (s *emitSpy[M]) SendBatch(from, to transport.MachineID, batch []transport.E
 	return s.Transport.SendBatch(from, to, batch)
 }
 
+// spyOn returns a wrap that puts spy around a transport.
+func (s *emitSpy[M]) spyOn(tr core.Transport[M]) core.Transport[M] {
+	s.Transport = tr
+	return s
+}
+
 // checkKilledEmittingSuperstep kills recVictim in superstep killStep of
 // a run checkpointing every superstep. killStep's Finish never
-// succeeded, so it was never captured: recovery restores the cut after
-// killStep-1 and runs killStep again on the replacement transport,
-// emitting its eager batches a second time. The recovered output and
+// succeeded, so it was never captured: the resumed run restores the cut
+// after killStep-1 and runs killStep again on a fresh transport,
+// emitting its eager batches a second time. The resumed output and
 // Stats must equal the unkilled golden arm's.
 func checkKilledEmittingSuperstep[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partition.Input, k int,
 	kind transport.Kind, killStep int) {
 	t.Helper()
-	goldenOut, goldenStats := recoveredRun(t, a, in, k, kind, 1, -1)
-
-	machines := make([]algo.Machine[M, L], k)
-	for i := range machines {
-		v, err := in.MachineView(core.MachineID(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if machines[i], err = a.NewMachine(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cluster := core.NewCluster(core.Config{K: k, Bandwidth: core.DefaultBandwidth(failN), Seed: 13,
-		SuperstepTimeout: 5 * time.Second, Checkpoint: core.CheckpointPolicy{Every: 1}},
-		func(id core.MachineID) core.Machine[M] { return machines[id] })
-	open := func() (core.Transport[M], error) { return core.OpenTransport[M](kind, k, a.Codec) }
-	inner, err := open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fault := chaos.KillAt(recVictim, killStep)
-	if tt, ok := inner.(*tcp.Transport[M]); ok {
-		fault = chaos.DropConnAt(recVictim, killStep, func() { tt.SeverMachine(recVictim) })
-	}
-	spy := &emitSpy[M]{Transport: chaos.Wrap[M](inner, fault), emitted: map[int]int{}}
-	defer spy.Close()
+	goldenOut, goldenStats := goldenRun(t, a, in, k, kind, 1)
+	spy := &emitSpy[M]{emitted: map[int]int{}}
 	replay := &emitSpy[M]{emitted: map[int]int{}}
-	reopen := func() (core.Transport[M], error) {
-		var err error
-		replay.Transport, err = open()
-		return replay, err
-	}
-
-	var stats *core.Stats
-	var runErr error
-	done := make(chan struct{})
-	go func() {
-		stats, runErr = cluster.RunCheckpointed(spy, a.Codec, reopen)
-		close(done)
-	}()
-	testutil.WaitOrDump(t, done, 30*time.Second, "checkpointed cluster")
-	if runErr != nil {
-		t.Fatalf("run killed at superstep %d: %v", killStep, runErr)
-	}
+	kill := killAt[M](killStep)
+	got, stats := killThenResume(t, a, in, k, kind, 1,
+		func(tr core.Transport[M]) core.Transport[M] { return spy.spyOn(kill(tr)) }, replay.spyOn)
 	if first, again := spy.emitted[killStep], replay.emitted[killStep]; first == 0 || again != first {
 		t.Fatalf("superstep %d emitted %d batches before the kill and %d on replay, want the same nonzero count", killStep, first, again)
 	}
-	locals := make([]L, k)
-	for i, m := range machines {
-		locals[i] = m.Output()
-	}
-	if !reflect.DeepEqual(a.Merge(locals), goldenOut) {
+	if !reflect.DeepEqual(got, goldenOut) {
 		t.Errorf("output recovered from a kill in an emitting superstep diverges from the golden run")
 	}
 	sameStats(t, "recovered-vs-golden", stats, goldenStats)
-	if stats.Recoveries != 1 {
-		t.Errorf("recoveries = %d, want 1", stats.Recoveries)
-	}
 }
 
 func TestKilledEmittingSuperstepReEmitsOnReplay(t *testing.T) {
