@@ -226,13 +226,7 @@ func runStandalone(entry *algo.Entry, prob algo.Problem, id int, listen, peerLis
 		slog.String("algo", entry.Name), slog.Int("n", prob.N), slog.Uint64("seed", prob.Seed))
 
 	start := time.Now()
-	out, err := entry.RunStandalone(prob, node.Config{
-		ID:          id,
-		ListenAddr:  listen,
-		Peers:       peers,
-		DialTimeout: timeout,
-		Recorder:    tel.recorder(),
-	})
+	out, err := entry.RunStandalone(prob, node.Place{ID: id, Listen: listen, Peers: peers, DialTimeout: timeout})
 	if err != nil {
 		failRun("machine failed", err, slog.Int("self", id))
 	}
@@ -295,17 +289,6 @@ type telemetry struct {
 	tracePath string
 	linger    time.Duration
 	debugOn   bool
-}
-
-// recorder returns the trace as an obs.Recorder, or a true nil
-// interface when telemetry is off — assigning the nil *obs.Trace field
-// directly would produce a non-nil interface holding a nil pointer,
-// which defeats the runtime's rec != nil fast-path check.
-func (t *telemetry) recorder() obs.Recorder {
-	if t.trace == nil {
-		return nil
-	}
-	return t.trace
 }
 
 // flush writes the trace file, prints the phase summary, and keeps the

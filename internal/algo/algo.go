@@ -32,7 +32,6 @@
 package algo
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -82,7 +81,7 @@ type Algorithm[M, L, O any] struct {
 // *partition.ShardedInput, whose k CSR shards are built from one pass
 // over its source.
 func Run[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config) (O, *core.Stats, error) {
-	out, stats, _, err := execute(a, in, cfg.K, inProcess(cfg, a.Codec))
+	out, stats, _, err := execute(a, in, inProcess(cfg, a.Codec))
 	return out, stats, err
 }
 
@@ -90,12 +89,9 @@ func Run[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config)
 // k-machine cluster in this process, every machine with its own
 // listener and dialer on loopback TCP and the report/verdict rounds of
 // transport/node (cmd/kmnode -local). Outputs and Stats are
-// bit-identical to Run on the same inputs. ncfg is the per-machine
-// Config template of node.RunLocal (ID/addresses ignored); its K must
-// match the partition's, and its Context/SuperstepTimeout knobs bound
-// the run exactly as they do standalone.
-func NodeRunLocal[M, L, O any](a Algorithm[M, L, O], in partition.Input, ncfg node.Config) (O, *core.Stats, error) {
-	out, stats, _, err := execute(a, in, ncfg.K, onSockets(ncfg, nil, 0, a.Codec))
+// bit-identical to Run with the same cfg, whose Transport is unread.
+func NodeRunLocal[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config) (O, *core.Stats, error) {
+	out, stats, _, err := execute(a, in, onSockets(cfg, nil, 0, a.Codec))
 	return out, stats, err
 }
 
@@ -104,31 +100,26 @@ func NodeRunLocal[M, L, O any](a Algorithm[M, L, O], in partition.Input, ncfg no
 // the k machines, in machine-ID order exactly like core.NewCluster's
 // factory contract — once per attempt, so it must be deterministic.
 func Exec[M, L, O any](cfg core.Config, codec wire.Codec[M], build func(core.MachineID) (Machine[M, L], error), merge func([]L) O) (O, *core.Stats, error) {
-	out, stats, _, err := retry(cfg.K, build, merge, inProcess(cfg, codec))
+	out, stats, _, err := retry(build, merge, inProcess(cfg, codec))
 	return out, stats, err
 }
 
-// site is where the k built machines of a run execute: run reports the
-// paper-level Stats and the physical bytes-on-wire the substrate
-// shipped (zero for the loopback) of one attempt under the checkpoint
-// policy it is handed. The WireStats ride alongside the Stats rather
-// than inside them: Stats are bit-identical across substrates by
-// construction, bytes-on-wire are exactly the substrate-dependent
-// quantity the model abstracts away. ctx and ck are the run's context
-// and checkpoint policy, which decide whether a failed attempt is
-// retried.
+// site is where the k built machines of a run execute: cfg is the run,
+// and run reports the paper-level Stats and the physical bytes-on-wire
+// the substrate shipped (zero for the loopback) of one attempt of it —
+// cfg with the attempt's checkpoint policy. The WireStats ride
+// alongside the Stats rather than inside them: Stats are bit-identical
+// across substrates by construction, bytes-on-wire are exactly the
+// substrate-dependent quantity the model abstracts away.
 type site[M any] struct {
-	ctx context.Context
-	ck  core.CheckpointPolicy
-	run func(machine func(core.MachineID) core.Machine[M], ck core.CheckpointPolicy) (*core.Stats, transport.WireStats, error)
+	cfg core.Config
+	run func(cfg core.Config, machine func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error)
 }
 
 // inProcess is the in-process cluster over cfg.Transport.
 func inProcess[M any](cfg core.Config, codec wire.Codec[M]) site[M] {
-	return site[M]{ctx: cfg.Context, ck: cfg.Checkpoint,
-		run: func(machine func(core.MachineID) core.Machine[M], ck core.CheckpointPolicy) (*core.Stats, transport.WireStats, error) {
-			cfg := cfg
-			cfg.Checkpoint = ck
+	return site[M]{cfg: cfg,
+		run: func(cfg core.Config, machine func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
 			return core.RunOverWire(core.NewCluster(cfg, machine), codec)
 		}}
 }
@@ -138,15 +129,13 @@ func inProcess[M any](cfg core.Config, codec wire.Codec[M]) site[M] {
 // as job `job` on a standing one, the resident-daemon substrate, where
 // the fabric outlives the run and a failed job poisons it until the
 // next attempt rebuilds it.
-func onSockets[M any](ncfg node.Config, lm *node.LocalMesh, job uint64, codec wire.Codec[M]) site[M] {
-	return site[M]{ctx: ncfg.Context, ck: ncfg.Checkpoint,
-		run: func(machine func(core.MachineID) core.Machine[M], ck core.CheckpointPolicy) (*core.Stats, transport.WireStats, error) {
-			ncfg := ncfg
-			ncfg.Checkpoint = ck
+func onSockets[M any](cfg core.Config, lm *node.LocalMesh, job uint64, codec wire.Codec[M]) site[M] {
+	return site[M]{cfg: cfg,
+		run: func(cfg core.Config, machine func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
 			if lm == nil {
-				return node.RunLocal(ncfg, codec, machine)
+				return node.RunLocal(cfg, codec, machine)
 			}
-			return node.RunJobLocal(lm, ncfg, job, codec, machine)
+			return node.RunJobLocal(lm, cfg, job, codec, machine)
 		}}
 }
 
@@ -154,8 +143,9 @@ func onSockets[M any](ncfg node.Config, lm *node.LocalMesh, job uint64, codec wi
 // input for all k views in ONE call — a sharded input replays its
 // generator or reads its file once for the whole process, not once per
 // machine — then run the machines built from them through retry.
-func execute[M, L, O any](a Algorithm[M, L, O], in partition.Input, k int, on site[M]) (O, *core.Stats, transport.WireStats, error) {
+func execute[M, L, O any](a Algorithm[M, L, O], in partition.Input, on site[M]) (O, *core.Stats, transport.WireStats, error) {
 	var zero O
+	k := on.cfg.K
 	if k != in.NumMachines() {
 		return zero, nil, transport.WireStats{}, fmt.Errorf("%s: cluster k=%d but partition k=%d", a.Name, k, in.NumMachines())
 	}
@@ -164,7 +154,7 @@ func execute[M, L, O any](a Algorithm[M, L, O], in partition.Input, k int, on si
 		return zero, nil, transport.WireStats{}, fmt.Errorf("%s: %w", a.Name, err)
 	}
 	build := func(id core.MachineID) (Machine[M, L], error) { return a.NewMachine(views[id]) }
-	return retry(k, build, a.Merge, on)
+	return retry(build, a.Merge, on)
 }
 
 // retry is recovery, the one loop every all-k runner passes through: it
@@ -182,20 +172,20 @@ func execute[M, L, O any](a Algorithm[M, L, O], in partition.Input, k int, on si
 // deterministic, so a recovered run's output and Stats are
 // bit-identical to an unkilled one's; Stats.Recoveries counts the
 // retries and WireStats total every attempt's bytes.
-func retry[M, L, O any](k int, build func(core.MachineID) (Machine[M, L], error), merge func([]L) O, on site[M]) (O, *core.Stats, transport.WireStats, error) {
+func retry[M, L, O any](build func(core.MachineID) (Machine[M, L], error), merge func([]L) O, on site[M]) (O, *core.Stats, transport.WireStats, error) {
 	var zero O
 	var total transport.WireStats
-	ck := on.ck
+	cfg := on.cfg
 	var sink *launchSink
-	if ck.Every > 0 {
-		sink = &launchSink{CheckpointSink: ck.Sink}
+	if cfg.Checkpoint.Every > 0 {
+		sink = &launchSink{CheckpointSink: cfg.Checkpoint.Sink}
 		if sink.CheckpointSink == nil {
 			sink.CheckpointSink = core.NewMemorySink(0)
 		}
-		ck.Sink = sink
+		cfg.Checkpoint.Sink = sink
 	}
 	for recoveries := 0; ; recoveries++ {
-		machines := make([]Machine[M, L], k)
+		machines := make([]Machine[M, L], cfg.K)
 		for i := range machines {
 			m, err := build(core.MachineID(i))
 			if err != nil {
@@ -203,21 +193,21 @@ func retry[M, L, O any](k int, build func(core.MachineID) (Machine[M, L], error)
 			}
 			machines[i] = m
 		}
-		stats, w, err := on.run(func(id core.MachineID) core.Machine[M] { return machines[id] }, ck)
+		stats, w, err := on.run(cfg, func(id core.MachineID) core.Machine[M] { return machines[id] })
 		total = total.Plus(w)
 		if err == nil {
 			stats.Recoveries = recoveries
-			locals := make([]L, k)
+			locals := make([]L, cfg.K)
 			for i, m := range machines {
 				locals[i] = m.Output()
 			}
 			return merge(locals), stats, total, nil
 		}
 		var me *transport.MachineError
-		if sink == nil || !errors.As(err, &me) || (on.ctx != nil && on.ctx.Err() != nil) || recoveries == core.DefaultMaxRecoveries {
+		if sink == nil || !errors.As(err, &me) || (cfg.Context != nil && cfg.Context.Err() != nil) || recoveries == core.DefaultMaxRecoveries {
 			return zero, nil, total, err
 		}
-		ck.Resume = on.ck.Resume || sink.stored
+		cfg.Checkpoint.Resume = on.cfg.Checkpoint.Resume || sink.stored
 	}
 }
 

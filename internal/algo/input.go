@@ -26,12 +26,15 @@ func (prob Problem) PartitionSpec() partition.Spec {
 
 // Validate rejects the problems no generator, partition or cluster can
 // honour, where outside input (a job request, a command line) enters:
-// vertex IDs are int32, so a larger N would wrap silently, a
-// probability outside [0,1] is not one, and a link carries at least one
-// word per round (0 means the default). The generators and
-// core.NewCluster keep their panics for callers that skip this check —
-// a programmer error.
+// the model needs k >= 2 machines, vertex IDs are int32, so a larger N
+// would wrap silently, a probability outside [0,1] is not one, and a
+// link carries at least one word per round (0 means the default). The
+// generators and core.NewCluster keep their panics for callers that
+// skip this check — a programmer error.
 func (prob Problem) Validate() error {
+	if prob.K < 2 {
+		return fmt.Errorf("algo: need k >= 2 machines, got %d", prob.K)
+	}
 	if prob.N < 0 || prob.N > math.MaxInt32 {
 		return fmt.Errorf("algo: n=%d out of [0,%d] (vertex IDs are int32)", prob.N, math.MaxInt32)
 	}

@@ -39,25 +39,13 @@ type Problem struct {
 	Eps float64
 	// Top bounds summary listings (top-ranked vertices etc.); 0 means 5.
 	Top int
-	// SuperstepTimeout bounds each whole superstep — compute included,
-	// the wire is live during it — on every substrate
-	// (core.Config.SuperstepTimeout / node.Config.SuperstepTimeout): a
-	// crashed or wedged machine, or a Step that outlasts the timeout,
-	// surfaces as an attributed error within the timeout instead of
-	// hanging the run. 0 means no deadline; the happy path is
-	// unaffected either way.
+	// SuperstepTimeout, Context and Recorder are the core.Config fields
+	// of the same names, forwarded unchanged on every substrate: Context
+	// is the per-job deadline hook of the job scheduler, and all three
+	// leave Stats, outputs and hashes unchanged.
 	SuperstepTimeout time.Duration
-	// Context cancels or deadlines the whole run on every substrate
-	// (core.Config.Context / node.Config.Context) — the per-job deadline
-	// hook of the job scheduler. nil means Background.
-	Context context.Context
-	// Recorder, when non-nil, receives wall-clock phase spans from the
-	// run on every substrate (core.Config.Recorder /
-	// node.Config.Recorder): compute, barrier-wait, and exchange per
-	// superstep, plus per-peer frame spans on socket substrates. Spans
-	// measure time only — Stats, outputs, and hashes are identical with
-	// or without a recorder. nil (the default) records nothing.
-	Recorder obs.Recorder
+	Context          context.Context
+	Recorder         obs.Recorder
 	// Sharded is declared and unread: setup is always partition-local
 	// (GraphInput / EdgelessInput), so there is nothing left to select.
 	// The field survives only because frozen benchmark/workloads.go
@@ -124,18 +112,10 @@ func (prob Problem) withDefaults() Problem {
 	return prob
 }
 
-// nodeConfig is the node-runtime configuration of a problem — the same
-// Seed+2 machine-stream convention as coreConfig, for the substrates
-// built on transport/node (RunNodeLocal, RunJob).
-func (prob Problem) nodeConfig(k int) node.Config {
-	return node.Config{K: k, Bandwidth: prob.Bandwidth, Seed: prob.Seed + 2,
-		SuperstepTimeout: prob.SuperstepTimeout, Context: prob.Context,
-		Recorder: prob.Recorder, Checkpoint: prob.Checkpoint.policy()}
-}
-
-// coreConfig is the in-process cluster configuration of a problem: the
-// machine streams draw from Seed+2 on every substrate.
-func (prob Problem) coreConfig(kind transport.Kind) core.Config {
+// config is the run configuration of a problem on every substrate (the
+// socket link does not read kind): the machine streams draw from
+// Seed+2.
+func (prob Problem) config(kind transport.Kind) core.Config {
 	return core.Config{K: prob.K, Bandwidth: prob.Bandwidth, Seed: prob.Seed + 2,
 		Transport: kind, SuperstepTimeout: prob.SuperstepTimeout, Context: prob.Context,
 		Recorder: prob.Recorder, Checkpoint: prob.Checkpoint.policy()}
@@ -213,7 +193,7 @@ type place struct {
 	job     uint64
 	// standalone runs ONE machine, this process's, of a cluster whose
 	// peers live in other processes.
-	standalone *node.Config
+	standalone *node.Place
 }
 
 // Run executes the algorithm on an in-process cluster over the given
@@ -229,12 +209,11 @@ func (e *Entry) RunNodeLocal(prob Problem) (*Outcome, error) {
 }
 
 // RunStandalone executes ONE machine of the algorithm's cluster in this
-// process; peers live in other processes (kmnode -id). ncfg names this
-// process's place in the cluster (ID, addresses, dial timeout,
-// recorder); the model parameters are the problem's. The outcome
-// carries the machine-local summary and the cluster-wide Stats.
-func (e *Entry) RunStandalone(prob Problem, ncfg node.Config) (*Outcome, error) {
-	return e.run(prob, place{standalone: &ncfg})
+// process, the one at names; peers live in other processes (kmnode
+// -id). Everything else, recorder included, is the problem's. The
+// outcome carries the machine-local summary and the cluster-wide Stats.
+func (e *Entry) RunStandalone(prob Problem, at node.Place) (*Outcome, error) {
+	return e.run(prob, place{standalone: &at})
 }
 
 // RunJob executes the algorithm as job `job` on a standing mesh
@@ -314,12 +293,12 @@ func (s Spec[M, L, O]) launch(prob Problem, at place) (*Outcome, error) {
 
 // all runs the k machines in this process and reports the merged output.
 func (s Spec[M, L, O]) all(prob Problem, a Algorithm[M, L, O], in partition.Input, at place) (*Outcome, error) {
-	cfg := prob.coreConfig(at.kind)
+	cfg := prob.config(at.kind)
 	on := inProcess(cfg, a.Codec)
 	if at.sockets {
-		on = onSockets(prob.nodeConfig(in.NumMachines()), at.mesh, at.job, a.Codec)
+		on = onSockets(cfg, at.mesh, at.job, a.Codec)
 	}
-	out, stats, w, err := execute(a, in, cfg.K, on)
+	out, stats, w, err := execute(a, in, on)
 	if err != nil {
 		return nil, err
 	}
@@ -330,21 +309,15 @@ func (s Spec[M, L, O]) all(prob Problem, a Algorithm[M, L, O], in partition.Inpu
 	return o, nil
 }
 
-// one runs this process's machine of a multi-process cluster and reports
-// its local output. place names the process (ID, addresses, dial
-// timeout, recorder); the model parameters are the problem's. This is
-// where the O((n+m)/k) per-process setup bound lands: MachineView
-// builds only this machine's rows.
-func (s Spec[M, L, O]) one(prob Problem, a Algorithm[M, L, O], in partition.Input, place node.Config) (*Outcome, error) {
+// one runs this process's machine of a multi-process cluster, the one
+// at names, and reports its local output. This is where the O((n+m)/k)
+// per-process setup bound lands: MachineView builds only this machine's
+// rows.
+func (s Spec[M, L, O]) one(prob Problem, a Algorithm[M, L, O], in partition.Input, at node.Place) (*Outcome, error) {
 	if prob.Checkpoint.Every > 0 {
 		return nil, fmt.Errorf("%s: one process of k can never complete a cut: checkpointing needs all k machines in one process", a.Name)
 	}
-	ncfg := prob.nodeConfig(in.NumMachines())
-	ncfg.ID, ncfg.ListenAddr, ncfg.Peers, ncfg.DialTimeout = place.ID, place.ListenAddr, place.Peers, place.DialTimeout
-	if place.Recorder != nil {
-		ncfg.Recorder = place.Recorder
-	}
-	v, err := in.MachineView(core.MachineID(ncfg.ID))
+	v, err := in.MachineView(core.MachineID(at.ID))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Name, err)
 	}
@@ -353,7 +326,7 @@ func (s Spec[M, L, O]) one(prob Problem, a Algorithm[M, L, O], in partition.Inpu
 		return nil, err
 	}
 	o := &Outcome{}
-	if o.Stats, err = node.Run(ncfg, m, a.Codec); err != nil {
+	if o.Stats, err = node.Run(prob.config(transport.Default), at, m, a.Codec); err != nil {
 		return nil, err
 	}
 	if s.SummarizeLocal != nil {

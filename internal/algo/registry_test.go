@@ -309,24 +309,47 @@ func TestRegistryInputIsPartitionLocal(t *testing.T) {
 func TestStandaloneRejectsCheckpointing(t *testing.T) {
 	entry, _ := Lookup("echo")
 	prob := Problem{N: 64, K: 2, Seed: 3, Checkpoint: CheckpointSpec{Every: 2}}
-	_, err := entry.RunStandalone(prob, node.Config{ID: 0, ListenAddr: "127.0.0.1:0", Peers: []string{"127.0.0.1:1", "127.0.0.1:2"}})
+	_, err := entry.RunStandalone(prob, node.Place{ID: 0, Listen: "127.0.0.1:0", Peers: []string{"127.0.0.1:1", "127.0.0.1:2"}})
 	if err == nil || !strings.Contains(err.Error(), "cut") {
 		t.Errorf("RunStandalone with Checkpoint.Every=2: err = %v, want the one-process-cannot-cut error", err)
 	}
 }
 
-// TestEntryRejectsInvalidProblem: a problem that fails Validate is an
-// error from every runner, before any cluster or mesh exists — a
-// negative bandwidth used to reach core.NewCluster's panic through Run
-// and fail on every machine of an already built mesh through
-// RunNodeLocal.
+// TestEntryRejectsInvalidProblem: a problem that fails Validate is
+// Validate's error from every runner, before any cluster or mesh exists
+// and without a panic. A negative bandwidth used to reach
+// core.NewCluster's panic through Run and fail on every machine of an
+// already built mesh through RunNodeLocal; k=1 panicked in
+// core.NewCluster, k=0 in the partition builder, and the socket link
+// blamed machine 0's ID.
 func TestEntryRejectsInvalidProblem(t *testing.T) {
 	entry, _ := Lookup("echo")
-	prob := Problem{N: 64, K: 5, Seed: 3, Bandwidth: -1}
-	if _, err := entry.Run(prob, transport.InMem); err == nil {
-		t.Error("Run accepted bandwidth -1")
+	at := node.Place{ID: 0, Listen: "127.0.0.1:0", Peers: []string{"127.0.0.1:1"}}
+	runners := map[string]func(Problem) (*Outcome, error){
+		"Run inmem":     func(p Problem) (*Outcome, error) { return entry.Run(p, transport.InMem) },
+		"Run tcp":       func(p Problem) (*Outcome, error) { return entry.Run(p, transport.TCP) },
+		"RunNodeLocal":  entry.RunNodeLocal,
+		"RunStandalone": func(p Problem) (*Outcome, error) { return entry.RunStandalone(p, at) },
 	}
-	if _, err := entry.RunNodeLocal(prob); err == nil {
-		t.Error("RunNodeLocal accepted bandwidth -1")
+	for _, c := range []struct {
+		prob Problem
+		says string
+	}{
+		{Problem{N: 64, K: 5, Seed: 3, Bandwidth: -1}, "need bandwidth >= 1"},
+		{Problem{N: 100, K: 1, Seed: 1}, "need k >= 2 machines"},
+		{Problem{N: 100, K: 0, Seed: 1}, "need k >= 2 machines"},
+	} {
+		for name, run := range runners {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s k=%d bandwidth=%d panicked: %v", name, c.prob.K, c.prob.Bandwidth, p)
+					}
+				}()
+				if _, err := run(c.prob); err == nil || !strings.Contains(err.Error(), c.says) {
+					t.Errorf("%s k=%d bandwidth=%d: err = %v, want one saying %q", name, c.prob.K, c.prob.Bandwidth, err, c.says)
+				}
+			}()
+		}
 	}
 }

@@ -58,16 +58,14 @@ type chaosSite struct {
 }
 
 func (cs *chaosSite) site() site[echoMsg] {
-	return site[echoMsg]{ctx: cs.cfg.Context, ck: cs.cfg.Checkpoint,
-		run: func(machine func(core.MachineID) core.Machine[echoMsg], ck core.CheckpointPolicy) (*core.Stats, transport.WireStats, error) {
+	return site[echoMsg]{cfg: cs.cfg,
+		run: func(cfg core.Config, machine func(core.MachineID) core.Machine[echoMsg]) (*core.Stats, transport.WireStats, error) {
 			var tr core.Transport[echoMsg] = inmem.New[echoMsg](ringK)
 			if len(cs.attempts) < cs.kills {
 				tr = chaos.Wrap[echoMsg](tr, chaos.KillAt(1, cs.killAt))
 			}
 			defer tr.Close()
-			cs.attempts = append(cs.attempts, ck)
-			cfg := cs.cfg
-			cfg.Checkpoint = ck
+			cs.attempts = append(cs.attempts, cfg.Checkpoint)
 			stats, err := core.NewCluster(cfg, machine).RunOn(tr, echoCodec{})
 			if cs.after != nil {
 				cs.after()
@@ -81,7 +79,7 @@ func ringConfig(seed uint64, ck core.CheckpointPolicy) core.Config {
 }
 
 func runRing(on site[echoMsg]) ([]int64, *core.Stats, error) {
-	out, stats, _, err := retry(ringK,
+	out, stats, _, err := retry(
 		func(id core.MachineID) (Machine[echoMsg, int64], error) { return &ringMachine{self: id}, nil },
 		func(locals []int64) []int64 { return locals }, on)
 	return out, stats, err

@@ -14,10 +14,12 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"kmachine/internal/core"
+	"kmachine/internal/obs"
 	"kmachine/internal/testutil"
 	"kmachine/internal/transport"
 	"kmachine/internal/transport/node"
@@ -146,14 +148,12 @@ var conformance = []conformanceRow{
 		}},
 }
 
-// driveLinks runs the row's machines over each link.
-var driveLinks = map[string]func(ctx context.Context, timeout time.Duration, step stepFunc) (*core.Stats, error){
-	"in-process": func(ctx context.Context, timeout time.Duration, step stepFunc) (*core.Stats, error) {
-		cfg := core.Config{K: cK, Bandwidth: 1, Seed: 1, MaxSupersteps: 7, Context: ctx, SuperstepTimeout: timeout}
+// links runs the k machines one cfg describes over each link.
+var links = map[string]func(cfg core.Config, step stepFunc) (*core.Stats, error){
+	"in-process": func(cfg core.Config, step stepFunc) (*core.Stats, error) {
 		return core.NewCluster(cfg, func(core.MachineID) core.Machine[cMsg] { return core.MachineFunc[cMsg](step) }).Run()
 	},
-	"sockets": func(ctx context.Context, timeout time.Duration, step stepFunc) (*core.Stats, error) {
-		cfg := node.Config{K: cK, Bandwidth: 1, Seed: 1, MaxSupersteps: 7, Context: ctx, SuperstepTimeout: timeout}
+	"sockets": func(cfg core.Config, step stepFunc) (*core.Stats, error) {
 		stats, _, err := node.RunLocal(cfg, cCodec{}, func(core.MachineID) core.Machine[cMsg] { return core.MachineFunc[cMsg](step) })
 		return stats, err
 	},
@@ -163,13 +163,14 @@ func TestDriveConformanceOverBothLinks(t *testing.T) {
 	for _, row := range conformance {
 		t.Run(row.name, func(t *testing.T) {
 			partial := map[string]*core.Stats{}
-			for link, drive := range driveLinks {
+			for link, drive := range links {
 				base := runtime.NumGoroutine()
 				ctx, cancel := context.WithCancel(context.Background())
 				if row.preCancel {
 					cancel()
 				}
-				stats, err := drive(ctx, row.timeout, row.step(t, cancel))
+				cfg := core.Config{K: cK, Bandwidth: 1, Seed: 1, MaxSupersteps: 7, Context: ctx, SuperstepTimeout: row.timeout}
+				stats, err := drive(cfg, row.step(t, cancel))
 				cancel()
 				if err == nil {
 					t.Fatalf("%s: the run succeeded", link)
@@ -203,5 +204,63 @@ func TestDriveConformanceOverBothLinks(t *testing.T) {
 				t.Errorf("partial Stats differ between the links:\n in-process %+v\n sockets    %+v", partial["in-process"], partial["sockets"])
 			}
 		})
+	}
+}
+
+// phaseRecorder notes which machines recorded which phases.
+type phaseRecorder struct {
+	mu   sync.Mutex
+	seen map[obs.Phase]map[int32]bool
+}
+
+func (r *phaseRecorder) Record(s obs.Span) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.seen[s.Phase] == nil {
+		r.seen[s.Phase] = map[int32]bool{}
+	}
+	r.seen[s.Phase][s.Machine] = true
+}
+
+// TestOneConfigOverBothLinks is the happy path of the table above: one
+// core.Config — a seed the machines draw their traffic from, dropped
+// per-superstep Stats, a recorder — means the same on both links.
+func TestOneConfigOverBothLinks(t *testing.T) {
+	rec := &phaseRecorder{}
+	cfg := core.Config{K: cK, Bandwidth: 2, Seed: 99, DropPerSuperstep: true, Recorder: rec}
+	step := func(ctx *core.StepContext, _ []core.Envelope[cMsg]) ([]core.Envelope[cMsg], bool) {
+		if ctx.Superstep == 5 {
+			return nil, true
+		}
+		out := ring(ctx)
+		out[0].Words = 1 + int32(ctx.RNG.Uint64()%4)
+		return out, false
+	}
+	got := map[string]*core.Stats{}
+	for link, drive := range links {
+		rec.seen = map[obs.Phase]map[int32]bool{}
+		stats, err := drive(cfg, step)
+		if err != nil {
+			t.Fatalf("%s: %v", link, err)
+		}
+		if stats.PerSuperstep != nil {
+			t.Errorf("%s: DropPerSuperstep kept %d per-superstep rows", link, len(stats.PerSuperstep))
+		}
+		// Compute and barrier spans are per machine on both links; the
+		// in-process exchange is one cluster-level span (machine -1).
+		for _, phase := range []obs.Phase{obs.PhaseCompute, obs.PhaseBarrier} {
+			for m := int32(0); m < cK; m++ {
+				if !rec.seen[phase][m] {
+					t.Errorf("%s: no %v span from machine %d", link, phase, m)
+				}
+			}
+		}
+		if len(rec.seen[obs.PhaseExchange]) == 0 {
+			t.Errorf("%s: no exchange span", link)
+		}
+		got[link] = stats
+	}
+	if got["in-process"].Supersteps != 5 || !reflect.DeepEqual(got["in-process"], got["sockets"]) {
+		t.Errorf("Stats differ between the links:\n in-process %+v\n sockets    %+v", got["in-process"], got["sockets"])
 	}
 }

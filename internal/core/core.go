@@ -101,7 +101,10 @@ type StepContext struct {
 	emitter any
 }
 
-// Config configures a cluster run.
+// Config is the one description of a run, on either link: the
+// in-process cluster (NewCluster, RunOn) and the socket link
+// (transport/node, which adds only where a process sits). Every field
+// means the same on both; Transport alone is in-process only.
 type Config struct {
 	// K is the number of machines (k > 2 in the paper; we accept k >= 2,
 	// and k = n gives the congested clique of Corollary 1).
@@ -109,7 +112,8 @@ type Config struct {
 	// Bandwidth is the per-link capacity in words per round (the paper's
 	// B, measured in Θ(log n)-bit words). Must be >= 1.
 	Bandwidth int
-	// Seed derives all machine random streams.
+	// Seed derives all machine random streams: machine i draws from
+	// rng.NewStream(Seed, i), wherever it runs.
 	Seed uint64
 	// MaxSupersteps aborts runaway algorithms; 0 means Drive's default.
 	MaxSupersteps int
@@ -119,52 +123,64 @@ type Config struct {
 	// run's memory footprint constant. All other Stats fields are
 	// unaffected.
 	DropPerSuperstep bool
-	// Transport names the envelope substrate to run on; empty means the
-	// in-memory loopback. Core only stores the name — algorithm Run
-	// functions resolve it through OpenTransport with their message
+	// Transport names the envelope substrate of an in-process run; empty
+	// means the in-memory loopback. Core only stores the name — algorithm
+	// Run functions resolve it through OpenTransport with their message
 	// codec, because building a non-loopback transport needs one.
 	Transport transport.Kind
 	// Context cancels the whole run: every driver observes it before and
-	// after its Step and hands it to every transport superstep, so
-	// canceling it aborts the computation with a wrapped context error
-	// instead of letting it run (or hang) to completion. nil means
-	// Background.
+	// after its Step and hands it to every link operation, so canceling
+	// it aborts the computation with a wrapped context error instead of
+	// letting it run (or hang) to completion. nil means Background.
 	// Cancellation cannot interrupt a machine's local Step — the model
 	// makes local computation free — only the phases around it.
 	Context context.Context
-	// SuperstepTimeout bounds each whole superstep, transport Begin
-	// through Finish — the machines' Step calls, the exchange and, on
-	// socket substrates, the coordinator barrier — because the wire is
-	// live while machines compute: a peer that crashes or wedges
-	// mid-superstep, or a Step that outlasts the timeout, surfaces as a
-	// deadline error (machine-attributed on socket substrates) within
-	// the timeout instead of blocking the cluster forever. 0 means no
-	// per-superstep deadline; the happy-path behaviour (Stats, outputs,
-	// determinism) is identical with or without one.
+	// SuperstepTimeout bounds each whole superstep, Begin through the
+	// verdict — the machines' Step calls, the exchange and, on the socket
+	// link, the report/verdict round — because the wire is live while
+	// machines compute: a peer that crashes or wedges mid-superstep, or a
+	// Step that outlasts the timeout, surfaces as a deadline error
+	// (machine-attributed on sockets) within the timeout instead of
+	// blocking the cluster forever. 0 means no per-superstep deadline;
+	// the happy-path behaviour (Stats, outputs, determinism) is identical
+	// with or without one.
 	SuperstepTimeout time.Duration
 	// Checkpoint opts the run into per-superstep checkpointing (see
 	// checkpoint.go): every Checkpoint.Every supersteps a consistent cut
-	// of all machine state is captured right after the superstep's
-	// Finish into Checkpoint.Sink, and with Checkpoint.Resume the run
+	// of all machine state is captured right after the superstep is
+	// charged into Checkpoint.Sink, and with Checkpoint.Resume the run
 	// starts from the sink's latest cut. Off by default (Every == 0):
 	// the driver's hook is a single nil check, keeping the
 	// zero-allocation steady state and every golden hash unchanged.
 	// Checkpointing requires all machines to implement Snapshotter and
-	// RunOn to be given their message codec.
+	// the run to be given their message codec; only the k machines of one
+	// process can complete a cut.
 	Checkpoint CheckpointPolicy
 	// Recorder, when non-nil, receives wall-clock phase spans from the
-	// run: per machine and superstep, a compute span (the Step call) and
-	// a barrier span (waiting for the slowest machine), plus one
-	// cluster-level exchange span per superstep; socket substrates
-	// additionally record per-peer frame spans (RunOverWire installs the
-	// recorder on transports implementing transport.TraceSink). The
-	// recorder must tolerate concurrent Record calls and should not
-	// allocate (obs.Trace satisfies both). nil — the default — keeps the
-	// drivers on their span-free path: the zero-allocation discipline and
-	// the golden determinism hashes are fenced with the recorder off,
-	// and Stats are identical either way (spans measure time, never
-	// model cost).
+	// run: per machine and superstep a compute span (the Step call) and
+	// a barrier span (waiting for the slowest machine in-process, the
+	// report/verdict round over sockets), plus exchange spans (one per
+	// superstep in-process, one per machine over sockets) and, on socket
+	// substrates, per-peer frame spans (installed on transports
+	// implementing transport.TraceSink). The recorder must tolerate
+	// concurrent Record calls and should not allocate (obs.Trace
+	// satisfies both). nil — the default — keeps the drivers on their
+	// span-free path: the zero-allocation discipline and the golden
+	// determinism hashes are fenced with the recorder off, and Stats are
+	// identical either way (spans measure time, never model cost).
 	Recorder obs.Recorder
+}
+
+// Validate rejects the runs no cluster can execute: fewer than two
+// machines, or a link narrower than one word per round.
+func (cfg Config) Validate() error {
+	if cfg.K < 2 {
+		return fmt.Errorf("core: need k >= 2 machines, got %d", cfg.K)
+	}
+	if cfg.Bandwidth < 1 {
+		return fmt.Errorf("core: need Bandwidth >= 1 word/round, got %d", cfg.Bandwidth)
+	}
+	return nil
 }
 
 // Log2Words returns the machine word size for an n-vertex input under
@@ -392,7 +408,6 @@ func (c *Coordinator) restore(part []byte) error {
 type Cluster[M any] struct {
 	cfg      Config
 	machines []Machine[M]
-	rngs     []*rng.RNG
 }
 
 // ErrMaxSupersteps is returned when an algorithm fails to terminate
@@ -400,19 +415,14 @@ type Cluster[M any] struct {
 var ErrMaxSupersteps = errors.New("core: exceeded MaxSupersteps without termination")
 
 // NewCluster builds a cluster; the factory is called once per machine.
+// A cfg that fails Validate is a programmer error and panics.
 func NewCluster[M any](cfg Config, factory func(id MachineID) Machine[M]) *Cluster[M] {
-	if cfg.K < 2 {
-		panic(fmt.Sprintf("core: need k >= 2 machines, got %d", cfg.K))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
-	if cfg.Bandwidth < 1 {
-		panic(fmt.Sprintf("core: need Bandwidth >= 1 word/round, got %d", cfg.Bandwidth))
-	}
-	c := &Cluster[M]{cfg: cfg}
-	c.machines = make([]Machine[M], cfg.K)
-	c.rngs = make([]*rng.RNG, cfg.K)
-	for i := 0; i < cfg.K; i++ {
+	c := &Cluster[M]{cfg: cfg, machines: make([]Machine[M], cfg.K)}
+	for i := range c.machines {
 		c.machines[i] = factory(MachineID(i))
-		c.rngs[i] = rng.NewStream(cfg.Seed, uint64(i))
 	}
 	return c
 }

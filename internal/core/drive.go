@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"kmachine/internal/obs"
 	"kmachine/internal/rng"
@@ -51,32 +50,27 @@ type Link[M any] interface {
 	Round(ctx context.Context, step int, row *Row, rest []Envelope[M]) (Verdict, []Envelope[M], error)
 }
 
-// Driver is what Drive needs to run one machine.
+// Driver is what Drive needs to run one machine: the run's Config and
+// where this machine sits in it. Drive draws the machine's random
+// stream from Seed, defaults MaxSupersteps to 1<<20, and records the
+// machine's compute spans on Recorder; the link records the barrier and
+// exchange spans it knows the shape of.
 type Driver[M any] struct {
-	ID, K int
-	// MaxSupersteps aborts a runaway algorithm; 0 means 1<<20.
-	MaxSupersteps int
-	// Context cancels the run (nil means Background); SuperstepTimeout,
-	// when positive, bounds each superstep from Begin through Round.
-	Context          context.Context
-	SuperstepTimeout time.Duration
-	// Recorder, when non-nil, receives this machine's compute spans; the
-	// link records the barrier and exchange spans it knows the shape of.
-	Recorder obs.Recorder
-	Machine  Machine[M]
-	RNG      *rng.RNG
-	Link     Link[M]
+	Config
+	ID      int
+	Machine Machine[M]
+	Link    Link[M]
 	// Coord is set on the one machine whose link rules through it
 	// (machine 0): its driver adds the Stats part to a checkpoint and
 	// installs the one of a restored cut.
 	Coord *Coordinator
-	// Checkpoint, when non-nil, receives this machine's part of the cut
+	// Assembler, when non-nil, receives this machine's part of the cut
 	// after every Every-th superstep; Resume, when non-nil, is installed
 	// before the first superstep, which is then Resume.Step+1. Both need
 	// the machine to implement Snapshotter and a Codec.
-	Checkpoint *Assembler
-	Resume     *Cut
-	Codec      wire.Codec[M]
+	Assembler *Assembler
+	Resume    *Cut
+	Codec     wire.Codec[M]
 }
 
 // Drive runs the machine's supersteps until the stop verdict and returns
@@ -90,14 +84,15 @@ func Drive[M any](d Driver[M]) (*Stats, error) {
 		d.MaxSupersteps = 1 << 20
 	}
 	self := MachineID(d.ID)
-	r := &run[M]{Driver: d, sc: StepContext{Self: self, K: d.K, RNG: d.RNG},
+	rand := rng.NewStream(d.Seed, uint64(d.ID))
+	r := &run[M]{Driver: d, sc: StepContext{Self: self, K: d.K, RNG: rand},
 		em:  Emitter[M]{send: d.Link.Send, self: self, k: d.K, emitted: make([]bool, d.K), touched: make([]int32, 0, d.K)},
 		row: Row{Words: make([]int64, d.K)}}
 	r.sc.emitter, r.em.row = &r.em, &r.row
 
 	var snap Snapshotter
 	var err error
-	if d.Checkpoint != nil || d.Resume != nil {
+	if d.Assembler != nil || d.Resume != nil {
 		if snap, err = checkpointable(d.ID, d.Machine, d.Codec); err != nil {
 			return nil, err
 		}
@@ -105,7 +100,7 @@ func Drive[M any](d Driver[M]) (*Stats, error) {
 	var inbox []Envelope[M]
 	start := 0
 	if cut := d.Resume; cut != nil {
-		if inbox, err = RestoreCheckpointPart(cut.Parts[d.ID], cut.Step, self, d.RNG, snap, d.Codec); err != nil {
+		if inbox, err = RestoreCheckpointPart(cut.Parts[d.ID], cut.Step, self, rand, snap, d.Codec); err != nil {
 			return nil, err
 		}
 		if d.Coord != nil {
@@ -137,8 +132,8 @@ func Drive[M any](d Driver[M]) (*Stats, error) {
 		inbox = next
 		// The cut: superstep step is delivered and charged, and inbox is
 		// exactly what step+1 consumes.
-		if ck := d.Checkpoint; ck != nil && (step+1)%ck.every == 0 {
-			if part, err = AppendCheckpointPart(part[:0], step, self, d.RNG, snap, inbox, d.Codec); err == nil {
+		if ck := d.Assembler; ck != nil && (step+1)%ck.every == 0 {
+			if part, err = AppendCheckpointPart(part[:0], step, self, rand, snap, inbox, d.Codec); err == nil {
 				err = ck.put(step, d.ID, part, d.Coord)
 			}
 			if err != nil {

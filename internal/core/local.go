@@ -200,10 +200,8 @@ func (c *Cluster[M]) RunOn(t Transport[M], codec wire.Codec[M]) (*Stats, error) 
 	}
 	rv := newRendezvous(t, coord, cfg.Recorder, cfg.K)
 	_, err := DriveAll(cfg.K, func(i int) (*Stats, error) {
-		d := Driver[M]{ID: i, K: cfg.K, MaxSupersteps: cfg.MaxSupersteps,
-			Context: cfg.Context, SuperstepTimeout: cfg.SuperstepTimeout, Recorder: cfg.Recorder,
-			Machine: c.machines[i], RNG: c.rngs[i], Link: &localLink[M]{rv: rv, id: i},
-			Checkpoint: asm, Resume: resume, Codec: codec}
+		d := Driver[M]{Config: cfg, ID: i, Machine: c.machines[i], Link: &localLink[M]{rv: rv, id: i},
+			Assembler: asm, Resume: resume, Codec: codec}
 		if i == 0 {
 			d.Coord = coord
 		}

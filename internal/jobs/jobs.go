@@ -229,11 +229,13 @@ func (s *Scheduler) Submit(req Request) (uint64, error) {
 	if req.Prob.N <= 0 {
 		return 0, fmt.Errorf("jobs: need n > 0, got %d", req.Prob.N)
 	}
+	k := s.backend.K()
+	if req.Prob.K != 0 && req.Prob.K != k {
+		return 0, fmt.Errorf("jobs: request wants k=%d on a k=%d cluster", req.Prob.K, k)
+	}
+	req.Prob.K = k
 	if err := req.Prob.Validate(); err != nil {
 		return 0, fmt.Errorf("jobs: %w", err)
-	}
-	if k := s.backend.K(); req.Prob.K != 0 && req.Prob.K != k {
-		return 0, fmt.Errorf("jobs: request wants k=%d on a k=%d cluster", req.Prob.K, k)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

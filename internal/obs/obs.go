@@ -18,14 +18,14 @@
 // model's round counts is what turns "the microbench is 1.4x faster
 // but end-to-end only 1.05x" from a mystery into a timeline.
 //
-// Recording discipline. Recorders are handed to the runtime as a
-// Config knob (core.Config.Recorder, node.Config.Recorder,
-// kmachine.RunConfig.Recorder); nil means no instrumentation and the
-// engine's no-op fast path — the alloc fences in core and tcp pin that
+// Recording discipline. A recorder is handed to the runtime as the
+// run's core.Config.Recorder, on either link (kmachine.RunConfig and
+// algo.Problem forward it); nil means no instrumentation and the
+// drivers' no-op fast path — the alloc fences in core and tcp pin that
 // path at zero allocations per superstep. A non-nil recorder must be
-// safe for concurrent Record calls (engine workers, pipeline writers
-// and readers all record from their own goroutines) and must not
-// retain the Span beyond the call. The Trace implementation in this
+// safe for concurrent Record calls (drivers, pipeline writers and
+// readers all record from their own goroutines) and must not retain
+// the Span beyond the call. The Trace implementation in this
 // package preallocates a fixed ring at construction, so steady-state
 // recording allocates nothing either.
 package obs

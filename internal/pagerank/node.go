@@ -36,20 +36,6 @@ func (nm *NodeMachine) Step(ctx *core.StepContext, inbox []core.Envelope[Wire]) 
 	return nm.m.Step(ctx, inbox)
 }
 
-// Options returns the resolved options (after ApplyDefaults).
-func (nm *NodeMachine) Options() Options { return nm.opts }
-
-// LocalPsi returns a copy of the raw visit counts for the vertices
-// homed on this machine.
-func (nm *NodeMachine) LocalPsi() map[int32]int64 {
-	locals := nm.m.view.Locals()
-	out := make(map[int32]int64, len(locals))
-	for _, v := range locals {
-		out[v] = nm.m.psi[v]
-	}
-	return out
-}
-
 // LocalEstimates returns the PageRank estimates this machine outputs —
 // the same eps·psi(v)/(n·c·log n) arithmetic Run applies, so a
 // standalone cluster's union of LocalEstimates is bit-identical to an

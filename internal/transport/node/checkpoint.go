@@ -27,17 +27,17 @@ const ctrlResume = byte(0xB2)
 // resumeCut is the pre-loop round of a resuming run: core.LatestCut,
 // then the ctrlResume agreement on its superstep. It returns the cut
 // for core.Drive to install, nil when the sink is empty.
-func resumeCut[M any](cfg Config, ep *tcp.Endpoint[M], sink core.CheckpointSink) (*core.Cut, error) {
+func resumeCut[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], sink core.CheckpointSink) (*core.Cut, error) {
 	cut, err := core.LatestCut(sink, cfg.K)
 	if err == nil {
 		step := -1
 		if cut != nil {
 			step = cut.Step
 		}
-		err = ctrlRound(cfg, ep, ctrlResume, uint64(step+1))
+		err = ctrlRound(cfg, id, ep, ctrlResume, uint64(step+1))
 	}
 	if err != nil {
-		return nil, fmt.Errorf("node: machine %d resume: %w", cfg.ID, err)
+		return nil, fmt.Errorf("node: machine %d resume: %w", id, err)
 	}
 	return cut, nil
 }

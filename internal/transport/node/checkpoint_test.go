@@ -66,7 +66,7 @@ func runCkCluster(t *testing.T, k int, ck core.CheckpointPolicy) (*core.Stats, [
 
 func tryCkCluster(k int, ck core.CheckpointPolicy) (*core.Stats, []int64, error) {
 	machines := make([]*ckMachine, k)
-	cfg := Config{K: k, Bandwidth: 1, Seed: 77, Checkpoint: ck}
+	cfg := core.Config{K: k, Bandwidth: 1, Seed: 77, Checkpoint: ck}
 	stats, _, err := RunLocal(cfg, failCodec{}, func(id core.MachineID) core.Machine[failMsg] {
 		machines[id] = &ckMachine{self: id}
 		return machines[id]

@@ -70,12 +70,8 @@ func runMeshWithFault(t *testing.T, k, victim, failStep int, timeout time.Durati
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cfg := Config{ID: i, K: k, Bandwidth: 1, Seed: 7, SuperstepTimeout: timeout}
-			if verr := cfg.validate(); verr != nil {
-				errs[i] = verr
-				return
-			}
-			_, errs[i] = runNode(cfg, eps[i], factory(core.MachineID(i)), 0, nil, nil)
+			cfg := core.Config{K: k, Bandwidth: 1, Seed: 7, SuperstepTimeout: timeout}
+			_, errs[i] = runNode(cfg, i, eps[i], factory(core.MachineID(i)), 0, nil, nil)
 			if errs[i] != nil {
 				eps[i].Close()
 			}
@@ -181,7 +177,7 @@ func TestCanceledContextAbortsNodeRun(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := RunLocal(Config{K: k, Bandwidth: 1, Seed: 3, Context: ctx},
+		_, _, err := RunLocal(core.Config{K: k, Bandwidth: 1, Seed: 3, Context: ctx},
 			failCodec{}, func(id core.MachineID) core.Machine[failMsg] {
 				return core.MachineFunc[failMsg](func(sctx *core.StepContext, inbox []core.Envelope[failMsg]) ([]core.Envelope[failMsg], bool) {
 					return []core.Envelope[failMsg]{{To: core.MachineID((int(sctx.Self) + 1) % k), Words: 1}}, false

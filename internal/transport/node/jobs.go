@@ -19,7 +19,7 @@ import (
 // and detaches with the connections intact. Per-job isolation falls out
 // of the structure: each job gets fresh endpoints (wire counters,
 // scratch, inboxes), a fresh coordinator (Stats), and whatever Recorder
-// the caller put in its Config.
+// the caller put in its core.Config.
 
 // Job-lifecycle control frames, exchanged on the report/verdict plane
 // around each job's superstep loop. Values deliberately far from the
@@ -60,10 +60,10 @@ func decodeCtrl(buf []byte, wantKind byte, want uint64) error {
 // coordinator broadcasts ⟨kind, v⟩ and every other machine checks it
 // against its own v, which proves the control plane is aligned — on
 // this job, on this checkpoint — before any data frame ships.
-func ctrlRound[M any](cfg Config, ep *tcp.Endpoint[M], kind byte, v uint64) error {
+func ctrlRound[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], kind byte, v uint64) error {
 	hctx, cancel := handshakeCtx(cfg)
 	defer cancel()
-	if cfg.ID == 0 {
+	if id == 0 {
 		return ep.Broadcast(hctx, encodeCtrl(kind, v))
 	}
 	frame, err := ep.ReceiveVerdict(hctx)
@@ -180,13 +180,13 @@ func (lm *LocalMesh) attachable() ([]*tcp.Mesh, error) {
 // verdict — whose superstep every machine has finished, so every
 // connection is drained — and a job-end handshake certifies every
 // machine consumed it before the endpoints detach, which is what makes
-// the connections safe to hand to the next job's endpoints. cfg is a
-// template exactly like RunLocal's, and like there it is validated
-// first: a rejected job attaches nothing and leaves the mesh healthy.
+// the connections safe to hand to the next job's endpoints. Like
+// RunLocal's, cfg is validated first: a rejected job attaches nothing
+// and leaves the mesh healthy.
 // On any later error the mesh is poisoned (Healthy()==false) until the
 // next RunJobLocal rebuilds it.
-func RunJobLocal[M any](lm *LocalMesh, cfg Config, job uint64, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
-	err := cfg.validate()
+func RunJobLocal[M any](lm *LocalMesh, cfg core.Config, job uint64, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
+	err := cfg.Validate()
 	switch {
 	case err != nil:
 	case cfg.K != lm.k:
@@ -227,10 +227,10 @@ func RunJobLocal[M any](lm *LocalMesh, cfg Config, job uint64, codec wire.Codec[
 
 // jobEnd proves every machine consumed its stop verdict — i.e. every
 // connection is quiescent — before the caller detaches the endpoints.
-func jobEnd[M any](cfg Config, ep *tcp.Endpoint[M], job uint64) error {
+func jobEnd[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], job uint64) error {
 	hctx, cancel := handshakeCtx(cfg)
 	defer cancel()
-	if err := ep.SendToCoordinator(hctx, encodeCtrl(ctrlJobEnd, job)); err != nil || cfg.ID != 0 {
+	if err := ep.SendToCoordinator(hctx, encodeCtrl(ctrlJobEnd, job)); err != nil || id != 0 {
 		return err
 	}
 	// Step index is only diagnostic here; -1 marks the end-of-job
@@ -247,7 +247,7 @@ func jobEnd[M any](cfg Config, ep *tcp.Endpoint[M], job uint64) error {
 // handshakeCtx bounds a pre- or post-loop control round the same way a
 // superstep is bounded: by cfg.SuperstepTimeout when set, otherwise
 // only by the run context.
-func handshakeCtx(cfg Config) (context.Context, context.CancelFunc) {
+func handshakeCtx(cfg core.Config) (context.Context, context.CancelFunc) {
 	runCtx := cfg.Context
 	if runCtx == nil {
 		runCtx = context.Background()

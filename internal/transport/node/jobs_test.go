@@ -17,7 +17,7 @@ import (
 // healthy across clean jobs, and nothing leaks.
 func TestRunJobLocalSequentialJobs(t *testing.T) {
 	const k = 5
-	cfg := node.Config{K: k, Bandwidth: 2, Seed: 7}
+	cfg := core.Config{K: k, Bandwidth: 2, Seed: 7}
 	want, _, err := node.RunLocal(cfg, echoCodec{}, ringFactory(t, k))
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestRunJobLocalSequentialJobs(t *testing.T) {
 // carry the next job cleanly.
 func TestRunJobLocalFailurePoisonsMesh(t *testing.T) {
 	const k = 3
-	cfg := node.Config{K: k, Bandwidth: 1, Seed: 1}
+	cfg := core.Config{K: k, Bandwidth: 1, Seed: 1}
 	lm, err := node.NewLocalMesh(k)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestRunJobLocalFailurePoisonsMesh(t *testing.T) {
 // as a MachineError carrying the job ID on the standing-mesh path.
 func TestRunJobLocalSeverAttributesJob(t *testing.T) {
 	const k = 3
-	cfg := node.Config{K: k, Bandwidth: 1, Seed: 1}
+	cfg := core.Config{K: k, Bandwidth: 1, Seed: 1}
 	lm, err := node.NewLocalMesh(k)
 	if err != nil {
 		t.Fatal(err)
@@ -131,19 +131,19 @@ func TestRunJobLocalRejectsBadJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lm.Close()
-	if _, _, err := node.RunJobLocal(lm, node.Config{K: 2, Bandwidth: 1}, 0, echoCodec{}, ringFactory(t, 2)); err == nil {
+	if _, _, err := node.RunJobLocal(lm, core.Config{K: 2, Bandwidth: 1}, 0, echoCodec{}, ringFactory(t, 2)); err == nil {
 		t.Fatal("job 0 accepted")
 	}
-	if _, _, err := node.RunJobLocal(lm, node.Config{K: 3, Bandwidth: 1}, 1, echoCodec{}, ringFactory(t, 3)); err == nil {
+	if _, _, err := node.RunJobLocal(lm, core.Config{K: 3, Bandwidth: 1}, 1, echoCodec{}, ringFactory(t, 3)); err == nil {
 		t.Fatal("k mismatch accepted")
 	}
-	if _, _, err := node.RunJobLocal(lm, node.Config{K: 2, Bandwidth: -1}, 1, echoCodec{}, ringFactory(t, 2)); err == nil {
+	if _, _, err := node.RunJobLocal(lm, core.Config{K: 2, Bandwidth: -1}, 1, echoCodec{}, ringFactory(t, 2)); err == nil {
 		t.Fatal("negative bandwidth accepted")
 	}
 	if !lm.Healthy() {
 		t.Fatal("rejected submissions poisoned the mesh")
 	}
-	if _, _, err := node.RunJobLocal(lm, node.Config{K: 2, Bandwidth: 1}, 1, echoCodec{}, ringFactory(t, 2)); err != nil {
+	if _, _, err := node.RunJobLocal(lm, core.Config{K: 2, Bandwidth: 1}, 1, echoCodec{}, ringFactory(t, 2)); err != nil {
 		t.Fatalf("job after the rejected ones: %v", err)
 	}
 }

@@ -1,19 +1,21 @@
 // Package node is core.Drive's socket link: it connects ONE machine of
-// a cluster to peers that live in other processes (or, for RunLocal and
-// the job service, behind their own listeners in this one) over the tcp
-// transport's socket mesh. cmd/kmnode is its CLI.
+// a cluster to peers that live in other processes (Run, given the
+// process's Place) or, for RunLocal and the job service, behind their
+// own listeners in this one, each over its own tcp.Endpoint. cmd/kmnode
+// is its CLI.
 //
-// The superstep loop is core.Drive, the same one that runs the
-// in-process cluster; what this package adds is how a superstep is
-// closed over sockets. Each node finishes the superstep's exchange with
-// its peers, then reports its core.Row — ⟨done, pending, messages,
-// per-link word counts, error⟩ — to the coordinator (machine 0), which
-// rules through the same core.Coordinator as the in-process rendezvous
-// and broadcasts the verdict: continue, stop (carrying the final Stats),
-// or abort. A run over sockets therefore reports the same Rounds and
-// Words as the same machines in one process; the conversion results of
-// Klauck et al. (arXiv:1311.6209) are about precisely this
-// substrate-independence, and the integration tests assert it.
+// The superstep loop is core.Drive and the run is a core.Config, the
+// same ones as the in-process cluster's; what this package adds is how
+// a superstep is closed over sockets. Each node finishes the
+// superstep's exchange with its peers, then reports its core.Row —
+// ⟨done, pending, messages, per-link word counts, error⟩ — to the
+// coordinator (machine 0), which rules through the same
+// core.Coordinator as the in-process rendezvous and broadcasts the
+// verdict: continue, stop (carrying the final Stats), or abort. A run
+// over sockets therefore reports the same Rounds and Words as the same
+// machines in one process; the conversion results of Klauck et al.
+// (arXiv:1311.6209) are about precisely this substrate-independence,
+// and the integration tests assert it.
 package node
 
 import (
@@ -24,106 +26,63 @@ import (
 
 	"kmachine/internal/core"
 	"kmachine/internal/obs"
-	"kmachine/internal/rng"
 	"kmachine/internal/transport"
 	"kmachine/internal/transport/tcp"
 	"kmachine/internal/transport/wire"
 )
 
-// Config describes one node's place in the cluster.
-type Config struct {
-	// ID is this node's machine ID; K the cluster size.
-	ID, K int
-	// ListenAddr is this node's listen address ("host:port"; port 0
-	// picks a free port, useful only when peers learn it out of band).
-	ListenAddr string
+// Config is core.Config under its old name. It is kept only because
+// frozen benchmark/micro.go spells node.Config{K, Bandwidth,
+// DropPerSuperstep}; the next [benchmark] PR deletes it.
+type Config = core.Config
+
+// Place is where one process's machine sits in a multi-process cluster
+// — all the socket link adds to a run's core.Config, and read only by
+// Run: RunLocal and the job service give every machine its own loopback
+// endpoint.
+type Place struct {
+	// ID is this process's machine.
+	ID int
+	// Listen is its listen address ("host:port"; port 0 picks a free
+	// port, useful only when peers learn it out of band).
+	Listen string
 	// Peers holds the k listen addresses in machine-ID order.
 	Peers []string
-	// Bandwidth is the per-link capacity in words per round.
-	Bandwidth int
-	// Seed derives every machine's random stream, exactly like
-	// core.Config.Seed: node i draws from rng.NewStream(Seed, i).
-	Seed uint64
-	// MaxSupersteps aborts runaway algorithms; 0 means core.Drive's default.
-	MaxSupersteps int
-	// DropPerSuperstep disables Stats.PerSuperstep retention on the
-	// coordinator, exactly like core.Config.DropPerSuperstep; only the
-	// coordinator's value matters (the field travels inside the final
-	// stop verdict, so all nodes still return identical Stats).
-	DropPerSuperstep bool
 	// DialTimeout bounds mesh construction; 0 means tcp's default.
 	DialTimeout time.Duration
-	// Context cancels the run: the superstep loop observes it between
-	// phases and it bounds every socket operation, so canceling it
-	// tears the node down promptly with a wrapped context error. nil
-	// means Background.
-	Context context.Context
-	// SuperstepTimeout bounds each whole superstep — begin, the
-	// machine's Step, finish, report, verdict — because the wire is live
-	// while the machine computes: a peer process that crashes or wedges,
-	// or a Step that outlasts the timeout, surfaces as a
-	// machine-attributed error within the timeout on every surviving
-	// node instead of hanging the cluster. 0 means no deadline.
-	// Happy-path Stats and outputs are unaffected.
-	SuperstepTimeout time.Duration
-	// Recorder, when non-nil, receives wall-clock phase spans from this
-	// node's superstep loop — compute (the Step call), exchange (this
-	// node's data-plane barrier), and barrier (the report/verdict
-	// control round), all with Machine = ID — and is installed on the
-	// endpoint so its pipeline workers record per-peer frame spans too.
-	// Same contract as core.Config.Recorder: concurrency-safe,
-	// allocation-free, nil keeps the loop on its span-free path. In
-	// RunLocal all k machines share the one recorder, yielding a
-	// cluster-wide timeline.
-	Recorder obs.Recorder
-	// Checkpoint is the checkpoint policy, as in core.Config: off by
-	// default; when Every > 0 the machine must implement
-	// core.Snapshotter, and Resume starts the run from the sink's latest
-	// cut after a ctrlResume agreement round (checkpoint.go). Only the
-	// k machines of one process can complete a cut.
-	Checkpoint core.CheckpointPolicy
 }
 
-func (cfg Config) validate() error {
-	if cfg.K < 2 || cfg.ID < 0 || cfg.ID >= cfg.K {
-		return fmt.Errorf("node: invalid id %d for k=%d", cfg.ID, cfg.K)
-	}
-	if cfg.Bandwidth < 1 {
-		return fmt.Errorf("node: need Bandwidth >= 1 word/round, got %d", cfg.Bandwidth)
-	}
-	return nil
-}
-
-// Run executes one machine of the cluster: listen, dial the mesh, then
-// drive supersteps until the coordinator calls the computation
-// complete. The returned Stats are the full cluster statistics (the
-// coordinator computes them and ships them in the stop verdict), so
-// every node of a successful run returns identical Stats.
-func Run[M any](cfg Config, m core.Machine[M], codec wire.Codec[M]) (*core.Stats, error) {
-	if err := cfg.validate(); err != nil {
+// Run executes machine at.ID of the cluster cfg describes: listen, dial
+// the mesh, then drive supersteps until the coordinator calls the
+// computation complete. The returned Stats are the full cluster
+// statistics (the coordinator computes them and ships them in the stop
+// verdict), so every node of a successful run returns identical Stats.
+func Run[M any](cfg core.Config, at Place, m core.Machine[M], codec wire.Codec[M]) (*core.Stats, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ep, err := tcp.Listen[M](cfg.ID, cfg.K, cfg.ListenAddr, codec)
+	if at.ID < 0 || at.ID >= cfg.K {
+		return nil, fmt.Errorf("node: invalid id %d for k=%d", at.ID, cfg.K)
+	}
+	ep, err := tcp.Listen[M](at.ID, cfg.K, at.Listen, codec)
 	if err != nil {
 		return nil, err
 	}
 	defer ep.Close()
-	if err := ep.Connect(cfg.Peers, cfg.DialTimeout); err != nil {
+	if err := ep.Connect(at.Peers, at.DialTimeout); err != nil {
 		return nil, err
 	}
-	return runNode(cfg, ep, m, 0, codec, core.NewAssembler(cfg.Checkpoint, cfg.K))
+	return runNode(cfg, at.ID, ep, m, 0, codec, core.NewAssembler(cfg.Checkpoint, cfg.K))
 }
 
 // RunLocal spawns the full k-machine cluster over loopback TCP inside
 // one process — every machine gets its own listener, dials every peer,
 // and is driven over its own endpoint (kmnode's -local mode). The
-// factory is called once per machine, like core.NewCluster's. cfg is a
-// template: ID, ListenAddr, and Peers are ignored (every machine gets
-// its own loopback endpoint); everything else applies to all. It is
-// validated before any listener opens. The WireStats are the k
+// factory is called once per machine, like core.NewCluster's, and cfg
+// is validated before any listener opens. The WireStats are the k
 // endpoints' summed frames and bytes, control plane included.
-func RunLocal[M any](cfg Config, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
-	if err := cfg.validate(); err != nil {
+func RunLocal[M any](cfg core.Config, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, transport.WireStats{}, err
 	}
 	eps, err := tcp.NewLoopbackMesh[M](cfg.K, codec)
@@ -144,7 +103,7 @@ func RunLocal[M any](cfg Config, codec wire.Codec[M], factory func(core.MachineI
 // in reads on its connections with no (or a long) deadline, and the
 // close is what unwedges them. On success the endpoints are left open
 // for the caller to Close or Detach.
-func runCluster[M any](cfg Config, eps []*tcp.Endpoint[M], job uint64, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
+func runCluster[M any](cfg core.Config, eps []*tcp.Endpoint[M], job uint64, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
 	asm := core.NewAssembler(cfg.Checkpoint, cfg.K)
 	// Factory calls stay sequential, matching core.NewCluster's contract
 	// (factories may append to shared slices without locking).
@@ -153,9 +112,7 @@ func runCluster[M any](cfg Config, eps []*tcp.Endpoint[M], job uint64, codec wir
 		machines[i] = factory(core.MachineID(i))
 	}
 	stats, err := core.DriveAll(cfg.K, func(i int) (*core.Stats, error) {
-		mcfg := cfg
-		mcfg.ID = i
-		return runNode(mcfg, eps[i], machines[i], job, codec, asm)
+		return runNode(cfg, i, eps[i], machines[i], job, codec, asm)
 	}, func(i int, _ error) { eps[i].Close() })
 	var w transport.WireStats
 	for _, ep := range eps {
@@ -164,20 +121,17 @@ func runCluster[M any](cfg Config, eps []*tcp.Endpoint[M], job uint64, codec wir
 	return stats, w, err
 }
 
-// runNode drives one machine over its connected endpoint: the optional
+// runNode drives machine id over its connected endpoint: the optional
 // job-begin handshake and resume round, core.Drive, the optional job-end
 // handshake. On an error it returns the coordinator's partial Stats
 // (nil on the other machines); the caller closes the endpoint.
-func runNode[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], job uint64, codec wire.Codec[M], asm *core.Assembler) (*core.Stats, error) {
+func runNode[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], m core.Machine[M], job uint64, codec wire.Codec[M], asm *core.Assembler) (*core.Stats, error) {
 	if cfg.Recorder != nil {
 		ep.SetRecorder(cfg.Recorder)
 	}
-	link := &socketLink[M]{ep: ep, id: cfg.ID, k: cfg.K, rec: cfg.Recorder}
-	d := core.Driver[M]{ID: cfg.ID, K: cfg.K, MaxSupersteps: cfg.MaxSupersteps,
-		Context: cfg.Context, SuperstepTimeout: cfg.SuperstepTimeout, Recorder: cfg.Recorder,
-		Machine: m, RNG: rng.NewStream(cfg.Seed, uint64(cfg.ID)), Link: link,
-		Checkpoint: asm, Codec: codec}
-	if cfg.ID == 0 {
+	link := &socketLink[M]{ep: ep, id: id, k: cfg.K, rec: cfg.Recorder}
+	d := core.Driver[M]{Config: cfg, ID: id, Machine: m, Link: link, Assembler: asm, Codec: codec}
+	if id == 0 {
 		link.coord = core.NewCoordinator(cfg.K, cfg.Bandwidth, cfg.DropPerSuperstep)
 		link.rows = make([]*core.Row, cfg.K)
 		for i := range link.rows {
@@ -186,13 +140,13 @@ func runNode[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], job uint
 		d.Coord = link.coord
 	}
 	if job != 0 {
-		if err := ctrlRound(cfg, ep, ctrlJobBegin, job); err != nil {
-			return link.coord.Stats(), fmt.Errorf("node: machine %d job %d begin: %w", cfg.ID, job, err)
+		if err := ctrlRound(cfg, id, ep, ctrlJobBegin, job); err != nil {
+			return link.coord.Stats(), fmt.Errorf("node: machine %d job %d begin: %w", id, job, err)
 		}
 	}
 	if asm != nil && cfg.Checkpoint.Resume {
 		var err error
-		if d.Resume, err = resumeCut(cfg, ep, asm.Sink()); err != nil {
+		if d.Resume, err = resumeCut(cfg, id, ep, asm.Sink()); err != nil {
 			return link.coord.Stats(), err
 		}
 	}
@@ -201,8 +155,8 @@ func runNode[M any](cfg Config, ep *tcp.Endpoint[M], m core.Machine[M], job uint
 		return link.coord.Stats(), err
 	}
 	if job != 0 {
-		if err := jobEnd(cfg, ep, job); err != nil {
-			return link.coord.Stats(), fmt.Errorf("node: machine %d job %d end: %w", cfg.ID, job, err)
+		if err := jobEnd(cfg, id, ep, job); err != nil {
+			return link.coord.Stats(), fmt.Errorf("node: machine %d job %d end: %w", id, job, err)
 		}
 	}
 	return stats, nil

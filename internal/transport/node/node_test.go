@@ -61,7 +61,7 @@ func ringFactory(t *testing.T, k int) func(core.MachineID) core.Machine[echoMsg]
 
 func TestRunLocalRingMatchesCoreStats(t *testing.T) {
 	const k = 5
-	nodeStats, _, err := node.RunLocal(node.Config{K: k, Bandwidth: 2, Seed: 7}, echoCodec{}, ringFactory(t, k))
+	nodeStats, _, err := node.RunLocal(core.Config{K: k, Bandwidth: 2, Seed: 7}, echoCodec{}, ringFactory(t, k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRunLocalPageRankMatchesInMemory(t *testing.T) {
 	}
 
 	machines := make([]*pagerank.NodeMachine, k)
-	nodeStats, _, err := node.RunLocal(node.Config{K: k, Bandwidth: bw, Seed: seed + 2}, pagerank.WireCodec(),
+	nodeStats, _, err := node.RunLocal(core.Config{K: k, Bandwidth: bw, Seed: seed + 2}, pagerank.WireCodec(),
 		func(id core.MachineID) core.Machine[pagerank.Wire] {
 			m, err := pagerank.NewNodeMachine(p.View(id), opts)
 			if err != nil {

@@ -12,15 +12,16 @@
 // message-passing algorithms across substrates without changing their
 // communication cost, and the accounting split enforces that here.
 //
-// Implementations:
+// Implementations, each carrying the in-process cluster's envelopes:
 //
 //   - transport/inmem — the in-process loopback used by simulations and
 //     tests (the default);
 //   - transport/tcp — each machine has its own listener and dials every
 //     peer over real net.Conns, with per-superstep batch framing
-//     (transport/wire) and a coordinator-driven barrier;
-//   - transport/node — the standalone runtime that drives ONE machine
-//     of a cluster whose peers live in other processes (cmd/kmnode).
+//     (transport/wire).
+//
+// transport/node is not one: it is a core.Link, the socket link that
+// drives one machine per tcp.Endpoint, its peers anywhere.
 package transport
 
 import (
