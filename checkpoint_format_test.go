@@ -8,7 +8,11 @@ package kmachine_test
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
+	"maps"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -118,6 +122,31 @@ func TestCheckpointBytesIdenticalAcrossRuntimes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestConnCompCheckpointLayoutPinned pins the bytes of every conncomp
+// cut against a recorded digest. The cross-runtime test above only
+// compares runtimes with each other, so a layout change made on all of
+// them at once — a reordered label, a dropped flag — passes it; this one
+// does not, and a deliberate format change must re-record the digest.
+func TestConnCompCheckpointLayoutPinned(t *testing.T) {
+	entry, _ := algo.Lookup("conncomp")
+	prob := suiteProblem("conncomp")
+	sink := newRecordingSink(core.NewMemorySink(0))
+	prob.Checkpoint = algo.CheckpointSpec{Every: 1, Sink: sink}
+	if _, err := entry.Run(prob, transport.InMem); err != nil {
+		t.Fatal(err)
+	}
+	steps := slices.Sorted(maps.Keys(sink.cuts))
+	h := fnv.New64a()
+	for _, step := range steps {
+		fmt.Fprintf(h, "%d:%d:", step, len(sink.cuts[step]))
+		h.Write(sink.cuts[step])
+	}
+	const wantCuts, want = 36, 0xdc15f717b89a0e21
+	if got := h.Sum64(); len(steps) != wantCuts || got != want {
+		t.Errorf("%d conncomp cuts hash to %016x, recorded %d cuts hashing to %016x", len(steps), got, wantCuts, uint64(want))
 	}
 }
 

@@ -10,16 +10,18 @@ import (
 // Local is one machine's share of a connectivity output: the converged
 // labels of its locally homed vertices plus its phase count.
 type Local struct {
-	// Label maps each locally homed vertex to the minimum vertex ID of
-	// its component.
-	Label map[int32]int32
+	// Vertices are the locally homed vertices, ascending (the view's
+	// Locals(), aliased).
+	Vertices []int32
+	// Label[i] is the minimum vertex ID of Vertices[i]'s component.
+	Label []int32
 	// Phases is the number of label-propagation phases this machine ran.
 	Phases int
 }
 
 // Output implements algo.Machine.
 func (m *ccMachine) Output() Local {
-	return Local{Label: m.label, Phases: m.phase}
+	return Local{Vertices: m.locals, Label: m.label, Phases: m.phase}
 }
 
 // Descriptor returns the algo-layer descriptor of a connectivity run
@@ -33,17 +35,19 @@ func Descriptor(n int) algo.Algorithm[Wire, Local, *Result] {
 		},
 		Merge: func(locals []Local) *Result {
 			res := &Result{Label: make([]int32, n)}
-			distinct := map[int32]bool{}
 			for _, l := range locals {
-				if l.Phases > res.Phases {
-					res.Phases = l.Phases
-				}
-				for v, lbl := range l.Label {
-					res.Label[v] = lbl
-					distinct[lbl] = true
+				res.Phases = max(res.Phases, l.Phases)
+				for i, v := range l.Vertices {
+					res.Label[v] = l.Label[i]
 				}
 			}
-			res.Components = len(distinct)
+			// A label is its component's minimum ID, so each component
+			// has exactly one vertex labelled with itself.
+			for v, lbl := range res.Label {
+				if lbl == int32(v) {
+					res.Components++
+				}
+			}
 			return res
 		},
 	}

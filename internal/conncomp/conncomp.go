@@ -19,10 +19,13 @@
 package conncomp
 
 import (
-	"slices"
+	"fmt"
+	"math"
+	"math/bits"
 
 	"kmachine/internal/algo"
 	"kmachine/internal/core"
+	"kmachine/internal/graph"
 	"kmachine/internal/partition"
 	"kmachine/internal/routing"
 )
@@ -42,10 +45,19 @@ type cmsg struct {
 type wire = routing.Hop[cmsg]
 
 type ccMachine struct {
-	view partition.View
+	view   partition.View
+	locals []int32 // view.Locals(); a vertex's row is its index here
+	label  []int32 // label[r] is locals[r]'s current label
+	class  []int32 // class[r] is the first row of r's local union-find class
 
-	label  map[int32]int32
-	parent map[int32]int32 // local union-find over local-local edges
+	// Ghost table: the distinct non-local neighbours, ascending, and the
+	// rows adjacent to ghost g, ghostRows[ghostOffs[g]:ghostOffs[g+1]].
+	ghosts, ghostOffs, ghostRows []int32
+
+	// Bucket row index: the rows of the vertices in [b·width, (b+1)·width)
+	// run from first[b] to first[b+1].
+	first []int32
+	width int32
 
 	phase        int
 	anyChange    bool // set when a label changed in the last phase
@@ -57,65 +69,101 @@ type ccMachine struct {
 	outBuf   []core.Envelope[wire]
 }
 
+// newCCMachine ranks the machine's adjacency once, so that no phase
+// looks at it again: local–local arcs feed a union-find over rows that
+// is flattened into class, and cut arcs are packed as ghost<<32|row and
+// radix-sorted by ghost (stable, so rows stay ascending) into the ghost
+// table.
 func newCCMachine(view partition.View) *ccMachine {
+	locals := view.Locals()
 	m := &ccMachine{
 		view:   view,
-		label:  make(map[int32]int32),
-		parent: make(map[int32]int32),
+		locals: locals,
+		label:  make([]int32, len(locals)),
+		class:  make([]int32, len(locals)),
+		width:  int32(view.N()/max(len(locals), 1) + 1),
 	}
-	for _, v := range view.Locals() {
-		m.parent[v] = v
+	m.first = make([]int32, view.N()/int(m.width)+2)
+	for _, v := range locals {
+		m.first[v/m.width+1]++
 	}
-	// Local union-find over edges with both endpoints local: free local
-	// computation collapses each machine-local component.
-	for _, v := range view.Locals() {
+	for b := 1; b < len(m.first); b++ {
+		m.first[b] += m.first[b-1]
+	}
+
+	// Local union-find over edges with both endpoints local (free local
+	// computation collapses each machine-local component). A root is its
+	// class's lowest row, so every parent pointer points down and one
+	// ascending pass flattens the forest.
+	parent := m.class
+	for r := range parent {
+		parent[r] = int32(r)
+	}
+	find := func(r int32) int32 {
+		for parent[r] != r {
+			parent[r] = parent[parent[r]]
+			r = parent[r]
+		}
+		return r
+	}
+	var keys []uint64
+	var maxGhost int32
+	for r, v := range locals {
 		for _, w := range view.OutAdj(v) {
-			if view.IsLocal(w) {
-				m.union(v, w)
+			if !view.IsLocal(w) {
+				keys = append(keys, uint64(w)<<32|uint64(r))
+				maxGhost = max(maxGhost, w)
+			} else if a, b := find(int32(r)), find(m.rowOf(w)); a != b {
+				parent[max(a, b)] = min(a, b)
 			}
 		}
 	}
-	for _, v := range view.Locals() {
-		m.label[v] = m.find(v)
+	for r := range parent {
+		parent[r] = parent[parent[r]]
+		m.label[r] = locals[parent[r]]
 	}
-	m.relax()
+
+	keys, _ = graph.RadixSort(keys, make([]uint64, len(keys)), 32, (bits.Len32(uint32(maxGhost))+7)/8)
+	m.ghostRows = make([]int32, len(keys))
+	for p, key := range keys {
+		if w := int32(key >> 32); len(m.ghosts) == 0 || m.ghosts[len(m.ghosts)-1] != w {
+			m.ghosts = append(m.ghosts, w)
+			m.ghostOffs = append(m.ghostOffs, int32(p))
+		}
+		m.ghostRows[p] = int32(uint32(key))
+	}
+	m.ghostOffs = append(m.ghostOffs, int32(len(keys)))
 	return m
 }
 
-func (m *ccMachine) find(v int32) int32 {
-	for m.parent[v] != v {
-		m.parent[v] = m.parent[m.parent[v]]
-		v = m.parent[v]
+// rowOf returns the row of local vertex v: a scan of v's bucket, which
+// holds about one local on average and never reaches past it.
+func (m *ccMachine) rowOf(v int32) int32 {
+	b := v / m.width
+	r, end := m.first[b], m.first[b+1]
+	for r < end && m.locals[r] < v {
+		r++
 	}
-	return v
-}
-
-func (m *ccMachine) union(a, b int32) {
-	ra, rb := m.find(a), m.find(b)
-	if ra == rb {
-		return
+	if r == end || m.locals[r] != v {
+		panic(fmt.Sprintf("conncomp: machine %d holds no vertex %d", m.view.Self(), v))
 	}
-	if ra < rb {
-		m.parent[rb] = ra
-	} else {
-		m.parent[ra] = rb
-	}
+	return r
 }
 
 // relax pushes the minimum label of every local union-find class to all
-// of its members (free local computation).
+// of its members (free local computation). A class's first row comes
+// before its other rows, so the first pass can gather the minimum there
+// and the second spread it.
 func (m *ccMachine) relax() {
-	min := make(map[int32]int32)
-	for _, v := range m.view.Locals() {
-		r := m.find(v)
-		if cur, ok := min[r]; !ok || m.label[v] < cur {
-			min[r] = m.label[v]
+	for r, c := range m.class {
+		if l := m.label[r]; l < m.label[c] {
+			m.label[c] = l
+			m.anyChange = true
 		}
 	}
-	for _, v := range m.view.Locals() {
-		r := m.find(v)
-		if m.label[v] != min[r] {
-			m.label[v] = min[r]
+	for r, c := range m.class {
+		if m.label[r] != m.label[c] {
+			m.label[r] = m.label[c]
 			m.anyChange = true
 		}
 	}
@@ -128,8 +176,8 @@ func (m *ccMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]
 	for _, d := range delivered {
 		switch d.Kind {
 		case kindLabel:
-			if d.Label < m.label[d.V] {
-				m.label[d.V] = d.Label
+			if r := m.rowOf(d.V); d.Label < m.label[r] {
+				m.label[r] = d.Label
 				m.anyChange = true
 			}
 		case kindFlag:
@@ -154,27 +202,15 @@ func (m *ccMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]
 		}
 		m.anyChange = false
 		m.phase++
-		// Send per-destination-aggregated minimum labels over cut edges.
-		cand := make(map[int32]int32)
-		for _, v := range m.view.Locals() {
-			lv := m.label[v]
-			for _, w := range m.view.OutAdj(v) {
-				if m.view.IsLocal(w) {
-					continue
-				}
-				if cur, ok := cand[w]; !ok || lv < cur {
-					cand[w] = lv
-				}
+		// Send per-destination-aggregated minimum labels over cut edges:
+		// to each ghost, in ascending ID order, its neighbours' minimum.
+		for g, w := range m.ghosts {
+			l := int32(math.MaxInt32)
+			for _, r := range m.ghostRows[m.ghostOffs[g]:m.ghostOffs[g+1]] {
+				l = min(l, m.label[r])
 			}
-		}
-		keys := make([]int32, 0, len(cand))
-		for w := range cand {
-			keys = append(keys, w)
-		}
-		slices.Sort(keys)
-		for _, w := range keys {
 			out = routing.Route(out, ctx.RNG, ctx.K, m.view.HomeOf(w), 2,
-				cmsg{Kind: kindLabel, V: w, Label: cand[w]})
+				cmsg{Kind: kindLabel, V: w, Label: l})
 		}
 		return out, false
 

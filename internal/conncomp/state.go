@@ -8,10 +8,9 @@ import (
 
 // SnapshotState serialises the machine's dynamic connectivity state:
 // the 3-superstep phase cursor, the change/termination flags, and the
-// per-local-vertex labels in Locals() order. The local union-find
-// (parent) is NOT serialised: unions happen only in the constructor, so
-// its set partition is an input invariant — path compression after a
-// restore re-derives the same roots the snapshotted machine saw.
+// per-local-vertex labels in Locals() order. The class and ghost tables
+// are NOT serialised: the constructor builds them from the view alone,
+// so a machine built from the same inputs already holds them.
 func (m *ccMachine) SnapshotState(dst []byte) ([]byte, error) {
 	dst = twire.AppendUvarint(dst, uint64(m.phase))
 	var flags byte
@@ -23,23 +22,23 @@ func (m *ccMachine) SnapshotState(dst []byte) ([]byte, error) {
 	}
 	dst = append(dst, flags)
 	dst = twire.AppendUvarint(dst, uint64(m.flagsSeen))
-	for _, v := range m.view.Locals() {
-		dst = twire.AppendVarint(dst, int64(m.label[v]))
+	for _, l := range m.label {
+		dst = twire.AppendVarint(dst, int64(l))
 	}
 	return dst, nil
 }
 
 // RestoreState overwrites the machine's dynamic state from a
 // SnapshotState blob taken on a machine built from the same inputs.
-// Label entries are overwritten in place (Output aliases the map), and
+// Label entries are overwritten in place (Output aliases the slice), and
 // delivery scratch reset.
 func (m *ccMachine) RestoreState(src []byte) error {
 	c := twire.Cursor{Src: src}
 	phase := c.Uvarint()
 	flags := c.Byte()
 	flagsSeen := c.Uvarint()
-	for _, v := range m.view.Locals() {
-		m.label[v] = int32(c.Varint())
+	for r := range m.label {
+		m.label[r] = int32(c.Varint())
 	}
 	if err := c.Finish(); err != nil {
 		return fmt.Errorf("conncomp: restore: %w", err)

@@ -57,7 +57,7 @@ func newEdgeIndex(edges [][2]int32, symmetric bool, seed uint64, c int) *edgeInd
 	// preserved, nothing searched); the high word's passes then finish
 	// the (row, neighbour) order.
 	nbytes := (bits.Len32(uint32(maxID)) + 7) / 8
-	keys, tmp := radixSort(keys, make([]uint64, len(keys)), 0, nbytes)
+	keys, tmp := graph.RadixSort(keys, make([]uint64, len(keys)), 0, nbytes)
 	var his []int32 // distinct neighbour IDs, ascending
 	for p, key := range keys {
 		if hi := int32(uint32(key)); len(his) == 0 || his[len(his)-1] != hi {
@@ -65,7 +65,7 @@ func newEdgeIndex(edges [][2]int32, symmetric bool, seed uint64, c int) *edgeInd
 		}
 		keys[p] = key&^math.MaxUint32 | uint64(len(his)-1)
 	}
-	keys, _ = radixSort(keys, tmp, 32, nbytes)
+	keys, _ = graph.RadixSort(keys, tmp, 32, nbytes)
 	keys = slices.Compact(keys)
 	var los []int32 // distinct row owners, ascending
 	for p, key := range keys {
@@ -119,29 +119,6 @@ func newEdgeIndex(edges [][2]int32, symmetric bool, seed uint64, c int) *edgeInd
 		ix.off[row] = int32(len(keys))
 	}
 	return ix
-}
-
-// radixSort stable-sorts keys by the nbytes bytes that start at bit
-// shift, least significant first, ping-ponging between keys and tmp
-// (equal lengths). It returns the sorted slice and the scratch one.
-func radixSort(keys, tmp []uint64, shift uint, nbytes int) (sorted, scratch []uint64) {
-	for end := shift + 8*uint(nbytes); shift < end; shift += 8 {
-		var next [256]int
-		for _, k := range keys {
-			next[byte(k>>shift)]++
-		}
-		sum := 0
-		for d, n := range next {
-			next[d], sum = sum, sum+n
-		}
-		for _, k := range keys {
-			d := byte(k >> shift)
-			tmp[next[d]] = k
-			next[d]++
-		}
-		keys, tmp = tmp, keys
-	}
-	return keys, tmp
 }
 
 // row returns vertex i's neighbour indices, ascending.
