@@ -117,7 +117,7 @@ func BenchmarkPageRankBaseline(b *testing.B) {
 // BenchmarkPageRankAlgorithm1TCP is the end-to-end benchmark of the
 // real-deployment path: the same PageRank workload as above, but every
 // envelope crossing loopback TCP sockets through the persistent
-// exchange pipeline (encode, frame, decode, coordinator barrier). The
+// exchange pipeline (encode, frame, decode, inbox assembly). The
 // gap to BenchmarkPageRankAlgorithm1 is the total substrate cost.
 func BenchmarkPageRankAlgorithm1TCP(b *testing.B) {
 	for _, k := range []int{8, 16} {

@@ -87,8 +87,8 @@ func Run[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config)
 
 // NodeRunLocal executes the algorithm over the socket link: the full
 // k-machine cluster in this process, every machine with its own
-// listener and dialer on loopback TCP and the report/verdict rounds of
-// transport/node (cmd/kmnode -local). Outputs and Stats are
+// listener and dialer on loopback TCP, every node ruling each superstep
+// itself (transport/node, cmd/kmnode -local). Outputs and Stats are
 // bit-identical to Run with the same cfg, whose Transport is unread.
 func NodeRunLocal[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config) (O, *core.Stats, error) {
 	out, stats, _, err := execute(a, in, onSockets(cfg, nil, 0, a.Codec))

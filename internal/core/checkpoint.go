@@ -33,7 +33,7 @@ import (
 // each driver its own part, machine 0's the Stats — and enters the
 // ordinary loop at s+1; from there the replay is the original run, bit
 // for bit, because every machine draws the same random words and reads
-// the same inboxes. A stop verdict ends the run before a capture, so a
+// the same inboxes. A stop ruling ends the run before a capture, so a
 // final superstep is never captured, and a superstep whose exchange
 // failed was never captured either: a resume replays at most Every
 // supersteps.
@@ -50,9 +50,7 @@ import (
 // wire.AppendBatchV2 writes a received batch (superstep step+1, From
 // runs seeded with 0) and runs to the end of the part.
 // Stats.MaxRecvWords is derived and Stats.Recoveries is a count of
-// retries, not part of the computation's cut; neither is stored. The
-// stop verdict of the socket link ships final Stats in the same stats
-// layout.
+// retries, not part of the computation's cut; neither is stored.
 
 // Snapshotter is the per-machine state codec capability. Machines that
 // implement it (all five registry algorithms do, in their state.go

@@ -136,12 +136,11 @@ type Config struct {
 	// makes local computation free — only the phases around it.
 	Context context.Context
 	// SuperstepTimeout bounds each whole superstep, Begin through the
-	// verdict — the machines' Step calls, the exchange and, on the socket
-	// link, the report/verdict round — because the wire is live while
-	// machines compute: a peer that crashes or wedges mid-superstep, or a
-	// Step that outlasts the timeout, surfaces as a deadline error
-	// (machine-attributed on sockets) within the timeout instead of
-	// blocking the cluster forever. 0 means no per-superstep deadline;
+	// verdict — the machines' Step calls and the exchange — because the
+	// wire is live while machines compute: a peer that crashes or wedges
+	// mid-superstep, or a Step that outlasts the timeout, surfaces as a
+	// deadline error (machine-attributed on sockets) within the timeout
+	// instead of blocking the cluster forever. 0 means no per-superstep deadline;
 	// the happy-path behaviour (Stats, outputs, determinism) is identical
 	// with or without one.
 	SuperstepTimeout time.Duration
@@ -159,7 +158,7 @@ type Config struct {
 	// Recorder, when non-nil, receives wall-clock phase spans from the
 	// run: per machine and superstep a compute span (the Step call) and
 	// a barrier span (waiting for the slowest machine in-process, the
-	// report/verdict round over sockets), plus exchange spans (one per
+	// local ruling over sockets), plus exchange spans (one per
 	// superstep in-process, one per machine over sockets) and, on socket
 	// substrates, per-peer frame spans (installed on transports
 	// implementing transport.TraceSink). The recorder must tolerate
@@ -290,8 +289,7 @@ func (r *Row) Reset() {
 	*r = Row{Words: r.Words, Touched: r.Touched[:0]}
 }
 
-// VerdictKind is the ruling on one superstep; the values are the first
-// byte of the socket link's verdict frame.
+// VerdictKind is the ruling on one superstep.
 type VerdictKind byte
 
 const (
@@ -315,8 +313,9 @@ type Verdict struct {
 // SuperstepStat, the run's Stats and the verdict. It is the home of the
 // paper's §1.1 cost model — max(1, ceil(max-link-words/Bandwidth))
 // rounds per superstep — and both links rule through it (the
-// in-process rendezvous' last arriver, machine 0 of a socket cluster),
-// which is what makes Stats bit-identical across substrates.
+// in-process rendezvous' last arriver, every node of a socket cluster
+// its own replica), which is what makes Stats bit-identical across
+// substrates and across the nodes of one.
 type Coordinator struct {
 	bandwidth  int64
 	drop       bool
@@ -394,8 +393,8 @@ func (c *Coordinator) Charge(rows []*Row) {
 	}
 }
 
-// restore replaces the accounting with the Stats part of a checkpoint.
-func (c *Coordinator) restore(part []byte) error {
+// Restore replaces the accounting with the Stats part of a checkpoint.
+func (c *Coordinator) Restore(part []byte) error {
 	s, err := DecodeStats(part, len(c.recv))
 	if err != nil {
 		return err

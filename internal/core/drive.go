@@ -60,9 +60,10 @@ type Driver[M any] struct {
 	ID      int
 	Machine Machine[M]
 	Link    Link[M]
-	// Coord is set on the one machine whose link rules through it
-	// (machine 0): its driver adds the Stats part to a checkpoint and
-	// installs the one of a restored cut.
+	// Coord is set on machine 0 only, to the coordinator its link rules
+	// through: its driver adds the Stats part to a checkpoint and
+	// installs the one of a restored cut. (The socket link keeps a
+	// coordinator on every machine and restores the others itself.)
 	Coord *Coordinator
 	// Assembler, when non-nil, receives this machine's part of the cut
 	// after every Every-th superstep; Resume, when non-nil, is installed
@@ -73,7 +74,7 @@ type Driver[M any] struct {
 	Codec     wire.Codec[M]
 }
 
-// Drive runs the machine's supersteps until the stop verdict and returns
+// Drive runs the machine's supersteps until the stop ruling and returns
 // the cluster-wide Stats it carries. On an error the caller must tear
 // the machine's link down at once — peers may be parked on it.
 func Drive[M any](d Driver[M]) (*Stats, error) {
@@ -104,7 +105,7 @@ func Drive[M any](d Driver[M]) (*Stats, error) {
 			return nil, err
 		}
 		if d.Coord != nil {
-			if err := d.Coord.restore(cut.Stats); err != nil {
+			if err := d.Coord.Restore(cut.Stats); err != nil {
 				return nil, err
 			}
 		}
@@ -249,8 +250,8 @@ func (r *run[M]) account(out []Envelope[M], step int) (failure string) {
 // one goroutine each, and waits for all of them. A machine that fails
 // has fail(i, err) called at once — it must tear that machine's link
 // down so peers parked on it unblock. It returns machine 0's result,
-// or the first error in machine order: machine 0 rules for the cluster,
-// and on an abort every machine returns the same message.
+// or the first error in machine order: on a stop every machine returns
+// the same Stats, and on an abort the same message.
 func DriveAll(k int, drive func(i int) (*Stats, error), fail func(i int, err error)) (*Stats, error) {
 	stats := make([]*Stats, k)
 	errs := make([]error, k)

@@ -41,8 +41,9 @@ const (
 	PhaseCompute Phase = iota
 	// PhaseBarrier is synchronisation wait. On the in-process link it
 	// is the time between a machine finishing its Step and the slowest
-	// machine arriving at the rendezvous; on the socket link it is the
-	// coordinator report/verdict control round that plays the same role.
+	// machine arriving at the rendezvous; on the socket link, where the
+	// exchange is the synchronisation, it is only the node's local
+	// ruling of the superstep's k rows.
 	PhaseBarrier
 	// PhaseExchange is the transport moving one superstep's batched
 	// envelopes. The in-process link records it once per superstep as

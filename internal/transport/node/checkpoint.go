@@ -20,8 +20,8 @@ import (
 // ctrlResume is the pre-loop control frame of a resuming run: the
 // coordinator broadcasts the superstep of the checkpoint every node
 // must restore (encoded as step+1, so 0 means "no checkpoint, run from
-// the start"). Same value family as the job-lifecycle frames — far from
-// the verdict kinds so a misread fails loudly.
+// the start"). Same value family as the job-lifecycle frames, so a
+// misread fails loudly.
 const ctrlResume = byte(0xB2)
 
 // resumeCut is the pre-loop round of a resuming run: core.LatestCut,

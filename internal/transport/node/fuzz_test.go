@@ -1,19 +1,28 @@
 package node
 
 import (
+	"context"
+	"errors"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"kmachine/internal/core"
+	"kmachine/internal/testutil"
+	"kmachine/internal/transport"
+	"kmachine/internal/transport/tcp"
 )
 
-// FuzzControlFrames drives the decoders of every control frame the
-// socket link reads off a peer — the report, the verdict and the
-// pre/post-loop ctrl frames, ctrlResume included — seeded with the
-// frames of a real checkpointed RunLocal. Whatever the bytes, each
-// returns a value or an error; it never panics and never sizes an
-// allocation by a count it has not checked against the bytes present.
-// What decodes re-encodes to a frame that decodes to the same value.
+// FuzzControlFrames drives the decoders of every frame the socket link
+// parses off a peer — the row every peer ships behind its batch, and
+// the pre/post-loop ctrl frames, ctrlResume included — seeded with the
+// frames of a real checkpointed RunLocal and with the bytes of the
+// verdict frames the rows replaced (kind byte, then final Stats or
+// abort text). Whatever the bytes, each returns a value or an error; it
+// never panics and never sizes an allocation by a count it has not
+// checked against the bytes present. A row that decodes re-encodes to
+// a frame that decodes to the same row.
 func FuzzControlFrames(f *testing.F) {
 	const k = 4
 	sink := core.NewMemorySink(0)
@@ -28,9 +37,9 @@ func FuzzControlFrames(f *testing.F) {
 	f.Add(appendReport(nil, 3, row), uint64(3))
 	row.Done, row.Err = true, "core: machine 0 panicked in superstep 3: boom"
 	f.Add(appendReport(nil, 3, row), uint64(3))
-	f.Add(appendVerdict(nil, core.Verdict{Kind: core.VerdictContinue}), uint64(0))
-	f.Add(appendVerdict(nil, core.Verdict{Kind: core.VerdictStop, Stats: stats}), uint64(0))
-	f.Add(appendVerdict(nil, core.Verdict{Kind: core.VerdictAbort, Abort: "node: machine 2 gone"}), uint64(0))
+	f.Add([]byte{byte(core.VerdictContinue)}, uint64(0))
+	f.Add(core.AppendStats([]byte{byte(core.VerdictStop)}, stats), uint64(0))
+	f.Add(append([]byte{byte(core.VerdictAbort)}, "node: machine 2 gone"...), uint64(0))
 	f.Add(encodeCtrl(ctrlJobBegin, 7), uint64(7))
 	f.Add(encodeCtrl(ctrlJobEnd, 7), uint64(7))
 	f.Add(encodeCtrl(ctrlResume, uint64(latest+1)), uint64(latest+1))
@@ -42,17 +51,11 @@ func FuzzControlFrames(f *testing.F) {
 		if decodeReport(r, frame, step) == nil {
 			again := &core.Row{Words: make([]int64, k)}
 			if err := decodeReport(again, appendReport(nil, step, r), step); err != nil {
-				t.Fatalf("re-encoded report fails to decode: %v", err)
+				t.Fatalf("re-encoded row fails to decode: %v", err)
 			}
 			again.Touched, r.Touched = nil, nil // order of first charge, not content
 			if !reflect.DeepEqual(again, r) {
-				t.Fatalf("report round trip: %+v, want %+v", again, r)
-			}
-		}
-		if v, err := decodeVerdict(frame, k); err == nil {
-			again, err := decodeVerdict(appendVerdict(nil, v), k)
-			if err != nil || !reflect.DeepEqual(again, v) {
-				t.Fatalf("verdict round trip: %+v (err %v), want %+v", again, err, v)
+				t.Fatalf("row round trip: %+v, want %+v", again, r)
 			}
 		}
 		for _, kind := range []byte{ctrlJobBegin, ctrlJobEnd, ctrlResume} {
@@ -61,4 +64,62 @@ func FuzzControlFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestUnsoundRowBlamesItsSender is the endpoint-level counterpart of the
+// fuzz target: machine 2 ships a sound batch followed by an unsound row
+// to machines 0 and 1, and machine 0's socket link must fail the
+// superstep with a *transport.MachineError naming machine 2 — never a
+// panic, never a ruling over the bad row, never a goroutine left behind.
+func TestUnsoundRowBlamesItsSender(t *testing.T) {
+	const k, culprit = 3, 2
+	good := &core.Row{Words: make([]int64, k)}
+	narrow := &core.Row{Words: make([]int64, k-1)}
+	for _, c := range []struct {
+		name string
+		row  []byte
+	}{
+		{"empty", nil},
+		{"wrong superstep", appendReport(nil, 5, good)},
+		{"wrong link count", appendReport(nil, 0, narrow)},
+		{"truncated", appendReport(nil, 0, good)[:3]},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			eps, err := tcp.NewLoopbackMesh[failMsg](k, failCodec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				for _, ep := range eps {
+					ep.Close()
+				}
+				testutil.NoLeakedGoroutines(t, base)
+			}()
+			ctx := context.Background()
+			for i, ep := range eps {
+				if err := ep.BeginSuperstep(ctx, 0); err != nil {
+					t.Fatalf("machine %d begin: %v", i, err)
+				}
+			}
+			// Machines 1 and 2 only ship; whatever they read back is moot.
+			var wg sync.WaitGroup
+			for i, row := range [][]byte{1: appendReport(nil, 0, good), culprit: c.row} {
+				if i > 0 {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						eps[i].FinishSuperstep(0, nil, row)
+					}()
+				}
+			}
+
+			_, _, err = newSocketLink(core.Config{K: k, Bandwidth: 1}, 0, eps[0]).Round(ctx, 0, good, nil)
+			var me *transport.MachineError
+			if !errors.As(err, &me) || me.Machine != culprit || me.Superstep != 0 {
+				t.Fatalf("got %v, want a MachineError naming machine %d in superstep 0", err, culprit)
+			}
+			wg.Wait()
+		})
+	}
 }

@@ -21,11 +21,10 @@ import (
 // scratch, inboxes), a fresh coordinator (Stats), and whatever Recorder
 // the caller put in its core.Config.
 
-// Job-lifecycle control frames, exchanged on the report/verdict plane
-// around each job's superstep loop. Values deliberately far from the
-// verdict kinds (0..2): a verdict misread as a lifecycle frame — or
-// vice versa, a straggler from a mis-sequenced previous job — fails
-// loudly instead of aliasing.
+// Job-lifecycle control frames, exchanged on the control connections
+// around each job's superstep loop. Values deliberately far from any
+// other control byte: a straggler from a mis-sequenced previous job
+// fails loudly instead of aliasing.
 const (
 	ctrlJobBegin = byte(0xB0)
 	ctrlJobEnd   = byte(0xB1)
@@ -66,7 +65,7 @@ func ctrlRound[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], kind byte, v
 	if id == 0 {
 		return ep.Broadcast(hctx, encodeCtrl(kind, v))
 	}
-	frame, err := ep.ReceiveVerdict(hctx)
+	frame, err := ep.ReceiveFromCoordinator(hctx)
 	if err != nil {
 		return err
 	}
@@ -175,14 +174,14 @@ func (lm *LocalMesh) attachable() ([]*tcp.Mesh, error) {
 }
 
 // RunJobLocal executes one job on the standing mesh: typed endpoints
-// attach for job `job` (all data frames carry its ID), the coordinator
-// opens with a job-begin control frame, core.Drive runs to its stop
-// verdict — whose superstep every machine has finished, so every
-// connection is drained — and a job-end handshake certifies every
-// machine consumed it before the endpoints detach, which is what makes
-// the connections safe to hand to the next job's endpoints. Like
-// RunLocal's, cfg is validated first: a rejected job attaches nothing
-// and leaves the mesh healthy.
+// attach for job `job` (all data batches carry its ID), the coordinator
+// opens with a job-begin control frame, core.Drive runs to the stop
+// every node rules from the same last superstep — which every machine
+// has finished, so every connection is drained — and a job-end
+// handshake certifies every machine got there before the endpoints
+// detach, which is what makes the connections safe to hand to the next
+// job's endpoints. Like RunLocal's, cfg is validated first: a rejected
+// job attaches nothing and leaves the mesh healthy.
 // On any later error the mesh is poisoned (Healthy()==false) until the
 // next RunJobLocal rebuilds it.
 func RunJobLocal[M any](lm *LocalMesh, cfg core.Config, job uint64, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
@@ -225,8 +224,9 @@ func RunJobLocal[M any](lm *LocalMesh, cfg core.Config, job uint64, codec wire.C
 	return stats, w, err
 }
 
-// jobEnd proves every machine consumed its stop verdict — i.e. every
-// connection is quiescent — before the caller detaches the endpoints.
+// jobEnd proves every machine finished the job's last superstep — i.e.
+// every connection is quiescent — before the caller detaches the
+// endpoints.
 func jobEnd[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], job uint64) error {
 	hctx, cancel := handshakeCtx(cfg)
 	defer cancel()

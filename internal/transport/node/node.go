@@ -6,21 +6,21 @@
 //
 // The superstep loop is core.Drive and the run is a core.Config, the
 // same ones as the in-process cluster's; what this package adds is how
-// a superstep is closed over sockets. Each node finishes the
-// superstep's exchange with its peers, then reports its core.Row —
-// ⟨done, pending, messages, per-link word counts, error⟩ — to the
-// coordinator (machine 0), which rules through the same
-// core.Coordinator as the in-process rendezvous and broadcasts the
-// verdict: continue, stop (carrying the final Stats), or abort. A run
-// over sockets therefore reports the same Rounds and Words as the same
-// machines in one process; the conversion results of Klauck et al.
-// (arXiv:1311.6209) are about precisely this substrate-independence,
-// and the integration tests assert it.
+// a superstep is closed over sockets. Each node ships its core.Row —
+// ⟨done, pending, messages, per-link word counts, error⟩ — to every
+// peer behind its batch, so the exchange alone hands every node all k
+// rows, and every node rules them through its own replica of the
+// core.Coordinator the in-process rendezvous uses: the same rows give
+// the same continue, stop or abort, and the same Stats, on every node,
+// with no round through a coordinator. A run over sockets therefore
+// reports the same Rounds and Words as the same machines in one
+// process; the conversion results of Klauck et al. (arXiv:1311.6209)
+// need only these point-to-point links, and the integration tests
+// assert it.
 package node
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -53,10 +53,10 @@ type Place struct {
 }
 
 // Run executes machine at.ID of the cluster cfg describes: listen, dial
-// the mesh, then drive supersteps until the coordinator calls the
-// computation complete. The returned Stats are the full cluster
-// statistics (the coordinator computes them and ships them in the stop
-// verdict), so every node of a successful run returns identical Stats.
+// the mesh, then drive supersteps until the rows call the computation
+// complete. The returned Stats are the full cluster statistics, which
+// every node accounts from the same rows, so every node of a successful
+// run returns identical Stats.
 func Run[M any](cfg core.Config, at Place, m core.Machine[M], codec wire.Codec[M]) (*core.Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -123,20 +123,17 @@ func runCluster[M any](cfg core.Config, eps []*tcp.Endpoint[M], job uint64, code
 
 // runNode drives machine id over its connected endpoint: the optional
 // job-begin handshake and resume round, core.Drive, the optional job-end
-// handshake. On an error it returns the coordinator's partial Stats
-// (nil on the other machines); the caller closes the endpoint.
+// handshake. On an error it returns this node's partial Stats; the
+// caller closes the endpoint.
 func runNode[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], m core.Machine[M], job uint64, codec wire.Codec[M], asm *core.Assembler) (*core.Stats, error) {
 	if cfg.Recorder != nil {
 		ep.SetRecorder(cfg.Recorder)
 	}
-	link := &socketLink[M]{ep: ep, id: id, k: cfg.K, rec: cfg.Recorder}
+	link := newSocketLink(cfg, id, ep)
 	d := core.Driver[M]{Config: cfg, ID: id, Machine: m, Link: link, Assembler: asm, Codec: codec}
 	if id == 0 {
-		link.coord = core.NewCoordinator(cfg.K, cfg.Bandwidth, cfg.DropPerSuperstep)
-		link.rows = make([]*core.Row, cfg.K)
-		for i := range link.rows {
-			link.rows[i] = &core.Row{Words: make([]int64, cfg.K)}
-		}
+		// Machine 0 alone adds the Stats to a checkpoint, so the stored
+		// bytes are those of the in-process link.
 		d.Coord = link.coord
 	}
 	if job != 0 {
@@ -148,6 +145,12 @@ func runNode[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], m core.Machine
 		var err error
 		if d.Resume, err = resumeCut(cfg, id, ep, asm.Sink()); err != nil {
 			return link.coord.Stats(), err
+		}
+		// Drive restores machine 0's replica; every other one restores here.
+		if d.Resume != nil && id != 0 {
+			if err := link.coord.Restore(d.Resume.Stats); err != nil {
+				return link.coord.Stats(), err
+			}
 		}
 	}
 	stats, err := core.Drive(d)
@@ -162,31 +165,41 @@ func runNode[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], m core.Machine
 	return stats, nil
 }
 
-// socketLink is core.Drive's link over one tcp.Endpoint. A superstep is
-// closed in two phases under the superstep context Begin armed: the
-// data-plane exchange with every peer, then the report/verdict control
-// round through machine 0.
+// socketLink is core.Drive's link over one tcp.Endpoint. A superstep
+// is closed by the data-plane exchange alone: this node's row rides
+// behind its batch to every peer, and once FinishSuperstep has every
+// peer's batch and row, the node rules the k rows itself.
 //
 // The failure protocol: a machine whose Step failed still exchanges (an
-// empty batch) and carries the error in its report, so the coordinator
-// learns of it and broadcasts an abort verdict that every machine
-// returns as the same error; a machine that dies outright is detected
-// by its peers' bounded reads (exchange) or the coordinator's bounded
-// CollectReports, and the coordinator then broadcasts the abort best
-// effort over whatever control connections remain before failing
-// itself. Transport-level failures arrive as *transport.MachineError
-// with machine/superstep attribution from the tcp layer.
+// empty batch) and carries the error in its row, so every node rules
+// the same abort and returns the same message (the first error in
+// machine order). A machine that dies outright — machine 0 included —
+// is detected by its peers' bounded reads of its batch or row. Failures
+// arrive as *transport.MachineError with machine/superstep attribution
+// from the tcp layer; an unsound row is attributed to its sender the
+// same way.
 type socketLink[M any] struct {
-	ep    *tcp.Endpoint[M]
-	id, k int
-	rec   obs.Recorder
-	coord *core.Coordinator // machine 0 only, with rows to decode into
+	ep  *tcp.Endpoint[M]
+	id  int
+	rec obs.Recorder
+	// coord is this node's replica of the ruling; rows are the peers'
+	// decoded rows, rows[id] this node's own.
+	coord *core.Coordinator
 	rows  []*core.Row
-	// buf is the report (and, on machine 0, then the verdict) encode
-	// scratch. Recycling it is safe because the endpoint either writes a
-	// payload out immediately or (on the coordinator) queues it only
-	// until the CollectReports of this same superstep pops it.
+	// buf is the row encode scratch; the endpoint drops it once
+	// FinishSuperstep returns.
 	buf []byte
+}
+
+func newSocketLink[M any](cfg core.Config, id int, ep *tcp.Endpoint[M]) *socketLink[M] {
+	l := &socketLink[M]{ep: ep, id: id, rec: cfg.Recorder,
+		coord: core.NewCoordinator(cfg.K, cfg.Bandwidth, cfg.DropPerSuperstep), rows: make([]*core.Row, cfg.K)}
+	for i := range l.rows {
+		if i != id {
+			l.rows[i] = &core.Row{Words: make([]int64, cfg.K)}
+		}
+	}
+	return l
 }
 
 func (l *socketLink[M]) Begin(ctx context.Context, step int) error {
@@ -197,70 +210,30 @@ func (l *socketLink[M]) Send(to core.MachineID, batch []core.Envelope[M]) error 
 	return l.ep.StreamBatch(to, batch)
 }
 
-func (l *socketLink[M]) Round(ctx context.Context, step int, row *core.Row, rest []core.Envelope[M]) (core.Verdict, []core.Envelope[M], error) {
+func (l *socketLink[M]) Round(_ context.Context, step int, row *core.Row, rest []core.Envelope[M]) (core.Verdict, []core.Envelope[M], error) {
 	// The exchange span is this node's data-plane barrier, the barrier
-	// span the report/verdict round, both with Machine = ID: every node
-	// performs its own.
+	// span its local ruling, both with Machine = ID: every node performs
+	// its own.
+	l.buf = appendReport(l.buf[:0], step, row)
 	t0 := l.now()
-	next, err := l.ep.FinishSuperstep(step, rest)
+	next, rows, err := l.ep.FinishSuperstep(step, rest, l.buf)
 	l.span(t0, step, obs.PhaseExchange)
 	if err != nil {
 		return core.Verdict{}, nil, err
 	}
 	defer l.span(l.now(), step, obs.PhaseBarrier)
-
-	l.buf = appendReport(l.buf[:0], step, row)
-	if err := l.ep.SendToCoordinator(ctx, l.buf); err != nil {
-		return core.Verdict{}, nil, fmt.Errorf("node: machine %d report (superstep %d): %w", l.id, step, err)
-	}
-	if l.coord == nil {
-		payload, err := l.ep.ReceiveVerdict(ctx)
-		if err != nil {
-			// No verdict within the deadline: the coordinator (or the path
-			// to it) is gone. Attribute the wait to machine 0 — unless the
-			// tcp layer already attributed a more specific culprit.
-			var me *transport.MachineError
-			if !errors.As(err, &me) {
-				err = &transport.MachineError{Machine: 0, Superstep: step,
-					Err: fmt.Errorf("node: machine %d verdict wait: %w", l.id, err)}
-			}
-			return core.Verdict{}, nil, err
+	for j, b := range rows {
+		if j == l.id {
+			l.rows[j] = row
+		} else if err := decodeReport(l.rows[j], b, step); err != nil {
+			return core.Verdict{}, nil, l.ep.Reject(j, step, fmt.Errorf("node: machine %d row from %d: %w", l.id, j, err))
 		}
-		v, err := decodeVerdict(payload, l.k)
-		return v, next, err
-	}
-	reports, err := l.ep.CollectReports(ctx, step)
-	for i := 0; err == nil && i < len(reports); i++ {
-		if err = decodeReport(l.rows[i], reports[i], step); err != nil {
-			err = fmt.Errorf("node: coordinator report from %d: %w", i, err)
-		}
-	}
-	if err != nil {
-		// A report that never arrived means a peer died between the
-		// exchange and its report. Propagate the abort to the survivors so
-		// they return an attributed error instead of waiting out their own
-		// deadlines.
-		l.abortBroadcast(ctx, err)
-		return core.Verdict{}, nil, err
 	}
 	v := l.coord.Rule(l.rows)
 	if v.Kind == core.VerdictContinue {
 		l.coord.Charge(l.rows) // delivered above, so charged
 	}
-	l.buf = appendVerdict(l.buf[:0], v)
-	return v, next, l.ep.Broadcast(ctx, l.buf)
-}
-
-// abortBroadcast ships an abort verdict to every peer, best effort.
-// The coordinator reaches here precisely when the superstep context has
-// failed (an expired deadline is the common case), so the writes run
-// under a fresh short deadline — reusing the dead context would make
-// every abort write fail instantly and leave the survivors to time out
-// blaming the coordinator instead of the real culprit.
-func (l *socketLink[M]) abortBroadcast(sctx context.Context, cause error) {
-	actx, cancel := context.WithTimeout(context.WithoutCancel(sctx), 2*time.Second)
-	defer cancel()
-	_ = l.ep.Broadcast(actx, appendVerdict(nil, core.Verdict{Kind: core.VerdictAbort, Abort: cause.Error()}))
+	return v, next, nil
 }
 
 func (l *socketLink[M]) now() int64 {
@@ -277,9 +250,10 @@ func (l *socketLink[M]) span(start int64, step int, phase obs.Phase) {
 	}
 }
 
-// The report frame is a core.Row on the wire: flags, superstep,
-// messages, the link count and that many link words, then the error
-// text if flagged.
+// The row frame is a core.Row on the wire: flags, superstep, messages,
+// the link count and that many link words, then the error text if
+// flagged. The flags byte never reaches 0xFF, so a row is never taken
+// for a blame frame.
 const (
 	repFlagDone = 1 << iota
 	repFlagPending
@@ -307,62 +281,32 @@ func appendReport(dst []byte, step int, r *core.Row) []byte {
 	return append(dst, r.Err...)
 }
 
-// decodeReport decodes a report into r, whose Words fix the link count
-// — the coordinator decodes k reports per superstep into the same
-// recycled rows.
+// decodeReport decodes a row frame into r, whose Words fix the link
+// count — every node decodes its k-1 peers' rows each superstep into
+// the same recycled rows.
 func decodeReport(r *core.Row, buf []byte, wantStep int) error {
 	if len(buf) < 1 {
-		return fmt.Errorf("node: empty report")
+		return fmt.Errorf("node: empty row")
 	}
 	r.Reset()
 	c := wire.Cursor{Src: buf, Off: 1}
 	step := c.Uvarint()
 	r.Messages = int64(c.Uvarint())
 	if n := c.Uvarint(); c.Err == nil && n != uint64(len(r.Words)) {
-		return fmt.Errorf("node: report has %d links, want %d", n, len(r.Words))
+		return fmt.Errorf("node: row has %d links, want %d", n, len(r.Words))
 	}
 	for i := range r.Words {
 		r.Add(core.MachineID(i), int64(c.Uvarint()))
 	}
 	if c.Err != nil {
-		return fmt.Errorf("node: corrupt report: %w", c.Err)
+		return fmt.Errorf("node: corrupt row: %w", c.Err)
 	}
 	if int(step) != wantStep {
-		return fmt.Errorf("node: report for superstep %d, want %d", step, wantStep)
+		return fmt.Errorf("node: row for superstep %d, want %d", step, wantStep)
 	}
 	r.Done, r.Pending = buf[0]&repFlagDone != 0, buf[0]&repFlagPending != 0
 	if buf[0]&repFlagError != 0 {
 		r.Err = string(buf[c.Off:])
 	}
 	return nil
-}
-
-// The verdict frame: the kind byte, then the final Stats (stop, in
-// core's stats layout) or the error text (abort).
-func appendVerdict(dst []byte, v core.Verdict) []byte {
-	dst = append(dst, byte(v.Kind))
-	if v.Kind == core.VerdictStop {
-		return core.AppendStats(dst, v.Stats)
-	}
-	return append(dst, v.Abort...)
-}
-
-func decodeVerdict(buf []byte, k int) (core.Verdict, error) {
-	if len(buf) < 1 {
-		return core.Verdict{}, fmt.Errorf("node: empty verdict")
-	}
-	v := core.Verdict{Kind: core.VerdictKind(buf[0])}
-	switch v.Kind {
-	case core.VerdictContinue:
-	case core.VerdictStop:
-		var err error
-		if v.Stats, err = core.DecodeStats(buf[1:], k); err != nil {
-			return core.Verdict{}, fmt.Errorf("node: decode final stats: %w", err)
-		}
-	case core.VerdictAbort:
-		v.Abort = string(buf[1:])
-	default:
-		return core.Verdict{}, fmt.Errorf("node: unknown verdict kind %d", v.Kind)
-	}
-	return v, nil
 }

@@ -85,6 +85,24 @@ func TestRunLocalRingMatchesCoreStats(t *testing.T) {
 	}
 }
 
+// TestRunLocalIsOneHop counts the frames of a superstep over sockets:
+// one batch frame and one row frame per directed pair, and no control
+// frame — the exchange is the superstep's only synchronisation. A round
+// through a coordinator would add 2(k-1) frames per superstep.
+func TestRunLocalIsOneHop(t *testing.T) {
+	const k = 4
+	stats, w, err := node.RunLocal(core.Config{K: k, Bandwidth: 2, Seed: 7}, echoCodec{}, ringFactory(t, k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every superstep is exchanged, the final silent one included, but
+	// only the ones before it are charged.
+	s := int64(stats.Supersteps + 1)
+	if want := s * k * (k - 1) * 2; w.FramesSent != want || w.FramesRecv != want {
+		t.Errorf("%d supersteps sent %d and received %d frames, want %d", s, w.FramesSent, w.FramesRecv, want)
+	}
+}
+
 // TestRunLocalPageRankMatchesInMemory is the paper-level claim: the
 // same PageRank machines, run as k standalone node runtimes over
 // loopback TCP, produce bit-identical estimates and identical measured

@@ -5,7 +5,7 @@ package tcp
 // its buffers have grown to the working set, a steady-state superstep —
 // release the parked readers, hand one batch per machine to its writer
 // mid-superstep and the rest at the finish, encode/ship/receive/decode
-// k(k-1) batch frames, pass the coordinator barrier, merge the inboxes —
+// k(k-1) batch frames and as many row frames, merge the inboxes —
 // must not allocate. The budget covers only the measured loop's incidental noise
 // (runtime timer churn from connection deadlines); a per-superstep
 // allocation sneaking back into the pipeline blows it immediately

@@ -18,7 +18,7 @@ const connBufSize = 64 << 10
 func newDataConn(c net.Conn) *dataConn {
 	if tc, ok := c.(*net.TCPConn); ok {
 		// Batches are written once per superstep and flushed whole;
-		// Nagle only adds latency to the barrier frames.
+		// Nagle only adds latency to the small row frames.
 		tc.SetNoDelay(true)
 	}
 	return &dataConn{
@@ -28,14 +28,14 @@ func newDataConn(c net.Conn) *dataConn {
 	}
 }
 
-// writeFrameLocked ships one frame under the connection's write mutex:
-// the writer worker and a concurrent blame broadcast (castBlame) may
-// target the same connection, and the mutex is what keeps their frames
-// whole on the stream.
-func (dc *dataConn) writeFrameLocked(dl time.Time, payload []byte) error {
+// writeFrameLocked ships frames under the connection's write mutex,
+// flushed once: the writer worker and a concurrent blame broadcast
+// (castBlame) may target the same connection, and the mutex is what
+// keeps their frames whole on the stream.
+func (dc *dataConn) writeFrameLocked(dl time.Time, payloads ...[]byte) error {
 	dc.wmu.Lock()
 	defer dc.wmu.Unlock()
-	return dc.writeFrame(dl, payload)
+	return dc.writeFrames(dl, payloads)
 }
 
 // tryWriteFrameLocked is writeFrameLocked for callers that must not
@@ -47,15 +47,17 @@ func (dc *dataConn) tryWriteFrameLocked(dl time.Time, payload []byte) (bool, err
 		return false, nil
 	}
 	defer dc.wmu.Unlock()
-	return true, dc.writeFrame(dl, payload)
+	return true, dc.writeFrames(dl, [][]byte{payload})
 }
 
-func (dc *dataConn) writeFrame(dl time.Time, payload []byte) error {
+func (dc *dataConn) writeFrames(dl time.Time, payloads [][]byte) error {
 	if err := dc.c.SetWriteDeadline(dl); err != nil {
 		return err
 	}
-	if err := wire.WriteFrame(dc.w, payload); err != nil {
-		return err
+	for _, p := range payloads {
+		if err := wire.WriteFrame(dc.w, p); err != nil {
+			return err
+		}
 	}
 	return dc.w.Flush()
 }

@@ -62,9 +62,9 @@ func TestPipelineWorkersPersistAcrossSupersteps(t *testing.T) {
 
 // TestWireStatsCountsFrames checks the physical-layer accounting: a
 // healthy loopback mesh receives every byte it ships, the per-superstep
-// frame count matches the protocol (k·(k-1) data frames plus the
-// barrier's 2(k-1) control frames and k-1 loopback-free reports), and
-// byte totals grow monotonically with traffic.
+// frame count matches the protocol (a batch frame and a row frame per
+// directed pair, nothing else), and byte totals grow monotonically with
+// traffic.
 func TestWireStatsCountsFrames(t *testing.T) {
 	const k = 3
 	tr, err := New[testMsg](k, testCodec{})
@@ -85,9 +85,9 @@ func TestWireStatsCountsFrames(t *testing.T) {
 		t.Errorf("loopback mesh sent %d bytes/%d frames but received %d/%d",
 			w0.BytesSent, w0.FramesSent, w0.BytesRecv, w0.FramesRecv)
 	}
-	// Data: k(k-1) frames. Barrier: k-1 reports to the coordinator over
-	// sockets (its own loops back unframed) and k-1 verdict broadcasts.
-	wantFrames := int64(k*(k-1) + 2*(k-1))
+	// One batch frame and one row frame per directed pair; the cluster
+	// Transport's rows are empty, and no control frame crosses a socket.
+	wantFrames := int64(2 * k * (k - 1))
 	if w0.FramesSent != wantFrames {
 		t.Errorf("empty superstep shipped %d frames, want %d", w0.FramesSent, wantFrames)
 	}
@@ -212,10 +212,11 @@ func TestBadFrameFailsWhereItIsFound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ms[1].out[0].writeFrameLocked(time.Time{}, row.frame); err != nil {
+			// Each batch is followed by machine 1's (empty) row frame.
+			if err := ms[1].out[0].writeFrameLocked(time.Time{}, row.frame, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := ms[1].out[2].writeFrameLocked(time.Time{}, empty); err != nil {
+			if err := ms[1].out[2].writeFrameLocked(time.Time{}, empty, nil); err != nil {
 				t.Fatal(err)
 			}
 			ctx := context.Background()
@@ -237,7 +238,7 @@ func TestBadFrameFailsWhereItIsFound(t *testing.T) {
 				if e0.inboxes[0] != nil || e0.inboxes[1] != nil {
 					t.Fatal("an inbox was sized before the reader rejected the frame")
 				}
-				_, err := e0.FinishSuperstep(0, nil)
+				_, _, err := e0.FinishSuperstep(0, nil, nil)
 				blames("machine 0", err)
 			} else {
 				_, errs := jobExchange([]*Endpoint[testMsg]{e0, e2}, 0, make([][]transport.Envelope[testMsg], 2))
@@ -260,7 +261,7 @@ func TestBadFrameFailsWhereItIsFound(t *testing.T) {
 				t.Fatal(err)
 			}
 			e2.workWG.Wait()
-			_, err = e2.FinishSuperstep(step, nil)
+			_, _, err = e2.FinishSuperstep(step, nil, nil)
 			blames("bystander", err)
 		})
 	}

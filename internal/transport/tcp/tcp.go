@@ -4,7 +4,12 @@
 // connections. Envelopes cross machine boundaries as length-prefixed
 // binary frames (transport/wire), one batch frame per (sender,
 // receiver) pair per superstep — empty batches included, which is how a
-// receiver knows a superstep's input is complete.
+// receiver knows a superstep's input is complete — each followed on the
+// same connection by one row frame: the sender's account of the
+// superstep, opaque to this package (the socket link's core.Row, empty
+// on the cluster-side Transport). Every machine thus holds all k rows
+// once its exchange completes, so the exchange is the superstep's only
+// synchronisation.
 //
 // The per-superstep exchange is a persistent parallel pipeline: every
 // data connection is owned by a long-lived worker goroutine — one
@@ -19,11 +24,11 @@
 // synchronisation state allocated on the steady-state path. Workers
 // exit when the endpoint closes; they never leak across supersteps.
 //
-// Machine 0 additionally acts as the coordinator: every other machine
-// holds a control connection to it, used for the superstep barrier
-// (Transport.Finish) and for the report/verdict protocol of the
-// standalone runtime (transport/node). The coordinator's per-peer
-// report reads are driven by the same persistent-worker machinery.
+// Every other machine also holds a control connection to machine 0, the
+// coordinator of the pre- and post-loop rounds of the standalone
+// runtime (transport/node: job begin, resume, job end); no superstep
+// touches it. The coordinator's per-peer control reads are driven by
+// the same persistent-worker machinery.
 //
 // The package knows nothing about rounds or words: cost accounting
 // stays in core, which is what keeps Stats bit-identical between this
@@ -70,12 +75,15 @@ type dataConn struct {
 }
 
 // pipeJob is one superstep's marching order for a parked pipeline
-// worker: which superstep to ship or expect and the I/O deadline to
-// install first. It is passed by value over a buffered channel, so
-// signalling a worker allocates nothing.
+// worker: which superstep to ship or expect, the I/O deadline to
+// install first and, for a writer, which of the pair's two frames to
+// ship — the batch, the row, or both in one flush. It is passed by
+// value over a buffered channel, so signalling a worker allocates
+// nothing.
 type pipeJob struct {
-	step int
-	dl   time.Time
+	step       int
+	dl         time.Time
+	batch, row bool
 }
 
 // Endpoint is one machine's typed socket stack over a Mesh: the
@@ -101,19 +109,17 @@ type Endpoint[M any] struct {
 
 	ownQueue [][]byte // id==0: coordinator's loopback report queue
 
-	// Pipeline worker state, created once per endpoint lifetime. The
-	// channels carry at most one job (FinishSuperstep is a barrier, so a
-	// second superstep cannot be signalled before the first drains); workWG
-	// counts in-flight data jobs and ctrlWG in-flight coordinator report
-	// reads. Worker failures land in the cause/shrapnel pairs below —
-	// all hoisted out of the per-call path, so a steady-state superstep
-	// allocates nothing.
+	// Pipeline worker state, created once per endpoint lifetime. A
+	// reader channel carries at most one job and a writer channel two — a
+	// streamed batch and the row queued behind it — because
+	// FinishSuperstep drains a superstep before the next can be
+	// signalled; workWG counts in-flight jobs. Worker failures land in
+	// the cause/shrapnel pair below — all hoisted out of the per-call
+	// path, so a steady-state superstep allocates nothing.
 	started  bool
 	writerCh []chan pipeJob
 	readerCh []chan pipeJob
-	ctrlCh   []chan pipeJob // id==0 only
 	workWG   sync.WaitGroup
-	ctrlWG   sync.WaitGroup
 
 	// Worker error state, reset per superstep and guarded by mu. The
 	// FIRST-ARRIVING genuine error wins (cause), because causality on a
@@ -123,8 +129,7 @@ type Endpoint[M any] struct {
 	// EOF happened to sit in an earlier slot. net.ErrClosed failures —
 	// shrapnel of our own cascade close — are kept apart and reported
 	// only when no genuine cause surfaced.
-	cause, shrapnel         error // data path (Begin..FinishSuperstep)
-	ctrlCause, ctrlShrapnel error // control path (CollectReports)
+	cause, shrapnel error
 
 	// Per-superstep scratch, recycled across calls (the transport
 	// ownership rule). perDest/tx/frame are dead once FinishSuperstep
@@ -133,16 +138,20 @@ type Endpoint[M any] struct {
 	// for the finish to decode into the inbox — the one place received
 	// envelopes exist decoded — which is handed to the caller and
 	// double-buffered so the previous superstep's envelopes survive while
-	// the next one is built. reports/ctrlFrame and verdictBuf are the
-	// control-plane equivalents: the payloads returned by CollectReports
-	// and ReceiveVerdict stay valid until the next call of the same method.
-	perDest [][]transport.Envelope[M] // outgoing split by destination
-	tx      [][]byte                  // per-peer batch encode buffers
-	frame   [][]byte                  // per-peer frame read buffers
-	rxBatch [][]byte                  // per-peer received batch, undecoded
-	rxCount []int                     // per-peer envelope count of rxBatch
-	inboxes [2][]transport.Envelope[M]
-	gen     int
+	// the next one is built. The peer's row frame lands in rxRow (a
+	// window of rowFrame[j]), returned as is and valid until the next
+	// BeginSuperstep. ctrlBuf is the control-plane equivalent: the
+	// payload ReceiveFromCoordinator returns stays valid until its next
+	// call.
+	perDest  [][]transport.Envelope[M] // outgoing split by destination
+	tx       [][]byte                  // per-peer batch encode buffers
+	frame    [][]byte                  // per-peer batch read buffers
+	rowFrame [][]byte                  // per-peer row read buffers
+	rxBatch  [][]byte                  // per-peer received batch, undecoded
+	rxCount  []int                     // per-peer envelope count of rxBatch
+	rxRow    [][]byte                  // per-peer received row
+	inboxes  [2][]transport.Envelope[M]
+	gen      int
 
 	// txSrc[j] is what peer j's writer worker encodes this superstep:
 	// the recycled perDest[j] split of the rest envelopes, or the
@@ -152,12 +161,16 @@ type Endpoint[M any] struct {
 	// perDest — so the next superstep's perDest[j][:0] recycling can
 	// never append into machine-owned memory.
 	txSrc [][]transport.Envelope[M]
+	// txRow is the row every writer frames behind its batch this
+	// superstep: the caller's bytes, dropped once FinishSuperstep returns.
+	txRow []byte
 
 	// Open-superstep state (the per-machine half of
 	// transport.Transport; the cluster Transport composes k of these).
 	// Guarded by mu where concurrent with StreamBatch; the
 	// Begin→drive→Finish handoff provides the rest of the ordering.
 	strEmitted []bool      // peers already streamed to this superstep
+	strQueued  []bool      // ... whose batch went to the writer worker
 	strOn      bool        // BeginSuperstep called, FinishSuperstep pending
 	strStep    int         // the open superstep
 	strDl      time.Time   // its I/O deadline
@@ -171,13 +184,10 @@ type Endpoint[M any] struct {
 	// stay parallel regardless — a read is mostly netpoll parking, which
 	// costs no core while it waits.
 	serialWriters bool
-	reports       [][]byte // id==0: assembled CollectReports result
-	ctrlFrame     [][]byte // id==0: per-peer control read buffers
-	barrierBuf    []byte
-	verdictBuf    []byte
+	ctrlBuf       []byte // id>0: ReceiveFromCoordinator read buffer
 
 	// Bytes-on-wire accounting: every frame that crosses a socket —
-	// data batches and control payloads alike — is counted with its
+	// batches, rows and control payloads alike — is counted with its
 	// length prefix, against the peer it crossed to or from. Atomics
 	// because writers, readers, and the control plane account
 	// concurrently; WireStats sums the lanes into totals on demand.
@@ -208,10 +218,13 @@ func newEndpoint[M any](m *Mesh, codec wire.Codec[M]) *Endpoint[M] {
 		perDest:    make([][]transport.Envelope[M], k),
 		tx:         make([][]byte, k),
 		frame:      make([][]byte, k),
+		rowFrame:   make([][]byte, k),
 		rxBatch:    make([][]byte, k),
 		rxCount:    make([]int, k),
+		rxRow:      make([][]byte, k),
 		txSrc:      make([][]transport.Envelope[M], k),
 		strEmitted: make([]bool, k),
+		strQueued:  make([]bool, k),
 		wirePeers:  make([]peerWire, k),
 
 		serialWriters: runtime.GOMAXPROCS(0) == 1,
@@ -331,9 +344,8 @@ func (e *Endpoint[M]) Connect(peers []string, timeout time.Duration) error {
 }
 
 // startPipeline spawns the persistent per-connection workers: a writer
-// and a reader per data peer, plus (on the coordinator) a control
-// reader per peer for CollectReports. Workers park on their signal
-// channel between supersteps and exit when Close closes it.
+// and a reader per data peer. Workers park on their signal channel
+// between supersteps and exit when Close closes it.
 func (e *Endpoint[M]) startPipeline() {
 	e.writerCh = make([]chan pipeJob, e.k)
 	e.readerCh = make([]chan pipeJob, e.k)
@@ -341,19 +353,10 @@ func (e *Endpoint[M]) startPipeline() {
 		if j == e.id {
 			continue
 		}
-		e.writerCh[j] = make(chan pipeJob, 1)
+		e.writerCh[j] = make(chan pipeJob, 2)
 		e.readerCh[j] = make(chan pipeJob, 1)
-		go e.pipeWorker(e.writerCh[j], &e.workWG, func(job pipeJob) { e.runWriter(j, job) })
-		go e.pipeWorker(e.readerCh[j], &e.workWG, func(job pipeJob) { e.runReader(j, job) })
-	}
-	if e.id == 0 {
-		e.ctrlCh = make([]chan pipeJob, e.k)
-		e.reports = make([][]byte, e.k)
-		e.ctrlFrame = make([][]byte, e.k)
-		for j := 1; j < e.k; j++ {
-			e.ctrlCh[j] = make(chan pipeJob, 1)
-			go e.pipeWorker(e.ctrlCh[j], &e.ctrlWG, func(job pipeJob) { e.runCtrlReader(j, job) })
-		}
+		go e.pipeWorker(e.writerCh[j], func(job pipeJob) { e.runWriter(j, job) })
+		go e.pipeWorker(e.readerCh[j], func(job pipeJob) { e.runReader(j, job) })
 	}
 	e.mu.Lock()
 	e.started = true
@@ -368,28 +371,28 @@ func (e *Endpoint[M]) startPipeline() {
 // buffered when Close fires is still delivered before the closed-channel
 // zero value, so the sender's WaitGroup always drains (the job's I/O
 // fails fast on the closed connections).
-func (e *Endpoint[M]) pipeWorker(ch chan pipeJob, wg *sync.WaitGroup, run func(pipeJob)) {
+func (e *Endpoint[M]) pipeWorker(ch chan pipeJob, run func(pipeJob)) {
 	for job := range ch {
 		run(job)
-		wg.Done()
+		e.workWG.Done()
 	}
 }
 
-// recordErr files a worker failure into a (cause, shrapnel) pair:
+// recordErr files a worker failure as the cause or the shrapnel:
 // net.ErrClosed errors — the debris of our own teardown — are kept
 // apart from genuine causes, and within each class the first arrival
 // wins. Returns whether err was installed as the genuine cause.
-func (e *Endpoint[M]) recordErr(cause, shrapnel *error, err error) bool {
+func (e *Endpoint[M]) recordErr(err error) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if errors.Is(err, net.ErrClosed) {
-		if *shrapnel == nil {
-			*shrapnel = err
+		if e.shrapnel == nil {
+			e.shrapnel = err
 		}
 		return false
 	}
-	if *cause == nil {
-		*cause = err
+	if e.cause == nil {
+		e.cause = err
 		return true
 	}
 	return false
@@ -420,7 +423,7 @@ const blameWriteTimeout = time.Second
 // race real (the slow per-superstep goroutine spawns of the previous
 // engine masked it).
 func (e *Endpoint[M]) fail(err error) {
-	if e.recordErr(&e.cause, &e.shrapnel, err) {
+	if e.recordErr(err) {
 		e.castBlame(err)
 	}
 	e.Close()
@@ -449,62 +452,75 @@ func (e *Endpoint[M]) castBlame(cause error) {
 	}
 }
 
-// runWriter encodes and ships this superstep's batch for peer j: its
-// own recycled buffer, its own connection, in parallel with every other
-// writer — the serial encode loop of the previous engine is gone.
+// runWriter ships this superstep's frames for peer j — the batch, the
+// row, or the batch and the row in one flush: its own recycled buffer,
+// its own connection, in parallel with every other writer.
 func (e *Endpoint[M]) runWriter(j int, job pipeJob) {
 	t0 := e.now()
-	base := e.tx[j][:0]
-	if e.jobbed {
-		// Job-attached endpoints scope every data frame: the header sits
-		// ahead of the version byte, the batch encoding is untouched.
-		base = wire.AppendJobHeader(base, e.jobID)
-	}
-	buf, err := wire.AppendBatchV2(base, job.step, transport.MachineID(e.id), transport.MachineID(j), e.txSrc[j], e.codec)
-	e.tx[j] = buf[:0]
-	if err != nil {
-		// An encode failure is OUR defect (a codec bug, a malformed
-		// envelope), not peer j's: attribute it to this machine so the
-		// blame broadcast names the actual culprit instead of spreading
-		// "j failed" across the cluster.
-		e.fail(&transport.MachineError{Machine: transport.MachineID(e.id), Superstep: job.step, Job: e.jobID,
-			Err: fmt.Errorf("tcp: machine %d encode batch for %d: %w", e.id, j, err)})
-		return
+	var batch []byte
+	if job.batch {
+		base := e.tx[j][:0]
+		if e.jobbed {
+			// Job-attached endpoints scope every batch: the header sits
+			// ahead of the version byte, the batch encoding is untouched.
+			base = wire.AppendJobHeader(base, e.jobID)
+		}
+		var err error
+		batch, err = wire.AppendBatchV2(base, job.step, transport.MachineID(e.id), transport.MachineID(j), e.txSrc[j], e.codec)
+		e.tx[j] = batch[:0]
+		if err != nil {
+			// An encode failure is OUR defect (a codec bug, a malformed
+			// envelope), not peer j's: attribute it to this machine so the
+			// blame broadcast names the actual culprit instead of spreading
+			// "j failed" across the cluster.
+			e.fail(&transport.MachineError{Machine: transport.MachineID(e.id), Superstep: job.step, Job: e.jobID,
+				Err: fmt.Errorf("tcp: machine %d encode batch for %d: %w", e.id, j, err)})
+			return
+		}
 	}
 	// writeFrameLocked installs job.dl first and refuses to write if the
 	// deadline cannot be set: falling through into an unbounded write
 	// would silently defeat the wedge detection the deadline exists for.
-	if err := e.out[j].writeFrameLocked(job.dl, buf); err != nil {
+	var err error
+	switch {
+	case job.batch && job.row:
+		err = e.out[j].writeFrameLocked(job.dl, batch, e.txRow)
+	case job.batch:
+		err = e.out[j].writeFrameLocked(job.dl, batch)
+	default:
+		err = e.out[j].writeFrameLocked(job.dl, e.txRow)
+	}
+	if err != nil {
 		e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d send to %d: %w", e.id, j, err)))
 		return
 	}
-	e.countSent(j, len(buf))
-	e.span(t0, obs.PhaseFrameWrite, j, job.step, wire.FrameSize(len(buf)))
+	if job.batch {
+		e.countSent(j, len(batch))
+		e.span(t0, obs.PhaseFrameWrite, j, job.step, wire.FrameSize(len(batch)))
+		t0 = e.now() // a row flushed with its batch records a zero-length span
+	}
+	if job.row {
+		e.countSent(j, len(e.txRow))
+		e.span(t0, obs.PhaseFrameWrite, j, job.step, wire.FrameSize(len(e.txRow)))
+	}
 }
 
-// runReader receives peer j's batch for this superstep: socket I/O plus
-// what can be checked without decoding an envelope — blame frame, job,
-// version, superstep, an envelope count the frame can hold. The batch
-// stays in the per-peer frame buffer (touched by exactly one goroutine)
-// for FinishSuperstep to decode into the inbox.
-func (e *Endpoint[M]) runReader(j int, job pipeJob) {
+// readFrame reads peer j's next data frame into its recycled buffer
+// *buf and accounts it. A failed read or a blame frame fails the
+// endpoint, and ok is false.
+func (e *Endpoint[M]) readFrame(j, step int, buf *[]byte) (frame []byte, ok bool) {
 	t0 := e.now()
-	dc := e.in[j]
-	if err := dc.c.SetReadDeadline(job.dl); err != nil {
-		e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d set read deadline for %d: %w", e.id, j, err)))
-		return
-	}
-	frame, err := wire.ReadFrameInto(dc.r, e.frame[j])
+	frame, err := wire.ReadFrameInto(e.in[j].r, *buf)
 	if err != nil {
-		e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d recv from %d: %w", e.id, j, err)))
-		return
+		e.fail(e.attrib(j, step, fmt.Errorf("tcp: machine %d recv from %d: %w", e.id, j, err)))
+		return nil, false
 	}
-	e.frame[j] = frame[:0]
+	*buf = frame[:0]
 	e.countRecv(j, len(frame))
 	// The read span is dominated by stall — waiting for peer j to produce
 	// and ship its frame — which is the quantity worth seeing per peer;
 	// the decode gets its own span at the finish.
-	e.span(t0, obs.PhaseFrameRead, j, job.step, wire.FrameSize(len(frame)))
+	e.span(t0, obs.PhaseFrameRead, j, step, wire.FrameSize(len(frame)))
 	if len(frame) > 0 && frame[0] == wire.BatchAbort {
 		// The peer is tearing down and names the machine it blames; the
 		// abort precedes its FIN in stream order, so we learn the true
@@ -513,13 +529,32 @@ func (e *Endpoint[M]) runReader(j int, job pipeJob) {
 		// understood whichever job's endpoint reads it.
 		bstep, suspect, aerr := wire.DecodeAbort(frame)
 		if aerr != nil {
-			e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d bad abort from %d: %w", e.id, j, aerr)))
-			return
+			e.fail(e.attrib(j, step, fmt.Errorf("tcp: machine %d bad abort from %d: %w", e.id, j, aerr)))
+			return nil, false
 		}
-		e.fail(&transport.MachineError{Machine: suspect, Superstep: job.step, Job: e.jobID,
+		e.fail(&transport.MachineError{Machine: suspect, Superstep: step, Job: e.jobID,
 			Err: fmt.Errorf("tcp: peer %d aborted superstep %d blaming machine %d", j, bstep, suspect)})
+		return nil, false
+	}
+	return frame, true
+}
+
+// runReader receives peer j's batch and row for this superstep: socket
+// I/O plus what can be checked of the batch without decoding an
+// envelope — blame frame, job, version, superstep, an envelope count
+// the frame can hold. The batch stays in the per-peer frame buffer
+// (touched by exactly one goroutine) for FinishSuperstep to decode into
+// the inbox; the row, opaque here, is returned as received.
+func (e *Endpoint[M]) runReader(j int, job pipeJob) {
+	if err := e.in[j].c.SetReadDeadline(job.dl); err != nil {
+		e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d set read deadline for %d: %w", e.id, j, err)))
 		return
 	}
+	frame, ok := e.readFrame(j, job.step, &e.frame[j])
+	if !ok {
+		return
+	}
+	var err error
 	batch := frame
 	if e.jobbed {
 		// Verify the frame belongs to OUR job before accepting a byte of
@@ -547,27 +582,11 @@ func (e *Endpoint[M]) runReader(j int, job pipeJob) {
 		e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d bad frame from %d: %w", e.id, j, err)))
 		return
 	}
-	e.rxBatch[j], e.rxCount[j] = batch, count
-}
-
-// runCtrlReader receives peer j's control report for the coordinator.
-// Unlike the data path it does not tear the endpoint down on failure:
-// the coordinator decides how to propagate a missing report (see
-// transport/node's abort broadcast).
-func (e *Endpoint[M]) runCtrlReader(j int, job pipeJob) {
-	dc := e.ctrlIn[j]
-	if err := dc.c.SetReadDeadline(job.dl); err != nil {
-		e.recordErr(&e.ctrlCause, &e.ctrlShrapnel, e.attrib(j, job.step, fmt.Errorf("tcp: coordinator set read deadline for %d: %w", j, err)))
+	row, ok := e.readFrame(j, job.step, &e.rowFrame[j])
+	if !ok {
 		return
 	}
-	frame, err := wire.ReadFrameInto(dc.r, e.ctrlFrame[j])
-	if err != nil {
-		e.recordErr(&e.ctrlCause, &e.ctrlShrapnel, e.attrib(j, job.step, fmt.Errorf("tcp: coordinator read report from %d: %w", j, err)))
-		return
-	}
-	e.ctrlFrame[j] = frame[:0]
-	e.countRecv(j, len(frame))
-	e.reports[j] = frame
+	e.rxBatch[j], e.rxCount[j], e.rxRow[j] = batch, count, row
 }
 
 // ioGuard applies ctx to the endpoint's blocking socket I/O. It returns
@@ -621,13 +640,15 @@ func (e *Endpoint[M]) attrib(peer, step int, err error) error {
 	return me
 }
 
-// Exchange is one whole superstep with nothing streamed eagerly:
-// BeginSuperstep followed by FinishSuperstep carrying every envelope.
+// Exchange is one whole superstep with nothing streamed eagerly and an
+// empty row: BeginSuperstep followed by FinishSuperstep carrying every
+// envelope.
 func (e *Endpoint[M]) Exchange(ctx context.Context, step int, out []transport.Envelope[M]) ([]transport.Envelope[M], error) {
 	if err := e.BeginSuperstep(ctx, step); err != nil {
 		return nil, err
 	}
-	return e.FinishSuperstep(step, out)
+	inbox, _, err := e.FinishSuperstep(step, out, nil)
+	return inbox, err
 }
 
 // assembleInbox builds the superstep's inbox in sender-ID order in the
@@ -705,9 +726,8 @@ func (e *Endpoint[M]) BeginSuperstep(ctx context.Context, step int) error {
 		return fmt.Errorf("tcp: machine %d begin superstep %d with superstep %d still open", e.id, step, e.strStep)
 	}
 	e.cause, e.shrapnel = nil, nil
-	for j := range e.strEmitted {
-		e.strEmitted[j] = false
-	}
+	clear(e.strEmitted)
+	clear(e.strQueued)
 	e.strOn, e.strStep, e.strDl, e.strRelease = true, step, dl, release
 	job := pipeJob{step: step, dl: dl}
 	e.workWG.Add(e.k - 1)
@@ -766,7 +786,7 @@ func (e *Endpoint[M]) StreamBatch(to transport.MachineID, batch []transport.Enve
 	}
 	e.strEmitted[to] = true
 	e.txSrc[to] = batch
-	job := pipeJob{step: e.strStep, dl: e.strDl}
+	job := pipeJob{step: e.strStep, dl: e.strDl, batch: true}
 	if e.serialWriters || len(batch) <= streamInlineMax {
 		// Inline write, off the mutex: the write may block on a full
 		// socket buffer, and holding mu there would stall a concurrent
@@ -785,6 +805,7 @@ func (e *Endpoint[M]) StreamBatch(to transport.MachineID, batch []transport.Enve
 		e.mu.Unlock()
 		return err
 	}
+	e.strQueued[to] = true
 	e.workWG.Add(1)
 	e.writerCh[to] <- job
 	e.mu.Unlock()
@@ -802,14 +823,19 @@ func (e *Endpoint[M]) finishGuard() {
 // FinishSuperstep closes superstep `step`: it ships `out` — the
 // envelopes NOT streamed eagerly (self-addressed ones included, which
 // never touch a socket; a peer that already got a streamed batch must
-// not reappear here) — on the remaining writer workers, one frame per
-// directed pair, empty batches included, waits for the whole pipeline
-// generation (eager readers, streamed writers, rest writers) to drain,
-// and decodes the inbox in sender-ID order, self-addressed envelopes at
-// position e.id, exactly like the loopback transport. It is the
-// superstep's barrier, bounded by the deadline and cancellation guard
-// BeginSuperstep armed.
-func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M]) ([]transport.Envelope[M], error) {
+// not reappear here) — on the remaining writer workers, one batch frame
+// per directed pair, empty batches included, each followed by one frame
+// of `row`, this machine's account of the superstep (empty on the
+// cluster-side Transport). A rest batch and its row leave in one flush;
+// a peer whose batch was streamed gets the row alone, queued behind the
+// batch on its writer when the batch went there. It then waits for the
+// whole pipeline generation (eager readers, streamed writers, rest
+// writers) to drain and decodes the inbox in sender-ID order,
+// self-addressed envelopes at position e.id, exactly like the loopback
+// transport. rows[j] is peer j's row as received (rows[e.id] is nil),
+// valid until the next BeginSuperstep. It is the superstep's barrier,
+// bounded by the deadline and cancellation guard BeginSuperstep armed.
+func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row []byte) (inbox []transport.Envelope[M], rows [][]byte, err error) {
 	perDest := e.perDest
 	for j := range perDest {
 		perDest[j] = perDest[j][:0]
@@ -818,7 +844,7 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M]) ([]
 		if env.To < 0 || int(env.To) >= e.k {
 			e.finishGuard()
 			e.Close() // peers are waiting on our batches; unblock them
-			return nil, fmt.Errorf("tcp: machine %d envelope to invalid machine %d", e.id, env.To)
+			return nil, nil, fmt.Errorf("tcp: machine %d envelope to invalid machine %d", e.id, env.To)
 		}
 		perDest[env.To] = append(perDest[env.To], env)
 	}
@@ -829,7 +855,7 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M]) ([]
 		e.mu.Unlock()
 		e.finishGuard()
 		e.Close()
-		return nil, fmt.Errorf("tcp: machine %d finish superstep %d without matching begin (open=%v step=%d)", e.id, step, open, openStep)
+		return nil, nil, fmt.Errorf("tcp: machine %d finish superstep %d without matching begin (open=%v step=%d)", e.id, step, open, openStep)
 	}
 	e.strOn = false
 	if e.closed {
@@ -849,10 +875,9 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M]) ([]
 		if err == nil {
 			err = fmt.Errorf("tcp: machine %d finish superstep %d on closed endpoint: %w", e.id, step, net.ErrClosed)
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	job := pipeJob{step: step, dl: e.strDl}
-	pending, rest := 0, 0
+	rest := 0
 	for j := 0; j < e.k; j++ {
 		if j == e.id {
 			continue
@@ -862,55 +887,54 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M]) ([]
 				e.mu.Unlock()
 				e.finishGuard()
 				e.Close()
-				return nil, fmt.Errorf("tcp: machine %d has rest envelopes for machine %d after streaming a batch to it in superstep %d", e.id, j, step)
+				return nil, nil, fmt.Errorf("tcp: machine %d has rest envelopes for machine %d after streaming a batch to it in superstep %d", e.id, j, step)
 			}
 			continue
 		}
 		e.txSrc[j] = perDest[j]
-		pending++
 		rest += len(perDest[j])
 	}
+	e.txRow = row
 	// Tiny remainders (the common case when the machines streamed their
 	// batches eagerly) skip the writer wakeups: when the rest is at most
 	// ~2 envelopes per peer, encoding is trivial and the cost of
 	// signalling parked goroutines dominates shipping few-byte frames
 	// (the k=16/batch=1 regression of the parallel pipeline). Write them
 	// serially on this goroutine instead — each connection's buffered
-	// writer still coalesces prefix+payload into one flush/syscall. A
+	// writer still coalesces batch and row into one flush/syscall. A
 	// GOMAXPROCS=1 process takes this path for every superstep: with one
 	// core the parallel writers can't overlap anyway, so the wakeups are
-	// all tax. strEmitted is stable here — StreamBatch only runs while
+	// all tax. Only a row whose batch is still on its peer's writer goes
+	// there regardless, to stay behind the batch on the stream.
+	// strEmitted/strQueued are stable here — StreamBatch only runs while
 	// the superstep computes, which happens-before FinishSuperstep.
 	inline := e.serialWriters || rest <= 2*e.k
-	if !inline {
-		e.workWG.Add(pending)
-		for o := 0; o < e.k; o++ {
-			j := (e.id + step + o) % e.k
-			if j == e.id || e.strEmitted[j] {
-				continue
-			}
-			e.writerCh[j] <- job
+	for o := 0; o < e.k; o++ {
+		j := (e.id + step + o) % e.k
+		if j == e.id || (inline && !e.strQueued[j]) {
+			continue
 		}
+		e.workWG.Add(1)
+		e.writerCh[j] <- pipeJob{step: step, dl: e.strDl, batch: !e.strEmitted[j], row: true}
 	}
 	e.mu.Unlock()
 	if inline {
 		for o := 0; o < e.k; o++ {
 			j := (e.id + step + o) % e.k
-			if j == e.id || e.strEmitted[j] {
+			if j == e.id || e.strQueued[j] {
 				continue
 			}
-			e.runWriter(j, job)
+			e.runWriter(j, pipeJob{step: step, dl: e.strDl, batch: !e.strEmitted[j], row: true})
 		}
 	}
 
 	e.workWG.Wait()
 	e.finishGuard()
-	// Streamed batch slices are machine-owned; drop the references now
-	// that their writers are done, honouring the "must not retain"
-	// ownership rule.
-	for j := range e.txSrc {
-		e.txSrc[j] = nil
-	}
+	// Streamed batch slices and the row are the caller's; drop the
+	// references now that their writers are done, honouring the "must
+	// not retain" ownership rule.
+	clear(e.txSrc)
+	e.txRow = nil
 	// Report the error that diagnoses the failure, not the teardown:
 	// recordErr kept the first genuine cause (a peer's FIN, a reset, an
 	// expired deadline) apart from the net.ErrClosed shrapnel of our own
@@ -918,12 +942,26 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M]) ([]
 	// culprit — wins whenever one exists. The workWG barrier above is
 	// the happens-before edge that makes the plain reads safe.
 	if err := e.cause; err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := e.shrapnel; err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return e.assembleInbox(step)
+	if inbox, err = e.assembleInbox(step); err != nil {
+		return nil, nil, err
+	}
+	return inbox, e.rxRow, nil
+}
+
+// Reject fails the endpoint over a row peer sent in superstep step that
+// the caller found unsound, exactly as a reader fails it over a bad
+// batch: the returned *transport.MachineError names the peer (and the
+// job), the peers are told whom this machine blames, and the endpoint
+// is closed.
+func (e *Endpoint[M]) Reject(peer, step int, err error) error {
+	err = e.attrib(peer, step, err)
+	e.fail(err)
+	return err
 }
 
 // SendToCoordinator ships one control payload to machine 0, bounded by
@@ -956,13 +994,8 @@ func (e *Endpoint[M]) SendToCoordinator(ctx context.Context, payload []byte) err
 // machine, indexed by machine ID; position 0 is the coordinator's own
 // loop-back payload. A machine whose report does not arrive within
 // ctx's deadline surfaces as a *transport.MachineError naming it and
-// step — this is where the coordinator detects a dead peer between
-// supersteps. The reads are serviced by the persistent per-peer control
-// workers; the returned payloads are recycled storage — peer slots are
-// valid until the next CollectReports call, while position 0 aliases
-// the buffer the caller itself queued via SendToCoordinator and is only
-// valid until the caller's next control-plane send (Barrier and the
-// node runtime both re-encode into recycled scratch each superstep).
+// step. It runs once per job, not per superstep, so the peers are read
+// in turn on the calling goroutine.
 func (e *Endpoint[M]) CollectReports(ctx context.Context, step int) ([][]byte, error) {
 	if e.id != 0 {
 		return nil, fmt.Errorf("tcp: machine %d is not the coordinator", e.id)
@@ -974,45 +1007,34 @@ func (e *Endpoint[M]) CollectReports(ctx context.Context, step int) ([][]byte, e
 	if release != nil {
 		defer release()
 	}
-
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	closed, started := e.closed, e.started
+	e.mu.Unlock()
+	if closed {
 		return nil, fmt.Errorf("tcp: coordinator collect on closed endpoint (superstep %d): %w", step, net.ErrClosed)
 	}
-	if !e.started {
-		e.mu.Unlock()
+	if !started {
 		return nil, fmt.Errorf("tcp: coordinator collect before Connect (superstep %d)", step)
 	}
-	e.ctrlCause, e.ctrlShrapnel = nil, nil
-	job := pipeJob{step: step, dl: dl}
-	e.ctrlWG.Add(e.k - 1)
+	reports := make([][]byte, e.k)
+	reports[0], e.ownQueue = e.ownQueue[0], e.ownQueue[1:]
 	for j := 1; j < e.k; j++ {
-		e.ctrlCh[j] <- job
+		dc := e.ctrlIn[j]
+		err := dc.c.SetReadDeadline(dl)
+		if err == nil {
+			reports[j], err = wire.ReadFrame(dc.r)
+		}
+		if err != nil {
+			return nil, e.attrib(j, step, fmt.Errorf("tcp: coordinator read report from %d: %w", j, err))
+		}
+		e.countRecv(j, len(reports[j]))
 	}
-	e.mu.Unlock()
-	e.ctrlWG.Wait()
-
-	e.reports[0] = e.ownQueue[0]
-	// Pop by shifting down on the same backing array: a re-slice would
-	// walk the array forward and force append to reallocate every few
-	// supersteps.
-	copy(e.ownQueue, e.ownQueue[1:])
-	e.ownQueue = e.ownQueue[:len(e.ownQueue)-1]
-	if err := e.ctrlCause; err != nil {
-		return nil, err
-	}
-	if err := e.ctrlShrapnel; err != nil {
-		return nil, err
-	}
-	return e.reports, nil
+	return reports, nil
 }
 
 // Broadcast (coordinator only) sends one control payload to every other
-// machine. Delivery is attempted to EVERY peer even after a failure —
-// an abort verdict must reach the surviving machines when one peer's
-// control connection is already dead — and the first error is returned
-// after the full sweep.
+// machine. Delivery is attempted to EVERY peer even after a failure, and
+// the first error is returned after the full sweep.
 func (e *Endpoint[M]) Broadcast(ctx context.Context, payload []byte) error {
 	if e.id != 0 {
 		return fmt.Errorf("tcp: machine %d is not the coordinator", e.id)
@@ -1040,60 +1062,27 @@ func (e *Endpoint[M]) Broadcast(ctx context.Context, payload []byte) error {
 	return first
 }
 
-// ReceiveVerdict (non-coordinator) blocks for the coordinator's next
-// control payload, bounded by ctx's deadline. The returned payload is
-// recycled storage, valid until the next ReceiveVerdict call.
-func (e *Endpoint[M]) ReceiveVerdict(ctx context.Context) ([]byte, error) {
+// ReceiveFromCoordinator (non-coordinator) blocks for the coordinator's
+// next control payload, bounded by ctx's deadline. The returned payload
+// is recycled storage, valid until the next ReceiveFromCoordinator call.
+func (e *Endpoint[M]) ReceiveFromCoordinator(ctx context.Context) ([]byte, error) {
 	if e.id == 0 {
-		return nil, fmt.Errorf("tcp: the coordinator does not receive verdicts")
+		return nil, fmt.Errorf("tcp: the coordinator receives no broadcast")
 	}
 	dl, release := e.ioGuard(ctx)
 	if release != nil {
 		defer release()
 	}
 	if err := e.ctrl.c.SetReadDeadline(dl); err != nil {
-		return nil, fmt.Errorf("tcp: machine %d set verdict read deadline: %w", e.id, err)
+		return nil, fmt.Errorf("tcp: machine %d set control read deadline: %w", e.id, err)
 	}
-	frame, err := wire.ReadFrameInto(e.ctrl.r, e.verdictBuf)
+	frame, err := wire.ReadFrameInto(e.ctrl.r, e.ctrlBuf)
 	if err != nil {
 		return nil, err
 	}
-	e.verdictBuf = frame[:0]
+	e.ctrlBuf = frame[:0]
 	e.countRecv(0, len(frame))
 	return frame, nil
-}
-
-// Barrier runs one coordinator-driven superstep barrier: every machine
-// reports "superstep done" to machine 0, which releases them all once
-// the last report is in. ctx bounds both directions.
-func (e *Endpoint[M]) Barrier(ctx context.Context, step int) error {
-	payload := wire.AppendUvarint(e.barrierBuf[:0], uint64(step))
-	e.barrierBuf = payload
-	if err := e.SendToCoordinator(ctx, payload); err != nil {
-		return fmt.Errorf("tcp: machine %d barrier send (superstep %d): %w", e.id, step, err)
-	}
-	if e.id == 0 {
-		reports, err := e.CollectReports(ctx, step)
-		if err != nil {
-			return fmt.Errorf("tcp: barrier collect (superstep %d): %w", step, err)
-		}
-		for j, r := range reports {
-			got, _, err := wire.Uvarint(r)
-			if err != nil || got != uint64(step) {
-				return fmt.Errorf("tcp: barrier report from %d: step %d, want %d (err=%v)", j, got, step, err)
-			}
-		}
-		return e.Broadcast(ctx, payload)
-	}
-	release, err := e.ReceiveVerdict(ctx)
-	if err != nil {
-		return fmt.Errorf("tcp: machine %d barrier release (superstep %d): %w", e.id, step, err)
-	}
-	got, _, err := wire.Uvarint(release)
-	if err != nil || got != uint64(step) {
-		return fmt.Errorf("tcp: machine %d barrier release: step %d, want %d (err=%v)", e.id, got, step, err)
-	}
-	return nil
 }
 
 // retireWorkers closes every pipeline signal channel, run at most once
@@ -1114,11 +1103,6 @@ func (e *Endpoint[M]) retireWorkers() {
 		}
 	}
 	for _, ch := range e.readerCh {
-		if ch != nil {
-			close(ch)
-		}
-	}
-	for _, ch := range e.ctrlCh {
 		if ch != nil {
 			close(ch)
 		}
@@ -1194,18 +1178,18 @@ func NewLoopbackMesh[M any](k int, codec wire.Codec[M]) ([]*Endpoint[M], error) 
 }
 
 // driveJob is one superstep's assignment for a cluster-side endpoint
-// driver: finish the superstep with this rest outbox, then pass the
-// barrier under this context.
+// driver: finish the superstep with this rest outbox.
 type driveJob[M any] struct {
-	ctx  context.Context
 	step int
 	out  []transport.Envelope[M]
 }
 
 // Transport is the cluster-side transport.Transport implementation: all
 // k machines live in this process, but every envelope crosses a real
-// loopback TCP connection and every superstep ends with the
-// coordinator-driven barrier. Each endpoint is owned by a persistent
+// loopback TCP connection, with an empty row behind every batch: the
+// in-process rendezvous has ruled the superstep before Finish, so the
+// rows carry nothing and the exchange alone synchronises the
+// endpoints. Each endpoint is owned by a persistent
 // driver goroutine, signalled once per superstep — no goroutine or
 // error-slice churn on the steady-state path.
 type Transport[M any] struct {
@@ -1246,19 +1230,13 @@ func New[M any](k int, codec wire.Codec[M]) (*Transport[M], error) {
 }
 
 // driver is the persistent goroutine owning endpoint i: one
-// finish+barrier per signal, parked in between, exits when Close
+// FinishSuperstep per signal, parked in between, exits when Close
 // closes its channel. The same close-under-mutex discipline as the
 // endpoint's pipeWorker keeps the WaitGroup sound against a concurrent
 // Close.
 func (t *Transport[M]) driver(i int) {
 	for job := range t.drive[i] {
-		inbox, err := t.eps[i].FinishSuperstep(job.step, job.out)
-		if err == nil {
-			if berr := t.eps[i].Barrier(job.ctx, job.step); berr != nil {
-				t.eps[i].Close()
-				err = berr
-			}
-		}
+		inbox, _, err := t.eps[i].FinishSuperstep(job.step, job.out, nil)
 		// On a FinishSuperstep error the endpoint has already closed
 		// itself; the close cascades error returns to every peer blocked
 		// on this endpoint's connections, so no driver hangs here.
@@ -1306,8 +1284,8 @@ func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport
 // Finish implements transport.Transport: the superstep's barrier. Every
 // endpoint ships its rest envelopes over its sockets concurrently
 // (signalled to the persistent drivers), drains its pipeline generation
-// (eager and rest frames alike), and passes the coordinator barrier
-// before any inbox is released to the cluster.
+// (eager and rest frames alike) before any inbox is released to the
+// cluster.
 func (t *Transport[M]) Finish(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
 	k := len(t.eps)
 	if len(rest) != k {
@@ -1325,7 +1303,7 @@ func (t *Transport[M]) Finish(ctx context.Context, step int, rest [][]transport.
 	}
 	t.wg.Add(k)
 	for i := 0; i < k; i++ {
-		t.drive[i] <- driveJob[M]{ctx: ctx, step: step, out: rest[i]}
+		t.drive[i] <- driveJob[M]{step: step, out: rest[i]}
 	}
 	t.mu.Unlock()
 	t.wg.Wait()

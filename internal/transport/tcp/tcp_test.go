@@ -132,36 +132,6 @@ func TestBrokenConnectionErrorsInsteadOfDeadlocking(t *testing.T) {
 	}
 }
 
-func TestEndpointBarrierSynchronises(t *testing.T) {
-	const k = 4
-	eps, err := NewLoopbackMesh[testMsg](k, testCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, e := range eps {
-			e.Close()
-		}
-	}()
-	for step := 0; step < 5; step++ {
-		var wg sync.WaitGroup
-		errs := make([]error, k)
-		for i := range eps {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = eps[i].Barrier(context.Background(), step)
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("machine %d barrier (superstep %d): %v", i, step, err)
-			}
-		}
-	}
-}
-
 func TestCoordinatorReportVerdictRoundTrip(t *testing.T) {
 	const k = 4
 	eps, err := NewLoopbackMesh[testMsg](k, testCodec{})
@@ -198,7 +168,7 @@ func TestCoordinatorReportVerdictRoundTrip(t *testing.T) {
 				errs[0] = eps[0].Broadcast(context.Background(), []byte("verdict"))
 				return
 			}
-			v, err := eps[i].ReceiveVerdict(context.Background())
+			v, err := eps[i].ReceiveFromCoordinator(context.Background())
 			if err != nil {
 				errs[i] = err
 				return

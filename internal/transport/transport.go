@@ -160,8 +160,8 @@ func (e *MachineError) Unwrap() error { return e.Err }
 // word-based cost model — Stats.Words counts model words before any
 // transport touches an envelope, WireStats counts the bytes a real
 // socket carried — and comparing the two quantifies both the encoding
-// efficiency of the wire format and the protocol overhead (barrier and
-// report/verdict frames) that the model abstracts away. The loopback
+// efficiency of the wire format and the protocol overhead (row and
+// control frames) that the model abstracts away. The loopback
 // transport ships nothing and reports zeros by not implementing
 // WireMeter at all.
 type WireStats struct {

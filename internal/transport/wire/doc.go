@@ -17,7 +17,17 @@
 // Batch — one (sender, receiver, superstep) shipment of envelopes; the
 // TCP transport writes exactly one batch frame per peer per superstep,
 // empty batches included, which is what lets a receiver detect that a
-// superstep's input is complete. The first byte names the format
+// superstep's input is complete, and follows it on the same connection
+// with one row frame:
+//
+//	row        := bytes               // the sender's account of the
+//	                                  // superstep, opaque to the transport
+//
+// The socket link (transport/node) fills it with the sender's core.Row
+// — a flags byte below 0x80, superstep, messages, k link words, error
+// text — so every machine receives all k rows with its inbox and rules
+// the superstep itself; the in-process cluster's TCP transport ships it
+// empty. A batch's first byte names its format
 // (BatchV2 = 0x02, the only one; DecodeBatchAny rejects any other), and
 // the layout exploits that a batch frame is already a per-(sender,
 // receiver, superstep) unit carried by a connection that identifies
@@ -61,9 +71,11 @@
 // # Job-scoped frames
 //
 // A resident mesh executes many jobs over the same persistent
-// connections (DESIGN.md "Job service"). Data frames of such a mesh are
-// job-scoped: a job header sits where the batch version byte otherwise
-// would, and the complete versioned batch follows unchanged —
+// connections (DESIGN.md "Job service"). Batch frames of such a mesh
+// are job-scoped (a row frame, riding directly behind its batch, needs
+// no header of its own): a job header sits where the batch version
+// byte otherwise would, and the complete versioned batch follows
+// unchanged —
 //
 //	jobbed     := 0x03 job batchV2
 //	job        := uvarint             // job ID, assigned by the scheduler
@@ -96,7 +108,7 @@
 // different senders carries no information. The per-frame superstep
 // field is therefore the only valid sequencing key — a decoder may
 // assert that consecutive frames on one connection carry monotonically
-// increasing superstep values (one frame per peer per superstep), but
+// increasing superstep values (one batch per peer per superstep), but
 // must never infer phase boundaries from inter-frame timing.
 //
 // # Payload codecs

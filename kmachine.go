@@ -151,8 +151,8 @@ const (
 	TransportInMem = transport.InMem
 	// TransportTCP runs every machine as its own listener+dialer over
 	// loopback TCP: every envelope crosses a real socket as a binary
-	// frame, and every superstep ends with a coordinator-driven
-	// barrier. Measured Stats are bit-identical to TransportInMem — the
+	// frame, and the exchange itself is the superstep's barrier.
+	// Measured Stats are bit-identical to TransportInMem — the
 	// cost accounting happens in core before envelopes reach a
 	// transport.
 	TransportTCP = transport.TCP

@@ -60,13 +60,19 @@ func TestCheckpointedRunKeepsItsSchedule(t *testing.T) {
 			}
 			same("checkpointed-node", node)
 
-			trace := obs.NewTrace(1<<16, prob.K)
+			// The gauge reads the whole run, so the ring must hold it: a
+			// wrapped ring keeps only the late supersteps, which write no frame
+			// during compute.
+			trace := obs.NewTrace(0, prob.K)
 			prob.Recorder = trace
 			sock, err := entry.Run(prob, transport.TCP)
 			if err != nil {
 				t.Fatalf("checkpointed tcp run: %v", err)
 			}
 			same("checkpointed-tcp", sock)
+			if d := trace.Counters().Dropped; d > 0 {
+				t.Fatalf("the trace dropped %d spans", d)
+			}
 			if name == "pagerank" {
 				if gauge := obs.Overlap(trace.Spans()); gauge <= 0 {
 					t.Errorf("overlap gauge %.3f on a checkpointed tcp run — no frame was written during compute", gauge)

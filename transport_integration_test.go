@@ -3,7 +3,7 @@ package kmachine_test
 // Substrate-equivalence suite: every algorithm in the registry, run on
 // all three substrates — the in-process loopback, real loopback TCP
 // sockets, and the standalone node runtime (one machine per
-// listener+dialer, coordinator-driven supersteps) — must produce
+// listener+dialer, every node ruling the same rows) — must produce
 // bit-identical Stats and output hashes. This is the executable form of
 // the conversion results the paper builds on (Klauck et al.,
 // arXiv:1311.6209): the cost of a k-machine algorithm is a property of
