@@ -7,7 +7,7 @@
 // the k processes (possibly on k hosts) find each other through the
 // -peers list and run the distributed superstep protocol, every node
 // ruling each superstep from the rows its peers ship with their
-// batches (machine 0 coordinates only the job and resume handshakes):
+// batches — no machine coordinates the others:
 //
 //	kmnode -id 0 -k 4 -listen 127.0.0.1:9000 \
 //	       -peers 127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002,127.0.0.1:9003 \

@@ -126,7 +126,7 @@ type Outcome struct {
 	// Algo is the registered name.
 	Algo string
 	// Stats is the measured communication profile. For standalone runs
-	// it is the cluster-wide Stats shipped by the coordinator.
+	// it is the cluster-wide Stats every node accounts from the same rows.
 	Stats *core.Stats
 	// Wire is the substrate's physical bytes-on-wire (zero for the
 	// loopback, which ships none). Stats are bit-identical across

@@ -9,8 +9,8 @@
 // computation. The scheduler amortises that: the mesh is built once
 // (transport/node.LocalMesh over transport/tcp.Mesh), every job
 // attaches fresh typed endpoints framing its traffic with the job ID,
-// and the job-begin/job-end handshake certifies quiescent connections
-// between jobs. Per-job isolation is structural — fresh endpoints,
+// and a job that every machine finished leaves its connections drained
+// for the next. Per-job isolation is structural — fresh endpoints,
 // fresh coordinator Stats, per-job Recorder — so a job stream's
 // outputs and Stats are bit-identical to the same jobs run on fresh
 // meshes (the determinism suite asserts exactly that).

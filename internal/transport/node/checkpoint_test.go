@@ -1,9 +1,9 @@
 package node
 
 // White-box tests for the socket link's checkpoint plane: the parts
-// core's assembler hands to the sink after the coordinator's continue
-// verdict, and the ctrlResume round that aligns a resumed cluster on
-// the restored superstep. The property under test is the same as
+// core's assembler hands to the sink after every node's continue
+// ruling, and a resumed cluster whose nodes each open the latest cut
+// themselves. The property under test is the same as
 // everywhere in this repo: arming checkpoints changes nothing
 // observable, and resuming from a sink reproduces the golden run bit
 // for bit.
@@ -185,4 +185,27 @@ func TestResumeRejectsOtherClusterSize(t *testing.T) {
 		t.Fatalf("k-mismatched resume returned %v, want the attributed k mismatch", err)
 	}
 	testutil.NoLeakedGoroutines(t, base)
+}
+
+// TestResumedRunIsDataFramesOnly counts the frames of a resumed run:
+// the batch and row frames of the supersteps after the cut, and nothing
+// else — every node opens the cut itself, so no round agrees on it.
+func TestResumedRunIsDataFramesOnly(t *testing.T) {
+	const k = 4
+	sink := core.NewMemorySink(0)
+	runCkCluster(t, k, core.CheckpointPolicy{Every: 4, Sink: sink})
+	latest, _, _ := sink.Latest()
+	if latest < 0 {
+		t.Fatal("no checkpoint to resume from")
+	}
+	cfg := core.Config{K: k, Bandwidth: 1, Seed: 77, Checkpoint: core.CheckpointPolicy{Every: 4, Sink: sink, Resume: true}}
+	stats, w, err := RunLocal(cfg, failCodec{}, func(id core.MachineID) core.Machine[failMsg] { return &ckMachine{self: id} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Supersteps latest+1 through the final silent one are exchanged.
+	s := int64(stats.Supersteps - latest)
+	if want := s * k * (k - 1) * 2; w.FramesSent != want || w.FramesRecv != want {
+		t.Errorf("%d resumed supersteps sent %d and received %d frames, want %d", s, w.FramesSent, w.FramesRecv, want)
+	}
 }

@@ -71,7 +71,7 @@ func runMeshWithFault(t *testing.T, k, victim, failStep int, timeout time.Durati
 		go func(i int) {
 			defer wg.Done()
 			cfg := core.Config{K: k, Bandwidth: 1, Seed: 7, SuperstepTimeout: timeout}
-			_, errs[i] = runNode(cfg, i, eps[i], factory(core.MachineID(i)), 0, nil, nil)
+			_, errs[i] = runNode(cfg, i, eps[i], factory(core.MachineID(i)), nil, nil)
 			if errs[i] != nil {
 				eps[i].Close()
 			}

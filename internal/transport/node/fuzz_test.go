@@ -12,17 +12,19 @@ import (
 	"kmachine/internal/testutil"
 	"kmachine/internal/transport"
 	"kmachine/internal/transport/tcp"
+	"kmachine/internal/transport/wire"
 )
 
-// FuzzControlFrames drives the decoders of every frame the socket link
-// parses off a peer — the row every peer ships behind its batch, and
-// the pre/post-loop ctrl frames, ctrlResume included — seeded with the
-// frames of a real checkpointed RunLocal and with the bytes of the
-// verdict frames the rows replaced (kind byte, then final Stats or
-// abort text). Whatever the bytes, each returns a value or an error; it
-// never panics and never sizes an allocation by a count it has not
-// checked against the bytes present. A row that decodes re-encodes to
-// a frame that decodes to the same row.
+// FuzzControlFrames drives the decoder of the one frame besides its
+// batches that the socket link parses off a peer — the row every peer
+// ships behind its batch, the superstep's only control data — seeded
+// with the rows of a real checkpointed RunLocal and with the bytes of
+// the control frames the data plane replaced: the verdicts (kind byte,
+// then final Stats or abort text) and the job-begin, job-end and resume
+// frames (kind byte, then a uvarint). Whatever the bytes, it returns a
+// row or an error; it never panics and never sizes an allocation by a
+// count it has not checked against the bytes present. A row that
+// decodes re-encodes to a frame that decodes to the same row.
 func FuzzControlFrames(f *testing.F) {
 	const k = 4
 	sink := core.NewMemorySink(0)
@@ -40,28 +42,24 @@ func FuzzControlFrames(f *testing.F) {
 	f.Add([]byte{byte(core.VerdictContinue)}, uint64(0))
 	f.Add(core.AppendStats([]byte{byte(core.VerdictStop)}, stats), uint64(0))
 	f.Add(append([]byte{byte(core.VerdictAbort)}, "node: machine 2 gone"...), uint64(0))
-	f.Add(encodeCtrl(ctrlJobBegin, 7), uint64(7))
-	f.Add(encodeCtrl(ctrlJobEnd, 7), uint64(7))
-	f.Add(encodeCtrl(ctrlResume, uint64(latest+1)), uint64(latest+1))
-	f.Add(encodeCtrl(ctrlResume, 0), uint64(0))
+	f.Add([]byte{0xB0, 7}, uint64(7))
+	f.Add([]byte{0xB1, 7}, uint64(7))
+	f.Add(wire.AppendUvarint([]byte{0xB2}, uint64(latest+1)), uint64(latest+1))
+	f.Add([]byte{0xB2, 0}, uint64(0))
 
 	f.Fuzz(func(t *testing.T, frame []byte, want uint64) {
 		step := int(want % (1 << 20))
 		r := &core.Row{Words: make([]int64, k)}
-		if decodeReport(r, frame, step) == nil {
-			again := &core.Row{Words: make([]int64, k)}
-			if err := decodeReport(again, appendReport(nil, step, r), step); err != nil {
-				t.Fatalf("re-encoded row fails to decode: %v", err)
-			}
-			again.Touched, r.Touched = nil, nil // order of first charge, not content
-			if !reflect.DeepEqual(again, r) {
-				t.Fatalf("row round trip: %+v, want %+v", again, r)
-			}
+		if decodeReport(r, frame, step) != nil {
+			return
 		}
-		for _, kind := range []byte{ctrlJobBegin, ctrlJobEnd, ctrlResume} {
-			if decodeCtrl(frame, kind, want) == nil && frame[0] != kind {
-				t.Fatalf("ctrl frame 0x%02x accepted as 0x%02x", frame[0], kind)
-			}
+		again := &core.Row{Words: make([]int64, k)}
+		if err := decodeReport(again, appendReport(nil, step, r), step); err != nil {
+			t.Fatalf("re-encoded row fails to decode: %v", err)
+		}
+		again.Touched, r.Touched = nil, nil // order of first charge, not content
+		if !reflect.DeepEqual(again, r) {
+			t.Fatalf("row round trip: %+v, want %+v", again, r)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -15,62 +14,11 @@ import (
 // build a mesh, execute one algorithm, and tear everything down, a
 // LocalMesh outlives jobs — RunJobLocal attaches fresh typed endpoints
 // to the standing fabric for each job, frames every data batch with the
-// job ID, brackets core.Drive in a job-begin/job-end control handshake,
-// and detaches with the connections intact. Per-job isolation falls out
-// of the structure: each job gets fresh endpoints (wire counters,
-// scratch, inboxes), a fresh coordinator (Stats), and whatever Recorder
-// the caller put in its core.Config.
-
-// Job-lifecycle control frames, exchanged on the control connections
-// around each job's superstep loop. Values deliberately far from any
-// other control byte: a straggler from a mis-sequenced previous job
-// fails loudly instead of aliasing.
-const (
-	ctrlJobBegin = byte(0xB0)
-	ctrlJobEnd   = byte(0xB1)
-)
-
-// encodeCtrl and decodeCtrl are the one layout of every pre- and
-// post-loop control frame: the kind byte, then one uvarint (the job ID;
-// for ctrlResume, the superstep).
-func encodeCtrl(kind byte, v uint64) []byte {
-	return wire.AppendUvarint([]byte{kind}, v)
-}
-
-func decodeCtrl(buf []byte, wantKind byte, want uint64) error {
-	if len(buf) < 1 || buf[0] != wantKind {
-		got := byte(0xFF)
-		if len(buf) > 0 {
-			got = buf[0]
-		}
-		return fmt.Errorf("node: expected control frame 0x%02x, got 0x%02x", wantKind, got)
-	}
-	v, _, err := wire.Uvarint(buf[1:])
-	if err != nil {
-		return fmt.Errorf("node: corrupt control frame 0x%02x: %w", wantKind, err)
-	}
-	if v != want {
-		return fmt.Errorf("node: control frame 0x%02x carries %d, want %d", wantKind, v, want)
-	}
-	return nil
-}
-
-// ctrlRound is the one shape of a pre-loop control round: the
-// coordinator broadcasts ⟨kind, v⟩ and every other machine checks it
-// against its own v, which proves the control plane is aligned — on
-// this job, on this checkpoint — before any data frame ships.
-func ctrlRound[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], kind byte, v uint64) error {
-	hctx, cancel := handshakeCtx(cfg)
-	defer cancel()
-	if id == 0 {
-		return ep.Broadcast(hctx, encodeCtrl(kind, v))
-	}
-	frame, err := ep.ReceiveFromCoordinator(hctx)
-	if err != nil {
-		return err
-	}
-	return decodeCtrl(frame, kind, v)
-}
+// job ID, runs core.Drive on every machine, and detaches with the
+// connections intact. Per-job isolation falls out of the structure: each
+// job gets fresh endpoints (wire counters, scratch, inboxes), fresh
+// coordinator replicas (Stats), and whatever Recorder the caller put in
+// its core.Config.
 
 // LocalMesh is the standing k-machine socket fabric of a resident
 // in-process cluster: k listeners on loopback, every ordered pair
@@ -174,14 +122,13 @@ func (lm *LocalMesh) attachable() ([]*tcp.Mesh, error) {
 }
 
 // RunJobLocal executes one job on the standing mesh: typed endpoints
-// attach for job `job` (all data batches carry its ID), the coordinator
-// opens with a job-begin control frame, core.Drive runs to the stop
-// every node rules from the same last superstep — which every machine
-// has finished, so every connection is drained — and a job-end
-// handshake certifies every machine got there before the endpoints
-// detach, which is what makes the connections safe to hand to the next
-// job's endpoints. Like RunLocal's, cfg is validated first: a rejected
-// job attaches nothing and leaves the mesh healthy.
+// attach for job `job` (every batch carries its ID, and a reader rejects
+// any other), and core.Drive runs on every machine to the stop each
+// rules from the same last superstep. Every machine has finished that
+// superstep, so every frame shipped has been read, and once all k have
+// returned the endpoints detach with the connections drained — safe to
+// hand to the next job's endpoints. Like RunLocal's, cfg is validated
+// first: a rejected job attaches nothing and leaves the mesh healthy.
 // On any later error the mesh is poisoned (Healthy()==false) until the
 // next RunJobLocal rebuilds it.
 func RunJobLocal[M any](lm *LocalMesh, cfg core.Config, job uint64, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
@@ -210,7 +157,7 @@ func RunJobLocal[M any](lm *LocalMesh, cfg core.Config, job uint64, codec wire.C
 			return nil, transport.WireStats{}, err
 		}
 	}
-	stats, w, err := runCluster(cfg, eps, job, codec, factory)
+	stats, w, err := runCluster(cfg, eps, codec, factory)
 	for _, ep := range eps {
 		if err != nil {
 			// A failed job may leave some machines cleanly done and others
@@ -222,38 +169,4 @@ func RunJobLocal[M any](lm *LocalMesh, cfg core.Config, job uint64, codec wire.C
 		}
 	}
 	return stats, w, err
-}
-
-// jobEnd proves every machine finished the job's last superstep — i.e.
-// every connection is quiescent — before the caller detaches the
-// endpoints.
-func jobEnd[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], job uint64) error {
-	hctx, cancel := handshakeCtx(cfg)
-	defer cancel()
-	if err := ep.SendToCoordinator(hctx, encodeCtrl(ctrlJobEnd, job)); err != nil || id != 0 {
-		return err
-	}
-	// Step index is only diagnostic here; -1 marks the end-of-job
-	// collection round.
-	ends, err := ep.CollectReports(hctx, -1)
-	for i := 0; err == nil && i < len(ends); i++ {
-		if err = decodeCtrl(ends[i], ctrlJobEnd, job); err != nil {
-			err = fmt.Errorf("from machine %d: %w", i, err)
-		}
-	}
-	return err
-}
-
-// handshakeCtx bounds a pre- or post-loop control round the same way a
-// superstep is bounded: by cfg.SuperstepTimeout when set, otherwise
-// only by the run context.
-func handshakeCtx(cfg core.Config) (context.Context, context.CancelFunc) {
-	runCtx := cfg.Context
-	if runCtx == nil {
-		runCtx = context.Background()
-	}
-	if cfg.SuperstepTimeout > 0 {
-		return context.WithTimeout(runCtx, cfg.SuperstepTimeout)
-	}
-	return context.WithCancel(runCtx)
 }

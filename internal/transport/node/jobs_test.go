@@ -13,12 +13,15 @@ import (
 
 // TestRunJobLocalSequentialJobs: the resident-mesh contract at the node
 // layer — several sequential jobs on one standing mesh each produce
-// Stats identical to a fresh single-run RunLocal, the mesh stays
-// healthy across clean jobs, and nothing leaks.
+// Stats identical to a fresh single-run RunLocal and ship exactly its
+// batch and row frames, the mesh stays healthy across clean jobs, and
+// nothing leaks. Nothing brackets a job: the job ID rides every batch
+// and the last superstep drains every connection, so a job-begin
+// broadcast and job-end reports, 2(k-1) frames a job, would show.
 func TestRunJobLocalSequentialJobs(t *testing.T) {
 	const k = 5
 	cfg := core.Config{K: k, Bandwidth: 2, Seed: 7}
-	want, _, err := node.RunLocal(cfg, echoCodec{}, ringFactory(t, k))
+	want, wantWire, err := node.RunLocal(cfg, echoCodec{}, ringFactory(t, k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +33,16 @@ func TestRunJobLocalSequentialJobs(t *testing.T) {
 	}
 	defer lm.Close()
 	for job := uint64(1); job <= 3; job++ {
-		got, _, err := node.RunJobLocal(lm, cfg, job, echoCodec{}, ringFactory(t, k))
+		got, w, err := node.RunJobLocal(lm, cfg, job, echoCodec{}, ringFactory(t, k))
 		if err != nil {
 			t.Fatalf("job %d: %v", job, err)
 		}
 		if got.Rounds != want.Rounds || got.Words != want.Words ||
 			got.Messages != want.Messages || got.Supersteps != want.Supersteps {
 			t.Fatalf("job %d stats diverge from single-run:\n job:  %+v\n want: %+v", job, got, want)
+		}
+		if w.FramesSent != wantWire.FramesSent || w.FramesRecv != wantWire.FramesRecv {
+			t.Errorf("job %d sent %d and received %d frames, single run %d", job, w.FramesSent, w.FramesRecv, wantWire.FramesSent)
 		}
 		if !lm.Healthy() {
 			t.Fatalf("mesh unhealthy after clean job %d", job)
@@ -114,8 +120,8 @@ func TestRunJobLocalSeverAttributesJob(t *testing.T) {
 			t.Fatalf("MachineError carries job %d, want %d: %v", me.Job, jobID, err)
 		}
 	}
-	// The abort may also surface as the coordinator's verdict-style
-	// error; either way the mesh must be poisoned.
+	// The abort may also surface as a machine's reported error; either
+	// way the mesh must be poisoned.
 	if lm.Healthy() {
 		t.Fatal("mesh still healthy after severed machine")
 	}

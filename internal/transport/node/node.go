@@ -12,7 +12,10 @@
 // rows, and every node rules them through its own replica of the
 // core.Coordinator the in-process rendezvous uses: the same rows give
 // the same continue, stop or abort, and the same Stats, on every node,
-// with no round through a coordinator. A run over sockets therefore
+// with no round through a coordinator. Nor is there one around the
+// loop: the job of a standing mesh and the superstep a resumed run
+// starts at are stamped on every batch, so a node that disagrees fails
+// its peers' first read. A run over sockets therefore
 // reports the same Rounds and Words as the same machines in one
 // process; the conversion results of Klauck et al. (arXiv:1311.6209)
 // need only these point-to-point links, and the integration tests
@@ -72,7 +75,7 @@ func Run[M any](cfg core.Config, at Place, m core.Machine[M], codec wire.Codec[M
 	if err := ep.Connect(at.Peers, at.DialTimeout); err != nil {
 		return nil, err
 	}
-	return runNode(cfg, at.ID, ep, m, 0, codec, core.NewAssembler(cfg.Checkpoint, cfg.K))
+	return runNode(cfg, at.ID, ep, m, codec, core.NewAssembler(cfg.Checkpoint, cfg.K))
 }
 
 // RunLocal spawns the full k-machine cluster over loopback TCP inside
@@ -80,7 +83,7 @@ func Run[M any](cfg core.Config, at Place, m core.Machine[M], codec wire.Codec[M
 // and is driven over its own endpoint (kmnode's -local mode). The
 // factory is called once per machine, like core.NewCluster's, and cfg
 // is validated before any listener opens. The WireStats are the k
-// endpoints' summed frames and bytes, control plane included.
+// endpoints' summed frames and bytes.
 func RunLocal[M any](cfg core.Config, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, transport.WireStats{}, err
@@ -94,16 +97,16 @@ func RunLocal[M any](cfg core.Config, codec wire.Codec[M], factory func(core.Mac
 			ep.Close()
 		}
 	}()
-	return runCluster(cfg, eps, 0, codec, factory)
+	return runCluster(cfg, eps, codec, factory)
 }
 
 // runCluster drives all k machines of a cluster whose endpoints live in
-// this process — the shared body of RunLocal and RunJobLocal (job != 0).
+// this process — the shared body of RunLocal and RunJobLocal.
 // A machine that fails closes its endpoint at once: peers may be parked
 // in reads on its connections with no (or a long) deadline, and the
 // close is what unwedges them. On success the endpoints are left open
 // for the caller to Close or Detach.
-func runCluster[M any](cfg core.Config, eps []*tcp.Endpoint[M], job uint64, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
+func runCluster[M any](cfg core.Config, eps []*tcp.Endpoint[M], codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
 	asm := core.NewAssembler(cfg.Checkpoint, cfg.K)
 	// Factory calls stay sequential, matching core.NewCluster's contract
 	// (factories may append to shared slices without locking).
@@ -112,7 +115,7 @@ func runCluster[M any](cfg core.Config, eps []*tcp.Endpoint[M], job uint64, code
 		machines[i] = factory(core.MachineID(i))
 	}
 	stats, err := core.DriveAll(cfg.K, func(i int) (*core.Stats, error) {
-		return runNode(cfg, i, eps[i], machines[i], job, codec, asm)
+		return runNode(cfg, i, eps[i], machines[i], codec, asm)
 	}, func(i int, _ error) { eps[i].Close() })
 	var w transport.WireStats
 	for _, ep := range eps {
@@ -121,11 +124,14 @@ func runCluster[M any](cfg core.Config, eps []*tcp.Endpoint[M], job uint64, code
 	return stats, w, err
 }
 
-// runNode drives machine id over its connected endpoint: the optional
-// job-begin handshake and resume round, core.Drive, the optional job-end
-// handshake. On an error it returns this node's partial Stats; the
-// caller closes the endpoint.
-func runNode[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], m core.Machine[M], job uint64, codec wire.Codec[M], asm *core.Assembler) (*core.Stats, error) {
+// runNode drives machine id over its connected endpoint: core.Drive,
+// resumed from the sink's latest cut when the run asks for it. Every
+// node opens that cut itself, and nothing checks the choice before the
+// loop starts: nodes that opened different cuts begin at different
+// supersteps, and the first batch each reads fails its superstep check
+// as an error naming the sender. On an error it returns this node's
+// partial Stats; the caller closes the endpoint.
+func runNode[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], m core.Machine[M], codec wire.Codec[M], asm *core.Assembler) (*core.Stats, error) {
 	if cfg.Recorder != nil {
 		ep.SetRecorder(cfg.Recorder)
 	}
@@ -136,31 +142,22 @@ func runNode[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], m core.Machine
 		// bytes are those of the in-process link.
 		d.Coord = link.coord
 	}
-	if job != 0 {
-		if err := ctrlRound(cfg, id, ep, ctrlJobBegin, job); err != nil {
-			return link.coord.Stats(), fmt.Errorf("node: machine %d job %d begin: %w", id, job, err)
-		}
-	}
 	if asm != nil && cfg.Checkpoint.Resume {
-		var err error
-		if d.Resume, err = resumeCut(cfg, id, ep, asm.Sink()); err != nil {
-			return link.coord.Stats(), err
+		cut, err := core.LatestCut(asm.Sink(), cfg.K)
+		if err != nil {
+			return link.coord.Stats(), fmt.Errorf("node: machine %d resume: %w", id, err)
 		}
 		// Drive restores machine 0's replica; every other one restores here.
-		if d.Resume != nil && id != 0 {
-			if err := link.coord.Restore(d.Resume.Stats); err != nil {
+		if cut != nil && id != 0 {
+			if err := link.coord.Restore(cut.Stats); err != nil {
 				return link.coord.Stats(), err
 			}
 		}
+		d.Resume = cut
 	}
 	stats, err := core.Drive(d)
 	if err != nil {
 		return link.coord.Stats(), err
-	}
-	if job != 0 {
-		if err := jobEnd(cfg, id, ep, job); err != nil {
-			return link.coord.Stats(), fmt.Errorf("node: machine %d job %d end: %w", id, job, err)
-		}
 	}
 	return stats, nil
 }

@@ -6,7 +6,9 @@ package node
 // with the same Stats or the same abort message.
 
 import (
+	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +16,7 @@ import (
 
 	"kmachine/internal/core"
 	"kmachine/internal/testutil"
+	"kmachine/internal/transport"
 	"kmachine/internal/transport/tcp"
 )
 
@@ -21,6 +24,13 @@ import (
 // one runNode per goroutine sharing one checkpoint assembler, and
 // returns every node's Stats and error.
 func runEveryNode(t *testing.T, cfg core.Config, factory func(core.MachineID) core.Machine[failMsg]) ([]*core.Stats, []error) {
+	t.Helper()
+	asm := core.NewAssembler(cfg.Checkpoint, cfg.K)
+	return runNodes(t, cfg, factory, func(int) *core.Assembler { return asm })
+}
+
+// runNodes is runEveryNode with node i's checkpoint assembler asm(i).
+func runNodes(t *testing.T, cfg core.Config, factory func(core.MachineID) core.Machine[failMsg], asm func(i int) *core.Assembler) ([]*core.Stats, []error) {
 	t.Helper()
 	eps, err := tcp.NewLoopbackMesh[failMsg](cfg.K, failCodec{})
 	if err != nil {
@@ -31,7 +41,6 @@ func runEveryNode(t *testing.T, cfg core.Config, factory func(core.MachineID) co
 			ep.Close()
 		}
 	}()
-	asm := core.NewAssembler(cfg.Checkpoint, cfg.K)
 	stats := make([]*core.Stats, cfg.K)
 	errs := make([]error, cfg.K)
 	var wg sync.WaitGroup
@@ -39,7 +48,7 @@ func runEveryNode(t *testing.T, cfg core.Config, factory func(core.MachineID) co
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if stats[i], errs[i] = runNode(cfg, i, eps[i], factory(core.MachineID(i)), 0, failCodec{}, asm); errs[i] != nil {
+			if stats[i], errs[i] = runNode(cfg, i, eps[i], factory(core.MachineID(i)), failCodec{}, asm(i)); errs[i] != nil {
 				eps[i].Close()
 			}
 		}()
@@ -109,4 +118,40 @@ func TestEveryNodeRulesAlike(t *testing.T) {
 			t.Errorf("machine %d after resume: %+v, uninterrupted %+v", k-1, resumed[k-1], golden[k-1])
 		}
 	})
+}
+
+// TestResumeDisagreementFailsOnTheDataPlane: every node opens the latest
+// cut itself, and no round checks the choice before the loop. Here
+// machine k-1's sink is empty while its peers resume from a cut, so it
+// starts at superstep 0 and they start past the cut. The first batches
+// fail their superstep check: every node returns an error attributed to
+// a machine, none runs on with a mixed cluster, and nothing hangs or
+// leaks.
+func TestResumeDisagreementFailsOnTheDataPlane(t *testing.T) {
+	const k = 4
+	base := runtime.NumGoroutine()
+	sink := core.NewMemorySink(0)
+	cfg := core.Config{K: k, Bandwidth: 1, Seed: 77, Checkpoint: core.CheckpointPolicy{Every: 4, Sink: sink}}
+	runEveryNode(t, cfg, ckFactory)
+	if step, _, _ := sink.Latest(); step < 0 {
+		t.Fatal("no checkpoint to resume from")
+	}
+	cfg.Checkpoint.Resume = true
+	shared := core.NewAssembler(cfg.Checkpoint, k)
+	empty := cfg.Checkpoint
+	empty.Sink = core.NewMemorySink(0)
+	lone := core.NewAssembler(empty, k)
+	_, errs := runNodes(t, cfg, ckFactory, func(i int) *core.Assembler {
+		if i == k-1 {
+			return lone
+		}
+		return shared
+	})
+	for i, err := range errs {
+		var me *transport.MachineError
+		if !errors.As(err, &me) {
+			t.Errorf("machine %d returned %v, want a MachineError", i, err)
+		}
+	}
+	testutil.NoLeakedGoroutines(t, base)
 }

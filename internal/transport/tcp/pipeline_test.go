@@ -44,8 +44,8 @@ func TestPipelineWorkersPersistAcrossSupersteps(t *testing.T) {
 	if _, err := tr.Exchange(context.Background(), 0, outs); err != nil {
 		t.Fatal(err)
 	}
-	// Population after the first superstep: transport drivers + data
-	// workers + coordinator control readers, all persistent.
+	// Population after the first superstep: transport drivers and data
+	// workers, all persistent.
 	settled := runtime.NumGoroutine()
 	for step := 1; step <= 50; step++ {
 		if _, err := tr.Exchange(context.Background(), step, outs); err != nil {
@@ -116,18 +116,17 @@ func TestWireStatsCountsFrames(t *testing.T) {
 	}
 }
 
-// TestControlOpsBeforeConnectFailFast mirrors the BeginSuperstep guard
-// on the coordinator's control path: CollectReports on an unconnected endpoint
-// must error, not panic into nil worker channels.
-func TestControlOpsBeforeConnectFailFast(t *testing.T) {
+// TestSuperstepOpsBeforeConnectFailFast: a superstep opened on an
+// endpoint whose mesh never connected must error, not panic into nil
+// worker channels.
+func TestSuperstepOpsBeforeConnectFailFast(t *testing.T) {
 	ep, err := Listen[testMsg](0, 3, "127.0.0.1:0", testCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ep.Close()
-	ep.ownQueue = append(ep.ownQueue, []byte("r"))
-	if _, err := ep.CollectReports(context.Background(), 0); err == nil {
-		t.Error("CollectReports before Connect succeeded")
+	if err := ep.StreamBatch(1, nil); err == nil {
+		t.Error("StreamBatch before Connect succeeded")
 	}
 	if _, err := ep.Exchange(context.Background(), 0, nil); err == nil {
 		t.Error("Exchange before Connect succeeded")

@@ -24,11 +24,11 @@
 // synchronisation state allocated on the steady-state path. Workers
 // exit when the endpoint closes; they never leak across supersteps.
 //
-// Every other machine also holds a control connection to machine 0, the
-// coordinator of the pre- and post-loop rounds of the standalone
-// runtime (transport/node: job begin, resume, job end); no superstep
-// touches it. The coordinator's per-peer control reads are driven by
-// the same persistent-worker machinery.
+// The data connections are the whole mesh: there is no connection to
+// a coordinator. What the machines of a run must agree on before they
+// exchange — which job, which superstep — is stamped on every batch
+// frame, so a machine that disagrees fails its peers' first read as an
+// attributed error.
 //
 // The package knows nothing about rounds or words: cost accounting
 // stays in core, which is what keeps Stats bit-identical between this
@@ -52,13 +52,6 @@ import (
 	"kmachine/internal/obs"
 	"kmachine/internal/transport"
 	"kmachine/internal/transport/wire"
-)
-
-// Connection-type byte carried in the HELLO frame that opens every
-// dialed connection.
-const (
-	helloData = byte(iota)
-	helloCtrl
 )
 
 // DefaultDialTimeout bounds mesh construction: peers of a standalone
@@ -107,8 +100,6 @@ type Endpoint[M any] struct {
 	jobID  uint64
 	jobbed bool
 
-	ownQueue [][]byte // id==0: coordinator's loopback report queue
-
 	// Pipeline worker state, created once per endpoint lifetime. A
 	// reader channel carries at most one job and a writer channel two — a
 	// streamed batch and the row queued behind it — because
@@ -140,9 +131,7 @@ type Endpoint[M any] struct {
 	// double-buffered so the previous superstep's envelopes survive while
 	// the next one is built. The peer's row frame lands in rxRow (a
 	// window of rowFrame[j]), returned as is and valid until the next
-	// BeginSuperstep. ctrlBuf is the control-plane equivalent: the
-	// payload ReceiveFromCoordinator returns stays valid until its next
-	// call.
+	// BeginSuperstep.
 	perDest  [][]transport.Envelope[M] // outgoing split by destination
 	tx       [][]byte                  // per-peer batch encode buffers
 	frame    [][]byte                  // per-peer batch read buffers
@@ -184,13 +173,12 @@ type Endpoint[M any] struct {
 	// stay parallel regardless — a read is mostly netpoll parking, which
 	// costs no core while it waits.
 	serialWriters bool
-	ctrlBuf       []byte // id>0: ReceiveFromCoordinator read buffer
 
 	// Bytes-on-wire accounting: every frame that crosses a socket —
-	// batches, rows and control payloads alike — is counted with its
-	// length prefix, against the peer it crossed to or from. Atomics
-	// because writers, readers, and the control plane account
-	// concurrently; WireStats sums the lanes into totals on demand.
+	// batches, rows and blame frames alike — is counted with its length
+	// prefix, against the peer it crossed to or from. Atomics because
+	// writers, readers and a blame broadcast account concurrently;
+	// WireStats sums the lanes into totals on demand.
 	wirePeers []peerWire // indexed by peer machine ID; [e.id] stays zero
 
 	// rec, when non-nil, receives per-frame telemetry spans from the
@@ -201,8 +189,7 @@ type Endpoint[M any] struct {
 
 	// mu serialises job dispatch against Close so a send can never race
 	// the closing of a signal channel (see pipeWorker), and closed gates
-	// BeginSuperstep/CollectReports on an endpoint that is already torn
-	// down.
+	// BeginSuperstep on an endpoint that is already torn down.
 	mu        sync.Mutex
 	closed    bool
 	closeOnce sync.Once
@@ -273,8 +260,8 @@ type peerWire struct {
 }
 
 // WireStats returns the endpoint's physical-layer counters: frames and
-// actual bytes (length prefix included) sent and received across data
-// and control connections, with a per-peer breakdown in PerPeer
+// actual bytes (length prefix included) sent and received, with a
+// per-peer breakdown in PerPeer
 // (indexed by peer machine ID; the endpoint's own slot stays zero).
 // Safe to call at any time, including mid-run.
 func (e *Endpoint[M]) WireStats() transport.WireStats {
@@ -964,127 +951,6 @@ func (e *Endpoint[M]) Reject(peer, step int, err error) error {
 	return err
 }
 
-// SendToCoordinator ships one control payload to machine 0, bounded by
-// ctx's deadline. On the coordinator itself the payload loops back
-// locally; the queued slice is retained until the matching
-// CollectReports pops it, so the caller must not recycle it earlier.
-func (e *Endpoint[M]) SendToCoordinator(ctx context.Context, payload []byte) error {
-	if e.id == 0 {
-		e.ownQueue = append(e.ownQueue, payload)
-		return nil
-	}
-	dl, release := e.ioGuard(ctx)
-	if release != nil {
-		defer release()
-	}
-	if err := e.ctrl.c.SetWriteDeadline(dl); err != nil {
-		return fmt.Errorf("tcp: machine %d set control write deadline: %w", e.id, err)
-	}
-	if err := wire.WriteFrame(e.ctrl.w, payload); err != nil {
-		return err
-	}
-	if err := e.ctrl.w.Flush(); err != nil {
-		return err
-	}
-	e.countSent(0, len(payload))
-	return nil
-}
-
-// CollectReports (coordinator only) returns one control payload per
-// machine, indexed by machine ID; position 0 is the coordinator's own
-// loop-back payload. A machine whose report does not arrive within
-// ctx's deadline surfaces as a *transport.MachineError naming it and
-// step. It runs once per job, not per superstep, so the peers are read
-// in turn on the calling goroutine.
-func (e *Endpoint[M]) CollectReports(ctx context.Context, step int) ([][]byte, error) {
-	if e.id != 0 {
-		return nil, fmt.Errorf("tcp: machine %d is not the coordinator", e.id)
-	}
-	if len(e.ownQueue) == 0 {
-		return nil, fmt.Errorf("tcp: coordinator has no local report queued")
-	}
-	dl, release := e.ioGuard(ctx)
-	if release != nil {
-		defer release()
-	}
-	e.mu.Lock()
-	closed, started := e.closed, e.started
-	e.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("tcp: coordinator collect on closed endpoint (superstep %d): %w", step, net.ErrClosed)
-	}
-	if !started {
-		return nil, fmt.Errorf("tcp: coordinator collect before Connect (superstep %d)", step)
-	}
-	reports := make([][]byte, e.k)
-	reports[0], e.ownQueue = e.ownQueue[0], e.ownQueue[1:]
-	for j := 1; j < e.k; j++ {
-		dc := e.ctrlIn[j]
-		err := dc.c.SetReadDeadline(dl)
-		if err == nil {
-			reports[j], err = wire.ReadFrame(dc.r)
-		}
-		if err != nil {
-			return nil, e.attrib(j, step, fmt.Errorf("tcp: coordinator read report from %d: %w", j, err))
-		}
-		e.countRecv(j, len(reports[j]))
-	}
-	return reports, nil
-}
-
-// Broadcast (coordinator only) sends one control payload to every other
-// machine. Delivery is attempted to EVERY peer even after a failure, and
-// the first error is returned after the full sweep.
-func (e *Endpoint[M]) Broadcast(ctx context.Context, payload []byte) error {
-	if e.id != 0 {
-		return fmt.Errorf("tcp: machine %d is not the coordinator", e.id)
-	}
-	dl, release := e.ioGuard(ctx)
-	if release != nil {
-		defer release()
-	}
-	var first error
-	for j := 1; j < e.k; j++ {
-		err := e.ctrlIn[j].c.SetWriteDeadline(dl)
-		if err == nil {
-			if err = wire.WriteFrame(e.ctrlIn[j].w, payload); err == nil {
-				err = e.ctrlIn[j].w.Flush()
-			}
-		}
-		if err != nil {
-			if first == nil {
-				first = fmt.Errorf("tcp: coordinator broadcast to %d: %w", j, err)
-			}
-			continue
-		}
-		e.countSent(j, len(payload))
-	}
-	return first
-}
-
-// ReceiveFromCoordinator (non-coordinator) blocks for the coordinator's
-// next control payload, bounded by ctx's deadline. The returned payload
-// is recycled storage, valid until the next ReceiveFromCoordinator call.
-func (e *Endpoint[M]) ReceiveFromCoordinator(ctx context.Context) ([]byte, error) {
-	if e.id == 0 {
-		return nil, fmt.Errorf("tcp: the coordinator receives no broadcast")
-	}
-	dl, release := e.ioGuard(ctx)
-	if release != nil {
-		defer release()
-	}
-	if err := e.ctrl.c.SetReadDeadline(dl); err != nil {
-		return nil, fmt.Errorf("tcp: machine %d set control read deadline: %w", e.id, err)
-	}
-	frame, err := wire.ReadFrameInto(e.ctrl.r, e.ctrlBuf)
-	if err != nil {
-		return nil, err
-	}
-	e.ctrlBuf = frame[:0]
-	e.countRecv(0, len(frame))
-	return frame, nil
-}
-
 // retireWorkers closes every pipeline signal channel, run at most once
 // (via closeOnce) by Detach or Close. No job send can race it: the
 // caller set closed under mu first, jobs are sent only while holding
@@ -1112,10 +978,11 @@ func (e *Endpoint[M]) retireWorkers() {
 // Detach retires the endpoint's pipeline workers and ends its use of
 // the mesh WITHOUT closing any connection — the standing fabric (and
 // any bytes buffered on it) stays intact for the next job's endpoint.
-// Valid only at a quiescent point: every superstep drained, every
-// control frame consumed — the job-end handshake of the node runtime is
-// what certifies that. A failed endpoint must use Close instead; after
-// Detach the endpoint itself is dead either way.
+// Valid only at a quiescent point: every machine has finished the same
+// last superstep, so every frame shipped on the mesh has been read — the
+// node runtime detaches only after all k machines returned. A failed
+// endpoint must use Close instead; after Detach the endpoint itself is
+// dead either way.
 func (e *Endpoint[M]) Detach() {
 	e.mu.Lock()
 	e.closed = true

@@ -155,13 +155,13 @@ func (e *MachineError) Error() string {
 func (e *MachineError) Unwrap() error { return e.Err }
 
 // WireStats counts what a substrate physically shipped: whole frames
-// and their actual byte sizes (length prefixes included), data and
-// control plane alike. It is the measured counterpart of the paper's
+// and their actual byte sizes (length prefixes included), whatever they
+// carry. It is the measured counterpart of the paper's
 // word-based cost model — Stats.Words counts model words before any
 // transport touches an envelope, WireStats counts the bytes a real
 // socket carried — and comparing the two quantifies both the encoding
 // efficiency of the wire format and the protocol overhead (row and
-// control frames) that the model abstracts away. The loopback
+// blame frames) that the model abstracts away. The loopback
 // transport ships nothing and reports zeros by not implementing
 // WireMeter at all.
 type WireStats struct {

@@ -118,7 +118,7 @@ func TestRegistrySubstrateEquivalence(t *testing.T) {
 
 			// Stats are what the substrates share; Wire is what they do
 			// not: the loopback ships nothing, both socket runtimes count
-			// every frame (control plane included).
+			// every frame.
 			if mem.Wire.FramesSent != 0 {
 				t.Errorf("inmem run reports %d frames on the wire", mem.Wire.FramesSent)
 			}
