@@ -150,7 +150,8 @@ func TestConnCompCheckpointLayoutPinned(t *testing.T) {
 	}
 }
 
-// runOn runs the registry entry on one of the three all-k runtimes.
+// runOn runs the registry entry through one of its three all-k entry
+// points ("tcp" and "node" both reach the socket link).
 func runOn(entry *algo.Entry, runtime string, prob algo.Problem) (*algo.Outcome, error) {
 	switch runtime {
 	case "inmem":

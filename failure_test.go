@@ -1,16 +1,16 @@
 package kmachine_test
 
 // Failure-injection suite over the real algorithm stack: kill machine j
-// at superstep s — under the chaos transport, on both the loopback and
-// the TCP substrate — and assert the failure-hardened runtime's
-// guarantees end to end for pagerank and conncomp:
+// at superstep s — in process under the chaos transport, over the
+// socket link by severing its own fabric (runFaulted) — and assert the
+// failure-hardened runtime's guarantees end to end for pagerank and
+// conncomp:
 //
 //   - the run returns a non-nil error within the configured
 //     SuperstepTimeout (never hangs);
 //   - the error wraps a *transport.MachineError attributing the failure
 //     to the killed machine and the kill superstep;
-//   - teardown is goroutine-clean (Close unblocks everything, safe to
-//     call twice);
+//   - teardown is goroutine-clean;
 //   - and on the happy path the new knobs change nothing: a run with a
 //     generous SuperstepTimeout is bit-identical to one without.
 
@@ -30,9 +30,6 @@ import (
 	"kmachine/internal/partition"
 	"kmachine/internal/testutil"
 	"kmachine/internal/transport"
-	"kmachine/internal/transport/chaos"
-	"kmachine/internal/transport/inmem"
-	"kmachine/internal/transport/tcp"
 )
 
 const (
@@ -42,52 +39,13 @@ const (
 	failStep   = 2
 )
 
-// runKilled executes the algorithm on a cluster whose transport kills
-// failVictim at failStep, returning the run error. The generic helper
-// is what makes the suite registry-shaped: any Algorithm descriptor
-// slots in.
+// runKilled executes the algorithm with failVictim killed at failStep,
+// returning the run error. The generic helper is what makes the suite
+// registry-shaped: any Algorithm descriptor slots in.
 func runKilled[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], p *partition.VertexPartition, kind transport.Kind) error {
 	t.Helper()
-	machines := make([]core.Machine[M], p.K)
-	for i := 0; i < p.K; i++ {
-		m, err := a.NewMachine(p.View(core.MachineID(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		machines[i] = m
-	}
-	cfg := core.Config{K: p.K, Bandwidth: core.DefaultBandwidth(failN), Seed: 11,
-		SuperstepTimeout: 5 * time.Second}
-	cluster := core.NewCluster(cfg, func(id core.MachineID) core.Machine[M] { return machines[id] })
-
-	var tr transport.Transport[M]
-	switch kind {
-	case transport.InMem:
-		tr = chaos.Wrap[M](inmem.New[M](p.K), chaos.KillAt(failVictim, failStep))
-	case transport.TCP:
-		inner, err := tcp.New[M](p.K, a.Codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Drop-connection fault: sever the victim's real sockets and
-		// let the tcp substrate's own deadline/cascade machinery
-		// produce the error.
-		tr = chaos.Wrap[M](inner, chaos.DropConnAt(failVictim, failStep, func() {
-			inner.SeverMachine(failVictim)
-		}))
-	default:
-		t.Fatalf("unknown transport kind %q", kind)
-	}
-	defer tr.Close()
-
-	var runErr error
-	done := make(chan struct{})
-	go func() {
-		_, runErr = cluster.RunOn(tr, nil)
-		close(done)
-	}()
-	testutil.WaitOrDump(t, done, 30*time.Second, "killed cluster")
-	return runErr
+	_, _, err := runArm(t, a, p, p.K, kind, core.CheckpointPolicy{}, killAt(failVictim, failStep))
+	return err
 }
 
 // killCase is one row of the registry-shaped kill table.
@@ -178,20 +136,15 @@ func TestStepOutlastingSuperstepTimeout(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			cfg := core.Config{K: k, Bandwidth: 1, Seed: 1, MaxSupersteps: 50, SuperstepTimeout: timeout}
-			cluster := core.NewCluster(cfg, func(core.MachineID) core.Machine[conncomp.Wire] {
+			factory := func(core.MachineID) core.Machine[conncomp.Wire] {
 				return core.MachineFunc[conncomp.Wire](func(ctx *core.StepContext, _ []core.Envelope[conncomp.Wire]) ([]core.Envelope[conncomp.Wire], bool) {
 					if ctx.Self == slow && ctx.Superstep == slowStep {
 						time.Sleep(4 * timeout)
 					}
 					return []core.Envelope[conncomp.Wire]{{To: core.MachineID((int(ctx.Self) + 1) % k), Words: 1}}, false
 				})
-			})
-			tr, err := core.OpenTransport[conncomp.Wire](kind, k, conncomp.WireCodec())
-			if err != nil {
-				t.Fatal(err)
 			}
-			stats, err := cluster.RunOn(tr, nil)
-			tr.Close()
+			stats, err := runFaulted(kind, cfg, conncomp.WireCodec(), factory, noFault)
 			if err == nil {
 				t.Fatal("a Step four timeouts long did not fail the run")
 			}
@@ -201,11 +154,10 @@ func TestStepOutlastingSuperstepTimeout(t *testing.T) {
 					t.Errorf("error %v is not a deadline error", err)
 				}
 			case transport.TCP:
-				// Every link is silent while the in-process cluster waits
-				// for the slow Step, so all bounded reads expire together
-				// and which machine gets named is a race (a survivor may
-				// even see a faster peer's teardown before its own
-				// deadline); what holds is attribution to the superstep.
+				// The survivors' bounded reads of the slow machine expire,
+				// and the cascade their teardown starts races the slow
+				// machine's own failure; what holds is attribution to the
+				// superstep.
 				var me *transport.MachineError
 				if !errors.As(err, &me) {
 					t.Errorf("tcp error %v carries no machine attribution", err)

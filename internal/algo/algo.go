@@ -11,11 +11,11 @@
 // partition.View, local-output extraction, cross-machine merge) and the
 // generic driver runs it on any substrate —
 //
-//   - Run / Exec: the in-process cluster (core.Cluster) over any
-//     transport.Kind (loopback or real TCP sockets);
-//   - NodeRunLocal: the socket link (transport/node), every machine
-//     with its own listener+dialer over loopback TCP in one process
-//     (cmd/kmnode -local);
+//   - Run / Exec: all k machines in this process, over the link
+//     cfg.Transport names: the in-process rendezvous on the loopback,
+//     or, for transport.TCP, k socket links (transport/node), every
+//     machine with its own listener+dialer on loopback TCP;
+//   - NodeRunLocal: Run over transport.TCP (cmd/kmnode -local);
 //   - Entry.RunStandalone: ONE machine of a multi-process cluster
 //     (cmd/kmnode -id), peers living in other processes.
 //
@@ -38,6 +38,7 @@ import (
 	"kmachine/internal/core"
 	"kmachine/internal/partition"
 	"kmachine/internal/transport"
+	"kmachine/internal/transport/inmem"
 	"kmachine/internal/transport/node"
 	"kmachine/internal/transport/wire"
 )
@@ -59,9 +60,8 @@ type Machine[M, L any] interface {
 type Algorithm[M, L, O any] struct {
 	// Name identifies the algorithm in errors and registry listings.
 	Name string
-	// Codec serialises envelope payloads for substrates that cross
-	// process or socket boundaries (transport/tcp, transport/node); the
-	// in-memory loopback ignores it.
+	// Codec serialises envelope payloads for the socket link
+	// (transport/node) and checkpoints; the in-memory loopback ignores it.
 	Codec wire.Codec[M]
 	// NewMachine builds machine view.Self()'s state. Every substrate
 	// calls it the same way, so a machine's behaviour cannot depend on
@@ -74,25 +74,23 @@ type Algorithm[M, L, O any] struct {
 	Merge func(locals []L) O
 }
 
-// Run executes the algorithm over the partitioned input on an
-// in-process cluster, resolving cfg.Transport with the descriptor's
-// codec. It returns the merged output and the measured Stats. The input
-// may be a materialised *partition.VertexPartition or a
-// *partition.ShardedInput, whose k CSR shards are built from one pass
+// Run executes the algorithm over the partitioned input, all k machines
+// in this process on the link cfg.Transport names, with the
+// descriptor's codec. It returns the merged output and the measured
+// Stats. The input may be a materialised *partition.VertexPartition or
+// a *partition.ShardedInput, whose k CSR shards are built from one pass
 // over its source.
 func Run[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config) (O, *core.Stats, error) {
-	out, stats, _, err := execute(a, in, inProcess(cfg, a.Codec))
+	out, stats, _, err := execute(a, in, inProcess(cfg, a.Codec, nil, 0))
 	return out, stats, err
 }
 
-// NodeRunLocal executes the algorithm over the socket link: the full
-// k-machine cluster in this process, every machine with its own
-// listener and dialer on loopback TCP, every node ruling each superstep
-// itself (transport/node, cmd/kmnode -local). Outputs and Stats are
-// bit-identical to Run with the same cfg, whose Transport is unread.
+// NodeRunLocal is Run over transport.TCP, whatever cfg.Transport says:
+// every machine with its own listener and dialer on loopback TCP, every
+// node ruling each superstep itself (cmd/kmnode -local).
 func NodeRunLocal[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config) (O, *core.Stats, error) {
-	out, stats, _, err := execute(a, in, onSockets(cfg, nil, 0, a.Codec))
-	return out, stats, err
+	cfg.Transport = transport.TCP
+	return Run(a, in, cfg)
 }
 
 // Exec is Run for algorithms whose input is not a vertex partition
@@ -100,7 +98,7 @@ func NodeRunLocal[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg cor
 // the k machines, in machine-ID order exactly like core.NewCluster's
 // factory contract — once per attempt, so it must be deterministic.
 func Exec[M, L, O any](cfg core.Config, codec wire.Codec[M], build func(core.MachineID) (Machine[M, L], error), merge func([]L) O) (O, *core.Stats, error) {
-	out, stats, _, err := retry(build, merge, inProcess(cfg, codec))
+	out, stats, _, err := retry(build, merge, inProcess(cfg, codec, nil, 0))
 	return out, stats, err
 }
 
@@ -116,27 +114,35 @@ type site[M any] struct {
 	run func(cfg core.Config, machine func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error)
 }
 
-// inProcess is the in-process cluster over cfg.Transport.
-func inProcess[M any](cfg core.Config, codec wire.Codec[M]) site[M] {
+// inProcess is all k machines in this process on cfg.Transport: the
+// in-process rendezvous over the loopback, or, for transport.TCP, k
+// socket links — over a private loopback mesh (lm == nil, kmnode
+// -local), or as job `job` on a standing one, the resident-daemon
+// substrate, where the fabric outlives the run and a failed job poisons
+// it until the next attempt rebuilds it.
+func inProcess[M any](cfg core.Config, codec wire.Codec[M], lm *node.LocalMesh, job uint64) site[M] {
 	return site[M]{cfg: cfg,
 		run: func(cfg core.Config, machine func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
-			return core.RunOverWire(core.NewCluster(cfg, machine), codec)
+			switch {
+			case lm != nil:
+				return node.RunJobLocal(lm, cfg, job, codec, machine)
+			case cfg.Transport == transport.TCP:
+				return node.RunLocal(cfg, codec, machine)
+			}
+			t := inmem.New[M](cfg.K)
+			defer t.Close()
+			stats, err := core.NewCluster(cfg, machine).RunOn(t, codec)
+			return stats, transport.WireStats{}, err
 		}}
 }
 
-// onSockets is the per-machine socket link, all k machines in this
-// process: over a private loopback mesh (lm == nil, kmnode -local), or
-// as job `job` on a standing one, the resident-daemon substrate, where
-// the fabric outlives the run and a failed job poisons it until the
-// next attempt rebuilds it.
-func onSockets[M any](cfg core.Config, lm *node.LocalMesh, job uint64, codec wire.Codec[M]) site[M] {
-	return site[M]{cfg: cfg,
-		run: func(cfg core.Config, machine func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
-			if lm == nil {
-				return node.RunLocal(cfg, codec, machine)
-			}
-			return node.RunJobLocal(lm, cfg, job, codec, machine)
-		}}
+// knownKind rejects a transport kind no link answers to.
+func knownKind(kind transport.Kind) error {
+	switch kind {
+	case transport.Default, transport.InMem, transport.TCP:
+		return nil
+	}
+	return fmt.Errorf("algo: unknown transport kind %q", kind)
 }
 
 // execute is the single run entry of every all-k substrate: ask the
@@ -158,8 +164,9 @@ func execute[M, L, O any](a Algorithm[M, L, O], in partition.Input, on site[M]) 
 }
 
 // retry is recovery, the one loop every all-k runner passes through: it
-// constructs the k machines sequentially in machine-ID order (so a
-// factory error surfaces before any cluster is built), runs them on the
+// refuses an unknown transport kind, constructs the k machines
+// sequentially in machine-ID order (so a factory error surfaces before
+// any cluster is built), runs them on the
 // site, and merges their outputs. A failed attempt is retried — with
 // machines rebuilt from the same input, against the same sink — when
 // the failure is an attributed machine loss (it wraps
@@ -176,6 +183,9 @@ func retry[M, L, O any](build func(core.MachineID) (Machine[M, L], error), merge
 	var zero O
 	var total transport.WireStats
 	cfg := on.cfg
+	if err := knownKind(cfg.Transport); err != nil {
+		return zero, nil, total, err
+	}
 	var sink *launchSink
 	if cfg.Checkpoint.Every > 0 {
 		sink = &launchSink{CheckpointSink: cfg.Checkpoint.Sink}

@@ -112,9 +112,8 @@ func (prob Problem) withDefaults() Problem {
 	return prob
 }
 
-// config is the run configuration of a problem on every substrate (the
-// socket link does not read kind): the machine streams draw from
-// Seed+2.
+// config is the run configuration of a problem on the link kind names:
+// the machine streams draw from Seed+2.
 func (prob Problem) config(kind transport.Kind) core.Config {
 	return core.Config{K: prob.K, Bandwidth: prob.Bandwidth, Seed: prob.Seed + 2,
 		Transport: kind, SuperstepTimeout: prob.SuperstepTimeout, Context: prob.Context,
@@ -182,30 +181,28 @@ type Entry struct {
 }
 
 // place names the substrate of one registry run. The zero value is the
-// in-process cluster on the loopback.
+// in-process rendezvous on the loopback.
 type place struct {
-	// kind is the transport of the in-process cluster — unless:
+	// kind is the link of the k machines in this process; with mesh set
+	// they run as job `job` on that standing mesh — unless:
 	kind transport.Kind
-	// sockets runs every machine over the socket link on a private
-	// loopback mesh, or, with mesh set, as job `job` on a standing one;
-	sockets bool
-	mesh    *node.LocalMesh
-	job     uint64
+	mesh *node.LocalMesh
+	job  uint64
 	// standalone runs ONE machine, this process's, of a cluster whose
 	// peers live in other processes.
 	standalone *node.Place
 }
 
-// Run executes the algorithm on an in-process cluster over the given
-// transport kind (loopback or TCP sockets).
+// Run executes the algorithm with all k machines in this process on the
+// link kind names: the in-process rendezvous over the loopback, or, for
+// transport.TCP, k socket links on loopback TCP.
 func (e *Entry) Run(prob Problem, kind transport.Kind) (*Outcome, error) {
 	return e.run(prob, place{kind: kind})
 }
 
-// RunNodeLocal executes the algorithm over the socket link, all k
-// machines in this process on loopback TCP (kmnode -local).
+// RunNodeLocal is Run over transport.TCP (kmnode -local).
 func (e *Entry) RunNodeLocal(prob Problem) (*Outcome, error) {
-	return e.run(prob, place{sockets: true})
+	return e.run(prob, place{kind: transport.TCP})
 }
 
 // RunStandalone executes ONE machine of the algorithm's cluster in this
@@ -222,7 +219,7 @@ func (e *Entry) RunStandalone(prob Problem, at node.Place) (*Outcome, error) {
 // to RunNodeLocal on the same Problem. On error the mesh is poisoned
 // until the next job rebuilds it.
 func (e *Entry) RunJob(prob Problem, lm *node.LocalMesh, job uint64) (*Outcome, error) {
-	return e.run(prob, place{sockets: true, mesh: lm, job: job})
+	return e.run(prob, place{kind: transport.TCP, mesh: lm, job: job})
 }
 
 // Submit runs any registered algorithm by name as one job on a standing
@@ -268,6 +265,9 @@ func (s Spec[M, L, O]) launch(prob Problem, at place) (*Outcome, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
+	if err := knownKind(at.kind); err != nil {
+		return nil, err
+	}
 	t0 := time.Now()
 	a, in, err := s.Build(prob)
 	if err != nil {
@@ -293,12 +293,7 @@ func (s Spec[M, L, O]) launch(prob Problem, at place) (*Outcome, error) {
 
 // all runs the k machines in this process and reports the merged output.
 func (s Spec[M, L, O]) all(prob Problem, a Algorithm[M, L, O], in partition.Input, at place) (*Outcome, error) {
-	cfg := prob.config(at.kind)
-	on := inProcess(cfg, a.Codec)
-	if at.sockets {
-		on = onSockets(cfg, at.mesh, at.job, a.Codec)
-	}
-	out, stats, w, err := execute(a, in, on)
+	out, stats, w, err := execute(a, in, inProcess(prob.config(at.kind), a.Codec, at.mesh, at.job))
 	if err != nil {
 		return nil, err
 	}

@@ -74,11 +74,15 @@ func echoDescriptor() Algorithm[echoMsg, int64, int64] {
 	}
 }
 
+// echoBuilds counts the registered echo's input builds.
+var echoBuilds int
+
 func init() {
 	Register(Spec[echoMsg, int64, int64]{
 		Name: "echo",
 		Doc:  "test-only ring echo",
 		Build: func(prob Problem) (Algorithm[echoMsg, int64, int64], partition.Input, error) {
+			echoBuilds++
 			g := graph.NewBuilder(prob.N, false).Build()
 			return echoDescriptor(), partition.NewRVP(g, prob.K, prob.Seed+1), nil
 		},
@@ -136,23 +140,17 @@ func TestEchoAcrossSubstrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodeOut, err := entry.RunNodeLocal(prob)
-	if err != nil {
-		t.Fatal(err)
+	if tcp.Hash != mem.Hash {
+		t.Errorf("tcp hash %016x, inmem %016x", tcp.Hash, mem.Hash)
 	}
-	for label, o := range map[string]*Outcome{"tcp": tcp, "node": nodeOut} {
-		if o.Hash != mem.Hash {
-			t.Errorf("%s hash %016x, inmem %016x", label, o.Hash, mem.Hash)
-		}
-		if o.Stats.Rounds != mem.Stats.Rounds || o.Stats.Words != mem.Stats.Words {
-			t.Errorf("%s stats (rounds=%d words=%d), inmem (rounds=%d words=%d)",
-				label, o.Stats.Rounds, o.Stats.Words, mem.Stats.Rounds, mem.Stats.Words)
-		}
+	if tcp.Stats.Rounds != mem.Stats.Rounds || tcp.Stats.Words != mem.Stats.Words {
+		t.Errorf("tcp stats (rounds=%d words=%d), inmem (rounds=%d words=%d)",
+			tcp.Stats.Rounds, tcp.Stats.Words, mem.Stats.Rounds, mem.Stats.Words)
 	}
 }
 
 // TestEchoRunJobMatches: the standing-mesh runner (RunJob / Submit) is
-// bit-identical to RunNodeLocal and Run — and the mesh carries several
+// bit-identical to Run — and the mesh carries several
 // jobs, including by-name submission.
 func TestEchoRunJobMatches(t *testing.T) {
 	entry, _ := Lookup("echo")
@@ -327,7 +325,6 @@ func TestEntryRejectsInvalidProblem(t *testing.T) {
 	at := node.Place{ID: 0, Listen: "127.0.0.1:0", Peers: []string{"127.0.0.1:1"}}
 	runners := map[string]func(Problem) (*Outcome, error){
 		"Run inmem":     func(p Problem) (*Outcome, error) { return entry.Run(p, transport.InMem) },
-		"Run tcp":       func(p Problem) (*Outcome, error) { return entry.Run(p, transport.TCP) },
 		"RunNodeLocal":  entry.RunNodeLocal,
 		"RunStandalone": func(p Problem) (*Outcome, error) { return entry.RunStandalone(p, at) },
 	}
@@ -351,5 +348,37 @@ func TestEntryRejectsInvalidProblem(t *testing.T) {
 				}
 			}()
 		}
+	}
+}
+
+// TestUnknownKindRejectedBeforeAnythingIsBuilt: a transport kind no link
+// answers to is refused by the registry before the input is built, and
+// by Run before any machine is — both used to run first and be refused
+// only when the transport was opened.
+func TestUnknownKindRejectedBeforeAnythingIsBuilt(t *testing.T) {
+	entry, _ := Lookup("echo")
+	a, built := echoDescriptor(), 0
+	newMachine := a.NewMachine
+	a.NewMachine = func(v partition.View) (Machine[echoMsg, int64], error) {
+		built++
+		return newMachine(v)
+	}
+	// "tcp/wire-v1" named the batch format wire v2 replaced; it is as
+	// unknown as any other string now.
+	for _, kind := range []transport.Kind{"carrier-pigeon", "tcp/wire-v1"} {
+		builds := echoBuilds
+		if _, err := entry.Run(Problem{N: 64, K: 5, Seed: 3}, kind); err == nil || !strings.Contains(err.Error(), "unknown transport kind") {
+			t.Errorf("Entry.Run over %q: err = %v, want an unknown-kind error", kind, err)
+		}
+		if echoBuilds != builds {
+			t.Errorf("Entry.Run over %q built the input before refusing the kind", kind)
+		}
+		in := EdgelessInput(Problem{N: 64, K: 5, Seed: 3})
+		if _, _, err := Run(a, in, core.Config{K: 5, Bandwidth: 1, Transport: kind}); err == nil {
+			t.Errorf("Run over %q succeeded", kind)
+		}
+	}
+	if built != 0 {
+		t.Errorf("%d machines were built before the unknown kind was refused", built)
 	}
 }

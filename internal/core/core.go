@@ -104,7 +104,8 @@ type StepContext struct {
 // Config is the one description of a run, on either link: the
 // in-process cluster (NewCluster, RunOn) and the socket link
 // (transport/node, which adds only where a process sits). Every field
-// means the same on both; Transport alone is in-process only.
+// means the same on both; Transport, which picks between them, is read
+// only where all k machines share a process.
 type Config struct {
 	// K is the number of machines (k > 2 in the paper; we accept k >= 2,
 	// and k = n gives the congested clique of Corollary 1).
@@ -123,10 +124,10 @@ type Config struct {
 	// run's memory footprint constant. All other Stats fields are
 	// unaffected.
 	DropPerSuperstep bool
-	// Transport names the envelope substrate of an in-process run; empty
-	// means the in-memory loopback. Core only stores the name — algorithm
-	// Run functions resolve it through OpenTransport with their message
-	// codec, because building a non-loopback transport needs one.
+	// Transport names the link of a run whose k machines share one
+	// process; empty means the in-memory loopback. Core only stores the
+	// name: the algorithm driver (internal/algo) runs transport.TCP as k
+	// socket links, which need the message codec.
 	Transport transport.Kind
 	// Context cancels the whole run: every driver observes it before and
 	// after its Step and hands it to every link operation, so canceling
@@ -159,9 +160,8 @@ type Config struct {
 	// run: per machine and superstep a compute span (the Step call) and
 	// a barrier span (waiting for the slowest machine in-process, the
 	// local ruling over sockets), plus exchange spans (one per
-	// superstep in-process, one per machine over sockets) and, on socket
-	// substrates, per-peer frame spans (installed on transports
-	// implementing transport.TraceSink). The recorder must tolerate
+	// superstep in-process, one per machine over sockets) and, on the
+	// socket link, per-peer frame spans. The recorder must tolerate
 	// concurrent Record calls and should not allocate (obs.Trace
 	// satisfies both). nil — the default — keeps the drivers on their
 	// span-free path: the zero-allocation discipline and the golden
@@ -435,12 +435,12 @@ func (c *Cluster[M]) Machine(i MachineID) Machine[M] { return c.machines[int(i)]
 // Run executes supersteps until global quiescence (every machine done and
 // no envelope in flight) and returns the communication statistics. It
 // runs on the in-memory loopback transport without a message codec, so
-// it cannot checkpoint; use RunOverWire or RunOn for anything else
-// (Config.Transport cannot be resolved here because building a
-// non-loopback transport needs a codec — see OpenTransport).
+// it cannot checkpoint; use RunOn for anything else. Any other
+// Config.Transport is refused: the socket link needs a codec, and
+// internal/algo runs it.
 func (c *Cluster[M]) Run() (*Stats, error) {
 	if c.cfg.Transport != transport.Default && c.cfg.Transport != transport.InMem {
-		return nil, fmt.Errorf("core: Config.Transport=%q needs a codec; resolve it with OpenTransport and call RunOn", c.cfg.Transport)
+		return nil, fmt.Errorf("core: Config.Transport=%q needs a message codec; run it through internal/algo", c.cfg.Transport)
 	}
 	t := inmem.New[M](c.cfg.K)
 	defer t.Close()

@@ -22,21 +22,6 @@ func TestRunRejectsUnresolvableTransportKind(t *testing.T) {
 	}
 }
 
-func TestOpenTransportUnknownKind(t *testing.T) {
-	// "tcp/wire-v1" named the batch format wire v2 replaced; it is as
-	// unknown as any other string now.
-	for _, kind := range []transport.Kind{"carrier-pigeon", "tcp/wire-v1"} {
-		if _, err := OpenTransport[pingMsg](kind, 2, nil); err == nil {
-			t.Errorf("unknown transport kind %q accepted", kind)
-		}
-	}
-	tr, err := OpenTransport[pingMsg]("", 2, nil)
-	if err != nil {
-		t.Fatalf("default transport: %v", err)
-	}
-	tr.Close()
-}
-
 func TestLog2Words(t *testing.T) {
 	cases := []struct{ n, want int }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 2}, {4, 3},

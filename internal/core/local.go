@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the in-process Link: the k drivers of a cluster that
-// lives in one process share one rendezvous over any Transport (inmem,
-// tcp.Transport, chaos.Wrap). Each superstep they meet once, in Round;
+// lives in one process share one rendezvous over a Transport (inmem, or
+// chaos.Wrap around it in tests). Each superstep they meet once, in Round;
 // the last to arrive rules the superstep and, when the run goes on,
 // calls the cluster-level Finish and charges it, while the others stay
 // parked. Because the verdict is known before the transport is touched,

@@ -46,7 +46,7 @@ func TestBulkBytesPerKey(t *testing.T) {
 	}{
 		{"dsort.RandomInput (the key slices)", input, 10},
 		{"sort machines + routing buckets + in-process link (newSortMachine, Step, core, inmem)", inmem, 200},
-		{"wire + tcp on top of the in-process run (AppendBatchV2, frame buffers, assembleInbox)", tcp - inmem, 160},
+		{"socket link, beyond the in-process link (AppendBatchV2, frame buffers, rows, assembleInbox)", tcp - inmem, 160},
 	} {
 		t.Logf("%5.1f B/key (budget %3.0f)  %s", row.got, row.budget, row.layer)
 		if row.got > row.budget {

@@ -9,7 +9,7 @@ import (
 
 // Wire is the envelope payload type of a PageRank run: the token-count
 // message in its two-hop routing frame. It is exported so callers can
-// open a transport (core.OpenTransport[pagerank.Wire]) or drive a
+// build a loopback transport (inmem.New[pagerank.Wire]) or drive a
 // standalone node (node.Run with a pagerank machine).
 type Wire = wire
 

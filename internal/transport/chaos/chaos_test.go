@@ -100,32 +100,6 @@ func TestDelayOverrunsSuperstepTimeout(t *testing.T) {
 	}
 }
 
-func TestDropConnReattributesInnerFailure(t *testing.T) {
-	const k, victim, step = 3, 1, 2
-	for name, factory := range chatter {
-		t.Run(name, func(t *testing.T) {
-			inner := inmem.New[msg](k)
-			// The severed "connection" of the loopback is the transport
-			// itself: what matters is that the inner failure, whatever its
-			// shape, comes back attributed to the victim chaos chose.
-			tr := chaos.Wrap[msg](inner, chaos.DropConnAt(victim, step, func() { inner.Close() }))
-			defer tr.Close()
-			c := core.NewCluster(core.Config{K: k, Bandwidth: 1, Seed: 1, MaxSupersteps: 100}, factory(k))
-			_, err := c.RunOn(tr, nil)
-			if err == nil {
-				t.Fatal("severed transport did not error")
-			}
-			var me *transport.MachineError
-			if !errors.As(err, &me) {
-				t.Fatalf("inner error %v was not re-attributed", err)
-			}
-			if me.Machine != victim || me.Superstep != step {
-				t.Errorf("attributed to machine %d superstep %d, want %d/%d", me.Machine, me.Superstep, victim, step)
-			}
-		})
-	}
-}
-
 // TestHappyPathPassThrough: an inert chaos wrapper (no due faults) must
 // be invisible — same Stats as the bare loopback.
 func TestHappyPathPassThrough(t *testing.T) {

@@ -40,10 +40,12 @@ func (failCodec) Decode(src []byte) (failMsg, int, error) {
 // runMeshWithFault spawns k runNodes over a fresh loopback mesh; the
 // victim machine executes onVictimStep(eps) inside its Step at
 // superstep failStep (before emitting). Machines chatter endlessly, so
-// only the fault can end the run. Returns the k runNode errors once
+// only the fault can end the run: each emits a three-envelope batch to
+// `eager` peers mid-Step, which their writer workers ship, and leaves
+// one envelope for its ring neighbour. Returns the k runNode errors once
 // every loop has exited; a cluster that fails to drain within 30s fails
 // the test with a full goroutine dump — that is the hang this PR fixes.
-func runMeshWithFault(t *testing.T, k, victim, failStep int, timeout time.Duration, onVictimStep func(eps []*tcp.Endpoint[failMsg])) []error {
+func runMeshWithFault(t *testing.T, k, eager, victim, failStep int, timeout time.Duration, onVictimStep func(eps []*tcp.Endpoint[failMsg])) []error {
 	t.Helper()
 	eps, err := tcp.NewLoopbackMesh[failMsg](k, failCodec{})
 	if err != nil {
@@ -59,6 +61,10 @@ func runMeshWithFault(t *testing.T, k, victim, failStep int, timeout time.Durati
 		return core.MachineFunc[failMsg](func(ctx *core.StepContext, inbox []core.Envelope[failMsg]) ([]core.Envelope[failMsg], bool) {
 			if int(ctx.Self) == victim && ctx.Superstep == failStep {
 				onVictimStep(eps)
+			}
+			for i := 2; i < 2+eager; i++ {
+				to := core.MachineID((int(ctx.Self) + i) % k)
+				core.EmitBatch(ctx, to, []core.Envelope[failMsg]{{To: to, Words: 1}, {To: to, Words: 1}, {To: to, Words: 1}})
 			}
 			return []core.Envelope[failMsg]{{To: core.MachineID((int(ctx.Self) + 1) % k), Words: 1}}, false
 		})
@@ -111,19 +117,29 @@ func assertSurvivorsAttribute(t *testing.T, errs []error, victim int) {
 	}
 }
 
-// TestCrashedNodeSurfacesOnAllSurvivors kills machine 2's endpoint —
+// TestCrashedNodeSurfacesOnAllSurvivors kills the victim's endpoint —
 // listener and every connection, exactly what its process dying looks
-// like to the peers — at superstep 1 and requires every surviving
-// machine to return an error attributed to machine 2, with no
-// goroutines left behind.
+// like to the peers — and requires every surviving machine to return an
+// error attributed to the victim, with no goroutines left behind. With
+// every pair's writers busy when it dies, a survivor's write often hits
+// a bystander that already failed over the victim and closed; that
+// survivor must still name the victim, which the bystander's blame
+// frame says, not the bystander its write found gone. Ten kills make
+// the race all but certain to show.
 func TestCrashedNodeSurfacesOnAllSurvivors(t *testing.T) {
-	base := runtime.NumGoroutine()
-	const k, victim, step = 4, 2, 1
-	errs := runMeshWithFault(t, k, victim, step, 2*time.Second, func(eps []*tcp.Endpoint[failMsg]) {
-		eps[victim].Close()
-	})
-	assertSurvivorsAttribute(t, errs, victim)
-	testutil.NoLeakedGoroutines(t, base)
+	for _, c := range []struct{ k, eager, victim, step, kills int }{
+		{k: 4, eager: 0, victim: 2, step: 1, kills: 1},
+		{k: 6, eager: 4, victim: 3, step: 2, kills: 10},
+	} {
+		for range c.kills {
+			base := runtime.NumGoroutine()
+			errs := runMeshWithFault(t, c.k, c.eager, c.victim, c.step, 2*time.Second, func(eps []*tcp.Endpoint[failMsg]) {
+				eps[c.victim].Close()
+			})
+			assertSurvivorsAttribute(t, errs, c.victim)
+			testutil.NoLeakedGoroutines(t, base)
+		}
+	}
 }
 
 // TestWedgedNodeTimesOutOnSurvivors stalls machine 1 inside its Step
@@ -138,7 +154,7 @@ func TestWedgedNodeTimesOutOnSurvivors(t *testing.T) {
 		stall           = 1500 * time.Millisecond
 	)
 	start := time.Now()
-	errs := runMeshWithFault(t, k, victim, step, timeout, func([]*tcp.Endpoint[failMsg]) {
+	errs := runMeshWithFault(t, k, 0, victim, step, timeout, func([]*tcp.Endpoint[failMsg]) {
 		time.Sleep(stall)
 	})
 	elapsed := time.Since(start)

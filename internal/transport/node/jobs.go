@@ -77,7 +77,7 @@ func (lm *LocalMesh) Rebuilds() int64 {
 // Sever forcibly closes machine i's fabric — listener and every
 // connection — simulating that machine dying mid-job. The in-flight
 // job fails with attribution; the mesh is poisoned. Fault injection
-// for chaos tests, mirroring tcp.Transport.SeverMachine.
+// for tests: a machine's Step that severs itself dies mid-superstep.
 func (lm *LocalMesh) Sever(i int) error {
 	if i < 0 || i >= lm.k {
 		return fmt.Errorf("node: cannot sever machine %d of %d", i, lm.k)

@@ -84,7 +84,9 @@ func TestSteadyStateExchangeAllocBudget(t *testing.T) {
 	// preallocated ring — so instrumentation must not move the budget.
 	// The trace is built once, outside the measured runs.
 	trace := obs.NewTrace(4096, k)
-	tr.SetRecorder(trace)
+	for _, e := range tr.eps {
+		e.SetRecorder(trace)
+	}
 	run() // re-warm with the recorder installed
 	instrumented := testing.AllocsPerRun(3, run)
 	if instrumented > budget {

@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 
-	"kmachine/internal/obs"
 	"kmachine/internal/transport"
 	"kmachine/internal/transport/wire"
 )
@@ -19,14 +18,16 @@ type driveJob[M any] struct {
 	out  []transport.Envelope[M]
 }
 
-// Transport is the cluster-side transport.Transport implementation: all
-// k machines live in this process, but every envelope crosses a real
-// loopback TCP connection, with an empty row behind every batch: the
-// in-process rendezvous has ruled the superstep before Finish, so the
-// rows carry nothing and the exchange alone synchronises the
-// endpoints. Each endpoint is owned by a persistent
-// driver goroutine, signalled once per superstep — no goroutine or
-// error-slice churn on the steady-state path.
+// Transport is a transport.Transport over a k-endpoint loopback mesh:
+// every envelope crosses a real loopback TCP connection, with an empty
+// row behind every batch, and each endpoint is owned by a persistent
+// driver goroutine, signalled once per superstep. No run uses it —
+// transport.TCP is k socket links (transport/node) — and New, Transport
+// and its methods are kept only because the frozen benchmark/micro.go
+// times Exchange on them; the next benchmark change moves those rows to
+// NewLoopbackMesh endpoints (ROADMAP.md, item 1(a)) and deletes this
+// file. Outside benchmark/, only this package's tests and the inmem
+// contract suite may call them.
 type Transport[M any] struct {
 	eps []*Endpoint[M]
 	// inboxes are the double-buffered outer slices handed to the
@@ -199,28 +200,6 @@ func (t *Transport[M]) WireStats() transport.WireStats {
 		w = w.Plus(e.WireStats())
 	}
 	return w
-}
-
-// SetRecorder implements transport.TraceSink: every endpoint's pipeline
-// workers record their per-peer frame spans into r. Call before the
-// first Begin.
-func (t *Transport[M]) SetRecorder(r obs.Recorder) {
-	for _, e := range t.eps {
-		e.SetRecorder(r)
-	}
-}
-
-// SeverMachine forcibly closes machine i's endpoint — its listener and
-// every connection — simulating that machine's process dying mid-run.
-// Survivors observe the severed connections as attributed errors on
-// their next (or in-flight) superstep. It exists for fault injection:
-// transport/chaos's drop-connection fault calls it to make "peer died"
-// deterministically reproducible in tests.
-func (t *Transport[M]) SeverMachine(i int) error {
-	if i < 0 || i >= len(t.eps) {
-		return fmt.Errorf("tcp: cannot sever machine %d of %d", i, len(t.eps))
-	}
-	return t.eps[i].Close()
 }
 
 // Close retires the drivers and tears down every endpoint.

@@ -160,7 +160,7 @@ func (e *Endpoint[M]) runWriter(j int, job pipeJob) {
 		err = e.out[j].writeFrameLocked(job.dl, e.txRow)
 	}
 	if err != nil {
-		e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d send to %d: %w", e.id, j, err)))
+		e.sendFailed(j, job.step, err)
 		return
 	}
 	if job.batch {
@@ -171,6 +171,21 @@ func (e *Endpoint[M]) runWriter(j int, job pipeJob) {
 	if job.row {
 		e.countSent(j, len(e.txRow))
 		e.span(t0, obs.PhaseFrameWrite, j, job.step, wire.FrameSize(len(e.txRow)))
+	}
+}
+
+// sendFailed files a failed write to peer j without failing the
+// endpoint. The write says only that j's end is gone; j may have said
+// why on its own connection to us — a blame frame ahead of its EOF —
+// and a peer that fails over a third machine closes its end after its
+// blame is out. So the reader of j, mid-superstep, or FinishSuperstep
+// once the superstep drained, finds what j said before anything is
+// blamed on j.
+func (e *Endpoint[M]) sendFailed(j, step int, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.sendErr == nil {
+		e.sendPeer, e.sendErr = j, e.attrib(j, step, fmt.Errorf("tcp: machine %d send to %d: %w", e.id, j, err))
 	}
 }
 

@@ -128,7 +128,7 @@ func (e *Endpoint[M]) BeginSuperstep(ctx context.Context, step int) error {
 		}
 		return fmt.Errorf("tcp: machine %d begin superstep %d with superstep %d still open", e.id, step, e.strStep)
 	}
-	e.cause, e.shrapnel = nil, nil
+	e.cause, e.shrapnel, e.sendErr = nil, nil, nil
 	clear(e.strEmitted)
 	clear(e.strQueued)
 	e.strOn, e.strStep, e.strDl, e.strRelease = true, step, dl, release
@@ -197,9 +197,11 @@ func (e *Endpoint[M]) StreamBatch(to transport.MachineID, batch []transport.Enve
 		// per peer per superstep means no other goroutine touches it.
 		e.mu.Unlock()
 		e.runWriter(int(to), job)
-		// A write failure closed the endpoint and recorded its cause;
-		// surface it now so the emitter aborts the run immediately
-		// instead of discovering the corpse at FinishSuperstep.
+		// A failure that closed the endpoint — an encode defect, a
+		// reader's verdict — recorded its cause; surface it now so the
+		// emitter aborts the run immediately instead of discovering the
+		// corpse at FinishSuperstep. (A failed write waits for the
+		// finish: see sendFailed.)
 		e.mu.Lock()
 		err := e.cause
 		if err == nil {
@@ -228,10 +230,10 @@ func (e *Endpoint[M]) finishGuard() {
 // never touch a socket; a peer that already got a streamed batch must
 // not reappear here) — on the remaining writer workers, one batch frame
 // per directed pair, empty batches included, each followed by one frame
-// of `row`, this machine's account of the superstep (empty on the
-// cluster-side Transport). A rest batch and its row leave in one flush;
-// a peer whose batch was streamed gets the row alone, queued behind the
-// batch on its writer when the batch went there. It then waits for the
+// of `row`, this machine's account of the superstep. A rest batch and
+// its row leave in one flush; a peer whose batch was streamed gets the
+// row alone, queued behind the batch on its writer when the batch went
+// there. It then waits for the
 // whole pipeline generation (eager readers, streamed writers, rest
 // writers) to drain and decodes the inbox in sender-ID order,
 // self-addressed envelopes at position e.id, exactly like the loopback
@@ -349,6 +351,20 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row
 	}
 	if err := e.shrapnel; err != nil {
 		return nil, nil, err
+	}
+	if j := e.sendPeer; e.sendErr != nil {
+		// Every worker is parked, so read what j sent after its frames of
+		// this superstep: a blame frame or an EOF fails the endpoint with
+		// what it says; a frame of j's is no excuse for the write.
+		if e.in[j].c.SetReadDeadline(time.Now().Add(blameWriteTimeout)) != nil {
+			e.fail(e.sendErr)
+		} else if _, ok := e.readFrame(j, step, &e.frame[j]); ok {
+			e.fail(e.sendErr)
+		}
+		if e.cause != nil {
+			return nil, nil, e.cause
+		}
+		return nil, nil, e.shrapnel
 	}
 	if inbox, err = e.assembleInbox(step); err != nil {
 		return nil, nil, err

@@ -1,15 +1,14 @@
-// Package tcp runs the k-machine cluster over real sockets: every
-// machine owns a net.Listener and dials every peer, giving the full
+// Package tcp is the socket layer under the socket link (transport/node):
+// every machine owns a net.Listener and dials every peer, giving the full
 // point-to-point mesh of the model (§1.1) as k·(k-1) actual TCP
 // connections. Envelopes cross machine boundaries as length-prefixed
 // binary frames (transport/wire), one batch frame per (sender,
 // receiver) pair per superstep — empty batches included, which is how a
 // receiver knows a superstep's input is complete — each followed on the
 // same connection by one row frame: the sender's account of the
-// superstep, opaque to this package (the socket link's core.Row, empty
-// on the cluster-side Transport). Every machine thus holds all k rows
-// once its exchange completes, so the exchange is the superstep's only
-// synchronisation.
+// superstep, opaque to this package (the socket link's core.Row). Every
+// machine thus holds all k rows once its exchange completes, so the
+// exchange is the superstep's only synchronisation.
 //
 // The per-superstep exchange is a persistent parallel pipeline: every
 // data connection is owned by a long-lived worker goroutine — one
@@ -31,8 +30,8 @@
 // attributed error.
 //
 // The package knows nothing about rounds or words: cost accounting
-// stays in core, which is what keeps Stats bit-identical between this
-// transport and the in-memory loopback. What the package does account
+// stays in core, which is what keeps Stats bit-identical between the
+// socket link and the in-process one. What the package does account
 // is the physical layer: every endpoint counts the actual frame bytes
 // it ships and receives (transport.WireStats), the quantity the paper's
 // word-based cost model abstracts over.
@@ -116,8 +115,12 @@ type Endpoint[M any] struct {
 	// slot-ordered scan could blame a healthy peer whose own teardown
 	// EOF happened to sit in an earlier slot. net.ErrClosed failures —
 	// shrapnel of our own cascade close — are kept apart and reported
-	// only when no genuine cause surfaced.
+	// only when no genuine cause surfaced. A failed write, against peer
+	// sendPeer, is weaker still (see sendFailed): it fails the endpoint
+	// only once the superstep drained without a cause.
 	cause, shrapnel error
+	sendErr         error
+	sendPeer        int
 
 	// Per-superstep scratch, recycled across calls (the transport
 	// ownership rule). perDest/tx/frame are dead once FinishSuperstep
@@ -152,7 +155,7 @@ type Endpoint[M any] struct {
 	txRow []byte
 
 	// Open-superstep state (the per-machine half of
-	// transport.Transport; the cluster Transport composes k of these).
+	// transport.Transport).
 	// Guarded by mu where concurrent with StreamBatch; the
 	// Begin→drive→Finish handoff provides the rest of the ordering.
 	strEmitted []bool      // peers already streamed to this superstep
@@ -281,8 +284,7 @@ func (e *Endpoint[M]) WireStats() transport.WireStats {
 }
 
 // SetRecorder installs the telemetry recorder the pipeline workers
-// record frame spans into (implements the transport.TraceSink shape at
-// the endpoint level). Must be called before the first superstep; nil
+// record frame spans into. Must be called before the first superstep; nil
 // (the default) keeps the workers on their span-free path.
 func (e *Endpoint[M]) SetRecorder(r obs.Recorder) { e.rec = r }
 
@@ -329,7 +331,7 @@ func (e *Endpoint[M]) Connect(peers []string, timeout time.Duration) error {
 
 // NewLoopbackMesh builds the complete k-endpoint mesh over loopback TCP
 // inside one process: k listeners on 127.0.0.1, every ordered pair
-// connected. Used by the cluster Transport and by kmnode -local.
+// connected. Used by the socket link's RunLocal (kmnode -local).
 func NewLoopbackMesh[M any](k int, codec wire.Codec[M]) ([]*Endpoint[M], error) {
 	eps := make([]*Endpoint[M], k)
 	addrs := make([]string, k)

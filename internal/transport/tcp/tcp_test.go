@@ -233,14 +233,14 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // TestTransportCloseIdempotent mirrors the endpoint check on the
-// cluster-side Transport, including Close after SeverMachine.
+// cluster-side Transport, including Close after one endpoint closed.
 func TestTransportCloseIdempotent(t *testing.T) {
 	tr, err := New[testMsg](3, testCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.SeverMachine(1); err != nil {
-		t.Fatalf("sever: %v", err)
+	if err := tr.eps[1].Close(); err != nil {
+		t.Fatalf("close endpoint 1: %v", err)
 	}
 	tr.Close()
 	tr.Close()

@@ -12,23 +12,16 @@
 // message-passing algorithms across substrates without changing their
 // communication cost, and the accounting split enforces that here.
 //
-// Implementations, each carrying the in-process cluster's envelopes:
-//
-//   - transport/inmem — the in-process loopback used by simulations and
-//     tests (the default);
-//   - transport/tcp — each machine has its own listener and dials every
-//     peer over real net.Conns, with per-superstep batch framing
-//     (transport/wire).
-//
-// transport/node is not one: it is a core.Link, the socket link that
-// drives one machine per tcp.Endpoint, its peers anywhere.
+// The in-process cluster's envelopes travel on transport/inmem, the
+// loopback (transport/chaos decorates it with faults in tests). Sockets
+// are a core.Link instead, transport/node's socket link, which drives
+// one machine per tcp.Endpoint, its peers anywhere; tcp.Transport is
+// kept only for the frozen benchmark.
 package transport
 
 import (
 	"context"
 	"fmt"
-
-	"kmachine/internal/obs"
 )
 
 // MachineID identifies one of the k machines.
@@ -161,9 +154,8 @@ func (e *MachineError) Unwrap() error { return e.Err }
 // transport touches an envelope, WireStats counts the bytes a real
 // socket carried — and comparing the two quantifies both the encoding
 // efficiency of the wire format and the protocol overhead (row and
-// blame frames) that the model abstracts away. The loopback
-// transport ships nothing and reports zeros by not implementing
-// WireMeter at all.
+// blame frames) that the model abstracts away. The loopback ships
+// nothing and reports zeros.
 type WireStats struct {
 	// FramesSent/FramesRecv count whole frames shipped and received.
 	FramesSent, FramesRecv int64
@@ -172,11 +164,10 @@ type WireStats struct {
 	BytesSent, BytesRecv int64
 	// PerPeer, when the substrate tracks it, breaks the totals down by
 	// peer machine ID (slice index; the entry at an endpoint's own ID
-	// stays zero — machines don't dial themselves). Aggregating
-	// transports (the tcp cluster transport, chaos) sum per-endpoint
-	// breakdowns, so entry j then reads "traffic exchanged with machine
-	// j, summed over all endpoints". Nil when the substrate doesn't
-	// track per-peer traffic.
+	// stays zero — machines don't dial themselves). Cluster totals sum
+	// per-endpoint breakdowns, so entry j then reads "traffic exchanged
+	// with machine j, summed over all endpoints". Nil when the substrate
+	// doesn't track per-peer traffic.
 	PerPeer []PeerWireStats
 }
 
@@ -221,36 +212,17 @@ func (w WireStats) Plus(o WireStats) WireStats {
 	return sum
 }
 
-// WireMeter is implemented by transports that count bytes-on-wire
-// (transport/tcp; the chaos wrapper forwards to its inner transport).
-// Callers discover it with a type assertion and treat absence as "this
-// substrate ships no physical bytes".
-type WireMeter interface {
-	WireStats() WireStats
-}
-
-// TraceSink is implemented by transports that can record per-frame
-// telemetry spans (obs.PhaseFrameWrite/Read/Decode) into a recorder —
-// transport/tcp's pipeline workers do; the chaos wrapper forwards to
-// its inner transport. Callers discover it with a type assertion
-// (core.RunOverWire installs Config.Recorder this way) and treat
-// absence as "this substrate has no frame-level detail to offer".
-// SetRecorder must be called before the first Begin; the transport
-// reads the recorder without synchronisation on its hot paths.
-type TraceSink interface {
-	SetRecorder(r obs.Recorder)
-}
-
-// Kind names a Transport implementation for configuration surfaces
-// (core.Config.Transport, kmachine.RunConfig.Transport).
+// Kind names the link of a run whose k machines share one process, for
+// configuration surfaces (core.Config.Transport,
+// kmachine.RunConfig.Transport).
 type Kind string
 
 const (
 	// Default resolves to InMem.
 	Default Kind = ""
-	// InMem is the in-process loopback transport.
+	// InMem is the in-process rendezvous over the loopback transport.
 	InMem Kind = "inmem"
-	// TCP runs every machine as its own listener+dialer over loopback
-	// TCP connections.
+	// TCP is k socket links (transport/node): every machine its own
+	// listener+dialer over loopback TCP connections.
 	TCP Kind = "tcp"
 )

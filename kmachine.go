@@ -149,12 +149,12 @@ type TransportKind = transport.Kind
 const (
 	// TransportInMem is the in-process loopback (the default).
 	TransportInMem = transport.InMem
-	// TransportTCP runs every machine as its own listener+dialer over
-	// loopback TCP: every envelope crosses a real socket as a binary
-	// frame, and the exchange itself is the superstep's barrier.
-	// Measured Stats are bit-identical to TransportInMem — the
-	// cost accounting happens in core before envelopes reach a
-	// transport.
+	// TransportTCP runs every machine over its own socket link, with its
+	// own listener+dialer on loopback TCP: every envelope crosses a real
+	// socket as a binary frame, and every machine rules each superstep
+	// from the rows its peers ship with their batches (kmnode -local).
+	// Measured Stats are bit-identical to TransportInMem — the cost
+	// accounting happens in core before envelopes reach a link.
 	TransportTCP = transport.TCP
 )
 

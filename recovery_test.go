@@ -1,11 +1,11 @@
 package kmachine_test
 
 // Checkpoint/recovery acceptance suite: a run killed with checkpointing
-// armed, then resumed from its sink on a fresh transport — the pair the
+// armed, then resumed from its sink on fresh machines — the pair the
 // retry loop in internal/algo performs (its own test covers the loop) —
 // must land on output and Stats bit-identical to an unkilled golden
-// run, for every registry algorithm, on the loopback and the TCP
-// substrate. Alongside sits the Snapshotter property test: restoring a
+// run, for every registry algorithm, on the in-process link and the
+// socket link. Alongside sits the Snapshotter property test: restoring a
 // snapshot into an arbitrarily dirty machine must reproduce the
 // snapshotted machine's subsequent supersteps bit for bit.
 
@@ -13,6 +13,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,6 +21,7 @@ import (
 	"kmachine/internal/conncomp"
 	"kmachine/internal/core"
 	"kmachine/internal/dsort"
+	"kmachine/internal/obs"
 	"kmachine/internal/pagerank"
 	"kmachine/internal/partition"
 	"kmachine/internal/routing"
@@ -27,15 +29,65 @@ import (
 	"kmachine/internal/transport"
 	"kmachine/internal/transport/chaos"
 	"kmachine/internal/transport/inmem"
-	"kmachine/internal/transport/tcp"
+	"kmachine/internal/transport/node"
+	"kmachine/internal/transport/wire"
 	"kmachine/internal/triangle"
 )
 
+// fault is what a test arm does to its run besides running it: kill
+// machine victim in superstep at (never when at < 0) and, with seen
+// set, count per superstep what left the machines while it was open.
+type fault struct {
+	victim, at int
+	seen       *sent
+}
+
+var noFault = fault{at: -1}
+
+func killAt(victim, step int) fault { return fault{victim: victim, at: step} }
+
+// sent counts, per superstep, what left the machines while the
+// superstep was open: in process the batches handed to the transport
+// mid-Step, over sockets every frame written (a complete superstep
+// writes a batch and a row frame per ordered pair). The first count of
+// superstep watch closes left.
+type sent struct {
+	mu    sync.Mutex
+	n     map[int]int
+	watch int
+	left  chan struct{}
+}
+
+func newSent(watch int) *sent {
+	return &sent{n: map[int]int{}, watch: watch, left: make(chan struct{})}
+}
+
+func (s *sent) add(step int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.n[step]++; step == s.watch && s.n[step] == 1 {
+		close(s.left)
+	}
+}
+
+func (s *sent) count(step int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n[step]
+}
+
+// Record counts the socket link's frame writes off the run's Recorder.
+func (s *sent) Record(sp obs.Span) {
+	if sp.Phase == obs.PhaseFrameWrite {
+		s.add(int(sp.Superstep))
+	}
+}
+
 // runArm executes the algorithm once under the checkpoint policy on
-// fresh machines and a fresh transport of kind, which wrap, when
-// non-nil, decorates — with a fault, a spy, or both.
+// fresh machines, all k in this process on the link kind names, under
+// the fault f.
 func runArm[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partition.Input, k int,
-	kind transport.Kind, ck core.CheckpointPolicy, wrap func(core.Transport[M]) core.Transport[M]) (O, *core.Stats, error) {
+	kind transport.Kind, ck core.CheckpointPolicy, f fault) (O, *core.Stats, error) {
 	t.Helper()
 	machines := make([]algo.Machine[M, L], k)
 	for i := 0; i < k; i++ {
@@ -49,21 +101,12 @@ func runArm[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partition.I
 	}
 	cfg := core.Config{K: k, Bandwidth: core.DefaultBandwidth(failN), Seed: 13,
 		SuperstepTimeout: 5 * time.Second, Checkpoint: ck}
-	cluster := core.NewCluster(cfg, func(id core.MachineID) core.Machine[M] { return machines[id] })
-	tr, err := core.OpenTransport[M](kind, k, a.Codec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrap != nil {
-		tr = wrap(tr)
-	}
-	defer tr.Close()
 
 	var stats *core.Stats
 	var runErr error
 	done := make(chan struct{})
 	go func() {
-		stats, runErr = cluster.RunOn(tr, a.Codec)
+		stats, runErr = runFaulted(kind, cfg, a.Codec, func(id core.MachineID) core.Machine[M] { return machines[id] }, f)
 		close(done)
 	}()
 	testutil.WaitOrDump(t, done, 30*time.Second, "checkpointed cluster")
@@ -78,23 +121,84 @@ func runArm[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partition.I
 	return out, stats, runErr
 }
 
-// killAt wraps a transport with the chaos fault that kills recVictim at
-// superstep step: a severed machine on TCP, a synthesized death
-// elsewhere.
-func killAt[M any](step int) func(core.Transport[M]) core.Transport[M] {
-	return func(tr core.Transport[M]) core.Transport[M] {
-		if tt, ok := tr.(*tcp.Transport[M]); ok {
-			return chaos.Wrap[M](tr, chaos.DropConnAt(recVictim, step, func() { tt.SeverMachine(recVictim) }))
+// runFaulted runs the k machines on the link kind names under the fault f.
+// In process, chaos kills the victim at the superstep's Finish, once
+// every Step has run, and the spy counts the batches emitted mid-Step.
+// Over sockets the machines run as one job on a standing loopback mesh,
+// the victim's Step severs its own fabric — once the superstep has put
+// a frame on the wire, when counting — and the survivors' bounded reads
+// find out; the spy counts frame writes off the run's Recorder.
+func runFaulted[M any](kind transport.Kind, cfg core.Config, codec wire.Codec[M], machine func(core.MachineID) core.Machine[M], f fault) (*core.Stats, error) {
+	if kind != transport.TCP {
+		var tr core.Transport[M] = inmem.New[M](cfg.K)
+		if f.at >= 0 {
+			tr = chaos.Wrap(tr, chaos.KillAt(core.MachineID(f.victim), f.at))
 		}
-		return chaos.Wrap[M](tr, chaos.KillAt(recVictim, step))
+		if f.seen != nil {
+			tr = &emitSpy[M]{Transport: tr, seen: f.seen}
+		}
+		defer tr.Close()
+		return core.NewCluster(cfg, machine).RunOn(tr, codec)
 	}
+	lm, err := node.NewLocalMesh(cfg.K)
+	if err != nil {
+		return nil, err
+	}
+	defer lm.Close()
+	if f.seen != nil {
+		cfg.Recorder = f.seen
+	}
+	factory := machine
+	if f.at >= 0 {
+		factory = func(id core.MachineID) core.Machine[M] {
+			if int(id) != f.victim {
+				return machine(id)
+			}
+			return &severing[M]{Machine: machine(id), at: f.at, kill: func() {
+				if f.seen != nil {
+					select {
+					case <-f.seen.left:
+					case <-time.After(5 * time.Second):
+					}
+				}
+				lm.Sever(f.victim)
+			}}
+		}
+	}
+	stats, _, err := node.RunJobLocal(lm, cfg, 1, codec, factory)
+	return stats, err
+}
+
+// severing is a socket arm's victim: its Step in superstep at runs, then
+// kills it. It forwards the machine's state codec, so a checkpointed
+// run captures it like any other.
+type severing[M any] struct {
+	core.Machine[M]
+	at   int
+	kill func()
+}
+
+func (m *severing[M]) Step(ctx *core.StepContext, inbox []core.Envelope[M]) ([]core.Envelope[M], bool) {
+	out, done := m.Machine.Step(ctx, inbox)
+	if ctx.Superstep == m.at {
+		m.kill()
+	}
+	return out, done
+}
+
+func (m *severing[M]) SnapshotState(dst []byte) ([]byte, error) {
+	return m.Machine.(core.Snapshotter).SnapshotState(dst)
+}
+
+func (m *severing[M]) RestoreState(src []byte) error {
+	return m.Machine.(core.Snapshotter).RestoreState(src)
 }
 
 // goldenRun is the unkilled arm, checkpointing every `every` supersteps.
 func goldenRun[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partition.Input, k int,
 	kind transport.Kind, every int) (O, *core.Stats) {
 	t.Helper()
-	out, stats, err := runArm(t, a, in, k, kind, core.CheckpointPolicy{Every: every}, nil)
+	out, stats, err := runArm(t, a, in, k, kind, core.CheckpointPolicy{Every: every}, noFault)
 	if err != nil {
 		t.Fatalf("golden run: %v", err)
 	}
@@ -102,11 +206,12 @@ func goldenRun[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partitio
 }
 
 // killThenResume is one recovery spelled out: a run checkpointing every
-// `every` supersteps into a fresh sink is killed at killStep — which
-// must surface as the attributed machine loss the retry loop retries —
-// then a second run, wrapped by resumed, resumes from that sink.
+// `every` supersteps into a fresh sink is killed by the fault killed —
+// which must surface as the attributed machine loss the retry loop
+// retries — then a second run, under the fault resumed, resumes from
+// that sink.
 func killThenResume[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partition.Input, k int,
-	kind transport.Kind, every int, killed, resumed func(core.Transport[M]) core.Transport[M]) (O, *core.Stats) {
+	kind transport.Kind, every int, killed, resumed fault) (O, *core.Stats) {
 	t.Helper()
 	ck := core.CheckpointPolicy{Every: every, Sink: core.NewMemorySink(0)}
 	_, _, err := runArm(t, a, in, k, kind, ck, killed)
@@ -145,7 +250,7 @@ func checkRecovered[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in par
 	base := runtime.NumGoroutine()
 	const every = 2
 	goldenOut, goldenStats := goldenRun(t, a, in, k, kind, every)
-	gotOut, gotStats := killThenResume(t, a, in, k, kind, every, killAt[M](killStep), nil)
+	gotOut, gotStats := killThenResume(t, a, in, k, kind, every, killAt(recVictim, killStep), noFault)
 	if !reflect.DeepEqual(gotOut, goldenOut) {
 		t.Errorf("recovered output diverges from unkilled golden run")
 	}
@@ -154,7 +259,7 @@ func checkRecovered[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in par
 }
 
 // TestRecoveryRegistryWideBitIdentical kills machine 3 mid-run for
-// every registry algorithm on both in-process substrates and requires
+// every registry algorithm on both links and requires
 // the acceptance bar of the checkpoint design: the resumed run
 // completes with output hash and Stats identical to the unkilled
 // golden.
@@ -201,7 +306,7 @@ func TestRecoveryRestartFromZero(t *testing.T) {
 	a := conncomp.Descriptor(failN)
 	golden, goldenStats := goldenRun(t, a, in, failK, transport.InMem, 1000)
 	got, gotStats := killThenResume(t, a, in, failK, transport.InMem, 1000,
-		killAt[conncomp.Wire](failStep), nil)
+		killAt(recVictim, failStep), noFault)
 	if !reflect.DeepEqual(got, golden) {
 		t.Errorf("restart-from-zero output diverges from golden")
 	}

@@ -10,7 +10,6 @@ package kmachine_test
 import (
 	"context"
 	"reflect"
-	"sync"
 	"testing"
 
 	"kmachine/internal/algo"
@@ -23,10 +22,10 @@ import (
 )
 
 // TestCheckpointedRunKeepsItsSchedule runs the two eagerly-emitting
-// registry algorithms with a checkpoint after every superstep on all
-// three substrates against an un-checkpointed loopback reference, and
-// reads the overlap gauge (frame writes ∩ compute) off the traced TCP
-// run: above zero means frames were written while a Step was running.
+// registry algorithms with a checkpoint after every superstep on both
+// links against an un-checkpointed loopback reference, and reads the
+// overlap gauge (frame writes ∩ compute) off the traced socket run:
+// above zero means frames were written while a Step was running.
 func TestCheckpointedRunKeepsItsSchedule(t *testing.T) {
 	for _, name := range []string{"pagerank", "dsort"} {
 		t.Run(name, func(t *testing.T) {
@@ -54,12 +53,6 @@ func TestCheckpointedRunKeepsItsSchedule(t *testing.T) {
 			}
 			same("checkpointed-inmem", mem)
 
-			node, err := entry.RunNodeLocal(prob)
-			if err != nil {
-				t.Fatalf("checkpointed node run: %v", err)
-			}
-			same("checkpointed-node", node)
-
 			// The gauge reads the whole run, so the ring must hold it: a
 			// wrapped ring keeps only the late supersteps, which write no frame
 			// during compute.
@@ -82,14 +75,12 @@ func TestCheckpointedRunKeepsItsSchedule(t *testing.T) {
 	}
 }
 
-// emitSpy counts, per superstep, the batches machines hand to the
-// transport mid-Step.
+// emitSpy counts into seen, per superstep, the batches machines hand to
+// the transport mid-Step.
 type emitSpy[M any] struct {
 	transport.Transport[M]
 	step int // superstep of the last Begin; workers read it after the step barrier released them
-
-	mu      sync.Mutex
-	emitted map[int]int
+	seen *sent
 }
 
 func (s *emitSpy[M]) Begin(ctx context.Context, step int) error {
@@ -98,35 +89,30 @@ func (s *emitSpy[M]) Begin(ctx context.Context, step int) error {
 }
 
 func (s *emitSpy[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
-	s.mu.Lock()
-	s.emitted[s.step]++
-	s.mu.Unlock()
+	s.seen.add(s.step)
 	return s.Transport.SendBatch(from, to, batch)
 }
 
-// spyOn returns a wrap that puts spy around a transport.
-func (s *emitSpy[M]) spyOn(tr core.Transport[M]) core.Transport[M] {
-	s.Transport = tr
-	return s
-}
-
 // checkKilledEmittingSuperstep kills recVictim in superstep killStep of
-// a run checkpointing every superstep. killStep's Finish never
-// succeeded, so it was never captured: the resumed run restores the cut
-// after killStep-1 and runs killStep again on a fresh transport,
-// emitting its eager batches a second time. The resumed output and
-// Stats must equal the unkilled golden arm's.
+// a run checkpointing every superstep, once killStep has put something
+// on its way. killStep never completed, so it was never captured: the
+// resumed run restores the cut after killStep-1 and runs killStep again
+// on fresh machines, sending all the golden run sent in it a second
+// time. The resumed output and Stats must equal the unkilled golden
+// arm's.
 func checkKilledEmittingSuperstep[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partition.Input, k int,
 	kind transport.Kind, killStep int) {
 	t.Helper()
-	goldenOut, goldenStats := goldenRun(t, a, in, k, kind, 1)
-	spy := &emitSpy[M]{emitted: map[int]int{}}
-	replay := &emitSpy[M]{emitted: map[int]int{}}
-	kill := killAt[M](killStep)
-	got, stats := killThenResume(t, a, in, k, kind, 1,
-		func(tr core.Transport[M]) core.Transport[M] { return spy.spyOn(kill(tr)) }, replay.spyOn)
-	if first, again := spy.emitted[killStep], replay.emitted[killStep]; first == 0 || again != first {
-		t.Fatalf("superstep %d emitted %d batches before the kill and %d on replay, want the same nonzero count", killStep, first, again)
+	golden, killed, replay := newSent(-1), newSent(killStep), newSent(-1)
+	goldenOut, goldenStats, err := runArm(t, a, in, k, kind, core.CheckpointPolicy{Every: 1}, fault{at: -1, seen: golden})
+	if err != nil {
+		t.Fatalf("golden run: %v", err)
+	}
+	kill := killAt(recVictim, killStep)
+	kill.seen = killed
+	got, stats := killThenResume(t, a, in, k, kind, 1, kill, fault{at: -1, seen: replay})
+	if first, again, want := killed.count(killStep), replay.count(killStep), golden.count(killStep); first == 0 || again != want {
+		t.Fatalf("superstep %d sent %d before the kill and %d on replay, want some and then the golden run's %d", killStep, first, again, want)
 	}
 	if !reflect.DeepEqual(got, goldenOut) {
 		t.Errorf("output recovered from a kill in an emitting superstep diverges from the golden run")

@@ -29,19 +29,26 @@ import (
 var tracedProblem = algo.Problem{N: 800, EdgeP: 0.0125, K: 8, Seed: 41}
 
 // tracedRun executes pagerank at k=8 on the given substrate with a
-// fresh trace attached and returns the outcome plus the trace.
+// fresh trace attached and returns the outcome plus the trace. The ring
+// holds the whole run: the socket link records ~300 spans a superstep
+// (k compute, barrier and exchange spans, a write and a read per frame
+// and a decode per batch) over the ~440 supersteps, and a wrapped ring would
+// lose the early supersteps the shape checks count.
 func tracedRun(t *testing.T, kind transport.Kind) (*algo.Outcome, *obs.Trace) {
 	t.Helper()
 	entry, ok := algo.Lookup("pagerank")
 	if !ok {
 		t.Fatal("pagerank not registered")
 	}
-	tr := obs.NewTrace(0, 8)
+	tr := obs.NewTrace(1<<18, 8)
 	prob := tracedProblem
 	prob.Recorder = tr
 	out, err := entry.Run(prob, kind)
 	if err != nil {
 		t.Fatalf("pagerank on %s: %v", kind, err)
+	}
+	if d := tr.Counters().Dropped; d != 0 {
+		t.Fatalf("pagerank on %s: the trace dropped %d spans", kind, d)
 	}
 	return out, tr
 }
