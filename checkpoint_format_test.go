@@ -150,6 +150,31 @@ func TestConnCompCheckpointLayoutPinned(t *testing.T) {
 	}
 }
 
+// TestPageRankCheckpointLayoutPinned is TestConnCompCheckpointLayoutPinned
+// for PageRank: it pins the bytes of every cut — the iteration counter
+// and each local vertex's token and visit counts in Locals() order —
+// against a recorded digest, so a change to how the machine stores that
+// state cannot change what it writes.
+func TestPageRankCheckpointLayoutPinned(t *testing.T) {
+	entry, _ := algo.Lookup("pagerank")
+	prob := suiteProblem("pagerank")
+	sink := newRecordingSink(core.NewMemorySink(0))
+	prob.Checkpoint = algo.CheckpointSpec{Every: 1, Sink: sink}
+	if _, err := entry.Run(prob, transport.InMem); err != nil {
+		t.Fatal(err)
+	}
+	steps := slices.Sorted(maps.Keys(sink.cuts))
+	h := fnv.New64a()
+	for _, step := range steps {
+		fmt.Fprintf(h, "%d:%d:", step, len(sink.cuts[step]))
+		h.Write(sink.cuts[step])
+	}
+	const wantCuts, want = 371, 0xa8e351411f95a9da
+	if got := h.Sum64(); len(steps) != wantCuts || got != want {
+		t.Errorf("%d pagerank cuts hash to %016x, recorded %d cuts hashing to %016x", len(steps), got, wantCuts, uint64(want))
+	}
+}
+
 // runOn runs the registry entry through one of its three all-k entry
 // points ("tcp" and "node" both reach the socket link).
 func runOn(entry *algo.Entry, runtime string, prob algo.Problem) (*algo.Outcome, error) {
