@@ -32,10 +32,9 @@ func (nm *NodeMachine) Output() Local {
 		Estimate: make([]float64, len(locals)),
 	}
 	scale := nm.opts.Eps / (float64(nm.n) * float64(nm.opts.Tokens))
-	for i, v := range locals {
-		count := nm.m.psi[v]
-		out.Psi[i] = count
-		out.Estimate[i] = float64(count) * scale
+	for r, count := range nm.m.psi {
+		out.Psi[r] = count
+		out.Estimate[r] = float64(count) * scale
 	}
 	return out
 }

@@ -44,8 +44,8 @@ func (nm *NodeMachine) LocalEstimates() map[int32]float64 {
 	scale := nm.opts.Eps / (float64(nm.n) * float64(nm.opts.Tokens))
 	locals := nm.m.view.Locals()
 	out := make(map[int32]float64, len(locals))
-	for _, v := range locals {
-		out[v] = float64(nm.m.psi[v]) * scale
+	for r, v := range locals {
+		out[v] = float64(nm.m.psi[r]) * scale
 	}
 	return out
 }

@@ -32,7 +32,7 @@ package pagerank
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 
 	"kmachine/internal/algo"
 	"kmachine/internal/core"
@@ -120,30 +120,35 @@ type machine struct {
 	view partition.View
 	opts Options
 
-	// tokens/psi are dense over the global vertex space (nonzero only at
-	// local vertices): O(n) per machine instead of a map's O(n/k), but
-	// the hot loops touch them once per token and the simulation already
-	// holds dense O(n) partition state, so the constant-time unchecked
-	// index is worth the k× footprint at simulator scale.
-	tokens []int64
-	psi    []int64
-	// byIn(u) = byInIdx[byInOff[u]:byInOff[u+1]] lists the local
-	// vertices that are out-neighbours of u (receiver side of the heavy
-	// path) — a CSR index built count-then-place, replacing a
-	// map-of-slices whose per-key appends dominated construction cost.
+	// Token state is indexed by row, a vertex's position in
+	// view.Locals(): tokens[r]/psi[r] are row r's live tokens and visit
+	// count, adj[r] its out-neighbours (cached once, so the walk never
+	// searches the view), and heavyDist[r] its alias table over
+	// destination machines, built the first time r walks heavy. row maps
+	// a global vertex ID to its row, or -1 if the vertex is not homed
+	// here; light receives go through it.
+	locals    []int32
+	row       []int32
+	adj       [][]int32
+	tokens    []int64
+	psi       []int64
+	heavyDist []*rng.Alias
+	// byIn(u) = byInIdx[byInOff[u]:byInOff[u+1]] lists the rows of the
+	// local vertices that are out-neighbours of u (receiver side of the
+	// heavy path) — a CSR index built count-then-place.
 	byInOff []int32
 	byInIdx []int32
-	// heavyDist caches per-vertex alias tables over destination machines.
-	heavyDist map[int32]*rng.Alias
 
 	// Per-superstep scratch, recycled across supersteps so a
-	// steady-state Step allocates nothing: accVals/accKeys form the
-	// sparse per-destination-vertex counter behind flushLight (dense
-	// values plus the list of touched keys, re-zeroed on flush), beta
-	// the heavy-path per-machine counts, delivBuf/outBuf the
-	// DeliverInto scratch.
+	// steady-state Step allocates nothing. accVals is the light path's
+	// per-destination-vertex counter, dense over the global vertex
+	// space; touched has bit v set while accVals[v] is nonzero, and
+	// words [lo, hi] of it hold every set bit (lo > hi when none is).
+	// beta holds the heavy path's per-machine counts, delivBuf/outBuf
+	// the DeliverInto scratch.
 	accVals  []int64
-	accKeys  []int32
+	touched  []uint64
+	lo, hi   int
 	beta     []int64
 	delivBuf []msg
 	outBuf   []core.Envelope[wire]
@@ -158,21 +163,31 @@ type machine struct {
 }
 
 func newMachine(view partition.View, opts Options) *machine {
-	n := view.N()
+	n, locals := view.N(), view.Locals()
 	m := &machine{
 		view:      view,
 		opts:      opts,
-		tokens:    make([]int64, n),
-		psi:       make([]int64, n),
+		locals:    locals,
+		row:       make([]int32, n),
+		adj:       make([][]int32, len(locals)),
+		tokens:    make([]int64, len(locals)),
+		psi:       make([]int64, len(locals)),
+		heavyDist: make([]*rng.Alias, len(locals)),
 		byInOff:   make([]int32, n+1),
-		heavyDist: make(map[int32]*rng.Alias),
 		accVals:   make([]int64, n),
+		touched:   make([]uint64, (n+63)/64),
 		beta:      make([]int64, view.K()),
 		buckets:   make([][]core.Envelope[wire], view.K()),
 	}
-	for _, v := range view.Locals() {
-		m.tokens[v] = int64(opts.Tokens)
-		m.psi[v] = int64(opts.Tokens)
+	m.lo, m.hi = len(m.touched), -1
+	for v := range m.row {
+		m.row[v] = -1
+	}
+	for r, v := range locals {
+		m.row[v] = int32(r)
+		m.adj[r] = view.OutAdj(v)
+		m.tokens[r] = int64(opts.Tokens)
+		m.psi[r] = int64(opts.Tokens)
 		for _, u := range view.InAdj(v) {
 			m.byInOff[u+1]++
 		}
@@ -183,18 +198,18 @@ func newMachine(view partition.View, opts Options) *machine {
 	m.byInIdx = make([]int32, m.byInOff[n])
 	pos := make([]int32, n)
 	copy(pos, m.byInOff[:n])
-	// Placement order matches the old per-key append order: locals in
-	// increasing ID order, each local's in-neighbours in CSR order.
-	for _, v := range view.Locals() {
+	// Rows ascend within each u's list: rows in increasing order, each
+	// row's in-neighbours in CSR order.
+	for r, v := range locals {
 		for _, u := range view.InAdj(v) {
-			m.byInIdx[pos[u]] = v
+			m.byInIdx[pos[u]] = int32(r)
 			pos[u]++
 		}
 	}
 	return m
 }
 
-// byIn returns the local out-neighbours of u.
+// byIn returns the rows of the local out-neighbours of u.
 func (m *machine) byIn(u int32) []int32 {
 	return m.byInIdx[m.byInOff[u]:m.byInOff[u+1]]
 }
@@ -235,93 +250,85 @@ func (m *machine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]co
 	}
 	m.iter++
 
-	for _, u := range m.view.Locals() {
-		t := m.tokens[u]
+	for r, t := range m.tokens {
 		if t == 0 {
 			continue
 		}
 		// Terminate each token with probability eps (Algorithm 1 line 5).
 		t -= ctx.RNG.Binomial(t, m.opts.Eps)
-		m.tokens[u] = 0
+		m.tokens[r] = 0
 		if t == 0 {
 			continue
 		}
-		adj := m.view.OutAdj(u)
+		adj := m.adj[r]
 		if len(adj) == 0 {
 			// Dangling vertex: the killed walk ends here (the semantics
 			// of the paper's Lemma 4 arithmetic — w is a sink).
 			continue
 		}
 		if m.opts.HeavyPath && t >= int64(ctx.K) {
-			m.walkHeavy(ctx, u, t, adj)
+			m.walkHeavy(ctx, r, t)
 			continue
 		}
-		if m.opts.Aggregate {
-			// Light path: accumulate destination-vertex counts across
-			// all local sources (the paper's α), flushed once below.
-			for i := int64(0); i < t; i++ {
-				v := adj[ctx.RNG.Intn(len(adj))]
-				if m.accVals[v] == 0 {
-					m.accKeys = append(m.accKeys, v)
-				}
-				m.accVals[v]++
-			}
-			continue
+		m.walkLight(ctx.RNG, t, adj)
+		if !m.opts.Aggregate {
+			// Baseline granularity: per (source, destination-vertex)
+			// counts, flushed per source vertex — no cross-vertex merging.
+			m.flushLight(ctx)
 		}
-		// Baseline granularity: per (source, destination-vertex) counts,
-		// flushed per source vertex — no cross-vertex merging.
-		for i := int64(0); i < t; i++ {
-			v := adj[ctx.RNG.Intn(len(adj))]
-			if m.accVals[v] == 0 {
-				m.accKeys = append(m.accKeys, v)
-			}
-			m.accVals[v]++
-		}
-		m.flushLight(ctx)
 	}
-	if m.opts.Aggregate {
-		m.flushLight(ctx)
-	}
+	// Light path: destination-vertex counts accumulated across all
+	// local sources (the paper's α), flushed once.
+	m.flushLight(ctx)
 	out = core.EmitBuckets(ctx, buckets, out)
 	m.outBuf = out
 	return out, false
 }
 
-// flushLight emits one ⟨count, dest:v⟩ message per accumulated
-// destination vertex, in sorted vertex order for determinism, and
-// resets the accumulator (zeroing only the touched entries).
-func (m *machine) flushLight(ctx *core.StepContext) {
-	if len(m.accKeys) == 0 {
-		return
+// walkLight moves t tokens to uniformly random out-neighbours, counting
+// them per destination vertex in accVals and marking the destinations
+// in touched.
+func (m *machine) walkLight(r *rng.RNG, t int64, adj []int32) {
+	lo, hi := m.lo, m.hi
+	for ; t > 0; t-- {
+		v := adj[r.Intn(len(adj))]
+		m.accVals[v]++
+		w := int(v >> 6)
+		m.touched[w] |= 1 << (uint(v) & 63)
+		lo, hi = min(lo, w), max(hi, w)
 	}
-	keys := m.accKeys
-	slices.Sort(keys)
-	for _, v := range keys {
-		payload := msg{Kind: kindLight, V: v, Count: m.accVals[v]}
-		m.accVals[v] = 0
-		home := m.view.HomeOf(v)
-		if m.opts.TwoHop {
-			routing.RouteBuckets(m.buckets, ctx.RNG, ctx.K, home, msgWords, payload)
-		} else {
-			routing.RouteDirectBuckets(m.buckets, home, msgWords, payload)
-		}
-	}
-	m.accKeys = keys[:0]
+	m.lo, m.hi = lo, hi
 }
 
-// walkHeavy implements Algorithm 1 lines 18-27: sample a destination
-// machine per token from the degree distribution and send one count
-// message per machine.
-func (m *machine) walkHeavy(ctx *core.StepContext, u int32, t int64, adj []int32) {
-	dist, ok := m.heavyDist[u]
-	if !ok {
-		weights := make([]float64, ctx.K)
-		for _, v := range adj {
-			weights[m.view.HomeOf(v)]++
+// flushLight emits one ⟨count, dest:v⟩ message per accumulated
+// destination vertex and resets the accumulator. Walking the set bits
+// of touched word by word, lowest bit first, visits the destinations in
+// increasing vertex order — the deterministic order routing draws its
+// intermediates in — without sorting them.
+func (m *machine) flushLight(ctx *core.StepContext) {
+	for w := m.lo; w <= m.hi; w++ {
+		word := m.touched[w]
+		m.touched[w] = 0
+		for ; word != 0; word &= word - 1 {
+			v := int32(w<<6 | bits.TrailingZeros64(word))
+			payload := msg{Kind: kindLight, V: v, Count: m.accVals[v]}
+			m.accVals[v] = 0
+			home := m.view.HomeOf(v)
+			if m.opts.TwoHop {
+				routing.RouteBuckets(m.buckets, ctx.RNG, ctx.K, home, msgWords, payload)
+			} else {
+				routing.RouteDirectBuckets(m.buckets, home, msgWords, payload)
+			}
 		}
-		dist = rng.NewAlias(weights)
-		m.heavyDist[u] = dist
 	}
+	m.lo, m.hi = len(m.touched), -1
+}
+
+// walkHeavy implements Algorithm 1 lines 18-27 for row r: sample a
+// destination machine per token from the degree distribution and send
+// one count message per machine.
+func (m *machine) walkHeavy(ctx *core.StepContext, r int, t int64) {
+	dist := m.heavyAlias(r)
 	beta := m.beta
 	for j := range beta {
 		beta[j] = 0
@@ -336,28 +343,47 @@ func (m *machine) walkHeavy(ctx *core.StepContext, u int32, t int64, adj []int32
 		// Heavy messages go direct: there is at most one per (vertex,
 		// machine) pair, so they cannot congest a link (Lemma 12).
 		routing.RouteDirectBuckets(m.buckets, core.MachineID(j), msgWords,
-			msg{Kind: kindHeavy, V: u, Count: c})
+			msg{Kind: kindHeavy, V: m.locals[r], Count: c})
 	}
+}
+
+// heavyAlias returns row r's alias table over destination machines,
+// weighted by how many of its out-neighbours each machine hosts,
+// building it on first use.
+func (m *machine) heavyAlias(r int) *rng.Alias {
+	if m.heavyDist[r] == nil {
+		weights := make([]float64, m.view.K())
+		for _, v := range m.adj[r] {
+			weights[m.view.HomeOf(v)]++
+		}
+		m.heavyDist[r] = rng.NewAlias(weights)
+	}
+	return m.heavyDist[r]
 }
 
 // receive processes a delivered payload.
 func (m *machine) receive(ctx *core.StepContext, d msg) {
 	switch d.Kind {
 	case kindLight:
-		m.tokens[d.V] += d.Count
-		m.psi[d.V] += d.Count
+		r := m.row[d.V]
+		if r < 0 {
+			panic(fmt.Sprintf("pagerank: machine %d got light tokens for %d, which is homed on machine %d",
+				m.view.Self(), d.V, m.view.HomeOf(d.V)))
+		}
+		m.tokens[r] += d.Count
+		m.psi[r] += d.Count
 	case kindHeavy:
 		// Distribute d.Count tokens of source vertex d.V uniformly among
 		// its locally hosted out-neighbours (Algorithm 1 lines 31-36).
-		local := m.byIn(d.V)
-		if len(local) == 0 {
+		rows := m.byIn(d.V)
+		if len(rows) == 0 {
 			panic(fmt.Sprintf("pagerank: machine %d got heavy tokens for %d but hosts no neighbour",
 				m.view.Self(), d.V))
 		}
 		for i := int64(0); i < d.Count; i++ {
-			w := local[ctx.RNG.Intn(len(local))]
-			m.tokens[w]++
-			m.psi[w]++
+			r := rows[ctx.RNG.Intn(len(rows))]
+			m.tokens[r]++
+			m.psi[r]++
 		}
 	}
 }

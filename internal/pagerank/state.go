@@ -8,17 +8,15 @@ import (
 
 // SnapshotState serialises the machine's dynamic PageRank state — the
 // iteration counter and the token/visit counters of its local vertices
-// — appending to dst. tokens/psi are dense over the global vertex space
-// but nonzero only at locals (a barrier invariant), so the snapshot is
-// O(locals), not O(n). Static structure (the partition view, the byIn
-// CSR, the alias-table cache) is rebuilt identically by the machine
-// factory and never serialised.
+// in row (Locals()) order — appending to dst. Static structure (the
+// partition view, the row and byIn indexes, the alias-table cache) is
+// rebuilt identically by the machine factory and never serialised.
 func (nm *NodeMachine) SnapshotState(dst []byte) ([]byte, error) {
 	m := nm.m
 	dst = twire.AppendUvarint(dst, uint64(m.iter))
-	for _, v := range m.view.Locals() {
-		dst = twire.AppendVarint(dst, m.tokens[v])
-		dst = twire.AppendVarint(dst, m.psi[v])
+	for r := range m.tokens {
+		dst = twire.AppendVarint(dst, m.tokens[r])
+		dst = twire.AppendVarint(dst, m.psi[r])
 	}
 	return dst, nil
 }
@@ -33,25 +31,20 @@ func (nm *NodeMachine) RestoreState(src []byte) error {
 	m := nm.m
 	c := twire.Cursor{Src: src}
 	iter := c.Uvarint()
-	clear(m.tokens)
-	clear(m.psi)
-	for _, v := range m.view.Locals() {
-		m.tokens[v] = c.Varint()
-		m.psi[v] = c.Varint()
+	for r := range m.tokens {
+		m.tokens[r] = c.Varint()
+		m.psi[r] = c.Varint()
 	}
 	if err := c.Finish(); err != nil {
 		return fmt.Errorf("pagerank: restore: %w", err)
 	}
 	m.iter = int(iter)
-	// Reset scratch: the sparse accumulator, heavy-path counts, and
+	// Reset scratch: the light accumulator, heavy-path counts, and
 	// delivery buffers are only guaranteed clean at barriers.
-	for _, v := range m.accKeys {
-		m.accVals[v] = 0
-	}
-	m.accKeys = m.accKeys[:0]
-	for j := range m.beta {
-		m.beta[j] = 0
-	}
+	clear(m.accVals)
+	clear(m.touched)
+	m.lo, m.hi = len(m.touched), -1
+	clear(m.beta)
 	m.delivBuf = m.delivBuf[:0]
 	m.outBuf = m.outBuf[:0]
 	for j := range m.buckets {

@@ -1,12 +1,21 @@
 package rng
 
+import "math"
+
 // Alias is a Walker alias table for O(1) sampling from a fixed discrete
 // distribution. Algorithm 1 of the paper (heavy-vertex path, line 23)
 // samples a destination machine for every token of a heavy vertex from
 // the distribution (n_{1,u}/d_u, ..., n_{k,u}/d_u); a heavy vertex can
 // hold Θ(n log n) tokens, so per-sample cost matters.
+//
+// Column i keeps i with probability prob[i] and yields alias[i]
+// otherwise. The table stores that probability as the integer threshold
+// thr[i] = ceil(prob[i]·2⁵³): Float64() is exactly (u>>11)·2⁻⁵³ for the
+// next word u, and for an integer x, x·2⁻⁵³ < p exactly when
+// x < ceil(p·2⁵³). Comparing u>>11 against thr[i] therefore keeps
+// exactly the draws the float comparison kept, without the conversion.
 type Alias struct {
-	prob  []float64
+	thr   []uint64
 	alias []int32
 }
 
@@ -27,7 +36,7 @@ func NewAlias(weights []float64) *Alias {
 	if sum == 0 {
 		panic("rng: NewAlias with zero total weight")
 	}
-	a := &Alias{prob: make([]float64, n), alias: make([]int32, n)}
+	a := &Alias{thr: make([]uint64, n), alias: make([]int32, n)}
 	scaled := make([]float64, n)
 	small := make([]int32, 0, n)
 	large := make([]int32, 0, n)
@@ -44,7 +53,7 @@ func NewAlias(weights []float64) *Alias {
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
 		large = large[:len(large)-1]
-		a.prob[s] = scaled[s]
+		a.thr[s] = uint64(math.Ceil(scaled[s] * (1 << 53)))
 		a.alias[s] = l
 		scaled[l] = scaled[l] + scaled[s] - 1
 		if scaled[l] < 1 {
@@ -54,24 +63,25 @@ func NewAlias(weights []float64) *Alias {
 		}
 	}
 	for _, i := range large {
-		a.prob[i] = 1
+		a.thr[i] = 1 << 53
 		a.alias[i] = i
 	}
 	for _, i := range small {
-		a.prob[i] = 1 // numerical leftovers
+		a.thr[i] = 1 << 53 // numerical leftovers
 		a.alias[i] = i
 	}
 	return a
 }
 
 // N returns the support size of the table.
-func (a *Alias) N() int { return len(a.prob) }
+func (a *Alias) N() int { return len(a.thr) }
 
 // Sample draws one index from the distribution.
 func (a *Alias) Sample(r *RNG) int {
-	i := r.Intn(len(a.prob))
-	if r.Float64() < a.prob[i] {
-		return i
+	i := r.Uint64n(uint64(len(a.thr)))
+	j := uint64(a.alias[i])
+	if r.Uint64()>>11 < a.thr[i] {
+		j = i
 	}
-	return int(a.alias[i])
+	return int(j)
 }

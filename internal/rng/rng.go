@@ -19,7 +19,10 @@
 // n_{j,u}/d_u).
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a SplitMix64 pseudo-random generator. The zero value is a valid
 // generator seeded with 0; prefer New to derive independent streams.
@@ -83,28 +86,14 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 		panic("rng: Uint64n with zero n")
 	}
 	// Lemire's nearly-divisionless method.
-	x := r.Uint64()
-	hi, lo := mul64(x, n)
+	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
 		thresh := (-n) % n
 		for lo < thresh {
-			x = r.Uint64()
-			hi, lo = mul64(x, n)
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
 	return hi
-}
-
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask32 + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -329,3 +329,10 @@ func BenchmarkAliasSample(b *testing.B) {
 		_ = a.Sample(r)
 	}
 }
+
+func BenchmarkIntn(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		_ = r.Intn(10)
+	}
+}
