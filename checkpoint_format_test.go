@@ -131,33 +131,24 @@ func TestCheckpointBytesIdenticalAcrossRuntimes(t *testing.T) {
 // them at once — a reordered label, a dropped flag — passes it; this one
 // does not, and a deliberate format change must re-record the digest.
 func TestConnCompCheckpointLayoutPinned(t *testing.T) {
-	entry, _ := algo.Lookup("conncomp")
-	prob := suiteProblem("conncomp")
-	sink := newRecordingSink(core.NewMemorySink(0))
-	prob.Checkpoint = algo.CheckpointSpec{Every: 1, Sink: sink}
-	if _, err := entry.Run(prob, transport.InMem); err != nil {
-		t.Fatal(err)
-	}
-	steps := slices.Sorted(maps.Keys(sink.cuts))
-	h := fnv.New64a()
-	for _, step := range steps {
-		fmt.Fprintf(h, "%d:%d:", step, len(sink.cuts[step]))
-		h.Write(sink.cuts[step])
-	}
-	const wantCuts, want = 36, 0xdc15f717b89a0e21
-	if got := h.Sum64(); len(steps) != wantCuts || got != want {
-		t.Errorf("%d conncomp cuts hash to %016x, recorded %d cuts hashing to %016x", len(steps), got, wantCuts, uint64(want))
-	}
+	checkCutsPinned(t, "conncomp", 36, 0xdc15f717b89a0e21)
 }
 
-// TestPageRankCheckpointLayoutPinned is TestConnCompCheckpointLayoutPinned
-// for PageRank: it pins the bytes of every cut — the iteration counter
-// and each local vertex's token and visit counts in Locals() order —
-// against a recorded digest, so a change to how the machine stores that
-// state cannot change what it writes.
+// TestPageRankCheckpointLayoutPinned is the same pin for PageRank: the
+// iteration counter and each local vertex's token and visit counts in
+// Locals() order, so a change to how the machine stores that state
+// cannot change what it writes.
 func TestPageRankCheckpointLayoutPinned(t *testing.T) {
-	entry, _ := algo.Lookup("pagerank")
-	prob := suiteProblem("pagerank")
+	checkCutsPinned(t, "pagerank", 371, 0xa8e351411f95a9da)
+}
+
+// checkCutsPinned runs the registry entry's suite problem on inmem with
+// a checkpoint every superstep and compares the number of cuts and the
+// digest of their bytes, in superstep order, with the recorded ones.
+func checkCutsPinned(t *testing.T, name string, wantCuts int, want uint64) {
+	t.Helper()
+	entry, _ := algo.Lookup(name)
+	prob := suiteProblem(name)
 	sink := newRecordingSink(core.NewMemorySink(0))
 	prob.Checkpoint = algo.CheckpointSpec{Every: 1, Sink: sink}
 	if _, err := entry.Run(prob, transport.InMem); err != nil {
@@ -169,9 +160,8 @@ func TestPageRankCheckpointLayoutPinned(t *testing.T) {
 		fmt.Fprintf(h, "%d:%d:", step, len(sink.cuts[step]))
 		h.Write(sink.cuts[step])
 	}
-	const wantCuts, want = 371, 0xa8e351411f95a9da
 	if got := h.Sum64(); len(steps) != wantCuts || got != want {
-		t.Errorf("%d pagerank cuts hash to %016x, recorded %d cuts hashing to %016x", len(steps), got, wantCuts, uint64(want))
+		t.Errorf("%d %s cuts hash to %016x, recorded %d cuts hashing to %016x", len(steps), name, got, wantCuts, want)
 	}
 }
 

@@ -127,7 +127,6 @@ type machine struct {
 	// destination machines, built the first time r walks heavy. row maps
 	// a global vertex ID to its row, or -1 if the vertex is not homed
 	// here; light receives go through it.
-	locals    []int32
 	row       []int32
 	adj       [][]int32
 	tokens    []int64
@@ -167,7 +166,6 @@ func newMachine(view partition.View, opts Options) *machine {
 	m := &machine{
 		view:      view,
 		opts:      opts,
-		locals:    locals,
 		row:       make([]int32, n),
 		adj:       make([][]int32, len(locals)),
 		tokens:    make([]int64, len(locals)),
@@ -278,7 +276,8 @@ func (m *machine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]co
 		}
 	}
 	// Light path: destination-vertex counts accumulated across all
-	// local sources (the paper's α), flushed once.
+	// local sources (the paper's α), flushed once. The baseline has
+	// flushed already, so this sends nothing for it.
 	m.flushLight(ctx)
 	out = core.EmitBuckets(ctx, buckets, out)
 	m.outBuf = out
@@ -288,10 +287,10 @@ func (m *machine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]co
 // walkLight moves t tokens to uniformly random out-neighbours, counting
 // them per destination vertex in accVals and marking the destinations
 // in touched.
-func (m *machine) walkLight(r *rng.RNG, t int64, adj []int32) {
+func (m *machine) walkLight(rnd *rng.RNG, t int64, adj []int32) {
 	lo, hi := m.lo, m.hi
 	for ; t > 0; t-- {
-		v := adj[r.Intn(len(adj))]
+		v := adj[rnd.Intn(len(adj))]
 		m.accVals[v]++
 		w := int(v >> 6)
 		m.touched[w] |= 1 << (uint(v) & 63)
@@ -343,7 +342,7 @@ func (m *machine) walkHeavy(ctx *core.StepContext, r int, t int64) {
 		// Heavy messages go direct: there is at most one per (vertex,
 		// machine) pair, so they cannot congest a link (Lemma 12).
 		routing.RouteDirectBuckets(m.buckets, core.MachineID(j), msgWords,
-			msg{Kind: kindHeavy, V: m.locals[r], Count: c})
+			msg{Kind: kindHeavy, V: m.view.Locals()[r], Count: c})
 	}
 }
 

@@ -53,7 +53,7 @@ func NewAlias(weights []float64) *Alias {
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
 		large = large[:len(large)-1]
-		a.thr[s] = uint64(math.Ceil(scaled[s] * (1 << 53)))
+		a.thr[s] = threshold(scaled[s])
 		a.alias[s] = l
 		scaled[l] = scaled[l] + scaled[s] - 1
 		if scaled[l] < 1 {
@@ -72,6 +72,9 @@ func NewAlias(weights []float64) *Alias {
 	}
 	return a
 }
+
+// threshold returns ceil(p·2⁵³), the integer form of Float64() < p.
+func threshold(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
 
 // N returns the support size of the table.
 func (a *Alias) N() int { return len(a.thr) }

@@ -1,6 +1,9 @@
 package rng
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // drawDigest folds `draws` outputs of draw into one word, so a single
 // changed draw anywhere in the sequence changes the digest.
@@ -81,6 +84,29 @@ func TestBinomialDrawsPinned(t *testing.T) {
 		r := New(uint64(c.n))
 		if got := drawDigest(pinDraws, func() uint64 { return uint64(r.Binomial(c.n, c.p)) }); got != c.want {
 			t.Errorf("Binomial(%d, %g): %d draws digest to %#x, recorded %#x", c.n, c.p, pinDraws, got, c.want)
+		}
+	}
+}
+
+// TestThresholdMatchesFloatCompare checks Alias's integer threshold at
+// its boundary, where a sampled pin almost never lands: the largest
+// kept draw x = thr-1 and the smallest rejected one x = thr must agree
+// with the float comparison Float64() < p that Sample replaced.
+func TestThresholdMatchesFloatCompare(t *testing.T) {
+	r := New(53)
+	ps := []float64{0, 0x1p-60, 0x1p-53, 1.0 / 3, 0.15, 0.5, math.Nextafter(1, 0), 1}
+	for i := 0; i < 100_000; i++ {
+		ps = append(ps, r.Float64(), float64(r.Uint64n(1<<20))/(1<<20))
+	}
+	for _, p := range ps {
+		thr := threshold(p)
+		for _, x := range []uint64{thr - 1, thr} {
+			if x >= 1<<53 {
+				continue // thr-1 wrapped (p = 0) or thr = 2⁵³: no such draw
+			}
+			if got, want := x < thr, float64(x)/(1<<53) < p; got != want {
+				t.Fatalf("p=%v: draw %d kept=%v, float compare says %v", p, x, got, want)
+			}
 		}
 	}
 }
