@@ -11,7 +11,7 @@
 // partition.View, local-output extraction, cross-machine merge) and the
 // generic driver runs it on any substrate —
 //
-//   - Run / Exec: all k machines in this process, over the link
+//   - Run: all k machines in this process, over the link
 //     cfg.Transport names: the in-process rendezvous on the loopback,
 //     or, for transport.TCP, k socket links (transport/node), every
 //     machine with its own listener+dialer on loopback TCP;
@@ -21,10 +21,14 @@
 //
 // Every one of them is core.Drive per machine, and all cost accounting
 // happens there before envelopes reach a link, so a descriptor's Stats
-// and outputs are bit-identical on every substrate — the registry test suite asserts exactly that for
-// every registered algorithm. All but the standalone one also share the
-// one recovery loop (retry): a checkpointed run that loses a machine is
-// re-run from its newest cut.
+// and outputs are bit-identical on every substrate — the registry test
+// suite asserts exactly that for every registered algorithm. A machine
+// is built only by its descriptor's NewMachine; an algorithm whose
+// input is not a graph (dsort's keys, routing's probes) runs over an
+// EdgelessInput that supplies just the machine identities. All but the
+// standalone runner enter through execute and share its one recovery
+// loop (retry): a checkpointed run that loses a machine is re-run from
+// its newest cut.
 //
 // The registry half of the package (registry.go) erases the generic
 // types behind a name-keyed Entry table so CLIs and table-driven tests
@@ -91,15 +95,6 @@ func Run[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config)
 func NodeRunLocal[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config) (O, *core.Stats, error) {
 	cfg.Transport = transport.TCP
 	return Run(a, in, cfg)
-}
-
-// Exec is Run for algorithms whose input is not a vertex partition
-// (dsort's key lists, routing's synthetic workloads): build constructs
-// the k machines, in machine-ID order exactly like core.NewCluster's
-// factory contract — once per attempt, so it must be deterministic.
-func Exec[M, L, O any](cfg core.Config, codec wire.Codec[M], build func(core.MachineID) (Machine[M, L], error), merge func([]L) O) (O, *core.Stats, error) {
-	out, stats, _, err := retry(build, merge, inProcess(cfg, codec, nil, 0))
-	return out, stats, err
 }
 
 // site is where the k built machines of a run execute: cfg is the run,

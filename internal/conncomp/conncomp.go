@@ -64,8 +64,11 @@ type ccMachine struct {
 	flagsChanged bool // OR of all machines' change flags
 	flagsSeen    int
 
-	// DeliverInto scratch, recycled across supersteps.
+	// Per-superstep scratch, recycled across supersteps: delivBuf holds
+	// the arrived payloads, buckets[j] the envelopes addressed to machine
+	// j, and outBuf what core.EmitBuckets could not hand to the link.
 	delivBuf []cmsg
+	buckets  [][]core.Envelope[wire]
 	outBuf   []core.Envelope[wire]
 }
 
@@ -77,11 +80,12 @@ type ccMachine struct {
 func newCCMachine(view partition.View) *ccMachine {
 	locals := view.Locals()
 	m := &ccMachine{
-		view:   view,
-		locals: locals,
-		label:  make([]int32, len(locals)),
-		class:  make([]int32, len(locals)),
-		width:  int32(view.N()/max(len(locals), 1) + 1),
+		view:    view,
+		locals:  locals,
+		label:   make([]int32, len(locals)),
+		class:   make([]int32, len(locals)),
+		buckets: make([][]core.Envelope[wire], view.K()),
+		width:   int32(view.N()/max(len(locals), 1) + 1),
 	}
 	m.first = make([]int32, view.N()/int(m.width)+2)
 	for _, v := range locals {
@@ -170,9 +174,12 @@ func (m *ccMachine) relax() {
 }
 
 func (m *ccMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]core.Envelope[wire], bool) {
-	delivered, out := routing.DeliverInto(m.view.Self(), inbox, m.delivBuf[:0], m.outBuf[:0])
+	buckets := m.buckets
+	for j := range buckets {
+		buckets[j] = buckets[j][:0]
+	}
+	delivered := routing.Deliver(m.view.Self(), inbox, m.delivBuf[:0], buckets)
 	m.delivBuf = delivered[:0]
-	defer func() { m.outBuf = out[:0] }()
 	for _, d := range delivered {
 		switch d.Kind {
 		case kindLabel:
@@ -197,7 +204,7 @@ func (m *ccMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]
 			m.flagsChanged = false
 			m.flagsSeen = 0
 			if done {
-				return out, true
+				return m.emit(ctx), true
 			}
 		}
 		m.anyChange = false
@@ -209,14 +216,12 @@ func (m *ccMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]
 			for _, r := range m.ghostRows[m.ghostOffs[g]:m.ghostOffs[g+1]] {
 				l = min(l, m.label[r])
 			}
-			out = routing.Route(out, ctx.RNG, ctx.K, m.view.HomeOf(w), 2,
+			routing.Route(buckets, ctx.RNG, ctx.K, m.view.HomeOf(w), 2,
 				cmsg{Kind: kindLabel, V: w, Label: l})
 		}
-		return out, false
 
 	case 1:
-		// Relay hop for label messages.
-		return out, false
+		// Relay hop for label messages: the forwards are in the buckets.
 
 	default:
 		// Labels have arrived (processed above); collapse locally and
@@ -226,11 +231,18 @@ func (m *ccMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]
 			if core.MachineID(j) == m.view.Self() {
 				continue
 			}
-			out = routing.RouteDirect(out, core.MachineID(j), 1,
+			routing.RouteDirect(buckets, core.MachineID(j), 1,
 				cmsg{Kind: kindFlag, Changed: m.anyChange})
 		}
-		return out, false
 	}
+	return m.emit(ctx), false
+}
+
+// emit hands the superstep's buckets to the link and returns what it
+// could not take, in the recycled out buffer.
+func (m *ccMachine) emit(ctx *core.StepContext) []core.Envelope[wire] {
+	m.outBuf = core.EmitBuckets(ctx, m.buckets, m.outBuf[:0])
+	return m.outBuf
 }
 
 // Result reports a connected-components run.

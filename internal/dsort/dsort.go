@@ -194,7 +194,7 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 	for i := range inbox {
 		e := &inbox[i]
 		if e.Msg.Final != ctx.Self {
-			routing.ForwardBucket(buckets, e)
+			routing.Forward(buckets, e)
 			continue
 		}
 		switch d := &e.Msg.Msg; d.Kind {
@@ -229,7 +229,7 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 				continue
 			}
 			for _, s := range mySamples {
-				routing.RouteDirectBuckets(buckets, core.MachineID(j), 1, smsg{Kind: kindSample, Value: s})
+				routing.RouteDirect(buckets, core.MachineID(j), 1, smsg{Kind: kindSample, Value: s})
 			}
 			// Peer j's broadcast batch is complete: hand it to the wire
 			// now, while the remaining peers' batches are still being
@@ -252,7 +252,7 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 				m.bucket = append(m.bucket, key)
 				continue
 			}
-			routing.RouteBuckets(buckets, ctx.RNG, ctx.K, core.MachineID(b), 1, smsg{Kind: kindKey, Value: key})
+			routing.Route(buckets, ctx.RNG, ctx.K, core.MachineID(b), 1, smsg{Kind: kindKey, Value: key})
 		}
 		out = core.EmitBuckets(ctx, buckets, out)
 		return out, false
@@ -271,7 +271,7 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 			if core.MachineID(j) == ctx.Self {
 				continue
 			}
-			routing.RouteDirectBuckets(buckets, core.MachineID(j), 1, smsg{Kind: kindSize, Count: int64(len(m.bucket))})
+			routing.RouteDirect(buckets, core.MachineID(j), 1, smsg{Kind: kindSize, Count: int64(len(m.bucket))})
 			out = core.EmitOrAppend(ctx, core.MachineID(j), buckets[j], out)
 		}
 		out = append(out, buckets[ctx.Self]...)
@@ -308,7 +308,7 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 				continue
 			}
 			m.rebal++
-			routing.RouteBuckets(buckets, ctx.RNG, ctx.K, target, 1, smsg{Kind: kindFinal, Value: key})
+			routing.Route(buckets, ctx.RNG, ctx.K, target, 1, smsg{Kind: kindFinal, Value: key})
 		}
 		out = core.EmitBuckets(ctx, buckets, out)
 		return out, false
@@ -368,21 +368,14 @@ func newSortMachine(id core.MachineID, in *Input, n, k, samplesPerMachine int) *
 }
 
 // Run sorts the input across k machines. cfg.K must equal len(in.Keys).
-// The input is not a vertex partition, so Run drives the generic
-// internal/algo tail (algo.Exec) directly with a keys-closing factory.
+// The input is not a graph, so Descriptor's machines run over an
+// edgeless partition that only supplies their identities.
 func Run(in *Input, cfg core.Config, samplesPerMachine int) (*Result, error) {
-	k := len(in.Keys)
-	if cfg.K != k {
-		return nil, fmt.Errorf("dsort: cluster k=%d but input has %d machines", cfg.K, k)
-	}
-	n, samplesPerMachine, err := resolveInput(in, samplesPerMachine)
+	a, err := Descriptor(in, samplesPerMachine)
 	if err != nil {
 		return nil, err
 	}
-	res, stats, err := algo.Exec(cfg, WireCodec(),
-		func(id core.MachineID) (algo.Machine[Wire, Local], error) {
-			return newSortMachine(id, in, n, k, samplesPerMachine), nil
-		}, mergeLocals)
+	res, stats, err := algo.Run(a, algo.EdgelessInput(algo.Problem{K: cfg.K}), cfg)
 	if err != nil {
 		return nil, err
 	}

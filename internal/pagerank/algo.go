@@ -12,9 +12,9 @@ import (
 // Local is one machine's share of a PageRank output: the visit counts
 // and estimates of the vertices homed on it, in Locals() order. Dense
 // parallel slices, not maps — the in-process Run assembles its Result
-// from k of these on the hot path, and the scale arithmetic matches
-// LocalEstimates exactly, so the union of the k Local outputs is
-// bit-identical to an in-process Result on every substrate.
+// from k of these on the hot path, and every substrate computes them
+// with the same scale arithmetic, so the union of the k Local outputs
+// is bit-identical to an in-process Result.
 type Local struct {
 	// Vertices lists this machine's vertices in increasing ID order;
 	// Psi[i] and Estimate[i] belong to Vertices[i].
@@ -23,16 +23,17 @@ type Local struct {
 	Estimate []float64
 }
 
-// Output implements algo.Machine.
-func (nm *NodeMachine) Output() Local {
-	locals := nm.m.view.Locals()
+// Output implements algo.Machine: eps·psi(v)/(n·c·log n) per local
+// vertex.
+func (m *machine) Output() Local {
+	locals := m.view.Locals()
 	out := Local{
 		Vertices: locals,
 		Psi:      make([]int64, len(locals)),
 		Estimate: make([]float64, len(locals)),
 	}
-	scale := nm.opts.Eps / (float64(nm.n) * float64(nm.opts.Tokens))
-	for r, count := range nm.m.psi {
+	scale := m.opts.Eps / (float64(m.view.N()) * float64(m.opts.Tokens))
+	for r, count := range m.psi {
 		out.Psi[r] = count
 		out.Estimate[r] = float64(count) * scale
 	}
@@ -42,16 +43,20 @@ func (nm *NodeMachine) Output() Local {
 // Descriptor returns the algo-layer descriptor of a PageRank run over
 // an n-vertex input. Tokens/Iterations defaults are resolved here, so
 // every machine of a run — whatever substrate builds it — sees
-// identical options.
+// identical options; an eps outside (0,1) fails every NewMachine.
 func Descriptor(n int, opts Options) algo.Algorithm[Wire, Local, *Result] {
-	if opts.Eps > 0 && opts.Eps < 1 {
+	valid := opts.Eps > 0 && opts.Eps < 1
+	if valid {
 		opts.ApplyDefaults(n)
 	}
 	return algo.Algorithm[Wire, Local, *Result]{
 		Name:  "pagerank",
 		Codec: WireCodec(),
 		NewMachine: func(view partition.View) (algo.Machine[Wire, Local], error) {
-			return NewNodeMachine(view, opts)
+			if !valid {
+				return nil, fmt.Errorf("pagerank: eps=%v out of (0,1)", opts.Eps)
+			}
+			return newMachine(view, opts), nil
 		},
 		Merge: func(locals []Local) *Result {
 			res := &Result{

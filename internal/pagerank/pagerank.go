@@ -73,8 +73,8 @@ func ConversionBaseline(eps float64) Options {
 
 // ApplyDefaults fills Tokens and Iterations with the paper's defaults
 // for an n-vertex input. Every machine of a run must use the same
-// resolved Options — standalone nodes (cmd/kmnode) call this before
-// NewNodeMachine, and Run calls it for the in-process cluster.
+// resolved Options — Descriptor calls it once for every machine it
+// builds, whatever the substrate.
 func (o *Options) ApplyDefaults(n int) {
 	if o.Tokens == 0 {
 		o.Tokens = int(math.Ceil(8 * math.Log2(float64(n)+1)))
@@ -143,8 +143,8 @@ type machine struct {
 	// per-destination-vertex counter, dense over the global vertex
 	// space; touched has bit v set while accVals[v] is nonzero, and
 	// words [lo, hi] of it hold every set bit (lo > hi when none is).
-	// beta holds the heavy path's per-machine counts, delivBuf/outBuf
-	// the DeliverInto scratch.
+	// beta holds the heavy path's per-machine counts, delivBuf the
+	// arrived payloads and outBuf what core.EmitBuckets returns.
 	accVals  []int64
 	touched  []uint64
 	lo, hi   int
@@ -152,10 +152,10 @@ type machine struct {
 	delivBuf []msg
 	outBuf   []core.Envelope[wire]
 	// buckets[j] collects the superstep's envelopes addressed to machine
-	// j (per-destination program order preserved — see the routing
-	// *Buckets contract); core.EmitBuckets hands each non-self bucket to
-	// the transport as soon as the Step finalises it and appends the
-	// rest to the returned outs.
+	// j (per-destination program order preserved — see routing.Route);
+	// core.EmitBuckets hands each non-self bucket to the transport as
+	// soon as the Step finalises it and appends the rest to the
+	// returned outs.
 	buckets [][]core.Envelope[wire]
 
 	iter int
@@ -219,7 +219,7 @@ func (m *machine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]co
 	for j := range buckets {
 		buckets[j] = buckets[j][:0]
 	}
-	delivered := routing.DeliverIntoBuckets(m.view.Self(), inbox, m.delivBuf[:0], buckets)
+	delivered := routing.Deliver(m.view.Self(), inbox, m.delivBuf[:0], buckets)
 	m.delivBuf = delivered[:0]
 	out := m.outBuf[:0]
 	for _, d := range delivered {
@@ -314,9 +314,9 @@ func (m *machine) flushLight(ctx *core.StepContext) {
 			m.accVals[v] = 0
 			home := m.view.HomeOf(v)
 			if m.opts.TwoHop {
-				routing.RouteBuckets(m.buckets, ctx.RNG, ctx.K, home, msgWords, payload)
+				routing.Route(m.buckets, ctx.RNG, ctx.K, home, msgWords, payload)
 			} else {
-				routing.RouteDirectBuckets(m.buckets, home, msgWords, payload)
+				routing.RouteDirect(m.buckets, home, msgWords, payload)
 			}
 		}
 	}
@@ -341,7 +341,7 @@ func (m *machine) walkHeavy(ctx *core.StepContext, r int, t int64) {
 		}
 		// Heavy messages go direct: there is at most one per (vertex,
 		// machine) pair, so they cannot congest a link (Lemma 12).
-		routing.RouteDirectBuckets(m.buckets, core.MachineID(j), msgWords,
+		routing.RouteDirect(m.buckets, core.MachineID(j), msgWords,
 			msg{Kind: kindHeavy, V: m.view.Locals()[r], Count: c})
 	}
 }
@@ -393,9 +393,6 @@ func (m *machine) receive(ctx *core.StepContext, d msg) {
 // are exactly what the standalone node runtime uses, so every substrate
 // produces bit-identical results.
 func Run(p *partition.VertexPartition, cfg core.Config, opts Options) (*Result, error) {
-	if opts.Eps <= 0 || opts.Eps >= 1 {
-		return nil, fmt.Errorf("pagerank: eps=%v out of (0,1)", opts.Eps)
-	}
 	res, stats, err := algo.Run(Descriptor(p.G.N(), opts), p, cfg)
 	if err != nil {
 		return nil, err

@@ -11,8 +11,7 @@ import (
 // in row (Locals()) order — appending to dst. Static structure (the
 // partition view, the row and byIn indexes, the alias-table cache) is
 // rebuilt identically by the machine factory and never serialised.
-func (nm *NodeMachine) SnapshotState(dst []byte) ([]byte, error) {
-	m := nm.m
+func (m *machine) SnapshotState(dst []byte) ([]byte, error) {
 	dst = twire.AppendUvarint(dst, uint64(m.iter))
 	for r := range m.tokens {
 		dst = twire.AppendVarint(dst, m.tokens[r])
@@ -27,8 +26,7 @@ func (nm *NodeMachine) SnapshotState(dst []byte) ([]byte, error) {
 // every dynamic field is rewritten and every piece of per-superstep
 // scratch reset, so the next Step is bit-identical to the one the
 // snapshotted machine would have taken.
-func (nm *NodeMachine) RestoreState(src []byte) error {
-	m := nm.m
+func (m *machine) RestoreState(src []byte) error {
 	c := twire.Cursor{Src: src}
 	iter := c.Uvarint()
 	for r := range m.tokens {

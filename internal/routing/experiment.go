@@ -3,6 +3,7 @@ package routing
 import (
 	"kmachine/internal/algo"
 	"kmachine/internal/core"
+	"kmachine/internal/partition"
 	"kmachine/internal/transport"
 	"kmachine/internal/transport/wire"
 )
@@ -82,15 +83,7 @@ func RandomRouteExperiment(k, x, bandwidth int, seed uint64) (*RandomRouteResult
 // RandomRouteExperimentOn is RandomRouteExperiment over an explicit
 // transport kind.
 func RandomRouteExperimentOn(kind transport.Kind, k, x, bandwidth int, seed uint64) (*RandomRouteResult, error) {
-	cfg := core.Config{K: k, Bandwidth: bandwidth, Seed: seed, Transport: kind}
-	delivered, stats, err := algo.Exec(cfg, probeCodec{},
-		func(core.MachineID) (algo.Machine[routeProbe, int64], error) {
-			return &randomRouteMachine{x: x}, nil
-		}, sumDelivered)
-	if err != nil {
-		return nil, err
-	}
-	return &RandomRouteResult{Stats: stats, Delivered: delivered}, nil
+	return run(Descriptor(x), kind, k, bandwidth, seed)
 }
 
 // fixedDestMachine: machine 0 sends x one-word messages all addressed
@@ -101,23 +94,24 @@ type fixedDestMachine struct {
 	twoHop    bool
 	final     core.MachineID
 	delivered int64
+	buckets   [][]core.Envelope[Hop[routeProbe]] // per-destination outs, recycled
 }
 
 func (m *fixedDestMachine) Step(ctx *core.StepContext, inbox []core.Envelope[Hop[routeProbe]]) ([]core.Envelope[Hop[routeProbe]], bool) {
-	got, forwards := Deliver(ctx.Self, inbox)
-	m.delivered += int64(len(got))
-	if ctx.Superstep > 0 || ctx.Self != 0 {
-		return forwards, true
+	for j := range m.buckets {
+		m.buckets[j] = m.buckets[j][:0]
 	}
-	out := forwards
-	for i := 0; i < m.x; i++ {
-		if m.twoHop {
-			out = Route(out, ctx.RNG, ctx.K, m.final, 1, routeProbe{Token: int32(i)})
-		} else {
-			out = RouteDirect(out, m.final, 1, routeProbe{Token: int32(i)})
+	m.delivered += int64(len(Deliver(ctx.Self, inbox, nil, m.buckets)))
+	if ctx.Superstep == 0 && ctx.Self == 0 {
+		for i := 0; i < m.x; i++ {
+			if m.twoHop {
+				Route(m.buckets, ctx.RNG, ctx.K, m.final, 1, routeProbe{Token: int32(i)})
+			} else {
+				RouteDirect(m.buckets, m.final, 1, routeProbe{Token: int32(i)})
+			}
 		}
 	}
-	return out, true
+	return core.EmitBuckets(ctx, m.buckets, nil), true
 }
 
 // Output implements algo.Machine.
@@ -138,13 +132,24 @@ func FixedDestinationExperiment(k, x, bandwidth int, twoHop bool, seed uint64) (
 // FixedDestinationExperimentOn is FixedDestinationExperiment over an
 // explicit transport kind.
 func FixedDestinationExperimentOn(kind transport.Kind, k, x, bandwidth int, twoHop bool, seed uint64) (*RandomRouteResult, error) {
+	return run(algo.Algorithm[Hop[routeProbe], int64, []int64]{
+		Name:  "routing",
+		Codec: HopCodec[routeProbe](probeCodec{}),
+		NewMachine: func(view partition.View) (algo.Machine[Hop[routeProbe], int64], error) {
+			return &fixedDestMachine{x: x, twoHop: twoHop, final: core.MachineID(view.K() - 1),
+				buckets: make([][]core.Envelope[Hop[routeProbe]], view.K())}, nil
+		},
+		Merge: func(locals []int64) []int64 { return locals },
+	}, kind, k, bandwidth, seed)
+}
+
+// run executes one of the experiments' descriptors on k machines over
+// an edgeless input and totals its per-machine delivery counts.
+func run[M any](a algo.Algorithm[M, int64, []int64], kind transport.Kind, k, bandwidth int, seed uint64) (*RandomRouteResult, error) {
 	cfg := core.Config{K: k, Bandwidth: bandwidth, Seed: seed, Transport: kind}
-	delivered, stats, err := algo.Exec(cfg, HopCodec[routeProbe](probeCodec{}),
-		func(core.MachineID) (algo.Machine[Hop[routeProbe], int64], error) {
-			return &fixedDestMachine{x: x, twoHop: twoHop, final: core.MachineID(k - 1)}, nil
-		}, sumDelivered)
+	perMachine, stats, err := algo.Run(a, algo.EdgelessInput(algo.Problem{K: k, Seed: seed}), cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &RandomRouteResult{Stats: stats, Delivered: delivered}, nil
+	return &RandomRouteResult{Stats: stats, Delivered: sumDelivered(perMachine)}, nil
 }

@@ -10,7 +10,7 @@
 //     message is first sent to a uniformly random intermediate machine
 //     and then forwarded, so both hops have a random endpoint and Lemma 13
 //     applies to each. Hop/Route/Deliver implement the pattern generically
-//     for any payload type;
+//     for any payload type, into per-destination buckets;
 //   - randomized proxy computation (§1.3, §3.2): the designation rule that
 //     decides which endpoint's home machine ships an edge to its random
 //     proxy, including the heavy-vertex (degree >= 2k log n) broadcast
@@ -33,70 +33,17 @@ type Hop[M any] struct {
 	Msg   M
 }
 
-// Route appends to out an envelope carrying msg towards final via a
-// uniformly random intermediate machine drawn from r.
-func Route[M any](out []core.Envelope[Hop[M]], r *rng.RNG, k int, final core.MachineID, words int32, msg M) []core.Envelope[Hop[M]] {
-	mid := core.MachineID(r.Intn(k))
-	return append(out, core.Envelope[Hop[M]]{
-		To:    mid,
-		Words: words,
-		Msg:   Hop[M]{Final: final, Msg: msg},
-	})
-}
+// The functions below append into a per-destination bucket array
+// (buckets[j] holds the envelopes addressed to machine j), the shape
+// core.EmitBuckets hands to the link. Appending a call's envelope to
+// bucket j preserves the program order of all envelopes addressed to
+// j, and inbox assembly orders by (sender, per-sender program order),
+// so no inbox depends on when its bucket left the sender.
 
-// RouteDirect appends an envelope addressed straight to final, in the
-// same Hop framing (used by the ablation that disables two-hop routing,
-// and for messages whose destination is already uniformly random).
-func RouteDirect[M any](out []core.Envelope[Hop[M]], final core.MachineID, words int32, msg M) []core.Envelope[Hop[M]] {
-	return append(out, core.Envelope[Hop[M]]{
-		To:    final,
-		Words: words,
-		Msg:   Hop[M]{Final: final, Msg: msg},
-	})
-}
-
-// Deliver partitions an inbox into payloads that have arrived (Final is
-// the receiving machine) and second-hop forwards to emit this superstep.
-func Deliver[M any](self core.MachineID, inbox []core.Envelope[Hop[M]]) (delivered []M, forwards []core.Envelope[Hop[M]]) {
-	return DeliverInto(self, inbox, nil, nil)
-}
-
-// DeliverInto is Deliver appending into caller-provided scratch
-// (typically machine-owned buffers passed as buf[:0]), so a machine
-// stepping every superstep can recycle its delivery and forward slices
-// instead of growing fresh ones each time. Payload and forward values
-// are copied out of inbox, never aliased, so the scratch stays valid
-// after the transport recycles the inbox storage.
-func DeliverInto[M any](self core.MachineID, inbox []core.Envelope[Hop[M]], delivered []M, forwards []core.Envelope[Hop[M]]) ([]M, []core.Envelope[Hop[M]]) {
-	for _, e := range inbox {
-		if e.Msg.Final == self {
-			delivered = append(delivered, e.Msg.Msg)
-			continue
-		}
-		forwards = append(forwards, core.Envelope[Hop[M]]{
-			To:    e.Msg.Final,
-			Words: e.Words,
-			Msg:   e.Msg,
-		})
-	}
-	return delivered, forwards
-}
-
-// The *Buckets variants below are the eager-emission counterparts of
-// Route/RouteDirect/DeliverInto: instead of one interleaved out
-// slice they append into a per-destination-machine bucket array
-// (buckets[j] holds the envelopes addressed to machine j), which is the
-// shape core.EmitBuckets emits eagerly. Appending a given call's
-// envelope to bucket j preserves the program order of all envelopes
-// addressed to j, and inbox assembly orders by (sender, per-sender
-// program order) — so a bucketed machine produces byte-identical
-// inboxes to its interleaved self. RNG draws happen at
-// the same call sites in the same order, keeping determinism hashes
-// unchanged.
-
-// RouteBuckets is Route into per-destination buckets: the envelope
-// lands in the bucket of its (uniformly random) intermediate machine.
-func RouteBuckets[M any](buckets [][]core.Envelope[Hop[M]], r *rng.RNG, k int, final core.MachineID, words int32, msg M) {
+// Route appends an envelope carrying msg towards final via a uniformly
+// random intermediate machine drawn from r, to the intermediate's
+// bucket.
+func Route[M any](buckets [][]core.Envelope[Hop[M]], r *rng.RNG, k int, final core.MachineID, words int32, msg M) {
 	mid := r.Intn(k)
 	buckets[mid] = append(buckets[mid], core.Envelope[Hop[M]]{
 		To:    core.MachineID(mid),
@@ -105,8 +52,10 @@ func RouteBuckets[M any](buckets [][]core.Envelope[Hop[M]], r *rng.RNG, k int, f
 	})
 }
 
-// RouteDirectBuckets is RouteDirect into per-destination buckets.
-func RouteDirectBuckets[M any](buckets [][]core.Envelope[Hop[M]], final core.MachineID, words int32, msg M) {
+// RouteDirect appends an envelope addressed straight to final, in the
+// same Hop framing (used by the ablation that disables two-hop routing,
+// and for messages whose destination is already uniformly random).
+func RouteDirect[M any](buckets [][]core.Envelope[Hop[M]], final core.MachineID, words int32, msg M) {
 	buckets[final] = append(buckets[final], core.Envelope[Hop[M]]{
 		To:    final,
 		Words: words,
@@ -114,25 +63,27 @@ func RouteDirectBuckets[M any](buckets [][]core.Envelope[Hop[M]], final core.Mac
 	})
 }
 
-// DeliverIntoBuckets is DeliverInto with the second-hop forwards
-// appended into per-destination buckets instead of one forwards slice.
-func DeliverIntoBuckets[M any](self core.MachineID, inbox []core.Envelope[Hop[M]], delivered []M, buckets [][]core.Envelope[Hop[M]]) []M {
+// Deliver splits an inbox into payloads that have arrived (Final is
+// self), appended to delivered, and second-hop forwards, appended to
+// their final machine's bucket. Payloads and forwards are copied out of
+// inbox, never aliased, so both stay valid after the link recycles the
+// inbox storage.
+func Deliver[M any](self core.MachineID, inbox []core.Envelope[Hop[M]], delivered []M, buckets [][]core.Envelope[Hop[M]]) []M {
 	for i := range inbox {
 		if e := &inbox[i]; e.Msg.Final == self {
 			delivered = append(delivered, e.Msg.Msg)
 		} else {
-			ForwardBucket(buckets, e)
+			Forward(buckets, e)
 		}
 	}
 	return delivered
 }
 
-// ForwardBucket appends the second-hop forward of e — an inbox envelope
-// whose Final is another machine — to that machine's bucket. It is the
-// forward arm of DeliverIntoBuckets on its own, for a machine that
-// consumes its arrived payloads in the same pass over the inbox instead
-// of staging them in a delivered slice.
-func ForwardBucket[M any](buckets [][]core.Envelope[Hop[M]], e *core.Envelope[Hop[M]]) {
+// Forward appends the second-hop forward of e — an inbox envelope whose
+// Final is another machine — to that machine's bucket. It is Deliver's
+// forward arm on its own, for a machine that consumes its arrived
+// payloads in the same pass over the inbox.
+func Forward[M any](buckets [][]core.Envelope[Hop[M]], e *core.Envelope[Hop[M]]) {
 	buckets[e.Msg.Final] = append(buckets[e.Msg.Final], core.Envelope[Hop[M]]{
 		To:    e.Msg.Final,
 		Words: e.Words,

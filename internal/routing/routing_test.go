@@ -13,32 +13,56 @@ func TestDeliverSplitsFinalsAndForwards(t *testing.T) {
 		{From: 1, To: 2, Words: 1, Msg: Hop[int]{Final: 5, Msg: 20}},
 		{From: 3, To: 2, Words: 2, Msg: Hop[int]{Final: 2, Msg: 30}},
 	}
-	delivered, forwards := Deliver(core.MachineID(2), inbox)
+	buckets := make([][]core.Envelope[Hop[int]], 6)
+	delivered := Deliver(core.MachineID(2), inbox, nil, buckets)
 	if len(delivered) != 2 || delivered[0] != 10 || delivered[1] != 30 {
 		t.Errorf("delivered = %v, want [10 30]", delivered)
 	}
-	if len(forwards) != 1 || forwards[0].To != 5 || forwards[0].Words != 1 {
-		t.Errorf("forwards = %+v, want one envelope to 5", forwards)
+	assertBucketed(t, buckets)
+	if fw := buckets[5]; len(fw) != 1 || fw[0].To != 5 || fw[0].Words != 1 || fw[0].Msg.Final != 5 || fw[0].Msg.Msg != 20 {
+		t.Errorf("bucket 5 = %+v, want one forward of 20 to 5", fw)
+	}
+	for j, b := range buckets {
+		if j != 5 && len(b) != 0 {
+			t.Errorf("bucket %d = %+v, want empty", j, b)
+		}
 	}
 }
 
 func TestRouteChoosesIntermediate(t *testing.T) {
 	r := rng.New(5)
 	const k = 10
-	counts := make([]int, k)
+	buckets := make([][]core.Envelope[Hop[int]], k)
 	for i := 0; i < 1000; i++ {
-		out := Route(nil, r, k, 3, 1, i)
-		if len(out) != 1 {
-			t.Fatal("Route did not append exactly one envelope")
-		}
-		counts[out[0].To]++
-		if out[0].Msg.Final != 3 {
-			t.Fatal("Route lost the final destination")
-		}
+		Route(buckets, r, k, 3, 1, i)
 	}
-	for m, c := range counts {
-		if c == 0 {
+	assertBucketed(t, buckets)
+	total := 0
+	for m, b := range buckets {
+		if len(b) == 0 {
 			t.Errorf("intermediate %d never chosen in 1000 routes", m)
+		}
+		for _, e := range b {
+			if e.Msg.Final != 3 {
+				t.Fatal("Route lost the final destination")
+			}
+		}
+		total += len(b)
+	}
+	if total != 1000 {
+		t.Fatalf("1000 routes appended %d envelopes", total)
+	}
+}
+
+// assertBucketed checks that every envelope sits in the bucket of the
+// machine it is addressed to.
+func assertBucketed[M any](t *testing.T, buckets [][]core.Envelope[Hop[M]]) {
+	t.Helper()
+	for j, b := range buckets {
+		for _, e := range b {
+			if e.To != core.MachineID(j) {
+				t.Errorf("bucket %d holds an envelope to %d", j, e.To)
+			}
 		}
 	}
 }

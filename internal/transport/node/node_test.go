@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"kmachine/internal/algo"
 	"kmachine/internal/core"
 	"kmachine/internal/gen"
 	"kmachine/internal/pagerank"
@@ -123,10 +124,11 @@ func TestRunLocalPageRankMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	machines := make([]*pagerank.NodeMachine, k)
-	nodeStats, _, err := node.RunLocal(core.Config{K: k, Bandwidth: bw, Seed: seed + 2}, pagerank.WireCodec(),
+	desc := pagerank.Descriptor(n, opts)
+	machines := make([]algo.Machine[pagerank.Wire, pagerank.Local], k)
+	nodeStats, _, err := node.RunLocal(core.Config{K: k, Bandwidth: bw, Seed: seed + 2}, desc.Codec,
 		func(id core.MachineID) core.Machine[pagerank.Wire] {
-			m, err := pagerank.NewNodeMachine(p.View(id), opts)
+			m, err := desc.NewMachine(p.View(id))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,9 +148,10 @@ func TestRunLocalPageRankMatchesInMemory(t *testing.T) {
 
 	got := 0
 	for _, m := range machines {
-		for v, est := range m.LocalEstimates() {
+		l := m.Output()
+		for i, v := range l.Vertices {
 			got++
-			if math.Float64bits(est) != math.Float64bits(mem.Estimate[v]) {
+			if est := l.Estimate[i]; math.Float64bits(est) != math.Float64bits(mem.Estimate[v]) {
 				t.Errorf("vertex %d: node estimate %v, inmem %v", v, est, mem.Estimate[v])
 			}
 		}

@@ -24,9 +24,10 @@ func (m *triMachine) Output() Local {
 	return Local{Count: m.count, Checksum: m.checksum, Triangles: m.out, Triads: m.triads}
 }
 
-// Output implements algo.Machine.
-func (m *baselineMachine) Output() Local {
-	return Local{Count: m.count, Checksum: m.checksum, Triangles: m.out}
+// Output implements algo.Machine for the machines that output
+// triangles only (the baseline and centralized strategies).
+func (t *triangleTally) Output() Local {
+	return Local{Count: t.count, Checksum: t.checksum, Triangles: t.out}
 }
 
 // mergeEnum folds machine-local enumeration shares into a Result for a
@@ -54,14 +55,7 @@ func Descriptor(k int, opts Options) algo.Algorithm[Wire, Local, *Result] {
 		Name:  "triangle",
 		Codec: WireCodec(),
 		NewMachine: func(view partition.View) (algo.Machine[Wire, Local], error) {
-			m := &triMachine{triangleTally: triangleTally{collect: opts.Collect}, colorRouter: colorRouter{
-				view:    view,
-				opts:    opts,
-				k:       k,
-				c:       c,
-				heavy:   make(map[int32]bool),
-				targets: targets,
-			}}
+			m := &triMachine{colorRouter: newColorRouter(view, opts, c, targets), triangleTally: triangleTally{collect: opts.Collect}}
 			m.walk = m.enumerate
 			return m, nil
 		},

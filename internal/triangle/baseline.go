@@ -26,7 +26,6 @@ type bmsg struct {
 type baselineMachine struct {
 	view partition.View
 	opts Options
-	k    int
 	c    int // n^{1/3} color classes
 
 	// perDeputy collects edge lists for the deputies homed here.
@@ -78,26 +77,20 @@ func (m *baselineMachine) Step(ctx *core.StepContext, inbox []core.Envelope[bmsg
 // generic internal/algo driver. cfg.K must equal p.K; the graph must be
 // undirected.
 func RunBaseline(p *partition.VertexPartition, cfg core.Config, opts Options) (*Result, error) {
-	if cfg.K != p.K {
-		return nil, fmt.Errorf("triangle: cluster k=%d but partition k=%d", cfg.K, p.K)
-	}
 	if p.G.Directed() {
 		return nil, fmt.Errorf("triangle: enumeration needs an undirected graph")
 	}
 	c := Colors(p.G.N()) // n^{1/3} classes: the congested-clique granularity
 	targets := pairTargets(c, 3)
-	res, stats, err := algo.Exec(cfg, BaselineWireCodec(),
-		func(id core.MachineID) (algo.Machine[BaselineWire, Local], error) {
-			return &baselineMachine{
-				view:          p.View(id),
-				opts:          opts,
-				k:             cfg.K,
-				c:             c,
-				perDeputy:     make(map[int32][][2]int32),
-				targets:       targets,
-				triangleTally: triangleTally{collect: opts.Collect},
-			}, nil
-		}, mergeEnum(c))
+	res, stats, err := algo.Run(algo.Algorithm[BaselineWire, Local, *Result]{
+		Name:  "triangle",
+		Codec: BaselineWireCodec(),
+		NewMachine: func(view partition.View) (algo.Machine[BaselineWire, Local], error) {
+			return &baselineMachine{view: view, opts: opts, c: c, perDeputy: make(map[int32][][2]int32),
+				targets: targets, triangleTally: triangleTally{collect: opts.Collect}}, nil
+		},
+		Merge: mergeEnum(c),
+	}, p, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package triangle
 import (
 	"fmt"
 
+	"kmachine/internal/algo"
 	"kmachine/internal/core"
 	"kmachine/internal/graph"
 	"kmachine/internal/partition"
@@ -20,11 +21,9 @@ import (
 // describes.
 
 type centralMachine struct {
-	view partition.View
-
-	edges    [][2]int32
-	count    int64
-	checksum uint64
+	view  partition.View
+	edges [][2]int32
+	triangleTally
 }
 
 func (m *centralMachine) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]) ([]core.Envelope[tmsg], bool) {
@@ -51,8 +50,7 @@ func (m *centralMachine) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]
 		if m.view.Self() == 0 {
 			g := graph.FromEdges(m.view.N(), false, m.edges)
 			g.EnumerateTriangles(func(t graph.Triangle) bool {
-				m.count++
-				m.checksum ^= graph.HashTriangle(t)
+				m.emit(t)
 				return true
 			})
 		}
@@ -63,27 +61,20 @@ func (m *centralMachine) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]
 // RunCentralized aggregates the whole graph at machine 0 and enumerates
 // there. It exists to measure the Corollary 2 tradeoff, not to be used.
 func RunCentralized(p *partition.VertexPartition, cfg core.Config) (*Result, error) {
-	if cfg.K != p.K {
-		return nil, fmt.Errorf("triangle: cluster k=%d but partition k=%d", cfg.K, p.K)
-	}
 	if p.G.Directed() {
 		return nil, fmt.Errorf("triangle: enumeration needs an undirected graph")
 	}
-	machines := make([]*centralMachine, cfg.K)
-	cluster := core.NewCluster(cfg, func(id core.MachineID) core.Machine[tmsg] {
-		m := &centralMachine{view: p.View(id)}
-		machines[id] = m
-		return m
-	})
-	stats, err := cluster.Run()
+	res, stats, err := algo.Run(algo.Algorithm[Wire, Local, *Result]{
+		Name:  "triangle",
+		Codec: WireCodec(),
+		NewMachine: func(view partition.View) (algo.Machine[Wire, Local], error) {
+			return &centralMachine{view: view}, nil
+		},
+		Merge: mergeEnum(1),
+	}, p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Colors: 1, Stats: stats, PerMachine: make([]int64, cfg.K)}
-	for id, m := range machines {
-		res.Count += m.count
-		res.Checksum ^= m.checksum
-		res.PerMachine[id] = m.count
-	}
+	res.Stats = stats
 	return res, nil
 }

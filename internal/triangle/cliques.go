@@ -104,28 +104,20 @@ type Clique4Result struct {
 // RunCliques4 enumerates all 4-cliques of the partitioned graph; every
 // clique is output by exactly one machine.
 func RunCliques4(p *partition.VertexPartition, cfg core.Config, opts Options) (*Clique4Result, error) {
-	if cfg.K != p.K {
-		return nil, fmt.Errorf("triangle: cluster k=%d but partition k=%d", cfg.K, p.K)
-	}
 	if p.G.Directed() {
 		return nil, fmt.Errorf("triangle: clique enumeration needs an undirected graph")
 	}
 	c := Colors4(cfg.K)
 	targets := pairTargets(c, 4)
-	res, stats, err := algo.Exec(cfg, WireCodec(),
-		func(id core.MachineID) (algo.Machine[Wire, local4], error) {
-			m := &cliqueMachine{colorRouter: colorRouter{
-				view:    p.View(id),
-				opts:    opts,
-				k:       cfg.K,
-				c:       c,
-				heavy:   make(map[int32]bool),
-				targets: targets,
-			}}
+	res, stats, err := algo.Run(algo.Algorithm[Wire, local4, *Clique4Result]{
+		Name:  "triangle",
+		Codec: WireCodec(),
+		NewMachine: func(view partition.View) (algo.Machine[Wire, local4], error) {
+			m := &cliqueMachine{colorRouter: newColorRouter(view, opts, c, targets)}
 			m.walk = m.enumerate
 			return m, nil
 		},
-		func(locals []local4) *Clique4Result {
+		Merge: func(locals []local4) *Clique4Result {
 			res := &Clique4Result{Colors: c, PerMachine: make([]int64, len(locals))}
 			for id, l := range locals {
 				res.Count += l.count
@@ -134,7 +126,8 @@ func RunCliques4(p *partition.VertexPartition, cfg core.Config, opts Options) (*
 				res.Cliques = append(res.Cliques, l.cliques...)
 			}
 			return res
-		})
+		},
+	}, p, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -256,8 +256,9 @@ func TestTriangleBytesPerEdge(t *testing.T) {
 	inbox := make([][]core.Envelope[tmsg], k)
 	targets := pairTargets(c, 3)
 	for id := range routers {
-		routers[id] = &colorRouter{view: p.View(core.MachineID(id)), opts: opts, k: k, c: c,
-			heavy: map[int32]bool{}, targets: targets, walk: func() {}}
+		r := newColorRouter(p.View(core.MachineID(id)), opts, c, targets)
+		r.walk = func() {}
+		routers[id] = &r
 	}
 	var route float64
 	for step := 0; step < 4; step++ {

@@ -167,13 +167,18 @@ type tmsg struct {
 type colorRouter struct {
 	view partition.View
 	opts Options
-	k    int
 	c    int
 
 	heavy   map[int32]bool
 	targets [][]core.MachineID // pairTargets(c, arity)
 	edges   [][2]int32         // final edges for enumeration
 	walk    func()             // the owning machine's enumeration over edges
+}
+
+// newColorRouter is the router of machine view.Self() over c color
+// classes; the owning machine sets walk.
+func newColorRouter(view partition.View, opts Options, c int, targets [][]core.MachineID) colorRouter {
+	return colorRouter{view: view, opts: opts, c: c, heavy: make(map[int32]bool), targets: targets}
 }
 
 // targetsOf returns the machines edge {u, v} must reach.
@@ -233,11 +238,11 @@ func (r *colorRouter) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]) (
 	switch {
 	case ctx.Superstep == 0:
 		if r.opts.HeavyDesignation {
-			threshold := routing.HeavyDegreeThreshold(r.k, r.view.N())
+			threshold := routing.HeavyDegreeThreshold(ctx.K, r.view.N())
 			for _, u := range r.view.Locals() {
 				if r.view.Degree(u) >= threshold {
 					r.heavy[u] = true
-					for j := 0; j < r.k; j++ {
+					for j := 0; j < ctx.K; j++ {
 						if core.MachineID(j) == r.view.Self() {
 							continue
 						}
@@ -260,7 +265,7 @@ func (r *colorRouter) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]) (
 					continue
 				}
 				if r.opts.Proxies {
-					proxy := core.MachineID(ctx.RNG.Intn(r.k))
+					proxy := core.MachineID(ctx.RNG.Intn(ctx.K))
 					out = append(out, core.Envelope[tmsg]{
 						To:    proxy,
 						Words: 2,

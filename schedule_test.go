@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"kmachine/internal/algo"
+	"kmachine/internal/conncomp"
 	"kmachine/internal/core"
 	"kmachine/internal/dsort"
 	"kmachine/internal/obs"
@@ -21,13 +22,13 @@ import (
 	"kmachine/internal/transport"
 )
 
-// TestCheckpointedRunKeepsItsSchedule runs the two eagerly-emitting
+// TestCheckpointedRunKeepsItsSchedule runs the eagerly-emitting
 // registry algorithms with a checkpoint after every superstep on both
 // links against an un-checkpointed loopback reference, and reads the
 // overlap gauge (frame writes ∩ compute) off the traced socket run:
 // above zero means frames were written while a Step was running.
 func TestCheckpointedRunKeepsItsSchedule(t *testing.T) {
-	for _, name := range []string{"pagerank", "dsort"} {
+	for _, name := range []string{"pagerank", "dsort", "conncomp"} {
 		t.Run(name, func(t *testing.T) {
 			entry, ok := algo.Lookup(name)
 			if !ok {
@@ -134,6 +135,10 @@ func TestKilledEmittingSuperstepReEmitsOnReplay(t *testing.T) {
 		t.Run("pagerank/"+string(kind), func(t *testing.T) {
 			// Even supersteps start a walk iteration and ship its tokens.
 			checkKilledEmittingSuperstep(t, pagerank.Descriptor(failN, pagerank.AlgorithmOne(0.15)), failurePartition(t), failK, kind, 2)
+		})
+		t.Run("conncomp/"+string(kind), func(t *testing.T) {
+			// Superstep 3 opens phase 2 and ships its labels.
+			checkKilledEmittingSuperstep(t, conncomp.Descriptor(failN), failurePartition(t), failK, kind, 3)
 		})
 	}
 }
