@@ -67,11 +67,10 @@ type Algorithm[M, L, O any] struct {
 	// Codec serialises envelope payloads for the socket link
 	// (transport/node) and checkpoints; the in-memory loopback ignores it.
 	Codec wire.Codec[M]
-	// NewMachine builds machine view.Self()'s state. Every substrate
-	// calls it the same way, so a machine's behaviour cannot depend on
-	// where it runs — nor on whether the view is a window onto a
-	// materialised graph (partition.GraphView) or a partition-local CSR
-	// shard (partition.LocalView).
+	// NewMachine builds machine view.Self()'s state from its CSR shard.
+	// Every substrate calls it the same way, so a machine's behaviour
+	// cannot depend on where it runs, nor on whether its shard came from
+	// a generator, a file or a caller's graph.
 	NewMachine func(view partition.View) (Machine[M, L], error)
 	// Merge folds the k machine-local outputs (in machine-ID order)
 	// into the cluster-wide output.
@@ -81,9 +80,9 @@ type Algorithm[M, L, O any] struct {
 // Run executes the algorithm over the partitioned input, all k machines
 // in this process on the link cfg.Transport names, with the
 // descriptor's codec. It returns the merged output and the measured
-// Stats. The input may be a materialised *partition.VertexPartition or
-// a *partition.ShardedInput, whose k CSR shards are built from one pass
-// over its source.
+// Stats. The input may be a *partition.VertexPartition of a caller's
+// graph or a *partition.ShardedInput; either builds the k CSR shards
+// from one pass over its source.
 func Run[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config) (O, *core.Stats, error) {
 	out, stats, _, err := execute(a, in, inProcess(cfg, a.Codec, nil, 0))
 	return out, stats, err

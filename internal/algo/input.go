@@ -75,7 +75,7 @@ func EdgelessInput(prob Problem) *partition.ShardedInput {
 
 // GnpInput is NOT a registry path. It is the materialised reference of
 // a generated problem — the whole G(N, EdgeP) built in this process and
-// windowed by NewRVP; InputPath is not consulted — kept under the name
+// partitioned by NewRVP; InputPath is not consulted — kept under the name
 // the frozen benchmark/ calls: verify.go's oracles and micro.go's
 // gen.full_build_ms type-assert its result to *partition.VertexPartition.
 // The next [benchmark] PR moves them to gen.Gnp + partition.NewRVP and

@@ -16,13 +16,13 @@ import (
 	"kmachine/internal/rng"
 )
 
-// TestViewsAgreeOnEdgeCases runs every input shape over both View
-// implementations — the GraphView of a materialised partition and the
-// LocalView shards the registry builds (algo.GraphInput, from the
-// generator or from an edge-list file) — at k values that leave some
-// machines with no locals or no cut arcs. Labels and component counts
-// must match the sequential oracle, and Stats must not depend on the
-// view.
+// TestViewsAgreeOnEdgeCases runs every input shape over shards built
+// two ways — graph-built, replayed from a materialised graph's edges by
+// a VertexPartition, and stream-built, as the registry builds them
+// (algo.GraphInput, from the generator or from an edge-list file) — at
+// k values that leave some machines with no locals or no cut arcs.
+// Labels and component counts must match the sequential oracle, and
+// Stats must not depend on how the shards were built.
 func TestViewsAgreeOnEdgeCases(t *testing.T) {
 	pairs := graph.NewBuilder(10, false) // 3 pairs + 4 singletons
 	for _, e := range [][2]int{{0, 9}, {2, 3}, {5, 7}} {
@@ -73,7 +73,7 @@ func TestViewsAgreeOnEdgeCases(t *testing.T) {
 				stats[i] = st
 			}
 			if !reflect.DeepEqual(stats[0], stats[1]) {
-				t.Errorf("%s k=%d: GraphView stats %+v, LocalView stats %+v", in.name, k, stats[0], stats[1])
+				t.Errorf("%s k=%d: graph-built stats %+v, stream-built stats %+v", in.name, k, stats[0], stats[1])
 			}
 		}
 	}

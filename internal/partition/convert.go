@@ -105,5 +105,5 @@ func errEdgeMissing(machine int, u, w int32) error {
 }
 
 func (e *conversionError) Error() string {
-	return "partition: conversion left machine without a local edge"
+	return fmt.Sprintf("partition: conversion left machine %d without a local edge (%d,%d)", e.machine, e.u, e.w)
 }

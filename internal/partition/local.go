@@ -19,8 +19,8 @@ import (
 
 // Spec is an unmaterialised random vertex partition: n vertices hashed
 // onto k machines with the given seed. It carries no per-vertex state —
-// every quantity below is derived from the hash — so any process can
-// hold a Spec for any n.
+// every quantity below is derived from HomeOf — so any process can hold
+// a Spec for any n.
 type Spec struct {
 	// N is the global vertex count.
 	N int
@@ -29,12 +29,21 @@ type Spec struct {
 	// Seed drives the Home hash (the registry convention seeds it at
 	// problem seed + 1, exactly like NewRVP).
 	Seed uint64
+
+	// identity homes vertex v on machine v (k = n, the congested
+	// clique); only NewIdentity sets it.
+	identity bool
 }
 
-// HomeOf returns the home machine of v: the same pure hash NewRVP
-// materialises, so a Spec and a NewRVP with equal (k, seed) agree on
-// every vertex.
-func (s Spec) HomeOf(v int32) core.MachineID { return Home(s.Seed, v, s.K) }
+// HomeOf returns the home machine of v: the one home function of the
+// package. Under the RVP it is the pure hash Home, so a Spec and a
+// NewRVP with equal (k, seed) agree on every vertex.
+func (s Spec) HomeOf(v int32) core.MachineID {
+	if s.identity {
+		return core.MachineID(v)
+	}
+	return Home(s.Seed, v, s.K)
+}
 
 // Locals returns machine m's vertices in increasing ID order. This is
 // the one O(n)-time pass sharded setup cannot avoid under a hashed RVP
@@ -63,7 +72,7 @@ func (s Spec) localsOf(machines []core.MachineID) [][]int32 {
 	}
 	counts := make([]int, len(machines))
 	for v := 0; v < s.N; v++ {
-		if i := slot[Home(s.Seed, int32(v), s.K)]; i >= 0 {
+		if i := slot[s.HomeOf(int32(v))]; i >= 0 {
 			counts[i]++
 		}
 	}
@@ -72,7 +81,7 @@ func (s Spec) localsOf(machines []core.MachineID) [][]int32 {
 		out[i] = make([]int32, 0, c)
 	}
 	for v := 0; v < s.N; v++ {
-		if i := slot[Home(s.Seed, int32(v), s.K)]; i >= 0 {
+		if i := slot[s.HomeOf(int32(v))]; i >= 0 {
 			out[i] = append(out[i], int32(v))
 		}
 	}
@@ -340,13 +349,11 @@ func (b *LocalBuilder) Build() []*LocalView {
 	return views
 }
 
-// LocalView is a machine-local View backed by a per-machine CSR of the
-// machine's own adjacency rows — no global graph object. Setup memory is
-// O((n+m)/k) per machine instead of the GraphView's O(n+m) per process,
-// which is what lets a k-process run hold inputs no single process
-// could. Accessor semantics (including the non-local panic) match
-// GraphView exactly; the parity and shard/full equivalence suites assert
-// bit-identical adjacency against the materialised path.
+// LocalView is the View: a per-machine CSR of the machine's own
+// adjacency rows, with no global graph object behind it. Setup memory
+// is O((n+m)/k) per machine, which is what lets a k-process run hold
+// inputs no single process could. The partition tests check every
+// accessor against the *graph.Graph the shard was built from.
 type LocalView struct {
 	spec     Spec
 	self     core.MachineID
@@ -371,15 +378,14 @@ func (v *LocalView) N() int { return v.spec.N }
 func (v *LocalView) Locals() []int32 { return v.locals }
 
 // IsLocal reports whether u is homed here. Membership is the public
-// hash: O(1), no memory, and false for any ID outside [0, N).
+// home function: O(1), no memory, and false for any ID outside [0, N).
 func (v *LocalView) IsLocal(u int32) bool {
 	return u >= 0 && int(u) < v.spec.N && v.HomeOf(u) == v.self
 }
 
-// HomeOf returns the home machine of any vertex: the hash is public, so
-// no per-vertex state is needed (this is the O(1)/O(0)-memory answer the
-// GraphView precomputes as an O(n) array).
-func (v *LocalView) HomeOf(u int32) core.MachineID { return Home(v.spec.Seed, u, v.spec.K) }
+// HomeOf returns the home machine of any vertex: the home function is
+// public, so no per-vertex state is needed.
+func (v *LocalView) HomeOf(u int32) core.MachineID { return v.spec.HomeOf(u) }
 
 // OutAdj returns the out-neighbours (or neighbours, if undirected) of a
 // LOCAL vertex, sorted. The slice aliases the shard's CSR.
@@ -453,9 +459,13 @@ func (in *ShardedInput) MachineViews(hosted []core.MachineID) ([]View, error) {
 	if err != nil {
 		return nil, fmt.Errorf("partition: shards %v: %w", hosted, err)
 	}
+	return asViews(shards), nil
+}
+
+func asViews(shards []*LocalView) []View {
 	views := make([]View, len(shards))
 	for i, lv := range shards {
 		views[i] = lv
 	}
-	return views, nil
+	return views
 }

@@ -25,57 +25,70 @@ func buildLocal(g *graph.Graph, spec Spec, m core.MachineID, directed bool) *Loc
 	return lb.Build()[0]
 }
 
-// TestLocalViewMatchesGraphView is the interface-parity property: on
-// the same graph, partition seed, and machine, every View accessor must
-// answer identically whether backed by the materialised graph
-// (GraphView) or by the per-machine CSR shard (LocalView).
-func TestLocalViewMatchesGraphView(t *testing.T) {
+// TestGraphBuiltViewsMatchGraph checks the views a VertexPartition
+// builds from a graph against that graph: on every machine, whether its
+// shard was built with all k (MachineViews) or alone (View), every View
+// accessor must answer what the *graph.Graph and the home function say.
+// The identity row is the congested clique's Spec mode on a directed
+// graph.
+func TestGraphBuiltViewsMatchGraph(t *testing.T) {
+	const k, seed = 6, 77
+	rvp := func(v int32) core.MachineID { return Home(seed, v, k) }
 	for _, tc := range []struct {
-		name     string
-		directed bool
-		g        *graph.Graph
+		name string
+		p    *VertexPartition
+		home func(v int32) core.MachineID
 	}{
-		{"gnp", false, gen.Gnp(300, 0.04, 5)},
-		{"directed-gnp", true, gen.DirectedGnp(150, 0.05, 9)},
-		{"star", false, gen.Star(200)},
+		{"gnp", NewRVP(gen.Gnp(300, 0.04, 5), k, seed), rvp},
+		{"directed-gnp", NewRVP(gen.DirectedGnp(150, 0.05, 9), k, seed), rvp},
+		{"star", NewRVP(gen.Star(200), k, seed), rvp},
+		{"identity-directed-cycle", NewIdentity(gen.DirectedCycle(40)), func(v int32) core.MachineID { return core.MachineID(v) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const k, seed = 6, 77
-			p := NewRVP(tc.g, k, seed)
-			spec := Spec{N: tc.g.N(), K: k, Seed: seed}
-			for m := core.MachineID(0); int(m) < k; m++ {
-				gv := p.View(m)
-				lv := buildLocal(tc.g, spec, m, tc.directed)
-				if !slices.Equal(gv.Locals(), lv.Locals()) {
-					t.Fatalf("machine %d: Locals differ", m)
-				}
-				if gv.Self() != lv.Self() || gv.K() != lv.K() || gv.N() != lv.N() {
-					t.Fatalf("machine %d: identity accessors differ", m)
-				}
-				for _, u := range gv.Locals() {
-					if !slices.Equal(gv.OutAdj(u), lv.OutAdj(u)) {
-						t.Fatalf("machine %d: OutAdj(%d): graph %v, local %v", m, u, gv.OutAdj(u), lv.OutAdj(u))
-					}
-					if !slices.Equal(gv.InAdj(u), lv.InAdj(u)) {
-						t.Fatalf("machine %d: InAdj(%d): graph %v, local %v", m, u, gv.InAdj(u), lv.InAdj(u))
-					}
-					if gv.Degree(u) != lv.Degree(u) {
-						t.Fatalf("machine %d: Degree(%d): graph %d, local %d", m, u, gv.Degree(u), lv.Degree(u))
+			p, g := tc.p, tc.p.G
+			all, err := p.MachineViews(AllMachines(p.K))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for m := core.MachineID(0); int(m) < p.K; m++ {
+				var want []int32
+				for v := int32(0); int(v) < g.N(); v++ {
+					if tc.home(v) == m {
+						want = append(want, v)
 					}
 				}
-				for v := int32(0); int(v) < tc.g.N(); v += 17 {
-					if gv.HomeOf(v) != lv.HomeOf(v) {
-						t.Fatalf("HomeOf(%d): graph %d, local %d", v, gv.HomeOf(v), lv.HomeOf(v))
+				for _, lv := range []View{all[m], p.View(m)} {
+					if !slices.Equal(lv.Locals(), want) {
+						t.Fatalf("machine %d: Locals %v, want %v", m, lv.Locals(), want)
 					}
-					if gv.IsLocal(v) != lv.IsLocal(v) {
-						t.Fatalf("IsLocal(%d): graph %v, local %v", v, gv.IsLocal(v), lv.IsLocal(v))
+					if lv.Self() != m || lv.K() != p.K || lv.N() != g.N() {
+						t.Fatalf("machine %d: identity accessors self=%d k=%d n=%d", m, lv.Self(), lv.K(), lv.N())
 					}
-				}
-				// Membership is the hash, which is defined for any ID; IDs
-				// outside [0, N) are nobody's.
-				for _, v := range []int32{-1, int32(tc.g.N())} {
-					if lv.IsLocal(v) {
-						t.Fatalf("machine %d: IsLocal(%d) = true for an ID outside [0,%d)", m, v, tc.g.N())
+					for _, u := range lv.Locals() {
+						if !slices.Equal(lv.OutAdj(u), g.Adj(int(u))) {
+							t.Fatalf("machine %d: OutAdj(%d): view %v, graph %v", m, u, lv.OutAdj(u), g.Adj(int(u)))
+						}
+						if !slices.Equal(lv.InAdj(u), g.InAdj(int(u))) {
+							t.Fatalf("machine %d: InAdj(%d): view %v, graph %v", m, u, lv.InAdj(u), g.InAdj(int(u)))
+						}
+						if lv.Degree(u) != g.Degree(int(u)) {
+							t.Fatalf("machine %d: Degree(%d): view %d, graph %d", m, u, lv.Degree(u), g.Degree(int(u)))
+						}
+					}
+					for v := int32(0); int(v) < g.N(); v++ {
+						if lv.HomeOf(v) != tc.home(v) {
+							t.Fatalf("HomeOf(%d): view %d, want %d", v, lv.HomeOf(v), tc.home(v))
+						}
+						if lv.IsLocal(v) != (tc.home(v) == m) {
+							t.Fatalf("machine %d: IsLocal(%d) = %v, home %d", m, v, lv.IsLocal(v), tc.home(v))
+						}
+					}
+					// Membership is the home function, which is defined for
+					// any ID; IDs outside [0, N) are nobody's.
+					for _, v := range []int32{-1, int32(g.N())} {
+						if lv.IsLocal(v) {
+							t.Fatalf("machine %d: IsLocal(%d) = true for an ID outside [0,%d)", m, v, g.N())
+						}
 					}
 				}
 			}

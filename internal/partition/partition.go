@@ -17,17 +17,15 @@
 // see: the home machine knows the IDs of its vertices' neighbours and
 // those neighbours' home machines, and nothing else.
 //
-// View is an interface with two implementations: GraphView, backed by a
-// fully materialised *graph.Graph (every process holds the whole input),
-// and LocalView (local.go), backed by a per-machine CSR holding only the
-// adjacency rows of the machine's own vertices — the paper's actual
-// input model, where machine m stores Õ((n+m)/k) words, realised without
-// any global graph object behind it.
+// Every View is a LocalView (local.go): a per-machine CSR holding only
+// the adjacency rows of the machine's own vertices — the paper's input
+// model, where machine m stores Õ((n+m)/k) words, with no global graph
+// object behind it. A generated or ingested input builds its shards
+// from the source's edge stream (ShardedInput); a VertexPartition of a
+// caller's graph builds them from the graph's edges, the same way.
 package partition
 
 import (
-	"fmt"
-
 	"kmachine/internal/core"
 	"kmachine/internal/graph"
 	"kmachine/internal/rng"
@@ -40,13 +38,15 @@ func Home(seed uint64, v int32, k int) core.MachineID {
 	return core.MachineID(rng.Mix(seed^(uint64(uint32(v))+0x517cc1b727220a95)) % uint64(k))
 }
 
-// VertexPartition is a materialised RVP of a graph.
+// VertexPartition is a vertex partition of a caller-supplied graph: the
+// hashed RVP (NewRVP) or the congested clique's identity (NewIdentity).
+// Its machines' views are CSR shards built from G's edges.
 type VertexPartition struct {
 	G    *graph.Graph
 	K    int
 	Seed uint64
 
-	home   []core.MachineID
+	spec   Spec
 	locals [][]int32
 }
 
@@ -55,15 +55,7 @@ func NewRVP(g *graph.Graph, k int, seed uint64) *VertexPartition {
 	if k < 2 {
 		panic("partition: need k >= 2")
 	}
-	p := &VertexPartition{G: g, K: k, Seed: seed}
-	p.home = make([]core.MachineID, g.N())
-	p.locals = make([][]int32, k)
-	for v := 0; v < g.N(); v++ {
-		h := Home(seed, int32(v), k)
-		p.home[v] = h
-		p.locals[h] = append(p.locals[h], int32(v))
-	}
-	return p
+	return newVertexPartition(g, Spec{N: g.N(), K: k, Seed: seed})
 }
 
 // NewIdentity builds the congested-clique partition (paper §2.4,
@@ -75,18 +67,15 @@ func NewIdentity(g *graph.Graph) *VertexPartition {
 	if n < 2 {
 		panic("partition: identity partition needs n >= 2")
 	}
-	p := &VertexPartition{G: g, K: n, Seed: 0}
-	p.home = make([]core.MachineID, n)
-	p.locals = make([][]int32, n)
-	for v := 0; v < n; v++ {
-		p.home[v] = core.MachineID(v)
-		p.locals[v] = []int32{int32(v)}
-	}
-	return p
+	return newVertexPartition(g, Spec{N: n, K: n, identity: true})
+}
+
+func newVertexPartition(g *graph.Graph, spec Spec) *VertexPartition {
+	return &VertexPartition{G: g, K: spec.K, Seed: spec.Seed, spec: spec, locals: spec.localsOf(AllMachines(spec.K))}
 }
 
 // Home returns the home machine of v.
-func (p *VertexPartition) Home(v int32) core.MachineID { return p.home[v] }
+func (p *VertexPartition) Home(v int32) core.MachineID { return p.spec.HomeOf(v) }
 
 // Locals returns the vertices homed at machine m, in increasing order.
 func (p *VertexPartition) Locals(m core.MachineID) []int32 { return p.locals[m] }
@@ -113,8 +102,13 @@ func (p *VertexPartition) Balance() (min, max int) {
 // its own vertices and their incident edges, plus the public knowledge
 // of the model (n, k, and the hash-computable home of any vertex ID).
 // Accessing a non-local vertex's adjacency panics — that would be
-// cheating in the model. GraphView implements it over a materialised
-// global graph; LocalView over a per-machine CSR shard.
+// cheating in the model.
+//
+// *LocalView is its only implementation. View stays an interface
+// because every descriptor's NewMachine, the benchmark's included, is
+// written against it, and making it the concrete type would
+// devirtualise the hot HomeOf and OutAdj calls: a performance change
+// that needs its own measurement.
 type View interface {
 	// Self returns the owning machine.
 	Self() core.MachineID
@@ -140,26 +134,38 @@ type View interface {
 }
 
 // Input is a partitioned problem input as the algorithm driver sees it:
-// it hands every machine its View. *VertexPartition implements it by
-// windowing the shared global graph; ShardedInput (local.go) by building
-// the CSR shards of the machines a process hosts from one pass over the
-// source, so a process hosting one machine materialises only that
-// machine's Õ((n+m)/k) share.
+// it hands every machine its View, building the CSR shards of the
+// machines a process hosts in one pass over the source — a generator's
+// stream or a file (ShardedInput), or a caller's graph
+// (*VertexPartition) — so a process hosting one machine materialises
+// only that machine's Õ((n+m)/k) share.
 type Input interface {
 	// NumMachines returns k.
 	NumMachines() int
 	// MachineViews returns the local windows of the machines this
-	// process hosts, in the order given. For sharded inputs this is
-	// where the shards are generated or ingested — once for the whole
-	// set — so it can fail.
+	// process hosts, in the order given. This is where the shards are
+	// generated or ingested — once for the whole set — so it can fail.
 	MachineViews(hosted []core.MachineID) ([]View, error)
 	// MachineView is MachineViews for a set of one.
 	MachineView(m core.MachineID) (View, error)
 }
 
-// View returns machine m's local window onto the materialised graph.
-func (p *VertexPartition) View(m core.MachineID) *GraphView {
-	return &GraphView{p: p, self: m}
+// shards builds the CSR shards of the hosted machines from one replay of
+// G's edges.
+func (p *VertexPartition) shards(hosted []core.MachineID) []*LocalView {
+	b := NewLocalBuilder(p.spec, hosted, p.G.Directed())
+	b.Replay(func(emit func(u, v int32)) {
+		p.G.Edges(func(u, v int32) bool {
+			emit(u, v)
+			return true
+		})
+	})
+	return b.Build()
+}
+
+// View returns machine m's shard of G.
+func (p *VertexPartition) View(m core.MachineID) *LocalView {
+	return p.shards([]core.MachineID{m})[0]
 }
 
 // NumMachines implements Input.
@@ -172,64 +178,7 @@ func (p *VertexPartition) MachineView(m core.MachineID) (View, error) {
 
 // MachineViews implements Input.
 func (p *VertexPartition) MachineViews(hosted []core.MachineID) ([]View, error) {
-	views := make([]View, len(hosted))
-	for i, m := range hosted {
-		views[i] = p.View(m)
-	}
-	return views, nil
-}
-
-// GraphView is the full-materialisation View: a window onto a
-// *graph.Graph shared by all k machines of the process. Setup cost is
-// O(n+m) per process; LocalView is the O((n+m)/k) alternative.
-type GraphView struct {
-	p    *VertexPartition
-	self core.MachineID
-}
-
-// Self returns the owning machine.
-func (v *GraphView) Self() core.MachineID { return v.self }
-
-// K returns the number of machines.
-func (v *GraphView) K() int { return v.p.K }
-
-// N returns the global vertex count (public knowledge in the model).
-func (v *GraphView) N() int { return v.p.G.N() }
-
-// Locals returns this machine's vertices.
-func (v *GraphView) Locals() []int32 { return v.p.locals[v.self] }
-
-// IsLocal reports whether u is homed here.
-func (v *GraphView) IsLocal(u int32) bool { return v.p.home[u] == v.self }
-
-// HomeOf returns the home machine of any vertex (hashing is public).
-func (v *GraphView) HomeOf(u int32) core.MachineID { return v.p.home[u] }
-
-// OutAdj returns the out-neighbours (or neighbours, if undirected) of a
-// LOCAL vertex.
-func (v *GraphView) OutAdj(u int32) []int32 {
-	v.mustLocal(u, "OutAdj")
-	return v.p.G.Adj(int(u))
-}
-
-// InAdj returns the in-neighbours of a LOCAL vertex. (The home machine
-// knows both directions of its vertices' incident edges, §1.1.)
-func (v *GraphView) InAdj(u int32) []int32 {
-	v.mustLocal(u, "InAdj")
-	return v.p.G.InAdj(int(u))
-}
-
-// Degree returns the out-degree of a LOCAL vertex.
-func (v *GraphView) Degree(u int32) int {
-	v.mustLocal(u, "Degree")
-	return v.p.G.Degree(int(u))
-}
-
-func (v *GraphView) mustLocal(u int32, op string) {
-	if v.p.home[u] != v.self {
-		panic(fmt.Sprintf("partition: machine %d illegally accessed %s(%d), homed at %d",
-			v.self, op, u, v.p.home[u]))
-	}
+	return asViews(p.shards(hosted)), nil
 }
 
 // EdgePartition is a materialised REP: edge i (in graph.EdgeList order)

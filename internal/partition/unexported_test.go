@@ -13,7 +13,7 @@ import (
 func TestBalanceEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(0, false).Build()
 	// A zero-vertex graph has all-empty machines; Balance reports 0/0.
-	p := &VertexPartition{G: g, K: 3, locals: make([][]int32, 3), home: nil}
+	p := &VertexPartition{G: g, K: 3, locals: make([][]int32, 3)}
 	min, max := p.Balance()
 	if min != 0 || max != 0 {
 		t.Errorf("empty balance [%d,%d], want [0,0]", min, max)
@@ -22,7 +22,9 @@ func TestBalanceEmptyGraph(t *testing.T) {
 
 func TestConversionErrorMessage(t *testing.T) {
 	err := errEdgeMissing(2, 5, 7)
-	if !strings.Contains(err.Error(), "without a local edge") {
-		t.Errorf("unexpected error text %q", err.Error())
+	for _, want := range []string{"without a local edge", "machine 2 ", "(5,7)"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error text %q does not contain %q", err.Error(), want)
+		}
 	}
 }

@@ -7,8 +7,8 @@ package kmachine_test
 // process holds the whole graph (§1.1: the vertices are distributed by
 // the random hash partition *before* the computation starts). The
 // oracle is the library path for caller-supplied graphs, which
-// materialises the graph and windows it: both must produce deeply equal
-// outputs and identical Stats.
+// materialises the graph and replays its edges into the shards: both
+// must produce deeply equal outputs and identical Stats.
 
 import (
 	"reflect"
