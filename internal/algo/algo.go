@@ -110,8 +110,8 @@ type site[M any] struct {
 
 // inProcess is all k machines in this process on cfg.Transport: the
 // in-process rendezvous over the loopback, or, for transport.TCP, k
-// socket links — over a private loopback mesh (lm == nil, kmnode
-// -local), or as job `job` on a standing one, the resident-daemon
+// socket links — as job 0 on a private loopback mesh (lm == nil,
+// kmnode -local), or as job `job` on a standing one, the resident-daemon
 // substrate, where the fabric outlives the run and a failed job poisons
 // it until the next attempt rebuilds it.
 func inProcess[M any](cfg core.Config, codec wire.Codec[M], lm *node.LocalMesh, job uint64) site[M] {

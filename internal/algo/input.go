@@ -27,8 +27,9 @@ func (prob Problem) PartitionSpec() partition.Spec {
 // Validate rejects the problems no generator, partition or cluster can
 // honour, where outside input (a job request, a command line) enters:
 // the model needs k >= 2 machines, vertex IDs are int32, so a larger N
-// would wrap silently, a probability outside [0,1] is not one, and a
-// link carries at least one word per round (0 means the default). The
+// would wrap silently, a probability outside [0,1] is not one, a
+// link carries at least one word per round (0 means the default), and
+// a checkpoint interval counts supersteps (0 means off). The
 // generators and core.NewCluster keep their panics for callers that
 // skip this check — a programmer error.
 func (prob Problem) Validate() error {
@@ -43,6 +44,9 @@ func (prob Problem) Validate() error {
 	}
 	if prob.Bandwidth < 0 {
 		return fmt.Errorf("algo: need bandwidth >= 1 word/round, got %d", prob.Bandwidth)
+	}
+	if prob.Checkpoint.Every < 0 {
+		return fmt.Errorf("algo: need a checkpoint every >= 1 supersteps (0 = off), got %d", prob.Checkpoint.Every)
 	}
 	return nil
 }

@@ -319,7 +319,8 @@ func TestStandaloneRejectsCheckpointing(t *testing.T) {
 // core.NewCluster's panic through Run and fail on every machine of an
 // already built mesh through RunNodeLocal; k=1 panicked in
 // core.NewCluster, k=0 in the partition builder, and the socket link
-// blamed machine 0's ID.
+// blamed machine 0's ID. A negative checkpoint interval used to turn
+// checkpointing off silently.
 func TestEntryRejectsInvalidProblem(t *testing.T) {
 	entry, _ := Lookup("echo")
 	at := node.Place{ID: 0, Listen: "127.0.0.1:0", Peers: []string{"127.0.0.1:1"}}
@@ -335,6 +336,7 @@ func TestEntryRejectsInvalidProblem(t *testing.T) {
 		{Problem{N: 64, K: 5, Seed: 3, Bandwidth: -1}, "need bandwidth >= 1"},
 		{Problem{N: 100, K: 1, Seed: 1}, "need k >= 2 machines"},
 		{Problem{N: 100, K: 0, Seed: 1}, "need k >= 2 machines"},
+		{Problem{N: 64, K: 5, Seed: 3, Checkpoint: CheckpointSpec{Every: -1}}, "need a checkpoint every"},
 	} {
 		for name, run := range runners {
 			func() {

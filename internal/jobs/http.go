@@ -103,6 +103,11 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad submit body: %w", err))
 		return
 	}
+	timeout := time.Duration(sr.TimeoutMS) * time.Millisecond
+	if timeout/time.Millisecond != time.Duration(sr.TimeoutMS) {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("jobs: timeout_ms %d overflows a duration", sr.TimeoutMS))
+		return
+	}
 	id, err := s.Submit(Request{
 		Algo: sr.Algo,
 		Prob: algo.Problem{
@@ -110,7 +115,7 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			Bandwidth: sr.Bandwidth, Eps: sr.Eps, Top: sr.Top,
 			Checkpoint: algo.CheckpointSpec{Every: sr.CheckpointEvery},
 		},
-		Timeout: time.Duration(sr.TimeoutMS) * time.Millisecond,
+		Timeout: timeout,
 	})
 	if err != nil {
 		code := http.StatusBadRequest

@@ -290,9 +290,12 @@ func TestHTTPCheckpointedSubmit(t *testing.T) {
 // TestHTTPRejectsImpossibleProblems is the regression for the daemon
 // kill: an edge probability outside [0,1] (or an n beyond int32 vertex
 // IDs) used to reach the generator, which panicked on the executor
-// goroutine and took the resident daemon down. Both must bounce at
-// intake with 400, and the jobs after them — including an n below 10,
-// whose default 10/n is clamped to a probability — must still run.
+// goroutine and took the resident daemon down. A negative
+// checkpoint_every or timeout_ms, or a timeout_ms that overflows a
+// duration, used to run with checkpointing or the deadline silently
+// off (or wrapped). All must bounce at intake with 400, and the jobs
+// after them — including an n below 10, whose default 10/n is clamped
+// to a probability — must still run.
 func TestHTTPRejectsImpossibleProblems(t *testing.T) {
 	const k = 3
 	s := New(inmemBackend{k: k}, Options{})
@@ -306,6 +309,12 @@ func TestHTTPRejectsImpossibleProblems(t *testing.T) {
 		`{"algo":"conncomp","n":1000,"edge_p":2}`,
 		`{"algo":"conncomp","n":1000,"edge_p":-0.5}`,
 		`{"algo":"conncomp","n":3000000000}`,
+		`{"algo":"conncomp","n":1000,"checkpoint_every":-1}`,
+		`{"algo":"conncomp","n":1000,"timeout_ms":-1}`,
+		// Both overflow time.Duration in milliseconds: the first wraps
+		// negative, the second to a deadline under a millisecond.
+		`{"algo":"conncomp","n":1000,"timeout_ms":9223372036855}`,
+		`{"algo":"conncomp","n":1000,"timeout_ms":18446744073710}`,
 	} {
 		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -61,7 +61,7 @@ func (s State) terminal() bool {
 type Request struct {
 	Algo    string
 	Prob    algo.Problem
-	Timeout time.Duration // submit-to-finish deadline; 0 = none
+	Timeout time.Duration // run deadline, armed when the job starts (queue wait not counted); 0 = none
 }
 
 // Job is an immutable snapshot of one submission's lifecycle.
@@ -236,6 +236,9 @@ func (s *Scheduler) Submit(req Request) (uint64, error) {
 	req.Prob.K = k
 	if err := req.Prob.Validate(); err != nil {
 		return 0, fmt.Errorf("jobs: %w", err)
+	}
+	if req.Timeout < 0 {
+		return 0, fmt.Errorf("jobs: need timeout >= 0 (0 = none), got %v", req.Timeout)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

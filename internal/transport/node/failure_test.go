@@ -37,6 +37,21 @@ func (failCodec) Decode(src []byte) (failMsg, int, error) {
 	return failMsg{X: v}, n, err
 }
 
+// loopbackEndpoints attaches a single run's (job 0) endpoint to every
+// machine of a fresh k-machine loopback mesh.
+func loopbackEndpoints(t *testing.T, k int) []*tcp.Endpoint[failMsg] {
+	t.Helper()
+	ms, err := tcp.NewLoopbackMesh(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps, err := attach(ms, failCodec{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eps
+}
+
 // runMeshWithFault spawns k runNodes over a fresh loopback mesh; the
 // victim machine executes onVictimStep(eps) inside its Step at
 // superstep failStep (before emitting). Machines chatter endlessly, so
@@ -47,10 +62,7 @@ func (failCodec) Decode(src []byte) (failMsg, int, error) {
 // the test with a full goroutine dump — that is the hang this PR fixes.
 func runMeshWithFault(t *testing.T, k, eager, victim, failStep int, timeout time.Duration, onVictimStep func(eps []*tcp.Endpoint[failMsg])) []error {
 	t.Helper()
-	eps, err := tcp.NewLoopbackMesh[failMsg](k, failCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eps := loopbackEndpoints(t, k)
 	defer func() {
 		for _, ep := range eps {
 			ep.Close()

@@ -11,7 +11,6 @@ import (
 	"kmachine/internal/core"
 	"kmachine/internal/testutil"
 	"kmachine/internal/transport"
-	"kmachine/internal/transport/tcp"
 	"kmachine/internal/transport/wire"
 )
 
@@ -84,10 +83,7 @@ func TestUnsoundRowBlamesItsSender(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			eps, err := tcp.NewLoopbackMesh[failMsg](k, failCodec{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			eps := loopbackEndpoints(t, k)
 			defer func() {
 				for _, ep := range eps {
 					ep.Close()
@@ -112,7 +108,7 @@ func TestUnsoundRowBlamesItsSender(t *testing.T) {
 				}
 			}
 
-			_, _, err = newSocketLink(core.Config{K: k, Bandwidth: 1}, 0, eps[0]).Round(ctx, 0, good, nil)
+			_, _, err := newSocketLink(core.Config{K: k, Bandwidth: 1}, 0, eps[0]).Round(ctx, 0, good, nil)
 			var me *transport.MachineError
 			if !errors.As(err, &me) || me.Machine != culprit || me.Superstep != 0 {
 				t.Fatalf("got %v, want a MachineError naming machine %d in superstep 0", err, culprit)

@@ -10,15 +10,15 @@ import (
 	"kmachine/internal/transport/wire"
 )
 
-// This file is the socket link's multi-job mode: where Run/RunLocal
-// build a mesh, execute one algorithm, and tear everything down, a
-// LocalMesh outlives jobs — RunJobLocal attaches fresh typed endpoints
-// to the standing fabric for each job, frames every data batch with the
-// job ID, runs core.Drive on every machine, and detaches with the
-// connections intact. Per-job isolation falls out of the structure: each
-// job gets fresh endpoints (wire counters, scratch, inboxes), fresh
-// coordinator replicas (Stats), and whatever Recorder the caller put in
-// its core.Config.
+// This file is the socket link's in-process cluster: a LocalMesh is k
+// loopback meshes, and a run on it attaches fresh typed endpoints for
+// one job, runs core.Drive on every machine, and detaches with the
+// connections intact. RunLocal is job 0 — bare frames — on a LocalMesh
+// of its own; RunJobLocal runs job after job on a standing one, every
+// data batch framed with the job ID. Per-job isolation falls out of the
+// structure: each job gets fresh endpoints (wire counters, scratch,
+// inboxes), fresh coordinator replicas (Stats), and whatever Recorder
+// the caller put in its core.Config.
 
 // LocalMesh is the standing k-machine socket fabric of a resident
 // in-process cluster: k listeners on loopback, every ordered pair
@@ -40,7 +40,7 @@ func NewLocalMesh(k int) (*LocalMesh, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("node: need k >= 2 machines, got %d", k)
 	}
-	ms, err := tcp.NewLoopbackSocketMesh(k)
+	ms, err := tcp.NewLoopbackMesh(k)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +112,7 @@ func (lm *LocalMesh) attachable() ([]*tcp.Mesh, error) {
 	for _, m := range lm.meshes {
 		m.Close()
 	}
-	ms, err := tcp.NewLoopbackSocketMesh(lm.k)
+	ms, err := tcp.NewLoopbackMesh(lm.k)
 	if err != nil {
 		return nil, fmt.Errorf("node: rebuild poisoned mesh: %w", err)
 	}
@@ -138,35 +138,66 @@ func RunJobLocal[M any](lm *LocalMesh, cfg core.Config, job uint64, codec wire.C
 	case cfg.K != lm.k:
 		err = fmt.Errorf("node: job config wants k=%d on a k=%d mesh", cfg.K, lm.k)
 	case job == 0:
-		// Zero is the "no job" sentinel in MachineError attribution.
+		// Job 0 is a single run: bare frames, "no job" in MachineError.
 		err = fmt.Errorf("node: job IDs start at 1")
 	}
 	if err != nil {
 		return nil, transport.WireStats{}, err
 	}
+	return runJob(lm, cfg, job, codec, factory)
+}
+
+// runJob runs job on lm, the shared body of RunLocal (job 0) and
+// RunJobLocal: attach the k endpoints, drive all k machines, then
+// detach them. A machine that fails closes its endpoint at once: peers
+// may be parked in reads on its connections with no (or a long)
+// deadline, and the close is what unwedges them. A failed job may leave
+// some machines cleanly done and others mid-teardown, so on any error
+// every endpoint closes, poisoning the whole fabric for the next job to
+// rebuild rather than run on a half-dead mesh.
+func runJob[M any](lm *LocalMesh, cfg core.Config, job uint64, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
 	meshes, err := lm.attachable()
 	if err != nil {
 		return nil, transport.WireStats{}, err
 	}
-	eps := make([]*tcp.Endpoint[M], lm.k)
-	for i := range eps {
-		if eps[i], err = tcp.Attach[M](meshes[i], codec, job); err != nil {
-			for _, prev := range eps[:i] {
-				prev.Close()
-			}
-			return nil, transport.WireStats{}, err
-		}
+	eps, err := attach(meshes, codec, job)
+	if err != nil {
+		return nil, transport.WireStats{}, err
 	}
-	stats, w, err := runCluster(cfg, eps, codec, factory)
+	asm := core.NewAssembler(cfg.Checkpoint, cfg.K)
+	// Factory calls stay sequential, matching core.NewCluster's contract
+	// (factories may append to shared slices without locking).
+	machines := make([]core.Machine[M], cfg.K)
+	for i := range machines {
+		machines[i] = factory(core.MachineID(i))
+	}
+	stats, err := core.DriveAll(cfg.K, func(i int) (*core.Stats, error) {
+		return runNode(cfg, i, eps[i], machines[i], codec, asm)
+	}, func(i int, _ error) { eps[i].Close() })
+	var w transport.WireStats
 	for _, ep := range eps {
+		w = w.Plus(ep.WireStats())
 		if err != nil {
-			// A failed job may leave some machines cleanly done and others
-			// mid-teardown; poison the whole fabric so the next job rebuilds
-			// it rather than running on a half-dead mesh.
 			ep.Close()
 		} else {
 			ep.Detach()
 		}
 	}
 	return stats, w, err
+}
+
+// attach binds one endpoint for job to each of meshes, closing those
+// already bound if one fails.
+func attach[M any](meshes []*tcp.Mesh, codec wire.Codec[M], job uint64) ([]*tcp.Endpoint[M], error) {
+	eps := make([]*tcp.Endpoint[M], len(meshes))
+	for i, m := range meshes {
+		var err error
+		if eps[i], err = tcp.Attach(m, codec, job); err != nil {
+			for _, prev := range eps[:i] {
+				prev.Close()
+			}
+			return nil, err
+		}
+	}
+	return eps, nil
 }

@@ -1,8 +1,10 @@
 // Package node is core.Drive's socket link: it connects ONE machine of
 // a cluster to peers that live in other processes (Run, given the
-// process's Place) or, for RunLocal and the job service, behind their
-// own listeners in this one, each over its own tcp.Endpoint. cmd/kmnode
-// is its CLI.
+// process's Place) or, on a LocalMesh, behind their own listeners in
+// this one. Either way a machine is driven over a tcp.Endpoint attached
+// to its mesh for one job; a single run (Run, RunLocal) is job 0 and a
+// job of the job service (RunJobLocal) is any other. cmd/kmnode is its
+// CLI.
 //
 // The superstep loop is core.Drive and the run is a core.Config, the
 // same ones as the in-process cluster's; what this package adds is how
@@ -56,10 +58,10 @@ type Place struct {
 }
 
 // Run executes machine at.ID of the cluster cfg describes: listen, dial
-// the mesh, then drive supersteps until the rows call the computation
-// complete. The returned Stats are the full cluster statistics, which
-// every node accounts from the same rows, so every node of a successful
-// run returns identical Stats.
+// the mesh, attach job 0 to it, then drive supersteps until the rows
+// call the computation complete. The returned Stats are the full
+// cluster statistics, which every node accounts from the same rows, so
+// every node of a successful run returns identical Stats.
 func Run[M any](cfg core.Config, at Place, m core.Machine[M], codec wire.Codec[M]) (*core.Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -67,61 +69,38 @@ func Run[M any](cfg core.Config, at Place, m core.Machine[M], codec wire.Codec[M
 	if at.ID < 0 || at.ID >= cfg.K {
 		return nil, fmt.Errorf("node: invalid id %d for k=%d", at.ID, cfg.K)
 	}
-	ep, err := tcp.Listen[M](at.ID, cfg.K, at.Listen, codec)
+	mesh, err := tcp.ListenMesh(at.ID, cfg.K, at.Listen)
+	if err != nil {
+		return nil, err
+	}
+	defer mesh.Close()
+	if err := mesh.Connect(at.Peers, at.DialTimeout); err != nil {
+		return nil, err
+	}
+	ep, err := tcp.Attach(mesh, codec, 0)
 	if err != nil {
 		return nil, err
 	}
 	defer ep.Close()
-	if err := ep.Connect(at.Peers, at.DialTimeout); err != nil {
-		return nil, err
-	}
 	return runNode(cfg, at.ID, ep, m, codec, core.NewAssembler(cfg.Checkpoint, cfg.K))
 }
 
 // RunLocal spawns the full k-machine cluster over loopback TCP inside
 // one process — every machine gets its own listener, dials every peer,
-// and is driven over its own endpoint (kmnode's -local mode). The
-// factory is called once per machine, like core.NewCluster's, and cfg
-// is validated before any listener opens. The WireStats are the k
-// endpoints' summed frames and bytes.
+// and is driven over its own endpoint (kmnode's -local mode): job 0 on
+// a LocalMesh of its own. The factory is called once per machine, like
+// core.NewCluster's, and cfg is validated before any listener opens.
+// The WireStats are the k endpoints' summed frames and bytes.
 func RunLocal[M any](cfg core.Config, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, transport.WireStats{}, err
 	}
-	eps, err := tcp.NewLoopbackMesh[M](cfg.K, codec)
+	lm, err := NewLocalMesh(cfg.K)
 	if err != nil {
 		return nil, transport.WireStats{}, err
 	}
-	defer func() {
-		for _, ep := range eps {
-			ep.Close()
-		}
-	}()
-	return runCluster(cfg, eps, codec, factory)
-}
-
-// runCluster drives all k machines of a cluster whose endpoints live in
-// this process — the shared body of RunLocal and RunJobLocal.
-// A machine that fails closes its endpoint at once: peers may be parked
-// in reads on its connections with no (or a long) deadline, and the
-// close is what unwedges them. On success the endpoints are left open
-// for the caller to Close or Detach.
-func runCluster[M any](cfg core.Config, eps []*tcp.Endpoint[M], codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
-	asm := core.NewAssembler(cfg.Checkpoint, cfg.K)
-	// Factory calls stay sequential, matching core.NewCluster's contract
-	// (factories may append to shared slices without locking).
-	machines := make([]core.Machine[M], cfg.K)
-	for i := range machines {
-		machines[i] = factory(core.MachineID(i))
-	}
-	stats, err := core.DriveAll(cfg.K, func(i int) (*core.Stats, error) {
-		return runNode(cfg, i, eps[i], machines[i], codec, asm)
-	}, func(i int, _ error) { eps[i].Close() })
-	var w transport.WireStats
-	for _, ep := range eps {
-		w = w.Plus(ep.WireStats())
-	}
-	return stats, w, err
+	defer lm.Close()
+	return runJob(lm, cfg, 0, codec, factory)
 }
 
 // runNode drives machine id over its connected endpoint: core.Drive,

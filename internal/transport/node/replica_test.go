@@ -17,7 +17,6 @@ import (
 	"kmachine/internal/core"
 	"kmachine/internal/testutil"
 	"kmachine/internal/transport"
-	"kmachine/internal/transport/tcp"
 )
 
 // runEveryNode drives the k machines of cfg over a fresh loopback mesh,
@@ -32,10 +31,7 @@ func runEveryNode(t *testing.T, cfg core.Config, factory func(core.MachineID) co
 // runNodes is runEveryNode with node i's checkpoint assembler asm(i).
 func runNodes(t *testing.T, cfg core.Config, factory func(core.MachineID) core.Machine[failMsg], asm func(i int) *core.Assembler) ([]*core.Stats, []error) {
 	t.Helper()
-	eps, err := tcp.NewLoopbackMesh[failMsg](cfg.K, failCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eps := loopbackEndpoints(t, cfg.K)
 	defer func() {
 		for _, ep := range eps {
 			ep.Close()

@@ -25,8 +25,8 @@ type driveJob[M any] struct {
 // transport.TCP is k socket links (transport/node) — and New, Transport
 // and its methods are kept only because the frozen benchmark/micro.go
 // times Exchange on them; the next benchmark change moves those rows to
-// NewLoopbackMesh endpoints (ROADMAP.md, item 1(a)) and deletes this
-// file. Outside benchmark/, only this package's tests and the inmem
+// endpoints attached to a NewLoopbackMesh (ROADMAP.md, item 1(a)) and
+// deletes this file. Outside benchmark/, only this package's tests and the inmem
 // contract suite may call them.
 type Transport[M any] struct {
 	eps []*Endpoint[M]
@@ -46,11 +46,24 @@ type Transport[M any] struct {
 	closeOnce sync.Once
 }
 
-// New builds a loopback-TCP transport for a k-machine cluster.
+// New builds a loopback-TCP transport for a k-machine cluster: a
+// single run (job 0) on a fresh NewLoopbackMesh.
 func New[M any](k int, codec wire.Codec[M]) (*Transport[M], error) {
-	eps, err := NewLoopbackMesh(k, codec)
+	ms, err := NewLoopbackMesh(k)
 	if err != nil {
 		return nil, err
+	}
+	eps := make([]*Endpoint[M], k)
+	for i, m := range ms {
+		if eps[i], err = Attach(m, codec, 0); err != nil {
+			for _, e := range eps[:i] {
+				e.Close()
+			}
+			for _, m := range ms[i:] {
+				m.Close()
+			}
+			return nil, err
+		}
 	}
 	t := &Transport[M]{
 		eps:     eps,

@@ -16,8 +16,7 @@ import (
 // connections and their buffered readers/writers carry bytes, not
 // envelopes — which is what lets a resident daemon keep one mesh alive
 // while typed Endpoints of different algorithms attach to it job after
-// job (see Attach). The single-run Listen/Connect path builds a private
-// Mesh per Endpoint and behaves exactly as before.
+// job (see Attach). A single run is job 0 on a mesh of its own.
 //
 // A Mesh has two terminal states: detached-from (healthy, reusable) and
 // closed (poisoned). Any endpoint failure closes the whole mesh —
@@ -223,12 +222,11 @@ func (m *Mesh) Close() error {
 	return m.closeErr
 }
 
-// NewLoopbackSocketMesh builds the complete k-machine standing fabric
-// over loopback TCP inside one process: k listeners on 127.0.0.1, every
-// ordered pair connected, no endpoint attached yet. The resident-daemon
-// counterpart of NewLoopbackMesh; typed per-job Endpoints attach via
-// Attach and detach at job end.
-func NewLoopbackSocketMesh(k int) ([]*Mesh, error) {
+// NewLoopbackMesh builds the complete k-machine mesh over loopback TCP
+// inside one process: k listeners on 127.0.0.1, every ordered pair
+// connected, no endpoint attached yet. Typed per-job Endpoints attach
+// via Attach and detach at job end.
+func NewLoopbackMesh(k int) ([]*Mesh, error) {
 	ms := make([]*Mesh, k)
 	addrs := make([]string, k)
 	for i := 0; i < k; i++ {

@@ -3,6 +3,7 @@ package tcp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,7 +13,7 @@ import (
 	"kmachine/internal/transport"
 )
 
-// jobExchange runs one superstep of Exchange concurrently on every
+// jobExchange runs one superstep of exchange concurrently on every
 // endpoint (the per-machine halves of one mesh), returning the per-
 // machine inboxes and errors.
 func jobExchange(eps []*Endpoint[testMsg], step int, outs [][]transport.Envelope[testMsg]) ([][]transport.Envelope[testMsg], []error) {
@@ -24,7 +25,7 @@ func jobExchange(eps []*Endpoint[testMsg], step int, outs [][]transport.Envelope
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			inboxes[i], errs[i] = eps[i].Exchange(context.Background(), step, outs[i])
+			inboxes[i], errs[i] = exchange(context.Background(), eps[i], step, outs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -34,11 +35,12 @@ func jobExchange(eps []*Endpoint[testMsg], step int, outs [][]transport.Envelope
 // TestMeshReuseAcrossJobs is the standing-fabric contract: one socket
 // mesh, several sequential jobs, each with its own attached endpoints —
 // every job's traffic arrives intact, Detach leaves the mesh healthy,
-// and no pipeline goroutine leaks across jobs.
+// and no pipeline goroutine leaks across jobs. A batch streamed before
+// any superstep is open is refused.
 func TestMeshReuseAcrossJobs(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	const k = 3
-	ms, err := NewLoopbackSocketMesh(k)
+	ms, err := NewLoopbackMesh(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +58,9 @@ func TestMeshReuseAcrossJobs(t *testing.T) {
 				t.Fatalf("job %d: attach machine %d: %v", job, i, err)
 			}
 			eps[i] = e
+		}
+		if err := eps[0].StreamBatch(1, nil); err == nil {
+			t.Fatalf("job %d: StreamBatch outside an open superstep succeeded", job)
 		}
 		for step := 0; step < 3; step++ {
 			outs := make([][]transport.Envelope[testMsg], k)
@@ -98,50 +103,54 @@ func TestMeshReuseAcrossJobs(t *testing.T) {
 
 // TestAttachJobMismatchDetected: endpoints attached for different jobs
 // on the same mesh must reject each other's frames as attributed
-// errors carrying the receiver's job ID — never decode them.
+// errors carrying the receiver's job ID — never decode them. Job 0, a
+// single run, ships bare frames: a job's reader rejects one as
+// job-less, and job 0's reader rejects a job-scoped one.
 func TestAttachJobMismatchDetected(t *testing.T) {
 	const k = 2
-	ms, err := NewLoopbackSocketMesh(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, m := range ms {
-			m.Close()
-		}
-	}()
-	e0, err := Attach[testMsg](ms[0], testCodec{}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1, err := Attach[testMsg](ms[1], testCodec{}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, errs := jobExchange([]*Endpoint[testMsg]{e0, e1}, 0, make([][]transport.Envelope[testMsg], k))
-	var sawMismatch bool
-	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("machine %d accepted a frame from another job", i)
-		}
-		var me *transport.MachineError
-		if errors.As(err, &me) && me.Job != 0 && strings.Contains(err.Error(), "job") {
-			sawMismatch = true
-		}
-	}
-	if !sawMismatch {
-		t.Fatalf("no job-stamped MachineError surfaced: %v / %v", errs[0], errs[1])
-	}
-	// The failure closed connections: the mesh is poisoned for reuse.
-	if ms[0].Healthy() && ms[1].Healthy() {
-		t.Fatal("both meshes still healthy after a job-mismatch failure")
+	for _, jobs := range [][k]uint64{{7, 8}, {0, 7}, {7, 0}} {
+		t.Run(fmt.Sprintf("%d-%d", jobs[0], jobs[1]), func(t *testing.T) {
+			ms, err := NewLoopbackMesh(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				for _, m := range ms {
+					m.Close()
+				}
+			}()
+			eps := make([]*Endpoint[testMsg], k)
+			for i, m := range ms {
+				if eps[i], err = Attach[testMsg](m, testCodec{}, jobs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, errs := jobExchange(eps, 0, make([][]transport.Envelope[testMsg], k))
+			var sawMismatch bool
+			for i, err := range errs {
+				if err == nil {
+					t.Fatalf("machine %d accepted a frame from another job", i)
+				}
+				var me *transport.MachineError
+				if errors.As(err, &me) && me.Job != 0 && strings.Contains(err.Error(), "job") {
+					sawMismatch = true
+				}
+			}
+			if !sawMismatch {
+				t.Fatalf("no job-stamped MachineError surfaced: %v / %v", errs[0], errs[1])
+			}
+			// The failure closed connections: the mesh is poisoned for reuse.
+			if ms[0].Healthy() && ms[1].Healthy() {
+				t.Fatal("both meshes still healthy after a job-mismatch failure")
+			}
+		})
 	}
 }
 
 // TestAttachRejectsDeadMesh: attaching to a closed or never-connected
 // mesh fails fast instead of wedging the first superstep.
 func TestAttachRejectsDeadMesh(t *testing.T) {
-	ms, err := NewLoopbackSocketMesh(2)
+	ms, err := NewLoopbackMesh(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,6 @@ func (e *Endpoint[M]) startPipeline() {
 		go e.pipeWorker(e.writerCh[j], func(job pipeJob) { e.runWriter(j, job) })
 		go e.pipeWorker(e.readerCh[j], func(job pipeJob) { e.runReader(j, job) })
 	}
-	e.mu.Lock()
-	e.started = true
-	e.mu.Unlock()
 }
 
 // pipeWorker is the body of every persistent pipeline goroutine: run
@@ -129,8 +126,8 @@ func (e *Endpoint[M]) runWriter(j int, job pipeJob) {
 	var batch []byte
 	if job.batch {
 		base := e.tx[j][:0]
-		if e.jobbed {
-			// Job-attached endpoints scope every batch: the header sits
+		if e.jobID != 0 {
+			// Jobs other than 0 scope every batch: the header sits
 			// ahead of the version byte, the batch encoding is untouched.
 			base = wire.AppendJobHeader(base, e.jobID)
 		}
@@ -240,7 +237,7 @@ func (e *Endpoint[M]) runReader(j int, job pipeJob) {
 	}
 	var err error
 	batch := frame
-	if e.jobbed {
+	if e.jobID != 0 {
 		// Verify the frame belongs to OUR job before accepting a byte of
 		// it: a straggler from a previous job decoded into this run would
 		// corrupt it silently; rejected here it is a loud attributed error.
@@ -283,10 +280,9 @@ func attributed(peer, step int, err error) error {
 	return &transport.MachineError{Machine: transport.MachineID(peer), Superstep: step, Err: err}
 }
 
-// attrib is attributed plus the endpoint's job stamp: failures of a
-// job-attached endpoint name the job they killed, so a multi-job daemon
-// can fail exactly one submission. Zero (single-run endpoints) means
-// "no job" and prints as before.
+// attrib is attributed plus the endpoint's job stamp: failures name
+// the job they killed, so a multi-job daemon can fail exactly one
+// submission. Job 0, a single run, means "no job" and is not printed.
 func (e *Endpoint[M]) attrib(peer, step int, err error) error {
 	me := attributed(peer, step, err).(*transport.MachineError)
 	me.Job = e.jobID

@@ -116,23 +116,6 @@ func TestWireStatsCountsFrames(t *testing.T) {
 	}
 }
 
-// TestSuperstepOpsBeforeConnectFailFast: a superstep opened on an
-// endpoint whose mesh never connected must error, not panic into nil
-// worker channels.
-func TestSuperstepOpsBeforeConnectFailFast(t *testing.T) {
-	ep, err := Listen[testMsg](0, 3, "127.0.0.1:0", testCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-	if err := ep.StreamBatch(1, nil); err == nil {
-		t.Error("StreamBatch before Connect succeeded")
-	}
-	if _, err := ep.Exchange(context.Background(), 0, nil); err == nil {
-		t.Error("Exchange before Connect succeeded")
-	}
-}
-
 // TestExchangeAfterCloseFailsFast: the closed guard must turn an
 // Exchange on a closed transport into an immediate error instead of
 // signalling workers that no longer exist (which would hang the
@@ -193,7 +176,7 @@ func TestBadFrameFailsWhereItIsFound(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			ms, err := NewLoopbackSocketMesh(3)
+			ms, err := NewLoopbackMesh(3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,7 +229,7 @@ func TestBadFrameFailsWhereItIsFound(t *testing.T) {
 					t.Fatalf("bystander's superstep 0 failed: %v", errs[1])
 				}
 			}
-			if _, err := e0.Exchange(ctx, 1, nil); !errors.Is(err, net.ErrClosed) {
+			if _, err := exchange(ctx, e0, 1, nil); !errors.Is(err, net.ErrClosed) {
 				t.Fatalf("machine 0 after the failure: got %v, want a closed endpoint", err)
 			}
 			// The bystander learns the culprit from machine 0's blame frame,

@@ -20,8 +20,8 @@ import (
 // that the operation must call before returning when non-nil.
 // While the operation is in flight, cancellation of ctx closes the
 // whole endpoint: Close is the only way to unblock conns that are
-// already parked in a read, and a canceled run is over anyway — the
-// mesh is single-run and not restartable after a failure.
+// already parked in a read, and a canceled job is over anyway — its
+// mesh is poisoned and must be rebuilt before the next job.
 func (e *Endpoint[M]) ioGuard(ctx context.Context) (deadline time.Time, release func() bool) {
 	if d, ok := ctx.Deadline(); ok {
 		deadline = d
@@ -41,17 +41,6 @@ func (e *Endpoint[M]) ioGuard(ctx context.Context) (deadline time.Time, release 
 			e.Close()
 		}
 	})
-}
-
-// Exchange is one whole superstep with nothing streamed eagerly and an
-// empty row: BeginSuperstep followed by FinishSuperstep carrying every
-// envelope.
-func (e *Endpoint[M]) Exchange(ctx context.Context, step int, out []transport.Envelope[M]) ([]transport.Envelope[M], error) {
-	if err := e.BeginSuperstep(ctx, step); err != nil {
-		return nil, err
-	}
-	inbox, _, err := e.FinishSuperstep(step, out, nil)
-	return inbox, err
 }
 
 // assembleInbox builds the superstep's inbox in sender-ID order in the
@@ -113,13 +102,6 @@ func (e *Endpoint[M]) BeginSuperstep(ctx context.Context, step int) error {
 			release()
 		}
 		return fmt.Errorf("tcp: machine %d begin superstep %d on closed endpoint: %w", e.id, step, net.ErrClosed)
-	}
-	if !e.started {
-		e.mu.Unlock()
-		if release != nil {
-			release()
-		}
-		return fmt.Errorf("tcp: machine %d begin superstep %d before Connect", e.id, step)
 	}
 	if e.strOn {
 		e.mu.Unlock()
@@ -389,12 +371,6 @@ func (e *Endpoint[M]) Reject(peer, step int, err error) error {
 // mu with closed unset, and buffered jobs survive a channel close, so
 // in-flight supersteps still drain.
 func (e *Endpoint[M]) retireWorkers() {
-	e.mu.Lock()
-	started := e.started
-	e.mu.Unlock()
-	if !started {
-		return
-	}
 	for _, ch := range e.writerCh {
 		if ch != nil {
 			close(ch)

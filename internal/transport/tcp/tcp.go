@@ -13,7 +13,7 @@
 // The per-superstep exchange is a persistent parallel pipeline: every
 // data connection is owned by a long-lived worker goroutine — one
 // writer per outgoing peer, one reader per incoming peer — spawned once
-// when the mesh connects and parked on a signal channel between
+// when the endpoint attaches and parked on a signal channel between
 // supersteps. BeginSuperstep releases the readers, so each receives and
 // header-checks its peer's frame in its own recycled buffer as soon as
 // it arrives; StreamBatch hands a finished batch to its peer's writer
@@ -21,7 +21,8 @@
 // own peer's batch into its own recycled buffer), then waits for the
 // generation to drain and decodes — with no goroutine spawned and no
 // synchronisation state allocated on the steady-state path. Workers
-// exit when the endpoint closes; they never leak across supersteps.
+// exit when the endpoint detaches or closes; they never leak across
+// supersteps.
 //
 // The data connections are the whole mesh: there is no connection to
 // a coordinator. What the machines of a run must agree on before they
@@ -78,23 +79,22 @@ type pipeJob struct {
 // Endpoint is one machine's typed socket stack over a Mesh: the
 // listener and connections live in the embedded Mesh (promoted fields),
 // while everything typed in M — codec, encode/decode scratch, pipeline
-// workers — lives here. A single-run endpoint (Listen/Connect) owns a
-// private mesh for its lifetime; a job-attached endpoint (Attach)
-// borrows a standing mesh for one job and detaches, leaving the
-// connections — and any bytes buffered on them — intact for the next
-// job's endpoint. Each data connection is serviced by a persistent
-// worker goroutine that lives from Connect/Attach to Detach/Close.
+// workers — lives here. Every endpoint is attached (Attach) to a
+// connected mesh for one job — job 0 being a single run — and detaches
+// at its end, leaving the connections, and any bytes buffered on them,
+// intact for the next job's endpoint. Each data connection is serviced
+// by a persistent worker goroutine that lives from Attach to
+// Detach/Close.
 type Endpoint[M any] struct {
 	*Mesh
 	codec wire.Codec[M]
 
-	// jobID/jobbed scope this endpoint's data frames to one job of a
-	// resident mesh (wire doc.go "Job-scoped frames"): writers prefix
-	// every batch with the job header, readers reject frames scoped to
-	// any other job, and MachineError attribution carries the ID.
-	// Single-run endpoints leave jobbed false and ship bare frames.
-	jobID  uint64
-	jobbed bool
+	// jobID scopes this endpoint's data frames to one job of the mesh
+	// (wire doc.go "Job-scoped frames"): writers prefix every batch with
+	// the job header, readers reject frames scoped to any other job, and
+	// MachineError attribution carries the ID. Job 0 is a single run: it
+	// ships and accepts only bare frames.
+	jobID uint64
 
 	// Pipeline worker state, created once per endpoint lifetime. A
 	// reader channel carries at most one job and a writer channel two — a
@@ -103,7 +103,6 @@ type Endpoint[M any] struct {
 	// signalled; workWG counts in-flight jobs. Worker failures land in
 	// the cause/shrapnel pair below — all hoisted out of the per-call
 	// path, so a steady-state superstep allocates nothing.
-	started  bool
 	writerCh []chan pipeJob
 	readerCh []chan pipeJob
 	workWG   sync.WaitGroup
@@ -196,7 +195,7 @@ type Endpoint[M any] struct {
 	closeErr  error
 }
 
-// newEndpoint wires a typed endpoint onto a mesh (private or standing).
+// newEndpoint wires a typed endpoint onto a connected mesh.
 func newEndpoint[M any](m *Mesh, codec wire.Codec[M]) *Endpoint[M] {
 	k := m.k
 	return &Endpoint[M]{
@@ -218,25 +217,15 @@ func newEndpoint[M any](m *Mesh, codec wire.Codec[M]) *Endpoint[M] {
 	}
 }
 
-// Listen opens machine id's listener on addr ("host:0" picks a free
-// port). Connect must be called before the endpoint can exchange. The
-// endpoint owns its mesh: Close tears both down.
-func Listen[M any](id, k int, addr string, codec wire.Codec[M]) (*Endpoint[M], error) {
-	m, err := ListenMesh(id, k, addr)
-	if err != nil {
-		return nil, err
-	}
-	return newEndpoint(m, codec), nil
-}
-
-// Attach binds a typed per-job endpoint to a standing, connected mesh:
-// fresh pipeline workers are spawned over the mesh's existing
-// connections (cheap — no dials, no handshakes), every data frame the
-// endpoint ships carries the job header for `job`, and frames scoped to
-// any other job are rejected as attributed errors. On clean job end
-// call Detach, which retires the workers and leaves the mesh reusable;
-// Close (taken automatically on any failure) poisons the mesh, because
-// closing the connections is what unblocks the surviving peers.
+// Attach binds a typed per-job endpoint to a connected mesh, and is
+// the only way to make one: fresh pipeline workers are spawned over the
+// mesh's existing connections (cheap — no dials, no handshakes). Job 0
+// is a single run and ships bare batch frames; any other job prefixes
+// every batch with its job header and rejects frames scoped to any
+// other job — a bare one included — as attributed errors. On clean job
+// end call Detach, which retires the workers and leaves the mesh
+// reusable; Close (taken automatically on any failure) poisons the mesh,
+// because closing the connections is what unblocks the surviving peers.
 func Attach[M any](m *Mesh, codec wire.Codec[M], job uint64) (*Endpoint[M], error) {
 	m.mu.Lock()
 	connected, closed := m.connected, m.closed
@@ -248,7 +237,7 @@ func Attach[M any](m *Mesh, codec wire.Codec[M], job uint64) (*Endpoint[M], erro
 		return nil, fmt.Errorf("tcp: machine %d attach job %d to unconnected mesh", m.id, job)
 	}
 	e := newEndpoint(m, codec)
-	e.jobID, e.jobbed = job, true
+	e.jobID = job
 	e.startPipeline()
 	return e, nil
 }
@@ -315,54 +304,4 @@ func (e *Endpoint[M]) countRecv(peer, payloadLen int) {
 	p := &e.wirePeers[peer]
 	p.recvFrames.Add(1)
 	p.recvBytes.Add(int64(wire.FrameSize(payloadLen)))
-}
-
-// Connect completes the endpoint's private mesh (see Mesh.Connect for
-// the dial/accept discipline). On success the persistent pipeline
-// workers are spawned; they park between supersteps and exit on Close.
-func (e *Endpoint[M]) Connect(peers []string, timeout time.Duration) error {
-	if err := e.Mesh.Connect(peers, timeout); err != nil {
-		e.Close()
-		return err
-	}
-	e.startPipeline()
-	return nil
-}
-
-// NewLoopbackMesh builds the complete k-endpoint mesh over loopback TCP
-// inside one process: k listeners on 127.0.0.1, every ordered pair
-// connected. Used by the socket link's RunLocal (kmnode -local).
-func NewLoopbackMesh[M any](k int, codec wire.Codec[M]) ([]*Endpoint[M], error) {
-	eps := make([]*Endpoint[M], k)
-	addrs := make([]string, k)
-	for i := 0; i < k; i++ {
-		e, err := Listen[M](i, k, "127.0.0.1:0", codec)
-		if err != nil {
-			for _, prev := range eps[:i] {
-				prev.Close()
-			}
-			return nil, err
-		}
-		eps[i] = e
-		addrs[i] = e.Addr()
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, k)
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = eps[i].Connect(addrs, DefaultDialTimeout)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, e := range eps {
-				e.Close()
-			}
-			return nil, err
-		}
-	}
-	return eps, nil
 }

@@ -32,6 +32,33 @@ func (testCodec) Decode(src []byte) (testMsg, int, error) {
 	return testMsg{Tag: v}, n, err
 }
 
+// attachAll attaches a single run's (job 0) endpoint to every machine
+// of a fresh k-machine loopback mesh.
+func attachAll(t *testing.T, k int) []*Endpoint[testMsg] {
+	t.Helper()
+	ms, err := NewLoopbackMesh(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := make([]*Endpoint[testMsg], k)
+	for i, m := range ms {
+		if eps[i], err = Attach[testMsg](m, testCodec{}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return eps
+}
+
+// exchange is one whole superstep on e with nothing streamed eagerly
+// and an empty row.
+func exchange(ctx context.Context, e *Endpoint[testMsg], step int, out []transport.Envelope[testMsg]) ([]transport.Envelope[testMsg], error) {
+	if err := e.BeginSuperstep(ctx, step); err != nil {
+		return nil, err
+	}
+	inbox, _, err := e.FinishSuperstep(step, out, nil)
+	return inbox, err
+}
+
 // randomOuts builds a deterministic random traffic pattern, including
 // self-addressed envelopes and silent machines.
 func randomOuts(r *rng.RNG, k int) [][]transport.Envelope[testMsg] {
@@ -137,10 +164,7 @@ func TestBrokenConnectionErrorsInsteadOfDeadlocking(t *testing.T) {
 // within the context deadline, not block forever.
 func TestExchangeDeadlineOnWedgedPeer(t *testing.T) {
 	base := runtime.NumGoroutine()
-	eps, err := NewLoopbackMesh[testMsg](2, testCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eps := attachAll(t, 2)
 	defer func() {
 		for _, e := range eps {
 			e.Close()
@@ -153,7 +177,7 @@ func TestExchangeDeadlineOnWedgedPeer(t *testing.T) {
 	start := time.Now()
 	// Machine 1 never calls Exchange: machine 0's read of its batch can
 	// only end by deadline.
-	_, err = eps[0].Exchange(ctx, 0, nil)
+	_, err := exchange(ctx, eps[0], 0, nil)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("Exchange against a wedged peer succeeded")
@@ -176,10 +200,7 @@ func TestExchangeDeadlineOnWedgedPeer(t *testing.T) {
 // TestExchangeCancellationUnblocks: with no deadline at all, canceling
 // the context must still tear the endpoint down and unblock the read.
 func TestExchangeCancellationUnblocks(t *testing.T) {
-	eps, err := NewLoopbackMesh[testMsg](2, testCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eps := attachAll(t, 2)
 	defer func() {
 		for _, e := range eps {
 			e.Close()
@@ -193,7 +214,7 @@ func TestExchangeCancellationUnblocks(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := eps[0].Exchange(ctx, 0, nil)
+		_, err := exchange(ctx, eps[0], 0, nil)
 		done <- err
 	}()
 	select {
@@ -210,10 +231,7 @@ func TestExchangeCancellationUnblocks(t *testing.T) {
 // concurrently — the error cascade, context cancellation, and deferred
 // cleanup all close the same endpoint.
 func TestCloseIdempotent(t *testing.T) {
-	eps, err := NewLoopbackMesh[testMsg](3, testCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eps := attachAll(t, 3)
 	var wg sync.WaitGroup
 	for _, e := range eps {
 		for i := 0; i < 4; i++ {

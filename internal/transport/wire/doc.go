@@ -78,14 +78,14 @@
 // unchanged —
 //
 //	jobbed     := 0x03 job batchV2
-//	job        := uvarint             // job ID, assigned by the scheduler
+//	job        := uvarint             // job ID >= 1, assigned by the scheduler
 //
 // The header scopes, it does not re-encode: the batch travels
 // byte-identically inside it. A reader attached for job J
 // rejects a frame scoped to any other job (a straggler from a previous
 // job, or a protocol bug) as an attributed error instead of decoding it
-// into the wrong run; job-less endpoints (the single-run Listen/Connect
-// path) never emit the header and reject it as an unknown version.
+// into the wrong run; a single run (job 0) never emits the header and
+// rejects it as an unknown version.
 //
 // A failing endpoint may ship one final frame on a data connection
 // before closing it:

@@ -396,11 +396,11 @@ func AppendDecodedBatch[M any](dst []transport.Envelope[M], src []byte, c Codec[
 // BatchJobbed marks a job-scoped data frame: the byte sits where a
 // batch version byte otherwise would, followed by the uvarint job ID
 // and then a complete versioned batch (unchanged). It is the framing
-// extension that lets frames from
-// different jobs share one standing mesh's persistent per-peer
-// connections: a reader attached for job J rejects a straggler frame
-// from job I != J instead of silently decoding it into the wrong run.
-// Job-less endpoints keep shipping bare batches.
+// extension that lets frames from different jobs share one standing
+// mesh's persistent per-peer connections: a reader attached for job J
+// rejects a straggler frame from job I != J instead of silently
+// decoding it into the wrong run. A single run (job 0) ships bare
+// batches.
 const BatchJobbed = byte(0x03)
 
 // AppendJobHeader appends a job-scope header: the BatchJobbed marker
@@ -412,8 +412,8 @@ func AppendJobHeader(dst []byte, job uint64) []byte {
 }
 
 // PeelJobHeader splits a data frame into its job scope and the inner
-// versioned batch. Frames without a job header (bare batches from a
-// job-less endpoint, or abort frames) return jobbed=false with rest
+// versioned batch. Frames without a job header (bare batches of a
+// single run, or abort frames) return jobbed=false with rest
 // aliasing src whole; job-scoped frames return the job ID and the inner
 // batch bytes. The caller decides whether a bare frame is acceptable —
 // a job-attached reader treats it as a protocol violation.
