@@ -447,8 +447,10 @@ func (c *Cluster[M]) Run() (*Stats, error) {
 	return c.RunOn(t, nil)
 }
 
-// finalize computes MaxRecvWords from the per-machine totals; Run defers
-// it so that both normal and error returns carry consistent stats.
+// finalize computes MaxRecvWords from the per-machine totals.
+// Coordinator.Stats calls it, so a failed run's partial stats are as
+// consistent as a finished run's; DecodeStats calls it on a restored
+// copy.
 func (s *Stats) finalize() {
 	for _, w := range s.RecvWords {
 		if w > s.MaxRecvWords {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -97,10 +98,30 @@ func (s *Scheduler) RegisterAPI(mux *http.ServeMux) {
 	mux.HandleFunc("POST /api/v1/drain", s.handleDrain)
 }
 
+// maxSubmitBody bounds a submit body: a SubmitRequest is a few dozen
+// bytes of JSON, and intake must not buffer whatever a client streams.
+const maxSubmitBody = 1 << 20
+
 func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sr SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad submit body: %w", err))
+	var tooLarge *http.MaxBytesError
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	err := dec.Decode(&sr)
+	if err == nil {
+		// The body is one JSON object: anything after it but white
+		// space is a malformed request, not something to ignore.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if !errors.As(err, &tooLarge) {
+			err = errors.New("trailing data after the JSON object")
+		}
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("bad submit body: %w", err))
 		return
 	}
 	timeout := time.Duration(sr.TimeoutMS) * time.Millisecond

@@ -339,6 +339,58 @@ func TestHTTPRejectsImpossibleProblems(t *testing.T) {
 	}
 }
 
+// TestHTTPBoundsTheSubmitBody: intake reads at most 1 MiB of a submit
+// body and answers 413 beyond it, rejects a body with anything after its
+// JSON object with 400, and the scheduler still runs the next job to
+// done.
+func TestHTTPBoundsTheSubmitBody(t *testing.T) {
+	s := New(inmemBackend{k: 3}, Options{})
+	defer s.Close()
+	mux := http.NewServeMux()
+	s.RegisterAPI(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	for _, c := range []struct {
+		name, body string
+		want       int
+	}{
+		{"oversized", `{"algo":"conncomp","n":1000,"pad":"` + strings.Repeat("x", 1<<20) + `"}`, http.StatusRequestEntityTooLarge},
+		{"trailing object", `{"algo":"conncomp","n":1000} {"algo":"conncomp","n":5}`, http.StatusBadRequest},
+		{"trailing garbage", `{"algo":"conncomp","n":1000}}`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var msg bytes.Buffer
+		msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s body: %d %s, want %d", c.name, resp.StatusCode, msg.String(), c.want)
+		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected bodies queued %d jobs", len(jobs))
+	}
+
+	resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(`{"algo":"conncomp","n":120,"seed":7}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub struct {
+		ID uint64 `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || err != nil {
+		t.Fatalf("sound body after the rejected ones: %d, %v", resp.StatusCode, err)
+	}
+	if j := waitState(t, s, sub.ID); j.State != StateDone {
+		t.Fatalf("job after the rejected bodies ended %q: %s", j.State, j.Err)
+	}
+}
+
 // TestHTTPRejectsNegativeBandwidth is the regression for the poisoned
 // mesh: {"bandwidth":-1} used to be accepted (202), fail at run time on
 // every machine after the job's endpoints had attached, and cost the

@@ -23,11 +23,11 @@
 // algo.Problem forward it); nil means no instrumentation and the
 // drivers' no-op fast path — the alloc fences in core and tcp pin that
 // path at zero allocations per superstep. A non-nil recorder must be
-// safe for concurrent Record calls (drivers, pipeline writers and
-// readers all record from their own goroutines) and must not retain
-// the Span beyond the call. The Trace implementation in this
-// package preallocates a fixed ring at construction, so steady-state
-// recording allocates nothing either.
+// safe for concurrent Record calls (drivers, which also write their
+// frames, and tcp readers all record from their own goroutines) and
+// must not retain the Span beyond the call. The Trace implementation in
+// this package preallocates a fixed ring at construction, so
+// steady-state recording allocates nothing either.
 package obs
 
 import "time"
@@ -50,9 +50,11 @@ const (
 	// a cluster-level span (Machine = -1); the socket link records it
 	// per machine, since each node performs its own exchange.
 	PhaseExchange
-	// PhaseFrameWrite is one tcp writer worker encoding and shipping
-	// one peer's batch frame (Peer names the destination, Bytes the
-	// on-wire frame size).
+	// PhaseFrameWrite is one tcp endpoint encoding and shipping one
+	// frame to a peer (Peer names the destination, Bytes the on-wire
+	// frame size), on the goroutine that made the frame — so it nests
+	// inside that machine's compute span (StreamBatch) or exchange span
+	// (FinishSuperstep).
 	PhaseFrameWrite
 	// PhaseFrameRead is one tcp reader worker blocking for its peer's
 	// batch frame. The duration is dominated by stall — waiting for the

@@ -56,7 +56,7 @@ func loopbackEndpoints(t *testing.T, k int) []*tcp.Endpoint[failMsg] {
 // victim machine executes onVictimStep(eps) inside its Step at
 // superstep failStep (before emitting). Machines chatter endlessly, so
 // only the fault can end the run: each emits a three-envelope batch to
-// `eager` peers mid-Step, which their writer workers ship, and leaves
+// `eager` peers mid-Step, written on the Step's own goroutine, and leaves
 // one envelope for its ring neighbour. Returns the k runNode errors once
 // every loop has exited; a cluster that fails to drain within 30s fails
 // the test with a full goroutine dump — that is the hang this PR fixes.
@@ -133,7 +133,7 @@ func assertSurvivorsAttribute(t *testing.T, errs []error, victim int) {
 // listener and every connection, exactly what its process dying looks
 // like to the peers — and requires every surviving machine to return an
 // error attributed to the victim, with no goroutines left behind. With
-// every pair's writers busy when it dies, a survivor's write often hits
+// every pair's writes in flight when it dies, a survivor's write often hits
 // a bystander that already failed over the victim and closed; that
 // survivor must still name the victim, which the bystander's blame
 // frame says, not the bystander its write found gone. Ten kills make

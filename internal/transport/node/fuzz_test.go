@@ -72,6 +72,16 @@ func TestUnsoundRowBlamesItsSender(t *testing.T) {
 	const k, culprit = 3, 2
 	good := &core.Row{Words: make([]int64, k)}
 	narrow := &core.Row{Words: make([]int64, k-1)}
+	// raw is a superstep-0 row frame with the given counts as written,
+	// free of the int64 a core.Row would hold them in.
+	raw := func(messages uint64, words ...uint64) []byte {
+		b := wire.AppendUvarint([]byte{0, 0}, messages)
+		b = wire.AppendUvarint(b, uint64(len(words)))
+		for _, w := range words {
+			b = wire.AppendUvarint(b, w)
+		}
+		return b
+	}
 	for _, c := range []struct {
 		name string
 		row  []byte
@@ -80,6 +90,8 @@ func TestUnsoundRowBlamesItsSender(t *testing.T) {
 		{"wrong superstep", appendReport(nil, 5, good)},
 		{"wrong link count", appendReport(nil, 0, narrow)},
 		{"truncated", appendReport(nil, 0, good)[:3]},
+		{"overflowing words", raw(0, 0, 1<<63, 0)},
+		{"overflowing messages", raw(1<<63, 0, 0, 0)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()

@@ -27,6 +27,7 @@ package node
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"kmachine/internal/core"
@@ -267,15 +268,24 @@ func decodeReport(r *core.Row, buf []byte, wantStep int) error {
 	r.Reset()
 	c := wire.Cursor{Src: buf, Off: 1}
 	step := c.Uvarint()
-	r.Messages = int64(c.Uvarint())
+	msgs := c.Uvarint()
 	if n := c.Uvarint(); c.Err == nil && n != uint64(len(r.Words)) {
 		return fmt.Errorf("node: row has %d links, want %d", n, len(r.Words))
 	}
+	// A count above MaxInt64 would convert to a negative charge, which
+	// Row.Add drops silently: the row is unsound, not small.
+	over := msgs > math.MaxInt64
+	r.Messages = int64(msgs)
 	for i := range r.Words {
-		r.Add(core.MachineID(i), int64(c.Uvarint()))
+		w := c.Uvarint()
+		over = over || w > math.MaxInt64
+		r.Add(core.MachineID(i), int64(w))
 	}
 	if c.Err != nil {
 		return fmt.Errorf("node: corrupt row: %w", c.Err)
+	}
+	if over {
+		return fmt.Errorf("node: row count overflows int64")
 	}
 	if int(step) != wantStep {
 		return fmt.Errorf("node: row for superstep %d, want %d", step, wantStep)

@@ -3,10 +3,10 @@ package tcp
 // Allocation-regression fence for the persistent exchange pipeline, in
 // the spirit of internal/core/alloc_test.go: once the mesh is built and
 // its buffers have grown to the working set, a steady-state superstep —
-// release the parked readers, hand one batch per machine to its writer
-// mid-superstep and the rest at the finish, encode/ship/receive/decode
-// k(k-1) batch frames and as many row frames, merge the inboxes —
-// must not allocate. The budget covers only the measured loop's incidental noise
+// release the parked readers, write one batch per machine mid-superstep
+// on the calling goroutine and the rest at the finish,
+// encode/ship/receive/decode k(k-1) batch frames and as many row frames,
+// merge the inboxes — must not allocate. The budget covers only the measured loop's incidental noise
 // (runtime timer churn from connection deadlines); a per-superstep
 // allocation sneaking back into the pipeline blows it immediately
 // (supersteps × k × peers ≈ thousands of extra allocations).
@@ -78,10 +78,10 @@ func TestSteadyStateExchangeAllocBudget(t *testing.T) {
 		t.Errorf("steady-state exchange allocated %.0f times over %d supersteps, budget %.0f — a per-superstep allocation crept into the pipeline", got, supersteps, budget)
 	}
 
-	// Same fence with a live obs.Trace recorder: the pipeline workers
-	// record a frame-write span per batch sent and frame-read +
-	// frame-decode spans per batch received, all into the trace's
-	// preallocated ring — so instrumentation must not move the budget.
+	// Same fence with a live obs.Trace recorder: the writes record a
+	// frame-write span per frame sent, the readers and the finish
+	// frame-read and frame-decode spans per batch received, all into the
+	// trace's preallocated ring — so instrumentation must not move the budget.
 	// The trace is built once, outside the measured runs.
 	trace := obs.NewTrace(4096, k)
 	for _, e := range tr.eps {

@@ -29,9 +29,10 @@ func newDataConn(c net.Conn) *dataConn {
 }
 
 // writeFrameLocked ships frames under the connection's write mutex,
-// flushed once: the writer worker and a concurrent blame broadcast
-// (castBlame) may target the same connection, and the mutex is what
-// keeps their frames whole on the stream.
+// flushed once: the goroutine writing this superstep's frames and a
+// concurrent blame broadcast (castBlame) may target the same
+// connection, and the mutex is what keeps their frames whole on the
+// stream.
 func (dc *dataConn) writeFrameLocked(dl time.Time, payloads ...[]byte) error {
 	dc.wmu.Lock()
 	defer dc.wmu.Unlock()
@@ -39,9 +40,9 @@ func (dc *dataConn) writeFrameLocked(dl time.Time, payloads ...[]byte) error {
 }
 
 // tryWriteFrameLocked is writeFrameLocked for callers that must not
-// block on the mutex: if the owning writer is mid-frame (or wedged in
-// one), it reports false without writing. The blame broadcast uses it —
-// a teardown must never wait on a connection whose writer is stuck.
+// block on the mutex: if a write is mid-frame (or wedged in one), it
+// reports false without writing. The blame broadcast uses it — a
+// teardown must never wait on a connection whose write is stuck.
 func (dc *dataConn) tryWriteFrameLocked(dl time.Time, payload []byte) (bool, error) {
 	if !dc.wmu.TryLock() {
 		return false, nil

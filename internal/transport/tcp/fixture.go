@@ -81,7 +81,7 @@ func New[M any](k int, codec wire.Codec[M]) (*Transport[M], error) {
 // driver is the persistent goroutine owning endpoint i: one
 // FinishSuperstep per signal, parked in between, exits when Close
 // closes its channel. The same close-under-mutex discipline as the
-// endpoint's pipeWorker keeps the WaitGroup sound against a concurrent
+// endpoint's readers keeps the WaitGroup sound against a concurrent
 // Close.
 func (t *Transport[M]) driver(i int) {
 	for job := range t.drive[i] {
@@ -97,7 +97,7 @@ func (t *Transport[M]) driver(i int) {
 
 // Begin implements transport.Transport: it opens the superstep on every
 // endpoint, arming the per-superstep deadline guards and releasing all
-// reader workers so frames are consumed as they arrive. Endpoints are
+// readers so frames are consumed as they arrive. Endpoints are
 // opened serially under the transport mutex — the same t.mu→e.mu lock
 // order as Close — which is cheap (no I/O happens in an endpoint
 // BeginSuperstep, it only parks jobs on buffered channels) and gives
@@ -117,8 +117,8 @@ func (t *Transport[M]) Begin(ctx context.Context, step int) error {
 }
 
 // SendBatch implements transport.Transport: machine from's eager batch
-// for machine to goes straight to from's endpoint, which hands it to
-// the parked writer worker for that peer. Called concurrently from the
+// for machine to goes straight to from's endpoint, which encodes and
+// writes it on the calling goroutine. Called concurrently from the
 // machines' compute goroutines (distinct senders), per the contract;
 // each endpoint serialises its own state under its own mutex, so no
 // transport-level lock is needed — or wanted, it would serialise the
@@ -132,9 +132,8 @@ func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport
 
 // Finish implements transport.Transport: the superstep's barrier. Every
 // endpoint ships its rest envelopes over its sockets concurrently
-// (signalled to the persistent drivers), drains its pipeline generation
-// (eager and rest frames alike) before any inbox is released to the
-// cluster.
+// (signalled to the persistent drivers) and drains its readers (eager
+// and rest frames alike) before any inbox is released to the cluster.
 func (t *Transport[M]) Finish(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
 	k := len(t.eps)
 	if len(rest) != k {

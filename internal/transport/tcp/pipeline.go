@@ -12,39 +12,33 @@ import (
 	"kmachine/internal/transport/wire"
 )
 
-// startPipeline spawns the persistent per-connection workers: a writer
-// and a reader per data peer. Workers park on their signal channel
-// between supersteps and exit when Close closes it.
+// startPipeline spawns the persistent readers, one per data peer.
 func (e *Endpoint[M]) startPipeline() {
-	e.writerCh = make([]chan pipeJob, e.k)
 	e.readerCh = make([]chan pipeJob, e.k)
 	for j := 0; j < e.k; j++ {
-		if j == e.id {
-			continue
+		if j != e.id {
+			e.readerCh[j] = make(chan pipeJob, 1)
+			go e.readLoop(j)
 		}
-		e.writerCh[j] = make(chan pipeJob, 2)
-		e.readerCh[j] = make(chan pipeJob, 1)
-		go e.pipeWorker(e.writerCh[j], func(job pipeJob) { e.runWriter(j, job) })
-		go e.pipeWorker(e.readerCh[j], func(job pipeJob) { e.runReader(j, job) })
 	}
 }
 
-// pipeWorker is the body of every persistent pipeline goroutine: run
-// one job per signal, park in between, exit when the signal channel
-// closes. The park is a bare channel receive — no select — because the
-// channel doubles as the quit signal: every job send happens under mu
-// with closed unset, so no send can follow the close, and a job already
+// readLoop is the body of peer j's persistent reader: run one job per
+// signal, park in between, exit when the signal channel closes. The
+// park is a bare channel receive — no select — because the channel
+// doubles as the quit signal: every job send happens under mu with
+// closed unset, so no send can follow the close, and a job already
 // buffered when Close fires is still delivered before the closed-channel
 // zero value, so the sender's WaitGroup always drains (the job's I/O
 // fails fast on the closed connections).
-func (e *Endpoint[M]) pipeWorker(ch chan pipeJob, run func(pipeJob)) {
-	for job := range ch {
-		run(job)
+func (e *Endpoint[M]) readLoop(j int) {
+	for job := range e.readerCh[j] {
+		e.runReader(j, job)
 		e.workWG.Done()
 	}
 }
 
-// recordErr files a worker failure as the cause or the shrapnel:
+// recordErr files a data-path failure as the cause or the shrapnel:
 // net.ErrClosed errors — the debris of our own teardown — are kept
 // apart from genuine causes, and within each class the first arrival
 // wins. Returns whether err was installed as the genuine cause.
@@ -98,8 +92,8 @@ func (e *Endpoint[M]) fail(err error) {
 // castBlame ships a best-effort blame frame to every data peer before
 // the endpoint closes. Only machine-attributed causes are broadcast;
 // the suspect itself is skipped (it is the one machine that cannot act
-// on the news), as is any connection whose writer currently holds the
-// write mutex — blocking there on a wedged writer would postpone the
+// on the news), as is any connection whose write mutex is held by a
+// write in flight — blocking there on a wedged write would postpone the
 // Close that fail() exists to perform, stalling the whole teardown.
 func (e *Endpoint[M]) castBlame(cause error) {
 	var me *transport.MachineError
@@ -118,13 +112,13 @@ func (e *Endpoint[M]) castBlame(cause error) {
 	}
 }
 
-// runWriter ships this superstep's frames for peer j — the batch, the
-// row, or the batch and the row in one flush: its own recycled buffer,
-// its own connection, in parallel with every other writer.
-func (e *Endpoint[M]) runWriter(j int, job pipeJob) {
+// runWriter ships frames of superstep step to peer j on the calling
+// goroutine, in one flush: the batch encoded from envs when batch is
+// set, then row when withRow is set.
+func (e *Endpoint[M]) runWriter(j, step int, dl time.Time, batch bool, envs []transport.Envelope[M], withRow bool, row []byte) {
 	t0 := e.now()
-	var batch []byte
-	if job.batch {
+	var frame []byte
+	if batch {
 		base := e.tx[j][:0]
 		if e.jobID != 0 {
 			// Jobs other than 0 scope every batch: the header sits
@@ -132,42 +126,42 @@ func (e *Endpoint[M]) runWriter(j int, job pipeJob) {
 			base = wire.AppendJobHeader(base, e.jobID)
 		}
 		var err error
-		batch, err = wire.AppendBatchV2(base, job.step, transport.MachineID(e.id), transport.MachineID(j), e.txSrc[j], e.codec)
-		e.tx[j] = batch[:0]
+		frame, err = wire.AppendBatchV2(base, step, transport.MachineID(e.id), transport.MachineID(j), envs, e.codec)
+		e.tx[j] = frame[:0]
 		if err != nil {
 			// An encode failure is OUR defect (a codec bug, a malformed
 			// envelope), not peer j's: attribute it to this machine so the
 			// blame broadcast names the actual culprit instead of spreading
 			// "j failed" across the cluster.
-			e.fail(&transport.MachineError{Machine: transport.MachineID(e.id), Superstep: job.step, Job: e.jobID,
+			e.fail(&transport.MachineError{Machine: transport.MachineID(e.id), Superstep: step, Job: e.jobID,
 				Err: fmt.Errorf("tcp: machine %d encode batch for %d: %w", e.id, j, err)})
 			return
 		}
 	}
-	// writeFrameLocked installs job.dl first and refuses to write if the
+	// writeFrameLocked installs dl first and refuses to write if the
 	// deadline cannot be set: falling through into an unbounded write
 	// would silently defeat the wedge detection the deadline exists for.
 	var err error
 	switch {
-	case job.batch && job.row:
-		err = e.out[j].writeFrameLocked(job.dl, batch, e.txRow)
-	case job.batch:
-		err = e.out[j].writeFrameLocked(job.dl, batch)
+	case batch && withRow:
+		err = e.out[j].writeFrameLocked(dl, frame, row)
+	case batch:
+		err = e.out[j].writeFrameLocked(dl, frame)
 	default:
-		err = e.out[j].writeFrameLocked(job.dl, e.txRow)
+		err = e.out[j].writeFrameLocked(dl, row)
 	}
 	if err != nil {
-		e.sendFailed(j, job.step, err)
+		e.sendFailed(j, step, err)
 		return
 	}
-	if job.batch {
-		e.countSent(j, len(batch))
-		e.span(t0, obs.PhaseFrameWrite, j, job.step, wire.FrameSize(len(batch)))
+	if batch {
+		e.countSent(j, len(frame))
+		e.span(t0, obs.PhaseFrameWrite, j, step, wire.FrameSize(len(frame)))
 		t0 = e.now() // a row flushed with its batch records a zero-length span
 	}
-	if job.row {
-		e.countSent(j, len(e.txRow))
-		e.span(t0, obs.PhaseFrameWrite, j, job.step, wire.FrameSize(len(e.txRow)))
+	if withRow {
+		e.countSent(j, len(row))
+		e.span(t0, obs.PhaseFrameWrite, j, step, wire.FrameSize(len(row)))
 	}
 }
 

@@ -1,28 +1,35 @@
 package tcp
 
-// Tests for the persistent exchange pipeline: worker lifecycle (spawned
-// once, parked between supersteps, retired on Close) and bytes-on-wire
+// Tests for the persistent exchange pipeline: reader lifecycle (spawned
+// once, parked between supersteps, retired on Close), writes on the
+// producing goroutine over full socket buffers, and bytes-on-wire
 // accounting.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"kmachine/internal/testutil"
 	"kmachine/internal/transport"
+	"kmachine/internal/transport/inmem"
 	"kmachine/internal/transport/wire"
 )
 
-// TestPipelineWorkersPersistAcrossSupersteps pins the tentpole property
-// of the rebuilt exchange path: the worker population is created by
-// mesh construction, does NOT grow or churn across supersteps, and
-// drains completely on Close. The previous engine spawned ~2k
-// goroutines per endpoint per superstep; a regression to that shows up
-// here as a goroutine-count delta between supersteps.
+// TestPipelineWorkersPersistAcrossSupersteps pins the goroutine
+// population of the exchange path: it is created by mesh construction —
+// one reader per directed pair and nothing else, since every frame is
+// written by the goroutine that made it — does NOT grow or churn across
+// supersteps, and drains completely on Close. The previous engine
+// spawned ~2k goroutines per endpoint per superstep; a regression to
+// that shows up here as a goroutine-count delta between supersteps, and
+// a writer worker coming back as k(k-1) goroutines too many.
 func TestPipelineWorkersPersistAcrossSupersteps(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const k = 4
@@ -44,19 +51,153 @@ func TestPipelineWorkersPersistAcrossSupersteps(t *testing.T) {
 	if _, err := tr.Exchange(context.Background(), 0, outs); err != nil {
 		t.Fatal(err)
 	}
-	// Population after the first superstep: transport drivers and data
-	// workers, all persistent.
+	// Population after the first superstep: k(k-1) readers plus the
+	// fixture's k drivers, all persistent (a small grace for unrelated
+	// runtime goroutines).
 	settled := runtime.NumGoroutine()
+	if want := base + k*(k-1) + k; settled > want+2 || settled < want-2 {
+		t.Errorf("%d goroutines after superstep 0, want %d: k(k-1) = %d readers and k = %d drivers over a baseline of %d",
+			settled, want, k*(k-1), k, base)
+	}
 	for step := 1; step <= 50; step++ {
 		if _, err := tr.Exchange(context.Background(), step, outs); err != nil {
 			t.Fatalf("superstep %d: %v", step, err)
 		}
 	}
-	// Workers park between supersteps rather than exiting, so the count
-	// must not drift in either direction (a small grace for unrelated
-	// runtime goroutines).
+	// Readers park between supersteps rather than exiting, so the count
+	// must not drift in either direction.
 	if now := runtime.NumGoroutine(); now > settled+2 || now < settled-2 {
 		t.Errorf("goroutine population drifted across supersteps: %d after superstep 0, %d after 50", settled, now)
+	}
+}
+
+// blobCodec ships a message that is one byte slice. Decode aliases the
+// frame instead of copying, so a test can move frames far larger than
+// the socket buffers while holding little more than the frames
+// themselves.
+type blobCodec struct{}
+
+func (blobCodec) Append(dst []byte, m []byte) ([]byte, error) {
+	return append(wire.AppendUvarint(dst, uint64(len(m))), m...), nil
+}
+
+func (blobCodec) Decode(src []byte) ([]byte, int, error) {
+	n, w, err := wire.Uvarint(src)
+	if err != nil {
+		return nil, 0, err
+	}
+	if n > uint64(len(src)-w) {
+		return nil, 0, errors.New("blob overruns its frame")
+	}
+	return src[w : w+int(n)], w + int(n), nil
+}
+
+// TestInlineWritesOverFullSocketBuffers pins the property that makes
+// writing on the producing goroutine deadlock-free: every machine
+// streams an 8 MiB batch to one peer mid-superstep and leaves as large a
+// rest for the other, all at once, so every directed pair carries a
+// frame about twice what an unread loopback connection absorbs (~4 MB
+// on a stock Linux kernel) and every write blocks until the receiving
+// peer's reader drains it. The readers are released in BeginSuperstep,
+// before the Step, so nothing waits on anything that waits on it; a
+// deadlock would surface as the 30 s superstep deadline expiring. The inboxes must equal the
+// loopback's for the same outs, and no goroutine may be left behind.
+func TestInlineWritesOverFullSocketBuffers(t *testing.T) {
+	const k, size, supersteps = 3, 8 << 20, 2
+	blob := make([]byte, size+k)
+	for i := range blob {
+		blob[i] = byte(i * 7)
+	}
+	base := runtime.NumGoroutine()
+	eps := attachAll(t, k, blobCodec{})
+	defer func() {
+		for _, e := range eps {
+			e.Close()
+		}
+		testutil.NoLeakedGoroutines(t, base)
+	}()
+
+	// Each machine streams one blob to a peer, leaves another for the
+	// other peer and a small one for itself in the rest; the two peers
+	// trade places every superstep. The blobs are windows of one shared
+	// slice, each machine's shifted, so a misrouted frame cannot pass.
+	type plan struct {
+		to             transport.MachineID
+		streamed, rest []transport.Envelope[[]byte]
+	}
+	plans := func(step int) []plan {
+		p := make([]plan, k)
+		for i := range p {
+			me := transport.MachineID(i)
+			to, restTo := transport.MachineID((i+1)%k), transport.MachineID((i+2)%k)
+			if step%2 == 1 {
+				to, restTo = restTo, to
+			}
+			p[i] = plan{to: to,
+				streamed: []transport.Envelope[[]byte]{{From: me, To: to, Words: 1, Msg: blob[i : size+i]}},
+				rest: []transport.Envelope[[]byte]{
+					{From: me, To: restTo, Words: 2, Msg: blob[k-i : size+k-i]},
+					{From: me, To: me, Words: 1, Msg: blob[:i+1]},
+				}}
+		}
+		return p
+	}
+
+	lb := inmem.New[[]byte](k)
+	defer lb.Close()
+	for step := 0; step < supersteps; step++ {
+		p := plans(step)
+		ctx := context.Background()
+		if err := lb.Begin(ctx, step); err != nil {
+			t.Fatal(err)
+		}
+		for i := range p {
+			if err := lb.SendBatch(transport.MachineID(i), p[i].to, p[i].streamed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rest := make([][]transport.Envelope[[]byte], k)
+		for i := range p {
+			rest[i] = p[i].rest
+		}
+		want, err := lb.Finish(ctx, step, rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		errs := make([]error, k)
+		var wg sync.WaitGroup
+		for i := range eps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				e := eps[i]
+				if errs[i] = e.BeginSuperstep(ctx, step); errs[i] != nil {
+					return
+				}
+				if errs[i] = e.StreamBatch(p[i].to, p[i].streamed); errs[i] != nil {
+					return
+				}
+				inbox, _, err := e.FinishSuperstep(step, p[i].rest, nil)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				// The inbox aliases this endpoint's frame buffers, which
+				// only its own next BeginSuperstep overwrites.
+				if !reflect.DeepEqual(inbox, want[i]) {
+					errs[i] = fmt.Errorf("inbox differs from the loopback's (%d vs %d envelopes)", len(inbox), len(want[i]))
+				}
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("superstep %d, machine %d: %v", step, i, err)
+			}
+		}
 	}
 }
 
@@ -118,7 +259,7 @@ func TestWireStatsCountsFrames(t *testing.T) {
 
 // TestExchangeAfterCloseFailsFast: the closed guard must turn an
 // Exchange on a closed transport into an immediate error instead of
-// signalling workers that no longer exist (which would hang the
+// signalling readers that no longer exist (which would hang the
 // WaitGroup forever).
 func TestExchangeAfterCloseFailsFast(t *testing.T) {
 	const k = 3
@@ -234,7 +375,7 @@ func TestBadFrameFailsWhereItIsFound(t *testing.T) {
 			}
 			// The bystander learns the culprit from machine 0's blame frame,
 			// not from machine 0's own FIN. Drain its readers before the
-			// finish so no writer can race the verdict.
+			// finish so no write can race the verdict.
 			step := 0
 			if !row.inReader {
 				step = 1

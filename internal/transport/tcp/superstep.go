@@ -50,7 +50,7 @@ func (e *Endpoint[M]) ioGuard(ctx context.Context) (deadline time.Time, release 
 // every peer's batch is decoded straight into its slot, self-addressed
 // envelopes at position e.id. A sound header over a corrupt body fails
 // the endpoint here, blamed on the sender like any reader failure.
-// Call only after the pipeline generation drained error-free.
+// Call only after the readers drained error-free.
 func (e *Endpoint[M]) assembleInbox(step int) (inbox []transport.Envelope[M], err error) {
 	total := len(e.perDest[e.id])
 	for _, n := range e.rxCount { // rxCount[e.id] stays zero
@@ -80,13 +80,14 @@ func (e *Endpoint[M]) assembleInbox(step int) (inbox []transport.Envelope[M], er
 }
 
 // BeginSuperstep opens superstep `step` on this endpoint: the
-// per-superstep failure state is reset and every reader worker is
-// released immediately, so incoming batch frames are received and
-// header-checked as peers produce them — during this machine's own
-// compute — instead of waiting for the finish barrier. Signal order
-// rotates with the superstep: machine i starts its sweep at peer
-// (i+step) mod k, so the k machines do not all hammer peer 0's sockets
-// first every superstep.
+// per-superstep failure state is reset and every reader is released
+// immediately, so incoming batch frames are received and header-checked
+// as peers produce them — during this machine's own compute — instead
+// of waiting for the finish barrier — and, released before any Step
+// runs, they keep every peer's writes deadlock-free (see the package
+// doc). Signal order rotates with the superstep: machine i starts its
+// sweep at peer (i+step) mod k, so the k machines do not all hammer
+// peer 0's sockets first every superstep.
 //
 // ctx bounds the whole superstep: its deadline is installed on every
 // connection before I/O, so a dead or wedged peer surfaces as a
@@ -112,7 +113,6 @@ func (e *Endpoint[M]) BeginSuperstep(ctx context.Context, step int) error {
 	}
 	e.cause, e.shrapnel, e.sendErr = nil, nil, nil
 	clear(e.strEmitted)
-	clear(e.strQueued)
 	e.strOn, e.strStep, e.strDl, e.strRelease = true, step, dl, release
 	job := pipeJob{step: step, dl: dl}
 	e.workWG.Add(e.k - 1)
@@ -125,22 +125,13 @@ func (e *Endpoint[M]) BeginSuperstep(ctx context.Context, step int) error {
 	return nil
 }
 
-// streamInlineMax is the batch size at or below which StreamBatch
-// writes the frame on the calling goroutine instead of waking the
-// peer's parked writer worker: for a couple of envelopes the encode is
-// a handful of stores and the wakeup costs more than the write (the
-// same economics as FinishSuperstep's tiny-remainder path).
-const streamInlineMax = 2
-
-// StreamBatch hands peer `to`'s finished batch to its parked writer
-// worker right now — mid-compute — which encodes and ships it while the
-// superstep's remaining work continues. Tiny batches (and every batch
-// on a single-core process) are instead written inline on the calling
-// goroutine — still mid-compute, so the wire is busy during the
-// superstep either way; what varies is only who pays for the encode.
-// The batch slice stays readable by the endpoint until FinishSuperstep
-// returns (the Transport ownership rule); envelopes arrive pre-validated
-// and From-stamped from core. At most one batch per peer per superstep.
+// StreamBatch encodes and writes peer `to`'s finished batch right now —
+// mid-compute — on the calling goroutine, so the wire is busy while the
+// superstep's remaining work continues; the row follows in
+// FinishSuperstep, written by the same goroutine, so it cannot overtake
+// the batch. The endpoint does not read the batch after StreamBatch
+// returns. Envelopes arrive pre-validated and From-stamped from core.
+// At most one batch per peer per superstep.
 func (e *Endpoint[M]) StreamBatch(to transport.MachineID, batch []transport.Envelope[M]) error {
 	e.mu.Lock()
 	if e.closed {
@@ -170,33 +161,23 @@ func (e *Endpoint[M]) StreamBatch(to transport.MachineID, batch []transport.Enve
 		return fmt.Errorf("tcp: machine %d streamed two batches to machine %d in superstep %d", e.id, to, e.strStep)
 	}
 	e.strEmitted[to] = true
-	e.txSrc[to] = batch
-	job := pipeJob{step: e.strStep, dl: e.strDl, batch: true}
-	if e.serialWriters || len(batch) <= streamInlineMax {
-		// Inline write, off the mutex: the write may block on a full
-		// socket buffer, and holding mu there would stall a concurrent
-		// Close. txSrc[to] is safe to read unlocked — at most one batch
-		// per peer per superstep means no other goroutine touches it.
-		e.mu.Unlock()
-		e.runWriter(int(to), job)
-		// A failure that closed the endpoint — an encode defect, a
-		// reader's verdict — recorded its cause; surface it now so the
-		// emitter aborts the run immediately instead of discovering the
-		// corpse at FinishSuperstep. (A failed write waits for the
-		// finish: see sendFailed.)
-		e.mu.Lock()
-		err := e.cause
-		if err == nil {
-			err = e.shrapnel
-		}
-		e.mu.Unlock()
-		return err
-	}
-	e.strQueued[to] = true
-	e.workWG.Add(1)
-	e.writerCh[to] <- job
+	step, dl := e.strStep, e.strDl
+	// Write off the mutex: the write may block on a full socket buffer,
+	// and holding mu there would stall a concurrent Close.
 	e.mu.Unlock()
-	return nil
+	e.runWriter(int(to), step, dl, true, batch, false, nil)
+	// A failure that closed the endpoint — an encode defect, a reader's
+	// verdict — recorded its cause; surface it now so the emitter aborts
+	// the run immediately instead of discovering the corpse at
+	// FinishSuperstep. (A failed write waits for the finish: see
+	// sendFailed.)
+	e.mu.Lock()
+	err := e.cause
+	if err == nil {
+		err = e.shrapnel
+	}
+	e.mu.Unlock()
+	return err
 }
 
 // finishGuard disarms the cancellation guard BeginSuperstep armed.
@@ -210,18 +191,17 @@ func (e *Endpoint[M]) finishGuard() {
 // FinishSuperstep closes superstep `step`: it ships `out` — the
 // envelopes NOT streamed eagerly (self-addressed ones included, which
 // never touch a socket; a peer that already got a streamed batch must
-// not reappear here) — on the remaining writer workers, one batch frame
-// per directed pair, empty batches included, each followed by one frame
-// of `row`, this machine's account of the superstep. A rest batch and
-// its row leave in one flush; a peer whose batch was streamed gets the
-// row alone, queued behind the batch on its writer when the batch went
-// there. It then waits for the
-// whole pipeline generation (eager readers, streamed writers, rest
-// writers) to drain and decodes the inbox in sender-ID order,
-// self-addressed envelopes at position e.id, exactly like the loopback
-// transport. rows[j] is peer j's row as received (rows[e.id] is nil),
-// valid until the next BeginSuperstep. It is the superstep's barrier,
-// bounded by the deadline and cancellation guard BeginSuperstep armed.
+// not reappear here) — one batch frame per directed pair, empty batches
+// included, each followed by one frame of `row`, this machine's account
+// of the superstep. Every frame is written on the calling goroutine,
+// peers visited from (id+step) mod k: a rest batch and its row leave in
+// one flush, a peer whose batch was streamed gets the row alone. It
+// then waits for the readers to drain and decodes the inbox in
+// sender-ID order, self-addressed envelopes at position e.id, exactly
+// like the loopback transport. rows[j] is peer j's row as received
+// (rows[e.id] is nil), valid until the next BeginSuperstep. It is the
+// superstep's barrier, bounded by the deadline and cancellation guard
+// BeginSuperstep armed.
 func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row []byte) (inbox []transport.Envelope[M], rows [][]byte, err error) {
 	perDest := e.perDest
 	for j := range perDest {
@@ -248,7 +228,7 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row
 	if e.closed {
 		// A mid-compute failure (a reader's verdict, a peer's blame
 		// frame, a StreamBatch hitting dead sockets) already tore the
-		// endpoint down. The eager jobs drain against the closed conns;
+		// endpoint down. The readers drain against the closed conns;
 		// report the recorded cause, never an inbox.
 		e.mu.Unlock()
 		e.workWG.Wait()
@@ -264,64 +244,25 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row
 		}
 		return nil, nil, err
 	}
-	rest := 0
-	for j := 0; j < e.k; j++ {
-		if j == e.id {
-			continue
+	for j := range e.strEmitted {
+		if e.strEmitted[j] && len(perDest[j]) > 0 {
+			e.mu.Unlock()
+			e.finishGuard()
+			e.Close()
+			return nil, nil, fmt.Errorf("tcp: machine %d has rest envelopes for machine %d after streaming a batch to it in superstep %d", e.id, j, step)
 		}
-		if e.strEmitted[j] {
-			if len(perDest[j]) > 0 {
-				e.mu.Unlock()
-				e.finishGuard()
-				e.Close()
-				return nil, nil, fmt.Errorf("tcp: machine %d has rest envelopes for machine %d after streaming a batch to it in superstep %d", e.id, j, step)
-			}
-			continue
-		}
-		e.txSrc[j] = perDest[j]
-		rest += len(perDest[j])
-	}
-	e.txRow = row
-	// Tiny remainders (the common case when the machines streamed their
-	// batches eagerly) skip the writer wakeups: when the rest is at most
-	// ~2 envelopes per peer, encoding is trivial and the cost of
-	// signalling parked goroutines dominates shipping few-byte frames
-	// (the k=16/batch=1 regression of the parallel pipeline). Write them
-	// serially on this goroutine instead — each connection's buffered
-	// writer still coalesces batch and row into one flush/syscall. A
-	// GOMAXPROCS=1 process takes this path for every superstep: with one
-	// core the parallel writers can't overlap anyway, so the wakeups are
-	// all tax. Only a row whose batch is still on its peer's writer goes
-	// there regardless, to stay behind the batch on the stream.
-	// strEmitted/strQueued are stable here — StreamBatch only runs while
-	// the superstep computes, which happens-before FinishSuperstep.
-	inline := e.serialWriters || rest <= 2*e.k
-	for o := 0; o < e.k; o++ {
-		j := (e.id + step + o) % e.k
-		if j == e.id || (inline && !e.strQueued[j]) {
-			continue
-		}
-		e.workWG.Add(1)
-		e.writerCh[j] <- pipeJob{step: step, dl: e.strDl, batch: !e.strEmitted[j], row: true}
 	}
 	e.mu.Unlock()
-	if inline {
-		for o := 0; o < e.k; o++ {
-			j := (e.id + step + o) % e.k
-			if j == e.id || e.strQueued[j] {
-				continue
-			}
-			e.runWriter(j, pipeJob{step: step, dl: e.strDl, batch: !e.strEmitted[j], row: true})
+	// strEmitted is stable here: StreamBatch runs only while the
+	// superstep computes, which happens-before FinishSuperstep.
+	for o := 0; o < e.k; o++ {
+		if j := (e.id + step + o) % e.k; j != e.id {
+			e.runWriter(j, step, e.strDl, !e.strEmitted[j], perDest[j], true, row)
 		}
 	}
 
 	e.workWG.Wait()
 	e.finishGuard()
-	// Streamed batch slices and the row are the caller's; drop the
-	// references now that their writers are done, honouring the "must
-	// not retain" ownership rule.
-	clear(e.txSrc)
-	e.txRow = nil
 	// Report the error that diagnoses the failure, not the teardown:
 	// recordErr kept the first genuine cause (a peer's FIN, a reset, an
 	// expired deadline) apart from the net.ErrClosed shrapnel of our own
@@ -335,7 +276,7 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row
 		return nil, nil, err
 	}
 	if j := e.sendPeer; e.sendErr != nil {
-		// Every worker is parked, so read what j sent after its frames of
+		// Every reader is parked, so read what j sent after its frames of
 		// this superstep: a blame frame or an EOF fails the endpoint with
 		// what it says; a frame of j's is no excuse for the write.
 		if e.in[j].c.SetReadDeadline(time.Now().Add(blameWriteTimeout)) != nil {
@@ -365,17 +306,12 @@ func (e *Endpoint[M]) Reject(peer, step int, err error) error {
 	return err
 }
 
-// retireWorkers closes every pipeline signal channel, run at most once
+// retireWorkers closes every reader's signal channel, run at most once
 // (via closeOnce) by Detach or Close. No job send can race it: the
 // caller set closed under mu first, jobs are sent only while holding
 // mu with closed unset, and buffered jobs survive a channel close, so
 // in-flight supersteps still drain.
 func (e *Endpoint[M]) retireWorkers() {
-	for _, ch := range e.writerCh {
-		if ch != nil {
-			close(ch)
-		}
-	}
 	for _, ch := range e.readerCh {
 		if ch != nil {
 			close(ch)
@@ -383,7 +319,7 @@ func (e *Endpoint[M]) retireWorkers() {
 	}
 }
 
-// Detach retires the endpoint's pipeline workers and ends its use of
+// Detach retires the endpoint's readers and ends its use of
 // the mesh WITHOUT closing any connection — the standing fabric (and
 // any bytes buffered on it) stays intact for the next job's endpoint.
 // Valid only at a quiescent point: every machine has finished the same
@@ -398,7 +334,7 @@ func (e *Endpoint[M]) Detach() {
 	e.closeOnce.Do(e.retireWorkers)
 }
 
-// Close retires the pipeline workers and tears down the mesh — the
+// Close retires the readers and tears down the mesh — the
 // listener and every connection — unblocking all pending I/O. It is
 // idempotent — concurrent and repeated calls are safe and return the
 // first call's result — which is what lets the error-cascade teardown,

@@ -10,19 +10,25 @@
 // machine thus holds all k rows once its exchange completes, so the
 // exchange is the superstep's only synchronisation.
 //
-// The per-superstep exchange is a persistent parallel pipeline: every
-// data connection is owned by a long-lived worker goroutine — one
-// writer per outgoing peer, one reader per incoming peer — spawned once
-// when the endpoint attaches and parked on a signal channel between
-// supersteps. BeginSuperstep releases the readers, so each receives and
-// header-checks its peer's frame in its own recycled buffer as soon as
-// it arrives; StreamBatch hands a finished batch to its peer's writer
-// mid-compute and FinishSuperstep the rest (each writer serialises its
-// own peer's batch into its own recycled buffer), then waits for the
-// generation to drain and decodes — with no goroutine spawned and no
-// synchronisation state allocated on the steady-state path. Workers
-// exit when the endpoint detaches or closes; they never leak across
-// supersteps.
+// Every frame an endpoint sends is written by the goroutine that made
+// it: StreamBatch encodes and writes a finished batch mid-compute,
+// before it returns, and FinishSuperstep writes each remaining peer's
+// batch and row itself. Only the receive side has workers: one
+// persistent reader per incoming peer, spawned once when the endpoint
+// attaches and parked on a signal channel between supersteps.
+// BeginSuperstep releases the readers, so each receives and
+// header-checks its peer's frames in its own recycled buffer as soon
+// as they arrive; FinishSuperstep then waits for the readers and
+// decodes — with no goroutine spawned and no synchronisation state
+// allocated on the steady-state path. Readers exit when the endpoint
+// detaches or closes; they never leak across supersteps.
+//
+// Writing on the producing goroutine cannot deadlock, because every
+// peer releases its reader for superstep s in BeginSuperstep(s), before
+// any Step of s runs: a write blocked on a full socket buffer always has
+// a reader draining it. And a streamed batch's row is written later by
+// the same goroutine, so the row cannot overtake its batch on the
+// stream.
 //
 // The data connections are the whole mesh: there is no connection to
 // a coordinator. What the machines of a run must agree on before they
@@ -41,7 +47,6 @@ package tcp
 import (
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,51 +64,48 @@ type dataConn struct {
 	c net.Conn
 	w *bufWriter
 	r *bufReader
-	// wmu serialises frame writes: the owning writer worker and a
-	// failing peer's blame broadcast may write concurrently.
+	// wmu serialises frame writes: the goroutine writing this
+	// superstep's frames and a failing endpoint's blame broadcast may
+	// write concurrently.
 	wmu sync.Mutex
 }
 
-// pipeJob is one superstep's marching order for a parked pipeline
-// worker: which superstep to ship or expect, the I/O deadline to
-// install first and, for a writer, which of the pair's two frames to
-// ship — the batch, the row, or both in one flush. It is passed by
-// value over a buffered channel, so signalling a worker allocates
-// nothing.
+// pipeJob is one superstep's marching order for a parked reader: which
+// superstep to expect and the I/O deadline to install first. It is
+// passed by value over a buffered channel, so signalling a reader
+// allocates nothing.
 type pipeJob struct {
-	step       int
-	dl         time.Time
-	batch, row bool
+	step int
+	dl   time.Time
 }
 
 // Endpoint is one machine's typed socket stack over a Mesh: the
 // listener and connections live in the embedded Mesh (promoted fields),
-// while everything typed in M — codec, encode/decode scratch, pipeline
-// workers — lives here. Every endpoint is attached (Attach) to a
-// connected mesh for one job — job 0 being a single run — and detaches
-// at its end, leaving the connections, and any bytes buffered on them,
-// intact for the next job's endpoint. Each data connection is serviced
-// by a persistent worker goroutine that lives from Attach to
-// Detach/Close.
+// while everything typed in M — codec, encode/decode scratch, readers —
+// lives here. Every endpoint is attached (Attach) to a connected mesh
+// for one job — job 0 being a single run — and detaches at its end,
+// leaving the connections, and any bytes buffered on them, intact for
+// the next job's endpoint. Frames are written by the
+// goroutines that call StreamBatch and FinishSuperstep; each incoming
+// connection is read by a persistent reader goroutine that lives from
+// Attach to Detach/Close.
 type Endpoint[M any] struct {
 	*Mesh
 	codec wire.Codec[M]
 
 	// jobID scopes this endpoint's data frames to one job of the mesh
-	// (wire doc.go "Job-scoped frames"): writers prefix every batch with
-	// the job header, readers reject frames scoped to any other job, and
-	// MachineError attribution carries the ID. Job 0 is a single run: it
+	// (wire doc.go "Job-scoped frames"): every batch written is prefixed
+	// with the job header, readers reject frames scoped to any other
+	// job, and MachineError attribution carries the ID. Job 0 is a single run: it
 	// ships and accepts only bare frames.
 	jobID uint64
 
-	// Pipeline worker state, created once per endpoint lifetime. A
-	// reader channel carries at most one job and a writer channel two — a
-	// streamed batch and the row queued behind it — because
-	// FinishSuperstep drains a superstep before the next can be
-	// signalled; workWG counts in-flight jobs. Worker failures land in
-	// the cause/shrapnel pair below — all hoisted out of the per-call
-	// path, so a steady-state superstep allocates nothing.
-	writerCh []chan pipeJob
+	// Reader state, created once per endpoint lifetime. A reader channel
+	// carries at most one job, because FinishSuperstep drains a
+	// superstep before the next can be signalled; workWG counts the
+	// in-flight readers. Failures land in the cause/shrapnel pair below
+	// — all hoisted out of the per-call path, so a steady-state
+	// superstep allocates nothing.
 	readerCh []chan pipeJob
 	workWG   sync.WaitGroup
 
@@ -123,8 +125,9 @@ type Endpoint[M any] struct {
 
 	// Per-superstep scratch, recycled across calls (the transport
 	// ownership rule). perDest/tx/frame are dead once FinishSuperstep
-	// returns and are single-buffered; a reader leaves its header-checked
-	// batch (a window of frame[j]) and envelope count in rxBatch/rxCount
+	// returns and are single-buffered (tx[j] is touched only by the one
+	// write of peer j's batch per superstep); a reader leaves its
+	// header-checked batch (a window of frame[j]) and envelope count in rxBatch/rxCount
 	// for the finish to decode into the inbox — the one place received
 	// envelopes exist decoded — which is handed to the caller and
 	// double-buffered so the previous superstep's envelopes survive while
@@ -141,54 +144,32 @@ type Endpoint[M any] struct {
 	inboxes  [2][]transport.Envelope[M]
 	gen      int
 
-	// txSrc[j] is what peer j's writer worker encodes this superstep:
-	// the recycled perDest[j] split of the rest envelopes, or the
-	// machine's own eagerly-streamed batch slice (which the Transport
-	// contract keeps immutable until FinishSuperstep returns). A
-	// separate indirection — instead of storing streamed batches into
-	// perDest — so the next superstep's perDest[j][:0] recycling can
-	// never append into machine-owned memory.
-	txSrc [][]transport.Envelope[M]
-	// txRow is the row every writer frames behind its batch this
-	// superstep: the caller's bytes, dropped once FinishSuperstep returns.
-	txRow []byte
-
 	// Open-superstep state (the per-machine half of
 	// transport.Transport).
 	// Guarded by mu where concurrent with StreamBatch; the
 	// Begin→drive→Finish handoff provides the rest of the ordering.
 	strEmitted []bool      // peers already streamed to this superstep
-	strQueued  []bool      // ... whose batch went to the writer worker
 	strOn      bool        // BeginSuperstep called, FinishSuperstep pending
 	strStep    int         // the open superstep
 	strDl      time.Time   // its I/O deadline
 	strRelease func() bool // its ioGuard release, disarmed by Finish
 
-	// serialWriters, sampled at construction, records that the process
-	// has a single execution core (GOMAXPROCS=1): parallel writer workers
-	// then cannot overlap with anything, and every wakeup is a pure
-	// scheduling tax, so the inline serial-write paths (StreamBatch,
-	// FinishSuperstep) are taken unconditionally. Readers
-	// stay parallel regardless — a read is mostly netpoll parking, which
-	// costs no core while it waits.
-	serialWriters bool
-
 	// Bytes-on-wire accounting: every frame that crosses a socket —
 	// batches, rows and blame frames alike — is counted with its length
 	// prefix, against the peer it crossed to or from. Atomics because
-	// writers, readers and a blame broadcast account concurrently;
+	// writes, readers and a blame broadcast account concurrently;
 	// WireStats sums the lanes into totals on demand.
 	wirePeers []peerWire // indexed by peer machine ID; [e.id] stays zero
 
 	// rec, when non-nil, receives per-frame telemetry spans from the
-	// pipeline workers (obs.PhaseFrameWrite/Read/Decode). Set via
-	// SetRecorder before the first superstep; read without
+	// writes, readers and decodes (obs.PhaseFrameWrite/Read/Decode). Set
+	// via SetRecorder before the first superstep; read without
 	// synchronisation on the hot paths.
 	rec obs.Recorder
 
-	// mu serialises job dispatch against Close so a send can never race
-	// the closing of a signal channel (see pipeWorker), and closed gates
-	// BeginSuperstep on an endpoint that is already torn down.
+	// mu serialises reader dispatch against Close so a send can never
+	// race the closing of a signal channel (see readLoop), and closed
+	// gates BeginSuperstep on an endpoint that is already torn down.
 	mu        sync.Mutex
 	closed    bool
 	closeOnce sync.Once
@@ -208,22 +189,18 @@ func newEndpoint[M any](m *Mesh, codec wire.Codec[M]) *Endpoint[M] {
 		rxBatch:    make([][]byte, k),
 		rxCount:    make([]int, k),
 		rxRow:      make([][]byte, k),
-		txSrc:      make([][]transport.Envelope[M], k),
 		strEmitted: make([]bool, k),
-		strQueued:  make([]bool, k),
 		wirePeers:  make([]peerWire, k),
-
-		serialWriters: runtime.GOMAXPROCS(0) == 1,
 	}
 }
 
 // Attach binds a typed per-job endpoint to a connected mesh, and is
-// the only way to make one: fresh pipeline workers are spawned over the
-// mesh's existing connections (cheap — no dials, no handshakes). Job 0
+// the only way to make one: fresh readers are spawned over the mesh's
+// existing connections (cheap — no dials, no handshakes). Job 0
 // is a single run and ships bare batch frames; any other job prefixes
 // every batch with its job header and rejects frames scoped to any
 // other job — a bare one included — as attributed errors. On clean job
-// end call Detach, which retires the workers and leaves the mesh
+// end call Detach, which retires the readers and leaves the mesh
 // reusable; Close (taken automatically on any failure) poisons the mesh,
 // because closing the connections is what unblocks the surviving peers.
 func Attach[M any](m *Mesh, codec wire.Codec[M], job uint64) (*Endpoint[M], error) {
@@ -272,9 +249,9 @@ func (e *Endpoint[M]) WireStats() transport.WireStats {
 	return w
 }
 
-// SetRecorder installs the telemetry recorder the pipeline workers
-// record frame spans into. Must be called before the first superstep; nil
-// (the default) keeps the workers on their span-free path.
+// SetRecorder installs the telemetry recorder frame spans are recorded
+// into. Must be called before the first superstep; nil (the default)
+// keeps the data path span-free.
 func (e *Endpoint[M]) SetRecorder(r obs.Recorder) { e.rec = r }
 
 // now reads the span clock, or nothing on the span-free path.

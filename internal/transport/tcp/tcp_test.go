@@ -34,15 +34,15 @@ func (testCodec) Decode(src []byte) (testMsg, int, error) {
 
 // attachAll attaches a single run's (job 0) endpoint to every machine
 // of a fresh k-machine loopback mesh.
-func attachAll(t *testing.T, k int) []*Endpoint[testMsg] {
+func attachAll[M any](t *testing.T, k int, codec wire.Codec[M]) []*Endpoint[M] {
 	t.Helper()
 	ms, err := NewLoopbackMesh(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := make([]*Endpoint[testMsg], k)
+	eps := make([]*Endpoint[M], k)
 	for i, m := range ms {
-		if eps[i], err = Attach[testMsg](m, testCodec{}, 0); err != nil {
+		if eps[i], err = Attach(m, codec, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -164,7 +164,7 @@ func TestBrokenConnectionErrorsInsteadOfDeadlocking(t *testing.T) {
 // within the context deadline, not block forever.
 func TestExchangeDeadlineOnWedgedPeer(t *testing.T) {
 	base := runtime.NumGoroutine()
-	eps := attachAll(t, 2)
+	eps := attachAll(t, 2, testCodec{})
 	defer func() {
 		for _, e := range eps {
 			e.Close()
@@ -200,7 +200,7 @@ func TestExchangeDeadlineOnWedgedPeer(t *testing.T) {
 // TestExchangeCancellationUnblocks: with no deadline at all, canceling
 // the context must still tear the endpoint down and unblock the read.
 func TestExchangeCancellationUnblocks(t *testing.T) {
-	eps := attachAll(t, 2)
+	eps := attachAll(t, 2, testCodec{})
 	defer func() {
 		for _, e := range eps {
 			e.Close()
@@ -231,7 +231,7 @@ func TestExchangeCancellationUnblocks(t *testing.T) {
 // concurrently — the error cascade, context cancellation, and deferred
 // cleanup all close the same endpoint.
 func TestCloseIdempotent(t *testing.T) {
-	eps := attachAll(t, 3)
+	eps := attachAll(t, 3, testCodec{})
 	var wg sync.WaitGroup
 	for _, e := range eps {
 		for i := 0; i < 4; i++ {
