@@ -139,7 +139,7 @@ func TestConnCompCheckpointLayoutPinned(t *testing.T) {
 // Locals() order, so a change to how the machine stores that state
 // cannot change what it writes.
 func TestPageRankCheckpointLayoutPinned(t *testing.T) {
-	checkCutsPinned(t, "pagerank", 371, 0xa8e351411f95a9da)
+	checkCutsPinned(t, "pagerank", 124, 0x03ee0e3694d76802)
 }
 
 // checkCutsPinned runs the registry entry's suite problem on inmem with

@@ -256,7 +256,7 @@ func E15Gap(cfg Config) (Table, error) {
 
 	t.Notes = append(t.Notes,
 		"gap column is the hidden polylog: compare against polylog² n; large constant factors also live here",
-		"pagerank's gap additionally contains the Θ(log n/eps) iteration floor (~2·iterations rounds) that the Õ's additive polylog term absorbs")
+		fmt.Sprintf("pagerank's gap additionally contains its floor of one round per superstep, two per walk iteration until the last token dies (%d iterations, Θ(log n/eps) whp), which the Õ's additive polylog term absorbs", pr.Iterations))
 	return t, nil
 }
 

@@ -21,6 +21,8 @@ type Local struct {
 	Vertices []int32
 	Psi      []int64
 	Estimate []float64
+	// Iterations counts the walk iterations run; every machine agrees.
+	Iterations int
 }
 
 // Output implements algo.Machine: eps·psi(v)/(n·c·log n) per local
@@ -28,9 +30,10 @@ type Local struct {
 func (m *machine) Output() Local {
 	locals := m.view.Locals()
 	out := Local{
-		Vertices: locals,
-		Psi:      make([]int64, len(locals)),
-		Estimate: make([]float64, len(locals)),
+		Vertices:   locals,
+		Psi:        make([]int64, len(locals)),
+		Estimate:   make([]float64, len(locals)),
+		Iterations: m.iter,
 	}
 	scale := m.opts.Eps / (float64(m.view.N()) * float64(m.opts.Tokens))
 	for r, count := range m.psi {
@@ -63,10 +66,10 @@ func Descriptor(n int, opts Options) algo.Algorithm[Wire, Local, *Result] {
 				Estimate:          make([]float64, n),
 				Psi:               make([]int64, n),
 				OutputsPerMachine: make([]int, len(locals)),
-				Iterations:        opts.Iterations,
 				TokensPerVertex:   opts.Tokens,
 			}
 			for i, l := range locals {
+				res.Iterations = max(res.Iterations, l.Iterations)
 				res.OutputsPerMachine[i] = len(l.Vertices)
 				for j, v := range l.Vertices {
 					res.Psi[v] = l.Psi[j]

@@ -48,8 +48,9 @@ type Options struct {
 	// Tokens is the number of tokens each vertex starts with. 0 means
 	// ceil(C·log2(n+1)) with C = 8, the paper's c·log n.
 	Tokens int
-	// Iterations is the number of random-walk steps. 0 means
-	// ceil(3·ln(n·Tokens+1)/Eps), enough for all tokens to die whp.
+	// Iterations caps the random-walk steps; the run stops sooner, as
+	// soon as every token has died. 0 means ceil(3·ln(n·Tokens+1)/Eps),
+	// a cap all tokens die within whp.
 	Iterations int
 	// Aggregate enables per-destination-vertex aggregation (paper's α).
 	Aggregate bool
@@ -95,7 +96,7 @@ type Result struct {
 	OutputsPerMachine []int
 	// Stats is the measured communication profile.
 	Stats *core.Stats
-	// Iterations actually executed.
+	// Iterations actually executed: at most Options.Iterations.
 	Iterations int
 	// TokensPerVertex actually used.
 	TokensPerVertex int
@@ -225,63 +226,57 @@ func (m *machine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]co
 	for _, d := range delivered {
 		m.receive(ctx, d)
 	}
-	// Even supersteps start walk iterations; odd ones only relay/receive.
-	if ctx.Superstep%2 != 0 {
-		out = core.EmitBuckets(ctx, buckets, out)
-		m.outBuf = out
-		return out, m.iter >= m.opts.Iterations
-	}
-	if m.iter >= m.opts.Iterations {
-		// Quiescence must be judged on what the superstep PRODUCED, not
-		// on what is left in out after eager emission — the predicate
-		// below is therefore computed over the buckets.
-		quiet := true
-		for j := range buckets {
-			if len(buckets[j]) > 0 {
-				quiet = false
-				break
+	// Even supersteps walk an iteration; odd ones only relay/receive.
+	even := ctx.Superstep%2 == 0
+	if even && m.iter < m.opts.Iterations {
+		m.iter++
+		for r, t := range m.tokens {
+			if t == 0 {
+				continue
+			}
+			// Terminate each token with probability eps (Algorithm 1 line 5).
+			t -= ctx.RNG.Binomial(t, m.opts.Eps)
+			m.tokens[r] = 0
+			if t == 0 {
+				continue
+			}
+			adj := m.adj[r]
+			if len(adj) == 0 {
+				// Dangling vertex: the killed walk ends here (the semantics
+				// of the paper's Lemma 4 arithmetic — w is a sink).
+				continue
+			}
+			if m.opts.HeavyPath && t >= int64(ctx.K) {
+				m.walkHeavy(ctx, r, t)
+				continue
+			}
+			m.walkLight(ctx.RNG, t, adj)
+			if !m.opts.Aggregate {
+				// Baseline granularity: per (source, destination-vertex)
+				// counts, flushed per source vertex — no cross-vertex merging.
+				m.flushLight(ctx)
 			}
 		}
-		out = core.EmitBuckets(ctx, buckets, out)
-		m.outBuf = out
-		return out, quiet
+		// Light path: destination-vertex counts accumulated across all
+		// local sources (the paper's α), flushed once. The baseline has
+		// flushed already, so this sends nothing for it.
+		m.flushLight(ctx)
 	}
-	m.iter++
-
-	for r, t := range m.tokens {
-		if t == 0 {
-			continue
-		}
-		// Terminate each token with probability eps (Algorithm 1 line 5).
-		t -= ctx.RNG.Binomial(t, m.opts.Eps)
-		m.tokens[r] = 0
-		if t == 0 {
-			continue
-		}
-		adj := m.adj[r]
-		if len(adj) == 0 {
-			// Dangling vertex: the killed walk ends here (the semantics
-			// of the paper's Lemma 4 arithmetic — w is a sink).
-			continue
-		}
-		if m.opts.HeavyPath && t >= int64(ctx.K) {
-			m.walkHeavy(ctx, r, t)
-			continue
-		}
-		m.walkLight(ctx.RNG, t, adj)
-		if !m.opts.Aggregate {
-			// Baseline granularity: per (source, destination-vertex)
-			// counts, flushed per source vertex — no cross-vertex merging.
-			m.flushLight(ctx)
+	// After an even superstep every live token has died or sits in a
+	// bucket, so a machine with empty buckets holds no token: it votes
+	// done, and the run halts once every machine does. Past the cap the
+	// same vote freezes the tokens. The vote reads what the superstep
+	// PRODUCED, the buckets, not what eager emission left in out.
+	done := m.iter >= m.opts.Iterations
+	if even {
+		done = true
+		for _, b := range buckets {
+			done = done && len(b) == 0
 		}
 	}
-	// Light path: destination-vertex counts accumulated across all
-	// local sources (the paper's α), flushed once. The baseline has
-	// flushed already, so this sends nothing for it.
-	m.flushLight(ctx)
 	out = core.EmitBuckets(ctx, buckets, out)
 	m.outBuf = out
-	return out, false
+	return out, done
 }
 
 // walkLight moves t tokens to uniformly random out-neighbours, counting

@@ -2,6 +2,7 @@ package pagerank
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"kmachine/internal/core"
@@ -21,11 +22,12 @@ func run(t *testing.T, g *graph.Graph, k int, opts Options, seed uint64) *Result
 }
 
 // commRounds isolates the communication term of a run: total rounds
-// minus the 2-supersteps-per-iteration floor. The paper's Õ hides an
-// additive polylog term (footnote 4) which is exactly this Θ(log n / eps)
-// iteration floor, so scaling claims are about the remainder.
+// minus the model's floor of one round per superstep. The paper's Õ
+// hides an additive polylog term (footnote 4) which is exactly this
+// floor — two supersteps per iteration, Θ(log n / eps) iterations — so
+// scaling claims are about the remainder.
 func commRounds(res *Result) int64 {
-	c := res.Stats.Rounds - 2*int64(res.Iterations)
+	c := res.Stats.Rounds - int64(res.Stats.Supersteps)
 	if c < 0 {
 		c = 0
 	}
@@ -246,5 +248,63 @@ func TestPsiConsistentWithEstimates(t *testing.T) {
 		if math.Abs(res.Estimate[v]-float64(res.Psi[v])*scale) > 1e-12 {
 			t.Fatalf("estimate[%d] inconsistent with psi", v)
 		}
+	}
+}
+
+// TestPageRankHaltsWhenLastTokenDies pins the halting rule: a run stops
+// at the first even superstep after which no machine holds or sends a
+// token, not when Options.Iterations runs out. The iteration that
+// started at superstep 2(I−1) killed the last token, and that final
+// silent superstep is free, so Supersteps = 2(I−1) for I executed
+// iterations. Past the death time the cap is invisible; below it the
+// run executes exactly the cap, with pinned Stats.
+func TestPageRankHaltsWhenLastTokenDies(t *testing.T) {
+	type stats struct {
+		Supersteps    int
+		Rounds, Words int64
+	}
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		k      int
+		capped stats // at Iterations = 10
+	}{
+		{"star", gen.Star(300), 8, stats{20, 65, 2916}},
+		{"cycle", gen.DirectedCycle(400), 8, stats{20, 40, 6976}},
+		{"gnp", gen.DirectedGnp(300, 0.02, 17), 6, stats{20, 104, 18456}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := AlgorithmOne(0.15)
+			opts.ApplyDefaults(tc.g.N())
+			res := run(t, tc.g, tc.k, opts, 61)
+			st := res.Stats
+			if res.Iterations >= opts.Iterations {
+				t.Fatalf("ran %d iterations, all of its cap %d", res.Iterations, opts.Iterations)
+			}
+			if st.Supersteps != 2*(res.Iterations-1) || len(st.PerSuperstep) != st.Supersteps {
+				t.Fatalf("%d iterations took %d supersteps (%d recorded), want %d",
+					res.Iterations, st.Supersteps, len(st.PerSuperstep), 2*(res.Iterations-1))
+			}
+			if last := st.PerSuperstep[st.Supersteps-2]; last.Messages == 0 {
+				t.Errorf("the walk of superstep %d sent nothing: the run outlived its last token", st.Supersteps-2)
+			}
+
+			loose := opts
+			loose.Iterations *= 4
+			if r := run(t, tc.g, tc.k, loose, 61); r.Iterations != res.Iterations ||
+				r.Stats.Rounds != st.Rounds || r.Stats.Words != st.Words || !slices.Equal(r.Psi, res.Psi) {
+				t.Errorf("a cap of %d changed the run: %d iterations, %d rounds, %d words (want %d, %d, %d)",
+					loose.Iterations, r.Iterations, r.Stats.Rounds, r.Stats.Words, res.Iterations, st.Rounds, st.Words)
+			}
+
+			capped := opts
+			capped.Iterations = 10
+			r := run(t, tc.g, tc.k, capped, 61)
+			got := stats{r.Stats.Supersteps, r.Stats.Rounds, r.Stats.Words}
+			if r.Iterations != capped.Iterations || got != tc.capped {
+				t.Errorf("capped at %d: ran %d iterations with %+v, want %+v",
+					capped.Iterations, r.Iterations, got, tc.capped)
+			}
+		})
 	}
 }
