@@ -63,7 +63,6 @@ import (
 	_ "kmachine/internal/algo/all"
 	"kmachine/internal/core"
 	"kmachine/internal/obs"
-	"kmachine/internal/partition"
 	"kmachine/internal/transport"
 	"kmachine/internal/transport/node"
 )
@@ -160,7 +159,7 @@ func main() {
 		if *input == "" {
 			fatal("-split-out needs -input with the flat edge list to split")
 		}
-		paths, err := cliutil.SplitEdgeList(*input, *splitOut, partition.Spec{N: prob.N, K: prob.K, Seed: prob.Seed + 1})
+		paths, err := cliutil.SplitEdgeList(*input, *splitOut, prob.PartitionSpec())
 		if err != nil {
 			fatal("edge-list split failed", slog.String("input", *input), slog.Any("err", err))
 		}

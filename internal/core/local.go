@@ -15,9 +15,8 @@ import (
 // the last to arrive rules the superstep and, when the run goes on,
 // calls the cluster-level Finish and charges it, while the others stay
 // parked. Because the verdict is known before the transport is touched,
-// the final silent superstep is never finished (no empty frames, and
-// inmem's Exchanges counter equals Stats.Supersteps): its Begin is left
-// dangling for the caller's Close to abandon.
+// the final silent superstep is never finished (no empty frames): its
+// Begin is left dangling for the caller's Close to abandon.
 
 // rendezvous is a generation-counted barrier whose last arriver closes
 // the superstep before it releases the others; mu guards every field.

@@ -293,7 +293,8 @@ func TestHTTPCheckpointedSubmit(t *testing.T) {
 // goroutine and took the resident daemon down. A negative
 // checkpoint_every or timeout_ms, or a timeout_ms that overflows a
 // duration, used to run with checkpointing or the deadline silently
-// off (or wrapped). All must bounce at intake with 400, and the jobs
+// off (or wrapped). A negative top used to panic the executor in
+// PageRank's summary. All must bounce at intake with 400, and the jobs
 // after them — including an n below 10, whose default 10/n is clamped
 // to a probability — must still run.
 func TestHTTPRejectsImpossibleProblems(t *testing.T) {
@@ -315,6 +316,7 @@ func TestHTTPRejectsImpossibleProblems(t *testing.T) {
 		// negative, the second to a deadline under a millisecond.
 		`{"algo":"conncomp","n":1000,"timeout_ms":9223372036855}`,
 		`{"algo":"conncomp","n":1000,"timeout_ms":18446744073710}`,
+		`{"algo":"pagerank","n":100,"top":-1}`,
 	} {
 		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -459,13 +459,5 @@ func (in *ShardedInput) MachineViews(hosted []core.MachineID) ([]View, error) {
 	if err != nil {
 		return nil, fmt.Errorf("partition: shards %v: %w", hosted, err)
 	}
-	return asViews(shards), nil
-}
-
-func asViews(shards []*LocalView) []View {
-	views := make([]View, len(shards))
-	for i, lv := range shards {
-		views[i] = lv
-	}
-	return views
+	return shards, nil
 }

@@ -11,18 +11,17 @@
 //   - the REP -> RVP conversion, run as an actual k-machine computation so
 //     its Õ(m/k² + n/k) cost is measured, not assumed.
 //
-// A View is a machine-local window onto the partitioned graph. Its
-// accessors panic when an algorithm touches a vertex that is not local,
-// which keeps the simulated algorithms honest about what a machine can
-// see: the home machine knows the IDs of its vertices' neighbours and
-// those neighbours' home machines, and nothing else.
-//
-// Every View is a LocalView (local.go): a per-machine CSR holding only
-// the adjacency rows of the machine's own vertices — the paper's input
+// A View is one machine's CSR shard (LocalView, local.go): the
+// adjacency rows of the machine's own vertices — the paper's input
 // model, where machine m stores Õ((n+m)/k) words, with no global graph
-// object behind it. A generated or ingested input builds its shards
-// from the source's edge stream (ShardedInput); a VertexPartition of a
-// caller's graph builds them from the graph's edges, the same way.
+// object behind it — plus the public home hash. Its accessors panic when
+// an algorithm touches a vertex that is not local, which keeps the
+// simulated algorithms honest about what a machine can see: the home
+// machine knows the IDs of its vertices' neighbours and those
+// neighbours' home machines, and nothing else. A generated or ingested
+// input builds its shards from the source's edge stream (ShardedInput);
+// a VertexPartition of a caller's graph builds them from the graph's
+// edges, the same way.
 package partition
 
 import (
@@ -99,39 +98,9 @@ func (p *VertexPartition) Balance() (min, max int) {
 }
 
 // View is the information one machine legitimately holds under the RVP:
-// its own vertices and their incident edges, plus the public knowledge
-// of the model (n, k, and the hash-computable home of any vertex ID).
-// Accessing a non-local vertex's adjacency panics — that would be
-// cheating in the model.
-//
-// *LocalView is its only implementation. View stays an interface
-// because every descriptor's NewMachine, the benchmark's included, is
-// written against it, and making it the concrete type would
-// devirtualise the hot HomeOf and OutAdj calls: a performance change
-// that needs its own measurement.
-type View interface {
-	// Self returns the owning machine.
-	Self() core.MachineID
-	// K returns the number of machines.
-	K() int
-	// N returns the global vertex count (public knowledge in the model).
-	N() int
-	// Locals returns this machine's vertices in increasing ID order.
-	Locals() []int32
-	// IsLocal reports whether u is homed here.
-	IsLocal(u int32) bool
-	// HomeOf returns the home machine of any vertex (hashing is public).
-	HomeOf(u int32) core.MachineID
-	// OutAdj returns the out-neighbours (or neighbours, if undirected)
-	// of a LOCAL vertex, sorted. The slice aliases internal storage.
-	OutAdj(u int32) []int32
-	// InAdj returns the in-neighbours of a LOCAL vertex. (The home
-	// machine knows both directions of its vertices' incident edges,
-	// §1.1.)
-	InAdj(u int32) []int32
-	// Degree returns the out-degree of a LOCAL vertex.
-	Degree(u int32) int
-}
+// its own shard, plus the public knowledge of the model (n, k, and the
+// hash-computable home of any vertex ID).
+type View = *LocalView
 
 // Input is a partitioned problem input as the algorithm driver sees it:
 // it hands every machine its View, building the CSR shards of the
@@ -178,7 +147,7 @@ func (p *VertexPartition) MachineView(m core.MachineID) (View, error) {
 
 // MachineViews implements Input.
 func (p *VertexPartition) MachineViews(hosted []core.MachineID) ([]View, error) {
-	return asViews(p.shards(hosted)), nil
+	return p.shards(hosted), nil
 }
 
 // EdgePartition is a materialised REP: edge i (in graph.EdgeList order)

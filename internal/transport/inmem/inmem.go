@@ -17,7 +17,6 @@ package inmem
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"kmachine/internal/transport"
 )
@@ -42,13 +41,6 @@ type Transport[M any] struct {
 
 	counts []int // per-destination envelope counts / placement cursors
 	starts []int // prefix offsets of each inbox within flat
-
-	// Counter-only observability (see Counters): the loopback ships no
-	// physical bytes and records no frame spans, but counting its work
-	// gives instrumented runs a shape to compare across substrates.
-	// Atomics only because a debug plane may snapshot mid-run; Finish
-	// itself is serial.
-	exchanges, envelopes atomic.Int64
 
 	// Emitted-batch staging: SendBatch runs concurrently, one goroutine
 	// per sender, so the staged batches are indexed [from*k+to] and each
@@ -78,27 +70,6 @@ func New[M any](k int) *Transport[M] {
 		t.pairs[i] = make([]int32, 0, k)
 	}
 	return t
-}
-
-// Counters is the loopback's counter-only observability: how many
-// superstep barriers completed and how many envelopes they routed. It is
-// the loopback analogue of the socket substrate's frame counters — no
-// bytes, no timings (a slice shuffle has nothing worth timing), just
-// the shape — which is what lets substrate-equivalence tests assert
-// trace-shape parity: on identical runs, Exchanges here equals the
-// completed superstep count on tcp, and Envelopes the envelopes its
-// batches carried.
-type Counters struct {
-	// Exchanges counts completed Finish calls (one per superstep).
-	Exchanges int64
-	// Envelopes counts every envelope routed across all supersteps.
-	Envelopes int64
-}
-
-// Counters returns a snapshot of the transport's counters. Safe to call
-// at any time, including mid-run.
-func (t *Transport[M]) Counters() Counters {
-	return Counters{Exchanges: t.exchanges.Load(), Envelopes: t.envelopes.Load()}
 }
 
 // Begin implements transport.Transport. There is no wire to arm; it
@@ -228,8 +199,6 @@ func (t *Transport[M]) Finish(ctx context.Context, step int, rest [][]transport.
 		// cannot clobber its neighbour's envelopes.
 		b.inboxes[j] = flat[starts[j]:starts[j+1]:starts[j+1]]
 	}
-	t.exchanges.Add(1)
-	t.envelopes.Add(int64(total))
 	return b.inboxes, nil
 }
 

@@ -107,7 +107,7 @@ func (e *Endpoint[M]) castBlame(cause error) {
 			continue
 		}
 		if sent, err := e.out[j].tryWriteFrameLocked(dl, payload); sent && err == nil {
-			e.countSent(j, len(payload))
+			e.countSent(len(payload))
 		}
 	}
 }
@@ -155,12 +155,12 @@ func (e *Endpoint[M]) runWriter(j, step int, dl time.Time, batch bool, envs []tr
 		return
 	}
 	if batch {
-		e.countSent(j, len(frame))
+		e.countSent(len(frame))
 		e.span(t0, obs.PhaseFrameWrite, j, step, wire.FrameSize(len(frame)))
 		t0 = e.now() // a row flushed with its batch records a zero-length span
 	}
 	if withRow {
-		e.countSent(j, len(row))
+		e.countSent(len(row))
 		e.span(t0, obs.PhaseFrameWrite, j, step, wire.FrameSize(len(row)))
 	}
 }
@@ -191,7 +191,7 @@ func (e *Endpoint[M]) readFrame(j, step int, buf *[]byte) (frame []byte, ok bool
 		return nil, false
 	}
 	*buf = frame[:0]
-	e.countRecv(j, len(frame))
+	e.countRecv(len(frame))
 	// The read span is dominated by stall — waiting for peer j to produce
 	// and ship its frame — which is the quantity worth seeing per peer;
 	// the decode gets its own span at the finish.

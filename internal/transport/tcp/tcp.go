@@ -156,10 +156,10 @@ type Endpoint[M any] struct {
 
 	// Bytes-on-wire accounting: every frame that crosses a socket —
 	// batches, rows and blame frames alike — is counted with its length
-	// prefix, against the peer it crossed to or from. Atomics because
-	// writes, readers and a blame broadcast account concurrently;
-	// WireStats sums the lanes into totals on demand.
-	wirePeers []peerWire // indexed by peer machine ID; [e.id] stays zero
+	// prefix. Atomics because writes, readers and a blame broadcast
+	// account concurrently.
+	sentFrames, recvFrames atomic.Int64
+	sentBytes, recvBytes   atomic.Int64
 
 	// rec, when non-nil, receives per-frame telemetry spans from the
 	// writes, readers and decodes (obs.PhaseFrameWrite/Read/Decode). Set
@@ -173,7 +173,6 @@ type Endpoint[M any] struct {
 	mu        sync.Mutex
 	closed    bool
 	closeOnce sync.Once
-	closeErr  error
 }
 
 // newEndpoint wires a typed endpoint onto a connected mesh.
@@ -190,7 +189,6 @@ func newEndpoint[M any](m *Mesh, codec wire.Codec[M]) *Endpoint[M] {
 		rxCount:    make([]int, k),
 		rxRow:      make([][]byte, k),
 		strEmitted: make([]bool, k),
-		wirePeers:  make([]peerWire, k),
 	}
 }
 
@@ -219,34 +217,16 @@ func Attach[M any](m *Mesh, codec wire.Codec[M], job uint64) (*Endpoint[M], erro
 	return e, nil
 }
 
-// peerWire is one peer's lane of the wire counters.
-type peerWire struct {
-	sentFrames, recvFrames atomic.Int64
-	sentBytes, recvBytes   atomic.Int64
-}
-
 // WireStats returns the endpoint's physical-layer counters: frames and
-// actual bytes (length prefix included) sent and received, with a
-// per-peer breakdown in PerPeer
-// (indexed by peer machine ID; the endpoint's own slot stays zero).
-// Safe to call at any time, including mid-run.
+// actual bytes (length prefix included) sent and received. Safe to call
+// at any time, including mid-run.
 func (e *Endpoint[M]) WireStats() transport.WireStats {
-	w := transport.WireStats{PerPeer: make([]transport.PeerWireStats, e.k)}
-	for j := range e.wirePeers {
-		p := &e.wirePeers[j]
-		pp := transport.PeerWireStats{
-			FramesSent: p.sentFrames.Load(),
-			FramesRecv: p.recvFrames.Load(),
-			BytesSent:  p.sentBytes.Load(),
-			BytesRecv:  p.recvBytes.Load(),
-		}
-		w.PerPeer[j] = pp
-		w.FramesSent += pp.FramesSent
-		w.FramesRecv += pp.FramesRecv
-		w.BytesSent += pp.BytesSent
-		w.BytesRecv += pp.BytesRecv
+	return transport.WireStats{
+		FramesSent: e.sentFrames.Load(),
+		FramesRecv: e.recvFrames.Load(),
+		BytesSent:  e.sentBytes.Load(),
+		BytesRecv:  e.recvBytes.Load(),
 	}
-	return w
 }
 
 // SetRecorder installs the telemetry recorder frame spans are recorded
@@ -271,14 +251,12 @@ func (e *Endpoint[M]) span(t0 int64, phase obs.Phase, peer, step, frameBytes int
 	}
 }
 
-func (e *Endpoint[M]) countSent(peer, payloadLen int) {
-	p := &e.wirePeers[peer]
-	p.sentFrames.Add(1)
-	p.sentBytes.Add(int64(wire.FrameSize(payloadLen)))
+func (e *Endpoint[M]) countSent(payloadLen int) {
+	e.sentFrames.Add(1)
+	e.sentBytes.Add(int64(wire.FrameSize(payloadLen)))
 }
 
-func (e *Endpoint[M]) countRecv(peer, payloadLen int) {
-	p := &e.wirePeers[peer]
-	p.recvFrames.Add(1)
-	p.recvBytes.Add(int64(wire.FrameSize(payloadLen)))
+func (e *Endpoint[M]) countRecv(payloadLen int) {
+	e.recvFrames.Add(1)
+	e.recvBytes.Add(int64(wire.FrameSize(payloadLen)))
 }

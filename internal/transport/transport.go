@@ -149,67 +149,31 @@ func (e *MachineError) Unwrap() error { return e.Err }
 
 // WireStats counts what a substrate physically shipped: whole frames
 // and their actual byte sizes (length prefixes included), whatever they
-// carry. It is the measured counterpart of the paper's
+// carry, as totals. It is the measured counterpart of the paper's
 // word-based cost model — Stats.Words counts model words before any
 // transport touches an envelope, WireStats counts the bytes a real
 // socket carried — and comparing the two quantifies both the encoding
 // efficiency of the wire format and the protocol overhead (row and
 // blame frames) that the model abstracts away. The loopback ships
-// nothing and reports zeros.
+// nothing and reports zeros; the per-peer breakdown is the trace's
+// (obs.Counters.PerPeer).
 type WireStats struct {
 	// FramesSent/FramesRecv count whole frames shipped and received.
 	FramesSent, FramesRecv int64
 	// BytesSent/BytesRecv are the frames' on-wire sizes: payload plus
 	// length prefix.
 	BytesSent, BytesRecv int64
-	// PerPeer, when the substrate tracks it, breaks the totals down by
-	// peer machine ID (slice index; the entry at an endpoint's own ID
-	// stays zero — machines don't dial themselves). Cluster totals sum
-	// per-endpoint breakdowns, so entry j then reads "traffic exchanged
-	// with machine j, summed over all endpoints". Nil when the substrate
-	// doesn't track per-peer traffic.
-	PerPeer []PeerWireStats
-}
-
-// PeerWireStats is one peer's share of an endpoint's wire traffic.
-type PeerWireStats struct {
-	FramesSent, FramesRecv int64
-	BytesSent, BytesRecv   int64
 }
 
 // Plus returns the field-wise sum, for aggregating per-endpoint
-// counters into a cluster total. PerPeer breakdowns merge entry-wise
-// (the result is sized to the longer of the two).
+// counters into a cluster total.
 func (w WireStats) Plus(o WireStats) WireStats {
-	sum := WireStats{
+	return WireStats{
 		FramesSent: w.FramesSent + o.FramesSent,
 		FramesRecv: w.FramesRecv + o.FramesRecv,
 		BytesSent:  w.BytesSent + o.BytesSent,
 		BytesRecv:  w.BytesRecv + o.BytesRecv,
 	}
-	if len(w.PerPeer) > 0 || len(o.PerPeer) > 0 {
-		n := len(w.PerPeer)
-		if len(o.PerPeer) > n {
-			n = len(o.PerPeer)
-		}
-		sum.PerPeer = make([]PeerWireStats, n)
-		for i := range sum.PerPeer {
-			var a, b PeerWireStats
-			if i < len(w.PerPeer) {
-				a = w.PerPeer[i]
-			}
-			if i < len(o.PerPeer) {
-				b = o.PerPeer[i]
-			}
-			sum.PerPeer[i] = PeerWireStats{
-				FramesSent: a.FramesSent + b.FramesSent,
-				FramesRecv: a.FramesRecv + b.FramesRecv,
-				BytesSent:  a.BytesSent + b.BytesSent,
-				BytesRecv:  a.BytesRecv + b.BytesRecv,
-			}
-		}
-	}
-	return sum
 }
 
 // Kind names the link of a run whose k machines share one process, for
