@@ -29,8 +29,9 @@ func (prob Problem) PartitionSpec() partition.Spec {
 // the model needs k >= 2 machines, vertex IDs are int32, so a larger N
 // would wrap silently, a probability outside [0,1] is not one, a
 // link carries at least one word per round (0 means the default), a
-// checkpoint interval counts supersteps (0 means off), and a summary
-// lists at least one item (0 means 5). The generators and
+// checkpoint interval counts supersteps (0 means off), a reset
+// probability lies in (0,1) (0 means 0.15), and a summary lists at
+// least one item (0 means 5). The generators and
 // core.NewCluster keep their panics for callers that skip this check —
 // a programmer error.
 func (prob Problem) Validate() error {
@@ -48,6 +49,9 @@ func (prob Problem) Validate() error {
 	}
 	if prob.Checkpoint.Every < 0 {
 		return fmt.Errorf("algo: need a checkpoint every >= 1 supersteps (0 = off), got %d", prob.Checkpoint.Every)
+	}
+	if prob.Eps != 0 && !(prob.Eps > 0 && prob.Eps < 1) { // also rejects NaN
+		return fmt.Errorf("algo: reset probability %v out of (0,1) (0 = 0.15)", prob.Eps)
 	}
 	if prob.Top < 0 {
 		return fmt.Errorf("algo: need top >= 1 summary items (0 = 5), got %d", prob.Top)

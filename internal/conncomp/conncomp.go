@@ -19,7 +19,6 @@
 package conncomp
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -54,11 +53,6 @@ type ccMachine struct {
 	// rows adjacent to ghost g, ghostRows[ghostOffs[g]:ghostOffs[g+1]].
 	ghosts, ghostOffs, ghostRows []int32
 
-	// Bucket row index: the rows of the vertices in [b·width, (b+1)·width)
-	// run from first[b] to first[b+1].
-	first []int32
-	width int32
-
 	phase        int
 	anyChange    bool // set when a label changed in the last phase
 	flagsChanged bool // OR of all machines' change flags
@@ -85,14 +79,6 @@ func newCCMachine(view partition.View) *ccMachine {
 		label:   make([]int32, len(locals)),
 		class:   make([]int32, len(locals)),
 		buckets: make([][]core.Envelope[wire], view.K()),
-		width:   int32(view.N()/max(len(locals), 1) + 1),
-	}
-	m.first = make([]int32, view.N()/int(m.width)+2)
-	for _, v := range locals {
-		m.first[v/m.width+1]++
-	}
-	for b := 1; b < len(m.first); b++ {
-		m.first[b] += m.first[b-1]
 	}
 
 	// Local union-find over edges with both endpoints local (free local
@@ -117,7 +103,7 @@ func newCCMachine(view partition.View) *ccMachine {
 			if !view.IsLocal(w) {
 				keys = append(keys, uint64(w)<<32|uint64(r))
 				maxGhost = max(maxGhost, w)
-			} else if a, b := find(int32(r)), find(m.rowOf(w)); a != b {
+			} else if a, b := find(int32(r)), find(view.Row(w)); a != b {
 				parent[max(a, b)] = min(a, b)
 			}
 		}
@@ -138,20 +124,6 @@ func newCCMachine(view partition.View) *ccMachine {
 	}
 	m.ghostOffs = append(m.ghostOffs, int32(len(keys)))
 	return m
-}
-
-// rowOf returns the row of local vertex v: a scan of v's bucket, which
-// holds about one local on average and never reaches past it.
-func (m *ccMachine) rowOf(v int32) int32 {
-	b := v / m.width
-	r, end := m.first[b], m.first[b+1]
-	for r < end && m.locals[r] < v {
-		r++
-	}
-	if r == end || m.locals[r] != v {
-		panic(fmt.Sprintf("conncomp: machine %d holds no vertex %d", m.view.Self(), v))
-	}
-	return r
 }
 
 // relax pushes the minimum label of every local union-find class to all
@@ -183,7 +155,7 @@ func (m *ccMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]
 	for _, d := range delivered {
 		switch d.Kind {
 		case kindLabel:
-			if r := m.rowOf(d.V); d.Label < m.label[r] {
+			if r := m.view.Row(d.V); d.Label < m.label[r] {
 				m.label[r] = d.Label
 				m.anyChange = true
 			}

@@ -294,7 +294,8 @@ func TestHTTPCheckpointedSubmit(t *testing.T) {
 // checkpoint_every or timeout_ms, or a timeout_ms that overflows a
 // duration, used to run with checkpointing or the deadline silently
 // off (or wrapped). A negative top used to panic the executor in
-// PageRank's summary. All must bounce at intake with 400, and the jobs
+// PageRank's summary, and a reset probability outside (0,1) used to be
+// accepted and fail only in the machine constructor. All must bounce at intake with 400, and the jobs
 // after them — including an n below 10, whose default 10/n is clamped
 // to a probability — must still run.
 func TestHTTPRejectsImpossibleProblems(t *testing.T) {
@@ -317,6 +318,9 @@ func TestHTTPRejectsImpossibleProblems(t *testing.T) {
 		`{"algo":"conncomp","n":1000,"timeout_ms":9223372036855}`,
 		`{"algo":"conncomp","n":1000,"timeout_ms":18446744073710}`,
 		`{"algo":"pagerank","n":100,"top":-1}`,
+		`{"algo":"pagerank","n":100,"eps":1.5}`,
+		`{"algo":"pagerank","n":100,"eps":-0.2}`,
+		`{"algo":"pagerank","n":100,"eps":1}`,
 	} {
 		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -50,13 +50,41 @@ func (s Spec) HomeOf(v int32) core.MachineID {
 // (local IDs are only enumerable by evaluating the hash), but it
 // allocates just the O(n/k) result.
 func (s Spec) Locals(m core.MachineID) []int32 {
-	return s.localsOf([]core.MachineID{m})[0]
+	return s.localsOf([]core.MachineID{m})[0].locals
 }
 
-// localsOf returns the vertex lists of the given machines (distinct
-// IDs), in that order, from one sweep of the ID space per pass: count,
-// then fill, so every list is allocated at its exact size.
-func (s Spec) localsOf(machines []core.MachineID) [][]int32 {
+// rows is a shard's locals, in increasing ID order, and the bucket index
+// that finds a local's row (its position in locals): the rows of the
+// vertices in [b·width, (b+1)·width) run from first[b] to first[b+1].
+// With width = N/|locals| + 1 a bucket holds about one local, and the
+// index has at most |locals|+1 entries, so the shard stays O(n/k).
+type rows struct {
+	locals []int32
+	first  []int32
+	width  uint32
+}
+
+// row returns the row of u, or -1 when u is not one of the locals
+// (negative and out-of-range IDs included).
+func (x *rows) row(u int32) int32 {
+	b := int(uint32(u) / x.width)
+	if b+1 >= len(x.first) {
+		return -1
+	}
+	r, end := x.first[b], x.first[b+1]
+	for r < end && x.locals[r] < u {
+		r++
+	}
+	if r == end || x.locals[r] != u {
+		return -1
+	}
+	return r
+}
+
+// localsOf returns the rows of the given machines (distinct IDs), in
+// that order, from one sweep of the ID space per pass: count, then fill,
+// so every shard's locals and index share one allocation of exact size.
+func (s Spec) localsOf(machines []core.MachineID) []rows {
 	slot := make([]int32, s.K) // machine -> position in the result, -1 when not asked for
 	for m := range slot {
 		slot[m] = -1
@@ -76,13 +104,21 @@ func (s Spec) localsOf(machines []core.MachineID) [][]int32 {
 			counts[i]++
 		}
 	}
-	out := make([][]int32, len(machines))
+	out := make([]rows, len(machines))
 	for i, c := range counts {
-		out[i] = make([]int32, 0, c)
+		width := s.N/max(c, 1) + 1
+		buf := make([]int32, c+s.N/width+2) // the locals, then their index
+		out[i] = rows{locals: buf[:0:c], first: buf[c:], width: uint32(width)}
 	}
 	for v := 0; v < s.N; v++ {
 		if i := slot[s.HomeOf(int32(v))]; i >= 0 {
-			out[i] = append(out[i], int32(v))
+			out[i].locals = append(out[i].locals, int32(v))
+			out[i].first[uint32(v)/out[i].width+1]++
+		}
+	}
+	for _, x := range out {
+		for b := 1; b < len(x.first); b++ {
+			x.first[b] += x.first[b-1]
 		}
 	}
 	return out
@@ -108,8 +144,8 @@ func AllMachines(k int) []core.MachineID {
 // A shard's CSR is built by count, prefix-sum, fill. There is no
 // global-ID-to-row index and no sort over the arcs: the hash names the
 // shard, the tail's row is a cursor (canonical streams arrive in row
-// order), and the head's row is one binary search over the shard's
-// sorted locals. A stream that is cheap to run again (Replay) is run
+// order), and the head's row comes from the shard's bucket index
+// (rows). A stream that is cheap to run again (Replay) is run
 // once per pass and nothing per arc is held between the passes; one that
 // is not (Spool: a file, a generator with global state) is run once and
 // the hosted edges are held until the fill.
@@ -131,8 +167,8 @@ type LocalBuilder struct {
 
 // shardBuilder is one hosted machine's shard under construction.
 type shardBuilder struct {
+	rows
 	self   core.MachineID
-	locals []int32
 	out    csr
 	in     csr // directed only
 	cursor int // row of the last tail looked up
@@ -208,12 +244,12 @@ func NewLocalBuilder(spec Spec, hosted []core.MachineID, directed bool) *LocalBu
 	}
 	b := &LocalBuilder{spec: spec, directed: directed, tailID: -1,
 		shards: make([]shardBuilder, len(hosted)), byHome: make([]*shardBuilder, spec.K)}
-	for i, locals := range spec.localsOf(hosted) {
+	for i, x := range spec.localsOf(hosted) {
 		sh := &b.shards[i]
-		sh.self, sh.locals = hosted[i], locals
-		sh.out.offs = make([]int32, len(locals)+1)
+		sh.self, sh.rows = hosted[i], x
+		sh.out.offs = make([]int32, len(x.locals)+1)
 		if directed {
-			sh.in.offs = make([]int32, len(locals)+1)
+			sh.in.offs = make([]int32, len(x.locals)+1)
 		}
 		b.byHome[hosted[i]] = sh
 	}
@@ -284,7 +320,7 @@ func (b *LocalBuilder) route(u, v int32) {
 		b.tail.out.add(b.tailRow, v, b.filling)
 	}
 	if head != nil {
-		r := rowOf(head.locals, v)
+		r := head.row(v)
 		if b.directed {
 			head.in.add(r, u, b.filling)
 		} else {
@@ -294,38 +330,15 @@ func (b *LocalBuilder) route(u, v int32) {
 }
 
 // tailRow returns the row of local vertex u. Row-ordered streams ask for
-// the cursor's row or the one after it; anything else is a binary
-// search.
+// the cursor's row or the one after it; anything else (spooled streams,
+// edge lists) goes through the index.
 func (sh *shardBuilder) tailRow(u int32) int32 {
 	if c := sh.cursor + 1; c < len(sh.locals) && sh.locals[c] == u {
 		sh.cursor = c
 	} else if sh.locals[sh.cursor] != u {
-		sh.cursor = int(rowOf(sh.locals, u))
+		sh.cursor = int(sh.row(u))
 	}
 	return int32(sh.cursor)
-}
-
-// rowOf returns the position of u in the sorted locals (where it would
-// be inserted, if absent). It is the one lookup the shard build pays per
-// head and every row access pays, on keys with no pattern, so it is
-// written branch-free — the loop body compiles to a conditional move —
-// which took 12% off the all-k shard build against slices.BinarySearch.
-func rowOf(locals []int32, u int32) int32 {
-	if len(locals) == 0 {
-		return 0
-	}
-	base, n := 0, len(locals)
-	for n > 1 {
-		half := n >> 1
-		if locals[base+half] <= u {
-			base += half
-		}
-		n -= half
-	}
-	if locals[base] < u {
-		base++
-	}
-	return int32(base)
 }
 
 // Build finalises the shards, in the order the machines were given.
@@ -337,7 +350,7 @@ func (b *LocalBuilder) Build() []*LocalView {
 	views := make([]*LocalView, len(b.shards))
 	for i := range b.shards {
 		sh := &b.shards[i]
-		lv := &LocalView{spec: b.spec, self: sh.self, directed: b.directed, locals: sh.locals}
+		lv := &LocalView{spec: b.spec, self: sh.self, directed: b.directed, rows: sh.rows}
 		sh.out.finish()
 		lv.outOffs, lv.outTgts = sh.out.offs, sh.out.tgts
 		if b.directed {
@@ -355,10 +368,10 @@ func (b *LocalBuilder) Build() []*LocalView {
 // inputs no single process could. The partition tests check every
 // accessor against the *graph.Graph the shard was built from.
 type LocalView struct {
+	rows
 	spec     Spec
 	self     core.MachineID
 	directed bool
-	locals   []int32
 	outOffs  []int32
 	outTgts  []int32
 	inOffs   []int32
@@ -414,12 +427,15 @@ func (v *LocalView) Degree(u int32) int {
 // CSR + reverse) entries.
 func (v *LocalView) LocalArcs() int { return len(v.outTgts) + len(v.inTgts) }
 
-// mustLocal returns u's row: the one lookup that needs the sorted
-// locals. A map would cost tens of bytes per vertex of pure overhead, a
-// real fraction of the Õ((n+m)/k) budget the shard exists to respect.
+// Row returns the row of a LOCAL vertex: its position in Locals(), the
+// index of a machine's row-indexed state.
+func (v *LocalView) Row(u int32) int32 { return v.mustLocal(u, "Row") }
+
+// mustLocal returns u's row from the bucket index, and panics when u is
+// not homed here.
 func (v *LocalView) mustLocal(u int32, op string) int32 {
-	r := rowOf(v.locals, u)
-	if int(r) == len(v.locals) || v.locals[r] != u {
+	r := v.row(u)
+	if r < 0 {
 		panic(fmt.Sprintf("partition: machine %d illegally accessed %s(%d), homed at %d",
 			v.self, op, u, v.HomeOf(u)))
 	}

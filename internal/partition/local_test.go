@@ -1,6 +1,8 @@
 package partition_test
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -160,3 +162,106 @@ var errBoom = stubErr("boom")
 type stubErr string
 
 func (e stubErr) Error() string { return string(e) }
+
+// TestRowIndexAtEveryShape checks the bucket index at every partition
+// shape a run can meet — the RVP at several k, the congested clique's
+// identity (k = n), more machines than vertices (empty shards) and the
+// degenerate n ∈ {0, 1} — on directed and undirected graphs: every
+// local's Row is its position in Locals, and every row accessor meets a
+// foreign, negative or out-of-range ID with the "illegally accessed"
+// panic, never an index-out-of-range runtime error.
+func TestRowIndexAtEveryShape(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		gnp := func(n int) *graph.Graph {
+			if directed {
+				return gen.DirectedGnp(n, min(1, 6/float64(n)), 3)
+			}
+			return gen.Gnp(n, min(1, 6/float64(n)), 3)
+		}
+		shapes := []struct {
+			name string
+			p    *VertexPartition
+		}{
+			{"rvp-k2", NewRVP(gnp(300), 2, 11)},
+			{"rvp-k8", NewRVP(gnp(300), 8, 11)},
+			{"rvp-k27", NewRVP(gnp(300), 27, 11)},
+			{"identity", NewIdentity(gnp(40))},
+			{"n<k", NewRVP(gnp(5), 8, 11)},
+			{"n=1", NewRVP(graph.NewBuilder(1, directed).Build(), 3, 11)},
+			{"n=0", NewRVP(graph.NewBuilder(0, directed).Build(), 3, 11)},
+		}
+		for _, sh := range shapes {
+			views, err := sh.p.MachineViews(AllMachines(sh.p.K))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, lv := range views {
+				name := fmt.Sprintf("%s directed=%v machine %d", sh.name, directed, lv.Self())
+				for r, u := range lv.Locals() {
+					if got := lv.Row(u); got != int32(r) {
+						t.Fatalf("%s: Row(%d) = %d, want %d", name, u, got, r)
+					}
+				}
+				bad := []int32{-1, math.MinInt32, int32(lv.N()), int32(lv.N()) + 1, math.MaxInt32}
+				for u := int32(0); int(u) < lv.N(); u++ {
+					if !lv.IsLocal(u) {
+						bad = append(bad, u)
+						break
+					}
+				}
+				for _, u := range bad {
+					for op, f := range map[string]func(){
+						"Row":    func() { lv.Row(u) },
+						"OutAdj": func() { lv.OutAdj(u) },
+						"InAdj":  func() { lv.InAdj(u) },
+						"Degree": func() { lv.Degree(u) },
+					} {
+						if msg := panicOf(f); !strings.Contains(msg, "illegally accessed "+op) {
+							t.Errorf("%s: %s(%d) panicked with %q, want \"illegally accessed\"", name, op, u, msg)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// panicOf runs f and returns its panic value if that is a string, or a
+// description of what it was instead.
+func panicOf(f func()) (msg string) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+			msg = "no panic"
+		case string:
+			msg = r
+		default:
+			msg = fmt.Sprintf("%T: %v", r, r)
+		}
+	}()
+	f()
+	return
+}
+
+var rowSink int32
+
+// BenchmarkLocalViewRow is the row lookup layer alone, at the shape of
+// the benchmark's conncomp-node-sharded workload (N=100000, average
+// degree 12, k=8): one op is a Row of every local of one shard, visited
+// with a large stride so no two lookups in a row share a bucket, and
+// ns/row is the cost of one lookup.
+func BenchmarkLocalViewRow(b *testing.B) {
+	const n, k = 100000, 8
+	lv := gen.GnpShard(Spec{N: n, K: k, Seed: 2}, 12.0/n, 1, 3)
+	locals := lv.Locals()
+	b.ResetTimer()
+	for range b.N {
+		for i, j := 0, 0; i < len(locals); i++ {
+			rowSink = lv.Row(locals[j])
+			if j += 7919; j >= len(locals) {
+				j -= len(locals)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(locals)), "ns/row")
+}

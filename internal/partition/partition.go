@@ -70,7 +70,11 @@ func NewIdentity(g *graph.Graph) *VertexPartition {
 }
 
 func newVertexPartition(g *graph.Graph, spec Spec) *VertexPartition {
-	return &VertexPartition{G: g, K: spec.K, Seed: spec.Seed, spec: spec, locals: spec.localsOf(AllMachines(spec.K))}
+	p := &VertexPartition{G: g, K: spec.K, Seed: spec.Seed, spec: spec, locals: make([][]int32, spec.K)}
+	for m, x := range spec.localsOf(AllMachines(spec.K)) {
+		p.locals[m] = x.locals
+	}
+	return p
 }
 
 // Home returns the home machine of v.
