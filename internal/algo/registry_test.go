@@ -30,8 +30,9 @@ func (echoCodec) Append(dst []byte, m echoMsg) ([]byte, error) {
 }
 
 func (echoCodec) Decode(src []byte) (echoMsg, int, error) {
-	v, n, err := wire.Varint(src)
-	return echoMsg{X: v}, n, err
+	c := wire.Cursor{Src: src}
+	m := echoMsg{X: c.Varint()}
+	return m, c.Off, c.Err
 }
 
 // echoMachine sends its ID to the next machine in superstep 0 and

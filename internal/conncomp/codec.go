@@ -1,8 +1,6 @@
 package conncomp
 
 import (
-	"fmt"
-
 	"kmachine/internal/routing"
 	twire "kmachine/internal/transport/wire"
 )
@@ -29,21 +27,8 @@ func (cmsgCodec) Append(dst []byte, m cmsg) ([]byte, error) {
 }
 
 func (cmsgCodec) Decode(src []byte) (cmsg, int, error) {
-	if len(src) < 1 {
-		return cmsg{}, 0, fmt.Errorf("conncomp: truncated message")
-	}
-	m := cmsg{Kind: src[0] >> 1, Changed: src[0]&1 != 0}
-	pos := 1
-	v, n, err := twire.Varint(src[pos:])
-	if err != nil {
-		return cmsg{}, 0, err
-	}
-	m.V = int32(v)
-	pos += n
-	l, n, err := twire.Varint(src[pos:])
-	if err != nil {
-		return cmsg{}, 0, err
-	}
-	m.Label = int32(l)
-	return m, pos + n, nil
+	c := twire.Cursor{Src: src}
+	flags := c.Byte()
+	m := cmsg{Kind: flags >> 1, Changed: flags&1 != 0, V: int32(c.Varint()), Label: int32(c.Varint())}
+	return m, c.Off, c.Err
 }

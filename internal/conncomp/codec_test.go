@@ -5,6 +5,7 @@ import (
 
 	"kmachine/internal/core"
 	"kmachine/internal/rng"
+	"kmachine/internal/testutil"
 )
 
 func TestWireCodecRoundTripProperty(t *testing.T) {
@@ -32,5 +33,6 @@ func TestWireCodecRoundTripProperty(t *testing.T) {
 		if got != want || n != len(buf) {
 			t.Fatalf("round trip: got %+v (n=%d), want %+v (len=%d)", got, n, want, len(buf))
 		}
+		testutil.RejectsEveryPrefix(t, c.Decode, buf)
 	}
 }

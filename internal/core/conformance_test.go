@@ -32,8 +32,9 @@ type cCodec struct{}
 
 func (cCodec) Append(dst []byte, m cMsg) ([]byte, error) { return wire.AppendVarint(dst, m.X), nil }
 func (cCodec) Decode(src []byte) (cMsg, int, error) {
-	v, n, err := wire.Varint(src)
-	return cMsg{X: v}, n, err
+	c := wire.Cursor{Src: src}
+	m := cMsg{X: c.Varint()}
+	return m, c.Off, c.Err
 }
 
 type stepFunc = func(ctx *core.StepContext, inbox []core.Envelope[cMsg]) ([]core.Envelope[cMsg], bool)

@@ -1,8 +1,6 @@
 package dsort
 
 import (
-	"fmt"
-
 	"kmachine/internal/routing"
 	twire "kmachine/internal/transport/wire"
 )
@@ -25,21 +23,7 @@ func (smsgCodec) Append(dst []byte, m smsg) ([]byte, error) {
 }
 
 func (smsgCodec) Decode(src []byte) (smsg, int, error) {
-	if len(src) < 1 {
-		return smsg{}, 0, fmt.Errorf("dsort: truncated message")
-	}
-	m := smsg{Kind: src[0]}
-	pos := 1
-	v, n, err := twire.Uvarint(src[pos:])
-	if err != nil {
-		return smsg{}, 0, err
-	}
-	m.Value = v
-	pos += n
-	c, n, err := twire.Varint(src[pos:])
-	if err != nil {
-		return smsg{}, 0, err
-	}
-	m.Count = c
-	return m, pos + n, nil
+	c := twire.Cursor{Src: src}
+	m := smsg{Kind: c.Byte(), Value: c.Uvarint(), Count: c.Varint()}
+	return m, c.Off, c.Err
 }

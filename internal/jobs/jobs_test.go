@@ -50,8 +50,9 @@ func (spinCodec) Append(dst []byte, m spinMsg) ([]byte, error) {
 }
 
 func (spinCodec) Decode(src []byte) (spinMsg, int, error) {
-	v, n, err := wire.Varint(src)
-	return spinMsg{X: v}, n, err
+	c := wire.Cursor{Src: src}
+	m := spinMsg{X: c.Varint()}
+	return m, c.Off, c.Err
 }
 
 type spinMachine struct {

@@ -1,8 +1,6 @@
 package pagerank
 
 import (
-	"fmt"
-
 	"kmachine/internal/routing"
 	twire "kmachine/internal/transport/wire"
 )
@@ -28,21 +26,7 @@ func (msgCodec) Append(dst []byte, m msg) ([]byte, error) {
 }
 
 func (msgCodec) Decode(src []byte) (msg, int, error) {
-	if len(src) < 1 {
-		return msg{}, 0, fmt.Errorf("pagerank: truncated message")
-	}
-	m := msg{Kind: src[0]}
-	pos := 1
-	v, n, err := twire.Varint(src[pos:])
-	if err != nil {
-		return msg{}, 0, err
-	}
-	m.V = int32(v)
-	pos += n
-	c, n, err := twire.Varint(src[pos:])
-	if err != nil {
-		return msg{}, 0, err
-	}
-	m.Count = c
-	return m, pos + n, nil
+	c := twire.Cursor{Src: src}
+	m := msg{Kind: c.Byte(), V: int32(c.Varint()), Count: c.Varint()}
+	return m, c.Off, c.Err
 }

@@ -6,6 +6,7 @@ import (
 	"kmachine/internal/core"
 	"kmachine/internal/rng"
 	"kmachine/internal/routing"
+	"kmachine/internal/testutil"
 )
 
 func TestWireCodecRoundTripProperty(t *testing.T) {
@@ -32,6 +33,7 @@ func TestWireCodecRoundTripProperty(t *testing.T) {
 		if got != want || n != len(buf) {
 			t.Fatalf("round trip: got %+v (n=%d), want %+v (len=%d)", got, n, want, len(buf))
 		}
+		testutil.RejectsEveryPrefix(t, c.Decode, buf)
 	}
 	if _, _, err := c.Decode(nil); err == nil {
 		t.Error("empty input decoded without error")

@@ -20,25 +20,20 @@ type hopCodec[M any] struct {
 	inner wire.Codec[M]
 }
 
-func (c hopCodec[M]) Append(dst []byte, h Hop[M]) ([]byte, error) {
-	if h.Final < 0 {
-		return dst, fmt.Errorf("routing: hop with negative final destination %d", h.Final)
+func (h hopCodec[M]) Append(dst []byte, m Hop[M]) ([]byte, error) {
+	if m.Final < 0 {
+		return dst, fmt.Errorf("routing: hop with negative final destination %d", m.Final)
 	}
-	dst = wire.AppendUvarint(dst, uint64(h.Final))
-	return c.inner.Append(dst, h.Msg)
+	dst = wire.AppendUvarint(dst, uint64(m.Final))
+	return h.inner.Append(dst, m.Msg)
 }
 
-func (c hopCodec[M]) Decode(src []byte) (Hop[M], int, error) {
-	final, n, err := wire.Uvarint(src)
-	if err != nil {
-		return Hop[M]{}, 0, err
-	}
+func (h hopCodec[M]) Decode(src []byte) (Hop[M], int, error) {
+	c := wire.Cursor{Src: src}
+	final := c.Uvarint()
 	if final > math.MaxInt32 {
 		return Hop[M]{}, 0, fmt.Errorf("routing: hop destination %d out of range", final)
 	}
-	msg, m, err := c.inner.Decode(src[n:])
-	if err != nil {
-		return Hop[M]{}, 0, err
-	}
-	return Hop[M]{Final: core.MachineID(final), Msg: msg}, n + m, nil
+	m := Hop[M]{Final: core.MachineID(final), Msg: wire.Read(&c, h.inner)}
+	return m, c.Off, c.Err
 }

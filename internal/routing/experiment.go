@@ -25,8 +25,9 @@ func (probeCodec) Append(dst []byte, m routeProbe) ([]byte, error) {
 }
 
 func (probeCodec) Decode(src []byte) (routeProbe, int, error) {
-	v, n, err := wire.Varint(src)
-	return routeProbe{Token: int32(v)}, n, err
+	c := wire.Cursor{Src: src}
+	m := routeProbe{Token: int32(c.Varint())}
+	return m, c.Off, c.Err
 }
 
 // RandomRouteResult reports one routing run.

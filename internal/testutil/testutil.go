@@ -48,3 +48,16 @@ func WaitOrDump(t testing.TB, done <-chan struct{}, timeout time.Duration, what 
 			what, timeout, buf[:runtime.Stack(buf, true)])
 	}
 }
+
+// RejectsEveryPrefix asserts that decode — a wire codec's Decode —
+// refuses every strict prefix of the complete encoding buf: each
+// returns an error, none panics, and none reports consuming more bytes
+// than it was given.
+func RejectsEveryPrefix[M any](t testing.TB, decode func([]byte) (M, int, error), buf []byte) {
+	t.Helper()
+	for cut := 0; cut < len(buf); cut++ {
+		if _, n, err := decode(buf[:cut:cut]); err == nil || n > cut {
+			t.Fatalf("prefix %d/%d of % x: n=%d err=%v, want an error and n <= %d", cut, len(buf), buf, n, err, cut)
+		}
+	}
+}

@@ -27,8 +27,9 @@ type codec struct{}
 func (codec) Append(dst []byte, m msg) ([]byte, error) { return wire.AppendVarint(dst, m.Tag), nil }
 
 func (codec) Decode(src []byte) (msg, int, error) {
-	v, n, err := wire.Varint(src)
-	return msg{Tag: v}, n, err
+	c := wire.Cursor{Src: src}
+	m := msg{Tag: c.Varint()}
+	return m, c.Off, c.Err
 }
 
 type (

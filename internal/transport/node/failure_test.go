@@ -33,8 +33,9 @@ func (failCodec) Append(dst []byte, m failMsg) ([]byte, error) {
 }
 
 func (failCodec) Decode(src []byte) (failMsg, int, error) {
-	v, n, err := wire.Varint(src)
-	return failMsg{X: v}, n, err
+	c := wire.Cursor{Src: src}
+	m := failMsg{X: c.Varint()}
+	return m, c.Off, c.Err
 }
 
 // loopbackEndpoints attaches a single run's (job 0) endpoint to every

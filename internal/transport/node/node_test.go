@@ -24,8 +24,9 @@ func (echoCodec) Append(dst []byte, m echoMsg) ([]byte, error) {
 }
 
 func (echoCodec) Decode(src []byte) (echoMsg, int, error) {
-	v, n, err := wire.Varint(src)
-	return echoMsg{X: v}, n, err
+	c := wire.Cursor{Src: src}
+	m := echoMsg{X: c.Varint()}
+	return m, c.Off, c.Err
 }
 
 // ringFactory: machine i sends i+1 one-word tokens to (i+1)%k in

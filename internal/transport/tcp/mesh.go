@@ -169,13 +169,14 @@ func (m *Mesh) acceptAll(deadline time.Time) error {
 			return fmt.Errorf("tcp: machine %d accept: %w", m.id, err)
 		}
 		dc := newDataConn(c)
-		hello, err := wire.ReadFrame(dc.r)
+		hello, err := wire.ReadFrameInto(dc.r, nil)
 		if err != nil {
 			c.Close()
 			return fmt.Errorf("tcp: machine %d bad hello: %w", m.id, err)
 		}
-		from, n, err := wire.Uvarint(hello)
-		if err != nil || n != len(hello) || int(from) >= m.k || int(from) == m.id {
+		hc := wire.Cursor{Src: hello}
+		from := hc.Uvarint()
+		if hc.Finish() != nil || from >= uint64(m.k) || from == uint64(m.id) {
 			c.Close()
 			return fmt.Errorf("tcp: machine %d hello from invalid peer %d", m.id, from)
 		}

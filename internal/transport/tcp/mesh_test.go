@@ -4,13 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"kmachine/internal/testutil"
 	"kmachine/internal/transport"
+	"kmachine/internal/transport/wire"
 )
 
 // jobExchange runs one superstep of exchange concurrently on every
@@ -166,5 +170,44 @@ func TestAttachRejectsDeadMesh(t *testing.T) {
 	defer lone.Close()
 	if _, err := Attach[testMsg](lone, testCodec{}, 1); err == nil {
 		t.Fatal("attach to unconnected mesh succeeded")
+	}
+}
+
+// TestMeshRejectsOutOfRangeHello: a stranger that reaches a machine's
+// listener while its mesh connects and names itself machine 2^63 — a
+// negative int, so a signed range check passes it — is refused as an
+// invalid peer instead of indexing the accepted-connection table.
+func TestMeshRejectsOutOfRangeHello(t *testing.T) {
+	m, err := ListenMesh(0, 2, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	// Machine 1 is a bare listener that takes machine 0's dial and
+	// drains it until the failed Connect closes the mesh.
+	peer, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	go func() {
+		if c, err := peer.Accept(); err == nil {
+			io.Copy(io.Discard, c)
+			c.Close()
+		}
+	}()
+	done := make(chan error, 1)
+	go func() { done <- m.Connect([]string{m.Addr(), peer.Addr().String()}, 10*time.Second) }()
+
+	c, err := net.Dial("tcp", m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := wire.WriteFrame(c, wire.AppendUvarint(nil, 1<<63)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "invalid peer") {
+		t.Fatalf("Connect after a hello from machine 2^63 = %v, want an invalid-peer error", err)
 	}
 }

@@ -82,14 +82,9 @@ func (blobCodec) Append(dst []byte, m []byte) ([]byte, error) {
 }
 
 func (blobCodec) Decode(src []byte) ([]byte, int, error) {
-	n, w, err := wire.Uvarint(src)
-	if err != nil {
-		return nil, 0, err
-	}
-	if n > uint64(len(src)-w) {
-		return nil, 0, errors.New("blob overruns its frame")
-	}
-	return src[w : w+int(n)], w + int(n), nil
+	c := wire.Cursor{Src: src}
+	b := c.LenPrefixed()
+	return b, c.Off, c.Err
 }
 
 // TestInlineWritesOverFullSocketBuffers pins the property that makes

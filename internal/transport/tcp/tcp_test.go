@@ -28,8 +28,9 @@ func (testCodec) Append(dst []byte, m testMsg) ([]byte, error) {
 }
 
 func (testCodec) Decode(src []byte) (testMsg, int, error) {
-	v, n, err := wire.Varint(src)
-	return testMsg{Tag: v}, n, err
+	c := wire.Cursor{Src: src}
+	m := testMsg{Tag: c.Varint()}
+	return m, c.Off, c.Err
 }
 
 // attachAll attaches a single run's (job 0) endpoint to every machine

@@ -28,7 +28,7 @@
 // text — so every machine receives all k rows with its inbox and rules
 // the superstep itself; the in-process cluster's TCP transport ships it
 // empty. A batch's first byte names its format
-// (BatchV2 = 0x02, the only one; DecodeBatchAny rejects any other), and
+// (BatchV2 = 0x02, the only one; BatchHeader rejects any other), and
 // the layout exploits that a batch frame is already a per-(sender,
 // receiver, superstep) unit carried by a connection that identifies
 // both ends:

@@ -44,7 +44,7 @@ func FuzzBatchDecode(f *testing.F) {
 		// produces).
 		const sender = transport.MachineID(1)
 		const to = transport.MachineID(2)
-		step, from, envs, err := DecodeBatchAny(src, c, sender, to)
+		step, from, envs, err := DecodeBatchAnyInto(src, c, sender, to, nil)
 
 		// The same bytes decoded at an offset (a transport's inbox slot
 		// behind earlier senders' envelopes): the same verdict and the
@@ -76,7 +76,7 @@ func FuzzBatchDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encode of decoded batch failed: %v", err)
 			}
-			step2, from2, envs2, err := DecodeBatchAny(reenc, c, from, to)
+			step2, from2, envs2, err := DecodeBatchAnyInto(reenc, c, from, to, nil)
 			if err != nil {
 				t.Fatalf("re-encoded batch rejected: %v", err)
 			}
@@ -99,7 +99,7 @@ func FuzzBatchDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encode of well-formed batch failed: %v", err)
 		}
-		gstep, gfrom, genvs, err := DecodeBatchAny(v2, c, bfrom, to)
+		gstep, gfrom, genvs, err := DecodeBatchAnyInto(v2, c, bfrom, to, nil)
 		if err != nil {
 			t.Fatalf("round trip decode failed: %v", err)
 		}
@@ -154,7 +154,7 @@ func TestFuzzSeedsPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, fr, got, err := DecodeBatchAny(v2, c, 1, 2)
+	s, fr, got, err := DecodeBatchAnyInto(v2, c, 1, 2, nil)
 	if err != nil || s != 3 || fr != 1 || len(got) != 2 {
 		t.Fatalf("seed decode: step=%d from=%d n=%d err=%v", s, fr, len(got), err)
 	}

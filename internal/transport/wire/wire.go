@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -12,7 +13,10 @@ import (
 
 // Codec serialises one algorithm's message type M. Append writes m to
 // dst and returns the extended slice; Decode reads one message from the
-// front of src and returns it with the number of bytes consumed.
+// front of src and returns it with the number of bytes consumed. A
+// Decode reads through a Cursor — c := Cursor{Src: src}, the message's
+// fields read in order, then return m, c.Off, c.Err — so every codec
+// shares one set of varint readers and one truncation check.
 //
 // A Codec must round-trip exactly: Decode(Append(nil, m)) == (m,
 // len(Append(nil, m)), nil) for every message the algorithm can emit.
@@ -36,41 +40,47 @@ const MaxFrame = 1 << 30
 // ErrFrameTooLarge reports a length prefix above MaxFrame.
 var ErrFrameTooLarge = fmt.Errorf("wire: frame exceeds %d bytes", MaxFrame)
 
+var (
+	errVarint    = errors.New("wire: truncated or overlong varint")
+	errTruncated = errors.New("wire: truncated cursor read")
+)
+
 // AppendUvarint appends x in unsigned LEB128.
 func AppendUvarint(dst []byte, x uint64) []byte {
 	return binary.AppendUvarint(dst, x)
 }
 
-// Uvarint decodes an unsigned LEB128 value from the front of src.
-func Uvarint(src []byte) (uint64, int, error) {
-	x, n := binary.Uvarint(src)
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("wire: truncated or overlong uvarint")
-	}
-	return x, n, nil
+// AppendVarint appends x in zigzag LEB128 (negative-friendly).
+func AppendVarint(dst []byte, x int64) []byte {
+	return binary.AppendVarint(dst, x)
 }
 
-// Cursor is a latching decode cursor over a byte slice: each read
+// Cursor is the module's one way to decode bytes: message codecs, batch,
+// job, blame and hello frames, rows, Stats and checkpoints all read
+// through it. It is a latching cursor over a byte slice: each read
 // advances Off, the first failure sticks in Err and turns every later
-// read into a zero-value no-op, so a decode body reads linearly and
-// checks Err once at the end. Used by the checkpoint codecs (core's
-// container, part and Stats decoders and the per-algorithm state.go
-// files), which share this package's varint primitives with the batch
-// format.
+// read into a zero-value no-op that leaves Off where it was, so a decode
+// body reads linearly and checks Err once at the end.
 type Cursor struct {
 	Src []byte
 	Off int
 	Err error
 }
 
-// Uvarint reads one unsigned LEB128 value.
+// Uvarint reads one unsigned LEB128 value. A one-byte value — most
+// counts, words and small IDs — skips the general decode loop.
 func (c *Cursor) Uvarint() uint64 {
 	if c.Err != nil {
 		return 0
 	}
-	v, n, err := Uvarint(c.Src[c.Off:])
-	if err != nil {
-		c.Err = err
+	src := c.Src[c.Off:]
+	if len(src) > 0 && src[0] < 0x80 {
+		c.Off++
+		return uint64(src[0])
+	}
+	v, n := binary.Uvarint(src)
+	if n <= 0 {
+		c.Err = errVarint
 		return 0
 	}
 	c.Off += n
@@ -79,22 +89,14 @@ func (c *Cursor) Uvarint() uint64 {
 
 // Varint reads one zigzag LEB128 value.
 func (c *Cursor) Varint() int64 {
-	if c.Err != nil {
-		return 0
-	}
-	v, n, err := Varint(c.Src[c.Off:])
-	if err != nil {
-		c.Err = err
-		return 0
-	}
-	c.Off += n
-	return v
+	u := c.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Byte reads one raw byte.
 func (c *Cursor) Byte() byte {
 	if c.Err == nil && c.Off >= len(c.Src) {
-		c.Err = fmt.Errorf("wire: truncated cursor read")
+		c.Err = errTruncated
 	}
 	if c.Err != nil {
 		return 0
@@ -108,7 +110,7 @@ func (c *Cursor) Byte() byte {
 // compression would lose bit-exactness guarantees, e.g. float bits).
 func (c *Cursor) Uint64() uint64 {
 	if c.Err == nil && c.Off+8 > len(c.Src) {
-		c.Err = fmt.Errorf("wire: truncated cursor read")
+		c.Err = errTruncated
 	}
 	if c.Err != nil {
 		return 0
@@ -147,18 +149,21 @@ func (c *Cursor) Finish() error {
 	return nil
 }
 
-// AppendVarint appends x in zigzag LEB128 (negative-friendly).
-func AppendVarint(dst []byte, x int64) []byte {
-	return binary.AppendVarint(dst, x)
-}
-
-// Varint decodes a zigzag LEB128 value from the front of src.
-func Varint(src []byte) (int64, int, error) {
-	x, n := binary.Varint(src)
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("wire: truncated or overlong varint")
+// Read decodes one codec message at c, latching the codec's error like
+// any other read: how a Codec that wraps another (routing's hop frame)
+// reads the inner message.
+func Read[M any](c *Cursor, codec Codec[M]) M {
+	var zero M
+	if c.Err != nil {
+		return zero
 	}
-	return x, n, nil
+	m, n, err := codec.Decode(c.Src[c.Off:])
+	if err != nil {
+		c.Err = err
+		return zero
+	}
+	c.Off += n
+	return m
 }
 
 // BatchV2 is the version byte every batch begins with. The layout is
@@ -258,18 +263,12 @@ func PrefixLen(dst []byte, mark int) []byte {
 	return dst
 }
 
-// DecodeBatchAny decodes a version-framed batch produced by
-// AppendBatchV2, dispatching on the version byte and rejecting any
-// other. `from` and `to` identify the connection the frame arrived on —
-// the machine at the far end and this machine — and reconstruct the
-// fields the layout elides; gotFrom echoes from.
-func DecodeBatchAny[M any](src []byte, c Codec[M], from, to transport.MachineID) (step int, gotFrom transport.MachineID, envs []transport.Envelope[M], err error) {
-	return DecodeBatchAnyInto(src, c, from, to, nil)
-}
-
-// DecodeBatchAnyInto is DecodeBatchAny appending into dst[:0], so a
-// caller decoding one batch at a time can recycle its envelope scratch
-// instead of allocating a fresh slice every frame.
+// DecodeBatchAnyInto decodes a version-framed batch produced by
+// AppendBatchV2 into dst[:0], so a caller decoding one batch at a time
+// can recycle its envelope scratch instead of allocating a fresh slice
+// every frame. `from` and `to` identify the connection the frame arrived
+// on — the machine at the far end and this machine — and reconstruct
+// the fields the layout elides; gotFrom echoes from.
 func DecodeBatchAnyInto[M any](src []byte, c Codec[M], from, to transport.MachineID, dst []transport.Envelope[M]) (step int, gotFrom transport.MachineID, envs []transport.Envelope[M], err error) {
 	step, envs, err = AppendDecodedBatch(dst[:0], src, c, from, to)
 	if err != nil {
@@ -284,26 +283,18 @@ func DecodeBatchAnyInto[M any](src []byte, c Codec[M], from, to transport.Machin
 // cannot hold (each envelope costs at least its Words byte), so a
 // receiver may size storage from count before any envelope is decoded.
 func BatchHeader(src []byte) (step, count, n int, err error) {
-	if len(src) == 0 {
-		return 0, 0, 0, fmt.Errorf("wire: empty batch frame")
+	c := Cursor{Src: src}
+	if v := c.Byte(); c.Err == nil && v != BatchV2 {
+		return 0, 0, 0, fmt.Errorf("wire: unknown batch version 0x%02x", v)
 	}
-	if src[0] != BatchV2 {
-		return 0, 0, 0, fmt.Errorf("wire: unknown batch version 0x%02x", src[0])
+	s, cnt := c.Uvarint(), c.Uvarint()
+	if c.Err == nil && cnt > uint64(len(src)-c.Off) {
+		c.Err = fmt.Errorf("wire: v2 batch claims %d envelopes in %d bytes", cnt, len(src)-c.Off)
 	}
-	n = 1
-	var hdr [2]uint64
-	for i := range hdr {
-		v, w, err := Uvarint(src[n:])
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		hdr[i] = v
-		n += w
+	if c.Err != nil {
+		return 0, 0, 0, c.Err
 	}
-	if hdr[1] > uint64(len(src)-n) {
-		return 0, 0, 0, fmt.Errorf("wire: v2 batch claims %d envelopes in %d bytes", hdr[1], len(src)-n)
-	}
-	return int(hdr[0]), int(hdr[1]), n, nil
+	return int(s), int(cnt), c.Off, nil
 }
 
 // AppendDecodedBatch is the one batch decoder: it appends src's
@@ -313,14 +304,15 @@ func BatchHeader(src []byte) (step, count, n int, err error) {
 // on error dst is returned as it came. Decoded envelopes are
 // self-contained values (a Codec must not alias src), so the caller may
 // reuse the frame buffer once this returns.
-func AppendDecodedBatch[M any](dst []transport.Envelope[M], src []byte, c Codec[M], from, to transport.MachineID) (step int, envs []transport.Envelope[M], err error) {
+func AppendDecodedBatch[M any](dst []transport.Envelope[M], src []byte, codec Codec[M], from, to transport.MachineID) (step int, envs []transport.Envelope[M], err error) {
 	step, count, pos, err := BatchHeader(src)
 	if err != nil {
 		return 0, dst, err
 	}
+	c := Cursor{Src: src, Off: pos}
 	if count == 0 {
-		if pos != len(src) {
-			return 0, dst, fmt.Errorf("wire: %d trailing bytes after empty v2 batch", len(src)-pos)
+		if err := c.Finish(); err != nil {
+			return 0, dst, err
 		}
 		return step, dst, nil
 	}
@@ -330,17 +322,10 @@ func AppendDecodedBatch[M any](dst []transport.Envelope[M], src []byte, c Codec[
 	// From runs: fill the envelope headers first.
 	prev := int64(from)
 	for covered := 0; covered < count; {
-		delta, n, err := Varint(src[pos:])
-		if err != nil {
-			return 0, dst, err
+		f, length := prev+c.Varint(), c.Uvarint()
+		if c.Err != nil {
+			return 0, dst, c.Err
 		}
-		pos += n
-		length, n, err := Uvarint(src[pos:])
-		if err != nil {
-			return 0, dst, err
-		}
-		pos += n
-		f := prev + delta
 		if f < 0 || f > math.MaxInt32 {
 			return 0, dst, fmt.Errorf("wire: v2 batch From %d out of range", f)
 		}
@@ -357,38 +342,31 @@ func AppendDecodedBatch[M any](dst []transport.Envelope[M], src []byte, c Codec[
 
 	// Words, one per envelope.
 	for i := range fresh {
-		w, n, err := Uvarint(src[pos:])
-		if err != nil {
-			return 0, dst, err
-		}
+		w := c.Uvarint()
 		if w > math.MaxInt32 {
 			return 0, dst, fmt.Errorf("wire: envelope words %d out of range", w)
 		}
 		fresh[i].Words = int32(w)
-		pos += n
 	}
 
 	// Length-prefixed payload section: the prefix must account for
 	// exactly the remaining bytes, and the codec must consume exactly
-	// the prefix.
-	plen, n, err := Uvarint(src[pos:])
-	if err != nil {
+	// the prefix. The codec is called here directly rather than through
+	// Read: one call less per envelope on the hottest decode loop.
+	payload := Cursor{Src: c.LenPrefixed()}
+	if err := c.Finish(); err != nil {
 		return 0, dst, err
 	}
-	pos += n
-	if plen != uint64(len(src)-pos) {
-		return 0, dst, fmt.Errorf("wire: v2 payload section claims %d bytes, %d remain", plen, len(src)-pos)
-	}
 	for i := range fresh {
-		msg, n, err := c.Decode(src[pos:])
+		m, n, err := codec.Decode(payload.Src[payload.Off:])
 		if err != nil {
 			return 0, dst, err
 		}
-		fresh[i].Msg = msg
-		pos += n
+		fresh[i].Msg = m
+		payload.Off += n
 	}
-	if pos != len(src) {
-		return 0, dst, fmt.Errorf("wire: %d trailing bytes after v2 batch", len(src)-pos)
+	if err := payload.Finish(); err != nil {
+		return 0, dst, err
 	}
 	return step, envs, nil
 }
@@ -421,11 +399,11 @@ func PeelJobHeader(src []byte) (job uint64, rest []byte, jobbed bool, err error)
 	if len(src) == 0 || src[0] != BatchJobbed {
 		return 0, src, false, nil
 	}
-	job, n, err := Uvarint(src[1:])
-	if err != nil {
-		return 0, nil, true, fmt.Errorf("wire: corrupt job header: %w", err)
+	c := Cursor{Src: src, Off: 1}
+	if job = c.Uvarint(); c.Err != nil {
+		return 0, nil, true, fmt.Errorf("wire: corrupt job header: %w", c.Err)
 	}
-	return job, src[1+n:], true, nil
+	return job, src[c.Off:], true, nil
 }
 
 // BatchAbort marks a blame frame: a failing endpoint's last words on a
@@ -448,18 +426,13 @@ func AppendAbort(dst []byte, step int, suspect transport.MachineID) []byte {
 
 // DecodeAbort decodes a blame frame produced by AppendAbort.
 func DecodeAbort(src []byte) (step int, suspect transport.MachineID, err error) {
-	if len(src) == 0 || src[0] != BatchAbort {
+	c := Cursor{Src: src}
+	if c.Byte() != BatchAbort {
 		return 0, 0, fmt.Errorf("wire: not an abort frame")
 	}
-	pos := 1
-	s, n, err := Uvarint(src[pos:])
-	if err != nil {
-		return 0, 0, err
-	}
-	pos += n
-	m, _, err := Uvarint(src[pos:])
-	if err != nil {
-		return 0, 0, err
+	s, m := c.Uvarint(), c.Uvarint()
+	if c.Err != nil {
+		return 0, 0, c.Err
 	}
 	if m > math.MaxInt32 {
 		return 0, 0, fmt.Errorf("wire: abort suspect %d out of range", m)
@@ -515,14 +488,9 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame from r.
-func ReadFrame(r io.ByteReader) ([]byte, error) {
-	return ReadFrameInto(r, nil)
-}
-
-// ReadFrameInto is ReadFrame reusing buf's storage when it has the
-// capacity, so a connection reading one frame per superstep can recycle
-// its read buffer. The returned slice aliases buf on reuse; it is valid
+// ReadFrameInto reads one length-prefixed frame from r, reusing buf's
+// storage when it has the capacity, so a connection reading one frame
+// per superstep can recycle its read buffer. The returned slice aliases buf on reuse; it is valid
 // until the next ReadFrameInto call with the same buffer.
 func ReadFrameInto(r io.ByteReader, buf []byte) ([]byte, error) {
 	size, err := binary.ReadUvarint(r)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"testing"
 
 	"kmachine/internal/rng"
@@ -23,32 +24,70 @@ func (pairCodec) Append(dst []byte, m pairMsg) ([]byte, error) {
 }
 
 func (pairCodec) Decode(src []byte) (pairMsg, int, error) {
-	a, n, err := Varint(src)
-	if err != nil {
-		return pairMsg{}, 0, err
-	}
-	b, m, err := Uvarint(src[n:])
-	if err != nil {
-		return pairMsg{}, 0, err
-	}
-	return pairMsg{A: a, B: b}, n + m, nil
+	c := Cursor{Src: src}
+	m := pairMsg{A: c.Varint(), B: c.Uvarint()}
+	return m, c.Off, c.Err
 }
 
+// TestVarintRoundTrip round-trips random values through the Cursor's
+// readers, then drives every reader into its failure path: the first
+// failure latches, later reads return 0 without moving Off, and Finish
+// reports what is left over.
 func TestVarintRoundTrip(t *testing.T) {
 	r := rng.New(1)
 	for i := 0; i < 2000; i++ {
 		u := r.Uint64() >> uint(r.Intn(64))
 		s := int64(r.Uint64()) >> uint(r.Intn(64))
-		buf := AppendUvarint(nil, u)
-		gu, n, err := Uvarint(buf)
-		if err != nil || gu != u || n != len(buf) {
-			t.Fatalf("uvarint %d: got %d (n=%d, err=%v)", u, gu, n, err)
+		buf := AppendVarint(AppendUvarint(nil, u), s)
+		c := Cursor{Src: buf}
+		if gu, gs := c.Uvarint(), c.Varint(); c.Finish() != nil || gu != u || gs != s {
+			t.Fatalf("uvarint %d, varint %d: got %d, %d (off=%d/%d, err=%v)", u, s, gu, gs, c.Off, len(buf), c.Err)
 		}
-		buf = AppendVarint(nil, s)
-		gs, n, err := Varint(buf)
-		if err != nil || gs != s || n != len(buf) {
-			t.Fatalf("varint %d: got %d (n=%d, err=%v)", s, gs, n, err)
+	}
+
+	overlong := append(bytes.Repeat([]byte{0x80}, 10), 0x01) // 11 bytes: past binary.MaxVarintLen64
+	section := PrefixLen([]byte{9, 9, 9}, 0)
+	for _, tc := range []struct {
+		name string
+		src  []byte
+		read func(c *Cursor) uint64
+	}{
+		{"truncated uvarint", []byte{0x80, 0x80}, func(c *Cursor) uint64 { return c.Uvarint() }},
+		{"overlong uvarint", overlong, func(c *Cursor) uint64 { return c.Uvarint() }},
+		{"truncated varint", []byte{0xff}, func(c *Cursor) uint64 { return uint64(c.Varint()) }},
+		{"overlong varint", overlong, func(c *Cursor) uint64 { return uint64(c.Varint()) }},
+		{"truncated byte", nil, func(c *Cursor) uint64 { return uint64(c.Byte()) }},
+		{"truncated uint64", []byte{1, 2, 3, 4, 5, 6, 7}, func(c *Cursor) uint64 { return c.Uint64() }},
+		{"truncated length-prefixed", section[:len(section)-1], func(c *Cursor) uint64 { return uint64(len(c.LenPrefixed())) }},
+	} {
+		// One good read first, so the failure happens at a nonzero offset.
+		c := Cursor{Src: append([]byte{0x05}, tc.src...)}
+		if v := c.Uvarint(); v != 5 || c.Off != 1 || c.Err != nil {
+			t.Fatalf("%s: lead-in read got %d (off=%d, err=%v)", tc.name, v, c.Off, c.Err)
 		}
+		if v := tc.read(&c); v != 0 || c.Err == nil {
+			t.Errorf("%s: read %d with err %v, want 0 and an error", tc.name, v, c.Err)
+		}
+		failed, off := c.Err, c.Off
+		if off > len(c.Src) {
+			t.Errorf("%s: failed read moved Off to %d past %d bytes", tc.name, off, len(c.Src))
+		}
+		// Bytes that would decode now must not: the failure stays latched.
+		c.Src = append(c.Src, bytes.Repeat([]byte{0x01}, 9)...)
+		if c.Uvarint() != 0 || c.Varint() != 0 || c.Byte() != 0 || c.Uint64() != 0 || c.LenPrefixed() != nil {
+			t.Errorf("%s: a read after the failure returned a value", tc.name)
+		}
+		if c.Off != off || c.Err != failed {
+			t.Errorf("%s: reads after the failure moved Off %d -> %d or replaced err %v with %v", tc.name, off, c.Off, failed, c.Err)
+		}
+		if err := c.Finish(); err != failed {
+			t.Errorf("%s: Finish = %v, want the latched %v", tc.name, err, failed)
+		}
+	}
+
+	c := Cursor{Src: []byte{0x01, 0x02, 0x03}}
+	if c.Byte(); c.Err != nil || c.Finish() == nil {
+		t.Errorf("Finish with 2 trailing bytes = %v, want an error", c.Finish())
 	}
 }
 
@@ -84,7 +123,7 @@ func TestBatchV2RoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotStep, gotFrom, gotEnvs, err := DecodeBatchAny(buf, c, from, to)
+		gotStep, gotFrom, gotEnvs, err := DecodeBatchAnyInto(buf, c, from, to, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,33 +150,33 @@ func TestBatchV2RejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sanity: the pristine encoding decodes.
-	if _, _, _, err := DecodeBatchAny(buf, c, 1, 2); err != nil {
+	if _, _, _, err := DecodeBatchAnyInto(buf, c, 1, 2, nil); err != nil {
 		t.Fatalf("pristine v2 batch rejected: %v", err)
 	}
 	// Truncation at every boundary must be detected.
 	for cut := 0; cut < len(buf); cut++ {
-		if _, _, _, err := DecodeBatchAny(buf[:cut], c, 1, 2); err == nil {
+		if _, _, _, err := DecodeBatchAnyInto(buf[:cut], c, 1, 2, nil); err == nil {
 			t.Errorf("v2 batch truncated to %d/%d bytes decoded without error", cut, len(buf))
 		}
 	}
-	if _, _, _, err := DecodeBatchAny(append(append([]byte(nil), buf...), 0xff), c, 1, 2); err == nil {
+	if _, _, _, err := DecodeBatchAnyInto(append(append([]byte(nil), buf...), 0xff), c, 1, 2, nil); err == nil {
 		t.Error("v2 batch with trailing bytes decoded without error")
 	}
 	// 0x01 framed the per-envelope layout this format replaced; it is an
 	// unknown version like any other now.
 	for _, v := range []byte{0x01, 0x7f} {
-		if _, _, _, err := DecodeBatchAny(append([]byte{v}, buf[1:]...), c, 1, 2); err == nil {
+		if _, _, _, err := DecodeBatchAnyInto(append([]byte{v}, buf[1:]...), c, 1, 2, nil); err == nil {
 			t.Errorf("batch version 0x%02x decoded without error", v)
 		}
 	}
-	if _, _, _, err := DecodeBatchAny(nil, c, 1, 2); err == nil {
+	if _, _, _, err := DecodeBatchAnyInto(nil, c, 1, 2, nil); err == nil {
 		t.Error("empty batch frame decoded without error")
 	}
 	// Absurd count with no envelope bytes behind it.
 	huge := []byte{BatchV2}
 	huge = AppendUvarint(huge, 0)
 	huge = AppendUvarint(huge, 1<<40)
-	if _, _, _, err := DecodeBatchAny(huge, c, 1, 2); err == nil {
+	if _, _, _, err := DecodeBatchAnyInto(huge, c, 1, 2, nil); err == nil {
 		t.Error("v2 batch with absurd count decoded without error")
 	}
 	// A run whose delta drives From negative.
@@ -149,7 +188,7 @@ func TestBatchV2RejectsCorruption(t *testing.T) {
 	neg = AppendUvarint(neg, 1) // run length
 	neg = AppendUvarint(neg, 0) // words
 	neg = AppendUvarint(neg, 0) // payloadLen
-	if _, _, _, err := DecodeBatchAny(neg, c, 1, 2); err == nil {
+	if _, _, _, err := DecodeBatchAnyInto(neg, c, 1, 2, nil); err == nil {
 		t.Error("v2 batch with negative From decoded without error")
 	}
 	// A zero-length run (would never terminate coverage).
@@ -158,7 +197,7 @@ func TestBatchV2RejectsCorruption(t *testing.T) {
 	zero = AppendUvarint(zero, 1) // count 1
 	zero = AppendVarint(zero, 0)
 	zero = AppendUvarint(zero, 0) // run length 0
-	if _, _, _, err := DecodeBatchAny(zero, c, 1, 2); err == nil {
+	if _, _, _, err := DecodeBatchAnyInto(zero, c, 1, 2, nil); err == nil {
 		t.Error("v2 batch with zero-length run decoded without error")
 	}
 	// Payload length prefix that disagrees with the remaining bytes.
@@ -167,7 +206,7 @@ func TestBatchV2RejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	lie = append(lie, 0x00) // one trailing byte the prefix does not cover
-	if _, _, _, err := DecodeBatchAny(lie, c, 1, 2); err == nil {
+	if _, _, _, err := DecodeBatchAnyInto(lie, c, 1, 2, nil); err == nil {
 		t.Error("v2 batch with lying payload prefix decoded without error")
 	}
 }
@@ -217,7 +256,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	r := bufio.NewReader(&buf)
 	for _, p := range payloads {
-		got, err := ReadFrame(r)
+		got, err := ReadFrameInto(r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +264,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame payload: got %d bytes, want %d", len(got), len(p))
 		}
 	}
-	if _, err := ReadFrame(r); err == nil {
+	if _, err := ReadFrameInto(r, nil); err == nil {
 		t.Error("read past final frame succeeded")
 	}
 }
@@ -309,5 +348,32 @@ func TestJobHeaderRejectsCorruption(t *testing.T) {
 	}
 	if _, _, _, err := DecodeBatchAnyInto(enc, c, 0, 1, nil); err == nil {
 		t.Error("job-less decoder accepted a jobbed frame")
+	}
+}
+
+// BenchmarkDecodeBatch times the one batch decoder on the transport's
+// common frame shape — every envelope from the sender, one word each,
+// a one-byte and a nine-byte varint per message — at a PageRank-sized
+// batch and a bulk-sort-sized one, in ns per envelope.
+func BenchmarkDecodeBatch(b *testing.B) {
+	for _, n := range []int{64, 1 << 16} {
+		b.Run(fmt.Sprintf("envs=%d", n), func(b *testing.B) {
+			envs := make([]transport.Envelope[pairMsg], n)
+			for i := range envs {
+				envs[i] = transport.Envelope[pairMsg]{From: 1, To: 2, Words: 1,
+					Msg: pairMsg{A: int64(i%100) - 50, B: uint64(i) * 0x9e3779b97f4a7c15 >> 1}}
+			}
+			frame, err := AppendBatchV2(nil, 7, 1, 2, envs, pairCodec{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst := make([]transport.Envelope[pairMsg], 0, n)
+			for b.Loop() {
+				if _, dst, err = AppendDecodedBatch(dst[:0], frame, pairCodec{}, 1, 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/env")
+		})
 	}
 }

@@ -1,10 +1,6 @@
 package triangle
 
-import (
-	"fmt"
-
-	twire "kmachine/internal/transport/wire"
-)
+import twire "kmachine/internal/transport/wire"
 
 // Wire is the envelope payload type of the paper's triangle / 4-clique
 // enumeration: ⟨kind, u, v⟩ edge and announcement messages. These
@@ -31,23 +27,9 @@ func (tmsgCodec) Append(dst []byte, m tmsg) ([]byte, error) {
 }
 
 func (tmsgCodec) Decode(src []byte) (tmsg, int, error) {
-	if len(src) < 1 {
-		return tmsg{}, 0, fmt.Errorf("triangle: truncated message")
-	}
-	m := tmsg{Kind: src[0]}
-	pos := 1
-	u, n, err := twire.Varint(src[pos:])
-	if err != nil {
-		return tmsg{}, 0, err
-	}
-	m.U = int32(u)
-	pos += n
-	v, n, err := twire.Varint(src[pos:])
-	if err != nil {
-		return tmsg{}, 0, err
-	}
-	m.V = int32(v)
-	return m, pos + n, nil
+	c := twire.Cursor{Src: src}
+	m := tmsg{Kind: c.Byte(), U: int32(c.Varint()), V: int32(c.Varint())}
+	return m, c.Off, c.Err
 }
 
 type bmsgCodec struct{}
@@ -59,15 +41,7 @@ func (bmsgCodec) Append(dst []byte, m bmsg) ([]byte, error) {
 }
 
 func (bmsgCodec) Decode(src []byte) (bmsg, int, error) {
-	var m bmsg
-	pos := 0
-	for _, f := range []*int32{&m.Deputy, &m.U, &m.V} {
-		v, n, err := twire.Varint(src[pos:])
-		if err != nil {
-			return bmsg{}, 0, err
-		}
-		*f = int32(v)
-		pos += n
-	}
-	return m, pos, nil
+	c := twire.Cursor{Src: src}
+	m := bmsg{Deputy: int32(c.Varint()), U: int32(c.Varint()), V: int32(c.Varint())}
+	return m, c.Off, c.Err
 }

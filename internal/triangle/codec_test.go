@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"kmachine/internal/rng"
+	"kmachine/internal/testutil"
 )
 
 func TestWireCodecRoundTripProperty(t *testing.T) {
@@ -27,6 +28,7 @@ func TestWireCodecRoundTripProperty(t *testing.T) {
 		if got != want || n != len(buf) {
 			t.Fatalf("round trip: got %+v (n=%d), want %+v (len=%d)", got, n, want, len(buf))
 		}
+		testutil.RejectsEveryPrefix(t, c.Decode, buf)
 	}
 }
 
@@ -50,5 +52,6 @@ func TestBaselineWireCodecRoundTripProperty(t *testing.T) {
 		if got != want || n != len(buf) {
 			t.Fatalf("round trip: got %+v (n=%d), want %+v (len=%d)", got, n, want, len(buf))
 		}
+		testutil.RejectsEveryPrefix(t, c.Decode, buf)
 	}
 }
