@@ -1,10 +1,10 @@
 package kmachine_test
 
 // One checkpoint format, whichever runtime wrote it: the container the
-// in-process cluster stores after superstep s (over the loopback or over
-// sockets) and the one the node runtime's assembler stores are the same
+// in-process rendezvous stores after superstep s over the loopback and
+// the one the node runtime's assembler stores over sockets are the same
 // bytes, a directory written by one is resumed by the other, and the one
-// decoder behind all of them survives arbitrary input.
+// decoder behind both survives arbitrary input.
 
 import (
 	"bytes"
@@ -51,34 +51,32 @@ func TestCheckpointBytesIdenticalAcrossRuntimes(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			cuts := map[string]map[int][]byte{}
-			for _, runtime := range []string{"inmem", "tcp", "node"} {
+			cuts := map[transport.Kind]map[int][]byte{}
+			for _, runtime := range []transport.Kind{transport.InMem, transport.TCP} {
 				sink := newRecordingSink(core.NewMemorySink(0))
 				prob.Checkpoint = algo.CheckpointSpec{Every: 1, Sink: sink}
-				out, err := runOn(entry, runtime, prob)
+				out, err := entry.Run(prob, runtime)
 				if err != nil {
 					t.Fatalf("checkpointed %s run: %v", runtime, err)
 				}
 				// Arming checkpoints perturbs nothing the run reports.
-				sameStats(t, "checkpointed-"+runtime, out.Stats, ref.Stats)
+				sameStats(t, "checkpointed-"+string(runtime), out.Stats, ref.Stats)
 				if out.Hash != ref.Hash {
 					t.Errorf("checkpointed %s run: hash %016x, reference %016x", runtime, out.Hash, ref.Hash)
 				}
 				cuts[runtime] = sink.cuts
 			}
 			// Every superstep but the quiescent last one is captured.
-			if got, want := len(cuts["inmem"]), ref.Stats.Supersteps; got != want {
+			if got, want := len(cuts[transport.InMem]), ref.Stats.Supersteps; got != want {
 				t.Errorf("inmem run stored %d checkpoints over %d accounted supersteps", got, want)
 			}
-			for _, runtime := range []string{"tcp", "node"} {
-				if len(cuts[runtime]) != len(cuts["inmem"]) {
-					t.Errorf("%s run stored %d checkpoints, inmem %d", runtime, len(cuts[runtime]), len(cuts["inmem"]))
-				}
-				for step, want := range cuts["inmem"] {
-					if !bytes.Equal(cuts[runtime][step], want) {
-						t.Errorf("superstep %d: %s container (%d bytes) differs from inmem's (%d bytes)",
-							step, runtime, len(cuts[runtime][step]), len(want))
-					}
+			if len(cuts[transport.TCP]) != len(cuts[transport.InMem]) {
+				t.Errorf("tcp run stored %d checkpoints, inmem %d", len(cuts[transport.TCP]), len(cuts[transport.InMem]))
+			}
+			for step, want := range cuts[transport.InMem] {
+				if !bytes.Equal(cuts[transport.TCP][step], want) {
+					t.Errorf("superstep %d: tcp container (%d bytes) differs from inmem's (%d bytes)",
+						step, len(cuts[transport.TCP][step]), len(want))
 				}
 			}
 
@@ -87,16 +85,16 @@ func TestCheckpointBytesIdenticalAcrossRuntimes(t *testing.T) {
 			// stores no cut at or below it, and lands on the reference hash
 			// and Stats.
 			every := max(1, ref.Stats.Supersteps/2)
-			written := map[string]string{}
-			for _, writer := range []string{"inmem", "node"} {
+			written := map[transport.Kind]string{}
+			for _, writer := range []transport.Kind{transport.InMem, transport.TCP} {
 				written[writer] = t.TempDir()
 				prob.Checkpoint = algo.CheckpointSpec{Every: every, Dir: written[writer]}
-				if _, err := runOn(entry, writer, prob); err != nil {
+				if _, err := entry.Run(prob, writer); err != nil {
 					t.Fatal(err)
 				}
 			}
-			for _, pair := range [][2]string{{"inmem", "node"}, {"node", "inmem"}, {"node", "tcp"}} {
-				label := pair[1] + "-resumed-from-" + pair[0] + "-dir"
+			for _, pair := range [][2]transport.Kind{{transport.InMem, transport.TCP}, {transport.TCP, transport.InMem}, {transport.TCP, transport.TCP}} {
+				label := string(pair[1]) + "-resumed-from-" + string(pair[0]) + "-dir"
 				dir := t.TempDir()
 				if err := os.CopyFS(dir, os.DirFS(written[pair[0]])); err != nil {
 					t.Fatal(err)
@@ -107,7 +105,7 @@ func TestCheckpointBytesIdenticalAcrossRuntimes(t *testing.T) {
 				}
 				sink := newRecordingSink(core.NewFileSink(dir))
 				prob.Checkpoint = algo.CheckpointSpec{Every: every, Sink: sink, Resume: true}
-				resumed, err := runOn(entry, pair[1], prob)
+				resumed, err := entry.Run(prob, pair[1])
 				if err != nil {
 					t.Fatalf("%s from superstep %d: %v", label, from, err)
 				}
@@ -163,18 +161,6 @@ func checkCutsPinned(t *testing.T, name string, wantCuts int, want uint64) {
 	if got := h.Sum64(); len(steps) != wantCuts || got != want {
 		t.Errorf("%d %s cuts hash to %016x, recorded %d cuts hashing to %016x", len(steps), name, got, wantCuts, want)
 	}
-}
-
-// runOn runs the registry entry through one of its three all-k entry
-// points ("tcp" and "node" both reach the socket link).
-func runOn(entry *algo.Entry, runtime string, prob algo.Problem) (*algo.Outcome, error) {
-	switch runtime {
-	case "inmem":
-		return entry.Run(prob, transport.InMem)
-	case "tcp":
-		return entry.Run(prob, transport.TCP)
-	}
-	return entry.RunNodeLocal(prob)
 }
 
 // FuzzCheckpointDecode drives the whole decode path of a checkpoint —

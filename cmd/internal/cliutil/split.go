@@ -3,7 +3,7 @@
 // incident to that machine's Home-owned vertices. A kmnode process then
 // ingests only its own file (-input edges.m3.txt), reading O((n+m)/k)
 // instead of the whole dataset — the out-of-core leg of partition-local
-// setup. Because gen.IngestEdgeList drops remote-remote lines,
+// setup. Because gen.EdgeListInput drops remote-remote lines,
 // ingesting a split file produces the bit-identical shard the full file
 // would.
 package cliutil

@@ -51,16 +51,14 @@ func TestSplitEdgeList(t *testing.T) {
 		if want := fmt.Sprintf("edges.m%d.txt", m); filepath.Base(paths[m]) != want {
 			t.Fatalf("machine %d file named %q, want %q", m, filepath.Base(paths[m]), want)
 		}
-		one := []core.MachineID{core.MachineID(m)}
-		split, err := gen.IngestEdgeList(paths[m], spec, false, one)
+		fromSplit, err := gen.EdgeListInput(paths[m], spec, false).MachineView(core.MachineID(m))
 		if err != nil {
 			t.Fatalf("ingest split file for machine %d: %v", m, err)
 		}
-		flat, err := gen.IngestEdgeList(full, spec, false, one)
+		fromFull, err := gen.EdgeListInput(full, spec, false).MachineView(core.MachineID(m))
 		if err != nil {
 			t.Fatalf("ingest full file for machine %d: %v", m, err)
 		}
-		fromSplit, fromFull := split[0], flat[0]
 		if !slices.Equal(fromSplit.Locals(), fromFull.Locals()) {
 			t.Fatalf("machine %d: Locals differ between split and full ingest", m)
 		}

@@ -206,7 +206,7 @@ func runLocal(entry *algo.Entry, prob algo.Problem) {
 		slog.Int("k", prob.K), slog.String("algo", entry.Name),
 		slog.Int("n", prob.N), slog.Uint64("seed", prob.Seed))
 	start := time.Now()
-	out, err := entry.RunNodeLocal(prob)
+	out, err := entry.Run(prob, transport.TCP)
 	if err != nil {
 		failRun("cluster failed", err)
 	}

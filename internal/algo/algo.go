@@ -82,9 +82,14 @@ type Algorithm[M, L, O any] struct {
 // descriptor's codec. It returns the merged output and the measured
 // Stats. The input may be a *partition.VertexPartition of a caller's
 // graph or a *partition.ShardedInput; either builds the k CSR shards
-// from one pass over its source.
+// from its source's edge stream in one MachineViews call.
 func Run[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config) (O, *core.Stats, error) {
-	out, stats, _, err := execute(a, in, inProcess(cfg, a.Codec, nil, 0))
+	var zero O
+	views, err := machineViews(a.Name, in, cfg.K, partition.AllMachines(cfg.K))
+	if err != nil {
+		return zero, nil, err
+	}
+	out, stats, _, err := execute(a, views, inProcess(cfg, a.Codec, nil, 0))
 	return out, stats, err
 }
 
@@ -139,20 +144,24 @@ func knownKind(kind transport.Kind) error {
 	return fmt.Errorf("algo: unknown transport kind %q", kind)
 }
 
-// execute is the single run entry of every all-k substrate: ask the
-// input for all k views in ONE call — a sharded input replays its
-// generator or reads its file once for the whole process, not once per
-// machine — then run the machines built from them through retry.
-func execute[M, L, O any](a Algorithm[M, L, O], in partition.Input, on site[M]) (O, *core.Stats, transport.WireStats, error) {
-	var zero O
-	k := on.cfg.K
+// machineViews asks the input for the hosted machines' views in ONE
+// call — a sharded input runs its generator or reads its file once for
+// the whole process, not once per machine — after checking that the
+// input is partitioned for the cluster's k.
+func machineViews(name string, in partition.Input, k int, hosted []core.MachineID) ([]partition.View, error) {
 	if k != in.NumMachines() {
-		return zero, nil, transport.WireStats{}, fmt.Errorf("%s: cluster k=%d but partition k=%d", a.Name, k, in.NumMachines())
+		return nil, fmt.Errorf("%s: cluster k=%d but partition k=%d", name, k, in.NumMachines())
 	}
-	views, err := in.MachineViews(partition.AllMachines(k))
+	views, err := in.MachineViews(hosted)
 	if err != nil {
-		return zero, nil, transport.WireStats{}, fmt.Errorf("%s: %w", a.Name, err)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
+	return views, nil
+}
+
+// execute is the single run entry of every all-k substrate: run the
+// machines built from the k views through retry.
+func execute[M, L, O any](a Algorithm[M, L, O], views []partition.View, on site[M]) (O, *core.Stats, transport.WireStats, error) {
 	build := func(id core.MachineID) (Machine[M, L], error) { return a.NewMachine(views[id]) }
 	return retry(build, a.Merge, on)
 }

@@ -1,19 +1,17 @@
 // Problem-input resolution: the one path from a registry Problem to
-// machine views. Two edge-stream sources — the G(N, EdgeP) generator
-// and the edge list at InputPath — feed one partition.LocalBuilder, so
-// every process builds only the CSR shards of the machines it hosts
-// (§1.1: the input is already distributed, Õ((n+m)/k) per machine) and
-// no registry run materialises a global *graph.Graph. Input
-// construction therefore happens inside MachineViews, which timedInput
-// charges to Outcome.SetupTime.
+// machine views. Every input is a partition.ShardedInput over an edge
+// stream — the G(N, EdgeP) generator's, the edge list's at InputPath,
+// or none — so every process builds only the CSR shards of the machines
+// it hosts (§1.1: the input is already distributed, Õ((n+m)/k) per
+// machine) and no registry run materialises a global *graph.Graph.
+// Input construction therefore happens inside MachineViews, which
+// launch charges to Outcome.SetupTime.
 package algo
 
 import (
 	"fmt"
 	"math"
-	"time"
 
-	"kmachine/internal/core"
 	"kmachine/internal/gen"
 	"kmachine/internal/partition"
 )
@@ -82,7 +80,7 @@ func GraphInput(prob Problem) (*partition.ShardedInput, error) {
 func EdgelessInput(prob Problem) *partition.ShardedInput {
 	spec := prob.PartitionSpec()
 	spec.N = prob.K
-	return gen.EdgelessInput(spec)
+	return &partition.ShardedInput{Spec: spec}
 }
 
 // GnpInput is NOT a registry path. It is the materialised reference of
@@ -97,28 +95,4 @@ func GnpInput(prob Problem) (partition.Input, error) {
 		return nil, err
 	}
 	return partition.NewRVP(gen.Gnp(prob.N, prob.EdgeP, prob.Seed), prob.K, prob.PartitionSpec().Seed), nil
-}
-
-// timedInput wraps an Input and accumulates the wall-clock spent
-// building views, so the registry can report setup separately from
-// supersteps regardless of where the input is actually built.
-type timedInput struct {
-	in       partition.Input
-	viewTime time.Duration
-}
-
-func (t *timedInput) NumMachines() int { return t.in.NumMachines() }
-
-func (t *timedInput) MachineViews(hosted []core.MachineID) ([]partition.View, error) {
-	t0 := time.Now()
-	views, err := t.in.MachineViews(hosted)
-	t.viewTime += time.Since(t0)
-	return views, err
-}
-
-func (t *timedInput) MachineView(m core.MachineID) (partition.View, error) {
-	t0 := time.Now()
-	v, err := t.in.MachineView(m)
-	t.viewTime += time.Since(t0)
-	return v, err
 }

@@ -200,7 +200,8 @@ func (e *Entry) Run(prob Problem, kind transport.Kind) (*Outcome, error) {
 	return e.run(prob, place{kind: kind})
 }
 
-// RunNodeLocal is Run over transport.TCP (kmnode -local).
+// RunNodeLocal is Run over transport.TCP, kept under this name for
+// benchmark/run.go; everything else calls Run.
 func (e *Entry) RunNodeLocal(prob Problem) (*Outcome, error) {
 	return e.run(prob, place{kind: transport.TCP})
 }
@@ -213,25 +214,19 @@ func (e *Entry) RunStandalone(prob Problem, at node.Place) (*Outcome, error) {
 	return e.run(prob, place{standalone: &at})
 }
 
-// RunJob executes the algorithm as job `job` on a standing mesh
-// (node.RunJobLocal): the resident-daemon path, where the fabric
-// outlives individual jobs. Stats, outputs, and hashes are bit-identical
-// to RunNodeLocal on the same Problem. On error the mesh is poisoned
-// until the next job rebuilds it.
-func (e *Entry) RunJob(prob Problem, lm *node.LocalMesh, job uint64) (*Outcome, error) {
-	return e.run(prob, place{kind: transport.TCP, mesh: lm, job: job})
-}
-
-// Submit runs any registered algorithm by name as one job on a standing
-// mesh — the type-erased entry point of the job scheduler: no generic
-// instantiation at the call site, so a daemon can execute a mixed
-// stream of algorithms on one fabric.
+// Submit runs any registered algorithm by name as job `job` on a
+// standing mesh (node.RunJobLocal) — the type-erased entry point of the
+// job scheduler: no generic instantiation at the call site, so a daemon
+// can execute a mixed stream of algorithms on one fabric that outlives
+// them. Stats, outputs, and hashes are bit-identical to Run over
+// transport.TCP on the same Problem. On error the mesh is poisoned until
+// the next job rebuilds it.
 func Submit(name string, prob Problem, lm *node.LocalMesh, job uint64) (*Outcome, error) {
 	e, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("algo: unknown algorithm %q", name)
 	}
-	return e.RunJob(prob, lm, job)
+	return e.run(prob, place{kind: transport.TCP, mesh: lm, job: job})
 }
 
 var (
@@ -258,8 +253,10 @@ func Register[M, L, O any](s Spec[M, L, O]) {
 
 // launch is the one path from a Problem to an Outcome, wherever it
 // runs: resolve the defaults, validate — once, before any input,
-// cluster or mesh is built or attached — build the input, run, and
-// split the wall-clock into setup and run.
+// cluster or mesh is built or attached, and a standalone machine's ID
+// and checkpoint policy with it — build the input and the hosted
+// machines' views, run, and split the wall-clock into setup (Build plus
+// the one MachineViews call) and run.
 func (s Spec[M, L, O]) launch(prob Problem, at place) (*Outcome, error) {
 	prob = prob.withDefaults()
 	if err := prob.Validate(); err != nil {
@@ -268,32 +265,42 @@ func (s Spec[M, L, O]) launch(prob Problem, at place) (*Outcome, error) {
 	if err := knownKind(at.kind); err != nil {
 		return nil, err
 	}
+	hosted := partition.AllMachines(prob.K)
+	if at.standalone != nil {
+		if id := at.standalone.ID; id < 0 || id >= prob.K {
+			return nil, fmt.Errorf("%s: machine %d out of [0,%d)", s.Name, id, prob.K)
+		}
+		if prob.Checkpoint.Every > 0 {
+			return nil, fmt.Errorf("%s: one process of k can never complete a cut: checkpointing needs all k machines in one process", s.Name)
+		}
+		hosted = []core.MachineID{core.MachineID(at.standalone.ID)}
+	}
 	t0 := time.Now()
 	a, in, err := s.Build(prob)
 	if err != nil {
 		return nil, err
 	}
-	buildD := time.Since(t0)
-	ti := &timedInput{in: in}
-	t1 := time.Now()
+	views, err := machineViews(a.Name, in, prob.K, hosted)
+	if err != nil {
+		return nil, err
+	}
+	setup := time.Since(t0)
 	var o *Outcome
 	if at.standalone != nil {
-		o, err = s.one(prob, a, ti, *at.standalone)
+		o, err = s.one(prob, a, views[0], *at.standalone)
 	} else {
-		o, err = s.all(prob, a, ti, at)
+		o, err = s.all(prob, a, views, at)
 	}
 	if err != nil {
 		return nil, err
 	}
-	o.Algo = s.Name
-	o.SetupTime = buildD + ti.viewTime
-	o.ExecTime = time.Since(t1) - ti.viewTime
+	o.Algo, o.SetupTime, o.ExecTime = s.Name, setup, time.Since(t0)-setup
 	return o, nil
 }
 
 // all runs the k machines in this process and reports the merged output.
-func (s Spec[M, L, O]) all(prob Problem, a Algorithm[M, L, O], in partition.Input, at place) (*Outcome, error) {
-	out, stats, w, err := execute(a, in, inProcess(prob.config(at.kind), a.Codec, at.mesh, at.job))
+func (s Spec[M, L, O]) all(prob Problem, a Algorithm[M, L, O], views []partition.View, at place) (*Outcome, error) {
+	out, stats, w, err := execute(a, views, inProcess(prob.config(at.kind), a.Codec, at.mesh, at.job))
 	if err != nil {
 		return nil, err
 	}
@@ -305,17 +312,10 @@ func (s Spec[M, L, O]) all(prob Problem, a Algorithm[M, L, O], in partition.Inpu
 }
 
 // one runs this process's machine of a multi-process cluster, the one
-// at names, and reports its local output. This is where the O((n+m)/k)
-// per-process setup bound lands: MachineView builds only this machine's
-// rows.
-func (s Spec[M, L, O]) one(prob Problem, a Algorithm[M, L, O], in partition.Input, at node.Place) (*Outcome, error) {
-	if prob.Checkpoint.Every > 0 {
-		return nil, fmt.Errorf("%s: one process of k can never complete a cut: checkpointing needs all k machines in one process", a.Name)
-	}
-	v, err := in.MachineView(core.MachineID(at.ID))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", a.Name, err)
-	}
+// at names, from its view, and reports its local output. This is where
+// the O((n+m)/k) per-process setup bound lands: launch built only this
+// machine's rows.
+func (s Spec[M, L, O]) one(prob Problem, a Algorithm[M, L, O], v partition.View, at node.Place) (*Outcome, error) {
 	m, err := a.NewMachine(v)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -150,9 +151,8 @@ func TestEchoAcrossSubstrates(t *testing.T) {
 	}
 }
 
-// TestEchoRunJobMatches: the standing-mesh runner (RunJob / Submit) is
-// bit-identical to Run — and the mesh carries several
-// jobs, including by-name submission.
+// TestEchoRunJobMatches: the standing-mesh runner (Submit) is
+// bit-identical to Run — and the mesh carries several jobs.
 func TestEchoRunJobMatches(t *testing.T) {
 	entry, _ := Lookup("echo")
 	prob := Problem{N: 64, K: 5, Seed: 3}
@@ -165,8 +165,8 @@ func TestEchoRunJobMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lm.Close()
-	for job := uint64(1); job <= 2; job++ {
-		got, err := entry.RunJob(prob, lm, job)
+	for job := uint64(1); job <= 3; job++ {
+		got, err := Submit("echo", prob, lm, job)
 		if err != nil {
 			t.Fatalf("job %d: %v", job, err)
 		}
@@ -177,13 +177,6 @@ func TestEchoRunJobMatches(t *testing.T) {
 			t.Errorf("job %d stats (rounds=%d words=%d), want (rounds=%d words=%d)",
 				job, got.Stats.Rounds, got.Stats.Words, ref.Stats.Rounds, ref.Stats.Words)
 		}
-	}
-	byName, err := Submit("echo", prob, lm, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if byName.Hash != ref.Hash {
-		t.Errorf("Submit hash %016x, want %016x", byName.Hash, ref.Hash)
 	}
 	if _, err := Submit("no-such-algorithm", prob, lm, 4); err == nil {
 		t.Fatal("Submit invented an algorithm")
@@ -302,13 +295,45 @@ func TestRegistryInputIsPartitionLocal(t *testing.T) {
 
 // TestStandaloneRejectsCheckpointing: one process of k can never
 // complete a cut, so a checkpoint policy on a standalone run is an
-// error before any peer is dialled — it used to be dropped silently.
+// error before any input is built or peer dialled — it used to be
+// dropped silently.
 func TestStandaloneRejectsCheckpointing(t *testing.T) {
 	entry, _ := Lookup("echo")
 	prob := Problem{N: 64, K: 2, Seed: 3, Checkpoint: CheckpointSpec{Every: 2}}
+	builds := echoBuilds
 	_, err := entry.RunStandalone(prob, node.Place{ID: 0, Listen: "127.0.0.1:0", Peers: []string{"127.0.0.1:1", "127.0.0.1:2"}})
 	if err == nil || !strings.Contains(err.Error(), "cut") {
 		t.Errorf("RunStandalone with Checkpoint.Every=2: err = %v, want the one-process-cannot-cut error", err)
+	}
+	if echoBuilds != builds {
+		t.Error("RunStandalone built the input before refusing the checkpoint policy")
+	}
+}
+
+// TestStandaloneRejectsMachineOutOfRange: a standalone machine ID
+// outside [0,k) is an error naming the ID, before any input is built or
+// peer dialled. It used to reach the shard builder first and panic
+// there ("partition: machine 7 out of [0,4)").
+func TestStandaloneRejectsMachineOutOfRange(t *testing.T) {
+	entry, _ := Lookup("echo")
+	prob := Problem{N: 100, K: 4, Seed: 3}
+	peers := []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3", "127.0.0.1:4"}
+	for _, id := range []int{-1, prob.K} {
+		builds := echoBuilds
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("RunStandalone as machine %d panicked: %v", id, p)
+				}
+			}()
+			_, err := entry.RunStandalone(prob, node.Place{ID: id, Listen: "127.0.0.1:0", Peers: peers})
+			if want := fmt.Sprintf("machine %d out of [0,%d)", id, prob.K); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("RunStandalone as machine %d: err = %v, want one saying %q", id, err, want)
+			}
+		}()
+		if echoBuilds != builds {
+			t.Errorf("RunStandalone as machine %d built the input before refusing the ID", id)
+		}
 	}
 }
 
@@ -316,7 +341,7 @@ func TestStandaloneRejectsCheckpointing(t *testing.T) {
 // Validate's error from every runner, before any cluster or mesh exists
 // and without a panic. A negative bandwidth used to reach
 // core.NewCluster's panic through Run and fail on every machine of an
-// already built mesh through RunNodeLocal; k=1 panicked in
+// already built mesh over TCP; k=1 panicked in
 // core.NewCluster, k=0 in the partition builder, and the socket link
 // blamed machine 0's ID. A negative checkpoint interval used to turn
 // checkpointing off silently.
@@ -325,7 +350,7 @@ func TestEntryRejectsInvalidProblem(t *testing.T) {
 	at := node.Place{ID: 0, Listen: "127.0.0.1:0", Peers: []string{"127.0.0.1:1"}}
 	runners := map[string]func(Problem) (*Outcome, error){
 		"Run inmem":     func(p Problem) (*Outcome, error) { return entry.Run(p, transport.InMem) },
-		"RunNodeLocal":  entry.RunNodeLocal,
+		"Run tcp":       func(p Problem) (*Outcome, error) { return entry.Run(p, transport.TCP) },
 		"RunStandalone": func(p Problem) (*Outcome, error) { return entry.RunStandalone(p, at) },
 	}
 	for _, c := range []struct {

@@ -116,7 +116,10 @@ func readEdgeList(t *testing.T, path string, n int) *graph.Graph {
 func TestPhaseStartDoesNotAllocate(t *testing.T) {
 	const n, k = 4000, 8
 	spec := partition.Spec{N: n, K: k, Seed: 3}
-	shards := gen.GnpShards(spec, 2.0/n, 7, partition.AllMachines(k))
+	shards, err := gen.GnpInput(spec, 2.0/n, 7).MachineViews(partition.AllMachines(k))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ms := make([]*ccMachine, k)
 	ctxs := make([]core.StepContext, k)
 	for i, view := range shards {

@@ -14,19 +14,28 @@
 //
 // All generators are deterministic given their seed.
 //
-// # Per-row canonical form
+// # One stream per family
 //
-// The random families (Gnp, DirectedGnp, Gnm, PreferentialAttachment)
-// are defined by a canonical edge stream that a shard builder can replay
-// (shard.go): Gnp and DirectedGnp derive one independent RNG stream per
-// adjacency row (rowRNG), so row u's edges are a pure function of
-// (seed, u) and the union of any row subset is bit-identical to the
-// corresponding slice of the full graph; Gnm and PreferentialAttachment
-// keep a single sequential stream (global dedupe and global degree state
-// are inherent to those models) that shard builders replay while
-// retaining only their machine's rows. The full constructors below and
-// the *Shard constructors consume the SAME streams, which is what makes
-// sharded and fully-materialised setup bit-identical by construction.
+// The families a run can shard (Gnp, DirectedGnp, Gnm, Star, Path,
+// Cycle, PreferentialAttachment) are each defined once, as a canonical
+// edge stream; the full constructor builds the graph the stream emits,
+// and a partition.ShardedInput over the same stream builds any hosted
+// set of CSR shards (GnpInput is the registry's), so sharded and
+// materialised setup are bit-identical by construction. Gnp and
+// DirectedGnp derive one independent RNG stream per adjacency row
+// (rowRNG), so row u's edges are a pure function of (seed, u) and the
+// stream is cheap to run twice, count then fill; Gnm and
+// PreferentialAttachment keep a single sequential stream (global dedupe
+// and global degree state are inherent to those models), which a shard
+// input runs once and spools.
+//
+// Cost note: under a hashed RVP a stream cannot be cut down to one
+// machine's rows — an undirected edge {u,v} with u remote and v local
+// is decided by row u's RNG, which only running row u reproduces — so a
+// process pays O(n+m) generation time however few machines it hosts,
+// and O((n+m)/k) retained memory per hosted machine, which is the
+// resource the model actually bounds. It pays that time once: a process
+// hosting all k machines runs the stream as often as one hosting one.
 package gen
 
 import (
@@ -35,9 +44,23 @@ import (
 	"slices"
 	"sort"
 
+	"kmachine/internal/core"
 	"kmachine/internal/graph"
+	"kmachine/internal/partition"
 	"kmachine/internal/rng"
 )
+
+// stream is a family's canonical edge stream, the Stream of a
+// partition.ShardedInput. A generator stream never fails.
+type stream = func(emit func(u, v int32)) error
+
+// build materialises the graph a stream emits: the full constructor of
+// every streamed family.
+func build(n int, directed bool, s stream) *graph.Graph {
+	b := graph.NewBuilder(n, directed)
+	_ = s(func(u, v int32) { b.AddEdge(int(u), int(v)) }) // a generator stream never fails
+	return b.Build()
+}
 
 // rowRNG returns the independent RNG stream of adjacency row u: the
 // per-row seeding that makes every row a pure function of (seed, u).
@@ -69,14 +92,17 @@ func gnpRow(n int, p float64, seed uint64, u int32, emit func(v int32)) {
 	}
 }
 
-// gnpStream replays the canonical G(n, p) edge stream: every row in
-// order, each edge {u,v} (u < v) emitted once.
-func gnpStream(n int, p float64, seed uint64, emit func(u, v int32)) {
-	if p <= 0 || n < 2 {
-		return
+// gnpStream is the canonical G(n, p) edge stream: every row in order,
+// each edge {u,v} (u < v) emitted once.
+func gnpStream(n int, p float64, seed uint64) stream {
+	if p < 0 || p > 1 {
+		panic(fmt.Sprintf("gen: Gnp probability %v out of [0,1]", p))
 	}
-	for u := 0; u < n-1; u++ {
-		gnpRow(n, p, seed, int32(u), func(v int32) { emit(int32(u), v) })
+	return func(emit func(u, v int32)) error {
+		for u := 0; u < n-1 && p > 0; u++ {
+			gnpRow(n, p, seed, int32(u), func(v int32) { emit(int32(u), v) })
+		}
+		return nil
 	}
 }
 
@@ -84,12 +110,19 @@ func gnpStream(n int, p float64, seed uint64, emit func(u, v int32)) {
 // canonical form (see the package comment): row-seeded geometric
 // skipping, linear in the number of edges.
 func Gnp(n int, p float64, seed uint64) *graph.Graph {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("gen: Gnp probability %v out of [0,1]", p))
-	}
-	b := graph.NewBuilder(n, false)
-	gnpStream(n, p, seed, func(u, v int32) { b.AddEdge(int(u), int(v)) })
-	return b.Build()
+	return build(n, false, gnpStream(n, p, seed))
+}
+
+// GnpInput is the ShardedInput of Gnp(ps.N, p, seed): the registry's
+// graph input, the partition-local counterpart of NewRVP(Gnp(n, p,
+// seed), k, pseed).
+func GnpInput(ps partition.Spec, p float64, seed uint64) *partition.ShardedInput {
+	return &partition.ShardedInput{Spec: ps, Stream: gnpStream(ps.N, p, seed)}
+}
+
+// GnpShard is machine m's shard of GnpInput, kept for benchmark/micro.go.
+func GnpShard(ps partition.Spec, p float64, seed uint64, m core.MachineID) *partition.LocalView {
+	return GnpInput(ps, p, seed).View(m)
 }
 
 // directedGnpRow emits row u of the canonical directed G(n, p): the
@@ -121,119 +154,128 @@ func directedGnpRow(n int, p float64, seed uint64, u int32, emit func(v int32)) 
 	}
 }
 
+// directedGnpStream is the canonical directed G(n, p) arc stream:
+// every row in order, each from its own row stream.
+func directedGnpStream(n int, p float64, seed uint64) stream {
+	if p < 0 || p > 1 {
+		panic(fmt.Sprintf("gen: DirectedGnp probability %v out of [0,1]", p))
+	}
+	return func(emit func(u, v int32)) error {
+		for u := 0; u < n && p > 0; u++ {
+			directedGnpRow(n, p, seed, int32(u), func(v int32) { emit(int32(u), v) })
+		}
+		return nil
+	}
+}
+
 // DirectedGnp samples a directed G(n, p) in per-row canonical form:
 // every ordered pair (u,v), u != v, is an arc independently with
 // probability p, decided by row u's stream.
 func DirectedGnp(n int, p float64, seed uint64) *graph.Graph {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("gen: DirectedGnp probability %v out of [0,1]", p))
-	}
-	b := graph.NewBuilder(n, true)
-	if p > 0 {
-		for u := 0; u < n; u++ {
-			directedGnpRow(n, p, seed, int32(u), func(v int32) { b.AddEdge(u, int(v)) })
-		}
-	}
-	return b.Build()
+	return build(n, true, directedGnpStream(n, p, seed))
 }
 
-// gnmStream replays the canonical G(n, m) edge stream: the first m
+// gnmStream is the canonical G(n, m) edge stream: the first m
 // distinct unordered pairs of the seed's candidate sequence (pairs drawn
 // uniformly, self-pairs skipped). The dedupe is slice-based — sample,
 // sort, count, top up — so the stream allocates a few flat slices
 // instead of a map of every edge (see BenchmarkGnm).
-func gnmStream(n, m int, seed uint64, emit func(u, v int32)) {
-	if m == 0 {
-		return
+func gnmStream(n, m int, seed uint64) stream {
+	if maxM := n * (n - 1) / 2; m > maxM {
+		panic(fmt.Sprintf("gen: Gnm wants %d edges but K_%d has only %d", m, n, maxM))
 	}
-	r := rng.New(seed)
-	draws := make([][2]int32, 0, m+m/8+8)
-	// Draw in batches until the draw sequence contains >= m distinct
-	// pairs; near-clique inputs need the top-up rounds (coupon
-	// collector), sparse ones finish in one.
-	distinct := 0
-	scratch := make([][2]int32, 0, m+m/8+8)
-	for distinct < m {
-		need := m - distinct
-		need += need/8 + 1
-		for i := 0; i < need; i++ {
-			u := int32(r.Intn(n))
-			v := int32(r.Intn(n))
-			if u == v {
-				continue
-			}
-			if u > v {
-				u, v = v, u
-			}
-			draws = append(draws, [2]int32{u, v})
+	return func(emit func(u, v int32)) error {
+		if m == 0 {
+			return nil
 		}
-		scratch = append(scratch[:0], draws...)
-		sort.Slice(scratch, func(i, j int) bool {
-			if scratch[i][0] != scratch[j][0] {
-				return scratch[i][0] < scratch[j][0]
+		r := rng.New(seed)
+		draws := make([][2]int32, 0, m+m/8+8)
+		// Draw in batches until the draw sequence contains >= m distinct
+		// pairs; near-clique inputs need the top-up rounds (coupon
+		// collector), sparse ones finish in one.
+		distinct := 0
+		scratch := make([][2]int32, 0, m+m/8+8)
+		for distinct < m {
+			need := m - distinct
+			need += need/8 + 1
+			for i := 0; i < need; i++ {
+				u := int32(r.Intn(n))
+				v := int32(r.Intn(n))
+				if u == v {
+					continue
+				}
+				if u > v {
+					u, v = v, u
+				}
+				draws = append(draws, [2]int32{u, v})
 			}
-			return scratch[i][1] < scratch[j][1]
+			scratch = append(scratch[:0], draws...)
+			sort.Slice(scratch, func(i, j int) bool {
+				if scratch[i][0] != scratch[j][0] {
+					return scratch[i][0] < scratch[j][0]
+				}
+				return scratch[i][1] < scratch[j][1]
+			})
+			distinct = 0
+			for i, p := range scratch {
+				if i == 0 || p != scratch[i-1] {
+					distinct++
+				}
+			}
+		}
+		// The canonical edge set is the first m distinct pairs in DRAW
+		// order: sort draw indices by (pair, index), keep each pair's first
+		// occurrence, then take the m earliest first-occurrences.
+		idx := make([]int32, len(draws))
+		for i := range idx {
+			idx[i] = int32(i)
+		}
+		sort.Slice(idx, func(a, b int) bool {
+			pa, pb := draws[idx[a]], draws[idx[b]]
+			if pa != pb {
+				if pa[0] != pb[0] {
+					return pa[0] < pb[0]
+				}
+				return pa[1] < pb[1]
+			}
+			return idx[a] < idx[b]
 		})
-		distinct = 0
-		for i, p := range scratch {
-			if i == 0 || p != scratch[i-1] {
-				distinct++
+		firsts := idx[:0]
+		for i, id := range idx {
+			if i == 0 || draws[id] != draws[idx[i-1]] {
+				firsts = append(firsts, id)
+			} else if firsts[len(firsts)-1] > id { // kept a later occurrence
+				firsts[len(firsts)-1] = id
 			}
 		}
-	}
-	// The canonical edge set is the first m distinct pairs in DRAW
-	// order: sort draw indices by (pair, index), keep each pair's first
-	// occurrence, then take the m earliest first-occurrences.
-	idx := make([]int32, len(draws))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		pa, pb := draws[idx[a]], draws[idx[b]]
-		if pa != pb {
-			if pa[0] != pb[0] {
-				return pa[0] < pb[0]
-			}
-			return pa[1] < pb[1]
+		slices.Sort(firsts)
+		for _, id := range firsts[:m] {
+			emit(draws[id][0], draws[id][1])
 		}
-		return idx[a] < idx[b]
-	})
-	firsts := idx[:0]
-	for i, id := range idx {
-		if i == 0 || draws[id] != draws[idx[i-1]] {
-			firsts = append(firsts, id)
-		} else if firsts[len(firsts)-1] > id { // kept a later occurrence
-			firsts[len(firsts)-1] = id
-		}
-	}
-	slices.Sort(firsts)
-	for _, id := range firsts[:m] {
-		emit(draws[id][0], draws[id][1])
+		return nil
 	}
 }
 
 // Gnm samples an undirected graph with exactly m distinct edges chosen
 // uniformly from all pairs. It panics if m exceeds C(n,2).
 func Gnm(n, m int, seed uint64) *graph.Graph {
-	maxM := n * (n - 1) / 2
-	if m > maxM {
-		panic(fmt.Sprintf("gen: Gnm wants %d edges but K_%d has only %d", m, n, maxM))
+	return build(n, false, gnmStream(n, m, seed))
+}
+
+// starStream is the star's edge stream: hub 0 to every other vertex.
+func starStream(n int) stream {
+	return func(emit func(u, v int32)) error {
+		for v := 1; v < n; v++ {
+			emit(0, int32(v))
+		}
+		return nil
 	}
-	b := graph.NewBuilder(n, false)
-	gnmStream(n, m, seed, func(u, v int32) { b.AddEdge(int(u), int(v)) })
-	return b.Build()
 }
 
 // Star returns the undirected star K_{1,n-1} with hub 0. The star is the
 // paper's running example (§3.1) of a topology whose naive simulation
 // congests one machine.
-func Star(n int) *graph.Graph {
-	b := graph.NewBuilder(n, false)
-	for i := 1; i < n; i++ {
-		b.AddEdge(0, i)
-	}
-	return b.Build()
-}
+func Star(n int) *graph.Graph { return build(n, false, starStream(n)) }
 
 // DirectedStarIn returns the directed star with all arcs pointing at
 // hub 0 (the congestion example for PageRank token delivery).
@@ -245,13 +287,27 @@ func DirectedStarIn(n int) *graph.Graph {
 	return b.Build()
 }
 
-// Path returns the undirected path 0-1-...-(n-1).
-func Path(n int) *graph.Graph {
-	b := graph.NewBuilder(n, false)
-	for i := 0; i+1 < n; i++ {
-		b.AddEdge(i, i+1)
+// pathStream is the path's edge stream: {v, v+1} for every v.
+func pathStream(n int) stream {
+	return func(emit func(u, v int32)) error {
+		for v := 0; v+1 < n; v++ {
+			emit(int32(v), int32(v+1))
+		}
+		return nil
 	}
-	return b.Build()
+}
+
+// Path returns the undirected path 0-1-...-(n-1).
+func Path(n int) *graph.Graph { return build(n, false, pathStream(n)) }
+
+// cycleStream is the cycle's edge stream: v to v+1 mod n for every v.
+func cycleStream(n int) stream {
+	return func(emit func(u, v int32)) error {
+		for v := 0; v < n; v++ {
+			emit(int32(v), int32((v+1)%n))
+		}
+		return nil
+	}
 }
 
 // Cycle returns the undirected cycle on n vertices (n >= 3).
@@ -259,11 +315,7 @@ func Cycle(n int) *graph.Graph {
 	if n < 3 {
 		panic("gen: Cycle needs n >= 3")
 	}
-	b := graph.NewBuilder(n, false)
-	for i := 0; i < n; i++ {
-		b.AddEdge(i, (i+1)%n)
-	}
-	return b.Build()
+	return build(n, false, cycleStream(n))
 }
 
 // DirectedCycle returns the directed cycle 0->1->...->0.
@@ -271,11 +323,7 @@ func DirectedCycle(n int) *graph.Graph {
 	if n < 2 {
 		panic("gen: DirectedCycle needs n >= 2")
 	}
-	b := graph.NewBuilder(n, true)
-	for i := 0; i < n; i++ {
-		b.AddEdge(i, (i+1)%n)
-	}
-	return b.Build()
+	return build(n, true, cycleStream(n))
 }
 
 // Complete returns K_n.
@@ -300,7 +348,7 @@ func CompleteBipartite(a, b int) *graph.Graph {
 	return bl.Build()
 }
 
-// paStream replays the canonical preferential-attachment stream: the
+// paStream is the canonical preferential-attachment edge stream: the
 // seed graph's clique edges, then each arriving vertex's `attach`
 // endpoints drawn degree-proportionally (repeated-endpoint list, +1
 // smoothing) in a fixed order. The chosen endpoints of each vertex are
@@ -308,32 +356,38 @@ func CompleteBipartite(a, b int) *graph.Graph {
 // therefore the graph — is a pure function of (n, attach, seed); the
 // pre-fix code appended them in Go map iteration order, which silently
 // broke the package's seed-determinism promise for every later draw.
-func paStream(n, attach int, seed uint64, emit func(u, v int32)) {
-	r := rng.New(seed)
-	endpoints := make([]int32, 0, 2*n*attach)
-	for v := 0; v < n && v <= attach; v++ {
-		endpoints = append(endpoints, int32(v))
-		for u := 0; u < v; u++ {
-			emit(int32(u), int32(v))
-			endpoints = append(endpoints, int32(u), int32(v))
-		}
+func paStream(n, attach int, seed uint64) stream {
+	if attach < 1 {
+		panic("gen: PreferentialAttachment needs attach >= 1")
 	}
-	chosen := make([]int32, 0, attach)
-	for v := attach + 1; v < n; v++ {
-		chosen = chosen[:0]
-		for len(chosen) < attach {
-			u := endpoints[r.Intn(len(endpoints))]
-			if int(u) == v || slices.Contains(chosen, u) {
-				continue
+	return func(emit func(u, v int32)) error {
+		r := rng.New(seed)
+		endpoints := make([]int32, 0, 2*n*attach)
+		for v := 0; v < n && v <= attach; v++ {
+			endpoints = append(endpoints, int32(v))
+			for u := 0; u < v; u++ {
+				emit(int32(u), int32(v))
+				endpoints = append(endpoints, int32(u), int32(v))
 			}
-			chosen = append(chosen, u)
 		}
-		slices.Sort(chosen)
-		endpoints = append(endpoints, int32(v))
-		for _, u := range chosen {
-			emit(u, int32(v))
-			endpoints = append(endpoints, u, int32(v))
+		chosen := make([]int32, 0, attach)
+		for v := attach + 1; v < n; v++ {
+			chosen = chosen[:0]
+			for len(chosen) < attach {
+				u := endpoints[r.Intn(len(endpoints))]
+				if int(u) == v || slices.Contains(chosen, u) {
+					continue
+				}
+				chosen = append(chosen, u)
+			}
+			slices.Sort(chosen)
+			endpoints = append(endpoints, int32(v))
+			for _, u := range chosen {
+				emit(u, int32(v))
+				endpoints = append(endpoints, u, int32(v))
+			}
 		}
+		return nil
 	}
 }
 
@@ -343,12 +397,7 @@ func paStream(n, attach int, seed uint64, emit func(u, v int32)) {
 // has heavy-tailed degrees — the regime where the paper's heavy-vertex
 // and proxy machinery matters.
 func PreferentialAttachment(n, attach int, seed uint64) *graph.Graph {
-	if attach < 1 {
-		panic("gen: PreferentialAttachment needs attach >= 1")
-	}
-	b := graph.NewBuilder(n, false)
-	paStream(n, attach, seed, func(u, v int32) { b.AddEdge(int(u), int(v)) })
-	return b.Build()
+	return build(n, false, paStream(n, attach, seed))
 }
 
 // PlantedTriangles returns a sparse graph consisting of t vertex-disjoint

@@ -17,7 +17,6 @@ import (
 	"io"
 	"os"
 
-	"kmachine/internal/core"
 	"kmachine/internal/graph"
 	"kmachine/internal/partition"
 )
@@ -93,39 +92,26 @@ func parseEdgeLine(line []byte, n int) (u, v int32, skip bool, err error) {
 	return int32(uu), int32(vv), false, nil
 }
 
-// IngestEdgeList streams the edge list at path into the CSR shards of
-// the hosted machines: the file is read ONCE however many machines the
-// process hosts (kmnode -local k -input f reads f once, not k
-// times), O((n+m)/k) memory is retained per hosted machine, and there is
-// no global graph object. Lines may come in any order, reversed, or
+// EdgeListInput returns the ShardedInput whose stream reads the edge
+// list at path: the file is read ONCE per MachineViews call however many
+// machines the process hosts (kmnode -local k -input f reads f once, not
+// k times), O((n+m)/k) memory is retained per hosted machine, and there
+// is no global graph object. Lines may come in any order, reversed, or
 // repeated; the lines with a hosted endpoint are held until the file
 // ends, all others are dropped as they are read. The file may be the
 // full edge list or a per-machine split (cliutil's splitter) — any
 // superset of a machine's incident edges ingests to the identical
 // shard.
-func IngestEdgeList(path string, ps partition.Spec, directed bool, hosted []core.MachineID) ([]*partition.LocalView, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	lb := partition.NewLocalBuilder(ps, hosted, directed)
-	lb.Spool(func(emit func(u, v int32)) { err = ScanEdgeList(f, ps.N, emit) })
-	if err != nil {
-		return nil, err
-	}
-	return lb.Build(), nil
-}
-
-// EdgeListInput returns the ShardedInput that ingests the hosted
-// machines' shards from the edge list at path.
 func EdgeListInput(path string, ps partition.Spec, directed bool) *partition.ShardedInput {
-	return &partition.ShardedInput{
-		Spec: ps,
-		BuildShards: func(hosted []core.MachineID) ([]*partition.LocalView, error) {
-			return IngestEdgeList(path, ps, directed, hosted)
-		},
-	}
+	return &partition.ShardedInput{Spec: ps, Directed: directed, Once: true,
+		Stream: func(emit func(u, v int32)) error {
+			f, err := os.Open(path)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			return ScanEdgeList(f, ps.N, emit)
+		}}
 }
 
 // WriteEdgeList writes g in the ingest file format: each undirected edge

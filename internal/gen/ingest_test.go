@@ -13,7 +13,7 @@ import (
 )
 
 // readEdgeListGraph fully materialises the edge list at path — the
-// reference against which IngestEdgeList's sharded CSRs are compared
+// reference against which EdgeListInput's sharded CSRs are compared
 // here and in shard_test.go. No non-test code reads a file this way.
 func readEdgeListGraph(path string, n int, directed bool) (*graph.Graph, error) {
 	f, err := os.Open(path)
@@ -60,7 +60,7 @@ func TestIngestRoundTrip(t *testing.T) {
 	}
 
 	ps := partition.Spec{N: n, K: k, Seed: 22}
-	shards, err := IngestEdgeList(path, ps, false, partition.AllMachines(k)) // one read of the file for all k
+	shards, err := EdgeListInput(path, ps, false).MachineViews(partition.AllMachines(k)) // one read of the file for all k
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,10 @@ func TestIngestDirectedRoundTrip(t *testing.T) {
 	}
 	ps := partition.Spec{N: n, K: k, Seed: 32}
 	for m := 0; m < k; m++ {
-		shards, err := IngestEdgeList(path, ps, true, []core.MachineID{core.MachineID(m)})
+		lv, err := EdgeListInput(path, ps, true).MachineView(core.MachineID(m))
 		if err != nil {
 			t.Fatal(err)
 		}
-		lv := shards[0]
 		for _, u := range lv.Locals() {
 			if !slices.Equal(lv.OutAdj(u), g.Adj(int(u))) {
 				t.Fatalf("machine %d OutAdj(%d) = %v, want %v", m, u, lv.OutAdj(u), g.Adj(int(u)))

@@ -14,50 +14,49 @@ import (
 	"kmachine/internal/rng"
 )
 
-// shardFamily pairs a generator's full constructor with its shard
-// constructor so the equivalence property below can sweep every family.
+// shardFamily pairs a generator's full constructor with a ShardedInput
+// over its stream so the equivalence property below can sweep every
+// family.
 type shardFamily struct {
-	name   string
-	full   func(n int, seed uint64) *graph.Graph
-	shards func(ps partition.Spec, seed uint64, hosted []core.MachineID) []*partition.LocalView
+	name  string
+	full  func(n int, seed uint64) *graph.Graph
+	input func(ps partition.Spec, seed uint64) *partition.ShardedInput
 }
 
 func shardFamilies() []shardFamily {
 	return []shardFamily{
 		{"gnp",
 			func(n int, seed uint64) *graph.Graph { return Gnp(n, 0.06, seed) },
-			func(ps partition.Spec, seed uint64, hosted []core.MachineID) []*partition.LocalView {
-				return GnpShards(ps, 0.06, seed, hosted)
-			}},
+			func(ps partition.Spec, seed uint64) *partition.ShardedInput { return GnpInput(ps, 0.06, seed) }},
 		{"directed-gnp",
 			func(n int, seed uint64) *graph.Graph { return DirectedGnp(n, 0.04, seed) },
-			func(ps partition.Spec, seed uint64, hosted []core.MachineID) []*partition.LocalView {
-				return DirectedGnpShards(ps, 0.04, seed, hosted)
+			func(ps partition.Spec, seed uint64) *partition.ShardedInput {
+				return &partition.ShardedInput{Spec: ps, Directed: true, Stream: directedGnpStream(ps.N, 0.04, seed)}
 			}},
 		{"gnm",
 			func(n int, seed uint64) *graph.Graph { return Gnm(n, 3*n, seed) },
-			func(ps partition.Spec, seed uint64, hosted []core.MachineID) []*partition.LocalView {
-				return GnmShards(ps, 3*ps.N, seed, hosted)
+			func(ps partition.Spec, seed uint64) *partition.ShardedInput {
+				return &partition.ShardedInput{Spec: ps, Once: true, Stream: gnmStream(ps.N, 3*ps.N, seed)}
 			}},
 		{"star",
 			func(n int, seed uint64) *graph.Graph { return Star(n) },
-			func(ps partition.Spec, seed uint64, hosted []core.MachineID) []*partition.LocalView {
-				return StarShards(ps, hosted)
+			func(ps partition.Spec, seed uint64) *partition.ShardedInput {
+				return &partition.ShardedInput{Spec: ps, Stream: starStream(ps.N)}
 			}},
 		{"path",
 			func(n int, seed uint64) *graph.Graph { return Path(n) },
-			func(ps partition.Spec, seed uint64, hosted []core.MachineID) []*partition.LocalView {
-				return PathShards(ps, hosted)
+			func(ps partition.Spec, seed uint64) *partition.ShardedInput {
+				return &partition.ShardedInput{Spec: ps, Stream: pathStream(ps.N)}
 			}},
 		{"cycle",
 			func(n int, seed uint64) *graph.Graph { return Cycle(n) },
-			func(ps partition.Spec, seed uint64, hosted []core.MachineID) []*partition.LocalView {
-				return CycleShards(ps, hosted)
+			func(ps partition.Spec, seed uint64) *partition.ShardedInput {
+				return &partition.ShardedInput{Spec: ps, Stream: cycleStream(ps.N)}
 			}},
 		{"pref-attach",
 			func(n int, seed uint64) *graph.Graph { return PreferentialAttachment(n, 3, seed) },
-			func(ps partition.Spec, seed uint64, hosted []core.MachineID) []*partition.LocalView {
-				return PreferentialAttachmentShards(ps, 3, seed, hosted)
+			func(ps partition.Spec, seed uint64) *partition.ShardedInput {
+				return &partition.ShardedInput{Spec: ps, Once: true, Stream: paStream(ps.N, 3, seed)}
 			}},
 	}
 }
@@ -73,11 +72,18 @@ func hostedSubset(r *rng.RNG, k int) []core.MachineID {
 // checkShardSets is the hosted-set equivalence property for one
 // (source, partition): the k one-machine shards are, row for row, the
 // rows of the full graph and cover every vertex once; and the shards a
-// process hosting a random subset builds from ONE pass over the source
-// are those same one-machine shards, in the order asked for.
-func checkShardSets(t *testing.T, label string, full *graph.Graph, ps partition.Spec, seed uint64,
-	shards func(hosted []core.MachineID) []*partition.LocalView) {
+// process hosting a random subset builds from ONE MachineViews call are
+// those same one-machine shards, in the order asked for.
+func checkShardSets(t *testing.T, label string, full *graph.Graph, in *partition.ShardedInput, seed uint64) {
 	t.Helper()
+	ps := in.Spec
+	shards := func(hosted []core.MachineID) []*partition.LocalView {
+		views, err := in.MachineViews(hosted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return views
+	}
 	single := make([]*partition.LocalView, ps.K)
 	covered := 0
 	for m := range single {
@@ -137,8 +143,7 @@ func TestShardFullEquivalence(t *testing.T) {
 		for _, k := range []int{1, 2, 3, 8} {
 			for _, seed := range []uint64{1, 42} {
 				ps := partition.Spec{N: n, K: k, Seed: seed + 1}
-				checkShardSets(t, fmt.Sprintf("%s k=%d seed=%d", fam.name, k, seed), fam.full(n, seed), ps, seed,
-					func(hosted []core.MachineID) []*partition.LocalView { return fam.shards(ps, seed, hosted) })
+				checkShardSets(t, fmt.Sprintf("%s k=%d seed=%d", fam.name, k, seed), fam.full(n, seed), fam.input(ps, seed), seed)
 			}
 		}
 	}
@@ -188,14 +193,7 @@ func TestShardEdgeListEquivalence(t *testing.T) {
 				t.Fatalf("directed=%v k=%d: messy file materialises to %d edges, the clean graph has %d", directed, k, full.M(), g.M())
 			}
 			ps := partition.Spec{N: n, K: k, Seed: seed + 1}
-			checkShardSets(t, fmt.Sprintf("edge-list directed=%v k=%d", directed, k), full, ps, seed,
-				func(hosted []core.MachineID) []*partition.LocalView {
-					views, err := IngestEdgeList(path, ps, directed, hosted)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return views
-				})
+			checkShardSets(t, fmt.Sprintf("edge-list directed=%v k=%d", directed, k), full, EdgeListInput(path, ps, directed), seed)
 		}
 	}
 }
@@ -268,7 +266,7 @@ func TestGnmMatchesDrawOrderReference(t *testing.T) {
 		want = append(want, pair)
 	}
 	got := make([][2]int32, 0, m)
-	gnmStream(n, m, seed, func(u, v int32) { got = append(got, [2]int32{u, v}) })
+	gnmStream(n, m, seed)(func(u, v int32) { got = append(got, [2]int32{u, v}) })
 	if !slices.Equal(flattenPairs(got), flattenPairs(want)) {
 		t.Fatalf("gnmStream disagrees with the map-based reference (got %d pairs, want %d)", len(got), len(want))
 	}
@@ -310,14 +308,14 @@ func BenchmarkGnpShard(b *testing.B) {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				shardSink = GnpShards(ps, 12.0/n, 1, arm.hosted)
+				shardSink, _ = GnpInput(ps, 12.0/n, 1).MachineViews(arm.hosted)
 			}
 		})
 	}
 }
 
 // TestGnpShardAllocsIndependentOfArcs is the allocation fence of the
-// shard build: a dozen for the builder and its stream, plus locals,
+// shard build: a dozen for the input, the builder and its stream, plus locals,
 // offsets, targets and the view per hosted machine — and nothing per
 // arc, so a graph ten times denser stays under the same ceiling.
 func TestGnpShardAllocsIndependentOfArcs(t *testing.T) {
@@ -326,7 +324,7 @@ func TestGnpShardAllocsIndependentOfArcs(t *testing.T) {
 	for _, hosted := range [][]core.MachineID{partition.AllMachines(k)[:1], partition.AllMachines(k)} {
 		limit := float64(12 + 4*len(hosted))
 		for _, deg := range []float64{4, 40} {
-			allocs := testing.AllocsPerRun(3, func() { shardSink = GnpShards(ps, deg/n, 1, hosted) })
+			allocs := testing.AllocsPerRun(3, func() { shardSink, _ = GnpInput(ps, deg/n, 1).MachineViews(hosted) })
 			if allocs > limit {
 				t.Errorf("hosting %d, degree %v: %v allocations per build, want at most %v",
 					len(hosted), deg, allocs, limit)
@@ -348,7 +346,11 @@ func TestGnpShardsSplitTheGraph(t *testing.T) {
 			ps := partition.Spec{N: n, K: k, Seed: seed + 1}
 			want := 2 * Gnp(n, p, seed).M()
 			sum, most := 0, 0
-			for _, lv := range GnpShards(ps, p, seed, partition.AllMachines(k)) {
+			shards, err := GnpInput(ps, p, seed).MachineViews(partition.AllMachines(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, lv := range shards {
 				sum += lv.LocalArcs()
 				most = max(most, lv.LocalArcs())
 			}

@@ -175,7 +175,7 @@ func TestSchedulerMeshJobStream(t *testing.T) {
 			t.Fatalf("job %d (%s) failed: %s", id, mix[i], j.Err)
 		}
 		entry, _ := algo.Lookup(mix[i])
-		ref, err := entry.RunNodeLocal(algo.Problem{N: 120, K: k, Seed: 7})
+		ref, err := entry.Run(algo.Problem{N: 120, K: k, Seed: 7}, transport.TCP)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestJobStreamDeterminism(t *testing.T) {
 				t.Fatalf("%s: %s failed: %s", backendName, name, j.Err)
 			}
 			entry, _ := algo.Lookup(name)
-			ref, err := entry.RunNodeLocal(refProb)
+			ref, err := entry.Run(refProb, transport.TCP)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,7 +316,7 @@ func TestChaosKillMidJobFailsOnlyThatJob(t *testing.T) {
 		t.Errorf("rebuilds = %d, want 1", st.Rebuilds)
 	}
 	entry, _ := algo.Lookup("pagerank")
-	ref, err := entry.RunNodeLocal(algo.Problem{N: 120, K: k, Seed: 7})
+	ref, err := entry.Run(algo.Problem{N: 120, K: k, Seed: 7}, transport.TCP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestSeveredJobResumesFromCheckpoint(t *testing.T) {
 	}
 
 	entry, _ := algo.Lookup("testjob-chaos")
-	ref, err := entry.RunNodeLocal(algo.Problem{N: 60, K: k, Seed: 5})
+	ref, err := entry.Run(algo.Problem{N: 60, K: k, Seed: 5}, transport.TCP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,11 +481,11 @@ func TestRetriedJobIgnoresAnotherRunsCheckpoint(t *testing.T) {
 	const k = 3
 	dir := t.TempDir()
 	entry, _ := algo.Lookup("testjob-chaos")
-	if _, err := entry.RunNodeLocal(algo.Problem{N: 60, K: k, Seed: 6,
-		Checkpoint: algo.CheckpointSpec{Every: 1, Dir: dir}}); err != nil {
+	if _, err := entry.Run(algo.Problem{N: 60, K: k, Seed: 6,
+		Checkpoint: algo.CheckpointSpec{Every: 1, Dir: dir}}, transport.TCP); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := entry.RunNodeLocal(algo.Problem{N: 60, K: k, Seed: 5})
+	ref, err := entry.Run(algo.Problem{N: 60, K: k, Seed: 5}, transport.TCP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,9 @@
 // model's own input assumption (§1.1: "the input is already partitioned
 // when the computation starts"; likewise Klauck et al.'s input
 // distribution). A Spec describes the RVP without materialising anything
-// — homes are a pure hash — and a LocalBuilder routes one pass over the
-// graph's edge stream into the adjacency rows of the machines this
-// process hosts, one LocalView each: a CSR with no *graph.Graph behind
-// it.
+// — homes are a pure hash — and a ShardedInput turns a source's edge
+// stream into the adjacency rows of the machines a process hosts, one
+// LocalView each: a CSR with no *graph.Graph behind it.
 
 package partition
 
@@ -134,28 +133,26 @@ func AllMachines(k int) []core.MachineID {
 	return all
 }
 
-// LocalBuilder builds the shards of the machines one process hosts —
+// localBuilder builds the shards of the machines one process hosts —
 // all k for the in-process substrates, one for a kmnode -id process —
-// from a single pass over the graph's edge stream: every edge is routed
-// by the public hash to the hosted shard(s) owning an endpoint, exactly
-// as a file splitter would, and edges between two machines hosted
-// elsewhere are dropped.
+// from the source's edge stream: every edge is routed by the public hash
+// to the hosted shard(s) owning an endpoint, exactly as a file splitter
+// would, and edges between two machines hosted elsewhere are dropped.
+// Only ShardedInput.MachineViews drives one.
 //
 // A shard's CSR is built by count, prefix-sum, fill. There is no
 // global-ID-to-row index and no sort over the arcs: the hash names the
 // shard, the tail's row is a cursor (canonical streams arrive in row
 // order), and the head's row comes from the shard's bucket index
-// (rows). A stream that is cheap to run again (Replay) is run
-// once per pass and nothing per arc is held between the passes; one that
-// is not (Spool: a file, a generator with global state) is run once and
-// the hosted edges are held until the fill.
-type LocalBuilder struct {
+// (rows). A stream is run once per pass, or once in all with the hosted
+// edges held until the fill (see fill).
+type localBuilder struct {
 	spec     Spec
 	directed bool
 	shards   []shardBuilder
 	byHome   []*shardBuilder // machine -> hosted shard, nil when hosted elsewhere
 	filling  bool
-	spool    [][2]int32 // Spool only: the hosted edges, count pass to fill pass
+	held     [][2]int32 // once only: the hosted edges, count pass to fill pass
 	spooling bool
 
 	// The tail of the previous edge: a row's edges arrive together, so
@@ -235,14 +232,14 @@ func strictlyIncreasing(row []int32) bool {
 	return true
 }
 
-// NewLocalBuilder returns a builder for the shards of the hosted
-// machines (distinct IDs; Build returns the views in the same order)
+// newLocalBuilder returns a builder for the shards of the hosted
+// machines (distinct IDs; build returns the views in the same order)
 // under the given partition spec.
-func NewLocalBuilder(spec Spec, hosted []core.MachineID, directed bool) *LocalBuilder {
+func newLocalBuilder(spec Spec, hosted []core.MachineID, directed bool) *localBuilder {
 	if spec.N < 0 || spec.K < 1 {
 		panic(fmt.Sprintf("partition: bad shard spec n=%d k=%d", spec.N, spec.K))
 	}
-	b := &LocalBuilder{spec: spec, directed: directed, tailID: -1,
+	b := &localBuilder{spec: spec, directed: directed, tailID: -1,
 		shards: make([]shardBuilder, len(hosted)), byHome: make([]*shardBuilder, spec.K)}
 	for i, x := range spec.localsOf(hosted) {
 		sh := &b.shards[i]
@@ -256,31 +253,32 @@ func NewLocalBuilder(spec Spec, hosted []core.MachineID, directed bool) *LocalBu
 	return b
 }
 
-// Replay builds the shards from a stream that emits the same sequence
-// every time it is run: once to count, once to fill. This is the path
-// of the per-row generators, whose stream costs less than holding it.
-func (b *LocalBuilder) Replay(stream func(emit func(u, v int32))) {
-	stream(b.route)
-	b.startFill()
-	stream(b.route)
-}
-
-// Spool builds the shards from a stream that is run only once — a file,
-// or a generator that sorts or carries global state. The edges with a
-// hosted endpoint are held from the count to the fill; all others are
-// dropped as they stream past.
-func (b *LocalBuilder) Spool(stream func(emit func(u, v int32))) {
-	b.spooling = true
-	stream(b.route)
+// fill runs the stream through the builder. A replayed stream is run
+// twice, once to count and once to fill, and nothing per arc is held in
+// between: the per-row generators, whose stream costs less than holding
+// it. A stream run once (a file, or a generator that sorts or carries
+// global state) holds the edges with a hosted endpoint from the count to
+// the fill and drops all others as they stream past. A stream that
+// fails is not run again.
+func (b *localBuilder) fill(stream func(emit func(u, v int32)) error, once bool) error {
+	emit := b.route
+	b.spooling = once
+	if err := stream(emit); err != nil {
+		return err
+	}
 	b.spooling = false
 	b.startFill()
-	for _, e := range b.spool {
+	if !once {
+		return stream(emit)
+	}
+	for _, e := range b.held {
 		b.route(e[0], e[1])
 	}
-	b.spool = nil
+	b.held = nil
+	return nil
 }
 
-func (b *LocalBuilder) startFill() {
+func (b *localBuilder) startFill() {
 	for i := range b.shards {
 		b.shards[i].out.startFill()
 		if b.directed {
@@ -296,7 +294,7 @@ func (b *LocalBuilder) startFill() {
 // machine knows both directions of its vertices' incident edges, §1.1.
 // Self-loops are ignored (matching graph.Builder), out-of-range
 // endpoints panic.
-func (b *LocalBuilder) route(u, v int32) {
+func (b *localBuilder) route(u, v int32) {
 	if u < 0 || int(u) >= b.spec.N || v < 0 || int(v) >= b.spec.N {
 		panic(fmt.Sprintf("partition: shard edge (%d,%d) out of range [0,%d)", u, v, b.spec.N))
 	}
@@ -314,7 +312,7 @@ func (b *LocalBuilder) route(u, v int32) {
 		return
 	}
 	if b.spooling {
-		b.spool = append(b.spool, [2]int32{u, v})
+		b.held = append(b.held, [2]int32{u, v})
 	}
 	if b.tail != nil {
 		b.tail.out.add(b.tailRow, v, b.filling)
@@ -341,9 +339,9 @@ func (sh *shardBuilder) tailRow(u int32) int32 {
 	return int32(sh.cursor)
 }
 
-// Build finalises the shards, in the order the machines were given.
+// build finalises the shards, in the order the machines were given.
 // Only the O(local rows + local arcs) CSRs are retained.
-func (b *LocalBuilder) Build() []*LocalView {
+func (b *localBuilder) build() []*LocalView {
 	if !b.filling { // no stream: an edgeless shard is just its locals
 		b.startFill()
 	}
@@ -442,19 +440,23 @@ func (v *LocalView) mustLocal(u int32, op string) int32 {
 	return r
 }
 
-// ShardedInput is the partition-local Input: MachineViews builds the
-// shards of the machines a process hosts from ONE pass over the source
-// by calling BuildShards, so a process hosting one machine (cmd/kmnode
-// -id) materialises only that machine's rows, and a process hosting all
-// k (the in-process substrates, kmnode -local, the job daemon) replays
-// the generator or reads the file once and never holds a global graph
-// object. Every registry run goes through one.
+// ShardedInput is the Input, and the one path from an edge stream to
+// shards: MachineViews runs the source's Stream through one builder for
+// the machines a process hosts, so a process hosting one machine
+// (cmd/kmnode -id) materialises only that machine's rows, and one
+// hosting all k runs the stream no more often and never holds a global
+// graph object. A generator, an edge-list file and a caller's graph
+// (VertexPartition) are each a stream.
 type ShardedInput struct {
 	// Spec is the partition every shard is built under.
 	Spec Spec
-	// BuildShards generates or ingests the shards of the given machines,
-	// returned in the same order.
-	BuildShards func(hosted []core.MachineID) ([]*LocalView, error)
+	// Directed makes a streamed pair (u,v) the arc u->v, not the edge.
+	Directed bool
+	// Once runs the stream once per MachineViews call, not twice (see
+	// localBuilder.fill); a stream run twice must repeat itself.
+	Once bool
+	// Stream emits the source's edges; nil is the edgeless input.
+	Stream func(emit func(u, v int32)) error
 }
 
 // NumMachines implements Input.
@@ -469,11 +471,25 @@ func (in *ShardedInput) MachineView(m core.MachineID) (View, error) {
 	return views[0], nil
 }
 
-// MachineViews implements Input.
-func (in *ShardedInput) MachineViews(hosted []core.MachineID) ([]View, error) {
-	shards, err := in.BuildShards(hosted)
+// View is MachineView for a stream that cannot fail — a generator's,
+// a graph's; it panics on a stream error.
+func (in *ShardedInput) View(m core.MachineID) *LocalView {
+	v, err := in.MachineView(m)
 	if err != nil {
-		return nil, fmt.Errorf("partition: shards %v: %w", hosted, err)
+		panic(err)
 	}
-	return shards, nil
+	return v
+}
+
+// MachineViews implements Input: one builder for the whole hosted set,
+// fed by two runs of the stream, or one if Once is set. A stream error
+// names the hosted set.
+func (in *ShardedInput) MachineViews(hosted []core.MachineID) ([]View, error) {
+	b := newLocalBuilder(in.Spec, hosted, in.Directed)
+	if in.Stream != nil {
+		if err := b.fill(in.Stream, in.Once); err != nil {
+			return nil, fmt.Errorf("partition: shards %v: %w", hosted, err)
+		}
+	}
+	return b.build(), nil
 }

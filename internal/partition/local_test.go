@@ -1,6 +1,7 @@
 package partition_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -12,20 +13,6 @@ import (
 	"kmachine/internal/graph"
 	. "kmachine/internal/partition"
 )
-
-// buildLocal replays g's edges through a LocalBuilder hosting machine m
-// alone — the generator-independent way to shard an existing graph —
-// and returns m's LocalView.
-func buildLocal(g *graph.Graph, spec Spec, m core.MachineID, directed bool) *LocalView {
-	lb := NewLocalBuilder(spec, []core.MachineID{m}, directed)
-	lb.Replay(func(emit func(u, v int32)) {
-		g.Edges(func(u, v int32) bool {
-			emit(u, v)
-			return true
-		})
-	})
-	return lb.Build()[0]
-}
 
 // TestGraphBuiltViewsMatchGraph checks the views a VertexPartition
 // builds from a graph against that graph: on every machine, whether its
@@ -99,9 +86,8 @@ func TestGraphBuiltViewsMatchGraph(t *testing.T) {
 }
 
 func TestLocalViewGuardsNonLocalAccess(t *testing.T) {
-	g := gen.Path(100)
 	spec := Spec{N: 100, K: 4, Seed: 5}
-	lv := buildLocal(g, spec, 0, false)
+	lv := NewRVP(gen.Path(100), spec.K, spec.Seed).View(0)
 	var foreign int32 = -1
 	for u := int32(0); u < 100; u++ {
 		if spec.HomeOf(u) != 0 {
@@ -141,19 +127,60 @@ func TestSpecAgreesWithNewRVP(t *testing.T) {
 	}
 }
 
+// TestShardedInputWrapsBuildErrors pins the MachineViews contract: a
+// replayable stream runs exactly twice per call — count, then fill —
+// and a Once stream exactly once, whether the call hosts one machine or
+// all k; and a stream that fails is not run again, its error naming the
+// hosted set.
 func TestShardedInputWrapsBuildErrors(t *testing.T) {
-	in := &ShardedInput{
-		Spec: Spec{N: 10, K: 2, Seed: 1},
-		BuildShards: func(hosted []core.MachineID) ([]*LocalView, error) {
-			return nil, errBoom
-		},
-	}
-	if in.NumMachines() != 2 {
-		t.Fatalf("NumMachines = %d", in.NumMachines())
-	}
-	_, err := in.MachineView(1)
-	if err == nil || !strings.Contains(err.Error(), "shards [1]") {
-		t.Fatalf("MachineView error %v does not attribute the machine", err)
+	g := gen.Path(10)
+	spec := Spec{N: 10, K: 2, Seed: 1}
+	for _, once := range []bool{false, true} {
+		runs, fail := 0, false
+		in := &ShardedInput{Spec: spec, Once: once, Stream: func(emit func(u, v int32)) error {
+			runs++
+			g.Edges(func(u, v int32) bool {
+				emit(u, v)
+				return true
+			})
+			if fail {
+				return errBoom
+			}
+			return nil
+		}}
+		if in.NumMachines() != 2 {
+			t.Fatalf("NumMachines = %d", in.NumMachines())
+		}
+		want := 2
+		if once {
+			want = 1
+		}
+		for _, hosted := range [][]core.MachineID{{1}, AllMachines(spec.K)} {
+			runs, fail = 0, false
+			views, err := in.MachineViews(hosted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if runs != want {
+				t.Errorf("once=%v hosting %v: the stream ran %d times, want %d", once, hosted, runs, want)
+			}
+			for _, lv := range views {
+				for _, u := range lv.Locals() {
+					if !slices.Equal(lv.OutAdj(u), g.Adj(int(u))) {
+						t.Fatalf("once=%v hosting %v: OutAdj(%d) = %v, graph %v", once, hosted, u, lv.OutAdj(u), g.Adj(int(u)))
+					}
+				}
+			}
+
+			runs, fail = 0, true
+			_, err = in.MachineViews(hosted)
+			if say := fmt.Sprintf("shards %v", hosted); !errors.Is(err, errBoom) || !strings.Contains(err.Error(), say) {
+				t.Errorf("once=%v hosting %v: error %v, want errBoom saying %q", once, hosted, err, say)
+			}
+			if runs != 1 {
+				t.Errorf("once=%v hosting %v: a failing stream ran %d times, want 1", once, hosted, runs)
+			}
+		}
 	}
 }
 

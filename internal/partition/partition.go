@@ -18,10 +18,10 @@
 // an algorithm touches a vertex that is not local, which keeps the
 // simulated algorithms honest about what a machine can see: the home
 // machine knows the IDs of its vertices' neighbours and those
-// neighbours' home machines, and nothing else. A generated or ingested
-// input builds its shards from the source's edge stream (ShardedInput);
-// a VertexPartition of a caller's graph builds them from the graph's
-// edges, the same way.
+// neighbours' home machines, and nothing else. Every input builds its
+// shards the same way, as a ShardedInput over its source's edge stream:
+// a generator's, an edge-list file's, or — for a VertexPartition of a
+// caller's graph — the graph's own edges.
 package partition
 
 import (
@@ -39,13 +39,14 @@ func Home(seed uint64, v int32, k int) core.MachineID {
 
 // VertexPartition is a vertex partition of a caller-supplied graph: the
 // hashed RVP (NewRVP) or the congested clique's identity (NewIdentity).
-// Its machines' views are CSR shards built from G's edges.
+// It is the ShardedInput whose stream walks G's edges, so its machines'
+// views are CSR shards built like every other input's.
 type VertexPartition struct {
+	*ShardedInput
 	G    *graph.Graph
 	K    int
 	Seed uint64
 
-	spec   Spec
 	locals [][]int32
 }
 
@@ -70,7 +71,14 @@ func NewIdentity(g *graph.Graph) *VertexPartition {
 }
 
 func newVertexPartition(g *graph.Graph, spec Spec) *VertexPartition {
-	p := &VertexPartition{G: g, K: spec.K, Seed: spec.Seed, spec: spec, locals: make([][]int32, spec.K)}
+	p := &VertexPartition{G: g, K: spec.K, Seed: spec.Seed, locals: make([][]int32, spec.K),
+		ShardedInput: &ShardedInput{Spec: spec, Directed: g.Directed(), Stream: func(emit func(u, v int32)) error {
+			g.Edges(func(u, v int32) bool {
+				emit(u, v)
+				return true
+			})
+			return nil
+		}}}
 	for m, x := range spec.localsOf(AllMachines(spec.K)) {
 		p.locals[m] = x.locals
 	}
@@ -78,7 +86,7 @@ func newVertexPartition(g *graph.Graph, spec Spec) *VertexPartition {
 }
 
 // Home returns the home machine of v.
-func (p *VertexPartition) Home(v int32) core.MachineID { return p.spec.HomeOf(v) }
+func (p *VertexPartition) Home(v int32) core.MachineID { return p.Spec.HomeOf(v) }
 
 // Locals returns the vertices homed at machine m, in increasing order.
 func (p *VertexPartition) Locals(m core.MachineID) []int32 { return p.locals[m] }
@@ -108,10 +116,10 @@ type View = *LocalView
 
 // Input is a partitioned problem input as the algorithm driver sees it:
 // it hands every machine its View, building the CSR shards of the
-// machines a process hosts in one pass over the source — a generator's
-// stream or a file (ShardedInput), or a caller's graph
-// (*VertexPartition) — so a process hosting one machine materialises
-// only that machine's Õ((n+m)/k) share.
+// machines a process hosts from its source's edge stream — a
+// generator's, a file's, or a caller's graph's — so a process hosting
+// one machine materialises only that machine's Õ((n+m)/k) share. Every
+// implementation is a ShardedInput (VertexPartition embeds one).
 type Input interface {
 	// NumMachines returns k.
 	NumMachines() int
@@ -121,37 +129,6 @@ type Input interface {
 	MachineViews(hosted []core.MachineID) ([]View, error)
 	// MachineView is MachineViews for a set of one.
 	MachineView(m core.MachineID) (View, error)
-}
-
-// shards builds the CSR shards of the hosted machines from one replay of
-// G's edges.
-func (p *VertexPartition) shards(hosted []core.MachineID) []*LocalView {
-	b := NewLocalBuilder(p.spec, hosted, p.G.Directed())
-	b.Replay(func(emit func(u, v int32)) {
-		p.G.Edges(func(u, v int32) bool {
-			emit(u, v)
-			return true
-		})
-	})
-	return b.Build()
-}
-
-// View returns machine m's shard of G.
-func (p *VertexPartition) View(m core.MachineID) *LocalView {
-	return p.shards([]core.MachineID{m})[0]
-}
-
-// NumMachines implements Input.
-func (p *VertexPartition) NumMachines() int { return p.K }
-
-// MachineView implements Input.
-func (p *VertexPartition) MachineView(m core.MachineID) (View, error) {
-	return p.View(m), nil
-}
-
-// MachineViews implements Input.
-func (p *VertexPartition) MachineViews(hosted []core.MachineID) ([]View, error) {
-	return p.shards(hosted), nil
 }
 
 // EdgePartition is a materialised REP: edge i (in graph.EdgeList order)

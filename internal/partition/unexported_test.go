@@ -1,6 +1,6 @@
 // In-package tests for unexported details; the rest of the suite lives
-// in package partition_test so it can import internal/gen (which now
-// imports this package for its shard builders).
+// in package partition_test so it can import internal/gen (which
+// imports this package for its inputs).
 package partition
 
 import (

@@ -11,7 +11,9 @@ package kmachine_test
 // must produce deeply equal outputs and identical Stats.
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"kmachine/internal/algo"
@@ -102,5 +104,34 @@ func TestRegistryEdgeListMatchesGenerator(t *testing.T) {
 				t.Errorf("file run recorded setup %v, exec %v; want both positive", got.SetupTime, got.ExecTime)
 			}
 		})
+	}
+}
+
+// TestShardedConnectivityGolden pins connectivity over generated shards
+// on the socket link black-box, as kmnode -local 8 -algo conncomp -n
+// 20000 -seed 5 prints it: model accounting, summary and output hash.
+// The shard path has no materialised oracle at this size, so a change
+// in how a stream becomes shards — an edge dropped, a row misplaced —
+// shows here as a changed hash or Stats.
+func TestShardedConnectivityGolden(t *testing.T) {
+	entry, ok := algo.Lookup("conncomp")
+	if !ok {
+		t.Fatal("registry has no conncomp")
+	}
+	out, err := entry.Run(algo.Problem{N: 20000, K: 8, Seed: 5}, transport.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := out.Stats
+	got := fmt.Sprintf("rounds=%d supersteps=%d messages=%d words=%d maxRecvWords=%d",
+		st.Rounds, st.Supersteps, st.Messages, st.Words, st.MaxRecvWords)
+	if want := "rounds=1776 supersteps=12 messages=700444 words=1400664 maxRecvWords=177518"; got != want {
+		t.Errorf("stats %s, want %s", got, want)
+	}
+	if want := "conncomp: 3 components over 20000 vertices in 4 phases"; !slices.Contains(out.Summary, want) {
+		t.Errorf("summary %q, want the line %q", out.Summary, want)
+	}
+	if out.Hash != 0x846a017509336afc {
+		t.Errorf("output hash %016x, want 846a017509336afc", out.Hash)
 	}
 }
