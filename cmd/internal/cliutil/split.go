@@ -20,7 +20,8 @@ import (
 )
 
 // SplitEdgeList streams the edge list at inPath once and writes k
-// per-machine files into outDir, named <base>.m<ID>.txt. An edge whose
+// per-machine files into outDir, named <base>.m<ID>.txt, creating outDir
+// if it is missing (as core.FileSink does its directory). An edge whose
 // endpoints live on two machines is written to both files (each machine
 // stores its own vertices' full adjacency rows, §1.1). It returns the
 // per-machine file paths in machine-ID order.
@@ -31,6 +32,9 @@ func SplitEdgeList(inPath, outDir string, spec partition.Spec) ([]string, error)
 	}
 	defer in.Close()
 
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return nil, err
+	}
 	base := filepath.Base(inPath)
 	if ext := filepath.Ext(base); ext != "" {
 		base = base[:len(base)-len(ext)]

@@ -35,10 +35,7 @@ func TestSplitEdgeList(t *testing.T) {
 	}
 
 	spec := partition.Spec{N: n, K: k, Seed: 14}
-	outDir := filepath.Join(dir, "split")
-	if err := os.Mkdir(outDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	outDir := filepath.Join(dir, "split") // missing: SplitEdgeList creates it
 	paths, err := SplitEdgeList(full, outDir, spec)
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"expvar"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 
 	"kmachine/internal/jobs"
 	"kmachine/internal/obs"
@@ -34,75 +35,72 @@ import (
 //	                             up as a skewed lane)
 //	kmachine.trace.spans         spans recorded so far
 //	kmachine.trace.dropped       spans that fell off the ring
-func startDebugServer(addr string, tr *obs.Trace) (string, error) {
+func (c *cli) startDebugServer(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", err
+		return err
 	}
-	// The server lives for the process lifetime; kmnode exits when the
-	// run (plus -debug-linger) is over, which is this server's teardown.
-	go http.Serve(ln, newDebugMux(tr))
-	return ln.Addr().String(), nil
+	c.debug = &http.Server{Handler: newDebugMux(traceGauges(c.trace))}
+	go c.debug.Serve(ln)
+	c.log.Info("debug server listening", slog.String("addr", ln.Addr().String()))
+	return nil
 }
+
+// gauges are one debug server's kmachine.* expvars, read per scrape.
+type gauges map[string]func() any
 
 // newDebugMux builds the debug plane's mux — pprof plus the expvar
 // gauges — without binding it to a listener, so -serve can mount the
-// job-service API on the same mux (serve.go) while single-run mode
-// keeps the fire-and-forget server above.
-func newDebugMux(tr *obs.Trace) *http.ServeMux {
-	publishExpvars(tr)
+// job-service API on the same mux (serve.go). The gauges belong to the
+// mux, not to expvar's process-wide registry, so every server reads
+// its own run's trace.
+func newDebugMux(g gauges) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
+		vars := map[string]any{}
+		expvar.Do(func(kv expvar.KeyValue) { vars[kv.Key] = json.RawMessage(kv.Value.String()) })
+		for name, read := range g {
+			vars[name] = read()
+		}
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		json.NewEncoder(w).Encode(vars)
+	})
 	return mux
 }
 
-// publishOnce guards the expvar registrations: expvar.Publish panics on
-// duplicates, and tests may start more than one server per process.
-var publishOnce sync.Once
-
-// publishJobOnce guards the job-service expvars the same way.
-var publishJobOnce sync.Once
-
-// publishJobExpvars adds the scheduler's gauges next to the trace-fed
-// kmachine.* set. The trace gauges are Reset per job by the scheduler,
-// so under -serve they describe the LIVE job; kmachine.job.current says
-// which job that is, and the kmachine.jobs.* counters accumulate over
-// the daemon's lifetime.
-func publishJobExpvars(s *jobs.Scheduler) {
-	publishJobOnce.Do(func() {
-		gauge := func(name string, read func(st jobs.Stats) any) {
-			expvar.Publish(name, expvar.Func(func() any { return read(s.Stats()) }))
-		}
-		gauge("kmachine.job.current", func(st jobs.Stats) any { return st.Running })
-		gauge("kmachine.jobs.queued", func(st jobs.Stats) any { return st.Queued })
-		gauge("kmachine.jobs.done", func(st jobs.Stats) any { return st.Done })
-		gauge("kmachine.jobs.failed", func(st jobs.Stats) any { return st.Failed })
-		gauge("kmachine.jobs.canceled", func(st jobs.Stats) any { return st.Canceled })
-		gauge("kmachine.jobs.mesh_rebuilds", func(st jobs.Stats) any { return st.Rebuilds })
-		gauge("kmachine.jobs.recovered", func(st jobs.Stats) any { return st.Recovered })
-		gauge("kmachine.jobs.evicted", func(st jobs.Stats) any { return st.Evicted })
-		gauge("kmachine.jobs.draining", func(st jobs.Stats) any { return st.Draining })
-	})
+func traceGauges(tr *obs.Trace) gauges {
+	return gauges{
+		"kmachine.superstep.current": func() any { return tr.Counters().CurrentSuperstep },
+		"kmachine.supersteps":        func() any { return tr.Counters().SuperstepsStarted },
+		"kmachine.wire.bytes_sent":   func() any { return tr.Counters().BytesSent },
+		"kmachine.wire.bytes_recv":   func() any { return tr.Counters().BytesRecv },
+		"kmachine.wire.frames_sent":  func() any { return tr.Counters().FramesSent },
+		"kmachine.wire.frames_recv":  func() any { return tr.Counters().FramesRecv },
+		"kmachine.wire.per_peer":     func() any { return tr.Counters().PerPeer },
+		"kmachine.trace.spans":       func() any { return tr.Counters().Total },
+		"kmachine.trace.dropped":     func() any { return tr.Counters().Dropped },
+	}
 }
 
-func publishExpvars(tr *obs.Trace) {
-	publishOnce.Do(func() {
-		gauge := func(name string, read func(c obs.Counters) any) {
-			expvar.Publish(name, expvar.Func(func() any { return read(tr.Counters()) }))
-		}
-		gauge("kmachine.superstep.current", func(c obs.Counters) any { return c.CurrentSuperstep })
-		gauge("kmachine.supersteps", func(c obs.Counters) any { return c.SuperstepsStarted })
-		gauge("kmachine.wire.bytes_sent", func(c obs.Counters) any { return c.BytesSent })
-		gauge("kmachine.wire.bytes_recv", func(c obs.Counters) any { return c.BytesRecv })
-		gauge("kmachine.wire.frames_sent", func(c obs.Counters) any { return c.FramesSent })
-		gauge("kmachine.wire.frames_recv", func(c obs.Counters) any { return c.FramesRecv })
-		gauge("kmachine.wire.per_peer", func(c obs.Counters) any { return c.PerPeer })
-		gauge("kmachine.trace.spans", func(c obs.Counters) any { return c.Total })
-		gauge("kmachine.trace.dropped", func(c obs.Counters) any { return c.Dropped })
-	})
+// jobGauges adds the scheduler's gauges to the trace-fed kmachine.*
+// set. The trace gauges are Reset per job by the scheduler, so under
+// -serve they describe the LIVE job; kmachine.job.current says which
+// job that is, and the kmachine.jobs.* counters accumulate over the
+// daemon's lifetime.
+func (g gauges) jobGauges(s *jobs.Scheduler) gauges {
+	g["kmachine.job.current"] = func() any { return s.Stats().Running }
+	g["kmachine.jobs.queued"] = func() any { return s.Stats().Queued }
+	g["kmachine.jobs.done"] = func() any { return s.Stats().Done }
+	g["kmachine.jobs.failed"] = func() any { return s.Stats().Failed }
+	g["kmachine.jobs.canceled"] = func() any { return s.Stats().Canceled }
+	g["kmachine.jobs.mesh_rebuilds"] = func() any { return s.Stats().Rebuilds }
+	g["kmachine.jobs.recovered"] = func() any { return s.Stats().Recovered }
+	g["kmachine.jobs.evicted"] = func() any { return s.Stats().Evicted }
+	g["kmachine.jobs.draining"] = func() any { return s.Stats().Draining }
+	return g
 }

@@ -53,7 +53,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
+	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -67,71 +69,88 @@ import (
 	"kmachine/internal/transport/node"
 )
 
-// logger is the process-wide diagnostic logger (stderr). It starts on
-// the one-line text handler so even pre-flag failures render; main
-// swaps in the JSON handler when -log-format json asks for it.
-var logger = slog.New(newLineHandler(os.Stderr))
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// tel is the process-wide telemetry state (trace recorder, trace output
-// path, debug-server linger); zero means "not instrumented".
-var tel telemetry
+// cli is one kmnode invocation: where results and diagnostics go, and
+// the run's optional telemetry (span recorder, -trace file, debug server).
+type cli struct {
+	stdout    io.Writer
+	log       *slog.Logger
+	trace     *obs.Trace
+	tracePath string
+	linger    time.Duration
+	debug     *http.Server
+}
 
-func main() {
+// run is kmnode over args: results to stdout, diagnostics to stderr. It
+// closes everything it opened and returns the exit status: 0 done, 1 a
+// failed run or a rejected value, 2 a command line that names no mode.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	c := &cli{stdout: stdout, log: slog.New(newLineHandler(stderr))}
 	// A panic that escapes the runtime (a bug, not an expected failure)
-	// must still come out as a one-line diagnostic and a non-zero exit,
-	// not a raw stack trace: kmnode processes are cluster members, and
-	// their exit status is what orchestration scripts key off.
+	// still comes out as one diagnostic line and a non-zero exit: kmnode
+	// processes are cluster members, and orchestration keys off that.
 	defer func() {
 		if r := recover(); r != nil {
-			fatal("internal panic", slog.Any("panic", r))
+			code = c.fatal("internal panic", slog.Any("panic", r))
 		}
 	}()
+	fs := flag.NewFlagSet("kmnode", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		local     = flag.Int("local", 0, "spawn a full k-machine cluster over loopback TCP in this process")
-		serve     = flag.Bool("serve", false, "daemon mode: build the standing mesh once (-local k sets its size) and serve the job-submission HTTP API on -debug-addr")
-		id        = flag.Int("id", -1, "this node's machine ID (standalone mode)")
-		k         = flag.Int("k", 0, "cluster size (standalone mode)")
-		listen    = flag.String("listen", "", "listen address, e.g. 127.0.0.1:9000 (standalone mode)")
-		peers     = flag.String("peers", "", "comma-separated k listen addresses in machine-ID order (standalone mode)")
-		algoName  = flag.String("algo", "pagerank", "computation to run ("+strings.Join(algo.Names(), "|")+")")
-		list      = flag.Bool("algos", false, "list registered algorithms and exit")
-		n         = flag.Int("n", 10000, "number of vertices (keys for dsort, probes/machine for routing)")
-		p         = flag.Float64("p", 0.0, "G(n,p) edge probability; 0 means 10/n")
-		seed      = flag.Uint64("seed", 1, "seed for graph, partition, and machine randomness")
-		bw        = flag.Int("bandwidth", 0, "per-link words/round; 0 means DefaultBandwidth(n)")
-		eps       = flag.Float64("eps", 0.15, "PageRank reset probability")
-		top       = flag.Int("top", 5, "how many top-ranked vertices to print")
-		timeout   = flag.Duration("dial-timeout", 10*time.Second, "how long to wait for peers to come up")
-		deadline  = flag.Duration("superstep-timeout", 0, "deadline for each whole superstep, local computation included; a crashed, wedged or too-slow machine surfaces as an attributed error within it (0 = none)")
-		ckEvery   = flag.Int("checkpoint-every", 0, fmt.Sprintf("with -local k: capture a consistent cut of all k machines every s supersteps (0 = off); output and stats are unchanged, and a run that loses a machine is re-run from its newest cut, or from the start if it stored none, at most %d times", core.DefaultMaxRecoveries))
-		ckDir     = flag.String("checkpoint-dir", "", "store checkpoints in this directory instead of memory only, as ckpt-<superstep>.kmck files (newest two kept; the format every runtime reads and writes; needs -checkpoint-every)")
-		retain    = flag.Int("retain-jobs", 0, "daemon mode: keep at most this many job records, evicting finished ones oldest-first (0 = unbounded)")
-		input     = flag.String("input", "", "read the graph from this edge-list file ('u v' per line, '#' comments) instead of generating G(n,p); -n still declares the vertex-ID space")
-		splitOut  = flag.String("split-out", "", "split -input into per-machine edge-list files in this directory and exit (needs -local k or -k for the machine count)")
-		trace     = flag.String("trace", "", "write a Chrome trace-event JSON phase timeline to this file (open in chrome://tracing or Perfetto)")
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. :0 or 127.0.0.1:6060)")
-		linger    = flag.Duration("debug-linger", 0, "keep the debug server alive this long after the run, so final counters can be scraped")
-		logFormat = flag.String("log-format", "text", "diagnostic log format on stderr: text (one line per event) or json")
+		local     = fs.Int("local", 0, "spawn a full k-machine cluster over loopback TCP in this process")
+		serve     = fs.Bool("serve", false, "daemon mode: build the standing mesh once (-local k sets its size) and serve the job-submission HTTP API on -debug-addr")
+		id        = fs.Int("id", -1, "this node's machine ID (standalone mode)")
+		k         = fs.Int("k", 0, "cluster size (standalone mode)")
+		listen    = fs.String("listen", "", "listen address, e.g. 127.0.0.1:9000 (standalone mode)")
+		peers     = fs.String("peers", "", "comma-separated k listen addresses in machine-ID order (standalone mode)")
+		algoName  = fs.String("algo", "pagerank", "computation to run ("+strings.Join(algo.Names(), "|")+")")
+		list      = fs.Bool("algos", false, "list registered algorithms and exit")
+		n         = fs.Int("n", 10000, "number of vertices (keys for dsort, probes/machine for routing)")
+		p         = fs.Float64("p", 0.0, "G(n,p) edge probability; 0 means 10/n")
+		seed      = fs.Uint64("seed", 1, "seed for graph, partition, and machine randomness")
+		bw        = fs.Int("bandwidth", 0, "per-link words/round; 0 means DefaultBandwidth(n)")
+		eps       = fs.Float64("eps", 0.15, "PageRank reset probability")
+		top       = fs.Int("top", 5, "how many top-ranked vertices to print")
+		timeout   = fs.Duration("dial-timeout", 10*time.Second, "how long to wait for peers to come up")
+		deadline  = fs.Duration("superstep-timeout", 0, "deadline for each whole superstep, local computation included; a crashed, wedged or too-slow machine surfaces as an attributed error within it (0 = none)")
+		ckEvery   = fs.Int("checkpoint-every", 0, fmt.Sprintf("with -local k: capture a consistent cut of all k machines every s supersteps (0 = off); output and stats are unchanged, and a run that loses a machine is re-run from its newest cut, or from the start if it stored none, at most %d times", core.DefaultMaxRecoveries))
+		ckDir     = fs.String("checkpoint-dir", "", "store checkpoints in this directory instead of memory only, as ckpt-<superstep>.kmck files (newest two kept; the format every runtime reads and writes; needs -checkpoint-every)")
+		retain    = fs.Int("retain-jobs", 0, "daemon mode: keep at most this many job records, evicting finished ones oldest-first (0 = unbounded)")
+		input     = fs.String("input", "", "read the graph from this edge-list file ('u v' per line, '#' comments) instead of generating G(n,p); -n still declares the vertex-ID space")
+		splitOut  = fs.String("split-out", "", "split -input into per-machine edge-list files in this directory and exit (needs -local k or -k for the machine count)")
+		trace     = fs.String("trace", "", "write a Chrome trace-event JSON phase timeline to this file (open in chrome://tracing or Perfetto)")
+		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. :0 or 127.0.0.1:6060)")
+		linger    = fs.Duration("debug-linger", 0, "keep the debug server alive this long after the run, so final counters can be scraped")
+		logFormat = fs.String("log-format", "text", "diagnostic log format on stderr: text (one line per event) or json")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	switch *logFormat {
 	case "text":
 	case "json":
-		logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
+		c.log = slog.New(slog.NewJSONHandler(stderr, nil))
 	default:
-		fatal("unknown -log-format", slog.String("format", *logFormat), slog.String("supported", "text, json"))
+		return c.fatal("unknown -log-format", slog.String("format", *logFormat), slog.String("supported", "text, json"))
+	}
+	if *retain < 0 {
+		return c.fatal("-retain-jobs must be >= 0 (0 = unbounded)", slog.Int("retain-jobs", *retain))
 	}
 
 	if *list {
 		for _, e := range algo.Entries() {
-			fmt.Printf("%-10s %s\n", e.Name, e.Doc)
+			fmt.Fprintf(stdout, "%-10s %s\n", e.Name, e.Doc)
 		}
-		return
+		return 0
 	}
 	entry, ok := algo.Lookup(*algoName)
 	if !ok {
-		fatal("unknown -algo", slog.String("algo", *algoName), slog.String("supported", strings.Join(algo.Names(), ", ")))
+		return c.fatal("unknown -algo", slog.String("algo", *algoName), slog.String("supported", strings.Join(algo.Names(), ", ")))
 	}
 
 	prob := algo.Problem{N: *n, EdgeP: *p, Seed: *seed, Bandwidth: *bw, Eps: *eps, Top: *top,
@@ -141,32 +160,32 @@ func main() {
 	case *local >= 2:
 		prob.K = *local
 	case *id >= 0 && (*ckEvery != 0 || *ckDir != ""):
-		fmt.Fprintln(os.Stderr, "kmnode: -checkpoint-every/-checkpoint-dir need -local k: one process of k (-id) can never complete a cut")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "kmnode: -checkpoint-every/-checkpoint-dir need -local k: one process of k (-id) can never complete a cut")
+		return 2
 	case *id >= 0 || (*splitOut != "" && *k >= 2):
 		prob.K = *k
 	default:
 		if *serve {
-			fmt.Fprintln(os.Stderr, "kmnode: -serve needs -local k for the standing mesh size")
+			fmt.Fprintln(stderr, "kmnode: -serve needs -local k for the standing mesh size")
 		} else {
-			fmt.Fprintln(os.Stderr, "kmnode: need either -local k, or -id with -k/-listen/-peers")
+			fmt.Fprintln(stderr, "kmnode: need either -local k, or -id with -k/-listen/-peers")
 		}
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
 	if *splitOut != "" {
 		if *input == "" {
-			fatal("-split-out needs -input with the flat edge list to split")
+			return c.fatal("-split-out needs -input with the flat edge list to split")
 		}
 		paths, err := cliutil.SplitEdgeList(*input, *splitOut, prob.PartitionSpec())
 		if err != nil {
-			fatal("edge-list split failed", slog.String("input", *input), slog.Any("err", err))
+			return c.fatal("edge-list split failed", slog.String("input", *input), slog.Any("err", err))
 		}
 		for m, path := range paths {
-			fmt.Printf("machine %d: %s\n", m, path)
+			fmt.Fprintf(stdout, "machine %d: %s\n", m, path)
 		}
-		return
+		return 0
 	}
 
 	// The trace recorder doubles as the debug plane's data source, so
@@ -174,70 +193,64 @@ func main() {
 	// its debug plane is re-scoped to the live job. With k known, the
 	// per-peer wire counters get their lanes.
 	if *trace != "" || *debugAddr != "" || *serve {
-		tel = telemetry{trace: obs.NewTrace(0, prob.K), tracePath: *trace, linger: *linger}
-		prob.Recorder = tel.trace
+		c.trace, c.tracePath, c.linger = obs.NewTrace(0, prob.K), *trace, *linger
+		prob.Recorder = c.trace
 	}
 	if *serve {
 		// The daemon owns the debug mux (the job API mounts on it) and
-		// only exits on signal, so the one-shot server and the trace
-		// flush below don't apply.
-		runServe(prob.K, *debugAddr, tel.trace, *retain)
-		return
+		// returns only on signal: no one-shot server, no trace flush.
+		return c.serve(prob.K, *debugAddr, *retain)
 	}
 	if *debugAddr != "" {
-		addr, err := startDebugServer(*debugAddr, tel.trace)
-		if err != nil {
-			fatal("debug server failed to start", slog.String("addr", *debugAddr), slog.Any("err", err))
+		if err := c.startDebugServer(*debugAddr); err != nil {
+			return c.fatal("debug server failed to start", slog.String("addr", *debugAddr), slog.Any("err", err))
 		}
-		tel.debugOn = true
-		logger.Info("debug server listening", slog.String("addr", addr))
+		defer c.debug.Close()
 	}
 
 	if *local >= 2 {
-		runLocal(entry, prob)
-	} else {
-		runStandalone(entry, prob, *id, *listen, *peers, *timeout)
+		return c.runLocal(entry, prob)
 	}
-	tel.flush()
+	return c.runStandalone(entry, prob, *id, *listen, *peers, *timeout)
 }
 
-func runLocal(entry *algo.Entry, prob algo.Problem) {
-	logger.Info("local cluster starting",
+func (c *cli) runLocal(entry *algo.Entry, prob algo.Problem) int {
+	c.log.Info("local cluster starting",
 		slog.Int("k", prob.K), slog.String("algo", entry.Name),
 		slog.Int("n", prob.N), slog.Uint64("seed", prob.Seed))
 	start := time.Now()
 	out, err := entry.Run(prob, transport.TCP)
 	if err != nil {
-		failRun("cluster failed", err)
+		return c.failRun("cluster failed", err)
 	}
-	printOutcome(out, time.Since(start))
+	return c.printOutcome(out, time.Since(start))
 }
 
-func runStandalone(entry *algo.Entry, prob algo.Problem, id int, listen, peerList string, timeout time.Duration) {
+func (c *cli) runStandalone(entry *algo.Entry, prob algo.Problem, id int, listen, peerList string, timeout time.Duration) int {
 	if prob.K < 2 || listen == "" || peerList == "" {
-		fatal("standalone mode needs -k >= 2, -listen, and -peers")
+		return c.fatal("standalone mode needs -k >= 2, -listen, and -peers")
 	}
 	peers := strings.Split(peerList, ",")
 	if len(peers) != prob.K {
-		fatal("-peers list does not match k", slog.Int("addresses", len(peers)), slog.Int("k", prob.K))
+		return c.fatal("-peers list does not match k", slog.Int("addresses", len(peers)), slog.Int("k", prob.K))
 	}
-	logger.Info("machine starting",
+	c.log.Info("machine starting",
 		slog.Int("machine", id), slog.Int("k", prob.K), slog.String("listen", listen),
 		slog.String("algo", entry.Name), slog.Int("n", prob.N), slog.Uint64("seed", prob.Seed))
 
 	start := time.Now()
 	out, err := entry.RunStandalone(prob, node.Place{ID: id, Listen: listen, Peers: peers, DialTimeout: timeout})
 	if err != nil {
-		failRun("machine failed", err, slog.Int("self", id))
+		return c.failRun("machine failed", err, slog.Int("self", id))
 	}
-	printOutcome(out, time.Since(start))
+	return c.printOutcome(out, time.Since(start))
 }
 
-// failRun logs a run failure and exits non-zero. The machine/superstep
-// attribution the runtime recorded — WHICH process of the cluster to
-// look at, and when it died — rides along as structured attrs instead
-// of being interpolated into the message.
-func failRun(msg string, err error, extra ...any) {
+// failRun flushes the telemetry, logs a run failure and returns 1. The
+// machine/superstep attribution the runtime recorded — WHICH process of
+// the cluster to look at, and when it died — rides along as structured
+// attrs instead of being interpolated into the message.
+func (c *cli) failRun(msg string, err error, extra ...any) int {
 	args := extra
 	var me *transport.MachineError
 	if errors.As(err, &me) {
@@ -248,74 +261,62 @@ func failRun(msg string, err error, extra ...any) {
 	} else {
 		args = append(args, slog.Any("err", err))
 	}
-	tel.flush()
-	logger.Error(msg, args...)
-	os.Exit(1)
+	c.flush()
+	return c.fatal(msg, args...)
 }
 
-// fatal logs a configuration or internal failure and exits non-zero.
-func fatal(msg string, args ...any) {
-	logger.Error(msg, args...)
-	os.Exit(1)
+// fatal logs a configuration or internal failure and returns 1.
+func (c *cli) fatal(msg string, args ...any) int {
+	c.log.Error(msg, args...)
+	return 1
 }
 
-func printOutcome(out *algo.Outcome, wall time.Duration) {
-	if out.Stats != nil {
-		printStats(out.Stats, wall)
+// printOutcome prints a finished run's results, flushes, and returns 0.
+func (c *cli) printOutcome(out *algo.Outcome, wall time.Duration) int {
+	if s := out.Stats; s != nil {
+		fmt.Fprintf(c.stdout, "done in %v wall clock\n", wall.Round(time.Millisecond))
+		fmt.Fprintf(c.stdout, "rounds=%d supersteps=%d messages=%d words=%d maxRecvWords=%d\n",
+			s.Rounds, s.Supersteps, s.Messages, s.Words, s.MaxRecvWords)
 	}
 	if out.SetupTime > 0 || out.ExecTime > 0 {
-		fmt.Printf("setup %v (input build) + run %v (supersteps)\n",
+		fmt.Fprintf(c.stdout, "setup %v (input build) + run %v (supersteps)\n",
 			out.SetupTime.Round(time.Millisecond), out.ExecTime.Round(time.Millisecond))
 	}
 	for _, line := range out.Summary {
-		fmt.Println(line)
+		fmt.Fprintln(c.stdout, line)
 	}
 	if out.Hash != 0 {
-		fmt.Printf("output hash %016x\n", out.Hash)
+		fmt.Fprintf(c.stdout, "output hash %016x\n", out.Hash)
 	}
-}
-
-func printStats(s *core.Stats, wall time.Duration) {
-	fmt.Printf("done in %v wall clock\n", wall.Round(time.Millisecond))
-	fmt.Printf("rounds=%d supersteps=%d messages=%d words=%d maxRecvWords=%d\n",
-		s.Rounds, s.Supersteps, s.Messages, s.Words, s.MaxRecvWords)
-}
-
-// telemetry is the optional observability state of a run: the span
-// recorder feeding both the -trace export and the debug plane's
-// expvars.
-type telemetry struct {
-	trace     *obs.Trace
-	tracePath string
-	linger    time.Duration
-	debugOn   bool
+	c.flush()
+	return 0
 }
 
 // flush writes the trace file, prints the phase summary, and keeps the
 // debug server lingering if asked. Called once on every exit path that
 // ran (or attempted) a computation.
-func (t *telemetry) flush() {
-	if t.trace == nil {
+func (c *cli) flush() {
+	if c.trace == nil {
 		return
 	}
-	spans := t.trace.Spans()
+	spans := c.trace.Spans()
 	if sum := obs.Summarize(spans); sum.Supersteps > 0 {
-		fmt.Printf("phases over %d supersteps: compute p50=%v max=%v | barrier p50=%v max=%v | exchange p50=%v max=%v | spans cover %.1f%% of %v wall\n",
+		fmt.Fprintf(c.stdout, "phases over %d supersteps: compute p50=%v max=%v | barrier p50=%v max=%v | exchange p50=%v max=%v | spans cover %.1f%% of %v wall\n",
 			sum.Supersteps,
 			time.Duration(sum.Compute.P50Ns), time.Duration(sum.Compute.MaxNs),
 			time.Duration(sum.Barrier.P50Ns), time.Duration(sum.Barrier.MaxNs),
 			time.Duration(sum.Exchange.P50Ns), time.Duration(sum.Exchange.MaxNs),
 			100*sum.Coverage, time.Duration(sum.WallNs).Round(time.Millisecond))
 	}
-	if t.tracePath != "" {
-		if err := obs.WriteChromeTraceFile(t.tracePath, spans); err != nil {
-			logger.Error("trace write failed", slog.String("path", t.tracePath), slog.Any("err", err))
+	if c.tracePath != "" {
+		if err := obs.WriteChromeTraceFile(c.tracePath, spans); err != nil {
+			c.log.Error("trace write failed", slog.String("path", c.tracePath), slog.Any("err", err))
 		} else {
-			logger.Info("trace written", slog.String("path", t.tracePath), slog.Int("spans", len(spans)))
+			c.log.Info("trace written", slog.String("path", c.tracePath), slog.Int("spans", len(spans)))
 		}
 	}
-	if t.debugOn && t.linger > 0 {
-		logger.Info("debug server lingering", slog.Duration("for", t.linger))
-		time.Sleep(t.linger)
+	if c.debug != nil && c.linger > 0 {
+		c.log.Info("debug server lingering", slog.Duration("for", c.linger))
+		time.Sleep(c.linger)
 	}
 }

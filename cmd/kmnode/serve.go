@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
@@ -11,7 +12,6 @@ import (
 	"syscall"
 
 	"kmachine/internal/jobs"
-	"kmachine/internal/obs"
 )
 
 // This file is kmnode's daemon mode. `kmnode -serve -local k` builds
@@ -32,24 +32,22 @@ import (
 // jobs finish, new submissions get 503 — then the mesh closes and the
 // process exits 0. A second signal force-aborts the in-flight job
 // through its context; teardown still completes cleanly.
-func runServe(k int, addr string, tr *obs.Trace, retainJobs int) {
+func (c *cli) serve(k int, addr string, retainJobs int) int {
 	if k < 2 {
-		fatal("-serve needs -local k with k >= 2 for the standing mesh size")
+		return c.fatal("-serve needs -local k with k >= 2 for the standing mesh size")
 	}
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
+	addr = cmp.Or(addr, "127.0.0.1:0")
 	backend, err := jobs.NewMeshBackend(k)
 	if err != nil {
-		fatal("standing mesh failed to build", slog.Int("k", k), slog.Any("err", err))
+		return c.fatal("standing mesh failed to build", slog.Int("k", k), slog.Any("err", err))
 	}
-	sched := jobs.New(backend, jobs.Options{Trace: tr, MaxJobs: retainJobs})
-	mux := newDebugMux(tr)
+	sched := jobs.New(backend, jobs.Options{Trace: c.trace, MaxJobs: retainJobs})
+	mux := newDebugMux(traceGauges(c.trace).jobGauges(sched))
 	sched.RegisterAPI(mux)
-	publishJobExpvars(sched)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		fatal("job service failed to listen", slog.String("addr", addr), slog.Any("err", err))
+		sched.Close()
+		return c.fatal("job service failed to listen", slog.String("addr", addr), slog.Any("err", err))
 	}
 	srv := &http.Server{Handler: mux}
 	serveDone := make(chan struct{})
@@ -57,29 +55,32 @@ func runServe(k int, addr string, tr *obs.Trace, retainJobs int) {
 		srv.Serve(ln)
 		close(serveDone)
 	}()
-	logger.Info("job service listening", slog.String("addr", ln.Addr().String()), slog.Int("k", k))
+	c.log.Info("job service listening", slog.String("addr", ln.Addr().String()), slog.Int("k", k))
 	// The address also goes to stdout so scripts can scrape it when the
 	// OS picked the port.
-	fmt.Printf("serving on %s\n", ln.Addr())
+	fmt.Fprintf(c.stdout, "serving on %s\n", ln.Addr())
 
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	sig := <-sigc
-	logger.Info("drain started", slog.String("signal", sig.String()))
-	go func() {
-		sig2 := <-sigc
-		logger.Warn("force-aborting in-flight job", slog.String("signal", sig2.String()))
-		sched.Abort()
+	c.log.Info("drain started", slog.String("signal", sig.String()))
+	go func() { // ends when sigc closes
+		for sig2 := range sigc {
+			c.log.Warn("force-aborting in-flight job", slog.String("signal", sig2.String()))
+			sched.Abort()
+		}
 	}()
 	if err := sched.Drain(context.Background()); err != nil {
-		logger.Error("drain failed", slog.Any("err", err))
+		c.log.Error("drain failed", slog.Any("err", err))
 	}
 	if err := sched.Close(); err != nil {
-		logger.Error("scheduler close failed", slog.Any("err", err))
+		c.log.Error("scheduler close failed", slog.Any("err", err))
 	}
 	srv.Close()
 	<-serveDone
 	signal.Stop(sigc)
+	close(sigc)
 	st := sched.Stats()
-	logger.Info("job service stopped", slog.Int64("done", st.Done), slog.Int64("failed", st.Failed))
+	c.log.Info("job service stopped", slog.Int64("done", st.Done), slog.Int64("failed", st.Failed))
+	return 0
 }

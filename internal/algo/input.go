@@ -27,7 +27,9 @@ func (prob Problem) PartitionSpec() partition.Spec {
 // the model needs k >= 2 machines, vertex IDs are int32, so a larger N
 // would wrap silently, a probability outside [0,1] is not one, a
 // link carries at least one word per round (0 means the default), a
-// checkpoint interval counts supersteps (0 means off), a reset
+// superstep deadline is not negative (0 means none), a checkpoint
+// interval counts supersteps (0 means off) and a checkpoint directory
+// needs one, a reset
 // probability lies in (0,1) (0 means 0.15), and a summary lists at
 // least one item (0 means 5). The generators and
 // core.NewCluster keep their panics for callers that skip this check —
@@ -47,6 +49,12 @@ func (prob Problem) Validate() error {
 	}
 	if prob.Checkpoint.Every < 0 {
 		return fmt.Errorf("algo: need a checkpoint every >= 1 supersteps (0 = off), got %d", prob.Checkpoint.Every)
+	}
+	if prob.Checkpoint.Dir != "" && prob.Checkpoint.Every == 0 {
+		return fmt.Errorf("algo: checkpoint dir %q needs a checkpoint every >= 1 supersteps", prob.Checkpoint.Dir)
+	}
+	if prob.SuperstepTimeout < 0 {
+		return fmt.Errorf("algo: need a superstep timeout >= 0 (0 = none), got %v", prob.SuperstepTimeout)
 	}
 	if prob.Eps != 0 && !(prob.Eps > 0 && prob.Eps < 1) { // also rejects NaN
 		return fmt.Errorf("algo: reset probability %v out of (0,1) (0 = 0.15)", prob.Eps)

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"kmachine/internal/core"
 	"kmachine/internal/graph"
@@ -344,7 +345,8 @@ func TestStandaloneRejectsMachineOutOfRange(t *testing.T) {
 // already built mesh over TCP; k=1 panicked in
 // core.NewCluster, k=0 in the partition builder, and the socket link
 // blamed machine 0's ID. A negative checkpoint interval used to turn
-// checkpointing off silently.
+// checkpointing off silently; so did a checkpoint directory without an
+// interval, and a negative superstep timeout ran with no deadline.
 func TestEntryRejectsInvalidProblem(t *testing.T) {
 	entry, _ := Lookup("echo")
 	at := node.Place{ID: 0, Listen: "127.0.0.1:0", Peers: []string{"127.0.0.1:1"}}
@@ -361,6 +363,8 @@ func TestEntryRejectsInvalidProblem(t *testing.T) {
 		{Problem{N: 100, K: 1, Seed: 1}, "need k >= 2 machines"},
 		{Problem{N: 100, K: 0, Seed: 1}, "need k >= 2 machines"},
 		{Problem{N: 64, K: 5, Seed: 3, Checkpoint: CheckpointSpec{Every: -1}}, "need a checkpoint every"},
+		{Problem{N: 64, K: 5, Seed: 3, Checkpoint: CheckpointSpec{Dir: "ckpts"}}, `checkpoint dir "ckpts" needs a checkpoint every`},
+		{Problem{N: 64, K: 5, Seed: 3, SuperstepTimeout: -5 * time.Second}, "need a superstep timeout >= 0"},
 	} {
 		for name, run := range runners {
 			func() {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -17,20 +18,9 @@ import (
 // other way, with its own state to guard, so only Attach and the
 // newEndpoint it calls may return one.
 func TestOneEndpointConstructor(t *testing.T) {
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
 	seen := map[string]bool{}
-	for _, file := range files {
-		if strings.HasSuffix(file, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, decl := range f.Decls {
+	for _, src := range parseNonTest(t) {
+		for _, decl := range src.f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Type.Results == nil || !slices.ContainsFunc(fn.Type.Results.List, returnsEndpoint) {
 				continue
@@ -38,13 +28,81 @@ func TestOneEndpointConstructor(t *testing.T) {
 			if name := fn.Name.Name; name == "Attach" || name == "newEndpoint" {
 				seen[name] = true
 			} else {
-				t.Errorf("%s: %s returns an *Endpoint; only Attach (and its newEndpoint) may make one", file, name)
+				t.Errorf("%s: %s returns an *Endpoint; only Attach (and its newEndpoint) may make one", src.name, name)
 			}
 		}
 	}
 	if !seen["Attach"] || !seen["newEndpoint"] {
 		t.Errorf("found %v returning *Endpoint: the walk missed Attach or newEndpoint", seen)
 	}
+}
+
+// TestOneWritePath: every frame an endpoint sends is written by the
+// goroutine that made it, and the package's only goroutines are its
+// readers. A writer worker (a go statement around runWriter), or a rule
+// that picks the write path by the number of cores (any mention of
+// GOMAXPROCS), would bring back a second way onto the wire.
+func TestOneWritePath(t *testing.T) {
+	writes := 0
+	for _, src := range parseNonTest(t) {
+		ast.Inspect(src.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				ast.Inspect(n.Call, func(m ast.Node) bool {
+					if id, ok := m.(*ast.Ident); ok && id.Name == "runWriter" {
+						t.Errorf("%s: a goroutine is started around runWriter", src.fset.Position(n.Pos()))
+					}
+					return true
+				})
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "runWriter" {
+					writes++
+				}
+			}
+			return true
+		})
+		for i, line := range strings.Split(string(src.text), "\n") {
+			if strings.Contains(line, "GOMAXPROCS") {
+				t.Errorf("%s:%d: a non-test file of the package mentions GOMAXPROCS", src.name, i+1)
+			}
+		}
+	}
+	if writes == 0 {
+		t.Error("found no runWriter call: the walk missed the write path")
+	}
+}
+
+// source is one parsed non-test file of the package.
+type source struct {
+	name string
+	text []byte
+	fset *token.FileSet
+	f    *ast.File
+}
+
+func parseNonTest(t *testing.T) []source {
+	t.Helper()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var srcs []source
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		text, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, name, text, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, source{name, text, fset, f})
+	}
+	return srcs
 }
 
 // returnsEndpoint reports whether a result is an *Endpoint[…] or an
