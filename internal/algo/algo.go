@@ -36,8 +36,12 @@
 package algo
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"kmachine/internal/core"
 	"kmachine/internal/partition"
@@ -167,11 +171,11 @@ func execute[M, L, O any](a Algorithm[M, L, O], views []partition.View, on site[
 }
 
 // retry is recovery, the one loop every all-k runner passes through: it
-// refuses an unknown transport kind, constructs the k machines
-// sequentially in machine-ID order (so a factory error surfaces before
-// any cluster is built), runs them on the
-// site, and merges their outputs. A failed attempt is retried — with
-// machines rebuilt from the same input, against the same sink — when
+// refuses an unknown transport kind and a canceled context, constructs
+// the k machines (at once, see buildAll, and before any cluster is
+// built), runs them on the site, and merges their outputs. A failed
+// attempt is retried — with machines rebuilt from the same input,
+// against the same sink — when
 // the failure is an attributed machine loss (it wraps
 // *transport.MachineError), checkpointing is armed, the run context is
 // live, and fewer than core.DefaultMaxRecoveries retries have run.
@@ -197,14 +201,13 @@ func retry[M, L, O any](build func(core.MachineID) (Machine[M, L], error), merge
 		}
 		cfg.Checkpoint.Sink = sink
 	}
+	if err := canceled(cfg.Context, "before its machines were built"); err != nil {
+		return zero, nil, total, err
+	}
 	for recoveries := 0; ; recoveries++ {
-		machines := make([]Machine[M, L], cfg.K)
-		for i := range machines {
-			m, err := build(core.MachineID(i))
-			if err != nil {
-				return zero, nil, total, err
-			}
-			machines[i] = m
+		machines, err := buildAll(build, cfg.K)
+		if err != nil {
+			return zero, nil, total, err
 		}
 		stats, w, err := on.run(cfg, func(id core.MachineID) core.Machine[M] { return machines[id] })
 		total = total.Plus(w)
@@ -222,6 +225,47 @@ func retry[M, L, O any](build func(core.MachineID) (Machine[M, L], error), merge
 		}
 		cfg.Checkpoint.Resume = on.cfg.Checkpoint.Resume || sink.stored
 	}
+}
+
+// buildAll constructs machines 0..k-1 at once, one worker per core
+// taking the next ID, then reports the failure of the lowest failing ID
+// — the one a build in ID order would have stopped at: its error
+// returned, or its panic re-raised here.
+func buildAll[M, L any](build func(core.MachineID) (Machine[M, L], error), k int) ([]Machine[M, L], error) {
+	machines, errs, panics := make([]Machine[M, L], k), make([]error, k), make([]any, k)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(k, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < k; i = int(next.Add(1) - 1) {
+				func() {
+					defer func() { panics[i] = recover() }()
+					machines[i], errs[i] = build(core.MachineID(i))
+				}()
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range machines {
+		if panics[i] != nil {
+			panic(panics[i])
+		}
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+	}
+	return machines, nil
+}
+
+// canceled is the run context's error, wrapped with where the run
+// stopped, once the context is done; nil for a live or absent one.
+func canceled(ctx context.Context, where string) error {
+	if ctx == nil || ctx.Err() == nil {
+		return nil
+	}
+	return fmt.Errorf("algo: canceled %s: %w", where, ctx.Err())
 }
 
 // launchSink is the checkpoint sink of one launch, resolved once so

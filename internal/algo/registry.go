@@ -256,7 +256,8 @@ func Register[M, L, O any](s Spec[M, L, O]) {
 // cluster or mesh is built or attached, and a standalone machine's ID
 // and checkpoint policy with it — build the input and the hosted
 // machines' views, run, and split the wall-clock into setup (Build plus
-// the one MachineViews call) and run.
+// the one MachineViews call) and run. A canceled Context stops it
+// after Build and after MachineViews, before the next, costlier step.
 func (s Spec[M, L, O]) launch(prob Problem, at place) (*Outcome, error) {
 	prob = prob.withDefaults()
 	if err := prob.Validate(); err != nil {
@@ -280,11 +281,17 @@ func (s Spec[M, L, O]) launch(prob Problem, at place) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := canceled(prob.Context, "before its shards were built"); err != nil {
+		return nil, err
+	}
 	views, err := machineViews(a.Name, in, prob.K, hosted)
 	if err != nil {
 		return nil, err
 	}
 	setup := time.Since(t0)
+	if err := canceled(prob.Context, "before its machines were built"); err != nil {
+		return nil, err
+	}
 	var o *Outcome
 	if at.standalone != nil {
 		o, err = s.one(prob, a, views[0], *at.standalone)

@@ -1,11 +1,14 @@
 package algo
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,6 +68,7 @@ func echoDescriptor() Algorithm[echoMsg, int64, int64] {
 		Name:  "echo",
 		Codec: echoCodec{},
 		NewMachine: func(view partition.View) (Machine[echoMsg, int64], error) {
+			echoMachines.Add(1)
 			return &echoMachine{self: view.Self()}, nil
 		},
 		Merge: func(locals []int64) int64 {
@@ -77,8 +81,12 @@ func echoDescriptor() Algorithm[echoMsg, int64, int64] {
 	}
 }
 
-// echoBuilds counts the registered echo's input builds.
-var echoBuilds int
+// echoBuilds counts the registered echo's input builds, echoMachines
+// every echo machine built (at once, so atomically).
+var (
+	echoBuilds   int
+	echoMachines atomic.Int64
+)
 
 func init() {
 	Register(Spec[echoMsg, int64, int64]{
@@ -410,5 +418,35 @@ func TestUnknownKindRejectedBeforeAnythingIsBuilt(t *testing.T) {
 	}
 	if built != 0 {
 		t.Errorf("%d machines were built before the unknown kind was refused", built)
+	}
+}
+
+// TestCanceledRunBuildsNoMachine: a run whose Context is already
+// canceled stops in setup, after Build and again after MachineViews,
+// with an error wrapping context.Canceled and no machine built. It used
+// to build the shards and all k machines (on every link) and fail only
+// at superstep 0.
+func TestCanceledRunBuildsNoMachine(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	entry, _ := Lookup("echo")
+	prob := Problem{N: 64, K: 5, Seed: 3, Context: ctx}
+	at := node.Place{ID: 0, Listen: "127.0.0.1:0", Peers: []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3", "127.0.0.1:4", "127.0.0.1:5"}}
+	for name, run := range map[string]func() error{
+		"Run inmem":     func() error { _, err := entry.Run(prob, transport.InMem); return err },
+		"Run tcp":       func() error { _, err := entry.Run(prob, transport.TCP); return err },
+		"RunStandalone": func() error { _, err := entry.RunStandalone(prob, at); return err },
+		"algo.Run": func() error {
+			_, _, err := Run(echoDescriptor(), EdgelessInput(prob), core.Config{K: prob.K, Bandwidth: 1, Context: ctx})
+			return err
+		},
+	} {
+		before := echoMachines.Load()
+		if err := run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want one wrapping context.Canceled", name, err)
+		}
+		if built := echoMachines.Load() - before; built != 0 {
+			t.Errorf("%s: %d machines built for a canceled run, want 0", name, built)
+		}
 	}
 }

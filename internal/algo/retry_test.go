@@ -3,8 +3,10 @@ package algo
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"kmachine/internal/core"
 	"kmachine/internal/transport"
@@ -196,4 +198,52 @@ func TestRetryLoop(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestBuildFailsAtLowestID: the k machines are built at once, yet a
+// failed build reports what a build in ID order would have stopped at —
+// the error of the lowest failing machine, on every run, or its panic,
+// re-raised on the caller — and no cluster is started.
+func TestBuildFailsAtLowestID(t *testing.T) {
+	const k = 8
+	started := 0
+	on := site[echoMsg]{cfg: core.Config{K: k, Bandwidth: 1},
+		run: func(core.Config, func(core.MachineID) core.Machine[echoMsg]) (*core.Stats, transport.WireStats, error) {
+			started++
+			return &core.Stats{}, transport.WireStats{}, nil
+		}}
+	merge := func(locals []int64) []int64 { return locals }
+	for i := 0; i < 50; i++ {
+		_, _, _, err := retry(func(id core.MachineID) (Machine[echoMsg, int64], error) {
+			switch id {
+			case 2:
+				time.Sleep(time.Millisecond) // so machine 5 fails first
+				return nil, fmt.Errorf("machine %d refused", id)
+			case 5:
+				return nil, fmt.Errorf("machine %d refused", id)
+			}
+			return &ringMachine{self: id}, nil
+		}, merge, on)
+		if err == nil || err.Error() != "machine 2 refused" {
+			t.Fatalf("run %d: err = %v, want machine 2's", i, err)
+		}
+	}
+
+	value := &struct{ name string }{"factory panic"}
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		retry(func(id core.MachineID) (Machine[echoMsg, int64], error) {
+			if id == 3 {
+				panic(value)
+			}
+			return &ringMachine{self: id}, nil
+		}, merge, on)
+		return nil
+	}()
+	if got != value {
+		t.Errorf("recovered %v on the caller, want machine 3's panic %v", got, value)
+	}
+	if started != 0 {
+		t.Errorf("%d clusters started after a failed build, want 0", started)
+	}
 }

@@ -10,8 +10,10 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"kmachine/internal/core"
 )
@@ -84,7 +86,10 @@ func (x *rows) row(u int32) int32 {
 // that order, from one sweep of the ID space per pass: count, then fill,
 // so every shard's locals and index share one allocation of exact size.
 func (s Spec) localsOf(machines []core.MachineID) []rows {
-	slot := make([]int32, s.K) // machine -> position in the result, -1 when not asked for
+	// slot: machine -> position in the result, -1 when not asked for;
+	// counts: position -> its number of locals. One allocation.
+	slot := make([]int32, s.K+len(machines))
+	slot, counts := slot[:s.K], slot[s.K:]
 	for m := range slot {
 		slot[m] = -1
 	}
@@ -97,7 +102,6 @@ func (s Spec) localsOf(machines []core.MachineID) []rows {
 		}
 		slot[m] = int32(i)
 	}
-	counts := make([]int, len(machines))
 	for v := 0; v < s.N; v++ {
 		if i := slot[s.HomeOf(int32(v))]; i >= 0 {
 			counts[i]++
@@ -105,8 +109,8 @@ func (s Spec) localsOf(machines []core.MachineID) []rows {
 	}
 	out := make([]rows, len(machines))
 	for i, c := range counts {
-		width := s.N/max(c, 1) + 1
-		buf := make([]int32, c+s.N/width+2) // the locals, then their index
+		width := s.N/max(int(c), 1) + 1
+		buf := make([]int32, int(c)+s.N/width+2) // the locals, then their index
 		out[i] = rows{locals: buf[:0:c], first: buf[c:], width: uint32(width)}
 	}
 	for v := 0; v < s.N; v++ {
@@ -154,6 +158,7 @@ type localBuilder struct {
 	filling  bool
 	held     [][2]int32 // once only: the hosted edges, count pass to fill pass
 	spooling bool
+	h        handoff // from the stream's goroutine (see fill)
 
 	// The tail of the previous edge: a row's edges arrive together, so
 	// its shard and row are looked up once per row, not once per edge.
@@ -260,22 +265,108 @@ func newLocalBuilder(spec Spec, hosted []core.MachineID, directed bool) *localBu
 // global state) holds the edges with a hosted endpoint from the count to
 // the fill and drops all others as they stream past. A stream that
 // fails is not run again.
+//
+// The stream runs on its own goroutine (handoff.produce) while this one
+// routes its edges, chunk by chunk in stream order. The stream's error
+// is returned and its panic re-raised here; a route panic makes the
+// producer quit at its next chunk. Either way fill returns only once
+// the producer is done with the stream.
 func (b *localBuilder) fill(stream func(emit func(u, v int32)) error, once bool) error {
-	emit := b.route
+	h := &b.h
+	h.ready = make(chan int, ringLen-2)
+	go h.produce(stream, once)
+	defer h.stop()
 	b.spooling = once
-	if err := stream(emit); err != nil {
-		return err
+	next := 0 // the ring slot of the next chunk
+	for n := range h.ready {
+		if n == counted {
+			b.spooling = false
+			b.startFill()
+			continue
+		}
+		for _, e := range h.ring[next][:n] {
+			b.route(e[0], e[1])
+		}
+		next = (next + 1) % ringLen
 	}
-	b.spooling = false
-	b.startFill()
-	if !once {
-		return stream(emit)
+	if h.panicked != nil {
+		panic(h.panicked)
+	}
+	if h.err != nil {
+		return h.err
 	}
 	for _, e := range b.held {
 		b.route(e[0], e[1])
 	}
 	b.held = nil
 	return nil
+}
+
+const (
+	chunkLen = 4096 // edges per handoff
+	ringLen  = 4    // chunks: two queued, one being routed, one being filled
+	counted  = -1   // the message that ends the count pass
+)
+
+// handoff carries a stream's edges from the goroutine that runs it to
+// the builder through a ring of chunks: ready carries each chunk's edge
+// count, and counted, and is closed when the producer is done. It queues
+// ringLen-2 messages, so the producer's send of chunk j completes only
+// after the builder took chunk j-(ringLen-2) — and so finished routing
+// chunk j+1-ringLen, the slot chunk j+1 reuses (the memory model's rule
+// for buffered channels).
+type handoff struct {
+	ring     [ringLen][chunkLen][2]int32
+	ready    chan int
+	slot, n  int         // the producer's chunk and its length
+	quit     atomic.Bool // set once the builder stops taking chunks
+	err      error       // the stream's, set before ready is closed
+	panicked any         // likewise
+}
+
+// errQuit is the panic that unwinds a stream the builder stopped reading.
+var errQuit = errors.New("partition: shard builder stopped")
+
+// produce runs the count pass, then, unless once, the fill pass.
+func (h *handoff) produce(stream func(emit func(u, v int32)) error, once bool) {
+	defer close(h.ready)
+	defer func() {
+		if r := recover(); r != errQuit {
+			h.panicked = r
+		}
+	}()
+	emit := h.emit
+	if h.err = stream(emit); h.err == nil {
+		h.send()
+		h.ready <- counted
+		if !once {
+			h.err = stream(emit)
+			h.send()
+		}
+	}
+}
+
+func (h *handoff) emit(u, v int32) {
+	h.ring[h.slot][h.n] = [2]int32{u, v}
+	if h.n++; h.n == chunkLen {
+		h.send()
+	}
+}
+
+func (h *handoff) send() {
+	if h.quit.Load() {
+		panic(errQuit)
+	}
+	h.ready <- h.n
+	h.slot, h.n = (h.slot+1)%ringLen, 0
+}
+
+// stop makes the producer quit at its next chunk, if it has not
+// finished, and waits until it is done with the stream.
+func (h *handoff) stop() {
+	h.quit.Store(true)
+	for range h.ready {
+	}
 }
 
 func (b *localBuilder) startFill() {
