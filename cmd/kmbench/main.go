@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -27,31 +29,52 @@ import (
 	"kmachine/internal/experiments"
 )
 
-func main() {
-	// All work happens in kmbenchMain so error exits unwind through the
-	// profiling defers: os.Exit here, after it returns, never truncates
-	// a started CPU profile or skips the heap snapshot.
-	if err := kmbenchMain(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is one kmbench invocation: tables go to stdout, diagnostics to
+// stderr, and the result is the exit status — 0, 1 for a failed run,
+// 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("kmbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.BoolVar(&o.quick, "quick", false, "run reduced-size experiments")
+	fs.StringVar(&o.run, "run", "", "comma-separated experiment IDs (default: all)")
+	fs.Uint64Var(&o.seed, "seed", 1, "seed for all randomness")
+	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
+	fs.BoolVar(&o.md, "md", false, "emit a Markdown document (the EXPERIMENTS.md generator)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile to this file at exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	// o.bench's defers finish both profiles before the status reaches
+	// os.Exit in main.
+	if err := o.bench(stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	return 0
 }
 
-func kmbenchMain() (err error) {
-	quick := flag.Bool("quick", false, "run reduced-size experiments")
-	run := flag.String("run", "", "comma-separated experiment IDs (default: all)")
-	seed := flag.Uint64("seed", 1, "seed for all randomness")
-	list := flag.Bool("list", false, "list experiments and exit")
-	mdOut := flag.Bool("md", false, "emit a Markdown document (the EXPERIMENTS.md generator)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	flag.Parse()
+// options are kmbench's flags.
+type options struct {
+	quick, list, md        bool
+	run                    string
+	seed                   uint64
+	cpuProfile, memProfile string
+}
 
+// bench runs the selected experiments and prints their tables.
+func (o *options) bench(stdout, stderr io.Writer) (err error) {
 	// Both profile files are created BEFORE the suite runs, so an
 	// unwritable path fails in milliseconds instead of after minutes of
 	// benchmarking; each is closed on every exit path by its defer.
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		if err != nil {
 			return fmt.Errorf("create cpu profile: %w", err)
 		}
@@ -65,8 +88,8 @@ func kmbenchMain() (err error) {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
-		f, ferr := os.Create(*memProfile)
+	if o.memProfile != "" {
+		f, ferr := os.Create(o.memProfile)
 		if ferr != nil {
 			return fmt.Errorf("create mem profile: %w", ferr)
 		}
@@ -84,43 +107,43 @@ func kmbenchMain() (err error) {
 				if err == nil {
 					err = ferr
 				} else {
-					fmt.Fprintln(os.Stderr, ferr)
+					fmt.Fprintln(stderr, ferr)
 				}
 			}
 		}()
 	}
 
 	all := experiments.All()
-	if *list {
+	if o.list {
 		for _, r := range all {
-			fmt.Printf("%-4s %s\n", r.ID, r.Name)
+			fmt.Fprintf(stdout, "%-4s %s\n", r.ID, r.Name)
 		}
 		return nil
 	}
 
 	want := map[string]bool{}
-	if *run != "" {
-		for _, id := range strings.Split(*run, ",") {
+	if o.run != "" {
+		for _, id := range strings.Split(o.run, ",") {
 			want[strings.ToUpper(strings.TrimSpace(id))] = true
 		}
 	}
 
-	cfg := experiments.Config{Quick: *quick, Seed: *seed}
+	cfg := experiments.Config{Quick: o.quick, Seed: o.seed}
 	mode := "full"
-	if *quick {
+	if o.quick {
 		mode = "quick"
 	}
-	if *mdOut {
-		fmt.Printf("# EXPERIMENTS — paper-reproduction tables\n\n")
-		fmt.Printf("**Paper:** Pandurangan, Robinson, Scquizzato — \"On the Distributed Complexity of Large-Scale Graph Computations\", SPAA 2018 (arXiv:1602.08481)\n\n")
-		fmt.Printf("Generated by `go run ./cmd/kmbench -md` (%s mode, seed %d); regenerate after\n", mode, *seed)
-		fmt.Printf("algorithm or engine changes. One table per experiment in DESIGN.md's\n")
-		fmt.Printf("index. All claims are asymptotic (Õ/Ω̃): the tables report *shapes* —\n")
-		fmt.Printf("scaling exponents, algorithm orderings, crossovers — and the notes record\n")
-		fmt.Printf("the fitted exponents and pass/fail of each shape check.\n\n")
+	if o.md {
+		fmt.Fprintf(stdout, "# EXPERIMENTS — paper-reproduction tables\n\n")
+		fmt.Fprintf(stdout, "**Paper:** Pandurangan, Robinson, Scquizzato — \"On the Distributed Complexity of Large-Scale Graph Computations\", SPAA 2018 (arXiv:1602.08481)\n\n")
+		fmt.Fprintf(stdout, "Generated by `go run ./cmd/kmbench -md` (%s mode, seed %d); regenerate after\n", mode, o.seed)
+		fmt.Fprintf(stdout, "algorithm or engine changes. One table per experiment in DESIGN.md's\n")
+		fmt.Fprintf(stdout, "index. All claims are asymptotic (Õ/Ω̃): the tables report *shapes* —\n")
+		fmt.Fprintf(stdout, "scaling exponents, algorithm orderings, crossovers — and the notes record\n")
+		fmt.Fprintf(stdout, "the fitted exponents and pass/fail of each shape check.\n\n")
 	} else {
-		fmt.Printf("kmachine reproduction harness (%s mode, seed %d)\n", mode, *seed)
-		fmt.Printf("paper: Pandurangan, Robinson, Scquizzato — SPAA 2018 (arXiv:1602.08481)\n\n")
+		fmt.Fprintf(stdout, "kmachine reproduction harness (%s mode, seed %d)\n", mode, o.seed)
+		fmt.Fprintf(stdout, "paper: Pandurangan, Robinson, Scquizzato — SPAA 2018 (arXiv:1602.08481)\n\n")
 	}
 
 	ran := 0
@@ -134,16 +157,16 @@ func kmbenchMain() (err error) {
 			return fmt.Errorf("experiment %s (%s) failed: %w", r.ID, r.Name, rerr)
 		}
 		elapsed := time.Since(start)
-		if *mdOut {
-			table.Fmarkdown(os.Stdout)
+		if o.md {
+			table.Fmarkdown(stdout)
 		} else {
-			table.Fprint(os.Stdout)
-			fmt.Printf("   (%s in %v)\n\n", r.ID, elapsed.Round(time.Millisecond))
+			table.Fprint(stdout)
+			fmt.Fprintf(stdout, "   (%s in %v)\n\n", r.ID, elapsed.Round(time.Millisecond))
 		}
 		ran++
 	}
 	if ran == 0 {
-		return fmt.Errorf("no experiments matched -run=%q; try -list", *run)
+		return fmt.Errorf("no experiments matched -run=%q; try -list", o.run)
 	}
 	return nil
 }

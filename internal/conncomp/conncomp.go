@@ -59,11 +59,10 @@ type ccMachine struct {
 	flagsSeen    int
 
 	// Per-superstep scratch, recycled across supersteps: delivBuf holds
-	// the arrived payloads, buckets[j] the envelopes addressed to machine
-	// j, and outBuf what core.EmitBuckets could not hand to the link.
+	// the arrived payloads and buckets[j] the envelopes addressed to
+	// machine j.
 	delivBuf []cmsg
 	buckets  [][]core.Envelope[wire]
-	outBuf   []core.Envelope[wire]
 }
 
 // newCCMachine ranks the machine's adjacency once, so that no phase
@@ -176,7 +175,7 @@ func (m *ccMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]
 			m.flagsChanged = false
 			m.flagsSeen = 0
 			if done {
-				return m.emit(ctx), true
+				return core.EmitBuckets(ctx, m.buckets), true
 			}
 		}
 		m.anyChange = false
@@ -207,14 +206,7 @@ func (m *ccMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]
 				cmsg{Kind: kindFlag, Changed: m.anyChange})
 		}
 	}
-	return m.emit(ctx), false
-}
-
-// emit hands the superstep's buckets to the link and returns what it
-// could not take, in the recycled out buffer.
-func (m *ccMachine) emit(ctx *core.StepContext) []core.Envelope[wire] {
-	m.outBuf = core.EmitBuckets(ctx, m.buckets, m.outBuf[:0])
-	return m.outBuf
+	return core.EmitBuckets(ctx, m.buckets), false
 }
 
 // Result reports a connected-components run.

@@ -48,6 +48,5 @@ func (m *ccMachine) RestoreState(src []byte) error {
 	m.flagsChanged = flags&2 != 0
 	m.flagsSeen = int(flagsSeen)
 	m.delivBuf = m.delivBuf[:0]
-	m.outBuf = m.outBuf[:0]
 	return nil
 }

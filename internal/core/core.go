@@ -63,12 +63,13 @@ type Transport[M any] = transport.Transport[M]
 // no envelope is in flight.
 //
 // Buffer ownership: ctx and inbox are only valid for the duration of
-// the Step call — the driver reuses the StepContext across supersteps
-// and the transport recycles inbox storage (see the ownership rule on
-// transport.Transport). A machine that needs an envelope beyond its
-// Step must copy it. The returned out slice may be one the machine
-// recycles: the driver and transport finish reading it before the next
-// Step of the same machine begins.
+// the Step call on every link — the driver reuses the StepContext
+// across supersteps and the link recycles inbox storage (the socket
+// link decodes the next inbox into this one's). A machine that needs an
+// envelope beyond its Step must copy it, and the returned out slice
+// must not alias the inbox (routing.Forward copies). The out slice may
+// be one the machine recycles: the driver and link finish reading it
+// before the next Step of the same machine begins.
 type Machine[M any] interface {
 	Step(ctx *StepContext, inbox []Envelope[M]) (out []Envelope[M], done bool)
 }
@@ -96,7 +97,7 @@ type StepContext struct {
 	// emitter is the machine's eager per-peer emission hook (a
 	// *Emitter[M] bound by Drive); nil only when
 	// a Step is driven outside a run. It is reached through the generic
-	// package-level EmitBatch/EmitOrAppend, because StepContext itself is
+	// package-level EmitBatch/EmitBuckets, because StepContext itself is
 	// deliberately non-generic.
 	emitter any
 }

@@ -8,7 +8,7 @@ package core
 // charges after the Step — which is how the word/round accounting stays
 // independent of when the bytes left.
 //
-// Machines opt in through EmitBatch/EmitOrAppend; everything a machine
+// Machines opt in through EmitBatch/EmitBuckets; everything a machine
 // does not emit travels in its returned outs and ships with the round.
 
 // Emitter is the per-machine eager-emission state of one Drive. Only
@@ -82,32 +82,25 @@ func EmitBatch[M any](sc *StepContext, to MachineID, batch []Envelope[M]) bool {
 	return true
 }
 
-// EmitOrAppend emits batch to `to` when EmitBatch takes it and
-// otherwise appends the batch to out, returning the (possibly grown)
-// out slice — the one-liner that keeps a machine's emission sites
-// free of fallback branches:
-//
-//	out = core.EmitOrAppend(ctx, to, m.bucket[to], out)
-func EmitOrAppend[M any](sc *StepContext, to MachineID, batch []Envelope[M], out []Envelope[M]) []Envelope[M] {
-	if EmitBatch(sc, to, batch) {
-		return out
-	}
-	return append(out, batch...)
-}
-
-// EmitBuckets emits every non-empty per-destination bucket (buckets[j]
-// holds the envelopes addressed to machine j) in ascending peer order,
-// appending to out whatever could not be emitted — self-addressed
-// buckets always land in out, where the round delivers them for free.
-// Per-destination envelope order is preserved either way, which is the
-// property that keeps inbox assembly, and hence the golden output
-// hashes, independent of when an envelope left the machine.
-func EmitBuckets[M any](sc *StepContext, buckets [][]Envelope[M], out []Envelope[M]) []Envelope[M] {
-	for j := range buckets {
-		if len(buckets[j]) == 0 {
-			continue
+// EmitBuckets hands every peer's bucket (buckets[j] holds the
+// envelopes addressed to machine j) to the link in ascending peer order
+// and returns the rest: buckets[Self] itself — self-addressed envelopes
+// never leave the machine, and the round delivers them for free — with
+// any bucket the link refused appended after it. The rest shares
+// buckets[Self]'s storage until the machine's next Step, and
+// buckets[Self] keeps any growth those appends cause, so a machine
+// stepped outside a run recycles it too. Per-destination envelope order
+// is preserved either way, which is the property that keeps inbox
+// assembly, and hence the golden output hashes, independent of when an
+// envelope left the machine.
+func EmitBuckets[M any](sc *StepContext, buckets [][]Envelope[M]) []Envelope[M] {
+	self := buckets[sc.Self]
+	rest := self
+	for j, b := range buckets {
+		if MachineID(j) != sc.Self && !EmitBatch(sc, MachineID(j), b) {
+			rest = append(rest, b...)
 		}
-		out = EmitOrAppend(sc, MachineID(j), buckets[j], out)
 	}
-	return out
+	buckets[sc.Self] = rest[:len(self)]
+	return rest
 }

@@ -17,13 +17,11 @@ func WireCodec() twire.Codec[Wire] {
 type smsgCodec struct{}
 
 func (smsgCodec) Append(dst []byte, m smsg) ([]byte, error) {
-	dst = append(dst, m.Kind)
-	dst = twire.AppendUvarint(dst, m.Value)
-	return twire.AppendVarint(dst, m.Count), nil
+	return twire.AppendUvarint(append(dst, m.Kind), m.Value), nil
 }
 
 func (smsgCodec) Decode(src []byte) (smsg, int, error) {
 	c := twire.Cursor{Src: src}
-	m := smsg{Kind: c.Byte(), Value: c.Uvarint(), Count: c.Varint()}
+	m := smsg{Kind: c.Byte(), Value: c.Uvarint()}
 	return m, c.Off, c.Err
 }

@@ -17,8 +17,7 @@ func TestWireCodecRoundTripProperty(t *testing.T) {
 			Final: core.MachineID(r.Intn(1 << 16)),
 			Msg: smsg{
 				Kind:  kinds[r.Intn(len(kinds))],
-				Value: r.Uint64(),
-				Count: int64(r.Uint64()) >> uint(r.Intn(64)),
+				Value: r.Uint64() >> uint(r.Intn(64)),
 			},
 		}
 		buf, err := c.Append(nil, want)

@@ -7,9 +7,11 @@
 //
 // The algorithm is a three-phase sample sort:
 //
-//  1. splitter agreement — every machine broadcasts Θ(k·log n / k) local
-//     samples; all machines deterministically derive the same k-1
-//     splitters from the union;
+//  1. splitter agreement — every machine broadcasts its local samples
+//     (16·k per machine by default, see resolveInput: a Θ(k)-word link,
+//     not yet the Θ(log n) the analysis wants — ROADMAP item 13); all
+//     machines deterministically derive the same k-1 splitters from the
+//     union;
 //  2. bucket routing — each key is routed (Valiant two-hop, Lemma 13) to
 //     the machine owning its splitter bucket; per-link load is Õ(n/k²)
 //     whp because both samples and hops are uniform;
@@ -82,10 +84,11 @@ const (
 	kindFinal
 )
 
+// smsg is one sort message: a sample, key or rebalanced key in Value,
+// or, for kindSize, the sender's bucket size.
 type smsg struct {
 	Kind  uint8
 	Value uint64
-	Count int64
 }
 
 type wire = routing.Hop[smsg]
@@ -103,14 +106,9 @@ type sortMachine struct {
 	rebal     int64
 	sizesIn   int
 
-	// outBuf is the recycled out slice: with every peer's bucket emitted
-	// eagerly it carries the self-addressed bucket only.
-	outBuf []core.Envelope[wire]
 	// buckets[j] collects the superstep's envelopes addressed to machine
 	// j; core.EmitBuckets hands the non-self buckets to the transport
-	// eagerly. The broadcast supersteps (0 and 3) go further and emit
-	// each peer's batch as soon as its loop completes, overlapping the
-	// remaining peers' assembly with the wire.
+	// and returns the self-addressed one as the rest.
 	buckets [][]core.Envelope[wire]
 	// sortTmp is the radix-sort ping-pong buffer, shared by the three
 	// key sorts of a run.
@@ -187,8 +185,6 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 	for j := range buckets {
 		buckets[j] = buckets[j][:0]
 	}
-	out := m.outBuf[:0]
-	defer func() { m.outBuf = out[:0] }()
 	// One pass over the inbox: second-hop envelopes go to their final
 	// machine's bucket, arrived payloads straight into the phase state.
 	for i := range inbox {
@@ -203,7 +199,7 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 		case kindKey:
 			m.bucket = append(m.bucket, d.Value)
 		case kindSize:
-			m.sizes = append(m.sizes, d.Count)
+			m.sizes = append(m.sizes, int64(d.Value))
 			m.sizesIn++
 		case kindFinal:
 			m.final = append(m.final, d.Value)
@@ -231,13 +227,7 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 			for _, s := range mySamples {
 				routing.RouteDirect(buckets, core.MachineID(j), 1, smsg{Kind: kindSample, Value: s})
 			}
-			// Peer j's broadcast batch is complete: hand it to the wire
-			// now, while the remaining peers' batches are still being
-			// assembled.
-			out = core.EmitOrAppend(ctx, core.MachineID(j), buckets[j], out)
 		}
-		out = append(out, buckets[ctx.Self]...)
-		return out, false
 
 	case 1:
 		// Phase 2: derive splitters and route keys to bucket machines.
@@ -254,13 +244,9 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 			}
 			routing.Route(buckets, ctx.RNG, ctx.K, core.MachineID(b), 1, smsg{Kind: kindKey, Value: key})
 		}
-		out = core.EmitBuckets(ctx, buckets, out)
-		return out, false
 
 	case 2:
-		// Relay hop for key routing.
-		out = core.EmitBuckets(ctx, buckets, out)
-		return out, false
+		// Relay hop for key routing: the forwards are in the buckets.
 
 	case 3:
 		// Phase 3a: broadcast bucket size.
@@ -271,11 +257,8 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 			if core.MachineID(j) == ctx.Self {
 				continue
 			}
-			routing.RouteDirect(buckets, core.MachineID(j), 1, smsg{Kind: kindSize, Count: int64(len(m.bucket))})
-			out = core.EmitOrAppend(ctx, core.MachineID(j), buckets[j], out)
+			routing.RouteDirect(buckets, core.MachineID(j), 1, smsg{Kind: kindSize, Value: uint64(len(m.bucket))})
 		}
-		out = append(out, buckets[ctx.Self]...)
-		return out, false
 
 	case 4:
 		// Phase 3b: sizes arrive ordered by sender machine ID (the
@@ -310,19 +293,15 @@ func (m *sortMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) (
 			m.rebal++
 			routing.Route(buckets, ctx.RNG, ctx.K, target, 1, smsg{Kind: kindFinal, Value: key})
 		}
-		out = core.EmitBuckets(ctx, buckets, out)
-		return out, false
 
 	case 5:
-		// Relay hop for rebalance keys.
-		out = core.EmitBuckets(ctx, buckets, out)
-		return out, false
+		// Relay hop for rebalance keys: the forwards are in the buckets.
 
 	default:
 		m.sortKeys(m.final)
-		out = core.EmitBuckets(ctx, buckets, out)
-		return out, true
+		return core.EmitBuckets(ctx, buckets), true
 	}
+	return core.EmitBuckets(ctx, buckets), false
 }
 
 // blockBounds returns the k+1 rank boundaries: machine i owns global
@@ -349,13 +328,11 @@ func newSortMachine(id core.MachineID, in *Input, n, k, samplesPerMachine int) *
 	// second it relays the 1/k of every splitter bucket (≈ n/k keys each)
 	// that drew it — either way ≈ |keys|/k per link, and Lemma 13's
 	// concentration sizes the buffer as it bounds the rounds. The
-	// broadcast phases put samplesPer envelopes on every link. out
-	// carries only the self-addressed bucket: one more link.
+	// broadcast phases put samplesPer envelopes on every link.
 	link := routing.LinkShare(len(m.keys), k)
 	if samplesPerMachine > link {
 		link = samplesPerMachine
 	}
-	m.outBuf = make([]core.Envelope[wire], 0, link)
 	m.buckets = make([][]core.Envelope[wire], k)
 	for j := range m.buckets {
 		m.buckets[j] = make([]core.Envelope[wire], 0, link)

@@ -62,7 +62,6 @@ func (m *sortMachine) RestoreState(src []byte) error {
 	}
 	m.rebal = rebal
 	m.sizesIn = int(sizesIn)
-	m.outBuf = m.outBuf[:0]
 	for j := range m.buckets {
 		m.buckets[j] = m.buckets[j][:0]
 	}

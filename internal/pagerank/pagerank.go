@@ -144,19 +144,18 @@ type machine struct {
 	// per-destination-vertex counter, dense over the global vertex
 	// space; touched has bit v set while accVals[v] is nonzero, and
 	// words [lo, hi] of it hold every set bit (lo > hi when none is).
-	// beta holds the heavy path's per-machine counts, delivBuf the
-	// arrived payloads and outBuf what core.EmitBuckets returns.
+	// beta holds the heavy path's per-machine counts and delivBuf the
+	// arrived payloads.
 	accVals  []int64
 	touched  []uint64
 	lo, hi   int
 	beta     []int64
 	delivBuf []msg
-	outBuf   []core.Envelope[wire]
 	// buckets[j] collects the superstep's envelopes addressed to machine
 	// j (per-destination program order preserved — see routing.Route);
 	// core.EmitBuckets hands each non-self bucket to the transport as
-	// soon as the Step finalises it and appends the rest to the
-	// returned outs.
+	// soon as the Step finalises it and returns the self-addressed one
+	// as the rest.
 	buckets [][]core.Envelope[wire]
 
 	iter int
@@ -222,7 +221,6 @@ func (m *machine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]co
 	}
 	delivered := routing.Deliver(m.view.Self(), inbox, m.delivBuf[:0], buckets)
 	m.delivBuf = delivered[:0]
-	out := m.outBuf[:0]
 	for _, d := range delivered {
 		m.receive(ctx, d)
 	}
@@ -266,7 +264,7 @@ func (m *machine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]co
 	// bucket, so a machine with empty buckets holds no token: it votes
 	// done, and the run halts once every machine does. Past the cap the
 	// same vote freezes the tokens. The vote reads what the superstep
-	// PRODUCED, the buckets, not what eager emission left in out.
+	// PRODUCED, the buckets, not what eager emission leaves as the rest.
 	done := m.iter >= m.opts.Iterations
 	if even {
 		done = true
@@ -274,9 +272,7 @@ func (m *machine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]co
 			done = done && len(b) == 0
 		}
 	}
-	out = core.EmitBuckets(ctx, buckets, out)
-	m.outBuf = out
-	return out, done
+	return core.EmitBuckets(ctx, buckets), done
 }
 
 // walkLight moves t tokens to uniformly random out-neighbours, counting

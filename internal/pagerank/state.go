@@ -44,7 +44,6 @@ func (m *machine) RestoreState(src []byte) error {
 	m.lo, m.hi = len(m.touched), -1
 	clear(m.beta)
 	m.delivBuf = m.delivBuf[:0]
-	m.outBuf = m.outBuf[:0]
 	for j := range m.buckets {
 		m.buckets[j] = m.buckets[j][:0]
 	}

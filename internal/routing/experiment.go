@@ -112,7 +112,7 @@ func (m *fixedDestMachine) Step(ctx *core.StepContext, inbox []core.Envelope[Hop
 			}
 		}
 	}
-	return core.EmitBuckets(ctx, m.buckets, nil), true
+	return core.EmitBuckets(ctx, m.buckets), true
 }
 
 // Output implements algo.Machine.

@@ -31,10 +31,11 @@ type driveJob[M any] struct {
 type Transport[M any] struct {
 	eps []*Endpoint[M]
 	// inboxes are the double-buffered outer slices handed to the
-	// cluster; the envelope storage inside is owned (and recycled) by
-	// the endpoints.
+	// cluster; spare[i] is endpoint i's other inbox, swapped in before
+	// each FinishSuperstep to keep the two-generation promise.
 	inboxes [2][][]transport.Envelope[M]
 	gen     int
+	spare   [][]transport.Envelope[M]
 
 	drive   []chan driveJob[M]
 	wg      sync.WaitGroup
@@ -70,6 +71,7 @@ func New[M any](k int, codec wire.Codec[M]) (*Transport[M], error) {
 		drive:   make([]chan driveJob[M], k),
 		errs:    make([]error, k),
 		results: make([][]transport.Envelope[M], k),
+		spare:   make([][]transport.Envelope[M], k),
 	}
 	for i := 0; i < k; i++ {
 		t.drive[i] = make(chan driveJob[M], 1)
@@ -85,6 +87,7 @@ func New[M any](k int, codec wire.Codec[M]) (*Transport[M], error) {
 // Close.
 func (t *Transport[M]) driver(i int) {
 	for job := range t.drive[i] {
+		t.eps[i].inbox, t.spare[i] = t.spare[i], t.eps[i].inbox
 		inbox, _, err := t.eps[i].FinishSuperstep(job.step, job.out, nil)
 		// On a FinishSuperstep error the endpoint has already closed
 		// itself; the close cascades error returns to every peer blocked

@@ -58,6 +58,17 @@ func (e *Endpoint[M]) recordErr(err error) bool {
 	return false
 }
 
+// failure is what recordErr kept: the genuine cause when there is one,
+// which names the actual culprit, else the shrapnel; nil before any.
+func (e *Endpoint[M]) failure() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.cause != nil {
+		return e.cause
+	}
+	return e.shrapnel
+}
+
 // blameWriteTimeout bounds the best-effort blame broadcast of a failing
 // endpoint: the frames are a handful of bytes, so the deadline only
 // matters against a peer whose receive buffer is completely wedged —

@@ -353,7 +353,7 @@ func TestBadFrameFailsWhereItIsFound(t *testing.T) {
 					t.Fatal(err)
 				}
 				e0.workWG.Wait()
-				if e0.inboxes[0] != nil || e0.inboxes[1] != nil {
+				if e0.inbox != nil {
 					t.Fatal("an inbox was sized before the reader rejected the frame")
 				}
 				_, _, err := e0.FinishSuperstep(0, nil, nil)

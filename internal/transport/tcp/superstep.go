@@ -43,26 +43,32 @@ func (e *Endpoint[M]) ioGuard(ctx context.Context) (deadline time.Time, release 
 	})
 }
 
-// assembleInbox builds the superstep's inbox in sender-ID order in the
-// double-buffered storage: the previous superstep's inbox (the other
-// generation) is still readable by the caller per the ownership rule.
-// The storage is sized once from the counts the readers checked, then
-// every peer's batch is decoded straight into its slot, self-addressed
-// envelopes at position e.id. A sound header over a corrupt body fails
-// the endpoint here, blamed on the sender like any reader failure.
-// Call only after the readers drained error-free.
-func (e *Endpoint[M]) assembleInbox(step int) (inbox []transport.Envelope[M], err error) {
-	total := len(e.perDest[e.id])
-	for _, n := range e.rxCount { // rxCount[e.id] stays zero
-		total += n
+// assembleInbox builds the superstep's inbox in sender-ID order over
+// the previous one's storage, which its Step no longer reads. The
+// storage is sized once from out's self-addressed count and the counts
+// the readers checked, then every peer's batch is decoded straight into
+// its slot and the self-addressed envelopes of out are copied into
+// position e.id, in out's order. A sound header over a corrupt body
+// fails the endpoint here, blamed on the sender like any reader
+// failure. Call only after the readers drained error-free.
+func (e *Endpoint[M]) assembleInbox(step int, out []transport.Envelope[M]) (inbox []transport.Envelope[M], err error) {
+	// out's self-addressed envelopes plus every peer's batch:
+	// perDest[e.id] and rxCount[e.id] stay empty.
+	total := len(out)
+	for j, n := range e.rxCount {
+		total += n - len(e.perDest[j])
 	}
-	inbox = e.inboxes[e.gen][:0]
+	inbox = e.inbox[:0]
 	if cap(inbox) < total {
 		inbox = make([]transport.Envelope[M], 0, total)
 	}
 	for s := 0; s < e.k; s++ {
 		if s == e.id {
-			inbox = append(inbox, e.perDest[s]...)
+			for _, env := range out {
+				if int(env.To) == e.id {
+					inbox = append(inbox, env)
+				}
+			}
 			continue
 		}
 		t0 := e.now()
@@ -74,8 +80,7 @@ func (e *Endpoint[M]) assembleInbox(step int) (inbox []transport.Envelope[M], er
 			return nil, err
 		}
 	}
-	e.inboxes[e.gen] = inbox
-	e.gen ^= 1
+	e.inbox = inbox
 	return inbox, nil
 }
 
@@ -135,15 +140,11 @@ func (e *Endpoint[M]) BeginSuperstep(ctx context.Context, step int) error {
 func (e *Endpoint[M]) StreamBatch(to transport.MachineID, batch []transport.Envelope[M]) error {
 	e.mu.Lock()
 	if e.closed {
+		e.mu.Unlock()
 		// Prefer the attributed failure that closed us (a reader's
 		// verdict on a dead peer) over an anonymous "closed" — this is
 		// what the emitter surfaces to the run.
-		err := e.cause
-		if err == nil {
-			err = e.shrapnel
-		}
-		e.mu.Unlock()
-		if err != nil {
+		if err := e.failure(); err != nil {
 			return err
 		}
 		return fmt.Errorf("tcp: machine %d stream batch on closed endpoint: %w", e.id, net.ErrClosed)
@@ -171,13 +172,7 @@ func (e *Endpoint[M]) StreamBatch(to transport.MachineID, batch []transport.Enve
 	// the run immediately instead of discovering the corpse at
 	// FinishSuperstep. (A failed write waits for the finish: see
 	// sendFailed.)
-	e.mu.Lock()
-	err := e.cause
-	if err == nil {
-		err = e.shrapnel
-	}
-	e.mu.Unlock()
-	return err
+	return e.failure()
 }
 
 // finishGuard disarms the cancellation guard BeginSuperstep armed.
@@ -198,7 +193,8 @@ func (e *Endpoint[M]) finishGuard() {
 // one flush, a peer whose batch was streamed gets the row alone. It
 // then waits for the readers to drain and decodes the inbox in
 // sender-ID order, self-addressed envelopes at position e.id, exactly
-// like the loopback transport. rows[j] is peer j's row as received
+// like the loopback transport, into the storage of the previous inbox,
+// which out must not alias. rows[j] is peer j's row as received
 // (rows[e.id] is nil), valid until the next BeginSuperstep. It is the
 // superstep's barrier, bounded by the deadline and cancellation guard
 // BeginSuperstep armed.
@@ -213,7 +209,9 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row
 			e.Close() // peers are waiting on our batches; unblock them
 			return nil, nil, fmt.Errorf("tcp: machine %d envelope to invalid machine %d", e.id, env.To)
 		}
-		perDest[env.To] = append(perDest[env.To], env)
+		if int(env.To) != e.id { // self-addressed ones go from out to the inbox
+			perDest[env.To] = append(perDest[env.To], env)
+		}
 	}
 
 	e.mu.Lock()
@@ -233,12 +231,7 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row
 		e.mu.Unlock()
 		e.workWG.Wait()
 		e.finishGuard()
-		e.mu.Lock()
-		err := e.cause
-		if err == nil {
-			err = e.shrapnel
-		}
-		e.mu.Unlock()
+		err := e.failure()
 		if err == nil {
 			err = fmt.Errorf("tcp: machine %d finish superstep %d on closed endpoint: %w", e.id, step, net.ErrClosed)
 		}
@@ -266,13 +259,8 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row
 	// Report the error that diagnoses the failure, not the teardown:
 	// recordErr kept the first genuine cause (a peer's FIN, a reset, an
 	// expired deadline) apart from the net.ErrClosed shrapnel of our own
-	// cascade close, so the genuine cause — which names the actual
-	// culprit — wins whenever one exists. The workWG barrier above is
-	// the happens-before edge that makes the plain reads safe.
-	if err := e.cause; err != nil {
-		return nil, nil, err
-	}
-	if err := e.shrapnel; err != nil {
+	// cascade close.
+	if err := e.failure(); err != nil {
 		return nil, nil, err
 	}
 	if j := e.sendPeer; e.sendErr != nil {
@@ -284,12 +272,9 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row
 		} else if _, ok := e.readFrame(j, step, &e.frame[j]); ok {
 			e.fail(e.sendErr)
 		}
-		if e.cause != nil {
-			return nil, nil, e.cause
-		}
-		return nil, nil, e.shrapnel
+		return nil, nil, e.failure()
 	}
-	if inbox, err = e.assembleInbox(step); err != nil {
+	if inbox, err = e.assembleInbox(step, out); err != nil {
 		return nil, nil, err
 	}
 	return inbox, e.rxRow, nil

@@ -123,26 +123,23 @@ type Endpoint[M any] struct {
 	sendErr         error
 	sendPeer        int
 
-	// Per-superstep scratch, recycled across calls (the transport
-	// ownership rule). perDest/tx/frame are dead once FinishSuperstep
-	// returns and are single-buffered (tx[j] is touched only by the one
-	// write of peer j's batch per superstep); a reader leaves its
-	// header-checked batch (a window of frame[j]) and envelope count in rxBatch/rxCount
-	// for the finish to decode into the inbox — the one place received
-	// envelopes exist decoded — which is handed to the caller and
-	// double-buffered so the previous superstep's envelopes survive while
-	// the next one is built. The peer's row frame lands in rxRow (a
-	// window of rowFrame[j]), returned as is and valid until the next
-	// BeginSuperstep.
-	perDest  [][]transport.Envelope[M] // outgoing split by destination
+	// Per-superstep scratch, recycled across calls and single-buffered.
+	// perDest/tx/frame are dead once FinishSuperstep returns (tx[j] is
+	// touched only by the one write of peer j's batch per superstep); a
+	// reader leaves its header-checked batch (a window of frame[j]) and
+	// envelope count in rxBatch/rxCount for the finish to decode into
+	// inbox, the one place received envelopes exist decoded, valid until
+	// the next finish decodes over it (core.Machine's ownership rule).
+	// The peer's row frame lands in rxRow (a window of rowFrame[j]),
+	// returned as is and valid until the next BeginSuperstep.
+	perDest  [][]transport.Envelope[M] // outgoing to peers, split by destination
 	tx       [][]byte                  // per-peer batch encode buffers
 	frame    [][]byte                  // per-peer batch read buffers
 	rowFrame [][]byte                  // per-peer row read buffers
 	rxBatch  [][]byte                  // per-peer received batch, undecoded
 	rxCount  []int                     // per-peer envelope count of rxBatch
 	rxRow    [][]byte                  // per-peer received row
-	inboxes  [2][]transport.Envelope[M]
-	gen      int
+	inbox    []transport.Envelope[M]
 
 	// Open-superstep state (the per-machine half of
 	// transport.Transport).

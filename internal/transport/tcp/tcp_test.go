@@ -127,6 +127,57 @@ func TestTCPEmptySuperstep(t *testing.T) {
 	}
 }
 
+// TestEndpointKeepsOneInbox pins the socket link's buffer rule: an
+// endpoint decodes each superstep's inbox over the previous one's
+// storage, which the caller's Step no longer reads, and copies the
+// self-addressed envelopes of out into position id of the sender order,
+// in out's order, with no staging copy in between.
+func TestEndpointKeepsOneInbox(t *testing.T) {
+	const k = 3
+	eps := attachAll(t, k, testCodec{})
+	defer func() {
+		for _, e := range eps {
+			e.Close()
+		}
+	}()
+	tag := func(step, from, n int) int64 { return int64(100*step + 10*from + n) }
+	var prev [][]transport.Envelope[testMsg]
+	for step := 0; step < 2; step++ {
+		// Machine i's out interleaves destinations: two rounds of one
+		// envelope to every machine, itself included.
+		outs := make([][]transport.Envelope[testMsg], k)
+		for i := range outs {
+			for n := 0; n < 2; n++ {
+				for j := 0; j < k; j++ {
+					outs[i] = append(outs[i], transport.Envelope[testMsg]{From: transport.MachineID(i),
+						To: transport.MachineID(j), Words: 1, Msg: testMsg{Tag: tag(step, i, n)}})
+				}
+			}
+		}
+		inboxes, errs := jobExchange(eps, step, outs)
+		for j, inbox := range inboxes {
+			if errs[j] != nil {
+				t.Fatalf("superstep %d machine %d: %v", step, j, errs[j])
+			}
+			var want []int64
+			for from := 0; from < k; from++ {
+				want = append(want, tag(step, from, 0), tag(step, from, 1))
+			}
+			var got []int64
+			for _, env := range inbox {
+				got = append(got, env.Msg.Tag)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("superstep %d inbox %d: tags %v, want %v (sender order, each sender's out order)", step, j, got, want)
+			}
+			if prev != nil && &inbox[0] != &prev[j][0] {
+				t.Errorf("machine %d: superstep %d's inbox is new storage; it must reuse superstep %d's, which fits it", j, step, step-1)
+			}
+		}
+		prev = inboxes
+	}
+}
+
 // TestBrokenConnectionErrorsInsteadOfDeadlocking is the regression test
 // for the error-cascade teardown: a connection failing mid-run must
 // surface as an Exchange error on every machine, not wedge the cluster

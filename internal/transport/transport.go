@@ -74,16 +74,17 @@ type Envelope[M any] struct {
 // Buffer ownership. A Transport may recycle inbox storage: the inboxes
 // returned by Finish (both the outer slice and the envelope storage it
 // points into) remain valid only until the second-following Finish on
-// the same transport. Implementations double-buffer so that the
-// previous superstep's inboxes — and any outgoing envelopes that alias
-// them, e.g. second-hop forwards — are never overwritten while the
-// current superstep is assembled; callers that need an envelope beyond
-// that window must copy it. Symmetrically, rest and every batch handed
-// to SendBatch stay owned by the caller: it must not mutate or recycle
-// them until Finish returns (the tcp substrate encodes an emitted batch
-// concurrently with the remaining compute), and the transport must not
-// retain or mutate them afterwards, so machines may recycle their
-// outbox slices across supersteps.
+// the same transport. That two-generation promise is the in-process
+// link's; on every link a Step's inbox is valid only during the Step,
+// and the envelopes it returns must not alias it (core.Machine), which
+// lets the socket link decode the next inbox over the last. Callers
+// that need an envelope beyond its window must copy it. Symmetrically,
+// rest and every batch handed to SendBatch stay owned by the caller: it
+// must not mutate or recycle them until Finish returns (the tcp
+// substrate encodes an emitted batch concurrently with the remaining
+// compute), and the transport must not retain or mutate them
+// afterwards, so machines may recycle their outbox slices across
+// supersteps.
 type Transport[M any] interface {
 	// Begin opens superstep step: the transport arms eager receive on
 	// all peers and accepts SendBatch calls until Finish.
