@@ -104,7 +104,7 @@ func TestCheckpointBytesIdenticalAcrossRuntimes(t *testing.T) {
 					t.Fatalf("%s run left no checkpoint in its directory (latest %d, err %v)", pair[0], from, err)
 				}
 				sink := newRecordingSink(core.NewFileSink(dir))
-				prob.Checkpoint = algo.CheckpointSpec{Every: every, Sink: sink, Resume: true}
+				prob.Checkpoint = algo.CheckpointSpec{Every: every, Sink: sink}
 				resumed, err := entry.Run(prob, pair[1])
 				if err != nil {
 					t.Fatalf("%s from superstep %d: %v", label, from, err)
@@ -129,7 +129,7 @@ func TestCheckpointBytesIdenticalAcrossRuntimes(t *testing.T) {
 // them at once — a reordered label, a dropped flag — passes it; this one
 // does not, and a deliberate format change must re-record the digest.
 func TestConnCompCheckpointLayoutPinned(t *testing.T) {
-	checkCutsPinned(t, "conncomp", 36, 0xdc15f717b89a0e21)
+	checkCutsPinned(t, "conncomp", 36, 0x38acc647ed8f98db)
 }
 
 // TestPageRankCheckpointLayoutPinned is the same pin for PageRank: the
@@ -137,7 +137,7 @@ func TestConnCompCheckpointLayoutPinned(t *testing.T) {
 // Locals() order, so a change to how the machine stores that state
 // cannot change what it writes.
 func TestPageRankCheckpointLayoutPinned(t *testing.T) {
-	checkCutsPinned(t, "pagerank", 124, 0x03ee0e3694d76802)
+	checkCutsPinned(t, "pagerank", 124, 0x2b6566bd6c3e6602)
 }
 
 // checkCutsPinned runs the registry entry's suite problem on inmem with
@@ -179,7 +179,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	for _, step := range []int{0, 1, len(sink.cuts) - 1} {
 		f.Add(sink.cuts[step])
 	}
-	f.Add([]byte("KMCK\x01\x00\x02\x00\x00\x00"))
+	f.Add([]byte("KMCK\x02\x00\x00\x02\x00\x00\x00"))
 
 	a := pagerank.Descriptor(failN, pagerank.AlgorithmOne(0.15))
 	in := failurePartition(f)
@@ -193,12 +193,12 @@ func FuzzCheckpointDecode(f *testing.F) {
 	}
 	r := rng.NewStream(1, 0)
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		step, parts, stats, err := core.DecodeCheckpoint(blob)
+		run, step, parts, stats, err := core.DecodeCheckpoint(blob)
 		if err != nil {
 			return
 		}
-		if again, _, _, err := core.DecodeCheckpoint(core.AppendCheckpoint(nil, step, parts, stats)); err != nil || again != step {
-			t.Fatalf("re-encoded container decodes to superstep %d (err %v), want %d", again, err, step)
+		if again, step2, _, _, err := core.DecodeCheckpoint(core.AppendCheckpoint(nil, run, step, parts, stats)); err != nil || again != run || step2 != step {
+			t.Fatalf("re-encoded container decodes to run %x superstep %d (err %v), want %x %d", again, step2, err, run, step)
 		}
 		core.DecodeStats(stats, len(parts))
 		for i, part := range parts {

@@ -16,6 +16,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"kmachine/internal/core"
 )
 
 // These tests pin kmnode's surfaces the way a shell script would: run a
@@ -344,6 +346,116 @@ func TestKillMachine0(t *testing.T) {
 	}
 	got := killSuperstep.ReplaceAllString(mask(b.String()), "superstep$1<kill>")
 	checkGolden(t, "kill", killCause.ReplaceAllString(got, "err=<machine 0 died>"))
+}
+
+// resumable is a checkpointed pagerank run of the pagerank golden: on a
+// directory that holds its cuts it resumes from the newest one.
+const resumable = "-local 4 -algo pagerank -n 2000 -seed 42 -checkpoint-every 5 -checkpoint-dir d"
+
+// TestRestartResumesFromTheNewestCut: running the same checkpointed
+// command again resumes it from the newest cut in its directory, the
+// one after superstep 139, with the model line and output hash of the
+// pagerank golden.
+func TestRestartResumesFromTheNewestCut(t *testing.T) {
+	t.Chdir(t.TempDir())
+	for _, from := range []int{0, 140} {
+		var stdout, stderr output
+		if code := run(strings.Fields(resumable+" -trace t.json"), &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d:\n%s", code, stderr.String())
+		}
+		checkResumed(t, stdout.String(), "t.json", from)
+	}
+}
+
+// TestRestartAfterKillResumes: kmnode killed with SIGKILL past
+// superstep 40 leaves its cuts in -checkpoint-dir (the newest at 34 or
+// later: a machine may be past the superstep whose cut is not complete
+// yet), and the same command run again resumes from the newest: the
+// pagerank golden's model line and hash, and a trace that starts right
+// after that cut. The unkilled
+// run takes ~0.1 s, so a run that finishes before the kill lands is
+// started again.
+func TestRestartAfterKillResumes(t *testing.T) {
+	dir := t.TempDir()
+	for attempt := 0; ; attempt++ {
+		if attempt == 5 {
+			t.Fatal("kmnode finished before it could be killed past superstep 40, five times")
+		}
+		if err := os.RemoveAll(filepath.Join(dir, "d")); err != nil {
+			t.Fatal(err)
+		}
+		p := start(t, dir, strings.Fields(resumable+" -debug-addr 127.0.0.1:0")...)
+		debug := "http://" + p.stderr.await(t, debugAddrLine, time.Minute) + "/debug/vars"
+		for deadline := time.Now().Add(time.Minute); superstep(debug) < 40; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("kmnode never reached superstep 40; stderr:\n%s", p.stderr.String())
+			}
+		}
+		if err := p.cmd.Process.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		if p.wait(t, time.Minute) == -1 { // killed, not finished
+			break
+		}
+	}
+	from, _, err := core.NewFileSink(filepath.Join(dir, "d")).Latest()
+	if err != nil || from < 0 {
+		t.Fatalf("killed run left no cut (err %v)", err)
+	}
+	t.Logf("killed past superstep 40 with the newest cut at %d", from)
+	rerun := start(t, dir, strings.Fields(resumable+" -trace t.json")...)
+	if code := rerun.wait(t, time.Minute); code != 0 {
+		t.Fatalf("rerun exited %d", code)
+	}
+	checkResumed(t, rerun.stdout.String(), filepath.Join(dir, "t.json"), from+1)
+}
+
+// superstep is the debug plane's current superstep, or -1 while it
+// does not answer.
+func superstep(url string) int {
+	var vars struct {
+		Superstep int `json:"kmachine.superstep.current"`
+	}
+	resp, err := http.Get(url)
+	if err != nil {
+		return -1
+	}
+	defer resp.Body.Close()
+	if json.NewDecoder(resp.Body).Decode(&vars) != nil {
+		return -1
+	}
+	return vars.Superstep
+}
+
+// checkResumed requires the pagerank golden's model line and output
+// hash in stdout, and a trace whose first compute span is at superstep
+// from.
+func checkResumed(t *testing.T, stdout, tracePath string, from int) {
+	t.Helper()
+	const want = "rounds=2550 supersteps=144 messages=142923 words=285846 maxRecvWords=72144"
+	if got := roundsLine.FindString(stdout); got != want || !strings.Contains(stdout, "output hash 12e9858854108c92\n") {
+		t.Errorf("run from superstep %d printed %q and\n%s\nwant %q and output hash 12e9858854108c92", from, got, stdout, want)
+	}
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name string
+		Args struct{ Superstep int }
+	}
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatalf("%s: %v", tracePath, err)
+	}
+	first := -1
+	for _, e := range events {
+		if e.Name == "compute" && (first < 0 || e.Args.Superstep < first) {
+			first = e.Args.Superstep
+		}
+	}
+	if first != from {
+		t.Errorf("trace's first compute span is at superstep %d, want %d", first, from)
+	}
 }
 
 // output is a stream as far as it has been written.

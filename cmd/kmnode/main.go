@@ -115,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		timeout   = fs.Duration("dial-timeout", 10*time.Second, "how long to wait for peers to come up")
 		deadline  = fs.Duration("superstep-timeout", 0, "deadline for each whole superstep, local computation included; a crashed, wedged or too-slow machine surfaces as an attributed error within it (0 = none)")
 		ckEvery   = fs.Int("checkpoint-every", 0, fmt.Sprintf("with -local k: capture a consistent cut of all k machines every s supersteps (0 = off); output and stats are unchanged, and a run that loses a machine is re-run from its newest cut, or from the start if it stored none, at most %d times", core.DefaultMaxRecoveries))
-		ckDir     = fs.String("checkpoint-dir", "", "store checkpoints in this directory instead of memory only, as ckpt-<superstep>.kmck files (newest two kept; the format every runtime reads and writes; needs -checkpoint-every)")
+		ckDir     = fs.String("checkpoint-dir", "", "store checkpoints in this directory instead of memory only, as ckpt-<superstep>.kmck files (newest two kept; needs -checkpoint-every); running the same command again resumes from its newest cut")
 		retain    = fs.Int("retain-jobs", 0, "daemon mode: keep at most this many job records, evicting finished ones oldest-first (0 = unbounded)")
 		input     = fs.String("input", "", "read the graph from this edge-list file ('u v' per line, '#' comments) instead of generating G(n,p); -n still declares the vertex-ID space")
 		splitOut  = fs.String("split-out", "", "split -input into per-machine edge-list files in this directory and exit (needs -local k or -k for the machine count)")

@@ -180,12 +180,12 @@ func execute[M, L, O any](a Algorithm[M, L, O], views []partition.View, on site[
 // *transport.MachineError), checkpointing is armed, the run context is
 // live, and fewer than core.DefaultMaxRecoveries retries have run.
 // Panics, cancellation, deadlines, MaxSupersteps and validation errors
-// stay final. A retry resumes from the newest cut this launch stored;
-// with none stored — whatever else the sink held is another run's — it
-// starts over exactly as the first attempt did. Replay is
-// deterministic, so a recovered run's output and Stats are
-// bit-identical to an unkilled one's; Stats.Recoveries counts the
-// retries and WireStats total every attempt's bytes.
+// stay final. Every attempt starts as any checkpointed run does: from
+// the newest cut of its run (core.CheckpointPolicy.Run) in the sink,
+// otherwise from superstep 0. Replay is deterministic, so a recovered
+// run's output and Stats are bit-identical to an unkilled one's;
+// Stats.Recoveries counts the retries and WireStats total every
+// attempt's bytes.
 func retry[M, L, O any](build func(core.MachineID) (Machine[M, L], error), merge func([]L) O, on site[M]) (O, *core.Stats, transport.WireStats, error) {
 	var zero O
 	var total transport.WireStats
@@ -193,13 +193,9 @@ func retry[M, L, O any](build func(core.MachineID) (Machine[M, L], error), merge
 	if err := knownKind(cfg.Transport); err != nil {
 		return zero, nil, total, err
 	}
-	var sink *launchSink
-	if cfg.Checkpoint.Every > 0 {
-		sink = &launchSink{CheckpointSink: cfg.Checkpoint.Sink}
-		if sink.CheckpointSink == nil {
-			sink.CheckpointSink = core.NewMemorySink(0)
-		}
-		cfg.Checkpoint.Sink = sink
+	if cfg.Checkpoint.Every > 0 && cfg.Checkpoint.Sink == nil {
+		// One sink for every attempt, so a retry finds the cuts.
+		cfg.Checkpoint.Sink = core.NewMemorySink(0)
 	}
 	if err := canceled(cfg.Context, "before its machines were built"); err != nil {
 		return zero, nil, total, err
@@ -220,10 +216,9 @@ func retry[M, L, O any](build func(core.MachineID) (Machine[M, L], error), merge
 			return merge(locals), stats, total, nil
 		}
 		var me *transport.MachineError
-		if sink == nil || !errors.As(err, &me) || (cfg.Context != nil && cfg.Context.Err() != nil) || recoveries == core.DefaultMaxRecoveries {
+		if cfg.Checkpoint.Every <= 0 || !errors.As(err, &me) || (cfg.Context != nil && cfg.Context.Err() != nil) || recoveries == core.DefaultMaxRecoveries {
 			return zero, nil, total, err
 		}
-		cfg.Checkpoint.Resume = on.cfg.Checkpoint.Resume || sink.stored
 	}
 }
 
@@ -266,19 +261,4 @@ func canceled(ctx context.Context, where string) error {
 		return nil
 	}
 	return fmt.Errorf("algo: canceled %s: %w", where, ctx.Err())
-}
-
-// launchSink is the checkpoint sink of one launch, resolved once so
-// every attempt writes to and resumes from the same store. It notes
-// whether this launch has stored a cut; Puts are serialised by the
-// attempt's core.Assembler and finished before the attempt returns.
-type launchSink struct {
-	core.CheckpointSink
-	stored bool
-}
-
-func (s *launchSink) Put(step int, blob []byte) error {
-	err := s.CheckpointSink.Put(step, blob)
-	s.stored = s.stored || err == nil
-	return err
 }

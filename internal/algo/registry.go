@@ -3,6 +3,8 @@ package algo
 import (
 	"context"
 	"fmt"
+	"math"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -59,7 +61,9 @@ type Problem struct {
 	// the file once, straight into its machines' CSR shards.
 	InputPath string
 	// Checkpoint opts the run into per-superstep checkpointing and
-	// machine-loss recovery on every all-k substrate (see retry). Off by
+	// machine-loss recovery on every all-k substrate (see retry), and
+	// starts the run from the newest cut its sink holds of the same
+	// run (digest), so the same command run again resumes. Off by
 	// default — the zero value keeps today's fail-fast behaviour,
 	// hashes, and Stats bit-identical.
 	Checkpoint CheckpointSpec
@@ -80,19 +84,45 @@ type CheckpointSpec struct {
 	// Sink overrides where checkpoints go (wins over Dir); tests use it
 	// to inspect checkpoint traffic.
 	Sink core.CheckpointSink
-	// Resume starts the run from the sink's latest checkpoint instead of
-	// superstep 0 — a restart from a directory an earlier run wrote.
-	Resume bool
 }
 
 // policy resolves the spec into the runners' checkpoint policy; a nil
 // sink leaves the run its private in-memory ring.
 func (ck CheckpointSpec) policy() core.CheckpointPolicy {
-	p := core.CheckpointPolicy{Every: ck.Every, Sink: ck.Sink, Resume: ck.Resume}
+	p := core.CheckpointPolicy{Every: ck.Every, Sink: ck.Sink}
 	if p.Sink == nil && ck.Dir != "" {
 		p.Sink = core.NewFileSink(ck.Dir)
 	}
 	return p
+}
+
+// digest names the run of algorithm name on the resolved prob for its
+// checkpoints (core.CheckpointPolicy.Run), so a run resumes only its
+// own cuts: the name, every field that shapes the computation, and an
+// input file's size and modification time. Top, the timeout, the
+// context, the recorder and the checkpoint cadence leave every cut
+// valid and stay out.
+func (prob Problem) digest(name string) (uint64, error) {
+	h := NewHash64()
+	for _, s := range []string{name, prob.InputPath} {
+		h.Add(uint64(len(s)))
+		for i := range len(s) {
+			h.Add(uint64(s[i]))
+		}
+	}
+	for _, x := range []uint64{uint64(prob.N), math.Float64bits(prob.EdgeP), uint64(prob.K),
+		prob.Seed, uint64(prob.Bandwidth), math.Float64bits(prob.Eps)} {
+		h.Add(x)
+	}
+	if prob.InputPath != "" {
+		fi, err := os.Stat(prob.InputPath)
+		if err != nil {
+			return 0, err
+		}
+		h.Add(uint64(fi.Size()))
+		h.Add(uint64(fi.ModTime().UnixNano()))
+	}
+	return h.Sum(), nil
 }
 
 // withDefaults resolves the zero-value conventions.
@@ -307,7 +337,14 @@ func (s Spec[M, L, O]) launch(prob Problem, at place) (*Outcome, error) {
 
 // all runs the k machines in this process and reports the merged output.
 func (s Spec[M, L, O]) all(prob Problem, a Algorithm[M, L, O], views []partition.View, at place) (*Outcome, error) {
-	out, stats, w, err := execute(a, views, inProcess(prob.config(at.kind), a.Codec, at.mesh, at.job))
+	cfg := prob.config(at.kind)
+	if cfg.Checkpoint.Every > 0 {
+		var err error
+		if cfg.Checkpoint.Run, err = prob.digest(s.Name); err != nil {
+			return nil, err
+		}
+	}
+	out, stats, w, err := execute(a, views, inProcess(cfg, a.Codec, at.mesh, at.job))
 	if err != nil {
 		return nil, err
 	}

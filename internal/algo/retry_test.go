@@ -15,11 +15,13 @@ import (
 	"kmachine/internal/transport/wire"
 )
 
-// ringMachine passes a draw from its random stream around the ring for
-// ringSteps supersteps and sums what it receives, so its output depends
-// on the seed and on every restored quantity of a cut.
+// ringMachine passes a draw from its random stream around the ring —
+// forward, or back when back is set — for ringSteps supersteps and sums
+// what it receives, so its output depends on the seed and on every
+// restored quantity of a cut.
 type ringMachine struct {
 	self core.MachineID
+	back bool
 	sum  int64
 }
 
@@ -32,7 +34,11 @@ func (m *ringMachine) Step(ctx *core.StepContext, inbox []core.Envelope[echoMsg]
 	if ctx.Superstep >= ringSteps {
 		return nil, true
 	}
-	return []core.Envelope[echoMsg]{{To: (m.self + 1) % ringK, Words: 1,
+	to := (int(m.self) + 1) % ctx.K
+	if m.back {
+		to = (int(m.self) + ctx.K - 1) % ctx.K
+	}
+	return []core.Envelope[echoMsg]{{To: core.MachineID(to), Words: 1,
 		Msg: echoMsg{X: int64(ctx.RNG.Uint64() % 1000)}}}, false
 }
 
@@ -50,12 +56,12 @@ func (m *ringMachine) RestoreState(src []byte) error {
 
 // chaosSite is the in-process cluster over the loopback whose first
 // kills attempts lose machine 1 at superstep killAt. It records the
-// checkpoint policy of every attempt; after, when non-nil, runs once an
-// attempt has returned.
+// superstep of the cut every attempt starts from (-1: none, superstep
+// 0); after, when non-nil, runs once an attempt has returned.
 type chaosSite struct {
 	cfg           core.Config
 	kills, killAt int
-	attempts      []core.CheckpointPolicy
+	attempts      []int
 	after         func()
 }
 
@@ -67,7 +73,15 @@ func (cs *chaosSite) site() site[echoMsg] {
 				tr = chaos.Wrap[echoMsg](tr, chaos.KillAt(1, cs.killAt))
 			}
 			defer tr.Close()
-			cs.attempts = append(cs.attempts, cfg.Checkpoint)
+			from := -1
+			if asm := core.NewAssembler(cfg.Checkpoint, cfg.K); asm != nil {
+				if cut, err := asm.LatestCut(); err != nil {
+					return nil, transport.WireStats{}, err
+				} else if cut != nil {
+					from = cut.Step
+				}
+			}
+			cs.attempts = append(cs.attempts, from)
 			stats, err := core.NewCluster(cfg, machine).RunOn(tr, echoCodec{})
 			if cs.after != nil {
 				cs.after()
@@ -161,38 +175,33 @@ func TestRetryLoop(t *testing.T) {
 	t.Run("resume", func(t *testing.T) {
 		for _, tc := range []struct {
 			name   string
-			resume bool // the launch's own Resume
+			prior  uint64 // seed, and Run, of an earlier run into the sink
 			killAt int
-			want   []bool // Resume of each attempt
+			want   []int // the cut each attempt started from
 		}{
 			// Killed after the cut of superstep 1 was stored: resume it.
-			{"after-a-cut", false, 3, []bool{false, true}},
+			{"after-a-cut", 99, 3, []int{-1, 1}},
 			// Killed before any cut: start over, ignoring the other run's
-			// cut the sink holds.
-			{"before-a-cut", false, 0, []bool{false, false}},
-			// A resuming launch (here from an empty sink) resumes again.
-			{"resuming-launch", true, 3, []bool{true, true}},
+			// cuts the sink holds.
+			{"before-a-cut", 99, 0, []int{-1, -1}},
+			// A launch whose sink holds its own run's cut starts from it.
+			{"resuming-launch", 13, 3, []int{5}},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
 				sink := core.NewMemorySink(0)
-				if !tc.resume {
-					// Another run's cuts: resuming one would land on seed 99's output.
-					if _, _, err := runRing((&chaosSite{cfg: ringConfig(99, core.CheckpointPolicy{Every: 1, Sink: sink})}).site()); err != nil {
-						t.Fatal(err)
-					}
+				// Resuming one of seed 99's cuts would land on its output.
+				prior := ringConfig(tc.prior, core.CheckpointPolicy{Every: 2, Sink: sink, Run: tc.prior})
+				if _, _, err := runRing((&chaosSite{cfg: prior}).site()); err != nil {
+					t.Fatal(err)
 				}
-				ck := core.CheckpointPolicy{Every: 2, Sink: sink, Resume: tc.resume}
+				ck := core.CheckpointPolicy{Every: 2, Sink: sink, Run: 13}
 				cs := &chaosSite{cfg: ringConfig(13, ck), kills: 1, killAt: tc.killAt}
 				out, stats, err := runRing(cs.site())
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := make([]bool, len(cs.attempts))
-				for i, a := range cs.attempts {
-					got[i] = a.Resume
-				}
-				if !reflect.DeepEqual(got, tc.want) {
-					t.Errorf("attempts resumed %v, want %v", got, tc.want)
+				if !reflect.DeepEqual(cs.attempts, tc.want) {
+					t.Errorf("attempts started from cuts %v, want %v", cs.attempts, tc.want)
 				}
 				same(t, out, stats)
 			})

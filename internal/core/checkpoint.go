@@ -29,24 +29,26 @@ import (
 // Stats accounted through s are a complete, consistent image of the
 // computation. Each driver encodes its own part, machine 0's adds the
 // Stats, and the run's Assembler stores the container once all k have
-// arrived. A resuming run installs the sink's latest cut (LatestCut) —
-// each driver its own part, machine 0's the Stats — and enters the
+// arrived. A checkpointed run starts from the newest cut in its sink
+// that carries its run digest (Assembler.LatestCut) — each driver
+// installs its own part, machine 0's the Stats — and enters the
 // ordinary loop at s+1; from there the replay is the original run, bit
 // for bit, because every machine draws the same random words and reads
-// the same inboxes. A stop ruling ends the run before a capture, so a
-// final superstep is never captured, and a superstep whose exchange
-// failed was never captured either: a resume replays at most Every
-// supersteps.
+// the same inboxes; with no such cut it starts from superstep 0. A
+// stop ruling ends the run before a capture, so a final superstep is
+// never captured, and a superstep whose exchange failed was never
+// captured either: a resume replays at most Every supersteps.
 //
 // The container (all integers uvarint; len X is X length-prefixed):
 //
-//	checkpoint := 'K' 'M' 'C' 'K' ver=1  step+1  k  k × len part  len stats
+//	checkpoint := 'K' 'M' 'C' 'K' ver=2  run  step+1  k  k × len part  len stats
 //	part       := rngState  len state  batch
 //	stats      := k  Rounds Supersteps Messages Words  k × RecvWords
 //	              k × SentWords  n  n × (Rounds Messages Words
 //	              MaxLinkWords MaxRecvWords MaxSentWords)
 //
-// state is the Snapshotter blob. batch is the machine's next inbox as
+// run is the CheckpointPolicy.Run of the run that stored it. state is
+// the Snapshotter blob. batch is the machine's next inbox as
 // wire.AppendBatchV2 writes a received batch (superstep step+1, From
 // runs seeded with 0) and runs to the end of the part.
 // Stats.MaxRecvWords is derived and Stats.Recoveries is a count of
@@ -96,17 +98,18 @@ type CheckpointPolicy struct {
 	// Sink stores the checkpoint blobs; nil means an in-memory ring of
 	// the last two checkpoints (NewMemorySink).
 	Sink CheckpointSink
-	// Resume installs the sink's latest checkpoint before the first
-	// superstep (LatestCut); with an empty sink the run starts from
-	// superstep 0.
-	Resume bool
+	// Run names the computation: every container the run stores
+	// carries it, and the run starts from the newest cut in Sink that
+	// carries it, otherwise from superstep 0. The registry digests the
+	// algorithm and its resolved Problem into it; every other run is 0.
+	Run uint64
 }
 
 // CheckpointSink is pluggable checkpoint storage. Put stores the blob
 // for one superstep (the sink must copy it — the encoder reuses its
 // buffer); Latest returns the most recent stored checkpoint, or
 // (-1, nil, nil) when the sink holds none. Puts are serialised by the
-// Assembler; the k drivers of a resuming socket run call Latest
+// Assembler; the k drivers of a checkpointed socket run call Latest
 // concurrently.
 type CheckpointSink interface {
 	Put(superstep int, blob []byte) error
@@ -231,7 +234,7 @@ func (s *FileSink) Latest() (int, []byte, error) {
 		if err != nil {
 			return -1, nil, err
 		}
-		if got, _, _, err := DecodeCheckpoint(blob); err == nil && got == steps[i] {
+		if _, got, _, _, err := DecodeCheckpoint(blob); err == nil && got == steps[i] {
 			return steps[i], blob, nil
 		}
 	}
@@ -263,12 +266,13 @@ func (s *FileSink) list() ([]int, error) {
 	return steps, nil
 }
 
-var ckptMagic = []byte{'K', 'M', 'C', 'K', 1}
+var ckptMagic = []byte{'K', 'M', 'C', 'K', 2}
 
-// AppendCheckpoint appends the container of the cut after superstep
+// AppendCheckpoint appends the container of run's cut after superstep
 // step: the k machine parts in machine order, then the Stats part.
-func AppendCheckpoint(dst []byte, step int, parts [][]byte, stats []byte) []byte {
+func AppendCheckpoint(dst []byte, run uint64, step int, parts [][]byte, stats []byte) []byte {
 	dst = append(dst, ckptMagic...)
+	dst = wire.AppendUvarint(dst, run)
 	dst = wire.AppendUvarint(dst, uint64(step+1))
 	dst = wire.AppendUvarint(dst, uint64(len(parts)))
 	for _, part := range parts {
@@ -282,16 +286,17 @@ func AppendCheckpoint(dst []byte, step int, parts [][]byte, stats []byte) []byte
 // DecodeCheckpoint is the container's structural check and splitter:
 // the returned parts and stats alias blob. What is inside a part is
 // RestoreCheckpointPart's business, what is inside stats DecodeStats's.
-func DecodeCheckpoint(blob []byte) (step int, parts [][]byte, stats []byte, err error) {
+func DecodeCheckpoint(blob []byte) (run uint64, step int, parts [][]byte, stats []byte, err error) {
 	if !bytes.HasPrefix(blob, ckptMagic) {
-		return 0, nil, nil, fmt.Errorf("core: bad checkpoint header")
+		return 0, 0, nil, nil, fmt.Errorf("core: bad checkpoint header")
 	}
 	c := wire.Cursor{Src: blob, Off: len(ckptMagic)}
+	run = c.Uvarint()
 	step = int(c.Uvarint()) - 1
 	k := c.Uvarint() // 0 once the cursor has failed
 	if k > uint64(len(blob)-c.Off) {
 		// Every part costs at least its length byte.
-		return 0, nil, nil, fmt.Errorf("core: checkpoint claims %d parts in %d bytes", k, len(blob)-c.Off)
+		return 0, 0, nil, nil, fmt.Errorf("core: checkpoint claims %d parts in %d bytes", k, len(blob)-c.Off)
 	}
 	parts = make([][]byte, k)
 	for i := range parts {
@@ -299,9 +304,9 @@ func DecodeCheckpoint(blob []byte) (step int, parts [][]byte, stats []byte, err 
 	}
 	stats = c.LenPrefixed()
 	if err := c.Finish(); err != nil {
-		return 0, nil, nil, fmt.Errorf("core: corrupt checkpoint: %w", err)
+		return 0, 0, nil, nil, fmt.Errorf("core: corrupt checkpoint: %w", err)
 	}
-	return step, parts, stats, nil
+	return run, step, parts, stats, nil
 }
 
 // Cut is an opened checkpoint: what the k drivers of a resuming run
@@ -310,27 +315,6 @@ type Cut struct {
 	Step  int
 	Parts [][]byte
 	Stats []byte
-}
-
-// LatestCut opens the sink's latest checkpoint for a k-machine cluster:
-// the cut a resuming run installs, or nil when the sink holds none. A
-// checkpoint of another cluster size is an error, never a silent
-// from-zero.
-func LatestCut(sink CheckpointSink, k int) (*Cut, error) {
-	step, blob, err := sink.Latest()
-	if err != nil || blob == nil {
-		return nil, err
-	}
-	got, parts, stats, err := DecodeCheckpoint(blob)
-	switch {
-	case err != nil:
-		return nil, err
-	case got != step:
-		return nil, fmt.Errorf("core: checkpoint blob names superstep %d, sink says %d", got, step)
-	case len(parts) != k:
-		return nil, fmt.Errorf("core: checkpoint for k=%d cluster, running k=%d", len(parts), k)
-	}
-	return &Cut{Step: step, Parts: parts, Stats: stats}, nil
 }
 
 // AppendCheckpointPart appends machine id's part of the cut after
@@ -452,6 +436,7 @@ func DecodeStats(src []byte, k int) (*Stats, error) {
 type Assembler struct {
 	every int
 	sink  CheckpointSink
+	run   uint64
 
 	mu    sync.Mutex
 	step  int // superstep being captured
@@ -473,11 +458,32 @@ func NewAssembler(p CheckpointPolicy, k int) *Assembler {
 	if sink == nil {
 		sink = NewMemorySink(0)
 	}
-	return &Assembler{every: p.Every, sink: sink, step: -1, parts: make([][]byte, k)}
+	return &Assembler{every: p.Every, sink: sink, run: p.Run, step: -1, parts: make([][]byte, k)}
 }
 
-// Sink is where the assembled checkpoints go.
-func (a *Assembler) Sink() CheckpointSink { return a.sink }
+// LatestCut opens the cut the run starts from: the sink's latest
+// checkpoint when it carries this run's digest, or nil — start from
+// superstep 0 — when the sink holds none or another run's. A cut of
+// this run for another cluster size is an error, never a silent
+// from-zero.
+func (a *Assembler) LatestCut() (*Cut, error) {
+	step, blob, err := a.sink.Latest()
+	if err != nil || blob == nil {
+		return nil, err
+	}
+	run, got, parts, stats, err := DecodeCheckpoint(blob)
+	switch {
+	case err != nil:
+		return nil, err
+	case run != a.run:
+		return nil, nil
+	case got != step:
+		return nil, fmt.Errorf("core: checkpoint blob names superstep %d, sink says %d", got, step)
+	case len(parts) != len(a.parts):
+		return nil, fmt.Errorf("core: checkpoint for k=%d cluster, running k=%d", len(parts), len(a.parts))
+	}
+	return &Cut{Step: step, Parts: parts, Stats: stats}, nil
+}
 
 // put copies in machine id's part of the cut after superstep step —
 // machine 0's call also carries the Stats, through its coordinator —
@@ -496,6 +502,6 @@ func (a *Assembler) put(step, id int, part []byte, coord *Coordinator) error {
 	if a.have++; a.have < len(a.parts) {
 		return nil
 	}
-	a.buf = AppendCheckpoint(a.buf[:0], step, a.parts, a.stats)
+	a.buf = AppendCheckpoint(a.buf[:0], a.run, step, a.parts, a.stats)
 	return a.sink.Put(step, a.buf)
 }

@@ -19,7 +19,7 @@ import (
 // cut is a structurally valid one-part container carrying a label, which
 // is all a sink may look at.
 func cut(step int) []byte {
-	return AppendCheckpoint(nil, step, [][]byte{[]byte(fmt.Sprintf("cut-at-%d", step))}, nil)
+	return AppendCheckpoint(nil, 0, step, [][]byte{[]byte(fmt.Sprintf("cut-at-%d", step))}, nil)
 }
 
 func checkSink(t *testing.T, s CheckpointSink) {
@@ -153,8 +153,9 @@ func TestFileSinkLatestSkipsDamagedNewest(t *testing.T) {
 // against the bytes that remain before anything is sized by it.
 func TestCheckpointDecodersBoundCounts(t *testing.T) {
 	huge := wire.AppendUvarint(nil, 1<<40)
-	container := append(append(append([]byte(nil), ckptMagic...), 1), huge...) // step 0, 2^40 parts
-	if _, _, _, err := DecodeCheckpoint(container); err == nil {
+	// run 0, step 0, 2^40 parts
+	container := append(append(append([]byte(nil), ckptMagic...), 0, 1), huge...)
+	if _, _, _, _, err := DecodeCheckpoint(container); err == nil {
 		t.Error("container claiming 2^40 parts in a dozen bytes decoded")
 	}
 	stats := AppendStats(nil, newStats(3))
@@ -164,5 +165,24 @@ func TestCheckpointDecodersBoundCounts(t *testing.T) {
 	}
 	if _, err := DecodeStats(AppendStats(nil, newStats(3)), 4); err == nil {
 		t.Error("stats of a k=3 cluster decoded for k=4")
+	}
+}
+
+// TestLatestCutResumesOnlyItsOwnRun: the cut a run starts from is the
+// sink's newest one only when it carries the run's digest; another
+// run's cut, whatever its superstep, leaves the run at superstep 0.
+func TestLatestCutResumesOnlyItsOwnRun(t *testing.T) {
+	sink := NewMemorySink(0)
+	parts := [][]byte{[]byte("a"), []byte("b")}
+	if err := sink.Put(7, AppendCheckpoint(nil, 0xfeed, 7, parts, nil)); err != nil {
+		t.Fatal(err)
+	}
+	own := NewAssembler(CheckpointPolicy{Every: 1, Sink: sink, Run: 0xfeed}, 2)
+	if cut, err := own.LatestCut(); err != nil || cut == nil || cut.Step != 7 || !bytes.Equal(cut.Parts[1], parts[1]) {
+		t.Errorf("own run: LatestCut() = (%+v, %v), want the cut at 7", cut, err)
+	}
+	other := NewAssembler(CheckpointPolicy{Every: 1, Sink: sink, Run: 0xbeef}, 2)
+	if cut, err := other.LatestCut(); err != nil || cut != nil {
+		t.Errorf("another run: LatestCut() = (%+v, %v), want (nil, nil)", cut, err)
 	}
 }

@@ -149,8 +149,8 @@ type Config struct {
 	// Checkpoint opts the run into per-superstep checkpointing (see
 	// checkpoint.go): every Checkpoint.Every supersteps a consistent cut
 	// of all machine state is captured right after the superstep is
-	// charged into Checkpoint.Sink, and with Checkpoint.Resume the run
-	// starts from the sink's latest cut. Off by default (Every == 0):
+	// charged into Checkpoint.Sink, and the run starts from the sink's
+	// newest cut of Checkpoint.Run, if any. Off by default (Every == 0):
 	// the driver's hook is a single nil check, keeping the
 	// zero-allocation steady state and every golden hash unchanged.
 	// Checkpointing requires all machines to implement Snapshotter and

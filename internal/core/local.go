@@ -139,8 +139,8 @@ func (rv *rendezvous[M]) fail(err error) {
 // close rules superstep step from the k rows and, when the run goes on,
 // delivers it through the transport and charges it. The transport's
 // contract guarantees inboxes assembled in sender order, and its
-// ownership rule lets it recycle their storage (double-buffered, so the
-// inboxes of step stay valid while step+1 is assembled).
+// ownership rule lets it assemble them over the last superstep's: this
+// runs only once all k Steps that read those have returned.
 func (rv *rendezvous[M]) close(ctx context.Context, step int) (Verdict, [][]Envelope[M], error) {
 	v := rv.coord.Rule(rv.rows)
 	if v.Kind != VerdictContinue {
@@ -178,8 +178,8 @@ func (rv *rendezvous[M]) close(ctx context.Context, step int) (Verdict, [][]Enve
 // The transport is single-run: a stop leaves its last superstep open
 // for the caller's Close to abandon.
 //
-// Config.Checkpoint arms capture and, with Resume, installs the sink's
-// latest cut first — exactly as on the socket link; both need codec,
+// Config.Checkpoint arms capture and installs the run's latest cut
+// first — exactly as on the socket link; both need codec,
 // which is otherwise unused (nil is fine for an unarmed run).
 // Config.Context is observed before and after every Step, and
 // Config.SuperstepTimeout bounds each superstep on the transport, so a
@@ -191,9 +191,9 @@ func (c *Cluster[M]) RunOn(t Transport[M], codec wire.Codec[M]) (*Stats, error) 
 	coord := NewCoordinator(cfg.K, cfg.Bandwidth, cfg.DropPerSuperstep)
 	asm := NewAssembler(cfg.Checkpoint, cfg.K)
 	var resume *Cut
-	if asm != nil && cfg.Checkpoint.Resume {
+	if asm != nil {
 		var err error
-		if resume, err = LatestCut(asm.Sink(), cfg.K); err != nil {
+		if resume, err = asm.LatestCut(); err != nil {
 			return coord.Stats(), err
 		}
 	}

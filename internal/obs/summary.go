@@ -101,8 +101,7 @@ type RunSummary struct {
 func Summarize(spans []Span) RunSummary {
 	var r RunSummary
 	var durs [3][]int64
-	type iv struct{ lo, hi int64 }
-	var ivs []iv
+	var ivs [][2]int64
 	steps := map[int32]bool{}
 	first, last := int64(1<<62), int64(0)
 	for _, s := range spans {
@@ -110,7 +109,7 @@ func Summarize(spans []Span) RunSummary {
 			continue
 		}
 		durs[s.Phase] = append(durs[s.Phase], s.Dur)
-		ivs = append(ivs, iv{s.Start, s.End()})
+		ivs = append(ivs, [2]int64{s.Start, s.End()})
 		steps[s.Superstep] = true
 		if s.Start < first {
 			first = s.Start
@@ -127,20 +126,9 @@ func Summarize(spans []Span) RunSummary {
 	r.Compute = aggregate(durs[PhaseCompute])
 	r.Barrier = aggregate(durs[PhaseBarrier])
 	r.Exchange = aggregate(durs[PhaseExchange])
-	// Interval-union sweep for coverage: sort by start, merge overlaps.
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].lo < ivs[j].lo })
-	curLo, curHi := ivs[0].lo, ivs[0].hi
-	for _, v := range ivs[1:] {
-		if v.lo > curHi {
-			r.CoveredNs += curHi - curLo
-			curLo, curHi = v.lo, v.hi
-			continue
-		}
-		if v.hi > curHi {
-			curHi = v.hi
-		}
+	for _, v := range unionInto(ivs, nil) {
+		r.CoveredNs += v[1] - v[0]
 	}
-	r.CoveredNs += curHi - curLo
 	if r.WallNs > 0 {
 		r.Coverage = float64(r.CoveredNs) / float64(r.WallNs)
 	}

@@ -4,7 +4,7 @@ package inmem_test
 // cluster can be handed: the loopback, the loopback-TCP mesh, and the
 // chaos wrapper (inert, over the loopback). What core relies on is
 // asserted here once, substrate by substrate: sender-ID-ordered inboxes
-// with self-delivery in place, the double-buffer ownership rule,
+// with self-delivery in place, the caller's ownership of its batches,
 // Exchange being exactly Begin+Finish, and the misuse errors.
 
 import (
@@ -100,14 +100,6 @@ func superstep(t *testing.T, tr transport.Transport[msg], step int, perDest [][]
 	return inboxes
 }
 
-func clone(inboxes [][]envelope) [][]envelope {
-	out := make([][]envelope, len(inboxes))
-	for j := range inboxes {
-		out[j] = append([]envelope(nil), inboxes[j]...)
-	}
-	return out
-}
-
 func TestTransportContract(t *testing.T) {
 	const k = 4
 	evenPeers := func(i, j int) bool { return j%2 == 0 }
@@ -137,23 +129,30 @@ func TestTransportContract(t *testing.T) {
 				defer tr.Close()
 				// One set of caller-owned batch slices, overwritten in
 				// place for every superstep: the transport must be done
-				// with them when Finish returns (-race sees a late read).
+				// with them when Finish returns (-race sees a late read),
+				// and each superstep's inboxes hold what was sent in it.
+				// (An inbox itself is valid only until the next Finish,
+				// which may assemble over it.)
 				all := make([][][]envelope, k)
 				for i := range all {
 					all[i] = traffic(k, 0, i)
 				}
-				var prev, prevCopy [][]envelope
 				for step := 0; step < 6; step++ {
 					for i := range all {
 						for j, b := range traffic(k, step, i) {
 							copy(all[i][j], b)
 						}
 					}
-					cur := superstep(t, tr, step, all, evenPeers)
-					if prev != nil && !reflect.DeepEqual(prev, prevCopy) {
-						t.Fatalf("inboxes of superstep %d were overwritten by Finish of superstep %d", step-1, step)
+					got := superstep(t, tr, step, all, evenPeers)
+					for j := 0; j < k; j++ {
+						var want []envelope
+						for s := 0; s < k; s++ {
+							want = append(want, traffic(k, step, s)[j]...)
+						}
+						if !reflect.DeepEqual(got[j], want) {
+							t.Fatalf("superstep %d inbox %d:\n got  %+v\n want %+v", step, j, got[j], want)
+						}
 					}
-					prev, prevCopy = cur, clone(cur)
 				}
 			})
 

@@ -8,10 +8,10 @@
 // batches and the rest outboxes counts the per-destination envelopes,
 // the k inboxes are then carved out of a single flat buffer, and a
 // second pass places every envelope at its final position. The flat
-// buffer and the inbox headers are double-buffered and recycled across
-// supersteps (the transport ownership rule), so a steady-state
-// superstep performs no allocation at all once the buffers have grown
-// to the run's working set.
+// buffer and the inbox headers are recycled across supersteps (the
+// transport ownership rule), so a steady-state superstep performs no
+// allocation at all once the buffers have grown to the run's working
+// set.
 package inmem
 
 import (
@@ -21,23 +21,15 @@ import (
 	"kmachine/internal/transport"
 )
 
-// exchangeBuf is one generation of recycled inbox storage.
-type exchangeBuf[M any] struct {
-	flat    []transport.Envelope[M]
-	inboxes [][]transport.Envelope[M]
-}
-
 // Transport is the loopback implementation of transport.Transport.
 type Transport[M any] struct {
 	k      int
 	closed bool
 
-	// bufs are the two inbox-buffer generations: gen selects the one the
-	// next Finish assembles into, so the inboxes handed out by the
-	// previous call — and any envelopes still aliasing them — stay
-	// untouched while the current superstep is built.
-	bufs [2]exchangeBuf[M]
-	gen  int
+	// flat and inboxes are the recycled inbox storage: each Finish
+	// assembles over the inboxes the previous one returned.
+	flat    []transport.Envelope[M]
+	inboxes [][]transport.Envelope[M]
 
 	counts []int // per-destination envelope counts / placement cursors
 	starts []int // prefix offsets of each inbox within flat
@@ -60,11 +52,12 @@ func New[M any](k int) *Transport[M] {
 		panic(fmt.Sprintf("inmem: need k >= 2 machines, got %d", k))
 	}
 	t := &Transport[M]{
-		k:      k,
-		counts: make([]int, k),
-		starts: make([]int, k+1),
-		staged: make([][]transport.Envelope[M], k*k),
-		pairs:  make([][]int32, k),
+		k:       k,
+		inboxes: make([][]transport.Envelope[M], k),
+		counts:  make([]int, k),
+		starts:  make([]int, k+1),
+		staged:  make([][]transport.Envelope[M], k*k),
+		pairs:   make([][]int32, k),
 	}
 	for i := range t.pairs {
 		t.pairs[i] = make([]int32, 0, k)
@@ -116,7 +109,7 @@ func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport
 // rest envelopes for those destinations. Iterating senders in machine
 // order makes inbox assembly deterministic and sender-ID ordered; the
 // returned inboxes obey the contract's ownership rule (valid until the
-// second-following Finish).
+// next Finish).
 func (t *Transport[M]) Finish(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
 	defer func() {
 		for i := range t.pairs {
@@ -166,15 +159,10 @@ func (t *Transport[M]) Finish(ctx context.Context, step int, rest [][]transport.
 		total += len(rest[i])
 	}
 
-	b := &t.bufs[t.gen]
-	t.gen ^= 1
-	if cap(b.flat) < total {
-		b.flat = make([]transport.Envelope[M], total)
+	if cap(t.flat) < total {
+		t.flat = make([]transport.Envelope[M], total)
 	}
-	flat := b.flat[:total]
-	if b.inboxes == nil {
-		b.inboxes = make([][]transport.Envelope[M], t.k)
-	}
+	flat := t.flat[:total]
 
 	starts := t.starts
 	starts[0] = 0
@@ -197,9 +185,9 @@ func (t *Transport[M]) Finish(ctx context.Context, step int, rest [][]transport.
 	for j := 0; j < t.k; j++ {
 		// Cap-limit each inbox so an append by a misbehaving caller
 		// cannot clobber its neighbour's envelopes.
-		b.inboxes[j] = flat[starts[j]:starts[j+1]:starts[j+1]]
+		t.inboxes[j] = flat[starts[j]:starts[j+1]:starts[j+1]]
 	}
-	return b.inboxes, nil
+	return t.inboxes, nil
 }
 
 // Exchange implements transport.Transport: Begin, then Finish.

@@ -116,7 +116,7 @@ func TestNodeCheckpointedRunMatchesGolden(t *testing.T) {
 		t.Errorf("latest checkpoint at superstep %d, want a pre-final superstep of a %d-superstep run",
 			latest, goldenStats.Supersteps)
 	}
-	if step, parts, stats, err := core.DecodeCheckpoint(blob); err != nil || step != latest || len(parts) != k || len(stats) == 0 {
+	if _, step, parts, stats, err := core.DecodeCheckpoint(blob); err != nil || step != latest || len(parts) != k || len(stats) == 0 {
 		t.Errorf("stored container: step %d, %d parts, %d stats bytes, err %v", step, len(parts), len(stats), err)
 	}
 	if want := goldenStats.Supersteps / 2; sink.Puts() != want {
@@ -146,7 +146,7 @@ func TestNodeResumeFromSinkDeterministic(t *testing.T) {
 			if step, _, _ := sinks[1].Latest(); step < 0 {
 				t.Fatal("no checkpoint to resume from")
 			}
-			resumedStats, resumedSums := runCkCluster(t, k, core.CheckpointPolicy{Every: 2, Sink: sinks[1], Resume: true})
+			resumedStats, resumedSums := runCkCluster(t, k, core.CheckpointPolicy{Every: 2, Sink: sinks[1]})
 			sameCkStats(t, "resumed-vs-golden", resumedStats, goldenStats)
 			for i := range goldenSums {
 				if resumedSums[i] != goldenSums[i] {
@@ -158,13 +158,13 @@ func TestNodeResumeFromSinkDeterministic(t *testing.T) {
 	}
 }
 
-// TestResumeWithEmptySinkStartsFromZero: Resume against a sink with no
-// checkpoint must degrade to a normal from-zero run — the path a job
-// takes when its machine died before the first capture.
+// TestResumeWithEmptySinkStartsFromZero: a sink with no checkpoint
+// gives a normal from-zero run — the path a job takes when its machine
+// died before the first capture.
 func TestResumeWithEmptySinkStartsFromZero(t *testing.T) {
 	const k = 4
 	goldenStats, goldenSums := runCkCluster(t, k, core.CheckpointPolicy{})
-	resumedStats, resumedSums := runCkCluster(t, k, core.CheckpointPolicy{Every: 2, Sink: core.NewMemorySink(0), Resume: true})
+	resumedStats, resumedSums := runCkCluster(t, k, core.CheckpointPolicy{Every: 2, Sink: core.NewMemorySink(0)})
 	sameCkStats(t, "empty-resume-vs-golden", resumedStats, goldenStats)
 	for i := range goldenSums {
 		if resumedSums[i] != goldenSums[i] {
@@ -173,14 +173,14 @@ func TestResumeWithEmptySinkStartsFromZero(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsOtherClusterSize: a checkpoint of a k=4 cluster
-// offered to a k=5 resume is an error that says so — never a silent
-// from-zero run, and never a hang.
+// TestResumeRejectsOtherClusterSize: a checkpoint of the same run
+// (here both Run 0) for a k=4 cluster, offered to a k=5 run, is an
+// error that says so — never a silent from-zero run, and never a hang.
 func TestResumeRejectsOtherClusterSize(t *testing.T) {
 	base := runtime.NumGoroutine()
 	sink := core.NewMemorySink(0)
 	runCkCluster(t, 4, core.CheckpointPolicy{Every: 2, Sink: sink})
-	_, _, err := tryCkCluster(5, core.CheckpointPolicy{Every: 2, Sink: sink, Resume: true})
+	_, _, err := tryCkCluster(5, core.CheckpointPolicy{Every: 2, Sink: sink})
 	if err == nil || !strings.Contains(err.Error(), "checkpoint for k=4 cluster, running k=5") {
 		t.Fatalf("k-mismatched resume returned %v, want the attributed k mismatch", err)
 	}
@@ -198,7 +198,7 @@ func TestResumedRunIsDataFramesOnly(t *testing.T) {
 	if latest < 0 {
 		t.Fatal("no checkpoint to resume from")
 	}
-	cfg := core.Config{K: k, Bandwidth: 1, Seed: 77, Checkpoint: core.CheckpointPolicy{Every: 4, Sink: sink, Resume: true}}
+	cfg := core.Config{K: k, Bandwidth: 1, Seed: 77, Checkpoint: core.CheckpointPolicy{Every: 4, Sink: sink}}
 	stats, w, err := RunLocal(cfg, failCodec{}, func(id core.MachineID) core.Machine[failMsg] { return &ckMachine{self: id} })
 	if err != nil {
 		t.Fatal(err)

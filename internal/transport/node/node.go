@@ -105,7 +105,7 @@ func RunLocal[M any](cfg core.Config, codec wire.Codec[M], factory func(core.Mac
 }
 
 // runNode drives machine id over its connected endpoint: core.Drive,
-// resumed from the sink's latest cut when the run asks for it. Every
+// resumed from the run's latest cut when its sink holds one. Every
 // node opens that cut itself, and nothing checks the choice before the
 // loop starts: nodes that opened different cuts begin at different
 // supersteps, and the first batch each reads fails its superstep check
@@ -122,8 +122,8 @@ func runNode[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], m core.Machine
 		// bytes are those of the in-process link.
 		d.Coord = link.coord
 	}
-	if asm != nil && cfg.Checkpoint.Resume {
-		cut, err := core.LatestCut(asm.Sink(), cfg.K)
+	if asm != nil {
+		cut, err := asm.LatestCut()
 		if err != nil {
 			return link.coord.Stats(), fmt.Errorf("node: machine %d resume: %w", id, err)
 		}

@@ -105,7 +105,6 @@ func TestEveryNodeRulesAlike(t *testing.T) {
 		if step, _, _ := sink.Latest(); step < 0 {
 			t.Fatal("no checkpoint to resume from")
 		}
-		ck.Checkpoint.Resume = true
 		resumed, errs := runEveryNode(t, ck, ckFactory)
 		if errs[k-1] != nil {
 			t.Fatal(errs[k-1])
@@ -132,7 +131,6 @@ func TestResumeDisagreementFailsOnTheDataPlane(t *testing.T) {
 	if step, _, _ := sink.Latest(); step < 0 {
 		t.Fatal("no checkpoint to resume from")
 	}
-	cfg.Checkpoint.Resume = true
 	shared := core.NewAssembler(cfg.Checkpoint, k)
 	empty := cfg.Checkpoint
 	empty.Sink = core.NewMemorySink(0)

@@ -30,17 +30,13 @@ type driveJob[M any] struct {
 // contract suite may call them.
 type Transport[M any] struct {
 	eps []*Endpoint[M]
-	// inboxes are the double-buffered outer slices handed to the
-	// cluster; spare[i] is endpoint i's other inbox, swapped in before
-	// each FinishSuperstep to keep the two-generation promise.
-	inboxes [2][][]transport.Envelope[M]
-	gen     int
-	spare   [][]transport.Envelope[M]
 
-	drive   []chan driveJob[M]
-	wg      sync.WaitGroup
-	errs    []error
-	results [][]transport.Envelope[M]
+	drive []chan driveJob[M]
+	wg    sync.WaitGroup
+	errs  []error
+	// inboxes are what Finish hands the cluster: endpoint i's inbox,
+	// which its next FinishSuperstep decodes over.
+	inboxes [][]transport.Envelope[M]
 
 	mu        sync.Mutex
 	closed    bool
@@ -70,8 +66,7 @@ func New[M any](k int, codec wire.Codec[M]) (*Transport[M], error) {
 		eps:     eps,
 		drive:   make([]chan driveJob[M], k),
 		errs:    make([]error, k),
-		results: make([][]transport.Envelope[M], k),
-		spare:   make([][]transport.Envelope[M], k),
+		inboxes: make([][]transport.Envelope[M], k),
 	}
 	for i := 0; i < k; i++ {
 		t.drive[i] = make(chan driveJob[M], 1)
@@ -87,13 +82,12 @@ func New[M any](k int, codec wire.Codec[M]) (*Transport[M], error) {
 // Close.
 func (t *Transport[M]) driver(i int) {
 	for job := range t.drive[i] {
-		t.eps[i].inbox, t.spare[i] = t.spare[i], t.eps[i].inbox
 		inbox, _, err := t.eps[i].FinishSuperstep(job.step, job.out, nil)
 		// On a FinishSuperstep error the endpoint has already closed
 		// itself; the close cascades error returns to every peer blocked
 		// on this endpoint's connections, so no driver hangs here.
 		t.errs[i] = err
-		t.results[i] = inbox
+		t.inboxes[i] = inbox
 		t.wg.Done()
 	}
 }
@@ -150,7 +144,7 @@ func (t *Transport[M]) Finish(ctx context.Context, step int, rest [][]transport.
 	}
 	for i := 0; i < k; i++ {
 		t.errs[i] = nil
-		t.results[i] = nil
+		t.inboxes[i] = nil
 	}
 	t.wg.Add(k)
 	for i := 0; i < k; i++ {
@@ -188,14 +182,7 @@ func (t *Transport[M]) Finish(ctx context.Context, step int, rest [][]transport.
 	if first != nil {
 		return nil, first
 	}
-
-	if t.inboxes[t.gen] == nil {
-		t.inboxes[t.gen] = make([][]transport.Envelope[M], k)
-	}
-	inboxes := t.inboxes[t.gen]
-	t.gen ^= 1
-	copy(inboxes, t.results)
-	return inboxes, nil
+	return t.inboxes, nil
 }
 
 // Exchange implements transport.Transport: Begin, then Finish.

@@ -73,12 +73,11 @@ type Envelope[M any] struct {
 //
 // Buffer ownership. A Transport may recycle inbox storage: the inboxes
 // returned by Finish (both the outer slice and the envelope storage it
-// points into) remain valid only until the second-following Finish on
-// the same transport. That two-generation promise is the in-process
-// link's; on every link a Step's inbox is valid only during the Step,
-// and the envelopes it returns must not alias it (core.Machine), which
-// lets the socket link decode the next inbox over the last. Callers
-// that need an envelope beyond its window must copy it. Symmetrically,
+// points into) remain valid only until the next Finish on the same
+// transport, which may assemble over them. That is the one rule of
+// every link: a Step's inbox is valid only during the Step, and the
+// envelopes it returns must not alias it (core.Machine). Callers that
+// need an envelope beyond its window must copy it. Symmetrically,
 // rest and every batch handed to SendBatch stay owned by the caller: it
 // must not mutate or recycle them until Finish returns (the tcp
 // substrate encodes an emitted batch concurrently with the remaining

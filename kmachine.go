@@ -194,8 +194,8 @@ type RunConfig struct {
 	// default) keeps the run on its zero-allocation span-free path.
 	Recorder Recorder
 	// CheckpointEvery opts the run into per-superstep checkpointing and
-	// machine-loss recovery: machine state is captured every
-	// CheckpointEvery supersteps, and a run that loses a machine is
+	// machine-loss recovery: machine state is captured in memory,
+	// private to the run, every CheckpointEvery supersteps, and a run that loses a machine is
 	// re-run from its newest cut (from the start if it stored none), up
 	// to core.DefaultMaxRecoveries times, instead of failing. Stats,
 	// outputs, and hashes of a recovered run are bit-identical to an
@@ -203,16 +203,12 @@ type RunConfig struct {
 	// the zero-overhead path. Requires every machine to implement
 	// core.Snapshotter.
 	CheckpointEvery int
-	// CheckpointDir persists checkpoints to disk (two most recent
-	// retained) instead of the default in-memory ring. Only meaningful
-	// with CheckpointEvery > 0.
-	CheckpointDir string
 }
 
 // coreConfig is the shared translation of a RunConfig into the
 // substrate options of a core.Config.
 func (rc RunConfig) coreConfig(k, bandwidth int, seed uint64) core.Config {
-	cfg := core.Config{
+	return core.Config{
 		K:                k,
 		Bandwidth:        bandwidth,
 		Seed:             seed,
@@ -223,10 +219,6 @@ func (rc RunConfig) coreConfig(k, bandwidth int, seed uint64) core.Config {
 		Recorder:         rc.Recorder,
 		Checkpoint:       core.CheckpointPolicy{Every: rc.CheckpointEvery},
 	}
-	if rc.CheckpointDir != "" {
-		cfg.Checkpoint.Sink = core.NewFileSink(rc.CheckpointDir)
-	}
-	return cfg
 }
 
 // PageRankConfig configures a distributed PageRank run.

@@ -208,8 +208,8 @@ func goldenRun[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partitio
 // killThenResume is one recovery spelled out: a run checkpointing every
 // `every` supersteps into a fresh sink is killed by the fault killed —
 // which must surface as the attributed machine loss the retry loop
-// retries — then a second run, under the fault resumed, resumes from
-// that sink.
+// retries — then a second run of the same computation into that sink,
+// under the fault resumed, resumes from it.
 func killThenResume[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partition.Input, k int,
 	kind transport.Kind, every int, killed, resumed fault) (O, *core.Stats) {
 	t.Helper()
@@ -219,7 +219,6 @@ func killThenResume[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in par
 	if !errors.As(err, &me) {
 		t.Fatalf("killed run: err %v, want a *transport.MachineError", err)
 	}
-	ck.Resume = true
 	out, stats, err := runArm(t, a, in, k, kind, ck, resumed)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
