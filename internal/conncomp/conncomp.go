@@ -58,18 +58,15 @@ type ccMachine struct {
 	flagsChanged bool // OR of all machines' change flags
 	flagsSeen    int
 
-	// Per-superstep scratch, recycled across supersteps: delivBuf holds
-	// the arrived payloads and buckets[j] the envelopes addressed to
-	// machine j.
-	delivBuf []cmsg
-	buckets  [][]core.Envelope[wire]
+	buckets [][]core.Envelope[wire] // [j]: envelopes to machine j, recycled
 }
 
 // newCCMachine ranks the machine's adjacency once, so that no phase
 // looks at it again: local–local arcs feed a union-find over rows that
 // is flattened into class, and cut arcs are packed as ghost<<32|row and
 // radix-sorted by ghost (stable, so rows stay ascending) into the ghost
-// table.
+// table. Every table is sized from a count taken before it fills, and
+// each link bucket to Lemma 13's per-link share of the ghosts.
 func newCCMachine(view partition.View) *ccMachine {
 	locals := view.Locals()
 	m := &ccMachine{
@@ -95,7 +92,15 @@ func newCCMachine(view partition.View) *ccMachine {
 		}
 		return r
 	}
-	var keys []uint64
+	cut := 0
+	for _, v := range locals {
+		for _, w := range view.OutAdj(v) {
+			if !view.IsLocal(w) {
+				cut++
+			}
+		}
+	}
+	keys := make([]uint64, 0, cut)
 	var maxGhost int32
 	for r, v := range locals {
 		for _, w := range view.OutAdj(v) {
@@ -113,6 +118,14 @@ func newCCMachine(view partition.View) *ccMachine {
 	}
 
 	keys, _ = graph.RadixSort(keys, make([]uint64, len(keys)), 32, (bits.Len32(uint32(maxGhost))+7)/8)
+	distinct := 0
+	for p := range keys {
+		if p == 0 || keys[p]>>32 != keys[p-1]>>32 {
+			distinct++
+		}
+	}
+	m.ghosts = make([]int32, 0, distinct)
+	m.ghostOffs = make([]int32, 0, distinct+1)
 	m.ghostRows = make([]int32, len(keys))
 	for p, key := range keys {
 		if w := int32(key >> 32); len(m.ghosts) == 0 || m.ghosts[len(m.ghosts)-1] != w {
@@ -122,6 +135,9 @@ func newCCMachine(view partition.View) *ccMachine {
 		m.ghostRows[p] = int32(uint32(key))
 	}
 	m.ghostOffs = append(m.ghostOffs, int32(len(keys)))
+	for j := range m.buckets {
+		m.buckets[j] = make([]core.Envelope[wire], 0, routing.LinkShare(distinct, view.K()))
+	}
 	return m
 }
 
@@ -149,10 +165,12 @@ func (m *ccMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]
 	for j := range buckets {
 		buckets[j] = buckets[j][:0]
 	}
-	delivered := routing.Deliver(m.view.Self(), inbox, m.delivBuf[:0], buckets)
-	m.delivBuf = delivered[:0]
-	for _, d := range delivered {
-		switch d.Kind {
+	for i := range inbox {
+		if e := &inbox[i]; e.Msg.Final != ctx.Self {
+			routing.Forward(buckets, e)
+			continue
+		}
+		switch d := &inbox[i].Msg.Msg; d.Kind {
 		case kindLabel:
 			if r := m.view.Row(d.V); d.Label < m.label[r] {
 				m.label[r] = d.Label

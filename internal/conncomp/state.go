@@ -30,8 +30,7 @@ func (m *ccMachine) SnapshotState(dst []byte) ([]byte, error) {
 
 // RestoreState overwrites the machine's dynamic state from a
 // SnapshotState blob taken on a machine built from the same inputs.
-// Label entries are overwritten in place (Output aliases the slice), and
-// delivery scratch reset.
+// Label entries are overwritten in place (Output aliases the slice).
 func (m *ccMachine) RestoreState(src []byte) error {
 	c := twire.Cursor{Src: src}
 	phase := c.Uvarint()
@@ -47,6 +46,5 @@ func (m *ccMachine) RestoreState(src []byte) error {
 	m.anyChange = flags&1 != 0
 	m.flagsChanged = flags&2 != 0
 	m.flagsSeen = int(flagsSeen)
-	m.delivBuf = m.delivBuf[:0]
 	return nil
 }

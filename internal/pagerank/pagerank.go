@@ -144,13 +144,11 @@ type machine struct {
 	// per-destination-vertex counter, dense over the global vertex
 	// space; touched has bit v set while accVals[v] is nonzero, and
 	// words [lo, hi] of it hold every set bit (lo > hi when none is).
-	// beta holds the heavy path's per-machine counts and delivBuf the
-	// arrived payloads.
-	accVals  []int64
-	touched  []uint64
-	lo, hi   int
-	beta     []int64
-	delivBuf []msg
+	// beta holds the heavy path's per-machine counts.
+	accVals []int64
+	touched []uint64
+	lo, hi  int
+	beta    []int64
 	// buckets[j] collects the superstep's envelopes addressed to machine
 	// j (per-destination program order preserved — see routing.Route);
 	// core.EmitBuckets hands each non-self bucket to the transport as
@@ -219,10 +217,12 @@ func (m *machine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]co
 	for j := range buckets {
 		buckets[j] = buckets[j][:0]
 	}
-	delivered := routing.Deliver(m.view.Self(), inbox, m.delivBuf[:0], buckets)
-	m.delivBuf = delivered[:0]
-	for _, d := range delivered {
-		m.receive(ctx, d)
+	for i := range inbox {
+		if e := &inbox[i]; e.Msg.Final != ctx.Self {
+			routing.Forward(buckets, e)
+		} else {
+			m.receive(ctx, &e.Msg.Msg)
+		}
 	}
 	// Even supersteps walk an iteration; odd ones only relay/receive.
 	even := ctx.Superstep%2 == 0
@@ -351,8 +351,8 @@ func (m *machine) heavyAlias(r int) *rng.Alias {
 	return m.heavyDist[r]
 }
 
-// receive processes a delivered payload.
-func (m *machine) receive(ctx *core.StepContext, d msg) {
+// receive processes an arrived payload, in place in the inbox.
+func (m *machine) receive(ctx *core.StepContext, d *msg) {
 	switch d.Kind {
 	case kindLight:
 		r := m.row[d.V]

@@ -38,12 +38,11 @@ func (m *machine) RestoreState(src []byte) error {
 	}
 	m.iter = int(iter)
 	// Reset scratch: the light accumulator, heavy-path counts, and
-	// delivery buffers are only guaranteed clean at barriers.
+	// link buckets are only guaranteed clean at barriers.
 	clear(m.accVals)
 	clear(m.touched)
 	m.lo, m.hi = len(m.touched), -1
 	clear(m.beta)
-	m.delivBuf = m.delivBuf[:0]
 	for j := range m.buckets {
 		m.buckets[j] = m.buckets[j][:0]
 	}

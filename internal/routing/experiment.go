@@ -102,7 +102,13 @@ func (m *fixedDestMachine) Step(ctx *core.StepContext, inbox []core.Envelope[Hop
 	for j := range m.buckets {
 		m.buckets[j] = m.buckets[j][:0]
 	}
-	m.delivered += int64(len(Deliver(ctx.Self, inbox, nil, m.buckets)))
+	for i := range inbox {
+		if e := &inbox[i]; e.Msg.Final != ctx.Self {
+			Forward(m.buckets, e)
+		} else {
+			m.delivered++
+		}
+	}
 	if ctx.Superstep == 0 && ctx.Self == 0 {
 		for i := 0; i < m.x; i++ {
 			if m.twoHop {

@@ -9,7 +9,7 @@
 //     e.g. token counts addressed to the home machine of a vertex — a
 //     message is first sent to a uniformly random intermediate machine
 //     and then forwarded, so both hops have a random endpoint and Lemma 13
-//     applies to each. Hop/Route/Deliver implement the pattern generically
+//     applies to each. Hop/Route/Forward implement the pattern generically
 //     for any payload type, into per-destination buckets;
 //   - randomized proxy computation (§1.3, §3.2): the designation rule that
 //     decides which endpoint's home machine ships an edge to its random
@@ -19,6 +19,7 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 
 	"kmachine/internal/core"
@@ -42,8 +43,12 @@ type Hop[M any] struct {
 
 // Route appends an envelope carrying msg towards final via a uniformly
 // random intermediate machine drawn from r, to the intermediate's
-// bucket.
+// bucket. A final outside [0, k) panics here, at the sender, rather
+// than at whichever intermediate would forward it a superstep later.
 func Route[M any](buckets [][]core.Envelope[Hop[M]], r *rng.RNG, k int, final core.MachineID, words int32, msg M) {
+	if final < 0 || int(final) >= k {
+		panic(fmt.Sprintf("routing: final machine %d out of [0,%d)", final, k))
+	}
 	mid := r.Intn(k)
 	buckets[mid] = append(buckets[mid], core.Envelope[Hop[M]]{
 		To:    core.MachineID(mid),
@@ -63,26 +68,10 @@ func RouteDirect[M any](buckets [][]core.Envelope[Hop[M]], final core.MachineID,
 	})
 }
 
-// Deliver splits an inbox into payloads that have arrived (Final is
-// self), appended to delivered, and second-hop forwards, appended to
-// their final machine's bucket. Payloads and forwards are copied out of
-// inbox, never aliased, so both stay valid after the link recycles the
-// inbox storage.
-func Deliver[M any](self core.MachineID, inbox []core.Envelope[Hop[M]], delivered []M, buckets [][]core.Envelope[Hop[M]]) []M {
-	for i := range inbox {
-		if e := &inbox[i]; e.Msg.Final == self {
-			delivered = append(delivered, e.Msg.Msg)
-		} else {
-			Forward(buckets, e)
-		}
-	}
-	return delivered
-}
-
 // Forward appends the second-hop forward of e — an inbox envelope whose
-// Final is another machine — to that machine's bucket. It is Deliver's
-// forward arm on its own, for a machine that consumes its arrived
-// payloads in the same pass over the inbox.
+// Final is another machine — to that machine's bucket, as a copy that
+// outlives the inbox. A receiver walks its inbox once: Forward for other
+// machines' envelopes, its own payloads consumed in place.
 func Forward[M any](buckets [][]core.Envelope[Hop[M]], e *core.Envelope[Hop[M]]) {
 	buckets[e.Msg.Final] = append(buckets[e.Msg.Final], core.Envelope[Hop[M]]{
 		To:    e.Msg.Final,

@@ -1,30 +1,89 @@
 package routing
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
+	"kmachine/internal/algo"
 	"kmachine/internal/core"
+	"kmachine/internal/partition"
 	"kmachine/internal/rng"
+	"kmachine/internal/transport"
 )
 
-func TestDeliverSplitsFinalsAndForwards(t *testing.T) {
+func TestForwardCopiesToFinalsBucketInOrder(t *testing.T) {
 	inbox := []core.Envelope[Hop[int]]{
-		{From: 1, To: 2, Words: 1, Msg: Hop[int]{Final: 2, Msg: 10}},
 		{From: 1, To: 2, Words: 1, Msg: Hop[int]{Final: 5, Msg: 20}},
-		{From: 3, To: 2, Words: 2, Msg: Hop[int]{Final: 2, Msg: 30}},
+		{From: 3, To: 2, Words: 2, Msg: Hop[int]{Final: 4, Msg: 30}},
+		{From: 3, To: 2, Words: 3, Msg: Hop[int]{Final: 5, Msg: 40}},
 	}
 	buckets := make([][]core.Envelope[Hop[int]], 6)
-	delivered := Deliver(core.MachineID(2), inbox, nil, buckets)
-	if len(delivered) != 2 || delivered[0] != 10 || delivered[1] != 30 {
-		t.Errorf("delivered = %v, want [10 30]", delivered)
+	for i := range inbox {
+		Forward(buckets, &inbox[i])
 	}
+	// The link recycles the inbox once the Step returns: the forwards
+	// must not see it.
+	clear(inbox)
 	assertBucketed(t, buckets)
-	if fw := buckets[5]; len(fw) != 1 || fw[0].To != 5 || fw[0].Words != 1 || fw[0].Msg.Final != 5 || fw[0].Msg.Msg != 20 {
-		t.Errorf("bucket 5 = %+v, want one forward of 20 to 5", fw)
+	want := map[int][]core.Envelope[Hop[int]]{
+		4: {{To: 4, Words: 2, Msg: Hop[int]{Final: 4, Msg: 30}}},
+		5: {{To: 5, Words: 1, Msg: Hop[int]{Final: 5, Msg: 20}}, {To: 5, Words: 3, Msg: Hop[int]{Final: 5, Msg: 40}}},
 	}
 	for j, b := range buckets {
-		if j != 5 && len(b) != 0 {
-			t.Errorf("bucket %d = %+v, want empty", j, b)
+		if !slices.Equal(b, want[j]) {
+			t.Errorf("bucket %d = %+v, want %+v", j, b, want[j])
+		}
+	}
+}
+
+// strayRouteMachine has machine from route one probe to final = k, a
+// machine that does not exist, in superstep 0; every machine forwards
+// what it relays.
+type strayRouteMachine struct {
+	from    core.MachineID
+	buckets [][]core.Envelope[Hop[routeProbe]]
+}
+
+func (m *strayRouteMachine) Step(ctx *core.StepContext, inbox []core.Envelope[Hop[routeProbe]]) ([]core.Envelope[Hop[routeProbe]], bool) {
+	for j := range m.buckets {
+		m.buckets[j] = m.buckets[j][:0]
+	}
+	for i := range inbox {
+		if e := &inbox[i]; e.Msg.Final != ctx.Self {
+			Forward(m.buckets, e)
+		}
+	}
+	if ctx.Superstep == 0 && ctx.Self == m.from {
+		Route(m.buckets, ctx.RNG, ctx.K, core.MachineID(ctx.K), 1, routeProbe{})
+	}
+	return core.EmitBuckets(ctx, m.buckets), true
+}
+
+func (m *strayRouteMachine) Output() int64 { return 0 }
+
+// TestRouteRefusesFinalOutOfRangeAtTheSender: a final outside [0, k)
+// fails the run at the machine that routed it, in the superstep it did
+// so, on both links — not as an index panic at a random intermediate a
+// superstep later.
+func TestRouteRefusesFinalOutOfRangeAtTheSender(t *testing.T) {
+	const k, from = 4, 2
+	for _, kind := range []transport.Kind{transport.InMem, transport.TCP} {
+		_, err := run(algo.Algorithm[Hop[routeProbe], int64, []int64]{
+			Name:  "routing",
+			Codec: HopCodec[routeProbe](probeCodec{}),
+			NewMachine: func(view partition.View) (algo.Machine[Hop[routeProbe], int64], error) {
+				return &strayRouteMachine{from: from, buckets: make([][]core.Envelope[Hop[routeProbe]], view.K())}, nil
+			},
+			Merge: func(locals []int64) []int64 { return locals },
+		}, kind, k, 8, 1)
+		if err == nil {
+			t.Fatalf("%v: routing to final %d of %d machines succeeded", kind, k, k)
+		}
+		for _, says := range []string{"machine 2 panicked in superstep 0", "final machine 4 out of [0,4)"} {
+			if !strings.Contains(err.Error(), says) {
+				t.Errorf("%v: error %q does not say %q", kind, err, says)
+			}
 		}
 	}
 }
