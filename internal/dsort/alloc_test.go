@@ -19,7 +19,9 @@ import (
 // Before the bulk path was cut to one materialisation per layer the
 // rows read 35 / 330 / 550 B/key; before the socket link kept one inbox
 // and the self bucket went straight into it, 180 / 302 of the last two;
-// before the in-process link kept one inbox, 152 / 228.
+// before the in-process link kept one inbox, 152 / 228; before each
+// socket connection end kept only the buffer it uses, 122 / 228; now
+// 122 / 155.
 func TestBulkBytesPerKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sorts 200 000 keys twice, once over loopback sockets")
@@ -49,7 +51,7 @@ func TestBulkBytesPerKey(t *testing.T) {
 	}{
 		{"dsort.RandomInput (the key slices)", input, 10},
 		{"sort machines + routing buckets + in-process link (newSortMachine, Step, core, inmem)", inmem, 136},
-		{"sort machines + routing buckets + socket link (AppendBatchV2, frame buffers, rows, assembleInbox)", tcp, 265},
+		{"sort machines + routing buckets + socket link (AppendBatchV2, frame buffers, rows, assembleInbox)", tcp, 186},
 	} {
 		t.Logf("%5.1f B/key (budget %3.0f)  %s", row.got, row.budget, row.layer)
 		if row.got > row.budget {

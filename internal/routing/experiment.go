@@ -38,7 +38,10 @@ type RandomRouteResult struct {
 }
 
 // randomRouteMachine sends x one-word messages to independently uniform
-// destinations in superstep 0 and counts everything it receives.
+// destinations in superstep 0 and counts everything it receives. It
+// draws them straight into per-destination buckets, each presized to a
+// link's Lemma 13 share, and hands every peer's bucket to the link
+// whole, so no layer below splits a flat outbox by destination again.
 type randomRouteMachine struct {
 	x         int
 	delivered int64
@@ -49,15 +52,21 @@ func (m *randomRouteMachine) Step(ctx *core.StepContext, inbox []core.Envelope[r
 	if ctx.Superstep > 0 {
 		return nil, true
 	}
-	out := make([]core.Envelope[routeProbe], 0, m.x)
+	share := LinkShare(m.x, ctx.K)
+	slab := make([]core.Envelope[routeProbe], ctx.K*share)
+	buckets := make([][]core.Envelope[routeProbe], ctx.K)
+	for j := range buckets {
+		buckets[j] = slab[j*share : j*share : (j+1)*share]
+	}
 	for i := 0; i < m.x; i++ {
-		out = append(out, core.Envelope[routeProbe]{
-			To:    core.MachineID(ctx.RNG.Intn(ctx.K)),
+		to := ctx.RNG.Intn(ctx.K)
+		buckets[to] = append(buckets[to], core.Envelope[routeProbe]{
+			To:    core.MachineID(to),
 			Words: 1,
 			Msg:   routeProbe{Token: int32(i)},
 		})
 	}
-	return out, true
+	return core.EmitBuckets(ctx, buckets), true
 }
 
 // Output implements algo.Machine.

@@ -68,11 +68,13 @@ func TestSteadyStateExchangeAllocBudget(t *testing.T) {
 	run()
 
 	got := testing.AllocsPerRun(3, run)
-	// The pipeline itself is allocation-free; the only recurring cost is
-	// runtime-internal (netpoll deadline timers when SetDeadline renews
-	// them, occasional bufio growth on the first pass). Budget one
-	// allocation per two supersteps — a real per-superstep, per-peer
-	// regression costs >= supersteps × (k-1) ≈ 120.
+	// The pipeline itself is allocation-free: frames leave by writev
+	// from the connections' own encode buffers and header scratch, and
+	// arrive in their own read buffers, all grown by the warm-up. The
+	// only recurring cost is runtime-internal (netpoll deadline timers
+	// when SetDeadline renews them). Budget one allocation per two
+	// supersteps — a real per-superstep, per-peer regression costs >=
+	// supersteps × (k-1) ≈ 120.
 	budget := float64(supersteps / 2)
 	if got > budget {
 		t.Errorf("steady-state exchange allocated %.0f times over %d supersteps, budget %.0f — a per-superstep allocation crept into the pipeline", got, supersteps, budget)

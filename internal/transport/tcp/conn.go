@@ -2,63 +2,84 @@ package tcp
 
 import (
 	"bufio"
+	"encoding/binary"
 	"net"
+	"sync"
 	"time"
 
 	"kmachine/internal/transport/wire"
 )
 
-// bufWriter / bufReader are the buffered halves of a connection; named
-// so the Endpoint fields read as intent rather than bufio plumbing.
-type bufWriter = bufio.Writer
-type bufReader = bufio.Reader
+// readBufSize holds a superstep's small frames (rows, sparse batches)
+// in one read syscall; a larger frame bypasses the buffer, read by
+// io.ReadFull straight into its frame buffer.
+const readBufSize = 4 << 10
 
-const connBufSize = 64 << 10
-
-func newDataConn(c net.Conn) *dataConn {
-	if tc, ok := c.(*net.TCPConn); ok {
-		// Batches are written once per superstep and flushed whole;
-		// Nagle only adds latency to the small row frames.
-		tc.SetNoDelay(true)
-	}
-	return &dataConn{
-		c: c,
-		w: bufio.NewWriterSize(c, connBufSize),
-		r: bufio.NewReaderSize(c, connBufSize),
-	}
+// outConn is a dialed end, which this machine only writes: peer j's
+// batch, row, blame and hello frames, by writev with no write buffer.
+type outConn struct {
+	c  net.Conn
+	tx []byte // j's batch encode buffer; only the writer of j's batch touches it
+	// wmu serialises frame writes: the goroutine writing this
+	// superstep's frames and a failing endpoint's blame broadcast may
+	// write concurrently. It guards writeFrames' scratch below.
+	wmu sync.Mutex
+	hdr [2 * binary.MaxVarintLen64]byte
+	vec [4][]byte   // backing array of iov
+	iov net.Buffers // headers and payloads being written
 }
 
-// writeFrameLocked ships frames under the connection's write mutex,
-// flushed once: the goroutine writing this superstep's frames and a
-// concurrent blame broadcast (castBlame) may target the same
-// connection, and the mutex is what keeps their frames whole on the
-// stream.
-func (dc *dataConn) writeFrameLocked(dl time.Time, payloads ...[]byte) error {
-	dc.wmu.Lock()
-	defer dc.wmu.Unlock()
-	return dc.writeFrames(dl, payloads)
+// inConn is an accepted end, which this machine only reads: peer j's
+// frames, by j's reader goroutine into j's batch and row buffers.
+type inConn struct {
+	c               net.Conn
+	r               *bufio.Reader
+	frame, rowFrame []byte
+}
+
+func newInConn(c net.Conn) *inConn {
+	return &inConn{c: c, r: bufio.NewReaderSize(c, readBufSize)}
+}
+
+// writeFrameLocked writes frames under the write mutex, which keeps
+// them whole on the stream against a concurrent blame broadcast.
+func (oc *outConn) writeFrameLocked(dl time.Time, payloads ...[]byte) error {
+	oc.wmu.Lock()
+	defer oc.wmu.Unlock()
+	return oc.writeFrames(dl, payloads...)
 }
 
 // tryWriteFrameLocked is writeFrameLocked for callers that must not
 // block on the mutex: if a write is mid-frame (or wedged in one), it
 // reports false without writing. The blame broadcast uses it — a
 // teardown must never wait on a connection whose write is stuck.
-func (dc *dataConn) tryWriteFrameLocked(dl time.Time, payload []byte) (bool, error) {
-	if !dc.wmu.TryLock() {
+func (oc *outConn) tryWriteFrameLocked(dl time.Time, payload []byte) (bool, error) {
+	if !oc.wmu.TryLock() {
 		return false, nil
 	}
-	defer dc.wmu.Unlock()
-	return true, dc.writeFrames(dl, [][]byte{payload})
+	defer oc.wmu.Unlock()
+	return true, oc.writeFrames(dl, payload)
 }
 
-func (dc *dataConn) writeFrames(dl time.Time, payloads [][]byte) error {
-	if err := dc.c.SetWriteDeadline(dl); err != nil {
-		return err
-	}
+// writeFrames writes each payload as one length-prefixed frame, all in
+// one writev, allocation-free for up to two frames (a batch and its
+// row). Every header is built first, so a frame wire.AppendFrameHeader
+// refuses leaves nothing of the call on the stream. Call under wmu.
+func (oc *outConn) writeFrames(dl time.Time, payloads ...[]byte) error {
+	defer clear(oc.vec[:]) // pin no caller's payload past the call
+	hdr := oc.hdr[:0]
+	oc.iov = oc.vec[:0]
 	for _, p := range payloads {
-		if err := wire.WriteFrame(dc.w, p); err != nil {
+		n := len(hdr)
+		var err error
+		if hdr, err = wire.AppendFrameHeader(hdr, len(p)); err != nil {
 			return err
 		}
+		oc.iov = append(oc.iov, hdr[n:], p)
 	}
-	return dc.w.Flush()
+	if err := oc.c.SetWriteDeadline(dl); err != nil {
+		return err
+	}
+	_, err := oc.iov.WriteTo(oc.c)
+	return err
 }

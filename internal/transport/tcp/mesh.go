@@ -12,11 +12,14 @@ import (
 
 // Mesh is one machine's standing socket fabric: its listener, the k-1
 // dialed data connections and the k-1 accepted ones — no machine holds
-// any other. It is deliberately NOT generic in the message type —
-// connections and their buffered readers/writers carry bytes, not
-// envelopes — which is what lets a resident daemon keep one mesh alive
-// while typed Endpoints of different algorithms attach to it job after
-// job (see Attach). A single run is job 0 on a mesh of its own.
+// any other. A dialed end (outConn) writes by writev from its encode
+// buffer; an accepted end (inConn) owns a reader and its read buffers.
+// These buffers live as long as the mesh, at the high-water mark of its
+// largest job. The mesh is deliberately NOT generic in the message type
+// — connections and buffers carry bytes, not envelopes — which is what
+// lets a resident daemon keep one mesh alive while typed Endpoints of
+// different algorithms attach to it job after job (see Attach). A
+// single run is job 0 on a mesh of its own.
 //
 // A Mesh has two terminal states: detached-from (healthy, reusable) and
 // closed (poisoned). Any endpoint failure closes the whole mesh —
@@ -28,8 +31,8 @@ type Mesh struct {
 	k  int
 	ln net.Listener
 
-	out []*dataConn // out[j]: dialed conn for writing to peer j
-	in  []*dataConn // in[j]: accepted conn for reading from peer j
+	out []*outConn // out[j]: dialed conn for writing to peer j
+	in  []*inConn  // in[j]: accepted conn for reading from peer j
 
 	mu        sync.Mutex
 	connected bool
@@ -52,8 +55,8 @@ func ListenMesh(id, k int, addr string) (*Mesh, error) {
 		id:  id,
 		k:   k,
 		ln:  ln,
-		out: make([]*dataConn, k),
-		in:  make([]*dataConn, k),
+		out: make([]*outConn, k),
+		in:  make([]*inConn, k),
 	}, nil
 }
 
@@ -120,7 +123,7 @@ func (m *Mesh) Connect(peers []string, timeout time.Duration) error {
 func (m *Mesh) dialAll(peers []string, deadline time.Time) error {
 	// The hello frame that opens a connection is the dialer's machine ID.
 	hello := wire.AppendUvarint(nil, uint64(m.id))
-	dial := func(addr string) (*dataConn, error) {
+	dial := func(addr string) (*outConn, error) {
 		var lastErr error
 		for time.Now().Before(deadline) {
 			c, err := net.DialTimeout("tcp", addr, time.Until(deadline))
@@ -129,16 +132,12 @@ func (m *Mesh) dialAll(peers []string, deadline time.Time) error {
 				time.Sleep(20 * time.Millisecond)
 				continue
 			}
-			dc := newDataConn(c)
-			if err := wire.WriteFrame(dc.w, hello); err != nil {
+			oc := &outConn{c: c}
+			if err := oc.writeFrameLocked(deadline, hello); err != nil {
 				c.Close()
 				return nil, err
 			}
-			if err := dc.w.Flush(); err != nil {
-				c.Close()
-				return nil, err
-			}
-			return dc, nil
+			return oc, nil
 		}
 		return nil, fmt.Errorf("tcp: machine %d dial %s timed out: %v", m.id, addr, lastErr)
 	}
@@ -168,8 +167,8 @@ func (m *Mesh) acceptAll(deadline time.Time) error {
 		if err != nil {
 			return fmt.Errorf("tcp: machine %d accept: %w", m.id, err)
 		}
-		dc := newDataConn(c)
-		hello, err := wire.ReadFrameInto(dc.r, nil)
+		ic := newInConn(c)
+		hello, err := wire.ReadFrameInto(ic.r, nil)
 		if err != nil {
 			c.Close()
 			return fmt.Errorf("tcp: machine %d bad hello: %w", m.id, err)
@@ -184,7 +183,7 @@ func (m *Mesh) acceptAll(deadline time.Time) error {
 			c.Close()
 			return fmt.Errorf("tcp: machine %d got duplicate conn from %d", m.id, from)
 		}
-		m.in[from] = dc
+		m.in[from] = ic
 	}
 	return nil
 }
@@ -206,14 +205,14 @@ func (m *Mesh) Close() error {
 		if m.ln != nil {
 			record(m.ln.Close())
 		}
-		for _, dc := range m.out {
-			if dc != nil {
-				record(dc.c.Close())
+		for _, oc := range m.out {
+			if oc != nil {
+				record(oc.c.Close())
 			}
 		}
-		for _, dc := range m.in {
-			if dc != nil {
-				record(dc.c.Close())
+		for _, ic := range m.in {
+			if ic != nil {
+				record(ic.c.Close())
 			}
 		}
 		if len(errs) > 0 {

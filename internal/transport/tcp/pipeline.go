@@ -124,13 +124,15 @@ func (e *Endpoint[M]) castBlame(cause error) {
 }
 
 // runWriter ships frames of superstep step to peer j on the calling
-// goroutine, in one flush: the batch encoded from envs when batch is
-// set, then row when withRow is set.
+// goroutine, in one vectored write: the batch encoded from envs into
+// the connection's encode buffer when batch is set, then row when
+// withRow is set.
 func (e *Endpoint[M]) runWriter(j, step int, dl time.Time, batch bool, envs []transport.Envelope[M], withRow bool, row []byte) {
 	t0 := e.now()
 	var frame []byte
+	oc := e.out[j]
 	if batch {
-		base := e.tx[j][:0]
+		base := oc.tx[:0]
 		if e.jobID != 0 {
 			// Jobs other than 0 scope every batch: the header sits
 			// ahead of the version byte, the batch encoding is untouched.
@@ -138,7 +140,7 @@ func (e *Endpoint[M]) runWriter(j, step int, dl time.Time, batch bool, envs []tr
 		}
 		var err error
 		frame, err = wire.AppendBatchV2(base, step, transport.MachineID(e.id), transport.MachineID(j), envs, e.codec)
-		e.tx[j] = frame[:0]
+		oc.tx = frame[:0]
 		if err != nil {
 			// An encode failure is OUR defect (a codec bug, a malformed
 			// envelope), not peer j's: attribute it to this machine so the
@@ -155,11 +157,11 @@ func (e *Endpoint[M]) runWriter(j, step int, dl time.Time, batch bool, envs []tr
 	var err error
 	switch {
 	case batch && withRow:
-		err = e.out[j].writeFrameLocked(dl, frame, row)
+		err = oc.writeFrameLocked(dl, frame, row)
 	case batch:
-		err = e.out[j].writeFrameLocked(dl, frame)
+		err = oc.writeFrameLocked(dl, frame)
 	default:
-		err = e.out[j].writeFrameLocked(dl, row)
+		err = oc.writeFrameLocked(dl, row)
 	}
 	if err != nil {
 		e.sendFailed(j, step, err)
@@ -168,7 +170,7 @@ func (e *Endpoint[M]) runWriter(j, step int, dl time.Time, batch bool, envs []tr
 	if batch {
 		e.countSent(len(frame))
 		e.span(t0, obs.PhaseFrameWrite, j, step, wire.FrameSize(len(frame)))
-		t0 = e.now() // a row flushed with its batch records a zero-length span
+		t0 = e.now() // a row written with its batch records a zero-length span
 	}
 	if withRow {
 		e.countSent(len(row))
@@ -236,7 +238,7 @@ func (e *Endpoint[M]) runReader(j int, job pipeJob) {
 		e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d set read deadline for %d: %w", e.id, j, err)))
 		return
 	}
-	frame, ok := e.readFrame(j, job.step, &e.frame[j])
+	frame, ok := e.readFrame(j, job.step, &e.in[j].frame)
 	if !ok {
 		return
 	}
@@ -268,7 +270,7 @@ func (e *Endpoint[M]) runReader(j int, job pipeJob) {
 		e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d bad frame from %d: %w", e.id, j, err)))
 		return
 	}
-	row, ok := e.readFrame(j, job.step, &e.rowFrame[j])
+	row, ok := e.readFrame(j, job.step, &e.in[j].rowFrame)
 	if !ok {
 		return
 	}

@@ -189,9 +189,9 @@ func (e *Endpoint[M]) finishGuard() {
 // not reappear here) — one batch frame per directed pair, empty batches
 // included, each followed by one frame of `row`, this machine's account
 // of the superstep. Every frame is written on the calling goroutine,
-// peers visited from (id+step) mod k: a rest batch and its row leave in
-// one flush, a peer whose batch was streamed gets the row alone. It
-// then waits for the readers to drain and decodes the inbox in
+// peers visited from (id+step) mod k: a rest batch and its row leave
+// in one vectored write, a peer whose batch was streamed gets the row
+// alone. It then waits for the readers to drain and decodes the inbox in
 // sender-ID order, self-addressed envelopes at position e.id, exactly
 // like the loopback transport, into the storage of the previous inbox,
 // which out must not alias. rows[j] is peer j's row as received
@@ -269,7 +269,7 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row
 		// what it says; a frame of j's is no excuse for the write.
 		if e.in[j].c.SetReadDeadline(time.Now().Add(blameWriteTimeout)) != nil {
 			e.fail(e.sendErr)
-		} else if _, ok := e.readFrame(j, step, &e.frame[j]); ok {
+		} else if _, ok := e.readFrame(j, step, &e.in[j].frame); ok {
 			e.fail(e.sendErr)
 		}
 		return nil, nil, e.failure()

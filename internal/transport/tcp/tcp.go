@@ -23,6 +23,12 @@
 // allocated on the steady-state path. Readers exit when the endpoint
 // detaches or closes; they never leak across supersteps.
 //
+// Each connection end holds only the half it uses: a dialed end writes
+// its frames by writev straight from its batch encode buffer, an
+// accepted end owns a small reader and its batch and row read buffers.
+// These buffers belong to the Mesh, not to the per-job Endpoint, and
+// live as long as it does, at the high-water mark of its largest job.
+//
 // Writing on the producing goroutine cannot deadlock, because every
 // peer releases its reader for superstep s in BeginSuperstep(s), before
 // any Step of s runs: a write blocked on a full socket buffer always has
@@ -59,16 +65,6 @@ import (
 // DefaultDialTimeout bounds mesh construction: peers of a standalone
 // node may start seconds apart.
 const DefaultDialTimeout = 10 * time.Second
-
-type dataConn struct {
-	c net.Conn
-	w *bufWriter
-	r *bufReader
-	// wmu serialises frame writes: the goroutine writing this
-	// superstep's frames and a failing endpoint's blame broadcast may
-	// write concurrently.
-	wmu sync.Mutex
-}
 
 // pipeJob is one superstep's marching order for a parked reader: which
 // superstep to expect and the I/O deadline to install first. It is
@@ -124,22 +120,18 @@ type Endpoint[M any] struct {
 	sendPeer        int
 
 	// Per-superstep scratch, recycled across calls and single-buffered.
-	// perDest/tx/frame are dead once FinishSuperstep returns (tx[j] is
-	// touched only by the one write of peer j's batch per superstep); a
-	// reader leaves its header-checked batch (a window of frame[j]) and
-	// envelope count in rxBatch/rxCount for the finish to decode into
-	// inbox, the one place received envelopes exist decoded, valid until
-	// the next finish decodes over it (core.Machine's ownership rule).
-	// The peer's row frame lands in rxRow (a window of rowFrame[j]),
-	// returned as is and valid until the next BeginSuperstep.
-	perDest  [][]transport.Envelope[M] // outgoing to peers, split by destination
-	tx       [][]byte                  // per-peer batch encode buffers
-	frame    [][]byte                  // per-peer batch read buffers
-	rowFrame [][]byte                  // per-peer row read buffers
-	rxBatch  [][]byte                  // per-peer received batch, undecoded
-	rxCount  []int                     // per-peer envelope count of rxBatch
-	rxRow    [][]byte                  // per-peer received row
-	inbox    []transport.Envelope[M]
+	// perDest is dead once FinishSuperstep returns; a reader leaves its
+	// header-checked batch (a window of in[j].frame) and envelope count
+	// in rxBatch/rxCount for the finish to decode into inbox, the one
+	// place received envelopes exist decoded, valid until the next
+	// finish decodes over it (core.Machine's ownership rule). The peer's
+	// row frame lands in rxRow (a window of in[j].rowFrame), returned as
+	// is and valid until the next BeginSuperstep.
+	perDest [][]transport.Envelope[M] // outgoing to peers, split by destination
+	rxBatch [][]byte                  // per-peer received batch, undecoded
+	rxCount []int                     // per-peer envelope count of rxBatch
+	rxRow   [][]byte                  // per-peer received row
+	inbox   []transport.Envelope[M]
 
 	// Open-superstep state (the per-machine half of
 	// transport.Transport).
@@ -179,9 +171,6 @@ func newEndpoint[M any](m *Mesh, codec wire.Codec[M]) *Endpoint[M] {
 		Mesh:       m,
 		codec:      codec,
 		perDest:    make([][]transport.Envelope[M], k),
-		tx:         make([][]byte, k),
-		frame:      make([][]byte, k),
-		rowFrame:   make([][]byte, k),
 		rxBatch:    make([][]byte, k),
 		rxCount:    make([]int, k),
 		rxRow:      make([][]byte, k),

@@ -457,34 +457,37 @@ func FrameSize(payloadLen int) int {
 	return UvarintLen(uint64(payloadLen)) + payloadLen
 }
 
+// AppendFrameHeader appends an n-byte frame's length prefix, the
+// uvarint n, to dst, or returns dst and ErrFrameTooLarge above
+// MaxFrame: the one frame-length rule, for WriteFrame and the socket
+// link's vectored writes alike.
+func AppendFrameHeader(dst []byte, n int) ([]byte, error) {
+	if n > MaxFrame {
+		return dst, ErrFrameTooLarge
+	}
+	return binary.AppendUvarint(dst, uint64(n)), nil
+}
+
 // WriteFrame writes a length-prefixed frame: uvarint payload length
-// followed by the payload bytes. Byte-writers (bufio.Writer — every
-// transport connection) take an allocation-free path: the header array
-// of the generic path escapes through the io.Writer interface, which
-// would put one allocation on every frame of the hot exchange loop.
+// followed by the payload bytes. A byte-writer (bufio.Writer) takes the
+// header byte by byte, keeping hdr off the heap; any other writer gets
+// a copy, as hdr itself would escape through the io.Writer interface.
 func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return ErrFrameTooLarge
+	var hdr [binary.MaxVarintLen64]byte
+	h, err := AppendFrameHeader(hdr[:0], len(payload))
+	if err != nil {
+		return err
 	}
 	if bw, ok := w.(io.ByteWriter); ok {
-		x := uint64(len(payload))
-		for x >= 0x80 {
-			if err := bw.WriteByte(byte(x) | 0x80); err != nil {
+		for _, b := range h {
+			if err := bw.WriteByte(b); err != nil {
 				return err
 			}
-			x >>= 7
 		}
-		if err := bw.WriteByte(byte(x)); err != nil {
-			return err
-		}
-	} else {
-		var hdr [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-		if _, err := w.Write(hdr[:n]); err != nil {
-			return err
-		}
+	} else if _, err := w.Write(slices.Clone(h)); err != nil {
+		return err
 	}
-	_, err := w.Write(payload)
+	_, err = w.Write(payload)
 	return err
 }
 

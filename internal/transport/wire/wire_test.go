@@ -3,6 +3,8 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -243,6 +245,31 @@ func TestFrameSize(t *testing.T) {
 		if got := FrameSize(len(enc)); got != buf.Len() {
 			t.Errorf("FrameSize(%d) = %d, actual frame is %d bytes", len(enc), got, buf.Len())
 		}
+	}
+}
+
+// TestFrameHeaderLimit: the one length rule, at its edge. A frame of
+// exactly MaxFrame bytes gets its uvarint header; one byte more is
+// refused with dst returned as it came. Only the length is needed, so
+// no frame is allocated.
+func TestFrameHeaderLimit(t *testing.T) {
+	dst := []byte{0xEE}
+	got, err := AppendFrameHeader(dst, MaxFrame)
+	if err != nil {
+		t.Fatalf("AppendFrameHeader(MaxFrame) = %v", err)
+	}
+	if want := binary.AppendUvarint([]byte{0xEE}, MaxFrame); !bytes.Equal(got, want) {
+		t.Errorf("AppendFrameHeader(MaxFrame) = % x, want % x", got, want)
+	}
+	if len(got)-len(dst) != FrameSize(MaxFrame)-MaxFrame {
+		t.Errorf("header of %d bytes, FrameSize counts %d", len(got)-len(dst), FrameSize(MaxFrame)-MaxFrame)
+	}
+	got, err = AppendFrameHeader(dst, MaxFrame+1)
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("AppendFrameHeader(MaxFrame+1) = %v, want %v", err, ErrFrameTooLarge)
+	}
+	if !bytes.Equal(got, dst) {
+		t.Errorf("a refused header changed dst to % x", got)
 	}
 }
 
