@@ -98,7 +98,7 @@ func TestGoldenTriangle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStats(t, res.Stats, 90, 12280, 24560, 3734, 3)
+	checkStats(t, res.Stats, 90, 10229, 20458, 3694, 3)
 	if res.Count != 19148 {
 		t.Errorf("Count = %d, want 19148", res.Count)
 	}

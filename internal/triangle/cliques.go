@@ -17,9 +17,9 @@ import (
 // hashed into c = ⌊k^{1/4}⌋ color classes, each of the c⁴ ordered color
 // quadruples is assigned to a machine, and the machine whose quadruple
 // equals the ID-sorted color sequence of a clique outputs it — exactly
-// once across the cluster. An edge with endpoint colors {a, b} must
-// reach every quadruple containing {a, b} as a sub-multiset, i.e.
-// Θ(c²) = Θ(k^{1/2}) copies, so total volume is Θ(m·√k) and the
+// once across the cluster. An edge u < v colored (a, b) must reach
+// every quadruple holding a at some position before b, i.e.
+// 6c² − 8c + 3 = Θ(k^{1/2}) copies, so total volume is Θ(m·√k) and the
 // proxy-routed distribution completes in Õ(m/k^{3/2}) rounds — the
 // K_s-generalised analogue of Theorem 5's Õ(m/k^{5/3}) (volume
 // m·k^{(s-2)/s} over k² links).

@@ -1,6 +1,7 @@
 package triangle
 
 import (
+	"slices"
 	"testing"
 
 	"kmachine/internal/core"
@@ -58,33 +59,30 @@ func TestQuadRoundTrip(t *testing.T) {
 }
 
 func TestPairTargets4Coverage(t *testing.T) {
+	// Entry (a, b) holds exactly the quadruples with color a at some
+	// position before color b, ascending and without duplicates. That is
+	// 6c² − 8c + 3 for every ordered pair, a = b included (the quadruples
+	// holding a at least twice: c⁴ − (c−1)⁴ − 4(c−1)³). Θ(c²) = Θ(k^{1/2})
+	// copies per edge is the K4 analogue of Theorem 5's Θ(m·k^{1/3}) volume.
 	for _, c := range []int{2, 3} {
 		targets := pairTargets(c, 4)
 		for a := 0; a < c; a++ {
-			for b := a; b < c; b++ {
-				got := map[core.MachineID]bool{}
-				for _, m := range targets[b*c+a] {
-					if got[m] {
-						t.Fatalf("duplicate target for pair (%d,%d)", a, b)
-					}
-					got[m] = true
-				}
+			for b := 0; b < c; b++ {
+				var want []core.MachineID
 				for m := 0; m < c*c*c*c; m++ {
 					q, _ := quadOf(core.MachineID(m), c)
-					counts := map[int]int{}
-					for _, x := range q {
-						counts[int(x)]++
+					before := false
+					for i := range q {
+						for j := i + 1; j < len(q); j++ {
+							before = before || int(q[i]) == a && int(q[j]) == b
+						}
 					}
-					var want bool
-					if a == b {
-						want = counts[a] >= 2
-					} else {
-						want = counts[a] >= 1 && counts[b] >= 1
+					if before {
+						want = append(want, core.MachineID(m))
 					}
-					if want != got[core.MachineID(m)] {
-						t.Fatalf("c=%d pair (%d,%d) machine %d (%v): got %v want %v",
-							c, a, b, m, q, got[core.MachineID(m)], want)
-					}
+				}
+				if got := targets[a*c+b]; !slices.Equal(got, want) || len(got) != 6*c*c-8*c+3 {
+					t.Fatalf("c=%d pair (%d,%d): targets %v, want %v (%d = 6c² − 8c + 3)", c, a, b, got, want, 6*c*c-8*c+3)
 				}
 			}
 		}

@@ -50,7 +50,7 @@ type Options struct {
 	// triads (paper §1.2): three vertices with exactly two edges. The
 	// distribution machinery is identical; a triple machine can certify
 	// the *absence* of the closing edge because it holds every edge
-	// between its color classes.
+	// among three vertices whose ID-sorted colors are its triple.
 	Triads bool
 	// ColorSeed salts the vertex -> color hash.
 	ColorSeed uint64
@@ -113,11 +113,12 @@ func tripleMachine(c1, c2, c3, c int) core.MachineID {
 	return core.MachineID(c1*c*c + c2*c + c3)
 }
 
-// pairTargets returns the dense c×c table (entry a*c+b, either order of
-// a and b) of the machines whose color tuple of the given arity — 3 for
-// triples, 4 for quadruples — contains {a, b} as a sub-multiset, in
-// ascending machine order. An edge with endpoint colors {a, b} must
-// reach exactly these machines.
+// pairTargets returns the dense c×c table of the machines whose color
+// tuple of the given arity — 3 for triples, 4 for quadruples — holds
+// color a at some position before color b: entry a*c+b, in ascending
+// machine order. A machine enumerates only the subgraphs whose ID-sorted
+// vertices carry its tuple, so an edge u < v colored (a, b) is needed
+// exactly there: 3c − 2 triples, 6c² − 8c + 3 quadruples.
 func pairTargets(c, arity int) [][]core.MachineID {
 	machines := 1
 	for i := 0; i < arity; i++ {
@@ -131,17 +132,12 @@ func pairTargets(c, arity int) [][]core.MachineID {
 		}
 		for i := 0; i < arity; i++ {
 			for j := i + 1; j < arity; j++ {
-				a, b := min(tuple[i], tuple[j]), max(tuple[i], tuple[j])
+				p := tuple[i]*c + tuple[j]
 				// m only grows, so a repeat of the pair within one tuple is the last entry.
-				if t := targets[a*c+b]; len(t) == 0 || t[len(t)-1] != core.MachineID(m) {
-					targets[a*c+b] = append(t, core.MachineID(m))
+				if t := targets[p]; len(t) == 0 || t[len(t)-1] != core.MachineID(m) {
+					targets[p] = append(t, core.MachineID(m))
 				}
 			}
-		}
-	}
-	for a := 0; a < c; a++ {
-		for b := a + 1; b < c; b++ {
-			targets[b*c+a] = targets[a*c+b]
 		}
 	}
 	return targets
@@ -181,8 +177,10 @@ func newColorRouter(view partition.View, opts Options, c int, targets [][]core.M
 	return colorRouter{view: view, opts: opts, c: c, heavy: make(map[int32]bool), targets: targets}
 }
 
-// targetsOf returns the machines edge {u, v} must reach.
+// targetsOf returns the machines edge {u, v} must reach: those whose
+// tuple holds the lower endpoint's color before the higher one's.
 func (r *colorRouter) targetsOf(u, v int32) []core.MachineID {
+	u, v = min(u, v), max(u, v)
 	return r.targets[colorOf(r.opts.ColorSeed, u, r.c)*r.c+colorOf(r.opts.ColorSeed, v, r.c)]
 }
 
@@ -203,7 +201,8 @@ func (r *colorRouter) fanOut(out []core.Envelope[tmsg], u, v int32) []core.Envel
 func (r *colorRouter) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]) (out []core.Envelope[tmsg], done bool) {
 	// Count before filling: how many copies this superstep emits and how
 	// many final edges it delivers is known up front, so neither slice
-	// grows by doubling (a proxied edge fans out ~c²-fold).
+	// grows by doubling (a proxied edge fans out to 3c − 2 triples or
+	// 6c² − 8c + 3 quadruples).
 	emits, finals := 0, 0
 	for i := range inbox {
 		switch msg := &inbox[i].Msg; msg.Kind {
@@ -333,8 +332,9 @@ func (m *triMachine) enumerate() {
 
 // enumerateTriads lists open triads (centre u; endpoints v < w, edge
 // {v,w} absent) whose ID-sorted color sequence matches the triple, over
-// a symmetric index. The machine holds every edge between its color
-// classes, so the absence check is sound.
+// a symmetric index. For a < b < c colored (c1, c2, c3) the machine
+// holds every edge among the three (each pair sits at positions i < j
+// of its triple), so the absence check is sound.
 func (m *triMachine) enumerateTriads(ix *edgeIndex, c1, c2, c3 int32) {
 	for u := range ix.ids {
 		nbrs := ix.row(int32(u))
