@@ -129,7 +129,7 @@ func TestCheckpointBytesIdenticalAcrossRuntimes(t *testing.T) {
 // them at once — a reordered label, a dropped flag — passes it; this one
 // does not, and a deliberate format change must re-record the digest.
 func TestConnCompCheckpointLayoutPinned(t *testing.T) {
-	checkCutsPinned(t, "conncomp", 36, 0x38acc647ed8f98db)
+	checkCutsPinned(t, "conncomp", 36, 0xbcb5c8530951a8d2)
 }
 
 // TestPageRankCheckpointLayoutPinned is the same pin for PageRank: the
@@ -137,7 +137,7 @@ func TestConnCompCheckpointLayoutPinned(t *testing.T) {
 // Locals() order, so a change to how the machine stores that state
 // cannot change what it writes.
 func TestPageRankCheckpointLayoutPinned(t *testing.T) {
-	checkCutsPinned(t, "pagerank", 124, 0x2b6566bd6c3e6602)
+	checkCutsPinned(t, "pagerank", 124, 0xc85b7b7d71c07b77)
 }
 
 // checkCutsPinned runs the registry entry's suite problem on inmem with

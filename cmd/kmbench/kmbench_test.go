@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -27,6 +28,7 @@ func TestExperimentsGolden(t *testing.T) {
 	if code := run([]string{"-md"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("kmbench -md exited %d: %s", code, stderr.String())
 	}
+	checkStakes(t, stdout.String())
 	if *update {
 		if err := os.WriteFile(experimentsMD, stdout.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -53,6 +55,80 @@ func TestExperimentsGolden(t *testing.T) {
 			t.Fatalf("kmbench -md differs from EXPERIMENTS.md at line %d (run with -update if the change is intended):\n got: %q\nwant: %q", i+1, g, w)
 		}
 	}
+}
+
+// checkStakes asserts, on the tables the golden was built from, the
+// shapes the paper's upper bounds predict where the two-hop router's
+// max link decides them. The golden alone shows that a number moved;
+// these fail when it moved the wrong way.
+func checkStakes(t *testing.T, md string) {
+	t.Helper()
+	var gnp [][]string
+	for _, row := range tableRows(t, md, "E1") {
+		if row[0] == "gnp" {
+			gnp = append(gnp, row)
+		}
+	}
+	if len(gnp) < 2 {
+		t.Fatalf("E1 has %d gnp rows, want one per k", len(gnp))
+	}
+	// Theorem 4: Algorithm 1 runs in Õ(n/k²) rounds, the Klauck et al.
+	// baseline in Õ(n/k), so Algorithm 1 is at or below it at every k.
+	for _, row := range gnp {
+		if alg, base := cell(t, row[3]), cell(t, row[4]); alg > base {
+			t.Errorf("E1 gnp k=%s: Algorithm 1 took %s rounds, above the baseline's %s", row[2], row[3], row[4])
+		}
+	}
+	// Theorem 4: comm-rounds are Õ(n/k²), so comm·k²/n does not grow
+	// from the smallest k to the largest.
+	first, last := gnp[0], gnp[len(gnp)-1]
+	if cell(t, last[7]) > cell(t, first[7]) {
+		t.Errorf("E1 gnp comm·k²/n is %s at k=%s, above its %s at k=%s", last[7], last[2], first[7], first[2])
+	}
+	// Lemma 13: a concentrated flow routed in two hops takes about
+	// 2(x/k)/B rounds, its last column; the max link stays within 1.2×.
+	for _, row := range tableRows(t, md, "E7") {
+		if row[0] == "1 src -> 1 dst, two-hop" {
+			if rounds, bound := cell(t, row[3]), cell(t, row[4]); rounds > 1.2*bound {
+				t.Errorf("E7 concentrated two-hop flow took %s rounds, above 1.2 × %s", row[3], row[4])
+			}
+			return
+		}
+	}
+	t.Error("E7 has no concentrated two-hop row")
+}
+
+// tableRows returns the body rows of the Markdown table in experiment
+// id's section, each split into its cells.
+func tableRows(t *testing.T, md, id string) [][]string {
+	t.Helper()
+	_, section, ok := strings.Cut(md, "\n## "+id+" — ")
+	if !ok {
+		t.Fatalf("no section %s", id)
+	}
+	var rows [][]string
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			break
+		}
+		if !strings.HasPrefix(line, "| ") || strings.HasPrefix(line, "| ---") {
+			continue
+		}
+		rows = append(rows, strings.Split(strings.Trim(line, "| "), " | "))
+	}
+	if len(rows) < 2 {
+		t.Fatalf("section %s has no table body", id)
+	}
+	return rows[1:] // rows[0] is the header
+}
+
+func cell(t *testing.T, s string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "x"), 64)
+	if err != nil {
+		t.Fatalf("table cell %q is not a number", s)
+	}
+	return v
 }
 
 // TestRefusals pins the exit statuses and diagnostics of the ways a

@@ -432,7 +432,7 @@ func superstep(url string) int {
 // from.
 func checkResumed(t *testing.T, stdout, tracePath string, from int) {
 	t.Helper()
-	const want = "rounds=2550 supersteps=144 messages=142923 words=285846 maxRecvWords=72144"
+	const want = "rounds=2251 supersteps=144 messages=127394 words=254788 maxRecvWords=64202"
 	if got := roundsLine.FindString(stdout); got != want || !strings.Contains(stdout, "output hash 12e9858854108c92\n") {
 		t.Errorf("run from superstep %d printed %q and\n%s\nwant %q and output hash 12e9858854108c92", from, got, stdout, want)
 	}

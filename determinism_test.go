@@ -55,7 +55,7 @@ func TestGoldenPageRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStats(t, res.Stats, 102, 13310, 26620, 3576, 24)
+	checkStats(t, res.Stats, 67, 8868, 17736, 2392, 24)
 	est := make([]uint64, len(res.Estimate))
 	for i, x := range res.Estimate {
 		est[i] = math.Float64bits(x)
@@ -78,7 +78,7 @@ func TestGoldenDistributedSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStats(t, res.Stats, 27, 8538, 8538, 1109, 6)
+	checkStats(t, res.Stats, 22, 7224, 7224, 914, 6)
 	var flat []uint64
 	for _, blk := range res.Blocks {
 		flat = append(flat, blk...)
@@ -111,7 +111,7 @@ func TestGoldenConnComp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStats(t, res.Stats, 85, 12055, 23774, 3238, 18)
+	checkStats(t, res.Stats, 57, 8737, 17138, 2300, 18)
 	lbl := make([]uint64, len(res.Label))
 	for i, l := range res.Label {
 		lbl[i] = uint64(int64(l))
@@ -135,7 +135,7 @@ func TestGoldenDropPerSuperstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStats(t, res.Stats, 102, 13310, 26620, 3576, 24)
+	checkStats(t, res.Stats, 67, 8868, 17736, 2392, 24)
 	if res.Stats.PerSuperstep != nil {
 		t.Errorf("DropPerSuperstep run retained %d per-superstep stats", len(res.Stats.PerSuperstep))
 	}

@@ -116,6 +116,15 @@ func fitExponent(xs, ys []float64) float64 {
 	return (n*sxy - sx*sy) / (n*sxx - sx*sx)
 }
 
+// verdict names the outcome of a shape note's check, so a change that
+// flips one shows in EXPERIMENTS.md's diff.
+func verdict(ok bool) string {
+	if ok {
+		return "pass"
+	}
+	return "FAIL"
+}
+
 func f64(v float64) string { return fmt.Sprintf("%.3g", v) }
 func i64(v int64) string   { return fmt.Sprintf("%d", v) }
 func itoa(v int) string    { return fmt.Sprintf("%d", v) }

@@ -6,11 +6,11 @@
 //     sources), direct links deliver everything in O((x log x)/k) rounds
 //     whp. RandomRouteExperiment measures exactly this setting;
 //   - Valiant two-hop routing: when destinations are fixed (not random) —
-//     e.g. token counts addressed to the home machine of a vertex — a
-//     message is first sent to a uniformly random intermediate machine
-//     and then forwarded, so both hops have a random endpoint and Lemma 13
-//     applies to each. Hop/Route/Forward implement the pattern generically
-//     for any payload type, into per-destination buckets;
+//     e.g. token counts addressed to a vertex's home machine — Route sends
+//     a message direct while that link's bucket is no longer than a
+//     uniformly drawn intermediate's, else via the intermediate, which
+//     forwards it (Forward). Lemma 13's per-link bound holds for both
+//     hops, by a coupling with uniform intermediates (DESIGN.md);
 //   - randomized proxy computation (§1.3, §3.2): the designation rule that
 //     decides which endpoint's home machine ships an edge to its random
 //     proxy, including the heavy-vertex (degree >= 2k log n) broadcast
@@ -41,15 +41,18 @@ type Hop[M any] struct {
 // j, and inbox assembly orders by (sender, per-sender program order),
 // so no inbox depends on when its bucket left the sender.
 
-// Route appends an envelope carrying msg towards final via a uniformly
-// random intermediate machine drawn from r, to the intermediate's
-// bucket. A final outside [0, k) panics here, at the sender, rather
-// than at whichever intermediate would forward it a superstep later.
+// Route appends an envelope carrying msg towards final to final's own
+// bucket if it is no longer than that of an intermediate drawn from r
+// (one r.Intn(k) per call either way), else to the intermediate's. A
+// final outside [0, k) panics here, at the sender, not a superstep later.
 func Route[M any](buckets [][]core.Envelope[Hop[M]], r *rng.RNG, k int, final core.MachineID, words int32, msg M) {
 	if final < 0 || int(final) >= k {
 		panic(fmt.Sprintf("routing: final machine %d out of [0,%d)", final, k))
 	}
 	mid := r.Intn(k)
+	if len(buckets[final]) <= len(buckets[mid]) {
+		mid = int(final)
+	}
 	buckets[mid] = append(buckets[mid], core.Envelope[Hop[M]]{
 		To:    core.MachineID(mid),
 		Words: words,

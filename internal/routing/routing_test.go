@@ -113,6 +113,64 @@ func TestRouteChoosesIntermediate(t *testing.T) {
 	}
 }
 
+// TestRouteDrawsOnceAndGoesDirectIffNoLonger: every call draws exactly
+// one r.Intn(k), whichever hop it picks, so a twin RNG drawing one
+// Intn(k) per call stays in lockstep (the walk streams that share r
+// never shift); and the message joins final's bucket iff that bucket
+// is no longer than the drawn intermediate's, else the intermediate's.
+func TestRouteDrawsOnceAndGoesDirectIffNoLonger(t *testing.T) {
+	const k, calls = 7, 5000
+	r, twin, finals := rng.New(11), rng.New(11), rng.New(12)
+	buckets := make([][]core.Envelope[Hop[int]], k)
+	direct, relayed := 0, 0
+	for i := 0; i < calls; i++ {
+		final := core.MachineID(finals.Intn(k))
+		mid := twin.Intn(k)
+		want := mid
+		if len(buckets[final]) <= len(buckets[mid]) {
+			want = int(final)
+		}
+		before := len(buckets[want])
+		Route(buckets, r, k, final, 1, i)
+		if len(buckets[want]) != before+1 || buckets[want][before].Msg != (Hop[int]{Final: final, Msg: i}) {
+			t.Fatalf("call %d (final %d, drawn %d): envelope not appended to bucket %d", i, final, mid, want)
+		}
+		if want == int(final) {
+			direct++
+		} else {
+			relayed++
+		}
+	}
+	assertBucketed(t, buckets)
+	if r.Uint64() != twin.Uint64() {
+		t.Fatal("Route drew other than one Intn(k) per call: its RNG left the twin's stream")
+	}
+	if direct == 0 || relayed == 0 {
+		t.Errorf("%d direct and %d relayed of %d: one branch never ran", direct, relayed, calls)
+	}
+}
+
+// TestRouteSpreadsAConcentratedFlow: one sender routing x messages to
+// one final fills final's bucket only while it is no longer than a
+// uniformly drawn one, so no bucket ends more than one message above
+// what Lemma 13's uniform dealing holds whp, LinkShare(x, k).
+func TestRouteSpreadsAConcentratedFlow(t *testing.T) {
+	const k, x, final = 16, 4096, 5
+	for _, seed := range []uint64{1, 2, 7, 13, 29} {
+		r := rng.New(seed)
+		buckets := make([][]core.Envelope[Hop[int]], k)
+		for i := 0; i < x; i++ {
+			Route(buckets, r, k, final, 1, i)
+		}
+		for j, b := range buckets {
+			if len(b) > LinkShare(x, k)+1 {
+				t.Errorf("seed %d: bucket %d holds %d of %d, above LinkShare(%d, %d) + 1 = %d",
+					seed, j, len(b), x, x, k, LinkShare(x, k)+1)
+			}
+		}
+	}
+}
+
 // assertBucketed checks that every envelope sits in the bucket of the
 // machine it is addressed to.
 func assertBucketed[M any](t *testing.T, buckets [][]core.Envelope[Hop[M]]) {

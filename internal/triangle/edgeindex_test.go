@@ -232,9 +232,10 @@ func TestCollectOrderIsReproducible(t *testing.T) {
 // (every copy of an edge counts once). Each row names the layer a
 // regression sits in: an outbox or edge list grown by append from nil
 // shows in the first, a map-of-slices or comparator sort in the second,
-// a per-pair scratch slice in the third. Budgets sit 6–30 % above
-// today's 39.7 / 22.5 / 4.6 / 96: the superstep-1 outbox is sized by
-// edges shipped, and each shipped edge yields only 3c − 2 deliveries.
+// a per-pair scratch slice in the third. Budgets sit 7–30 % above
+// today's 36.4 / 22.5 / 4.6 / 92.8: the superstep-1 outbox holds just
+// the edges its machine ships (39.7 when it was sized by the degree
+// sum), and each shipped edge yields only 3c − 2 deliveries.
 // Before the kernel the end-to-end row read ≈ 225 B/edge.
 func TestTriangleBytesPerEdge(t *testing.T) {
 	if testing.Short() {
@@ -309,7 +310,7 @@ func TestTriangleBytesPerEdge(t *testing.T) {
 		layer       string
 		got, budget float64
 	}{
-		{"forward/receive path (colorRouter.Step: presized outbox and edge list)", route / finals, 42},
+		{"forward/receive path (colorRouter.Step: presized outbox and edge list)", route / finals, 39},
 		{"kernel build (newEdgeIndex: packed keys, radix scratch, CSR)", build / finals, 26},
 		{"walk (edgeIndex.triangles: color-restricted rows, stamps)", walk / finals, 6},
 		{"end to end (Run over the in-process link: the three above + core + inmem)", total / finals, 105},

@@ -212,11 +212,6 @@ func (r *colorRouter) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]) (
 			finals++
 		}
 	}
-	if ctx.Superstep == 1 {
-		for _, u := range r.view.Locals() {
-			emits += r.view.Degree(u) // at most: one endpoint ships each edge
-		}
-	}
 	if emits > 0 {
 		out = make([]core.Envelope[tmsg], 0, emits)
 	}
@@ -257,10 +252,34 @@ func (r *colorRouter) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]) (
 		return out, false
 
 	case ctx.Superstep == 1:
-		// Ship designated edges.
+		// Ship designated edges. An edge sits in both endpoints' rows but
+		// only its designated endpoint's home ships it, so mark the arcs
+		// shipped from here (the inbox has just set the heavy flags) and
+		// size the outbox by them before filling it.
+		arcs := 0
+		for _, u := range r.view.Locals() {
+			arcs += len(r.view.OutAdj(u))
+		}
+		shipped := make([]uint64, (arcs+63)/64)
+		ships, arc := 0, 0
 		for _, u := range r.view.Locals() {
 			for _, v := range r.view.OutAdj(u) {
-				if routing.DesignatedEndpoint(u, v, r.heavy[u], r.heavy[v], r.opts.ColorSeed) != u {
+				if routing.DesignatedEndpoint(u, v, r.heavy[u], r.heavy[v], r.opts.ColorSeed) == u {
+					shipped[arc/64] |= 1 << (arc % 64)
+					if r.opts.Proxies {
+						ships++
+					} else {
+						ships += len(r.targetsOf(u, v))
+					}
+				}
+				arc++
+			}
+		}
+		out = append(make([]core.Envelope[tmsg], 0, len(out)+ships), out...)
+		arc = -1
+		for _, u := range r.view.Locals() {
+			for _, v := range r.view.OutAdj(u) {
+				if arc++; shipped[arc/64]&(1<<(arc%64)) == 0 {
 					continue
 				}
 				if r.opts.Proxies {
