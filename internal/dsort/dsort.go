@@ -31,6 +31,7 @@ import (
 
 	"kmachine/internal/algo"
 	"kmachine/internal/core"
+	"kmachine/internal/graph"
 	"kmachine/internal/rng"
 	"kmachine/internal/routing"
 )
@@ -116,10 +117,10 @@ type sortMachine struct {
 }
 
 // sortKeys sorts xs ascending. Comparison sort below a small cutoff,
-// LSD radix above it: the phase sorts dominate the run's local work and
-// a byte-wise radix pass over uniform uint64 keys avoids pdqsort's
-// branch-miss-heavy comparisons. The output is the ascending multiset
-// either way, so run behaviour is unchanged.
+// LSD radix (graph.RadixSort) above it: the phase sorts dominate the
+// run's local work and a byte-wise radix pass over uniform uint64 keys
+// avoids pdqsort's branch-miss-heavy comparisons. The output is the
+// ascending multiset either way, so run behaviour is unchanged.
 func (m *sortMachine) sortKeys(xs []uint64) {
 	const radixCutoff = 128
 	if len(xs) < radixCutoff {
@@ -129,39 +130,8 @@ func (m *sortMachine) sortKeys(xs []uint64) {
 	if cap(m.sortTmp) < len(xs) {
 		m.sortTmp = make([]uint64, len(xs))
 	}
-	var counts [8][256]int
-	for _, x := range xs {
-		for b := 0; b < 8; b++ {
-			counts[b][byte(x>>(8*b))]++
-		}
-	}
-	src, dst := xs, m.sortTmp[:len(xs)]
-	for b := 0; b < 8; b++ {
-		c := &counts[b]
-		distinct := 0
-		for d := 0; d < 256 && distinct < 2; d++ {
-			if c[d] > 0 {
-				distinct++
-			}
-		}
-		if distinct < 2 {
-			continue // constant digit column: nothing to move
-		}
-		sum := 0
-		for d := 0; d < 256; d++ {
-			n := c[d]
-			c[d] = sum
-			sum += n
-		}
-		for _, x := range src {
-			d := byte(x >> (8 * b))
-			dst[c[d]] = x
-			c[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &xs[0] {
-		copy(xs, src)
+	if sorted, _ := graph.RadixSort(xs, m.sortTmp[:len(xs)], 0, 8); &sorted[0] != &xs[0] {
+		copy(xs, sorted)
 	}
 }
 

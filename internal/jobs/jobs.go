@@ -220,8 +220,8 @@ func New(b Backend, opts Options) *Scheduler {
 var ErrDraining = fmt.Errorf("jobs: scheduler is draining, not accepting new jobs")
 
 // Submit validates and enqueues one job, returning its ID. Jobs run in
-// submission order; IDs start at 1 (zero is the runtime's "no job"
-// sentinel).
+// submission order; IDs start at 1 (job 0 is a single run, which an
+// error names no job).
 func (s *Scheduler) Submit(req Request) (uint64, error) {
 	if _, ok := algo.Lookup(req.Algo); !ok {
 		return 0, fmt.Errorf("jobs: unknown algorithm %q", req.Algo)

@@ -13,9 +13,9 @@ import (
 // This file is the socket link's in-process cluster: a LocalMesh is k
 // loopback meshes, and a run on it attaches fresh typed endpoints for
 // one job, runs core.Drive on every machine, and detaches with the
-// connections intact. RunLocal is job 0 — bare frames — on a LocalMesh
-// of its own; RunJobLocal runs job after job on a standing one, every
-// data batch framed with the job ID. Per-job isolation falls out of the
+// connections intact. RunJobLocal runs job after job on a standing one,
+// every data batch framed with the job ID; RunLocal is job 0 on a
+// LocalMesh of its own. Per-job isolation falls out of the
 // structure: each job gets fresh endpoints (wire counters, scratch,
 // inboxes), fresh coordinator replicas (Stats), and whatever Recorder
 // the caller put in its core.Config.
@@ -124,38 +124,26 @@ func (lm *LocalMesh) attachable() ([]*tcp.Mesh, error) {
 // RunJobLocal executes one job on the standing mesh: typed endpoints
 // attach for job `job` (every batch carries its ID, and a reader rejects
 // any other), and core.Drive runs on every machine to the stop each
-// rules from the same last superstep. Every machine has finished that
-// superstep, so every frame shipped has been read, and once all k have
-// returned the endpoints detach with the connections drained — safe to
-// hand to the next job's endpoints. Like RunLocal's, cfg is validated
-// first: a rejected job attaches nothing and leaves the mesh healthy.
-// On any later error the mesh is poisoned (Healthy()==false) until the
-// next RunJobLocal rebuilds it.
-func RunJobLocal[M any](lm *LocalMesh, cfg core.Config, job uint64, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
-	err := cfg.Validate()
-	switch {
-	case err != nil:
-	case cfg.K != lm.k:
-		err = fmt.Errorf("node: job config wants k=%d on a k=%d mesh", cfg.K, lm.k)
-	case job == 0:
-		// Job 0 is a single run: bare frames, "no job" in MachineError.
-		err = fmt.Errorf("node: job IDs start at 1")
-	}
-	if err != nil {
-		return nil, transport.WireStats{}, err
-	}
-	return runJob(lm, cfg, job, codec, factory)
-}
-
-// runJob runs job on lm, the shared body of RunLocal (job 0) and
-// RunJobLocal: attach the k endpoints, drive all k machines, then
-// detach them. A machine that fails closes its endpoint at once: peers
+// rules from the same last superstep. Job 0 is a single run (RunLocal),
+// and the job service numbers its jobs from 1. Every machine has
+// finished that last superstep, so every frame shipped has been read,
+// and once all k have returned the endpoints detach with the
+// connections drained — safe to hand to the next job's endpoints. cfg
+// is validated first: a rejected job attaches nothing and leaves the
+// mesh healthy. A machine that fails closes its endpoint at once: peers
 // may be parked in reads on its connections with no (or a long)
 // deadline, and the close is what unwedges them. A failed job may leave
 // some machines cleanly done and others mid-teardown, so on any error
-// every endpoint closes, poisoning the whole fabric for the next job to
-// rebuild rather than run on a half-dead mesh.
-func runJob[M any](lm *LocalMesh, cfg core.Config, job uint64, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
+// every endpoint closes, poisoning the whole fabric (Healthy()==false)
+// for the next RunJobLocal to rebuild rather than run on a half-dead
+// mesh.
+func RunJobLocal[M any](lm *LocalMesh, cfg core.Config, job uint64, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, transport.WireStats{}, err
+	}
+	if cfg.K != lm.k {
+		return nil, transport.WireStats{}, fmt.Errorf("node: job config wants k=%d on a k=%d mesh", cfg.K, lm.k)
+	}
 	meshes, err := lm.attachable()
 	if err != nil {
 		return nil, transport.WireStats{}, err

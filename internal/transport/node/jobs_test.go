@@ -127,19 +127,17 @@ func TestRunJobLocalSeverAttributesJob(t *testing.T) {
 	}
 }
 
-// TestRunJobLocalRejectsBadJobs: job ID 0, a k-mismatched config and an
-// invalid one (it used to be validated per machine, after all k
-// endpoints had attached, and poison the mesh) are refused before any
-// endpoint attaches, and the next job runs on the same fabric.
+// TestRunJobLocalRejectsBadJobs: a k-mismatched config and an invalid
+// one (it used to be validated per machine, after all k endpoints had
+// attached, and poison the mesh) are refused before any endpoint
+// attaches. Job 0, a single run, is no bad job: it runs on the same
+// standing fabric as the job after it, with no rebuild between them.
 func TestRunJobLocalRejectsBadJobs(t *testing.T) {
 	lm, err := node.NewLocalMesh(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lm.Close()
-	if _, _, err := node.RunJobLocal(lm, core.Config{K: 2, Bandwidth: 1}, 0, echoCodec{}, ringFactory(t, 2)); err == nil {
-		t.Fatal("job 0 accepted")
-	}
 	if _, _, err := node.RunJobLocal(lm, core.Config{K: 3, Bandwidth: 1}, 1, echoCodec{}, ringFactory(t, 3)); err == nil {
 		t.Fatal("k mismatch accepted")
 	}
@@ -149,7 +147,12 @@ func TestRunJobLocalRejectsBadJobs(t *testing.T) {
 	if !lm.Healthy() {
 		t.Fatal("rejected submissions poisoned the mesh")
 	}
-	if _, _, err := node.RunJobLocal(lm, core.Config{K: 2, Bandwidth: 1}, 1, echoCodec{}, ringFactory(t, 2)); err != nil {
-		t.Fatalf("job after the rejected ones: %v", err)
+	for _, job := range []uint64{0, 1} {
+		if _, _, err := node.RunJobLocal(lm, core.Config{K: 2, Bandwidth: 1}, job, echoCodec{}, ringFactory(t, 2)); err != nil {
+			t.Fatalf("job %d after the rejected ones: %v", job, err)
+		}
+	}
+	if n := lm.Rebuilds(); n != 0 {
+		t.Fatalf("%d rebuilds across the rejected submissions and jobs 0 and 1, want 0", n)
 	}
 }

@@ -2,9 +2,9 @@
 // a cluster to peers that live in other processes (Run, given the
 // process's Place) or, on a LocalMesh, behind their own listeners in
 // this one. Either way a machine is driven over a tcp.Endpoint attached
-// to its mesh for one job; a single run (Run, RunLocal) is job 0 and a
-// job of the job service (RunJobLocal) is any other. cmd/kmnode is its
-// CLI.
+// to its mesh for one job, and every batch it ships names that job: a
+// single run (Run, RunLocal) is job 0, and the job service numbers its
+// jobs (RunJobLocal) from 1. cmd/kmnode is its CLI.
 //
 // The superstep loop is core.Drive and the run is a core.Config, the
 // same ones as the in-process cluster's; what this package adds is how
@@ -101,7 +101,7 @@ func RunLocal[M any](cfg core.Config, codec wire.Codec[M], factory func(core.Mac
 		return nil, transport.WireStats{}, err
 	}
 	defer lm.Close()
-	return runJob(lm, cfg, 0, codec, factory)
+	return RunJobLocal(lm, cfg, 0, codec, factory)
 }
 
 // runNode drives machine id over its connected endpoint: core.Drive,

@@ -13,7 +13,7 @@ import (
 
 // TestOneEndpointConstructor: every Endpoint is attached to a connected
 // mesh for one job, and a single run is job 0 — one lifecycle (Attach,
-// then Detach or Close) and one framing switch (jobID != 0). A second
+// then Detach or Close) and one framing. A second
 // function returning *Endpoint would bring back an endpoint made some
 // other way, with its own state to guard, so only Attach and the
 // newEndpoint it calls may return one.
@@ -34,6 +34,43 @@ func TestOneEndpointConstructor(t *testing.T) {
 	}
 	if !seen["Attach"] || !seen["newEndpoint"] {
 		t.Errorf("found %v returning *Endpoint: the walk missed Attach or newEndpoint", seen)
+	}
+}
+
+// TestNoSingleRunBranch: job 0, a single run, frames and checks its
+// batches like any other job, so no non-test code of the package
+// compares a job ID with 0. Such a comparison would bring back a second
+// framing, and a single run left without the straggler-frame check.
+func TestNoSingleRunBranch(t *testing.T) {
+	isJobID := func(x ast.Expr) bool {
+		if sel, ok := x.(*ast.SelectorExpr); ok {
+			x = sel.Sel
+		}
+		id, ok := x.(*ast.Ident)
+		return ok && id.Name == "jobID"
+	}
+	isZero := func(x ast.Expr) bool {
+		lit, ok := x.(*ast.BasicLit)
+		return ok && lit.Kind == token.INT && lit.Value == "0"
+	}
+	reads := 0
+	for _, src := range parseNonTest(t) {
+		ast.Inspect(src.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if n.Sel.Name == "jobID" {
+					reads++
+				}
+			case *ast.BinaryExpr:
+				if (isJobID(n.X) && isZero(n.Y)) || (isZero(n.X) && isJobID(n.Y)) {
+					t.Errorf("%s: %s compares the job ID with 0", src.fset.Position(n.Pos()), n.Op)
+				}
+			}
+			return true
+		})
+	}
+	if reads == 0 {
+		t.Error("found no use of jobID: the walk missed the framing")
 	}
 }
 

@@ -108,8 +108,10 @@ func TestMeshReuseAcrossJobs(t *testing.T) {
 // TestAttachJobMismatchDetected: endpoints attached for different jobs
 // on the same mesh must reject each other's frames as attributed
 // errors carrying the receiver's job ID — never decode them. Job 0, a
-// single run, ships bare frames: a job's reader rejects one as
-// job-less, and job 0's reader rejects a job-scoped one.
+// single run, is a job like any other: its frames name it, so a
+// mismatch with it is told like any other mismatch. With k = 2 no blame
+// frame reaches the suspect, so the machine that read the other's batch
+// first names the mismatch.
 func TestAttachJobMismatchDetected(t *testing.T) {
 	const k = 2
 	for _, jobs := range [][k]uint64{{7, 8}, {0, 7}, {7, 0}} {
@@ -136,12 +138,13 @@ func TestAttachJobMismatchDetected(t *testing.T) {
 					t.Fatalf("machine %d accepted a frame from another job", i)
 				}
 				var me *transport.MachineError
-				if errors.As(err, &me) && me.Job != 0 && strings.Contains(err.Error(), "job") {
+				want := fmt.Sprintf("frame for job %d during job %d", jobs[1-i], jobs[i])
+				if errors.As(err, &me) && me.Job == jobs[i] && strings.Contains(err.Error(), want) {
 					sawMismatch = true
 				}
 			}
 			if !sawMismatch {
-				t.Fatalf("no job-stamped MachineError surfaced: %v / %v", errs[0], errs[1])
+				t.Fatalf("no job mismatch surfaced: %v / %v", errs[0], errs[1])
 			}
 			// The failure closed connections: the mesh is poisoned for reuse.
 			if ms[0].Healthy() && ms[1].Healthy() {

@@ -132,14 +132,8 @@ func (e *Endpoint[M]) runWriter(j, step int, dl time.Time, batch bool, envs []tr
 	var frame []byte
 	oc := e.out[j]
 	if batch {
-		base := oc.tx[:0]
-		if e.jobID != 0 {
-			// Jobs other than 0 scope every batch: the header sits
-			// ahead of the version byte, the batch encoding is untouched.
-			base = wire.AppendJobHeader(base, e.jobID)
-		}
 		var err error
-		frame, err = wire.AppendBatchV2(base, step, transport.MachineID(e.id), transport.MachineID(j), envs, e.codec)
+		frame, err = wire.AppendBatchV2(wire.AppendJobHeader(oc.tx[:0], e.jobID), step, transport.MachineID(e.id), transport.MachineID(j), envs, e.codec)
 		oc.tx = frame[:0]
 		if err != nil {
 			// An encode failure is OUR defect (a codec bug, a malformed
@@ -229,10 +223,10 @@ func (e *Endpoint[M]) readFrame(j, step int, buf *[]byte) (frame []byte, ok bool
 
 // runReader receives peer j's batch and row for this superstep: socket
 // I/O plus what can be checked of the batch without decoding an
-// envelope — blame frame, job, version, superstep, an envelope count
-// the frame can hold. The batch stays in the per-peer frame buffer
-// (touched by exactly one goroutine) for FinishSuperstep to decode into
-// the inbox; the row, opaque here, is returned as received.
+// envelope — blame frame, job header, version, superstep, an envelope
+// count the frame can hold. The batch stays in the per-peer frame
+// buffer (touched by exactly one goroutine) for FinishSuperstep to
+// decode into the inbox; the row, opaque here, is returned as received.
 func (e *Endpoint[M]) runReader(j int, job pipeJob) {
 	if err := e.in[j].c.SetReadDeadline(job.dl); err != nil {
 		e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d set read deadline for %d: %w", e.id, j, err)))
@@ -242,22 +236,12 @@ func (e *Endpoint[M]) runReader(j int, job pipeJob) {
 	if !ok {
 		return
 	}
-	var err error
-	batch := frame
-	if e.jobID != 0 {
-		// Verify the frame belongs to OUR job before accepting a byte of
-		// it: a straggler from a previous job decoded into this run would
-		// corrupt it silently; rejected here it is a loud attributed error.
-		gotJob, rest, jobbed, jerr := wire.PeelJobHeader(frame)
-		switch {
-		case jerr != nil:
-			err = jerr
-		case !jobbed:
-			err = fmt.Errorf("job-less frame during job %d", e.jobID)
-		case gotJob != e.jobID:
-			err = fmt.Errorf("frame for job %d during job %d", gotJob, e.jobID)
-		}
-		batch = rest
+	// Verify the frame belongs to OUR job before accepting a byte of it:
+	// a straggler from a previous job decoded into this run would corrupt
+	// it silently; rejected here it is a loud attributed error.
+	gotJob, batch, err := wire.PeelJobHeader(frame)
+	if err == nil && gotJob != e.jobID {
+		err = fmt.Errorf("frame for job %d during job %d", gotJob, e.jobID)
 	}
 	var gotStep, count int
 	if err == nil {

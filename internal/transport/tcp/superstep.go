@@ -199,17 +199,30 @@ func (e *Endpoint[M]) finishGuard() {
 // superstep's barrier, bounded by the deadline and cancellation guard
 // BeginSuperstep armed.
 func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row []byte) (inbox []transport.Envelope[M], rows [][]byte, err error) {
-	perDest := e.perDest
-	for j := range perDest {
-		perDest[j] = perDest[j][:0]
-	}
+	// Count the split first, then carve every peer's bucket from one
+	// slab, which grows only when a superstep outgrows every earlier one.
+	counts := e.destCount
+	clear(counts)
 	for _, env := range out {
 		if env.To < 0 || int(env.To) >= e.k {
 			e.finishGuard()
 			e.Close() // peers are waiting on our batches; unblock them
 			return nil, nil, fmt.Errorf("tcp: machine %d envelope to invalid machine %d", e.id, env.To)
 		}
-		if int(env.To) != e.id { // self-addressed ones go from out to the inbox
+		counts[env.To]++
+	}
+	// Self-addressed envelopes go from out to the inbox.
+	if n := len(out) - counts[e.id]; cap(e.destSlab) < n {
+		e.destSlab = make([]transport.Envelope[M], n)
+	}
+	counts[e.id] = 0
+	perDest, off := e.perDest, 0
+	for j, n := range counts {
+		perDest[j] = e.destSlab[off : off : off+n]
+		off += n
+	}
+	for _, env := range out {
+		if int(env.To) != e.id {
 			perDest[env.To] = append(perDest[env.To], env)
 		}
 	}

@@ -92,8 +92,8 @@ type Endpoint[M any] struct {
 	// jobID scopes this endpoint's data frames to one job of the mesh
 	// (wire doc.go "Job-scoped frames"): every batch written is prefixed
 	// with the job header, readers reject frames scoped to any other
-	// job, and MachineError attribution carries the ID. Job 0 is a single run: it
-	// ships and accepts only bare frames.
+	// job, and MachineError attribution carries the ID. Job 0 is a
+	// single run.
 	jobID uint64
 
 	// Reader state, created once per endpoint lifetime. A reader channel
@@ -120,18 +120,21 @@ type Endpoint[M any] struct {
 	sendPeer        int
 
 	// Per-superstep scratch, recycled across calls and single-buffered.
-	// perDest is dead once FinishSuperstep returns; a reader leaves its
+	// perDest's buckets are windows of destSlab, sized by destCount, and
+	// dead once FinishSuperstep returns; a reader leaves its
 	// header-checked batch (a window of in[j].frame) and envelope count
 	// in rxBatch/rxCount for the finish to decode into inbox, the one
 	// place received envelopes exist decoded, valid until the next
 	// finish decodes over it (core.Machine's ownership rule). The peer's
 	// row frame lands in rxRow (a window of in[j].rowFrame), returned as
 	// is and valid until the next BeginSuperstep.
-	perDest [][]transport.Envelope[M] // outgoing to peers, split by destination
-	rxBatch [][]byte                  // per-peer received batch, undecoded
-	rxCount []int                     // per-peer envelope count of rxBatch
-	rxRow   [][]byte                  // per-peer received row
-	inbox   []transport.Envelope[M]
+	perDest   [][]transport.Envelope[M] // outgoing to peers, split by destination
+	destCount []int
+	destSlab  []transport.Envelope[M]
+	rxBatch   [][]byte // per-peer received batch, undecoded
+	rxCount   []int    // per-peer envelope count of rxBatch
+	rxRow     [][]byte // per-peer received row
+	inbox     []transport.Envelope[M]
 
 	// Open-superstep state (the per-machine half of
 	// transport.Transport).
@@ -171,6 +174,7 @@ func newEndpoint[M any](m *Mesh, codec wire.Codec[M]) *Endpoint[M] {
 		Mesh:       m,
 		codec:      codec,
 		perDest:    make([][]transport.Envelope[M], k),
+		destCount:  make([]int, k),
 		rxBatch:    make([][]byte, k),
 		rxCount:    make([]int, k),
 		rxRow:      make([][]byte, k),
@@ -180,13 +184,13 @@ func newEndpoint[M any](m *Mesh, codec wire.Codec[M]) *Endpoint[M] {
 
 // Attach binds a typed per-job endpoint to a connected mesh, and is
 // the only way to make one: fresh readers are spawned over the mesh's
-// existing connections (cheap — no dials, no handshakes). Job 0
-// is a single run and ships bare batch frames; any other job prefixes
-// every batch with its job header and rejects frames scoped to any
-// other job — a bare one included — as attributed errors. On clean job
-// end call Detach, which retires the readers and leaves the mesh
-// reusable; Close (taken automatically on any failure) poisons the mesh,
-// because closing the connections is what unblocks the surviving peers.
+// existing connections (cheap — no dials, no handshakes). Every batch
+// the endpoint writes carries job's header, and a batch scoped to any
+// other job, or to none, is refused as an attributed error; job 0 is a
+// single run. On clean job end call Detach, which retires the readers
+// and leaves the mesh reusable; Close (taken automatically on any
+// failure) poisons the mesh, because closing the connections is what
+// unblocks the surviving peers.
 func Attach[M any](m *Mesh, codec wire.Codec[M], job uint64) (*Endpoint[M], error) {
 	m.mu.Lock()
 	connected, closed := m.connected, m.closed

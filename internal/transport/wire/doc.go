@@ -70,22 +70,23 @@
 //
 // # Job-scoped frames
 //
-// A resident mesh executes many jobs over the same persistent
-// connections (DESIGN.md "Job service"). Batch frames of such a mesh
-// are job-scoped (a row frame, riding directly behind its batch, needs
-// no header of its own): a job header sits where the batch version
-// byte otherwise would, and the complete versioned batch follows
-// unchanged —
+// Every batch frame names its job (a row frame, riding directly behind
+// its batch, needs no header of its own): a job header sits where the
+// batch version byte otherwise would, and the complete versioned batch
+// follows unchanged. Where a batch is due, a reader accepts exactly —
 //
+//	frame      := jobbed | abort      // the payload where a batch is due
 //	jobbed     := 0x03 job batchV2
-//	job        := uvarint             // job ID >= 1, assigned by the scheduler
+//	job        := uvarint             // 0 for a single run; the job
+//	                                  // service numbers its jobs from 1
 //
 // The header scopes, it does not re-encode: the batch travels
-// byte-identically inside it. A reader attached for job J
-// rejects a frame scoped to any other job (a straggler from a previous
-// job, or a protocol bug) as an attributed error instead of decoding it
-// into the wrong run; a single run (job 0) never emits the header and
-// rejects it as an unknown version.
+// byte-identically inside it. A resident mesh executes many jobs over
+// the same persistent connections (DESIGN.md "Job service"), so a
+// reader attached for job J rejects a frame scoped to any other job (a
+// straggler from a previous job, or a protocol bug), or one without a
+// header, as an attributed error instead of decoding it into the wrong
+// run.
 //
 // A failing endpoint may ship one final frame on a data connection
 // before closing it:

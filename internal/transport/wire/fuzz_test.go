@@ -17,11 +17,15 @@ import (
 // from the fuzzed bytes encodes and decodes back to itself — so one
 // target covers both directions (decoder hardening and encoder/decoder
 // identity) for the CI fuzz-smoke job, which can only drive a single
-// -fuzz pattern.
+// -fuzz pattern. The bytes also take the socket reader's acceptance
+// path — PeelJobHeader, then BatchHeader, then a decode into storage
+// sized by the header's count — which every batch frame of every run
+// goes through.
 func FuzzBatchDecode(f *testing.F) {
 	c := pairCodec{}
-	// Seed corpus: a valid batch, the legal empty batch, and known-corrupt
-	// shapes from the unit tests.
+	// Seed corpus: a valid batch, the legal empty batch, known-corrupt
+	// shapes from the unit tests, and the batch as the socket link ships
+	// it for a single run (job 0) and for a job of a standing mesh.
 	envs := []transport.Envelope[pairMsg]{
 		{From: 1, To: 2, Words: 4, Msg: pairMsg{A: -9, B: 11}},
 		{From: 1, To: 2, Words: 0, Msg: pairMsg{A: 0, B: 1}},
@@ -35,6 +39,11 @@ func FuzzBatchDecode(f *testing.F) {
 	}
 	f.Add([]byte{BatchV2, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Add([]byte{})
+	for _, job := range []uint64{0, 300} {
+		if seed, err := AppendBatchV2(AppendJobHeader(nil, job), 3, 1, 2, envs, c); err == nil {
+			f.Add(seed)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, src []byte) {
 		// Decoder hardening: must reject or accept without panicking,
@@ -87,6 +96,19 @@ func FuzzBatchDecode(f *testing.F) {
 			for i := range envs {
 				if envs[i] != envs2[i] {
 					t.Fatalf("re-encode envelope %d drift: %+v -> %+v", i, envs[i], envs2[i])
+				}
+			}
+		}
+
+		// The reader's acceptance path: what passes the job and batch
+		// headers decodes, if at all, to exactly the superstep and count
+		// the header promised, into storage sized by that count.
+		if _, inner, err := PeelJobHeader(src); err == nil {
+			if hstep, count, _, err := BatchHeader(inner); err == nil {
+				dstep, denvs, err := AppendDecodedBatch(make([]transport.Envelope[pairMsg], 0, count), inner, c, sender, to)
+				if err == nil && (dstep != hstep || len(denvs) != count) {
+					t.Fatalf("accepted batch decodes to step %d, %d envelopes; header said step %d, %d",
+						dstep, len(denvs), hstep, count)
 				}
 			}
 		}

@@ -371,14 +371,13 @@ func AppendDecodedBatch[M any](dst []transport.Envelope[M], src []byte, codec Co
 	return step, envs, nil
 }
 
-// BatchJobbed marks a job-scoped data frame: the byte sits where a
+// BatchJobbed marks a batch frame's job header: the byte sits where a
 // batch version byte otherwise would, followed by the uvarint job ID
-// and then a complete versioned batch (unchanged). It is the framing
-// extension that lets frames from different jobs share one standing
-// mesh's persistent per-peer connections: a reader attached for job J
-// rejects a straggler frame from job I != J instead of silently
-// decoding it into the wrong run. A single run (job 0) ships bare
-// batches.
+// and then a complete versioned batch (unchanged). Every batch frame
+// carries one — job 0, a single run, included — so frames from
+// different jobs can share one standing mesh's persistent per-peer
+// connections: a reader attached for job J rejects a straggler frame
+// from job I != J instead of silently decoding it into the wrong run.
 const BatchJobbed = byte(0x03)
 
 // AppendJobHeader appends a job-scope header: the BatchJobbed marker
@@ -389,21 +388,18 @@ func AppendJobHeader(dst []byte, job uint64) []byte {
 	return AppendUvarint(dst, job)
 }
 
-// PeelJobHeader splits a data frame into its job scope and the inner
-// versioned batch. Frames without a job header (bare batches of a
-// single run, or abort frames) return jobbed=false with rest
-// aliasing src whole; job-scoped frames return the job ID and the inner
-// batch bytes. The caller decides whether a bare frame is acceptable —
-// a job-attached reader treats it as a protocol violation.
-func PeelJobHeader(src []byte) (job uint64, rest []byte, jobbed bool, err error) {
-	if len(src) == 0 || src[0] != BatchJobbed {
-		return 0, src, false, nil
+// PeelJobHeader splits a batch frame into its job and the inner
+// versioned batch, which aliases src. A frame that does not start with
+// a job header is an error.
+func PeelJobHeader(src []byte) (job uint64, rest []byte, err error) {
+	c := Cursor{Src: src}
+	if b := c.Byte(); c.Err == nil && b != BatchJobbed {
+		return 0, nil, fmt.Errorf("wire: frame starts with 0x%02x, not a job header", b)
 	}
-	c := Cursor{Src: src, Off: 1}
 	if job = c.Uvarint(); c.Err != nil {
-		return 0, nil, true, fmt.Errorf("wire: corrupt job header: %w", c.Err)
+		return 0, nil, fmt.Errorf("wire: corrupt job header: %w", c.Err)
 	}
-	return job, src[c.Off:], true, nil
+	return job, src[c.Off:], nil
 }
 
 // BatchAbort marks a blame frame: a failing endpoint's last words on a

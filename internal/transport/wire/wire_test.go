@@ -313,9 +313,9 @@ func TestJobHeaderRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotJob, rest, jobbed, err := PeelJobHeader(enc)
-		if err != nil || !jobbed || gotJob != job {
-			t.Fatalf("peel: job=%d jobbed=%v err=%v, want job=%d", gotJob, jobbed, err, job)
+		gotJob, rest, err := PeelJobHeader(enc)
+		if err != nil || gotJob != job {
+			t.Fatalf("peel: job=%d err=%v, want job=%d", gotJob, err, job)
 		}
 		if len(rest) != len(enc)-hdr {
 			t.Fatalf("peel: rest %d bytes, want %d", len(rest), len(enc)-hdr)
@@ -336,35 +336,45 @@ func TestJobHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJobHeaderBarePassthrough(t *testing.T) {
+// TestJobHeaderRequired: every batch frame names its job, job 0 (a
+// single run) included, so a bare batch is refused — and an abort frame,
+// which readers tell apart by its first byte before peeling, is not
+// mistaken for a batch either.
+func TestJobHeaderRequired(t *testing.T) {
 	c := pairCodec{}
-	enc, err := AppendBatchV2(nil, 5, 1, 2, nil, c)
+	bare, err := AppendBatchV2(nil, 5, 1, 2, nil, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, rest, jobbed, err := PeelJobHeader(enc)
-	if err != nil || jobbed || job != 0 {
-		t.Fatalf("bare frame: job=%d jobbed=%v err=%v, want passthrough", job, jobbed, err)
+	if _, _, err := PeelJobHeader(bare); err == nil {
+		t.Fatal("bare batch frame accepted without a job header")
 	}
-	if &rest[0] != &enc[0] || len(rest) != len(enc) {
-		t.Fatal("bare frame: rest does not alias src")
+	zero, err := AppendBatchV2(AppendJobHeader(nil, 0), 5, 1, 2, nil, c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Abort frames are job-agnostic: 0xFF never collides with 0x03.
+	if job, rest, err := PeelJobHeader(zero); err != nil || job != 0 || !bytes.Equal(rest, bare) {
+		t.Fatalf("job-0 frame: job=%d rest=% x err=%v, want job 0 around % x", job, rest, err, bare)
+	}
 	ab := AppendAbort(nil, 7, 3)
-	if _, _, jobbed, err := PeelJobHeader(ab); err != nil || jobbed {
-		t.Fatalf("abort frame peeled as jobbed (err=%v)", err)
+	if ab[0] == BatchJobbed || ab[0] == BatchV2 {
+		t.Fatalf("abort marker 0x%02x collides with a batch frame's first byte", ab[0])
+	}
+	if _, _, err := PeelJobHeader(ab); err == nil {
+		t.Fatal("abort frame peeled as a batch")
 	}
 }
 
 func TestJobHeaderRejectsCorruption(t *testing.T) {
-	// Truncated uvarint after the marker.
+	// A truncated uvarint after the marker, or no header at all.
 	for _, src := range [][]byte{
 		{BatchJobbed},
 		{BatchJobbed, 0x80},
 		{BatchJobbed, 0xFF, 0xFF},
+		{},
 	} {
-		if _, _, jobbed, err := PeelJobHeader(src); err == nil || !jobbed {
-			t.Errorf("corrupt header % x: jobbed=%v err=%v, want error", src, jobbed, err)
+		if _, _, err := PeelJobHeader(src); err == nil {
+			t.Errorf("corrupt header % x accepted", src)
 		}
 	}
 	// A jobbed frame handed to a job-less decoder is an unknown version.

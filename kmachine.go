@@ -17,8 +17,7 @@
 // Every distributed algorithm is registered once in the internal/algo
 // registry and runs on every substrate — the in-process loopback, real
 // TCP sockets, and the standalone multi-process node runtime
-// (cmd/kmnode) — with bit-identical Stats and outputs; Algorithms
-// lists the registered names.
+// (cmd/kmnode) — with bit-identical Stats and outputs.
 //
 // Quick start:
 //
@@ -34,7 +33,6 @@ import (
 	"io"
 	"time"
 
-	"kmachine/internal/algo"
 	_ "kmachine/internal/algo/all"
 	"kmachine/internal/conncomp"
 	"kmachine/internal/core"
@@ -48,13 +46,6 @@ import (
 	"kmachine/internal/transport"
 	"kmachine/internal/triangle"
 )
-
-// Algorithms returns the names of every algorithm registered in the
-// unified driver layer (internal/algo), sorted. Each of them runs on
-// all execution substrates — TransportInMem, TransportTCP, and the
-// standalone node runtime behind cmd/kmnode — with bit-identical
-// measured Stats and outputs.
-func Algorithms() []string { return algo.Names() }
 
 // Graph is an immutable CSR graph (see internal/graph).
 type Graph = graph.Graph
