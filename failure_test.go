@@ -1,8 +1,8 @@
 package kmachine_test
 
 // Failure-injection suite over the real algorithm stack: kill machine j
-// at superstep s — in process under the chaos transport, over the
-// socket link by severing its own fabric (runFaulted) — and assert the
+// at superstep s — its own Step severs it, through Cluster.Sever in
+// process and LocalMesh.Sever over sockets (runFaulted) — and assert the
 // failure-hardened runtime's guarantees end to end for pagerank and
 // conncomp:
 //
@@ -125,7 +125,7 @@ func TestSuperstepTimeoutHappyPathIdentical(t *testing.T) {
 
 // TestStepOutlastingSuperstepTimeout: the wire is live while machines
 // compute, so SuperstepTimeout covers the whole superstep, Begin through
-// Finish — a machine whose Step outlasts it must end the run with a
+// the round — a machine whose Step outlasts it must end the run with a
 // deadline error (on the socket substrate, where the peers' bounded
 // reads are what notices, a machine-attributed one), not with a late
 // success.

@@ -46,7 +46,6 @@ import (
 	"kmachine/internal/core"
 	"kmachine/internal/partition"
 	"kmachine/internal/transport"
-	"kmachine/internal/transport/inmem"
 	"kmachine/internal/transport/node"
 	"kmachine/internal/transport/wire"
 )
@@ -132,9 +131,7 @@ func inProcess[M any](cfg core.Config, codec wire.Codec[M], lm *node.LocalMesh, 
 			case cfg.Transport == transport.TCP:
 				return node.RunLocal(cfg, codec, machine)
 			}
-			t := inmem.New[M](cfg.K)
-			defer t.Close()
-			stats, err := core.NewCluster(cfg, machine).RunOn(t, codec)
+			stats, err := core.NewCluster(cfg, machine).RunOn(codec)
 			return stats, transport.WireStats{}, err
 		}}
 }

@@ -10,8 +10,6 @@ import (
 
 	"kmachine/internal/core"
 	"kmachine/internal/transport"
-	"kmachine/internal/transport/chaos"
-	"kmachine/internal/transport/inmem"
 	"kmachine/internal/transport/wire"
 )
 
@@ -54,10 +52,10 @@ func (m *ringMachine) RestoreState(src []byte) error {
 	return c.Finish()
 }
 
-// chaosSite is the in-process cluster over the loopback whose first
-// kills attempts lose machine 1 at superstep killAt. It records the
-// superstep of the cut every attempt starts from (-1: none, superstep
-// 0); after, when non-nil, runs once an attempt has returned.
+// chaosSite is the in-process cluster whose first kills attempts lose
+// machine 1 at superstep killAt: its Step severs it once it has run. It
+// records the superstep of the cut every attempt starts from (-1: none,
+// superstep 0); after, when non-nil, runs once an attempt has returned.
 type chaosSite struct {
 	cfg           core.Config
 	kills, killAt int
@@ -68,11 +66,15 @@ type chaosSite struct {
 func (cs *chaosSite) site() site[echoMsg] {
 	return site[echoMsg]{cfg: cs.cfg,
 		run: func(cfg core.Config, machine func(core.MachineID) core.Machine[echoMsg]) (*core.Stats, transport.WireStats, error) {
-			var tr core.Transport[echoMsg] = inmem.New[echoMsg](ringK)
-			if len(cs.attempts) < cs.kills {
-				tr = chaos.Wrap[echoMsg](tr, chaos.KillAt(1, cs.killAt))
-			}
-			defer tr.Close()
+			var c *core.Cluster[echoMsg]
+			kill := len(cs.attempts) < cs.kills
+			c = core.NewCluster(cfg, func(id core.MachineID) core.Machine[echoMsg] {
+				m := machine(id)
+				if id != 1 || !kill {
+					return m
+				}
+				return &severing{Machine: m, at: cs.killAt, kill: func() { c.Sever(1) }}
+			})
 			from := -1
 			if asm := core.NewAssembler(cfg.Checkpoint, cfg.K); asm != nil {
 				if cut, err := asm.LatestCut(); err != nil {
@@ -82,12 +84,37 @@ func (cs *chaosSite) site() site[echoMsg] {
 				}
 			}
 			cs.attempts = append(cs.attempts, from)
-			stats, err := core.NewCluster(cfg, machine).RunOn(tr, echoCodec{})
+			stats, err := c.RunOn(echoCodec{})
 			if cs.after != nil {
 				cs.after()
 			}
 			return stats, transport.WireStats{}, err
 		}}
+}
+
+// severing is a chaosSite victim: its Step in superstep at runs, then
+// kills it. It forwards the machine's state codec, so a checkpointed run
+// captures it like any other.
+type severing struct {
+	core.Machine[echoMsg]
+	at   int
+	kill func()
+}
+
+func (m *severing) Step(ctx *core.StepContext, inbox []core.Envelope[echoMsg]) ([]core.Envelope[echoMsg], bool) {
+	out, done := m.Machine.Step(ctx, inbox)
+	if ctx.Superstep == m.at {
+		m.kill()
+	}
+	return out, done
+}
+
+func (m *severing) SnapshotState(dst []byte) ([]byte, error) {
+	return m.Machine.(core.Snapshotter).SnapshotState(dst)
+}
+
+func (m *severing) RestoreState(src []byte) error {
+	return m.Machine.(core.Snapshotter).RestoreState(src)
 }
 
 func ringConfig(seed uint64, ck core.CheckpointPolicy) core.Config {

@@ -84,22 +84,77 @@ func TestSteadyStateSuperstepAllocBudget(t *testing.T) {
 	}
 }
 
-// An envelope costs the same whether it was emitted mid-Step or left as
-// rest: the accounting folds the emitters' records and the rest loads
-// into one link-load matrix, so Stats must be bit-identical.
+// allPeersMachine sends, every superstep before the last, a batch of one
+// to three envelopes to every machine, itself included, tagged so that
+// an envelope names its superstep, sender, receiver and ordinal. With
+// emit set it hands every other peer's batch to EmitBatch (which peers
+// alternates by superstep); the rest stay in its returned outs. It logs
+// a copy of every inbox.
+func allPeersMachine(supersteps int, emit bool, log *[][]Envelope[allocMsg]) Machine[allocMsg] {
+	return MachineFunc[allocMsg](func(ctx *StepContext, inbox []Envelope[allocMsg]) ([]Envelope[allocMsg], bool) {
+		*log = append(*log, append([]Envelope[allocMsg](nil), inbox...))
+		if ctx.Superstep >= supersteps {
+			return nil, true
+		}
+		var out []Envelope[allocMsg]
+		for j := 0; j < ctx.K; j++ {
+			batch := allPeersBatch(ctx.Superstep, int(ctx.Self), j)
+			if emit && j != int(ctx.Self) && (j+ctx.Superstep)%2 == 1 {
+				if !EmitBatch(ctx, MachineID(j), batch) {
+					panic("the driver did not take an eager batch")
+				}
+				continue
+			}
+			out = append(out, batch...)
+		}
+		return out, false
+	})
+}
+
+func allPeersBatch(step, from, to int) []Envelope[allocMsg] {
+	batch := make([]Envelope[allocMsg], 1+(step+from+to)%3)
+	for n := range batch {
+		batch[n] = Envelope[allocMsg]{From: MachineID(from), To: MachineID(to), Words: int32(1 + n),
+			Msg: allocMsg{payload: [2]int64{int64(step), int64(n)}}}
+	}
+	return batch
+}
+
+// An envelope is delivered and costs the same whether it was emitted
+// mid-Step or left as rest: every inbox holds what each sender sent to
+// it, in sender order with the machine's own envelopes in its place, and
+// the accounting folds the emitters' records and the rest loads into one
+// link-load matrix, so inboxes and Stats must be identical either way.
 func TestEmittedAndRestAccountIdentically(t *testing.T) {
-	run := func(emit bool) *Stats {
-		c := NewCluster(Config{K: 8, Bandwidth: 2, Seed: 7},
-			func(MachineID) Machine[allocMsg] { return ringMachine(20, emit) })
+	const k, supersteps = 5, 6
+	run := func(emit bool) (*Stats, [][][]Envelope[allocMsg]) {
+		logs := make([][][]Envelope[allocMsg], k)
+		c := NewCluster(Config{K: k, Bandwidth: 2, Seed: 7},
+			func(id MachineID) Machine[allocMsg] { return allPeersMachine(supersteps, emit, &logs[id]) })
 		st, err := c.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st
+		return st, logs
 	}
-	rest, emitted := run(false), run(true)
+	rest, restLogs := run(false)
+	emitted, emittedLogs := run(true)
 	if !reflect.DeepEqual(rest, emitted) {
 		t.Errorf("emitted stats diverge from rest-only:\nrest    %+v\nemitted %+v", rest, emitted)
+	}
+	for j := 0; j < k; j++ {
+		for step := 1; step <= supersteps; step++ {
+			var want []Envelope[allocMsg]
+			for from := 0; from < k; from++ {
+				want = append(want, allPeersBatch(step-1, from, j)...)
+			}
+			if !reflect.DeepEqual(restLogs[j][step], want) {
+				t.Errorf("rest-only: machine %d inbox of superstep %d:\n got  %+v\n want %+v", j, step, restLogs[j][step], want)
+			}
+			if !reflect.DeepEqual(emittedLogs[j][step], want) {
+				t.Errorf("emitted: machine %d inbox of superstep %d:\n got  %+v\n want %+v", j, step, emittedLogs[j][step], want)
+			}
+		}
 	}
 }
 

@@ -2,9 +2,10 @@ package core_test
 
 // One conformance table for core.Drive: the same misbehaving machines
 // are pushed through it over both links — the in-process rendezvous
-// (Cluster.Run on the loopback) and the socket link (node.RunLocal) —
-// and must fail the same way: the same error class and attribution, the
-// same partial Stats on the coordinator, nothing left running.
+// (Cluster.Run) and the socket link (node.RunJobLocal on a LocalMesh of
+// its own) — and must fail the same way: the same error class and
+// attribution, the same partial Stats on the coordinator, nothing left
+// running.
 
 import (
 	"context"
@@ -61,9 +62,13 @@ const (
 	cTimeout = 150 * time.Millisecond
 )
 
+// severFunc kills a machine through its link's fabric: Cluster.Sever in
+// process, LocalMesh.Sever over sockets.
+type severFunc = func(i int) error
+
 type conformanceRow struct {
 	name string
-	step func(t *testing.T, cancel context.CancelFunc) stepFunc
+	step func(t *testing.T, cancel context.CancelFunc, sever severFunc) stepFunc
 	// preCancel cancels the run context before the run starts.
 	preCancel bool
 	timeout   time.Duration
@@ -71,6 +76,9 @@ type conformanceRow struct {
 	// says the substrings the message must carry (who, when, what).
 	is   []error
 	says []string
+	// blames, when set, is the *transport.MachineError the run must
+	// fail with: who and when.
+	blames *transport.MachineError
 	// supersteps is what the coordinator's partial Stats must account.
 	supersteps int
 }
@@ -78,35 +86,35 @@ type conformanceRow struct {
 var conformance = []conformanceRow{
 	{name: "panic in Step", supersteps: 2,
 		says: []string{"machine 1", "panicked in superstep 2", "intentional test panic"},
-		step: func(*testing.T, context.CancelFunc) stepFunc {
+		step: func(*testing.T, context.CancelFunc, severFunc) stepFunc {
 			return misbehaving(1, 2, func(*core.StepContext, []core.Envelope[cMsg]) ([]core.Envelope[cMsg], bool) {
 				panic("intentional test panic")
 			})
 		}},
 	{name: "invalid destination", supersteps: 1,
 		says: []string{"machine 2", "invalid machine -1"},
-		step: func(*testing.T, context.CancelFunc) stepFunc {
+		step: func(*testing.T, context.CancelFunc, severFunc) stepFunc {
 			return misbehaving(2, 1, func(*core.StepContext, []core.Envelope[cMsg]) ([]core.Envelope[cMsg], bool) {
 				return []core.Envelope[cMsg]{{To: -1, Words: 1}}, true
 			})
 		}},
 	{name: "destination out of range", supersteps: 0,
 		says: []string{"machine 0", "invalid machine 9"},
-		step: func(*testing.T, context.CancelFunc) stepFunc {
+		step: func(*testing.T, context.CancelFunc, severFunc) stepFunc {
 			return misbehaving(0, 0, func(*core.StepContext, []core.Envelope[cMsg]) ([]core.Envelope[cMsg], bool) {
 				return []core.Envelope[cMsg]{{To: 9, Words: 1}}, true
 			})
 		}},
 	{name: "negative Words", supersteps: 1,
 		says: []string{"machine 3", "negative-size"},
-		step: func(*testing.T, context.CancelFunc) stepFunc {
+		step: func(*testing.T, context.CancelFunc, severFunc) stepFunc {
 			return misbehaving(3, 1, func(*core.StepContext, []core.Envelope[cMsg]) ([]core.Envelope[cMsg], bool) {
 				return []core.Envelope[cMsg]{{To: 1, Words: -3}}, true
 			})
 		}},
 	{name: "rest after emit to the same peer", supersteps: 2,
 		says: []string{"machine 1", "machine 2", "after emitting a batch to it in superstep 2"},
-		step: func(t *testing.T, _ context.CancelFunc) stepFunc {
+		step: func(t *testing.T, _ context.CancelFunc, _ severFunc) stepFunc {
 			return misbehaving(1, 2, func(ctx *core.StepContext, _ []core.Envelope[cMsg]) ([]core.Envelope[cMsg], bool) {
 				batch := []core.Envelope[cMsg]{{To: 2, Words: 1}}
 				if !core.EmitBatch(ctx, 2, batch) {
@@ -116,20 +124,20 @@ var conformance = []conformanceRow{
 			})
 		}},
 	{name: "never terminating", supersteps: 7, is: []error{core.ErrMaxSupersteps},
-		step: func(*testing.T, context.CancelFunc) stepFunc {
+		step: func(*testing.T, context.CancelFunc, severFunc) stepFunc {
 			return func(ctx *core.StepContext, _ []core.Envelope[cMsg]) ([]core.Envelope[cMsg], bool) {
 				return ring(ctx), false
 			}
 		}},
 	{name: "pre-cancelled context", supersteps: 0, preCancel: true, is: []error{context.Canceled},
-		step: func(t *testing.T, _ context.CancelFunc) stepFunc {
+		step: func(t *testing.T, _ context.CancelFunc, _ severFunc) stepFunc {
 			return func(ctx *core.StepContext, _ []core.Envelope[cMsg]) ([]core.Envelope[cMsg], bool) {
 				t.Error("a machine stepped under a pre-cancelled context")
 				return nil, true
 			}
 		}},
 	{name: "cancel mid-run", supersteps: 3, is: []error{context.Canceled},
-		step: func(_ *testing.T, cancel context.CancelFunc) stepFunc {
+		step: func(_ *testing.T, cancel context.CancelFunc, _ severFunc) stepFunc {
 			return misbehaving(0, 3, func(ctx *core.StepContext, _ []core.Envelope[cMsg]) ([]core.Envelope[cMsg], bool) {
 				cancel()
 				return ring(ctx), false
@@ -141,21 +149,43 @@ var conformance = []conformanceRow{
 	// slow superstep is never delivered, so never charged.
 	{name: "Step outlasting SuperstepTimeout", supersteps: 2, timeout: cTimeout,
 		is: []error{context.DeadlineExceeded, os.ErrDeadlineExceeded},
-		step: func(*testing.T, context.CancelFunc) stepFunc {
+		step: func(*testing.T, context.CancelFunc, severFunc) stepFunc {
 			return misbehaving(1, 2, func(ctx *core.StepContext, _ []core.Envelope[cMsg]) ([]core.Envelope[cMsg], bool) {
 				time.Sleep(4 * cTimeout)
 				return ring(ctx), false
 			})
 		}},
+	// A fault on either link is a machine's own Step severing itself:
+	// its peers learn of it in the superstep it died in, which is never
+	// delivered.
+	{name: "machine severs itself", supersteps: 2,
+		blames: &transport.MachineError{Machine: 2, Superstep: 2},
+		step: func(t *testing.T, _ context.CancelFunc, sever severFunc) stepFunc {
+			return misbehaving(2, 2, func(ctx *core.StepContext, _ []core.Envelope[cMsg]) ([]core.Envelope[cMsg], bool) {
+				if err := sever(2); err != nil {
+					t.Error(err)
+				}
+				return ring(ctx), false
+			})
+		}},
 }
 
-// links runs the k machines one cfg describes over each link.
-var links = map[string]func(cfg core.Config, step stepFunc) (*core.Stats, error){
-	"in-process": func(cfg core.Config, step stepFunc) (*core.Stats, error) {
-		return core.NewCluster(cfg, func(core.MachineID) core.Machine[cMsg] { return core.MachineFunc[cMsg](step) }).Run()
+// links runs the k machines one cfg describes over each link; step is
+// handed the link's sever.
+var links = map[string]func(cfg core.Config, step func(severFunc) stepFunc) (*core.Stats, error){
+	"in-process": func(cfg core.Config, step func(severFunc) stepFunc) (*core.Stats, error) {
+		var c *core.Cluster[cMsg]
+		sever := func(i int) error { return c.Sever(i) }
+		c = core.NewCluster(cfg, func(core.MachineID) core.Machine[cMsg] { return core.MachineFunc[cMsg](step(sever)) })
+		return c.Run()
 	},
-	"sockets": func(cfg core.Config, step stepFunc) (*core.Stats, error) {
-		stats, _, err := node.RunLocal(cfg, cCodec{}, func(core.MachineID) core.Machine[cMsg] { return core.MachineFunc[cMsg](step) })
+	"sockets": func(cfg core.Config, step func(severFunc) stepFunc) (*core.Stats, error) {
+		lm, err := node.NewLocalMesh(cfg.K)
+		if err != nil {
+			return nil, err
+		}
+		defer lm.Close()
+		stats, _, err := node.RunJobLocal(lm, cfg, 0, cCodec{}, func(core.MachineID) core.Machine[cMsg] { return core.MachineFunc[cMsg](step(lm.Sever)) })
 		return stats, err
 	},
 }
@@ -171,7 +201,7 @@ func TestDriveConformanceOverBothLinks(t *testing.T) {
 					cancel()
 				}
 				cfg := core.Config{K: cK, Bandwidth: 1, Seed: 1, MaxSupersteps: 7, Context: ctx, SuperstepTimeout: row.timeout}
-				stats, err := drive(cfg, row.step(t, cancel))
+				stats, err := drive(cfg, func(sever severFunc) stepFunc { return row.step(t, cancel, sever) })
 				cancel()
 				if err == nil {
 					t.Fatalf("%s: the run succeeded", link)
@@ -191,6 +221,9 @@ func TestDriveConformanceOverBothLinks(t *testing.T) {
 				var me *transport.MachineError
 				if errors.As(err, &me) && me.Superstep != row.supersteps {
 					t.Errorf("%s: failure attributed to superstep %d, want %d", link, me.Superstep, row.supersteps)
+				}
+				if want := row.blames; want != nil && (me == nil || me.Machine != want.Machine || me.Superstep != want.Superstep) {
+					t.Errorf("%s: error %v, want a *transport.MachineError blaming machine %d in superstep %d", link, err, want.Machine, want.Superstep)
 				}
 				if stats == nil || stats.Supersteps != row.supersteps {
 					t.Fatalf("%s: partial stats %+v, want %d supersteps accounted", link, stats, row.supersteps)
@@ -240,7 +273,7 @@ func TestOneConfigOverBothLinks(t *testing.T) {
 	got := map[string]*core.Stats{}
 	for link, drive := range links {
 		rec.seen = map[obs.Phase]map[int32]bool{}
-		stats, err := drive(cfg, step)
+		stats, err := drive(cfg, func(severFunc) stepFunc { return step })
 		if err != nil {
 			t.Fatalf("%s: %v", link, err)
 		}

@@ -33,12 +33,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"kmachine/internal/obs"
 	"kmachine/internal/rng"
 	"kmachine/internal/transport"
-	"kmachine/internal/transport/inmem"
 )
 
 // MachineID identifies one of the k machines.
@@ -47,13 +47,6 @@ type MachineID = transport.MachineID
 // Envelope is one message in flight. Words is its size in machine words
 // for bandwidth accounting; From is stamped by the cluster.
 type Envelope[M any] = transport.Envelope[M]
-
-// Transport moves one superstep's batched envelopes between machines;
-// see the contract in internal/transport. Cluster.RunOn accepts any
-// implementation, and all word/round accounting happens in this package
-// before envelopes reach the transport, so Stats are bit-identical on
-// every substrate.
-type Transport[M any] = transport.Transport[M]
 
 // Machine is one of the k participants. Step consumes the envelopes
 // delivered this superstep and returns the envelopes to send; done
@@ -126,9 +119,9 @@ type Config struct {
 	// unaffected.
 	DropPerSuperstep bool
 	// Transport names the link of a run whose k machines share one
-	// process; empty means the in-memory loopback. Core only stores the
-	// name: the algorithm driver (internal/algo) runs transport.TCP as k
-	// socket links, which need the message codec.
+	// process; empty means the in-memory loopback. Cluster.RunOn runs
+	// only that one: the algorithm driver (internal/algo) runs
+	// transport.TCP as k socket links, which need the message codec.
 	Transport transport.Kind
 	// Context cancels the whole run: every driver observes it before and
 	// after its Step and hands it to every link operation, so canceling
@@ -408,6 +401,7 @@ func (c *Coordinator) Restore(part []byte) error {
 type Cluster[M any] struct {
 	cfg      Config
 	machines []Machine[M]
+	running  atomic.Pointer[rendezvous[M]] // the run in progress, for Sever
 }
 
 // ErrMaxSupersteps is returned when an algorithm fails to terminate
@@ -434,19 +428,9 @@ func (c *Cluster[M]) K() int { return c.cfg.K }
 func (c *Cluster[M]) Machine(i MachineID) Machine[M] { return c.machines[int(i)] }
 
 // Run executes supersteps until global quiescence (every machine done and
-// no envelope in flight) and returns the communication statistics. It
-// runs on the in-memory loopback transport without a message codec, so
-// it cannot checkpoint; use RunOn for anything else. Any other
-// Config.Transport is refused: the socket link needs a codec, and
-// internal/algo runs it.
-func (c *Cluster[M]) Run() (*Stats, error) {
-	if c.cfg.Transport != transport.Default && c.cfg.Transport != transport.InMem {
-		return nil, fmt.Errorf("core: Config.Transport=%q needs a message codec; run it through internal/algo", c.cfg.Transport)
-	}
-	t := inmem.New[M](c.cfg.K)
-	defer t.Close()
-	return c.RunOn(t, nil)
-}
+// no envelope in flight) and returns the communication statistics. It is
+// RunOn without a message codec, so it cannot checkpoint.
+func (c *Cluster[M]) Run() (*Stats, error) { return c.RunOn(nil) }
 
 // finalize computes MaxRecvWords from the per-machine totals.
 // Coordinator.Stats calls it, so a failed run's partial stats are as

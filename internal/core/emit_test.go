@@ -84,3 +84,45 @@ func TestEmitBucketsWithoutEmitter(t *testing.T) {
 		t.Errorf("self bucket became %v, want %v", buckets[1], self)
 	}
 }
+
+// TestEmitBatchRefusesBadPairs: the link sees only what EmitBatch
+// accepts — at most one batch per peer per superstep, never to the
+// sender itself or out of range, every envelope addressed to that peer —
+// so the loopback stages without checking.
+func TestEmitBatchRefusesBadPairs(t *testing.T) {
+	const k = 3
+	batch := func(to MachineID) []Envelope[pingMsg] { return []Envelope[pingMsg]{{To: to, Words: 1}} }
+	var got []Envelope[pingMsg]
+	c := NewCluster(Config{K: k, Bandwidth: 1, Seed: 1}, func(id MachineID) Machine[pingMsg] {
+		return MachineFunc[pingMsg](func(ctx *StepContext, inbox []Envelope[pingMsg]) ([]Envelope[pingMsg], bool) {
+			if ctx.Self == 1 && ctx.Superstep == 1 {
+				got = append(got, inbox...)
+			}
+			if ctx.Self != 0 || ctx.Superstep > 0 {
+				return nil, true
+			}
+			for _, bad := range []struct {
+				name string
+				to   MachineID
+				b    []Envelope[pingMsg]
+			}{{"to itself", 0, batch(0)}, {"out of range", k, batch(k)}, {"negative", -1, batch(-1)}, {"misaddressed", 1, batch(2)}} {
+				if EmitBatch(ctx, bad.to, bad.b) {
+					t.Errorf("EmitBatch took a batch %s", bad.name)
+				}
+			}
+			if !EmitBatch(ctx, 1, batch(1)) {
+				t.Error("EmitBatch refused a good batch")
+			}
+			if EmitBatch(ctx, 1, batch(1)) {
+				t.Error("EmitBatch took a second batch to one peer")
+			}
+			return nil, false
+		})
+	})
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].From != 0 {
+		t.Errorf("machine 1 received %+v, want the one batch machine 0's link took", got)
+	}
+}

@@ -2,21 +2,23 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
 	"kmachine/internal/obs"
+	"kmachine/internal/transport"
+	"kmachine/internal/transport/inmem"
 	"kmachine/internal/transport/wire"
 )
 
 // This file is the in-process Link: the k drivers of a cluster that
-// lives in one process share one rendezvous over a Transport (inmem, or
-// chaos.Wrap around it in tests). Each superstep they meet once, in Round;
-// the last to arrive rules the superstep and, when the run goes on,
-// calls the cluster-level Finish and charges it, while the others stay
-// parked. Because the verdict is known before the transport is touched,
-// the final silent superstep is never finished (no empty frames): its
-// Begin is left dangling for the caller's Close to abandon.
+// lives in one process share one rendezvous over the loopback (inmem).
+// A batch a machine emits mid-Step is staged there at once; each
+// superstep the drivers meet once, in Round, and the last to arrive
+// rules the superstep and, when the run goes on, delivers and charges
+// it, while the others stay parked. Because the verdict is known before
+// anything is delivered, the final silent superstep delivers nothing.
 
 // rendezvous is a generation-counted barrier whose last arriver closes
 // the superstep before it releases the others; mu guards every field.
@@ -26,18 +28,18 @@ import (
 // hand the wake-up from driver to driver: 845 ms a run, chain 921, binary
 // tree 864 — those only win with idle machines, where nothing is to feed).
 type rendezvous[M any] struct {
-	t     Transport[M]
+	lb    *inmem.Transport[M]
 	coord *Coordinator
 	// rec receives, per superstep, one barrier span per machine (its wait
 	// for the slowest one) and one cluster-level exchange span (Machine
-	// -1: the transport's Finish); nil keeps the path span-free.
+	// -1: the delivery); nil keeps the path span-free.
 	rec obs.Recorder
 
 	mu      sync.Mutex
 	cond    sync.Cond
 	arrived int
 	gen     int   // supersteps closed: a parked driver waits for the next
-	begun   int   // the superstep the transport is open for
+	open    int   // the superstep the drivers are in, for Sever
 	err     error // first failure: every driver returns it
 
 	// Handed over through Round; only the last arriver reads them.
@@ -49,8 +51,8 @@ type rendezvous[M any] struct {
 	lastIn  int64 // obs clock when the slowest machine arrived
 }
 
-func newRendezvous[M any](t Transport[M], coord *Coordinator, rec obs.Recorder, k int) *rendezvous[M] {
-	rv := &rendezvous[M]{t: t, coord: coord, rec: rec, begun: -1,
+func newRendezvous[M any](coord *Coordinator, rec obs.Recorder, k int) *rendezvous[M] {
+	rv := &rendezvous[M]{lb: inmem.New[M](k), coord: coord, rec: rec,
 		rows: make([]*Row, k), rests: make([][]Envelope[M], k)}
 	rv.cond.L = &rv.mu
 	return rv
@@ -62,26 +64,20 @@ type localLink[M any] struct {
 	id int
 }
 
-// Begin opens the superstep on the transport once, on behalf of all k:
-// the first driver to get here does it, before its own or anyone else's
-// Step can send.
-func (l *localLink[M]) Begin(ctx context.Context, step int) error {
+// Begin notes the superstep the drivers are in.
+func (l *localLink[M]) Begin(_ context.Context, step int) error {
 	rv := l.rv
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
-	if rv.err == nil && rv.begun != step {
-		rv.begun = step
-		if err := rv.t.Begin(ctx, step); err != nil {
-			// Nobody can be parked in this superstep's Round yet, and every
-			// driver passes through here first: no broadcast is needed.
-			rv.err = fmt.Errorf("core: transport begin superstep %d: %w", step, err)
-		}
-	}
+	rv.open = step
 	return rv.err
 }
 
+// Send stages the batch; the last arriver's delivery copies it out, once
+// every Step of the superstep has returned.
 func (l *localLink[M]) Send(to MachineID, batch []Envelope[M]) error {
-	return l.rv.t.SendBatch(MachineID(l.id), to, batch)
+	l.rv.lb.Stage(MachineID(l.id), to, batch)
+	return nil
 }
 
 func (l *localLink[M]) Round(ctx context.Context, step int, row *Row, rest []Envelope[M]) (Verdict, []Envelope[M], error) {
@@ -126,7 +122,7 @@ func (l *localLink[M]) Round(ctx context.Context, step int, row *Row, rest []Env
 }
 
 // fail poisons the rendezvous: a driver that gave up (cancellation, a
-// dead transport, a failed checkpoint) must not leave the others parked.
+// failed checkpoint, a severed machine) must not leave the others parked.
 func (rv *rendezvous[M]) fail(err error) {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
@@ -137,57 +133,79 @@ func (rv *rendezvous[M]) fail(err error) {
 }
 
 // close rules superstep step from the k rows and, when the run goes on,
-// delivers it through the transport and charges it. The transport's
-// contract guarantees inboxes assembled in sender order, and its
-// ownership rule lets it assemble them over the last superstep's: this
-// runs only once all k Steps that read those have returned.
+// delivers and charges it. The loopback assembles the inboxes in sender
+// order over the last superstep's: this runs only once all k Steps that
+// read those have returned.
 func (rv *rendezvous[M]) close(ctx context.Context, step int) (Verdict, [][]Envelope[M], error) {
 	v := rv.coord.Rule(rv.rows)
 	if v.Kind != VerdictContinue {
 		return v, nil, nil
 	}
+	// The superstep's deadline covers its Steps: one that outlasted it
+	// is never delivered.
+	if err := ctx.Err(); err != nil {
+		return Verdict{}, nil, fmt.Errorf("core: superstep %d not delivered: %w", step, err)
+	}
 	var x0 int64
 	if rv.rec != nil {
 		x0 = obs.Now()
 	}
-	inboxes, err := rv.t.Finish(ctx, step, rv.rests)
+	inboxes, err := rv.lb.Deliver(rv.rests)
 	if rv.rec != nil {
-		// Recorded on the error path too — a failed run's timeline is the
-		// one worth reading.
 		rv.rec.Record(obs.Span{Start: x0, Dur: obs.Now() - x0,
 			Machine: -1, Peer: -1, Superstep: int32(step), Phase: obs.PhaseExchange})
 	}
 	if err != nil {
-		return Verdict{}, nil, fmt.Errorf("core: transport exchange failed in superstep %d: %w", step, err)
-	}
-	if len(inboxes) != len(rv.rows) {
-		return Verdict{}, nil, fmt.Errorf("core: transport returned %d inboxes for a %d-machine cluster", len(inboxes), len(rv.rows))
+		return Verdict{}, nil, fmt.Errorf("core: superstep %d not delivered: %w", step, err)
 	}
 	rv.coord.Charge(rv.rows)
 	return v, inboxes, nil
 }
 
-// RunOn executes the cluster over the given transport: k drivers, one
-// goroutine each, sharing a rendezvous. Envelope validation,
-// From-stamping and all round/word accounting happen in Drive and the
-// Coordinator, before batches reach the transport, so the returned
-// Stats are bit-identical whichever substrate carries the envelopes.
-// They accompany an error too, as the partial Stats of the failed run:
-// the supersteps that were delivered, then charged — one whose exchange
-// failed, or that was ruled an abort, is not among them.
-// The transport is single-run: a stop leaves its last superstep open
-// for the caller's Close to abandon.
+// ErrSevered is the cause inside the *transport.MachineError that a run
+// fails with when Cluster.Sever kills one of its machines; detect it
+// with errors.Is.
+var ErrSevered = errors.New("core: machine severed")
+
+// Sever kills machine i of the run in progress in the superstep it is
+// in, as node.LocalMesh.Sever kills a socket machine: every driver
+// returns a *transport.MachineError naming i and that superstep, and the
+// partial Stats hold the supersteps delivered before it. Fault injection
+// for tests: a machine's Step that severs itself dies mid-superstep.
+func (c *Cluster[M]) Sever(i int) error {
+	rv := c.running.Load()
+	if i < 0 || i >= c.cfg.K || rv == nil {
+		return fmt.Errorf("core: cannot sever machine %d of %d outside a run", i, c.cfg.K)
+	}
+	rv.mu.Lock()
+	step := rv.open
+	rv.mu.Unlock()
+	rv.fail(&transport.MachineError{Machine: MachineID(i), Superstep: step, Err: ErrSevered})
+	return nil
+}
+
+// RunOn executes the cluster: k drivers, one goroutine each, sharing a
+// rendezvous over the loopback. Envelope validation, From-stamping and
+// all round/word accounting happen in Drive and the Coordinator, so the
+// returned Stats are bit-identical to the socket link's. They accompany
+// an error too, as the partial Stats of the failed run: the supersteps
+// that were delivered, then charged — one that failed, or that was
+// ruled an abort, is not among them. Config.Transport must name the
+// loopback: the socket link is internal/algo's to run.
 //
 // Config.Checkpoint arms capture and installs the run's latest cut
 // first — exactly as on the socket link; both need codec,
 // which is otherwise unused (nil is fine for an unarmed run).
 // Config.Context is observed before and after every Step, and
-// Config.SuperstepTimeout bounds each superstep on the transport, so a
-// dead or wedged peer machine surfaces as a wrapped, machine-attributed
-// error within the timeout. With neither set no context machinery is
-// allocated and the golden determinism hashes are unchanged.
-func (c *Cluster[M]) RunOn(t Transport[M], codec wire.Codec[M]) (*Stats, error) {
+// Config.SuperstepTimeout bounds each superstep, so a Step that
+// outlasts it fails the run with a deadline error. With neither set no
+// context machinery is allocated and the golden determinism hashes are
+// unchanged.
+func (c *Cluster[M]) RunOn(codec wire.Codec[M]) (*Stats, error) {
 	cfg := c.cfg
+	if cfg.Transport != transport.Default && cfg.Transport != transport.InMem {
+		return nil, fmt.Errorf("core: Config.Transport=%q is not the in-process link; run it through internal/algo", cfg.Transport)
+	}
 	coord := NewCoordinator(cfg.K, cfg.Bandwidth, cfg.DropPerSuperstep)
 	asm := NewAssembler(cfg.Checkpoint, cfg.K)
 	var resume *Cut
@@ -197,7 +215,9 @@ func (c *Cluster[M]) RunOn(t Transport[M], codec wire.Codec[M]) (*Stats, error) 
 			return coord.Stats(), err
 		}
 	}
-	rv := newRendezvous(t, coord, cfg.Recorder, cfg.K)
+	rv := newRendezvous[M](coord, cfg.Recorder, cfg.K)
+	c.running.Store(rv)
+	defer c.running.Store(nil)
 	_, err := DriveAll(cfg.K, func(i int) (*Stats, error) {
 		d := Driver[M]{Config: cfg, ID: i, Machine: c.machines[i], Link: &localLink[M]{rv: rv, id: i},
 			Assembler: asm, Resume: resume, Codec: codec}

@@ -7,7 +7,7 @@ import (
 
 // Wire is the envelope payload type of a PageRank run: the token-count
 // message in its two-hop routing frame. It is exported so callers can
-// build a loopback transport (inmem.New[pagerank.Wire]) or drive a
+// time a loopback exchange (inmem.New[pagerank.Wire]) or drive a
 // standalone node (node.Run with a pagerank machine).
 type Wire = wire
 

@@ -13,6 +13,7 @@ package tcp
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"kmachine/internal/obs"
@@ -25,16 +26,18 @@ func TestSteadyStateExchangeAllocBudget(t *testing.T) {
 	}
 	const k = 4
 	const supersteps = 40
-	tr, err := New[testMsg](k, testCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	eps := attachAll(t, k, testCodec{})
+	defer func() {
+		for _, e := range eps {
+			e.Close()
+		}
+	}()
 
 	// Fixed ring traffic, reused slices: the caller-side pattern core's
-	// engine produces (batches and rest stay caller-owned per the
-	// transport contract). The next neighbour's envelope is emitted
-	// eagerly, the previous neighbour's left to Finish.
+	// driver produces (batches and rest stay caller-owned until the
+	// superstep finishes). The next neighbour's envelope is streamed
+	// eagerly, the previous neighbour's left to the finish. Each endpoint
+	// runs the supersteps on its own goroutine, as a socket machine does.
 	eager := make([][]transport.Envelope[testMsg], k)
 	rest := make([][]transport.Envelope[testMsg], k)
 	for i := 0; i < k; i++ {
@@ -44,22 +47,36 @@ func TestSteadyStateExchangeAllocBudget(t *testing.T) {
 			{From: transport.MachineID(i), To: transport.MachineID((i + k - 1) % k), Words: 2, Msg: testMsg{Tag: -int64(i)}}}
 	}
 	step := 0
-	ctx := context.Background()
-	run := func() {
-		for s := 0; s < supersteps; s++ {
-			if err := tr.Begin(ctx, step); err != nil {
-				t.Fatal(err)
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	machine := func(i int) {
+		defer wg.Done()
+		ctx := context.Background()
+		e := eps[i]
+		for s := step; s < step+supersteps; s++ {
+			if errs[i] = e.BeginSuperstep(ctx, s); errs[i] != nil {
+				return
 			}
-			for i := 0; i < k; i++ {
-				if err := tr.SendBatch(transport.MachineID(i), transport.MachineID((i+1)%k), eager[i]); err != nil {
-					t.Fatal(err)
-				}
+			if errs[i] = e.StreamBatch(transport.MachineID((i+1)%k), eager[i]); errs[i] != nil {
+				return
 			}
-			if _, err := tr.Finish(ctx, step, rest); err != nil {
-				t.Fatal(err)
+			if _, _, errs[i] = e.FinishSuperstep(s, rest[i], nil); errs[i] != nil {
+				return
 			}
-			step++
 		}
+	}
+	run := func() {
+		wg.Add(k)
+		for i := 0; i < k; i++ {
+			go machine(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("machine %d: %v", i, err)
+			}
+		}
+		step += supersteps
 	}
 	// One warm-up pass outside the measurement grows every recycled
 	// buffer to its steady-state capacity (AllocsPerRun's own warm-up
@@ -86,7 +103,7 @@ func TestSteadyStateExchangeAllocBudget(t *testing.T) {
 	// trace's preallocated ring — so instrumentation must not move the budget.
 	// The trace is built once, outside the measured runs.
 	trace := obs.NewTrace(4096, k)
-	for _, e := range tr.eps {
+	for _, e := range eps {
 		e.SetRecorder(trace)
 	}
 	run() // re-warm with the recorder installed

@@ -12,7 +12,7 @@ import (
 )
 
 // driveJob is one superstep's assignment for a cluster-side endpoint
-// driver: finish the superstep with this rest outbox.
+// driver: finish the superstep with this outbox.
 type driveJob[M any] struct {
 	step int
 	out  []transport.Envelope[M]
@@ -34,7 +34,7 @@ type Transport[M any] struct {
 	drive []chan driveJob[M]
 	wg    sync.WaitGroup
 	errs  []error
-	// inboxes are what Finish hands the cluster: endpoint i's inbox,
+	// inboxes are what Exchange hands the caller: endpoint i's inbox,
 	// which its next FinishSuperstep decodes over.
 	inboxes [][]transport.Envelope[M]
 
@@ -92,55 +92,29 @@ func (t *Transport[M]) driver(i int) {
 	}
 }
 
-// Begin implements transport.Transport: it opens the superstep on every
-// endpoint, arming the per-superstep deadline guards and releasing all
-// readers so frames are consumed as they arrive. Endpoints are
-// opened serially under the transport mutex — the same t.mu→e.mu lock
-// order as Close — which is cheap (no I/O happens in an endpoint
-// BeginSuperstep, it only parks jobs on buffered channels) and gives
-// SendBatch a consistent "all open" view.
-func (t *Transport[M]) Begin(ctx context.Context, step int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return fmt.Errorf("tcp: begin superstep %d on closed transport: %w", step, net.ErrClosed)
-	}
-	for i, e := range t.eps {
-		if err := e.BeginSuperstep(ctx, step); err != nil {
-			return fmt.Errorf("tcp: machine %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// SendBatch implements transport.Transport: machine from's eager batch
-// for machine to goes straight to from's endpoint, which encodes and
-// writes it on the calling goroutine. Called concurrently from the
-// machines' compute goroutines (distinct senders), per the contract;
-// each endpoint serialises its own state under its own mutex, so no
-// transport-level lock is needed — or wanted, it would serialise the
-// very sends eager emission exists to overlap.
-func (t *Transport[M]) SendBatch(from, to transport.MachineID, batch []transport.Envelope[M]) error {
-	if int(from) < 0 || int(from) >= len(t.eps) {
-		return fmt.Errorf("tcp: SendBatch from invalid machine %d", from)
-	}
-	return t.eps[from].StreamBatch(to, batch)
-}
-
-// Finish implements transport.Transport: the superstep's barrier. Every
-// endpoint ships its rest envelopes over its sockets concurrently
-// (signalled to the persistent drivers) and drains its readers (eager
-// and rest frames alike) before any inbox is released to the cluster.
-func (t *Transport[M]) Finish(ctx context.Context, step int, rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
+// Exchange implements transport.Transport: one whole superstep with
+// nothing emitted eagerly. Every endpoint opens the superstep — serially
+// under the transport mutex, the same t.mu→e.mu lock order as Close,
+// which is cheap (an endpoint's BeginSuperstep does no I/O, it only
+// releases its readers) — then ships its outbox over its sockets
+// concurrently (signalled to the persistent drivers) and drains its
+// readers before any inbox is released to the caller.
+func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
 	k := len(t.eps)
-	if len(rest) != k {
-		return nil, fmt.Errorf("tcp: got %d outboxes for a %d-machine cluster", len(rest), k)
+	if len(outs) != k {
+		return nil, fmt.Errorf("tcp: got %d outboxes for a %d-machine cluster", len(outs), k)
 	}
 
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		return nil, fmt.Errorf("tcp: finish superstep %d on closed transport: %w", step, net.ErrClosed)
+		return nil, fmt.Errorf("tcp: superstep %d on closed transport: %w", step, net.ErrClosed)
+	}
+	for i, e := range t.eps {
+		if err := e.BeginSuperstep(ctx, step); err != nil {
+			t.mu.Unlock()
+			return nil, fmt.Errorf("tcp: machine %d: %w", i, err)
+		}
 	}
 	for i := 0; i < k; i++ {
 		t.errs[i] = nil
@@ -148,7 +122,7 @@ func (t *Transport[M]) Finish(ctx context.Context, step int, rest [][]transport.
 	}
 	t.wg.Add(k)
 	for i := 0; i < k; i++ {
-		t.drive[i] <- driveJob[M]{step: step, out: rest[i]}
+		t.drive[i] <- driveJob[M]{step: step, out: outs[i]}
 	}
 	t.mu.Unlock()
 	t.wg.Wait()
@@ -183,14 +157,6 @@ func (t *Transport[M]) Finish(ctx context.Context, step int, rest [][]transport.
 		return nil, first
 	}
 	return t.inboxes, nil
-}
-
-// Exchange implements transport.Transport: Begin, then Finish.
-func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
-	if err := t.Begin(ctx, step); err != nil {
-		return nil, err
-	}
-	return t.Finish(ctx, step, outs)
 }
 
 // WireStats sums the physical-layer counters of every endpoint: total

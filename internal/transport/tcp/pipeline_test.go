@@ -139,23 +139,14 @@ func TestInlineWritesOverFullSocketBuffers(t *testing.T) {
 	}
 
 	lb := inmem.New[[]byte](k)
-	defer lb.Close()
 	for step := 0; step < supersteps; step++ {
 		p := plans(step)
-		ctx := context.Background()
-		if err := lb.Begin(ctx, step); err != nil {
-			t.Fatal(err)
-		}
-		for i := range p {
-			if err := lb.SendBatch(transport.MachineID(i), p[i].to, p[i].streamed); err != nil {
-				t.Fatal(err)
-			}
-		}
 		rest := make([][]transport.Envelope[[]byte], k)
 		for i := range p {
+			lb.Stage(transport.MachineID(i), p[i].to, p[i].streamed)
 			rest[i] = p[i].rest
 		}
-		want, err := lb.Finish(ctx, step, rest)
+		want, err := lb.Deliver(rest)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -136,8 +136,7 @@ type Endpoint[M any] struct {
 	rxRow     [][]byte // per-peer received row
 	inbox     []transport.Envelope[M]
 
-	// Open-superstep state (the per-machine half of
-	// transport.Transport).
+	// Open-superstep state.
 	// Guarded by mu where concurrent with StreamBatch; the
 	// Begin→drive→Finish handoff provides the rest of the ordering.
 	strEmitted []bool      // peers already streamed to this superstep

@@ -1,7 +1,8 @@
 package kmachine_test
 
 // Checkpoint/recovery acceptance suite: a run killed with checkpointing
-// armed, then resumed from its sink on fresh machines — the pair the
+// armed — its victim's Step severs itself, on either link the same way
+// (runFaulted) — then resumed from its sink on fresh machines — the pair the
 // retry loop in internal/algo performs (its own test covers the loop) —
 // must land on output and Stats bit-identical to an unkilled golden
 // run, for every registry algorithm, on the in-process link and the
@@ -27,8 +28,6 @@ import (
 	"kmachine/internal/routing"
 	"kmachine/internal/testutil"
 	"kmachine/internal/transport"
-	"kmachine/internal/transport/chaos"
-	"kmachine/internal/transport/inmem"
 	"kmachine/internal/transport/node"
 	"kmachine/internal/transport/wire"
 	"kmachine/internal/triangle"
@@ -36,7 +35,8 @@ import (
 
 // fault is what a test arm does to its run besides running it: kill
 // machine victim in superstep at (never when at < 0) and, with seen
-// set, count per superstep what left the machines while it was open.
+// set on the socket link, count per superstep the frames written while
+// it was open.
 type fault struct {
 	victim, at int
 	seen       *sent
@@ -46,11 +46,10 @@ var noFault = fault{at: -1}
 
 func killAt(victim, step int) fault { return fault{victim: victim, at: step} }
 
-// sent counts, per superstep, what left the machines while the
-// superstep was open: in process the batches handed to the transport
-// mid-Step, over sockets every frame written (a complete superstep
-// writes a batch and a row frame per ordered pair). The first count of
-// superstep watch closes left.
+// sent counts, per superstep, the frames the socket link wrote while the
+// superstep was open (a complete superstep writes a batch and a row
+// frame per ordered pair). The first count of superstep watch closes
+// left.
 type sent struct {
 	mu    sync.Mutex
 	n     map[int]int
@@ -121,33 +120,14 @@ func runArm[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partition.I
 	return out, stats, runErr
 }
 
-// runFaulted runs the k machines on the link kind names under the fault f.
-// In process, chaos kills the victim at the superstep's Finish, once
-// every Step has run, and the spy counts the batches emitted mid-Step.
-// Over sockets the machines run as one job on a standing loopback mesh,
-// the victim's Step severs its own fabric — once the superstep has put
-// a frame on the wire, when counting — and the survivors' bounded reads
-// find out; the spy counts frame writes off the run's Recorder.
+// runFaulted runs the k machines on the link kind names under the fault
+// f: in process as a Cluster, over sockets as one job on a standing
+// loopback mesh. Either way the victim's Step severs it through that
+// fabric's Sever, and the survivors find out. Over sockets, f.seen
+// counts frame writes off the run's Recorder, and the victim waits for
+// the superstep's first frame before it severs.
 func runFaulted[M any](kind transport.Kind, cfg core.Config, codec wire.Codec[M], machine func(core.MachineID) core.Machine[M], f fault) (*core.Stats, error) {
-	if kind != transport.TCP {
-		var tr core.Transport[M] = inmem.New[M](cfg.K)
-		if f.at >= 0 {
-			tr = chaos.Wrap(tr, chaos.KillAt(core.MachineID(f.victim), f.at))
-		}
-		if f.seen != nil {
-			tr = &emitSpy[M]{Transport: tr, seen: f.seen}
-		}
-		defer tr.Close()
-		return core.NewCluster(cfg, machine).RunOn(tr, codec)
-	}
-	lm, err := node.NewLocalMesh(cfg.K)
-	if err != nil {
-		return nil, err
-	}
-	defer lm.Close()
-	if f.seen != nil {
-		cfg.Recorder = f.seen
-	}
+	var sever func(int) error
 	factory := machine
 	if f.at >= 0 {
 		factory = func(id core.MachineID) core.Machine[M] {
@@ -161,16 +141,30 @@ func runFaulted[M any](kind transport.Kind, cfg core.Config, codec wire.Codec[M]
 					case <-time.After(5 * time.Second):
 					}
 				}
-				lm.Sever(f.victim)
+				sever(f.victim)
 			}}
 		}
+	}
+	if kind != transport.TCP {
+		c := core.NewCluster(cfg, factory)
+		sever = c.Sever
+		return c.RunOn(codec)
+	}
+	lm, err := node.NewLocalMesh(cfg.K)
+	if err != nil {
+		return nil, err
+	}
+	defer lm.Close()
+	sever = lm.Sever
+	if f.seen != nil {
+		cfg.Recorder = f.seen
 	}
 	stats, _, err := node.RunJobLocal(lm, cfg, 1, codec, factory)
 	return stats, err
 }
 
-// severing is a socket arm's victim: its Step in superstep at runs, then
-// kills it. It forwards the machine's state codec, so a checkpointed
+// severing is a faulted run's victim: its Step in superstep at runs,
+// then kills it. It forwards the machine's state codec, so a checkpointed
 // run captures it like any other.
 type severing[M any] struct {
 	core.Machine[M]
@@ -325,9 +319,7 @@ func snapshotRoundTrip[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in 
 	run := func(machines []algo.Machine[M, L]) (O, *core.Stats) {
 		cfg := core.Config{K: k, Bandwidth: core.DefaultBandwidth(failN), Seed: 13}
 		cluster := core.NewCluster(cfg, func(id core.MachineID) core.Machine[M] { return machines[id] })
-		tr := inmem.New[M](k)
-		defer tr.Close()
-		stats, err := cluster.RunOn(tr, nil)
+		stats, err := cluster.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
