@@ -8,21 +8,21 @@ import (
 )
 
 // Allocation-regression fence for the persistent-worker engine: a
-// steady-state superstep — workers stepping, one batch emitted eagerly
-// and one envelope left as rest per machine, emitter reset/record, the
-// sparse link accounting fold, Begin/SendBatch/Finish with
-// count-then-place inbox assembly in the loopback transport — must not
-// allocate. The test runs a k=8 cluster for many supersteps with a
-// fixed traffic pattern and asserts the whole run stays under a budget
-// that only covers one-time setup (engine state, emitters, transport
-// buffers, machine closures, PerSuperstep growth); if a per-superstep
-// allocation sneaks back into the hot path it blows the budget
-// immediately (supersteps × k ≈ 1600 extra allocations).
+// steady-state superstep — workers stepping, one batch emitted and one
+// envelope left as rest per machine, emitter reset/record, the sparse
+// link accounting fold, the rendezvous with count-then-place inbox
+// assembly in the loopback — must not allocate. The test runs a k=8
+// cluster for many supersteps with a fixed traffic pattern and asserts
+// the whole run stays under a budget that only covers one-time setup
+// (engine state, emitters, transport buffers, machine closures,
+// PerSuperstep growth); if a per-superstep allocation sneaks back into
+// the hot path it blows the budget immediately (supersteps × k ≈ 1600
+// extra allocations).
 
 type allocMsg struct{ payload [2]int64 }
 
 // ringMachine sends one envelope to each ring neighbour per superstep:
-// the next neighbour's as an eagerly emitted batch when emit is set,
+// the next neighbour's as an emitted batch when emit is set,
 // everything else in the returned outs.
 func ringMachine(supersteps int, emit bool) Machine[allocMsg] {
 	next := make([]Envelope[allocMsg], 0, 1)
@@ -121,7 +121,7 @@ func allPeersBatch(step, from, to int) []Envelope[allocMsg] {
 }
 
 // An envelope is delivered and costs the same whether it was emitted
-// mid-Step or left as rest: every inbox holds what each sender sent to
+// or left as rest: every inbox holds what each sender sent to
 // it, in sender order with the machine's own envelopes in its place, and
 // the accounting folds the emitters' records and the rest loads into one
 // link-load matrix, so inboxes and Stats must be identical either way.

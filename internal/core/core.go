@@ -87,11 +87,10 @@ type StepContext struct {
 	// has access to a private source of true random bits").
 	RNG *rng.RNG
 
-	// emitter is the machine's eager per-peer emission hook (a
-	// *Emitter[M] bound by Drive); nil only when
-	// a Step is driven outside a run. It is reached through the generic
-	// package-level EmitBatch/EmitBuckets, because StepContext itself is
-	// deliberately non-generic.
+	// emitter is the machine's per-peer emission record (a *Emitter[M]
+	// bound by Drive); nil only when a Step is driven outside a run. It
+	// is reached through the generic package-level EmitBatch/EmitBuckets,
+	// because StepContext itself is deliberately non-generic.
 	emitter any
 }
 

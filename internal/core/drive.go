@@ -18,17 +18,17 @@ import (
 //	check MaxSupersteps, run context
 //	arm the superstep deadline
 //	Begin(s) ───────────────────────────────▶ open superstep s
-//	Step(inbox)  ── EmitBatch ──────────────▶ Send(to, batch)
-//	recover panic; check run context, emitter
+//	Step(inbox), EmitBatch records batches
+//	recover panic; check run context
 //	validate + From-stamp rest, fill my Row
-//	Round(s, row, rest) ────────────────────▶ deliver, then rule
+//	Round(s, row, batches, rest) ───────────▶ deliver, then rule
 //	  continue: inbox for s+1; checkpoint my part
 //	  stop:     return the run's Stats
 //	  abort:    return the reported error
 //
 // Everything the model defines once is here; what differs between "k
 // machines in one process" and "one machine per process" is only how a
-// superstep's rest envelopes become an inbox and how its k rows become a
+// superstep's envelopes become an inbox and how its k rows become a
 // verdict, and that is the Link (local.go here, transport/node over
 // sockets). One order holds on every link: a superstep is delivered,
 // then charged — a superstep whose exchange failed is in neither the
@@ -37,17 +37,17 @@ import (
 // Link is one machine's connection to the rest of the cluster.
 type Link[M any] interface {
 	// Begin opens superstep step; ctx bounds the whole superstep, compute
-	// included, because the wire is live while the machine computes.
+	// included, because peers that finished first are already sending.
 	Begin(ctx context.Context, step int) error
-	// Send ships one finished, validated batch to peer to while the
-	// machine is still computing: at most one per peer per superstep.
-	Send(to MachineID, batch []Envelope[M]) error
-	// Round closes the superstep: it delivers rest (this machine's
-	// envelopes not sent eagerly, self-addressed ones included) together
-	// with every other machine's, submits row, and returns the verdict
-	// all k machines get alike — with, on continue, the inbox of step+1,
-	// assembled in sender order. An error means the link is dead.
-	Round(ctx context.Context, step int, row *Row, rest []Envelope[M]) (Verdict, []Envelope[M], error)
+	// Round closes the superstep: it delivers this machine's envelopes —
+	// batches[j], the validated batch emitted to peer j (nil when none),
+	// and rest, the others, self-addressed ones included; never both for
+	// one peer — together with every other machine's, submits row, and
+	// returns the verdict all k machines get alike — with, on continue,
+	// the inbox of step+1, assembled in sender order. batches and rest
+	// belong to the link until Round returns. An error means the link is
+	// dead.
+	Round(ctx context.Context, step int, row *Row, batches [][]Envelope[M], rest []Envelope[M]) (Verdict, []Envelope[M], error)
 }
 
 // Driver is what Drive needs to run one machine: the run's Config and
@@ -87,7 +87,7 @@ func Drive[M any](d Driver[M]) (*Stats, error) {
 	self := MachineID(d.ID)
 	rand := rng.NewStream(d.Seed, uint64(d.ID))
 	r := &run[M]{Driver: d, sc: StepContext{Self: self, K: d.K, RNG: rand},
-		em:  Emitter[M]{send: d.Link.Send, self: self, k: d.K, emitted: make([]bool, d.K), touched: make([]int32, 0, d.K)},
+		em:  Emitter[M]{self: self, k: d.K, batches: make([][]Envelope[M], d.K)},
 		row: Row{Words: make([]int64, d.K)}}
 	r.sc.emitter, r.em.row = &r.em, &r.row
 
@@ -162,7 +162,7 @@ func (r *run[M]) superstep(step int, inbox []Envelope[M]) (Verdict, []Envelope[M
 		sctx, cancel = context.WithTimeout(r.Context, r.SuperstepTimeout)
 		defer cancel()
 	}
-	r.em.reset()
+	clear(r.em.batches)
 	if err := r.Link.Begin(sctx, step); err != nil {
 		return Verdict{}, nil, err
 	}
@@ -177,23 +177,20 @@ func (r *run[M]) superstep(step int, inbox []Envelope[M]) (Verdict, []Envelope[M
 			Machine: int32(r.ID), Peer: -1, Superstep: int32(step), Phase: obs.PhaseCompute})
 	}
 	// Second cancellation point: a cancel that landed while the machine
-	// was stepping aborts before its rest envelopes reach the link.
+	// was stepping aborts before its envelopes reach the link.
 	if err := r.Context.Err(); err != nil {
 		return Verdict{}, nil, fmt.Errorf("core: machine %d canceled in superstep %d: %w", r.ID, step, err)
-	}
-	// A failed eager send means the link is dead or dying: no verdict
-	// can carry the news, so it is this machine's error.
-	if err := r.em.err; err != nil {
-		return Verdict{}, nil, fmt.Errorf("core: machine %d emit failed in superstep %d: %w", r.ID, step, err)
 	}
 	if failure == "" {
 		failure = r.account(out, step)
 	}
 	r.row.Done, r.row.Err = done, failure
+	batches := r.em.batches
 	if failure != "" {
-		out = nil // the round still runs: peers must not wait on this machine
+		// The round still runs, empty: peers must not wait on this machine.
+		batches, out = nil, nil
 	}
-	v, next, err := r.Link.Round(sctx, step, &r.row, out)
+	v, next, err := r.Link.Round(sctx, step, &r.row, batches, out)
 	r.row.Reset()
 	if err != nil {
 		// A run canceled mid-superstep surfaces from the link as teardown
@@ -221,10 +218,11 @@ func (r *run[M]) step(inbox []Envelope[M]) (out []Envelope[M], done bool, failur
 // the row, next to what the emitter charged. Mixing per peer is forbidden
 // — a machine that emitted a batch to j must not also return rest
 // envelopes for j — which keeps each receiver's per-sender envelope
-// order, and hence the golden output hashes, schedule-independent.
+// order, and hence the golden output hashes, independent of which way
+// a batch was handed over.
 func (r *run[M]) account(out []Envelope[M], step int) (failure string) {
 	em, row := &r.em, &r.row
-	row.Pending = len(out) > 0 || len(em.touched) > 0
+	row.Pending = len(out) > 0 || row.Messages > 0 // emitted batches are charged already
 	for i := range out {
 		env := &out[i]
 		if env.To < 0 || int(env.To) >= r.K {
@@ -237,7 +235,7 @@ func (r *run[M]) account(out []Envelope[M], step int) (failure string) {
 		if env.To == r.sc.Self {
 			continue // self-addressed envelopes are free
 		}
-		if em.emitted[env.To] {
+		if em.batches[env.To] != nil {
 			return fmt.Sprintf("core: machine %d returned envelopes for machine %d after emitting a batch to it in superstep %d", r.ID, env.To, step)
 		}
 		row.Messages++

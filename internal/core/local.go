@@ -14,8 +14,7 @@ import (
 
 // This file is the in-process Link: the k drivers of a cluster that
 // lives in one process share one rendezvous over the loopback (inmem).
-// A batch a machine emits mid-Step is staged there at once; each
-// superstep the drivers meet once, in Round, and the last to arrive
+// Each superstep the drivers meet once, in Round, and the last to arrive
 // rules the superstep and, when the run goes on, delivers and charges
 // it, while the others stay parked. Because the verdict is known before
 // anything is delivered, the final silent superstep delivers nothing.
@@ -43,8 +42,9 @@ type rendezvous[M any] struct {
 	err     error // first failure: every driver returns it
 
 	// Handed over through Round; only the last arriver reads them.
-	rows  []*Row
-	rests [][]Envelope[M]
+	rows    []*Row
+	batches [][][]Envelope[M]
+	rests   [][]Envelope[M]
 	// The last arriver's results, read by everyone after the release.
 	verdict Verdict
 	inboxes [][]Envelope[M]
@@ -53,7 +53,7 @@ type rendezvous[M any] struct {
 
 func newRendezvous[M any](coord *Coordinator, rec obs.Recorder, k int) *rendezvous[M] {
 	rv := &rendezvous[M]{lb: inmem.New[M](k), coord: coord, rec: rec,
-		rows: make([]*Row, k), rests: make([][]Envelope[M], k)}
+		rows: make([]*Row, k), batches: make([][][]Envelope[M], k), rests: make([][]Envelope[M], k)}
 	rv.cond.L = &rv.mu
 	return rv
 }
@@ -73,21 +73,14 @@ func (l *localLink[M]) Begin(_ context.Context, step int) error {
 	return rv.err
 }
 
-// Send stages the batch; the last arriver's delivery copies it out, once
-// every Step of the superstep has returned.
-func (l *localLink[M]) Send(to MachineID, batch []Envelope[M]) error {
-	l.rv.lb.Stage(MachineID(l.id), to, batch)
-	return nil
-}
-
-func (l *localLink[M]) Round(ctx context.Context, step int, row *Row, rest []Envelope[M]) (Verdict, []Envelope[M], error) {
+func (l *localLink[M]) Round(ctx context.Context, step int, row *Row, batches [][]Envelope[M], rest []Envelope[M]) (Verdict, []Envelope[M], error) {
 	rv := l.rv
 	var t1 int64
 	if rv.rec != nil {
 		t1 = obs.Now()
 	}
 	rv.mu.Lock()
-	rv.rows[l.id], rv.rests[l.id] = row, rest
+	rv.rows[l.id], rv.batches[l.id], rv.rests[l.id] = row, batches, rest
 	gen := rv.gen
 	if rv.arrived++; rv.arrived == len(rv.rows) && rv.err == nil {
 		// Last to arrive: everyone else is parked in Wait below, so nobody
@@ -150,7 +143,7 @@ func (rv *rendezvous[M]) close(ctx context.Context, step int) (Verdict, [][]Enve
 	if rv.rec != nil {
 		x0 = obs.Now()
 	}
-	inboxes, err := rv.lb.Deliver(rv.rests)
+	inboxes, err := rv.lb.Deliver(rv.batches, rv.rests)
 	if rv.rec != nil {
 		rv.rec.Record(obs.Span{Start: x0, Dur: obs.Now() - x0,
 			Machine: -1, Peer: -1, Superstep: int32(step), Phase: obs.PhaseExchange})

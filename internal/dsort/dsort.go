@@ -108,8 +108,8 @@ type sortMachine struct {
 	sizesIn   int
 
 	// buckets[j] collects the superstep's envelopes addressed to machine
-	// j; core.EmitBuckets hands the non-self buckets to the transport
-	// and returns the self-addressed one as the rest.
+	// j; core.EmitBuckets hands the non-self buckets to the round and
+	// returns the self-addressed one as the rest.
 	buckets [][]core.Envelope[wire]
 	// sortTmp is the radix-sort ping-pong buffer, shared by the three
 	// key sorts of a run.

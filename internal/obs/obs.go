@@ -53,8 +53,7 @@ const (
 	// PhaseFrameWrite is one tcp endpoint encoding and shipping one
 	// frame to a peer (Peer names the destination, Bytes the on-wire
 	// frame size), on the goroutine that made the frame — so it nests
-	// inside that machine's compute span (StreamBatch) or exchange span
-	// (FinishSuperstep).
+	// inside that machine's exchange span (FinishSuperstep).
 	PhaseFrameWrite
 	// PhaseFrameRead is one tcp reader worker blocking for its peer's
 	// batch frame. The duration is dominated by stall — waiting for the

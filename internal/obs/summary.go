@@ -126,7 +126,7 @@ func Summarize(spans []Span) RunSummary {
 	r.Compute = aggregate(durs[PhaseCompute])
 	r.Barrier = aggregate(durs[PhaseBarrier])
 	r.Exchange = aggregate(durs[PhaseExchange])
-	for _, v := range unionInto(ivs, nil) {
+	for _, v := range union(ivs) {
 		r.CoveredNs += v[1] - v[0]
 	}
 	if r.WallNs > 0 {
@@ -135,11 +135,10 @@ func Summarize(spans []Span) RunSummary {
 	return r
 }
 
-// unionInto merges the intervals in ivs (sorted in place by lo) and
-// returns the merged list appended to out.
-func unionInto(ivs, out [][2]int64) [][2]int64 {
+// union merges the intervals in ivs (sorted in place by lo).
+func union(ivs [][2]int64) (out [][2]int64) {
 	if len(ivs) == 0 {
-		return out
+		return nil
 	}
 	sort.Slice(ivs, func(i, j int) bool { return ivs[i][0] < ivs[j][0] })
 	cur := ivs[0]
@@ -154,54 +153,4 @@ func unionInto(ivs, out [][2]int64) [][2]int64 {
 		}
 	}
 	return append(out, cur)
-}
-
-// Overlap measures how much of the run's compute time the wire was
-// simultaneously active: |union(compute spans) ∩ union(frame-write
-// spans)| / |union(compute spans)|, over the whole trace. A run that
-// wrote every frame strictly after the superstep's last Step returned
-// would read ~0; eagerly emitted batches push it above zero, and the
-// ratio quantifies how much of the exchange the overlap actually hid.
-//
-// Frame WRITES, not reads, are the wire side of the intersection
-// deliberately: a parked reader's span covers its whole wait, so under
-// eager reader dispatch read spans blanket the compute window even when
-// no byte moves, and counting them would report perfect overlap for
-// runs that ship everything at the barrier. Returns 0 for a trace with
-// no compute or no frame-write spans.
-func Overlap(spans []Span) float64 {
-	var compute, write [][2]int64
-	for _, s := range spans {
-		switch s.Phase {
-		case PhaseCompute:
-			compute = append(compute, [2]int64{s.Start, s.End()})
-		case PhaseFrameWrite:
-			write = append(write, [2]int64{s.Start, s.End()})
-		}
-	}
-	cu := unionInto(compute, nil)
-	wu := unionInto(write, nil)
-	var computeNs, overlapNs int64
-	for _, c := range cu {
-		computeNs += c[1] - c[0]
-	}
-	if computeNs == 0 {
-		return 0
-	}
-	// Both unions are sorted and disjoint: a linear two-pointer sweep
-	// accumulates the intersection.
-	i, j := 0, 0
-	for i < len(cu) && j < len(wu) {
-		lo := max(cu[i][0], wu[j][0])
-		hi := min(cu[i][1], wu[j][1])
-		if hi > lo {
-			overlapNs += hi - lo
-		}
-		if cu[i][1] < wu[j][1] {
-			i++
-		} else {
-			j++
-		}
-	}
-	return float64(overlapNs) / float64(computeNs)
 }

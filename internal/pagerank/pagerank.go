@@ -151,9 +151,8 @@ type machine struct {
 	beta    []int64
 	// buckets[j] collects the superstep's envelopes addressed to machine
 	// j (per-destination program order preserved — see routing.Route);
-	// core.EmitBuckets hands each non-self bucket to the transport as
-	// soon as the Step finalises it and returns the self-addressed one
-	// as the rest.
+	// core.EmitBuckets hands each non-self bucket to the round as it is
+	// and returns the self-addressed one as the rest.
 	buckets [][]core.Envelope[wire]
 
 	iter int
@@ -264,7 +263,7 @@ func (m *machine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]co
 	// bucket, so a machine with empty buckets holds no token: it votes
 	// done, and the run halts once every machine does. Past the cap the
 	// same vote freezes the tokens. The vote reads what the superstep
-	// PRODUCED, the buckets, not what eager emission leaves as the rest.
+	// PRODUCED, the buckets, not what emission leaves as the rest.
 	done := m.iter >= m.opts.Iterations
 	if even {
 		done = true

@@ -39,7 +39,7 @@ type Hop[M any] struct {
 // core.EmitBuckets hands to the link. Appending a call's envelope to
 // bucket j preserves the program order of all envelopes addressed to
 // j, and inbox assembly orders by (sender, per-sender program order),
-// so no inbox depends on when its bucket left the sender.
+// so no inbox depends on whether its bucket was emitted or returned.
 
 // Route appends an envelope carrying msg towards final to final's own
 // bucket if it is no longer than that of an intermediate drawn from r

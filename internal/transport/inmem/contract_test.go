@@ -4,8 +4,8 @@ package inmem_test
 // the benchmark times: the loopback and the loopback-TCP mesh fixture.
 // Exchange must return sender-ID-ordered inboxes with self-delivery in
 // place, and leave the caller free to recycle its outboxes once it
-// returns. (The eager half of the in-process link, Stage and Deliver, is
-// core's: TestEmittedAndRestAccountIdentically compares its inboxes.)
+// returns. (Deliver with emitted batches is the in-process link's:
+// core's TestEmittedAndRestAccountIdentically compares its inboxes.)
 
 import (
 	"context"

@@ -1,11 +1,11 @@
 // Package inmem is the in-process loopback: the shuffle that turns one
 // superstep's envelopes into the k inboxes when all k machines share a
-// process. core's in-process link stages each sender's emitted batches
-// (Stage) while the machines compute and delivers the superstep (Deliver)
-// once the last of them has arrived; Exchange is the same delivery with
-// nothing staged, kept for the benchmark's transport.Transport rows.
+// process. core's in-process link delivers each superstep (Deliver) once
+// the last of its machines has arrived; Exchange is the same delivery
+// with nothing emitted, kept for the benchmark's transport.Transport
+// rows.
 //
-// Deliver assembles inboxes count-then-place: one pass over the staged
+// Deliver assembles inboxes count-then-place: one pass over the emitted
 // batches and the rest outboxes counts the per-destination envelopes,
 // the k inboxes are then carved out of a single flat buffer, and a
 // second pass places every envelope at its final position. The flat
@@ -32,14 +32,6 @@ type Transport[M any] struct {
 
 	counts []int // per-destination envelope counts / placement cursors
 	starts []int // prefix offsets of each inbox within flat
-
-	// Emitted-batch staging: Stage runs concurrently, one goroutine per
-	// sender, so the staged batches are indexed [from*k+to] and each
-	// sender records the pairs it touched in its own list — no two
-	// goroutines ever write the same slot. Deliver clears the slots as it
-	// copies them out, keeping the steady state allocation-free.
-	staged [][]transport.Envelope[M] // [from*k+to], nil when not staged
-	pairs  [][]int32                 // per-sender list of staged destinations
 }
 
 // New returns the loopback for a k-machine cluster.
@@ -47,48 +39,35 @@ func New[M any](k int) *Transport[M] {
 	if k < 2 {
 		panic(fmt.Sprintf("inmem: need k >= 2 machines, got %d", k))
 	}
-	t := &Transport[M]{
+	return &Transport[M]{
 		k:       k,
 		inboxes: make([][]transport.Envelope[M], k),
 		counts:  make([]int, k),
 		starts:  make([]int, k+1),
-		staged:  make([][]transport.Envelope[M], k*k),
-		pairs:   make([][]int32, k),
 	}
-	for i := range t.pairs {
-		t.pairs[i] = make([]int32, 0, k)
-	}
-	return t
-}
-
-// Stage records machine from's emitted batch for peer to; the next
-// Deliver copies it into inbox to, in from's place. The pair must be
-// valid and new this superstep (core.EmitBatch refuses any other), and
-// the caller keeps the slice, unmutated until Deliver returns. Safe for
-// concurrent calls with distinct senders.
-func (t *Transport[M]) Stage(from, to transport.MachineID, batch []transport.Envelope[M]) {
-	t.staged[int(from)*t.k+int(to)] = batch
-	t.pairs[from] = append(t.pairs[from], int32(to))
 }
 
 // Deliver assembles the superstep's inboxes: inboxes[j] holds, sender by
-// sender in machine order, what each sent to j — its staged batch for j,
-// or its rest envelopes for j (rest[i] is machine i's, self-addressed
-// ones included; a sender never has both for one peer). A rest envelope
-// addressed to no machine is an error, and nothing is delivered. The
-// inboxes stay valid until the next Deliver, which assembles over them;
-// rest stays the caller's.
-func (t *Transport[M]) Deliver(rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
+// sender in machine order, what each sent to j — its emitted batch for
+// j, or its rest envelopes for j (batches[i][j] is machine i's batch for
+// j, nil when none, and batches may be nil when no machine emitted;
+// rest[i] is machine i's rest, self-addressed envelopes included; a
+// sender never has both for one peer). A rest envelope addressed to no
+// machine is an error, and nothing is delivered. The inboxes stay valid
+// until the next Deliver, which assembles over them; batches and rest
+// stay the caller's.
+func (t *Transport[M]) Deliver(batches [][][]transport.Envelope[M], rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
 	counts := t.counts
 	for i := range counts {
 		counts[i] = 0
 	}
 	total := 0
 	for i := range rest {
-		for _, to := range t.pairs[i] {
-			n := len(t.staged[i*t.k+int(to)])
-			counts[to] += n
-			total += n
+		if batches != nil {
+			for to, b := range batches[i] {
+				counts[to] += len(b)
+				total += len(b)
+			}
 		}
 		for j := range rest[i] {
 			to := rest[i][j].To
@@ -112,13 +91,12 @@ func (t *Transport[M]) Deliver(rest [][]transport.Envelope[M]) ([][]transport.En
 		counts[j] = starts[j] // reuse counts as the placement cursors
 	}
 	for i := range rest {
-		for _, to := range t.pairs[i] {
-			slot := &t.staged[i*t.k+int(to)]
-			copy(flat[counts[to]:], *slot)
-			counts[to] += len(*slot)
-			*slot = nil
+		if batches != nil {
+			for to, b := range batches[i] {
+				copy(flat[counts[to]:], b)
+				counts[to] += len(b)
+			}
 		}
-		t.pairs[i] = t.pairs[i][:0]
 		for j := range rest[i] {
 			to := rest[i][j].To
 			flat[counts[to]] = rest[i][j]
@@ -133,12 +111,12 @@ func (t *Transport[M]) Deliver(rest [][]transport.Envelope[M]) ([][]transport.En
 	return t.inboxes, nil
 }
 
-// Exchange implements transport.Transport: Deliver with nothing staged.
+// Exchange implements transport.Transport: Deliver with nothing emitted.
 func (t *Transport[M]) Exchange(_ context.Context, _ int, outs [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
 	if len(outs) != t.k {
 		return nil, fmt.Errorf("inmem: got %d outboxes for a %d-machine cluster", len(outs), t.k)
 	}
-	return t.Deliver(outs)
+	return t.Deliver(nil, outs)
 }
 
 // Close implements transport.Transport; the loopback holds nothing to

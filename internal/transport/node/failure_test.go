@@ -57,10 +57,10 @@ func loopbackEndpoints(t *testing.T, k int) []*tcp.Endpoint[failMsg] {
 // victim machine executes onVictimStep(eps) inside its Step at
 // superstep failStep (before emitting). Machines chatter endlessly, so
 // only the fault can end the run: each emits a three-envelope batch to
-// `eager` peers mid-Step, written on the Step's own goroutine, and leaves
-// one envelope for its ring neighbour. Returns the k runNode errors once
+// `eager` peers, written with its row in the round, and leaves one
+// envelope for its ring neighbour. Returns the k runNode errors once
 // every loop has exited; a cluster that fails to drain within 30s fails
-// the test with a full goroutine dump — that is the hang this PR fixes.
+// the test with a full goroutine dump, the hang the fault must not cause.
 func runMeshWithFault(t *testing.T, k, eager, victim, failStep int, timeout time.Duration, onVictimStep func(eps []*tcp.Endpoint[failMsg])) []error {
 	t.Helper()
 	eps := loopbackEndpoints(t, k)

@@ -62,13 +62,18 @@ type Place struct {
 // the mesh, attach job 0 to it, then drive supersteps until the rows
 // call the computation complete. The returned Stats are the full
 // cluster statistics, which every node accounts from the same rows, so
-// every node of a successful run returns identical Stats.
+// every node of a successful run returns identical Stats. It refuses
+// cfg.Checkpoint.Every > 0: a cut needs all k parts in one process
+// (core.Assembler), and this one holds only its own.
 func Run[M any](cfg core.Config, at Place, m core.Machine[M], codec wire.Codec[M]) (*core.Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if at.ID < 0 || at.ID >= cfg.K {
 		return nil, fmt.Errorf("node: invalid id %d for k=%d", at.ID, cfg.K)
+	}
+	if cfg.Checkpoint.Every > 0 {
+		return nil, fmt.Errorf("node: machine %d of a multi-process cluster can never complete a cut: checkpointing needs all k machines in one process", at.ID)
 	}
 	mesh, err := tcp.ListenMesh(at.ID, cfg.K, at.Listen)
 	if err != nil {
@@ -83,7 +88,7 @@ func Run[M any](cfg core.Config, at Place, m core.Machine[M], codec wire.Codec[M
 		return nil, err
 	}
 	defer ep.Close()
-	return runNode(cfg, at.ID, ep, m, codec, core.NewAssembler(cfg.Checkpoint, cfg.K))
+	return runNode(cfg, at.ID, ep, m, codec, nil)
 }
 
 // RunLocal spawns the full k-machine cluster over loopback TCP inside
@@ -183,17 +188,13 @@ func (l *socketLink[M]) Begin(ctx context.Context, step int) error {
 	return l.ep.BeginSuperstep(ctx, step)
 }
 
-func (l *socketLink[M]) Send(to core.MachineID, batch []core.Envelope[M]) error {
-	return l.ep.StreamBatch(to, batch)
-}
-
-func (l *socketLink[M]) Round(_ context.Context, step int, row *core.Row, rest []core.Envelope[M]) (core.Verdict, []core.Envelope[M], error) {
+func (l *socketLink[M]) Round(_ context.Context, step int, row *core.Row, batches [][]core.Envelope[M], rest []core.Envelope[M]) (core.Verdict, []core.Envelope[M], error) {
 	// The exchange span is this node's data-plane barrier, the barrier
 	// span its local ruling, both with Machine = ID: every node performs
 	// its own.
 	l.buf = appendReport(l.buf[:0], step, row)
 	t0 := l.now()
-	next, rows, err := l.ep.FinishSuperstep(step, rest, l.buf)
+	next, rows, err := l.ep.FinishSuperstep(step, batches, rest, l.buf)
 	l.span(t0, step, obs.PhaseExchange)
 	if err != nil {
 		return core.Verdict{}, nil, err

@@ -2,6 +2,8 @@ package node_test
 
 import (
 	"math"
+	"net"
+	"strings"
 	"testing"
 
 	"kmachine/internal/algo"
@@ -159,5 +161,23 @@ func TestRunLocalPageRankMatchesInMemory(t *testing.T) {
 	}
 	if got != n {
 		t.Errorf("nodes output %d estimates, want %d", got, n)
+	}
+}
+
+// TestRunRefusesCheckpointing: one process of a multi-process cluster
+// holds one part of k, so it can never complete a cut, and node.Run
+// refuses a checkpoint policy before it listens. The listen address is
+// taken, so a listen would fail with another error.
+func TestRunRefusesCheckpointing(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	cfg := core.Config{K: 2, Bandwidth: 1, Checkpoint: core.CheckpointPolicy{Every: 1, Sink: core.NewMemorySink(0)}}
+	at := node.Place{ID: 0, Listen: taken.Addr().String(), Peers: []string{taken.Addr().String(), "127.0.0.1:1"}}
+	_, err = node.Run(cfg, at, ringFactory(t, 2)(0), echoCodec{})
+	if err == nil || !strings.Contains(err.Error(), "never complete a cut") {
+		t.Fatalf("node.Run with Checkpoint.Every = 1: got %v, want the refusal", err)
 	}
 }

@@ -3,8 +3,8 @@ package tcp
 // Allocation-regression fence for the persistent exchange pipeline, in
 // the spirit of internal/core/alloc_test.go: once the mesh is built and
 // its buffers have grown to the working set, a steady-state superstep —
-// release the parked readers, write one batch per machine mid-superstep
-// on the calling goroutine and the rest at the finish,
+// release the parked readers, write one emitted batch and the rest per
+// machine at the finish on the calling goroutine,
 // encode/ship/receive/decode k(k-1) batch frames and as many row frames,
 // merge the inboxes — must not allocate. The budget covers only the measured loop's incidental noise
 // (runtime timer churn from connection deadlines); a per-superstep
@@ -35,13 +35,14 @@ func TestSteadyStateExchangeAllocBudget(t *testing.T) {
 
 	// Fixed ring traffic, reused slices: the caller-side pattern core's
 	// driver produces (batches and rest stay caller-owned until the
-	// superstep finishes). The next neighbour's envelope is streamed
-	// eagerly, the previous neighbour's left to the finish. Each endpoint
-	// runs the supersteps on its own goroutine, as a socket machine does.
-	eager := make([][]transport.Envelope[testMsg], k)
+	// superstep finishes). The next neighbour's envelope is an emitted
+	// batch, the previous neighbour's rest. Each endpoint runs the
+	// supersteps on its own goroutine, as a socket machine does.
+	eager := make([][][]transport.Envelope[testMsg], k)
 	rest := make([][]transport.Envelope[testMsg], k)
 	for i := 0; i < k; i++ {
-		eager[i] = []transport.Envelope[testMsg]{
+		eager[i] = make([][]transport.Envelope[testMsg], k)
+		eager[i][(i+1)%k] = []transport.Envelope[testMsg]{
 			{From: transport.MachineID(i), To: transport.MachineID((i + 1) % k), Words: 3, Msg: testMsg{Tag: int64(i)}}}
 		rest[i] = []transport.Envelope[testMsg]{
 			{From: transport.MachineID(i), To: transport.MachineID((i + k - 1) % k), Words: 2, Msg: testMsg{Tag: -int64(i)}}}
@@ -57,10 +58,7 @@ func TestSteadyStateExchangeAllocBudget(t *testing.T) {
 			if errs[i] = e.BeginSuperstep(ctx, s); errs[i] != nil {
 				return
 			}
-			if errs[i] = e.StreamBatch(transport.MachineID((i+1)%k), eager[i]); errs[i] != nil {
-				return
-			}
-			if _, _, errs[i] = e.FinishSuperstep(s, rest[i], nil); errs[i] != nil {
+			if _, _, errs[i] = e.FinishSuperstep(s, eager[i], rest[i], nil); errs[i] != nil {
 				return
 			}
 		}

@@ -82,7 +82,7 @@ func New[M any](k int, codec wire.Codec[M]) (*Transport[M], error) {
 // Close.
 func (t *Transport[M]) driver(i int) {
 	for job := range t.drive[i] {
-		inbox, _, err := t.eps[i].FinishSuperstep(job.step, job.out, nil)
+		inbox, _, err := t.eps[i].FinishSuperstep(job.step, nil, job.out, nil)
 		// On a FinishSuperstep error the endpoint has already closed
 		// itself; the close cascades error returns to every peer blocked
 		// on this endpoint's connections, so no driver hangs here.
@@ -93,7 +93,7 @@ func (t *Transport[M]) driver(i int) {
 }
 
 // Exchange implements transport.Transport: one whole superstep with
-// nothing emitted eagerly. Every endpoint opens the superstep — serially
+// nothing emitted. Every endpoint opens the superstep — serially
 // under the transport mutex, the same t.mu→e.mu lock order as Close,
 // which is cheap (an endpoint's BeginSuperstep does no I/O, it only
 // releases its readers) — then ships its outbox over its sockets

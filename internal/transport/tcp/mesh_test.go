@@ -39,8 +39,8 @@ func jobExchange(eps []*Endpoint[testMsg], step int, outs [][]transport.Envelope
 // TestMeshReuseAcrossJobs is the standing-fabric contract: one socket
 // mesh, several sequential jobs, each with its own attached endpoints —
 // every job's traffic arrives intact, Detach leaves the mesh healthy,
-// and no pipeline goroutine leaks across jobs. A batch streamed before
-// any superstep is open is refused.
+// and no pipeline goroutine leaks across jobs. A superstep finished
+// before any is open is refused, and the endpoint stays usable.
 func TestMeshReuseAcrossJobs(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	const k = 3
@@ -63,8 +63,8 @@ func TestMeshReuseAcrossJobs(t *testing.T) {
 			}
 			eps[i] = e
 		}
-		if err := eps[0].StreamBatch(1, nil); err == nil {
-			t.Fatalf("job %d: StreamBatch outside an open superstep succeeded", job)
+		if _, _, err := eps[0].FinishSuperstep(0, nil, nil, nil); err == nil {
+			t.Fatalf("job %d: FinishSuperstep outside an open superstep succeeded", job)
 		}
 		for step := 0; step < 3; step++ {
 			outs := make([][]transport.Envelope[testMsg], k)

@@ -123,53 +123,35 @@ func (e *Endpoint[M]) castBlame(cause error) {
 	}
 }
 
-// runWriter ships frames of superstep step to peer j on the calling
+// runWriter ships superstep step's frames to peer j on the calling
 // goroutine, in one vectored write: the batch encoded from envs into
-// the connection's encode buffer when batch is set, then row when
-// withRow is set.
-func (e *Endpoint[M]) runWriter(j, step int, dl time.Time, batch bool, envs []transport.Envelope[M], withRow bool, row []byte) {
+// the connection's encode buffer, then row.
+func (e *Endpoint[M]) runWriter(j, step int, dl time.Time, envs []transport.Envelope[M], row []byte) {
 	t0 := e.now()
-	var frame []byte
 	oc := e.out[j]
-	if batch {
-		var err error
-		frame, err = wire.AppendBatchV2(wire.AppendJobHeader(oc.tx[:0], e.jobID), step, transport.MachineID(e.id), transport.MachineID(j), envs, e.codec)
-		oc.tx = frame[:0]
-		if err != nil {
-			// An encode failure is OUR defect (a codec bug, a malformed
-			// envelope), not peer j's: attribute it to this machine so the
-			// blame broadcast names the actual culprit instead of spreading
-			// "j failed" across the cluster.
-			e.fail(&transport.MachineError{Machine: transport.MachineID(e.id), Superstep: step, Job: e.jobID,
-				Err: fmt.Errorf("tcp: machine %d encode batch for %d: %w", e.id, j, err)})
-			return
-		}
+	frame, err := wire.AppendBatchV2(wire.AppendJobHeader(oc.tx[:0], e.jobID), step, transport.MachineID(e.id), transport.MachineID(j), envs, e.codec)
+	oc.tx = frame[:0]
+	if err != nil {
+		// An encode failure is OUR defect (a codec bug, a malformed
+		// envelope), not peer j's: attribute it to this machine so the
+		// blame broadcast names the actual culprit instead of spreading
+		// "j failed" across the cluster.
+		e.fail(&transport.MachineError{Machine: transport.MachineID(e.id), Superstep: step, Job: e.jobID,
+			Err: fmt.Errorf("tcp: machine %d encode batch for %d: %w", e.id, j, err)})
+		return
 	}
 	// writeFrameLocked installs dl first and refuses to write if the
 	// deadline cannot be set: falling through into an unbounded write
 	// would silently defeat the wedge detection the deadline exists for.
-	var err error
-	switch {
-	case batch && withRow:
-		err = oc.writeFrameLocked(dl, frame, row)
-	case batch:
-		err = oc.writeFrameLocked(dl, frame)
-	default:
-		err = oc.writeFrameLocked(dl, row)
-	}
-	if err != nil {
+	if err := oc.writeFrameLocked(dl, frame, row); err != nil {
 		e.sendFailed(j, step, err)
 		return
 	}
-	if batch {
-		e.countSent(len(frame))
-		e.span(t0, obs.PhaseFrameWrite, j, step, wire.FrameSize(len(frame)))
-		t0 = e.now() // a row written with its batch records a zero-length span
-	}
-	if withRow {
-		e.countSent(len(row))
-		e.span(t0, obs.PhaseFrameWrite, j, step, wire.FrameSize(len(row)))
-	}
+	e.countSent(len(frame))
+	e.span(t0, obs.PhaseFrameWrite, j, step, wire.FrameSize(len(frame)))
+	t0 = e.now() // the row, written with its batch, records a zero-length span
+	e.countSent(len(row))
+	e.span(t0, obs.PhaseFrameWrite, j, step, wire.FrameSize(len(row)))
 }
 
 // sendFailed files a failed write to peer j without failing the

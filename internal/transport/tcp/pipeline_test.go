@@ -89,8 +89,8 @@ func (blobCodec) Decode(src []byte) ([]byte, int, error) {
 
 // TestInlineWritesOverFullSocketBuffers pins the property that makes
 // writing on the producing goroutine deadlock-free: every machine
-// streams an 8 MiB batch to one peer mid-superstep and leaves as large a
-// rest for the other, all at once, so every directed pair carries a
+// emits an 8 MiB batch to one peer and leaves as large a rest for the
+// other, all at once, so every directed pair carries a
 // frame about twice what an unread loopback connection absorbs (~4 MB
 // on a stock Linux kernel) and every write blocks until the receiving
 // peer's reader drains it. The readers are released in BeginSuperstep,
@@ -112,13 +112,13 @@ func TestInlineWritesOverFullSocketBuffers(t *testing.T) {
 		testutil.NoLeakedGoroutines(t, base)
 	}()
 
-	// Each machine streams one blob to a peer, leaves another for the
+	// Each machine emits one blob to a peer, leaves another for the
 	// other peer and a small one for itself in the rest; the two peers
 	// trade places every superstep. The blobs are windows of one shared
 	// slice, each machine's shifted, so a misrouted frame cannot pass.
 	type plan struct {
-		to             transport.MachineID
-		streamed, rest []transport.Envelope[[]byte]
+		emitted [][]transport.Envelope[[]byte]
+		rest    []transport.Envelope[[]byte]
 	}
 	plans := func(step int) []plan {
 		p := make([]plan, k)
@@ -128,12 +128,12 @@ func TestInlineWritesOverFullSocketBuffers(t *testing.T) {
 			if step%2 == 1 {
 				to, restTo = restTo, to
 			}
-			p[i] = plan{to: to,
-				streamed: []transport.Envelope[[]byte]{{From: me, To: to, Words: 1, Msg: blob[i : size+i]}},
+			p[i] = plan{emitted: make([][]transport.Envelope[[]byte], k),
 				rest: []transport.Envelope[[]byte]{
 					{From: me, To: restTo, Words: 2, Msg: blob[k-i : size+k-i]},
 					{From: me, To: me, Words: 1, Msg: blob[:i+1]},
 				}}
+			p[i].emitted[to] = []transport.Envelope[[]byte]{{From: me, To: to, Words: 1, Msg: blob[i : size+i]}}
 		}
 		return p
 	}
@@ -141,12 +141,12 @@ func TestInlineWritesOverFullSocketBuffers(t *testing.T) {
 	lb := inmem.New[[]byte](k)
 	for step := 0; step < supersteps; step++ {
 		p := plans(step)
+		batches := make([][][]transport.Envelope[[]byte], k)
 		rest := make([][]transport.Envelope[[]byte], k)
 		for i := range p {
-			lb.Stage(transport.MachineID(i), p[i].to, p[i].streamed)
-			rest[i] = p[i].rest
+			batches[i], rest[i] = p[i].emitted, p[i].rest
 		}
-		want, err := lb.Deliver(rest)
+		want, err := lb.Deliver(batches, rest)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,10 +163,7 @@ func TestInlineWritesOverFullSocketBuffers(t *testing.T) {
 				if errs[i] = e.BeginSuperstep(ctx, step); errs[i] != nil {
 					return
 				}
-				if errs[i] = e.StreamBatch(p[i].to, p[i].streamed); errs[i] != nil {
-					return
-				}
-				inbox, _, err := e.FinishSuperstep(step, p[i].rest, nil)
+				inbox, _, err := e.FinishSuperstep(step, p[i].emitted, p[i].rest, nil)
 				if err != nil {
 					errs[i] = err
 					return
@@ -347,7 +344,7 @@ func TestBadFrameFailsWhereItIsFound(t *testing.T) {
 				if e0.inbox != nil {
 					t.Fatal("an inbox was sized before the reader rejected the frame")
 				}
-				_, _, err := e0.FinishSuperstep(0, nil, nil)
+				_, _, err := e0.FinishSuperstep(0, nil, nil, nil)
 				blames("machine 0", err)
 			} else {
 				_, errs := jobExchange([]*Endpoint[testMsg]{e0, e2}, 0, make([][]transport.Envelope[testMsg], 2))
@@ -370,7 +367,7 @@ func TestBadFrameFailsWhereItIsFound(t *testing.T) {
 				t.Fatal(err)
 			}
 			e2.workWG.Wait()
-			_, _, err = e2.FinishSuperstep(step, nil, nil)
+			_, _, err = e2.FinishSuperstep(step, nil, nil, nil)
 			blames("bystander", err)
 		})
 	}

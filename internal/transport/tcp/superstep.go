@@ -45,18 +45,16 @@ func (e *Endpoint[M]) ioGuard(ctx context.Context) (deadline time.Time, release 
 
 // assembleInbox builds the superstep's inbox in sender-ID order over
 // the previous one's storage, which its Step no longer reads. The
-// storage is sized once from out's self-addressed count and the counts
-// the readers checked, then every peer's batch is decoded straight into
-// its slot and the self-addressed envelopes of out are copied into
-// position e.id, in out's order. A sound header over a corrupt body
-// fails the endpoint here, blamed on the sender like any reader
-// failure. Call only after the readers drained error-free.
-func (e *Endpoint[M]) assembleInbox(step int, out []transport.Envelope[M]) (inbox []transport.Envelope[M], err error) {
-	// out's self-addressed envelopes plus every peer's batch:
-	// perDest[e.id] and rxCount[e.id] stay empty.
-	total := len(out)
-	for j, n := range e.rxCount {
-		total += n - len(e.perDest[j])
+// storage is sized once from out's self-addressed count, self, and the
+// counts the readers checked, then every peer's batch is decoded
+// straight into its slot and the self-addressed envelopes of out are
+// copied into position e.id, in out's order. A sound header over a
+// corrupt body fails the endpoint here, blamed on the sender like any
+// reader failure. Call only after the readers drained error-free.
+func (e *Endpoint[M]) assembleInbox(step int, out []transport.Envelope[M], self int) (inbox []transport.Envelope[M], err error) {
+	total := self // rxCount[e.id] stays 0
+	for _, n := range e.rxCount {
+		total += n
 	}
 	inbox = e.inbox[:0]
 	if cap(inbox) < total {
@@ -117,7 +115,6 @@ func (e *Endpoint[M]) BeginSuperstep(ctx context.Context, step int) error {
 		return fmt.Errorf("tcp: machine %d begin superstep %d with superstep %d still open", e.id, step, e.strStep)
 	}
 	e.cause, e.shrapnel, e.sendErr = nil, nil, nil
-	clear(e.strEmitted)
 	e.strOn, e.strStep, e.strDl, e.strRelease = true, step, dl, release
 	job := pipeJob{step: step, dl: dl}
 	e.workWG.Add(e.k - 1)
@@ -130,51 +127,6 @@ func (e *Endpoint[M]) BeginSuperstep(ctx context.Context, step int) error {
 	return nil
 }
 
-// StreamBatch encodes and writes peer `to`'s finished batch right now —
-// mid-compute — on the calling goroutine, so the wire is busy while the
-// superstep's remaining work continues; the row follows in
-// FinishSuperstep, written by the same goroutine, so it cannot overtake
-// the batch. The endpoint does not read the batch after StreamBatch
-// returns. Envelopes arrive pre-validated and From-stamped from core.
-// At most one batch per peer per superstep.
-func (e *Endpoint[M]) StreamBatch(to transport.MachineID, batch []transport.Envelope[M]) error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		// Prefer the attributed failure that closed us (a reader's
-		// verdict on a dead peer) over an anonymous "closed" — this is
-		// what the emitter surfaces to the run.
-		if err := e.failure(); err != nil {
-			return err
-		}
-		return fmt.Errorf("tcp: machine %d stream batch on closed endpoint: %w", e.id, net.ErrClosed)
-	}
-	if !e.strOn {
-		e.mu.Unlock()
-		return fmt.Errorf("tcp: machine %d StreamBatch outside an open superstep", e.id)
-	}
-	if int(to) < 0 || int(to) >= e.k || int(to) == e.id {
-		e.mu.Unlock()
-		return fmt.Errorf("tcp: machine %d cannot stream batch to machine %d", e.id, to)
-	}
-	if e.strEmitted[to] {
-		e.mu.Unlock()
-		return fmt.Errorf("tcp: machine %d streamed two batches to machine %d in superstep %d", e.id, to, e.strStep)
-	}
-	e.strEmitted[to] = true
-	step, dl := e.strStep, e.strDl
-	// Write off the mutex: the write may block on a full socket buffer,
-	// and holding mu there would stall a concurrent Close.
-	e.mu.Unlock()
-	e.runWriter(int(to), step, dl, true, batch, false, nil)
-	// A failure that closed the endpoint — an encode defect, a reader's
-	// verdict — recorded its cause; surface it now so the emitter aborts
-	// the run immediately instead of discovering the corpse at
-	// FinishSuperstep. (A failed write waits for the finish: see
-	// sendFailed.)
-	return e.failure()
-}
-
 // finishGuard disarms the cancellation guard BeginSuperstep armed.
 func (e *Endpoint[M]) finishGuard() {
 	if r := e.strRelease; r != nil {
@@ -183,22 +135,22 @@ func (e *Endpoint[M]) finishGuard() {
 	}
 }
 
-// FinishSuperstep closes superstep `step`: it ships `out` — the
-// envelopes NOT streamed eagerly (self-addressed ones included, which
-// never touch a socket; a peer that already got a streamed batch must
-// not reappear here) — one batch frame per directed pair, empty batches
-// included, each followed by one frame of `row`, this machine's account
-// of the superstep. Every frame is written on the calling goroutine,
-// peers visited from (id+step) mod k: a rest batch and its row leave
-// in one vectored write, a peer whose batch was streamed gets the row
-// alone. It then waits for the readers to drain and decodes the inbox in
-// sender-ID order, self-addressed envelopes at position e.id, exactly
-// like the loopback transport, into the storage of the previous inbox,
-// which out must not alias. rows[j] is peer j's row as received
+// FinishSuperstep closes superstep `step`: it ships this machine's
+// envelopes — batches[j], a batch emitted to peer j (nil when none;
+// batches may be nil), and out, the others, self-addressed ones
+// included, which never touch a socket; a peer must not have both — one
+// batch frame per directed pair, empty batches included, each followed
+// by one frame of `row`, this machine's account of the superstep. Every
+// peer's batch and row leave in one vectored write on the calling
+// goroutine, peers visited from (id+step) mod k. It then waits for the
+// readers to drain and decodes the inbox in sender-ID order,
+// self-addressed envelopes at position e.id, exactly like the loopback
+// transport, into the storage of the previous inbox, which neither
+// batches nor out may alias. rows[j] is peer j's row as received
 // (rows[e.id] is nil), valid until the next BeginSuperstep. It is the
 // superstep's barrier, bounded by the deadline and cancellation guard
 // BeginSuperstep armed.
-func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row []byte) (inbox []transport.Envelope[M], rows [][]byte, err error) {
+func (e *Endpoint[M]) FinishSuperstep(step int, batches [][]transport.Envelope[M], out []transport.Envelope[M], row []byte) (inbox []transport.Envelope[M], rows [][]byte, err error) {
 	// Count the split first, then carve every peer's bucket from one
 	// slab, which grows only when a superstep outgrows every earlier one.
 	counts := e.destCount
@@ -212,7 +164,8 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row
 		counts[env.To]++
 	}
 	// Self-addressed envelopes go from out to the inbox.
-	if n := len(out) - counts[e.id]; cap(e.destSlab) < n {
+	self := counts[e.id]
+	if n := len(out) - self; cap(e.destSlab) < n {
 		e.destSlab = make([]transport.Envelope[M], n)
 	}
 	counts[e.id] = 0
@@ -228,19 +181,26 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row
 	}
 
 	e.mu.Lock()
-	if !e.strOn || e.strStep != step {
-		open, openStep := e.strOn, e.strStep
+	if !e.strOn {
+		// Nothing is open, so nothing is in flight to unblock: refuse and
+		// leave the endpoint as it is, as BeginSuperstep refuses a second
+		// open superstep.
+		e.mu.Unlock()
+		return nil, nil, fmt.Errorf("tcp: machine %d finish superstep %d without a matching begin", e.id, step)
+	}
+	if e.strStep != step {
+		openStep := e.strStep
 		e.mu.Unlock()
 		e.finishGuard()
 		e.Close()
-		return nil, nil, fmt.Errorf("tcp: machine %d finish superstep %d without matching begin (open=%v step=%d)", e.id, step, open, openStep)
+		return nil, nil, fmt.Errorf("tcp: machine %d finish superstep %d without a matching begin (superstep %d open)", e.id, step, openStep)
 	}
 	e.strOn = false
 	if e.closed {
 		// A mid-compute failure (a reader's verdict, a peer's blame
-		// frame, a StreamBatch hitting dead sockets) already tore the
-		// endpoint down. The readers drain against the closed conns;
-		// report the recorded cause, never an inbox.
+		// frame) already tore the endpoint down. The readers drain
+		// against the closed conns; report the recorded cause, never an
+		// inbox.
 		e.mu.Unlock()
 		e.workWG.Wait()
 		e.finishGuard()
@@ -250,20 +210,14 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row
 		}
 		return nil, nil, err
 	}
-	for j := range e.strEmitted {
-		if e.strEmitted[j] && len(perDest[j]) > 0 {
-			e.mu.Unlock()
-			e.finishGuard()
-			e.Close()
-			return nil, nil, fmt.Errorf("tcp: machine %d has rest envelopes for machine %d after streaming a batch to it in superstep %d", e.id, j, step)
-		}
-	}
 	e.mu.Unlock()
-	// strEmitted is stable here: StreamBatch runs only while the
-	// superstep computes, which happens-before FinishSuperstep.
 	for o := 0; o < e.k; o++ {
 		if j := (e.id + step + o) % e.k; j != e.id {
-			e.runWriter(j, step, e.strDl, !e.strEmitted[j], perDest[j], true, row)
+			envs := perDest[j]
+			if batches != nil && batches[j] != nil {
+				envs = batches[j] // then perDest[j] is empty
+			}
+			e.runWriter(j, step, e.strDl, envs, row)
 		}
 	}
 
@@ -287,7 +241,7 @@ func (e *Endpoint[M]) FinishSuperstep(step int, out []transport.Envelope[M], row
 		}
 		return nil, nil, e.failure()
 	}
-	if inbox, err = e.assembleInbox(step, out); err != nil {
+	if inbox, err = e.assembleInbox(step, out, self); err != nil {
 		return nil, nil, err
 	}
 	return inbox, e.rxRow, nil

@@ -11,9 +11,8 @@
 // exchange is the superstep's only synchronisation.
 //
 // Every frame an endpoint sends is written by the goroutine that made
-// it: StreamBatch encodes and writes a finished batch mid-compute,
-// before it returns, and FinishSuperstep writes each remaining peer's
-// batch and row itself. Only the receive side has workers: one
+// it: FinishSuperstep writes each peer's batch and row itself, in one
+// writev per peer. Only the receive side has workers: one
 // persistent reader per incoming peer, spawned once when the endpoint
 // attaches and parked on a signal channel between supersteps.
 // BeginSuperstep releases the readers, so each receives and
@@ -32,9 +31,7 @@
 // Writing on the producing goroutine cannot deadlock, because every
 // peer releases its reader for superstep s in BeginSuperstep(s), before
 // any Step of s runs: a write blocked on a full socket buffer always has
-// a reader draining it. And a streamed batch's row is written later by
-// the same goroutine, so the row cannot overtake its batch on the
-// stream.
+// a reader draining it.
 //
 // The data connections are the whole mesh: there is no connection to
 // a coordinator. What the machines of a run must agree on before they
@@ -82,7 +79,7 @@ type pipeJob struct {
 // for one job — job 0 being a single run — and detaches at its end,
 // leaving the connections, and any bytes buffered on them, intact for
 // the next job's endpoint. Frames are written by the
-// goroutines that call StreamBatch and FinishSuperstep; each incoming
+// goroutine that calls FinishSuperstep; each incoming
 // connection is read by a persistent reader goroutine that lives from
 // Attach to Detach/Close.
 type Endpoint[M any] struct {
@@ -136,10 +133,7 @@ type Endpoint[M any] struct {
 	rxRow     [][]byte // per-peer received row
 	inbox     []transport.Envelope[M]
 
-	// Open-superstep state.
-	// Guarded by mu where concurrent with StreamBatch; the
-	// Begin→drive→Finish handoff provides the rest of the ordering.
-	strEmitted []bool      // peers already streamed to this superstep
+	// Open-superstep state, guarded by mu.
 	strOn      bool        // BeginSuperstep called, FinishSuperstep pending
 	strStep    int         // the open superstep
 	strDl      time.Time   // its I/O deadline
@@ -170,14 +164,13 @@ type Endpoint[M any] struct {
 func newEndpoint[M any](m *Mesh, codec wire.Codec[M]) *Endpoint[M] {
 	k := m.k
 	return &Endpoint[M]{
-		Mesh:       m,
-		codec:      codec,
-		perDest:    make([][]transport.Envelope[M], k),
-		destCount:  make([]int, k),
-		rxBatch:    make([][]byte, k),
-		rxCount:    make([]int, k),
-		rxRow:      make([][]byte, k),
-		strEmitted: make([]bool, k),
+		Mesh:      m,
+		codec:     codec,
+		perDest:   make([][]transport.Envelope[M], k),
+		destCount: make([]int, k),
+		rxBatch:   make([][]byte, k),
+		rxCount:   make([]int, k),
+		rxRow:     make([][]byte, k),
 	}
 }
 

@@ -50,13 +50,13 @@ func attachAll[M any](t *testing.T, k int, codec wire.Codec[M]) []*Endpoint[M] {
 	return eps
 }
 
-// exchange is one whole superstep on e with nothing streamed eagerly
-// and an empty row.
+// exchange is one whole superstep on e with nothing emitted and an
+// empty row.
 func exchange(ctx context.Context, e *Endpoint[testMsg], step int, out []transport.Envelope[testMsg]) ([]transport.Envelope[testMsg], error) {
 	if err := e.BeginSuperstep(ctx, step); err != nil {
 		return nil, err
 	}
-	inbox, _, err := e.FinishSuperstep(step, out, nil)
+	inbox, _, err := e.FinishSuperstep(step, nil, out, nil)
 	return inbox, err
 }
 

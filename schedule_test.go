@@ -1,11 +1,10 @@
 package kmachine_test
 
-// The superstep schedule is one thing — Begin, eager batches mid-Step,
-// the round — and checkpointing composes with it instead of switching it
-// off: a checkpointed run still puts bytes on the wire while machines
-// compute, lands on the same hash and Stats, and a machine killed in a
-// superstep whose batches had already left their machines is replayed —
-// batches re-emitted — to the golden output.
+// The superstep schedule is one thing — Begin, Step, the round that
+// carries every batch — and checkpointing composes with it: a
+// checkpointed run lands on the same hash and Stats as an unarmed one,
+// and a machine killed in a superstep whose batches were already on
+// their way is replayed — batches emitted again — to the golden output.
 
 import (
 	"reflect"
@@ -15,18 +14,15 @@ import (
 	"kmachine/internal/conncomp"
 	"kmachine/internal/core"
 	"kmachine/internal/dsort"
-	"kmachine/internal/obs"
 	"kmachine/internal/pagerank"
 	"kmachine/internal/partition"
 	"kmachine/internal/transport"
 )
 
-// TestCheckpointedRunKeepsItsSchedule runs the eagerly-emitting
-// registry algorithms with a checkpoint after every superstep on both
-// links against an un-checkpointed loopback reference, and reads the
-// overlap gauge (frame writes ∩ compute) off the traced socket run:
-// above zero means frames were written while a Step was running.
-func TestCheckpointedRunKeepsItsSchedule(t *testing.T) {
+// TestCheckpointedRunMatchesReference runs the emitting registry
+// algorithms with a checkpoint after every superstep on both links
+// against an un-checkpointed loopback reference: same hash, same Stats.
+func TestCheckpointedRunMatchesReference(t *testing.T) {
 	for _, name := range []string{"pagerank", "dsort", "conncomp"} {
 		t.Run(name, func(t *testing.T) {
 			entry, ok := algo.Lookup(name)
@@ -53,24 +49,11 @@ func TestCheckpointedRunKeepsItsSchedule(t *testing.T) {
 			}
 			same("checkpointed-inmem", mem)
 
-			// The gauge reads the whole run, so the ring must hold it: a
-			// wrapped ring keeps only the late supersteps, which write no frame
-			// during compute.
-			trace := obs.NewTrace(0, prob.K)
-			prob.Recorder = trace
 			sock, err := entry.Run(prob, transport.TCP)
 			if err != nil {
 				t.Fatalf("checkpointed tcp run: %v", err)
 			}
 			same("checkpointed-tcp", sock)
-			if d := trace.Counters().Dropped; d > 0 {
-				t.Fatalf("the trace dropped %d spans", d)
-			}
-			if name == "pagerank" {
-				if gauge := obs.Overlap(trace.Spans()); gauge <= 0 {
-					t.Errorf("overlap gauge %.3f on a checkpointed tcp run — no frame was written during compute", gauge)
-				}
-			}
 		})
 	}
 }
@@ -81,10 +64,10 @@ func TestCheckpointedRunKeepsItsSchedule(t *testing.T) {
 // resumed run restores the cut after killStep-1 and runs killStep again
 // on fresh machines, sending all the golden run sent in it a second
 // time. The resumed output and Stats must equal the unkilled golden
-// arm's. Over sockets the frame writes prove what left: some before the
-// kill, the golden run's count on replay. In process the victim severs
-// only once its own Step has returned, after every batch it emitted, and
-// the golden run's Stats prove the superstep sends.
+// arm's. Over sockets the frame writes prove what left: some, written by
+// the peers' rounds, before the kill, the golden run's count on replay.
+// In process the victim severs once its own Step has returned, and the
+// golden run's Stats prove the superstep sends.
 func checkKilledEmittingSuperstep[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partition.Input, k int,
 	kind transport.Kind, killStep int) {
 	t.Helper()
