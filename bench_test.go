@@ -116,7 +116,7 @@ func BenchmarkPageRankBaseline(b *testing.B) {
 
 // BenchmarkPageRankAlgorithm1TCP is the end-to-end benchmark of the
 // real-deployment path: the same PageRank workload as above, but every
-// envelope crossing loopback TCP sockets through the persistent
+// envelope crossing the socket link's connections through the persistent
 // exchange pipeline (encode, frame, decode, inbox assembly). The
 // gap to BenchmarkPageRankAlgorithm1 is the total substrate cost.
 func BenchmarkPageRankAlgorithm1TCP(b *testing.B) {
@@ -220,7 +220,7 @@ func BenchmarkDistributedSort(b *testing.B) {
 
 // BenchmarkDistributedSortTCP is the socket-link twin of
 // BenchmarkDistributedSort, as BenchmarkPageRankAlgorithm1TCP is for
-// PageRank: few supersteps, every key crossing loopback TCP twice in a
+// PageRank: few supersteps, every key crossing a socket link twice in a
 // handful of large frames — the bulk use of wire+tcp, where B/op (bytes
 // allocated per 8-byte key moved) is the number to watch next to the
 // small-frame benchmarks' allocs/op.

@@ -21,7 +21,8 @@
 // that the input is already partitioned when the computation starts.
 //
 // Local mode spawns the entire k-machine cluster inside this process,
-// every machine with its own listener and dialer on loopback TCP:
+// every machine on its own socket link, each ordered pair joined by an
+// in-memory connection that carries the same frames a socket would:
 //
 //	kmnode -local 8 -algo conncomp -n 10000 -p 0.001 -seed 42
 //
@@ -98,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("kmnode", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		local     = fs.Int("local", 0, "spawn a full k-machine cluster over loopback TCP in this process")
+		local     = fs.Int("local", 0, "spawn a full k-machine cluster in this process, its machines linked by in-memory connections")
 		serve     = fs.Bool("serve", false, "daemon mode: build the standing mesh once (-local k sets its size) and serve the job-submission HTTP API on -debug-addr")
 		id        = fs.Int("id", -1, "this node's machine ID (standalone mode)")
 		k         = fs.Int("k", 0, "cluster size (standalone mode)")

@@ -14,7 +14,7 @@
 //   - Run: all k machines in this process, over the link
 //     cfg.Transport names: the in-process rendezvous on the loopback,
 //     or, for transport.TCP, k socket links (transport/node), every
-//     machine with its own listener+dialer on loopback TCP;
+//     ordered pair joined by an in-memory connection;
 //   - NodeRunLocal: Run over transport.TCP (cmd/kmnode -local);
 //   - Entry.RunStandalone: ONE machine of a multi-process cluster
 //     (cmd/kmnode -id), peers living in other processes.
@@ -97,8 +97,8 @@ func Run[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config)
 }
 
 // NodeRunLocal is Run over transport.TCP, whatever cfg.Transport says:
-// every machine with its own listener and dialer on loopback TCP, every
-// node ruling each superstep itself (cmd/kmnode -local).
+// every machine on its own socket link over in-memory connections,
+// every node ruling each superstep itself (cmd/kmnode -local).
 func NodeRunLocal[M, L, O any](a Algorithm[M, L, O], in partition.Input, cfg core.Config) (O, *core.Stats, error) {
 	cfg.Transport = transport.TCP
 	return Run(a, in, cfg)

@@ -225,7 +225,7 @@ type place struct {
 
 // Run executes the algorithm with all k machines in this process on the
 // link kind names: the in-process rendezvous over the loopback, or, for
-// transport.TCP, k socket links on loopback TCP.
+// transport.TCP, k socket links over in-memory connections.
 func (e *Entry) Run(prob Problem, kind transport.Kind) (*Outcome, error) {
 	return e.run(prob, place{kind: kind})
 }

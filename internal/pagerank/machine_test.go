@@ -38,7 +38,7 @@ func TestLightTokensForForeignVertexPanic(t *testing.T) {
 	for m.view.IsLocal(v) {
 		v++
 	}
-	inbox := []core.Envelope[wire]{{To: 0, Words: msgWords,
+	inbox := []core.Envelope[wire]{{To: 0, Words: MsgWords,
 		Msg: wire{Final: 0, Msg: msg{Kind: kindLight, V: v, Count: 3}}}}
 	want := fmt.Sprintf("machine 0 got light tokens for %d, which is homed on machine %d", v, m.view.HomeOf(v))
 	defer func() {

@@ -115,7 +115,9 @@ const (
 	kindHeavy
 )
 
-const msgWords = 2 // vertex ID + count, each one Θ(log n)-bit word
+// MsgWords is the words one token message costs: vertex ID + count,
+// each one Θ(log n)-bit word.
+const MsgWords = 2
 
 type machine struct {
 	view partition.View
@@ -304,9 +306,9 @@ func (m *machine) flushLight(ctx *core.StepContext) {
 			m.accVals[v] = 0
 			home := m.view.HomeOf(v)
 			if m.opts.TwoHop {
-				routing.Route(m.buckets, ctx.RNG, ctx.K, home, msgWords, payload)
+				routing.Route(m.buckets, ctx.RNG, ctx.K, home, MsgWords, payload)
 			} else {
-				routing.RouteDirect(m.buckets, home, msgWords, payload)
+				routing.RouteDirect(m.buckets, home, MsgWords, payload)
 			}
 		}
 	}
@@ -331,7 +333,7 @@ func (m *machine) walkHeavy(ctx *core.StepContext, r int, t int64) {
 		}
 		// Heavy messages go direct: there is at most one per (vertex,
 		// machine) pair, so they cannot congest a link (Lemma 12).
-		routing.RouteDirect(m.buckets, core.MachineID(j), msgWords,
+		routing.RouteDirect(m.buckets, core.MachineID(j), MsgWords,
 			msg{Kind: kindHeavy, V: m.view.Locals()[r], Count: c})
 	}
 }

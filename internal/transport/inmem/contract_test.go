@@ -1,7 +1,7 @@
 package inmem_test
 
 // The transport.Transport contract, run against both implementations
-// the benchmark times: the loopback and the loopback-TCP mesh fixture.
+// the benchmark times: the loopback and the loopback-mesh fixture.
 // Exchange must return sender-ID-ordered inboxes with self-delivery in
 // place, and leave the caller free to recycle its outboxes once it
 // returns. (Deliver with emitted batches is the in-process link's:

@@ -1,7 +1,7 @@
 package node
 
 // White-box failure tests for the socket link: they drive runNode
-// directly over a real loopback-TCP mesh so a machine's
+// directly over a loopback mesh so a machine's
 // "process" can be killed (its endpoint torn down) or wedged (its Step
 // stalled past the deadline) at a chosen superstep, and assert the
 // acceptance bar of the failure-hardening work: every surviving machine
@@ -45,6 +45,42 @@ func loopbackEndpoints(t *testing.T, k int) []*tcp.Endpoint[failMsg] {
 	ms, err := tcp.NewLoopbackMesh(k)
 	if err != nil {
 		t.Fatal(err)
+	}
+	eps, err := attach(ms, failCodec{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eps
+}
+
+// kernelEndpoints is loopbackEndpoints over real TCP sockets: the mesh
+// built the way a cluster of processes builds it, ListenMesh on
+// 127.0.0.1 and then Connect, every machine at once.
+func kernelEndpoints(t *testing.T, k int) []*tcp.Endpoint[failMsg] {
+	t.Helper()
+	ms := make([]*tcp.Mesh, k)
+	addrs := make([]string, k)
+	for i := range ms {
+		m, err := tcp.ListenMesh(i, k, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[i], addrs[i] = m, m.Addr()
+	}
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i, m := range ms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = m.Connect(addrs, tcp.DefaultDialTimeout)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	eps, err := attach(ms, failCodec{}, 0)
 	if err != nil {

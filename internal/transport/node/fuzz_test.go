@@ -68,6 +68,7 @@ func FuzzControlFrames(f *testing.F) {
 // to machines 0 and 1, and machine 0's socket link must fail the
 // superstep with a *transport.MachineError naming machine 2 — never a
 // panic, never a ruling over the bad row, never a goroutine left behind.
+// The frames cross real TCP sockets.
 func TestUnsoundRowBlamesItsSender(t *testing.T) {
 	const k, culprit = 3, 2
 	good := &core.Row{Words: make([]int64, k)}
@@ -95,7 +96,7 @@ func TestUnsoundRowBlamesItsSender(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			eps := loopbackEndpoints(t, k)
+			eps := kernelEndpoints(t, k)
 			defer func() {
 				for _, ep := range eps {
 					ep.Close()

@@ -91,11 +91,12 @@ func Run[M any](cfg core.Config, at Place, m core.Machine[M], codec wire.Codec[M
 	return runNode(cfg, at.ID, ep, m, codec, nil)
 }
 
-// RunLocal spawns the full k-machine cluster over loopback TCP inside
-// one process — every machine gets its own listener, dials every peer,
-// and is driven over its own endpoint (kmnode's -local mode): job 0 on
-// a LocalMesh of its own. The factory is called once per machine, like
-// core.NewCluster's, and cfg is validated before any listener opens.
+// RunLocal spawns the full k-machine cluster inside one process, as
+// kmnode's -local mode does: every machine is driven over its own
+// endpoint, every ordered pair joined by an in-memory connection
+// (tcp.NewLoopbackMesh), job 0 on a LocalMesh of its own. The factory
+// is called once per machine, like core.NewCluster's, and cfg is
+// validated before any mesh is built.
 // The WireStats are the k endpoints' summed frames and bytes.
 func RunLocal[M any](cfg core.Config, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
 	if err := cfg.Validate(); err != nil {

@@ -109,7 +109,7 @@ func TestRunLocalIsOneHop(t *testing.T) {
 
 // TestRunLocalPageRankMatchesInMemory is the paper-level claim: the
 // same PageRank machines, run as k standalone node runtimes over
-// loopback TCP, produce bit-identical estimates and identical measured
+// a loopback mesh, produce bit-identical estimates and identical measured
 // Rounds/Words to the in-process simulator.
 func TestRunLocalPageRankMatchesInMemory(t *testing.T) {
 	const (

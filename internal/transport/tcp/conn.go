@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"net"
-	"sync"
 	"time"
 
 	"kmachine/internal/transport/wire"
@@ -20,13 +19,14 @@ const readBufSize = 4 << 10
 type outConn struct {
 	c  net.Conn
 	tx []byte // j's batch encode buffer; only the writer of j's batch touches it
-	// wmu serialises frame writes: the goroutine writing this
-	// superstep's frames and a failing endpoint's blame broadcast may
-	// write concurrently. It guards writeFrames' scratch below.
-	wmu sync.Mutex
-	hdr [2 * binary.MaxVarintLen64]byte
-	vec [4][]byte   // backing array of iov
-	iov net.Buffers // headers and payloads being written
+	// wsem, a one-slot semaphore, is the write lock: the goroutine
+	// writing this superstep's frames and a failing endpoint's blame
+	// broadcast may write concurrently, and the broadcast waits for the
+	// lock only until its deadline. It guards writeFrames' scratch.
+	wsem chan struct{}
+	hdr  [2 * binary.MaxVarintLen64]byte
+	vec  [4][]byte   // backing array of iov
+	iov  net.Buffers // headers and payloads being written
 }
 
 // inConn is an accepted end, which this machine only reads: peer j's
@@ -37,34 +37,27 @@ type inConn struct {
 	frame, rowFrame []byte
 }
 
+func newOutConn(c net.Conn) *outConn {
+	return &outConn{c: c, wsem: make(chan struct{}, 1)}
+}
+
 func newInConn(c net.Conn) *inConn {
 	return &inConn{c: c, r: bufio.NewReaderSize(c, readBufSize)}
 }
 
-// writeFrameLocked writes frames under the write mutex, which keeps
+// writeFrameLocked writes frames under the write lock, which keeps
 // them whole on the stream against a concurrent blame broadcast.
 func (oc *outConn) writeFrameLocked(dl time.Time, payloads ...[]byte) error {
-	oc.wmu.Lock()
-	defer oc.wmu.Unlock()
-	return oc.writeFrames(dl, payloads...)
-}
-
-// tryWriteFrameLocked is writeFrameLocked for callers that must not
-// block on the mutex: if a write is mid-frame (or wedged in one), it
-// reports false without writing. The blame broadcast uses it — a
-// teardown must never wait on a connection whose write is stuck.
-func (oc *outConn) tryWriteFrameLocked(dl time.Time, payload []byte) (bool, error) {
-	if !oc.wmu.TryLock() {
-		return false, nil
-	}
-	defer oc.wmu.Unlock()
-	return true, oc.writeFrames(dl, payload)
+	oc.wsem <- struct{}{}
+	err := oc.writeFrames(dl, payloads...)
+	<-oc.wsem
+	return err
 }
 
 // writeFrames writes each payload as one length-prefixed frame, all in
 // one writev, allocation-free for up to two frames (a batch and its
 // row). Every header is built first, so a frame wire.AppendFrameHeader
-// refuses leaves nothing of the call on the stream. Call under wmu.
+// refuses leaves nothing of the call on the stream. Call under wsem.
 func (oc *outConn) writeFrames(dl time.Time, payloads ...[]byte) error {
 	defer clear(oc.vec[:]) // pin no caller's payload past the call
 	hdr := oc.hdr[:0]

@@ -257,7 +257,7 @@ func TestRefusedFrameLeavesNothingOnTheConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	oc, ic := &outConn{c: c}, newInConn(a)
+	oc, ic := newOutConn(c), newInConn(a)
 
 	dl := time.Now().Add(5 * time.Second)
 	if err := oc.writeFrameLocked(dl, []byte("batch"), tooLargeFrame()); !errors.Is(err, wire.ErrFrameTooLarge) {

@@ -19,7 +19,7 @@ type driveJob[M any] struct {
 }
 
 // Transport is a transport.Transport over a k-endpoint loopback mesh:
-// every envelope crosses a real loopback TCP connection, with an empty
+// every envelope crosses one of its in-memory connections, with an empty
 // row behind every batch, and each endpoint is owned by a persistent
 // driver goroutine, signalled once per superstep. No run uses it —
 // transport.TCP is k socket links (transport/node) — and New, Transport
@@ -43,7 +43,7 @@ type Transport[M any] struct {
 	closeOnce sync.Once
 }
 
-// New builds a loopback-TCP transport for a k-machine cluster: a
+// New builds a loopback-mesh transport for a k-machine cluster: a
 // single run (job 0) on a fresh NewLoopbackMesh.
 func New[M any](k int, codec wire.Codec[M]) (*Transport[M], error) {
 	ms, err := NewLoopbackMesh(k)

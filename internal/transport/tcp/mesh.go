@@ -10,10 +10,13 @@ import (
 	"kmachine/internal/transport/wire"
 )
 
-// Mesh is one machine's standing socket fabric: its listener, the k-1
-// dialed data connections and the k-1 accepted ones — no machine holds
-// any other. A dialed end (outConn) writes by writev from its encode
-// buffer; an accepted end (inConn) owns a reader and its read buffers.
+// Mesh is one machine's standing socket fabric: the k-1 data
+// connections it writes and the k-1 it reads — no machine holds any
+// other — plus, for a ListenMesh, its listener. A connection is a TCP
+// socket from ListenMesh and Connect, or an in-memory one from
+// NewLoopbackMesh. A dialed end (outConn) writes by writev from its
+// encode buffer; an accepted end (inConn) owns a reader and its read
+// buffers.
 // These buffers live as long as the mesh, at the high-water mark of its
 // largest job. The mesh is deliberately NOT generic in the message type
 // — connections and buffers carry bytes, not envelopes — which is what
@@ -51,16 +54,14 @@ func ListenMesh(id, k int, addr string) (*Mesh, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcp: machine %d listen %s: %w", id, addr, err)
 	}
-	return &Mesh{
-		id:  id,
-		k:   k,
-		ln:  ln,
-		out: make([]*outConn, k),
-		in:  make([]*inConn, k),
-	}, nil
+	return newMesh(id, k, ln), nil
 }
 
-// Addr returns the listener's concrete address (useful with ":0").
+func newMesh(id, k int, ln net.Listener) *Mesh {
+	return &Mesh{id: id, k: k, ln: ln, out: make([]*outConn, k), in: make([]*inConn, k)}
+}
+
+// Addr returns ListenMesh's concrete listener address (useful with ":0").
 func (m *Mesh) Addr() string { return m.ln.Addr().String() }
 
 // ID returns the machine ID this mesh serves.
@@ -132,7 +133,7 @@ func (m *Mesh) dialAll(peers []string, deadline time.Time) error {
 				time.Sleep(20 * time.Millisecond)
 				continue
 			}
-			oc := &outConn{c: c}
+			oc := newOutConn(c)
 			if err := oc.writeFrameLocked(deadline, hello); err != nil {
 				c.Close()
 				return nil, err
@@ -222,40 +223,26 @@ func (m *Mesh) Close() error {
 	return m.closeErr
 }
 
-// NewLoopbackMesh builds the complete k-machine mesh over loopback TCP
-// inside one process: k listeners on 127.0.0.1, every ordered pair
-// connected, no endpoint attached yet. Typed per-job Endpoints attach
-// via Attach and detach at job end.
+// NewLoopbackMesh builds the complete k-machine mesh inside one
+// process, every ordered pair connected by an in-memory connection
+// (fabricPipe) in place of a socket: no listener, no dial, no hello,
+// the same frames. No endpoint is attached yet. Typed per-job
+// Endpoints attach via Attach and detach at job end.
 func NewLoopbackMesh(k int) ([]*Mesh, error) {
+	if k < 2 {
+		return nil, fmt.Errorf("tcp: need k >= 2 machines, got %d", k)
+	}
 	ms := make([]*Mesh, k)
-	addrs := make([]string, k)
-	for i := 0; i < k; i++ {
-		m, err := ListenMesh(i, k, "127.0.0.1:0")
-		if err != nil {
-			for _, prev := range ms[:i] {
-				prev.Close()
-			}
-			return nil, err
-		}
-		ms[i] = m
-		addrs[i] = m.Addr()
+	for i := range ms {
+		ms[i] = newMesh(i, k, nil)
+		ms[i].connected = true
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, k)
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = ms[i].Connect(addrs, DefaultDialTimeout)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, m := range ms {
-				m.Close()
+	for i, m := range ms {
+		for j, peer := range ms {
+			if i != j {
+				w, r := fabricPipe()
+				m.out[j], peer.in[i] = newOutConn(w), newInConn(r)
 			}
-			return nil, err
 		}
 	}
 	return ms, nil

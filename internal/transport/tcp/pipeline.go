@@ -39,13 +39,14 @@ func (e *Endpoint[M]) readLoop(j int) {
 }
 
 // recordErr files a data-path failure as the cause or the shrapnel:
-// net.ErrClosed errors — the debris of our own teardown — are kept
-// apart from genuine causes, and within each class the first arrival
-// wins. Returns whether err was installed as the genuine cause.
+// the debris of our own teardown — net.ErrClosed, or any error once the
+// endpoint is closed, such as a peer's EOF in reply to our close — is
+// kept apart from genuine causes, and within each class the first
+// arrival wins. Returns whether err was installed as the genuine cause.
 func (e *Endpoint[M]) recordErr(err error) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if errors.Is(err, net.ErrClosed) {
+	if e.closed || errors.Is(err, net.ErrClosed) {
 		if e.shrapnel == nil {
 			e.shrapnel = err
 		}
@@ -103,9 +104,9 @@ func (e *Endpoint[M]) fail(err error) {
 // castBlame ships a best-effort blame frame to every data peer before
 // the endpoint closes. Only machine-attributed causes are broadcast;
 // the suspect itself is skipped (it is the one machine that cannot act
-// on the news), as is any connection whose write mutex is held by a
-// write in flight — blocking there on a wedged write would postpone the
-// Close that fail() exists to perform, stalling the whole teardown.
+// on the news). A connection with a write in flight gets its blame
+// behind that write — skipped, its peer would read a bare EOF and blame
+// us — but a wedged write delays the Close by at most blameWriteTimeout.
 func (e *Endpoint[M]) castBlame(cause error) {
 	var me *transport.MachineError
 	if !errors.As(cause, &me) || me.Machine < 0 {
@@ -113,13 +114,22 @@ func (e *Endpoint[M]) castBlame(cause error) {
 	}
 	payload := wire.AppendAbort(nil, me.Superstep, me.Machine)
 	dl := time.Now().Add(blameWriteTimeout)
+	expired := make(chan struct{})
+	defer time.AfterFunc(blameWriteTimeout, func() { close(expired) }).Stop()
 	for j := 0; j < e.k; j++ {
 		if j == e.id || j == int(me.Machine) || e.out[j] == nil {
 			continue
 		}
-		if sent, err := e.out[j].tryWriteFrameLocked(dl, payload); sent && err == nil {
+		oc := e.out[j]
+		select {
+		case oc.wsem <- struct{}{}:
+		case <-expired:
+			continue
+		}
+		if oc.writeFrames(dl, payload) == nil {
 			e.countSent(len(payload))
 		}
+		<-oc.wsem
 	}
 }
 

@@ -275,7 +275,7 @@ func TestExchangeAfterCloseFailsFast(t *testing.T) {
 // *transport.MachineError naming the sender and the job, the endpoint
 // closed, the sender blamed to the bystander, no goroutine left behind.
 // Machine 1 is the culprit and ships raw bytes; machines 0 and 2 run
-// real endpoints.
+// real endpoints, over real TCP sockets.
 func TestBadFrameFailsWhereItIsFound(t *testing.T) {
 	const job = 7
 	jobbed := func(body ...byte) []byte { return append(wire.AppendJobHeader(nil, job), body...) }
@@ -300,10 +300,7 @@ func TestBadFrameFailsWhereItIsFound(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			ms, err := NewLoopbackMesh(3)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ms := kernelMesh(t, 3)
 			defer func() {
 				for _, m := range ms {
 					m.Close()

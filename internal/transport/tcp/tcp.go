@@ -1,14 +1,17 @@
 // Package tcp is the socket layer under the socket link (transport/node):
 // every machine owns a net.Listener and dials every peer, giving the full
-// point-to-point mesh of the model (§1.1) as k·(k-1) actual TCP
-// connections. Envelopes cross machine boundaries as length-prefixed
-// binary frames (transport/wire), one batch frame per (sender,
-// receiver) pair per superstep — empty batches included, which is how a
-// receiver knows a superstep's input is complete — each followed on the
-// same connection by one row frame: the sender's account of the
-// superstep, opaque to this package (the socket link's core.Row). Every
-// machine thus holds all k rows once its exchange completes, so the
-// exchange is the superstep's only synchronisation.
+// point-to-point mesh of the model (§1.1) as k·(k-1) TCP connections —
+// or, for a cluster inside one process (NewLoopbackMesh), as in-memory
+// connections carrying the same bytes (fabricPipe), so that one host
+// does not pay the kernel k·(k-1) times. Envelopes cross machine
+// boundaries as length-prefixed binary frames (transport/wire), one
+// batch frame per (sender, receiver) pair per superstep — empty batches
+// included, which is how a receiver knows a superstep's input is
+// complete — each followed on the same connection by one row frame: the
+// sender's account of the superstep, opaque to this package (the socket
+// link's core.Row). Every machine thus holds all k rows once its
+// exchange completes, so the exchange is the superstep's only
+// synchronisation.
 //
 // Every frame an endpoint sends is written by the goroutine that made
 // it: FinishSuperstep writes each peer's batch and row itself, in one
@@ -30,8 +33,9 @@
 //
 // Writing on the producing goroutine cannot deadlock, because every
 // peer releases its reader for superstep s in BeginSuperstep(s), before
-// any Step of s runs: a write blocked on a full socket buffer always has
-// a reader draining it.
+// any Step of s runs, and a reader waits on nothing but its peer's
+// bytes: a write blocked on a full buffer — a socket's, or a bounded
+// in-memory ring — always has a reader draining it, whatever the size.
 //
 // The data connections are the whole mesh: there is no connection to
 // a coordinator. What the machines of a run must agree on before they

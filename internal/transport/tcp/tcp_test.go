@@ -37,18 +37,70 @@ func (testCodec) Decode(src []byte) (testMsg, int, error) {
 // of a fresh k-machine loopback mesh.
 func attachAll[M any](t *testing.T, k int, codec wire.Codec[M]) []*Endpoint[M] {
 	t.Helper()
-	ms, err := NewLoopbackMesh(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eps := make([]*Endpoint[M], k)
+	return attachTo(t, fabricMesh(t, k), codec)
+}
+
+// attachTo attaches a single run's (job 0) endpoint to every machine
+// of ms.
+func attachTo[M any](t *testing.T, ms []*Mesh, codec wire.Codec[M]) []*Endpoint[M] {
+	t.Helper()
+	eps := make([]*Endpoint[M], len(ms))
 	for i, m := range ms {
+		var err error
 		if eps[i], err = Attach(m, codec, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return eps
 }
+
+func fabricMesh(t *testing.T, k int) []*Mesh {
+	t.Helper()
+	ms, err := NewLoopbackMesh(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
+// kernelMesh builds a k-machine mesh the way a cluster of processes
+// does — ListenMesh on 127.0.0.1, then Connect, every machine at once —
+// so that a suite run over it crosses real TCP sockets.
+func kernelMesh(t *testing.T, k int) []*Mesh {
+	t.Helper()
+	ms := make([]*Mesh, k)
+	addrs := make([]string, k)
+	for i := range ms {
+		m, err := ListenMesh(i, k, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[i], addrs[i] = m, m.Addr()
+	}
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i, m := range ms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = m.Connect(addrs, DefaultDialTimeout)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ms
+}
+
+// meshKinds are the two ways to build a mesh: the in-memory one every
+// one-process cluster runs on, and real TCP sockets.
+var meshKinds = []struct {
+	name  string
+	build func(*testing.T, int) []*Mesh
+}{{"fabric", fabricMesh}, {"kernel", kernelMesh}}
 
 // exchange is one whole superstep on e with nothing emitted and an
 // empty row.
@@ -77,35 +129,42 @@ func randomOuts(r *rng.RNG, k int) [][]transport.Envelope[testMsg] {
 	return outs
 }
 
+// TestTCPExchangeMatchesLoopback: over either kind of mesh, every
+// machine's inbox of every superstep equals the loopback's for the same
+// random traffic.
 func TestTCPExchangeMatchesLoopback(t *testing.T) {
 	const k = 5
-	tr, err := New[testMsg](k, testCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	lb := inmem.New[testMsg](k)
-
-	rT, rL := rng.New(99), rng.New(99)
-	for step := 0; step < 30; step++ {
-		outsT := randomOuts(rT, k)
-		outsL := randomOuts(rL, k)
-		got, err := tr.Exchange(context.Background(), step, outsT)
-		if err != nil {
-			t.Fatalf("superstep %d: %v", step, err)
-		}
-		want, err := lb.Exchange(context.Background(), step, outsL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < k; j++ {
-			if len(got[j]) == 0 && len(want[j]) == 0 {
-				continue
+	for _, kind := range meshKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			eps := attachTo(t, kind.build(t, k), testCodec{})
+			defer func() {
+				for _, e := range eps {
+					e.Close()
+				}
+			}()
+			lb := inmem.New[testMsg](k)
+			rT, rL := rng.New(99), rng.New(99)
+			for step := 0; step < 30; step++ {
+				got, errs := jobExchange(eps, step, randomOuts(rT, k))
+				for i, err := range errs {
+					if err != nil {
+						t.Fatalf("superstep %d machine %d: %v", step, i, err)
+					}
+				}
+				want, err := lb.Exchange(context.Background(), step, randomOuts(rL, k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < k; j++ {
+					if len(got[j]) == 0 && len(want[j]) == 0 {
+						continue
+					}
+					if !reflect.DeepEqual(got[j], want[j]) {
+						t.Fatalf("superstep %d inbox %d:\n tcp:    %+v\n inmem:  %+v", step, j, got[j], want[j])
+					}
+				}
 			}
-			if !reflect.DeepEqual(got[j], want[j]) {
-				t.Fatalf("superstep %d inbox %d:\n tcp:    %+v\n inmem:  %+v", step, j, got[j], want[j])
-			}
-		}
+		})
 	}
 }
 
@@ -213,39 +272,44 @@ func TestBrokenConnectionErrorsInsteadOfDeadlocking(t *testing.T) {
 // TestExchangeDeadlineOnWedgedPeer is the regression test for the
 // original hang: a peer that is alive but never ships its superstep
 // batch must surface as a machine-attributed os.ErrDeadlineExceeded
-// within the context deadline, not block forever.
+// within the context deadline, not block forever — over either kind of
+// mesh.
 func TestExchangeDeadlineOnWedgedPeer(t *testing.T) {
-	base := runtime.NumGoroutine()
-	eps := attachAll(t, 2, testCodec{})
-	defer func() {
-		for _, e := range eps {
-			e.Close()
-		}
-		testutil.NoLeakedGoroutines(t, base)
-	}()
+	for _, kind := range meshKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			eps := attachTo(t, kind.build(t, 2), testCodec{})
+			defer func() {
+				for _, e := range eps {
+					e.Close()
+				}
+				testutil.NoLeakedGoroutines(t, base)
+			}()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	// Machine 1 never calls Exchange: machine 0's read of its batch can
-	// only end by deadline.
-	_, err := exchange(ctx, eps[0], 0, nil)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("Exchange against a wedged peer succeeded")
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("deadline took %v to fire, want ~200ms", elapsed)
-	}
-	var me *transport.MachineError
-	if !errors.As(err, &me) {
-		t.Fatalf("error %v carries no machine attribution", err)
-	}
-	if me.Machine != 1 || me.Superstep != 0 {
-		t.Errorf("attributed to machine %d superstep %d, want 1/0", me.Machine, me.Superstep)
-	}
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Errorf("error %v does not wrap os.ErrDeadlineExceeded", err)
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			// Machine 1 never calls Exchange: machine 0's read of its batch can
+			// only end by deadline.
+			_, err := exchange(ctx, eps[0], 0, nil)
+			elapsed := time.Since(start)
+			if err == nil {
+				t.Fatal("Exchange against a wedged peer succeeded")
+			}
+			if elapsed > 5*time.Second {
+				t.Fatalf("deadline took %v to fire, want ~200ms", elapsed)
+			}
+			var me *transport.MachineError
+			if !errors.As(err, &me) {
+				t.Fatalf("error %v carries no machine attribution", err)
+			}
+			if me.Machine != 1 || me.Superstep != 0 {
+				t.Errorf("attributed to machine %d superstep %d, want 1/0", me.Machine, me.Superstep)
+			}
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Errorf("error %v does not wrap os.ErrDeadlineExceeded", err)
+			}
+		})
 	}
 }
 

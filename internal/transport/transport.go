@@ -122,7 +122,7 @@ const (
 	Default Kind = ""
 	// InMem is the in-process rendezvous over the loopback transport.
 	InMem Kind = "inmem"
-	// TCP is k socket links (transport/node): every machine its own
-	// listener+dialer over loopback TCP connections.
+	// TCP is k socket links (transport/node): every machine's frames
+	// cross in-memory connections, the bytes a socket would carry.
 	TCP Kind = "tcp"
 )

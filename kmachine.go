@@ -140,10 +140,11 @@ type TransportKind = transport.Kind
 const (
 	// TransportInMem is the in-process loopback (the default).
 	TransportInMem = transport.InMem
-	// TransportTCP runs every machine over its own socket link, with its
-	// own listener+dialer on loopback TCP: every envelope crosses a real
-	// socket as a binary frame, and every machine rules each superstep
-	// from the rows its peers ship with their batches (kmnode -local).
+	// TransportTCP runs every machine over its own socket link, each
+	// ordered pair joined by an in-memory connection: every envelope
+	// crosses it as the binary frame a socket would carry, and every
+	// machine rules each superstep from the rows its peers ship with
+	// their batches (kmnode -local).
 	// Measured Stats are bit-identical to TransportInMem — the cost
 	// accounting happens in core before envelopes reach a link.
 	TransportTCP = transport.TCP

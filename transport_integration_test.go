@@ -2,7 +2,7 @@ package kmachine_test
 
 // Substrate-equivalence suite: every algorithm in the registry, run on
 // both links — the in-process rendezvous over the loopback, and the
-// socket link (one machine per listener+dialer on loopback TCP, every
+// socket link (one machine per endpoint on a loopback mesh, every
 // node ruling the same rows) — must produce bit-identical Stats and
 // output hashes. This is the executable form of
 // the conversion results the paper builds on (Klauck et al.,
