@@ -53,7 +53,7 @@ func TestCheckpointBytesIdenticalAcrossRuntimes(t *testing.T) {
 
 			cuts := map[transport.Kind]map[int][]byte{}
 			for _, runtime := range []transport.Kind{transport.InMem, transport.TCP} {
-				sink := newRecordingSink(core.NewMemorySink(0))
+				sink := newRecordingSink(core.NewMemorySink())
 				prob.Checkpoint = algo.CheckpointSpec{Every: 1, Sink: sink}
 				out, err := entry.Run(prob, runtime)
 				if err != nil {
@@ -147,7 +147,7 @@ func checkCutsPinned(t *testing.T, name string, wantCuts int, want uint64) {
 	t.Helper()
 	entry, _ := algo.Lookup(name)
 	prob := suiteProblem(name)
-	sink := newRecordingSink(core.NewMemorySink(0))
+	sink := newRecordingSink(core.NewMemorySink())
 	prob.Checkpoint = algo.CheckpointSpec{Every: 1, Sink: sink}
 	if _, err := entry.Run(prob, transport.InMem); err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func checkCutsPinned(t *testing.T, name string, wantCuts int, want uint64) {
 // returns a value or an error; it never panics and never sizes an
 // allocation by a count it has not checked against the bytes present.
 func FuzzCheckpointDecode(f *testing.F) {
-	sink := newRecordingSink(core.NewMemorySink(0))
+	sink := newRecordingSink(core.NewMemorySink())
 	prob := suiteProblem("pagerank")
 	prob.Checkpoint = algo.CheckpointSpec{Every: 1, Sink: sink}
 	entry, _ := algo.Lookup("pagerank")

@@ -25,7 +25,7 @@ import (
 //	                             (-1 before the first; the "where is
 //	                             the run now" gauge)
 //	kmachine.supersteps          supersteps entered so far (current+1)
-//	kmachine.wire.bytes_sent     batch and row bytes shipped (frame spans;
+//	kmachine.wire.bytes_sent     batch-frame bytes shipped (frame spans;
 //	kmachine.wire.bytes_recv     blame frames are not span-recorded —
 //	kmachine.wire.frames_sent    WireStats remains the physical total)
 //	kmachine.wire.frames_recv

@@ -1,4 +1,6 @@
-// Command kmnode runs k-machine computations over real TCP sockets.
+// Command kmnode runs k-machine computations over the socket link: one
+// machine per process over real TCP sockets (-id), or the whole cluster
+// in one process over in-memory connections (-local, -serve).
 // Any algorithm in the registry (kmachine/internal/algo) can run —
 // pagerank, triangle, conncomp, dsort, routing — because the registry
 // erases every algorithm behind the same descriptor interface.
@@ -6,8 +8,8 @@
 // Standalone mode starts ONE machine of the cluster in this process;
 // the k processes (possibly on k hosts) find each other through the
 // -peers list and run the distributed superstep protocol, every node
-// ruling each superstep from the rows its peers ship with their
-// batches — no machine coordinates the others:
+// ruling each superstep from the rows its peers ship in their batch
+// frames — no machine coordinates the others:
 //
 //	kmnode -id 0 -k 4 -listen 127.0.0.1:9000 \
 //	       -peers 127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002,127.0.0.1:9003 \

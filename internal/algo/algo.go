@@ -192,7 +192,7 @@ func retry[M, L, O any](build func(core.MachineID) (Machine[M, L], error), merge
 	}
 	if cfg.Checkpoint.Every > 0 && cfg.Checkpoint.Sink == nil {
 		// One sink for every attempt, so a retry finds the cuts.
-		cfg.Checkpoint.Sink = core.NewMemorySink(0)
+		cfg.Checkpoint.Sink = core.NewMemorySink()
 	}
 	if err := canceled(cfg.Context, "before its machines were built"); err != nil {
 		return zero, nil, total, err

@@ -69,7 +69,7 @@ func TestForeignDigestNeverResumed(t *testing.T) {
 	other := func(f func(*Problem)) Problem { p := base; f(&p); return p }
 	for _, kind := range []transport.Kind{transport.InMem, transport.TCP} {
 		t.Run(string(kind), func(t *testing.T) {
-			sink := core.NewMemorySink(0)
+			sink := core.NewMemorySink()
 			runs := []struct {
 				name string
 				prob Problem

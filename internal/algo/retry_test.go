@@ -215,7 +215,7 @@ func TestRetryLoop(t *testing.T) {
 			{"resuming-launch", 13, 3, []int{5}},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
-				sink := core.NewMemorySink(0)
+				sink := core.NewMemorySink()
 				// Resuming one of seed 99's cuts would land on its output.
 				prior := ringConfig(tc.prior, core.CheckpointPolicy{Every: 2, Sink: sink, Run: tc.prior})
 				if _, _, err := runRing((&chaosSite{cfg: prior}).site()); err != nil {

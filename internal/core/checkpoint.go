@@ -116,12 +116,11 @@ type CheckpointSink interface {
 	Latest() (superstep int, blob []byte, err error)
 }
 
-// MemorySink is an in-memory checkpoint ring holding the newest retain
-// checkpoints. It also counts every Put, so a test can check a run's
-// cadence without touching a disk.
+// MemorySink is an in-memory checkpoint ring holding the newest two
+// checkpoints: the newest plus one fallback. It also counts every Put,
+// so a test can check a run's cadence without touching a disk.
 type MemorySink struct {
 	mu      sync.Mutex
-	retain  int
 	entries []memCkpt
 	puts    int
 }
@@ -131,14 +130,11 @@ type memCkpt struct {
 	blob []byte
 }
 
-// NewMemorySink returns a ring keeping the newest retain checkpoints
-// (retain <= 0 means 2: the newest plus one fallback).
-func NewMemorySink(retain int) *MemorySink {
-	if retain <= 0 {
-		retain = 2
-	}
-	return &MemorySink{retain: retain}
-}
+// memSinkRetain is how many checkpoints a MemorySink keeps.
+const memSinkRetain = 2
+
+// NewMemorySink returns an empty ring.
+func NewMemorySink() *MemorySink { return &MemorySink{} }
 
 // Put implements CheckpointSink.
 func (s *MemorySink) Put(superstep int, blob []byte) error {
@@ -146,7 +142,7 @@ func (s *MemorySink) Put(superstep int, blob []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.entries = append(s.entries, memCkpt{step: superstep, blob: cp})
-	if over := len(s.entries) - s.retain; over > 0 {
+	if over := len(s.entries) - memSinkRetain; over > 0 {
 		s.entries = slices.Delete(s.entries, 0, over)
 	}
 	s.puts++
@@ -456,7 +452,7 @@ func NewAssembler(p CheckpointPolicy, k int) *Assembler {
 	}
 	sink := p.Sink
 	if sink == nil {
-		sink = NewMemorySink(0)
+		sink = NewMemorySink()
 	}
 	return &Assembler{every: p.Every, sink: sink, run: p.Run, step: -1, parts: make([][]byte, k)}
 }

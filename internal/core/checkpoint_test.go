@@ -48,7 +48,7 @@ func checkSink(t *testing.T, s CheckpointSink) {
 }
 
 func TestMemorySinkRetainsNewest(t *testing.T) {
-	s := NewMemorySink(2)
+	s := NewMemorySink()
 	checkSink(t, s)
 	if s.Puts() != 5 {
 		t.Errorf("Puts() = %d after 5 puts", s.Puts())
@@ -172,7 +172,7 @@ func TestCheckpointDecodersBoundCounts(t *testing.T) {
 // sink's newest one only when it carries the run's digest; another
 // run's cut, whatever its superstep, leaves the run at superstep 0.
 func TestLatestCutResumesOnlyItsOwnRun(t *testing.T) {
-	sink := NewMemorySink(0)
+	sink := NewMemorySink()
 	parts := [][]byte{[]byte("a"), []byte("b")}
 	if err := sink.Put(7, AppendCheckpoint(nil, 0xfeed, 7, parts, nil)); err != nil {
 		t.Fatal(err)

@@ -4,9 +4,10 @@
 // k-machine mesh, plus the HTTP control surface in http.go.
 //
 // The paper's model prices a computation in rounds, not in cluster
-// construction — but the run-once lifecycle of the earlier CLIs paid a
-// full mesh build (k listeners, k·(k-1) dials, handshakes) per
-// computation. The scheduler amortises that: the mesh is built once
+// construction — but the run-once lifecycle of the earlier CLIs built a
+// mesh per computation: k·(k-1) in-memory connections, each with its
+// read buffer and ring, and frame buffers regrown to the job's largest
+// frames. The scheduler amortises that: the mesh is built once
 // (transport/node.LocalMesh over transport/tcp.Mesh), every job
 // attaches fresh typed endpoints framing its traffic with the job ID,
 // and a job that every machine finished leaves its connections drained
@@ -433,12 +434,16 @@ func (s *Scheduler) run() {
 		}
 		if s.closed {
 			// Queued jobs die with the scheduler: mark them failed so
-			// status queries don't report them queued forever.
+			// status queries don't report them queued forever, and count
+			// and retire them like any other failure.
 			for _, id := range s.queue {
 				j := s.jobs[id]
 				j.State = StateFailed
 				j.Finished = time.Now()
 				j.Err = "jobs: scheduler closed before the job ran"
+				delete(s.reqs, id)
+				s.failed++
+				s.markTerminalLocked(id)
 			}
 			s.queue = nil
 			s.mu.Unlock()

@@ -659,3 +659,55 @@ func TestRetentionEvictsTerminalJobs(t *testing.T) {
 		t.Errorf("retained %d job records, want 2", got)
 	}
 }
+
+// blockingBackend runs every job until its context ends, announcing on
+// started that a job is in flight.
+type blockingBackend struct{ started chan struct{} }
+
+func (b blockingBackend) Run(ctx context.Context, req Request, job uint64) (*algo.Outcome, error) {
+	b.started <- struct{}{}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+func (b blockingBackend) Healthy() bool   { return true }
+func (b blockingBackend) Rebuilds() int64 { return 0 }
+func (b blockingBackend) K() int          { return 3 }
+func (b blockingBackend) Close() error    { return nil }
+
+// TestCloseCountsTheJobsItFails: Close fails the running job and every
+// queued one, and the gauges agree with the records — Stats().Failed
+// counts each of them, and a failed queued job is terminal for
+// retention like any other, so MaxJobs still bounds the records.
+func TestCloseCountsTheJobsItFails(t *testing.T) {
+	for _, c := range []struct {
+		jobs, maxJobs, retained int
+	}{
+		{jobs: 2, maxJobs: 0, retained: 2},
+		{jobs: 3, maxJobs: 1, retained: 1},
+	} {
+		b := blockingBackend{started: make(chan struct{}, 1)}
+		s := New(b, Options{MaxJobs: c.maxJobs})
+		for i := 0; i < c.jobs; i++ {
+			if _, err := s.Submit(Request{Algo: "pagerank", Prob: algo.Problem{N: 10, Seed: uint64(i + 1)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		<-b.started
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Failed != int64(c.jobs) || st.Queued != 0 || st.Running != 0 {
+			t.Errorf("%d jobs closed: failed=%d queued=%d running=%d, want %d/0/0", c.jobs, st.Failed, st.Queued, st.Running, c.jobs)
+		}
+		js := s.Jobs()
+		if len(js) != c.retained {
+			t.Errorf("%d jobs closed with MaxJobs=%d: %d records retained, want %d", c.jobs, c.maxJobs, len(js), c.retained)
+		}
+		for _, j := range js {
+			if j.State != StateFailed {
+				t.Errorf("job %d is %q after Close, want failed", j.ID, j.State)
+			}
+		}
+	}
+}

@@ -6,7 +6,8 @@ import (
 	"kmachine/internal/transport"
 )
 
-// The routing workloads over real TCP sockets must deliver the same
+// The routing workloads over the socket link (the in-memory fabric of
+// tcp.NewLoopbackMesh) must deliver the same
 // payloads and report identical statistics as the loopback runs — the
 // HopCodec framing and the probe codec are exercised end to end here
 // (every other package had an inmem-vs-TCP test; this closes the gap

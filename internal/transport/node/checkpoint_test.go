@@ -100,7 +100,7 @@ func TestNodeCheckpointedRunMatchesGolden(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const k = 4
 	goldenStats, goldenSums := runCkCluster(t, k, core.CheckpointPolicy{})
-	sink := core.NewMemorySink(0)
+	sink := core.NewMemorySink()
 	ckStats, ckSums := runCkCluster(t, k, core.CheckpointPolicy{Every: 2, Sink: sink})
 	sameCkStats(t, "checkpointed-vs-golden", ckStats, goldenStats)
 	for i := range goldenSums {
@@ -135,7 +135,7 @@ func TestNodeResumeFromSinkDeterministic(t *testing.T) {
 	const k = 4
 	goldenStats, goldenSums := runCkCluster(t, k, core.CheckpointPolicy{})
 	dir := t.TempDir()
-	mem := core.NewMemorySink(0)
+	mem := core.NewMemorySink()
 	for name, sinks := range map[string][2]core.CheckpointSink{
 		"memory": {mem, mem},
 		"file":   {core.NewFileSink(dir), core.NewFileSink(dir)},
@@ -164,7 +164,7 @@ func TestNodeResumeFromSinkDeterministic(t *testing.T) {
 func TestResumeWithEmptySinkStartsFromZero(t *testing.T) {
 	const k = 4
 	goldenStats, goldenSums := runCkCluster(t, k, core.CheckpointPolicy{})
-	resumedStats, resumedSums := runCkCluster(t, k, core.CheckpointPolicy{Every: 2, Sink: core.NewMemorySink(0)})
+	resumedStats, resumedSums := runCkCluster(t, k, core.CheckpointPolicy{Every: 2, Sink: core.NewMemorySink()})
 	sameCkStats(t, "empty-resume-vs-golden", resumedStats, goldenStats)
 	for i := range goldenSums {
 		if resumedSums[i] != goldenSums[i] {
@@ -178,7 +178,7 @@ func TestResumeWithEmptySinkStartsFromZero(t *testing.T) {
 // error that says so — never a silent from-zero run, and never a hang.
 func TestResumeRejectsOtherClusterSize(t *testing.T) {
 	base := runtime.NumGoroutine()
-	sink := core.NewMemorySink(0)
+	sink := core.NewMemorySink()
 	runCkCluster(t, 4, core.CheckpointPolicy{Every: 2, Sink: sink})
 	_, _, err := tryCkCluster(5, core.CheckpointPolicy{Every: 2, Sink: sink})
 	if err == nil || !strings.Contains(err.Error(), "checkpoint for k=4 cluster, running k=5") {
@@ -188,11 +188,11 @@ func TestResumeRejectsOtherClusterSize(t *testing.T) {
 }
 
 // TestResumedRunIsDataFramesOnly counts the frames of a resumed run:
-// the batch and row frames of the supersteps after the cut, and nothing
+// the batch frames of the supersteps after the cut, and nothing
 // else — every node opens the cut itself, so no round agrees on it.
 func TestResumedRunIsDataFramesOnly(t *testing.T) {
 	const k = 4
-	sink := core.NewMemorySink(0)
+	sink := core.NewMemorySink()
 	runCkCluster(t, k, core.CheckpointPolicy{Every: 4, Sink: sink})
 	latest, _, _ := sink.Latest()
 	if latest < 0 {
@@ -205,7 +205,7 @@ func TestResumedRunIsDataFramesOnly(t *testing.T) {
 	}
 	// Supersteps latest+1 through the final silent one are exchanged.
 	s := int64(stats.Supersteps - latest)
-	if want := s * k * (k - 1) * 2; w.FramesSent != want || w.FramesRecv != want {
+	if want := s * k * (k - 1); w.FramesSent != want || w.FramesRecv != want {
 		t.Errorf("%d resumed supersteps sent %d and received %d frames, want %d", s, w.FramesSent, w.FramesRecv, want)
 	}
 }

@@ -11,21 +11,22 @@ import (
 )
 
 // This file is the socket link's in-process cluster: a LocalMesh is k
-// loopback meshes, and a run on it attaches fresh typed endpoints for
-// one job, runs core.Drive on every machine, and detaches with the
-// connections intact. RunJobLocal runs job after job on a standing one,
-// every data batch framed with the job ID; RunLocal is job 0 on a
-// LocalMesh of its own. Per-job isolation falls out of the
-// structure: each job gets fresh endpoints (wire counters, scratch,
-// inboxes), fresh coordinator replicas (Stats), and whatever Recorder
-// the caller put in its core.Config.
+// meshes joined in memory (tcp.NewLoopbackMesh), and a run on it
+// attaches fresh typed endpoints for one job, runs core.Drive on every
+// machine, and detaches with the connections intact. RunJobLocal runs
+// job after job on a standing one, every data batch framed with the job
+// ID; RunLocal is job 0 on a LocalMesh of its own. Per-job isolation
+// falls out of the structure: each job gets fresh endpoints (wire
+// counters, scratch, inboxes), fresh coordinator replicas (Stats), and
+// whatever Recorder the caller put in its core.Config.
 
 // LocalMesh is the standing k-machine socket fabric of a resident
-// in-process cluster: k listeners on loopback, every ordered pair
-// connected, no job running. It is built once (NewLocalMesh), executes
-// any number of sequential jobs (RunJobLocal), and is torn down on
-// Close. Any job failure poisons it — Healthy reports false — and the
-// next job rebuilds it in place before attaching.
+// in-process cluster: every ordered pair joined by an in-memory
+// connection, no listener, no job running. It is built once
+// (NewLocalMesh), executes any number of sequential jobs (RunJobLocal),
+// and is torn down on Close. Any job failure poisons it — Healthy
+// reports false — and the next job rebuilds it in place before
+// attaching.
 type LocalMesh struct {
 	k int
 

@@ -14,7 +14,7 @@ import (
 // TestRunJobLocalSequentialJobs: the resident-mesh contract at the node
 // layer — several sequential jobs on one standing mesh each produce
 // Stats identical to a fresh single-run RunLocal and ship exactly its
-// batch and row frames, the mesh stays healthy across clean jobs, and
+// batch frames, the mesh stays healthy across clean jobs, and
 // nothing leaks. Nothing brackets a job: the job ID rides every batch
 // and the last superstep drains every connection, so a job-begin
 // broadcast and job-end reports, 2(k-1) frames a job, would show.

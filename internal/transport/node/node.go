@@ -10,8 +10,8 @@
 // same ones as the in-process cluster's; what this package adds is how
 // a superstep is closed over sockets. Each node ships its core.Row —
 // ⟨done, pending, messages, per-link word counts, error⟩ — to every
-// peer behind its batch, so the exchange alone hands every node all k
-// rows, and every node rules them through its own replica of the
+// peer inside its batch frame, so the exchange alone hands every node
+// all k rows, and every node rules them through its own replica of the
 // core.Coordinator the in-process rendezvous uses: the same rows give
 // the same continue, stop or abort, and the same Stats, on every node,
 // with no round through a coordinator. Nor is there one around the
@@ -149,15 +149,15 @@ func runNode[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], m core.Machine
 }
 
 // socketLink is core.Drive's link over one tcp.Endpoint. A superstep
-// is closed by the data-plane exchange alone: this node's row rides
-// behind its batch to every peer, and once FinishSuperstep has every
-// peer's batch and row, the node rules the k rows itself.
+// is closed by the data-plane exchange alone: this node's row rides in
+// its batch frame to every peer, and once FinishSuperstep has every
+// peer's frame, the node rules the k rows itself.
 //
 // The failure protocol: a machine whose Step failed still exchanges (an
 // empty batch) and carries the error in its row, so every node rules
 // the same abort and returns the same message (the first error in
 // machine order). A machine that dies outright — machine 0 included —
-// is detected by its peers' bounded reads of its batch or row. Failures
+// is detected by its peers' bounded reads of its frame. Failures
 // arrive as *transport.MachineError with machine/superstep attribution
 // from the tcp layer; an unsound row is attributed to its sender the
 // same way.
@@ -193,7 +193,7 @@ func (l *socketLink[M]) Round(_ context.Context, step int, row *core.Row, batche
 	// The exchange span is this node's data-plane barrier, the barrier
 	// span its local ruling, both with Machine = ID: every node performs
 	// its own.
-	l.buf = appendReport(l.buf[:0], step, row)
+	l.buf = appendReport(l.buf[:0], row)
 	t0 := l.now()
 	next, rows, err := l.ep.FinishSuperstep(step, batches, rest, l.buf)
 	l.span(t0, step, obs.PhaseExchange)
@@ -204,7 +204,7 @@ func (l *socketLink[M]) Round(_ context.Context, step int, row *core.Row, batche
 	for j, b := range rows {
 		if j == l.id {
 			l.rows[j] = row
-		} else if err := decodeReport(l.rows[j], b, step); err != nil {
+		} else if err := decodeReport(l.rows[j], b); err != nil {
 			return core.Verdict{}, nil, l.ep.Reject(j, step, fmt.Errorf("node: machine %d row from %d: %w", l.id, j, err))
 		}
 	}
@@ -229,17 +229,16 @@ func (l *socketLink[M]) span(start int64, step int, phase obs.Phase) {
 	}
 }
 
-// The row frame is a core.Row on the wire: flags, superstep, messages,
-// the link count and that many link words, then the error text if
-// flagged. The flags byte never reaches 0xFF, so a row is never taken
-// for a blame frame.
+// A row is a core.Row on the wire, carried in its sender's batch frame
+// (wire.AppendJobHeader): flags, messages, the link count and that many
+// link words, then the error text if flagged.
 const (
 	repFlagDone = 1 << iota
 	repFlagPending
 	repFlagError
 )
 
-func appendReport(dst []byte, step int, r *core.Row) []byte {
+func appendReport(dst []byte, r *core.Row) []byte {
 	var flags byte
 	if r.Done {
 		flags |= repFlagDone
@@ -251,7 +250,6 @@ func appendReport(dst []byte, step int, r *core.Row) []byte {
 		flags |= repFlagError
 	}
 	dst = append(dst, flags)
-	dst = wire.AppendUvarint(dst, uint64(step))
 	dst = wire.AppendUvarint(dst, uint64(r.Messages))
 	dst = wire.AppendUvarint(dst, uint64(len(r.Words)))
 	for _, w := range r.Words {
@@ -260,16 +258,16 @@ func appendReport(dst []byte, step int, r *core.Row) []byte {
 	return append(dst, r.Err...)
 }
 
-// decodeReport decodes a row frame into r, whose Words fix the link
-// count — every node decodes its k-1 peers' rows each superstep into
-// the same recycled rows.
-func decodeReport(r *core.Row, buf []byte, wantStep int) error {
+// decodeReport decodes a row into r, whose Words fix the link count —
+// every node decodes its k-1 peers' rows each superstep into the same
+// recycled rows. The row's superstep is its frame's, which the reader
+// already checked.
+func decodeReport(r *core.Row, buf []byte) error {
 	if len(buf) < 1 {
 		return fmt.Errorf("node: empty row")
 	}
 	r.Reset()
 	c := wire.Cursor{Src: buf, Off: 1}
-	step := c.Uvarint()
 	msgs := c.Uvarint()
 	if n := c.Uvarint(); c.Err == nil && n != uint64(len(r.Words)) {
 		return fmt.Errorf("node: row has %d links, want %d", n, len(r.Words))
@@ -288,9 +286,6 @@ func decodeReport(r *core.Row, buf []byte, wantStep int) error {
 	}
 	if over {
 		return fmt.Errorf("node: row count overflows int64")
-	}
-	if int(step) != wantStep {
-		return fmt.Errorf("node: row for superstep %d, want %d", step, wantStep)
 	}
 	r.Done, r.Pending = buf[0]&repFlagDone != 0, buf[0]&repFlagPending != 0
 	if buf[0]&repFlagError != 0 {

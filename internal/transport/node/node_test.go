@@ -90,7 +90,7 @@ func TestRunLocalRingMatchesCoreStats(t *testing.T) {
 }
 
 // TestRunLocalIsOneHop counts the frames of a superstep over sockets:
-// one batch frame and one row frame per directed pair, and no control
+// one batch frame per directed pair, its row inside, and no control
 // frame — the exchange is the superstep's only synchronisation. A round
 // through a coordinator would add 2(k-1) frames per superstep.
 func TestRunLocalIsOneHop(t *testing.T) {
@@ -102,7 +102,7 @@ func TestRunLocalIsOneHop(t *testing.T) {
 	// Every superstep is exchanged, the final silent one included, but
 	// only the ones before it are charged.
 	s := int64(stats.Supersteps + 1)
-	if want := s * k * (k - 1) * 2; w.FramesSent != want || w.FramesRecv != want {
+	if want := s * k * (k - 1); w.FramesSent != want || w.FramesRecv != want {
 		t.Errorf("%d supersteps sent %d and received %d frames, want %d", s, w.FramesSent, w.FramesRecv, want)
 	}
 }
@@ -174,7 +174,7 @@ func TestRunRefusesCheckpointing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer taken.Close()
-	cfg := core.Config{K: 2, Bandwidth: 1, Checkpoint: core.CheckpointPolicy{Every: 1, Sink: core.NewMemorySink(0)}}
+	cfg := core.Config{K: 2, Bandwidth: 1, Checkpoint: core.CheckpointPolicy{Every: 1, Sink: core.NewMemorySink()}}
 	at := node.Place{ID: 0, Listen: taken.Addr().String(), Peers: []string{taken.Addr().String(), "127.0.0.1:1"}}
 	_, err = node.Run(cfg, at, ringFactory(t, 2)(0), echoCodec{})
 	if err == nil || !strings.Contains(err.Error(), "never complete a cut") {

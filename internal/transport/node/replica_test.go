@@ -98,7 +98,7 @@ func TestEveryNodeRulesAlike(t *testing.T) {
 
 	t.Run("resume", func(t *testing.T) {
 		golden, _ := runEveryNode(t, cfg, ckFactory)
-		sink := core.NewMemorySink(0)
+		sink := core.NewMemorySink()
 		ck := cfg
 		ck.Checkpoint = core.CheckpointPolicy{Every: 4, Sink: sink}
 		runEveryNode(t, ck, ckFactory)
@@ -125,7 +125,7 @@ func TestEveryNodeRulesAlike(t *testing.T) {
 func TestResumeDisagreementFailsOnTheDataPlane(t *testing.T) {
 	const k = 4
 	base := runtime.NumGoroutine()
-	sink := core.NewMemorySink(0)
+	sink := core.NewMemorySink()
 	cfg := core.Config{K: k, Bandwidth: 1, Seed: 77, Checkpoint: core.CheckpointPolicy{Every: 4, Sink: sink}}
 	runEveryNode(t, cfg, ckFactory)
 	if step, _, _ := sink.Latest(); step < 0 {
@@ -133,7 +133,7 @@ func TestResumeDisagreementFailsOnTheDataPlane(t *testing.T) {
 	}
 	shared := core.NewAssembler(cfg.Checkpoint, k)
 	empty := cfg.Checkpoint
-	empty.Sink = core.NewMemorySink(0)
+	empty.Sink = core.NewMemorySink()
 	lone := core.NewAssembler(empty, k)
 	_, errs := runNodes(t, cfg, ckFactory, func(i int) *core.Assembler {
 		if i == k-1 {

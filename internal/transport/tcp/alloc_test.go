@@ -5,7 +5,7 @@ package tcp
 // its buffers have grown to the working set, a steady-state superstep —
 // release the parked readers, write one emitted batch and the rest per
 // machine at the finish on the calling goroutine,
-// encode/ship/receive/decode k(k-1) batch frames and as many row frames,
+// encode/ship/receive/decode k(k-1) batch frames, each carrying a row,
 // merge the inboxes — must not allocate. The budget covers only the measured loop's incidental noise
 // (runtime timer churn from connection deadlines); a per-superstep
 // allocation sneaking back into the pipeline blows it immediately

@@ -1,8 +1,8 @@
 package tcp
 
 // BenchmarkExchange measures the TCP substrate's hot path — one full
-// superstep over the loopback mesh: parallel encode, k(k-1) batch and
-// k(k-1) row frame ships, parallel decode, inbox merge — across
+// superstep over the loopback mesh: parallel encode, k(k-1) batch frame
+// ships, parallel decode, inbox merge — across
 // cluster sizes and batch sizes. bytes/superstep is the measured wire
 // traffic (from the endpoint WireStats), so format regressions show up
 // next to time regressions in the same table.

@@ -56,8 +56,8 @@ func TestMeshHoldsOneHalfPerEnd(t *testing.T) {
 			if size := ic.r.Size(); size != readBufSize {
 				t.Errorf("machine %d: accepted end from %d reads through %d bytes, want %d", m.id, j, size, readBufSize)
 			}
-			if ic.frame != nil || ic.rowFrame != nil {
-				t.Errorf("machine %d: accepted end from %d has read buffers before any job", m.id, j)
+			if ic.frame != nil {
+				t.Errorf("machine %d: accepted end from %d has a read buffer before any job", m.id, j)
 			}
 		}
 	}
@@ -160,14 +160,14 @@ func TestConnBuffersOutliveTheJob(t *testing.T) {
 	for _, e := range job1 {
 		e.Detach()
 	}
-	type bufs struct{ tx, frame, rowFrame *byte }
+	type bufs struct{ tx, frame *byte }
 	grown := make([][]bufs, k)
 	for i, m := range ms {
 		grown[i] = make([]bufs, k)
 		for j := 0; j < k; j++ {
 			if j != i {
-				grown[i][j] = bufs{backing(m.out[j].tx), backing(m.in[j].frame), backing(m.in[j].rowFrame)}
-				if grown[i][j].tx == nil || grown[i][j].frame == nil || grown[i][j].rowFrame == nil {
+				grown[i][j] = bufs{backing(m.out[j].tx), backing(m.in[j].frame)}
+				if grown[i][j].tx == nil || grown[i][j].frame == nil {
 					t.Fatalf("machine %d: job 1 grew no buffer on its connections with %d", i, j)
 				}
 			}
@@ -199,7 +199,7 @@ func TestConnBuffersOutliveTheJob(t *testing.T) {
 			if j == i {
 				continue
 			}
-			now := bufs{backing(m.out[j].tx), backing(m.in[j].frame), backing(m.in[j].rowFrame)}
+			now := bufs{backing(m.out[j].tx), backing(m.in[j].frame)}
 			if now != grown[i][j] {
 				t.Errorf("machine %d: job 2 replaced a buffer of its connections with %d (job 1 %v, job 2 %v)", i, j, grown[i][j], now)
 			}
@@ -237,10 +237,9 @@ func tooLargeFrame() []byte {
 	return unsafe.Slice(&tooLargeBacking, wire.MaxFrame+1)
 }
 
-// TestRefusedFrameLeavesNothingOnTheConnection: writeFrames builds
-// every header before it writes, so a call whose second frame is over
-// wire.MaxFrame sends not even its first; the next call's frame is the
-// first the reader sees.
+// TestRefusedFrameLeavesNothingOnTheConnection: writeFrame builds the
+// header before it writes, so a frame over wire.MaxFrame sends not even
+// its header; the next call's frame is the first the reader sees.
 func TestRefusedFrameLeavesNothingOnTheConnection(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -260,7 +259,7 @@ func TestRefusedFrameLeavesNothingOnTheConnection(t *testing.T) {
 	oc, ic := newOutConn(c), newInConn(a)
 
 	dl := time.Now().Add(5 * time.Second)
-	if err := oc.writeFrameLocked(dl, []byte("batch"), tooLargeFrame()); !errors.Is(err, wire.ErrFrameTooLarge) {
+	if err := oc.writeFrameLocked(dl, tooLargeFrame()); !errors.Is(err, wire.ErrFrameTooLarge) {
 		t.Fatalf("writing a frame of MaxFrame+1 bytes = %v, want %v", err, wire.ErrFrameTooLarge)
 	}
 	if err := oc.writeFrameLocked(dl, []byte("next")); err != nil {

@@ -19,8 +19,8 @@ type driveJob[M any] struct {
 }
 
 // Transport is a transport.Transport over a k-endpoint loopback mesh:
-// every envelope crosses one of its in-memory connections, with an empty
-// row behind every batch, and each endpoint is owned by a persistent
+// every envelope crosses one of its in-memory connections, every batch
+// carrying an empty row, and each endpoint is owned by a persistent
 // driver goroutine, signalled once per superstep. No run uses it —
 // transport.TCP is k socket links (transport/node) — and New, Transport
 // and its methods are kept only because the frozen benchmark/micro.go

@@ -126,20 +126,20 @@ func (e *Endpoint[M]) castBlame(cause error) {
 		case <-expired:
 			continue
 		}
-		if oc.writeFrames(dl, payload) == nil {
+		if oc.writeFrame(dl, payload) == nil {
 			e.countSent(len(payload))
 		}
 		<-oc.wsem
 	}
 }
 
-// runWriter ships superstep step's frames to peer j on the calling
-// goroutine, in one vectored write: the batch encoded from envs into
-// the connection's encode buffer, then row.
+// runWriter ships superstep step's frame to peer j on the calling
+// goroutine, in one vectored write: the job header carrying row, then
+// the batch encoded from envs, both into the connection's encode buffer.
 func (e *Endpoint[M]) runWriter(j, step int, dl time.Time, envs []transport.Envelope[M], row []byte) {
 	t0 := e.now()
 	oc := e.out[j]
-	frame, err := wire.AppendBatchV2(wire.AppendJobHeader(oc.tx[:0], e.jobID), step, transport.MachineID(e.id), transport.MachineID(j), envs, e.codec)
+	frame, err := wire.AppendBatchV2(wire.AppendJobHeader(oc.tx[:0], e.jobID, row), step, transport.MachineID(e.id), transport.MachineID(j), envs, e.codec)
 	oc.tx = frame[:0]
 	if err != nil {
 		// An encode failure is OUR defect (a codec bug, a malformed
@@ -153,15 +153,12 @@ func (e *Endpoint[M]) runWriter(j, step int, dl time.Time, envs []transport.Enve
 	// writeFrameLocked installs dl first and refuses to write if the
 	// deadline cannot be set: falling through into an unbounded write
 	// would silently defeat the wedge detection the deadline exists for.
-	if err := oc.writeFrameLocked(dl, frame, row); err != nil {
+	if err := oc.writeFrameLocked(dl, frame); err != nil {
 		e.sendFailed(j, step, err)
 		return
 	}
 	e.countSent(len(frame))
 	e.span(t0, obs.PhaseFrameWrite, j, step, wire.FrameSize(len(frame)))
-	t0 = e.now() // the row, written with its batch, records a zero-length span
-	e.countSent(len(row))
-	e.span(t0, obs.PhaseFrameWrite, j, step, wire.FrameSize(len(row)))
 }
 
 // sendFailed files a failed write to peer j without failing the
@@ -213,12 +210,12 @@ func (e *Endpoint[M]) readFrame(j, step int, buf *[]byte) (frame []byte, ok bool
 	return frame, true
 }
 
-// runReader receives peer j's batch and row for this superstep: socket
-// I/O plus what can be checked of the batch without decoding an
-// envelope — blame frame, job header, version, superstep, an envelope
-// count the frame can hold. The batch stays in the per-peer frame
-// buffer (touched by exactly one goroutine) for FinishSuperstep to
-// decode into the inbox; the row, opaque here, is returned as received.
+// runReader receives peer j's frame for this superstep: socket I/O plus
+// what can be checked of the batch without decoding an envelope — blame
+// frame, job header, version, superstep, an envelope count the frame
+// can hold. The frame stays in the per-peer frame buffer (touched by
+// exactly one goroutine): its batch for FinishSuperstep to decode into
+// the inbox, its row, opaque here, to be returned as received.
 func (e *Endpoint[M]) runReader(j int, job pipeJob) {
 	if err := e.in[j].c.SetReadDeadline(job.dl); err != nil {
 		e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d set read deadline for %d: %w", e.id, j, err)))
@@ -231,7 +228,7 @@ func (e *Endpoint[M]) runReader(j int, job pipeJob) {
 	// Verify the frame belongs to OUR job before accepting a byte of it:
 	// a straggler from a previous job decoded into this run would corrupt
 	// it silently; rejected here it is a loud attributed error.
-	gotJob, batch, err := wire.PeelJobHeader(frame)
+	gotJob, row, batch, err := wire.PeelJobHeader(frame)
 	if err == nil && gotJob != e.jobID {
 		err = fmt.Errorf("frame for job %d during job %d", gotJob, e.jobID)
 	}
@@ -244,10 +241,6 @@ func (e *Endpoint[M]) runReader(j int, job pipeJob) {
 	}
 	if err != nil {
 		e.fail(e.attrib(j, job.step, fmt.Errorf("tcp: machine %d bad frame from %d: %w", e.id, j, err)))
-		return
-	}
-	row, ok := e.readFrame(j, job.step, &e.in[j].rowFrame)
-	if !ok {
 		return
 	}
 	e.rxBatch[j], e.rxCount[j], e.rxRow[j] = batch, count, row

@@ -186,8 +186,8 @@ func TestInlineWritesOverFullSocketBuffers(t *testing.T) {
 
 // TestWireStatsCountsFrames checks the physical-layer accounting: a
 // healthy loopback mesh receives every byte it ships, the per-superstep
-// frame count matches the protocol (a batch frame and a row frame per
-// directed pair, nothing else), and byte totals grow monotonically with
+// frame count matches the protocol (one batch frame per directed pair,
+// nothing else), and byte totals grow monotonically with
 // traffic.
 func TestWireStatsCountsFrames(t *testing.T) {
 	const k = 3
@@ -209,9 +209,9 @@ func TestWireStatsCountsFrames(t *testing.T) {
 		t.Errorf("loopback mesh sent %d bytes/%d frames but received %d/%d",
 			w0.BytesSent, w0.FramesSent, w0.BytesRecv, w0.FramesRecv)
 	}
-	// One batch frame and one row frame per directed pair; the cluster
-	// Transport's rows are empty, and no control frame crosses a socket.
-	wantFrames := int64(2 * k * (k - 1))
+	// One batch frame per directed pair, carrying the cluster Transport's
+	// empty row; no control frame crosses a socket.
+	wantFrames := int64(k * (k - 1))
 	if w0.FramesSent != wantFrames {
 		t.Errorf("empty superstep shipped %d frames, want %d", w0.FramesSent, wantFrames)
 	}
@@ -278,13 +278,13 @@ func TestExchangeAfterCloseFailsFast(t *testing.T) {
 // real endpoints, over real TCP sockets.
 func TestBadFrameFailsWhereItIsFound(t *testing.T) {
 	const job = 7
-	jobbed := func(body ...byte) []byte { return append(wire.AppendJobHeader(nil, job), body...) }
+	jobbed := func(body ...byte) []byte { return append(wire.AppendJobHeader(nil, job, nil), body...) }
 	empty, err := wire.AppendBatchV2(jobbed(), 0, 1, 2, []transport.Envelope[testMsg](nil), testCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wrongStep, _ := wire.AppendBatchV2(jobbed(), 5, 1, 0, []transport.Envelope[testMsg](nil), testCodec{})
-	wrongJob, _ := wire.AppendBatchV2(wire.AppendJobHeader(nil, job+1), 0, 1, 0, []transport.Envelope[testMsg](nil), testCodec{})
+	wrongJob, _ := wire.AppendBatchV2(wire.AppendJobHeader(nil, job+1, nil), 0, 1, 0, []transport.Envelope[testMsg](nil), testCodec{})
 	for _, row := range []struct {
 		name     string
 		frame    []byte
@@ -315,11 +315,11 @@ func TestBadFrameFailsWhereItIsFound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Each batch is followed by machine 1's (empty) row frame.
-			if err := ms[1].out[0].writeFrameLocked(time.Time{}, row.frame, nil); err != nil {
+			// Each batch frame carries machine 1's (empty) row.
+			if err := ms[1].out[0].writeFrameLocked(time.Time{}, row.frame); err != nil {
 				t.Fatal(err)
 			}
-			if err := ms[1].out[2].writeFrameLocked(time.Time{}, empty, nil); err != nil {
+			if err := ms[1].out[2].writeFrameLocked(time.Time{}, empty); err != nil {
 				t.Fatal(err)
 			}
 			ctx := context.Background()

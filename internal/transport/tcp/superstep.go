@@ -139,10 +139,10 @@ func (e *Endpoint[M]) finishGuard() {
 // envelopes — batches[j], a batch emitted to peer j (nil when none;
 // batches may be nil), and out, the others, self-addressed ones
 // included, which never touch a socket; a peer must not have both — one
-// batch frame per directed pair, empty batches included, each followed
-// by one frame of `row`, this machine's account of the superstep. Every
-// peer's batch and row leave in one vectored write on the calling
-// goroutine, peers visited from (id+step) mod k. It then waits for the
+// batch frame per directed pair, empty batches included, each carrying
+// `row`, this machine's account of the superstep. Every peer's frame
+// leaves in one vectored write on the calling goroutine, peers visited
+// from (id+step) mod k. It then waits for the
 // readers to drain and decodes the inbox in sender-ID order,
 // self-addressed envelopes at position e.id, exactly like the loopback
 // transport, into the storage of the previous inbox, which neither
@@ -231,7 +231,7 @@ func (e *Endpoint[M]) FinishSuperstep(step int, batches [][]transport.Envelope[M
 		return nil, nil, err
 	}
 	if j := e.sendPeer; e.sendErr != nil {
-		// Every reader is parked, so read what j sent after its frames of
+		// Every reader is parked, so read what j sent after its frame of
 		// this superstep: a blame frame or an EOF fails the endpoint with
 		// what it says; a frame of j's is no excuse for the write.
 		if e.in[j].c.SetReadDeadline(time.Now().Add(blameWriteTimeout)) != nil {

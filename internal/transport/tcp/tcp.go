@@ -7,27 +7,26 @@
 // boundaries as length-prefixed binary frames (transport/wire), one
 // batch frame per (sender, receiver) pair per superstep — empty batches
 // included, which is how a receiver knows a superstep's input is
-// complete — each followed on the same connection by one row frame: the
-// sender's account of the superstep, opaque to this package (the socket
-// link's core.Row). Every machine thus holds all k rows once its
-// exchange completes, so the exchange is the superstep's only
-// synchronisation.
+// complete — each carrying, ahead of its batch, the sender's row: its
+// account of the superstep, opaque to this package (the socket link's
+// core.Row). Every machine thus holds all k rows once its exchange
+// completes, so the exchange is the superstep's only synchronisation.
 //
 // Every frame an endpoint sends is written by the goroutine that made
-// it: FinishSuperstep writes each peer's batch and row itself, in one
-// writev per peer. Only the receive side has workers: one
+// it: FinishSuperstep writes each peer's frame itself, in one writev
+// per peer. Only the receive side has workers: one
 // persistent reader per incoming peer, spawned once when the endpoint
 // attaches and parked on a signal channel between supersteps.
 // BeginSuperstep releases the readers, so each receives and
-// header-checks its peer's frames in its own recycled buffer as soon
-// as they arrive; FinishSuperstep then waits for the readers and
+// header-checks its peer's frame in its own recycled buffer as soon
+// as it arrives; FinishSuperstep then waits for the readers and
 // decodes — with no goroutine spawned and no synchronisation state
 // allocated on the steady-state path. Readers exit when the endpoint
 // detaches or closes; they never leak across supersteps.
 //
 // Each connection end holds only the half it uses: a dialed end writes
-// its frames by writev straight from its batch encode buffer, an
-// accepted end owns a small reader and its batch and row read buffers.
+// its frames by writev straight from its encode buffer, an accepted end
+// owns a small reader and its frame read buffer.
 // These buffers belong to the Mesh, not to the per-job Endpoint, and
 // live as long as it does, at the high-water mark of its largest job.
 //
@@ -127,8 +126,8 @@ type Endpoint[M any] struct {
 	// in rxBatch/rxCount for the finish to decode into inbox, the one
 	// place received envelopes exist decoded, valid until the next
 	// finish decodes over it (core.Machine's ownership rule). The peer's
-	// row frame lands in rxRow (a window of in[j].rowFrame), returned as
-	// is and valid until the next BeginSuperstep.
+	// row lands in rxRow (another window of in[j].frame), returned as is
+	// and valid until the next BeginSuperstep.
 	perDest   [][]transport.Envelope[M] // outgoing to peers, split by destination
 	destCount []int
 	destSlab  []transport.Envelope[M]
@@ -144,7 +143,7 @@ type Endpoint[M any] struct {
 	strRelease func() bool // its ioGuard release, disarmed by Finish
 
 	// Bytes-on-wire accounting: every frame that crosses a socket —
-	// batches, rows and blame frames alike — is counted with its length
+	// batches and blame frames alike — is counted with its length
 	// prefix. Atomics because writes, readers and a blame broadcast
 	// account concurrently.
 	sentFrames, recvFrames atomic.Int64

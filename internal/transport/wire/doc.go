@@ -17,17 +17,7 @@
 // Batch — one (sender, receiver, superstep) shipment of envelopes; the
 // TCP transport writes exactly one batch frame per peer per superstep,
 // empty batches included, which is what lets a receiver detect that a
-// superstep's input is complete, and follows it on the same connection
-// with one row frame:
-//
-//	row        := bytes               // the sender's account of the
-//	                                  // superstep, opaque to the transport
-//
-// The socket link (transport/node) fills it with the sender's core.Row
-// — a flags byte below 0x80, superstep, messages, k link words, error
-// text — so every machine receives all k rows with its inbox and rules
-// the superstep itself; the in-process cluster's TCP transport ships it
-// empty. A batch's first byte names its format
+// superstep's input is complete. A batch's first byte names its format
 // (BatchV2 = 0x02, the only one; BatchHeader rejects any other), and
 // the layout exploits that a batch frame is already a per-(sender,
 // receiver, superstep) unit carried by a connection that identifies
@@ -70,15 +60,24 @@
 //
 // # Job-scoped frames
 //
-// Every batch frame names its job (a row frame, riding directly behind
-// its batch, needs no header of its own): a job header sits where the
-// batch version byte otherwise would, and the complete versioned batch
-// follows unchanged. Where a batch is due, a reader accepts exactly —
+// Every batch frame names its job and carries its sender's row: a
+// header sits where the batch version byte otherwise would, and the
+// complete versioned batch follows unchanged. Where a batch is due, a
+// reader accepts exactly —
 //
 //	frame      := jobbed | abort      // the payload where a batch is due
-//	jobbed     := 0x03 job batchV2
+//	jobbed     := 0x03 job rowLen row batchV2
 //	job        := uvarint             // 0 for a single run; the job
 //	                                  // service numbers its jobs from 1
+//	rowLen     := uvarint             // bytes of row
+//	row        := bytes               // the sender's account of the
+//	                                  // superstep, opaque to the transport
+//
+// The socket link (transport/node) fills the row with the sender's
+// core.Row — flags, messages, k link words, error text — so every
+// machine receives all k rows with its inbox and rules the superstep
+// itself; the in-process cluster's TCP transport ships it empty. The
+// row needs no superstep of its own: the batch behind it names one.
 //
 // The header scopes, it does not re-encode: the batch travels
 // byte-identically inside it. A resident mesh executes many jobs over
@@ -102,15 +101,12 @@
 //
 // # Arrival order
 //
-// A machine ships each peer's batch as soon as its compute finalises it
-// (DESIGN.md "The superstep schedule"), so frames for superstep s
-// arrive spread across the *whole* of superstep s rather than clustered
-// after a barrier, and the relative arrival order of frames from
-// different senders carries no information. The per-frame superstep
-// field is therefore the only valid sequencing key — a decoder may
-// assert that consecutive frames on one connection carry monotonically
-// increasing superstep values (one batch per peer per superstep), but
-// must never infer phase boundaries from inter-frame timing.
+// The relative arrival order of frames from different senders carries
+// no information. The per-frame superstep field is the only valid
+// sequencing key — a decoder may assert that consecutive frames on one
+// connection carry monotonically increasing superstep values (one
+// batch per peer per superstep), but must never infer phase boundaries
+// from inter-frame timing.
 //
 // # Payload codecs
 //

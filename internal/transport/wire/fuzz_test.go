@@ -18,14 +18,15 @@ import (
 // target covers both directions (decoder hardening and encoder/decoder
 // identity) for the CI fuzz-smoke job, which can only drive a single
 // -fuzz pattern. The bytes also take the socket reader's acceptance
-// path — PeelJobHeader, then BatchHeader, then a decode into storage
-// sized by the header's count — which every batch frame of every run
-// goes through.
+// path — PeelJobHeader, which splits off the job and the row, then
+// BatchHeader, then a decode into storage sized by the header's count —
+// which every batch frame of every run goes through.
 func FuzzBatchDecode(f *testing.F) {
 	c := pairCodec{}
 	// Seed corpus: a valid batch, the legal empty batch, known-corrupt
-	// shapes from the unit tests, and the batch as the socket link ships
-	// it for a single run (job 0) and for a job of a standing mesh.
+	// shapes from the unit tests, and the batch frame as the socket link
+	// ships it for a single run (job 0) and for a job of a standing mesh,
+	// with and without a row.
 	envs := []transport.Envelope[pairMsg]{
 		{From: 1, To: 2, Words: 4, Msg: pairMsg{A: -9, B: 11}},
 		{From: 1, To: 2, Words: 0, Msg: pairMsg{A: 0, B: 1}},
@@ -40,9 +41,12 @@ func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte{BatchV2, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Add([]byte{})
 	for _, job := range []uint64{0, 300} {
-		if seed, err := AppendBatchV2(AppendJobHeader(nil, job), 3, 1, 2, envs, c); err == nil {
+		if seed, err := AppendBatchV2(AppendJobHeader(nil, job, []byte{1, 2, 3, 0, 9, 4}), 3, 1, 2, envs, c); err == nil {
 			f.Add(seed)
 		}
+	}
+	if seed, err := AppendBatchV2(AppendJobHeader(nil, 0, nil), 3, 1, 2, nil, c); err == nil {
+		f.Add(seed)
 	}
 
 	f.Fuzz(func(t *testing.T, src []byte) {
@@ -102,8 +106,14 @@ func FuzzBatchDecode(f *testing.F) {
 
 		// The reader's acceptance path: what passes the job and batch
 		// headers decodes, if at all, to exactly the superstep and count
-		// the header promised, into storage sized by that count.
-		if _, inner, err := PeelJobHeader(src); err == nil {
+		// the header promised, into storage sized by that count. What
+		// peels re-wraps into a frame that peels to the same job, row and
+		// batch.
+		if job, row, inner, err := PeelJobHeader(src); err == nil {
+			job2, row2, inner2, err := PeelJobHeader(append(AppendJobHeader(nil, job, row), inner...))
+			if err != nil || job2 != job || !bytes.Equal(row2, row) || !bytes.Equal(inner2, inner) {
+				t.Fatalf("re-wrapped frame peels to (%d, % x, % x, %v), want (%d, % x, % x)", job2, row2, inner2, err, job, row, inner)
+			}
 			if hstep, count, _, err := BatchHeader(inner); err == nil {
 				dstep, denvs, err := AppendDecodedBatch(make([]transport.Envelope[pairMsg], 0, count), inner, c, sender, to)
 				if err == nil && (dstep != hstep || len(denvs) != count) {

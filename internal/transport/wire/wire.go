@@ -371,35 +371,41 @@ func AppendDecodedBatch[M any](dst []transport.Envelope[M], src []byte, codec Co
 	return step, envs, nil
 }
 
-// BatchJobbed marks a batch frame's job header: the byte sits where a
-// batch version byte otherwise would, followed by the uvarint job ID
-// and then a complete versioned batch (unchanged). Every batch frame
-// carries one — job 0, a single run, included — so frames from
-// different jobs can share one standing mesh's persistent per-peer
-// connections: a reader attached for job J rejects a straggler frame
-// from job I != J instead of silently decoding it into the wrong run.
+// BatchJobbed marks a batch frame's header: the byte sits where a
+// batch version byte otherwise would, followed by the uvarint job ID,
+// the length-prefixed row and then a complete versioned batch
+// (unchanged). Every batch frame carries one — job 0, a single run,
+// included — so frames from different jobs can share one standing
+// mesh's persistent per-peer connections: a reader attached for job J
+// rejects a straggler frame from job I != J instead of silently
+// decoding it into the wrong run.
 const BatchJobbed = byte(0x03)
 
-// AppendJobHeader appends a job-scope header: the BatchJobbed marker
-// and the job ID. The caller appends a versioned batch (AppendBatchV2)
-// immediately after.
-func AppendJobHeader(dst []byte, job uint64) []byte {
+// AppendJobHeader appends a batch frame's header: the BatchJobbed
+// marker, the job ID and the sender's row — its account of the
+// superstep, opaque to this package — length-prefixed. The caller
+// appends a versioned batch (AppendBatchV2) immediately after.
+func AppendJobHeader(dst []byte, job uint64, row []byte) []byte {
 	dst = append(dst, BatchJobbed)
-	return AppendUvarint(dst, job)
+	dst = AppendUvarint(dst, job)
+	dst = AppendUvarint(dst, uint64(len(row)))
+	return append(dst, row...)
 }
 
-// PeelJobHeader splits a batch frame into its job and the inner
-// versioned batch, which aliases src. A frame that does not start with
-// a job header is an error.
-func PeelJobHeader(src []byte) (job uint64, rest []byte, err error) {
+// PeelJobHeader splits a batch frame into its job, its row and the
+// inner versioned batch; row and batch alias src. A frame that does not
+// start with a job header, or whose row runs past its end, is an error.
+func PeelJobHeader(src []byte) (job uint64, row, batch []byte, err error) {
 	c := Cursor{Src: src}
 	if b := c.Byte(); c.Err == nil && b != BatchJobbed {
-		return 0, nil, fmt.Errorf("wire: frame starts with 0x%02x, not a job header", b)
+		return 0, nil, nil, fmt.Errorf("wire: frame starts with 0x%02x, not a job header", b)
 	}
-	if job = c.Uvarint(); c.Err != nil {
-		return 0, nil, fmt.Errorf("wire: corrupt job header: %w", c.Err)
+	job = c.Uvarint()
+	row = c.LenPrefixed()
+	if c.Err != nil {
+		return 0, nil, nil, fmt.Errorf("wire: corrupt job header: %w", c.Err)
 	}
-	return job, src[c.Off:], nil
+	return job, row, src[c.Off:], nil
 }
 
 // BatchAbort marks a blame frame: a failing endpoint's last words on a

@@ -305,17 +305,22 @@ func TestJobHeaderRoundTrip(t *testing.T) {
 		from := transport.MachineID(r.Intn(8))
 		to := transport.MachineID(r.Intn(8))
 		envs := v2Batch(r, from, to, r.Intn(20))
+		row := make([]byte, r.Intn(200))
+		for i := range row {
+			row[i] = byte(r.Intn(256))
+		}
 
-		// The job header wraps the batch byte-identically.
-		enc := AppendJobHeader(nil, job)
+		// The job header carries the row and wraps the batch
+		// byte-identically.
+		enc := AppendJobHeader(nil, job, row)
 		hdr := len(enc)
 		enc, err := AppendBatchV2(enc, step, from, to, envs, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotJob, rest, err := PeelJobHeader(enc)
-		if err != nil || gotJob != job {
-			t.Fatalf("peel: job=%d err=%v, want job=%d", gotJob, err, job)
+		gotJob, gotRow, rest, err := PeelJobHeader(enc)
+		if err != nil || gotJob != job || !bytes.Equal(gotRow, row) {
+			t.Fatalf("peel: job=%d row=% x err=%v, want job=%d row=% x", gotJob, gotRow, err, job, row)
 		}
 		if len(rest) != len(enc)-hdr {
 			t.Fatalf("peel: rest %d bytes, want %d", len(rest), len(enc)-hdr)
@@ -346,40 +351,44 @@ func TestJobHeaderRequired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := PeelJobHeader(bare); err == nil {
+	if _, _, _, err := PeelJobHeader(bare); err == nil {
 		t.Fatal("bare batch frame accepted without a job header")
 	}
-	zero, err := AppendBatchV2(AppendJobHeader(nil, 0), 5, 1, 2, nil, c)
+	zero, err := AppendBatchV2(AppendJobHeader(nil, 0, nil), 5, 1, 2, nil, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job, rest, err := PeelJobHeader(zero); err != nil || job != 0 || !bytes.Equal(rest, bare) {
-		t.Fatalf("job-0 frame: job=%d rest=% x err=%v, want job 0 around % x", job, rest, err, bare)
+	if job, row, rest, err := PeelJobHeader(zero); err != nil || job != 0 || len(row) != 0 || !bytes.Equal(rest, bare) {
+		t.Fatalf("job-0 frame: job=%d row=% x rest=% x err=%v, want job 0 and no row around % x", job, row, rest, err, bare)
 	}
 	ab := AppendAbort(nil, 7, 3)
 	if ab[0] == BatchJobbed || ab[0] == BatchV2 {
 		t.Fatalf("abort marker 0x%02x collides with a batch frame's first byte", ab[0])
 	}
-	if _, _, err := PeelJobHeader(ab); err == nil {
+	if _, _, _, err := PeelJobHeader(ab); err == nil {
 		t.Fatal("abort frame peeled as a batch")
 	}
 }
 
 func TestJobHeaderRejectsCorruption(t *testing.T) {
-	// A truncated uvarint after the marker, or no header at all.
+	// A truncated uvarint after the marker, a row length beyond the
+	// frame, or no header at all.
 	for _, src := range [][]byte{
 		{BatchJobbed},
 		{BatchJobbed, 0x80},
 		{BatchJobbed, 0xFF, 0xFF},
+		{BatchJobbed, 1},
+		{BatchJobbed, 1, 0x80},
+		{BatchJobbed, 1, 3, 'r', 'o'},
 		{},
 	} {
-		if _, _, err := PeelJobHeader(src); err == nil {
+		if _, _, _, err := PeelJobHeader(src); err == nil {
 			t.Errorf("corrupt header % x accepted", src)
 		}
 	}
 	// A jobbed frame handed to a job-less decoder is an unknown version.
 	c := pairCodec{}
-	enc, err := AppendBatchV2(AppendJobHeader(nil, 42), 1, 0, 1, nil, c)
+	enc, err := AppendBatchV2(AppendJobHeader(nil, 42, []byte("row")), 1, 0, 1, nil, c)
 	if err != nil {
 		t.Fatal(err)
 	}

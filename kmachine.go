@@ -15,9 +15,10 @@
 // EXPERIMENTS.md for the reproduction results.
 //
 // Every distributed algorithm is registered once in the internal/algo
-// registry and runs on every substrate — the in-process loopback, real
-// TCP sockets, and the standalone multi-process node runtime
-// (cmd/kmnode) — with bit-identical Stats and outputs.
+// registry and runs on every substrate — the in-process loopback, the
+// socket link over in-memory connections in one process, and the
+// standalone multi-process node runtime over real TCP sockets
+// (cmd/kmnode -id) — with bit-identical Stats and outputs.
 //
 // Quick start:
 //

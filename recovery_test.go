@@ -207,7 +207,7 @@ func goldenRun[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partitio
 func killThenResume[M, L, O any](t *testing.T, a algo.Algorithm[M, L, O], in partition.Input, k int,
 	kind transport.Kind, every int, killed, resumed fault) (O, *core.Stats) {
 	t.Helper()
-	ck := core.CheckpointPolicy{Every: every, Sink: core.NewMemorySink(0)}
+	ck := core.CheckpointPolicy{Every: every, Sink: core.NewMemorySink()}
 	_, _, err := runArm(t, a, in, k, kind, ck, killed)
 	var me *transport.MachineError
 	if !errors.As(err, &me) {
