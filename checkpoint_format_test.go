@@ -14,6 +14,7 @@ import (
 	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"kmachine/internal/algo"
@@ -120,6 +121,39 @@ func TestCheckpointBytesIdenticalAcrossRuntimes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// countingSink counts the Latest calls on the sink it wraps.
+type countingSink struct {
+	core.CheckpointSink
+	latest atomic.Int64
+}
+
+func (s *countingSink) Latest() (int, []byte, error) {
+	s.latest.Add(1)
+	return s.CheckpointSink.Latest()
+}
+
+// TestCheckpointedRunOpensItsCutOnce: a cut belongs to the whole run,
+// not to one machine, so a checkpointed run opens its sink's latest cut
+// once per attempt on both links, whether it starts from superstep 0 or
+// resumes — not once per machine.
+func TestCheckpointedRunOpensItsCutOnce(t *testing.T) {
+	entry, _ := algo.Lookup("pagerank")
+	prob := algo.Problem{N: 500, K: 8, Seed: 1}
+	for _, runtime := range []transport.Kind{transport.InMem, transport.TCP} {
+		sink := &countingSink{CheckpointSink: core.NewMemorySink()}
+		prob.Checkpoint = algo.CheckpointSpec{Every: 4, Sink: sink}
+		for _, attempt := range []string{"fresh", "resumed"} {
+			sink.latest.Store(0)
+			if _, err := entry.Run(prob, runtime); err != nil {
+				t.Fatalf("%s %s run: %v", attempt, runtime, err)
+			}
+			if got := sink.latest.Load(); got != 1 {
+				t.Errorf("%s %s run read the sink's Latest %d times, want once", attempt, runtime, got)
+			}
+		}
 	}
 }
 

@@ -20,21 +20,23 @@ import (
 // machine is re-run from its latest cut (internal/algo's retry loop)
 // and finishes with bit-identical output. It holds the one cut, the one
 // container format, the one sink interface, the one capture path
-// (Drive's hook into the Assembler) and the one restore path (Drive
-// installing a Cut) of both links.
+// (Drive's hook into the Assembler) and the one restore path (DriveAll
+// opening a Cut, Drive installing its part) of both links.
 //
 // The cut. Machine state is a pure function of (seed, inbox history),
 // so right after superstep s is delivered and charged, the k parts ⟨RNG
 // state, Snapshotter state, the inbox superstep s+1 consumes⟩ plus the
 // Stats accounted through s are a complete, consistent image of the
-// computation. Each driver encodes its own part, machine 0's adds the
-// Stats, and the run's Assembler stores the container once all k have
-// arrived. A checkpointed run starts from the newest cut in its sink
-// that carries its run digest (Assembler.LatestCut) — each driver
-// installs its own part, machine 0's the Stats — and enters the
-// ordinary loop at s+1; from there the replay is the original run, bit
-// for bit, because every machine draws the same random words and reads
-// the same inboxes; with no such cut it starts from superstep 0. A
+// computation. Each driver encodes its own part, and the run's
+// Assembler stores the container once all k have arrived, with the
+// Stats of the last to arrive. A checkpointed run starts from the
+// newest cut in its sink that carries its run digest
+// (Assembler.LatestCut), opened once per run by DriveAll, which installs
+// its Stats in every coordinator of the run; each driver installs its
+// own part and enters the ordinary loop at s+1; from there the replay
+// is the original run, bit for bit, because every machine draws the
+// same random words and reads the same inboxes; with no such cut it
+// starts from superstep 0. A
 // stop ruling ends the run before a capture, so a final superstep is
 // never captured, and a superstep whose exchange failed was never
 // captured either: a resume replays at most Every supersteps.
@@ -109,8 +111,7 @@ type CheckpointPolicy struct {
 // for one superstep (the sink must copy it — the encoder reuses its
 // buffer); Latest returns the most recent stored checkpoint, or
 // (-1, nil, nil) when the sink holds none. Puts are serialised by the
-// Assembler; the k drivers of a checkpointed socket run call Latest
-// concurrently.
+// Assembler, and a run calls Latest once, before its first superstep.
 type CheckpointSink interface {
 	Put(superstep int, blob []byte) error
 	Latest() (superstep int, blob []byte, err error)
@@ -424,11 +425,11 @@ func DecodeStats(src []byte, k int) (*Stats, error) {
 
 // Assembler joins the k parts and the Stats part of the one superstep
 // being captured and stores the container — every driver hands over its
-// part of s before any can finish s+1, so there is never a second. It is
-// shared memory: it serves the clusters whose k drivers live in one
-// process (RunOn, node.RunLocal, the job service). A multi-process
-// standalone run only ever fills one machine's part and therefore never
-// completes a checkpoint.
+// part of s before any can finish s+1, so there is never a second — and
+// opens the cut a run starts from. It is shared memory: DriveAll builds
+// one per run of the clusters whose k drivers live in one process
+// (RunOn, node.RunLocal, the job service); a multi-process run refuses
+// checkpointing (node.Run).
 type Assembler struct {
 	every int
 	sink  CheckpointSink
@@ -481,23 +482,23 @@ func (a *Assembler) LatestCut() (*Cut, error) {
 	return &Cut{Step: step, Parts: parts, Stats: stats}, nil
 }
 
-// put copies in machine id's part of the cut after superstep step —
-// machine 0's call also carries the Stats, through its coordinator —
-// and stores the container once all k have arrived. The sink write runs
-// under the lock: the last driver to arrive is the only one here.
-func (a *Assembler) put(step, id int, part []byte, coord *Coordinator) error {
+// put copies in machine id's part of the cut after superstep step and,
+// once all k have arrived, stores the container with the Stats of the
+// driver that completed it — every coordinator of the run has charged
+// the same rows, and none charges s+1 before that driver's Round. The
+// sink write runs under the lock: the last driver to arrive is the only
+// one here.
+func (a *Assembler) put(step, id int, part []byte, stats *Stats) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if step != a.step {
 		a.step, a.have = step, 0
 	}
 	a.parts[id] = append(a.parts[id][:0], part...)
-	if coord != nil {
-		a.stats = AppendStats(a.stats[:0], coord.stats)
-	}
 	if a.have++; a.have < len(a.parts) {
 		return nil
 	}
+	a.stats = AppendStats(a.stats[:0], stats)
 	a.buf = AppendCheckpoint(a.buf[:0], a.run, step, a.parts, a.stats)
 	return a.sink.Put(step, a.buf)
 }

@@ -295,7 +295,9 @@ const (
 	VerdictAbort
 )
 
-// Verdict is what a Link's Round returns to every machine alike.
+// Verdict is what a Link's Round returns to every machine alike. Stats
+// are the ruling coordinator's — on a continue, charged through this
+// superstep once Round returns: what its checkpoint stores.
 type Verdict struct {
 	Kind  VerdictKind
 	Stats *Stats
@@ -323,12 +325,8 @@ func NewCoordinator(k, bandwidth int, dropPerSuperstep bool) *Coordinator {
 }
 
 // Stats returns the statistics accounted so far, MaxRecvWords included —
-// the partial Stats of a failed run, the final ones after a stop; nil
-// for the nil Coordinator of a machine that does not rule.
+// the partial Stats of a failed run, the final ones after a stop.
 func (c *Coordinator) Stats() *Stats {
-	if c == nil {
-		return nil
-	}
 	c.stats.finalize()
 	return c.stats
 }
@@ -337,7 +335,7 @@ func (c *Coordinator) Stats() *Stats {
 // reported error in machine order, a stop when every machine is done and
 // none has an envelope in flight, continue otherwise. It charges nothing
 // — the final silent superstep is free, and a superstep that goes on is
-// charged once it is delivered.
+// charged, into the continue verdict's Stats, once it is delivered.
 func (c *Coordinator) Rule(rows []*Row) Verdict {
 	quiet := true
 	for _, r := range rows {
@@ -349,7 +347,7 @@ func (c *Coordinator) Rule(rows []*Row) Verdict {
 	if quiet {
 		return Verdict{Kind: VerdictStop, Stats: c.Stats()}
 	}
-	return Verdict{Kind: VerdictContinue}
+	return Verdict{Kind: VerdictContinue, Stats: c.stats}
 }
 
 // Charge accounts one delivered superstep. Sums and maxima are

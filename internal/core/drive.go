@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -60,15 +61,12 @@ type Driver[M any] struct {
 	ID      int
 	Machine Machine[M]
 	Link    Link[M]
-	// Coord is set on machine 0 only, to the coordinator its link rules
-	// through: its driver adds the Stats part to a checkpoint and
-	// installs the one of a restored cut. (The socket link keeps a
-	// coordinator on every machine and restores the others itself.)
-	Coord *Coordinator
-	// Assembler, when non-nil, receives this machine's part of the cut
-	// after every Every-th superstep; Resume, when non-nil, is installed
-	// before the first superstep, which is then Resume.Step+1. Both need
-	// the machine to implement Snapshotter and a Codec.
+	// Assembler, when non-nil, receives this machine's part of the cut,
+	// and the continue verdict's Stats, after every Every-th superstep;
+	// Resume, when non-nil, is the cut DriveAll opened, whose part for
+	// this machine is installed before the first superstep, which is then
+	// Resume.Step+1. Both need the machine to implement Snapshotter and a
+	// Codec.
 	Assembler *Assembler
 	Resume    *Cut
 	Codec     wire.Codec[M]
@@ -104,11 +102,6 @@ func Drive[M any](d Driver[M]) (*Stats, error) {
 		if inbox, err = RestoreCheckpointPart(cut.Parts[d.ID], cut.Step, self, rand, snap, d.Codec); err != nil {
 			return nil, err
 		}
-		if d.Coord != nil {
-			if err := d.Coord.Restore(cut.Stats); err != nil {
-				return nil, err
-			}
-		}
 		start = cut.Step + 1
 	}
 
@@ -135,7 +128,7 @@ func Drive[M any](d Driver[M]) (*Stats, error) {
 		// exactly what step+1 consumes.
 		if ck := d.Assembler; ck != nil && (step+1)%ck.every == 0 {
 			if part, err = AppendCheckpointPart(part[:0], step, self, rand, snap, inbox, d.Codec); err == nil {
-				err = ck.put(step, d.ID, part, d.Coord)
+				err = ck.put(step, d.ID, part, v.Stats)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("core: machine %d checkpoint at superstep %d: %w", d.ID, step, err)
@@ -245,29 +238,48 @@ func (r *run[M]) account(out []Envelope[M], step int) (failure string) {
 }
 
 // DriveAll runs the k machines of a cluster that lives in one process,
-// one goroutine each, and waits for all of them. A machine that fails
-// has fail(i, err) called at once — it must tear that machine's link
-// down so peers parked on it unblock. It returns machine 0's result,
-// or the first error in machine order: on a stop every machine returns
-// the same Stats, and on an abort the same message.
-func DriveAll(k int, drive func(i int) (*Stats, error), fail func(i int, err error)) (*Stats, error) {
-	stats := make([]*Stats, k)
-	errs := make([]error, k)
+// one goroutine each, on the Drivers driver(i) returns — asked for in
+// machine order before any starts — and waits for all of them. It is
+// the one resume path of both links: first it builds the run's
+// Assembler, opens its latest cut, installs the cut's Stats in coords —
+// every coordinator the run rules through — and hands every driver
+// both. A machine that fails has fail(i, err) called at once — it must
+// tear that machine's link down so peers parked on it unblock. It
+// returns coords[0]'s Stats, partial on an error, and the first error
+// in machine order: on a stop every machine returns the same Stats, and
+// on an abort the same message.
+func DriveAll[M any](cfg Config, coords []*Coordinator, driver func(i int) Driver[M], fail func(i int, err error)) (*Stats, error) {
+	asm := NewAssembler(cfg.Checkpoint, cfg.K)
+	var cut *Cut
+	if asm != nil {
+		var err error
+		if cut, err = asm.LatestCut(); err != nil {
+			return coords[0].Stats(), err
+		}
+	}
+	if cut != nil {
+		for _, c := range coords {
+			if err := c.Restore(cut.Stats); err != nil {
+				return coords[0].Stats(), err
+			}
+		}
+	}
+	drivers := make([]Driver[M], cfg.K)
+	for i := range drivers {
+		drivers[i] = driver(i)
+		drivers[i].Assembler, drivers[i].Resume = asm, cut
+	}
+	errs := make([]error, cfg.K)
 	var wg sync.WaitGroup
-	wg.Add(k)
-	for i := 0; i < k; i++ {
+	wg.Add(cfg.K)
+	for i, d := range drivers {
 		go func() {
 			defer wg.Done()
-			if stats[i], errs[i] = drive(i); errs[i] != nil {
+			if _, errs[i] = Drive(d); errs[i] != nil {
 				fail(i, errs[i])
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return stats[0], err
-		}
-	}
-	return stats[0], nil
+	return coords[0].Stats(), cmp.Or(errs...)
 }

@@ -186,9 +186,9 @@ func (c *Cluster[M]) Sever(i int) error {
 // ruled an abort, is not among them. Config.Transport must name the
 // loopback: the socket link is internal/algo's to run.
 //
-// Config.Checkpoint arms capture and installs the run's latest cut
-// first — exactly as on the socket link; both need codec,
-// which is otherwise unused (nil is fine for an unarmed run).
+// Config.Checkpoint arms capture and resumes from the run's latest cut
+// (DriveAll, as on the socket link); both need codec, which is
+// otherwise unused (nil is fine for an unarmed run).
 // Config.Context is observed before and after every Step, and
 // Config.SuperstepTimeout bounds each superstep, so a Step that
 // outlasts it fails the run with a deadline error. With neither set no
@@ -200,24 +200,10 @@ func (c *Cluster[M]) RunOn(codec wire.Codec[M]) (*Stats, error) {
 		return nil, fmt.Errorf("core: Config.Transport=%q is not the in-process link; run it through internal/algo", cfg.Transport)
 	}
 	coord := NewCoordinator(cfg.K, cfg.Bandwidth, cfg.DropPerSuperstep)
-	asm := NewAssembler(cfg.Checkpoint, cfg.K)
-	var resume *Cut
-	if asm != nil {
-		var err error
-		if resume, err = asm.LatestCut(); err != nil {
-			return coord.Stats(), err
-		}
-	}
 	rv := newRendezvous[M](coord, cfg.Recorder, cfg.K)
 	c.running.Store(rv)
 	defer c.running.Store(nil)
-	_, err := DriveAll(cfg.K, func(i int) (*Stats, error) {
-		d := Driver[M]{Config: cfg, ID: i, Machine: c.machines[i], Link: &localLink[M]{rv: rv, id: i},
-			Assembler: asm, Resume: resume, Codec: codec}
-		if i == 0 {
-			d.Coord = coord
-		}
-		return Drive(d)
+	return DriveAll(cfg, []*Coordinator{coord}, func(i int) Driver[M] {
+		return Driver[M]{Config: cfg, ID: i, Machine: c.machines[i], Link: &localLink[M]{rv: rv, id: i}, Codec: codec}
 	}, func(_ int, err error) { rv.fail(err) })
-	return coord.Stats(), err
 }

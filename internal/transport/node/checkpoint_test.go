@@ -189,7 +189,8 @@ func TestResumeRejectsOtherClusterSize(t *testing.T) {
 
 // TestResumedRunIsDataFramesOnly counts the frames of a resumed run:
 // the batch frames of the supersteps after the cut, and nothing
-// else — every node opens the cut itself, so no round agrees on it.
+// else — the run opens the cut once, before any node starts, so no
+// round agrees on it.
 func TestResumedRunIsDataFramesOnly(t *testing.T) {
 	const k = 4
 	sink := core.NewMemorySink()

@@ -126,7 +126,7 @@ func runMeshWithFault(t *testing.T, k, eager, victim, failStep int, timeout time
 		go func(i int) {
 			defer wg.Done()
 			cfg := core.Config{K: k, Bandwidth: 1, Seed: 7, SuperstepTimeout: timeout}
-			_, errs[i] = runNode(cfg, i, eps[i], factory(core.MachineID(i)), nil, nil)
+			_, errs[i] = runNode(cfg, i, eps[i], factory(core.MachineID(i)), nil)
 			if errs[i] != nil {
 				eps[i].Close()
 			}

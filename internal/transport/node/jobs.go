@@ -13,12 +13,13 @@ import (
 // This file is the socket link's in-process cluster: a LocalMesh is k
 // meshes joined in memory (tcp.NewLoopbackMesh), and a run on it
 // attaches fresh typed endpoints for one job, runs core.Drive on every
-// machine, and detaches with the connections intact. RunJobLocal runs
-// job after job on a standing one, every data batch framed with the job
-// ID; RunLocal is job 0 on a LocalMesh of its own. Per-job isolation
-// falls out of the structure: each job gets fresh endpoints (wire
-// counters, scratch, inboxes), fresh coordinator replicas (Stats), and
-// whatever Recorder the caller put in its core.Config.
+// machine (core.DriveAll), and detaches with the connections intact.
+// RunJobLocal runs job after job on a standing one, every data batch
+// framed with the job ID; RunLocal is job 0 on a LocalMesh of its own.
+// Per-job isolation falls out of the structure: each job gets fresh
+// endpoints (wire counters, scratch, inboxes), fresh coordinator
+// replicas (Stats), and whatever Recorder the caller put in its
+// core.Config.
 
 // LocalMesh is the standing k-machine socket fabric of a resident
 // in-process cluster: every ordered pair joined by an in-memory
@@ -75,10 +76,10 @@ func (lm *LocalMesh) Rebuilds() int64 {
 	return lm.rebuilds
 }
 
-// Sever forcibly closes machine i's fabric — listener and every
-// connection — simulating that machine dying mid-job. The in-flight
-// job fails with attribution; the mesh is poisoned. Fault injection
-// for tests: a machine's Step that severs itself dies mid-superstep.
+// Sever forcibly closes machine i's fabric — every connection —
+// simulating that machine dying mid-job. The in-flight job fails with
+// attribution; the mesh is poisoned. Fault injection for tests: a
+// machine's Step that severs itself dies mid-superstep.
 func (lm *LocalMesh) Sever(i int) error {
 	if i < 0 || i >= lm.k {
 		return fmt.Errorf("node: cannot sever machine %d of %d", i, lm.k)
@@ -124,20 +125,22 @@ func (lm *LocalMesh) attachable() ([]*tcp.Mesh, error) {
 
 // RunJobLocal executes one job on the standing mesh: typed endpoints
 // attach for job `job` (every batch carries its ID, and a reader rejects
-// any other), and core.Drive runs on every machine to the stop each
-// rules from the same last superstep. Job 0 is a single run (RunLocal),
-// and the job service numbers its jobs from 1. Every machine has
-// finished that last superstep, so every frame shipped has been read,
-// and once all k have returned the endpoints detach with the
-// connections drained — safe to hand to the next job's endpoints. cfg
-// is validated first: a rejected job attaches nothing and leaves the
-// mesh healthy. A machine that fails closes its endpoint at once: peers
-// may be parked in reads on its connections with no (or a long)
-// deadline, and the close is what unwedges them. A failed job may leave
-// some machines cleanly done and others mid-teardown, so on any error
-// every endpoint closes, poisoning the whole fabric (Healthy()==false)
-// for the next RunJobLocal to rebuild rather than run on a half-dead
-// mesh.
+// any other), and core.DriveAll runs core.Drive on every machine, each
+// ruling through its own socket link's coordinator replica, to the stop
+// each rules from the same last superstep; a checkpointed job resumes
+// from its latest cut, which DriveAll opens once for all k. Job 0 is a
+// single run (RunLocal), and the job service numbers its jobs from 1.
+// Every machine has finished that last superstep, so every frame
+// shipped has been read, and once all k have returned the endpoints
+// detach with the connections drained — safe to hand to the next job's
+// endpoints. cfg is validated first: a rejected job attaches nothing
+// and leaves the mesh healthy. A machine that fails closes its endpoint
+// at once: peers may be parked in reads on its connections with no (or
+// a long) deadline, and the close is what unwedges them. A failed job
+// may leave some machines cleanly done and others mid-teardown, so on
+// any error every endpoint closes, poisoning the whole fabric
+// (Healthy()==false) for the next RunJobLocal to rebuild rather than
+// run on a half-dead mesh.
 func RunJobLocal[M any](lm *LocalMesh, cfg core.Config, job uint64, codec wire.Codec[M], factory func(core.MachineID) core.Machine[M]) (*core.Stats, transport.WireStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, transport.WireStats{}, err
@@ -153,15 +156,17 @@ func RunJobLocal[M any](lm *LocalMesh, cfg core.Config, job uint64, codec wire.C
 	if err != nil {
 		return nil, transport.WireStats{}, err
 	}
-	asm := core.NewAssembler(cfg.Checkpoint, cfg.K)
-	// Factory calls stay sequential, matching core.NewCluster's contract
-	// (factories may append to shared slices without locking).
-	machines := make([]core.Machine[M], cfg.K)
-	for i := range machines {
-		machines[i] = factory(core.MachineID(i))
+	links := make([]*socketLink[M], cfg.K)
+	coords := make([]*core.Coordinator, cfg.K)
+	for i := range links {
+		links[i] = newSocketLink(cfg, i, eps[i])
+		coords[i] = links[i].coord
 	}
-	stats, err := core.DriveAll(cfg.K, func(i int) (*core.Stats, error) {
-		return runNode(cfg, i, eps[i], machines[i], codec, asm)
+	// DriveAll asks for the drivers in machine order, so factory calls
+	// stay sequential, matching core.NewCluster's contract (factories may
+	// append to shared slices without locking).
+	stats, err := core.DriveAll(cfg, coords, func(i int) core.Driver[M] {
+		return core.Driver[M]{Config: cfg, ID: i, Machine: factory(core.MachineID(i)), Link: links[i], Codec: codec}
 	}, func(i int, _ error) { eps[i].Close() })
 	var w transport.WireStats
 	for _, ep := range eps {

@@ -1,10 +1,10 @@
 // Package node is core.Drive's socket link: it connects ONE machine of
 // a cluster to peers that live in other processes (Run, given the
-// process's Place) or, on a LocalMesh, behind their own listeners in
-// this one. Either way a machine is driven over a tcp.Endpoint attached
-// to its mesh for one job, and every batch it ships names that job: a
-// single run (Run, RunLocal) is job 0, and the job service numbers its
-// jobs (RunJobLocal) from 1. cmd/kmnode is its CLI.
+// process's Place) or, on a LocalMesh, in this one, joined by in-memory
+// connections. Either way a machine is driven over a tcp.Endpoint
+// attached to its mesh for one job, and every batch it ships names that
+// job: a single run (Run, RunLocal) is job 0, and the job service
+// numbers its jobs (RunJobLocal) from 1. cmd/kmnode is its CLI.
 //
 // The superstep loop is core.Drive and the run is a core.Config, the
 // same ones as the in-process cluster's; what this package adds is how
@@ -44,8 +44,8 @@ type Config = core.Config
 
 // Place is where one process's machine sits in a multi-process cluster
 // — all the socket link adds to a run's core.Config, and read only by
-// Run: RunLocal and the job service give every machine its own loopback
-// endpoint.
+// Run: RunLocal and the job service give every machine its own endpoint
+// on a LocalMesh.
 type Place struct {
 	// ID is this process's machine.
 	ID int
@@ -88,7 +88,7 @@ func Run[M any](cfg core.Config, at Place, m core.Machine[M], codec wire.Codec[M
 		return nil, err
 	}
 	defer ep.Close()
-	return runNode(cfg, at.ID, ep, m, codec, nil)
+	return runNode(cfg, at.ID, ep, m, codec)
 }
 
 // RunLocal spawns the full k-machine cluster inside one process, as
@@ -110,38 +110,12 @@ func RunLocal[M any](cfg core.Config, codec wire.Codec[M], factory func(core.Mac
 	return RunJobLocal(lm, cfg, 0, codec, factory)
 }
 
-// runNode drives machine id over its connected endpoint: core.Drive,
-// resumed from the run's latest cut when its sink holds one. Every
-// node opens that cut itself, and nothing checks the choice before the
-// loop starts: nodes that opened different cuts begin at different
-// supersteps, and the first batch each reads fails its superstep check
-// as an error naming the sender. On an error it returns this node's
-// partial Stats; the caller closes the endpoint.
-func runNode[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], m core.Machine[M], codec wire.Codec[M], asm *core.Assembler) (*core.Stats, error) {
-	if cfg.Recorder != nil {
-		ep.SetRecorder(cfg.Recorder)
-	}
+// runNode drives machine id of a run without checkpoints over its
+// connected endpoint, from superstep 0 (core.Drive). On an error it
+// returns this node's partial Stats; the caller closes the endpoint.
+func runNode[M any](cfg core.Config, id int, ep *tcp.Endpoint[M], m core.Machine[M], codec wire.Codec[M]) (*core.Stats, error) {
 	link := newSocketLink(cfg, id, ep)
-	d := core.Driver[M]{Config: cfg, ID: id, Machine: m, Link: link, Assembler: asm, Codec: codec}
-	if id == 0 {
-		// Machine 0 alone adds the Stats to a checkpoint, so the stored
-		// bytes are those of the in-process link.
-		d.Coord = link.coord
-	}
-	if asm != nil {
-		cut, err := asm.LatestCut()
-		if err != nil {
-			return link.coord.Stats(), fmt.Errorf("node: machine %d resume: %w", id, err)
-		}
-		// Drive restores machine 0's replica; every other one restores here.
-		if cut != nil && id != 0 {
-			if err := link.coord.Restore(cut.Stats); err != nil {
-				return link.coord.Stats(), err
-			}
-		}
-		d.Resume = cut
-	}
-	stats, err := core.Drive(d)
+	stats, err := core.Drive(core.Driver[M]{Config: cfg, ID: id, Machine: m, Link: link, Codec: codec})
 	if err != nil {
 		return link.coord.Stats(), err
 	}
@@ -174,7 +148,12 @@ type socketLink[M any] struct {
 	buf []byte
 }
 
+// newSocketLink joins machine id to the run cfg describes over ep, and
+// records ep's spans on cfg.Recorder.
 func newSocketLink[M any](cfg core.Config, id int, ep *tcp.Endpoint[M]) *socketLink[M] {
+	if cfg.Recorder != nil {
+		ep.SetRecorder(cfg.Recorder)
+	}
 	l := &socketLink[M]{ep: ep, id: id, rec: cfg.Recorder,
 		coord: core.NewCoordinator(cfg.K, cfg.Bandwidth, cfg.DropPerSuperstep), rows: make([]*core.Row, cfg.K)}
 	for i := range l.rows {

@@ -17,42 +17,77 @@ import (
 	"kmachine/internal/core"
 	"kmachine/internal/testutil"
 	"kmachine/internal/transport"
+	"kmachine/internal/transport/tcp"
 )
 
-// runEveryNode drives the k machines of cfg over a fresh loopback mesh,
-// one runNode per goroutine sharing one checkpoint assembler, and
-// returns every node's Stats and error.
+// runEveryNode drives the k machines of cfg over a fresh loopback mesh
+// through core.DriveAll, as RunJobLocal does, and returns every node's
+// Stats — its own replica's — and error.
 func runEveryNode(t *testing.T, cfg core.Config, factory func(core.MachineID) core.Machine[failMsg]) ([]*core.Stats, []error) {
 	t.Helper()
-	asm := core.NewAssembler(cfg.Checkpoint, cfg.K)
-	return runNodes(t, cfg, factory, func(int) *core.Assembler { return asm })
+	links := make([]*socketLink[failMsg], cfg.K)
+	coords := make([]*core.Coordinator, cfg.K)
+	errs := make([]error, cfg.K)
+	runCluster(t, cfg.K, func(eps []*tcp.Endpoint[failMsg]) {
+		for i := range links {
+			links[i] = newSocketLink(cfg, i, eps[i])
+			coords[i] = links[i].coord
+		}
+		core.DriveAll(cfg, coords, func(i int) core.Driver[failMsg] {
+			return core.Driver[failMsg]{Config: cfg, ID: i, Machine: factory(core.MachineID(i)), Link: links[i], Codec: failCodec{}}
+		}, func(i int, err error) { errs[i] = err; eps[i].Close() })
+	})
+	stats := make([]*core.Stats, cfg.K)
+	for i, l := range links {
+		stats[i] = l.coord.Stats()
+	}
+	return stats, errs
 }
 
-// runNodes is runEveryNode with node i's checkpoint assembler asm(i).
-func runNodes(t *testing.T, cfg core.Config, factory func(core.MachineID) core.Machine[failMsg], asm func(i int) *core.Assembler) ([]*core.Stats, []error) {
+// runFromCuts is runEveryNode with node i handed cut(i) directly — its
+// part and its replica's Stats, or superstep 0 when nil — instead of
+// the run's one cut, and returns every node's error.
+func runFromCuts(t *testing.T, cfg core.Config, factory func(core.MachineID) core.Machine[failMsg], cut func(i int) *core.Cut) []error {
 	t.Helper()
-	eps := loopbackEndpoints(t, cfg.K)
+	errs := make([]error, cfg.K)
+	runCluster(t, cfg.K, func(eps []*tcp.Endpoint[failMsg]) {
+		var wg sync.WaitGroup
+		for i := range eps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				link := newSocketLink(cfg, i, eps[i])
+				d := core.Driver[failMsg]{Config: cfg, ID: i, Machine: factory(core.MachineID(i)), Link: link, Codec: failCodec{}}
+				if d.Resume = cut(i); d.Resume != nil {
+					errs[i] = link.coord.Restore(d.Resume.Stats)
+				}
+				if errs[i] == nil {
+					_, errs[i] = core.Drive(d)
+				}
+				if errs[i] != nil {
+					eps[i].Close()
+				}
+			}()
+		}
+		wg.Wait()
+	})
+	return errs
+}
+
+// runCluster runs run over the endpoints of a fresh loopback mesh, fails
+// the test with a goroutine dump unless it returns within 30s, and
+// closes the endpoints.
+func runCluster(t *testing.T, k int, run func(eps []*tcp.Endpoint[failMsg])) {
+	t.Helper()
+	eps := loopbackEndpoints(t, k)
 	defer func() {
 		for _, ep := range eps {
 			ep.Close()
 		}
 	}()
-	stats := make([]*core.Stats, cfg.K)
-	errs := make([]error, cfg.K)
-	var wg sync.WaitGroup
-	for i := range eps {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if stats[i], errs[i] = runNode(cfg, i, eps[i], factory(core.MachineID(i)), failCodec{}, asm(i)); errs[i] != nil {
-				eps[i].Close()
-			}
-		}()
-	}
 	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
+	go func() { run(eps); close(done) }()
 	testutil.WaitOrDump(t, done, 30*time.Second, "cluster")
-	return stats, errs
 }
 
 func ckFactory(id core.MachineID) core.Machine[failMsg] { return &ckMachine{self: id} }
@@ -106,40 +141,40 @@ func TestEveryNodeRulesAlike(t *testing.T) {
 			t.Fatal("no checkpoint to resume from")
 		}
 		resumed, errs := runEveryNode(t, ck, ckFactory)
-		if errs[k-1] != nil {
-			t.Fatal(errs[k-1])
-		}
-		if !reflect.DeepEqual(resumed[k-1], golden[k-1]) {
-			t.Errorf("machine %d after resume: %+v, uninterrupted %+v", k-1, resumed[k-1], golden[k-1])
+		for i := range resumed {
+			if errs[i] != nil {
+				t.Fatalf("machine %d: %v", i, errs[i])
+			}
+			if !reflect.DeepEqual(resumed[i], golden[i]) {
+				t.Errorf("machine %d after resume: %+v, uninterrupted %+v", i, resumed[i], golden[i])
+			}
 		}
 	})
 }
 
-// TestResumeDisagreementFailsOnTheDataPlane: every node opens the latest
-// cut itself, and no round checks the choice before the loop. Here
-// machine k-1's sink is empty while its peers resume from a cut, so it
-// starts at superstep 0 and they start past the cut. The first batches
-// fail their superstep check: every node returns an error attributed to
-// a machine, none runs on with a mixed cluster, and nothing hangs or
-// leaks.
+// TestResumeDisagreementFailsOnTheDataPlane: a one-process run opens
+// its cut once (core.DriveAll), but the processes of a multi-process
+// cluster could each open another, and no round checks the choice
+// before the loop. Here the nodes are handed different cuts directly:
+// machine k-1 none, so it starts at superstep 0, while its peers start
+// past the cut. The first batches fail their superstep check: every
+// node returns an error attributed to a machine, none runs on with a
+// mixed cluster, and nothing hangs or leaks.
 func TestResumeDisagreementFailsOnTheDataPlane(t *testing.T) {
 	const k = 4
 	base := runtime.NumGoroutine()
 	sink := core.NewMemorySink()
 	cfg := core.Config{K: k, Bandwidth: 1, Seed: 77, Checkpoint: core.CheckpointPolicy{Every: 4, Sink: sink}}
 	runEveryNode(t, cfg, ckFactory)
-	if step, _, _ := sink.Latest(); step < 0 {
-		t.Fatal("no checkpoint to resume from")
+	cut, err := core.NewAssembler(cfg.Checkpoint, k).LatestCut()
+	if err != nil || cut == nil {
+		t.Fatalf("no checkpoint to resume from (%v)", err)
 	}
-	shared := core.NewAssembler(cfg.Checkpoint, k)
-	empty := cfg.Checkpoint
-	empty.Sink = core.NewMemorySink()
-	lone := core.NewAssembler(empty, k)
-	_, errs := runNodes(t, cfg, ckFactory, func(i int) *core.Assembler {
+	errs := runFromCuts(t, cfg, ckFactory, func(i int) *core.Cut {
 		if i == k-1 {
-			return lone
+			return nil
 		}
-		return shared
+		return cut
 	})
 	for i, err := range errs {
 		var me *transport.MachineError

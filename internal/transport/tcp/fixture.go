@@ -160,7 +160,7 @@ func (t *Transport[M]) Exchange(ctx context.Context, step int, outs [][]transpor
 }
 
 // WireStats sums the physical-layer counters of every endpoint: total
-// frames and bytes that crossed the loopback sockets. In a healthy mesh
+// frames and bytes that crossed the in-memory connections. In a healthy mesh
 // sent and received totals match.
 func (t *Transport[M]) WireStats() transport.WireStats {
 	var w transport.WireStats

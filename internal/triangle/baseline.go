@@ -46,8 +46,8 @@ func (m *baselineMachine) Step(ctx *core.StepContext, inbox []core.Envelope[bmsg
 				if v < u {
 					continue // min-ID endpoint's home ships the edge
 				}
-				a := colorOf(m.opts.ColorSeed, u, m.c)
-				b := colorOf(m.opts.ColorSeed, v, m.c)
+				a := colorOf(colorSeed, u, m.c)
+				b := colorOf(colorSeed, v, m.c)
 				for _, dep := range m.targets[a*m.c+b] {
 					deputy := int32(dep) // deputy vertex ID < c³ <= n
 					out = append(out, core.Envelope[bmsg]{
@@ -66,7 +66,7 @@ func (m *baselineMachine) Step(ctx *core.StepContext, inbox []core.Envelope[bmsg
 		for _, deputy := range m.view.Locals() {
 			c1, c2, c3, ok := tripleOf(core.MachineID(deputy), m.c)
 			if edges := m.perDeputy[deputy]; ok && len(edges) > 0 {
-				newEdgeIndex(edges, false, m.opts.ColorSeed, m.c).triangles(c1, c2, c3, m.emit)
+				newEdgeIndex(edges, false, colorSeed, m.c).triangles(c1, c2, c3, m.emit)
 			}
 		}
 		return nil, true

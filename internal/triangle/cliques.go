@@ -60,7 +60,7 @@ func (m *cliqueMachine) enumerate() {
 	if !ok {
 		return
 	}
-	ix := newEdgeIndex(m.edges, false, m.opts.ColorSeed, m.c)
+	ix := newEdgeIndex(m.edges, false, colorSeed, m.c)
 	for a := range ix.ids {
 		if ix.color[a] != q[0] {
 			continue

@@ -297,7 +297,7 @@ func TestTriangleBytesPerEdge(t *testing.T) {
 		finals += float64(len(r.edges))
 		c1, c2, c3, _ := tripleOf(core.MachineID(id), c)
 		var ix *edgeIndex
-		build += allocated(func() { ix = newEdgeIndex(r.edges, false, opts.ColorSeed, c) })
+		build += allocated(func() { ix = newEdgeIndex(r.edges, false, colorSeed, c) })
 		walk += allocated(func() { ix.triangles(c1, c2, c3, func(graph.Triangle) {}) })
 	}
 	total := allocated(func() {

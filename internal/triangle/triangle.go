@@ -52,9 +52,10 @@ type Options struct {
 	// the *absence* of the closing edge because it holds every edge
 	// among three vertices whose ID-sorted colors are its triple.
 	Triads bool
-	// ColorSeed salts the vertex -> color hash.
-	ColorSeed uint64
 }
+
+// colorSeed salts every run's vertex -> color hash and designation coin.
+const colorSeed = 0
 
 // AlgorithmOptions returns the configuration of the paper's §3.2
 // algorithm.
@@ -181,7 +182,7 @@ func newColorRouter(view partition.View, opts Options, c int, targets [][]core.M
 // tuple holds the lower endpoint's color before the higher one's.
 func (r *colorRouter) targetsOf(u, v int32) []core.MachineID {
 	u, v = min(u, v), max(u, v)
-	return r.targets[colorOf(r.opts.ColorSeed, u, r.c)*r.c+colorOf(r.opts.ColorSeed, v, r.c)]
+	return r.targets[colorOf(colorSeed, u, r.c)*r.c+colorOf(colorSeed, v, r.c)]
 }
 
 // fanOut appends edge {u, v}'s final copies, one per target machine.
@@ -264,7 +265,7 @@ func (r *colorRouter) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]) (
 		ships, arc := 0, 0
 		for _, u := range r.view.Locals() {
 			for _, v := range r.view.OutAdj(u) {
-				if routing.DesignatedEndpoint(u, v, r.heavy[u], r.heavy[v], r.opts.ColorSeed) == u {
+				if routing.DesignatedEndpoint(u, v, r.heavy[u], r.heavy[v], colorSeed) == u {
 					shipped[arc/64] |= 1 << (arc % 64)
 					if r.opts.Proxies {
 						ships++
@@ -341,7 +342,7 @@ func (m *triMachine) enumerate() {
 	if !ok {
 		return
 	}
-	ix := newEdgeIndex(m.edges, m.opts.Triads, m.opts.ColorSeed, m.c)
+	ix := newEdgeIndex(m.edges, m.opts.Triads, colorSeed, m.c)
 	if m.opts.Triads {
 		m.enumerateTriads(ix, int32(c1), int32(c2), int32(c3))
 		return
