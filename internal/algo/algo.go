@@ -168,9 +168,10 @@ func execute[M, L, O any](a Algorithm[M, L, O], views []partition.View, on site[
 }
 
 // retry is recovery, the one loop every all-k runner passes through: it
-// refuses an unknown transport kind and a canceled context, constructs
-// the k machines (at once, see buildAll, and before any cluster is
-// built), runs them on the site, and merges their outputs. A failed
+// refuses an unknown transport kind, a Config that fails Validate and a
+// canceled context, constructs the k machines (at once, see buildAll,
+// and before any cluster is built), runs them on the site, and merges
+// their outputs. A failed
 // attempt is retried — with machines rebuilt from the same input,
 // against the same sink — when
 // the failure is an attributed machine loss (it wraps
@@ -188,6 +189,9 @@ func retry[M, L, O any](build func(core.MachineID) (Machine[M, L], error), merge
 	var total transport.WireStats
 	cfg := on.cfg
 	if err := knownKind(cfg.Transport); err != nil {
+		return zero, nil, total, err
+	}
+	if err := cfg.Validate(); err != nil {
 		return zero, nil, total, err
 	}
 	if cfg.Checkpoint.Every > 0 && cfg.Checkpoint.Sink == nil {

@@ -421,6 +421,37 @@ func TestUnknownKindRejectedBeforeAnythingIsBuilt(t *testing.T) {
 	}
 }
 
+// TestInvalidConfigRefusedAlikeOnBothLinks: a Config no cluster can
+// run fails with Validate's error before any machine is built, on
+// either link. A negative Bandwidth used to panic in process and fail
+// only over sockets, a negative SuperstepTimeout ran as "no deadline",
+// and a negative MaxSupersteps failed at superstep 0 with
+// ErrMaxSupersteps.
+func TestInvalidConfigRefusedAlikeOnBothLinks(t *testing.T) {
+	for _, bad := range []struct {
+		name string
+		cfg  core.Config
+		says string
+	}{
+		{"negative Bandwidth", core.Config{K: 5, Bandwidth: -5}, "need Bandwidth >= 1 word/round, got -5"},
+		{"negative SuperstepTimeout", core.Config{K: 5, Bandwidth: 1, SuperstepTimeout: -time.Second}, "need SuperstepTimeout >= 0, got -1s"},
+		{"negative MaxSupersteps", core.Config{K: 5, Bandwidth: 1, MaxSupersteps: -1}, "need MaxSupersteps >= 0, got -1"},
+	} {
+		for _, kind := range []transport.Kind{transport.InMem, transport.TCP} {
+			cfg := bad.cfg
+			cfg.Transport = kind
+			before := echoMachines.Load()
+			_, _, err := Run(echoDescriptor(), EdgelessInput(Problem{N: 64, K: 5, Seed: 3}), cfg)
+			if err == nil || !strings.Contains(err.Error(), bad.says) {
+				t.Errorf("%s over %s: err = %v, want one saying %q", bad.name, kind, err, bad.says)
+			}
+			if built := echoMachines.Load() - before; built != 0 {
+				t.Errorf("%s over %s: %d machines built, want 0", bad.name, kind, built)
+			}
+		}
+	}
+}
+
 // TestCanceledRunBuildsNoMachine: a run whose Context is already
 // canceled stops in setup, after Build and again after MachineViews,
 // with an error wrapping context.Canceled and no machine built. It used

@@ -170,23 +170,24 @@ var conformance = []conformanceRow{
 		}},
 }
 
-// links runs the k machines one cfg describes over each link; step is
+// links runs the k machines one cfg describes over each link, and
+// returns the frames and bytes it shipped (none in process); step is
 // handed the link's sever.
-var links = map[string]func(cfg core.Config, step func(severFunc) stepFunc) (*core.Stats, error){
-	"in-process": func(cfg core.Config, step func(severFunc) stepFunc) (*core.Stats, error) {
+var links = map[string]func(cfg core.Config, step func(severFunc) stepFunc) (*core.Stats, transport.WireStats, error){
+	"in-process": func(cfg core.Config, step func(severFunc) stepFunc) (*core.Stats, transport.WireStats, error) {
 		var c *core.Cluster[cMsg]
 		sever := func(i int) error { return c.Sever(i) }
 		c = core.NewCluster(cfg, func(core.MachineID) core.Machine[cMsg] { return core.MachineFunc[cMsg](step(sever)) })
-		return c.Run()
+		stats, err := c.Run()
+		return stats, transport.WireStats{}, err
 	},
-	"sockets": func(cfg core.Config, step func(severFunc) stepFunc) (*core.Stats, error) {
+	"sockets": func(cfg core.Config, step func(severFunc) stepFunc) (*core.Stats, transport.WireStats, error) {
 		lm, err := node.NewLocalMesh(cfg.K)
 		if err != nil {
-			return nil, err
+			return nil, transport.WireStats{}, err
 		}
 		defer lm.Close()
-		stats, _, err := node.RunJobLocal(lm, cfg, 0, cCodec{}, func(core.MachineID) core.Machine[cMsg] { return core.MachineFunc[cMsg](step(lm.Sever)) })
-		return stats, err
+		return node.RunJobLocal(lm, cfg, 0, cCodec{}, func(core.MachineID) core.Machine[cMsg] { return core.MachineFunc[cMsg](step(lm.Sever)) })
 	},
 }
 
@@ -201,7 +202,7 @@ func TestDriveConformanceOverBothLinks(t *testing.T) {
 					cancel()
 				}
 				cfg := core.Config{K: cK, Bandwidth: 1, Seed: 1, MaxSupersteps: 7, Context: ctx, SuperstepTimeout: row.timeout}
-				stats, err := drive(cfg, func(sever severFunc) stepFunc { return row.step(t, cancel, sever) })
+				stats, _, err := drive(cfg, func(sever severFunc) stepFunc { return row.step(t, cancel, sever) })
 				cancel()
 				if err == nil {
 					t.Fatalf("%s: the run succeeded", link)
@@ -273,7 +274,7 @@ func TestOneConfigOverBothLinks(t *testing.T) {
 	got := map[string]*core.Stats{}
 	for link, drive := range links {
 		rec.seen = map[obs.Phase]map[int32]bool{}
-		stats, err := drive(cfg, func(severFunc) stepFunc { return step })
+		stats, _, err := drive(cfg, func(severFunc) stepFunc { return step })
 		if err != nil {
 			t.Fatalf("%s: %v", link, err)
 		}
@@ -296,5 +297,72 @@ func TestOneConfigOverBothLinks(t *testing.T) {
 	}
 	if got["in-process"].Supersteps != 5 || !reflect.DeepEqual(got["in-process"], got["sockets"]) {
 		t.Errorf("Stats differ between the links:\n in-process %+v\n sockets    %+v", got["in-process"], got["sockets"])
+	}
+}
+
+// TestEmittedAndReturnedShipAlikeOverBothLinks is
+// TestEmittedAndRestAccountIdentically on both links: a run whose
+// machines hand every peer's batch to EmitBatch and one whose machines
+// return everything must give every machine the same inboxes and the
+// run the same Stats, and over sockets ship the same frames and bytes.
+func TestEmittedAndReturnedShipAlikeOverBothLinks(t *testing.T) {
+	const supersteps = 6
+	type outcome struct {
+		stats *core.Stats
+		wire  transport.WireStats
+		logs  [cK][][]core.Envelope[cMsg]
+	}
+	for link, drive := range links {
+		run := func(emit bool) outcome {
+			var o outcome
+			var mu sync.Mutex
+			step := func(ctx *core.StepContext, inbox []core.Envelope[cMsg]) ([]core.Envelope[cMsg], bool) {
+				mu.Lock()
+				o.logs[ctx.Self] = append(o.logs[ctx.Self], slices.Clone(inbox))
+				mu.Unlock()
+				if ctx.Superstep >= supersteps {
+					return nil, true
+				}
+				var out []core.Envelope[cMsg]
+				for j := 0; j < ctx.K; j++ {
+					to := core.MachineID(j)
+					batch := make([]core.Envelope[cMsg], 1+(ctx.Superstep+int(ctx.Self)+j)%3)
+					for n := range batch {
+						batch[n] = core.Envelope[cMsg]{To: to, Words: int32(1 + n),
+							Msg: cMsg{X: int64(1000*ctx.Superstep + 100*int(ctx.Self) + 10*j + n)}}
+					}
+					if emit && to != ctx.Self {
+						if !core.EmitBatch(ctx, to, batch) {
+							panic("the driver did not take an eager batch")
+						}
+						continue
+					}
+					out = append(out, batch...)
+				}
+				return out, false
+			}
+			var err error
+			o.stats, o.wire, err = drive(core.Config{K: cK, Bandwidth: 2, Seed: 7}, func(severFunc) stepFunc { return step })
+			if err != nil {
+				t.Fatalf("%s (emit %v): %v", link, emit, err)
+			}
+			return o
+		}
+		returned, emitted := run(false), run(true)
+		if !reflect.DeepEqual(returned.stats, emitted.stats) {
+			t.Errorf("%s: Stats differ:\n returned %+v\n emitted  %+v", link, returned.stats, emitted.stats)
+		}
+		if returned.wire != emitted.wire {
+			t.Errorf("%s: WireStats differ: returned %+v, emitted %+v", link, returned.wire, emitted.wire)
+		}
+		if link == "sockets" && returned.wire.FramesSent == 0 {
+			t.Errorf("%s: no frames shipped", link)
+		}
+		if !reflect.DeepEqual(returned.logs, emitted.logs) {
+			t.Errorf("%s: inboxes differ between the returning and the emitting run", link)
+		}
+		if got := len(returned.logs[0]); got != supersteps+1 {
+			t.Errorf("%s: machine 0 stepped %d times, want %d", link, got, supersteps+1)
+		}
 	}
 }

@@ -87,8 +87,8 @@ type StepContext struct {
 	// has access to a private source of true random bits").
 	RNG *rng.RNG
 
-	// emitter is the machine's per-peer emission record (a *Emitter[M]
-	// bound by Drive); nil only when a Step is driven outside a run. It
+	// emitter is the machine's per-peer emission record (Drive's *run[M]
+	// of the machine); nil only when a Step is driven outside a run. It
 	// is reached through the generic package-level EmitBatch/EmitBuckets,
 	// because StepContext itself is deliberately non-generic.
 	emitter any
@@ -164,13 +164,18 @@ type Config struct {
 }
 
 // Validate rejects the runs no cluster can execute: fewer than two
-// machines, or a link narrower than one word per round.
+// machines, a link narrower than one word per round, or a negative
+// superstep limit or deadline.
 func (cfg Config) Validate() error {
-	if cfg.K < 2 {
+	switch {
+	case cfg.K < 2:
 		return fmt.Errorf("core: need k >= 2 machines, got %d", cfg.K)
-	}
-	if cfg.Bandwidth < 1 {
+	case cfg.Bandwidth < 1:
 		return fmt.Errorf("core: need Bandwidth >= 1 word/round, got %d", cfg.Bandwidth)
+	case cfg.MaxSupersteps < 0:
+		return fmt.Errorf("core: need MaxSupersteps >= 0, got %d", cfg.MaxSupersteps)
+	case cfg.SuperstepTimeout < 0:
+		return fmt.Errorf("core: need SuperstepTimeout >= 0, got %v", cfg.SuperstepTimeout)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"kmachine/internal/obs"
 	"kmachine/internal/rng"
+	"kmachine/internal/transport"
 	"kmachine/internal/transport/wire"
 )
 
@@ -21,8 +22,8 @@ import (
 //	Begin(s) ───────────────────────────────▶ open superstep s
 //	Step(inbox), EmitBatch records batches
 //	recover panic; check run context
-//	validate + From-stamp rest, fill my Row
-//	Round(s, row, batches, rest) ───────────▶ deliver, then rule
+//	split + charge returned outs, fill my Row
+//	Round(s, row, batches) ─────────────────▶ deliver, then rule
 //	  continue: inbox for s+1; checkpoint my part
 //	  stop:     return the run's Stats
 //	  abort:    return the reported error
@@ -41,14 +42,14 @@ type Link[M any] interface {
 	// included, because peers that finished first are already sending.
 	Begin(ctx context.Context, step int) error
 	// Round closes the superstep: it delivers this machine's envelopes —
-	// batches[j], the validated batch emitted to peer j (nil when none),
-	// and rest, the others, self-addressed ones included; never both for
-	// one peer — together with every other machine's, submits row, and
-	// returns the verdict all k machines get alike — with, on continue,
-	// the inbox of step+1, assembled in sender order. batches and rest
+	// batches[j], everything it sends machine j, validated and charged
+	// (its self-addressed ones at batches[Self]; batches is nil when it
+	// sends nothing) — together with every other machine's, submits row,
+	// and returns the verdict all k machines get alike — with, on
+	// continue, the inbox of step+1, assembled in sender order. batches
 	// belong to the link until Round returns. An error means the link is
 	// dead.
-	Round(ctx context.Context, step int, row *Row, batches [][]Envelope[M], rest []Envelope[M]) (Verdict, []Envelope[M], error)
+	Round(ctx context.Context, step int, row *Row, batches [][]Envelope[M]) (Verdict, []Envelope[M], error)
 }
 
 // Driver is what Drive needs to run one machine: the run's Config and
@@ -85,9 +86,8 @@ func Drive[M any](d Driver[M]) (*Stats, error) {
 	self := MachineID(d.ID)
 	rand := rng.NewStream(d.Seed, uint64(d.ID))
 	r := &run[M]{Driver: d, sc: StepContext{Self: self, K: d.K, RNG: rand},
-		em:  Emitter[M]{self: self, k: d.K, batches: make([][]Envelope[M], d.K)},
-		row: Row{Words: make([]int64, d.K)}}
-	r.sc.emitter, r.em.row = &r.em, &r.row
+		row: Row{Words: make([]int64, d.K)}, emitted: make([][]Envelope[M], d.K)}
+	r.sc.emitter = r
 
 	var snap Snapshotter
 	var err error
@@ -142,9 +142,10 @@ func Drive[M any](d Driver[M]) (*Stats, error) {
 // the knob is on, is the exception).
 type run[M any] struct {
 	Driver[M]
-	sc  StepContext
-	em  Emitter[M]
-	row Row
+	sc      StepContext
+	row     Row                   // the machine's account of the superstep
+	emitted [][]Envelope[M]       // emitted[j]: the batch emitted to j, nil when none
+	split   transport.Splitter[M] // the returned outs, by destination
 }
 
 // superstep drives one superstep through the link.
@@ -155,7 +156,7 @@ func (r *run[M]) superstep(step int, inbox []Envelope[M]) (Verdict, []Envelope[M
 		sctx, cancel = context.WithTimeout(r.Context, r.SuperstepTimeout)
 		defer cancel()
 	}
-	clear(r.em.batches)
+	clear(r.emitted)
 	if err := r.Link.Begin(sctx, step); err != nil {
 		return Verdict{}, nil, err
 	}
@@ -174,16 +175,13 @@ func (r *run[M]) superstep(step int, inbox []Envelope[M]) (Verdict, []Envelope[M
 	if err := r.Context.Err(); err != nil {
 		return Verdict{}, nil, fmt.Errorf("core: machine %d canceled in superstep %d: %w", r.ID, step, err)
 	}
+	var batches [][]Envelope[M]
 	if failure == "" {
-		failure = r.account(out, step)
+		batches, failure = r.account(out, step)
 	}
+	// On a failure the round still runs, empty: peers must not wait.
 	r.row.Done, r.row.Err = done, failure
-	batches := r.em.batches
-	if failure != "" {
-		// The round still runs, empty: peers must not wait on this machine.
-		batches, out = nil, nil
-	}
-	v, next, err := r.Link.Round(sctx, step, &r.row, batches, out)
+	v, next, err := r.Link.Round(sctx, step, &r.row, batches)
 	r.row.Reset()
 	if err != nil {
 		// A run canceled mid-superstep surfaces from the link as teardown
@@ -207,34 +205,37 @@ func (r *run[M]) step(inbox []Envelope[M]) (out []Envelope[M], done bool, failur
 	return out, done, ""
 }
 
-// account validates and From-stamps the rest envelopes and adds them to
-// the row, next to what the emitter charged. Mixing per peer is forbidden
-// — a machine that emitted a batch to j must not also return rest
-// envelopes for j — which keeps each receiver's per-sender envelope
-// order, and hence the golden output hashes, independent of which way
-// a batch was handed over.
-func (r *run[M]) account(out []Envelope[M], step int) (failure string) {
-	em, row := &r.em, &r.row
-	row.Pending = len(out) > 0 || row.Messages > 0 // emitted batches are charged already
-	for i := range out {
-		env := &out[i]
-		if env.To < 0 || int(env.To) >= r.K {
-			return fmt.Sprintf("core: machine %d sent to invalid machine %d", r.ID, env.To)
+// account splits the machine's returned outs by destination, takes every
+// bucket as EmitBatch takes a batch, and returns what the round ships,
+// each emitted batch in its peer's place — or the failure of the first
+// envelope, in out's order, it refused. A machine that emitted a batch
+// to j must not also return envelopes for j, which keeps each inbox's
+// order, and hence the golden output hashes, the same either way.
+func (r *run[M]) account(out []Envelope[M], step int) ([][]Envelope[M], string) {
+	r.row.Pending = len(out) > 0 || r.row.Messages > 0 // emitted batches are charged already
+	batches, bad := r.split.Split(r.K, out)
+	for j, b := range batches {
+		if len(b) == 0 {
+			batches[j] = r.emitted[j]
+		} else if r.emitted[j] != nil || !r.take(MachineID(j), b) {
+			bad = 0
+			break
 		}
-		if env.Words < 0 {
-			return fmt.Sprintf("core: machine %d sent negative-size envelope", r.ID)
-		}
-		env.From = r.sc.Self
-		if env.To == r.sc.Self {
-			continue // self-addressed envelopes are free
-		}
-		if em.batches[env.To] != nil {
-			return fmt.Sprintf("core: machine %d returned envelopes for machine %d after emitting a batch to it in superstep %d", r.ID, env.To, step)
-		}
-		row.Messages++
-		row.Add(env.To, int64(env.Words))
 	}
-	return ""
+	if bad < 0 {
+		return batches, ""
+	}
+	for _, env := range out {
+		switch {
+		case env.To < 0 || int(env.To) >= r.K:
+			return nil, fmt.Sprintf("core: machine %d sent to invalid machine %d", r.ID, env.To)
+		case env.Words < 0:
+			return nil, fmt.Sprintf("core: machine %d sent negative-size envelope", r.ID)
+		case r.emitted[env.To] != nil:
+			return nil, fmt.Sprintf("core: machine %d returned envelopes for machine %d after emitting a batch to it in superstep %d", r.ID, env.To, step)
+		}
+	}
+	panic("core: account refused a sound outbox")
 }
 
 // DriveAll runs the k machines of a cluster that lives in one process,

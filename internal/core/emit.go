@@ -1,26 +1,17 @@
 package core
 
 // This file is the machine-facing half of the superstep schedule: the
-// Emitter that Drive binds into a machine's StepContext lets its Step
-// hand over a finished per-peer batch as it is, instead of copying it
-// into its returned outs. An emitted batch is charged to the machine's
-// Row when it is taken, exactly like the rest envelopes Drive charges
+// run that Drive binds into a machine's StepContext lets its Step hand
+// over a finished per-peer batch as it is, instead of copying it into
+// its returned outs. An emitted batch is taken (take) when it is handed
+// over, exactly as Drive takes each per-peer bucket of the returned outs
 // after the Step, and it leaves with them in the superstep's round, so
 // the word/round accounting and every inbox are the same either way.
+// Only the machine's own goroutine touches the run — EmitBatch during
+// Step, Drive around it — so no locking is needed.
 //
 // Machines opt in through EmitBatch/EmitBuckets; everything a machine
 // does not emit travels in its returned outs.
-
-// Emitter is the per-machine emission record of one Drive. Only the
-// machine's own goroutine touches it — EmitBatch during Step, Drive
-// around it — so no locking is needed.
-type Emitter[M any] struct {
-	self MachineID
-	k    int
-
-	row     *Row            // the machine's account of the superstep
-	batches [][]Envelope[M] // batches[j]: the batch emitted to j, nil when none
-}
 
 // EmitBatch hands one finished per-peer batch for machine `to` to the
 // superstep's round and reports whether it was taken. On true, the
@@ -31,22 +22,33 @@ type Emitter[M any] struct {
 // route the envelopes through its returned outs; false covers every
 // reason emission cannot happen — no emitter bound (a Step driven
 // outside a run), self- or out-of-range destination, a peer already
-// emitted to, or an invalid envelope (the rest-envelope validator will
-// then report the error).
+// emitted to, or an invalid envelope (Drive will then report the error
+// when it takes the returned outs).
 //
 // An empty batch is a successful no-op: nothing ships, `to` stays
 // available.
 func EmitBatch[M any](sc *StepContext, to MachineID, batch []Envelope[M]) bool {
-	em, ok := sc.emitter.(*Emitter[M])
-	if !ok || em == nil {
+	r, ok := sc.emitter.(*run[M])
+	if !ok || r == nil {
 		return false
 	}
-	if int(to) < 0 || int(to) >= em.k || to == em.self || em.batches[to] != nil {
+	if to < 0 || int(to) >= len(r.emitted) || to == sc.Self || r.emitted[to] != nil {
 		return false
 	}
-	if len(batch) == 0 {
-		return true
+	if !r.take(to, batch) {
+		return false
 	}
+	if len(batch) > 0 {
+		r.emitted[to] = batch
+	}
+	return true
+}
+
+// take checks that every envelope of batch is addressed to `to` and not
+// of negative size, then From-stamps and charges them, the self link
+// free; on false nothing was taken. Drive takes a Step's returned outs
+// through it too, so a batch costs the same whichever way it left.
+func (r *run[M]) take(to MachineID, batch []Envelope[M]) bool {
 	var words int64
 	for i := range batch {
 		env := &batch[i]
@@ -56,11 +58,12 @@ func EmitBatch[M any](sc *StepContext, to MachineID, batch []Envelope[M]) bool {
 		words += int64(env.Words)
 	}
 	for i := range batch {
-		batch[i].From = em.self
+		batch[i].From = r.sc.Self
 	}
-	em.batches[to] = batch
-	em.row.Add(to, words)
-	em.row.Messages += int64(len(batch))
+	if to != r.sc.Self {
+		r.row.Add(to, words)
+		r.row.Messages += int64(len(batch))
+	}
 	return true
 }
 

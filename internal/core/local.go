@@ -44,7 +44,6 @@ type rendezvous[M any] struct {
 	// Handed over through Round; only the last arriver reads them.
 	rows    []*Row
 	batches [][][]Envelope[M]
-	rests   [][]Envelope[M]
 	// The last arriver's results, read by everyone after the release.
 	verdict Verdict
 	inboxes [][]Envelope[M]
@@ -53,7 +52,7 @@ type rendezvous[M any] struct {
 
 func newRendezvous[M any](coord *Coordinator, rec obs.Recorder, k int) *rendezvous[M] {
 	rv := &rendezvous[M]{lb: inmem.New[M](k), coord: coord, rec: rec,
-		rows: make([]*Row, k), batches: make([][][]Envelope[M], k), rests: make([][]Envelope[M], k)}
+		rows: make([]*Row, k), batches: make([][][]Envelope[M], k)}
 	rv.cond.L = &rv.mu
 	return rv
 }
@@ -73,14 +72,14 @@ func (l *localLink[M]) Begin(_ context.Context, step int) error {
 	return rv.err
 }
 
-func (l *localLink[M]) Round(ctx context.Context, step int, row *Row, batches [][]Envelope[M], rest []Envelope[M]) (Verdict, []Envelope[M], error) {
+func (l *localLink[M]) Round(ctx context.Context, step int, row *Row, batches [][]Envelope[M]) (Verdict, []Envelope[M], error) {
 	rv := l.rv
 	var t1 int64
 	if rv.rec != nil {
 		t1 = obs.Now()
 	}
 	rv.mu.Lock()
-	rv.rows[l.id], rv.batches[l.id], rv.rests[l.id] = row, batches, rest
+	rv.rows[l.id], rv.batches[l.id] = row, batches
 	gen := rv.gen
 	if rv.arrived++; rv.arrived == len(rv.rows) && rv.err == nil {
 		// Last to arrive: everyone else is parked in Wait below, so nobody
@@ -143,13 +142,10 @@ func (rv *rendezvous[M]) close(ctx context.Context, step int) (Verdict, [][]Enve
 	if rv.rec != nil {
 		x0 = obs.Now()
 	}
-	inboxes, err := rv.lb.Deliver(rv.batches, rv.rests)
+	inboxes := rv.lb.Deliver(rv.batches)
 	if rv.rec != nil {
 		rv.rec.Record(obs.Span{Start: x0, Dur: obs.Now() - x0,
 			Machine: -1, Peer: -1, Superstep: int32(step), Phase: obs.PhaseExchange})
-	}
-	if err != nil {
-		return Verdict{}, nil, fmt.Errorf("core: superstep %d not delivered: %w", step, err)
 	}
 	rv.coord.Charge(rv.rows)
 	return v, inboxes, nil

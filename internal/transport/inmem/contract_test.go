@@ -4,7 +4,7 @@ package inmem_test
 // the benchmark times: the loopback and the loopback-mesh fixture.
 // Exchange must return sender-ID-ordered inboxes with self-delivery in
 // place, and leave the caller free to recycle its outboxes once it
-// returns. (Deliver with emitted batches is the in-process link's:
+// returns. (Deliver with per-peer batches is the in-process link's:
 // core's TestEmittedAndRestAccountIdentically compares its inboxes.)
 
 import (

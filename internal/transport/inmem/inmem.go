@@ -1,17 +1,14 @@
 // Package inmem is the in-process loopback: the shuffle that turns one
-// superstep's envelopes into the k inboxes when all k machines share a
-// process. core's in-process link delivers each superstep (Deliver) once
-// the last of its machines has arrived; Exchange is the same delivery
-// with nothing emitted, kept for the benchmark's transport.Transport
-// rows.
+// superstep's per-peer batches into the k inboxes when all k machines
+// share a process. core's in-process link delivers each superstep
+// (Deliver) once the last of its machines has arrived; Exchange, kept
+// for the benchmark's transport.Transport rows, splits flat outboxes
+// into batches first.
 //
-// Deliver assembles inboxes count-then-place: one pass over the emitted
-// batches and the rest outboxes counts the per-destination envelopes,
-// the k inboxes are then carved out of a single flat buffer, and a
-// second pass places every envelope at its final position. The flat
-// buffer and the inbox headers are recycled across supersteps, so a
-// steady-state superstep performs no allocation at all once the buffers
-// have grown to the run's working set.
+// Deliver carves the k inboxes out of one flat buffer sized by a first
+// pass over the batches, then copies every batch whole into place. The
+// buffer and the inbox headers are recycled, so a steady-state
+// superstep allocates nothing.
 package inmem
 
 import (
@@ -30,8 +27,9 @@ type Transport[M any] struct {
 	flat    []transport.Envelope[M]
 	inboxes [][]transport.Envelope[M]
 
-	counts []int // per-destination envelope counts / placement cursors
-	starts []int // prefix offsets of each inbox within flat
+	// Exchange's per-machine splits, made by its first call.
+	splits  []transport.Splitter[M]
+	batches [][][]transport.Envelope[M]
 }
 
 // New returns the loopback for a k-machine cluster.
@@ -39,84 +37,56 @@ func New[M any](k int) *Transport[M] {
 	if k < 2 {
 		panic(fmt.Sprintf("inmem: need k >= 2 machines, got %d", k))
 	}
-	return &Transport[M]{
-		k:       k,
-		inboxes: make([][]transport.Envelope[M], k),
-		counts:  make([]int, k),
-		starts:  make([]int, k+1),
-	}
+	return &Transport[M]{k: k, inboxes: make([][]transport.Envelope[M], k)}
 }
 
 // Deliver assembles the superstep's inboxes: inboxes[j] holds, sender by
-// sender in machine order, what each sent to j — its emitted batch for
-// j, or its rest envelopes for j (batches[i][j] is machine i's batch for
-// j, nil when none, and batches may be nil when no machine emitted;
-// rest[i] is machine i's rest, self-addressed envelopes included; a
-// sender never has both for one peer). A rest envelope addressed to no
-// machine is an error, and nothing is delivered. The inboxes stay valid
-// until the next Deliver, which assembles over them; batches and rest
-// stay the caller's.
-func (t *Transport[M]) Deliver(batches [][][]transport.Envelope[M], rest [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
-	counts := t.counts
-	for i := range counts {
-		counts[i] = 0
-	}
+// sender in machine order, batches[i][j], what machine i sends j
+// (batches[i] is nil when machine i sends nothing). The inboxes stay
+// valid until the next Deliver, which assembles over them; batches stay
+// the caller's.
+func (t *Transport[M]) Deliver(batches [][][]transport.Envelope[M]) [][]transport.Envelope[M] {
 	total := 0
-	for i := range rest {
-		if batches != nil {
-			for to, b := range batches[i] {
-				counts[to] += len(b)
-				total += len(b)
-			}
+	for _, bs := range batches {
+		for _, b := range bs {
+			total += len(b)
 		}
-		for j := range rest[i] {
-			to := rest[i][j].To
-			if to < 0 || int(to) >= t.k {
-				return nil, fmt.Errorf("inmem: envelope to invalid machine %d", to)
-			}
-			counts[to]++
-		}
-		total += len(rest[i])
 	}
-
 	if cap(t.flat) < total {
-		t.flat = make([]transport.Envelope[M], total)
+		t.flat = make([]transport.Envelope[M], 0, total)
 	}
-	flat := t.flat[:total]
-
-	starts := t.starts
-	starts[0] = 0
-	for j := 0; j < t.k; j++ {
-		starts[j+1] = starts[j] + counts[j]
-		counts[j] = starts[j] // reuse counts as the placement cursors
-	}
-	for i := range rest {
-		if batches != nil {
-			for to, b := range batches[i] {
-				copy(flat[counts[to]:], b)
-				counts[to] += len(b)
+	flat := t.flat[:0]
+	for j := range t.inboxes {
+		start := len(flat)
+		for _, bs := range batches {
+			if bs != nil {
+				flat = append(flat, bs[j]...)
 			}
 		}
-		for j := range rest[i] {
-			to := rest[i][j].To
-			flat[counts[to]] = rest[i][j]
-			counts[to]++
-		}
-	}
-	for j := 0; j < t.k; j++ {
 		// Cap-limit each inbox so an append by a misbehaving caller
 		// cannot clobber its neighbour's envelopes.
-		t.inboxes[j] = flat[starts[j]:starts[j+1]:starts[j+1]]
+		t.inboxes[j] = flat[start:len(flat):len(flat)]
 	}
-	return t.inboxes, nil
+	return t.inboxes
 }
 
-// Exchange implements transport.Transport: Deliver with nothing emitted.
+// Exchange implements transport.Transport: each machine's outbox split
+// by destination, then Deliver. An envelope addressed to no machine is
+// an error, and nothing is delivered.
 func (t *Transport[M]) Exchange(_ context.Context, _ int, outs [][]transport.Envelope[M]) ([][]transport.Envelope[M], error) {
 	if len(outs) != t.k {
 		return nil, fmt.Errorf("inmem: got %d outboxes for a %d-machine cluster", len(outs), t.k)
 	}
-	return t.Deliver(nil, outs)
+	if t.splits == nil {
+		t.splits, t.batches = make([]transport.Splitter[M], t.k), make([][][]transport.Envelope[M], t.k)
+	}
+	for i, out := range outs {
+		var bad int
+		if t.batches[i], bad = t.splits[i].Split(t.k, out); bad >= 0 {
+			return nil, fmt.Errorf("inmem: envelope to invalid machine %d", out[bad].To)
+		}
+	}
+	return t.Deliver(t.batches), nil
 }
 
 // Close implements transport.Transport; the loopback holds nothing to

@@ -114,12 +114,12 @@ func TestUnsoundRowBlamesItsSender(t *testing.T) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						eps[i].FinishSuperstep(0, nil, nil, row)
+						eps[i].FinishSuperstep(0, nil, row)
 					}()
 				}
 			}
 
-			_, _, err := newSocketLink(core.Config{K: k, Bandwidth: 1}, 0, eps[0]).Round(ctx, 0, good, nil, nil)
+			_, _, err := newSocketLink(core.Config{K: k, Bandwidth: 1}, 0, eps[0]).Round(ctx, 0, good, nil)
 			var me *transport.MachineError
 			if !errors.As(err, &me) || me.Machine != culprit || me.Superstep != 0 {
 				t.Fatalf("got %v, want a MachineError naming machine %d in superstep 0", err, culprit)

@@ -168,13 +168,13 @@ func (l *socketLink[M]) Begin(ctx context.Context, step int) error {
 	return l.ep.BeginSuperstep(ctx, step)
 }
 
-func (l *socketLink[M]) Round(_ context.Context, step int, row *core.Row, batches [][]core.Envelope[M], rest []core.Envelope[M]) (core.Verdict, []core.Envelope[M], error) {
+func (l *socketLink[M]) Round(_ context.Context, step int, row *core.Row, batches [][]core.Envelope[M]) (core.Verdict, []core.Envelope[M], error) {
 	// The exchange span is this node's data-plane barrier, the barrier
 	// span its local ruling, both with Machine = ID: every node performs
 	// its own.
 	l.buf = appendReport(l.buf[:0], row)
 	t0 := l.now()
-	next, rows, err := l.ep.FinishSuperstep(step, batches, rest, l.buf)
+	next, rows, err := l.ep.FinishSuperstep(step, batches, l.buf)
 	l.span(t0, step, obs.PhaseExchange)
 	if err != nil {
 		return core.Verdict{}, nil, err

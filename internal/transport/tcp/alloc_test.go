@@ -3,8 +3,8 @@ package tcp
 // Allocation-regression fence for the persistent exchange pipeline, in
 // the spirit of internal/core/alloc_test.go: once the mesh is built and
 // its buffers have grown to the working set, a steady-state superstep —
-// release the parked readers, write one emitted batch and the rest per
-// machine at the finish on the calling goroutine,
+// release the parked readers, write one batch to each ring neighbour
+// at the finish on the calling goroutine,
 // encode/ship/receive/decode k(k-1) batch frames, each carrying a row,
 // merge the inboxes — must not allocate. The budget covers only the measured loop's incidental noise
 // (runtime timer churn from connection deadlines); a per-superstep
@@ -34,17 +34,15 @@ func TestSteadyStateExchangeAllocBudget(t *testing.T) {
 	}()
 
 	// Fixed ring traffic, reused slices: the caller-side pattern core's
-	// driver produces (batches and rest stay caller-owned until the
-	// superstep finishes). The next neighbour's envelope is an emitted
-	// batch, the previous neighbour's rest. Each endpoint runs the
+	// driver produces (batches stay caller-owned until the superstep
+	// finishes), one batch to each ring neighbour. Each endpoint runs the
 	// supersteps on its own goroutine, as a socket machine does.
-	eager := make([][][]transport.Envelope[testMsg], k)
-	rest := make([][]transport.Envelope[testMsg], k)
+	batches := make([][][]transport.Envelope[testMsg], k)
 	for i := 0; i < k; i++ {
-		eager[i] = make([][]transport.Envelope[testMsg], k)
-		eager[i][(i+1)%k] = []transport.Envelope[testMsg]{
+		batches[i] = make([][]transport.Envelope[testMsg], k)
+		batches[i][(i+1)%k] = []transport.Envelope[testMsg]{
 			{From: transport.MachineID(i), To: transport.MachineID((i + 1) % k), Words: 3, Msg: testMsg{Tag: int64(i)}}}
-		rest[i] = []transport.Envelope[testMsg]{
+		batches[i][(i+k-1)%k] = []transport.Envelope[testMsg]{
 			{From: transport.MachineID(i), To: transport.MachineID((i + k - 1) % k), Words: 2, Msg: testMsg{Tag: -int64(i)}}}
 	}
 	step := 0
@@ -58,7 +56,7 @@ func TestSteadyStateExchangeAllocBudget(t *testing.T) {
 			if errs[i] = e.BeginSuperstep(ctx, s); errs[i] != nil {
 				return
 			}
-			if _, _, errs[i] = e.FinishSuperstep(s, eager[i], rest[i], nil); errs[i] != nil {
+			if _, _, errs[i] = e.FinishSuperstep(s, batches[i], nil); errs[i] != nil {
 				return
 			}
 		}

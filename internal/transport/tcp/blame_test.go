@@ -67,7 +67,7 @@ func TestBlameWaitsForTheWriteInFlight(t *testing.T) {
 	finished := make(chan error, 1)
 	go func() {
 		big := []transport.Envelope[[]byte]{{From: bystander, To: peer, Words: 1, Msg: make([]byte, 4*(ringCap+readBufSize))}}
-		_, _, err := e.FinishSuperstep(0, nil, big, nil)
+		_, _, err := e.FinishSuperstep(0, byDest(k, big), nil)
 		finished <- err
 	}()
 	if _, err := ms[peer].in[bystander].r.Peek(1); err != nil {
@@ -136,7 +136,7 @@ func TestClosingMachineCastsNoBlame(t *testing.T) {
 		t.Fatalf("the closing victim sent the witness %q (%v), want nothing before its EOF", frame, err)
 	}
 	var me *transport.MachineError
-	if _, _, err := es.FinishSuperstep(0, nil, nil, nil); !errors.As(err, &me) || me.Machine != victim {
+	if _, _, err := es.FinishSuperstep(0, nil, nil); !errors.As(err, &me) || me.Machine != victim {
 		t.Fatalf("survivor's superstep ended with %v, want a MachineError naming machine %d", err, victim)
 	}
 }

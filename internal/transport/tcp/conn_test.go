@@ -81,7 +81,7 @@ func stepAll[M any](t *testing.T, eps []*Endpoint[M], step int, outs [][]transpo
 				errs[i] = err
 				return
 			}
-			inbox, got, err := e.FinishSuperstep(step, nil, outs[i], rows[i])
+			inbox, got, err := e.FinishSuperstep(step, byDest(k, outs[i]), rows[i])
 			if err != nil {
 				errs[i] = err
 				return

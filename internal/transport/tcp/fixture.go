@@ -81,8 +81,15 @@ func New[M any](k int, codec wire.Codec[M]) (*Transport[M], error) {
 // endpoint's readers keeps the WaitGroup sound against a concurrent
 // Close.
 func (t *Transport[M]) driver(i int) {
+	var split transport.Splitter[M]
 	for job := range t.drive[i] {
-		inbox, _, err := t.eps[i].FinishSuperstep(job.step, nil, job.out, nil)
+		// An outbox with an invalid destination ships empty batches, so
+		// the superstep still closes everywhere, then fails.
+		batches, bad := split.Split(len(t.eps), job.out)
+		inbox, _, err := t.eps[i].FinishSuperstep(job.step, batches, nil)
+		if bad >= 0 {
+			inbox, err = nil, fmt.Errorf("tcp: machine %d envelope to invalid machine %d", i, job.out[bad].To)
+		}
 		// On a FinishSuperstep error the endpoint has already closed
 		// itself; the close cascades error returns to every peer blocked
 		// on this endpoint's connections, so no driver hangs here.

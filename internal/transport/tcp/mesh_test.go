@@ -63,7 +63,7 @@ func TestMeshReuseAcrossJobs(t *testing.T) {
 			}
 			eps[i] = e
 		}
-		if _, _, err := eps[0].FinishSuperstep(0, nil, nil, nil); err == nil {
+		if _, _, err := eps[0].FinishSuperstep(0, nil, nil); err == nil {
 			t.Fatalf("job %d: FinishSuperstep outside an open superstep succeeded", job)
 		}
 		for step := 0; step < 3; step++ {

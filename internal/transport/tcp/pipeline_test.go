@@ -89,8 +89,7 @@ func (blobCodec) Decode(src []byte) ([]byte, int, error) {
 
 // TestInlineWritesOverFullSocketBuffers pins the property that makes
 // writing on the producing goroutine deadlock-free: every machine
-// emits an 8 MiB batch to one peer and leaves as large a rest for the
-// other, all at once, so every directed pair carries a
+// sends an 8 MiB batch to each of its two peers, all at once, so every directed pair carries a
 // frame about twice what an unread loopback connection absorbs (~4 MB
 // on a stock Linux kernel) and every write blocks until the receiving
 // peer's reader drains it. The readers are released in BeginSuperstep,
@@ -112,28 +111,22 @@ func TestInlineWritesOverFullSocketBuffers(t *testing.T) {
 		testutil.NoLeakedGoroutines(t, base)
 	}()
 
-	// Each machine emits one blob to a peer, leaves another for the
-	// other peer and a small one for itself in the rest; the two peers
-	// trade places every superstep. The blobs are windows of one shared
-	// slice, each machine's shifted, so a misrouted frame cannot pass.
-	type plan struct {
-		emitted [][]transport.Envelope[[]byte]
-		rest    []transport.Envelope[[]byte]
-	}
-	plans := func(step int) []plan {
-		p := make([]plan, k)
+	// Each machine sends one blob to each peer and a small one to
+	// itself; the two peers trade blobs every superstep. The blobs are
+	// windows of one shared slice, each machine's shifted, so a
+	// misrouted frame cannot pass.
+	plans := func(step int) [][][]transport.Envelope[[]byte] {
+		p := make([][][]transport.Envelope[[]byte], k)
 		for i := range p {
 			me := transport.MachineID(i)
-			to, restTo := transport.MachineID((i+1)%k), transport.MachineID((i+2)%k)
+			to, other := transport.MachineID((i+1)%k), transport.MachineID((i+2)%k)
 			if step%2 == 1 {
-				to, restTo = restTo, to
+				to, other = other, to
 			}
-			p[i] = plan{emitted: make([][]transport.Envelope[[]byte], k),
-				rest: []transport.Envelope[[]byte]{
-					{From: me, To: restTo, Words: 2, Msg: blob[k-i : size+k-i]},
-					{From: me, To: me, Words: 1, Msg: blob[:i+1]},
-				}}
-			p[i].emitted[to] = []transport.Envelope[[]byte]{{From: me, To: to, Words: 1, Msg: blob[i : size+i]}}
+			p[i] = make([][]transport.Envelope[[]byte], k)
+			p[i][to] = []transport.Envelope[[]byte]{{From: me, To: to, Words: 1, Msg: blob[i : size+i]}}
+			p[i][other] = []transport.Envelope[[]byte]{{From: me, To: other, Words: 2, Msg: blob[k-i : size+k-i]}}
+			p[i][me] = []transport.Envelope[[]byte]{{From: me, To: me, Words: 1, Msg: blob[:i+1]}}
 		}
 		return p
 	}
@@ -141,15 +134,7 @@ func TestInlineWritesOverFullSocketBuffers(t *testing.T) {
 	lb := inmem.New[[]byte](k)
 	for step := 0; step < supersteps; step++ {
 		p := plans(step)
-		batches := make([][][]transport.Envelope[[]byte], k)
-		rest := make([][]transport.Envelope[[]byte], k)
-		for i := range p {
-			batches[i], rest[i] = p[i].emitted, p[i].rest
-		}
-		want, err := lb.Deliver(batches, rest)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := lb.Deliver(p)
 
 		errs := make([]error, k)
 		var wg sync.WaitGroup
@@ -163,7 +148,7 @@ func TestInlineWritesOverFullSocketBuffers(t *testing.T) {
 				if errs[i] = e.BeginSuperstep(ctx, step); errs[i] != nil {
 					return
 				}
-				inbox, _, err := e.FinishSuperstep(step, p[i].emitted, p[i].rest, nil)
+				inbox, _, err := e.FinishSuperstep(step, p[i], nil)
 				if err != nil {
 					errs[i] = err
 					return
@@ -341,7 +326,7 @@ func TestBadFrameFailsWhereItIsFound(t *testing.T) {
 				if e0.inbox != nil {
 					t.Fatal("an inbox was sized before the reader rejected the frame")
 				}
-				_, _, err := e0.FinishSuperstep(0, nil, nil, nil)
+				_, _, err := e0.FinishSuperstep(0, nil, nil)
 				blames("machine 0", err)
 			} else {
 				_, errs := jobExchange([]*Endpoint[testMsg]{e0, e2}, 0, make([][]transport.Envelope[testMsg], 2))
@@ -364,7 +349,7 @@ func TestBadFrameFailsWhereItIsFound(t *testing.T) {
 				t.Fatal(err)
 			}
 			e2.workWG.Wait()
-			_, _, err = e2.FinishSuperstep(step, nil, nil, nil)
+			_, _, err = e2.FinishSuperstep(step, nil, nil)
 			blames("bystander", err)
 		})
 	}

@@ -45,14 +45,14 @@ func (e *Endpoint[M]) ioGuard(ctx context.Context) (deadline time.Time, release 
 
 // assembleInbox builds the superstep's inbox in sender-ID order over
 // the previous one's storage, which its Step no longer reads. The
-// storage is sized once from out's self-addressed count, self, and the
-// counts the readers checked, then every peer's batch is decoded
-// straight into its slot and the self-addressed envelopes of out are
-// copied into position e.id, in out's order. A sound header over a
-// corrupt body fails the endpoint here, blamed on the sender like any
-// reader failure. Call only after the readers drained error-free.
-func (e *Endpoint[M]) assembleInbox(step int, out []transport.Envelope[M], self int) (inbox []transport.Envelope[M], err error) {
-	total := self // rxCount[e.id] stays 0
+// storage is sized once from self's length and the counts the readers
+// checked, then every peer's batch is decoded straight into its slot
+// and self, the self-addressed batch, is copied into position e.id. A
+// sound header over a corrupt body fails the endpoint here, blamed on
+// the sender like any reader failure. Call only after the readers
+// drained error-free.
+func (e *Endpoint[M]) assembleInbox(step int, self []transport.Envelope[M]) (inbox []transport.Envelope[M], err error) {
+	total := len(self) // rxCount[e.id] stays 0
 	for _, n := range e.rxCount {
 		total += n
 	}
@@ -62,11 +62,7 @@ func (e *Endpoint[M]) assembleInbox(step int, out []transport.Envelope[M], self 
 	}
 	for s := 0; s < e.k; s++ {
 		if s == e.id {
-			for _, env := range out {
-				if int(env.To) == e.id {
-					inbox = append(inbox, env)
-				}
-			}
+			inbox = append(inbox, self...)
 			continue
 		}
 		t0 := e.now()
@@ -136,50 +132,19 @@ func (e *Endpoint[M]) finishGuard() {
 }
 
 // FinishSuperstep closes superstep `step`: it ships this machine's
-// envelopes — batches[j], a batch emitted to peer j (nil when none;
-// batches may be nil), and out, the others, self-addressed ones
-// included, which never touch a socket; a peer must not have both — one
+// envelopes — batches[j], everything it sends machine j (batches may be
+// nil); the self-addressed batches[e.id] never touches a socket — one
 // batch frame per directed pair, empty batches included, each carrying
 // `row`, this machine's account of the superstep. Every peer's frame
 // leaves in one vectored write on the calling goroutine, peers visited
-// from (id+step) mod k. It then waits for the
-// readers to drain and decodes the inbox in sender-ID order,
-// self-addressed envelopes at position e.id, exactly like the loopback
-// transport, into the storage of the previous inbox, which neither
-// batches nor out may alias. rows[j] is peer j's row as received
+// from (id+step) mod k. It then waits for the readers to drain and
+// decodes the inbox in sender-ID order, batches[e.id] at position e.id,
+// exactly like the loopback transport, into the storage of the previous
+// inbox, which no batch may alias. rows[j] is peer j's row as received
 // (rows[e.id] is nil), valid until the next BeginSuperstep. It is the
 // superstep's barrier, bounded by the deadline and cancellation guard
 // BeginSuperstep armed.
-func (e *Endpoint[M]) FinishSuperstep(step int, batches [][]transport.Envelope[M], out []transport.Envelope[M], row []byte) (inbox []transport.Envelope[M], rows [][]byte, err error) {
-	// Count the split first, then carve every peer's bucket from one
-	// slab, which grows only when a superstep outgrows every earlier one.
-	counts := e.destCount
-	clear(counts)
-	for _, env := range out {
-		if env.To < 0 || int(env.To) >= e.k {
-			e.finishGuard()
-			e.Close() // peers are waiting on our batches; unblock them
-			return nil, nil, fmt.Errorf("tcp: machine %d envelope to invalid machine %d", e.id, env.To)
-		}
-		counts[env.To]++
-	}
-	// Self-addressed envelopes go from out to the inbox.
-	self := counts[e.id]
-	if n := len(out) - self; cap(e.destSlab) < n {
-		e.destSlab = make([]transport.Envelope[M], n)
-	}
-	counts[e.id] = 0
-	perDest, off := e.perDest, 0
-	for j, n := range counts {
-		perDest[j] = e.destSlab[off : off : off+n]
-		off += n
-	}
-	for _, env := range out {
-		if int(env.To) != e.id {
-			perDest[env.To] = append(perDest[env.To], env)
-		}
-	}
-
+func (e *Endpoint[M]) FinishSuperstep(step int, batches [][]transport.Envelope[M], row []byte) (inbox []transport.Envelope[M], rows [][]byte, err error) {
 	e.mu.Lock()
 	if !e.strOn {
 		// Nothing is open, so nothing is in flight to unblock: refuse and
@@ -211,13 +176,12 @@ func (e *Endpoint[M]) FinishSuperstep(step int, batches [][]transport.Envelope[M
 		return nil, nil, err
 	}
 	e.mu.Unlock()
+	if batches == nil {
+		batches = make([][]transport.Envelope[M], e.k) // an empty frame to every peer
+	}
 	for o := 0; o < e.k; o++ {
 		if j := (e.id + step + o) % e.k; j != e.id {
-			envs := perDest[j]
-			if batches != nil && batches[j] != nil {
-				envs = batches[j] // then perDest[j] is empty
-			}
-			e.runWriter(j, step, e.strDl, envs, row)
+			e.runWriter(j, step, e.strDl, batches[j], row)
 		}
 	}
 
@@ -241,7 +205,7 @@ func (e *Endpoint[M]) FinishSuperstep(step int, batches [][]transport.Envelope[M
 		}
 		return nil, nil, e.failure()
 	}
-	if inbox, err = e.assembleInbox(step, out, self); err != nil {
+	if inbox, err = e.assembleInbox(step, batches[e.id]); err != nil {
 		return nil, nil, err
 	}
 	return inbox, e.rxRow, nil

@@ -13,8 +13,9 @@
 // completes, so the exchange is the superstep's only synchronisation.
 //
 // Every frame an endpoint sends is written by the goroutine that made
-// it: FinishSuperstep writes each peer's frame itself, in one writev
-// per peer. Only the receive side has workers: one
+// it: FinishSuperstep takes the machine's per-peer batches, already
+// split by core's driver, and writes each peer's frame itself, in one
+// writev per peer. Only the receive side has workers: one
 // persistent reader per incoming peer, spawned once when the endpoint
 // attaches and parked on a signal channel between supersteps.
 // BeginSuperstep releases the readers, so each receives and
@@ -120,21 +121,17 @@ type Endpoint[M any] struct {
 	sendPeer        int
 
 	// Per-superstep scratch, recycled across calls and single-buffered.
-	// perDest's buckets are windows of destSlab, sized by destCount, and
-	// dead once FinishSuperstep returns; a reader leaves its
-	// header-checked batch (a window of in[j].frame) and envelope count
-	// in rxBatch/rxCount for the finish to decode into inbox, the one
-	// place received envelopes exist decoded, valid until the next
-	// finish decodes over it (core.Machine's ownership rule). The peer's
-	// row lands in rxRow (another window of in[j].frame), returned as is
-	// and valid until the next BeginSuperstep.
-	perDest   [][]transport.Envelope[M] // outgoing to peers, split by destination
-	destCount []int
-	destSlab  []transport.Envelope[M]
-	rxBatch   [][]byte // per-peer received batch, undecoded
-	rxCount   []int    // per-peer envelope count of rxBatch
-	rxRow     [][]byte // per-peer received row
-	inbox     []transport.Envelope[M]
+	// A reader leaves its header-checked batch (a window of in[j].frame)
+	// and envelope count in rxBatch/rxCount for the finish to decode
+	// into inbox, the one place received envelopes exist decoded, valid
+	// until the next finish decodes over it (core.Machine's ownership
+	// rule). The peer's row lands in rxRow (another window of
+	// in[j].frame), returned as is and valid until the next
+	// BeginSuperstep.
+	rxBatch [][]byte // per-peer received batch, undecoded
+	rxCount []int    // per-peer envelope count of rxBatch
+	rxRow   [][]byte // per-peer received row
+	inbox   []transport.Envelope[M]
 
 	// Open-superstep state, guarded by mu.
 	strOn      bool        // BeginSuperstep called, FinishSuperstep pending
@@ -167,13 +164,11 @@ type Endpoint[M any] struct {
 func newEndpoint[M any](m *Mesh, codec wire.Codec[M]) *Endpoint[M] {
 	k := m.k
 	return &Endpoint[M]{
-		Mesh:      m,
-		codec:     codec,
-		perDest:   make([][]transport.Envelope[M], k),
-		destCount: make([]int, k),
-		rxBatch:   make([][]byte, k),
-		rxCount:   make([]int, k),
-		rxRow:     make([][]byte, k),
+		Mesh:    m,
+		codec:   codec,
+		rxBatch: make([][]byte, k),
+		rxCount: make([]int, k),
+		rxRow:   make([][]byte, k),
 	}
 }
 

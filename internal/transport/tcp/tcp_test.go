@@ -102,14 +102,20 @@ var meshKinds = []struct {
 	build func(*testing.T, int) []*Mesh
 }{{"fabric", fabricMesh}, {"kernel", kernelMesh}}
 
-// exchange is one whole superstep on e with nothing emitted and an
-// empty row.
+// exchange is one whole superstep on e, out split by destination, with
+// an empty row.
 func exchange(ctx context.Context, e *Endpoint[testMsg], step int, out []transport.Envelope[testMsg]) ([]transport.Envelope[testMsg], error) {
 	if err := e.BeginSuperstep(ctx, step); err != nil {
 		return nil, err
 	}
-	inbox, _, err := e.FinishSuperstep(step, nil, out, nil)
+	inbox, _, err := e.FinishSuperstep(step, byDest(e.k, out), nil)
 	return inbox, err
+}
+
+// byDest splits out by destination into fresh per-peer batches.
+func byDest[M any](k int, out []transport.Envelope[M]) [][]transport.Envelope[M] {
+	batches, _ := new(transport.Splitter[M]).Split(k, out)
+	return batches
 }
 
 // randomOuts builds a deterministic random traffic pattern, including

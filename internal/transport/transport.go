@@ -35,6 +35,50 @@ type Envelope[M any] struct {
 	Msg      M
 }
 
+// Splitter splits one machine's flat outbox by destination, count then
+// place, over a slab it reuses: the slab grows only when an outbox
+// outgrows every earlier one. The zero Splitter is ready to use.
+type Splitter[M any] struct {
+	counts  []int
+	buckets [][]Envelope[M]
+	slab    []Envelope[M]
+}
+
+// Split returns buckets[j], the envelopes of out addressed to machine j
+// of k in out's order, and -1. When every envelope has one destination
+// that bucket is out itself, uncopied; otherwise the buckets are windows
+// of the slab, valid until the next Split. An envelope addressed outside
+// [0, k) places nothing: Split returns nil and the index of the first.
+func (s *Splitter[M]) Split(k int, out []Envelope[M]) (buckets [][]Envelope[M], bad int) {
+	if len(s.counts) != k {
+		s.counts, s.buckets = make([]int, k), make([][]Envelope[M], k)
+	}
+	clear(s.counts)
+	for i := range out {
+		if to := out[i].To; to < 0 || int(to) >= k {
+			return nil, i
+		}
+		s.counts[out[i].To]++
+	}
+	buckets = s.buckets
+	clear(buckets)
+	if len(out) > 0 && s.counts[out[0].To] == len(out) {
+		buckets[out[0].To] = out
+		return buckets, -1
+	}
+	if cap(s.slab) < len(out) {
+		s.slab = make([]Envelope[M], len(out))
+	}
+	slab := s.slab
+	for j, n := range s.counts {
+		buckets[j], slab = slab[:0:n], slab[n:]
+	}
+	for _, env := range out {
+		buckets[env.To] = append(buckets[env.To], env)
+	}
+	return buckets, -1
+}
+
 // Transport is a whole superstep of a k-machine cluster in one call:
 // Exchange delivers outs[i], machine i's envelopes (self-addressed ones
 // included), and returns inboxes[j], the envelopes for machine j in

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"kmachine/internal/core"
 	"kmachine/internal/gen"
@@ -254,7 +255,9 @@ func TestTriangleBytesPerEdge(t *testing.T) {
 		return float64(after.TotalAlloc - before.TotalAlloc)
 	}
 
-	// Drive the k routers by hand so only route's own allocations count.
+	// Drive the k routers' route by hand so only its own allocations
+	// count: a Step outside a run has no link to emit to, and
+	// EmitBuckets' concatenation of the buckets is not the router's.
 	routers := make([]*colorRouter, k)
 	inbox := make([][]core.Envelope[tmsg], k)
 	targets := pairTargets(c, 3)
@@ -268,19 +271,34 @@ func TestTriangleBytesPerEdge(t *testing.T) {
 	for step := 0; step < 4; step++ {
 		next := make([][]core.Envelope[tmsg], k)
 		for id, r := range routers {
-			var out []core.Envelope[tmsg]
+			var out [][]core.Envelope[tmsg]
 			ctx := &core.StepContext{Self: core.MachineID(id), K: k, Superstep: step, RNG: rng.NewStream(7, uint64(id))}
-			route += allocated(func() { out, _ = r.Step(ctx, inbox[id]) })
+			route += allocated(func() { out, _ = r.route(ctx, inbox[id]) })
 			if step == 2 {
 				for _, e := range inbox[id] {
 					if e.Msg.Kind == kindEdgeToProxy {
 						proxied++
 					}
 				}
-				copies += len(out)
 			}
-			for _, e := range out {
-				next[e.To] = append(next[e.To], e)
+			// Every bucket is exactly sized, and each starts where the
+			// one before it ends: one slab.
+			var end unsafe.Pointer
+			for j, b := range out {
+				if cap(b) != len(b) {
+					t.Errorf("superstep %d, machine %d: bucket for %d holds %d envelopes in room for %d", step, id, j, len(b), cap(b))
+				}
+				if len(b) == 0 {
+					continue
+				}
+				if start := unsafe.Pointer(&b[0]); end != nil && start != end {
+					t.Errorf("superstep %d, machine %d: bucket for %d is not carved from the slab the others share", step, id, j)
+				}
+				end = unsafe.Add(unsafe.Pointer(&b[0]), uintptr(len(b))*unsafe.Sizeof(b[0]))
+				if step == 2 {
+					copies += len(b)
+				}
+				next[j] = append(next[j], b...)
 			}
 		}
 		inbox = next
@@ -310,7 +328,7 @@ func TestTriangleBytesPerEdge(t *testing.T) {
 		layer       string
 		got, budget float64
 	}{
-		{"forward/receive path (colorRouter.Step: presized outbox and edge list)", route / finals, 39},
+		{"forward/receive path (colorRouter.route: presized buckets and edge list)", route / finals, 39},
 		{"kernel build (newEdgeIndex: packed keys, radix scratch, CSR)", build / finals, 26},
 		{"walk (edgeIndex.triangles: color-restricted rows, stamps)", walk / finals, 6},
 		{"end to end (Run over the in-process link: the three above + core + inmem)", total / finals, 105},

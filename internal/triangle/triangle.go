@@ -185,36 +185,63 @@ func (r *colorRouter) targetsOf(u, v int32) []core.MachineID {
 	return r.targets[colorOf(colorSeed, u, r.c)*r.c+colorOf(colorSeed, v, r.c)]
 }
 
-// fanOut appends edge {u, v}'s final copies, one per target machine.
-func (r *colorRouter) fanOut(out []core.Envelope[tmsg], u, v int32) []core.Envelope[tmsg] {
-	for _, target := range r.targetsOf(u, v) {
-		out = append(out, core.Envelope[tmsg]{
-			To:    target,
-			Words: 2,
-			Msg:   tmsg{Kind: kindEdgeFinal, U: u, V: v},
-		})
+// outbox is what one superstep of a router sends, built in two passes
+// over the same sends: the first only counts them per target, then
+// carve cuts every target's bucket from one slab, exactly sized, and the
+// second appends into the buckets, so none grows by doubling (a proxied
+// edge fans out to 3c − 2 triples or 6c² − 8c + 3 quadruples).
+type outbox struct {
+	counts  []int
+	buckets [][]core.Envelope[tmsg] // nil while counting
+}
+
+func (o *outbox) put(env core.Envelope[tmsg]) {
+	if o.buckets == nil {
+		o.counts[env.To]++
+	} else {
+		o.buckets[env.To] = append(o.buckets[env.To], env)
 	}
-	return out
+}
+
+// carve ends the counting pass and returns the number of envelopes.
+func (o *outbox) carve() int {
+	total := 0
+	for _, n := range o.counts {
+		total += n
+	}
+	slab := make([]core.Envelope[tmsg], total)
+	o.buckets = make([][]core.Envelope[tmsg], len(o.counts))
+	for j, n := range o.counts {
+		o.buckets[j], slab = slab[:0:n], slab[n:]
+	}
+	return total
+}
+
+// fanOut sends edge {u, v}'s final copies, one per target machine.
+func (r *colorRouter) fanOut(o *outbox, u, v int32) {
+	for _, target := range r.targetsOf(u, v) {
+		o.put(core.Envelope[tmsg]{To: target, Words: 2, Msg: tmsg{Kind: kindEdgeFinal, U: u, V: v}})
+	}
 }
 
 // Step runs one superstep of the distribution, and the walk once every
-// final edge has arrived.
-func (r *colorRouter) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]) (out []core.Envelope[tmsg], done bool) {
-	// Count before filling: how many copies this superstep emits and how
-	// many final edges it delivers is known up front, so neither slice
-	// grows by doubling (a proxied edge fans out to 3c − 2 triples or
-	// 6c² − 8c + 3 quadruples).
-	emits, finals := 0, 0
+// final edge has arrived, handing route's buckets to the round.
+func (r *colorRouter) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]) ([]core.Envelope[tmsg], bool) {
+	buckets, done := r.route(ctx, inbox)
+	return core.EmitBuckets(ctx, buckets), done
+}
+
+// route is Step's work: it returns what the superstep sends as
+// per-target buckets carved from one slab (outbox). The counting pass
+// draws each proxy too, and the machine's random stream is then
+// rewound to its saved state, so the filling pass draws exactly what a
+// single pass would.
+func (r *colorRouter) route(ctx *core.StepContext, inbox []core.Envelope[tmsg]) ([][]core.Envelope[tmsg], bool) {
+	finals := 0
 	for i := range inbox {
-		switch msg := &inbox[i].Msg; msg.Kind {
-		case kindEdgeToProxy:
-			emits += len(r.targetsOf(msg.U, msg.V))
-		case kindEdgeFinal:
+		if inbox[i].Msg.Kind == kindEdgeFinal {
 			finals++
 		}
-	}
-	if emits > 0 {
-		out = make([]core.Envelope[tmsg], 0, emits)
 	}
 	if finals > cap(r.edges)-len(r.edges) {
 		r.edges = append(make([][2]int32, 0, len(r.edges)+finals), r.edges...)
@@ -223,93 +250,85 @@ func (r *colorRouter) Step(ctx *core.StepContext, inbox []core.Envelope[tmsg]) (
 		switch e.Msg.Kind {
 		case kindHeavyAnnounce:
 			r.heavy[e.Msg.U] = true
-		case kindEdgeToProxy:
-			out = r.fanOut(out, e.Msg.U, e.Msg.V)
 		case kindEdgeFinal:
 			r.edges = append(r.edges, [2]int32{e.Msg.U, e.Msg.V})
 		}
 	}
 
-	switch {
-	case ctx.Superstep == 0:
-		if r.opts.HeavyDesignation {
-			threshold := routing.HeavyDegreeThreshold(ctx.K, r.view.N())
-			for _, u := range r.view.Locals() {
-				if r.view.Degree(u) >= threshold {
-					r.heavy[u] = true
-					for j := 0; j < ctx.K; j++ {
-						if core.MachineID(j) == r.view.Self() {
-							continue
-						}
-						out = append(out, core.Envelope[tmsg]{
-							To:    core.MachineID(j),
-							Words: 1,
-							Msg:   tmsg{Kind: kindHeavyAnnounce, U: u},
-						})
-					}
-				}
-			}
-		}
-		return out, false
-
-	case ctx.Superstep == 1:
-		// Ship designated edges. An edge sits in both endpoints' rows but
-		// only its designated endpoint's home ships it, so mark the arcs
-		// shipped from here (the inbox has just set the heavy flags) and
-		// size the outbox by them before filling it.
+	// Superstep 1 ships designated edges. An edge sits in both endpoints'
+	// rows but only its designated endpoint's home ships it, so mark the
+	// arcs shipped from here (the inbox has just set the heavy flags).
+	var shipped []uint64
+	if ctx.Superstep == 1 {
 		arcs := 0
 		for _, u := range r.view.Locals() {
 			arcs += len(r.view.OutAdj(u))
 		}
-		shipped := make([]uint64, (arcs+63)/64)
-		ships, arc := 0, 0
+		shipped = make([]uint64, (arcs+63)/64)
+		arc := 0
 		for _, u := range r.view.Locals() {
 			for _, v := range r.view.OutAdj(u) {
 				if routing.DesignatedEndpoint(u, v, r.heavy[u], r.heavy[v], colorSeed) == u {
 					shipped[arc/64] |= 1 << (arc % 64)
-					if r.opts.Proxies {
-						ships++
-					} else {
-						ships += len(r.targetsOf(u, v))
-					}
 				}
 				arc++
 			}
 		}
-		out = append(make([]core.Envelope[tmsg], 0, len(out)+ships), out...)
-		arc = -1
-		for _, u := range r.view.Locals() {
-			for _, v := range r.view.OutAdj(u) {
-				if arc++; shipped[arc/64]&(1<<(arc%64)) == 0 {
+	}
+	send := func(o *outbox) {
+		for _, e := range inbox {
+			if e.Msg.Kind == kindEdgeToProxy {
+				r.fanOut(o, e.Msg.U, e.Msg.V)
+			}
+		}
+		switch {
+		case ctx.Superstep == 0 && r.opts.HeavyDesignation:
+			threshold := routing.HeavyDegreeThreshold(ctx.K, r.view.N())
+			for _, u := range r.view.Locals() {
+				if r.view.Degree(u) < threshold {
 					continue
 				}
-				if r.opts.Proxies {
-					proxy := core.MachineID(ctx.RNG.Intn(ctx.K))
-					out = append(out, core.Envelope[tmsg]{
-						To:    proxy,
-						Words: 2,
-						Msg:   tmsg{Kind: kindEdgeToProxy, U: u, V: v},
-					})
-				} else {
-					out = r.fanOut(out, u, v)
+				r.heavy[u] = true
+				for j := 0; j < ctx.K; j++ {
+					if core.MachineID(j) != r.view.Self() {
+						o.put(core.Envelope[tmsg]{To: core.MachineID(j), Words: 1, Msg: tmsg{Kind: kindHeavyAnnounce, U: u}})
+					}
+				}
+			}
+		case ctx.Superstep == 1:
+			arc := -1
+			for _, u := range r.view.Locals() {
+				for _, v := range r.view.OutAdj(u) {
+					if arc++; shipped[arc/64]&(1<<(arc%64)) == 0 {
+						continue
+					}
+					if r.opts.Proxies {
+						proxy := core.MachineID(ctx.RNG.Intn(ctx.K))
+						o.put(core.Envelope[tmsg]{To: proxy, Words: 2, Msg: tmsg{Kind: kindEdgeToProxy, U: u, V: v}})
+					} else {
+						r.fanOut(o, u, v)
+					}
 				}
 			}
 		}
-		return out, false
-
-	default:
-		// With proxies, superstep 2 emits the forwards computed above and
-		// superstep 3 enumerates; without, superstep 2 enumerates.
-		finalStep := 2
-		if r.opts.Proxies {
-			finalStep = 3
-		}
-		if ctx.Superstep < finalStep {
-			return out, len(out) == 0
-		}
-		r.walk()
-		return out, true
 	}
+	o, state := &outbox{counts: make([]int, ctx.K)}, ctx.RNG.State()
+	send(o)
+	ctx.RNG.SetState(state)
+	total := o.carve()
+	send(o)
+
+	// With proxies, superstep 2 emits the forwards and superstep 3
+	// enumerates; without, superstep 2 enumerates.
+	finalStep := 2
+	if r.opts.Proxies {
+		finalStep = 3
+	}
+	if ctx.Superstep < finalStep {
+		return o.buckets, ctx.Superstep >= 2 && total == 0
+	}
+	r.walk()
+	return o.buckets, true
 }
 
 // triangleTally is a machine's running triangle output.
