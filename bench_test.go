@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"kmachine/internal/conncomp"
 	"kmachine/internal/core"
 	"kmachine/internal/dsort"
 	"kmachine/internal/experiments"
@@ -236,6 +237,29 @@ func BenchmarkDistributedSortTCP(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkConnCompTCP is connectivity over the socket link: G(n,
+// 12/n) at k = 8, the benchmark's conncomp problem at a fifth of its
+// size, with every label and change flag crossing the link's
+// connections — a few mid-sized frames per phase, between the PageRank
+// and sort shapes above.
+func BenchmarkConnCompTCP(b *testing.B) {
+	const n, k = 20000, 8
+	g := gen.Gnp(n, 12.0/n, 1)
+	p := partition.NewRVP(g, k, 2)
+	cfg := core.Config{K: k, Bandwidth: core.DefaultBandwidth(n), Seed: 3, Transport: transport.TCP}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rounds int64
+	for i := 0; i < b.N; i++ {
+		res, err := conncomp.Run(p, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rounds = res.Stats.Rounds
+	}
+	b.ReportMetric(float64(rounds), "rounds")
 }
 
 func BenchmarkRandomRouting(b *testing.B) {

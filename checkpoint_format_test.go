@@ -163,7 +163,7 @@ func TestCheckpointedRunOpensItsCutOnce(t *testing.T) {
 // them at once — a reordered label, a dropped flag — passes it; this one
 // does not, and a deliberate format change must re-record the digest.
 func TestConnCompCheckpointLayoutPinned(t *testing.T) {
-	checkCutsPinned(t, "conncomp", 36, 0xbcb5c8530951a8d2)
+	checkCutsPinned(t, "conncomp", 24, 0xf0385cdc5b77544d)
 }
 
 // TestPageRankCheckpointLayoutPinned is the same pin for PageRank: the

@@ -183,7 +183,7 @@ func TestTraceAndDebugPlane(t *testing.T) {
 	var b strings.Builder
 	for _, cmd := range []string{
 		"kmnode -local 4 -algo pagerank -n 500 -seed 3 -trace trace.json -debug-addr 127.0.0.1:0 -debug-linger 1s",
-		"kmnode -local 2 -algo conncomp -n 300 -seed 4 -trace trace.json -debug-addr 127.0.0.1:0 -debug-linger 1s",
+		"kmnode -local 4 -algo conncomp -n 500 -seed 4 -trace trace.json -debug-addr 127.0.0.1:0 -debug-linger 1s",
 	} {
 		var stdout, stderr output
 		code := make(chan int, 1)

@@ -111,7 +111,7 @@ func TestGoldenConnComp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStats(t, res.Stats, 57, 8737, 17138, 2300, 18)
+	checkStats(t, res.Stats, 48, 7032, 13728, 1974, 12)
 	lbl := make([]uint64, len(res.Label))
 	for i, l := range res.Label {
 		lbl[i] = uint64(int64(l))

@@ -21,8 +21,9 @@ import (
 // its tables and buckets from counts and the Steps read their inbox in
 // place, the rows read 148 / 241 B/arc (35.8 / 58.1 MB per run); before
 // each socket connection end kept only the buffer it uses, 60 / 153
-// (14.5 / 36.8 MB); now 60 / 84 (14.5 / 20.3 MB; 86 for the socket row
-// under -race).
+// (14.5 / 36.8 MB); before labels went straight to their home machine,
+// with no relay superstep and no routing frame, 60 / 84 (14.5 / 20.3
+// MB); now 54 / 67 (12.9 / 16.0 MB; 69 for the socket row under -race).
 func TestConnCompBytesPerArc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("labels a 240 000-arc graph twice, once over loopback sockets")
@@ -46,8 +47,8 @@ func TestConnCompBytesPerArc(t *testing.T) {
 		layer       string
 		got, budget float64
 	}{
-		{"connectivity machines + routing buckets + in-process link (newCCMachine, Step, core, inmem)", inmem, 68},
-		{"connectivity machines + routing buckets + socket link (AppendBatchV2, frame buffers, rows, assembleInbox)", tcp, 97},
+		{"connectivity machines + link buckets + in-process link (newCCMachine, Step, core, inmem)", inmem, 61},
+		{"connectivity machines + link buckets + socket link (AppendBatchV2, frame buffers, rows, assembleInbox)", tcp, 77},
 	} {
 		t.Logf("%5.1f B/arc (budget %3.0f)  %s", row.got, row.budget, row.layer)
 		if row.got > row.budget {

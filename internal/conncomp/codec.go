@@ -1,17 +1,14 @@
 package conncomp
 
-import (
-	"kmachine/internal/routing"
-	twire "kmachine/internal/transport/wire"
-)
+import twire "kmachine/internal/transport/wire"
 
-// Wire is the envelope payload type of a connectivity run: the label /
-// change-flag message in its two-hop routing frame.
-type Wire = wire
+// Wire is the envelope payload type of a connectivity run: a label or
+// a change flag, sent straight to the machine it is for.
+type Wire = cmsg
 
 // WireCodec returns the binary codec for connectivity envelopes.
 func WireCodec() twire.Codec[Wire] {
-	return routing.HopCodec[cmsg](cmsgCodec{})
+	return cmsgCodec{}
 }
 
 type cmsgCodec struct{}

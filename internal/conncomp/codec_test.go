@@ -3,7 +3,6 @@ package conncomp
 import (
 	"testing"
 
-	"kmachine/internal/core"
 	"kmachine/internal/rng"
 	"kmachine/internal/testutil"
 )
@@ -14,13 +13,10 @@ func TestWireCodecRoundTripProperty(t *testing.T) {
 	kinds := []uint8{kindLabel, kindFlag}
 	for i := 0; i < 3000; i++ {
 		want := Wire{
-			Final: core.MachineID(r.Intn(1 << 16)),
-			Msg: cmsg{
-				Kind:    kinds[r.Intn(len(kinds))],
-				V:       int32(r.Uint64()),
-				Label:   int32(r.Uint64()),
-				Changed: r.Intn(2) == 0,
-			},
+			Kind:    kinds[r.Intn(len(kinds))],
+			V:       int32(r.Uint64()),
+			Label:   int32(r.Uint64()),
+			Changed: r.Intn(2) == 0,
 		}
 		buf, err := c.Append(nil, want)
 		if err != nil {

@@ -7,7 +7,10 @@
 // collapsing: every machine first merges its local vertices with a
 // union-find over the edges it already holds (free local computation),
 // then repeatedly exchanges per-destination-aggregated minimum labels
-// across cut edges, routed two-hop (Lemma 13). Labels converge to the
+// across cut edges, each straight to its vertex's home: the random
+// vertex partition spreads them Õ(n/k²) per link whp with no Lemma 13
+// relay (DESIGN.md). A phase is two supersteps: labels, then a local
+// collapse and a change flag to every peer. Labels converge to the
 // minimum vertex ID of each component within O(supergraph diameter)
 // phases — O(log n) whp on the G(n,p) families used in the experiments.
 //
@@ -26,7 +29,6 @@ import (
 	"kmachine/internal/core"
 	"kmachine/internal/graph"
 	"kmachine/internal/partition"
-	"kmachine/internal/routing"
 )
 
 const (
@@ -34,14 +36,16 @@ const (
 	kindFlag         // "my labels changed this phase" broadcast
 )
 
+// phaseLen is the supersteps of one phase: labels out, then relax and
+// the change flags out.
+const phaseLen = 2
+
 type cmsg struct {
 	Kind    uint8
 	V       int32
 	Label   int32
 	Changed bool
 }
-
-type wire = routing.Hop[cmsg]
 
 type ccMachine struct {
 	view   partition.View
@@ -56,17 +60,17 @@ type ccMachine struct {
 	phase        int
 	anyChange    bool // set when a label changed in the last phase
 	flagsChanged bool // OR of all machines' change flags
-	flagsSeen    int
 
-	buckets [][]core.Envelope[wire] // [j]: envelopes to machine j, recycled
+	buckets [][]core.Envelope[cmsg] // [j]: envelopes to machine j, recycled
 }
 
 // newCCMachine ranks the machine's adjacency once, so that no phase
 // looks at it again: local–local arcs feed a union-find over rows that
 // is flattened into class, and cut arcs are packed as ghost<<32|row and
 // radix-sorted by ghost (stable, so rows stay ascending) into the ghost
-// table. Every table is sized from a count taken before it fills, and
-// each link bucket to Lemma 13's per-link share of the ghosts.
+// table. Every table is sized from a count taken before it fills: each
+// link bucket to its ghosts' labels plus one change flag, all carved
+// from one slab.
 func newCCMachine(view partition.View) *ccMachine {
 	locals := view.Locals()
 	m := &ccMachine{
@@ -74,7 +78,7 @@ func newCCMachine(view partition.View) *ccMachine {
 		locals:  locals,
 		label:   make([]int32, len(locals)),
 		class:   make([]int32, len(locals)),
-		buckets: make([][]core.Envelope[wire], view.K()),
+		buckets: make([][]core.Envelope[cmsg], view.K()),
 	}
 
 	// Local union-find over edges with both endpoints local (free local
@@ -135,8 +139,18 @@ func newCCMachine(view partition.View) *ccMachine {
 		m.ghostRows[p] = int32(uint32(key))
 	}
 	m.ghostOffs = append(m.ghostOffs, int32(len(keys)))
-	for j := range m.buckets {
-		m.buckets[j] = make([]core.Envelope[wire], 0, routing.LinkShare(distinct, view.K()))
+	size := make([]int, view.K())
+	for _, w := range m.ghosts {
+		size[view.HomeOf(w)]++
+	}
+	slab := make([]core.Envelope[cmsg], distinct+view.K()-1)
+	off := 0
+	for j, c := range size {
+		if core.MachineID(j) != view.Self() {
+			c++ // the change flag
+		}
+		m.buckets[j] = slab[off : off : off+c]
+		off += c
 	}
 	return m
 }
@@ -160,68 +174,58 @@ func (m *ccMachine) relax() {
 	}
 }
 
-func (m *ccMachine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]core.Envelope[wire], bool) {
+func (m *ccMachine) Step(ctx *core.StepContext, inbox []core.Envelope[cmsg]) ([]core.Envelope[cmsg], bool) {
 	buckets := m.buckets
 	for j := range buckets {
 		buckets[j] = buckets[j][:0]
 	}
 	for i := range inbox {
-		if e := &inbox[i]; e.Msg.Final != ctx.Self {
-			routing.Forward(buckets, e)
-			continue
-		}
-		switch d := &inbox[i].Msg.Msg; d.Kind {
+		switch d := &inbox[i].Msg; d.Kind {
 		case kindLabel:
 			if r := m.view.Row(d.V); d.Label < m.label[r] {
 				m.label[r] = d.Label
 				m.anyChange = true
 			}
 		case kindFlag:
-			m.flagsSeen++
 			if d.Changed {
 				m.flagsChanged = true
 			}
 		}
 	}
 
-	switch ctx.Superstep % 3 {
-	case 0:
+	if ctx.Superstep%phaseLen == 0 {
 		// Phase start: stop if the previous phase changed nothing
 		// anywhere (flags from every other machine plus our own state).
 		if ctx.Superstep > 0 {
 			done := !m.flagsChanged && !m.anyChange
 			m.flagsChanged = false
-			m.flagsSeen = 0
 			if done {
-				return core.EmitBuckets(ctx, m.buckets), true
+				return nil, true
 			}
 		}
 		m.anyChange = false
 		m.phase++
 		// Send per-destination-aggregated minimum labels over cut edges:
-		// to each ghost, in ascending ID order, its neighbours' minimum.
+		// to each ghost's home, in ascending ghost order, the minimum of
+		// the ghost's neighbours.
 		for g, w := range m.ghosts {
 			l := int32(math.MaxInt32)
 			for _, r := range m.ghostRows[m.ghostOffs[g]:m.ghostOffs[g+1]] {
 				l = min(l, m.label[r])
 			}
-			routing.Route(buckets, ctx.RNG, ctx.K, m.view.HomeOf(w), 2,
-				cmsg{Kind: kindLabel, V: w, Label: l})
+			j := m.view.HomeOf(w)
+			buckets[j] = append(buckets[j], core.Envelope[cmsg]{To: j, Words: 2,
+				Msg: cmsg{Kind: kindLabel, V: w, Label: l}})
 		}
-
-	case 1:
-		// Relay hop for label messages: the forwards are in the buckets.
-
-	default:
+	} else {
 		// Labels have arrived (processed above); collapse locally and
 		// broadcast the change flag.
 		m.relax()
-		for j := 0; j < ctx.K; j++ {
-			if core.MachineID(j) == m.view.Self() {
-				continue
+		flag := cmsg{Kind: kindFlag, Changed: m.anyChange}
+		for j := range buckets {
+			if to := core.MachineID(j); to != m.view.Self() {
+				buckets[j] = append(buckets[j], core.Envelope[cmsg]{To: to, Words: 1, Msg: flag})
 			}
-			routing.RouteDirect(buckets, core.MachineID(j), 1,
-				cmsg{Kind: kindFlag, Changed: m.anyChange})
 		}
 	}
 	return core.EmitBuckets(ctx, m.buckets), false

@@ -7,6 +7,7 @@ import (
 	"kmachine/internal/gen"
 	"kmachine/internal/graph"
 	"kmachine/internal/partition"
+	"kmachine/internal/routing"
 )
 
 // sequential ground truth by union-find.
@@ -153,5 +154,51 @@ func TestRejectsMismatchedK(t *testing.T) {
 	p := partition.NewRVP(g, 4, 1)
 	if _, err := Run(p, core.Config{K: 8, Bandwidth: 4, Seed: 1}); err == nil {
 		t.Error("mismatched k accepted")
+	}
+}
+
+// TestLabelsSpreadOverTheLinks fences the direct label path. The random
+// vertex partition hashes each vertex to a home independently of the
+// graph, so a ghost of machine i — a neighbour homed elsewhere — is
+// homed uniformly at one of the other k−1 machines, independently of
+// the other ghosts. One label per ghost per phase goes to that home, so
+// i's labels to j number Binomial(|ghosts_i|, 1/(k−1)). LinkShare(x,
+// k−1) is that binomial's mean plus four standard deviations, and a
+// label is 2 words, so no link of a label superstep carries more than
+// 2·LinkShare(max_i |ghosts_i|, k−1) words whp, whatever the graph,
+// a star's hub included, with no relay.
+func TestLabelsSpreadOverTheLinks(t *testing.T) {
+	for _, in := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"gnp", gen.Gnp(3000, 8.0/3000, 43)},
+		{"star", gen.Star(2000)},
+		{"path", gen.Path(600)},
+	} {
+		for _, k := range []int{4, 8, 27} {
+			p := partition.NewRVP(in.g, k, 47)
+			views, err := p.MachineViews(partition.AllMachines(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxGhosts := 0
+			for _, view := range views {
+				maxGhosts = max(maxGhosts, len(newCCMachine(view).ghosts))
+			}
+			bound := 2 * int64(routing.LinkShare(maxGhosts, k-1))
+			res, err := Run(p, core.Config{K: k, Bandwidth: core.DefaultBandwidth(in.g.N()), Seed: 53})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLabels(t, in.g, res)
+			for s := 0; s < len(res.Stats.PerSuperstep); s += phaseLen {
+				if w := res.Stats.PerSuperstep[s].MaxLinkWords; w > bound {
+					t.Errorf("%s k=%d: label superstep %d loads a link with %d words, above 2·LinkShare(%d, %d) = %d",
+						in.name, k, s, w, maxGhosts, k-1, bound)
+					break
+				}
+			}
+		}
 	}
 }

@@ -126,10 +126,10 @@ func TestPhaseStartDoesNotAllocate(t *testing.T) {
 		ms[i] = newCCMachine(view)
 		ctxs[i] = core.StepContext{Self: core.MachineID(i), K: k, RNG: rng.NewStream(9, uint64(i))}
 	}
-	inbox := make([][]core.Envelope[wire], k)
-	const phaseStart = 6
+	inbox := make([][]core.Envelope[cmsg], k)
+	const phaseStart = 3 * phaseLen
 	for s := 0; s < phaseStart; s++ {
-		next := make([][]core.Envelope[wire], k)
+		next := make([][]core.Envelope[cmsg], k)
 		for i, m := range ms {
 			ctxs[i].Superstep = s
 			out, _ := m.Step(&ctxs[i], inbox[i])

@@ -7,7 +7,7 @@ import (
 )
 
 // SnapshotState serialises the machine's dynamic connectivity state:
-// the 3-superstep phase cursor, the change/termination flags, and the
+// the phase counter, the change/termination flags, and the
 // per-local-vertex labels in Locals() order. The class and ghost tables
 // are NOT serialised: the constructor builds them from the view alone,
 // so a machine built from the same inputs already holds them.
@@ -21,7 +21,6 @@ func (m *ccMachine) SnapshotState(dst []byte) ([]byte, error) {
 		flags |= 2
 	}
 	dst = append(dst, flags)
-	dst = twire.AppendUvarint(dst, uint64(m.flagsSeen))
 	for _, l := range m.label {
 		dst = twire.AppendVarint(dst, int64(l))
 	}
@@ -35,7 +34,6 @@ func (m *ccMachine) RestoreState(src []byte) error {
 	c := twire.Cursor{Src: src}
 	phase := c.Uvarint()
 	flags := c.Byte()
-	flagsSeen := c.Uvarint()
 	for r := range m.label {
 		m.label[r] = int32(c.Varint())
 	}
@@ -45,6 +43,5 @@ func (m *ccMachine) RestoreState(src []byte) error {
 	m.phase = int(phase)
 	m.anyChange = flags&1 != 0
 	m.flagsChanged = flags&2 != 0
-	m.flagsSeen = int(flagsSeen)
 	return nil
 }

@@ -53,7 +53,7 @@ var goldens = []struct {
 	{"triangle-inmem-dense", "triangle", onInMem, 2000, 27, 0.12, false,
 		ledger{0x3c962749a0b4c1fc, 651, 3701888, 3}},
 	{"conncomp-node-sharded", "conncomp", onNode, 100000, 8, 12.0 / 100000, false,
-		ledger{0xddaeea7ba041c7a0, 5825, 5468140, 12}},
+		ledger{0xddaeea7ba041c7a0, 4660, 4356880, 8}},
 }
 
 // TestBenchmarkProblemsPinned runs each problem once and compares its
