@@ -8,9 +8,9 @@
 // union-find over the edges it already holds (free local computation),
 // then repeatedly exchanges per-destination-aggregated minimum labels
 // across cut edges, each straight to its vertex's home: the random
-// vertex partition spreads them Õ(n/k²) per link whp with no Lemma 13
-// relay (DESIGN.md). A phase is two supersteps: labels, then a local
-// collapse and a change flag to every peer. Labels converge to the
+// vertex partition spreads them over the links as evenly as Lemma 13's
+// relay would (DESIGN.md). A phase is two supersteps: labels, then a
+// local collapse and a change flag to every peer. Labels converge to the
 // minimum vertex ID of each component within O(supergraph diameter)
 // phases — O(log n) whp on the G(n,p) families used in the experiments.
 //
@@ -36,8 +36,8 @@ const (
 	kindFlag         // "my labels changed this phase" broadcast
 )
 
-// phaseLen is the supersteps of one phase: labels out, then relax and
-// the change flags out.
+// phaseLen is the number of supersteps in a phase: labels out, then
+// relax and the change flags out.
 const phaseLen = 2
 
 type cmsg struct {
