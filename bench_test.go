@@ -119,7 +119,9 @@ func BenchmarkPageRankBaseline(b *testing.B) {
 // real-deployment path: the same PageRank workload as above, but every
 // envelope crossing the socket link's connections through the persistent
 // exchange pipeline (encode, frame, decode, inbox assembly). The
-// gap to BenchmarkPageRankAlgorithm1 is the total substrate cost.
+// gap to BenchmarkPageRankAlgorithm1 is the total substrate cost. It
+// reports supersteps beside rounds: one per walk iteration, each a
+// frame per link.
 func BenchmarkPageRankAlgorithm1TCP(b *testing.B) {
 	for _, k := range []int{8, 16} {
 		b.Run(fmt.Sprintf("gnp/n=2000/k=%d", k), func(b *testing.B) {
@@ -131,15 +133,16 @@ func BenchmarkPageRankAlgorithm1TCP(b *testing.B) {
 				Transport: transport.TCP}
 			b.ReportAllocs()
 			b.ResetTimer()
-			var rounds int64
+			var stats *core.Stats
 			for i := 0; i < b.N; i++ {
 				res, err := pagerank.Run(p, cfg, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				rounds = res.Stats.Rounds
+				stats = res.Stats
 			}
-			b.ReportMetric(float64(rounds), "rounds")
+			b.ReportMetric(float64(stats.Rounds), "rounds")
+			b.ReportMetric(float64(stats.Supersteps), "supersteps")
 		})
 	}
 }

@@ -171,7 +171,7 @@ func TestConnCompCheckpointLayoutPinned(t *testing.T) {
 // Locals() order, so a change to how the machine stores that state
 // cannot change what it writes.
 func TestPageRankCheckpointLayoutPinned(t *testing.T) {
-	checkCutsPinned(t, "pagerank", 124, 0xc85b7b7d71c07b77)
+	checkCutsPinned(t, "pagerank", 62, 0x67680c02ac7acb7e)
 }
 
 // checkCutsPinned runs the registry entry's suite problem on inmem with

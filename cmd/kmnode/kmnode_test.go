@@ -354,11 +354,11 @@ const resumable = "-local 4 -algo pagerank -n 2000 -seed 42 -checkpoint-every 5 
 
 // TestRestartResumesFromTheNewestCut: running the same checkpointed
 // command again resumes it from the newest cut in its directory, the
-// one after superstep 139, with the model line and output hash of the
+// one after superstep 69, with the model line and output hash of the
 // pagerank golden.
 func TestRestartResumesFromTheNewestCut(t *testing.T) {
 	t.Chdir(t.TempDir())
-	for _, from := range []int{0, 140} {
+	for _, from := range []int{0, 70} {
 		var stdout, stderr output
 		if code := run(strings.Fields(resumable+" -trace t.json"), &stdout, &stderr); code != 0 {
 			t.Fatalf("exit %d:\n%s", code, stderr.String())
@@ -368,28 +368,37 @@ func TestRestartResumesFromTheNewestCut(t *testing.T) {
 }
 
 // TestRestartAfterKillResumes: kmnode killed with SIGKILL past
-// superstep 40 leaves its cuts in -checkpoint-dir (the newest at 34 or
-// later: a machine may be past the superstep whose cut is not complete
-// yet), and the same command run again resumes from the newest: the
-// pagerank golden's model line and hash, and a trace that starts right
-// after that cut. The unkilled
-// run takes ~0.1 s, so a run that finishes before the kill lands is
-// started again.
+// superstep 20 of its 72 leaves its cuts in -checkpoint-dir (the newest
+// at 14 or later: a machine may be past the superstep whose cut is not
+// complete yet), and the same command run again resumes from the
+// newest: the pagerank golden's model line and hash, and a trace that
+// starts right after that cut. The unkilled run takes ~0.05 s, so a run
+// that finishes before the kill lands, or before the debug plane is
+// seen past superstep 20, is started again.
 func TestRestartAfterKillResumes(t *testing.T) {
 	dir := t.TempDir()
 	for attempt := 0; ; attempt++ {
 		if attempt == 5 {
-			t.Fatal("kmnode finished before it could be killed past superstep 40, five times")
+			t.Fatal("kmnode finished before it could be killed past superstep 20, five times")
 		}
 		if err := os.RemoveAll(filepath.Join(dir, "d")); err != nil {
 			t.Fatal(err)
 		}
 		p := start(t, dir, strings.Fields(resumable+" -debug-addr 127.0.0.1:0")...)
 		debug := "http://" + p.stderr.await(t, debugAddrLine, time.Minute) + "/debug/vars"
-		for deadline := time.Now().Add(time.Minute); superstep(debug) < 40; time.Sleep(time.Millisecond) {
+		finished := false
+		for deadline := time.Now().Add(time.Minute); !finished && superstep(debug) < 20; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("kmnode never reached superstep 40; stderr:\n%s", p.stderr.String())
+				t.Fatalf("kmnode never reached superstep 20; stderr:\n%s", p.stderr.String())
 			}
+			select {
+			case <-p.done:
+				finished = true
+			default:
+			}
+		}
+		if finished {
+			continue
 		}
 		if err := p.cmd.Process.Kill(); err != nil {
 			t.Fatal(err)
@@ -402,7 +411,7 @@ func TestRestartAfterKillResumes(t *testing.T) {
 	if err != nil || from < 0 {
 		t.Fatalf("killed run left no cut (err %v)", err)
 	}
-	t.Logf("killed past superstep 40 with the newest cut at %d", from)
+	t.Logf("killed past superstep 20 with the newest cut at %d", from)
 	rerun := start(t, dir, strings.Fields(resumable+" -trace t.json")...)
 	if code := rerun.wait(t, time.Minute); code != 0 {
 		t.Fatalf("rerun exited %d", code)
@@ -432,7 +441,7 @@ func superstep(url string) int {
 // from.
 func checkResumed(t *testing.T, stdout, tracePath string, from int) {
 	t.Helper()
-	const want = "rounds=2251 supersteps=144 messages=127394 words=254788 maxRecvWords=64202"
+	const want = "rounds=2058 supersteps=72 messages=119454 words=238908 maxRecvWords=60452"
 	if got := roundsLine.FindString(stdout); got != want || !strings.Contains(stdout, "output hash 12e9858854108c92\n") {
 		t.Errorf("run from superstep %d printed %q and\n%s\nwant %q and output hash 12e9858854108c92", from, got, stdout, want)
 	}

@@ -55,7 +55,7 @@ func TestGoldenPageRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStats(t, res.Stats, 67, 8868, 17736, 2392, 24)
+	checkStats(t, res.Stats, 52, 6610, 13220, 1924, 12)
 	est := make([]uint64, len(res.Estimate))
 	for i, x := range res.Estimate {
 		est[i] = math.Float64bits(x)
@@ -135,7 +135,7 @@ func TestGoldenDropPerSuperstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStats(t, res.Stats, 67, 8868, 17736, 2392, 24)
+	checkStats(t, res.Stats, 52, 6610, 13220, 1924, 12)
 	if res.Stats.PerSuperstep != nil {
 		t.Errorf("DropPerSuperstep run retained %d per-superstep stats", len(res.Stats.PerSuperstep))
 	}

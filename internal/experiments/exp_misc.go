@@ -97,7 +97,7 @@ func E7RandomRouting(cfg Config) (Table, error) {
 	t.Rows = append(t.Rows, []string{"1 src -> 1 dst, direct", itoa(k), itoa(x), i64(direct.Stats.Rounds), f64(float64(x) / b)})
 	t.Rows = append(t.Rows, []string{"1 src -> 1 dst, two-hop", itoa(k), itoa(x), i64(twohop.Stats.Rounds), f64(2 * float64(x) / float64(k) / b)})
 	t.Notes = append(t.Notes, fmt.Sprintf(
-		"two-hop beats direct %.1fx on the concentrated flow: a message goes direct only while the final's bucket is no longer than a drawn intermediate's, so the rest spread over random intermediates (Lemma 13) — why Algorithm 1 routes its light tokens this way",
+		"two-hop beats direct %.1fx on the concentrated flow: a message goes direct only while the final's bucket is no longer than a drawn intermediate's, so the rest spread over random intermediates (Lemma 13) — why flows whose finals a machine concentrates relay; Algorithm 1's light tokens each go to a distinct destination vertex homed by the random vertex partition, so they go direct",
 		float64(direct.Stats.Rounds)/float64(twohop.Stats.Rounds)))
 	return t, nil
 }

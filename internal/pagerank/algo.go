@@ -92,16 +92,7 @@ func init() {
 			}
 			return Descriptor(prob.N, AlgorithmOne(prob.Eps)), in, nil
 		},
-		Hash: func(r *Result) uint64 {
-			h := algo.NewHash64()
-			for _, x := range r.Estimate {
-				h.Add(math.Float64bits(x))
-			}
-			for _, c := range r.Psi {
-				h.Add(uint64(c))
-			}
-			return h.Sum()
-		},
+		Hash: hashResult,
 		Summarize: func(r *Result, top int) []string {
 			lines := []string{fmt.Sprintf("pagerank: %d iterations, %d tokens/vertex",
 				r.Iterations, r.TokensPerVertex)}
@@ -111,6 +102,18 @@ func init() {
 			return topRanked(l.Vertices, l.Estimate, top, "this machine's")
 		},
 	})
+}
+
+// hashResult is the registry's output hash of a merged result.
+func hashResult(r *Result) uint64 {
+	h := algo.NewHash64()
+	for _, x := range r.Estimate {
+		h.Add(math.Float64bits(x))
+	}
+	for _, c := range r.Psi {
+		h.Add(uint64(c))
+	}
+	return h.Sum()
 }
 
 // topEstimates lists the top vertices of a dense estimate vector.

@@ -6,9 +6,10 @@ import (
 )
 
 // Wire is the envelope payload type of a PageRank run: the token-count
-// message in its two-hop routing frame. It is exported so callers can
-// time a loopback exchange (inmem.New[pagerank.Wire]) or drive a
-// standalone node (node.Run with a pagerank machine).
+// message in a routing.Hop frame whose Final is always the receiver
+// (benchmark/micro.go builds it). It is exported so callers can time a
+// loopback exchange (inmem.New[pagerank.Wire]) or drive a standalone
+// node (node.Run with a pagerank machine).
 type Wire = wire
 
 // WireCodec returns the binary codec for PageRank envelopes: the

@@ -33,32 +33,46 @@ func cluster(n, k int) ([]*machine, []core.StepContext) {
 // home — for Drive to report, instead of dropping the tokens.
 func TestLightTokensForForeignVertexPanic(t *testing.T) {
 	ms, ctxs := cluster(200, 4)
-	m, ctx := ms[0], &ctxs[0]
+	m := ms[0]
 	v := int32(0)
 	for m.view.IsLocal(v) {
 		v++
 	}
-	inbox := []core.Envelope[wire]{{To: 0, Words: MsgWords,
-		Msg: wire{Final: 0, Msg: msg{Kind: kindLight, V: v, Count: 3}}}}
-	want := fmt.Sprintf("machine 0 got light tokens for %d, which is homed on machine %d", v, m.view.HomeOf(v))
+	stepPanics(t, m, &ctxs[0], wire{Final: 0, Msg: msg{Kind: kindLight, V: v, Count: 3}},
+		fmt.Sprintf("machine 0 got light tokens for %d, which is homed on machine %d", v, m.view.HomeOf(v)))
+}
+
+// TestEnvelopeForAnotherMachinePanics: every token message goes
+// straight to its final machine, so an inbox envelope whose Final names
+// another machine is a protocol breach, not a relay to forward.
+func TestEnvelopeForAnotherMachinePanics(t *testing.T) {
+	ms, ctxs := cluster(200, 4)
+	v := ms[2].view.Locals()[0]
+	stepPanics(t, ms[0], &ctxs[0], wire{Final: 2, Msg: msg{Kind: kindLight, V: v, Count: 3}},
+		"machine 0 got tokens addressed to machine 2")
+}
+
+// stepPanics hands m a one-envelope inbox and requires Step to panic
+// with a message containing want.
+func stepPanics(t *testing.T, m *machine, ctx *core.StepContext, w wire, want string) {
+	t.Helper()
 	defer func() {
 		p := recover()
 		if p == nil {
-			t.Fatal("Step accepted light tokens for a vertex it does not host")
+			t.Fatalf("Step accepted %+v", w)
 		}
 		if !strings.Contains(fmt.Sprint(p), want) {
 			t.Fatalf("panic %q does not say %q", p, want)
 		}
 	}()
-	ctx.Superstep = 1
-	m.Step(ctx, inbox)
+	m.Step(ctx, []core.Envelope[wire]{{To: ctx.Self, Words: MsgWords, Msg: w}})
 }
 
 // TestStepDoesNotAllocate fences the walk: once its buffers have grown
 // and every alias table it may need exists, machine 0 of a cluster
-// exchanged by hand receives the tokens of an odd superstep and walks
-// them in the next even one without allocating — no sorted key list,
-// no per-vertex lookups.
+// exchanged by hand receives the tokens of one superstep and walks them
+// in the same Step without allocating — no sorted key list, no
+// per-vertex lookups.
 func TestStepDoesNotAllocate(t *testing.T) {
 	const n, k = 2000, 4
 	ms, ctxs := cluster(n, k)
@@ -81,18 +95,16 @@ func TestStepDoesNotAllocate(t *testing.T) {
 			m.heavyAlias(r)
 		}
 	}
+	ctx.Superstep = receiveStep
 	step := func() {
-		ctx.Superstep = receiveStep
-		m.Step(ctx, inbox[0])
-		ctx.Superstep = receiveStep + 1
-		if out, done := m.Step(ctx, nil); done || len(out) == 0 {
-			t.Fatalf("walk step sent %d envelopes, done=%v", len(out), done)
+		if out, done := m.Step(ctx, inbox[0]); done || len(out) == 0 {
+			t.Fatalf("receive+walk step sent %d envelopes, done=%v", len(out), done)
 		}
 	}
 	for i := 0; i < 5; i++ {
 		step() // grows the recycled buffers
 	}
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-		t.Errorf("receive+walk Steps allocate %.0f times, want 0", allocs)
+		t.Errorf("a receive+walk Step allocates %.0f times, want 0", allocs)
 	}
 }

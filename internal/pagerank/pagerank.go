@@ -20,13 +20,15 @@
 //     count message ⟨β[j], src:u⟩ per machine; the receiver forwards each
 //     counted token to a uniformly random locally-hosted neighbour of u.
 //     This caps a heavy vertex's traffic at k-1 messages per iteration;
-//  3. random routing — light messages travel via a uniformly random
-//     intermediate machine (Valiant two-hop, Lemma 13), so no single link
-//     serialises.
+//  3. direct routing — each light message goes straight to its
+//     destination's home. A machine sends at most one per destination
+//     vertex, and the random vertex partition homes vertices independently
+//     of the graph, so a link already carries the Binomial(|Dᵢ|, ~1/k)
+//     share Lemma 13's relay would give it, in one superstep, not two.
 //
-// Options exposes each mechanism as a toggle: disabling all three yields
-// exactly the conversion-style baseline the paper improves upon, and the
-// individual toggles drive the E14 ablation experiments.
+// Options toggles the first two: disabling both yields exactly the
+// conversion-style baseline the paper improves upon, and each toggle
+// alone drives an E14 ablation row.
 package pagerank
 
 import (
@@ -56,13 +58,11 @@ type Options struct {
 	Aggregate bool
 	// HeavyPath enables the ≥k-token machine-level path (paper's β).
 	HeavyPath bool
-	// TwoHop routes light messages via random intermediates (Lemma 13).
-	TwoHop bool
 }
 
 // AlgorithmOne returns the paper's Algorithm 1 configuration.
 func AlgorithmOne(eps float64) Options {
-	return Options{Eps: eps, Aggregate: true, HeavyPath: true, TwoHop: true}
+	return Options{Eps: eps, Aggregate: true, HeavyPath: true}
 }
 
 // ConversionBaseline returns the Õ(n/k) baseline of Klauck et al. [33]:
@@ -152,7 +152,7 @@ type machine struct {
 	lo, hi  int
 	beta    []int64
 	// buckets[j] collects the superstep's envelopes addressed to machine
-	// j (per-destination program order preserved — see routing.Route);
+	// j, in program order;
 	// core.EmitBuckets hands each non-self bucket to the round as it is
 	// and returns the self-addressed one as the rest.
 	buckets [][]core.Envelope[wire]
@@ -219,15 +219,14 @@ func (m *machine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]co
 		buckets[j] = buckets[j][:0]
 	}
 	for i := range inbox {
-		if e := &inbox[i]; e.Msg.Final != ctx.Self {
-			routing.Forward(buckets, e)
-		} else {
-			m.receive(ctx, &e.Msg.Msg)
+		e := &inbox[i]
+		if e.Msg.Final != ctx.Self {
+			panic(fmt.Sprintf("pagerank: machine %d got tokens addressed to machine %d", ctx.Self, e.Msg.Final))
 		}
+		m.receive(ctx, &e.Msg.Msg)
 	}
-	// Even supersteps walk an iteration; odd ones only relay/receive.
-	even := ctx.Superstep%2 == 0
-	if even && m.iter < m.opts.Iterations {
+	// Every superstep walks an iteration over the tokens the machine holds.
+	if m.iter < m.opts.Iterations {
 		m.iter++
 		for r, t := range m.tokens {
 			if t == 0 {
@@ -261,17 +260,14 @@ func (m *machine) Step(ctx *core.StepContext, inbox []core.Envelope[wire]) ([]co
 		// flushed already, so this sends nothing for it.
 		m.flushLight(ctx)
 	}
-	// After an even superstep every live token has died or sits in a
-	// bucket, so a machine with empty buckets holds no token: it votes
-	// done, and the run halts once every machine does. Past the cap the
-	// same vote freezes the tokens. The vote reads what the superstep
+	// Every live token has now died or sits in a bucket, so a machine
+	// with empty buckets holds no token: it votes done, and the run halts
+	// once every machine does. Past the cap nothing walks, and the same
+	// vote freezes the tokens. The vote reads what the superstep
 	// PRODUCED, the buckets, not what emission leaves as the rest.
-	done := m.iter >= m.opts.Iterations
-	if even {
-		done = true
-		for _, b := range buckets {
-			done = done && len(b) == 0
-		}
+	done := true
+	for _, b := range buckets {
+		done = done && len(b) == 0
 	}
 	return core.EmitBuckets(ctx, buckets), done
 }
@@ -292,24 +288,22 @@ func (m *machine) walkLight(rnd *rng.RNG, t int64, adj []int32) {
 }
 
 // flushLight emits one ⟨count, dest:v⟩ message per accumulated
-// destination vertex and resets the accumulator. Walking the set bits
-// of touched word by word, lowest bit first, visits the destinations in
-// increasing vertex order — the deterministic order routing draws its
-// intermediates in — without sorting them.
+// destination vertex, straight to v's home, and resets the accumulator.
+// Walking the set bits of touched word by word, lowest bit first,
+// visits the destinations in increasing vertex order without sorting
+// them. Each message draws the random intermediate the relayed version
+// of Algorithm 1 drew for it and discards it, which keeps Algorithm 1's
+// RNG streams, and so its walks and outputs, that version's.
 func (m *machine) flushLight(ctx *core.StepContext) {
 	for w := m.lo; w <= m.hi; w++ {
 		word := m.touched[w]
 		m.touched[w] = 0
 		for ; word != 0; word &= word - 1 {
 			v := int32(w<<6 | bits.TrailingZeros64(word))
-			payload := msg{Kind: kindLight, V: v, Count: m.accVals[v]}
+			ctx.RNG.Intn(ctx.K)
+			routing.RouteDirect(m.buckets, m.view.HomeOf(v), MsgWords,
+				msg{Kind: kindLight, V: v, Count: m.accVals[v]})
 			m.accVals[v] = 0
-			home := m.view.HomeOf(v)
-			if m.opts.TwoHop {
-				routing.Route(m.buckets, ctx.RNG, ctx.K, home, MsgWords, payload)
-			} else {
-				routing.RouteDirect(m.buckets, home, MsgWords, payload)
-			}
 		}
 	}
 	m.lo, m.hi = len(m.touched), -1

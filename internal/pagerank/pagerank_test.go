@@ -24,7 +24,7 @@ func run(t *testing.T, g *graph.Graph, k int, opts Options, seed uint64) *Result
 // commRounds isolates the communication term of a run: total rounds
 // minus the model's floor of one round per superstep. The paper's Õ
 // hides an additive polylog term (footnote 4) which is exactly this
-// floor — two supersteps per iteration, Θ(log n / eps) iterations — so
+// floor — one superstep per iteration, Θ(log n / eps) iterations — so
 // scaling claims are about the remainder.
 func commRounds(res *Result) int64 {
 	c := res.Stats.Rounds - int64(res.Stats.Supersteps)
@@ -252,17 +252,19 @@ func TestPsiConsistentWithEstimates(t *testing.T) {
 }
 
 // TestPageRankHaltsWhenLastTokenDies pins the halting rule: a run stops
-// at the first even superstep after which no machine holds or sends a
-// token, not when Options.Iterations runs out. The iteration that
-// started at superstep 2(I−1) killed the last token, and that final
-// silent superstep is free, so Supersteps = 2(I−1) for I executed
-// iterations. Past the death time the cap is invisible; below it the
-// run executes exactly the cap, with pinned Stats. A capped run needs an
-// odd relay superstep after its last walk only if that walk routed a
-// message through an intermediate. On the star the last walk sends 13
-// messages over 8 machines; each finds its final's bucket no longer than
-// the drawn intermediate's and goes direct, so nothing is relayed and
-// the run ends after 19 supersteps, not 20.
+// at the first superstep after which no machine holds or sends a token,
+// not when Options.Iterations runs out. Superstep s receives the tokens
+// superstep s−1 sent and walks them as iteration s+1, so the I-th and
+// last executed iteration ran at superstep I−1, killed the last token
+// and sent nothing; every machine voted done with nothing in flight, and
+// that final silent superstep is free, so Supersteps = I−1 and the last
+// charged superstep, I−2, sent tokens. Past the death time the cap is
+// invisible; below it the run executes exactly the cap, with pinned
+// Stats: the walks of supersteps 0–9 and the superstep that receives
+// the last walk's tokens, walks nothing and halts — 10 charged
+// supersteps whenever a token survives the tenth walk, as one does on
+// all three inputs. Each token message is charged once, on the one link
+// it crosses.
 func TestPageRankHaltsWhenLastTokenDies(t *testing.T) {
 	type stats struct {
 		Supersteps    int
@@ -274,9 +276,9 @@ func TestPageRankHaltsWhenLastTokenDies(t *testing.T) {
 		k      int
 		capped stats // at Iterations = 10
 	}{
-		{"star", gen.Star(300), 8, stats{19, 64, 2858}},
-		{"cycle", gen.DirectedCycle(400), 8, stats{20, 40, 6958}},
-		{"gnp", gen.DirectedGnp(300, 0.02, 17), 6, stats{20, 101, 18176}},
+		{"star", gen.Star(300), 8, stats{10, 55, 2850}},
+		{"cycle", gen.DirectedCycle(400), 8, stats{10, 30, 6940}},
+		{"gnp", gen.DirectedGnp(300, 0.02, 17), 6, stats{10, 93, 17978}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := AlgorithmOne(0.15)
@@ -286,12 +288,12 @@ func TestPageRankHaltsWhenLastTokenDies(t *testing.T) {
 			if res.Iterations >= opts.Iterations {
 				t.Fatalf("ran %d iterations, all of its cap %d", res.Iterations, opts.Iterations)
 			}
-			if st.Supersteps != 2*(res.Iterations-1) || len(st.PerSuperstep) != st.Supersteps {
+			if st.Supersteps != res.Iterations-1 || len(st.PerSuperstep) != st.Supersteps {
 				t.Fatalf("%d iterations took %d supersteps (%d recorded), want %d",
-					res.Iterations, st.Supersteps, len(st.PerSuperstep), 2*(res.Iterations-1))
+					res.Iterations, st.Supersteps, len(st.PerSuperstep), res.Iterations-1)
 			}
-			if last := st.PerSuperstep[st.Supersteps-2]; last.Messages == 0 {
-				t.Errorf("the walk of superstep %d sent nothing: the run outlived its last token", st.Supersteps-2)
+			if last := st.PerSuperstep[st.Supersteps-1]; last.Messages == 0 {
+				t.Errorf("the walk of superstep %d sent nothing: the run outlived its last token", st.Supersteps-1)
 			}
 
 			loose := opts

@@ -48,7 +48,7 @@ func TestPropertyPsiConservation(t *testing.T) {
 // TestPropertyEstimatesNonNegativeAndBounded: every estimate is in
 // [0, (iterations+1)·eps] regardless of options.
 func TestPropertyEstimatesBounded(t *testing.T) {
-	f := func(seedRaw uint16, aggSel, heavySel, hopSel uint8) bool {
+	f := func(seedRaw uint16, aggSel, heavySel uint8) bool {
 		seed := uint64(seedRaw) + 5000
 		n := 40 + int(seedRaw%100)
 		g := gen.DirectedGnp(n, 6/float64(n), seed)
@@ -59,7 +59,6 @@ func TestPropertyEstimatesBounded(t *testing.T) {
 			Iterations: 15,
 			Aggregate:  aggSel%2 == 0,
 			HeavyPath:  heavySel%2 == 0,
-			TwoHop:     hopSel%2 == 0,
 		}
 		res, err := Run(p, core.Config{K: 4, Bandwidth: 8, Seed: seed + 2}, opts)
 		if err != nil {
@@ -79,7 +78,7 @@ func TestPropertyEstimatesBounded(t *testing.T) {
 	}
 }
 
-// TestPropertyOptionAgreement: all eight option combinations compute the
+// TestPropertyOptionAgreement: all four option combinations compute the
 // same process (identical expectations), so their total psi mass should
 // agree within Monte-Carlo noise on a fixed graph.
 func TestPropertyOptionAgreement(t *testing.T) {
@@ -88,19 +87,16 @@ func TestPropertyOptionAgreement(t *testing.T) {
 	var masses []float64
 	for _, agg := range []bool{true, false} {
 		for _, heavy := range []bool{true, false} {
-			for _, hop := range []bool{true, false} {
-				opts := Options{Eps: 0.2, Tokens: 64, Iterations: 40,
-					Aggregate: agg, HeavyPath: heavy, TwoHop: hop}
-				res, err := Run(p, core.Config{K: 8, Bandwidth: 8, Seed: 71}, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var sum int64
-				for _, psi := range res.Psi {
-					sum += psi
-				}
-				masses = append(masses, float64(sum))
+			opts := Options{Eps: 0.2, Tokens: 64, Iterations: 40, Aggregate: agg, HeavyPath: heavy}
+			res, err := Run(p, core.Config{K: 8, Bandwidth: 8, Seed: 71}, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
+			var sum int64
+			for _, psi := range res.Psi {
+				sum += psi
+			}
+			masses = append(masses, float64(sum))
 		}
 	}
 	// Expected total mass: n·tokens/eps (geometric visit chain). All

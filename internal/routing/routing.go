@@ -61,8 +61,10 @@ func Route[M any](buckets [][]core.Envelope[Hop[M]], r *rng.RNG, k int, final co
 }
 
 // RouteDirect appends an envelope addressed straight to final, in the
-// same Hop framing (used by the ablation that disables two-hop routing,
-// and for messages whose destination is already uniformly random).
+// same Hop framing: for messages whose destination is already uniformly
+// random, and for flows the random vertex partition already spreads
+// over the links (one message per destination vertex or machine, as in
+// PageRank's light and heavy paths).
 func RouteDirect[M any](buckets [][]core.Envelope[Hop[M]], final core.MachineID, words int32, msg M) {
 	buckets[final] = append(buckets[final], core.Envelope[Hop[M]]{
 		To:    final,

@@ -282,8 +282,10 @@ func TestTriangleBytesPerEdge(t *testing.T) {
 				}
 			}
 			// Every bucket is exactly sized, and each starts where the
-			// one before it ends: one slab.
-			var end unsafe.Pointer
+			// one before it ends: one slab. The end is an address, not a
+			// pointer: past the slab's last bucket it points at no object,
+			// and the collector rejects such an unsafe.Pointer.
+			var end uintptr
 			for j, b := range out {
 				if cap(b) != len(b) {
 					t.Errorf("superstep %d, machine %d: bucket for %d holds %d envelopes in room for %d", step, id, j, len(b), cap(b))
@@ -291,10 +293,11 @@ func TestTriangleBytesPerEdge(t *testing.T) {
 				if len(b) == 0 {
 					continue
 				}
-				if start := unsafe.Pointer(&b[0]); end != nil && start != end {
+				start := uintptr(unsafe.Pointer(&b[0]))
+				if end != 0 && start != end {
 					t.Errorf("superstep %d, machine %d: bucket for %d is not carved from the slab the others share", step, id, j)
 				}
-				end = unsafe.Add(unsafe.Pointer(&b[0]), uintptr(len(b))*unsafe.Sizeof(b[0]))
+				end = start + uintptr(len(b))*unsafe.Sizeof(b[0])
 				if step == 2 {
 					copies += len(b)
 				}

@@ -45,9 +45,9 @@ var goldens = []struct {
 	want           ledger
 }{
 	{"pagerank-tcp", "pagerank", onTCP, 20000, 8, 0, false,
-		ledger{0x200ed5898ac9f13c, 5885, 4588704, 202}},
+		ledger{0x200ed5898ac9f13c, 5355, 4190394, 101}},
 	{"pagerank-node-ckpt", "pagerank", onNode, 20000, 8, 0, true,
-		ledger{0x200ed5898ac9f13c, 5885, 4588704, 202}},
+		ledger{0x200ed5898ac9f13c, 5355, 4190394, 101}},
 	{"dsort-tcp-bulk", "dsort", onTCP, 2000000, 8, 0, false,
 		ledger{0xdedc873363dbb57f, 2525, 2407990, 6}},
 	{"triangle-inmem-dense", "triangle", onInMem, 2000, 27, 0.12, false,
