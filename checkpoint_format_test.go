@@ -163,15 +163,16 @@ func TestCheckpointedRunOpensItsCutOnce(t *testing.T) {
 // them at once — a reordered label, a dropped flag — passes it; this one
 // does not, and a deliberate format change must re-record the digest.
 func TestConnCompCheckpointLayoutPinned(t *testing.T) {
-	checkCutsPinned(t, "conncomp", 24, 0xf0385cdc5b77544d)
+	checkCutsPinned(t, "conncomp", 24, 0x6b48dc447f0ba255)
 }
 
 // TestPageRankCheckpointLayoutPinned is the same pin for PageRank: the
 // iteration counter and each local vertex's token and visit counts in
 // Locals() order, so a change to how the machine stores that state
-// cannot change what it writes.
+// cannot change what it writes. Every container also carries the run
+// digest, which covers the registry's protocol number.
 func TestPageRankCheckpointLayoutPinned(t *testing.T) {
-	checkCutsPinned(t, "pagerank", 62, 0x67680c02ac7acb7e)
+	checkCutsPinned(t, "pagerank", 62, 0x648341672d8ff28d)
 }
 
 // checkCutsPinned runs the registry entry's suite problem on inmem with

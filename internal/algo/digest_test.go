@@ -112,7 +112,7 @@ func TestForeignDigestNeverResumed(t *testing.T) {
 }
 
 // TestRunDigestCoversTheProblem: the run digest changes with the
-// algorithm, every resolved field that shapes the computation and the
+// algorithm, its protocol number, every resolved field that shapes the computation and the
 // input file's size and modification time, and with nothing a restart
 // may change and still resume.
 func TestRunDigestCoversTheProblem(t *testing.T) {
@@ -123,7 +123,7 @@ func TestRunDigestCoversTheProblem(t *testing.T) {
 	base := Problem{N: 100, K: 4, Seed: 1, InputPath: input}
 	digest := func(name string, p Problem) uint64 {
 		t.Helper()
-		d, err := p.withDefaults().digest(name)
+		d, err := p.withDefaults().digest(name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,6 +158,9 @@ func TestRunDigestCoversTheProblem(t *testing.T) {
 	}
 	if digest("ring-back", base) == want {
 		t.Error("the algorithm name left the digest unchanged")
+	}
+	if d, err := base.withDefaults().digest("ring", 1); err != nil || d == want {
+		t.Errorf("a bumped protocol left the digest unchanged (err %v)", err)
 	}
 	if err := os.WriteFile(input, []byte("0 1\n1 2\n"), 0o644); err != nil {
 		t.Fatal(err)

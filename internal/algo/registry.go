@@ -96,14 +96,18 @@ func (ck CheckpointSpec) policy() core.CheckpointPolicy {
 	return p
 }
 
-// digest names the run of algorithm name on the resolved prob for its
-// checkpoints (core.CheckpointPolicy.Run), so a run resumes only its
-// own cuts: the name, every field that shapes the computation, and an
-// input file's size and modification time. Top, the timeout, the
-// context, the recorder and the checkpoint cadence leave every cut
+// digest names the run of algorithm name, at superstep protocol
+// protocol, on the resolved prob for its checkpoints
+// (core.CheckpointPolicy.Run), so a run resumes only its own cuts: the
+// name, a nonzero protocol, every field that shapes the computation,
+// and an input file's size and modification time. Top, the timeout,
+// the context, the recorder and the checkpoint cadence leave every cut
 // valid and stay out.
-func (prob Problem) digest(name string) (uint64, error) {
+func (prob Problem) digest(name string, protocol uint64) (uint64, error) {
 	h := NewHash64()
+	if protocol != 0 {
+		h.Add(protocol)
+	}
 	for _, s := range []string{name, prob.InputPath} {
 		h.Add(uint64(len(s)))
 		for i := range len(s) {
@@ -190,6 +194,11 @@ type Spec[M, L, O any] struct {
 	// never a global graph). It must be deterministic in prob: every
 	// process of a distributed run calls it with identical arguments.
 	Build func(prob Problem) (Algorithm[M, L, O], partition.Input, error)
+	// Protocol numbers the algorithm's superstep protocol, and goes
+	// into the run digest. Bump it when a change moves what a cut means
+	// (which superstep a machine does what in, what an inbox may hold),
+	// so cuts an older build stored are never resumed.
+	Protocol uint64
 	// Hash canonically hashes the merged output (order-independent of
 	// machine layout, dependent on every output bit).
 	Hash func(o O) uint64
@@ -340,7 +349,7 @@ func (s Spec[M, L, O]) all(prob Problem, a Algorithm[M, L, O], views []partition
 	cfg := prob.config(at.kind)
 	if cfg.Checkpoint.Every > 0 {
 		var err error
-		if cfg.Checkpoint.Run, err = prob.digest(s.Name); err != nil {
+		if cfg.Checkpoint.Run, err = prob.digest(s.Name, s.Protocol); err != nil {
 			return nil, err
 		}
 	}

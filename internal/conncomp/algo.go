@@ -55,8 +55,9 @@ func Descriptor(n int) algo.Algorithm[Wire, Local, *Result] {
 
 func init() {
 	algo.Register(algo.Spec[Wire, Local, *Result]{
-		Name: "conncomp",
-		Doc:  "connected components by min-label propagation (§1.3 cookbook, Ω̃(n/k²) via GLBT)",
+		Name:     "conncomp",
+		Doc:      "connected components by min-label propagation (§1.3 cookbook, Ω̃(n/k²) via GLBT)",
+		Protocol: 1, // two-superstep phases, labels sent direct (0 relayed them, three per phase)
 		Build: func(prob algo.Problem) (algo.Algorithm[Wire, Local, *Result], partition.Input, error) {
 			in, err := algo.GraphInput(prob)
 			if err != nil {

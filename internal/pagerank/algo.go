@@ -83,8 +83,9 @@ func Descriptor(n int, opts Options) algo.Algorithm[Wire, Local, *Result] {
 
 func init() {
 	algo.Register(algo.Spec[Wire, Local, *Result]{
-		Name: "pagerank",
-		Doc:  "Monte-Carlo PageRank, the paper's Algorithm 1 (Õ(n/k²) rounds, Thm 4)",
+		Name:     "pagerank",
+		Doc:      "Monte-Carlo PageRank, the paper's Algorithm 1 (Õ(n/k²) rounds, Thm 4)",
+		Protocol: 1, // one walk per superstep, light tokens sent direct (0 relayed them)
 		Build: func(prob algo.Problem) (algo.Algorithm[Wire, Local, *Result], partition.Input, error) {
 			in, err := algo.GraphInput(prob)
 			if err != nil {
