@@ -244,9 +244,9 @@ func BenchmarkDistributedSortTCP(b *testing.B) {
 
 // BenchmarkConnCompTCP is connectivity over the socket link: G(n,
 // 12/n) at k = 8, the benchmark's conncomp problem at a fifth of its
-// size, with every label and change flag crossing the link's
-// connections — a few mid-sized frames per phase, between the PageRank
-// and sort shapes above.
+// size, with every label that fell crossing the link's connections — a
+// few mid-sized frames per superstep, between the PageRank and sort
+// shapes above.
 func BenchmarkConnCompTCP(b *testing.B) {
 	const n, k = 20000, 8
 	g := gen.Gnp(n, 12.0/n, 1)

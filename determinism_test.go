@@ -111,7 +111,7 @@ func TestGoldenConnComp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStats(t, res.Stats, 48, 7032, 13728, 1974, 12)
+	checkStats(t, res.Stats, 31, 4149, 8298, 1222, 6)
 	lbl := make([]uint64, len(res.Label))
 	for i, l := range res.Label {
 		lbl[i] = uint64(int64(l))

@@ -15,7 +15,8 @@ type Local struct {
 	Vertices []int32
 	// Label[i] is the minimum vertex ID of Vertices[i]'s component.
 	Label []int32
-	// Phases is the number of label-propagation phases this machine ran.
+	// Phases is the number of supersteps in which this machine sent
+	// labels.
 	Phases int
 }
 
@@ -57,7 +58,7 @@ func init() {
 	algo.Register(algo.Spec[Wire, Local, *Result]{
 		Name:     "conncomp",
 		Doc:      "connected components by min-label propagation (§1.3 cookbook, Ω̃(n/k²) via GLBT)",
-		Protocol: 1, // two-superstep phases, labels sent direct (0 relayed them, three per phase)
+		Protocol: 2, // a label sent when it falls, halt on quiescence (1: two-superstep phases with change flags; 0: labels relayed)
 		Build: func(prob algo.Problem) (algo.Algorithm[Wire, Local, *Result], partition.Input, error) {
 			in, err := algo.GraphInput(prob)
 			if err != nil {

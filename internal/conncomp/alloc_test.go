@@ -23,7 +23,9 @@ import (
 // each socket connection end kept only the buffer it uses, 60 / 153
 // (14.5 / 36.8 MB); before labels went straight to their home machine,
 // with no relay superstep and no routing frame, 60 / 84 (14.5 / 20.3
-// MB); now 54 / 67 (12.9 / 16.0 MB; 69 for the socket row under -race).
+// MB); before a label went out only when it fell, with no change flags,
+// 54 / 67 (12.9 / 16.0 MB); now 49 / 59 (11.6 / 14.2 MB; 61 for the
+// socket row under -race).
 func TestConnCompBytesPerArc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("labels a 240 000-arc graph twice, once over loopback sockets")
@@ -47,8 +49,8 @@ func TestConnCompBytesPerArc(t *testing.T) {
 		layer       string
 		got, budget float64
 	}{
-		{"connectivity machines + link buckets + in-process link (newCCMachine, Step, core, inmem)", inmem, 61},
-		{"connectivity machines + link buckets + socket link (AppendBatchV2, frame buffers, rows, assembleInbox)", tcp, 77},
+		{"connectivity machines + link buckets + in-process link (newCCMachine, Step, core, inmem)", inmem, 55},
+		{"connectivity machines + link buckets + socket link (AppendBatchV2, frame buffers, rows, assembleInbox)", tcp, 68},
 	} {
 		t.Logf("%5.1f B/arc (budget %3.0f)  %s", row.got, row.budget, row.layer)
 		if row.got > row.budget {

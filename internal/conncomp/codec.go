@@ -2,11 +2,12 @@ package conncomp
 
 import twire "kmachine/internal/transport/wire"
 
-// Wire is the envelope payload type of a connectivity run: a label or
-// a change flag, sent straight to the machine it is for.
+// Wire is the envelope payload type of a connectivity run: a label for
+// a vertex, sent straight to the vertex's home.
 type Wire = cmsg
 
-// WireCodec returns the binary codec for connectivity envelopes.
+// WireCodec returns the binary codec for connectivity envelopes: the
+// vertex and its label, two varints.
 func WireCodec() twire.Codec[Wire] {
 	return cmsgCodec{}
 }
@@ -14,18 +15,12 @@ func WireCodec() twire.Codec[Wire] {
 type cmsgCodec struct{}
 
 func (cmsgCodec) Append(dst []byte, m cmsg) ([]byte, error) {
-	flags := m.Kind << 1
-	if m.Changed {
-		flags |= 1
-	}
-	dst = append(dst, flags)
 	dst = twire.AppendVarint(dst, int64(m.V))
 	return twire.AppendVarint(dst, int64(m.Label)), nil
 }
 
 func (cmsgCodec) Decode(src []byte) (cmsg, int, error) {
 	c := twire.Cursor{Src: src}
-	flags := c.Byte()
-	m := cmsg{Kind: flags >> 1, Changed: flags&1 != 0, V: int32(c.Varint()), Label: int32(c.Varint())}
+	m := cmsg{V: int32(c.Varint()), Label: int32(c.Varint())}
 	return m, c.Off, c.Err
 }

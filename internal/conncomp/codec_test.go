@@ -10,14 +10,8 @@ import (
 func TestWireCodecRoundTripProperty(t *testing.T) {
 	r := rng.New(23)
 	c := WireCodec()
-	kinds := []uint8{kindLabel, kindFlag}
 	for i := 0; i < 3000; i++ {
-		want := Wire{
-			Kind:    kinds[r.Intn(len(kinds))],
-			V:       int32(r.Uint64()),
-			Label:   int32(r.Uint64()),
-			Changed: r.Intn(2) == 0,
-		}
+		want := Wire{V: int32(r.Uint64()), Label: int32(r.Uint64())}
 		buf, err := c.Append(nil, want)
 		if err != nil {
 			t.Fatal(err)

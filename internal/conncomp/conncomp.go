@@ -6,13 +6,16 @@
 // The algorithm here is synchronous minimum-label propagation with local
 // collapsing: every machine first merges its local vertices with a
 // union-find over the edges it already holds (free local computation),
-// then repeatedly exchanges per-destination-aggregated minimum labels
-// across cut edges, each straight to its vertex's home: the random
-// vertex partition spreads them over the links as evenly as Lemma 13's
-// relay would (DESIGN.md). A phase is two supersteps: labels, then a
-// local collapse and a change flag to every peer. Labels converge to the
-// minimum vertex ID of each component within O(supergraph diameter)
-// phases — O(log n) whp on the G(n,p) families used in the experiments.
+// then, every superstep, applies the labels it received, collapses
+// locally, and sends each ghost's aggregated minimum label straight to
+// the ghost's home — only when it fell below the label last sent for
+// that ghost. The random vertex partition spreads the labels over the
+// links as evenly as Lemma 13's relay would (DESIGN.md). A machine that
+// sends nothing votes done, and the run halts on the engine's
+// quiescence: every machine done, no envelope in flight. Labels converge
+// to the minimum vertex ID of each component within O(supergraph
+// diameter) supersteps — O(log n) whp on the G(n,p) families used in the
+// experiments.
 //
 // Substitution note (DESIGN.md): the paper's reference point [51]
 // achieves Õ(n/k²) deterministically in the phase count via graph
@@ -31,20 +34,10 @@ import (
 	"kmachine/internal/partition"
 )
 
-const (
-	kindLabel = iota // candidate minimum label for a destination vertex
-	kindFlag         // "my labels changed this phase" broadcast
-)
-
-// phaseLen is the number of supersteps in a phase: labels out, then
-// relax and the change flags out.
-const phaseLen = 2
-
+// cmsg is a candidate minimum label for vertex V, sent to V's home.
 type cmsg struct {
-	Kind    uint8
-	V       int32
-	Label   int32
-	Changed bool
+	V     int32
+	Label int32
 }
 
 type ccMachine struct {
@@ -56,10 +49,9 @@ type ccMachine struct {
 	// Ghost table: the distinct non-local neighbours, ascending, and the
 	// rows adjacent to ghost g, ghostRows[ghostOffs[g]:ghostOffs[g+1]].
 	ghosts, ghostOffs, ghostRows []int32
+	sent                         []int32 // sent[g]: the last label sent for ghost g, MaxInt32 before any
 
-	phase        int
-	anyChange    bool // set when a label changed in the last phase
-	flagsChanged bool // OR of all machines' change flags
+	phase int // supersteps in which this machine sent labels
 
 	buckets [][]core.Envelope[cmsg] // [j]: envelopes to machine j, recycled
 }
@@ -69,8 +61,7 @@ type ccMachine struct {
 // is flattened into class, and cut arcs are packed as ghost<<32|row and
 // radix-sorted by ghost (stable, so rows stay ascending) into the ghost
 // table. Every table is sized from a count taken before it fills: each
-// link bucket to its ghosts' labels plus one change flag, all carved
-// from one slab.
+// link bucket to its ghosts' labels, all carved from one slab.
 func newCCMachine(view partition.View) *ccMachine {
 	locals := view.Locals()
 	m := &ccMachine{
@@ -139,16 +130,17 @@ func newCCMachine(view partition.View) *ccMachine {
 		m.ghostRows[p] = int32(uint32(key))
 	}
 	m.ghostOffs = append(m.ghostOffs, int32(len(keys)))
+	m.sent = make([]int32, distinct)
+	for g := range m.sent {
+		m.sent[g] = math.MaxInt32
+	}
 	size := make([]int, view.K())
 	for _, w := range m.ghosts {
 		size[view.HomeOf(w)]++
 	}
-	slab := make([]core.Envelope[cmsg], distinct+view.K()-1)
+	slab := make([]core.Envelope[cmsg], distinct)
 	off := 0
 	for j, c := range size {
-		if core.MachineID(j) != view.Self() {
-			c++ // the change flag
-		}
 		m.buckets[j] = slab[off : off : off+c]
 		off += c
 	}
@@ -161,74 +153,49 @@ func newCCMachine(view partition.View) *ccMachine {
 // and the second spread it.
 func (m *ccMachine) relax() {
 	for r, c := range m.class {
-		if l := m.label[r]; l < m.label[c] {
-			m.label[c] = l
-			m.anyChange = true
-		}
+		m.label[c] = min(m.label[c], m.label[r])
 	}
 	for r, c := range m.class {
-		if m.label[r] != m.label[c] {
-			m.label[r] = m.label[c]
-			m.anyChange = true
-		}
+		m.label[r] = m.label[c]
 	}
 }
 
+// Step applies the arrived labels, collapses locally, and sends each
+// ghost's minimum label — the minimum over the ghost's neighbours — to
+// the ghost's home, in ascending ghost order, if it fell below the label
+// last sent for it. A machine that sends nothing votes done; a label
+// that arrives later wakes it.
 func (m *ccMachine) Step(ctx *core.StepContext, inbox []core.Envelope[cmsg]) ([]core.Envelope[cmsg], bool) {
+	for i := range inbox {
+		d := &inbox[i].Msg
+		r := m.view.Row(d.V)
+		m.label[r] = min(m.label[r], d.Label)
+	}
+	m.relax()
+
 	buckets := m.buckets
 	for j := range buckets {
 		buckets[j] = buckets[j][:0]
 	}
-	for i := range inbox {
-		switch d := &inbox[i].Msg; d.Kind {
-		case kindLabel:
-			if r := m.view.Row(d.V); d.Label < m.label[r] {
-				m.label[r] = d.Label
-				m.anyChange = true
-			}
-		case kindFlag:
-			if d.Changed {
-				m.flagsChanged = true
-			}
+	quiet := true
+	for g, w := range m.ghosts {
+		l := int32(math.MaxInt32)
+		for _, r := range m.ghostRows[m.ghostOffs[g]:m.ghostOffs[g+1]] {
+			l = min(l, m.label[r])
 		}
+		if l >= m.sent[g] {
+			continue
+		}
+		m.sent[g] = l
+		j := m.view.HomeOf(w)
+		buckets[j] = append(buckets[j], core.Envelope[cmsg]{To: j, Words: 2, Msg: cmsg{V: w, Label: l}})
+		quiet = false
 	}
-
-	if ctx.Superstep%phaseLen == 0 {
-		// Phase start: stop if the previous phase changed nothing
-		// anywhere (flags from every other machine plus our own state).
-		if ctx.Superstep > 0 {
-			done := !m.flagsChanged && !m.anyChange
-			m.flagsChanged = false
-			if done {
-				return nil, true
-			}
-		}
-		m.anyChange = false
-		m.phase++
-		// Send per-destination-aggregated minimum labels over cut edges:
-		// to each ghost's home, in ascending ghost order, the minimum of
-		// the ghost's neighbours.
-		for g, w := range m.ghosts {
-			l := int32(math.MaxInt32)
-			for _, r := range m.ghostRows[m.ghostOffs[g]:m.ghostOffs[g+1]] {
-				l = min(l, m.label[r])
-			}
-			j := m.view.HomeOf(w)
-			buckets[j] = append(buckets[j], core.Envelope[cmsg]{To: j, Words: 2,
-				Msg: cmsg{Kind: kindLabel, V: w, Label: l}})
-		}
-	} else {
-		// Labels have arrived (processed above); collapse locally and
-		// broadcast the change flag.
-		m.relax()
-		flag := cmsg{Kind: kindFlag, Changed: m.anyChange}
-		for j := range buckets {
-			if to := core.MachineID(j); to != m.view.Self() {
-				buckets[j] = append(buckets[j], core.Envelope[cmsg]{To: to, Words: 1, Msg: flag})
-			}
-		}
+	if quiet {
+		return nil, true
 	}
-	return core.EmitBuckets(ctx, m.buckets), false
+	m.phase++
+	return core.EmitBuckets(ctx, buckets), false
 }
 
 // Result reports a connected-components run.
@@ -237,7 +204,8 @@ type Result struct {
 	Label []int32
 	// Components is the number of distinct labels.
 	Components int
-	// Phases is the number of label-propagation phases executed.
+	// Phases is the most supersteps in which any one machine sent
+	// labels.
 	Phases int
 	// Stats is the communication profile.
 	Stats *core.Stats

@@ -161,12 +161,12 @@ func TestRejectsMismatchedK(t *testing.T) {
 // vertex partition hashes each vertex to a home independently of the
 // graph, so a ghost of machine i — a neighbour homed elsewhere — is
 // homed uniformly at one of the other k−1 machines, independently of
-// the other ghosts. One label per ghost per phase goes to that home, so
-// i's labels to j number Binomial(|ghosts_i|, 1/(k−1)). LinkShare(x,
-// k−1) is that binomial's mean plus four standard deviations, and a
-// label is 2 words, so no link of a label superstep carries more than
-// 2·LinkShare(max_i |ghosts_i|, k−1) words whp, whatever the graph,
-// a star's hub included, with no relay.
+// the other ghosts. At most one label per ghost per superstep goes to
+// that home, so a superstep's labels from i to j are at most i's ghosts
+// homed at j, which number Binomial(|ghosts_i|, 1/(k−1)). LinkShare(x, k−1) is that binomial's mean plus four standard
+// deviations, and a label is 2 words, so no link of any superstep
+// carries more than 2·LinkShare(max_i |ghosts_i|, k−1) words whp,
+// whatever the graph, a star's hub included, with no relay.
 func TestLabelsSpreadOverTheLinks(t *testing.T) {
 	for _, in := range []struct {
 		name string
@@ -192,9 +192,9 @@ func TestLabelsSpreadOverTheLinks(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkLabels(t, in.g, res)
-			for s := 0; s < len(res.Stats.PerSuperstep); s += phaseLen {
+			for s := range res.Stats.PerSuperstep {
 				if w := res.Stats.PerSuperstep[s].MaxLinkWords; w > bound {
-					t.Errorf("%s k=%d: label superstep %d loads a link with %d words, above 2·LinkShare(%d, %d) = %d",
+					t.Errorf("%s k=%d: superstep %d loads a link with %d words, above 2·LinkShare(%d, %d) = %d",
 						in.name, k, s, w, maxGhosts, k-1, bound)
 					break
 				}

@@ -2,6 +2,7 @@ package conncomp
 
 import (
 	"bufio"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -22,7 +23,9 @@ import (
 // (algo.GraphInput, from the generator or from an edge-list file) — at
 // k values that leave some machines with no locals or no cut arcs.
 // Labels and component counts must match the sequential oracle, and
-// Stats must not depend on how the shards were built.
+// Stats must not depend on how the shards were built. An input with no
+// edges has nothing to send: its run halts at superstep 0 and costs
+// nothing.
 func TestViewsAgreeOnEdgeCases(t *testing.T) {
 	pairs := graph.NewBuilder(10, false) // 3 pairs + 4 singletons
 	for _, e := range [][2]int{{0, 9}, {2, 3}, {5, 7}} {
@@ -39,6 +42,7 @@ func TestViewsAgreeOnEdgeCases(t *testing.T) {
 		{name: "cycle", g: gen.Cycle(60)},
 		{name: "star", g: gen.Star(40)},
 		{name: "isolated+pairs", g: pairs.Build()},
+		{name: "edgeless", g: graph.NewBuilder(50, false).Build()},
 		{name: "gnp", g: gen.Gnp(300, 0.004, 5), edgeP: 0.004},
 		{name: "sample", g: readEdgeList(t, samplePath, 300), file: samplePath},
 	}
@@ -71,6 +75,9 @@ func TestViewsAgreeOnEdgeCases(t *testing.T) {
 						in.name, k, i, res.Components, res.Label, roots, want)
 				}
 				stats[i] = st
+			}
+			if in.g.M() == 0 && (stats[0].Words != 0 || stats[0].Rounds != 0) {
+				t.Errorf("%s k=%d: %d words in %d rounds, want 0 and 0", in.name, k, stats[0].Words, stats[0].Rounds)
 			}
 			if !reflect.DeepEqual(stats[0], stats[1]) {
 				t.Errorf("%s k=%d: graph-built stats %+v, stream-built stats %+v", in.name, k, stats[0], stats[1])
@@ -109,11 +116,12 @@ func readEdgeList(t *testing.T, path string, n int) *graph.Graph {
 	return b.Build()
 }
 
-// TestPhaseStartDoesNotAllocate fences the per-phase label send: once
-// its out buffer has grown, a phase-start Step on a machine mid-run
-// (here machine 0 of a G(n,p) cluster exchanged by hand for two phases)
-// allocates nothing — no candidate table, no sorted key list.
-func TestPhaseStartDoesNotAllocate(t *testing.T) {
+// TestStepDoesNotAllocate fences the per-superstep label send: once
+// its out buffer has grown, a Step on a machine mid-run (here machine 0
+// of a G(n,p) cluster exchanged by hand for three supersteps) that sends
+// every ghost's label allocates nothing — no candidate table, no sorted
+// key list.
+func TestStepDoesNotAllocate(t *testing.T) {
 	const n, k = 4000, 8
 	spec := partition.Spec{N: n, K: k, Seed: 3}
 	shards, err := gen.GnpInput(spec, 2.0/n, 7).MachineViews(partition.AllMachines(k))
@@ -127,8 +135,8 @@ func TestPhaseStartDoesNotAllocate(t *testing.T) {
 		ctxs[i] = core.StepContext{Self: core.MachineID(i), K: k, RNG: rng.NewStream(9, uint64(i))}
 	}
 	inbox := make([][]core.Envelope[cmsg], k)
-	const phaseStart = 3 * phaseLen
-	for s := 0; s < phaseStart; s++ {
+	const fenced = 3
+	for s := 0; s < fenced; s++ {
 		next := make([][]core.Envelope[cmsg], k)
 		for i, m := range ms {
 			ctxs[i].Superstep = s
@@ -140,15 +148,17 @@ func TestPhaseStartDoesNotAllocate(t *testing.T) {
 		inbox = next
 	}
 	m, ctx := ms[0], &ctxs[0]
-	ctx.Superstep = phaseStart
+	ctx.Superstep = fenced
 	step := func() {
-		m.flagsChanged = true // some peer changed: the phase runs
-		if out, done := m.Step(ctx, inbox[0]); done || len(out) == 0 {
-			t.Fatalf("phase start sent %d envelopes, done=%v", len(out), done)
+		for g := range m.sent {
+			m.sent[g] = math.MaxInt32 // every label falls: the Step sends them all
+		}
+		if out, done := m.Step(ctx, inbox[0]); done || len(out) != len(m.ghosts) {
+			t.Fatalf("Step sent %d envelopes for %d ghosts, done=%v", len(out), len(m.ghosts), done)
 		}
 	}
 	step() // grows the recycled out buffer
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-		t.Errorf("phase-start Step allocates %.0f times, want 0", allocs)
+		t.Errorf("Step allocates %.0f times, want 0", allocs)
 	}
 }

@@ -7,21 +7,17 @@ import (
 )
 
 // SnapshotState serialises the machine's dynamic connectivity state:
-// the phase counter, the change/termination flags, and the
-// per-local-vertex labels in Locals() order. The class and ghost tables
-// are NOT serialised: the constructor builds them from the view alone,
-// so a machine built from the same inputs already holds them.
+// the phase counter, the per-local-vertex labels in Locals() order, and
+// the last label sent for each ghost, so that a resumed run neither
+// resends nor drops a label. The class and ghost tables are NOT
+// serialised: the constructor builds them from the view alone, so a
+// machine built from the same inputs already holds them.
 func (m *ccMachine) SnapshotState(dst []byte) ([]byte, error) {
 	dst = twire.AppendUvarint(dst, uint64(m.phase))
-	var flags byte
-	if m.anyChange {
-		flags |= 1
-	}
-	if m.flagsChanged {
-		flags |= 2
-	}
-	dst = append(dst, flags)
 	for _, l := range m.label {
+		dst = twire.AppendVarint(dst, int64(l))
+	}
+	for _, l := range m.sent {
 		dst = twire.AppendVarint(dst, int64(l))
 	}
 	return dst, nil
@@ -33,15 +29,15 @@ func (m *ccMachine) SnapshotState(dst []byte) ([]byte, error) {
 func (m *ccMachine) RestoreState(src []byte) error {
 	c := twire.Cursor{Src: src}
 	phase := c.Uvarint()
-	flags := c.Byte()
 	for r := range m.label {
 		m.label[r] = int32(c.Varint())
+	}
+	for g := range m.sent {
+		m.sent[g] = int32(c.Varint())
 	}
 	if err := c.Finish(); err != nil {
 		return fmt.Errorf("conncomp: restore: %w", err)
 	}
 	m.phase = int(phase)
-	m.anyChange = flags&1 != 0
-	m.flagsChanged = flags&2 != 0
 	return nil
 }

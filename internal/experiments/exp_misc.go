@@ -288,6 +288,6 @@ func E16Connectivity(cfg Config) (Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"substitution (DESIGN.md): [51]'s sketch-based Õ(n/k²) algorithm is replaced by label propagation with the same per-phase communication profile",
-		"a phase is 2 supersteps: each label goes straight to its vertex's home, since the random vertex partition already spreads the labels over the links as evenly as a Lemma 13 relay would")
+		"phases: the most supersteps in which one machine sent labels; a label goes out only when it falls, straight to its vertex's home, since the random vertex partition already spreads the labels over the links as evenly as a Lemma 13 relay would; the run halts when no machine sends")
 	return t, nil
 }

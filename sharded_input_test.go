@@ -125,7 +125,7 @@ func TestShardedConnectivityGolden(t *testing.T) {
 	st := out.Stats
 	got := fmt.Sprintf("rounds=%d supersteps=%d messages=%d words=%d maxRecvWords=%d",
 		st.Rounds, st.Supersteps, st.Messages, st.Words, st.MaxRecvWords)
-	if want := "rounds=996 supersteps=8 messages=400448 words=800672 maxRecvWords=101772"; got != want {
+	if want := "rounds=615 supersteps=4 messages=210839 words=421678 maxRecvWords=53350"; got != want {
 		t.Errorf("stats %s, want %s", got, want)
 	}
 	if want := "conncomp: 3 components over 20000 vertices in 4 phases"; !slices.Contains(out.Summary, want) {
