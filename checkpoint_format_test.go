@@ -163,7 +163,7 @@ func TestCheckpointedRunOpensItsCutOnce(t *testing.T) {
 // them at once — a reordered label, a dropped flag — passes it; this one
 // does not, and a deliberate format change must re-record the digest.
 func TestConnCompCheckpointLayoutPinned(t *testing.T) {
-	checkCutsPinned(t, "conncomp", 12, 0xc605347672b10656)
+	checkCutsPinned(t, "conncomp", 12, 0x715ac85a3331a0de)
 }
 
 // TestPageRankCheckpointLayoutPinned is the same pin for PageRank: the

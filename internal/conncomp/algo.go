@@ -15,8 +15,9 @@ type Local struct {
 	Vertices []int32
 	// Label[i] is the minimum vertex ID of Vertices[i]'s component.
 	Label []int32
-	// Phases is the number of supersteps in which this machine sent
-	// labels.
+	// Phases is one more than the last superstep in which an arrived
+	// label lowered one of this machine's labels, 1 if none ever did;
+	// the most over machines is Result.Phases.
 	Phases int
 }
 

@@ -51,7 +51,7 @@ type ccMachine struct {
 	ghosts, ghostOffs, ghostRows []int32
 	sent                         []int32 // sent[g]: the last label sent for ghost g, MaxInt32 before any
 
-	phase int // supersteps in which this machine sent labels
+	phase int // 1 + the last superstep in which an arrived label lowered one of ours
 
 	buckets [][]core.Envelope[cmsg] // [j]: envelopes to machine j, recycled
 }
@@ -67,6 +67,7 @@ func newCCMachine(view partition.View) *ccMachine {
 	m := &ccMachine{
 		view:    view,
 		locals:  locals,
+		phase:   1,
 		label:   make([]int32, len(locals)),
 		class:   make([]int32, len(locals)),
 		buckets: make([][]core.Envelope[cmsg], view.K()),
@@ -168,8 +169,10 @@ func (m *ccMachine) relax() {
 func (m *ccMachine) Step(ctx *core.StepContext, inbox []core.Envelope[cmsg]) ([]core.Envelope[cmsg], bool) {
 	for i := range inbox {
 		d := &inbox[i].Msg
-		r := m.view.Row(d.V)
-		m.label[r] = min(m.label[r], d.Label)
+		if r := m.view.Row(d.V); d.Label < m.label[r] {
+			m.label[r] = d.Label
+			m.phase = ctx.Superstep + 1
+		}
 	}
 	m.relax()
 
@@ -194,7 +197,6 @@ func (m *ccMachine) Step(ctx *core.StepContext, inbox []core.Envelope[cmsg]) ([]
 	if quiet {
 		return nil, true
 	}
-	m.phase++
 	return core.EmitBuckets(ctx, buckets), false
 }
 
@@ -204,8 +206,8 @@ type Result struct {
 	Label []int32
 	// Components is the number of distinct labels.
 	Components int
-	// Phases is the most supersteps in which any one machine sent
-	// labels.
+	// Phases is the propagation length: one more than the last
+	// superstep in which any label fell, 1 if none ever did.
 	Phases int
 	// Stats is the communication profile.
 	Stats *core.Stats

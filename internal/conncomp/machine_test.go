@@ -25,26 +25,30 @@ import (
 // Labels and component counts must match the sequential oracle, and
 // Stats must not depend on how the shards were built. An input with no
 // edges has nothing to send: its run halts at superstep 0 and costs
-// nothing.
+// nothing. Phases, which the output hash folds, is pinned per k at the
+// propagation length that the two-superstep flagged protocol counted.
 func TestViewsAgreeOnEdgeCases(t *testing.T) {
 	pairs := graph.NewBuilder(10, false) // 3 pairs + 4 singletons
 	for _, e := range [][2]int{{0, 9}, {2, 3}, {5, 7}} {
 		pairs.AddEdge(e[0], e[1])
 	}
 	const samplePath = "../../testdata/sample_edges.txt"
+	ks := []int{2, 8, 27}
 	inputs := []struct {
-		name  string
-		g     *graph.Graph
-		edgeP float64 // > 0: the registry generates G(n, edgeP) itself
-		file  string  // else the registry reads this edge list
+		name   string
+		g      *graph.Graph
+		edgeP  float64 // > 0: the registry generates G(n, edgeP) itself
+		file   string  // else the registry reads this edge list
+		phases []int   // Result.Phases at each of ks
 	}{
-		{name: "path", g: gen.Path(20)},
-		{name: "cycle", g: gen.Cycle(60)},
-		{name: "star", g: gen.Star(40)},
-		{name: "isolated+pairs", g: pairs.Build()},
-		{name: "edgeless", g: graph.NewBuilder(50, false).Build()},
-		{name: "gnp", g: gen.Gnp(300, 0.004, 5), edgeP: 0.004},
-		{name: "sample", g: readEdgeList(t, samplePath, 300), file: samplePath},
+		{name: "path", g: gen.Path(20), phases: []int{12, 17, 20}},
+		{name: "path3", g: gen.Path(3), phases: []int{2, 3, 3}},
+		{name: "cycle", g: gen.Cycle(60), phases: []int{18, 26, 29}},
+		{name: "star", g: gen.Star(40), phases: []int{2, 2, 2}},
+		{name: "isolated+pairs", g: pairs.Build(), phases: []int{2, 2, 2}},
+		{name: "edgeless", g: graph.NewBuilder(50, false).Build(), phases: []int{1, 1, 1}},
+		{name: "gnp", g: gen.Gnp(300, 0.004, 5), edgeP: 0.004, phases: []int{7, 13, 12}},
+		{name: "sample", g: readEdgeList(t, samplePath, 300), file: samplePath, phases: []int{3, 4, 4}},
 	}
 	for _, in := range inputs {
 		if in.edgeP == 0 && in.file == "" {
@@ -57,7 +61,7 @@ func TestViewsAgreeOnEdgeCases(t *testing.T) {
 				roots++
 			}
 		}
-		for _, k := range []int{2, 8, 27} {
+		for ki, k := range ks {
 			prob := algo.Problem{N: in.g.N(), EdgeP: in.edgeP, K: k, Seed: 5, InputPath: in.file}
 			sharded, err := algo.GraphInput(prob)
 			if err != nil {
@@ -73,6 +77,9 @@ func TestViewsAgreeOnEdgeCases(t *testing.T) {
 				if !slices.Equal(res.Label, want) || res.Components != roots {
 					t.Errorf("%s k=%d view %d: %d components, labels %v; want %d, %v",
 						in.name, k, i, res.Components, res.Label, roots, want)
+				}
+				if res.Phases != in.phases[ki] {
+					t.Errorf("%s k=%d view %d: %d phases, want %d", in.name, k, i, res.Phases, in.phases[ki])
 				}
 				stats[i] = st
 			}

@@ -288,6 +288,6 @@ func E16Connectivity(cfg Config) (Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"substitution (DESIGN.md): [51]'s sketch-based Õ(n/k²) algorithm is replaced by label propagation with the same per-phase communication profile",
-		"phases: the most supersteps in which one machine sent labels; a label goes out only when it falls, straight to its vertex's home, since the random vertex partition already spreads the labels over the links as evenly as a Lemma 13 relay would; the run halts when no machine sends")
+		"phases: one more than the last superstep in which a label fell, the propagation length of the flagged protocol before; a label goes out only when it falls, straight to its vertex's home, since the random vertex partition already spreads the labels over the links as evenly as a Lemma 13 relay would; the run halts when no machine sends")
 	return t, nil
 }
